@@ -76,45 +76,60 @@ func TestPlanGoldenEquivalence(t *testing.T) {
 			t.Logf("skipping %s in -short mode (direct reference is slow)", name)
 			continue
 		}
-		t.Run(name, func(t *testing.T) {
-			p := buildPlan(t, name)
+		t.Run(name, func(t *testing.T) { checkPlanGolden(t, name) })
+	}
+}
 
-			direct := nn.NewScratch()
-			direct.SetDirect(true)
-			serial := nn.NewScratch()
-			parallel := nn.NewScratch()
-			parallel.SetWorkers(4)
+// TestPlanGoldenPortableRung reruns the CifarNet and AlexNet goldens with
+// GemmNN's portable rung forced: the kernel non-AVX2 and non-amd64 builds
+// run every reference convolution on must reproduce the direct kernels bit
+// for bit too.
+func TestPlanGoldenPortableRung(t *testing.T) {
+	t.Cleanup(tensor.ForcePortableGemmNN())
+	for _, name := range []string{"CifarNet", "AlexNet"} {
+		t.Run(name, func(t *testing.T) { checkPlanGolden(t, name) })
+	}
+}
 
-			run := func(s *nn.Scratch) (*networks.Result, error) {
-				if p.Network().Kind == networks.KindCNN {
-					return p.Run(cnnInput(p, 42), s)
-				}
-				return p.RunSequence(rnnSequence(p, 42), s)
-			}
+// checkPlanGolden compares every layer output of one network on the engine
+// (serial, parallel, no scratch) against the direct reference kernels.
+func checkPlanGolden(t *testing.T, name string) {
+	p := buildPlan(t, name)
 
-			ref, err := run(direct)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Direct-mode outputs alias the direct scratch's arena, which no
-			// other run below touches, so they stay valid for comparison.
-			for _, c := range []struct {
-				label string
-				s     *nn.Scratch
-			}{{"engine", serial}, {"parallel", parallel}, {"no-scratch", nil}} {
-				got, err := run(c.s)
-				if err != nil {
-					t.Fatalf("%s: %v", c.label, err)
-				}
-				if got.PredictedClass != ref.PredictedClass {
-					t.Fatalf("%s: predicted class %d, want %d", c.label, got.PredictedClass, ref.PredictedClass)
-				}
-				for li := range ref.LayerOutputs {
-					requireBitEqual(t, c.label+"/"+p.Network().Layers[li].Name,
-						got.LayerOutputs[li], ref.LayerOutputs[li])
-				}
-			}
-		})
+	direct := nn.NewScratch()
+	direct.SetDirect(true)
+	serial := nn.NewScratch()
+	parallel := nn.NewScratch()
+	parallel.SetWorkers(4)
+
+	run := func(s *nn.Scratch) (*networks.Result, error) {
+		if p.Network().Kind == networks.KindCNN {
+			return p.Run(cnnInput(p, 42), s)
+		}
+		return p.RunSequence(rnnSequence(p, 42), s)
+	}
+
+	ref, err := run(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Direct-mode outputs alias the direct scratch's arena, which no
+	// other run below touches, so they stay valid for comparison.
+	for _, c := range []struct {
+		label string
+		s     *nn.Scratch
+	}{{"engine", serial}, {"parallel", parallel}, {"no-scratch", nil}} {
+		got, err := run(c.s)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if got.PredictedClass != ref.PredictedClass {
+			t.Fatalf("%s: predicted class %d, want %d", c.label, got.PredictedClass, ref.PredictedClass)
+		}
+		for li := range ref.LayerOutputs {
+			requireBitEqual(t, c.label+"/"+p.Network().Layers[li].Name,
+				got.LayerOutputs[li], ref.LayerOutputs[li])
+		}
 	}
 }
 

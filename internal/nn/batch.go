@@ -19,9 +19,10 @@ import (
 //     sample a contiguous CHW block).
 //   - Vector batches are rank-2 (N, F) tensors.
 //   - Inside the heavy kernels the batch is folded into the GEMM column
-//     dimension: batched im2col stages an l-major (k x N*outH*outW) patch
-//     matrix so each per-group GEMM sees every output pixel of every image
-//     at once, and the batched fully-connected layer transposes the inputs
+//     dimension: the convolution core (convStaged; Conv2D is its N=1 case)
+//     stages an l-major (k x N*outH*outW) patch matrix so each per-group
+//     GEMM sees every output pixel of every image at once, and the batched
+//     fully-connected layer transposes the inputs
 //     to (inF x N) so one GEMM replaces N mat-vecs and streams the weight
 //     matrix once per batch instead of once per sample.
 //
@@ -65,7 +66,7 @@ func (s *Scratch) out2(n, f int) *tensor.Tensor {
 }
 
 // checkBatchInput validates the leading batch dimension of a rank-4 input.
-func checkBatchInput(op string, input *tensor.Tensor, wantC int) (n, c, h, w int, err error) {
+func checkBatchInput(op string, input *tensor.Tensor) (n, c, h, w int, err error) {
 	if input == nil {
 		return 0, 0, 0, 0, fmt.Errorf("nn: %s: %w: nil batch input", op, tensor.ErrShape)
 	}
@@ -73,99 +74,30 @@ func checkBatchInput(op string, input *tensor.Tensor, wantC int) (n, c, h, w int
 		return 0, 0, 0, 0, fmt.Errorf("nn: %s: %w: batch input must be NCHW, got shape %v",
 			op, tensor.ErrShape, input.Shape())
 	}
-	n, c, h, w = input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
-	if wantC > 0 && c != wantC {
-		return 0, 0, 0, 0, fmt.Errorf("nn: %s: %w: batch input has %d channels, want %d",
-			op, tensor.ErrShape, c, wantC)
-	}
-	return n, c, h, w, nil
+	return input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3), nil
 }
 
-// Conv2DBatch is the batched engine convolution over an NCHW input: one
-// l-major im2col staging pass for all N images, then one GEMM per channel
-// group whose column dimension spans every output pixel of every image
-// (M = N*outH*outW in the paper's orientation).  Results are bit-identical
-// to Conv2D on each sample.
+// Conv2DBatch is the batched engine convolution over an NCHW input: the
+// staged core (convStaged) with the batch folded into the GEMM column
+// dimension (M = N*outH*outW in the paper's orientation).  Results are
+// bit-identical to Conv2D on each sample.
 func (s *Scratch) Conv2DBatch(input, weights, bias *tensor.Tensor, p ConvParams) (*tensor.Tensor, error) {
-	nImg, _, inH, inW, err := checkBatchInput("conv", input, p.InChannels)
+	nImg, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, 4)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if weights == nil || weights.Len() != p.WeightCount() {
-		return nil, fmt.Errorf("nn: conv: %w: expects %d weights, got %d",
-			tensor.ErrShape, p.WeightCount(), tensorLen(weights))
-	}
-	if bias != nil && bias.Len() != p.OutChannels {
-		return nil, fmt.Errorf("nn: conv: %w: expects %d biases, got %d",
-			tensor.ErrShape, p.OutChannels, bias.Len())
-	}
-	outH, outW := p.OutputDims(inH, inW)
-	if outH <= 0 || outW <= 0 {
-		return nil, fmt.Errorf("nn: conv output dims %dx%d are not positive for input %dx%d",
-			outH, outW, inH, inW)
-	}
-
-	groups := p.groups()
-	inCPerGroup := p.InChannels / groups
-	outCPerGroup := p.OutChannels / groups
-	n1 := outH * outW
-	nTot := nImg * n1
-	k := inCPerGroup * p.KernelH * p.KernelW
 	out := s.out4(nImg, p.OutChannels, outH, outW)
-
-	colT := s.batchBuf(0, k*nTot)
-	gbuf := s.batchBuf(1, outCPerGroup*nTot)
-	in := input.Data()
-	w := weights.Data()
-	o := out.Data()
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.Data()
-	}
-	sampleStride := input.Len() / nImg
-	outSample := p.OutChannels * n1
-	workers := s.Workers()
-
-	for g := 0; g < groups; g++ {
-		icBase := g * inCPerGroup
-		im2colTBatchPar(colT, in, nImg, sampleStride, inH, inW, icBase, inCPerGroup, p, outH, outW, workers)
-		oc0 := g * outCPerGroup
-		var gb []float32
-		if biasData != nil {
-			gb = biasData[oc0 : oc0+outCPerGroup]
-		}
-		tensor.GemmNNParallel(gbuf, w[oc0*k:(oc0+outCPerGroup)*k], colT, gb,
-			outCPerGroup, nTot, k, nTot, workers)
-		// Un-interleave the channel-major GEMM output (outC x N*n1) into the
-		// sample-major NCHW layout: contiguous n1-float plane copies.
-		for ocg := 0; ocg < outCPerGroup; ocg++ {
-			src := gbuf[ocg*nTot : (ocg+1)*nTot]
-			for img := 0; img < nImg; img++ {
-				dst := o[img*outSample+(oc0+ocg)*n1:]
-				copy(dst[:n1], src[img*n1:(img+1)*n1])
-			}
-		}
-	}
+	s.convStaged(out.Data(), input.Data(), weights, bias, p, nImg, inH, inW, outH, outW)
 	return out, nil
 }
 
-// im2colTBatch stages receptive-field patches for all images in l-major
-// layout: colT[l*(nImg*n1) + img*n1 + oy*outW + ox] where l runs over
-// (channel, ky, kx) of the group's input channels.  Padding positions are
-// zero.  The l-major layout keeps eight neighbouring output pixels
-// contiguous for the vector GEMM kernel.
-func im2colTBatch(colT, in []float32, nImg, sampleStride, inH, inW, icBase, icCount int, p ConvParams, outH, outW int) {
-	im2colTBatchRange(colT, in, nImg, sampleStride, inH, inW, icBase, p, outH, outW,
-		0, icCount*p.KernelH*p.KernelW)
-}
-
-// im2colTBatchRange stages patch rows [l0, l1) of the l-major layout; one
-// call with the full range equals im2colTBatch.  Each row is written by
-// exactly one call, so any partitioning of the range produces identical
-// bytes.
+// im2colTBatchRange stages patch rows [l0, l1) of the receptive-field
+// patches of all images in l-major layout: colT[l*(nImg*n1) + img*n1 +
+// oy*outW + ox] where l runs over (channel, ky, kx) of the group's input
+// channels.  Padding positions are zero.  The l-major layout keeps eight
+// neighbouring output pixels contiguous for the vector GEMM kernel.  Each
+// row is written by exactly one call, so any partitioning of the range
+// produces identical bytes.
 func im2colTBatchRange(colT, in []float32, nImg, sampleStride, inH, inW, icBase int, p ConvParams, outH, outW, l0, l1 int) {
 	n1 := outH * outW
 	nTot := nImg * n1
@@ -198,15 +130,20 @@ func im2colTBatchPar(colT, in []float32, nImg, sampleStride, inH, inW, icBase, i
 		im2colTBatchRange(colT, in, nImg, sampleStride, inH, inW, icBase, p, outH, outW, 0, rows)
 		return
 	}
-	chunk := (rows + workers - 1) / workers
-	nChunks := (rows + chunk - 1) / chunk
-	_ = par.ForEach(workers, nChunks, func(c int) error {
-		l0 := c * chunk
-		l1 := l0 + chunk
-		if l1 > rows {
-			l1 = rows
-		}
+	forEachChunk(workers, rows, func(l0, l1 int) {
 		im2colTBatchRange(colT, in, nImg, sampleStride, inH, inW, icBase, p, outH, outW, l0, l1)
+	})
+}
+
+// forEachChunk splits [0, n) into one contiguous index-ordered chunk per
+// worker and runs fn(lo, hi) for each on the pool.  Callers return before
+// constructing fn when the copy is serial (workers <= 1 or fewer than
+// stagingParMin elements): the closure escapes, and the serial path must
+// stay allocation-free.
+func forEachChunk(workers, n int, fn func(lo, hi int)) {
+	chunk := (n + workers - 1) / workers
+	_ = par.ForEach(workers, (n+chunk-1)/chunk, func(c int) error {
+		fn(c*chunk, min(c*chunk+chunk, n))
 		return nil
 	})
 }
@@ -258,12 +195,7 @@ func (s *Scratch) FullyConnectedBatch(input, weights, bias *tensor.Tensor, outFe
 // transposeToColumns repacks sample-major rows (n x f) into feature-major
 // columns (f x n): dst[l*n + smp] = src[smp*f + l].
 func transposeToColumns(dst, src []float32, n, f int) {
-	for smp := 0; smp < n; smp++ {
-		row := src[smp*f : (smp+1)*f]
-		for l, v := range row {
-			dst[l*n+smp] = v
-		}
-	}
+	transposeToColumnsRange(dst, src, n, f, n, 0, f)
 }
 
 // transposeToRows repacks feature-major columns (f x n) back into
@@ -293,16 +225,8 @@ func transposeToColumnsPar(dst, src []float32, n, f, workers int) {
 		transposeToColumns(dst, src, n, f)
 		return
 	}
-	chunk := (f + workers - 1) / workers
-	nChunks := (f + chunk - 1) / chunk
-	_ = par.ForEach(workers, nChunks, func(c int) error {
-		f0 := c * chunk
-		f1 := f0 + chunk
-		if f1 > f {
-			f1 = f
-		}
+	forEachChunk(workers, f, func(f0, f1 int) {
 		transposeToColumnsRange(dst, src, n, f, n, f0, f1)
-		return nil
 	})
 }
 
@@ -318,16 +242,8 @@ func transposeToColumnsPad(dst, src []float32, n, f, ld, workers int) {
 		transposeToColumnsPadRange(dst, src, n, f, ld, 0, f)
 		return
 	}
-	chunk := (f + workers - 1) / workers
-	nChunks := (f + chunk - 1) / chunk
-	_ = par.ForEach(workers, nChunks, func(c int) error {
-		f0 := c * chunk
-		f1 := f0 + chunk
-		if f1 > f {
-			f1 = f
-		}
+	forEachChunk(workers, f, func(f0, f1 int) {
 		transposeToColumnsPadRange(dst, src, n, f, ld, f0, f1)
-		return nil
 	})
 }
 
@@ -364,22 +280,14 @@ func transposeToRowsPar(dst, src []float32, n, f, ld, workers int) {
 		transposeToRowsRange(dst, src, n, f, ld, 0, n)
 		return
 	}
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	_ = par.ForEach(workers, nChunks, func(c int) error {
-		s0 := c * chunk
-		s1 := s0 + chunk
-		if s1 > n {
-			s1 = n
-		}
+	forEachChunk(workers, n, func(s0, s1 int) {
 		transposeToRowsRange(dst, src, n, f, ld, s0, s1)
-		return nil
 	})
 }
 
 // Pool2DBatch is the batched engine pooling layer.
 func (s *Scratch) Pool2DBatch(input *tensor.Tensor, p PoolParams) (*tensor.Tensor, error) {
-	nImg, c, inH, inW, err := checkBatchInput("pool", input, 0)
+	nImg, c, inH, inW, err := checkBatchInput("pool", input)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +314,7 @@ func (s *Scratch) Pool2DBatch(input *tensor.Tensor, p PoolParams) (*tensor.Tenso
 // GlobalAvgPoolBatch is the batched engine global average pooling layer,
 // returning a rank-2 (N, C) tensor.
 func (s *Scratch) GlobalAvgPoolBatch(input *tensor.Tensor) (*tensor.Tensor, error) {
-	nImg, c, h, w, err := checkBatchInput("global pool", input, 0)
+	nImg, c, h, w, err := checkBatchInput("global pool", input)
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +330,7 @@ func (s *Scratch) GlobalAvgPoolBatch(input *tensor.Tensor) (*tensor.Tensor, erro
 
 // LRNBatch is the batched engine local response normalization layer.
 func (s *Scratch) LRNBatch(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, error) {
-	nImg, c, h, w, err := checkBatchInput("lrn", input, 0)
+	nImg, c, h, w, err := checkBatchInput("lrn", input)
 	if err != nil {
 		return nil, err
 	}
@@ -448,7 +356,7 @@ func (s *Scratch) LRNBatch(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, e
 
 // BatchNormBatch is the batched engine batch normalization layer.
 func (s *Scratch) BatchNormBatch(input *tensor.Tensor, p BatchNormParams) (*tensor.Tensor, error) {
-	nImg, c, h, w, err := checkBatchInput("batchnorm", input, 0)
+	nImg, c, h, w, err := checkBatchInput("batchnorm", input)
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +378,7 @@ func (s *Scratch) BatchNormBatch(input *tensor.Tensor, p BatchNormParams) (*tens
 
 // ScaleBatch is the batched engine per-channel affine layer.
 func (s *Scratch) ScaleBatch(input, gamma, beta *tensor.Tensor) (*tensor.Tensor, error) {
-	nImg, c, h, w, err := checkBatchInput("scale", input, 0)
+	nImg, c, h, w, err := checkBatchInput("scale", input)
 	if err != nil {
 		return nil, err
 	}
@@ -518,7 +426,7 @@ func (s *Scratch) ConcatChannelsBatch(parts ...*tensor.Tensor) (*tensor.Tensor, 
 	}
 	var nImg, h, w, totalC int
 	for i, p := range parts {
-		pn, pc, ph, pw, err := checkBatchInput("concat", p, 0)
+		pn, pc, ph, pw, err := checkBatchInput("concat", p)
 		if err != nil {
 			return nil, err
 		}

@@ -88,34 +88,38 @@ func (p ConvParams) MACs(inH, inW int) int64 {
 	return int64(p.OutChannels) * int64(outH) * int64(outW) * perOutput
 }
 
-// checkConvArgs validates a convolution call and returns the input and
-// output geometry.
-func checkConvArgs(input *tensor.Tensor, weights, bias *tensor.Tensor, p ConvParams) (inH, inW, outH, outW int, err error) {
+// checkConvArgs validates a convolution over one CHW sample (rank 3) or an
+// NCHW batch (rank 4) and returns the batch size and the input and output
+// geometry.
+func checkConvArgs(input, weights, bias *tensor.Tensor, p ConvParams, rank int) (nImg, inH, inW, outH, outW int, err error) {
+	fail := func(err error) (int, int, int, int, int, error) { return 0, 0, 0, 0, 0, err }
 	if err := p.Validate(); err != nil {
-		return 0, 0, 0, 0, err
+		return fail(err)
 	}
 	if input == nil || weights == nil {
-		return 0, 0, 0, 0, fmt.Errorf("nn: conv: %w: nil input or weights", tensor.ErrShape)
+		return fail(fmt.Errorf("nn: conv: %w: nil input or weights", tensor.ErrShape))
 	}
-	if input.Rank() != 3 {
-		return 0, 0, 0, 0, fmt.Errorf("nn: conv input must be CHW, got shape %v", input.Shape())
+	if input.Rank() != rank {
+		return fail(fmt.Errorf("nn: conv: %w: input must have rank %d (CHW, or NCHW for a batch), got shape %v",
+			tensor.ErrShape, rank, input.Shape()))
 	}
-	inC := input.Dim(0)
-	inH, inW = input.Dim(1), input.Dim(2)
+	inC := input.Dim(rank - 3)
+	inH, inW = input.Dim(rank-2), input.Dim(rank-1)
+	nImg = input.Len() / (inC * inH * inW)
 	if inC != p.InChannels {
-		return 0, 0, 0, 0, fmt.Errorf("nn: conv expects %d input channels, got %d", p.InChannels, inC)
+		return fail(fmt.Errorf("nn: conv: %w: expects %d input channels, got %d", tensor.ErrShape, p.InChannels, inC))
 	}
 	if weights.Len() != p.WeightCount() {
-		return 0, 0, 0, 0, fmt.Errorf("nn: conv expects %d weights, got %d", p.WeightCount(), weights.Len())
+		return fail(fmt.Errorf("nn: conv: %w: expects %d weights, got %d", tensor.ErrShape, p.WeightCount(), weights.Len()))
 	}
 	if bias != nil && bias.Len() != p.OutChannels {
-		return 0, 0, 0, 0, fmt.Errorf("nn: conv expects %d biases, got %d", p.OutChannels, bias.Len())
+		return fail(fmt.Errorf("nn: conv: %w: expects %d biases, got %d", tensor.ErrShape, p.OutChannels, bias.Len()))
 	}
 	outH, outW = p.OutputDims(inH, inW)
 	if outH <= 0 || outW <= 0 {
-		return 0, 0, 0, 0, fmt.Errorf("nn: conv output dims %dx%d are not positive for input %dx%d", outH, outW, inH, inW)
+		return fail(fmt.Errorf("nn: conv output dims %dx%d are not positive for input %dx%d", outH, outW, inH, inW))
 	}
-	return inH, inW, outH, outW, nil
+	return nImg, inH, inW, outH, outW, nil
 }
 
 // Conv2D performs a 2-D convolution of input (CHW) with weights
@@ -125,7 +129,7 @@ func checkConvArgs(input *tensor.Tensor, weights, bias *tensor.Tensor, p ConvPar
 //
 // The computation is lowered to im2col plus the blocked GEMM kernel in
 // package tensor; results are bit-identical to the direct reference loop in
-// Conv2DDirect (see the summation-order contract on tensor.Gemm).  Use a
+// Conv2DDirect (see the summation-order contract on tensor.GemmNN).  Use a
 // Scratch to amortize the im2col and output buffers across runs.
 func Conv2D(input *tensor.Tensor, weights, bias *tensor.Tensor, p ConvParams) (*tensor.Tensor, error) {
 	return (*Scratch)(nil).Conv2D(input, weights, bias, p)
@@ -136,7 +140,7 @@ func Conv2D(input *tensor.Tensor, weights, bias *tensor.Tensor, p ConvParams) (*
 // (channel, ky, kx) in ascending order.  The GEMM path is validated
 // bit-exactly against it.
 func Conv2DDirect(input *tensor.Tensor, weights, bias *tensor.Tensor, p ConvParams) (*tensor.Tensor, error) {
-	_, _, outH, outW, err := checkConvArgs(input, weights, bias, p)
+	_, _, _, outH, outW, err := checkConvArgs(input, weights, bias, p, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -190,54 +194,75 @@ func conv2DDirectInto(dst, input, weights, bias *tensor.Tensor, p ConvParams) {
 	}
 }
 
-// im2col gathers one receptive-field patch per output pixel into col, laid
-// out patch-major: col[(oy*outW+ox)*k + l] where l runs over (channel, ky,
-// kx) of the group's input channels [icBase, icBase+icCount).  Out-of-image
-// (padding) positions are written as zero.  The patch-major layout makes
-// both operands of the GEMM inner dot product contiguous.
-func im2col(col, in []float32, inH, inW, icBase, icCount int, p ConvParams, outH, outW int) {
-	k := icCount * p.KernelH * p.KernelW
-	for oy := 0; oy < outH; oy++ {
-		iy0 := oy*p.StrideH - p.PadH
-		for ox := 0; ox < outW; ox++ {
-			ix0 := ox*p.StrideW - p.PadW
-			patch := col[(oy*outW+ox)*k : (oy*outW+ox)*k+k]
-			idx := 0
-			for ic := 0; ic < icCount; ic++ {
-				plane := in[(icBase+ic)*inH*inW : (icBase+ic+1)*inH*inW]
-				for ky := 0; ky < p.KernelH; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= inH {
-						for kx := 0; kx < p.KernelW; kx++ {
-							patch[idx] = 0
-							idx++
-						}
-						continue
-					}
-					row := plane[iy*inW : (iy+1)*inW]
-					ix := ix0
-					for kx := 0; kx < p.KernelW; kx++ {
-						if ix < 0 || ix >= inW {
-							patch[idx] = 0
-						} else {
-							patch[idx] = row[ix]
-						}
-						idx++
-						ix++
-					}
-				}
-			}
-		}
+// convStaged is the reference-tier convolution core behind Conv2D (nImg = 1)
+// and Conv2DBatch: per channel group, the patches of all nImg samples are
+// staged l-major (k x nImg*outH*outW, see im2colTBatchRange) and one
+// tensor.GemmNN multiplies the group's filters against them.  in holds nImg
+// contiguous CHW samples, o receives nImg CHW outputs; arguments must be
+// pre-validated.
+//
+// For a single sample the GEMM's row stride outH*outW is the output's own
+// plane stride, so it writes straight into o; if the convolution is also
+// 1x1, stride 1 and unpadded, the patch matrix is the group's input planes
+// as they lie in memory and nothing is staged.  A batch folds its samples
+// into the GEMM columns, so the channel-major product lands in a group
+// buffer and is copied out plane by plane.  Every output element is one
+// bias-seeded dot product in (channel, ky, kx) order whichever case runs:
+// bit-identical to Conv2DDirect for any batch size and worker count.
+func (s *Scratch) convStaged(o, in []float32, weights, bias *tensor.Tensor, p ConvParams, nImg, inH, inW, outH, outW int) {
+	groups := p.groups()
+	inCPerGroup := p.InChannels / groups
+	outCPerGroup := p.OutChannels / groups
+	n1 := outH * outW
+	nTot := nImg * n1
+	k := inCPerGroup * p.KernelH * p.KernelW
+	sampleStride := p.InChannels * inH * inW
+	outSample := p.OutChannels * n1
+	w := weights.Data()
+	var biasData []float32
+	if bias != nil {
+		biasData = bias.Data()
 	}
-}
+	workers := s.Workers()
 
-// im2col1x1 handles the 1x1 stride-1 unpadded case: the patch matrix is the
-// transpose of the group's input channel block.
-func im2col1x1(col, in []float32, hw, icBase, icCount int) {
-	for j := 0; j < hw; j++ {
-		patch := col[j*icCount : (j+1)*icCount]
-		for ic := range patch {
-			patch[ic] = in[(icBase+ic)*hw+j]
+	inPlace := nImg == 1 && p.KernelH == 1 && p.KernelW == 1 &&
+		p.StrideH == 1 && p.StrideW == 1 && p.PadH == 0 && p.PadW == 0
+	var colT, gbuf []float32
+	if !inPlace {
+		colT = s.buffer(k * nTot)
+	}
+	if nImg > 1 {
+		gbuf = s.batchBuf(1, outCPerGroup*nTot)
+	}
+	for g := 0; g < groups; g++ {
+		icBase := g * inCPerGroup
+		patches := colT
+		if inPlace {
+			patches = in[icBase*n1 : (icBase+inCPerGroup)*n1]
+		} else {
+			im2colTBatchPar(colT, in, nImg, sampleStride, inH, inW, icBase, inCPerGroup, p, outH, outW, workers)
+		}
+		oc0 := g * outCPerGroup
+		var gb []float32
+		if biasData != nil {
+			gb = biasData[oc0 : oc0+outCPerGroup]
+		}
+		dst := gbuf
+		if nImg == 1 {
+			dst = o[oc0*n1 : (oc0+outCPerGroup)*n1]
+		}
+		tensor.GemmNNParallel(dst, w[oc0*k:(oc0+outCPerGroup)*k], patches, gb,
+			outCPerGroup, nTot, k, nTot, workers)
+		if nImg == 1 {
+			continue
+		}
+		// Un-interleave the channel-major product (outC x nImg*n1) into the
+		// sample-major NCHW layout: contiguous n1-float plane copies.
+		for ocg := 0; ocg < outCPerGroup; ocg++ {
+			src := gbuf[ocg*nTot : (ocg+1)*nTot]
+			for img := 0; img < nImg; img++ {
+				copy(o[img*outSample+(oc0+ocg)*n1:][:n1], src[img*n1:(img+1)*n1])
+			}
 		}
 	}
 }

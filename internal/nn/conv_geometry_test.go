@@ -1,0 +1,207 @@
+package nn
+
+import (
+	"fmt"
+	"testing"
+
+	"tango/internal/tensor"
+)
+
+// convGeom is one convolution geometry: parameters plus input plane size.
+type convGeom struct {
+	p        ConvParams
+	inH, inW int
+}
+
+func (g convGeom) String() string {
+	p := g.p
+	return fmt.Sprintf("c%d-%d_g%d_k%dx%d_s%dx%d_p%dx%d_in%dx%d", p.InChannels, p.OutChannels, p.groups(),
+		p.KernelH, p.KernelW, p.StrideH, p.StrideW, p.PadH, p.PadW, g.inH, g.inW)
+}
+
+// convGeometryTable lists the geometries the staged core must get right that
+// the seven networks never produce: every case routes differently through
+// the staging (in-place 1x1, padded, strided), the group split, or the
+// GemmNN tiling (output planes n with n%8 in {0, 1, 7}, n < 8, n past the
+// 512-column panel; outCPerGroup m with m%4 != 0; depth past the 256 panel).
+func convGeometryTable() []convGeom {
+	cp := func(inC, outC, groups, kh, kw, sh, sw, ph, pw int) ConvParams {
+		return ConvParams{InChannels: inC, OutChannels: outC, Groups: groups,
+			KernelH: kh, KernelW: kw, StrideH: sh, StrideW: sw, PadH: ph, PadW: pw}
+	}
+	return []convGeom{
+		{cp(6, 10, 1, 1, 1, 1, 1, 0, 0), 8, 8},    // 1x1 in place, n=64
+		{cp(6, 6, 2, 1, 1, 1, 1, 0, 0), 5, 5},     // 1x1 in place per group, m=3, n=25
+		{cp(10, 20, 1, 1, 1, 1, 1, 0, 0), 23, 23}, // 1x1 in place across the column panel, n=529
+		{cp(300, 5, 1, 1, 1, 1, 1, 0, 0), 1, 7},   // 1x1 in place across the depth panel, n=7
+		{cp(4, 5, 1, 1, 1, 2, 2, 0, 0), 9, 9},     // 1x1 stride 2 is staged, n=25
+		{cp(3, 4, 1, 1, 1, 1, 2, 0, 0), 5, 9},     // 1x1 strided on one axis only is staged
+		{cp(3, 4, 1, 1, 1, 2, 1, 0, 0), 9, 5},     // and on the other
+		{cp(3, 4, 1, 1, 1, 1, 1, 0, 1), 5, 5},     // 1x1 padded on one axis only is staged
+		{cp(3, 4, 1, 1, 1, 1, 1, 1, 0), 5, 5},     // and on the other
+		{cp(3, 4, 1, 1, 3, 1, 1, 0, 0), 5, 7},     // 1x3 and 3x1 kernels are staged
+		{cp(3, 4, 1, 3, 1, 1, 1, 0, 0), 7, 5},
+		{cp(5, 5, 5, 3, 3, 1, 1, 1, 1), 7, 9},     // depthwise m=1, n=63
+		{cp(3, 3, 3, 3, 3, 1, 1, 1, 1), 23, 24},   // depthwise across the column panel, n=552
+		{cp(4, 12, 4, 3, 3, 2, 2, 2, 2), 6, 7},    // m=3 per group, pad wider than one stride
+		{cp(3, 7, 1, 3, 3, 2, 2, 0, 0), 7, 7},     // n=9
+		{cp(2, 3, 1, 3, 3, 1, 1, 0, 0), 4, 4},     // n=4, narrower than one vector
+		{cp(3, 5, 1, 3, 3, 1, 1, 0, 0), 3, 10},    // one output row, n=8
+		{cp(3, 67, 1, 3, 3, 1, 1, 1, 1), 4, 5},    // sixteen row tiles plus three remainder rows
+		{cp(32, 6, 1, 3, 3, 1, 1, 1, 1), 23, 23},  // k=288 and n=529 cross both GEMM panels
+		{cp(128, 2, 1, 3, 3, 1, 1, 0, 0), 4, 6},   // k=1152, remainder rows only
+		{cp(4, 8, 2, 5, 5, 1, 1, 2, 2), 8, 8},     // n=64
+		{cp(2, 6, 2, 5, 5, 3, 3, 1, 1), 12, 14},   // m=3, stride 3, n=16
+		{cp(2, 7, 1, 5, 5, 4, 4, 1, 1), 20, 23},   // stride 4, m=7, n=25
+		{cp(3, 9, 1, 11, 11, 4, 4, 2, 2), 19, 23}, // AlexNet conv1 kernel, n=20
+		{cp(1, 2, 1, 11, 11, 2, 2, 1, 1), 11, 13}, // n=6
+		{cp(2, 8, 1, 11, 11, 1, 1, 2, 2), 9, 8},   // kernel larger than the input, legal through padding
+		{cp(3, 5, 1, 3, 5, 2, 1, 0, 2), 9, 6},     // rectangular kernel; stride and pad differ per axis
+		{cp(2, 4, 1, 5, 5, 4, 4, 0, 0), 5, 5},     // one output pixel
+		{cp(2, 2, 1, 3, 3, 4, 4, 2, 2), 3, 3},     // stride past the input
+		{cp(6, 16, 2, 5, 5, 1, 1, 2, 2), 27, 27},  // AlexNet conv2 plane, n=729
+	}
+}
+
+// randomConvGeom draws one geometry: kernel from the sizes the issue names,
+// stride 1-4, pad 0-2, and a group structure of one, two or depthwise groups
+// with 1-5 output channels each.
+func randomConvGeom(r *tensor.RNG) convGeom {
+	pick := func(n int) int { return int(r.Uint64() % uint64(n)) }
+	kernels := []int{1, 3, 5, 11}
+	kh := kernels[pick(len(kernels))]
+	kw := kh
+	if pick(4) == 0 {
+		kw = kernels[pick(len(kernels))]
+	}
+	p := ConvParams{KernelH: kh, KernelW: kw,
+		StrideH: 1 + pick(4), StrideW: 1 + pick(4), PadH: pick(3), PadW: pick(3)}
+	inCPerGroup, outCPerGroup := 1+pick(4), 1+pick(5)
+	switch pick(3) {
+	case 0:
+		p.Groups = 1
+	case 1:
+		p.Groups = 2
+	default: // depthwise: one input plane per group
+		p.Groups = 2 + pick(4)
+		inCPerGroup = 1
+	}
+	p.InChannels = p.Groups * inCPerGroup
+	p.OutChannels = p.Groups * outCPerGroup
+	g := convGeom{p: p, inH: kh + pick(14), inW: kw + pick(14)}
+	if kh == 1 && pick(2) == 0 { // steer half the 1x1 draws onto the in-place route
+		g.p.StrideH, g.p.StrideW, g.p.PadH, g.p.PadW = 1, 1, 0, 0
+	}
+	return g
+}
+
+// TestConvCoreGeometryMatchesDirect is the differential test of the staged
+// convolution core: for every table geometry and a seeded random draw, batch
+// sizes 1 and 3 and worker counts 1 and 3, through both entry points and on
+// both GemmNN rungs, each image's output must equal Conv2DDirect bit for bit.
+func TestConvCoreGeometryMatchesDirect(t *testing.T) {
+	geoms := convGeometryTable()
+	r := tensor.NewRNG(15)
+	for i := 0; i < 60; i++ {
+		geoms = append(geoms, randomConvGeom(r))
+	}
+	for _, rung := range []string{"detected", "portable"} {
+		t.Run(rung, func(t *testing.T) {
+			if rung == "portable" {
+				t.Cleanup(tensor.ForcePortableGemmNN())
+			}
+			data := tensor.NewRNG(16)
+			for _, g := range geoms {
+				testConvGeom(t, data, g)
+			}
+		})
+	}
+}
+
+func testConvGeom(t *testing.T, r *tensor.RNG, g convGeom) {
+	t.Helper()
+	p := g.p
+	if err := p.Validate(); err != nil {
+		t.Fatalf("%v: %v", g, err)
+	}
+	w := randBatch(r, p.WeightCount())
+	b := randBatch(r, p.OutChannels)
+	if r.Uint64()%4 == 0 {
+		b = nil
+	}
+	const maxN = 3
+	in := randBatch(r, maxN, p.InChannels, g.inH, g.inW)
+	want := make([]*tensor.Tensor, maxN)
+	for i := range want {
+		var err error
+		if want[i], err = Conv2DDirect(sampleOf(t, in, i), w, b, p); err != nil {
+			t.Fatalf("%v: direct: %v", g, err)
+		}
+	}
+	sample := in.Len() / maxN
+	for _, workers := range []int{1, 3} {
+		s := NewScratch()
+		s.SetWorkers(workers)
+		for _, n := range []int{1, maxN} {
+			op := fmt.Sprintf("%v/n%d/w%d", g, n, workers)
+			batch, err := tensor.FromSlice(in.Data()[:n*sample], n, p.InChannels, g.inH, g.inW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.BeginRun()
+			out, err := s.Conv2DBatch(batch, w, b, p)
+			if err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+			for i := 0; i < n; i++ {
+				requireSameBits(t, op, out, i, want[i])
+			}
+		}
+		s.BeginRun()
+		single, err := s.Conv2D(sampleOf(t, in, 0), w, b, p)
+		if err != nil {
+			t.Fatalf("%v/single/w%d: %v", g, workers, err)
+		}
+		if !tensor.SameShape(single, want[0]) {
+			t.Fatalf("%v/single/w%d: shape %v, want %v", g, workers, single.Shape(), want[0].Shape())
+		}
+		one, err := tensor.FromSlice(single.Data(), 1, single.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, fmt.Sprintf("%v/single/w%d", g, workers), one, 0, want[0])
+	}
+}
+
+// TestScratchBytesCountsConvStaging pins the resident-bytes accounting of the
+// conv core's buffers: one k x N*n staging matrix, plus the group product
+// buffer for a batch, and nothing at all for an in-place 1x1.
+func TestScratchBytesCountsConvStaging(t *testing.T) {
+	r := tensor.NewRNG(3)
+	p := ConvParams{InChannels: 4, OutChannels: 6, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}
+	const h, w, k, n = 5, 7, 2 * 3 * 3, 5 * 7
+	weights, bias := randBatch(r, p.WeightCount()), randBatch(r, p.OutChannels)
+
+	s := NewScratch()
+	if _, err := s.Conv2D(randBatch(r, 4, h, w), weights, bias, p); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Bytes()-s.ArenaBytes(), int64(k*n*4); got != want {
+		t.Fatalf("single sample: %d staging bytes, want %d", got, want)
+	}
+	if _, err := s.Conv2DBatch(randBatch(r, 3, 4, h, w), weights, bias, p); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Bytes()-s.ArenaBytes(), int64((k+3)*3*n*4); got != want {
+		t.Fatalf("batch of 3: %d staging bytes, want %d", got, want)
+	}
+
+	s = NewScratch()
+	p1 := ConvParams{InChannels: 4, OutChannels: 6, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}
+	if _, err := s.Conv2D(randBatch(r, 4, h, w), randBatch(r, p1.WeightCount()), nil, p1); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Bytes() - s.ArenaBytes(); got != 0 {
+		t.Fatalf("in-place 1x1: %d staging bytes, want 0", got)
+	}
+}

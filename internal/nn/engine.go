@@ -16,11 +16,13 @@ import (
 // (Conv2DDirect, the scalar MatVec, LSTMCell, GRUCell): the blocked kernels
 // preserve the reference summation order — one float32 accumulator per
 // output element, reduction index ascending — for any blocking and any
-// worker count.  See the determinism contract on tensor.Gemm.
+// worker count.  See the determinism contracts on tensor.GemmNN (the
+// convolution core, conv.go) and tensor.Gemm (the mat-vec kernels).
 
 // Scratch is the per-goroutine state of the compute engine: a
-// shape-memoizing output arena, the im2col staging buffer, recurrent gate
-// buffers and the worker count for row-panel parallelism.  After the first
+// shape-memoizing output arena, the convolution staging buffer (col, the
+// l-major patch matrix of convStaged), recurrent gate buffers and the worker
+// count for row-panel parallelism.  After the first
 // run on a given network, repeated runs perform near-zero heap allocations.
 //
 // All tensors returned by Scratch methods alias the arena: their contents
@@ -211,11 +213,11 @@ func (s *Scratch) Ints(n int) []int {
 	return s.preds
 }
 
-// Conv2D is the engine convolution: im2col into the scratch staging buffer,
-// then one blocked GEMM per channel group, with output rows fanned across
-// the worker pool.  Results are bit-identical to Conv2DDirect.
+// Conv2D is the engine convolution of one CHW sample: the staged core
+// (convStaged) at batch size one, whose GEMM writes straight into the arena
+// output.  Results are bit-identical to Conv2DDirect.
 func (s *Scratch) Conv2D(input, weights, bias *tensor.Tensor, p ConvParams) (*tensor.Tensor, error) {
-	inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p)
+	_, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -224,41 +226,7 @@ func (s *Scratch) Conv2D(input, weights, bias *tensor.Tensor, p ConvParams) (*te
 		conv2DDirectInto(out, input, weights, bias, p)
 		return out, nil
 	}
-
-	groups := p.groups()
-	inCPerGroup := p.InChannels / groups
-	outCPerGroup := p.OutChannels / groups
-	n := outH * outW
-	k := inCPerGroup * p.KernelH * p.KernelW
-	col := s.buffer(n * k)
-	in := input.Data()
-	w := weights.Data()
-	o := out.Data()
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.Data()
-	}
-	oneByOne := p.KernelH == 1 && p.KernelW == 1 &&
-		p.StrideH == 1 && p.StrideW == 1 && p.PadH == 0 && p.PadW == 0
-	workers := s.Workers()
-
-	for g := 0; g < groups; g++ {
-		icBase := g * inCPerGroup
-		if oneByOne {
-			im2col1x1(col, in, n, icBase, inCPerGroup)
-		} else {
-			im2col(col, in, inH, inW, icBase, inCPerGroup, p, outH, outW)
-		}
-		oc0 := g * outCPerGroup
-		var gb []float32
-		if biasData != nil {
-			gb = biasData[oc0 : oc0+outCPerGroup]
-		}
-		tensor.GemmParallel(
-			o[oc0*n:(oc0+outCPerGroup)*n],
-			w[oc0*k:(oc0+outCPerGroup)*k],
-			col, gb, outCPerGroup, n, k, workers)
-	}
+	s.convStaged(out.Data(), input.Data(), weights, bias, p, 1, inH, inW, outH, outW)
 	return out, nil
 }
 

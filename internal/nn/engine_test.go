@@ -307,13 +307,18 @@ func BenchmarkConv(b *testing.B) {
 	w.FillNormal(r, 0.1)
 	bias := tensor.New(256)
 	for _, bc := range []struct {
-		name string
-		s    *nn.Scratch
+		name     string
+		s        *nn.Scratch
+		portable bool
 	}{
-		{"direct", func() *nn.Scratch { s := nn.NewScratch(); s.SetDirect(true); return s }()},
-		{"gemm", nn.NewScratch()},
+		{"direct", func() *nn.Scratch { s := nn.NewScratch(); s.SetDirect(true); return s }(), false},
+		{"gemm", nn.NewScratch(), false},
+		{"gemm-portable", nn.NewScratch(), true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			if bc.portable {
+				b.Cleanup(tensor.ForcePortableGemmNN())
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bc.s.BeginRun()

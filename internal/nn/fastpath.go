@@ -269,7 +269,7 @@ func (s *Scratch) Conv2DPacked(input, weights, bias *tensor.Tensor, p ConvParams
 // single-sample panel grid matches the staged fast path's column blocking,
 // so results are bit-identical to the pre-fusion tier.
 func (s *Scratch) conv2DFast(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
-	inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p)
+	_, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +286,7 @@ func (s *Scratch) conv2DFast(input, weights, bias *tensor.Tensor, p ConvParams, 
 // matrix is quantized per layer (per group for grouped convolutions) and
 // multiplied against the int8 weight panels with exact int32 accumulation.
 func (s *Scratch) conv2DInt8(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
-	inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p)
+	_, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +308,7 @@ func (s *Scratch) conv2DInt8(input, weights, bias *tensor.Tensor, p ConvParams, 
 	}
 	workers := s.Workers()
 	for g := 0; g < groups; g++ {
-		im2colTBatch(colT, in, 1, input.Len(), inH, inW, g*inCPerGroup, inCPerGroup, p, outH, outW)
+		im2colTBatchRange(colT, in, 1, input.Len(), inH, inW, g*inCPerGroup, p, outH, outW, 0, k)
 		xs := tensor.PackColsU8(bp, colT, k, n, n, kPad)
 		oc0 := g * outCPerGroup
 		var gb []float32
@@ -326,25 +326,9 @@ func (s *Scratch) Conv2DBatchPacked(input, weights, bias *tensor.Tensor, p ConvP
 	if mode == NumericsReference || pk == nil || (pk.f == nil && pk.q == nil) {
 		return s.Conv2DBatch(input, weights, bias, p)
 	}
-	nImg, _, inH, inW, err := checkBatchInput("conv", input, p.InChannels)
+	nImg, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, 4)
 	if err != nil {
 		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if weights == nil || weights.Len() != p.WeightCount() {
-		return nil, fmt.Errorf("nn: conv: %w: expects %d weights, got %d",
-			tensor.ErrShape, p.WeightCount(), tensorLen(weights))
-	}
-	if bias != nil && bias.Len() != p.OutChannels {
-		return nil, fmt.Errorf("nn: conv: %w: expects %d biases, got %d",
-			tensor.ErrShape, p.OutChannels, bias.Len())
-	}
-	outH, outW := p.OutputDims(inH, inW)
-	if outH <= 0 || outW <= 0 {
-		return nil, fmt.Errorf("nn: conv output dims %dx%d are not positive for input %dx%d",
-			outH, outW, inH, inW)
 	}
 
 	int8Path := mode == NumericsInt8 && pk.q != nil

@@ -6,10 +6,11 @@ import (
 	"tango/internal/par"
 )
 
-// This file implements the float32 matrix kernels behind the native compute
-// engine: a cache-blocked, register-tiled GEMM shared by the im2col
-// convolution path, the fully-connected layers and the recurrent gate
-// mat-vecs.
+// This file implements the transposed-operand ("NT") float32 matrix kernels
+// of the native compute engine: the register-tiled mat-vec behind the
+// single-sample fully-connected layers and recurrent gates, and the
+// cache-blocked GEMM of the same contract.  Convolutions run on GemmNN
+// (gemm_nn.go).
 //
 // Determinism contract: every output element dst[i*n+j] is computed as
 //
@@ -36,8 +37,8 @@ const (
 // B, contiguous in memory), and dst is m x n.  bias has one element per
 // output row and may be nil for zero.  dst is fully overwritten.
 //
-// The im2col convolution lowering stores one receptive-field patch per bt
-// row, which makes both operands of the inner dot product contiguous.
+// Storing B transposed makes both operands of the inner dot product
+// contiguous.
 func Gemm(dst, a, bt, bias []float32, m, n, k int) {
 	checkGemmArgs(dst, a, bt, bias, m, n, k)
 	gemmRows(dst, a, bt, bias, n, k, 0, m)

@@ -1,12 +1,17 @@
 package tensor
 
-// This file implements the batched-inference GEMM: dst = A*B + bias where B
-// is stored row-major (k x n), unlike Gemm whose second operand is the
-// transposed bt (n x k).  The row-major ("NN") layout puts every output
-// column of one depth step contiguously in memory, which is what lets the
-// amd64 microkernel vectorize ACROSS output elements: eight neighbouring
-// columns advance their accumulators in one vector multiply + one vector add
-// per depth step.
+// This file implements the reference-tier GEMM behind every convolution
+// (single-sample and batched) and the batched fully-connected and recurrent
+// layers: dst = A*B + bias where B is stored row-major (k x n), unlike Gemm
+// whose second operand is the transposed bt (n x k).  The row-major ("NN")
+// layout puts every output column of one depth step contiguously in memory,
+// which is what lets the amd64 microkernels vectorize ACROSS output
+// elements: eight neighbouring columns advance their accumulators in one
+// vector multiply + one vector add per depth step.
+//
+// Two rungs share one blocking and one bit pattern (see gemmNNPanel): the
+// AVX2 microkernels, and a portable rung for pre-AVX2 amd64 and every other
+// architecture.
 //
 // Determinism contract (identical to Gemm): every element dst[i*n+j] is
 //
@@ -85,16 +90,13 @@ func checkGemmNNArgs(dst, a, b, bias []float32, m, n, k, ldb int) {
 // order; inside a panel, column panels bound the L2-resident b block.
 func gemmNNRows(dst, a, b, bias []float32, n, k, ldb, r0, r1 int) {
 	for i := r0; i < r1; i++ {
-		row := dst[i*ldb : i*ldb+n]
+		var bi float32
 		if bias != nil {
-			bi := bias[i]
-			for j := range row {
-				row[j] = bi
-			}
-		} else {
-			for j := range row {
-				row[j] = 0
-			}
+			bi = bias[i]
+		}
+		row := dst[i*ldb : i*ldb+n]
+		for j := range row {
+			row[j] = bi
 		}
 	}
 	for kb := 0; kb < k; kb += nnKC {
@@ -112,34 +114,96 @@ func gemmNNRows(dst, a, b, bias []float32, n, k, ldb, r0, r1 int) {
 	}
 }
 
+// gemmNNVector selects the vector rung; it only selects speed, and only
+// ForcePortableGemmNN (tests) mutates it.
+var gemmNNVector = gemmNNVectorDetected
+
+// ForcePortableGemmNN switches GemmNN onto the portable rung and returns the
+// function that restores the detected one: t.Cleanup(ForcePortableGemmNN())
+// runs a bitwise suite on the kernel non-AVX2 and non-amd64 builds execute.
+// Tests only, and not in parallel with other GemmNN users.
+func ForcePortableGemmNN() (restore func()) {
+	gemmNNVector = false
+	return func() { gemmNNVector = gemmNNVectorDetected }
+}
+
 // gemmNNPanel accumulates the (kb..kb+kc) depth slab over columns
-// [jb, jb+nc) for rows [r0, r1), dispatching full register tiles to the
-// vector microkernel and remainders to the scalar axpy loop.
+// [jb, jb+nc) for rows [r0, r1).  On the vector rung full 8-column blocks go
+// to the 4x8 microkernel (1x8 for the m%4 remainder rows) and the <8-column
+// tail to the strided dot; the portable rung runs the axpy kernel over wide
+// column ranges and the strided dot over narrow ones.
 func gemmNNPanel(dst, a, b []float32, n, k, ldb, kb, kc, jb, nc, r0, r1 int) {
+	if !gemmNNVector {
+		if nc >= nnNR {
+			gemmNNAxpy(dst, a, b, k, ldb, kb, kc, jb, nc, r0, r1)
+		} else {
+			gemmNNDot(dst, a, b, k, ldb, kb, kc, jb, nc, r0, r1)
+		}
+		return
+	}
 	ncVec := nc &^ (nnNR - 1)
-	i := r0
-	if gemmNNVector {
+	if ncVec > 0 {
+		i := r0
 		for ; i+nnMR <= r1; i += nnMR {
-			if ncVec > 0 {
-				gemmNNKernel(dst[i*ldb+jb:], a[i*k+kb:], b[kb*ldb+jb:], kc, ncVec, ldb, k)
-			}
-			if ncVec < nc {
-				gemmNNScalar(dst, a, b, k, ldb, kb, kc, jb+ncVec, nc-ncVec, i, i+nnMR)
-			}
+			gemmNNKernel(dst[i*ldb+jb:], a[i*k+kb:], b[kb*ldb+jb:], kc, ncVec, ldb, k)
+		}
+		for ; i < r1; i++ {
+			gemmNNKernel1(dst[i*ldb+jb:], a[i*k+kb:], b[kb*ldb+jb:], kc, ncVec, ldb)
 		}
 	}
-	if i < r1 {
-		gemmNNScalar(dst, a, b, k, ldb, kb, kc, jb, nc, i, r1)
+	if ncVec < nc {
+		gemmNNDot(dst, a, b, k, ldb, kb, kc, jb+ncVec, nc-ncVec, r0, r1)
 	}
 }
 
-// gemmNNScalar is the portable kernel for remainder rows and narrow column
-// tails: one dot product per output element over the strided b column, with
-// four rows sharing each streamed b value (the matVecRows tiling, so a
-// batch-of-1 fully-connected layer costs the same as the mat-vec path).
-// Element (i, j) accumulates a[i][l]*b[l][j] for l ascending onto the
-// bias-seeded partial sum resident in dst — the reference summation order.
-func gemmNNScalar(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
+// gemmNNAxpy is the portable kernel for wide column ranges: every b row of
+// the slab streams contiguously into four dst rows at a time (dst[i][j] +=
+// a[i][l]*b[l][j] for l ascending), so no access is strided.  Each element
+// still owns one accumulator, its dst slot, updated in depth order: the
+// reference summation order, bit for bit.
+func gemmNNAxpy(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
+	i := r0
+	for ; i+gemmMR <= r1; i += gemmMR {
+		a0 := a[i*k+kb : i*k+kb+kc]
+		a1 := a[(i+1)*k+kb : (i+1)*k+kb+kc]
+		a2 := a[(i+2)*k+kb : (i+2)*k+kb+kc]
+		a3 := a[(i+3)*k+kb : (i+3)*k+kb+kc]
+		d0 := dst[i*ldb+jb : i*ldb+jb+nc]
+		d1 := dst[(i+1)*ldb+jb : (i+1)*ldb+jb+nc]
+		d2 := dst[(i+2)*ldb+jb : (i+2)*ldb+jb+nc]
+		d3 := dst[(i+3)*ldb+jb : (i+3)*ldb+jb+nc]
+		for l := 0; l < kc; l++ {
+			br := b[(kb+l)*ldb+jb : (kb+l)*ldb+jb+nc]
+			d0, d1, d2, d3 := d0[:len(br)], d1[:len(br)], d2[:len(br)], d3[:len(br)]
+			av0, av1, av2, av3 := a0[l], a1[l], a2[l], a3[l]
+			for j, bv := range br {
+				d0[j] += av0 * bv
+				d1[j] += av1 * bv
+				d2[j] += av2 * bv
+				d3[j] += av3 * bv
+			}
+		}
+	}
+	for ; i < r1; i++ {
+		ar := a[i*k+kb : i*k+kb+kc]
+		d := dst[i*ldb+jb : i*ldb+jb+nc]
+		for l, av := range ar {
+			br := b[(kb+l)*ldb+jb : (kb+l)*ldb+jb+nc]
+			d := d[:len(br)]
+			for j, bv := range br {
+				d[j] += av * bv
+			}
+		}
+	}
+}
+
+// gemmNNDot is the kernel for column ranges narrower than one vector: one
+// dot product per output element over the strided b column, with four rows
+// sharing each streamed b value (the matVecRows tiling, so a batch-of-1
+// fully-connected layer costs the same as the mat-vec path).  Element
+// (i, j) accumulates a[i][l]*b[l][j] for l ascending onto the bias-seeded
+// partial sum resident in dst — the reference summation order.
+func gemmNNDot(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
 	i := r0
 	for ; i+gemmMR <= r1; i += gemmMR {
 		a0 := a[i*k+kb : i*k+kb+kc]

@@ -1,8 +1,8 @@
 package tensor
 
-// amd64 wiring for the GemmNN vector microkernel: runtime AVX2 detection via
-// CPUID/XGETBV so the same binary runs on pre-AVX2 hardware through the
-// scalar path.  Both paths are bit-identical; the flag only selects speed.
+// amd64 wiring for the GemmNN vector microkernels: runtime AVX2 detection
+// via CPUID/XGETBV so the same binary runs on pre-AVX2 hardware through the
+// portable rung.
 
 // gemmNNKernel is the AVX2 4x8 register-tile microkernel (gemm_nn_amd64.s).
 // nc must be a positive multiple of 8.
@@ -10,13 +10,20 @@ package tensor
 //go:noescape
 func gemmNNKernel(dst, a, b []float32, kc, nc, ldb, lda int)
 
+// gemmNNKernel1 is the 1x8 tile of the same kernel for the m%4 remainder
+// rows (a depthwise group has a single output row).  nc must be a positive
+// multiple of 8.
+//
+//go:noescape
+func gemmNNKernel1(dst, a, b []float32, kc, nc, ldb int)
+
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
 
-// gemmNNVector reports whether the vector microkernel is usable: the CPU
-// supports AVX2 and the OS saves/restores the YMM state.
-var gemmNNVector = detectAVX2()
+// gemmNNVectorDetected reports whether the vector microkernels are usable:
+// the CPU supports AVX2 and the OS saves/restores the YMM state.
+var gemmNNVectorDetected = detectAVX2()
 
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuidex(0, 0)

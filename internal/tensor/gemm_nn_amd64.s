@@ -84,6 +84,44 @@ kloop:
 	VZEROUPPER
 	RET
 
+// func gemmNNKernel1(dst, a, b []float32, kc, nc, ldb int)
+//
+// The single-row tile of gemmNNKernel: dst[j] += sum_l a[l]*b[l][j] for j in
+// [0,nc), l in [0,kc), b rows ldb floats apart.  Same instruction pair per
+// depth step, so the same bits.
+TEXT ·gemmNNKernel1(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), BX
+	MOVQ kc+72(FP), CX
+	MOVQ nc+80(FP), R8
+	MOVQ ldb+88(FP), R9
+	SHLQ $2, R9              // b row stride in bytes
+
+colloop1:
+	VMOVUPS (DI), Y0
+	MOVQ BX, DX              // b walking pointer for this column block
+	XORQ AX, AX              // depth byte offset into the a row
+	MOVQ CX, R11             // depth counter
+
+kloop1:
+	VBROADCASTSS (SI)(AX*1), Y4
+	VMULPS       (DX), Y4, Y4
+	VADDPS       Y4, Y0, Y0
+	ADDQ $4, AX
+	ADDQ R9, DX              // next b row
+	DECQ R11
+	JNE  kloop1
+
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI             // next 8-column block
+	ADDQ $32, BX
+	SUBQ $8, R8
+	JNE  colloop1
+
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -23,7 +23,22 @@ func refGemmNN(dst, a, b, bias []float32, m, n, k, ldb int) {
 	}
 }
 
-func TestGemmNNMatchesReference(t *testing.T) {
+// onEachRung runs fn on the detected GemmNN rung and again with the portable
+// rung forced, so every bitwise suite covers the kernel non-AVX2 and
+// non-amd64 builds execute.
+func onEachRung(t *testing.T, fn func(t *testing.T)) {
+	if gemmNNVector {
+		t.Run("vector", fn)
+	}
+	t.Run("portable", func(t *testing.T) {
+		t.Cleanup(ForcePortableGemmNN())
+		fn(t)
+	})
+}
+
+func TestGemmNNMatchesReference(t *testing.T) { onEachRung(t, testGemmNNMatchesReference) }
+
+func testGemmNNMatchesReference(t *testing.T) {
 	r := NewRNG(42)
 	shapes := []struct{ m, n, k, pad int }{
 		{1, 1, 1, 0},
@@ -35,6 +50,9 @@ func TestGemmNNMatchesReference(t *testing.T) {
 		{8, 520, 33, 0},   // column panel boundary (nnNC=512)
 		{3, 16, 512, 16},  // no full row tile
 		{17, 1030, 70, 2}, // multiple column panels with tail
+		{1, 729, 9, 0},    // depthwise group: one row, 1x8 tiles plus a 1-column tail
+		{6, 169, 40, 0},   // a row tile plus two remainder rows, direct-write stride
+		{7, 5, 300, 0},    // narrower than one vector: strided dot only
 	}
 	for _, sh := range shapes {
 		ldb := sh.n + sh.pad
@@ -66,9 +84,11 @@ func TestGemmNNMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGemmNNScalarMatchesVector pins the scalar fallback against the vector
-// microkernel (when present) on identical inputs: the two paths must agree
-// bit for bit, which is what makes the AVX2 path safe to enable at runtime.
+// TestGemmNNScalarMatchesVector pins the portable kernels against the vector
+// microkernels (when present) on identical inputs: the rungs must agree bit
+// for bit, which is what makes the AVX2 path safe to enable at runtime.  The
+// strided dot is also run over the whole problem, wider than any range the
+// dispatcher hands it.
 func TestGemmNNScalarMatchesVector(t *testing.T) {
 	if !gemmNNVector {
 		t.Skip("no vector kernel on this platform")
@@ -82,18 +102,22 @@ func TestGemmNNScalarMatchesVector(t *testing.T) {
 	fillRand(r, b)
 	fillRand(r, bias)
 	vec := make([]float32, m*ldb)
-	sc := make([]float32, m*ldb)
+	axpy := make([]float32, m*ldb)
+	dot := make([]float32, m*ldb)
 	GemmNN(vec, a, b, bias, m, n, k, ldb)
-	// Scalar path over the full problem: bias-seed, then accumulate.
+	restore := ForcePortableGemmNN()
+	GemmNN(axpy, a, b, bias, m, n, k, ldb)
+	restore()
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			sc[i*ldb+j] = bias[i]
+			dot[i*ldb+j] = bias[i]
 		}
 	}
-	gemmNNScalar(sc, a, b, k, ldb, 0, k, 0, n, 0, m)
+	gemmNNDot(dot, a, b, k, ldb, 0, k, 0, n, 0, m)
 	for i := range vec {
-		if math.Float32bits(vec[i]) != math.Float32bits(sc[i]) {
-			t.Fatalf("element %d: vector %x scalar %x", i, math.Float32bits(vec[i]), math.Float32bits(sc[i]))
+		if math.Float32bits(vec[i]) != math.Float32bits(axpy[i]) || math.Float32bits(vec[i]) != math.Float32bits(dot[i]) {
+			t.Fatalf("element %d: vector %x axpy %x dot %x", i,
+				math.Float32bits(vec[i]), math.Float32bits(axpy[i]), math.Float32bits(dot[i]))
 		}
 	}
 }
@@ -101,7 +125,9 @@ func TestGemmNNScalarMatchesVector(t *testing.T) {
 // TestGemmNNAgainstGemm cross-checks the NN layout against the established
 // NT kernel: transposing B must yield bit-identical results, since both
 // kernels promise the same per-element summation order.
-func TestGemmNNAgainstGemm(t *testing.T) {
+func TestGemmNNAgainstGemm(t *testing.T) { onEachRung(t, testGemmNNAgainstGemm) }
+
+func testGemmNNAgainstGemm(t *testing.T) {
 	r := NewRNG(99)
 	m, n, k := 12, 37, 95
 	a := make([]float32, m*k)
@@ -127,7 +153,9 @@ func TestGemmNNAgainstGemm(t *testing.T) {
 	}
 }
 
-func TestGemmNNParallelMatchesSerial(t *testing.T) {
+func TestGemmNNParallelMatchesSerial(t *testing.T) { onEachRung(t, testGemmNNParallelMatchesSerial) }
+
+func testGemmNNParallelMatchesSerial(t *testing.T) {
 	r := NewRNG(5)
 	m, n, k, ldb := 64, 96, 200, 104
 	a := make([]float32, m*k)
@@ -178,6 +206,30 @@ func BenchmarkGemmNN(b *testing.B) {
 	// AlexNet conv2 per-group geometry at batch 8: the shape the batched
 	// engine feeds the kernel.
 	m, k, n := 128, 1200, 8*27*27
+	r := NewRNG(3)
+	a := make([]float32, m*k)
+	bb := make([]float32, k*n)
+	bias := make([]float32, m)
+	fillRand(r, a)
+	fillRand(r, bb)
+	fillRand(r, bias)
+	dst := make([]float32, m*n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GemmNN(dst, a, bb, bias, m, n, k, n)
+	}
+	b.ReportMetric(float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+}
+
+// BenchmarkGemmNNPortable times the portable rung at the AlexNet conv2 group
+// shape of a single image (128 x 729 x 1200), the shape the single-sample
+// reference convolution feeds GemmNN.  Its GMAC/s must not fall below
+// BenchmarkGemmNT's, the kernel that convolution ran on before it moved here
+// (a strided per-column dot on this rung measured a third slower).
+func BenchmarkGemmNNPortable(b *testing.B) {
+	b.Cleanup(ForcePortableGemmNN())
+	m, k, n := 128, 1200, 27*27
 	r := NewRNG(3)
 	a := make([]float32, m*k)
 	bb := make([]float32, k*n)
