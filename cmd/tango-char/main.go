@@ -51,7 +51,6 @@ func main() {
 		fast       = flag.Bool("fast", false, "use coarse simulation sampling")
 		parallel   = flag.Int("parallel", 1, "worker goroutines for the simulation matrix (0 = one per CPU)")
 		format     = flag.String("format", "table", "output format: table, csv or json")
-		csv        = flag.Bool("csv", false, "emit CSV (deprecated alias for -format csv)")
 		worker     = flag.Bool("worker", false, "worker mode: serve sweep cells over HTTP (see -addr)")
 		addr       = flag.String("addr", ":9101", "worker mode: HTTP listen address")
 		workers    = flag.String("workers", "", "sweep mode: comma-separated worker addresses to shard cells across")
@@ -68,9 +67,6 @@ func main() {
 		return
 	}
 
-	if *csv {
-		*format = "csv"
-	}
 	switch *format {
 	case "table", "csv", "json":
 	default:

@@ -2,42 +2,43 @@ package bench
 
 import (
 	"testing"
-	"time"
 
 	"tango/internal/gpusim"
 	"tango/internal/target"
 )
 
-// TestTraceStoreRepeatSpeedup is the benchmark-backed guard on the pipeline's
-// reuse: a second session over the same store must render the full report at
-// least 1.5x faster than the first, because every repeated-device figure
-// derives from the store instead of re-simulating (the PR 4 baseline kept the
-// simulation cache per-session, so a new session re-ran the entire matrix).
-// In practice the warm run is orders of magnitude faster; 1.5x keeps the
-// assertion robust on slow, noisy CI machines.
+// TestTraceStoreRepeatSpeedup guards the pipeline's reuse by the property
+// that makes a repeat fast, not by a stopwatch: a second session over the
+// same store renders the full report byte-identically without extracting a
+// single trace, missing a single run or invoking a single target — every
+// figure derives from the store (the PR 4 baseline kept the simulation cache
+// per-session, so a new session re-ran the entire matrix).  How much faster
+// the warm run is (bench.runall_warm_ms) is benchmark/'s to measure.
 func TestTraceStoreRepeatSpeedup(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing-based test skipped in -short mode")
+		t.Skip("full-report test skipped in -short mode")
 	}
+	store := target.NewStore()
 	opts := Options{
 		Networks: []string{"GRU", "LSTM", "CifarNet"},
 		Sampling: gpusim.FastSampling(),
-		Store:    target.NewStore(),
+		Store:    store,
 	}
 
-	start := time.Now()
 	cold, err := NewSession(opts).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldTime := time.Since(start)
+	before := store.Stats()
+	if before.Computes == 0 || before.RunMisses == 0 || before.TraceMisses == 0 {
+		t.Fatalf("cold RunAll left no work in the store's counters: %+v", before)
+	}
 
-	start = time.Now()
 	warm, err := NewSession(opts).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmTime := time.Since(start)
+	after := store.Stats()
 
 	if len(cold) != len(warm) {
 		t.Fatalf("table counts differ: %d vs %d", len(cold), len(warm))
@@ -47,9 +48,11 @@ func TestTraceStoreRepeatSpeedup(t *testing.T) {
 			t.Errorf("%s: warm rendering differs from cold", cold[i].ID)
 		}
 	}
-	if coldTime < warmTime*3/2 {
-		t.Errorf("shared store should make a repeat RunAll >= 1.5x faster: cold %v, warm %v (%.1fx)",
-			coldTime, warmTime, float64(coldTime)/float64(warmTime))
+	if after.Computes != before.Computes || after.RunMisses != before.RunMisses || after.TraceMisses != before.TraceMisses {
+		t.Errorf("warm RunAll did work the store already held: computes %d -> %d, run misses %d -> %d, trace misses %d -> %d",
+			before.Computes, after.Computes, before.RunMisses, after.RunMisses, before.TraceMisses, after.TraceMisses)
 	}
-	t.Logf("cold %v, warm %v (%.1fx)", coldTime, warmTime, float64(coldTime)/float64(warmTime))
+	if after.RunHits == before.RunHits {
+		t.Errorf("warm RunAll never asked the store for a run (hits stayed %d)", before.RunHits)
+	}
 }

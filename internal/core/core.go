@@ -109,7 +109,7 @@ func (b *Benchmark) SampleSequence(seed uint64) ([]*tensor.Tensor, error) {
 // single-sample path.
 func (b *Benchmark) SampleInputBatch(seed uint64, n int) (*tensor.Tensor, error) {
 	if b.Network.Kind != networks.KindCNN {
-		return nil, fmt.Errorf("core: %s is an RNN; use SampleSequenceBatch", b.Name())
+		return nil, fmt.Errorf("core: %s is an RNN; use SampleSequence", b.Name())
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("core: %s: %w: batch size must be positive, got %d",
@@ -127,35 +127,6 @@ func (b *Benchmark) SampleInputBatch(seed uint64, n int) (*tensor.Tensor, error)
 	return batch, nil
 }
 
-// SampleSequenceBatch returns a deterministic batch of n synthetic price
-// sequences in the time-major (steps, n, features) layout RunSequenceBatch
-// expects; sequence i is bit-identical to SampleSequence(seed + i).
-func (b *Benchmark) SampleSequenceBatch(seed uint64, n int) (*tensor.Tensor, error) {
-	if b.Network.Kind != networks.KindRNN {
-		return nil, fmt.Errorf("core: %s is a CNN; use SampleInputBatch", b.Name())
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("core: %s: %w: batch size must be positive, got %d",
-			b.Name(), tensor.ErrShape, n)
-	}
-	steps := b.Network.SeqLen
-	if steps <= 0 {
-		steps = 2
-	}
-	inSize := b.Network.InputShape[0]
-	batch := tensor.New(steps, n, inSize)
-	for i := 0; i < n; i++ {
-		seq, err := b.SampleSequence(seed + uint64(i))
-		if err != nil {
-			return nil, err
-		}
-		for t, x := range seq {
-			copy(batch.Data()[(t*n+i)*inSize:(t*n+i+1)*inSize], x.Data())
-		}
-	}
-	return batch, nil
-}
-
 // Plan returns the benchmark's resolved execution plan for the native
 // compute engine, building it on first use.
 func (b *Benchmark) Plan() (*networks.Plan, error) {
@@ -167,17 +138,12 @@ func (b *Benchmark) Plan() (*networks.Plan, error) {
 	return b.plan, b.planErr
 }
 
-// AcquireScratch returns a pooled compute-engine scratch configured for the
-// given worker count.  Release it with ReleaseScratch once every tensor of
-// the run's Result has been consumed: results produced with a scratch alias
-// its arena and are overwritten by the next run that reuses it.
-func (b *Benchmark) AcquireScratch(workers int) *nn.Scratch {
-	return b.AcquireScratchNumerics(workers, nn.NumericsReference)
-}
-
-// AcquireScratchNumerics is AcquireScratch with an explicit numerics tier;
-// every configurable scratch knob is reset so a pooled scratch never leaks a
-// previous caller's mode.
+// AcquireScratchNumerics returns a pooled compute-engine scratch configured
+// for the given worker count and numerics tier; every configurable scratch
+// knob is reset so a pooled scratch never leaks a previous caller's mode.
+// Release it with ReleaseScratch once every tensor of the run's Result has
+// been consumed: results produced with a scratch alias its arena and are
+// overwritten by the next run that reuses it.
 func (b *Benchmark) AcquireScratchNumerics(workers int, mode nn.Numerics) *nn.Scratch {
 	s, ok := b.scratch.Get().(*nn.Scratch)
 	if !ok {
@@ -187,19 +153,6 @@ func (b *Benchmark) AcquireScratchNumerics(workers int, mode nn.Numerics) *nn.Sc
 	s.SetDirect(false)
 	s.SetNumerics(mode)
 	return s
-}
-
-// PrepareNumerics eagerly builds the plan and packs its weights for the
-// given numerics tier, so the first fast-tier inference doesn't pay the
-// one-time packing cost.  Packing is idempotent and otherwise happens
-// lazily on the first run that uses the tier.
-func (b *Benchmark) PrepareNumerics(mode nn.Numerics) error {
-	p, err := b.Plan()
-	if err != nil {
-		return err
-	}
-	p.Pack(mode)
-	return nil
 }
 
 // ReleaseScratch returns a scratch to the benchmark's pool.
@@ -219,12 +172,14 @@ func (b *Benchmark) ReleaseScratch(s *nn.Scratch) {
 // /metrics.
 type MemStats struct {
 	// WeightBytes is the synthesized parameter footprint.
-	WeightBytes int64
-	// PackedBytes is the fast-tier weight panels built so far.
-	PackedBytes int64
+	WeightBytes int64 `json:"weight_bytes"`
+	// PackedBytes is the fast-tier weight panels built so far (zero under
+	// the reference tier).
+	PackedBytes int64 `json:"packed_bytes"`
 	// ScratchBytes is the high-water footprint of one pooled compute
-	// scratch (arena + staging buffers).
-	ScratchBytes int64
+	// scratch (arena plus staging buffers); multi-worker engines resident
+	// several scratches peak at a multiple of this.
+	ScratchBytes int64 `json:"scratch_bytes"`
 }
 
 // Total returns the benchmark's total resident estimate.
@@ -249,36 +204,15 @@ func (b *Benchmark) MemStats() MemStats {
 	return m
 }
 
-// RunInference executes the CNN natively and returns the classification.
-// Results are freshly allocated; for steady-state inference use Plan with an
-// AcquireScratch scratch.
-func (b *Benchmark) RunInference(input *tensor.Tensor) (*networks.Result, error) {
-	p, err := b.Plan()
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(input, nil)
-}
-
 // RunInferenceScratch executes the CNN natively on the compute engine with
-// the given scratch.  The Result's tensors alias the scratch arena.
+// the given scratch.  The Result's tensors alias the scratch arena (a nil
+// scratch allocates them afresh).
 func (b *Benchmark) RunInferenceScratch(input *tensor.Tensor, s *nn.Scratch) (*networks.Result, error) {
 	p, err := b.Plan()
 	if err != nil {
 		return nil, err
 	}
 	return p.Run(input, s)
-}
-
-// RunSequence executes the RNN natively over a price sequence.  Results are
-// freshly allocated; for steady-state inference use Plan with an
-// AcquireScratch scratch.
-func (b *Benchmark) RunSequence(seq []*tensor.Tensor) (*networks.Result, error) {
-	p, err := b.Plan()
-	if err != nil {
-		return nil, err
-	}
-	return p.RunSequence(seq, nil)
 }
 
 // RunSequenceScratch executes the RNN natively on the compute engine with

@@ -39,7 +39,7 @@ func TestSampleInputAndInference(t *testing.T) {
 	if in.Len() != 3*32*32 {
 		t.Errorf("sample input has %d elements", in.Len())
 	}
-	res, err := b.RunInference(in)
+	res, err := b.RunInferenceScratch(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSampleSequenceAndRNNInference(t *testing.T) {
 	if len(seq) != 2 {
 		t.Errorf("sequence length %d, want 2", len(seq))
 	}
-	res, err := b.RunSequence(seq)
+	res, err := b.RunSequenceScratch(seq, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,16 +33,6 @@ func newFlatProgram(p kernel.Program, s Sampling) flatProgram {
 	return fp
 }
 
-// simInstructionsPerThread returns the sampled dynamic instruction count per
-// thread.
-func (fp flatProgram) simInstructionsPerThread() int64 {
-	n := int64(len(fp.prologue)) + int64(len(fp.epilogue))
-	for _, l := range fp.loops {
-		n += int64(len(l.body)) * int64(l.simTrip)
-	}
-	return n
-}
-
 // segment indices: 0 = prologue, 1..len(loops) = loops, len(loops)+1 = epilogue.
 func (fp flatProgram) numSegments() int { return len(fp.loops) + 2 }
 

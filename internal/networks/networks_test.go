@@ -7,7 +7,6 @@ import (
 	"tango/internal/networks"
 	"tango/internal/nn"
 	"tango/internal/tensor"
-	"tango/internal/weights"
 )
 
 func TestNamesCoverRegistry(t *testing.T) {
@@ -433,17 +432,9 @@ func TestBuildRejectsBadGraphs(t *testing.T) {
 }
 
 func TestRunCifarNetEndToEnd(t *testing.T) {
-	n, err := networks.NewCifarNet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := weights.Synthesize(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := tensor.New(n.InputShape...)
-	input.FillUniform(tensor.NewRNG(99), 0, 1)
-	res, err := n.Run(input, ws)
+	p := buildPlan(t, "CifarNet")
+	input := cnnInput(p, 99)
+	res, err := p.Run(input, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,11 +449,11 @@ func TestRunCifarNetEndToEnd(t *testing.T) {
 	if res.PredictedClass < 0 || res.PredictedClass > 8 {
 		t.Errorf("predicted class %d out of range", res.PredictedClass)
 	}
-	if len(res.LayerOutputs) != len(n.Layers) {
-		t.Errorf("LayerOutputs has %d entries, want %d", len(res.LayerOutputs), len(n.Layers))
+	if want := len(p.Network().Layers); len(res.LayerOutputs) != want {
+		t.Errorf("LayerOutputs has %d entries, want %d", len(res.LayerOutputs), want)
 	}
 	// Determinism: the same input and weights give the same prediction.
-	res2, err := n.Run(input, ws)
+	res2, err := p.Run(input, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,59 +463,38 @@ func TestRunCifarNetEndToEnd(t *testing.T) {
 }
 
 func TestRunRejectsWrongUsage(t *testing.T) {
-	cifar, err := networks.NewCifarNet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := weights.Synthesize(cifar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cifar.Run(tensor.New(3, 16, 16), ws); err == nil {
+	cifar := buildPlan(t, "CifarNet")
+	if _, err := cifar.Run(tensor.New(3, 16, 16), nil); err == nil {
 		t.Error("wrong input shape should fail")
 	}
-	if _, err := cifar.Run(nil, ws); err == nil {
+	if _, err := cifar.Run(nil, nil); err == nil {
 		t.Error("nil input should fail")
 	}
-	if _, err := cifar.RunSequence([]*tensor.Tensor{tensor.New(1)}, ws); err == nil {
+	if _, err := cifar.RunSequence([]*tensor.Tensor{tensor.New(1)}, nil); err == nil {
 		t.Error("RunSequence on a CNN should fail")
 	}
 
-	gru, err := networks.NewGRU()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gws, err := weights.Synthesize(gru)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gru.Run(tensor.New(1), gws); err != nil == false {
+	gru := buildPlan(t, "GRU")
+	if _, err := gru.Run(tensor.New(1), nil); err == nil {
 		t.Error("Run on an RNN should fail")
 	}
-	if _, err := gru.RunSequence(nil, gws); err == nil {
+	if _, err := gru.RunSequence(nil, nil); err == nil {
 		t.Error("empty sequence should fail")
 	}
-	if _, err := gru.RunSequence([]*tensor.Tensor{tensor.New(3)}, gws); err == nil {
+	if _, err := gru.RunSequence([]*tensor.Tensor{tensor.New(3)}, nil); err == nil {
 		t.Error("wrong feature count should fail")
 	}
 }
 
 func TestRunRNNEndToEnd(t *testing.T) {
 	for _, name := range networks.RNNNames() {
-		n, err := networks.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := weights.Synthesize(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := buildPlan(t, name)
 		// Two normalized "bitcoin prices".
 		day1 := tensor.New(1)
 		day1.Fill(0.42)
 		day2 := tensor.New(1)
 		day2.Fill(0.45)
-		res, err := n.RunSequence([]*tensor.Tensor{day1, day2}, ws)
+		res, err := p.RunSequence([]*tensor.Tensor{day1, day2}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -537,7 +507,7 @@ func TestRunRNNEndToEnd(t *testing.T) {
 		// The prediction must depend on the input sequence.
 		day2b := tensor.New(1)
 		day2b.Fill(0.9)
-		res2, err := n.RunSequence([]*tensor.Tensor{day1, day2b}, ws)
+		res2, err := p.RunSequence([]*tensor.Tensor{day1, day2b}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -353,35 +353,6 @@ func zeroed1(s *nn.Scratch, n int) *tensor.Tensor {
 	return t
 }
 
-// Run executes a CNN natively on the given CHW input using the supplied
-// weights and returns the per-layer outputs.  For RNNs use RunSequence.
-// It builds a throwaway Plan; callers running repeatedly should hold a Plan
-// (and an nn.Scratch) instead.
-func (n *Network) Run(input *tensor.Tensor, w Weights) (*Result, error) {
-	if !n.built {
-		return nil, fmt.Errorf("networks: %s: Run before Build", n.Name)
-	}
-	p, err := n.NewPlan(w)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(input, nil)
-}
-
-// RunSequence executes an RNN natively over a sequence of input vectors
-// using the supplied weights.  It builds a throwaway Plan; callers running
-// repeatedly should hold a Plan (and an nn.Scratch) instead.
-func (n *Network) RunSequence(seq []*tensor.Tensor, w Weights) (*Result, error) {
-	if !n.built {
-		return nil, fmt.Errorf("networks: %s: RunSequence before Build", n.Name)
-	}
-	p, err := n.NewPlan(w)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunSequence(seq, nil)
-}
-
 func loadLSTMWeights(l *Layer, w Weights) (*nn.LSTMWeights, error) {
 	h, in := l.Hidden, l.InSize
 	get := func(p string, count int) (*tensor.Tensor, error) { return w.Get(l.Name, p, count) }

@@ -153,6 +153,28 @@ func forEachChunk(workers, n int, fn func(lo, hi int)) {
 // the copy.
 const stagingParMin = 1 << 15
 
+// checkFullyConnectedBatchArgs validates a batched fully-connected layer
+// and returns the batch size and the per-sample feature count.
+func checkFullyConnectedBatchArgs(input, weights, bias *tensor.Tensor, outFeatures int) (nImg, inF int, err error) {
+	if input == nil || input.Rank() < 2 {
+		return 0, 0, fmt.Errorf("nn: fc: %w: batch input must have a leading batch dimension, got %v",
+			tensor.ErrShape, shapeOf(input))
+	}
+	nImg = input.Dim(0)
+	inF = input.Len() / nImg
+	if outFeatures <= 0 {
+		return 0, 0, fmt.Errorf("nn: fc output features must be positive, got %d", outFeatures)
+	}
+	if weights == nil || weights.Len() != outFeatures*inF {
+		return 0, 0, fmt.Errorf("nn: fc expects %d weights (%dx%d), got %d",
+			outFeatures*inF, outFeatures, inF, tensorLen(weights))
+	}
+	if bias != nil && bias.Len() != outFeatures {
+		return 0, 0, fmt.Errorf("nn: fc expects %d biases, got %d", outFeatures, bias.Len())
+	}
+	return nImg, inF, nil
+}
+
 // FullyConnectedBatch is the batched engine fully-connected layer: the
 // batch's flattened inputs are transposed to (inF x N) and a single GEMM
 // computes all samples, streaming the weight matrix once per batch instead
@@ -160,23 +182,10 @@ const stagingParMin = 1 << 15
 // sample's features are its flattened contiguous block.  Results are
 // bit-identical to FullyConnected on each sample.
 func (s *Scratch) FullyConnectedBatch(input, weights, bias *tensor.Tensor, outFeatures int) (*tensor.Tensor, error) {
-	if input == nil || input.Rank() < 2 {
-		return nil, fmt.Errorf("nn: fc: %w: batch input must have a leading batch dimension, got %v",
-			tensor.ErrShape, shapeOf(input))
+	nImg, inF, err := checkFullyConnectedBatchArgs(input, weights, bias, outFeatures)
+	if err != nil {
+		return nil, err
 	}
-	nImg := input.Dim(0)
-	inF := input.Len() / nImg
-	if outFeatures <= 0 {
-		return nil, fmt.Errorf("nn: fc output features must be positive, got %d", outFeatures)
-	}
-	if weights == nil || weights.Len() != outFeatures*inF {
-		return nil, fmt.Errorf("nn: fc expects %d weights (%dx%d), got %d",
-			outFeatures*inF, outFeatures, inF, tensorLen(weights))
-	}
-	if bias != nil && bias.Len() != outFeatures {
-		return nil, fmt.Errorf("nn: fc expects %d biases, got %d", outFeatures, bias.Len())
-	}
-
 	in := input.Data()
 	workers := s.Workers()
 	xT := s.batchBuf(0, inF*nImg)
@@ -196,12 +205,6 @@ func (s *Scratch) FullyConnectedBatch(input, weights, bias *tensor.Tensor, outFe
 // columns (f x n): dst[l*n + smp] = src[smp*f + l].
 func transposeToColumns(dst, src []float32, n, f int) {
 	transposeToColumnsRange(dst, src, n, f, n, 0, f)
-}
-
-// transposeToRows repacks feature-major columns (f x n) back into
-// sample-major rows (n x f): dst[smp*f + l] = src[l*n + smp].
-func transposeToRows(dst, src []float32, n, f int) {
-	transposeToRowsRange(dst, src, n, f, n, 0, f)
 }
 
 // transposeToColumnsRange writes feature rows [f0, f1) of the (f x ld)
@@ -270,8 +273,9 @@ func transposeToRowsRange(dst, src []float32, n, f, ld, s0, s1 int) {
 	}
 }
 
-// transposeToRowsPar is transposeToRows from an ld-strided column-major
-// source, fanned over the worker pool in contiguous sample chunks.
+// transposeToRowsPar repacks feature-major columns (f x ld, the first n of
+// each row used) back into sample-major rows (n x f): dst[smp*f + l] =
+// src[l*ld + smp], fanned over the worker pool in contiguous sample chunks.
 func transposeToRowsPar(dst, src []float32, n, f, ld, workers int) {
 	if workers > n {
 		workers = n
@@ -488,18 +492,13 @@ func (s *Scratch) gatePreBatch(pre, tmp []float32, wx, uh, b *tensor.Tensor, xT,
 	}
 }
 
-// LSTMSeqBatch runs an LSTM over n sequences at once with per-sample hidden
-// and cell state.  seq is laid out (steps x n x input), each time step a
-// contiguous sample-major block.  It returns the final hidden state as a
-// rank-2 (n, hidden) tensor.  Results are bit-identical to stepping each
-// sequence through LSTMStep.
-func (s *Scratch) LSTMSeqBatch(w *LSTMWeights, seq []float32, n, steps int) (*tensor.Tensor, error) {
-	return s.LSTMSeqBatchPacked(w, nil, seq, n, steps)
-}
-
-// LSTMSeqBatchPacked is LSTMSeqBatch with an optional fast-tier gate pack:
-// under a fast numerics tier the gate GEMMs run on the prepacked
-// multi-chain kernels.
+// LSTMSeqBatchPacked runs an LSTM over n sequences at once with per-sample
+// hidden and cell state.  seq is laid out (steps x n x input), each time step
+// a contiguous sample-major block.  It returns the final hidden state as a
+// rank-2 (n, hidden) tensor.  On the reference tier, or with a nil pack,
+// results are bit-identical to stepping each sequence through LSTMStep;
+// under a fast numerics tier a gate pack puts the gate GEMMs on the
+// prepacked multi-chain kernels.
 func (s *Scratch) LSTMSeqBatchPacked(w *LSTMWeights, pk *RNNPack, seq []float32, n, steps int) (*tensor.Tensor, error) {
 	if w == nil {
 		return nil, fmt.Errorf("nn: lstm batch: nil weights")
@@ -565,15 +564,11 @@ func (s *Scratch) LSTMSeqBatchPacked(w *LSTMWeights, pk *RNNPack, seq []float32,
 	return out, nil
 }
 
-// GRUSeqBatch runs a GRU over n sequences at once with per-sample hidden
-// state.  seq is laid out (steps x n x input).  It returns the final hidden
-// state as a rank-2 (n, hidden) tensor, bit-identical to stepping each
-// sequence through GRUStep.
-func (s *Scratch) GRUSeqBatch(w *GRUWeights, seq []float32, n, steps int) (*tensor.Tensor, error) {
-	return s.GRUSeqBatchPacked(w, nil, seq, n, steps)
-}
-
-// GRUSeqBatchPacked is GRUSeqBatch with an optional fast-tier gate pack.
+// GRUSeqBatchPacked runs a GRU over n sequences at once with per-sample
+// hidden state, with an optional fast-tier gate pack.  seq is laid out
+// (steps x n x input).  It returns the final hidden state as a rank-2
+// (n, hidden) tensor; on the reference tier, or with a nil pack,
+// bit-identical to stepping each sequence through GRUStep.
 func (s *Scratch) GRUSeqBatchPacked(w *GRUWeights, pk *RNNPack, seq []float32, n, steps int) (*tensor.Tensor, error) {
 	if w == nil {
 		return nil, fmt.Errorf("nn: gru batch: nil weights")

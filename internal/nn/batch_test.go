@@ -226,7 +226,7 @@ func TestRecurrentSeqBatchMatchesSingle(t *testing.T) {
 
 	t.Run("lstm", func(t *testing.T) {
 		w := makeLSTMWeights(r, hidden, inSize)
-		out, err := NewScratch().LSTMSeqBatch(w, seq.Data(), n, steps)
+		out, err := NewScratch().LSTMSeqBatchPacked(w, nil, seq.Data(), n, steps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestRecurrentSeqBatchMatchesSingle(t *testing.T) {
 	})
 	t.Run("gru", func(t *testing.T) {
 		w := makeGRUWeights(r, hidden, inSize)
-		out, err := NewScratch().GRUSeqBatch(w, seq.Data(), n, steps)
+		out, err := NewScratch().GRUSeqBatchPacked(w, nil, seq.Data(), n, steps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,10 +301,10 @@ func TestBatchOpErrors(t *testing.T) {
 		t.Fatalf("rank-1 fc batch input: got %v, want ErrShape", err)
 	}
 	lw := &LSTMWeights{Hidden: 4, Input: 2}
-	if _, err := s.LSTMSeqBatch(lw, make([]float32, 7), 2, 2); !errors.Is(err, tensor.ErrShape) {
+	if _, err := s.LSTMSeqBatchPacked(lw, nil, make([]float32, 7), 2, 2); !errors.Is(err, tensor.ErrShape) {
 		t.Fatalf("bad lstm seq buffer: got %v, want ErrShape", err)
 	}
-	if _, err := s.GRUSeqBatch(&GRUWeights{Hidden: 4, Input: 2}, nil, 0, 2); !errors.Is(err, tensor.ErrShape) {
+	if _, err := s.GRUSeqBatchPacked(&GRUWeights{Hidden: 4, Input: 2}, nil, nil, 0, 2); !errors.Is(err, tensor.ErrShape) {
 		t.Fatalf("zero gru batch: got %v, want ErrShape", err)
 	}
 }

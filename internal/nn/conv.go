@@ -1,8 +1,8 @@
 // Package nn implements the fundamental mathematical layer computations of
 // the Tango benchmark suite: convolution, pooling, fully-connected, local
 // response normalization, batch normalization, scale, element-wise addition,
-// activation functions, softmax, SqueezeNet fire modules, and the LSTM and
-// GRU recurrent cells.
+// activation functions, softmax, channel concatenation (what SqueezeNet's
+// fire modules are joined with), and the LSTM and GRU recurrent cells.
 //
 // Each function corresponds to one CUDA/OpenCL kernel in the original
 // benchmark suite.  Inputs use CHW layout (channels, height, width) with an

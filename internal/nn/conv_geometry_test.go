@@ -173,9 +173,54 @@ func testConvGeom(t *testing.T, r *tensor.RNG, g convGeom) {
 	}
 }
 
+// TestConvPackedSingleMatchesBatchOfOne pins the fast tiers' one convolution
+// core: under NumericsFast and NumericsInt8, Conv2DPacked of an image and
+// Conv2DBatchPacked of the one-image batch are the same convFused call, so
+// their outputs are bit-identical for any worker count — and, the panel grid
+// and the int8 activation scale being per (group, image), so is that image's
+// slice of a larger batch.  A private single-sample lowering with its own
+// blocking or scale fails here.
+func TestConvPackedSingleMatchesBatchOfOne(t *testing.T) {
+	geoms := convGeometryTable()
+	r := tensor.NewRNG(21)
+	for i := 0; i < 20; i++ {
+		geoms = append(geoms, randomConvGeom(r))
+	}
+	for _, g := range geoms {
+		p := g.p
+		w, b := randBatch(r, p.WeightCount()), randBatch(r, p.OutChannels)
+		pair := randBatch(r, 2, p.InChannels, g.inH, g.inW)
+		one, err := tensor.FromSlice(pair.Data()[:pair.Len()/2], 1, p.InChannels, g.inH, g.inW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []Numerics{NumericsFast, NumericsInt8} {
+			pk := PackConv(w, p, mode)
+			for _, workers := range []int{1, 3} {
+				op := fmt.Sprintf("%v/%v/w%d", g, mode, workers)
+				s := NewScratch()
+				s.SetNumerics(mode)
+				s.SetWorkers(workers)
+				single, err := s.Conv2DPacked(sampleOf(t, pair, 0), w, b, p, pk)
+				if err != nil {
+					t.Fatalf("%s: single: %v", op, err)
+				}
+				for _, in := range []*tensor.Tensor{one, pair} {
+					batch, err := s.Conv2DBatchPacked(in, w, b, p, pk)
+					if err != nil {
+						t.Fatalf("%s: batch of %d: %v", op, in.Dim(0), err)
+					}
+					requireSameBits(t, fmt.Sprintf("%s/n%d", op, in.Dim(0)), batch, 0, single)
+				}
+			}
+		}
+	}
+}
+
 // TestScratchBytesCountsConvStaging pins the resident-bytes accounting of the
 // conv core's buffers: one k x N*n staging matrix, plus the group product
-// buffer for a batch, and nothing at all for an in-place 1x1.
+// buffer for a batch, and nothing at all for an in-place 1x1 — and, under
+// the fast tiers, nothing in the staging buffer whatever the geometry.
 func TestScratchBytesCountsConvStaging(t *testing.T) {
 	r := tensor.NewRNG(3)
 	p := ConvParams{InChannels: 4, OutChannels: 6, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}
@@ -203,5 +248,45 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 	}
 	if got := s.Bytes() - s.ArenaBytes(); got != 0 {
 		t.Fatalf("in-place 1x1: %d staging bytes, want 0", got)
+	}
+
+	// The fast tiers stream patches through the fused column panels: through
+	// either packed entry point the reference staging buffer must stay
+	// unallocated.  A fast tier that silently fell back to the staged core
+	// would leave the k*n floats the reference tier leaves from the same call.
+	for _, g := range []convGeom{
+		{p, h, w},
+		{ConvParams{InChannels: 3, OutChannels: 8, KernelH: 11, KernelW: 11, StrideH: 4, StrideW: 4, PadH: 2, PadW: 2}, 35, 39},
+	} {
+		weights, bias := randBatch(r, g.p.WeightCount()), randBatch(r, g.p.OutChannels)
+		single := randBatch(r, g.p.InChannels, g.inH, g.inW)
+		batch := randBatch(r, 2, g.p.InChannels, g.inH, g.inW)
+		outH, outW := g.p.OutputDims(g.inH, g.inW)
+		staged := (g.p.InChannels / g.p.groups()) * g.p.KernelH * g.p.KernelW * outH * outW
+		for _, mode := range []Numerics{NumericsReference, NumericsFast, NumericsInt8} {
+			// The reference tier is handed a fast pack: a pack alone must
+			// not pull it off the staged core.
+			packMode, want := mode, 0
+			if mode == NumericsReference {
+				packMode, want = NumericsFast, staged
+			}
+			pk := PackConv(weights, g.p, packMode)
+			s := NewScratch()
+			s.SetNumerics(mode)
+			if _, err := s.Conv2DPacked(single, weights, bias, g.p, pk); err != nil {
+				t.Fatalf("%v/%v: %v", g, mode, err)
+			}
+			if cap(s.col) != want {
+				t.Fatalf("%v/%v: Conv2DPacked staged %d floats, want %d", g, mode, cap(s.col), want)
+			}
+			s = NewScratch()
+			s.SetNumerics(mode)
+			if _, err := s.Conv2DBatchPacked(batch, weights, bias, g.p, pk); err != nil {
+				t.Fatalf("%v/%v: %v", g, mode, err)
+			}
+			if cap(s.col) != 2*want {
+				t.Fatalf("%v/%v: Conv2DBatchPacked staged %d floats, want %d", g, mode, cap(s.col), 2*want)
+			}
+		}
 	}
 }

@@ -93,8 +93,9 @@ func (s *Scratch) ArenaBytes() int64 {
 }
 
 // Bytes reports the Scratch's total resident footprint: the output arena
-// plus every reusable staging buffer (im2col, recurrent gate vectors, batch
-// buffers, int8 activation and accumulator buffers).  It is the
+// plus every reusable staging buffer (the reference convolution's patch
+// matrix, recurrent gate vectors, batch buffers, the fused path's column
+// panels, int8 activation, accumulator and scale buffers).  It is the
 // memory-accounting surface behind per-model resident-bytes reporting.
 func (s *Scratch) Bytes() int64 {
 	if s == nil {
@@ -346,35 +347,6 @@ func (s *Scratch) Softmax(input *tensor.Tensor) (*tensor.Tensor, error) {
 	out := s.outLike(input)
 	softmaxInto(out.Data(), input.Data())
 	return out, nil
-}
-
-// Fire is the engine SqueezeNet fire module.
-func (s *Scratch) Fire(input *tensor.Tensor, p FireParams, w FireWeights) (*tensor.Tensor, error) {
-	sq, err := s.Conv2D(input, w.SqueezeW, w.SqueezeB, ConvParams{
-		InChannels: p.InChannels, OutChannels: p.SqueezeOut,
-		KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fire squeeze: %w", err)
-	}
-	ReLUInPlace(sq)
-	e1, err := s.Conv2D(sq, w.Expand1W, w.Expand1B, ConvParams{
-		InChannels: p.SqueezeOut, OutChannels: p.Expand1x1Out,
-		KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fire expand1x1: %w", err)
-	}
-	ReLUInPlace(e1)
-	e3, err := s.Conv2D(sq, w.Expand3W, w.Expand3B, ConvParams{
-		InChannels: p.SqueezeOut, OutChannels: p.Expand3x3Out,
-		KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fire expand3x3: %w", err)
-	}
-	ReLUInPlace(e3)
-	return s.ConcatChannels(e1, e3)
 }
 
 // sigmoidInPlace applies the logistic function to every element of v using

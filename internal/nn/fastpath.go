@@ -16,8 +16,10 @@ import (
 //     GEMM kernels in package tensor: multiple independent accumulator
 //     chains per output, so sums are reassociated but stay float32.
 //   - NumericsInt8 additionally quantizes convolution and fully-connected
-//     layers to symmetric per-channel int8 weights with per-layer activation
-//     scales, accumulating exactly in int32 and dequantizing at layer exit.
+//     layers to symmetric per-channel int8 weights, with one activation
+//     scale per (group, image) in a convolution and per call in a
+//     fully-connected layer, accumulating exactly in int32 and dequantizing
+//     at layer exit.
 //     Layers without an int8 lowering (recurrent gates, normalization, ...)
 //     run the NumericsFast float path.
 //
@@ -248,94 +250,40 @@ func PackGRU(w *GRUWeights, mode Numerics) *RNNPack {
 
 // Conv2DPacked is Conv2D with an optional fast-tier weight pack.  It runs
 // the tier selected by SetNumerics when the matching pack is available and
-// falls back to the bit-exact engine otherwise.
+// falls back to the bit-exact engine otherwise.  Under a fast tier it is
+// Conv2DBatchPacked at a batch of one: the same fused core, bit for bit.
 func (s *Scratch) Conv2DPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
-	mode := s.Numerics()
-	if mode == NumericsReference || pk == nil {
-		return s.Conv2D(input, weights, bias, p)
-	}
-	if mode == NumericsInt8 && pk.q != nil {
-		return s.conv2DInt8(input, weights, bias, p, pk)
-	}
-	if pk.f != nil {
-		return s.conv2DFast(input, weights, bias, p, pk)
-	}
-	return s.Conv2D(input, weights, bias, p)
-}
-
-// conv2DFast is the single-sample fast convolution on the fused staging
-// path (fastfused.go): patches stream straight into GEMM panels and the
-// product lands in the CHW output block, with no staged colT matrix.  The
-// single-sample panel grid matches the staged fast path's column blocking,
-// so results are bit-identical to the pre-fusion tier.
-func (s *Scratch) conv2DFast(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
-	_, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, 3)
-	if err != nil {
-		return nil, err
-	}
-	out := s.out3(p.OutChannels, outH, outW)
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.Data()
-	}
-	s.convFused(out.Data(), input.Data(), biasData, pk, p, 1, input.Len(), inH, inW, outH, outW, false)
-	return out, nil
-}
-
-// conv2DInt8 is the single-sample quantized convolution: the l-major patch
-// matrix is quantized per layer (per group for grouped convolutions) and
-// multiplied against the int8 weight panels with exact int32 accumulation.
-func (s *Scratch) conv2DInt8(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
-	_, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, 3)
-	if err != nil {
-		return nil, err
-	}
-	out := s.out3(p.OutChannels, outH, outW)
-	groups := p.groups()
-	inCPerGroup := p.InChannels / groups
-	outCPerGroup := p.OutChannels / groups
-	n := outH * outW
-	k := inCPerGroup * p.KernelH * p.KernelW
-	kPad := pk.q[0].KPad()
-	colT := s.buffer(k * n)
-	bp := s.u8buf(0, tensor.Int8PackedLen(kPad, n))
-	acc := s.accbuf(0, outCPerGroup*n)
-	in := input.Data()
-	o := out.Data()
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.Data()
-	}
-	workers := s.Workers()
-	for g := 0; g < groups; g++ {
-		im2colTBatchRange(colT, in, 1, input.Len(), inH, inW, g*inCPerGroup, p, outH, outW, 0, k)
-		xs := tensor.PackColsU8(bp, colT, k, n, n, kPad)
-		oc0 := g * outCPerGroup
-		var gb []float32
-		if biasData != nil {
-			gb = biasData[oc0 : oc0+outCPerGroup]
-		}
-		tensor.GemmInt8(o[oc0*n:(oc0+outCPerGroup)*n], pk.q[g], bp, acc, gb, xs, n, workers)
-	}
-	return out, nil
+	return s.convPacked(input, weights, bias, p, pk, 3)
 }
 
 // Conv2DBatchPacked is Conv2DBatch with an optional fast-tier weight pack.
 func (s *Scratch) Conv2DBatchPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
+	return s.convPacked(input, weights, bias, p, pk, 4)
+}
+
+// convPacked is the fast-tier convolution of one CHW sample (rank 3) or an
+// NCHW batch (rank 4): one convFused call (fastfused.go) for either tier
+// and any batch size.  Without a pack for the active tier it is the
+// reference convolution of that rank.
+func (s *Scratch) convPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack, rank int) (*tensor.Tensor, error) {
 	mode := s.Numerics()
-	if mode == NumericsReference || pk == nil || (pk.f == nil && pk.q == nil) {
+	int8Path := mode == NumericsInt8 && pk != nil && pk.q != nil
+	if mode == NumericsReference || pk == nil || (!int8Path && pk.f == nil) {
+		if rank == 3 {
+			return s.Conv2D(input, weights, bias, p)
+		}
 		return s.Conv2DBatch(input, weights, bias, p)
 	}
-	nImg, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, 4)
+	nImg, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, rank)
 	if err != nil {
 		return nil, err
 	}
-
-	int8Path := mode == NumericsInt8 && pk.q != nil
-	if !int8Path && pk.f == nil {
-		return s.Conv2DBatch(input, weights, bias, p)
+	var out *tensor.Tensor
+	if rank == 3 {
+		out = s.out3(p.OutChannels, outH, outW)
+	} else {
+		out = s.out4(nImg, p.OutChannels, outH, outW)
 	}
-	out := s.out4(nImg, p.OutChannels, outH, outW)
 	var biasData []float32
 	if bias != nil {
 		biasData = bias.Data()
@@ -378,32 +326,21 @@ func (s *Scratch) FullyConnectedPacked(input, weights, bias *tensor.Tensor, outF
 // fast-tier weight pack.
 func (s *Scratch) FullyConnectedBatchPacked(input, weights, bias *tensor.Tensor, outFeatures int, pk *FCPack) (*tensor.Tensor, error) {
 	mode := s.Numerics()
-	if mode == NumericsReference || pk == nil || (pk.f == nil && pk.q == nil) {
+	int8Path := mode == NumericsInt8 && pk != nil && pk.q != nil
+	if mode == NumericsReference || pk == nil || (!int8Path && pk.f == nil) {
 		return s.FullyConnectedBatch(input, weights, bias, outFeatures)
 	}
-	if input == nil || input.Rank() < 2 {
-		return nil, fmt.Errorf("nn: fc: %w: batch input must have a leading batch dimension, got %v",
-			tensor.ErrShape, shapeOf(input))
+	nImg, inF, err := checkFullyConnectedBatchArgs(input, weights, bias, outFeatures)
+	if err != nil {
+		return nil, err
 	}
-	nImg := input.Dim(0)
-	inF := input.Len() / nImg
-	if outFeatures <= 0 {
-		return nil, fmt.Errorf("nn: fc output features must be positive, got %d", outFeatures)
-	}
-	if weights == nil || weights.Len() != outFeatures*inF {
-		return nil, fmt.Errorf("nn: fc expects %d weights (%dx%d), got %d",
-			outFeatures*inF, outFeatures, inF, tensorLen(weights))
-	}
-	if bias != nil && bias.Len() != outFeatures {
-		return nil, fmt.Errorf("nn: fc expects %d biases, got %d", outFeatures, bias.Len())
-	}
-
 	var biasData []float32
 	if bias != nil {
 		biasData = bias.Data()
 	}
 	workers := s.Workers()
-	if mode == NumericsInt8 && pk.q != nil {
+	out := s.out2(nImg, outFeatures)
+	if int8Path {
 		xT := s.batchBuf(0, inF*nImg)
 		transposeToColumnsPar(xT, input.Data(), nImg, inF, workers)
 		yT := s.batchBuf(1, outFeatures*nImg)
@@ -412,30 +349,18 @@ func (s *Scratch) FullyConnectedBatchPacked(input, weights, bias *tensor.Tensor,
 		acc := s.accbuf(0, outFeatures*nImg)
 		xs := tensor.PackColsU8(bp, xT, inF, nImg, nImg, kPad)
 		tensor.GemmInt8(yT, pk.q, bp, acc, biasData, xs, nImg, workers)
-		out := s.out2(nImg, outFeatures)
 		transposeToRowsPar(out.Data(), yT, nImg, outFeatures, nImg, workers)
 		return out, nil
 	}
-	if pk.f != nil {
-		// Fast float tier: pad the GEMM columns up to the 16-wide FMA tile
-		// so a small batch (3, 8) runs the vector microkernel instead of
-		// falling into the scalar column tail.  Pad lanes are zero and are
-		// never read back.
-		ncol := (nImg + 15) &^ 15
-		xT := s.batchBuf(0, inF*ncol)
-		transposeToColumnsPad(xT, input.Data(), nImg, inF, ncol, workers)
-		yT := s.batchBuf(1, outFeatures*ncol)
-		tensor.GemmNNFastParallel(yT, pk.f, xT, biasData, ncol, ncol, workers)
-		out := s.out2(nImg, outFeatures)
-		transposeToRowsPar(out.Data(), yT, nImg, outFeatures, ncol, workers)
-		return out, nil
-	}
-	xT := s.batchBuf(0, inF*nImg)
-	transposeToColumnsPar(xT, input.Data(), nImg, inF, workers)
-	yT := s.batchBuf(1, outFeatures*nImg)
-	tensor.GemmNNParallel(yT, weights.Data(), xT, biasData, outFeatures, nImg, inF, nImg, workers)
-	out := s.out2(nImg, outFeatures)
-	transposeToRowsPar(out.Data(), yT, nImg, outFeatures, nImg, workers)
+	// Fast float tier: pad the GEMM columns up to the 16-wide FMA tile so a
+	// small batch (3, 8) runs the vector microkernel instead of falling into
+	// the scalar column tail.  Pad lanes are zero and are never read back.
+	ncol := (nImg + 15) &^ 15
+	xT := s.batchBuf(0, inF*ncol)
+	transposeToColumnsPad(xT, input.Data(), nImg, inF, ncol, workers)
+	yT := s.batchBuf(1, outFeatures*ncol)
+	tensor.GemmNNFastParallel(yT, pk.f, xT, biasData, ncol, ncol, workers)
+	transposeToRowsPar(out.Data(), yT, nImg, outFeatures, ncol, workers)
 	return out, nil
 }
 

@@ -43,31 +43,3 @@ func concatChannelsInto(dst *tensor.Tensor, parts []*tensor.Tensor) {
 		off += n
 	}
 }
-
-// FireWeights holds the three convolutions of a SqueezeNet fire module.
-type FireWeights struct {
-	// SqueezeW/SqueezeB implement the 1x1 squeeze convolution.
-	SqueezeW, SqueezeB *tensor.Tensor
-	// Expand1W/Expand1B implement the 1x1 expand convolution.
-	Expand1W, Expand1B *tensor.Tensor
-	// Expand3W/Expand3B implement the 3x3 expand convolution (pad 1).
-	Expand3W, Expand3B *tensor.Tensor
-}
-
-// FireParams describes the channel counts of a fire module.
-type FireParams struct {
-	InChannels   int
-	SqueezeOut   int
-	Expand1x1Out int
-	Expand3x3Out int
-}
-
-// OutChannels returns the total output depth of the module.
-func (p FireParams) OutChannels() int { return p.Expand1x1Out + p.Expand3x3Out }
-
-// Fire runs a SqueezeNet fire module: squeeze 1x1 conv + ReLU, then parallel
-// expand 1x1 and expand 3x3 convolutions + ReLU, concatenated along channels.
-// It is the allocation-per-call form of Scratch.Fire.
-func Fire(input *tensor.Tensor, p FireParams, w FireWeights) (*tensor.Tensor, error) {
-	return (*Scratch)(nil).Fire(input, p, w)
-}

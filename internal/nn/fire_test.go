@@ -34,61 +34,3 @@ func TestConcatChannelsErrors(t *testing.T) {
 		t.Error("non-CHW input should fail")
 	}
 }
-
-// fireWeightsFor builds deterministic fire-module weights for tests.
-func fireWeightsFor(p FireParams, seed uint64) FireWeights {
-	r := tensor.NewRNG(seed)
-	mk := func(n int) *tensor.Tensor {
-		t := tensor.New(n)
-		t.FillNormal(r, 0.2)
-		return t
-	}
-	return FireWeights{
-		SqueezeW: mk(p.SqueezeOut * p.InChannels),
-		SqueezeB: mk(p.SqueezeOut),
-		Expand1W: mk(p.Expand1x1Out * p.SqueezeOut),
-		Expand1B: mk(p.Expand1x1Out),
-		Expand3W: mk(p.Expand3x3Out * p.SqueezeOut * 9),
-		Expand3B: mk(p.Expand3x3Out),
-	}
-}
-
-func TestFireModuleShape(t *testing.T) {
-	// SqueezeNet fire2: 96 -> squeeze 16 -> expand 64+64 = 128 channels.
-	p := FireParams{InChannels: 8, SqueezeOut: 4, Expand1x1Out: 6, Expand3x3Out: 6}
-	in := tensor.New(8, 5, 5)
-	in.FillUniform(tensor.NewRNG(1), 0, 1)
-	out, err := Fire(in, p, fireWeightsFor(p, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Dim(0) != p.OutChannels() || out.Dim(1) != 5 || out.Dim(2) != 5 {
-		t.Errorf("fire output shape %v, want [%d 5 5]", out.Shape(), p.OutChannels())
-	}
-	// All outputs pass through ReLU, so they must be non-negative.
-	if out.Min() < 0 {
-		t.Errorf("fire output should be non-negative after ReLU, min %v", out.Min())
-	}
-}
-
-func TestFireOutChannels(t *testing.T) {
-	p := FireParams{InChannels: 96, SqueezeOut: 16, Expand1x1Out: 64, Expand3x3Out: 64}
-	if p.OutChannels() != 128 {
-		t.Errorf("OutChannels = %d, want 128", p.OutChannels())
-	}
-}
-
-func TestFireWeightErrors(t *testing.T) {
-	p := FireParams{InChannels: 8, SqueezeOut: 4, Expand1x1Out: 6, Expand3x3Out: 6}
-	in := tensor.New(8, 5, 5)
-	w := fireWeightsFor(p, 2)
-	w.SqueezeW = tensor.New(3)
-	if _, err := Fire(in, p, w); err == nil {
-		t.Error("wrong squeeze weight size should fail")
-	}
-	w = fireWeightsFor(p, 2)
-	w.Expand3W = tensor.New(3)
-	if _, err := Fire(in, p, w); err == nil {
-		t.Error("wrong expand3 weight size should fail")
-	}
-}

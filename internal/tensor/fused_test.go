@@ -65,7 +65,7 @@ func TestGemmNNFastStridedBitwise(t *testing.T) {
 		tensor.GemmNNFast(want, pa, b, bias, n, n)
 
 		compact := make([]float32, m*n)
-		tensor.GemmNNFastStrided(compact, pa, b, bias, n, n, n)
+		tensor.GemmNNFastStridedParallel(compact, pa, b, bias, n, n, n, 1)
 		for i := range want {
 			if math.Float32bits(compact[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("tier %v: compact strided element %d differs: %v vs %v",

@@ -44,24 +44,6 @@ func Gemm(dst, a, bt, bias []float32, m, n, k int) {
 	gemmRows(dst, a, bt, bias, n, k, 0, m)
 }
 
-// GemmParallel is Gemm with the row dimension split into contiguous panels
-// executed on up to workers goroutines.  Each output element is produced by
-// exactly one worker with the same summation order as the serial kernel, so
-// the result is bit-identical to Gemm for any worker count.
-func GemmParallel(dst, a, bt, bias []float32, m, n, k, workers int) {
-	checkGemmArgs(dst, a, bt, bias, m, n, k)
-	// The serial case must not touch the closure below: constructing it
-	// heap-allocates (it escapes into par.ForEach), which would break the
-	// engine's zero-alloc steady state.
-	if serialRows(m, int64(m)*int64(n)*int64(k), workers) {
-		gemmRows(dst, a, bt, bias, n, k, 0, m)
-		return
-	}
-	forEachRowPanel(m, workers, func(r0, r1 int) {
-		gemmRows(dst, a, bt, bias, n, k, r0, r1)
-	})
-}
-
 // serialRows reports whether a row-panel problem should run serially:
 // explicit single worker, too few rows to tile, or too little total work to
 // amortize goroutine fan-out.

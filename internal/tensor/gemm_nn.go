@@ -109,7 +109,7 @@ func gemmNNRows(dst, a, b, bias []float32, n, k, ldb, r0, r1 int) {
 			if nc > nnNC {
 				nc = nnNC
 			}
-			gemmNNPanel(dst, a, b, n, k, ldb, kb, kc, jb, nc, r0, r1)
+			gemmNNPanel(dst, a, b, k, ldb, kb, kc, jb, nc, r0, r1)
 		}
 	}
 }
@@ -132,7 +132,7 @@ func ForcePortableGemmNN() (restore func()) {
 // to the 4x8 microkernel (1x8 for the m%4 remainder rows) and the <8-column
 // tail to the strided dot; the portable rung runs the axpy kernel over wide
 // column ranges and the strided dot over narrow ones.
-func gemmNNPanel(dst, a, b []float32, n, k, ldb, kb, kc, jb, nc, r0, r1 int) {
+func gemmNNPanel(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
 	if !gemmNNVector {
 		if nc >= nnNR {
 			gemmNNAxpy(dst, a, b, k, ldb, kb, kc, jb, nc, r0, r1)

@@ -184,18 +184,12 @@ func GemmNNFastParallel(dst []float32, pa *PackedA, b, bias []float32, n, ldb, w
 	})
 }
 
-// GemmNNFastStrided is GemmNNFast with independent dst and b row strides:
-// dst rows are ldd floats apart, b rows ldb floats apart (both >= n).  This
-// is the 1x1/stride-1 convolution fast path — the input planes are consumed
-// as B directly, with the result written straight into a strided NCHW
-// output block, no staging at all.
-func GemmNNFastStrided(dst []float32, pa *PackedA, b, bias []float32, n, ldd, ldb int) {
-	checkGemmNNFastStrided(dst, pa, b, bias, n, ldd, ldb)
-	gemmNNFastRows(dst, pa, b, bias, n, ldd, ldb, 0, pa.m, fastTier)
-}
-
-// GemmNNFastStridedParallel is GemmNNFastStrided with the row dimension
-// split across up to workers goroutines (identical results for any count).
+// GemmNNFastStridedParallel is GemmNNFastParallel with independent dst and
+// b row strides: dst rows are ldd floats apart, b rows ldb floats apart
+// (both >= n).  This is the 1x1/stride-1 convolution fast path — the input
+// planes are consumed as B directly, with the result written straight into
+// a strided NCHW output block, no staging at all.  Results are identical
+// for any worker count.
 func GemmNNFastStridedParallel(dst []float32, pa *PackedA, b, bias []float32, n, ldd, ldb, workers int) {
 	checkGemmNNFastStrided(dst, pa, b, bias, n, ldd, ldb)
 	t := fastTier
@@ -416,18 +410,12 @@ func gemmNNFastScalar(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 i
 	}
 }
 
-// MatVecFast computes dst = W*x + bias like MatVecBias using the active
-// tier's fused-multiply-add dot kernel with four independent accumulator
-// chains per row.  W streams once from memory in its natural row-major
-// layout (a mat-vec is bandwidth-bound, so panel packing buys nothing
-// here).  Results agree with MatVecBias within float32 rounding.
-func MatVecFast(dst, w, x, bias []float32, rows, cols int) {
-	checkMatVecArgs(dst, w, x, bias, rows, cols)
-	matVecFastRows(dst, w, x, bias, cols, 0, rows, fastTier)
-}
-
-// MatVecFastParallel is MatVecFast with rows split across up to workers
-// goroutines.
+// MatVecFastParallel computes dst = W*x + bias like MatVecBias using the
+// active tier's fused-multiply-add dot kernel with four independent
+// accumulator chains per row, the rows split across up to workers
+// goroutines.  W streams once from memory in its natural row-major layout
+// (a mat-vec is bandwidth-bound, so panel packing buys nothing here).
+// Results agree with MatVecBias within float32 rounding.
 func MatVecFastParallel(dst, w, x, bias []float32, rows, cols, workers int) {
 	checkMatVecArgs(dst, w, x, bias, rows, cols)
 	t := fastTier

@@ -1,7 +1,7 @@
 // Fast-numerics microkernels (see gemm_nn_fast.go): fused-multiply-add
 // register tiles over the packed-A panel layout, in FMA (256-bit) and
 // AVX-512 (512-bit) variants, plus the multi-chain dot kernels behind
-// MatVecFast.
+// MatVecFastParallel.
 //
 // Unlike gemm_nn_amd64.s these kernels deliberately break the bit-exact
 // contract: VFMADD231PS keeps the product unrounded before the add, and the

@@ -67,28 +67,6 @@ func TestGemmMatchesNaiveBitExact(t *testing.T) {
 	}
 }
 
-func TestGemmParallelBitIdentical(t *testing.T) {
-	r := NewRNG(11)
-	m, n, k := 37, 61, 301
-	a := make([]float32, m*k)
-	bt := make([]float32, n*k)
-	bias := make([]float32, m)
-	fillRand(r, a)
-	fillRand(r, bt)
-	fillRand(r, bias)
-	serial := make([]float32, m*n)
-	Gemm(serial, a, bt, bias, m, n, k)
-	for _, workers := range []int{2, 3, 4, 7, 64} {
-		got := make([]float32, m*n)
-		GemmParallel(got, a, bt, bias, m, n, k, workers)
-		for i := range serial {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: element %d = %g, want %g (bit-identical)", workers, i, got[i], serial[i])
-			}
-		}
-	}
-}
-
 func TestMatVecBiasMatchesScalar(t *testing.T) {
 	r := NewRNG(13)
 	for _, c := range []struct{ rows, cols int }{{1, 1}, {3, 9}, {4, 16}, {7, 300}, {101, 33}} {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tango/internal/core"
 	"tango/internal/networks"
 	"tango/internal/nn"
 	"tango/internal/resilience"
@@ -601,32 +602,13 @@ func (s *Server) close() {
 	}
 }
 
-// MemStats is a benchmark's resident-memory breakdown, the accounting unit
-// behind WithModelBudget and the per-model byte series on /metrics.
-type MemStats struct {
-	// WeightBytes is the synthesized parameter footprint.
-	WeightBytes int64 `json:"weight_bytes"`
-	// PackedBytes is the fast-tier weight panels built so far (zero under
-	// the reference tier).
-	PackedBytes int64 `json:"packed_bytes"`
-	// ScratchBytes is the high-water footprint of one pooled compute
-	// scratch (arena plus staging buffers); multi-worker engines resident
-	// several scratches peak at a multiple of this.
-	ScratchBytes int64 `json:"scratch_bytes"`
-}
-
-// Total returns the total resident estimate.
-func (m MemStats) Total() int64 { return m.WeightBytes + m.PackedBytes + m.ScratchBytes }
+// MemStats is a benchmark's resident-memory breakdown (weights, fast-tier
+// panels packed so far, high-water scratch), the accounting unit behind
+// WithModelBudget and the per-model byte series on /metrics.
+type MemStats = core.MemStats
 
 // MemStats reports the benchmark's current resident-memory breakdown.
-func (b *Benchmark) MemStats() MemStats {
-	ms := b.inner.MemStats()
-	return MemStats{
-		WeightBytes:  ms.WeightBytes,
-		PackedBytes:  ms.PackedBytes,
-		ScratchBytes: ms.ScratchBytes,
-	}
-}
+func (b *Benchmark) MemStats() MemStats { return b.inner.MemStats() }
 
 // BenchmarkServeStats is the per-benchmark slice of a Server stats snapshot.
 // Latencies are end-to-end (queue wait + batch compute); the percentile pair

@@ -13,8 +13,7 @@ import (
 // request as soon as the previous one returns, so concurrent requests
 // coalesce into batched engine runs.  Compare ns/op against
 // BenchmarkInferenceCifarNet (one sequential Classify per op) to see what
-// the batching layer buys under load; both are tracked by the CI
-// bench-regression job.
+// the batching layer buys under load.
 func BenchmarkServeThroughput(b *testing.B) {
 	srv, err := tango.NewServer([]string{"CifarNet"}, tango.ServerConfig{
 		MaxBatch:   16,

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 )
 
 // This file is the HTTP frontend of the serving subsystem (stdlib net/http
@@ -20,11 +19,8 @@ import (
 //	GET  /healthz                                               -> HealthReport JSON
 //	GET  /metrics                                               -> Prometheus text exposition
 //
-// GET /metrics serves the Prometheus text format (version 0.0.4) for
-// scrapers.  The JSON stats blob it served before the v1 surface lives at
-// GET /v1/stats; for one release, /metrics with an Accept header naming
-// application/json still answers the old JSON body so existing collectors
-// keep working while they migrate (deprecated — scrape /v1/stats instead).
+// GET /metrics serves the Prometheus text format (version 0.0.4) whatever
+// the request's Accept header says; the JSON surface is GET /v1/stats.
 //
 // Classify requests may pass {"seed":N} instead of an image and forecast
 // requests {"seed":N} instead of a history to use the benchmark's
@@ -182,14 +178,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// One-release compatibility shim: the pre-v1 API served the JSON stats
-	// blob here.  An explicit JSON Accept keeps old collectors working;
-	// everything else (including Prometheus scrapers, whose Accept names
-	// the exposition formats) gets the text format.
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		writeJSON(w, http.StatusOK, s.Stats())
-		return
-	}
 	w.Header().Set("Content-Type", prometheusContentType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = io.WriteString(w, s.metricsText())

@@ -212,9 +212,9 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
-// TestHTTPHealthAndStats checks the operational JSON endpoints: /healthz and
-// the v1 stats blob at /v1/stats, plus the one-release JSON shim on /metrics
-// for pre-v1 collectors that send Accept: application/json.
+// TestHTTPHealthAndStats checks the operational JSON endpoints, /healthz and
+// the v1 stats blob at /v1/stats, and that /v1/stats is the only JSON stats
+// surface: /metrics ignores Accept and always serves the exposition format.
 func TestHTTPHealthAndStats(t *testing.T) {
 	_, ts := newHTTPServer(t)
 
@@ -240,46 +240,55 @@ func TestHTTPHealthAndStats(t *testing.T) {
 	if _, data := postJSON(t, ts.URL+"/v1/forecast", `{"benchmark":"LSTM","seed":7}`); len(data) == 0 {
 		t.Fatal("forecast returned empty body")
 	}
-	for _, ep := range []struct {
-		name, path, accept string
-	}{
-		{"v1 stats", "/v1/stats", ""},
-		{"metrics JSON shim", "/metrics", "application/json"},
-	} {
-		req, err := http.NewRequest(http.MethodGet, ts.URL+ep.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ep.accept != "" {
-			req.Header.Set("Accept", ep.accept)
-		}
-		mresp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats tango.ServerStats
-		err = json.NewDecoder(mresp.Body).Decode(&stats)
-		mresp.Body.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", ep.name, err)
-		}
-		if stats.Requests == 0 || stats.Batches == 0 {
-			t.Fatalf("%s shows no traffic: %+v", ep.name, stats)
-		}
-		if _, ok := stats.Benchmarks["LSTM"]; !ok {
-			t.Fatalf("%s missing LSTM: %+v", ep.name, stats)
-		}
-		lstm := stats.Benchmarks["LSTM"]
-		if !lstm.Resident || lstm.ResidentBytes <= 0 || lstm.WeightBytes <= 0 {
-			t.Fatalf("%s: LSTM memory accounting empty: %+v", ep.name, lstm)
-		}
-		var histTotal uint64
-		for _, c := range lstm.LatencyHist {
-			histTotal += c
-		}
-		if histTotal != lstm.Completed {
-			t.Fatalf("%s: latency histogram holds %d samples, want %d", ep.name, histTotal, lstm.Completed)
-		}
+	sresp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats tango.ServerStats
+	err = json.NewDecoder(sresp.Body).Decode(&stats)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatalf("v1 stats: %v", err)
+	}
+	if stats.Requests == 0 || stats.Batches == 0 {
+		t.Fatalf("v1 stats shows no traffic: %+v", stats)
+	}
+	lstm, ok := stats.Benchmarks["LSTM"]
+	if !ok {
+		t.Fatalf("v1 stats missing LSTM: %+v", stats)
+	}
+	if !lstm.Resident || lstm.ResidentBytes <= 0 || lstm.WeightBytes <= 0 {
+		t.Fatalf("v1 stats: LSTM memory accounting empty: %+v", lstm)
+	}
+	var histTotal uint64
+	for _, c := range lstm.LatencyHist {
+		histTotal += c
+	}
+	if histTotal != lstm.Completed {
+		t.Fatalf("v1 stats: latency histogram holds %d samples, want %d", histTotal, lstm.Completed)
+	}
+
+	// A collector that asks /metrics for JSON gets the exposition format
+	// like everyone else.
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/json")
+	mresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := mresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("/metrics with a JSON Accept: content type %q, want the text/plain; version=0.0.4 exposition", ct)
+	}
+	if types, _ := promFamilies(t, string(body)); types["tango_requests_total"] != "counter" {
+		t.Fatalf("/metrics with a JSON Accept did not serve the exposition format:\n%.200s", body)
 	}
 }
 
