@@ -168,8 +168,16 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats clears the statistics without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
+// Reset empties the cache — lines, LRU clock, MSHRs and statistics — leaving
+// exactly the state New returns, so one model can serve consecutive kernels.
+func (c *Cache) Reset() {
+	for _, set := range c.sets {
+		clear(set)
+	}
+	c.clock = 0
+	clear(c.mshrs)
+	c.stats = Stats{}
+}
 
 // lineAddr returns the line-aligned address.
 func (c *Cache) lineAddr(addr uint64) uint64 {

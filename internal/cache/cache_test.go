@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -245,5 +247,60 @@ func TestQuickFillMakesResident(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// traffic drives a seeded mix of accesses and fills over a footprint a few
+// times the cache's size, leaving some misses pending, and returns every
+// outcome.  Fills complete the oldest pending miss, as a memory system would.
+func traffic(c *Cache, seed int64, n int) []Outcome {
+	rng := rand.New(rand.NewSource(seed))
+	lines := uint64(4 * c.Config().SizeBytes / c.Config().LineBytes)
+	var pending []uint64
+	out := make([]Outcome, 0, n)
+	for i := 0; i < n; i++ {
+		if len(pending) > 0 && rng.Intn(3) == 0 {
+			c.Fill(pending[0])
+			pending = pending[1:]
+			continue
+		}
+		addr := (rng.Uint64() % lines) * uint64(c.Config().LineBytes)
+		o := c.Access(addr, rng.Intn(4) == 0)
+		if o == Miss {
+			pending = append(pending, addr)
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
+func TestResetRestoresNewCache(t *testing.T) {
+	// A small cache with few MSHRs, so the traffic before Reset produces
+	// every outcome and leaves lines resident, LRU history and MSHRs pending.
+	cfg := Config{SizeBytes: 4 << 10, LineBytes: 128, Ways: 4, MSHRs: 4, HitLatency: 1}
+	used := mustCache(t, cfg)
+	traffic(used, 1, 5000)
+	st := used.Stats()
+	if st.Hits == 0 || st.Misses == 0 || st.MergedMiss == 0 || st.ResFails == 0 || st.Evictions == 0 {
+		t.Fatalf("warm-up traffic too tame to test Reset: %+v", st)
+	}
+	if used.PendingMisses() == 0 {
+		t.Fatal("warm-up should leave MSHRs pending")
+	}
+
+	used.Reset()
+	if used.Stats() != (Stats{}) || used.PendingMisses() != 0 {
+		t.Errorf("after Reset: stats %+v, %d pending misses", used.Stats(), used.PendingMisses())
+	}
+	fresh := mustCache(t, cfg)
+	got, want := traffic(used, 2, 1500), traffic(fresh, 2, 1500)
+	if len(got) < 1000 {
+		t.Fatalf("only %d outcomes compared", len(got))
+	}
+	if !slices.Equal(got, want) {
+		t.Error("a reset cache answered differently from a new one")
+	}
+	if used.Stats() != fresh.Stats() {
+		t.Errorf("statistics differ after identical traffic:\n reset %+v\n new   %+v", used.Stats(), fresh.Stats())
 	}
 }

@@ -96,8 +96,12 @@ func (d *DRAM) Config() Config { return d.cfg }
 // Stats returns the accumulated statistics.
 func (d *DRAM) Stats() Stats { return d.stats }
 
-// ResetStats clears the statistics.
-func (d *DRAM) ResetStats() { d.stats = Stats{} }
+// Reset idles every partition and clears the statistics, leaving exactly
+// the state New returns.
+func (d *DRAM) Reset() {
+	clear(d.nextFree)
+	d.stats = Stats{}
+}
 
 // Access schedules one request for the line containing addr at time `now`
 // (in cycles) and returns the cycle at which the data is available.  The

@@ -97,10 +97,13 @@ func TestStatsAddAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Access(0, false, 0)
-	d.ResetStats()
-	if d.Stats().Requests != 0 {
-		t.Error("ResetStats should clear counters")
+	first := d.Access(0, false, 0)
+	d.Reset()
+	if d.Stats() != (Stats{}) {
+		t.Error("Reset should clear counters")
+	}
+	if again := d.Access(0, false, 0); again != first {
+		t.Errorf("Reset should idle the partitions: ready %d, want %d", again, first)
 	}
 }
 

@@ -15,6 +15,9 @@ type eventHeap struct {
 	t []int64
 }
 
+// reset discards every pending event, keeping the storage.
+func (h *eventHeap) reset() { h.t = h.t[:0] }
+
 // push schedules a wake-up at cycle c.
 func (h *eventHeap) push(c int64) {
 	h.t = append(h.t, c)

@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"slices"
 
 	"tango/internal/cache"
 	"tango/internal/dram"
@@ -64,20 +65,68 @@ type ctaSlot struct {
 	warps int
 }
 
-// smState is the per-SM simulation state.
+// wakeSlotBits is the width of the pool-slot field in a wake-heap key: the
+// key is the wake-up cycle shifted left by it, plus the slot.  An SM holds at
+// most 32 CTAs of 32 warps, so slots fit with room to spare.
+const (
+	wakeSlotBits = 16
+	wakeSlotMask = 1<<wakeSlotBits - 1
+)
+
+// smState is the per-SM simulation state.  It outlives a kernel: a worker
+// prepares the same SMs for each kernel it simulates.
+//
+// The cycle loop never walks the warps.  Each warp is filed under what it
+// waits for, and refiled only when that changes:
+//
+//   - A warp's own blocking conditions (barrier, instruction fetch,
+//     scoreboard) are written only by its own issue, so it is settled once
+//     after it is launched or issues (the unsettled list) and once when its
+//     block expires (the wake heap); blocked counts the blocked warps per
+//     stall reason in between.
+//   - Whether a warp with its operands ready can issue depends only on
+//     SM-wide state — its unit's port, and for global-memory instructions the
+//     MSHR file or bypass queue — so it is decided once per pass per issue
+//     class, over the per-class sets of such warps.
+//
+// Every set is keyed by index into warps, and the scheduler's view is
+// index-aligned with it, so a pick maps straight back to its warp.
 type smState struct {
-	id        int
 	scheduler sched.Scheduler
 	l1        *cache.Cache
 	unitFree  [isa.NumFuncUnits]int64
 
-	// warps holds the live warps in launch order, so warp IDs are strictly
-	// increasing along the slice (the schedulers rely on that ordering).
-	// Retired warps are compacted out at the start of the next cycle.
+	// warps holds the resident warps in launch order, so IDs and launch
+	// cycles are non-decreasing along the slice (the schedulers read age
+	// from position).  Retired warps are compacted out at the start of the
+	// next pass.
 	warps      []*warp
+	view       sched.Warps
 	nextWarpID int
 	live       int // live warps on this SM
 	retired    int // warps retired since the last compaction
+
+	// pool is the storage warps come from, sized to the kernel's residency;
+	// regReady and regReason are the scoreboards of all its slots,
+	// regsPerWarp entries each.  Slots of compacted warps return to free.
+	pool        []warp
+	regsPerWarp int
+	regReady    []int64
+	regReason   []StallReason
+	free        []int
+
+	// unsettled lists the warps launched or issued since the last pass.
+	// wake holds one key per blocked warp — its wake-up cycle above
+	// wakeSlotBits, its pool slot below — and blocked counts them by stall
+	// reason.  memBlocked is the set of warps blocked on a memory-produced
+	// register, class[c] the set of operands-ready warps of issue class c;
+	// sets is the backing store of every index-keyed set.
+	unsettled  []*warp
+	wake       eventHeap
+	blocked    [NumStallReasons]int64
+	memBlocked sched.Bitset
+	class      [numIssueClasses]sched.Bitset
+	sets       []uint64
 
 	// ctaLive holds per-CTA live-warp counts, maintained incrementally as
 	// warps retire; a CTA's slot is removed when its last warp finishes,
@@ -94,13 +143,138 @@ type smState struct {
 	// fast-forward path.
 	events eventHeap
 
-	// Reusable per-cycle scratch buffers; the cycle loop performs no
-	// steady-state allocations.
-	cands   []sched.Candidate
-	reasons []StallReason
-	units   []isa.FuncUnit
-	issued  []bool
 	lineBuf []uint64
+}
+
+// prepare returns the SM to its initial state for a kernel that keeps at
+// most capacity warps of regs registers resident.  Only the models and the
+// buffers carry over from the previous kernel; all else starts from zero.
+func (sm *smState) prepare(capacity, regs int) {
+	sm.scheduler.Reset()
+	sm.l1.Reset()
+	sm.events.reset()
+	sm.wake.reset()
+	words := (capacity + 63) / 64
+	*sm = smState{
+		scheduler:      sm.scheduler,
+		l1:             sm.l1,
+		warps:          sm.warps[:0],
+		view:           sched.Warps{IDs: sm.view.IDs[:0]},
+		pool:           resize(sm.pool, capacity),
+		regsPerWarp:    regs + 1,
+		regReady:       resize(sm.regReady, capacity*(regs+1)),
+		regReason:      resize(sm.regReason, capacity*(regs+1)),
+		free:           sm.free[:0],
+		unsettled:      sm.unsettled[:0],
+		wake:           sm.wake,
+		sets:           resize(sm.sets, (numIssueClasses+3)*words),
+		ctaLive:        sm.ctaLive[:0],
+		fills:          sm.fills[:0],
+		bypassInFlight: sm.bypassInFlight[:0],
+		events:         sm.events,
+		lineBuf:        sm.lineBuf,
+	}
+	for slot := capacity - 1; slot >= 0; slot-- {
+		sm.free = append(sm.free, slot)
+	}
+	clear(sm.sets)
+	carve := func(i int) sched.Bitset { return sm.sets[i*words : (i+1)*words : (i+1)*words] }
+	for c := range sm.class {
+		sm.class[c] = carve(c)
+	}
+	sm.memBlocked = carve(numIssueClasses)
+	sm.view.Ready = carve(numIssueClasses + 1)
+	sm.view.WaitingOnMemory = carve(numIssueClasses + 2)
+}
+
+// resize returns s with length n, reusing its storage when that is large
+// enough.  The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// launchWarp starts a warp of the given CTA at the head of prog.  It is
+// settled, like every warp whose state changed, in the pass that launched it.
+func (sm *smState) launchWarp(ctaID, lanes int, prog *flatProgram, now int64) {
+	slot := sm.free[len(sm.free)-1]
+	sm.free = sm.free[:len(sm.free)-1]
+	regs := sm.regsPerWarp
+	w := &sm.pool[slot]
+	*w = warp{
+		id:         sm.nextWarpID,
+		ctaID:      ctaID,
+		lanes:      lanes,
+		prog:       prog,
+		regReady:   sm.regReady[slot*regs : (slot+1)*regs],
+		regReason:  sm.regReason[slot*regs : (slot+1)*regs],
+		fetchReady: now + 2,
+		slot:       slot,
+		idx:        len(sm.warps),
+		class:      classNone,
+	}
+	clear(w.regReady)
+	sm.nextWarpID++
+	sm.warps = append(sm.warps, w)
+	sm.view.IDs = append(sm.view.IDs, w.id)
+	sm.live++
+	sm.unsettled = append(sm.unsettled, w)
+	sm.events.push(w.fetchReady)
+}
+
+// settle files w under what it waits for at cycle now: blocked on one of its
+// own conditions until a known cycle, or operands-ready in its issue class.
+func (sm *smState) settle(w *warp, now int64) {
+	var until int64
+	switch {
+	case w.syncUntil > now:
+		w.blockedReason, until = StallSync, w.syncUntil
+	case w.fetchReady > now:
+		w.blockedReason, until = StallInstFetch, w.fetchReady
+	default:
+		ins := w.current()
+		r := w.srcBlock(ins, now)
+		if r < 0 {
+			w.class = ins.class
+			sm.class[w.class].Set(w.idx)
+			return
+		}
+		w.blockedReason, until = w.regReason[r], w.regReady[r]
+	}
+	w.blocked = true
+	sm.blocked[w.blockedReason]++
+	if w.blockedReason == StallMemoryDependency {
+		sm.memBlocked.Set(w.idx)
+	}
+	sm.wake.push(until<<wakeSlotBits | int64(w.slot))
+}
+
+// settleChanged settles the warps launched or issued since the last pass and
+// those whose block expires by cycle now.
+func (sm *smState) settleChanged(now int64) {
+	for _, w := range sm.unsettled {
+		sm.settle(w, now)
+	}
+	sm.unsettled = sm.unsettled[:0]
+	for sm.wake.len() > 0 && sm.wake.peek()>>wakeSlotBits <= now {
+		w := &sm.pool[sm.wake.pop()&wakeSlotMask]
+		w.blocked = false
+		sm.blocked[w.blockedReason]--
+		if w.blockedReason == StallMemoryDependency {
+			sm.memBlocked.Clear(w.idx)
+		}
+		sm.settle(w, now)
+	}
+}
+
+// globalThrottled reports whether the SM can accept no further global-memory
+// access: a full MSHR file, or with the L1 bypassed the finite LSU and
+// interconnect queues.
+func (sm *smState) globalThrottled() bool {
+	cfg := sm.l1.Config()
+	if cfg.Bypassed() {
+		return len(sm.bypassInFlight) >= maxOutstandingBypass
+	}
+	return cfg.MSHRs > 0 && sm.l1.PendingMisses() >= cfg.MSHRs
 }
 
 // ctaWarps returns the live warp count of the given resident CTA.
@@ -129,16 +303,29 @@ func (sm *smState) retireWarp(w *warp) {
 	}
 }
 
-// compactWarps removes retired warps in place, preserving launch order.
+// compactWarps removes retired warps in place, preserving launch order, and
+// rebuilds everything keyed by position from the warps' own state.
 func (sm *smState) compactWarps() {
 	kept := sm.warps[:0]
-	for _, w := range sm.warps {
-		if !w.done {
-			kept = append(kept, w)
-		}
+	sm.view.IDs = sm.view.IDs[:0]
+	for c := range sm.class {
+		clear(sm.class[c])
 	}
-	for i := len(kept); i < len(sm.warps); i++ {
-		sm.warps[i] = nil
+	clear(sm.memBlocked)
+	for _, w := range sm.warps {
+		if w.done {
+			sm.free = append(sm.free, w.slot)
+			continue
+		}
+		w.idx = len(kept)
+		kept = append(kept, w)
+		sm.view.IDs = append(sm.view.IDs, w.id)
+		switch {
+		case w.class != classNone:
+			sm.class[w.class].Set(w.idx)
+		case w.blocked && w.blockedReason == StallMemoryDependency:
+			sm.memBlocked.Set(w.idx)
+		}
 	}
 	sm.warps = kept
 	sm.retired = 0
@@ -192,70 +379,33 @@ func layoutRegions(k *kernel.Kernel) regionLayout {
 	return rl
 }
 
-// RunKernel simulates one kernel and returns scaled statistics.
-func (s *Simulator) RunKernel(k *kernel.Kernel) (*KernelStats, error) {
-	if err := k.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := s.cfg
-	fp := newFlatProgram(k.Program, cfg.Sampling)
+// machine is the kernel-independent part of a simulation — the memory system
+// and the modeled SMs — which one worker recycles from kernel to kernel.
+type machine struct {
+	l2  *cache.Cache
+	mem *dram.DRAM
+	sms []*smState
+}
 
-	totalCTAs := k.Launch.Blocks()
-	threadsPerBlock := k.Launch.ThreadsPerBlock()
-	warpsPerCTA := k.Launch.WarpsPerBlock()
-
-	// Occupancy-driven CTA residency: an SM keeps as many blocks resident as
-	// its warp capacity allows, up to the hardware limit of 32 blocks, like
-	// real hardware does — so kernels with small blocks keep many blocks
-	// resident, and a kernel whose single block exceeds capacity still runs
-	// one.  The configured MaxCTAsPerSM is the fallback residency for device
-	// models that do not bound warps per SM.
-	ctasPerSM := cfg.MaxCTAsPerSM
-	if cfg.Device.MaxWarpsPerSM > 0 {
-		ctasPerSM = cfg.Device.MaxWarpsPerSM / warpsPerCTA
-	}
-	if ctasPerSM > 32 {
-		ctasPerSM = 32
-	}
-	if ctasPerSM < 1 {
-		ctasPerSM = 1
-	}
-
-	sampledCTAs := totalCTAs
-	if cfg.Sampling.MaxCTAs > 0 && sampledCTAs > cfg.Sampling.MaxCTAs {
-		// Sample at least enough CTAs to populate the modeled SMs at the
-		// kernel's natural residency.
-		minSample := ctasPerSM * cfg.ModeledSMs
-		sampledCTAs = cfg.Sampling.MaxCTAs
-		if sampledCTAs < minSample {
-			sampledCTAs = minSample
-		}
-		if sampledCTAs > totalCTAs {
-			sampledCTAs = totalCTAs
-		}
-	}
-
-	// Memory system shared across SMs.
-	l2, err := cache.New(cfg.L2)
+// newMachine builds the memory system; SMs are added as kernels need them.
+func (s *Simulator) newMachine() (*machine, error) {
+	l2, err := cache.New(s.cfg.L2)
 	if err != nil {
 		return nil, err
 	}
-	mem, err := dram.New(cfg.DRAM)
+	mem, err := dram.New(s.cfg.DRAM)
 	if err != nil {
 		return nil, err
 	}
-	rl := layoutRegions(k)
+	return &machine{l2: l2, mem: mem}, nil
+}
 
-	// Modeled SMs.
-	modeled := cfg.ModeledSMs
-	if modeled > sampledCTAs {
-		modeled = sampledCTAs
-	}
-	if modeled < 1 {
-		modeled = 1
-	}
-	sms := make([]*smState, modeled)
-	for i := range sms {
+// prepare resets the memory system and returns n SMs in their initial state,
+// each sized for capacity resident warps of regs registers.
+func (m *machine) prepare(cfg Config, n, capacity, regs int) ([]*smState, error) {
+	m.l2.Reset()
+	m.mem.Reset()
+	for len(m.sms) < n {
 		sc, err := sched.New(cfg.Scheduler)
 		if err != nil {
 			return nil, err
@@ -264,204 +414,305 @@ func (s *Simulator) RunKernel(k *kernel.Kernel) (*KernelStats, error) {
 		if err != nil {
 			return nil, err
 		}
-		sms[i] = &smState{
-			id:        i,
+		m.sms = append(m.sms, &smState{
 			scheduler: sc,
 			l1:        l1,
 			lineBuf:   make([]uint64, 0, maxCoalescedLines),
+		})
+	}
+	for _, sm := range m.sms[:n] {
+		sm.prepare(capacity, regs)
+	}
+	return m.sms[:n], nil
+}
+
+// run is the simulation of one kernel in progress.
+type run struct {
+	cfg Config
+	k   *kernel.Kernel
+	fp  flatProgram
+	rl  regionLayout
+	l2  *cache.Cache
+	mem *dram.DRAM
+	sms []*smState
+
+	totalCTAs   int
+	sampledCTAs int
+	ctasPerSM   int
+
+	// nextCTA is the CTA dispatcher's cursor.  liveWarps counts live warps
+	// across all SMs so loop termination needs no per-cycle rescan.
+	nextCTA   int
+	liveWarps int
+
+	now              int64
+	simThreadInstr   int64
+	maxWarpsResident int
+	activity         Activity
+	st               *KernelStats
+
+	// stalls accumulates the current cycle's per-warp stall attribution so
+	// that fast-forwarded cycles can replay it cheaply.
+	stalls [NumStallReasons]int64
+}
+
+// RunKernel simulates one kernel and returns scaled statistics.
+func (s *Simulator) RunKernel(k *kernel.Kernel) (*KernelStats, error) {
+	m, err := s.newMachine()
+	if err != nil {
+		return nil, err
+	}
+	return s.runKernel(k, m)
+}
+
+// runKernel simulates one kernel on a machine left in any state by an
+// earlier kernel.
+func (s *Simulator) runKernel(k *kernel.Kernel, m *machine) (*KernelStats, error) {
+	r, err := s.newRun(k, m)
+	if err != nil {
+		return nil, err
+	}
+	for !r.finished() {
+		if r.now > maxSimCycles {
+			return nil, fmt.Errorf("gpusim: kernel %s exceeded %d simulated cycles", k.Name, maxSimCycles)
+		}
+		r.cycle()
+	}
+	return r.finish(), nil
+}
+
+// newRun sizes the sampled simulation of k, prepares the machine for it and
+// dispatches the first CTAs.
+func (s *Simulator) newRun(k *kernel.Kernel, m *machine) (*run, error) {
+	if err := k.Validate(); err != nil {
+		return nil, err
+	}
+	cfg := s.cfg
+	r := &run{
+		cfg:       cfg,
+		k:         k,
+		fp:        newFlatProgram(k.Program, cfg.Sampling),
+		rl:        layoutRegions(k),
+		l2:        m.l2,
+		mem:       m.mem,
+		totalCTAs: k.Launch.Blocks(),
+	}
+	warpsPerCTA := k.Launch.WarpsPerBlock()
+
+	// Occupancy-driven CTA residency: an SM keeps as many blocks resident as
+	// its warp capacity allows, up to the hardware limit of 32 blocks, like
+	// real hardware does — so kernels with small blocks keep many blocks
+	// resident, and a kernel whose single block exceeds capacity still runs
+	// one.  The configured MaxCTAsPerSM is the fallback residency for device
+	// models that do not bound warps per SM.
+	r.ctasPerSM = cfg.MaxCTAsPerSM
+	if cfg.Device.MaxWarpsPerSM > 0 {
+		r.ctasPerSM = cfg.Device.MaxWarpsPerSM / warpsPerCTA
+	}
+	if r.ctasPerSM > 32 {
+		r.ctasPerSM = 32
+	}
+	if r.ctasPerSM < 1 {
+		r.ctasPerSM = 1
+	}
+
+	r.sampledCTAs = r.totalCTAs
+	if cfg.Sampling.MaxCTAs > 0 && r.sampledCTAs > cfg.Sampling.MaxCTAs {
+		// Sample at least enough CTAs to populate the modeled SMs at the
+		// kernel's natural residency.
+		minSample := r.ctasPerSM * cfg.ModeledSMs
+		r.sampledCTAs = cfg.Sampling.MaxCTAs
+		if r.sampledCTAs < minSample {
+			r.sampledCTAs = minSample
+		}
+		if r.sampledCTAs > r.totalCTAs {
+			r.sampledCTAs = r.totalCTAs
 		}
 	}
 
-	st := &KernelStats{Kernel: k}
-	st.TotalThreadInstructions = k.DynamicInstructions()
+	// Modeled SMs, sharing the machine's L2 and DRAM.
+	modeled := cfg.ModeledSMs
+	if modeled > r.sampledCTAs {
+		modeled = r.sampledCTAs
+	}
+	if modeled < 1 {
+		modeled = 1
+	}
+	sms, err := m.prepare(cfg, modeled, r.ctasPerSM*warpsPerCTA, k.Launch.Regs)
+	if err != nil {
+		return nil, err
+	}
+	r.sms = sms
+
+	r.st = &KernelStats{Kernel: k}
+	r.st.TotalThreadInstructions = k.DynamicInstructions()
 	// Exact op/type mixes for the full kernel from the program template.
 	ops := k.Program.OpCounts()
 	types := k.Program.TypeCounts()
 	threads := int64(k.Launch.TotalThreads())
 	for i := range ops {
-		st.OpCounts[i] = ops[i] * threads
+		r.st.OpCounts[i] = ops[i] * threads
 	}
 	for i := range types {
-		st.TypeCounts[i] = types[i] * threads
+		r.st.TypeCounts[i] = types[i] * threads
 	}
 
-	// CTA dispatcher.  liveWarps counts live warps across all SMs so loop
-	// termination needs no per-cycle rescan.
-	nextCTA := 0
-	liveWarps := 0
-	launchCTA := func(sm *smState, now int64) {
-		ctaID := nextCTA
-		nextCTA++
+	// Initial assignment.
+	for _, sm := range r.sms {
+		r.launchCTAs(sm)
+	}
+	return r, nil
+}
+
+// launchCTAs dispatches sampled CTAs into the SM's free residency.
+func (r *run) launchCTAs(sm *smState) {
+	for len(sm.ctaLive) < r.ctasPerSM && r.nextCTA < r.sampledCTAs {
+		warpsPerCTA := r.k.Launch.WarpsPerBlock()
+		ctaID := r.nextCTA
+		r.nextCTA++
 		sm.ctaLive = append(sm.ctaLive, ctaSlot{cta: ctaID, warps: warpsPerCTA})
-		remaining := threadsPerBlock
+		remaining := r.k.Launch.ThreadsPerBlock()
 		for wi := 0; wi < warpsPerCTA; wi++ {
 			lanes := warpSize
 			if remaining < warpSize {
 				lanes = remaining
 			}
 			remaining -= lanes
-			w := newWarp(sm.nextWarpID, ctaID, lanes, k.Launch.Regs, &fp, now)
-			sm.nextWarpID++
-			sm.warps = append(sm.warps, w)
-			sm.live++
-			liveWarps++
-			sm.events.push(w.fetchReady)
+			sm.launchWarp(ctaID, lanes, &r.fp, r.now)
+			r.liveWarps++
 		}
 	}
-	// Initial assignment.
-	for _, sm := range sms {
-		for len(sm.ctaLive) < ctasPerSM && nextCTA < sampledCTAs {
-			launchCTA(sm, 0)
+}
+
+// finished reports whether every sampled CTA has run to completion.
+func (r *run) finished() bool {
+	return r.liveWarps == 0 && r.nextCTA >= r.sampledCTAs
+}
+
+// cycle runs every SM for the current cycle and advances time: by one cycle
+// if anything issued, otherwise to the next pending event, charging the
+// skipped cycles with this cycle's stall attribution.
+func (r *run) cycle() {
+	r.stalls = [NumStallReasons]int64{}
+	issuedAny := false
+	for _, sm := range r.sms {
+		if r.pass(sm) {
+			issuedAny = true
+		}
+	}
+	next := r.now + 1
+	if !issuedAny {
+		next = nextEventTime(r.sms, r.now)
+	}
+	for i, v := range r.stalls {
+		r.st.Stalls[i] += v * (next - r.now)
+	}
+	r.now = next
+}
+
+// pass runs one SM for the current cycle — retirement and dispatch, settling
+// the warps whose state changed, the issue slots, and the cycle's stall
+// attribution — and reports whether any warp issued.
+func (r *run) pass(sm *smState) bool {
+	now := r.now
+	sm.events.drainThrough(now)
+	sm.drainFills(now)
+	if sm.retired > 0 {
+		sm.compactWarps()
+	}
+	// Launch new sampled CTAs into freed residency.
+	r.launchCTAs(sm)
+	if sm.live > r.maxWarpsResident {
+		r.maxWarpsResident = sm.live
+	}
+	sm.settleChanged(now)
+
+	// Decide each issue class from the SM-wide state as it stands now: its
+	// members are all pipe-busy, all memory-throttled, or all ready — in
+	// which case the verdict on those the scheduler passes over is
+	// not-selected.
+	view := &sm.view
+	clear(view.Ready)
+	copy(view.WaitingOnMemory, sm.memBlocked)
+	throttled := sm.globalThrottled()
+	var verdict [numIssueClasses]StallReason
+	for c := range sm.class {
+		switch {
+		case sm.unitFree[classUnit(issueClass(c))] > now:
+			verdict[c] = StallPipeBusy
+		case issueClass(c) == classGlobal && throttled:
+			verdict[c] = StallMemoryThrottle
+			view.WaitingOnMemory.Or(sm.class[c])
+		default:
+			verdict[c] = StallNotSelected
+			view.Ready.Or(sm.class[c])
 		}
 	}
 
-	var now int64
-	var simThreadInstr int64
-	activity := Activity{}
-	maxWarpsResident := 0
-
-	// stallTemp accumulates this cycle's per-warp stall attribution so that
-	// fast-forwarded cycles can replay it cheaply.
-	var stallTemp [NumStallReasons]int64
-
-	for liveWarps > 0 || nextCTA < sampledCTAs {
-		if now > maxSimCycles {
-			return nil, fmt.Errorf("gpusim: kernel %s exceeded %d simulated cycles", k.Name, maxSimCycles)
+	issued := false
+	var refused int64
+	for slot := 0; slot < r.cfg.IssueWidth; slot++ {
+		pick := sm.scheduler.Pick(view)
+		if pick < 0 {
+			break
 		}
-		issuedAny := false
-		for i := range stallTemp {
-			stallTemp[i] = 0
-		}
-
-		for _, sm := range sms {
-			sm.events.drainThrough(now)
-			sm.drainFills(now)
-			if sm.retired > 0 {
-				sm.compactWarps()
-			}
-			// Launch new sampled CTAs into freed residency.
-			for len(sm.ctaLive) < ctasPerSM && nextCTA < sampledCTAs {
-				launchCTA(sm, now)
-			}
-			if sm.live > maxWarpsResident {
-				maxWarpsResident = sm.live
-			}
-
-			// One classification pass per cycle feeds both the scheduler's
-			// candidate list and the stall attribution below.  Candidates are
-			// index-aligned with sm.warps, so a pick maps straight back to
-			// its warp without a lookup.
-			cands := sm.cands[:0]
-			reasons := sm.reasons[:0]
-			units := sm.units[:0]
-			issued := sm.issued[:0]
-			for _, w := range sm.warps {
-				var ready bool
-				var reason StallReason
-				if w.blockedUntil > now {
-					// Memoized block: nothing the warp waits on can change
-					// before blockedUntil, so skip re-classification.
-					reason = w.blockedReason
-				} else {
-					ready, reason, w.blockedUntil = s.classify(w, sm, now)
-					w.blockedReason = reason
-				}
-				unit := isa.UnitNone
-				if ready {
-					unit = isa.UnitFor(w.current())
-				}
-				cands = append(cands, sched.Candidate{
-					ID:    w.id,
-					Ready: ready,
-					Age:   w.launch,
-					WaitingOnMemory: !ready && (reason == StallMemoryDependency ||
-						reason == StallMemoryThrottle),
-				})
-				reasons = append(reasons, reason)
-				units = append(units, unit)
-				issued = append(issued, false)
-			}
-			sm.cands, sm.reasons, sm.units, sm.issued = cands, reasons, units, issued
-
-			for slot := 0; slot < cfg.IssueWidth; slot++ {
-				pick := sm.scheduler.Pick(cands, now)
-				if pick < 0 {
-					break
-				}
-				w := sm.warps[pick]
-				unit := units[pick]
-				if s.issue(w, sm, l2, mem, rl, now, &activity, st) {
-					issuedAny = true
-					issued[pick] = true
-					simThreadInstr += int64(w.lanes)
-					// The issue changed the warp's dependencies; force a
-					// fresh classification next cycle.
-					w.blockedUntil = 0
-					if w.done {
-						sm.retireWarp(w)
-						liveWarps--
-					}
-					// The issue occupied its functional unit, so structural
-					// hazards still serialize within the cycle: demote every
-					// remaining candidate bound for the same unit, exactly
-					// what per-slot reclassification used to report as
-					// pipe-busy.
-					for i := range cands {
-						if cands[i].Ready && units[i] == unit {
-							cands[i].Ready = false
-							reasons[i] = StallPipeBusy
-						}
-					}
-				} else {
-					// Memory throttle: the warp cannot retry this cycle.
-					reasons[pick] = StallMemoryThrottle
-				}
-				// The warp leaves this cycle's issue pool.  Marking it as
-				// memory-waiting reproduces what per-slot reclassification
-				// used to show the two-level scheduler: an issued warp
-				// vanished from the candidate list (dropping out of the
-				// active set), and a throttled warp reclassified as blocked
-				// on memory.  GTO and LRR only read Ready.
-				cands[pick].Ready = false
-				cands[pick].WaitingOnMemory = true
-			}
-
-			// Per-warp stall attribution for this cycle, reusing the
-			// classification above.
-			for i := range cands {
-				if issued[i] {
-					continue
-				}
-				if cands[i].Ready {
-					stallTemp[StallNotSelected]++
-				} else {
-					stallTemp[reasons[i]]++
-				}
-			}
-		}
-
-		if issuedAny {
-			for i, v := range stallTemp {
-				st.Stalls[i] += v
-			}
-			now++
+		// Picked, the warp leaves this cycle's issue pool.  Marking it as
+		// memory-waiting shows the two-level scheduler what per-slot
+		// reclassification would: an issued warp gone from the candidates
+		// (dropping out of the active set), a refused one blocked on
+		// memory.  GTO and LRR only read Ready.
+		view.Ready.Clear(pick)
+		view.WaitingOnMemory.Set(pick)
+		w := sm.warps[pick]
+		unit := w.current().unit
+		if !r.issue(w, sm) {
+			// Memory throttle: the warp cannot retry this cycle, and is
+			// charged for it whatever becomes of its class.
+			refused++
 			continue
 		}
-
-		// Nothing issued anywhere: fast-forward to the next pending event and
-		// charge the skipped cycles with this cycle's stall attribution.
-		next := nextEventTime(sms, now)
-		skipped := next - now
-		for i, v := range stallTemp {
-			st.Stalls[i] += v * skipped
+		issued = true
+		r.simThreadInstr += int64(w.lanes)
+		// The issue changed what the warp waits for; it is settled afresh
+		// next pass and charged nothing in this one.
+		sm.class[w.class].Clear(pick)
+		w.class = classNone
+		if w.done {
+			sm.retireWarp(w)
+			r.liveWarps--
+		} else {
+			sm.unsettled = append(sm.unsettled, w)
 		}
-		now = next
+		// The issue occupied its functional unit, so structural hazards
+		// still serialize within the cycle: the unit's classes are pipe-busy
+		// for the remaining slots.
+		for c := range sm.class {
+			if classUnit(issueClass(c)) == unit && verdict[c] == StallNotSelected {
+				verdict[c] = StallPipeBusy
+				view.Ready.AndNot(sm.class[c])
+			}
+		}
 	}
 
-	st.SimCycles = now
+	for c := range sm.class {
+		r.stalls[verdict[c]] += int64(sm.class[c].Count())
+	}
+	r.stalls[verdict[classGlobal]] -= refused
+	r.stalls[StallMemoryThrottle] += refused
+	for reason, n := range sm.blocked {
+		r.stalls[reason] += n
+	}
+	return issued
+}
+
+// finish scales the sampled statistics to the full kernel.
+func (r *run) finish() *KernelStats {
+	cfg, k, st := r.cfg, r.k, r.st
+	st.SimCycles = r.now
 	if st.SimCycles == 0 {
 		st.SimCycles = 1
 	}
+	simThreadInstr := r.simThreadInstr
 	st.SimThreadInstructions = simThreadInstr
 	if simThreadInstr == 0 {
 		simThreadInstr = 1
@@ -469,9 +720,9 @@ func (s *Simulator) RunKernel(k *kernel.Kernel) (*KernelStats, error) {
 	st.ScaleFactor = float64(st.TotalThreadInstructions) / float64(simThreadInstr)
 
 	// Scale memory system and activity statistics to the full kernel.
-	st.L2 = l2.Stats()
-	st.DRAM = mem.Stats()
-	for _, sm := range sms {
+	st.L2 = r.l2.Stats()
+	st.DRAM = r.mem.Stats()
+	for _, sm := range r.sms {
 		st.L1.Add(sm.l1.Stats())
 	}
 	scaleCache := func(cs *cache.Stats, f float64) {
@@ -491,24 +742,24 @@ func (s *Simulator) RunKernel(k *kernel.Kernel) (*KernelStats, error) {
 	st.DRAM.WriteRequests = int64(float64(st.DRAM.WriteRequests) * st.ScaleFactor)
 	st.DRAM.BytesMoved = int64(float64(st.DRAM.BytesMoved) * st.ScaleFactor)
 	st.DRAM.StallCycles = int64(float64(st.DRAM.StallCycles) * st.ScaleFactor)
-	activity.Scale(st.ScaleFactor)
-	st.Activity = activity
+	r.activity.Scale(st.ScaleFactor)
+	st.Activity = r.activity
 
 	// Estimate full-kernel cycles from the simulated throughput: the device
 	// runs min(SMs, CTAs) SMs in parallel at the observed per-SM rate.
-	perSMThroughput := float64(st.SimThreadInstructions) / float64(st.SimCycles) / float64(len(sms))
+	perSMThroughput := float64(st.SimThreadInstructions) / float64(st.SimCycles) / float64(len(r.sms))
 	if perSMThroughput <= 0 {
 		perSMThroughput = 1
 	}
 	utilSMs := cfg.Device.SMs
-	if totalCTAs < utilSMs {
-		utilSMs = totalCTAs
+	if r.totalCTAs < utilSMs {
+		utilSMs = r.totalCTAs
 	}
 	if utilSMs < 1 {
 		utilSMs = 1
 	}
 	st.Cycles = int64(float64(st.TotalThreadInstructions) / (perSMThroughput * float64(utilSMs)))
-	if st.Cycles < st.SimCycles && sampledCTAs == totalCTAs && cfg.Sampling.MaxLoopIters == 0 {
+	if st.Cycles < st.SimCycles && r.sampledCTAs == r.totalCTAs && cfg.Sampling.MaxLoopIters == 0 {
 		// Exhaustive simulation of a small kernel: trust the simulated time.
 		st.Cycles = st.SimCycles
 	}
@@ -517,76 +768,29 @@ func (s *Simulator) RunKernel(k *kernel.Kernel) (*KernelStats, error) {
 	}
 	st.Seconds = float64(st.Cycles) / (float64(cfg.Device.CoreClockMHz) * 1e6)
 
-	st.MaxResidentWarpsPerSM = maxWarpsResident
-	residentThreads := maxWarpsResident * warpSize
+	st.MaxResidentWarpsPerSM = r.maxWarpsResident
+	residentThreads := r.maxWarpsResident * warpSize
 	if residentThreads > 0 {
 		st.AllocatedRegsPerSM = k.Launch.Regs * residentThreads
 		st.LiveRegsPerSM = k.Program.MaxRegister() * residentThreads
 	}
-	return st, nil
-}
-
-// classify reports whether the warp can issue now and, when it cannot, the
-// nvprof-style reason plus the cycle the blocking condition expires (zero
-// when the condition is not time-bounded, e.g. a full MSHR file, and must be
-// re-checked every cycle).
-func (s *Simulator) classify(w *warp, sm *smState, now int64) (bool, StallReason, int64) {
-	if w.done {
-		return false, StallOther, 0
-	}
-	if w.syncUntil > now {
-		return false, StallSync, w.syncUntil
-	}
-	if w.fetchReady > now {
-		return false, StallInstFetch, w.fetchReady
-	}
-	ins := w.current()
-	if blocked := w.srcBlock(ins, now); blocked >= 0 {
-		until := w.regReady[blocked]
-		switch {
-		case w.regFromConst[blocked]:
-			return false, StallConstMemDependency, until
-		case w.regFromMem[blocked]:
-			return false, StallMemoryDependency, until
-		default:
-			return false, StallExecDependency, until
-		}
-	}
-	unit := isa.UnitFor(ins)
-	if sm.unitFree[unit] > now {
-		return false, StallPipeBusy, sm.unitFree[unit]
-	}
-	if ins.IsMem() && ins.Space == isa.SpaceGlobal {
-		if sm.l1.Config().Bypassed() {
-			// Without an L1, the finite LSU / interconnect queues throttle
-			// further global accesses.
-			if len(sm.bypassInFlight) >= maxOutstandingBypass {
-				return false, StallMemoryThrottle, 0
-			}
-		} else if cfg := sm.l1.Config(); cfg.MSHRs > 0 && sm.l1.PendingMisses() >= cfg.MSHRs {
-			// A full MSHR file throttles further global accesses.
-			return false, StallMemoryThrottle, 0
-		}
-	}
-	return true, StallOther, 0
+	return st
 }
 
 // issue executes one instruction of the warp.  It returns false when the
 // instruction could not complete (memory throttle) and must be retried.
 // Every future effect (write-back, port release, barrier, fetch) is also
 // pushed onto the SM's event heap so the fast-forward path can find it.
-func (s *Simulator) issue(w *warp, sm *smState, l2 *cache.Cache, mem *dram.DRAM, rl regionLayout,
-	now int64, act *Activity, st *KernelStats) bool {
-
+func (r *run) issue(w *warp, sm *smState) bool {
+	now, act := r.now, &r.activity
 	ins := w.current()
-	unit := isa.UnitFor(ins)
 	lanes := int64(w.lanes)
-	portCycles := int64(isa.ThroughputCPI(ins))
+	portCycles := ins.portCycles
 
 	if ins.IsMem() && ins.Space == isa.SpaceGlobal {
-		ready, transactions, ok := s.globalAccess(w, sm, l2, mem, rl, ins, now, st)
+		ready, transactions, ok := r.globalAccess(w, sm, ins)
 		if !ok {
-			st.Stalls[StallMemoryThrottle]++
+			r.st.Stalls[StallMemoryThrottle]++
 			return false
 		}
 		act.GlobalAccesses += int64(transactions)
@@ -598,19 +802,19 @@ func (s *Simulator) issue(w *warp, sm *smState, l2 *cache.Cache, mem *dram.DRAM,
 			portCycles = 1
 		}
 		if ins.IsLoad() && ins.Dst != isa.NoReg {
-			w.writeDst(ins, ready, true, false)
+			w.writeDst(ins, ready, StallMemoryDependency)
 			sm.events.push(ready)
 		}
 	} else if ins.IsMem() && ins.Space == isa.SpaceShared {
 		act.SharedAccesses += lanes
 		if ins.IsLoad() && ins.Dst != isa.NoReg {
-			w.writeDst(ins, now+24, true, false)
+			w.writeDst(ins, now+24, StallMemoryDependency)
 			sm.events.push(now + 24)
 		}
 	} else if ins.IsMem() && ins.Space == isa.SpaceConst {
 		act.ConstAccesses++
 		if ins.IsLoad() && ins.Dst != isa.NoReg {
-			w.writeDst(ins, now+20, false, true)
+			w.writeDst(ins, now+20, StallConstMemDependency)
 			sm.events.push(now + 20)
 		}
 	} else if ins.Op == isa.OpBar {
@@ -618,23 +822,20 @@ func (s *Simulator) issue(w *warp, sm *smState, l2 *cache.Cache, mem *dram.DRAM,
 		// window proportional to the CTA's live warp count).
 		w.syncUntil = now + int64(8*sm.ctaWarps(w.ctaID))
 		sm.events.push(w.syncUntil)
-	} else {
-		latency := int64(isa.Latency(ins))
-		if ins.Dst != isa.NoReg {
-			w.writeDst(ins, now+latency, false, false)
-			sm.events.push(now + latency)
-		}
+	} else if ins.Dst != isa.NoReg {
+		w.writeDst(ins, now+ins.latency, StallExecDependency)
+		sm.events.push(now + ins.latency)
 	}
 
 	// Pipeline occupancy and activity accounting.
-	sm.unitFree[unit] = now + portCycles
-	sm.events.push(sm.unitFree[unit])
+	sm.unitFree[ins.unit] = now + portCycles
+	sm.events.push(sm.unitFree[ins.unit])
 	act.IssuedInstructions += lanes
 	act.RegReads += int64(ins.NSrcs) * lanes
 	if ins.Dst != isa.NoReg {
 		act.RegWrites += lanes
 	}
-	switch unit {
+	switch ins.unit {
 	case isa.UnitSP, isa.UnitCtrl, isa.UnitNone:
 		act.SPOps += lanes
 	case isa.UnitFPU:
@@ -657,21 +858,20 @@ func (s *Simulator) issue(w *warp, sm *smState, l2 *cache.Cache, mem *dram.DRAM,
 // and DRAM.  It returns the cycle at which the data is available, the number
 // of memory transactions generated, and false if the L1 could not reserve an
 // MSHR.
-func (s *Simulator) globalAccess(w *warp, sm *smState, l2 *cache.Cache, mem *dram.DRAM, rl regionLayout,
-	ins isa.Instruction, now int64, st *KernelStats) (ready int64, transactions int, ok bool) {
-
+func (r *run) globalAccess(w *warp, sm *smState, ins *decoded) (ready int64, transactions int, ok bool) {
+	now := r.now
 	// With the L1 bypassed the finite LSU / interconnect queues bound the
-	// outstanding requests.  Classification checks this too, but an earlier
-	// issue in the same cycle may have filled the queue since.
+	// outstanding requests.  The pass checks this too, but an earlier issue
+	// in the same cycle may have filled the queue since.
 	if sm.l1.Config().Bypassed() && len(sm.bypassInFlight) >= maxOutstandingBypass {
 		return 0, 0, false
 	}
 
-	pat := ins.Pattern
-	base := rl.base[pat.Region]
+	pat := &ins.Pattern
+	base := r.rl.base[pat.Region]
 	footprint := pat.Footprint
 	if footprint == 0 {
-		footprint = rl.size[pat.Region]
+		footprint = r.rl.size[pat.Region]
 	}
 	if footprint == 0 {
 		footprint = 256
@@ -682,7 +882,7 @@ func (s *Simulator) globalAccess(w *warp, sm *smState, l2 *cache.Cache, mem *dra
 	// fixed-capacity scratch slice (at most one line per lane), visited in
 	// lane order so the memory system sees a deterministic access sequence.
 	lines := sm.lineBuf[:0]
-	iter := int64(w.iterIndex())
+	iter := int64(w.iter)
 	for lane := 0; lane < w.lanes; lane++ {
 		off := int64(pat.Base) + int64(lane)*pat.ThreadStride + iter*pat.IterStride + int64(w.ctaID)*pat.BlockStride
 		if off < 0 {
@@ -709,7 +909,7 @@ func (s *Simulator) globalAccess(w *warp, sm *smState, l2 *cache.Cache, mem *dra
 		addr := lineAddr * lineBytes
 		var lineReady int64
 		if l1.Config().Bypassed() {
-			lineReady = s.l2Access(l2, mem, addr, ins.IsStore(), now)
+			lineReady = r.l2Access(addr, ins.IsStore())
 			sm.bypassInFlight = append(sm.bypassInFlight, lineReady)
 			sm.events.push(lineReady)
 		} else {
@@ -721,7 +921,7 @@ func (s *Simulator) globalAccess(w *warp, sm *smState, l2 *cache.Cache, mem *dra
 			case cache.ReservationFail:
 				return 0, 0, false
 			default: // Miss
-				lineReady = s.l2Access(l2, mem, addr, ins.IsStore(), now)
+				lineReady = r.l2Access(addr, ins.IsStore())
 				// The MSHR stays allocated until the fill returns.
 				sm.fills = append(sm.fills, pendingFill{addr: addr, ready: lineReady})
 				sm.events.push(lineReady)
@@ -737,18 +937,19 @@ func (s *Simulator) globalAccess(w *warp, sm *smState, l2 *cache.Cache, mem *dra
 }
 
 // l2Access models an access that missed (or bypassed) the L1.
-func (s *Simulator) l2Access(l2 *cache.Cache, mem *dram.DRAM, addr uint64, isWrite bool, now int64) int64 {
+func (r *run) l2Access(addr uint64, isWrite bool) int64 {
+	now, l2 := r.now, r.l2
 	switch l2.Access(addr, isWrite) {
 	case cache.Hit:
 		return now + int64(l2.Config().HitLatency)
 	case cache.MissMerged:
-		return now + int64(l2.Config().HitLatency) + int64(s.cfg.DRAM.LatencyCycles)/2
+		return now + int64(l2.Config().HitLatency) + int64(r.cfg.DRAM.LatencyCycles)/2
 	case cache.ReservationFail:
 		// Treat as a miss with an extra queueing penalty.
-		ready := mem.Access(addr, isWrite, now+int64(l2.Config().HitLatency))
+		ready := r.mem.Access(addr, isWrite, now+int64(l2.Config().HitLatency))
 		return ready + 50
 	default: // Miss
-		ready := mem.Access(addr, isWrite, now+int64(l2.Config().HitLatency))
+		ready := r.mem.Access(addr, isWrite, now+int64(l2.Config().HitLatency))
 		l2.Fill(addr)
 		return ready
 	}

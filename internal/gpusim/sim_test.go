@@ -504,10 +504,11 @@ func TestRunKernelsParallelMatchesSerial(t *testing.T) {
 }
 
 func TestRunKernelSteadyStateAllocations(t *testing.T) {
-	// The cycle loop must not allocate per cycle or per memory access:
-	// a conv kernel simulating tens of thousands of cycles should stay within
-	// a setup-sized allocation budget (warps, caches, schedulers), orders of
-	// magnitude below its cycle count.
+	// The cycle loop must not allocate per cycle or per memory access: a conv
+	// kernel simulating tens of thousands of cycles allocates what building
+	// the machine does (one slice per cache set dominates: 1,536 L2 sets and
+	// 2 x 128 L1 sets here) plus the growth of a few buffers.  The limits are
+	// the measured counts plus ten percent.
 	n, err := networks.NewCifarNet()
 	if err != nil {
 		t.Fatal(err)
@@ -518,11 +519,12 @@ func TestRunKernelSteadyStateAllocations(t *testing.T) {
 	}
 	k := ks[0]
 	for _, tc := range []struct {
-		name string
-		cfg  gpusim.Config
+		name  string
+		cfg   gpusim.Config
+		limit float64
 	}{
-		{"default-l1", gpusim.DefaultConfig()},
-		{"bypassed-l1", gpusim.DefaultConfig().WithL1Size(0)},
+		{"default-l1", gpusim.DefaultConfig(), 2120},                // measured 1,926
+		{"bypassed-l1", gpusim.DefaultConfig().WithL1Size(0), 1840}, // measured 1,671
 	} {
 		sim, err := gpusim.New(tc.cfg)
 		if err != nil {
@@ -541,8 +543,62 @@ func TestRunKernelSteadyStateAllocations(t *testing.T) {
 		if st.SimCycles < 10_000 {
 			t.Fatalf("%s: kernel too small (%d cycles) to exercise the steady state", tc.name, st.SimCycles)
 		}
-		if allocs > 4000 {
-			t.Errorf("%s: %.0f allocations per run; the cycle loop is allocating in steady state", tc.name, allocs)
+		if allocs > tc.limit {
+			t.Errorf("%s: %.0f allocations per run, limit %.0f; the cycle loop is allocating in steady state", tc.name, allocs, tc.limit)
+		}
+	}
+}
+
+func TestRunKernelsReusesOneMachine(t *testing.T) {
+	// A network's kernels share one recycled machine per worker, so a whole
+	// CifarNet run — the per-cell quantity the benchmark's allocs_per_item
+	// reports — allocates about what one kernel does, and recycling leaves no
+	// trace: a second run on the same simulator is equal in every field, and
+	// so is each kernel run alone on a machine of its own.  The limits are
+	// the measured counts plus ten percent.
+	n, err := networks.NewCifarNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, err := kernel.Generate(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   gpusim.Config
+		limit float64
+	}{
+		{"default-l1", gpusim.DefaultConfig(), 2220},                   // measured 2,018
+		{"bypassed-l1", gpusim.DefaultConfig().WithL1Size(0), 1930},    // measured 1,755
+		{"tlv", gpusim.DefaultConfig().WithScheduler(sched.TLV), 2230}, // measured 2,025
+	} {
+		sim := fastSim(t, tc.cfg)
+		first, err := sim.RunKernels("CifarNet", ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var second *gpusim.RunStats
+		allocs := testing.AllocsPerRun(3, func() {
+			if second, err = sim.RunKernels("CifarNet", ks); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d kernels, %.0f allocs per run", tc.name, len(ks), allocs)
+		if allocs > tc.limit {
+			t.Errorf("%s: %.0f allocations per RunKernels, limit %.0f", tc.name, allocs, tc.limit)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: a second RunKernels on the same simulator returned different statistics", tc.name)
+		}
+		for i, k := range ks {
+			alone, err := sim.RunKernel(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(alone, first.Kernels[i]) {
+				t.Errorf("%s: %s on a recycled machine differs from a fresh one", tc.name, k.Name)
+			}
 		}
 	}
 }

@@ -5,32 +5,86 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 )
 
-// Candidate describes one schedulable warp at the current cycle.  The
-// simulator presents candidates sorted by ascending ID; schedulers may rely
-// on that ordering.
-type Candidate struct {
-	// ID is the warp's stable identifier within its SM.
-	ID int
-	// Ready reports whether the warp's next instruction can issue this cycle.
-	Ready bool
-	// Age is the cycle the warp was launched (smaller = older).
-	Age int64
-	// WaitingOnMemory reports whether the warp is blocked on an outstanding
-	// memory access (used by the two-level scheduler to demote warps).
-	WaitingOnMemory bool
+// Bitset is a set of warp indices, one bit per position in Warps.IDs.  It
+// spans as many words as the SM has warps, so nothing bounds residency at 64.
+type Bitset []uint64
+
+// Has reports whether index i is in the set.
+func (b Bitset) Has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// Set adds index i.
+func (b Bitset) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// Clear removes index i.
+func (b Bitset) Clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+// Or adds every index of other, a set of the same size.
+func (b Bitset) Or(other Bitset) {
+	for i, w := range other {
+		b[i] |= w
+	}
+}
+
+// AndNot removes every index of other, a set of the same size.
+func (b Bitset) AndNot(other Bitset) {
+	for i, w := range other {
+		b[i] &^= w
+	}
+}
+
+// Count returns the number of indices in the set.
+func (b Bitset) Count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Next returns the lowest index in the set that is at least i, or -1.
+func (b Bitset) Next(i int) int {
+	wi := i >> 6
+	if wi >= len(b) {
+		return -1
+	}
+	if w := b[wi] &^ (1<<(uint(i)&63) - 1); w != 0 {
+		return wi<<6 + bits.TrailingZeros64(w)
+	}
+	for wi++; wi < len(b); wi++ {
+		if b[wi] != 0 {
+			return wi<<6 + bits.TrailingZeros64(b[wi])
+		}
+	}
+	return -1
+}
+
+// Warps is one SM's resident warps as a scheduler sees them at the current
+// cycle.  IDs holds the warps' stable identifiers in launch order, so they
+// are strictly increasing and index order is both ID order and age order.
+// The sets are keyed by index into IDs and hold no index beyond it.
+type Warps struct {
+	IDs []int
+	// Ready holds the warps whose next instruction can issue this cycle.
+	Ready Bitset
+	// WaitingOnMemory holds the warps blocked on an outstanding memory
+	// access (the two-level scheduler demotes them from its active set).
+	WaitingOnMemory Bitset
 }
 
 // Scheduler selects which ready warp issues next.
 type Scheduler interface {
 	// Name returns the scheduler's short name ("gto", "lrr", "tlv").
 	Name() string
-	// Pick returns the index into candidates of the warp to issue, or -1 if
-	// no candidate is ready.
-	Pick(candidates []Candidate, cycle int64) int
-	// Reset clears internal state between kernels.
+	// Pick returns the index into w.IDs of the warp to issue, or -1 if no
+	// warp is ready.
+	Pick(w *Warps) int
+	// Reset returns the scheduler to its freshly constructed state, so one
+	// instance can serve consecutive kernels.
 	Reset()
 }
 
@@ -71,26 +125,17 @@ func (g *gtoScheduler) Name() string { return string(GTO) }
 
 func (g *gtoScheduler) Reset() { g.lastWarp = -1 }
 
-func (g *gtoScheduler) Pick(candidates []Candidate, _ int64) int {
+func (g *gtoScheduler) Pick(w *Warps) int {
 	// Greedy: continue with the last issued warp if it is still ready.
 	if g.lastWarp >= 0 {
-		if i := find(candidates, g.lastWarp); i >= 0 && candidates[i].Ready {
+		if i, ok := slices.BinarySearch(w.IDs, g.lastWarp); ok && w.Ready.Has(i) {
 			return i
 		}
 	}
-	// Oldest ready warp.
-	best := -1
-	for i, c := range candidates {
-		if !c.Ready {
-			continue
-		}
-		if best == -1 || c.Age < candidates[best].Age ||
-			(c.Age == candidates[best].Age && c.ID < candidates[best].ID) {
-			best = i
-		}
-	}
+	// Oldest ready warp: the lowest index, since IDs are in launch order.
+	best := w.Ready.Next(0)
 	if best >= 0 {
-		g.lastWarp = candidates[best].ID
+		g.lastWarp = w.IDs[best]
 	}
 	return best
 }
@@ -106,29 +151,21 @@ func (l *lrrScheduler) Name() string { return string(LRR) }
 
 func (l *lrrScheduler) Reset() { l.lastID = 0; l.seeded = false }
 
-func (l *lrrScheduler) Pick(candidates []Candidate, _ int64) int {
-	if len(candidates) == 0 {
-		return -1
-	}
+func (l *lrrScheduler) Pick(w *Warps) int {
 	start := 0
 	if l.seeded {
-		// Find the first candidate with ID greater than the last issued one.
-		for i, c := range candidates {
-			if c.ID > l.lastID {
-				start = i
-				break
-			}
-		}
+		// The first warp with an ID greater than the last issued one.
+		start, _ = slices.BinarySearch(w.IDs, l.lastID+1)
 	}
-	for off := 0; off < len(candidates); off++ {
-		i := (start + off) % len(candidates)
-		if candidates[i].Ready {
-			l.lastID = candidates[i].ID
-			l.seeded = true
-			return i
-		}
+	i := w.Ready.Next(start)
+	if i < 0 {
+		i = w.Ready.Next(0)
 	}
-	return -1
+	if i >= 0 {
+		l.lastID = w.IDs[i]
+		l.seeded = true
+	}
+	return i
 }
 
 // tlvScheduler is a two-level scheduler: only a bounded active set of warps
@@ -142,60 +179,27 @@ type tlvScheduler struct {
 
 func (t *tlvScheduler) Name() string { return string(TLV) }
 
-func (t *tlvScheduler) Reset() { t.active = nil; t.rrPointer = 0 }
+func (t *tlvScheduler) Reset() { t.active = t.active[:0]; t.rrPointer = 0 }
 
-// find returns the index of the candidate with the given ID via binary
-// search over the ID-sorted candidate list, or -1 when absent.
-func find(candidates []Candidate, id int) int {
-	lo, hi := 0, len(candidates)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if candidates[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(candidates) && candidates[lo].ID == id {
-		return lo
-	}
-	return -1
-}
-
-func (t *tlvScheduler) Pick(candidates []Candidate, _ int64) int {
-	if len(candidates) == 0 {
+func (t *tlvScheduler) Pick(w *Warps) int {
+	if len(w.IDs) == 0 {
 		return -1
 	}
 
 	// Drop departed or memory-blocked warps from the active set.
 	kept := t.active[:0]
 	for _, id := range t.active {
-		i := find(candidates, id)
-		if i < 0 || candidates[i].WaitingOnMemory {
-			continue
+		if i, ok := slices.BinarySearch(w.IDs, id); ok && !w.WaitingOnMemory.Has(i) {
+			kept = append(kept, id)
 		}
-		kept = append(kept, id)
 	}
 	t.active = kept
 
 	// Refill the active set with non-blocked warps not already active,
-	// oldest first (stable: candidates arrive in ID order).
-	for _, c := range candidates {
-		if len(t.active) >= t.activeLimit {
-			break
-		}
-		if c.WaitingOnMemory {
-			continue
-		}
-		already := false
-		for _, id := range t.active {
-			if id == c.ID {
-				already = true
-				break
-			}
-		}
-		if !already {
-			t.active = append(t.active, c.ID)
+	// oldest first.
+	for i := 0; i < len(w.IDs) && len(t.active) < t.activeLimit; i++ {
+		if !w.WaitingOnMemory.Has(i) && !slices.Contains(t.active, w.IDs[i]) {
+			t.active = append(t.active, w.IDs[i])
 		}
 	}
 	if len(t.active) == 0 {
@@ -205,8 +209,7 @@ func (t *tlvScheduler) Pick(candidates []Candidate, _ int64) int {
 	// Round-robin within the active set.
 	for off := 0; off < len(t.active); off++ {
 		slot := (t.rrPointer + off) % len(t.active)
-		i := find(candidates, t.active[slot])
-		if i >= 0 && candidates[i].Ready {
+		if i, ok := slices.BinarySearch(w.IDs, t.active[slot]); ok && w.Ready.Has(i) {
 			t.rrPointer = (slot + 1) % len(t.active)
 			return i
 		}
