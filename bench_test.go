@@ -279,7 +279,7 @@ func BenchmarkRunAllFastSamplingParallel(b *testing.B) {
 // BenchmarkRunAllFigures measures the trace-once/derive-many steady state:
 // each iteration is a fresh session over the process-wide shared store, so
 // after the first iteration every figure renders as a pure projection of
-// cached runs — the repeated-report path tango-report users hit.
+// cached runs — the repeated-report path `tango-char -exp all` users hit.
 func BenchmarkRunAllFigures(b *testing.B) {
 	var tables int
 	for i := 0; i < b.N; i++ {

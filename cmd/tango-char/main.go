@@ -1,13 +1,18 @@
-// Command tango-char regenerates a single table or figure of the paper's
-// evaluation section, or runs a multi-device characterization sweep across
-// the registered accelerator targets — locally, against a persistent run
-// cache, or sharded across worker processes.
+// Command tango-char regenerates one table or figure of the paper's
+// evaluation section — or, with -exp all, the complete experiment matrix — or
+// runs a multi-device characterization sweep across the registered
+// accelerator targets: locally, against a persistent run cache, or sharded
+// across worker processes.  Layer traces and simulation runs are shared
+// across experiments through the characterization pipeline's store, so each
+// (network, target, configuration) cell is computed once.
 //
 // Usage:
 //
 //	tango-char -exp fig2                 # L1D sensitivity sweep (Figure 2)
 //	tango-char -exp table3 -format csv   # launch geometry as CSV
 //	tango-char -exp fig6 -networks CifarNet
+//	tango-char -exp all -fast            # every experiment in paper order
+//	tango-char -exp all -out results/    # plus one .txt and .csv file each
 //	tango-char -targets gp102,tx1,pynq -fast            # multi-device sweep
 //	tango-char -targets gp102 -l1 0,64,256 -format json # L1 sweep as JSON
 //	tango-char -list                     # list experiments and targets
@@ -30,6 +35,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -43,7 +49,7 @@ import (
 func main() {
 	var (
 		list       = flag.Bool("list", false, "list the reproducible experiments and registered targets, then exit")
-		exp        = flag.String("exp", "", "experiment id (table1..table4, fig1..fig16)")
+		exp        = flag.String("exp", "", "experiment id (table1..table4, fig1..fig16), or all for every experiment in paper order")
 		targets    = flag.String("targets", "", "comma-separated accelerator targets: sweep mode (see -list)")
 		l1Sizes    = flag.String("l1", "", "sweep mode: comma-separated L1D sizes in KB (0 = bypass)")
 		schedulers = flag.String("schedulers", "", "sweep mode: comma-separated warp schedulers (gto, lrr, tlv)")
@@ -51,6 +57,7 @@ func main() {
 		fast       = flag.Bool("fast", false, "use coarse simulation sampling")
 		parallel   = flag.Int("parallel", 1, "worker goroutines for the simulation matrix (0 = one per CPU)")
 		format     = flag.String("format", "table", "output format: table, csv or json")
+		out        = flag.String("out", "", "directory to also write <id>.txt/.csv per experiment, or sweep.{txt,csv,json} in sweep mode")
 		worker     = flag.Bool("worker", false, "worker mode: serve sweep cells over HTTP (see -addr)")
 		addr       = flag.String("addr", ":9101", "worker mode: HTTP listen address")
 		workers    = flag.String("workers", "", "sweep mode: comma-separated worker addresses to shard cells across")
@@ -87,6 +94,11 @@ func main() {
 	}
 
 	names := cli.SplitList(*networks)
+	if *out != "" {
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			fatal(err)
+		}
+	}
 
 	if *targets != "" {
 		if *exp != "" {
@@ -115,7 +127,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		emitDataset(ds, *format)
+		text := ds.Table("sweep", "Characterization sweep over "+strings.Join(cfg.Targets, ", ")).String()
+		csv := ds.CSV()
+		enc, err := ds.JSON()
+		if err != nil {
+			fatal(err)
+		}
+		emit(*format, text, csv, enc)
+		writeOut(*out, "sweep", map[string]string{".txt": text, ".csv": csv, ".json": string(enc)})
 		if *cacheStats {
 			fmt.Fprintf(os.Stderr,
 				"cache: computes=%d disk_hits=%d disk_misses=%d disk_writes=%d disk_errors=%d disk_evictions=%d mem_hits=%d mem_misses=%d\n",
@@ -141,39 +160,65 @@ func main() {
 		opts = append(opts, tango.WithExperimentParallelism(*parallel))
 	}
 
+	// -exp all is the full report: one Prewarm of the whole matrix, then
+	// every experiment framed by a ==== header in table format.
+	all := *exp == "all"
+	exps := []tango.ExperimentInfo{{ID: *exp}}
 	session := tango.NewExperimentSession(opts...)
-	session.PrewarmExperiment(*exp)
-	table, err := session.Run(*exp)
-	if err != nil {
-		fatal(err)
+	start := time.Now()
+	if all {
+		exps = tango.Experiments()
+		session.Prewarm()
+	} else {
+		session.PrewarmExperiment(*exp)
 	}
-	switch *format {
-	case "csv":
-		fmt.Print(table.CSV())
-	case "json":
-		out, err := table.JSON()
+	for _, e := range exps {
+		expStart := time.Now()
+		table, err := session.Run(e.ID)
+		if err != nil {
+			if all {
+				err = fmt.Errorf("%s: %w", e.ID, err)
+			}
+			fatal(err)
+		}
+		enc, err := table.JSON()
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(string(out))
-	default:
-		fmt.Print(table.String())
+		text, csv := table.String(), table.CSV()
+		framed := text
+		if all {
+			framed = fmt.Sprintf("==== %s: %s (%.1fs) ====\n%s\n", e.ID, e.Title, time.Since(expStart).Seconds(), text)
+		}
+		emit(*format, framed, csv, enc)
+		writeOut(*out, e.ID, map[string]string{".txt": text, ".csv": csv})
+	}
+	if all && *format == "table" {
+		fmt.Printf("completed %d experiments in %.1fs\n", len(exps), time.Since(start).Seconds())
 	}
 }
 
-// emitDataset prints a sweep dataset in the selected format.
-func emitDataset(ds *tango.Dataset, format string) {
+// emit prints one result in the selected format.
+func emit(format, table, csv string, json []byte) {
 	switch format {
 	case "csv":
-		fmt.Print(ds.CSV())
+		fmt.Print(csv)
 	case "json":
-		out, err := ds.JSON()
-		if err != nil {
+		fmt.Println(string(json))
+	default:
+		fmt.Print(table)
+	}
+}
+
+// writeOut writes dir/base+suffix for every suffix; no directory, no files.
+func writeOut(dir, base string, files map[string]string) {
+	if dir == "" {
+		return
+	}
+	for suffix, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, base+suffix), []byte(data), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Println(string(out))
-	default:
-		fmt.Print(ds.Table("sweep", "Characterization sweep").String())
 	}
 }
 

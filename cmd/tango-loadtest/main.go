@@ -40,6 +40,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -107,12 +108,13 @@ func main() {
 	numerics := flag.String("numerics", "", "numerics tier the target server runs: \"\" or reference (bit-exact verify), fast or int8 (tolerance + top-1 verify); with -serve-bin the matching flag is passed to the owned server")
 	flag.Parse()
 
+	var tierFlag string // the tango-serve flag selecting the same tier
 	switch *numerics {
 	case "", "reference", "ref":
 	case "fast", "fastmath":
-		verifyTol = 1e-3
+		verifyTol, tierFlag = 1e-3, "-fastmath"
 	case "int8":
-		verifyTol = 0.25
+		verifyTol, tierFlag = 0.25, "-int8"
 	default:
 		log.Fatalf("tango-loadtest: unknown -numerics %q (want reference, fast or int8)", *numerics)
 	}
@@ -122,11 +124,8 @@ func main() {
 	if *serveBin != "" {
 		baseURL = "http://" + *addr
 		args := []string{"-addr", *addr, "-benchmarks", *benchmark}
-		switch {
-		case verifyTol == 0.25:
-			args = append(args, "-int8")
-		case verifyTol > 0:
-			args = append(args, "-fastmath")
+		if tierFlag != "" {
+			args = append(args, tierFlag)
 		}
 		sup = &supervisor{
 			bin:  *serveBin,
@@ -662,7 +661,7 @@ func fireTimed(client *http.Client, baseURL, benchmark string, image []float32, 
 		return outOK, nil
 	}
 	var se *statusError
-	if !errorsAs(err, &se) {
+	if !errors.As(err, &se) {
 		// Transport-level failure: the connection was refused or cut.
 		if tolerateConn {
 			return outConn, err
@@ -677,23 +676,6 @@ func fireTimed(client *http.Client, baseURL, benchmark string, image []float32, 
 	default:
 		return outBad, err
 	}
-}
-
-// errorsAs is errors.As without importing errors alongside the dominant
-// fmt usage in this file.
-func errorsAs(err error, target **statusError) bool {
-	for err != nil {
-		if se, ok := err.(*statusError); ok {
-			*target = se
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // fetchMetrics reads the server's stats snapshot from GET /v1/stats (the

@@ -196,26 +196,18 @@ func main() {
 		numerics = "int8"
 	}
 
-	var serveOpts []tango.ServeOption
-	if *sloMS > 0 {
-		serveOpts = append(serveOpts, tango.WithSLO(time.Duration(*sloMS*float64(time.Millisecond))))
-	}
-	if *modelBudgetMB > 0 {
-		serveOpts = append(serveOpts, tango.WithModelBudget(*modelBudgetMB<<20))
-	}
-	if *onDemand {
-		serveOpts = append(serveOpts, tango.WithOnDemandLoading())
-	}
-
 	log.Printf("loading %s ...", strings.Join(names, ", "))
 	srv, err := tango.NewServer(names, tango.ServerConfig{
-		MaxBatch:       *maxBatch,
-		MaxDelay:       time.Duration(*maxDelayUS) * time.Microsecond,
-		QueueDepth:     *queueDepth,
-		Parallelism:    *parallel,
-		RequestTimeout: *requestTimeout,
-		Numerics:       numerics,
-	}, serveOpts...)
+		MaxBatch:         *maxBatch,
+		MaxDelay:         time.Duration(*maxDelayUS) * time.Microsecond,
+		QueueDepth:       *queueDepth,
+		Parallelism:      *parallel,
+		RequestTimeout:   *requestTimeout,
+		Numerics:         numerics,
+		TargetP99:        time.Duration(max(*sloMS, 0) * float64(time.Millisecond)),
+		ModelBudgetBytes: max(*modelBudgetMB, 0) << 20,
+		OnDemand:         *onDemand,
+	})
 	if err != nil {
 		fail("%v", err)
 	}
@@ -251,16 +243,12 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
-	tier := numerics
-	if tier == "" {
-		tier = "reference"
-	}
 	batching := fmt.Sprintf("max-delay %dus", *maxDelayUS)
 	if *sloMS > 0 {
 		batching = fmt.Sprintf("adaptive, p99 SLO %gms", *sloMS)
 	}
 	log.Printf("serving %s on %s (max-batch %d, %s, queue-depth %d, numerics %s)",
-		strings.Join(names, ", "), ln.Addr(), *maxBatch, batching, *queueDepth, tier)
+		strings.Join(names, ", "), ln.Addr(), *maxBatch, batching, *queueDepth, srv.Stats().NumericsTier)
 
 	select {
 	case err := <-errCh:

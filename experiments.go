@@ -4,7 +4,6 @@ import (
 	"runtime"
 
 	"tango/internal/bench"
-	"tango/internal/distcache"
 	"tango/internal/gpusim"
 	"tango/internal/report"
 	"tango/internal/target"
@@ -71,34 +70,6 @@ func WithExperimentParallelism(n int) ExperimentOption {
 // is for benchmarking the pipeline itself and for tests.
 func WithIsolatedCache() ExperimentOption {
 	return func(s *experimentSettings) { s.opts.Store = target.NewStore() }
-}
-
-// WithDiskCache gives the session a private run store backed by a
-// persistent on-disk cache at dir: runs computed in one process are
-// replayed from disk in the next, so warm sessions skip the simulator
-// entirely.  Cache failures are soft — an unopenable directory leaves
-// the store memory-only, and a corrupt or stale record is recomputed,
-// never trusted.  The TANGO_CACHE_DIR environment variable attaches the
-// same cache to the default process-wide store instead.
-func WithDiskCache(dir string) ExperimentOption {
-	return WithDiskCacheLimit(dir, 0)
-}
-
-// WithDiskCacheLimit is WithDiskCache with a size bound: the disk tier is
-// kept at or under maxMB MiB by evicting the oldest records (by file
-// modification time) whenever a write pushes it past the bound.  maxMB <= 0
-// leaves the tier unbounded.
-func WithDiskCacheLimit(dir string, maxMB int) ExperimentOption {
-	return func(s *experimentSettings) {
-		st := target.NewStore()
-		if d, err := distcache.Open(dir); err == nil {
-			if maxMB > 0 {
-				d.SetMaxBytes(int64(maxMB) << 20)
-			}
-			st.SetDisk(d)
-		}
-		s.opts.Store = st
-	}
 }
 
 // ExperimentSession caches simulation results across experiments so a full

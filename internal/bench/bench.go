@@ -157,9 +157,6 @@ func NewSession(opts Options) *Session {
 // Options returns the session's effective options.
 func (s *Session) Options() Options { return s.opts }
 
-// Store returns the session's backing trace/run store.
-func (s *Session) Store() *target.Store { return s.store }
-
 // variant resolves one of the session's configuration tags to a variant of
 // the default GPU target.  experimentTags and matrix use the same tags, so
 // prewarming covers exactly the cells the renderers consume

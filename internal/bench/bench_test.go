@@ -1,6 +1,8 @@
 package bench_test
 
 import (
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -231,5 +233,89 @@ func TestTablesHaveConsistentRowWidths(t *testing.T) {
 				t.Errorf("%s row %d has %d cells for %d columns", id, i, len(row), len(tab.Columns))
 			}
 		}
+	}
+}
+
+// percentCell parses a report.FormatPercent cell ("20.8%").
+func percentCell(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
+	if err != nil {
+		t.Fatalf("cell %q is not a percentage: %v", cell, err)
+	}
+	return v
+}
+
+// TestFig5KeyConsumers checks fig5's note ("register file, L2 cache and
+// idle-core power are the key consumers") against the figure it is printed
+// under, on the full suite.  What holds is asserted: the largest component of
+// every network is the register file or the idle cores, and on every CNN both
+// are among the three largest (the RNNs' tiny kernels leave the cores idle,
+// so everything but idle-core power rounds to zero there).  The L2 cache is
+// not a top consumer in this power model — its share is logged beside the
+// component that takes its place, so the gap between the note and the model
+// stays visible.
+func TestFig5KeyConsumers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-suite simulation skipped in -short mode")
+	}
+	s := bench.NewSession(bench.Options{Sampling: gpusim.FastSampling()})
+	tab, err := s.Run("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for col := 1; col < len(tab.Columns); col++ {
+		net := tab.Columns[col]
+		share := map[string]float64{}
+		var order []string
+		for _, row := range tab.Rows {
+			share[row[0]] = percentCell(t, row[col])
+			order = append(order, row[0])
+		}
+		sort.SliceStable(order, func(i, j int) bool { return share[order[i]] > share[order[j]] })
+		top3 := strings.Join(order[:3], " ")
+		t.Logf("%-10s %s %.1f%%, %s %.1f%%, %s %.1f%%, then %s %.1f%%; L2CP %.1f%%", net,
+			order[0], share[order[0]], order[1], share[order[1]], order[2], share[order[2]],
+			order[3], share[order[3]], share["L2CP"])
+		if order[0] != "RFP" && order[0] != "IDLE_COREP" {
+			t.Errorf("%s: largest component %s, want the register file or the idle cores", net, order[0])
+		}
+		if net == "GRU" || net == "LSTM" {
+			continue
+		}
+		if !strings.Contains(top3, "RFP") || !strings.Contains(top3, "IDLE_COREP") {
+			t.Errorf("%s: three largest components %s, want the register file and the idle cores among them", net, top3)
+		}
+		t.Logf("%-10s margin over fourth place: %.1f points", net,
+			min(share["RFP"], share["IDLE_COREP"])-share[order[3]])
+	}
+}
+
+// TestFig6TX1EnergyExceedsPynQ asserts fig6's note: for both networks the
+// TX1's energy (peak power x execution time) normalized to the PynQ's is
+// above 1.00.
+func TestFig6TX1EnergyExceedsPynQ(t *testing.T) {
+	s := bench.NewSession(bench.Options{Sampling: gpusim.FastSampling()})
+	tab, err := s.Run("fig6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, row := range tab.Rows {
+		if row[1] != "TX1" {
+			continue
+		}
+		seen++
+		norm, err := strconv.ParseFloat(row[5], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: TX1 energy %.2fx the PynQ's (margin %.2f)", row[0], norm, norm-1)
+		if norm <= 1 {
+			t.Errorf("%s: normalized TX1 energy %.2f, want > 1.00", row[0], norm)
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("fig6 has %d TX1 rows, want CifarNet and SqueezeNet", seen)
 	}
 }

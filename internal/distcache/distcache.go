@@ -88,9 +88,6 @@ func Open(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // SetMaxBytes bounds the total size of the cache's record files; 0 (the
 // default) leaves the disk tier unbounded.  When a Store pushes the cache
 // over the bound, the oldest records by modification time are deleted
@@ -103,9 +100,6 @@ func (c *Cache) SetMaxBytes(n int64) {
 	}
 	c.maxBytes.Store(n)
 }
-
-// MaxBytes returns the configured disk-tier bound (0 = unbounded).
-func (c *Cache) MaxBytes() int64 { return c.maxBytes.Load() }
 
 // EvictionCount returns the number of records removed by the size bound.
 // target.Store discovers it through an optional interface so StoreStats

@@ -90,9 +90,6 @@ func New(cfg Config) (*DRAM, error) {
 	return &DRAM{cfg: cfg, nextFree: make([]int64, cfg.Partitions)}, nil
 }
 
-// Config returns the model configuration.
-func (d *DRAM) Config() Config { return d.cfg }
-
 // Stats returns the accumulated statistics.
 func (d *DRAM) Stats() Stats { return d.stats }
 

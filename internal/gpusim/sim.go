@@ -8,7 +8,6 @@ import (
 	"tango/internal/dram"
 	"tango/internal/isa"
 	"tango/internal/kernel"
-	"tango/internal/networks"
 	"tango/internal/sched"
 )
 
@@ -29,19 +28,6 @@ func New(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	return &Simulator{cfg: cfg}, nil
-}
-
-// Config returns the validated configuration in use.
-func (s *Simulator) Config() Config { return s.cfg }
-
-// RunNetwork lowers every layer of the network and simulates each kernel in
-// order, returning per-kernel statistics.
-func (s *Simulator) RunNetwork(n *networks.Network) (*RunStats, error) {
-	kernels, err := kernel.Generate(n)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunKernels(n.Name, kernels)
 }
 
 // pendingFill is an L1 miss whose data has not yet returned; its MSHR stays

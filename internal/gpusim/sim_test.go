@@ -30,7 +30,11 @@ func runNet(t *testing.T, sim *gpusim.Simulator, name string) *gpusim.RunStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sim.RunNetwork(n)
+	kernels, err := kernel.Generate(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := sim.RunKernels(n.Name, kernels)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,16 +89,6 @@ func (o Opcode) String() string {
 // Valid reports whether o is a defined opcode.
 func (o Opcode) Valid() bool { return o < NumOpcodes }
 
-// ParseOpcode maps a mnemonic back to its Opcode.
-func ParseOpcode(name string) (Opcode, error) {
-	for i, n := range opcodeNames {
-		if n == name {
-			return Opcode(i), nil
-		}
-	}
-	return OpNop, fmt.Errorf("isa: unknown opcode %q", name)
-}
-
 // DType is the operand data type of an instruction.
 type DType uint8
 

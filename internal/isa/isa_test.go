@@ -42,21 +42,6 @@ func TestOpcodeStringAllDefined(t *testing.T) {
 	}
 }
 
-func TestParseOpcodeRoundTrip(t *testing.T) {
-	for op := Opcode(0); op < NumOpcodes; op++ {
-		parsed, err := ParseOpcode(op.String())
-		if err != nil {
-			t.Fatalf("ParseOpcode(%q): %v", op.String(), err)
-		}
-		if parsed != op {
-			t.Errorf("ParseOpcode(%q) = %v, want %v", op.String(), parsed, op)
-		}
-	}
-	if _, err := ParseOpcode("bogus"); err == nil {
-		t.Error("ParseOpcode(bogus) should fail")
-	}
-}
-
 func TestDTypeBytes(t *testing.T) {
 	cases := map[DType]int{
 		TypeF32:  4,

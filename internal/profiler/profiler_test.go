@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tango/internal/gpusim"
+	"tango/internal/kernel"
 	"tango/internal/networks"
 	"tango/internal/profiler"
 )
@@ -19,7 +20,11 @@ func simulate(t *testing.T, name string) *gpusim.RunStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sim.RunNetwork(n)
+	kernels, err := kernel.Generate(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := sim.RunKernels(n.Name, kernels)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,9 +84,6 @@ type PackedA struct {
 	m, k   int
 }
 
-// Rows returns m, the number of output rows the packed matrix produces.
-func (p *PackedA) Rows() int { return p.m }
-
 // Cols returns k, the shared (depth) dimension.
 func (p *PackedA) Cols() int { return p.k }
 

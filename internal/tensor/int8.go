@@ -48,18 +48,12 @@ type PackedInt8 struct {
 	kPad   int
 }
 
-// Rows returns m, the number of output rows.
-func (p *PackedInt8) Rows() int { return p.m }
-
 // Cols returns k, the unpadded depth dimension.
 func (p *PackedInt8) Cols() int { return p.k }
 
 // KPad returns the padded depth stride; activation buffers fed to the int8
 // kernels must be padded to this length.
 func (p *PackedInt8) KPad() int { return p.kPad }
-
-// Scale returns the weight quantization scale of output row i.
-func (p *PackedInt8) Scale(i int) float32 { return p.scales[i] }
 
 // Bytes returns the storage held by the quantized pack: int8 rows plus the
 // per-row scale and compensation vectors.
@@ -165,16 +159,12 @@ func Int8PackedLen(kPad, n int) int {
 	return (n + int8NR - 1) / int8NR * int8NR * kPad
 }
 
-// int8BIndex returns the PackColsU8 offset of depth l, column j.
-func int8BIndex(l, j, kPad int) int {
-	return (j/int8NR)*kPad*int8NR + (l/4)*int8NR*4 + (j%int8NR)*4 + l%4
-}
-
 // PackColsU8 quantizes the l-major k x n float32 matrix b (row stride ldb)
 // into the column-tile-major u8 block layout the int8 GEMM kernel consumes:
 // tiles of int8NR columns store their depth-4-interleaved blocks
-// contiguously, so the kernel's activation reads are fully sequential
-// (dst[int8BIndex(l, j, kPad)] = q(b[l][j]) + 128).  Depth rows [k, kPad)
+// contiguously, so the kernel's activation reads are fully sequential:
+// q(b[l][j]) + 128 lands at offset
+// (j/int8NR)*kPad*int8NR + (l/4)*int8NR*4 + (j%int8NR)*4 + l%4.  Depth rows [k, kPad)
 // and columns [n, tile end) are zeroed for determinism.  dst must hold
 // Int8PackedLen(kPad, n) bytes; kPad must be a multiple of int8KPad
 // covering k.  Returns the activation scale.
@@ -236,8 +226,8 @@ func BeginPanelU8(dst []uint8, k, nc, kPad int) {
 
 // QuantizePanelU8 writes a kc x nc float32 slab (row-major, stride nc,
 // covering depth rows [kb, kb+kc) of the panel's columns) into the
-// PackColsU8 tile layout with n = nc:
-// dst[int8BIndex(kb+l, j, kPad)] = q(panel[l][j]) + 128.  inv is the
+// PackColsU8 tile layout with n = nc: q(panel[l][j]) + 128 lands at the
+// PackColsU8 offset of depth kb+l, column j.  inv is the
 // reciprocal activation scale; |v|*inv must not exceed 127 (guaranteed when
 // inv derives from a maxAbs that bounds every panel value, see U8Scale).
 // Bytes produced are identical to PackColsU8 quantizing the same values

@@ -7,19 +7,13 @@
 // synthetic parameters with the exact shapes of the reference models: the
 // architectural behaviour the paper characterizes (instruction mix, memory
 // traffic, footprints) depends on tensor shapes and layer structure, not on
-// the trained values.  Generated sets can be saved to and loaded from a
-// simple binary container so that the same "model file" workflow is
-// preserved.
+// the trained values.
 package weights
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 
@@ -156,140 +150,4 @@ func keySeed(key string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(key))
 	return h.Sum64()
-}
-
-// File format: a small binary container, little-endian.
-//
-//	magic   [8]byte  "TANGOWTS"
-//	version uint32   (1)
-//	count   uint32   number of entries
-//	entries:
-//	  keyLen uint32, key bytes, elemCount uint32, elemCount float32 values
-
-var fileMagic = [8]byte{'T', 'A', 'N', 'G', 'O', 'W', 'T', 'S'}
-
-const fileVersion = 1
-
-// Save writes the parameter set to w.
-func (s *Set) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(fileMagic[:]); err != nil {
-		return fmt.Errorf("weights: save: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(fileVersion)); err != nil {
-		return fmt.Errorf("weights: save: %w", err)
-	}
-	keys := s.Keys()
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(keys))); err != nil {
-		return fmt.Errorf("weights: save: %w", err)
-	}
-	for _, k := range keys {
-		s.mu.Lock()
-		t := s.tensors[k]
-		s.mu.Unlock()
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(k))); err != nil {
-			return fmt.Errorf("weights: save %s: %w", k, err)
-		}
-		if _, err := bw.WriteString(k); err != nil {
-			return fmt.Errorf("weights: save %s: %w", k, err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(t.Len())); err != nil {
-			return fmt.Errorf("weights: save %s: %w", k, err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, t.Data()); err != nil {
-			return fmt.Errorf("weights: save %s: %w", k, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// SaveFile writes the parameter set to the named file.
-func (s *Set) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("weights: %w", err)
-	}
-	defer f.Close()
-	if err := s.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a parameter set for the named network from r.
-func Load(network string, r io.Reader) (*Set, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("weights: load: %w", err)
-	}
-	if magic != fileMagic {
-		return nil, fmt.Errorf("weights: load: bad magic %q", magic[:])
-	}
-	var version, count uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("weights: load: %w", err)
-	}
-	if version != fileVersion {
-		return nil, fmt.Errorf("weights: load: unsupported version %d", version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("weights: load: %w", err)
-	}
-	s := NewSet(network)
-	for i := uint32(0); i < count; i++ {
-		var keyLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &keyLen); err != nil {
-			return nil, fmt.Errorf("weights: load entry %d: %w", i, err)
-		}
-		if keyLen == 0 || keyLen > 4096 {
-			return nil, fmt.Errorf("weights: load entry %d: implausible key length %d", i, keyLen)
-		}
-		key := make([]byte, keyLen)
-		if _, err := io.ReadFull(br, key); err != nil {
-			return nil, fmt.Errorf("weights: load entry %d: %w", i, err)
-		}
-		var elems uint32
-		if err := binary.Read(br, binary.LittleEndian, &elems); err != nil {
-			return nil, fmt.Errorf("weights: load %s: %w", key, err)
-		}
-		data := make([]float32, elems)
-		if err := binary.Read(br, binary.LittleEndian, data); err != nil {
-			return nil, fmt.Errorf("weights: load %s: %w", key, err)
-		}
-		t, err := tensor.FromSlice(data, int(elems))
-		if err != nil {
-			return nil, fmt.Errorf("weights: load %s: %w", key, err)
-		}
-		layer, param, err := splitKey(string(key))
-		if err != nil {
-			return nil, err
-		}
-		s.Put(layer, param, t)
-	}
-	return s, nil
-}
-
-// LoadFile reads a parameter set from the named file.
-func LoadFile(network, path string) (*Set, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("weights: %w", err)
-	}
-	defer f.Close()
-	return Load(network, f)
-}
-
-// splitKey splits "layer/param" on the final slash so layer names may
-// themselves contain slashes (e.g. "fire2/squeeze1x1/weights").
-func splitKey(key string) (layer, param string, err error) {
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == '/' {
-			if i == 0 || i == len(key)-1 {
-				break
-			}
-			return key[:i], key[i+1:], nil
-		}
-	}
-	return "", "", fmt.Errorf("weights: malformed parameter key %q", key)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,14 +26,14 @@ import (
 // resolved at construction from the network registry) from its expensive
 // engine (synthesized weights, resolved plan, prewarmed scratch, running
 // batcher).  The engine loads eagerly by default, on demand under
-// WithOnDemandLoading, and is evicted in LRU order when a WithModelBudget
-// byte budget is exceeded — serving counters survive eviction and reload.
+// ServerConfig.OnDemand, and is evicted in LRU order when a
+// ServerConfig.ModelBudgetBytes budget is exceeded — serving counters survive
+// eviction and reload.
 
-// ServerConfig sets the batching policy of a Server.  The zero value is a
-// usable default (batches of up to 16, greedy flush, queue depth 256,
-// single-worker engine).  ServerConfig is the compatibility configuration
-// surface: it lowers onto the equivalent ServeOptions (see
-// ServerConfig.options), and options passed to NewServer apply after it.
+// ServerConfig configures a Server: batching policy, admission, numerics tier
+// and model lifecycle.  The zero value is a usable default (batches of up to
+// 16, greedy flush, queue depth 256, single-worker engine, every model loaded
+// at construction).
 type ServerConfig struct {
 	// MaxBatch is the largest batch formed per benchmark; a forming batch
 	// is flushed as soon as it reaches MaxBatch requests.  <1 selects the
@@ -67,19 +68,30 @@ type ServerConfig struct {
 	// probe request test recovery.  <=0 selects the resilience default (2s).
 	BreakerCooldown time.Duration
 	// Numerics selects the compute-engine numerics tier for every served
-	// benchmark: "" or "reference" (default, bit-exact), "fast"
-	// (WithFastMath) or "int8" (WithInt8).  Under a fast tier, served
-	// results preserve each request's top-1 class but are no longer
-	// bit-identical to single-sample Classify / Forecast.
+	// benchmark: "reference" (bit-exact), "fast" (WithFastMath) or "int8"
+	// (WithInt8); "" takes the TANGO_NUMERICS environment default
+	// (reference when unset), resolved once at construction.  Under a fast
+	// tier, served results preserve each request's top-1 class but are no
+	// longer bit-identical to single-sample Classify / Forecast.
 	Numerics string
-	// TargetP99 is the per-request p99 latency SLO; non-zero enables
-	// adaptive batching exactly as WithSLO.
+	// TargetP99 is the per-request p99 latency SLO.  Non-zero switches every
+	// benchmark's batcher from a fixed batch window to an adaptive one: a
+	// per-model controller tunes the window between zero and
+	// min(MaxDelay, TargetP99/2) from observed queue depth and p99 latency,
+	// so light load is served at single-sample latency while pressure still
+	// fills batches.
 	TargetP99 time.Duration
-	// ModelBudgetBytes caps total resident engine bytes exactly as
-	// WithModelBudget (implies on-demand loading).  Zero means unlimited.
+	// ModelBudgetBytes caps the total resident bytes (weights + packed
+	// panels + scratch high-water) of loaded model engines.  Exceeding it
+	// evicts idle engines in least-recently-used order; an evicted model
+	// reloads transparently on its next request, with its serving counters
+	// carried across the eviction.  A budget implies OnDemand.  Zero means
+	// unlimited (every model stays resident).
 	ModelBudgetBytes int64
-	// OnDemand defers engine loads to first request, as
-	// WithOnDemandLoading.
+	// OnDemand defers each benchmark's engine load (weight synthesis, plan
+	// resolution, prewarm) to its first request instead of NewServer.
+	// Construction still validates every benchmark name and kind up front,
+	// so an unknown model fails fast; only the expensive load is lazy.
 	OnDemand bool
 }
 
@@ -91,7 +103,10 @@ type ServerConfig struct {
 // to calling Benchmark.Classify / Forecast on the same inputs: batching
 // changes scheduling, never numerics.
 type Server struct {
-	opts     serveOptions
+	// cfg is the resolved configuration: Numerics holds the canonical name
+	// of the tier every batch runs on (simOpts always pins it explicitly) and
+	// a model budget has set OnDemand.
+	cfg      ServerConfig
 	batchCfg serve.Config
 	simOpts  []SimOption
 	models   map[string]*serverModel
@@ -168,55 +183,40 @@ func (e *modelEngine) queue() (int, int) {
 }
 
 // NewServer validates and registers the named benchmarks and starts one
-// dynamic-batching scheduler per benchmark.  Configuration is the lowered
-// ServerConfig plus any ServeOptions, applied in that order.  By default
-// every engine loads eagerly — weight plan resolved, scratch pools grown, so
-// the first request is served at steady-state speed; under on-demand loading
-// (or a model budget) construction only validates names and kinds and the
-// first request pays the load.  The caller must Close the server to stop the
-// scheduler goroutines.
-func NewServer(benchmarks []string, cfg ServerConfig, options ...ServeOption) (*Server, error) {
+// dynamic-batching scheduler per benchmark.  By default every engine loads
+// eagerly — weight plan resolved, scratch pools grown, so the first request is
+// served at steady-state speed; under on-demand loading (or a model budget)
+// construction only validates names and kinds and the first request pays the
+// load.  The caller must Close the server to stop the scheduler goroutines.
+func NewServer(benchmarks []string, cfg ServerConfig) (*Server, error) {
 	if len(benchmarks) == 0 {
 		return nil, fmt.Errorf("tango: NewServer needs at least one benchmark")
 	}
-	var o serveOptions
-	for _, opt := range cfg.options() {
-		opt(&o)
+	if cfg.ModelBudgetBytes > 0 {
+		cfg.OnDemand = true
 	}
-	for _, opt := range options {
-		opt(&o)
+	// The tier is resolved once — config if set, else the environment — and
+	// pinned on every batch run, so Stats and /metrics report what runs.
+	tier := cfg.Numerics
+	if tier == "" {
+		tier = os.Getenv("TANGO_NUMERICS")
 	}
-	if o.modelBudget > 0 {
-		o.onDemand = true
+	mode, err := nn.ParseNumerics(tier)
+	if err != nil {
+		return nil, fmt.Errorf("tango: NewServer: %w", err)
 	}
-	var simOpts []SimOption
-	if o.parallelism != 0 {
-		simOpts = append(simOpts, WithParallelism(o.parallelism))
-	}
-	if o.numerics != "" {
-		// An explicit config pins the tier even when TANGO_NUMERICS is
-		// set; an empty tier leaves the environment default in effect
-		// (resolved per run by nativeSettings).
-		mode, err := nn.ParseNumerics(o.numerics)
-		if err != nil {
-			return nil, fmt.Errorf("tango: NewServer: %w", err)
-		}
-		switch mode {
-		case nn.NumericsFast:
-			simOpts = append(simOpts, WithFastMath())
-		case nn.NumericsInt8:
-			simOpts = append(simOpts, WithInt8())
-		default:
-			simOpts = append(simOpts, WithReferenceNumerics())
-		}
+	cfg.Numerics = mode.String()
+	simOpts := []SimOption{withNumerics(mode)}
+	if cfg.Parallelism != 0 {
+		simOpts = append(simOpts, WithParallelism(cfg.Parallelism))
 	}
 	s := &Server{
-		opts: o,
+		cfg: cfg,
 		batchCfg: serve.Config{
-			MaxBatch:   o.maxBatch,
-			MaxDelay:   o.maxDelay,
-			QueueDepth: o.queueDepth,
-			SLO:        o.slo,
+			MaxBatch:   cfg.MaxBatch,
+			MaxDelay:   cfg.MaxDelay,
+			QueueDepth: cfg.QueueDepth,
+			SLO:        cfg.TargetP99,
 		}.WithDefaults(),
 		simOpts: simOpts,
 		models:  make(map[string]*serverModel, len(benchmarks)),
@@ -238,8 +238,8 @@ func NewServer(benchmarks []string, cfg ServerConfig, options ...ServeOption) (*
 			kind:       net.Kind,
 			inputShape: net.InputShape,
 			breaker: resilience.NewBreaker(resilience.BreakerConfig{
-				Threshold: o.breakerThreshold,
-				Cooldown:  o.breakerCooldown,
+				Threshold: cfg.BreakerThreshold,
+				Cooldown:  cfg.BreakerCooldown,
 			}),
 		}
 		switch net.Kind {
@@ -255,7 +255,7 @@ func NewServer(benchmarks []string, cfg ServerConfig, options ...ServeOption) (*
 		s.models[name] = m
 		s.order = append(s.order, name)
 	}
-	if !o.onDemand {
+	if !cfg.OnDemand {
 		for _, name := range s.order {
 			if _, err := s.engine(s.models[name]); err != nil {
 				s.close()
@@ -332,10 +332,10 @@ func (s *Server) loadEngine(m *serverModel) (*modelEngine, error) {
 // models remain, the budget is allowed to overshoot rather than stall
 // serving.  Caller holds lifeMu.
 func (s *Server) enforceBudgetLocked(keep *serverModel) {
-	if s.opts.modelBudget <= 0 {
+	if s.cfg.ModelBudgetBytes <= 0 {
 		return
 	}
-	for s.residentBytesLocked() > s.opts.modelBudget {
+	for s.residentBytesLocked() > s.cfg.ModelBudgetBytes {
 		var victim *serverModel
 		for _, name := range s.order {
 			m := s.models[name]
@@ -513,26 +513,7 @@ func (s *Server) Classify(ctx context.Context, benchmark string, image []float32
 		return BatchClassification{}, fmt.Errorf("tango: %s: %w: image has %d elements, want %d (input shape %v)",
 			benchmark, ErrShape, len(image), m.inputLen, m.inputShape)
 	}
-	if err := s.admit(ctx, m); err != nil {
-		return BatchClassification{}, err
-	}
-	ctx, cancel := resilience.WithBudget(ctx, s.opts.requestTimeout)
-	defer cancel()
-	m.touch()
-	m.inFlight.Add(1)
-	var res BatchClassification
-	for attempt := 0; ; attempt++ {
-		var e *modelEngine
-		if e, err = s.engine(m); err != nil {
-			break
-		}
-		if res, err = e.classify.Do(ctx, image); !s.retrySubmit(err, attempt) {
-			break
-		}
-	}
-	m.inFlight.Add(-1)
-	m.recordOutcome(err)
-	return res, err
+	return submit(ctx, s, m, image, func(e *modelEngine) *serve.Batcher[[]float32, BatchClassification] { return e.classify })
 }
 
 // Forecast submits one history of scalar observations to a served RNN
@@ -554,26 +535,36 @@ func (s *Server) Forecast(ctx context.Context, benchmark string, history []float
 	if len(history) == 0 {
 		return 0, fmt.Errorf("tango: %s: %w: empty history", benchmark, ErrShape)
 	}
+	return submit(ctx, s, m, history, func(e *modelEngine) *serve.Batcher[[]float64, float64] { return e.forecast })
+}
+
+// submit is the request path Classify and Forecast share once the shape is
+// validated: admission, deadline budget, LRU touch, then load-and-enqueue on
+// the batcher pick selects, re-loading when an eviction closed that batcher
+// under the request.
+func submit[Req, Res any](ctx context.Context, s *Server, m *serverModel, req Req,
+	pick func(*modelEngine) *serve.Batcher[Req, Res]) (Res, error) {
+	var res Res
 	if err := s.admit(ctx, m); err != nil {
-		return 0, err
+		return res, err
 	}
-	ctx, cancel := resilience.WithBudget(ctx, s.opts.requestTimeout)
+	ctx, cancel := resilience.WithBudget(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	m.touch()
 	m.inFlight.Add(1)
-	var pred float64
+	var err error
 	for attempt := 0; ; attempt++ {
 		var e *modelEngine
 		if e, err = s.engine(m); err != nil {
 			break
 		}
-		if pred, err = e.forecast.Do(ctx, history); !s.retrySubmit(err, attempt) {
+		if res, err = pick(e).Do(ctx, req); !s.retrySubmit(err, attempt) {
 			break
 		}
 	}
 	m.inFlight.Add(-1)
 	m.recordOutcome(err)
-	return pred, err
+	return res, err
 }
 
 // retrySubmit reports whether a failed submission should re-load the engine
@@ -604,7 +595,7 @@ func (s *Server) close() {
 
 // MemStats is a benchmark's resident-memory breakdown (weights, fast-tier
 // panels packed so far, high-water scratch), the accounting unit behind
-// WithModelBudget and the per-model byte series on /metrics.
+// ServerConfig.ModelBudgetBytes and the per-model byte series on /metrics.
 type MemStats = core.MemStats
 
 // MemStats reports the benchmark's current resident-memory breakdown.
@@ -613,7 +604,7 @@ func (b *Benchmark) MemStats() MemStats { return b.inner.MemStats() }
 // BenchmarkServeStats is the per-benchmark slice of a Server stats snapshot.
 // Latencies are end-to-end (queue wait + batch compute); the percentile pair
 // is over a recent window, the histogram is cumulative since load (bucket
-// upper bounds in LatencyBucketsMicros, final slot +Inf).  Counters span the
+// upper bounds as on /metrics, final slot +Inf).  Counters span the
 // model's lifetime: they survive engine eviction and reload.
 type BenchmarkServeStats struct {
 	Benchmark         string   `json:"benchmark"`
@@ -675,17 +666,6 @@ type ServerStats struct {
 	Benchmarks map[string]BenchmarkServeStats `json:"benchmarks"`
 }
 
-// LatencyBucketsMicros returns the request-latency histogram bucket upper
-// bounds in microseconds; BenchmarkServeStats.LatencyHist has one count per
-// bound plus a final +Inf slot.
-func LatencyBucketsMicros() []float64 {
-	out := make([]float64, len(serve.LatencyBuckets))
-	for i, d := range serve.LatencyBuckets {
-		out[i] = float64(d) / float64(time.Microsecond)
-	}
-	return out
-}
-
 // batcherStats returns the model's lifetime scheduler stats: the live
 // engine's snapshot (when resident) merged onto the counters carried over
 // from evicted engines.
@@ -704,9 +684,9 @@ func (m *serverModel) batcherStats() serve.Stats {
 // adaptive batch windows and per-model residency.
 func (s *Server) Stats() ServerStats {
 	out := ServerStats{
-		NumericsTier:     s.numericsTier(),
-		TargetP99Micros:  float64(s.opts.slo) / float64(time.Microsecond),
-		ModelBudgetBytes: s.opts.modelBudget,
+		NumericsTier:     s.cfg.Numerics,
+		TargetP99Micros:  float64(s.batchCfg.SLO) / float64(time.Microsecond),
+		ModelBudgetBytes: s.cfg.ModelBudgetBytes,
 		Benchmarks:       make(map[string]BenchmarkServeStats, len(s.models)),
 	}
 	var batchedRequests uint64
@@ -769,15 +749,6 @@ func (s *Server) Stats() ServerStats {
 		out.MeanBatchSize = float64(batchedRequests) / float64(out.Batches)
 	}
 	return out
-}
-
-// numericsTier reports the serving numerics tier: the configured tier, or
-// "reference" when unset (the engine's default absent TANGO_NUMERICS).
-func (s *Server) numericsTier() string {
-	if s.opts.numerics != "" {
-		return s.opts.numerics
-	}
-	return nn.NumericsReference.String()
 }
 
 // queueState returns the model's request-queue length and capacity; a cold

@@ -449,7 +449,7 @@ func TestPrometheusGolden(t *testing.T) {
 			},
 		},
 	}
-	got := st.PrometheusText()
+	got := tango.MetricsText(st)
 
 	golden := filepath.Join("testdata", "metrics.golden")
 	if os.Getenv("UPDATE_GOLDEN") != "" {

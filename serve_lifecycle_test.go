@@ -2,18 +2,19 @@ package tango_test
 
 import (
 	"context"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"tango"
 )
 
-// TestServerOnDemandLoading checks that WithOnDemandLoading defers engine
+// TestServerOnDemandLoading checks that ServerConfig.OnDemand defers engine
 // loads to first use: construction validates names without loading, the
 // first request loads exactly its model, and untouched models stay cold.
 func TestServerOnDemandLoading(t *testing.T) {
-	srv, err := tango.NewServer([]string{"GRU", "LSTM"}, tango.ServerConfig{},
-		tango.WithOnDemandLoading(), tango.WithMaxBatch(4))
+	srv, err := tango.NewServer([]string{"GRU", "LSTM"}, tango.ServerConfig{OnDemand: true, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestServerOnDemandLoading(t *testing.T) {
 	}
 
 	// Unknown names still fail fast at construction, before any load.
-	if _, err := tango.NewServer([]string{"NoSuchNet"}, tango.ServerConfig{}, tango.WithOnDemandLoading()); err == nil {
+	if _, err := tango.NewServer([]string{"NoSuchNet"}, tango.ServerConfig{OnDemand: true}); err == nil {
 		t.Fatal("NewServer accepted an unknown benchmark under on-demand loading")
 	}
 }
@@ -57,8 +58,7 @@ func TestServerOnDemandLoading(t *testing.T) {
 func TestServerModelBudgetEviction(t *testing.T) {
 	// A 1-byte budget forces every load over budget, so loading any second
 	// model must evict the idle first one.
-	srv, err := tango.NewServer([]string{"GRU", "LSTM"}, tango.ServerConfig{},
-		tango.WithModelBudget(1), tango.WithMaxBatch(4))
+	srv, err := tango.NewServer([]string{"GRU", "LSTM"}, tango.ServerConfig{ModelBudgetBytes: 1, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +106,16 @@ func TestServerModelBudgetEviction(t *testing.T) {
 	}
 }
 
-// TestServeOptionsLowering checks that the ServerConfig compatibility struct
-// and explicit ServeOptions configure the same server, with options applied
-// after the struct winning.
-func TestServeOptionsLowering(t *testing.T) {
+// TestServerConfigApplied checks that ServerConfig fields reach the running
+// server: the tier and SLO show in Stats, QueueDepth is the queue capacity and
+// MaxBatch sizes the batch histogram.
+func TestServerConfigApplied(t *testing.T) {
 	srv, err := tango.NewServer([]string{"GRU"}, tango.ServerConfig{
-		MaxBatch:  2,
-		TargetP99: time.Second,
-		Numerics:  "reference",
-	}, tango.WithMaxBatch(4), tango.WithQueueDepth(8))
+		MaxBatch:   4,
+		QueueDepth: 8,
+		TargetP99:  time.Second,
+		Numerics:   "reference",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +128,48 @@ func TestServeOptionsLowering(t *testing.T) {
 		t.Fatalf("target p99 = %v us, want 1e6", st.TargetP99Micros)
 	}
 	if got := st.Benchmarks["GRU"].QueueCap; got != 8 {
-		t.Fatalf("queue cap = %d, want 8 (option should override)", got)
+		t.Fatalf("queue cap = %d, want QueueDepth 8", got)
 	}
 	if _, err := srv.Forecast(context.Background(), "GRU", []float64{0.1, 0.2}); err != nil {
 		t.Fatal(err)
 	}
 	if hist := srv.Stats().Benchmarks["GRU"].BatchSizeHist; len(hist) != 4 {
-		t.Fatalf("batch hist len %d, want MaxBatch 4 from option", len(hist))
+		t.Fatalf("batch hist len %d, want MaxBatch 4", len(hist))
+	}
+}
+
+// TestServerReportsResolvedNumericsTier checks that Stats and /metrics name
+// the tier the batches actually run on: the TANGO_NUMERICS default when the
+// config leaves Numerics empty, and the canonical spelling of an alias.
+func TestServerReportsResolvedNumericsTier(t *testing.T) {
+	for _, tc := range []struct{ env, cfg, want string }{
+		{env: "fast", cfg: "", want: "fast"},
+		{env: "fast", cfg: "ref", want: "reference"},
+		{env: "", cfg: "fastmath", want: "fast"},
+		{env: "", cfg: "", want: "reference"},
+	} {
+		t.Setenv("TANGO_NUMERICS", tc.env)
+		srv, err := tango.NewServer([]string{"GRU"}, tango.ServerConfig{Numerics: tc.cfg, OnDemand: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Stats().NumericsTier; got != tc.want {
+			t.Errorf("env %q config %q: Stats tier = %q, want %q", tc.env, tc.cfg, got, tc.want)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if line := `tango_server_info{numerics="` + tc.want + `"} 1`; !strings.Contains(rec.Body.String(), line) {
+			t.Errorf("env %q config %q: /metrics lacks %s", tc.env, tc.cfg, line)
+		}
+		srv.Close()
+	}
+
+	// An unparsable tier fails construction with the same wrapped error
+	// whether it came from the config or the environment.
+	_, cfgErr := tango.NewServer([]string{"GRU"}, tango.ServerConfig{Numerics: "bf16"})
+	t.Setenv("TANGO_NUMERICS", "bf16")
+	_, envErr := tango.NewServer([]string{"GRU"}, tango.ServerConfig{})
+	if cfgErr == nil || envErr == nil || cfgErr.Error() != envErr.Error() {
+		t.Fatalf("config error %v, environment error %v: want the same non-nil error", cfgErr, envErr)
 	}
 }

@@ -283,15 +283,6 @@ func appendRuntimeMetrics(w *promWriter) {
 	w.sample("go_memstats_gc_cycles_total", nil, promUint(uint64(ms.NumGC)))
 }
 
-// PrometheusText renders the snapshot as Prometheus text exposition (format
-// 0.0.4).  It is deterministic: benchmark rows sort by name and families
-// come in a fixed order, so scrape diffs reflect counter movement only.
-func (st ServerStats) PrometheusText() string {
-	var w promWriter
-	appendServerMetrics(&w, st)
-	return w.b.String()
-}
-
 // metricsText is the full GET /metrics body: the deterministic snapshot
 // series followed by live process series.
 func (s *Server) metricsText() string {

@@ -113,13 +113,7 @@ func WithParallelism(n int) SimOption {
 // Simulation (Simulate / Sweep) always models the reference numerics and is
 // unaffected.  The TANGO_NUMERICS environment variable ("fast", "int8",
 // "reference") selects a default tier for runs that pass no numerics option.
-func WithFastMath() SimOption {
-	return func(s *simSettings) error {
-		s.numerics = nn.NumericsFast
-		s.numericsSet = true
-		return nil
-	}
-}
+func WithFastMath() SimOption { return withNumerics(nn.NumericsFast) }
 
 // WithInt8 selects the int8 quantized inference tier for native runs:
 // convolution and fully-connected weights are quantized symmetrically per
@@ -127,20 +121,16 @@ func WithFastMath() SimOption {
 // accumulation.  The top-1 class is preserved on every built-in network but
 // output probabilities carry quantization error (a few percent); recurrent
 // gates have no int8 lowering and use the fast float tier instead.
-func WithInt8() SimOption {
-	return func(s *simSettings) error {
-		s.numerics = nn.NumericsInt8
-		s.numericsSet = true
-		return nil
-	}
-}
+func WithInt8() SimOption { return withNumerics(nn.NumericsInt8) }
 
 // WithReferenceNumerics forces the default bit-exact tier, overriding a
 // TANGO_NUMERICS environment default.
-func WithReferenceNumerics() SimOption {
+func WithReferenceNumerics() SimOption { return withNumerics(nn.NumericsReference) }
+
+// withNumerics pins the native numerics tier, overriding TANGO_NUMERICS.
+func withNumerics(m nn.Numerics) SimOption {
 	return func(s *simSettings) error {
-		s.numerics = nn.NumericsReference
-		s.numericsSet = true
+		s.numerics, s.numericsSet = m, true
 		return nil
 	}
 }
@@ -201,9 +191,6 @@ type SimulationResult struct {
 // record per (network, target, variant) cell, renderable as a table, CSV or
 // JSON.
 type Dataset = report.Dataset
-
-// SweepRecord is one cell of a sweep dataset.
-type SweepRecord = report.Record
 
 // TargetInfo describes one registered accelerator target.
 type TargetInfo struct {
