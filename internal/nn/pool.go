@@ -97,12 +97,31 @@ func pool2DInto(dst, input *tensor.Tensor, p PoolParams) {
 // pool2DCore pools one CHW sample given as flat slices; the batched engine
 // calls it once per image of an NCHW batch.
 func pool2DCore(o, in []float32, c, inH, inW, outH, outW int, p PoolParams) {
+	negInf := float32(math.Inf(-1))
 	for ch := 0; ch < c; ch++ {
+		plane := in[ch*inH*inW : (ch+1)*inH*inW]
 		for oy := 0; oy < outH; oy++ {
+			iy0 := oy*p.StrideH - p.PadH
+			rowsInside := p.Kind == MaxPool && iy0 >= 0 && iy0+p.KernelH <= inH
 			for ox := 0; ox < outW; ox++ {
+				if ix0 := ox*p.StrideW - p.PadW; rowsInside && ix0 >= 0 && ix0+p.KernelW <= inW {
+					// Max window wholly inside the image: the general loop's
+					// taps in its (ky, kx) order from its -Inf seed, without
+					// the per-tap bounds and kind tests.
+					acc := negInf
+					for ky := 0; ky < p.KernelH; ky++ {
+						for _, v := range plane[(iy0+ky)*inW+ix0:][:p.KernelW] {
+							if v > acc {
+								acc = v
+							}
+						}
+					}
+					o[(ch*outH+oy)*outW+ox] = acc
+					continue
+				}
 				var acc float32
 				if p.Kind == MaxPool {
-					acc = float32(math.Inf(-1))
+					acc = negInf
 				}
 				count := 0
 				for ky := 0; ky < p.KernelH; ky++ {

@@ -147,3 +147,73 @@ func TestQuickAvgPoolMeanPreserved(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// poolNaive is the reference loop pool2DCore must match bit for bit: every
+// tap tested against the image bounds, in (ky, kx) order.
+func poolNaive(in []float32, c, inH, inW, outH, outW int, p PoolParams) []float32 {
+	out := make([]float32, c*outH*outW)
+	for i := range out {
+		ch, oy, ox := i/(outH*outW), i/outW%outH, i%outW
+		acc, count := float32(0), 0
+		if p.Kind == MaxPool {
+			acc = float32(math.Inf(-1))
+		}
+		for t := 0; t < p.KernelH*p.KernelW; t++ {
+			iy, ix := oy*p.StrideH-p.PadH+t/p.KernelW, ox*p.StrideW-p.PadW+t%p.KernelW
+			if iy < 0 || iy >= inH || ix < 0 || ix >= inW {
+				continue
+			}
+			if v := in[(ch*inH+iy)*inW+ix]; p.Kind == AvgPool {
+				acc += v
+			} else if v > acc {
+				acc = v
+			}
+			count++
+		}
+		if count == 0 {
+			acc = 0
+		} else if p.Kind == AvgPool {
+			acc /= float32(count)
+		}
+		out[i] = acc
+	}
+	return out
+}
+
+// TestPool2DMatchesNaive: random geometries — padding, ceil-mode overhang,
+// stride larger than the kernel, 1x1 windows — over inputs salted with -0 and
+// ±Inf, max and average, bit for bit against poolNaive.
+func TestPool2DMatchesNaive(t *testing.T) {
+	rng := tensor.NewRNG(73)
+	pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
+	salt := []float32{float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1))}
+	for iter := 0; iter < 400; iter++ {
+		p := PoolParams{
+			Kind:    PoolKind(pick(2)),
+			KernelH: 1 + pick(4), KernelW: 1 + pick(4),
+			StrideH: 1 + pick(5), StrideW: 1 + pick(5),
+			CeilMode: pick(2) == 1,
+		}
+		p.PadH, p.PadW = pick(p.KernelH), pick(p.KernelW)
+		c, inH, inW := 1+pick(3), p.KernelH+pick(12), p.KernelW+pick(12)
+		in := tensor.New(c, inH, inW)
+		in.FillUniform(rng, -1, 1)
+		for i := range in.Data() {
+			if pick(4) == 0 {
+				in.Data()[i] = salt[pick(len(salt))]
+			}
+		}
+		got, err := Pool2D(in, p)
+		if err != nil {
+			t.Fatalf("%+v on %dx%d: %v", p, inH, inW, err)
+		}
+		outH, outW := p.OutputDims(inH, inW)
+		want := poolNaive(in.Data(), c, inH, inW, outH, outW, p)
+		for i, w := range want {
+			if g := got.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("%+v on %dx%dx%d: output %d = %v (%#x), naive %v (%#x)",
+					p, c, inH, inW, i, g, math.Float32bits(g), w, math.Float32bits(w))
+			}
+		}
+	}
+}

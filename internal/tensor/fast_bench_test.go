@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Fast-tier counterparts of BenchmarkGemmNN: same AlexNet conv2 batch-8
 // geometry so the reference-vs-fast GMAC/s ratio reads directly off the
@@ -87,4 +90,68 @@ func BenchmarkGemmInt8(b *testing.B) {
 		GemmInt8(dst, pw, bp, acc, bias, xScale, n, 1)
 	}
 	b.ReportMetric(float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+}
+
+// benchRungs runs fn as one sub-benchmark per SIMD rung the host can force.
+func benchRungs(b *testing.B, fn func(b *testing.B)) {
+	defer SetFastTier(DetectedTier())
+	for tier := TierGeneric; tier <= DetectedTier(); tier++ {
+		SetFastTier(tier)
+		b.Run(tier.String(), fn)
+	}
+}
+
+// BenchmarkGemmInt8Panel times the int8 panel GEMM alone — activations
+// already packed, panel resident — on AlexNet's conv1-3 weight shapes at the
+// fused path's two panel widths, so the kernel reads apart from the pack
+// (BenchmarkQuantizePanelU8) that BenchmarkGemmInt8 times together with it.
+func BenchmarkGemmInt8Panel(b *testing.B) {
+	shapes := []struct {
+		name string
+		m, k int
+	}{{"conv1_96x363", 96, 363}, {"conv2_128x1200", 128, 1200}, {"conv3_384x2304", 384, 2304}}
+	for _, s := range shapes {
+		for _, nc := range []int{FusedNC, 169} {
+			b.Run(fmt.Sprintf("%s/nc%d", s.name, nc), func(b *testing.B) {
+				r := NewRNG(3)
+				a := make([]float32, s.m*s.k)
+				bb := make([]float32, s.k*nc)
+				bias := make([]float32, s.m)
+				fillRand(r, a)
+				fillRand(r, bb)
+				fillRand(r, bias)
+				pw := PackInt8(a, s.m, s.k)
+				bp := make([]uint8, Int8PackedLen(pw.KPad(), nc))
+				xScale := PackColsU8(bp, bb, s.k, nc, nc, pw.KPad())
+				acc := make([]int32, s.m*nc)
+				dst := make([]float32, s.m*nc)
+				benchRungs(b, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						GemmInt8Panel(dst, pw, bp, acc, bias, xScale, nc, nc)
+					}
+					b.ReportMetric(float64(s.m)*float64(s.k)*float64(nc)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkQuantizePanelU8 times the quantize-and-interleave pack alone on
+// one FusedKC x FusedNC slab (and the 169-column panel of AlexNet's 13x13
+// layers, whose last tile is ragged).
+func BenchmarkQuantizePanelU8(b *testing.B) {
+	for _, nc := range []int{FusedNC, 169} {
+		b.Run(fmt.Sprintf("nc%d", nc), func(b *testing.B) {
+			panel := make([]float32, FusedKC*nc)
+			fillRand(NewRNG(5), panel)
+			dst := make([]uint8, Int8PackedLen(FusedKC, nc))
+			inv := 127 / maxAbsF32(panel)
+			benchRungs(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					QuantizePanelU8(dst, panel, 0, FusedKC, nc, FusedKC, inv)
+				}
+				b.ReportMetric(float64(len(panel))*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gelem/s")
+			})
+		})
+	}
 }

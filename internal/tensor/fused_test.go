@@ -197,50 +197,66 @@ func TestQuantizePanelU8MatchesPackCols(t *testing.T) {
 }
 
 // TestGemmInt8PanelMatchesGemmInt8: integer accumulation is exact, so the
-// fused panel walk must reproduce the staged int8 GEMM bit for bit on every
-// tier, for any panel grid sharing the activation scale.
+// fused panel walk must reproduce the staged int8 GEMM of the portable rung
+// bit for bit on every tier, for any panel grid sharing the activation scale
+// — with m%4 remainder rows, every nc%8 tail, and acc sized exactly m*nc: the
+// ragged last tile's temporary must not write past that contract (a canary
+// sits right behind it).
 func TestGemmInt8PanelMatchesGemmInt8(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	m, n, k := 10, 173, 37
-	a := randSlice(rng, m*k)
-	b := randSlice(rng, k*n)
-	bias := randSlice(rng, m)
-	forceTier(t, func(t *testing.T, tier tensor.SIMDTier) {
-		pw := tensor.PackInt8(a, m, k)
-		kPad := pw.KPad()
-		bp := make([]uint8, tensor.Int8PackedLen(kPad, n))
-		scale := tensor.PackColsU8(bp, b, k, n, n, kPad)
-		acc := make([]int32, m*(n+16))
-		want := make([]float32, m*n)
-		tensor.GemmInt8(want, pw, bp, acc, bias, scale, n, 1)
+	const n, k, canary = 173, 37, int32(-0x5a5a5a5b)
+	for _, m := range []int{10, 8, 7, 1} {
+		a := randSlice(rng, m*k)
+		b := randSlice(rng, k*n)
+		bias := randSlice(rng, m)
+		var want []float32
+		forceTier(t, func(t *testing.T, tier tensor.SIMDTier) {
+			pw := tensor.PackInt8(a, m, k)
+			kPad := pw.KPad()
+			bp := make([]uint8, tensor.Int8PackedLen(kPad, n))
+			scale := tensor.PackColsU8(bp, b, k, n, n, kPad)
+			if tier == tensor.TierGeneric {
+				want = make([]float32, m*n)
+				tensor.GemmInt8(want, pw, bp, make([]int32, m*n), bias, scale, n, 1)
+			}
 
-		inv := 1 / scale
-		for _, ncStep := range []int{64, 48, 173} {
-			got := make([]float32, m*n)
-			u8p := make([]uint8, tensor.Int8PackedLen(kPad, ncStep))
-			panel := make([]float32, 16*ncStep)
-			for p0 := 0; p0 < n; p0 += ncStep {
-				nc := ncStep
-				if p0+nc > n {
-					nc = n - p0
-				}
-				tensor.BeginPanelU8(u8p, k, nc, kPad)
-				for kb := 0; kb < k; kb += 16 {
-					kc := 16
-					if kb+kc > k {
-						kc = k - kb
+			inv := 1 / scale
+			for _, ncStep := range []int{64, 48, 173, 41, 42, 43, 44, 45, 46, 47, 5} {
+				got := make([]float32, m*n)
+				u8p := make([]uint8, tensor.Int8PackedLen(kPad, ncStep))
+				panel := make([]float32, 16*ncStep)
+				for p0 := 0; p0 < n; p0 += ncStep {
+					nc := ncStep
+					if p0+nc > n {
+						nc = n - p0
 					}
-					fillPanel(panel[:kc*nc], b, n, kb, kc, p0, nc)
-					tensor.QuantizePanelU8(u8p, panel[:kc*nc], kb, kc, nc, kPad, inv)
+					tensor.BeginPanelU8(u8p, k, nc, kPad)
+					for kb := 0; kb < k; kb += 16 {
+						kc := 16
+						if kb+kc > k {
+							kc = k - kb
+						}
+						fillPanel(panel[:kc*nc], b, n, kb, kc, p0, nc)
+						tensor.QuantizePanelU8(u8p, panel[:kc*nc], kb, kc, nc, kPad, inv)
+					}
+					back := make([]int32, m*nc+64)
+					for i := range back {
+						back[i] = canary
+					}
+					tensor.GemmInt8Panel(got[p0:], pw, u8p, back[:m*nc:m*nc], bias, scale, nc, n)
+					for i, v := range back[m*nc:] {
+						if v != canary {
+							t.Fatalf("tier %v m=%d nc=%d: wrote %d past acc[m*nc] at +%d", tier, m, nc, v, i)
+						}
+					}
 				}
-				tensor.GemmInt8Panel(got[p0:], pw, u8p, acc, bias, scale, nc, n)
-			}
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("tier %v nc=%d: element %d differs: %v vs %v",
-						tier, ncStep, i, got[i], want[i])
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("tier %v m=%d nc=%d: element %d differs: %v vs %v",
+							tier, m, ncStep, i, got[i], want[i])
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 }

@@ -82,24 +82,21 @@ func PackInt8(a []float32, m, k int) *PackedInt8 {
 	}
 	for i := 0; i < m; i++ {
 		row := a[i*k : i*k+k]
-		var maxAbs float32
-		for _, v := range row {
-			if v < 0 {
-				v = -v
-			}
-			if v > maxAbs {
-				maxAbs = v
-			}
-		}
+		maxAbs := maxAbsF32(row)
 		scale := maxAbs / int8WeightMax
 		if maxAbs == 0 {
 			scale = 1
 		}
 		inv := 1 / scale
 		var sum int32
-		dst := p.wq[i*kPad:]
-		for l, v := range row {
-			q := quantRound(v*inv, int8WeightMax)
+		dst := p.wq[i*kPad : i*kPad+k]
+		l := 0
+		if n := k &^ 7; n > 0 && int8Vector() {
+			sum = quantRowS8AVX2(dst, row, n, inv)
+			l = n
+		}
+		for ; l < k; l++ {
+			q := quantRound(float32(row[l]*inv), int8WeightMax)
 			dst[l] = int8(q)
 			sum += q
 		}
@@ -109,15 +106,33 @@ func PackInt8(a []float32, m, k int) *PackedInt8 {
 	return p
 }
 
-// quantRound rounds v to the nearest integer (half away from zero) clamped
-// to [-limit, limit].
-func quantRound(v float32, limit int32) int32 {
-	if v >= 0 {
-		v += 0.5
-	} else {
-		v -= 0.5
+// maxAbsF32 returns the largest |v| in src (0 for an empty slice; NaNs are
+// skipped), on the vector rungs through maxAbsAVX2 with a scalar tail.
+func maxAbsF32(src []float32) float32 {
+	var m float32
+	i := 0
+	if n := len(src) &^ 7; n > 0 && int8Vector() {
+		m = maxAbsAVX2(src, n)
+		i = n
 	}
-	q := int32(v)
+	for _, v := range src[i:] {
+		if v < 0 {
+			v = -v
+		}
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// quantRound rounds v to the nearest integer (half away from zero) clamped
+// to [-limit, limit].  Every quantizer call site passes the product as an
+// explicit float32(v * inv): the conversion forbids the compiler from fusing
+// the multiply into the rounding add (GOAMD64=v3), which would round exact
+// ties differently from the vector rungs, which round the product first.
+func quantRound(v float32, limit int32) int32 {
+	q := roundHalfAway(v)
 	if q > limit {
 		q = limit
 	}
@@ -132,22 +147,10 @@ func quantRound(v float32, limit int32) int32 {
 // padding the caller needs; padded bytes are left untouched (padded weight
 // positions are zero, so their activation bytes never matter).
 func QuantizeU8(dst []uint8, src []float32) float32 {
-	var maxAbs float32
-	for _, v := range src {
-		if v < 0 {
-			v = -v
-		}
-		if v > maxAbs {
-			maxAbs = v
-		}
-	}
-	scale := maxAbs / 127
-	if maxAbs == 0 {
-		scale = 1
-	}
+	scale := U8Scale(maxAbsF32(src))
 	inv := 1 / scale
 	for i, v := range src {
-		dst[i] = uint8(quantRound(v*inv, 127) + 128)
+		dst[i] = uint8(quantRound(float32(v*inv), 127) + 128)
 	}
 	return scale
 }
@@ -171,36 +174,13 @@ func Int8PackedLen(kPad, n int) int {
 func PackColsU8(dst []uint8, b []float32, k, n, ldb, kPad int) float32 {
 	var maxAbs float32
 	for l := 0; l < k; l++ {
-		row := b[l*ldb : l*ldb+n]
-		for _, v := range row {
-			if v < 0 {
-				v = -v
-			}
-			if v > maxAbs {
-				maxAbs = v
-			}
+		if m := maxAbsF32(b[l*ldb : l*ldb+n]); m > maxAbs {
+			maxAbs = m
 		}
 	}
-	scale := maxAbs / 127
-	if maxAbs == 0 {
-		scale = 1
-	}
-	inv := 1 / scale
+	scale := U8Scale(maxAbs)
 	zeroPad8(dst, k, n, kPad)
-	for l := 0; l < k; l++ {
-		row := b[l*ldb : l*ldb+n]
-		base := (l/4)*int8NR*4 + l%4
-		jb := 0
-		for ; jb+int8NR <= n; jb += int8NR {
-			tile := dst[(jb/int8NR)*kPad*int8NR+base:]
-			for t, v := range row[jb : jb+int8NR] {
-				tile[t*4] = uint8(roundHalfAway(v*inv) + 128)
-			}
-		}
-		for j := jb; j < n; j++ {
-			dst[(j/int8NR)*kPad*int8NR+base+(j%int8NR)*4] = uint8(roundHalfAway(row[j]*inv) + 128)
-		}
-	}
+	quantizeTilesU8(dst, b, 0, k, n, ldb, kPad, 1/scale)
 	return scale
 }
 
@@ -233,19 +213,41 @@ func BeginPanelU8(dst []uint8, k, nc, kPad int) {
 // Bytes produced are identical to PackColsU8 quantizing the same values
 // with the same scale.
 func QuantizePanelU8(dst []uint8, panel []float32, kb, kc, nc, kPad int, inv float32) {
-	for li := 0; li < kc; li++ {
+	quantizeTilesU8(dst, panel, kb, kc, nc, nc, kPad, inv)
+}
+
+// quantizeTilesU8 is the one quantize-and-interleave core behind PackColsU8
+// and QuantizePanelU8: it writes the kc x nc block of src (rows lds floats
+// apart) at depth rows [kb, kb+kc) of the tile layout.  On the vector rungs
+// the whole 4-row x 8-column tile blocks go through quantTilesU8AVX2; the
+// scalar loop takes the ragged edges (nc%8 columns, kc%4 rows, a slab that
+// does not start on a depth block) and everything on the generic rung.
+func quantizeTilesU8(dst []uint8, src []float32, kb, kc, nc, lds, kPad int, inv float32) {
+	if kc <= 0 {
+		return
+	}
+	if nc <= 0 || lds < nc || kb < 0 || kb+kc > kPad ||
+		len(src) < (kc-1)*lds+nc || len(dst) < Int8PackedLen(kPad, nc) {
+		panic("tensor: u8 quantize buffers too small")
+	}
+	kcVec, ncVec := 0, 0
+	if int8Vector() && kb%4 == 0 && kc >= 4 && nc >= int8NR {
+		kcVec, ncVec = kc&^3, nc&^(int8NR-1)
+		quantTilesU8AVX2(dst[kb*int8NR:], src, kcVec/4, ncVec/int8NR, lds, kPad, inv)
+		quantizeTilesScalar(dst, src, kb, 0, kcVec, ncVec, nc, lds, kPad, inv)
+	}
+	quantizeTilesScalar(dst, src, kb, kcVec, kc, 0, nc, lds, kPad, inv)
+}
+
+// quantizeTilesScalar quantizes rows [l0, l1) x columns [j0, j1) of the
+// block quantizeTilesU8 describes.
+func quantizeTilesScalar(dst []uint8, src []float32, kb, l0, l1, j0, j1, lds, kPad int, inv float32) {
+	for li := l0; li < l1; li++ {
 		l := kb + li
-		row := panel[li*nc : li*nc+nc]
 		base := (l/4)*int8NR*4 + l%4
-		jb := 0
-		for ; jb+int8NR <= nc; jb += int8NR {
-			tile := dst[(jb/int8NR)*kPad*int8NR+base:]
-			for t, v := range row[jb : jb+int8NR] {
-				tile[t*4] = uint8(roundHalfAway(v*inv) + 128)
-			}
-		}
-		for j := jb; j < nc; j++ {
-			dst[(j/int8NR)*kPad*int8NR+base+(j%int8NR)*4] = uint8(roundHalfAway(row[j]*inv) + 128)
+		row := src[li*lds : li*lds+j1]
+		for j := j0; j < j1; j++ {
+			dst[(j/int8NR)*kPad*int8NR+base+(j%int8NR)*4] = uint8(roundHalfAway(float32(row[j]*inv)) + 128)
 		}
 	}
 }
@@ -270,41 +272,14 @@ func GemmInt8Panel(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias 
 	if bias != nil && len(bias) < m {
 		panic("tensor: GemmInt8Panel bias too short")
 	}
-	vec := int8Vector()
-	i := 0
-	if vec {
-		ncVec := nc &^ (int8NR - 1)
-		for ; i+nnMR <= m; i += nnMR {
-			if ncVec > 0 {
-				gemmInt8Kernel(acc[i*nc:], pw.wq[i*kPad:], bp, kPad/4, ncVec, kPad, nc)
-			}
-			if ncVec < nc {
-				gemmInt8Scalar(acc, pw.wq, bp, kPad, nc, ncVec, nc-ncVec, i, i+nnMR)
-			}
-		}
-	}
-	if i < m {
-		gemmInt8Scalar(acc, pw.wq, bp, kPad, nc, 0, nc, i, m)
-	}
-	for i := 0; i < m; i++ {
-		f := pw.scales[i] * xScale
-		c := pw.comp[i]
-		var b0 float32
-		if bias != nil {
-			b0 = bias[i]
-		}
-		ai := acc[i*nc : i*nc+nc]
-		di := dst[i*ldd : i*ldd+nc]
-		for j, v := range ai {
-			di[j] = float32(v-c)*f + b0
-		}
-	}
+	gemmInt8Rows(dst, pw, bp, acc, bias, xScale, nc, ldd, 0, m)
 }
 
-// roundHalfAway rounds to the nearest integer, halves away from zero,
-// without the clamp (and the branches) of quantRound.  PackColsU8 inputs
-// satisfy |v*inv| <= 127*(1+ulp), so the result always fits [-127, 127]
-// and matches quantRound(v, 127) bit for bit.
+// roundHalfAway rounds to the nearest integer, halves away from zero: add
+// 0.5 carrying x's sign, truncate.  It is the one rounding of the tier — the
+// vector quantizers reproduce these two operations exactly — and it has no
+// clamp: PackColsU8 inputs satisfy |v*inv| <= 127*(1+ulp), so the result
+// always fits [-127, 127] and matches quantRound(v, 127) bit for bit.
 func roundHalfAway(x float32) int32 {
 	half := math.Float32frombits(0x3f000000 | math.Float32bits(x)&0x80000000)
 	return int32(x + half)
@@ -348,32 +323,41 @@ func GemmInt8(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias []flo
 	if bias != nil && len(bias) < m {
 		panic("tensor: GemmInt8 bias too short")
 	}
-	vec := int8Vector()
 	if serialRows(m, int64(m)*int64(n)*int64(kPad), workers) {
-		gemmInt8Rows(dst, pw, bp, acc, bias, xScale, n, 0, m, vec)
+		gemmInt8Rows(dst, pw, bp, acc, bias, xScale, n, n, 0, m)
 		return
 	}
 	forEachRowPanel(m, workers, func(r0, r1 int) {
-		gemmInt8Rows(dst, pw, bp, acc, bias, xScale, n, r0, r1, vec)
+		gemmInt8Rows(dst, pw, bp, acc, bias, xScale, n, n, r0, r1)
 	})
 }
 
-func gemmInt8Rows(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias []float32, xScale float32, n, r0, r1 int, vec bool) {
+// gemmInt8Rows computes weight rows [r0, r1) of an n-column int8 product
+// into acc (row stride n) and dequantizes them into dst (row stride ldd).
+func gemmInt8Rows(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias []float32, xScale float32, n, ldd, r0, r1 int) {
 	kPad := pw.kPad
 	i := r0
-	if vec {
+	if int8Vector() {
 		ncVec := n &^ (int8NR - 1)
 		for ; i+nnMR <= r1; i += nnMR {
+			w := pw.wq[i*kPad:]
 			if ncVec > 0 {
-				gemmInt8Kernel(acc[i*n:], pw.wq[i*kPad:], bp, kPad/4, ncVec, kPad, n)
+				gemmInt8Kernel(acc[i*n:], w, bp, kPad/4, ncVec, kPad, n)
 			}
 			if ncVec < n {
-				gemmInt8Scalar(acc, pw.wq, bp, kPad, n, ncVec, n-ncVec, i, i+nnMR)
+				// The ragged last tile is stored whole in bp, so it runs
+				// through the vector kernel too — into a temporary, because
+				// acc holds exactly n columns per row.
+				var tile [nnMR * int8NR]int32
+				gemmInt8Kernel(tile[:], w, bp[ncVec*kPad:], kPad/4, int8NR, kPad, int8NR)
+				for r := 0; r < nnMR; r++ {
+					copy(acc[(i+r)*n+ncVec:(i+r)*n+n], tile[r*int8NR:])
+				}
 			}
 		}
 	}
 	if i < r1 {
-		gemmInt8Scalar(acc, pw.wq, bp, kPad, n, 0, n, i, r1)
+		gemmInt8Scalar(acc, pw.wq, bp, kPad, n, i, r1)
 	}
 	for i := r0; i < r1; i++ {
 		f := pw.scales[i] * xScale
@@ -383,19 +367,20 @@ func gemmInt8Rows(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias [
 			b0 = bias[i]
 		}
 		ai := acc[i*n : i*n+n]
-		di := dst[i*n : i*n+n]
+		di := dst[i*ldd : i*ldd+n]
 		for j, v := range ai {
 			di[j] = float32(v-c)*f + b0
 		}
 	}
 }
 
-// gemmInt8Scalar is the portable kernel: identical integer results to the
-// vector kernel (sum of w * offset-binary activation bytes).
-func gemmInt8Scalar(acc []int32, wq []int8, bp []uint8, kPad, n, jb, nc, r0, r1 int) {
+// gemmInt8Scalar is the portable kernel for weight rows [r0, r1): identical
+// integer results to the vector kernels (sum of w * offset-binary activation
+// bytes).  The vector rungs run it only for the m%4 remainder rows.
+func gemmInt8Scalar(acc []int32, wq []int8, bp []uint8, kPad, n, r0, r1 int) {
 	for i := r0; i < r1; i++ {
 		row := wq[i*kPad : i*kPad+kPad]
-		for j := jb; j < jb+nc; j++ {
+		for j := 0; j < n; j++ {
 			tile := bp[(j/int8NR)*kPad*int8NR+(j%int8NR)*4:]
 			var s int32
 			for l := 0; l < kPad; l += 4 {

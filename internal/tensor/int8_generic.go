@@ -2,8 +2,9 @@
 
 package tensor
 
-// Non-amd64 builds run the portable int8 fallback, which produces the same
-// int32 accumulations as the vector kernels bit for bit.
+// Non-amd64 builds run the portable int8 loops, which produce the same
+// bytes and int32 accumulations as the vector kernels bit for bit; the
+// stubs below are unreachable behind int8Vector.
 
 func int8Vector() bool { return false }
 
@@ -13,4 +14,16 @@ func gemmInt8Kernel(acc []int32, w []int8, bp []uint8, kc4, nc, ldw, n int) {
 
 func dotInt8Kernel(w []int8, x []uint8, n int) int32 {
 	panic("tensor: int8 dot kernel called on non-amd64 build")
+}
+
+func quantTilesU8AVX2(dst []uint8, src []float32, kc4, tiles, lds, kPad int, inv float32) {
+	panic("tensor: int8 quantize kernel called on non-amd64 build")
+}
+
+func maxAbsAVX2(src []float32, n int) float32 {
+	panic("tensor: int8 max-abs kernel called on non-amd64 build")
+}
+
+func quantRowS8AVX2(dst []int8, src []float32, n int, inv float32) int32 {
+	panic("tensor: int8 weight quantize kernel called on non-amd64 build")
 }
