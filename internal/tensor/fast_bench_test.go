@@ -94,11 +94,7 @@ func BenchmarkGemmInt8(b *testing.B) {
 
 // benchRungs runs fn as one sub-benchmark per SIMD rung the host can force.
 func benchRungs(b *testing.B, fn func(b *testing.B)) {
-	defer SetFastTier(DetectedTier())
-	for tier := TierGeneric; tier <= DetectedTier(); tier++ {
-		SetFastTier(tier)
-		b.Run(tier.String(), fn)
-	}
+	forRungs(TierGeneric, func() { b.Run(FastTier().String(), fn) })
 }
 
 // BenchmarkGemmInt8Panel times the int8 panel GEMM alone — activations

@@ -9,17 +9,23 @@ import (
 // Differential tests of the int8 tier's vector preparation routines against
 // the scalar loops they replace: every byte, on every rung the host has.
 
+// forRungs runs fn under each SIMD rung from `from` up to the detected one,
+// then restores the detected tier.
+func forRungs(from SIMDTier, fn func()) {
+	defer SetFastTier(DetectedTier())
+	for tier := from; tier <= DetectedTier(); tier++ {
+		SetFastTier(tier)
+		fn()
+	}
+}
+
 // vectorRungs runs fn under each vector rung the host can force.
-func vectorRungs(t *testing.T, fn func(t *testing.T)) {
+func vectorRungs(t *testing.T, fn func()) {
 	t.Helper()
 	if DetectedTier() < TierFMA {
 		t.Skip("no vector rung on this host")
 	}
-	defer SetFastTier(DetectedTier())
-	for tier := TierFMA; tier <= DetectedTier(); tier++ {
-		SetFastTier(tier)
-		fn(t)
-	}
+	forRungs(TierFMA, fn)
 }
 
 // checkQuantizeTiles quantizes the kc x nc slab src (row stride lds) at depth
@@ -35,7 +41,7 @@ func checkQuantizeTiles(t *testing.T, src []float32, kb, kc, nc, lds int, inv fl
 		want[i], got[i] = 0xa5, 0xa5
 	}
 	quantizeTilesScalar(want, src, kb, 0, kc, 0, nc, lds, kPad, inv)
-	vectorRungs(t, func(t *testing.T) {
+	vectorRungs(t, func() {
 		quantizeTilesU8(got, src, kb, kc, nc, lds, kPad, inv)
 		for i := range want {
 			if got[i] != want[i] {
@@ -122,7 +128,7 @@ func TestPackColsU8VectorMatchesScalar(t *testing.T) {
 		SetFastTier(TierGeneric)
 		want := make([]uint8, Int8PackedLen(kPad, n))
 		wantScale := PackColsU8(want, b, k, n, ldb, kPad)
-		vectorRungs(t, func(t *testing.T) {
+		vectorRungs(t, func() {
 			got := make([]uint8, len(want))
 			for i := range got {
 				got[i] = 0xa5
@@ -159,7 +165,7 @@ func TestPackInt8VectorMatchesScalar(t *testing.T) {
 		copy(a[k:], []float32{float32(math.Inf(1)), float32(math.NaN()), -1, 1}[:min(4, k)])
 		SetFastTier(TierGeneric)
 		want := PackInt8(a, m, k)
-		vectorRungs(t, func(t *testing.T) {
+		vectorRungs(t, func() {
 			got := PackInt8(a, m, k)
 			for i := range want.wq {
 				if got.wq[i] != want.wq[i] {
