@@ -31,6 +31,56 @@ func TestReLUInPlace(t *testing.T) {
 	}
 }
 
+// TestReLUInPlaceContract pins ReLUInPlace bit for bit: a negative value
+// (-Inf included) becomes +0; -0, +0, positives, +Inf and every NaN, quiet or
+// signalling, either sign, pass through with their bits — what `if v < 0`
+// does.  Every length 1..40 puts each special at every position modulo 8, on
+// the detected rung and with the portable one forced.
+func TestReLUInPlaceContract(t *testing.T) {
+	specials := []uint32{
+		0x80000000, 0x00000000, // -0, +0
+		0x7f800000, 0xff800000, // +Inf, -Inf
+		0x7fc00000, 0xffc00000, // quiet NaN, either sign
+		0x7f800001, 0xff800001, // signalling NaN, either sign
+		0x80000001, 0x00000001, // smallest denormals
+		0xbf800000, 0x3f800000, // -1, 1
+	}
+	for _, rung := range []string{"detected", "portable"} {
+		t.Run(rung, func(t *testing.T) {
+			if rung == "portable" {
+				t.Cleanup(tensor.ForcePortableGemmNN())
+			}
+			rng := tensor.NewRNG(29)
+			for n := 1; n <= 40; n++ {
+				for shift := range specials {
+					buf := make([]float32, n+1)
+					buf[n] = -7 // one past the tensor: must stay
+					want := make([]uint32, n)
+					for i := range want {
+						bits := specials[(i+shift)%len(specials)]
+						if rng.Uint64()%3 == 0 {
+							bits = math.Float32bits(rng.Float32()*2 - 1)
+						}
+						buf[i] = math.Float32frombits(bits)
+						if want[i] = bits; buf[i] < 0 {
+							want[i] = 0
+						}
+					}
+					ReLUInPlace(mustTensor(t, buf[:n], n))
+					for i, w := range want {
+						if g := math.Float32bits(buf[i]); g != w {
+							t.Fatalf("n=%d shift=%d: element %d = %#x, want %#x", n, shift, i, g, w)
+						}
+					}
+					if buf[n] != -7 {
+						t.Fatalf("n=%d: ReLUInPlace wrote past its tensor", n)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestSigmoidKnown(t *testing.T) {
 	in := mustTensor(t, []float32{0, 100, -100}, 3)
 	out := Sigmoid(in)

@@ -180,22 +180,56 @@ func poolNaive(in []float32, c, inH, inW, outH, outW int, p PoolParams) []float3
 	return out
 }
 
-// TestPool2DMatchesNaive: random geometries — padding, ceil-mode overhang,
-// stride larger than the kernel, 1x1 windows — over inputs salted with -0 and
-// ±Inf, max and average, bit for bit against poolNaive.
+// suitePools is every pooling layer of the benchmark networks: its
+// parameters and the spatial size of the input it sees (channels do not
+// change the geometry, so the tests run two).
+func suitePools() []struct {
+	name     string
+	p        PoolParams
+	inH, inW int
+} {
+	max3 := PoolParams{Kind: MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2}
+	max3ceil, max3pad, avg3pad, max2 := max3, max3, max3, max3
+	max3ceil.CeilMode = true
+	max3pad.PadH, max3pad.PadW = 1, 1
+	avg3pad.Kind, avg3pad.PadH, avg3pad.PadW = AvgPool, 1, 1
+	max2.KernelH, max2.KernelW = 2, 2
+	return []struct {
+		name     string
+		p        PoolParams
+		inH, inW int
+	}{
+		{"AlexNet/pool1", max3, 55, 55}, {"AlexNet/pool2", max3, 27, 27}, {"AlexNet/pool5", max3, 13, 13},
+		{"CifarNet/pool1", max3pad, 32, 32}, {"CifarNet/pool2", avg3pad, 16, 16}, {"CifarNet/pool3", avg3pad, 8, 8},
+		{"ResNet/pool1", max3ceil, 112, 112},
+		{"SqueezeNet/pool1", max3ceil, 111, 111}, {"SqueezeNet/pool4", max3ceil, 55, 55}, {"SqueezeNet/pool8", max3ceil, 27, 27},
+		{"VGGNet/pool1", max2, 224, 224}, {"VGGNet/pool2", max2, 112, 112}, {"VGGNet/pool3", max2, 56, 56},
+		{"VGGNet/pool4", max2, 28, 28}, {"VGGNet/pool5", max2, 14, 14},
+	}
+}
+
+// TestPool2DMatchesNaive: every suite pooling geometry, then random ones —
+// padding, ceil-mode overhang, stride larger than the kernel, 1x1 windows —
+// over inputs salted with -0, ±Inf and NaN, max and average, bit for bit
+// against poolNaive (an average that is NaN may be any NaN), on the detected rung and with the portable one forced.
 func TestPool2DMatchesNaive(t *testing.T) {
+	for _, rung := range []string{"detected", "portable"} {
+		t.Run(rung, func(t *testing.T) {
+			if rung == "portable" {
+				t.Cleanup(tensor.ForcePortableGemmNN())
+			}
+			testPool2DMatchesNaive(t)
+		})
+	}
+}
+
+func testPool2DMatchesNaive(t *testing.T) {
 	rng := tensor.NewRNG(73)
 	pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
-	salt := []float32{float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1))}
-	for iter := 0; iter < 400; iter++ {
-		p := PoolParams{
-			Kind:    PoolKind(pick(2)),
-			KernelH: 1 + pick(4), KernelW: 1 + pick(4),
-			StrideH: 1 + pick(5), StrideW: 1 + pick(5),
-			CeilMode: pick(2) == 1,
-		}
-		p.PadH, p.PadW = pick(p.KernelH), pick(p.KernelW)
-		c, inH, inW := 1+pick(3), p.KernelH+pick(12), p.KernelW+pick(12)
+	salt := []float32{float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.Float32frombits(0xffc00001)}
+	check := func(p PoolParams, c, inH, inW int) {
+		t.Helper()
 		in := tensor.New(c, inH, inW)
 		in.FillUniform(rng, -1, 1)
 		for i := range in.Data() {
@@ -210,10 +244,30 @@ func TestPool2DMatchesNaive(t *testing.T) {
 		outH, outW := p.OutputDims(inH, inW)
 		want := poolNaive(in.Data(), c, inH, inW, outH, outW, p)
 		for i, w := range want {
-			if g := got.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+			g := got.Data()[i]
+			if p.Kind == AvgPool && g != g && w != w {
+				continue // which NaN a sum of two NaNs is, is the compiler's operand order, not Go's
+			}
+			if math.Float32bits(g) != math.Float32bits(w) {
 				t.Fatalf("%+v on %dx%dx%d: output %d = %v (%#x), naive %v (%#x)",
 					p, c, inH, inW, i, g, math.Float32bits(g), w, math.Float32bits(w))
 			}
 		}
+	}
+	for _, g := range suitePools() {
+		check(g.p, 2, g.inH, g.inW)
+	}
+	for iter := 0; iter < 400; iter++ {
+		p := PoolParams{
+			Kind:    PoolKind(pick(2)),
+			KernelH: 1 + pick(4), KernelW: 1 + pick(4),
+			StrideH: 1 + pick(5), StrideW: 1 + pick(5),
+			CeilMode: pick(2) == 1,
+		}
+		if pick(2) == 0 {
+			p.StrideW = 2 // every suite layer's stride
+		}
+		p.PadH, p.PadW = pick(p.KernelH), pick(p.KernelW)
+		check(p, 1+pick(3), p.KernelH+pick(12), p.KernelW+pick(12))
 	}
 }
