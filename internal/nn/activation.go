@@ -7,35 +7,20 @@ import (
 	"tango/internal/tensor"
 )
 
-// ReLU applies max(0, x) element-wise and returns a new tensor.  The paper's
-// Observation 8 notes that ReLU's zeroing is one reason integer pipelines see
-// heavy use even in floating-point networks.
+// ReLU returns a new tensor with the negative elements of input replaced by
+// +0 (tensor.ReLU, the one kernel of every ReLU here, has the contract for
+// -0 and NaN).  The paper's Observation 8 notes that ReLU's zeroing is one
+// reason integer pipelines see heavy use even in floating-point networks.
 func ReLU(input *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(input.Shape()...)
-	reluInto(out.Data(), input.Data())
+	tensor.ReLU(out.Data(), input.Data())
 	return out
 }
 
-// reluInto writes max(0, in[i]) into o; both have equal length.
-func reluInto(o, in []float32) {
-	for i, v := range in {
-		if v > 0 {
-			o[i] = v
-		} else {
-			o[i] = 0
-		}
-	}
-}
-
-// ReLUInPlace applies max(0, x) in place, matching the fused behaviour of the
-// conv+relu kernels.
+// ReLUInPlace is ReLU written over its input, matching the fused behaviour
+// of the conv+relu kernels.
 func ReLUInPlace(t *tensor.Tensor) {
-	d := t.Data()
-	for i, v := range d {
-		if v < 0 {
-			d[i] = 0
-		}
-	}
+	tensor.ReLU(t.Data(), t.Data())
 }
 
 // Sigmoid applies the logistic function element-wise.

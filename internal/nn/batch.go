@@ -408,7 +408,7 @@ func (s *Scratch) ReLUBatch(input *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("nn: relu: %w: nil input", tensor.ErrShape)
 	}
 	out := s.outLike(input)
-	reluInto(out.Data(), input.Data())
+	tensor.ReLU(out.Data(), input.Data())
 	return out, nil
 }
 

@@ -314,7 +314,7 @@ func (s *Scratch) ReLU(input *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("nn: relu: %w: nil input", tensor.ErrShape)
 	}
 	out := s.outLike(input)
-	reluInto(out.Data(), input.Data())
+	tensor.ReLU(out.Data(), input.Data())
 	return out, nil
 }
 

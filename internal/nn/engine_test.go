@@ -358,6 +358,39 @@ func BenchmarkDense(b *testing.B) {
 	}
 }
 
+// BenchmarkPool2D: the first pooling layer of CifarNet (padded 3x3/2 over
+// 32x32x32), of AlexNet (3x3/2 over 96x55x55) and of VGGNet (2x2/2 over
+// 64x224x224), on each rung.
+func BenchmarkPool2D(b *testing.B) {
+	for _, g := range []struct {
+		name    string
+		c, h, w int
+		p       nn.PoolParams
+	}{
+		{"CifarNet-pool1", 32, 32, 32, nn.PoolParams{Kind: nn.MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}},
+		{"AlexNet-pool1", 96, 55, 55, nn.PoolParams{Kind: nn.MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2}},
+		{"VGGNet-pool1", 64, 224, 224, nn.PoolParams{Kind: nn.MaxPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}},
+	} {
+		in := tensor.New(g.c, g.h, g.w)
+		in.FillNormal(tensor.NewRNG(4), 1)
+		for _, rung := range []string{"detected", "portable"} {
+			b.Run(g.name+"/"+rung, func(b *testing.B) {
+				if rung == "portable" {
+					b.Cleanup(tensor.ForcePortableGemmNN())
+				}
+				s := nn.NewScratch()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s.BeginRun()
+					if _, err := s.Pool2D(in, g.p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkLSTMCell(b *testing.B) {
 	const hidden, in = 100, 1
 	r := tensor.NewRNG(3)

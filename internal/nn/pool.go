@@ -94,65 +94,57 @@ func pool2DInto(dst, input *tensor.Tensor, p PoolParams) {
 		dst.Dim(1), dst.Dim(2), p)
 }
 
+// tapSpan returns the outputs [lo, hi) of a row of out windows, stride
+// columns apart, whose tap k, at input column ox*stride - pad + k, lies
+// inside [0, in): ceil((pad-k)/stride) up to floor((in-1+pad-k)/stride).
+func tapSpan(k, pad, stride, in, out int) (lo, hi int) {
+	lo = min(max(pad-k+stride-1, 0)/stride, out)
+	hi = min(max(in-1+pad-k+stride, 0)/stride, out)
+	return lo, max(hi, lo)
+}
+
 // pool2DCore pools one CHW sample given as flat slices; the batched engine
-// calls it once per image of an NCHW batch.
+// calls it once per image of an NCHW batch.  It works an output row at a
+// time: the row is seeded (-Inf or 0), then each (ky, kx) tap that is inside
+// the image is applied to the whole run of outputs it is in bounds for —
+// one tensor.MaxStride or AddStride call, a vector kernel at the suite's
+// stride of 2 — so every output takes its taps from the same seed in the
+// same (ky, kx) order as a loop over outputs would.  Outputs no tap reaches
+// (padding wider than the kernel, ceil-mode overhang) are 0; in a row they
+// are the ones outside [first, last), from the rightmost tap's first output
+// to the leftmost tap's last.
 func pool2DCore(o, in []float32, c, inH, inW, outH, outW int, p PoolParams) {
-	negInf := float32(math.Inf(-1))
+	seed, tap := float32(0), tensor.AddStride
+	if p.Kind == MaxPool {
+		seed, tap = float32(math.Inf(-1)), tensor.MaxStride
+	}
+	first, _ := tapSpan(p.KernelW-1, p.PadW, p.StrideW, inW, outW)
+	_, last := tapSpan(0, p.PadW, p.StrideW, inW, outW)
 	for ch := 0; ch < c; ch++ {
 		plane := in[ch*inH*inW : (ch+1)*inH*inW]
 		for oy := 0; oy < outH; oy++ {
+			row := o[(ch*outH+oy)*outW:][:outW]
+			clear(row)
 			iy0 := oy*p.StrideH - p.PadH
-			rowsInside := p.Kind == MaxPool && iy0 >= 0 && iy0+p.KernelH <= inH
-			for ox := 0; ox < outW; ox++ {
-				if ix0 := ox*p.StrideW - p.PadW; rowsInside && ix0 >= 0 && ix0+p.KernelW <= inW {
-					// Max window wholly inside the image: the general loop's
-					// taps in its (ky, kx) order from its -Inf seed, without
-					// the per-tap bounds and kind tests.
-					acc := negInf
-					for ky := 0; ky < p.KernelH; ky++ {
-						for _, v := range plane[(iy0+ky)*inW+ix0:][:p.KernelW] {
-							if v > acc {
-								acc = v
-							}
-						}
-					}
-					o[(ch*outH+oy)*outW+ox] = acc
-					continue
-				}
-				var acc float32
-				if p.Kind == MaxPool {
-					acc = negInf
-				}
-				count := 0
-				for ky := 0; ky < p.KernelH; ky++ {
-					iy := oy*p.StrideH - p.PadH + ky
-					if iy < 0 || iy >= inH {
-						continue
-					}
-					for kx := 0; kx < p.KernelW; kx++ {
-						ix := ox*p.StrideW - p.PadW + kx
-						if ix < 0 || ix >= inW {
-							continue
-						}
-						v := in[(ch*inH+iy)*inW+ix]
-						if p.Kind == MaxPool {
-							if v > acc {
-								acc = v
-							}
-						} else {
-							acc += v
-						}
-						count++
+			rows := min(iy0+p.KernelH, inH) - max(iy0, 0)
+			if rows <= 0 {
+				continue
+			}
+			for i := first; i < last; i++ {
+				row[i] = seed
+			}
+			for iy := max(iy0, 0); iy < min(iy0+p.KernelH, inH); iy++ {
+				for kx := 0; kx < p.KernelW; kx++ {
+					if lo, hi := tapSpan(kx, p.PadW, p.StrideW, inW, outW); lo < hi {
+						tap(row[lo:hi], plane[iy*inW+lo*p.StrideW-p.PadW+kx:], p.StrideW)
 					}
 				}
-				if p.Kind == AvgPool {
-					if count > 0 {
-						acc /= float32(count)
-					}
-				} else if count == 0 {
-					acc = 0
+			}
+			if p.Kind == AvgPool {
+				for ox := first; ox < last; ox++ {
+					ix0 := ox*p.StrideW - p.PadW
+					row[ox] /= float32(rows * (min(ix0+p.KernelW, inW) - max(ix0, 0)))
 				}
-				o[(ch*outH+oy)*outW+ox] = acc
 			}
 		}
 	}

@@ -1,0 +1,57 @@
+package tensor
+
+// Elementwise kernels behind the activation and pooling layers.  Each scalar
+// loop is its function's definition, the portable rung and every stride but
+// 2; on the vector rung (gemmNNVector, which ForcePortableGemmNN switches off)
+// an AVX2 kernel of elem_amd64.s writes the same bits for every input.
+
+// ReLU writes src to dst with every negative element, -Inf included, replaced
+// by +0.  An element `v < 0` is false for keeps its bits: +0 and positives,
+// but also -0 and every NaN, either sign, quiet or signalling — so this is not
+// max(0, x), which would turn -0 into +0.  dst and src have the same length
+// and may be the same slice.
+func ReLU(dst, src []float32) {
+	dst = dst[:len(src)]
+	if gemmNNVector {
+		reluAVX2(dst, src)
+		return
+	}
+	for i, v := range src {
+		if v < 0 {
+			v = 0
+		}
+		dst[i] = v
+	}
+}
+
+// MaxStride sets acc[i] = src[i*stride] wherever src[i*stride] > acc[i]: one
+// pooling tap applied to a run of windows stride columns apart.  A NaN tap
+// never replaces acc and of two equal zeros acc's stays, as the comparison
+// reads.  acc is not empty and src holds at least (len(acc)-1)*stride+1
+// elements; nothing past that is read.
+func MaxStride(acc, src []float32, stride int) {
+	src = src[:(len(acc)-1)*stride+1]
+	if stride == 2 && gemmNNVector {
+		maxStride2AVX2(acc, src)
+		return
+	}
+	for i := range acc {
+		if v := src[i*stride]; v > acc[i] {
+			acc[i] = v
+		}
+	}
+}
+
+// AddStride sets acc[i] += src[i*stride], one rounded float32 add per
+// element (never fused); acc and src as for MaxStride.  When acc[i] and its
+// tap are both NaN, which of the two payloads the sum carries is not defined.
+func AddStride(acc, src []float32, stride int) {
+	src = src[:(len(acc)-1)*stride+1]
+	if stride == 2 && gemmNNVector {
+		addStride2AVX2(acc, src)
+		return
+	}
+	for i := range acc {
+		acc[i] += src[i*stride]
+	}
+}

@@ -1,0 +1,19 @@
+package tensor
+
+// amd64 wiring for the elementwise kernels (elem_amd64.s); they need AVX2,
+// which is what gemmNNVector reports.
+
+// reluAVX2 is ReLU over len(src) elements, zero included.
+//
+//go:noescape
+func reluAVX2(dst, src []float32)
+
+// maxStride2AVX2 is MaxStride at stride 2: len(acc) >= 1, len(src) >= 2*len(acc)-1.
+//
+//go:noescape
+func maxStride2AVX2(acc, src []float32)
+
+// addStride2AVX2 is AddStride at stride 2: len(acc) >= 1, len(src) >= 2*len(acc)-1.
+//
+//go:noescape
+func addStride2AVX2(acc, src []float32)
