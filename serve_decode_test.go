@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
-
-	"tango/internal/tensor"
 )
 
 // decodeSeeds is the seed corpus of FuzzDecodeInferenceRequest: the bodies
@@ -83,13 +81,16 @@ func FuzzDecodeInferenceRequest(f *testing.F) {
 }
 
 // canonicalClassifyBody is the body tango-loadtest and the repository
-// benchmark post: json.Marshal of a map with a CifarNet-sized image.
+// benchmark post: json.Marshal of a map holding a CifarNet sample image.
 func canonicalClassifyBody(tb testing.TB) []byte {
 	tb.Helper()
-	image := make([]float32, 3*32*32)
-	r := tensor.NewRNG(41)
-	for i := range image {
-		image[i] = r.Normal32(1)
+	b, err := LoadBenchmark("CifarNet")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	image, _, err := b.SampleImage(1)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	body, err := json.Marshal(map[string]any{"benchmark": "CifarNet", "image": image})
 	if err != nil {
