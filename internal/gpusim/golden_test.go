@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,11 +23,15 @@ import (
 // keep: regenerate it (UPDATE_GOLDEN=1) only for an intended model change.
 func TestSimStatsGolden(t *testing.T) {
 	nets := []string{"CifarNet", "AlexNet", "GRU", "LSTM"}
+	// The heavy half of the suite (and the MobileNet extension), whose layers
+	// repeat under different names, is pinned on the paper's default device
+	// and scheduler only.
+	heavy := []string{"SqueezeNet", "ResNet", "VGGNet", "MobileNet"}
 	if testing.Short() {
-		nets = []string{"CifarNet", "GRU", "LSTM"}
+		nets, heavy = []string{"CifarNet", "GRU", "LSTM"}, nil
 	}
 	kernels := make(map[string][]*kernel.Kernel)
-	for _, name := range nets {
+	for _, name := range slices.Concat(nets, heavy) {
 		n, err := networks.New(name)
 		if err != nil {
 			t.Fatal(err)
@@ -96,6 +101,11 @@ func TestSimStatsGolden(t *testing.T) {
 			cfg.Device.MaxWarpsPerSM = 160
 			cells = append(cells, cell{fmt.Sprintf("CifarNet/gp102/%s/%s/warps160", k, l1.name), "CifarNet", cfg})
 		}
+	}
+
+	for _, net := range heavy {
+		cfg := gpusim.DefaultConfig().WithSampling(gpusim.FastSampling())
+		cells = append(cells, cell{fmt.Sprintf("%s/gp102/gto/l1-default/fast", net), net, cfg})
 	}
 
 	got := make(map[string]string, len(cells))

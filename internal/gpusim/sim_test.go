@@ -595,14 +595,45 @@ func TestRunKernelsReusesOneMachine(t *testing.T) {
 		if !reflect.DeepEqual(first, second) {
 			t.Errorf("%s: a second RunKernels on the same simulator returned different statistics", tc.name)
 		}
-		for i, k := range ks {
-			alone, err := sim.RunKernel(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(alone, first.Kernels[i]) {
-				t.Errorf("%s: %s on a recycled machine differs from a fresh one", tc.name, k.Name)
-			}
+		equalsFreshMachine(t, tc.name, sim, ks, first)
+	}
+
+	// ResNet launches most of its kernels several times over under different
+	// layer names (228 kernels, 55 distinct): whatever RunKernels shares
+	// between equal kernels, each result must still be what that kernel
+	// simulated alone on a machine of its own returns, down to the Kernel it
+	// points at.
+	if testing.Short() {
+		return
+	}
+	if n, err = networks.New("ResNet"); err != nil {
+		t.Fatal(err)
+	}
+	if ks, err = kernel.Generate(n); err != nil {
+		t.Fatal(err)
+	}
+	sim := fastSim(t, gpusim.DefaultConfig())
+	rs, err := sim.RunKernels("ResNet", ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalsFreshMachine(t, "ResNet", sim, ks, rs)
+}
+
+// equalsFreshMachine requires every kernel's statistics in rs to equal those
+// of the same kernel simulated by itself on a newly built machine.
+func equalsFreshMachine(t *testing.T, name string, sim *gpusim.Simulator, ks []*kernel.Kernel, rs *gpusim.RunStats) {
+	t.Helper()
+	for i, k := range ks {
+		alone, err := sim.RunKernel(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Kernels[i].Kernel != k {
+			t.Errorf("%s: statistics %d point at kernel %s, want %s", name, i, rs.Kernels[i].Kernel.Name, k.Name)
+		}
+		if !reflect.DeepEqual(alone, rs.Kernels[i]) {
+			t.Errorf("%s: %s in RunKernels differs from the kernel run alone on a fresh machine", name, k.Name)
 		}
 	}
 }
