@@ -125,9 +125,9 @@ type smState struct {
 	// requests issued while the L1 is bypassed.
 	bypassInFlight []int64
 
-	// events is the min-heap of pending wake-up cycles consumed by the
-	// fast-forward path.
-	events eventHeap
+	// events is the set of future cycles at which something on this SM
+	// changes, which the fast-forward path jumps to.
+	events eventSet
 
 	lineBuf []uint64
 }
@@ -766,7 +766,7 @@ func (r *run) finish() *KernelStats {
 // issue executes one instruction of the warp.  It returns false when the
 // instruction could not complete (memory throttle) and must be retried.
 // Every future effect (write-back, port release, barrier, fetch) is also
-// pushed onto the SM's event heap so the fast-forward path can find it.
+// added to the SM's event set so the fast-forward path can find it.
 func (r *run) issue(w *warp, sm *smState) bool {
 	now, act := r.now, &r.activity
 	ins := w.current()
@@ -942,16 +942,13 @@ func (r *run) l2Access(addr uint64, isWrite bool) int64 {
 }
 
 // nextEventTime returns the earliest cycle after now at which any SM has a
-// pending event, consuming the per-SM min-heaps.  When no events are pending
-// it returns now+1 so the cycle loop always makes progress.
+// pending event.  When no events are pending it returns now+1 so the cycle
+// loop always makes progress.
 func nextEventTime(sms []*smState, now int64) int64 {
 	next := int64(-1)
 	for _, sm := range sms {
 		sm.events.drainThrough(now)
-		if sm.events.len() == 0 {
-			continue
-		}
-		if t := sm.events.peek(); next == -1 || t < next {
+		if t, ok := sm.events.next(); ok && (next == -1 || t < next) {
 			next = t
 		}
 	}
