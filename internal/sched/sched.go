@@ -115,27 +115,41 @@ func New(kind Kind) (Scheduler, error) {
 	}
 }
 
+// locate returns the index of id in ids and whether it is there, as
+// slices.BinarySearch does, looking first where the caller last found it: a
+// warp's index changes only when the simulator compacts retired warps out
+// from before it.
+func locate(ids []int, hint, id int) (int, bool) {
+	if hint < len(ids) && ids[hint] == id {
+		return hint, true
+	}
+	return slices.BinarySearch(ids, id)
+}
+
 // gtoScheduler keeps issuing from the most recently issued warp until it
 // stalls, then falls back to the oldest ready warp.
 type gtoScheduler struct {
 	lastWarp int
+	lastIdx  int // where lastWarp was last found
 }
 
 func (g *gtoScheduler) Name() string { return string(GTO) }
 
-func (g *gtoScheduler) Reset() { g.lastWarp = -1 }
+func (g *gtoScheduler) Reset() { *g = gtoScheduler{lastWarp: -1} }
 
 func (g *gtoScheduler) Pick(w *Warps) int {
 	// Greedy: continue with the last issued warp if it is still ready.
 	if g.lastWarp >= 0 {
-		if i, ok := slices.BinarySearch(w.IDs, g.lastWarp); ok && w.Ready.Has(i) {
-			return i
+		if i, ok := locate(w.IDs, g.lastIdx, g.lastWarp); ok {
+			if g.lastIdx = i; w.Ready.Has(i) {
+				return i
+			}
 		}
 	}
 	// Oldest ready warp: the lowest index, since IDs are in launch order.
 	best := w.Ready.Next(0)
 	if best >= 0 {
-		g.lastWarp = w.IDs[best]
+		g.lastWarp, g.lastIdx = w.IDs[best], best
 	}
 	return best
 }
@@ -143,26 +157,30 @@ func (g *gtoScheduler) Pick(w *Warps) int {
 // lrrScheduler rotates through warps in ID order, starting after the last
 // issued warp.
 type lrrScheduler struct {
-	lastID int
-	seeded bool
+	lastID  int
+	lastIdx int // where lastID was last found
+	seeded  bool
 }
 
 func (l *lrrScheduler) Name() string { return string(LRR) }
 
-func (l *lrrScheduler) Reset() { l.lastID = 0; l.seeded = false }
+func (l *lrrScheduler) Reset() { *l = lrrScheduler{} }
 
 func (l *lrrScheduler) Pick(w *Warps) int {
 	start := 0
 	if l.seeded {
 		// The first warp with an ID greater than the last issued one.
-		start, _ = slices.BinarySearch(w.IDs, l.lastID+1)
+		var found bool
+		if start, found = locate(w.IDs, l.lastIdx, l.lastID); found {
+			start++
+		}
 	}
 	i := w.Ready.Next(start)
 	if i < 0 {
 		i = w.Ready.Next(0)
 	}
 	if i >= 0 {
-		l.lastID = w.IDs[i]
+		l.lastID, l.lastIdx = w.IDs[i], i
 		l.seeded = true
 	}
 	return i
@@ -173,13 +191,14 @@ func (l *lrrScheduler) Pick(w *Warps) int {
 // memory are demoted to the pending set and replaced by pending warps.
 type tlvScheduler struct {
 	activeLimit int
-	active      []int
+	active      []int // warp IDs
+	pos         []int // index of each active warp in the view it was last looked up in
 	rrPointer   int
 }
 
 func (t *tlvScheduler) Name() string { return string(TLV) }
 
-func (t *tlvScheduler) Reset() { t.active = t.active[:0]; t.rrPointer = 0 }
+func (t *tlvScheduler) Reset() { t.active, t.pos, t.rrPointer = t.active[:0], t.pos[:0], 0 }
 
 func (t *tlvScheduler) Pick(w *Warps) int {
 	if len(w.IDs) == 0 {
@@ -187,19 +206,20 @@ func (t *tlvScheduler) Pick(w *Warps) int {
 	}
 
 	// Drop departed or memory-blocked warps from the active set.
-	kept := t.active[:0]
-	for _, id := range t.active {
-		if i, ok := slices.BinarySearch(w.IDs, id); ok && !w.WaitingOnMemory.Has(i) {
-			kept = append(kept, id)
+	n := 0
+	for k, id := range t.active {
+		if i, ok := locate(w.IDs, t.pos[k], id); ok && !w.WaitingOnMemory.Has(i) {
+			t.active[n], t.pos[n] = id, i
+			n++
 		}
 	}
-	t.active = kept
+	t.active, t.pos = t.active[:n], t.pos[:n]
 
 	// Refill the active set with non-blocked warps not already active,
 	// oldest first.
 	for i := 0; i < len(w.IDs) && len(t.active) < t.activeLimit; i++ {
 		if !w.WaitingOnMemory.Has(i) && !slices.Contains(t.active, w.IDs[i]) {
-			t.active = append(t.active, w.IDs[i])
+			t.active, t.pos = append(t.active, w.IDs[i]), append(t.pos, i)
 		}
 	}
 	if len(t.active) == 0 {
@@ -209,9 +229,9 @@ func (t *tlvScheduler) Pick(w *Warps) int {
 	// Round-robin within the active set.
 	for off := 0; off < len(t.active); off++ {
 		slot := (t.rrPointer + off) % len(t.active)
-		if i, ok := slices.BinarySearch(w.IDs, t.active[slot]); ok && w.Ready.Has(i) {
+		if w.Ready.Has(t.pos[slot]) {
 			t.rrPointer = (slot + 1) % len(t.active)
-			return i
+			return t.pos[slot]
 		}
 	}
 	return -1

@@ -408,18 +408,22 @@ func TestSchedulersMatchReference(t *testing.T) {
 		}
 		var ref refScheduler
 		var sameState func() bool
+		var resetRef func()
 		switch got := s.(type) {
 		case *gtoScheduler:
 			r := &refGTO{lastWarp: -1}
 			ref, sameState = r, func() bool { return got.lastWarp == r.lastWarp }
+			resetRef = func() { *r = refGTO{lastWarp: -1} }
 		case *lrrScheduler:
 			r := &refLRR{}
 			ref, sameState = r, func() bool { return got.lastID == r.lastID && got.seeded == r.seeded }
+			resetRef = func() { *r = refLRR{} }
 		case *tlvScheduler:
 			r := &refTLV{activeLimit: got.activeLimit}
 			ref, sameState = r, func() bool {
 				return slices.Equal(got.active, r.active) && got.rrPointer == r.rrPointer
 			}
+			resetRef = func() { *r = refTLV{activeLimit: got.activeLimit} }
 		}
 
 		rng := rand.New(rand.NewSource(18))
@@ -427,6 +431,14 @@ func TestSchedulersMatchReference(t *testing.T) {
 		nextID, target := 0, 0
 		var sizes [3]int // steps with a pool of 1, 2 and 3 words
 		for step := 0; step < steps; step++ {
+			// Now and then the kernel ends: the scheduler is reset and the
+			// next kernel's warps count from zero again, so a position or an
+			// ID remembered across the reset would name a different warp.
+			if step%1000 == 999 {
+				s.Reset()
+				resetRef()
+				pool, nextID = nil, 0
+			}
 			// The pool drifts towards a size that changes every so often:
 			// departures from the front, middle or back, arrivals in ID and
 			// age order, and some churn in both directions regardless.
