@@ -80,6 +80,9 @@ func TestWarpsStayInLaunchOrder(t *testing.T) {
 				}
 				members := sm.memBlocked.Count()
 				for c := range sm.class {
+					if n := sm.class[c].Count(); int64(n) != sm.classN[c] {
+						t.Fatalf("%s: cycle %d: SM %d: class %d holds %d warps, its count says %d", kind, at, si, c, n, sm.classN[c])
+					}
 					members += sm.class[c].Count()
 				}
 				if members > len(sm.warps) {

@@ -105,13 +105,15 @@ type smState struct {
 	// wake holds one key per blocked warp — its wake-up cycle above
 	// wakeSlotBits, its pool slot below — and blocked counts them by stall
 	// reason.  memBlocked is the set of warps blocked on a memory-produced
-	// register, class[c] the set of operands-ready warps of issue class c;
-	// sets is the backing store of every index-keyed set.
+	// register, class[c] the set of operands-ready warps of issue class c
+	// and classN[c] its size; sets is the backing store of every index-keyed
+	// set.
 	unsettled  []*warp
 	wake       eventHeap
 	blocked    [NumStallReasons]int64
 	memBlocked sched.Bitset
 	class      [numIssueClasses]sched.Bitset
+	classN     [numIssueClasses]int64
 	sets       []uint64
 
 	// ctaLive holds per-CTA live-warp counts, maintained incrementally as
@@ -222,6 +224,7 @@ func (sm *smState) settle(w *warp, now int64) {
 		if r < 0 {
 			w.class = ins.class
 			sm.class[w.class].Set(w.idx)
+			sm.classN[w.class]++
 			return
 		}
 		w.blockedReason, until = w.regReason[r], w.regReady[r]
@@ -620,7 +623,7 @@ func (r *run) pass(sm *smState) bool {
 	view := &sm.view
 	clear(view.Ready)
 	copy(view.WaitingOnMemory, sm.memBlocked)
-	throttled := sm.globalThrottled()
+	throttled := sm.classN[classGlobal] > 0 && sm.globalThrottled()
 	var verdict [numIssueClasses]StallReason
 	for c := range sm.class {
 		switch {
@@ -662,6 +665,7 @@ func (r *run) pass(sm *smState) bool {
 		// The issue changed what the warp waits for; it is settled afresh
 		// next pass and charged nothing in this one.
 		sm.class[w.class].Clear(pick)
+		sm.classN[w.class]--
 		w.class = classNone
 		if w.done {
 			sm.retireWarp(w)
@@ -681,7 +685,7 @@ func (r *run) pass(sm *smState) bool {
 	}
 
 	for c := range sm.class {
-		r.stalls[verdict[c]] += int64(sm.class[c].Count())
+		r.stalls[verdict[c]] += sm.classN[c]
 	}
 	r.stalls[verdict[classGlobal]] -= refused
 	r.stalls[StallMemoryThrottle] += refused
