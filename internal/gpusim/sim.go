@@ -849,11 +849,12 @@ func (r *run) issue(w *warp, sm *smState) bool {
 // of memory transactions generated, and false if the L1 could not reserve an
 // MSHR.
 func (r *run) globalAccess(w *warp, sm *smState, ins *decoded) (ready int64, transactions int, ok bool) {
-	now := r.now
+	now, l1 := r.now, sm.l1
+	l1cfg := l1.Config()
 	// With the L1 bypassed the finite LSU / interconnect queues bound the
 	// outstanding requests.  The pass checks this too, but an earlier issue
 	// in the same cycle may have filled the queue since.
-	if sm.l1.Config().Bypassed() && len(sm.bypassInFlight) >= maxOutstandingBypass {
+	if l1cfg.Bypassed() && len(sm.bypassInFlight) >= maxOutstandingBypass {
 		return 0, 0, false
 	}
 
@@ -871,6 +872,8 @@ func (r *run) globalAccess(w *warp, sm *smState, ins *decoded) (ready int64, tra
 	// Coalesce the lanes' addresses into unique 128-byte transactions using a
 	// fixed-capacity scratch slice (at most one line per lane), visited in
 	// lane order so the memory system sees a deterministic access sequence.
+	// Neighbouring lanes mostly share a line, so the search for a line
+	// already seen starts from the latest.
 	lines := sm.lineBuf[:0]
 	iter := int64(w.iter)
 	for lane := 0; lane < w.lanes; lane++ {
@@ -878,36 +881,35 @@ func (r *run) globalAccess(w *warp, sm *smState, ins *decoded) (ready int64, tra
 		if off < 0 {
 			off = -off
 		}
-		addr := base + uint64(off)%footprint
-		line := addr / lineBytes
-		seen := false
-		for _, l := range lines {
-			if l == line {
-				seen = true
-				break
-			}
+		o := uint64(off)
+		if o >= footprint {
+			o %= footprint
 		}
-		if !seen {
+		line := (base + o) / lineBytes
+		i := len(lines) - 1
+		for i >= 0 && lines[i] != line {
+			i--
+		}
+		if i < 0 {
 			lines = append(lines, line)
 		}
 	}
 	sm.lineBuf = lines
 
 	ready = now
-	l1 := sm.l1
 	for _, lineAddr := range lines {
 		addr := lineAddr * lineBytes
 		var lineReady int64
-		if l1.Config().Bypassed() {
+		if l1cfg.Bypassed() {
 			lineReady = r.l2Access(addr, ins.IsStore())
 			sm.bypassInFlight = append(sm.bypassInFlight, lineReady)
 			sm.events.push(lineReady)
 		} else {
 			switch l1.Access(addr, ins.IsStore()) {
 			case cache.Hit:
-				lineReady = now + int64(l1.Config().HitLatency)
+				lineReady = now + int64(l1cfg.HitLatency)
 			case cache.MissMerged:
-				lineReady = now + int64(l1.Config().HitLatency) + 30
+				lineReady = now + int64(l1cfg.HitLatency) + 30
 			case cache.ReservationFail:
 				return 0, 0, false
 			default: // Miss
