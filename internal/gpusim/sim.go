@@ -627,6 +627,8 @@ func (r *run) pass(sm *smState) bool {
 	var verdict [numIssueClasses]StallReason
 	for c := range sm.class {
 		switch {
+		case sm.classN[c] == 0:
+			// No warp waits in the class: nothing to decide or to charge.
 		case sm.unitFree[classUnit(issueClass(c))] > now:
 			verdict[c] = StallPipeBusy
 		case issueClass(c) == classGlobal && throttled:
