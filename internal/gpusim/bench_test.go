@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"slices"
 	"testing"
 
 	"tango/internal/kernel"
@@ -26,6 +27,12 @@ func BenchmarkRunKernels(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			distinct := 0
+			for i, k := range ks {
+				if !slices.ContainsFunc(ks[:i], func(e *kernel.Kernel) bool { return sameSimulation(e, k) }) {
+					distinct++
+				}
+			}
 			var warpInstrs int64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -40,6 +47,8 @@ func BenchmarkRunKernels(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(warpInstrs), "ns/warp-instr")
+			b.ReportMetric(float64(distinct), "distinct-kernels")
+			b.ReportMetric(float64(len(ks)), "kernels")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package gpusim_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"tango/internal/cache"
@@ -634,6 +635,76 @@ func equalsFreshMachine(t *testing.T, name string, sim *gpusim.Simulator, ks []*
 		}
 		if !reflect.DeepEqual(alone, rs.Kernels[i]) {
 			t.Errorf("%s: %s in RunKernels differs from the kernel run alone on a fresh machine", name, k.Name)
+		}
+	}
+}
+
+func TestRunKernelsSharesOnlyEqualKernels(t *testing.T) {
+	// RunKernels simulates the first of each class of kernels equal in all but
+	// Name and LayerName and hands the rest its statistics.  Here one kernel
+	// is followed by copies that each differ from it in one field the
+	// simulation reads, and by one that differs in the two names only: every
+	// one must come back as it simulates alone, and those of the first kind —
+	// or the case proves nothing — unlike the original.  The kernel's
+	// accesses wrap at the size of the buffer they touch, so each size counts.
+	wraps := func(r isa.Region, threadStride int64) isa.AccessPattern {
+		return isa.AccessPattern{Region: r, ThreadStride: threadStride, IterStride: 1000, BlockStride: 2000}
+	}
+	base := &kernel.Kernel{
+		Name: "synthetic/base", Network: "synthetic", LayerName: "base", Class: "conv",
+		Launch: kernel.LaunchConfig{Grid: [3]int{4, 1, 1}, Block: [3]int{128, 1, 1}, Regs: 8, CmemBytes: 3000},
+		Program: kernel.Program{
+			Loops: []kernel.Loop{{Trip: 8, Body: []isa.Instruction{
+				isa.NewLoad(isa.TypeF32, 1, isa.SpaceGlobal, wraps(isa.RegionInput, 4)),
+				isa.NewLoad(isa.TypeF32, 2, isa.SpaceGlobal, wraps(isa.RegionWeights, 132)),
+				isa.NewLoad(isa.TypeF32, 3, isa.SpaceGlobal, wraps(isa.RegionBias, 4)),
+				isa.NewALU(isa.OpAdd, isa.TypeF32, 4, 1, 2, 3),
+			}}},
+			Epilogue: []isa.Instruction{isa.NewStore(isa.TypeF32, 4, isa.SpaceGlobal, wraps(isa.RegionOutput, 4))},
+		},
+		InputBytes: 3000, WeightBytes: 3000, OutputBytes: 3000,
+	}
+	list := []*kernel.Kernel{base}
+	for _, v := range []struct {
+		name string
+		edit func(k *kernel.Kernel)
+	}{
+		{"renamed", func(k *kernel.Kernel) {}},
+		{"input-bytes", func(k *kernel.Kernel) { k.InputBytes += 4224 }},
+		{"weight-bytes", func(k *kernel.Kernel) { k.WeightBytes += 4224 }},
+		{"output-bytes", func(k *kernel.Kernel) { k.OutputBytes += 4224 }},
+		{"cmem-bytes", func(k *kernel.Kernel) { k.Launch.CmemBytes += 4224 }},
+		{"regs", func(k *kernel.Kernel) { k.Launch.Regs++ }},
+		{"grid", func(k *kernel.Kernel) { k.Launch.Grid[1]++ }},
+		{"loop-trip", func(k *kernel.Kernel) { k.Program.Loops = []kernel.Loop{{Trip: 7, Body: k.Program.Loops[0].Body}} }},
+		{"loop-body", func(k *kernel.Kernel) {
+			body := slices.Clone(k.Program.Loops[0].Body)
+			body[1].Pattern.ThreadStride = 4
+			k.Program.Loops = []kernel.Loop{{Trip: 8, Body: body}}
+		}},
+		{"prologue", func(k *kernel.Kernel) {
+			k.Program.Prologue = []isa.Instruction{isa.NewALU(isa.OpAdd, isa.TypeF32, 5, 5, 5)}
+		}},
+		{"epilogue", func(k *kernel.Kernel) {
+			k.Program.Epilogue = []isa.Instruction{isa.NewStore(isa.TypeF32, 4, isa.SpaceGlobal, wraps(isa.RegionOutput, 132))}
+		}},
+	} {
+		k := *base
+		k.Name, k.LayerName = "synthetic/"+v.name, v.name
+		v.edit(&k)
+		list = append(list, &k)
+	}
+	sim := fastSim(t, gpusim.DefaultConfig())
+	rs, err := sim.RunKernels("synthetic", list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalsFreshMachine(t, "variants", sim, list, rs)
+	for i, st := range rs.Kernels[1:] {
+		flat := *st
+		flat.Kernel = base
+		if same := reflect.DeepEqual(&flat, rs.Kernels[0]); same != (i == 0) {
+			t.Errorf("%s: statistics equal to the original's = %v", st.Kernel.Name, same)
 		}
 	}
 }
