@@ -623,7 +623,6 @@ func (r *run) pass(sm *smState) bool {
 	view := &sm.view
 	clear(view.Ready)
 	copy(view.WaitingOnMemory, sm.memBlocked)
-	throttled := sm.classN[classGlobal] > 0 && sm.globalThrottled()
 	var verdict [numIssueClasses]StallReason
 	for c := range sm.class {
 		switch {
@@ -631,7 +630,7 @@ func (r *run) pass(sm *smState) bool {
 			// No warp waits in the class: nothing to decide or to charge.
 		case sm.unitFree[classUnit(issueClass(c))] > now:
 			verdict[c] = StallPipeBusy
-		case issueClass(c) == classGlobal && throttled:
+		case issueClass(c) == classGlobal && sm.globalThrottled():
 			verdict[c] = StallMemoryThrottle
 			view.WaitingOnMemory.Or(sm.class[c])
 		default:

@@ -141,7 +141,8 @@ func (g *gtoScheduler) Pick(w *Warps) int {
 	// Greedy: continue with the last issued warp if it is still ready.
 	if g.lastWarp >= 0 {
 		if i, ok := locate(w.IDs, g.lastIdx, g.lastWarp); ok {
-			if g.lastIdx = i; w.Ready.Has(i) {
+			g.lastIdx = i
+			if w.Ready.Has(i) {
 				return i
 			}
 		}
