@@ -1,10 +1,10 @@
 // Command tango-char regenerates one table or figure of the paper's
 // evaluation section — or, with -exp all, the complete experiment matrix — or
 // runs a multi-device characterization sweep across the registered
-// accelerator targets: locally, against a persistent run cache, or sharded
-// across worker processes.  Layer traces and simulation runs are shared
-// across experiments through the characterization pipeline's store, so each
-// (network, target, configuration) cell is computed once.
+// accelerator targets.  Layer traces and simulation runs are shared across
+// experiments through the characterization pipeline's store, so each
+// (network, target, configuration) cell is computed once per process, and
+// once per cache directory when one is given.
 //
 // Usage:
 //
@@ -15,35 +15,23 @@
 //	tango-char -exp all -out results/    # plus one .txt and .csv file each
 //	tango-char -targets gp102,tx1,pynq -fast            # multi-device sweep
 //	tango-char -targets gp102 -l1 0,64,256 -format json # L1 sweep as JSON
+//	tango-char -targets gp102 -cache-dir ~/.cache/tango -fast   # warm across runs
 //	tango-char -list                     # list experiments and targets
 //
-// Distributed sweeps and the persistent cache:
-//
-//	tango-char -worker -addr :9101       # serve sweep cells over HTTP
-//	tango-char -targets gp102 -workers localhost:9101,localhost:9102 -fast
-//	tango-char -targets gp102 -cache-dir ~/.cache/tango -fast   # warm across runs
-//
-// The TANGO_CACHE_DIR environment variable attaches the persistent cache
-// to every mode without a flag.
+// -cache-dir is the command-line spelling of the TANGO_CACHE_DIR environment
+// variable; either attaches the persistent run cache in every mode.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"tango"
 	"tango/internal/cli"
-	"tango/internal/coord"
 )
 
 func main() {
@@ -58,21 +46,10 @@ func main() {
 		parallel   = flag.Int("parallel", 1, "worker goroutines for the simulation matrix (0 = one per CPU)")
 		format     = flag.String("format", "table", "output format: table, csv or json")
 		out        = flag.String("out", "", "directory to also write <id>.txt/.csv per experiment, or sweep.{txt,csv,json} in sweep mode")
-		worker     = flag.Bool("worker", false, "worker mode: serve sweep cells over HTTP (see -addr)")
-		addr       = flag.String("addr", ":9101", "worker mode: HTTP listen address")
-		workers    = flag.String("workers", "", "sweep mode: comma-separated worker addresses to shard cells across")
 		cacheDir   = flag.String("cache-dir", os.Getenv("TANGO_CACHE_DIR"), "persistent run-cache directory (default $TANGO_CACHE_DIR)")
-		cacheMaxMB = flag.Int("cache-max-mb", envInt("TANGO_CACHE_MAX_MB"), "bound the run-cache directory to this many MiB, evicting the oldest records (0 = unbounded, default $TANGO_CACHE_MAX_MB)")
 		cacheStats = flag.Bool("cache-stats", false, "sweep mode: print run-cache counters to stderr after the sweep")
 	)
 	flag.Parse()
-
-	if *worker {
-		if err := runWorker(*addr, *cacheDir, *cacheMaxMB, cli.Workers(*parallel)); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	switch *format {
 	case "table", "csv", "json":
@@ -91,6 +68,18 @@ func main() {
 				t.Name, t.Class, t.Role, t.Description, strings.Join(t.Aliases, ", "))
 		}
 		return
+	}
+
+	if *cacheDir != "" {
+		// Sweeps and experiment sessions alike attach the directory the
+		// variable names; an unusable one is reported here, not ignored.
+		err := os.MkdirAll(*cacheDir, 0o755)
+		if err == nil {
+			err = os.Setenv("TANGO_CACHE_DIR", *cacheDir)
+		}
+		if err != nil {
+			fatal(err)
+		}
 	}
 
 	names := cli.SplitList(*networks)
@@ -116,9 +105,6 @@ func main() {
 			Schedulers:   cli.SplitList(*schedulers),
 			FastSampling: *fast,
 			Parallelism:  cli.Workers(*parallel),
-			Workers:      cli.SplitList(*workers),
-			CacheDir:     *cacheDir,
-			CacheMaxMB:   *cacheMaxMB,
 		}
 		if *cacheStats {
 			cfg.CacheStats = &stats
@@ -137,9 +123,9 @@ func main() {
 		writeOut(*out, "sweep", map[string]string{".txt": text, ".csv": csv, ".json": string(enc)})
 		if *cacheStats {
 			fmt.Fprintf(os.Stderr,
-				"cache: computes=%d disk_hits=%d disk_misses=%d disk_writes=%d disk_errors=%d disk_evictions=%d mem_hits=%d mem_misses=%d\n",
+				"cache: computes=%d disk_hits=%d disk_misses=%d disk_writes=%d disk_errors=%d mem_hits=%d mem_misses=%d\n",
 				stats.Computes, stats.DiskHits, stats.DiskMisses, stats.DiskWrites, stats.DiskErrors,
-				stats.DiskEvictions, stats.RunHits, stats.RunMisses)
+				stats.RunHits, stats.RunMisses)
 		}
 		return
 	}
@@ -220,47 +206,6 @@ func writeOut(dir, base string, files map[string]string) {
 			fatal(err)
 		}
 	}
-}
-
-// runWorker serves sweep cells over HTTP until SIGINT/SIGTERM, then
-// drains the cell queue and exits cleanly.
-func runWorker(addr, cacheDir string, cacheMaxMB, parallelism int) error {
-	w := coord.NewWorker(coord.WorkerConfig{
-		Parallelism: parallelism,
-		CacheDir:    cacheDir,
-		CacheMaxMB:  cacheMaxMB,
-	})
-	srv := &http.Server{Addr: addr, Handler: w}
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "tango-char: worker listening on %s (POST %s)\n", addr, coord.CellPath)
-		errc <- srv.ListenAndServe()
-	}()
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "tango-char: worker shutting down (%s)\n", sig)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	w.Close()
-	return nil
-}
-
-// envInt parses an integer environment variable, returning 0 when unset or
-// malformed.
-func envInt(name string) int {
-	n, err := strconv.Atoi(os.Getenv(name))
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
 }
 
 func fatal(err error) {

@@ -1,4 +1,8 @@
-// Package coord implements the distributed characterization sweep: a
+// Package coord is retained solely for benchmark/trace_sim.go's
+// coord.cell_roundtrip_ms metric: it has no product caller, and is to be
+// deleted with ROADMAP item 2 (the [benchmark] PR).
+//
+// It implements the distributed characterization sweep: a
 // coordinator shards the {network × target × variant} cell matrix across
 // worker processes that serve cells over HTTP, and merges the returned
 // results into the same deterministic dataset a single-process sweep

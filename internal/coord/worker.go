@@ -54,13 +54,6 @@ type WorkerConfig struct {
 	// QueueDepth bounds the cell queue; values below 1 use the serve
 	// default.
 	QueueDepth int
-	// CacheDir, when non-empty, attaches a persistent disk cache to the
-	// worker's store (best effort: an unopenable directory is ignored).
-	CacheDir string
-	// CacheMaxMB bounds the disk cache's size in MiB; 0 leaves it
-	// unbounded.  Old records are evicted oldest-first once the bound is
-	// exceeded.
-	CacheMaxMB int
 }
 
 // NewWorker starts a worker with the given policy.  Callers must Close it
@@ -74,14 +67,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	if cfg.Parallelism < 1 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if cfg.CacheDir != "" {
-		if d, err := distcache.Open(cfg.CacheDir); err == nil {
-			if cfg.CacheMaxMB > 0 {
-				d.SetMaxBytes(int64(cfg.CacheMaxMB) << 20)
-			}
-			cfg.Store.SetDisk(d)
-		}
 	}
 	w := &Worker{reg: cfg.Registry, store: cfg.Store}
 	w.batcher = serve.NewBatcher(serve.Config{

@@ -13,11 +13,9 @@
 // treated as a miss and the cell is recomputed: the cache can lose data,
 // but it can never serve wrong data.
 //
-// The same encoded record doubles as the wire format of the distributed
-// sweep protocol (see internal/coord): a worker returns Encode's bytes over
-// HTTP and the coordinator feeds them through Decode against its own trace,
-// so remote results enter the coordinator's cache tiers exactly like local
-// ones.
+// Nothing bounds or prunes the directory: records are a few hundred
+// kilobytes at most, any of them may be deleted at any time, and deleting
+// old ones is the operator's `find -mtime` (docs/OPERATIONS.md).
 package distcache
 
 import (
@@ -26,13 +24,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"tango/internal/cache"
 	"tango/internal/device"
@@ -48,33 +41,10 @@ import (
 // so stale records are recomputed rather than misread.
 const FormatVersion = 1
 
-// Stats counts the cache's disk traffic.
-type Stats struct {
-	// Hits and Misses count Load outcomes.  A rejected record (corrupt,
-	// stale, mismatched) counts as a miss.
-	Hits, Misses int64
-	// Writes counts successful Store calls; Errors counts failed ones plus
-	// records rejected on the read path for reasons other than absence.
-	Writes, Errors int64
-	// Evictions counts records removed by the disk-tier size bound.
-	Evictions int64
-}
-
 // Cache is one on-disk cache directory.  All methods are safe for
 // concurrent use by any number of goroutines and processes.
 type Cache struct {
 	dir string
-
-	// maxBytes bounds the total size of record files (0 = unbounded) and
-	// usage tracks it approximately: seeded by one directory scan, advanced
-	// by Store, and re-measured exactly on every eviction pass (so drift
-	// from overwrites or concurrent processes is self-correcting).
-	maxBytes atomic.Int64
-	usage    atomic.Int64
-	seeded   atomic.Bool
-	evictMu  sync.Mutex
-
-	hits, misses, writes, errs, evictions atomic.Int64
 }
 
 // Open returns a cache rooted at dir, creating the directory if needed.
@@ -86,35 +56,6 @@ func Open(dir string) (*Cache, error) {
 		return nil, fmt.Errorf("distcache: %w", err)
 	}
 	return &Cache{dir: dir}, nil
-}
-
-// SetMaxBytes bounds the total size of the cache's record files; 0 (the
-// default) leaves the disk tier unbounded.  When a Store pushes the cache
-// over the bound, the oldest records by modification time are deleted
-// until usage drops to 90% of the bound, so steady-state sweeps churn the
-// tail instead of evicting on every write.  An existing over-bound
-// directory is trimmed on the next Store.
-func (c *Cache) SetMaxBytes(n int64) {
-	if n < 0 {
-		n = 0
-	}
-	c.maxBytes.Store(n)
-}
-
-// EvictionCount returns the number of records removed by the size bound.
-// target.Store discovers it through an optional interface so StoreStats
-// can report disk evictions without depending on this package.
-func (c *Cache) EvictionCount() int64 { return c.evictions.Load() }
-
-// Stats returns a snapshot of the cache's traffic counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Writes:    c.writes.Load(),
-		Errors:    c.errs.Load(),
-		Evictions: c.evictions.Load(),
-	}
 }
 
 // Path returns the record file a key maps to: <dir>/<hh>/<sha256(key)>.json.
@@ -130,17 +71,10 @@ func (c *Cache) Path(key string) string {
 func (c *Cache) Load(key string, tr *target.Trace) (*target.RunStats, bool) {
 	data, err := os.ReadFile(c.Path(key))
 	if err != nil {
-		c.misses.Add(1)
 		return nil, false
 	}
 	rs, err := Decode(data, key, tr)
-	if err != nil {
-		c.misses.Add(1)
-		c.errs.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return rs, true
+	return rs, err == nil
 }
 
 // Store writes the run under key atomically: the record is encoded to a
@@ -150,17 +84,14 @@ func (c *Cache) Load(key string, tr *target.Trace) (*target.RunStats, bool) {
 func (c *Cache) Store(key string, rs *target.RunStats) error {
 	data, err := Encode(key, rs)
 	if err != nil {
-		c.errs.Add(1)
 		return err
 	}
 	path := c.Path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		c.errs.Add(1)
 		return fmt.Errorf("distcache: %w", err)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
-		c.errs.Add(1)
 		return fmt.Errorf("distcache: %w", err)
 	}
 	_, werr := tmp.Write(data)
@@ -173,95 +104,12 @@ func (c *Cache) Store(key string, rs *target.RunStats) error {
 	}
 	if werr != nil {
 		os.Remove(tmp.Name())
-		c.errs.Add(1)
 		return fmt.Errorf("distcache: %w", werr)
 	}
-	c.writes.Add(1)
-	c.noteWrite(int64(len(data)))
 	return nil
 }
 
-// noteWrite advances the usage estimate and runs an eviction pass when the
-// bound is exceeded.  The estimate ignores overwrites (the replaced file's
-// size stays counted until the next pass re-measures), which only makes
-// eviction run sooner, never later.
-func (c *Cache) noteWrite(n int64) {
-	max := c.maxBytes.Load()
-	if max <= 0 {
-		return
-	}
-	if !c.seeded.Load() {
-		c.evictMu.Lock()
-		if !c.seeded.Load() {
-			_, total := c.scanRecords()
-			c.usage.Store(total)
-			c.seeded.Store(true)
-		}
-		c.evictMu.Unlock()
-	}
-	if c.usage.Add(n) > max {
-		c.evict(max)
-	}
-}
-
-// recordFile is one on-disk record seen by an eviction scan.
-type recordFile struct {
-	path  string
-	size  int64
-	mtime int64
-}
-
-// scanRecords walks the shard directories and returns every record file
-// with its size and modification time, plus the total size.  Temporary
-// files mid-rename are skipped; they are transient and tiny.
-func (c *Cache) scanRecords() ([]recordFile, int64) {
-	var files []recordFile
-	var total int64
-	filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".json") {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil
-		}
-		files = append(files, recordFile{path: path, size: info.Size(), mtime: info.ModTime().UnixNano()})
-		total += info.Size()
-		return nil
-	})
-	return files, total
-}
-
-// evict deletes the oldest records until usage is at most 90% of max.  One
-// pass runs at a time; concurrent writers that arrive while a pass holds
-// the lock re-check the freshly measured usage and return.
-func (c *Cache) evict(max int64) {
-	c.evictMu.Lock()
-	defer c.evictMu.Unlock()
-	files, total := c.scanRecords()
-	c.usage.Store(total)
-	target := max - max/10
-	if total <= max {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	for _, f := range files {
-		if total <= target {
-			break
-		}
-		if err := os.Remove(f.path); err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
-				c.errs.Add(1)
-			}
-			continue
-		}
-		total -= f.size
-		c.evictions.Add(1)
-	}
-	c.usage.Store(total)
-}
-
-// record is the on-disk / on-wire schema.  The header pins everything a
+// record is the on-disk schema.  The header pins everything a
 // reader must agree on before trusting the payload: the format version,
 // the enum dimensions the fixed-size counter arrays depend on, and the
 // full composite key (hashing the key to a filename is lossy, so the key
@@ -317,7 +165,7 @@ type kernelRecord struct {
 }
 
 // Encode serializes one run under its composite key into the versioned
-// record format shared by the disk cache and the worker wire protocol.
+// record format.
 func Encode(key string, rs *target.RunStats) ([]byte, error) {
 	if rs == nil {
 		return nil, errors.New("distcache: nil RunStats")

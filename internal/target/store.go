@@ -1,14 +1,10 @@
 package target
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
-	"unsafe"
 
-	"tango/internal/fpga"
-	"tango/internal/gpusim"
 	"tango/internal/kernel"
 	"tango/internal/networks"
 	"tango/internal/resilience"
@@ -50,13 +46,13 @@ func Extract(name string) (*Trace, error) {
 // RunKey is the composite cache key of one sweep cell: the target's
 // canonical registry name, the network, and the target's canonicalized
 // variant key.  It identifies a run's content across every cache tier —
-// the in-memory LRU, the disk cache (which hashes it to a filename and
-// echoes it in-band), and the distributed sweep protocol.
+// the in-memory map and the disk cache (which hashes it to a filename and
+// echoes it in-band).
 func RunKey(t Target, network string, v Variant) string {
 	return t.Name() + "\x00" + network + "\x00" + t.CacheKey(v)
 }
 
-// DiskCache is the persistent tier under a Store's in-memory LRU.  It is
+// DiskCache is the persistent tier under a Store's in-memory map.  It is
 // implemented by distcache.Cache; the interface lives here so the store
 // does not depend on the cache's serialization details.  Load returns the
 // cached run rebound to the trace, or false for any miss (absent, corrupt,
@@ -79,22 +75,14 @@ type StoreStats struct {
 	TraceHits, TraceMisses int64
 	RunHits, RunMisses     int64
 	// Computes counts actual Target.Run invocations: a run miss served from
-	// the disk tier or a remote worker fills the memory tier without
-	// computing, so Computes ≤ RunMisses.  A warm sweep asserts Computes==0.
+	// the disk tier fills the memory tier without computing, so Computes ≤
+	// RunMisses.  A warm sweep asserts Computes==0.
 	Computes int64
 	// DiskHits/DiskMisses count disk-tier lookups on memory misses;
 	// DiskWrites/DiskErrors count write-backs.  Disk failures are soft —
 	// an error never fails the run that produced the result.
 	DiskHits, DiskMisses   int64
 	DiskWrites, DiskErrors int64
-	// DiskEvictions counts records the disk tier's size bound removed
-	// (zero when the tier is unbounded or absent).
-	DiskEvictions int64
-	// RunBytes is the estimated size of the cached run results;
-	// RunEvictions counts entries dropped by the memory bounds.  Evicted
-	// entries remain on disk when a disk tier is attached.
-	RunBytes     int64
-	RunEvictions int64
 }
 
 // entry is one singleflight cell: done is closed once val/err are final.
@@ -104,21 +92,10 @@ type entry[V any] struct {
 	err  error
 }
 
-// runEntry is one run cell: a singleflight entry plus its LRU bookkeeping.
-// elem is nil while the cell is being computed — in-flight cells are not
-// in the LRU list and cannot be evicted; they join the list (and the byte
-// accounting) only on successful completion.
-type runEntry struct {
-	entry[*RunStats]
-	key   string
-	bytes int64
-	elem  *list.Element
-}
-
 // Store memoizes layer traces and per-target runs so that every figure,
 // config variant and sweep over the same (network, target, configuration)
-// cell computes it exactly once.  Run results live in a bounded in-memory
-// LRU (entries and estimated bytes) over an optional persistent disk tier
+// cell computes it exactly once.  Run results live in an in-memory map for
+// the life of the store, over an optional persistent disk tier
 // (SetDisk): a memory miss consults the disk before computing, and every
 // computed result is written back, so warm sweeps survive process
 // restarts.  The store is safe for concurrent use: concurrent requests for
@@ -131,31 +108,16 @@ type runEntry struct {
 type Store struct {
 	mu     sync.Mutex
 	traces map[string]*entry[*Trace]
-	runs   map[string]*runEntry
-	lru    *list.List // of *runEntry, front = most recent
+	runs   map[string]*entry[*RunStats]
 	stats  StoreStats
-
-	maxEntries int
-	maxBytes   int64
-	disk       DiskCache
+	disk   DiskCache
 }
 
-// Default memory bounds: generous enough that no realistic sweep matrix
-// thrashes, small enough to bound a long-lived serving process.
-const (
-	defaultMaxEntries = 4096
-	defaultMaxBytes   = 1 << 30 // 1 GiB of estimated result payload
-)
-
-// NewStore returns an empty store with default memory bounds and no disk
-// tier.
+// NewStore returns an empty store with no disk tier.
 func NewStore() *Store {
 	return &Store{
-		traces:     make(map[string]*entry[*Trace]),
-		runs:       make(map[string]*runEntry),
-		lru:        list.New(),
-		maxEntries: defaultMaxEntries,
-		maxBytes:   defaultMaxBytes,
+		traces: make(map[string]*entry[*Trace]),
+		runs:   make(map[string]*entry[*RunStats]),
 	}
 }
 
@@ -172,21 +134,6 @@ func Shared() *Store { return shared }
 func (s *Store) SetDisk(d DiskCache) {
 	s.mu.Lock()
 	s.disk = d
-	s.mu.Unlock()
-}
-
-// SetMemoryBounds overrides the in-memory LRU bounds.  Non-positive
-// values keep the corresponding default.  Shrinking the bounds evicts
-// immediately.
-func (s *Store) SetMemoryBounds(entries int, bytes int64) {
-	s.mu.Lock()
-	if entries > 0 {
-		s.maxEntries = entries
-	}
-	if bytes > 0 {
-		s.maxBytes = bytes
-	}
-	s.evictLocked()
 	s.mu.Unlock()
 }
 
@@ -234,21 +181,6 @@ func (s *Store) Run(t Target, network string, v Variant) (*RunStats, error) {
 // Concurrent callers of one cell still coalesce onto a single
 // computation; each waits under its own context.
 func (s *Store) RunCtx(ctx context.Context, t Target, network string, v Variant) (*RunStats, error) {
-	return s.RunVia(ctx, t, network, v, nil)
-}
-
-// ComputeFunc produces one cell's result from its resolved trace, in
-// place of the target's local Run — the distributed sweep coordinator
-// uses it to fetch cells from remote workers.  It runs inside the cell's
-// singleflight slot, after both cache tiers have missed; a successful
-// result enters the memory LRU and is written back to the disk tier
-// exactly as a local computation would be.
-type ComputeFunc func(tr *Trace) (*RunStats, error)
-
-// RunVia is RunCtx with the cell's computation supplied by the caller.  A
-// nil compute means the target's own Run (the local path).  All caching,
-// coalescing and context semantics are identical to RunCtx.
-func (s *Store) RunVia(ctx context.Context, t Target, network string, v Variant, compute ComputeFunc) (*RunStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -256,9 +188,6 @@ func (s *Store) RunVia(ctx context.Context, t Target, network string, v Variant,
 	s.mu.Lock()
 	if e, ok := s.runs[key]; ok {
 		s.stats.RunHits++
-		if e.elem != nil {
-			s.lru.MoveToFront(e.elem)
-		}
 		s.mu.Unlock()
 		select {
 		case <-e.done:
@@ -268,13 +197,19 @@ func (s *Store) RunVia(ctx context.Context, t Target, network string, v Variant,
 		}
 	}
 	s.stats.RunMisses++
-	e := &runEntry{entry: entry[*RunStats]{done: make(chan struct{})}, key: key}
+	e := &entry[*RunStats]{done: make(chan struct{})}
 	s.runs[key] = e
 	s.mu.Unlock()
 
 	fill := func() {
-		e.val, e.err = s.fillCell(key, t, network, v, compute)
-		s.finishCell(e)
+		e.val, e.err = s.fillCell(key, t, network, v)
+		if e.err != nil {
+			// Failures leave the cache: the next request retries.
+			s.mu.Lock()
+			delete(s.runs, key)
+			s.mu.Unlock()
+		}
+		close(e.done)
 	}
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		// No budget to enforce: compute on the caller's goroutine (the
@@ -292,10 +227,10 @@ func (s *Store) RunVia(ctx context.Context, t Target, network string, v Variant,
 }
 
 // fillCell resolves one memory miss inside its singleflight slot: resolve
-// the trace, consult the disk tier, then compute (locally or via the
-// caller's ComputeFunc) and write the result back to disk.  Disk failures
-// on either side are soft — counted, never fatal to the run.
-func (s *Store) fillCell(key string, t Target, network string, v Variant, compute ComputeFunc) (*RunStats, error) {
+// the trace, consult the disk tier, then compute and write the result back
+// to disk.  Disk failures on either side are soft — counted, never fatal to
+// the run.
+func (s *Store) fillCell(key string, t Target, network string, v Variant) (*RunStats, error) {
 	tr, err := s.Trace(network)
 	if err != nil {
 		return nil, err
@@ -310,12 +245,7 @@ func (s *Store) fillCell(key string, t Target, network string, v Variant, comput
 		}
 		s.bump(func(st *StoreStats) { st.DiskMisses++ })
 	}
-	var rs *RunStats
-	if compute != nil {
-		rs, err = compute(tr)
-	} else {
-		rs, err = s.ComputeCell(tr, t, v)
-	}
+	rs, err := s.computeCell(tr, t, v)
 	if err != nil {
 		return nil, err
 	}
@@ -329,41 +259,6 @@ func (s *Store) fillCell(key string, t Target, network string, v Variant, comput
 	return rs, nil
 }
 
-// finishCell publishes a completed cell: failures leave the cache (the
-// next request retries), successes join the LRU list and byte accounting,
-// evicting older entries if the bounds are now exceeded.
-func (s *Store) finishCell(e *runEntry) {
-	s.mu.Lock()
-	if e.err != nil {
-		delete(s.runs, e.key)
-	} else {
-		e.bytes = estimateBytes(e.val)
-		e.elem = s.lru.PushFront(e)
-		s.stats.RunBytes += e.bytes
-		s.evictLocked()
-	}
-	s.mu.Unlock()
-	close(e.done)
-}
-
-// evictLocked drops least-recently-used completed entries until both
-// memory bounds hold.  Callers waiting on an evicted entry are unaffected
-// — they hold the entry pointer, not the map slot.
-func (s *Store) evictLocked() {
-	for s.lru.Len() > s.maxEntries || s.stats.RunBytes > s.maxBytes {
-		back := s.lru.Back()
-		if back == nil {
-			return
-		}
-		old := back.Value.(*runEntry)
-		s.lru.Remove(back)
-		old.elem = nil
-		delete(s.runs, old.key)
-		s.stats.RunBytes -= old.bytes
-		s.stats.RunEvictions++
-	}
-}
-
 // bump applies one stats mutation under the store lock.
 func (s *Store) bump(f func(*StoreStats)) {
 	s.mu.Lock()
@@ -371,16 +266,14 @@ func (s *Store) bump(f func(*StoreStats)) {
 	s.mu.Unlock()
 }
 
-// ComputeCell runs the target on an already-resolved trace, converting a
+// computeCell runs the target on an already-resolved trace, converting a
 // panic in the backend (or an injected one) into an error: cell
 // computations run on store callers' goroutines or detached singleflight
 // goroutines, where an escaped panic would kill the whole process instead
 // of the one cell.  It increments Computes — the counter warm-cache
 // acceptance tests assert stays zero — and fires the PointRun
-// fault-injection site.  It does not touch the caches; it is exported for
-// the sweep coordinator's local-fallback path, which feeds results through
-// the cache via RunVia.
-func (s *Store) ComputeCell(tr *Trace, t Target, v Variant) (rs *RunStats, err error) {
+// fault-injection site.  It does not touch the caches.
+func (s *Store) computeCell(tr *Trace, t Target, v Variant) (rs *RunStats, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rs, err = nil, fmt.Errorf("target: %s on %s panicked: %v", tr.Network, t.Name(), p)
@@ -400,30 +293,5 @@ func (s *Store) Stats() StoreStats {
 	st := s.stats
 	st.Traces = len(s.traces)
 	st.Runs = len(s.runs)
-	// The disk tier tracks its own eviction count; the DiskCache interface
-	// stays minimal, so discover it through an optional method.
-	if ev, ok := s.disk.(interface{ EvictionCount() int64 }); ok {
-		st.DiskEvictions = ev.EvictionCount()
-	}
 	return st
-}
-
-// estimateBytes approximates a run result's resident size for the LRU
-// byte bound.  Struct sizes dominate (the big payload is the per-kernel
-// counter arrays, which are fixed-size); string headers and slice
-// capacity slack are ignored.
-func estimateBytes(rs *RunStats) int64 {
-	if rs == nil {
-		return 0
-	}
-	n := int64(unsafe.Sizeof(*rs))
-	if rs.GPU != nil {
-		n += int64(unsafe.Sizeof(*rs.GPU))
-		n += int64(len(rs.GPU.Kernels)) * int64(unsafe.Sizeof(gpusim.KernelStats{}))
-	}
-	if rs.FPGA != nil {
-		n += int64(unsafe.Sizeof(*rs.FPGA))
-		n += int64(len(rs.FPGA.Layers)) * int64(unsafe.Sizeof(fpga.LayerCost{}))
-	}
-	return n
 }

@@ -1,7 +1,6 @@
 package target
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -88,32 +87,6 @@ func TestStoreWritesThroughAndWarmStoreSkipsCompute(t *testing.T) {
 	}
 }
 
-// evictingDisk is a fakeDisk that also reports an eviction count, like
-// distcache.Cache does when size-bounded.
-type evictingDisk struct {
-	fakeDisk
-	evictions int64
-}
-
-func (d *evictingDisk) EvictionCount() int64 { return d.evictions }
-
-// TestStoreStatsSurfacesDiskEvictions: a disk tier exposing EvictionCount
-// shows up in StoreStats.DiskEvictions; one without the method reports 0.
-func TestStoreStatsSurfacesDiskEvictions(t *testing.T) {
-	store := NewStore()
-	disk := &evictingDisk{evictions: 7}
-	disk.m = make(map[string]*RunStats)
-	store.SetDisk(disk)
-	if st := store.Stats(); st.DiskEvictions != 7 {
-		t.Fatalf("DiskEvictions = %d, want 7", st.DiskEvictions)
-	}
-	plain := NewStore()
-	plain.SetDisk(newFakeDisk())
-	if st := plain.Stats(); st.DiskEvictions != 0 {
-		t.Fatalf("DiskEvictions without the method = %d, want 0", st.DiskEvictions)
-	}
-}
-
 // TestStoreDiskWriteFailureIsSoft: a failing disk tier costs a counter,
 // not the run.
 func TestStoreDiskWriteFailureIsSoft(t *testing.T) {
@@ -128,132 +101,5 @@ func TestStoreDiskWriteFailureIsSoft(t *testing.T) {
 	}
 	if st := store.Stats(); st.DiskErrors != 1 || st.DiskWrites != 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestStoreLRUEvicts: the memory tier is bounded; the least recently used
-// completed entry is evicted and recomputed on return (or re-read from
-// disk when one is attached).
-func TestStoreLRUEvicts(t *testing.T) {
-	store := NewStore()
-	store.SetMemoryBounds(2, 0)
-	tgt := &countingTarget{name: "stub"}
-	s := gpusim.FastSampling()
-	variants := []Variant{
-		DefaultVariant(s).WithL1("a", 1<<10),
-		DefaultVariant(s).WithL1("b", 2<<10),
-		DefaultVariant(s).WithL1("c", 3<<10),
-	}
-	for _, v := range variants {
-		if _, err := store.Run(tgt, "GRU", v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := store.Stats()
-	if st.Runs != 2 || st.RunEvictions != 1 {
-		t.Fatalf("after 3 inserts with bound 2: %+v", st)
-	}
-	// Variant "a" was evicted; it recomputes.  "c" is still resident.
-	if _, err := store.Run(tgt, "GRU", variants[0]); err != nil {
-		t.Fatal(err)
-	}
-	if n := tgt.runs.Load(); n != 4 {
-		t.Fatalf("target ran %d times, want 4 (3 cold + 1 re-fill)", n)
-	}
-	if _, err := store.Run(tgt, "GRU", variants[2]); err != nil {
-		t.Fatal(err)
-	}
-	if n := tgt.runs.Load(); n != 4 {
-		t.Fatalf("resident entry recomputed (runs = %d)", n)
-	}
-}
-
-// TestStoreLRUHitRefreshesRecency: touching an old entry protects it from
-// the next eviction.
-func TestStoreLRUHitRefreshesRecency(t *testing.T) {
-	store := NewStore()
-	store.SetMemoryBounds(2, 0)
-	tgt := &countingTarget{name: "stub"}
-	s := gpusim.FastSampling()
-	a := DefaultVariant(s).WithL1("a", 1<<10)
-	b := DefaultVariant(s).WithL1("b", 2<<10)
-	c := DefaultVariant(s).WithL1("c", 3<<10)
-	for _, v := range []Variant{a, b} {
-		if _, err := store.Run(tgt, "GRU", v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch "a" so "b" is now the LRU entry, then insert "c".
-	if _, err := store.Run(tgt, "GRU", a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Run(tgt, "GRU", c); err != nil {
-		t.Fatal(err)
-	}
-	runs := tgt.runs.Load()
-	if _, err := store.Run(tgt, "GRU", a); err != nil {
-		t.Fatal(err)
-	}
-	if tgt.runs.Load() != runs {
-		t.Fatal("refreshed entry was evicted instead of the LRU one")
-	}
-	if _, err := store.Run(tgt, "GRU", b); err != nil {
-		t.Fatal(err)
-	}
-	if tgt.runs.Load() != runs+1 {
-		t.Fatal("LRU entry should have been the one evicted")
-	}
-}
-
-// TestRunViaRemoteComputeFillsBothTiers: a caller-supplied ComputeFunc
-// (the coordinator's remote fetch) feeds the memory LRU and the disk tier
-// exactly like a local run, without ever invoking the target.
-func TestRunViaRemoteComputeFillsBothTiers(t *testing.T) {
-	disk := newFakeDisk()
-	store := NewStore()
-	store.SetDisk(disk)
-	tgt := &countingTarget{name: "stub"}
-	v := DefaultVariant(gpusim.FastSampling())
-
-	remote := &RunStats{Network: "GRU", Target: "stub", Seconds: 42}
-	calls := 0
-	rs, err := store.RunVia(context.Background(), tgt, "GRU", v, func(tr *Trace) (*RunStats, error) {
-		calls++
-		if tr == nil || tr.Network != "GRU" {
-			t.Errorf("compute got trace %+v", tr)
-		}
-		return remote, nil
-	})
-	if err != nil || rs != remote {
-		t.Fatalf("RunVia = %+v, %v", rs, err)
-	}
-	if calls != 1 || tgt.runs.Load() != 0 {
-		t.Fatalf("remote compute calls=%d target runs=%d", calls, tgt.runs.Load())
-	}
-	st := store.Stats()
-	if st.Computes != 0 || st.DiskWrites != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// The result is now cached: a plain Run serves it without computing.
-	rs2, err := store.Run(tgt, "GRU", v)
-	if err != nil || rs2 != remote {
-		t.Fatalf("cached RunVia result not served: %+v, %v", rs2, err)
-	}
-	if tgt.runs.Load() != 0 {
-		t.Fatal("cached remote result recomputed locally")
-	}
-
-	// A failing ComputeFunc is not cached; the next caller retries.
-	bad := DefaultVariant(gpusim.FastSampling()).WithL1("bad", 1<<10)
-	if _, err := store.RunVia(context.Background(), tgt, "GRU", bad, func(*Trace) (*RunStats, error) {
-		return nil, errors.New("worker down")
-	}); err == nil {
-		t.Fatal("remote failure should surface")
-	}
-	if rs3, err := store.Run(tgt, "GRU", bad); err != nil || rs3 == nil {
-		t.Fatalf("retry after remote failure = %+v, %v", rs3, err)
-	}
-	if tgt.runs.Load() != 1 {
-		t.Fatalf("local retry should compute once, runs = %d", tgt.runs.Load())
 	}
 }

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"tango/internal/coord"
 	"tango/internal/device"
 	"tango/internal/distcache"
 	"tango/internal/gpusim"
@@ -269,15 +267,6 @@ type SweepConfig struct {
 	// downstream tooling can join it against fast-tier throughput
 	// measurements without ambiguity.
 	Numerics string
-	// Workers distributes the sweep: each entry is a tango-char worker
-	// address (host:port or http:// URL) and cells are sharded across them
-	// round-robin by cell index.  A cell whose worker fails — unreachable,
-	// circuit breaker open, queue full, mismatched build — is computed
-	// locally instead, so worker failures degrade throughput, never the
-	// dataset.  Remote results flow through the same run cache as local
-	// ones and the merged dataset is byte-identical to a single-process
-	// sweep of the same cells.  Empty runs everything locally.
-	Workers []string
 	// CacheDir attaches a persistent on-disk run cache: the sweep uses a
 	// private store (empty in-memory tier) over the directory, so a cold
 	// sweep populates it and an identical sweep in a fresh process — or
@@ -289,12 +278,6 @@ type SweepConfig struct {
 	// cache counters after the sweep — Computes says how many cells
 	// actually ran a simulator backend (zero for a fully warm sweep).
 	CacheStats *CacheStats
-	// CacheMaxMB bounds the CacheDir disk tier's size in MiB; 0 leaves it
-	// unbounded.  Once a store pushes the tier past the bound, the oldest
-	// records (by file modification time) are evicted down to 90% of it,
-	// so long sweep campaigns churn the stale tail instead of growing the
-	// directory without bound.
-	CacheMaxMB int
 }
 
 // CacheStats is a snapshot of a run store's cache traffic; see
@@ -313,9 +296,6 @@ func attachEnvDiskCache() {
 			return
 		}
 		if d, err := distcache.Open(dir); err == nil {
-			if mb, err := strconv.Atoi(os.Getenv("TANGO_CACHE_MAX_MB")); err == nil && mb > 0 {
-				d.SetMaxBytes(int64(mb) << 20)
-			}
 			target.Shared().SetDisk(d)
 		}
 	})
@@ -463,23 +443,8 @@ func SweepContext(ctx context.Context, cfg SweepConfig) (*Dataset, error) {
 		if derr != nil {
 			return nil, fmt.Errorf("tango: sweep cache: %w", derr)
 		}
-		if cfg.CacheMaxMB > 0 {
-			d.SetMaxBytes(int64(cfg.CacheMaxMB) << 20)
-		}
 		store = target.NewStore()
 		store.SetDisk(d)
-	}
-	var pool *coord.Pool
-	if len(cfg.Workers) > 0 {
-		pool, err = coord.NewPool(cfg.Workers, coord.PoolConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("tango: sweep: %w", err)
-		}
-		if cfg.Parallelism <= 1 {
-			// Cells spend their time waiting on remote workers; give the
-			// dispatcher enough concurrency to keep every worker busy.
-			cfg.Parallelism = 2 * pool.Len()
-		}
 	}
 	records := make([]report.Record, len(cells))
 	backoff := resilience.Backoff{Attempts: cfg.CellRetries + 1}
@@ -493,23 +458,8 @@ func SweepContext(ctx context.Context, cfg SweepConfig) (*Dataset, error) {
 		runErr := resilience.Retry(ctx, backoff, func(ctx context.Context) error {
 			cellCtx, cancel := resilience.WithBudget(ctx, cfg.CellTimeout)
 			defer cancel()
-			var compute target.ComputeFunc
-			if pool != nil {
-				compute = func(tr *target.Trace) (*target.RunStats, error) {
-					rs, ferr := pool.Fetch(cellCtx, i, c.t, c.n, c.v, tr)
-					if ferr == nil {
-						return rs, nil
-					}
-					if cellCtx.Err() != nil {
-						return nil, ferr
-					}
-					// The worker failed this cell; compute it here so a
-					// dead worker costs throughput, not the dataset.
-					return store.ComputeCell(tr, c.t, c.v)
-				}
-			}
 			var err error
-			rs, err = store.RunVia(cellCtx, c.t, c.n, c.v, compute)
+			rs, err = store.RunCtx(cellCtx, c.t, c.n, c.v)
 			return err
 		})
 		if runErr != nil {
