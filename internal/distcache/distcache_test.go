@@ -25,11 +25,11 @@ var (
 	traceErr  error
 )
 
-func testTrace(t *testing.T) *target.Trace {
-	t.Helper()
+func testTrace(tb testing.TB) *target.Trace {
+	tb.Helper()
 	traceOnce.Do(func() { trace, traceErr = target.Extract("GRU") })
 	if traceErr != nil {
-		t.Fatalf("extract trace: %v", traceErr)
+		tb.Fatalf("extract trace: %v", traceErr)
 	}
 	return trace
 }
@@ -219,10 +219,7 @@ func TestDefectiveRecordsAreMisses(t *testing.T) {
 // survives Encode and a second Decode unchanged; and Load hits exactly when
 // Decode accepts.
 func FuzzDecode(f *testing.F) {
-	tr, err := target.Extract("GRU")
-	if err != nil {
-		f.Fatal(err)
-	}
+	tr := testTrace(f)
 	const gpuKey, fpgaKey = "fake-gpu\x00GRU\x00cfg", "fake-fpga\x00GRU\x00fpga"
 	gpu, err := Encode(gpuKey, gpuStats(tr))
 	if err != nil {
