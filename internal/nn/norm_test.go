@@ -142,3 +142,80 @@ func TestScaleErrors(t *testing.T) {
 		t.Error("non-CHW input should fail")
 	}
 }
+
+// lrnFastScalarLoop is the definition lrnCoreFast is held to: the rolling
+// float64 window sums and the two-square-root denominator, one element at a
+// time, every product rounded before the add that follows it.
+func lrnFastScalarLoop(o, in []float32, c, hw int, p LRNParams) {
+	half := p.LocalSize / 2
+	scale := p.Alpha / float64(p.LocalSize)
+	sums := make([]float64, hw)
+	for cc := 0; cc <= half && cc < c; cc++ {
+		for i := 0; i < hw; i++ {
+			v := float64(in[cc*hw+i])
+			sums[i] += float64(v * v)
+		}
+	}
+	for ch := 0; ch < c; ch++ {
+		for i := 0; i < hw; i++ {
+			d := p.K + float64(scale*sums[i])
+			o[ch*hw+i] = float32(float64(in[ch*hw+i]) / math.Sqrt(d*math.Sqrt(d)))
+		}
+		if add := ch + half + 1; add < c {
+			for i := 0; i < hw; i++ {
+				v := float64(in[add*hw+i])
+				sums[i] += float64(v * v)
+			}
+		}
+		if sub := ch - half; sub >= 0 {
+			for i := 0; i < hw; i++ {
+				v := float64(in[sub*hw+i])
+				sums[i] -= float64(v * v)
+			}
+		}
+	}
+}
+
+// TestLRNFastMatchesScalarLoop: lrnCoreFast writes the scalar loop's bits on
+// every SIMD rung, for plane sizes on both sides of every vector width
+// (AlexNet's 3025 and 729 are odd) and channel counts below, at and above the
+// window, with signed zeros, denormals, infinities and NaNs in the input.  A
+// NaN must come out a NaN; which payload an Inf-Inf window sum or two NaN
+// operands leave is not pinned.
+func TestLRNFastMatchesScalarLoop(t *testing.T) {
+	denormal := math.Float32frombits(1)
+	salt := []float32{0, float32(math.Copysign(0, -1)), denormal, -denormal,
+		math.Float32frombits(0x007fffff), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), 3.4e38, -3.4e38, 1e-20}
+	detected := tensor.DetectedTier()
+	defer tensor.SetFastTier(detected)
+	p := DefaultLRN()
+	r := tensor.NewRNG(29)
+	for _, hw := range []int{1, 7, 8, 9, 169, 729, 3025} {
+		for _, c := range []int{1, 2, 5, 96} {
+			for _, salted := range []bool{false, true} {
+				in := tensor.New(c * hw)
+				in.FillUniform(r, -60, 60)
+				if salted {
+					for i, v := range salt {
+						in.Data()[(i*131+hw/2)%(c*hw)] = v
+					}
+				}
+				want := make([]float32, c*hw)
+				lrnFastScalarLoop(want, in.Data(), c, hw, p)
+				for tier := tensor.TierGeneric; tier <= detected; tier++ {
+					tensor.SetFastTier(tier)
+					got := make([]float32, c*hw)
+					lrnCoreFast(got, in.Data(), c, hw, 1, p, make([]float64, hw))
+					for i := range want {
+						g, w := got[i], want[i]
+						if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+							t.Fatalf("%v rung hw=%d c=%d salted=%v: [%d] = %v (%#x), scalar loop %v (%#x)",
+								tier, hw, c, salted, i, g, math.Float32bits(g), w, math.Float32bits(w))
+						}
+					}
+				}
+			}
+		}
+	}
+}

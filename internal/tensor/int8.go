@@ -162,6 +162,12 @@ func Int8PackedLen(kPad, n int) int {
 	return (n + int8NR - 1) / int8NR * int8NR * kPad
 }
 
+// Int8AccLen returns the int32 staging length GemmInt8 and GemmInt8Panel need
+// for an m-row, n-column product.
+func Int8AccLen(m, n int) int {
+	return m * n
+}
+
 // PackColsU8 quantizes the l-major k x n float32 matrix b (row stride ldb)
 // into the column-tile-major u8 block layout the int8 GEMM kernel consumes:
 // tiles of int8NR columns store their depth-4-interleaved blocks

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -179,5 +180,91 @@ func TestPackInt8VectorMatchesScalar(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGemmInt8PanelMatchesScalar pins the int8 product itself, kernel tile
+// shape, ragged edges and dequantization together: GemmInt8 (1 and 4 workers)
+// and GemmInt8Panel (output rows wider than the panel) against an oracle that
+// never sees the tile layout — quantize every activation with the tier's one
+// rounding, sum w*u8 in int32, dequantize as gemmInt8Rows does — bit for bit,
+// on every rung.  m, n and k straddle every row tile, column tile and depth
+// block a kernel may use; -short keeps one m per residue.
+func TestGemmInt8PanelMatchesScalar(t *testing.T) {
+	ms := []int{1, 3, 4, 5, 8, 12, 13, 96}
+	if testing.Short() {
+		ms = []int{3, 13}
+	}
+	r := NewRNG(23)
+	for _, m := range ms {
+		for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 31, 169, 217, 512} {
+			for _, k := range []int{1, 31, 32, 33, 363, 1200} {
+				a := make([]float32, m*k)
+				b := make([]float32, k*n)
+				fillRand(r, a)
+				fillRand(r, b)
+				var bias []float32
+				if (m+n+k)%2 == 0 {
+					bias = make([]float32, m)
+					fillRand(r, bias)
+				}
+				xScale := U8Scale(maxAbsF32(b))
+				inv := 1 / xScale
+				q := make([]int32, len(b))
+				for i, v := range b {
+					q[i] = roundHalfAway(float32(v*inv)) + 128
+				}
+				var want []float32
+				forRungs(TierGeneric, func() {
+					pw := PackInt8(a, m, k)
+					if want == nil { // PackInt8 is rung-independent (TestPackInt8VectorMatchesScalar)
+						want = make([]float32, m*n)
+						for i := 0; i < m; i++ {
+							f := pw.scales[i] * xScale
+							for j := 0; j < n; j++ {
+								var s int32
+								for l := 0; l < k; l++ {
+									s += int32(pw.wq[i*pw.kPad+l]) * q[l*n+j]
+								}
+								want[i*n+j] = float32(float32(s-pw.comp[i]) * f)
+								if bias != nil {
+									want[i*n+j] += bias[i]
+								}
+							}
+						}
+					}
+					bp := make([]uint8, Int8PackedLen(pw.kPad, n))
+					if s := PackColsU8(bp, b, k, n, n, pw.kPad); s != xScale {
+						t.Fatalf("%v rung: activation scale %v, want %v", FastTier(), s, xScale)
+					}
+					check := func(what string, got []float32, ldd int) {
+						t.Helper()
+						for i := 0; i < m; i++ {
+							for j := 0; j < ldd; j++ {
+								w := float32(-7) // the sentinel: columns past n stay untouched
+								if j < n {
+									w = want[i*n+j]
+								}
+								if g := got[i*ldd+j]; math.Float32bits(g) != math.Float32bits(w) {
+									t.Fatalf("%v rung %s m=%d n=%d k=%d: [%d][%d] = %v, want %v", FastTier(), what, m, n, k, i, j, g, w)
+								}
+							}
+						}
+					}
+					for _, workers := range []int{1, 4} {
+						got := make([]float32, m*n)
+						GemmInt8(got, pw, bp, make([]int32, Int8AccLen(m, n)), bias, xScale, n, workers)
+						check(fmt.Sprintf("GemmInt8/w%d", workers), got, n)
+					}
+					ldd := n + 3
+					got := make([]float32, m*ldd)
+					for i := range got {
+						got[i] = -7
+					}
+					GemmInt8Panel(got, pw, bp, make([]int32, Int8AccLen(m, n)), bias, xScale, n, ldd)
+					check("GemmInt8Panel", got, ldd)
+				})
+			}
+		}
 	}
 }
