@@ -58,7 +58,7 @@ func (s *Scratch) convFused(o, in, biasData []float32, pk *ConvPack, p ConvParam
 	var u8len, accLen int
 	if int8Path {
 		u8len = tensor.Int8PackedLen(pk.q[0].KPad(), ncMax)
-		accLen = outCPerGroup * ncMax
+		accLen = tensor.Int8AccLen(outCPerGroup, ncMax)
 	}
 
 	for g := 0; g < groups; g++ {
@@ -84,8 +84,8 @@ func (s *Scratch) convFused(o, in, biasData []float32, pk *ConvPack, p ConvParam
 		if int8Path {
 			scales = s.qscaleBuf(nImg)
 			for img := 0; img < nImg; img++ {
-				maxAbs := maxAbsStrided(in[img*sampleStride:], 1, 0, icBase*inH*inW, inCPerGroup*inH*inW)
-				scales[img] = tensor.U8Scale(maxAbs)
+				planes := in[img*sampleStride+icBase*inH*inW:][:inCPerGroup*inH*inW]
+				scales[img] = tensor.U8Scale(tensor.MaxAbs(planes))
 			}
 		}
 		w := workers
@@ -301,24 +301,6 @@ func packPatchRow(row, plane []float32, inH, inW int, p ConvParams, outH, outW, 
 		oy++
 		ox = 0
 	}
-}
-
-// maxAbsStrided returns the maximum absolute value over the same off/length
-// window of nImg sample-major blocks.
-func maxAbsStrided(in []float32, nImg, sampleStride, off, length int) float32 {
-	var m float32
-	for img := 0; img < nImg; img++ {
-		seg := in[img*sampleStride+off : img*sampleStride+off+length]
-		for _, v := range seg {
-			if v < 0 {
-				v = -v
-			}
-			if v > m {
-				m = v
-			}
-		}
-	}
-	return m
 }
 
 // qscaleBuf returns the per-image activation-scale buffer of the fused int8

@@ -346,7 +346,7 @@ func (s *Scratch) FullyConnectedBatchPacked(input, weights, bias *tensor.Tensor,
 		yT := s.batchBuf(1, outFeatures*nImg)
 		kPad := pk.q.KPad()
 		bp := s.u8buf(0, tensor.Int8PackedLen(kPad, nImg))
-		acc := s.accbuf(0, outFeatures*nImg)
+		acc := s.accbuf(0, tensor.Int8AccLen(outFeatures, nImg))
 		xs := tensor.PackColsU8(bp, xT, inF, nImg, nImg, kPad)
 		tensor.GemmInt8(yT, pk.q, bp, acc, biasData, xs, nImg, workers)
 		transposeToRowsPar(out.Data(), yT, nImg, outFeatures, nImg, workers)

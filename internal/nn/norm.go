@@ -115,40 +115,27 @@ func (s *Scratch) lrnSums(n int) []float64 {
 //     Squares of float32 values are exact in float64 (24-bit mantissas), so
 //     the only reassociation error is the additions' rounding drift.
 //   - The denominator d^0.75 = sqrt(d*sqrt(d)) uses two hardware square
-//     roots instead of math.Pow, and the division becomes a multiply by the
-//     reciprocal.
+//     roots instead of math.Pow (tensor.LRNStep75: its scalar loop is the
+//     definition of a channel step, its vector rung writes the same bits).
 func lrnCoreFast(o, in []float32, c, h, w int, p LRNParams, sums []float64) {
 	half := p.LocalSize / 2
 	scale := p.Alpha / float64(p.LocalSize)
 	hw := h * w
-	for i := range sums {
-		sums[i] = 0
-	}
+	clear(sums)
 	for cc := 0; cc <= half && cc < c; cc++ {
-		plane := in[cc*hw : (cc+1)*hw]
-		for i, v := range plane {
+		for i, v := range in[cc*hw : (cc+1)*hw] {
 			sums[i] += float64(v) * float64(v)
 		}
 	}
 	for ch := 0; ch < c; ch++ {
-		src := in[ch*hw : (ch+1)*hw]
-		dst := o[ch*hw : (ch+1)*hw]
-		for i, v := range src {
-			d := p.K + scale*sums[i]
-			dst[i] = float32(float64(v) / math.Sqrt(d*math.Sqrt(d)))
+		var add, sub []float32
+		if a := ch + half + 1; a < c {
+			add = in[a*hw : (a+1)*hw]
 		}
-		if add := ch + half + 1; add < c {
-			plane := in[add*hw : (add+1)*hw]
-			for i, v := range plane {
-				sums[i] += float64(v) * float64(v)
-			}
+		if s := ch - half; s >= 0 {
+			sub = in[s*hw : (s+1)*hw]
 		}
-		if sub := ch - half; sub >= 0 {
-			plane := in[sub*hw : (sub+1)*hw]
-			for i, v := range plane {
-				sums[i] -= float64(v) * float64(v)
-			}
-		}
+		tensor.LRNStep75(o[ch*hw:(ch+1)*hw], in[ch*hw:(ch+1)*hw], sums, add, sub, p.K, scale)
 	}
 }
 

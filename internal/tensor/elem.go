@@ -1,9 +1,12 @@
 package tensor
 
-// Elementwise kernels behind the activation and pooling layers.  Each scalar
-// loop is its function's definition, the portable rung and every stride but
-// 2; on the vector rung (gemmNNVector, which ForcePortableGemmNN switches off)
-// an AVX2 kernel of elem_amd64.s writes the same bits for every input.
+import "math"
+
+// Elementwise kernels behind the activation, pooling and LRN layers.  Each
+// scalar loop is its function's definition, the portable rung and every
+// stride but 2; on the vector rung (gemmNNVector, which ForcePortableGemmNN
+// switches off; SetFastTier's ladder for the fast tiers' LRNStep75) a kernel
+// of elem_amd64.s writes the same bits for every input.
 
 // ReLU writes src to dst with every negative element, -Inf included, replaced
 // by +0.  An element `v < 0` is false for keeps its bits: +0 and positives,
@@ -53,5 +56,30 @@ func AddStride(acc, src []float32, stride int) {
 	}
 	for i := range acc {
 		acc[i] += src[i*stride]
+	}
+}
+
+// LRNStep75 is one channel of the fast tiers' rolling LRN: dst[i] = src[i] /
+// d^0.75, d = k + scale*sums[i], in float64 with the power as sqrt(d*sqrt(d))
+// and one rounding to float32; then sums[i] gains the square of the plane
+// entering the window and loses that of the one leaving (nil at the edges).
+// Each operation is correctly rounded and none fused, so VSQRTPD/VDIVPD over
+// whole groups of eight, on a channel with both planes, write this loop's
+// bits.  All slices are at least len(dst) long.
+func LRNStep75(dst, src []float32, sums []float64, add, sub []float32, k, scale float64) {
+	i := 0
+	if n := len(dst) &^ 7; n > 0 && add != nil && sub != nil && fastTier >= TierFMA {
+		lrnStep75AVX(dst[:n], src, sums, add, sub, k, scale)
+		i = n
+	}
+	for ; i < len(dst); i++ {
+		d := k + float64(scale*sums[i])
+		dst[i] = float32(float64(src[i]) / math.Sqrt(d*math.Sqrt(d)))
+		if add != nil {
+			sums[i] += float64(add[i]) * float64(add[i])
+		}
+		if sub != nil {
+			sums[i] -= float64(sub[i]) * float64(sub[i])
+		}
 	}
 }

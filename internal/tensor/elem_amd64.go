@@ -17,3 +17,9 @@ func maxStride2AVX2(acc, src []float32)
 //
 //go:noescape
 func addStride2AVX2(acc, src []float32)
+
+// lrnStep75AVX is LRNStep75 over len(dst) elements, a positive multiple of 8,
+// add and sub present; it needs AVX only, which TierFMA implies.
+//
+//go:noescape
+func lrnStep75AVX(dst, src []float32, sums []float64, add, sub []float32, k, scale float64)

@@ -1,8 +1,9 @@
-// AVX2 elementwise kernels (see elem.go): ReLU and the stride-2 max/add taps
-// of pooling.  Every load and store is a VMASKMOVPS, which neither touches nor
-// faults on a masked-off lane: all lanes on while more than a vector of
-// outputs is left, then one last step with the lanes that remain, so no byte
-// outside the slices is read or written.
+// AVX2 elementwise kernels (see elem.go): ReLU, the stride-2 max/add taps of
+// pooling, and the LRN step (whole vectors only; unmasked).  Every other load
+// and store is a VMASKMOVPS, which neither touches nor faults on a masked-off
+// lane: all lanes on while more than a vector of outputs is left, then one
+// last step with the lanes that remain, so no byte outside the slices is read
+// or written.
 
 #include "textflag.h"
 
@@ -104,3 +105,62 @@ TEXT ·maxStride2AVX2(SB), NOSPLIT, $0-48
 // VADDPS, never FMA: one rounding per tap, as the scalar `acc += v`.
 TEXT ·addStride2AVX2(SB), NOSPLIT, $0-48
 	STRIDE2(VADDPS)
+
+// func lrnStep75AVX(dst, src []float32, sums []float64, add, sub []float32, k, scale float64)
+//
+// LRNStep75 eight elements a step as two four-lane chains (the divider halves
+// a 512-bit VSQRTPD/VDIVPD, so wider lanes buy nothing).  Products and sums
+// are separate instructions, never an FMA, and dst is stored before add and
+// sub are loaded: the scalar loop's roundings and order.
+TEXT ·lrnStep75AVX(SB), NOSPLIT, $0-136
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ sums_base+48(FP), BX
+	MOVQ add_base+72(FP), R8
+	MOVQ sub_base+96(FP), R9
+	VBROADCASTSD k+120(FP), Y15
+	VBROADCASTSD scale+128(FP), Y14
+	XORQ AX, AX              // element index
+
+lrn75:
+	VMOVUPD    (BX)(AX*8), Y6
+	VMOVUPD    32(BX)(AX*8), Y7
+	VCVTPS2PD  (SI)(AX*4), Y0
+	VCVTPS2PD  16(SI)(AX*4), Y3
+	VMULPD     Y6, Y14, Y1
+	VMULPD     Y7, Y14, Y4
+	VADDPD     Y1, Y15, Y1   // d
+	VADDPD     Y4, Y15, Y4
+	VSQRTPD    Y1, Y2
+	VSQRTPD    Y4, Y5
+	VMULPD     Y2, Y1, Y2
+	VMULPD     Y5, Y4, Y5
+	VSQRTPD    Y2, Y2        // d^0.75
+	VSQRTPD    Y5, Y5
+	VDIVPD     Y2, Y0, Y0
+	VDIVPD     Y5, Y3, Y3
+	VCVTPD2PSY Y0, X0
+	VCVTPD2PSY Y3, X3
+	VMOVUPS    X0, (DI)(AX*4)
+	VMOVUPS    X3, 16(DI)(AX*4)
+	VCVTPS2PD  (R8)(AX*4), Y8
+	VCVTPS2PD  16(R8)(AX*4), Y9
+	VCVTPS2PD  (R9)(AX*4), Y10
+	VCVTPS2PD  16(R9)(AX*4), Y11
+	VMULPD     Y8, Y8, Y8
+	VMULPD     Y9, Y9, Y9
+	VMULPD     Y10, Y10, Y10
+	VMULPD     Y11, Y11, Y11
+	VADDPD     Y8, Y6, Y6
+	VADDPD     Y9, Y7, Y7
+	VSUBPD     Y10, Y6, Y6
+	VSUBPD     Y11, Y7, Y7
+	VMOVUPD    Y6, (BX)(AX*8)
+	VMOVUPD    Y7, 32(BX)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  lrn75
+
+	VZEROUPPER
+	RET

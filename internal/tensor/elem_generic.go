@@ -10,3 +10,7 @@ func reluAVX2(dst, src []float32) { panic("tensor: vector relu kernel unavailabl
 func maxStride2AVX2(acc, src []float32) { panic("tensor: vector stride kernel unavailable") }
 
 func addStride2AVX2(acc, src []float32) { panic("tensor: vector stride kernel unavailable") }
+
+func lrnStep75AVX(dst, src []float32, sums []float64, add, sub []float32, k, scale float64) {
+	panic("tensor: vector lrn kernel unavailable")
+}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -37,4 +38,82 @@ func TestStride2KernelsStayInBounds(t *testing.T) {
 			ReLU(acc, floats[len(floats)-n:])
 		}
 	}
+}
+
+// guarded returns n bytes that end on the last mapped byte of a page, with a
+// PROT_NONE page behind them.
+func guarded(t *testing.T, n int) []byte {
+	t.Helper()
+	page := syscall.Getpagesize()
+	size := (n+page-1)/page*page + page
+	mem, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	if err := syscall.Mprotect(mem[size-page:], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	return mem[size-page-n : size-page : size-page]
+}
+
+// guardedOf is guarded as n elements of T, filled from src when given.
+func guardedOf[T any](t *testing.T, n int, src []T) []T {
+	var zero T
+	out := unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(guarded(t, n*int(unsafe.Sizeof(zero)))))), n)
+	copy(out, src)
+	return out
+}
+
+// TestInt8KernelsStayInBounds runs the int8 product on every rung with the
+// last byte of the packed activations, the weight rows, the acc staging rows
+// and the output each on the last mapped byte of a page, for shapes with a
+// ragged last column tile, remainder rows and a ragged quantizer half tile:
+// a kernel that reads or writes past a buffer faults.  The bits must be the
+// heap run's.
+func TestInt8KernelsStayInBounds(t *testing.T) {
+	r := NewRNG(41)
+	for _, g := range [][3]int{{8, 17, 33}, {16, 16, 64}, {11, 41, 5}, {24, 9, 100}} {
+		m, n, k := g[0], g[1], g[2]
+		a, b, bias := make([]float32, m*k), make([]float32, k*n), make([]float32, m)
+		fillRand(r, a)
+		fillRand(r, b)
+		fillRand(r, bias)
+		forRungs(TierGeneric, func() {
+			heap := PackInt8(a, m, k)
+			pw := *heap
+			pw.wq = guardedOf(t, len(heap.wq), heap.wq)
+			bpHeap := make([]uint8, Int8PackedLen(pw.kPad, n))
+			xScale := PackColsU8(bpHeap, b, k, n, n, pw.kPad)
+			want := make([]float32, m*n)
+			GemmInt8Panel(want, heap, bpHeap, make([]int32, Int8AccLen(m, n)), bias, xScale, n, n)
+
+			bp := guardedOf[uint8](t, len(bpHeap), nil)
+			if s := PackColsU8(bp, guardedOf(t, len(b), b), k, n, n, pw.kPad); s != xScale {
+				t.Fatalf("%v rung: scale %v from guarded source, %v from heap", FastTier(), s, xScale)
+			}
+			got := guardedOf[float32](t, m*n, nil)
+			GemmInt8Panel(got, &pw, bp, guardedOf[int32](t, Int8AccLen(m, n), nil), bias, xScale, n, n)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%v rung m=%d n=%d k=%d: [%d] = %v, heap run %v", FastTier(), m, n, k, i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestLRNStepStaysInBounds: LRNStep75 with every slice ending on the last
+// mapped byte of a page, every length 1..40, on every rung.
+func TestLRNStepStaysInBounds(t *testing.T) {
+	r := NewRNG(43)
+	forRungs(TierGeneric, func() {
+		for n := 1; n <= 40; n++ {
+			src, add, sub := guardedOf[float32](t, n, nil), guardedOf[float32](t, n, nil), guardedOf[float32](t, n, nil)
+			fillRand(r, src)
+			fillRand(r, add)
+			fillRand(r, sub)
+			LRNStep75(guardedOf[float32](t, n, nil), src, guardedOf[float64](t, n, nil), add, sub, 2, 2e-5)
+		}
+	})
 }

@@ -81,7 +81,7 @@ func BenchmarkGemmInt8(b *testing.B) {
 	fillRand(r, bias)
 	pw := PackInt8(a, m, k)
 	bp := make([]uint8, Int8PackedLen(pw.KPad(), n))
-	acc := make([]int32, m*n)
+	acc := make([]int32, Int8AccLen(m, n))
 	dst := make([]float32, m*n)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -119,7 +119,7 @@ func BenchmarkGemmInt8Panel(b *testing.B) {
 				pw := PackInt8(a, s.m, s.k)
 				bp := make([]uint8, Int8PackedLen(pw.KPad(), nc))
 				xScale := PackColsU8(bp, bb, s.k, nc, nc, pw.KPad())
-				acc := make([]int32, s.m*nc)
+				acc := make([]int32, Int8AccLen(s.m, nc))
 				dst := make([]float32, s.m*nc)
 				benchRungs(b, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
@@ -141,7 +141,7 @@ func BenchmarkQuantizePanelU8(b *testing.B) {
 			panel := make([]float32, FusedKC*nc)
 			fillRand(NewRNG(5), panel)
 			dst := make([]uint8, Int8PackedLen(FusedKC, nc))
-			inv := 127 / maxAbsF32(panel)
+			inv := 127 / MaxAbs(panel)
 			benchRungs(b, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					QuantizePanelU8(dst, panel, 0, FusedKC, nc, FusedKC, inv)

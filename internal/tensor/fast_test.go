@@ -229,13 +229,13 @@ func TestGemmInt8TierExact(t *testing.T) {
 			pw := tensor.PackInt8(w, s.m, s.k)
 			bp := make([]uint8, tensor.Int8PackedLen(pw.KPad(), s.n))
 			xScale := tensor.PackColsU8(bp, b, s.k, s.n, s.n, pw.KPad())
-			acc := make([]int32, s.m*s.n)
+			acc := make([]int32, tensor.Int8AccLen(s.m, s.n))
 			out := make([]float32, s.m*s.n)
 			tensor.GemmInt8(out, pw, bp, acc, bias, xScale, s.n, 1)
 
 			// Every worker count must match exactly.
 			out4 := make([]float32, s.m*s.n)
-			acc4 := make([]int32, s.m*s.n)
+			acc4 := make([]int32, tensor.Int8AccLen(s.m, s.n))
 			tensor.GemmInt8(out4, pw, bp, acc4, bias, xScale, s.n, 4)
 			for i := range out {
 				if math.Float32bits(out[i]) != math.Float32bits(out4[i]) {

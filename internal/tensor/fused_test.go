@@ -217,7 +217,7 @@ func TestGemmInt8PanelMatchesGemmInt8(t *testing.T) {
 			scale := tensor.PackColsU8(bp, b, k, n, n, kPad)
 			if tier == tensor.TierGeneric {
 				want = make([]float32, m*n)
-				tensor.GemmInt8(want, pw, bp, make([]int32, m*n), bias, scale, n, 1)
+				tensor.GemmInt8(want, pw, bp, make([]int32, tensor.Int8AccLen(m, n)), bias, scale, n, 1)
 			}
 
 			inv := 1 / scale
@@ -239,14 +239,15 @@ func TestGemmInt8PanelMatchesGemmInt8(t *testing.T) {
 						fillPanel(panel[:kc*nc], b, n, kb, kc, p0, nc)
 						tensor.QuantizePanelU8(u8p, panel[:kc*nc], kb, kc, nc, kPad, inv)
 					}
-					back := make([]int32, m*nc+64)
+					accLen := tensor.Int8AccLen(m, nc)
+					back := make([]int32, accLen+64)
 					for i := range back {
 						back[i] = canary
 					}
-					tensor.GemmInt8Panel(got[p0:], pw, u8p, back[:m*nc:m*nc], bias, scale, nc, n)
-					for i, v := range back[m*nc:] {
+					tensor.GemmInt8Panel(got[p0:], pw, u8p, back[:accLen:accLen], bias, scale, nc, n)
+					for i, v := range back[accLen:] {
 						if v != canary {
-							t.Fatalf("tier %v m=%d nc=%d: wrote %d past acc[m*nc] at +%d", tier, m, nc, v, i)
+							t.Fatalf("tier %v m=%d nc=%d: wrote %d past acc[Int8AccLen] at +%d", tier, m, nc, v, i)
 						}
 					}
 				}

@@ -51,18 +51,18 @@ func serialRows(rows int, volume int64, workers int) bool {
 	return workers <= 1 || rows < 2*gemmMR || volume < 1<<15
 }
 
-// forEachRowPanel splits rows into contiguous register-tile-aligned panels
-// and runs fn(r0, r1) for each on up to workers goroutines.  Callers gate
-// with serialRows first.  Panel boundaries never affect results: each output
-// row belongs to exactly one panel.
-func forEachRowPanel(rows, workers int, fn func(r0, r1 int)) {
-	if workers > rows/gemmMR {
-		workers = rows / gemmMR
+// forEachRowPanel splits rows into contiguous panels aligned to the kernel's
+// mr-row register tile (rows >= mr) and runs fn(r0, r1) for each on up to
+// workers goroutines.  Callers gate with serialRows first.  Panel boundaries
+// never affect results: each output row belongs to exactly one panel.
+func forEachRowPanel(rows, workers, mr int, fn func(r0, r1 int)) {
+	if workers > rows/mr {
+		workers = rows / mr
 	}
 	chunk := (rows + workers - 1) / workers
 	// Align panel boundaries to the register tile so only the last panel
 	// runs the remainder rows.
-	chunk = (chunk + gemmMR - 1) / gemmMR * gemmMR
+	chunk = (chunk + mr - 1) / mr * mr
 	panels := (rows + chunk - 1) / chunk
 	_ = par.ForEach(workers, panels, func(p int) error {
 		r0 := p * chunk
@@ -177,7 +177,7 @@ func MatVecBiasParallel(dst, w, x, bias []float32, rows, cols, workers int) {
 		matVecRows(dst, w, x, bias, cols, 0, rows)
 		return
 	}
-	forEachRowPanel(rows, workers, func(r0, r1 int) {
+	forEachRowPanel(rows, workers, gemmMR, func(r0, r1 int) {
 		matVecRows(dst, w, x, bias, cols, r0, r1)
 	})
 }

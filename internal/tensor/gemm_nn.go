@@ -65,7 +65,7 @@ func GemmNNParallel(dst, a, b, bias []float32, m, n, k, ldb, workers int) {
 		gemmNNRows(dst, a, b, bias, n, k, ldb, 0, m)
 		return
 	}
-	forEachRowPanel(m, workers, func(r0, r1 int) {
+	forEachRowPanel(m, workers, gemmMR, func(r0, r1 int) {
 		gemmNNRows(dst, a, b, bias, n, k, ldb, r0, r1)
 	})
 }

@@ -176,7 +176,7 @@ func GemmNNFastParallel(dst []float32, pa *PackedA, b, bias []float32, n, ldb, w
 		gemmNNFastRows(dst, pa, b, bias, n, ldb, ldb, 0, pa.m, t)
 		return
 	}
-	forEachRowPanel(pa.m, workers, func(r0, r1 int) {
+	forEachRowPanel(pa.m, workers, gemmMR, func(r0, r1 int) {
 		gemmNNFastRows(dst, pa, b, bias, n, ldb, ldb, r0, r1, t)
 	})
 }
@@ -194,7 +194,7 @@ func GemmNNFastStridedParallel(dst []float32, pa *PackedA, b, bias []float32, n,
 		gemmNNFastRows(dst, pa, b, bias, n, ldd, ldb, 0, pa.m, t)
 		return
 	}
-	forEachRowPanel(pa.m, workers, func(r0, r1 int) {
+	forEachRowPanel(pa.m, workers, gemmMR, func(r0, r1 int) {
 		gemmNNFastRows(dst, pa, b, bias, n, ldd, ldb, r0, r1, t)
 	})
 }
@@ -420,7 +420,7 @@ func MatVecFastParallel(dst, w, x, bias []float32, rows, cols, workers int) {
 		matVecFastRows(dst, w, x, bias, cols, 0, rows, t)
 		return
 	}
-	forEachRowPanel(rows, workers, func(r0, r1 int) {
+	forEachRowPanel(rows, workers, gemmMR, func(r0, r1 int) {
 		matVecFastRows(dst, w, x, bias, cols, r0, r1, t)
 	})
 }

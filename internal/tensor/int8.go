@@ -8,12 +8,13 @@ import "math"
 // scale, products accumulate exactly in int32 and results dequantize to
 // float32 at layer exit.
 //
-// Two representation choices serve the AVX2 microkernel while keeping every
-// tier bit-identical in integer space:
+// Two representation choices serve the vector microkernels while keeping
+// every tier bit-identical in integer space:
 //
 //   - Weights quantize to [-63, 63] instead of the full int8 range: the
-//     VPMADDUBSW step sums two adjacent u8*s8 products into an int16, and
-//     255*63*2 = 32130 is the widest weight range that cannot saturate it.
+//     AVX2 kernel's VPMADDUBSW step sums two adjacent u8*s8 products into
+//     an int16, and 255*63*2 = 32130 is the widest weight range that cannot
+//     saturate it (the VNNI kernel's VPDPBUSD sums straight into int32).
 //     The lost bit of weight precision is part of the tier's accuracy
 //     contract (validated by the top-1 golden tests).
 //   - Activations are stored offset-binary as u8 = q+128.  The kernel
@@ -32,8 +33,15 @@ const (
 	// int8KPad is the depth padding unit: one full iteration of the widest
 	// int8 kernel, so the vector kernels never need a scalar depth tail.
 	int8KPad = 32
-	// int8NR is the column tile of the int8 GEMM microkernel.
-	int8NR = 8
+	// int8NR is the column tile of the int8 GEMM microkernels: a tile's
+	// depth block (int8NR columns x 4 depth steps) is one 64-byte register.
+	int8NR = 16
+	// int8MR is the row tile of the int8 GEMM: the VNNI microkernel's eight
+	// weight rows, two calls of the AVX2 one.
+	int8MR = 8
+	// int8QuantCols is the column width of the vector quantizer: half a
+	// tile, so only nc%8 ragged columns take the scalar loop.
+	int8QuantCols = int8NR / 2
 )
 
 // PackedInt8 holds an m x k weight matrix quantized and packed once for the
@@ -82,7 +90,7 @@ func PackInt8(a []float32, m, k int) *PackedInt8 {
 	}
 	for i := 0; i < m; i++ {
 		row := a[i*k : i*k+k]
-		maxAbs := maxAbsF32(row)
+		maxAbs := MaxAbs(row)
 		scale := maxAbs / int8WeightMax
 		if maxAbs == 0 {
 			scale = 1
@@ -106,9 +114,9 @@ func PackInt8(a []float32, m, k int) *PackedInt8 {
 	return p
 }
 
-// maxAbsF32 returns the largest |v| in src (0 for an empty slice; NaNs are
+// MaxAbs returns the largest |v| in src (0 for an empty slice; NaNs are
 // skipped), on the vector rungs through maxAbsAVX2 with a scalar tail.
-func maxAbsF32(src []float32) float32 {
+func MaxAbs(src []float32) float32 {
 	var m float32
 	i := 0
 	if n := len(src) &^ 7; n > 0 && int8Vector() {
@@ -147,7 +155,7 @@ func quantRound(v float32, limit int32) int32 {
 // padding the caller needs; padded bytes are left untouched (padded weight
 // positions are zero, so their activation bytes never matter).
 func QuantizeU8(dst []uint8, src []float32) float32 {
-	scale := U8Scale(maxAbsF32(src))
+	scale := U8Scale(MaxAbs(src))
 	inv := 1 / scale
 	for i, v := range src {
 		dst[i] = uint8(quantRound(float32(v*inv), 127) + 128)
@@ -159,13 +167,18 @@ func QuantizeU8(dst []uint8, src []float32) float32 {
 // kPad x n matrix: column tiles of int8NR are padded up so the kernel can
 // stream whole tiles.
 func Int8PackedLen(kPad, n int) int {
-	return (n + int8NR - 1) / int8NR * int8NR * kPad
+	return int8ColsPadded(n) * kPad
 }
 
-// Int8AccLen returns the int32 staging length GemmInt8 and GemmInt8Panel need
-// for an m-row, n-column product.
+// Int8AccLen returns the int32 staging length of an m-row, n-column product:
+// rows are padded so the kernel stores the ragged last tile like any other.
 func Int8AccLen(m, n int) int {
-	return m * n
+	return m * int8ColsPadded(n)
+}
+
+// int8ColsPadded rounds n up to whole column tiles.
+func int8ColsPadded(n int) int {
+	return (n + int8NR - 1) &^ (int8NR - 1)
 }
 
 // PackColsU8 quantizes the l-major k x n float32 matrix b (row stride ldb)
@@ -180,7 +193,7 @@ func Int8AccLen(m, n int) int {
 func PackColsU8(dst []uint8, b []float32, k, n, ldb, kPad int) float32 {
 	var maxAbs float32
 	for l := 0; l < k; l++ {
-		if m := maxAbsF32(b[l*ldb : l*ldb+n]); m > maxAbs {
+		if m := MaxAbs(b[l*ldb : l*ldb+n]); m > maxAbs {
 			maxAbs = m
 		}
 	}
@@ -225,9 +238,9 @@ func QuantizePanelU8(dst []uint8, panel []float32, kb, kc, nc, kPad int, inv flo
 // quantizeTilesU8 is the one quantize-and-interleave core behind PackColsU8
 // and QuantizePanelU8: it writes the kc x nc block of src (rows lds floats
 // apart) at depth rows [kb, kb+kc) of the tile layout.  On the vector rungs
-// the whole 4-row x 8-column tile blocks go through quantTilesU8AVX2; the
-// scalar loop takes the ragged edges (nc%8 columns, kc%4 rows, a slab that
-// does not start on a depth block) and everything on the generic rung.
+// the whole 4-row x 8-column half-tile blocks go through quantTilesU8AVX2;
+// the scalar loop takes the ragged edges (nc%8 columns, kc%4 rows, a slab
+// that does not start on a depth block) and everything on the generic rung.
 func quantizeTilesU8(dst []uint8, src []float32, kb, kc, nc, lds, kPad int, inv float32) {
 	if kc <= 0 {
 		return
@@ -237,9 +250,9 @@ func quantizeTilesU8(dst []uint8, src []float32, kb, kc, nc, lds, kPad int, inv 
 		panic("tensor: u8 quantize buffers too small")
 	}
 	kcVec, ncVec := 0, 0
-	if int8Vector() && kb%4 == 0 && kc >= 4 && nc >= int8NR {
-		kcVec, ncVec = kc&^3, nc&^(int8NR-1)
-		quantTilesU8AVX2(dst[kb*int8NR:], src, kcVec/4, ncVec/int8NR, lds, kPad, inv)
+	if int8Vector() && kb%4 == 0 && kc >= 4 && nc >= int8QuantCols {
+		kcVec, ncVec = kc&^3, nc&^(int8QuantCols-1)
+		quantTilesU8AVX2(dst[kb*int8NR:], src, kcVec/4, ncVec/int8QuantCols, lds, kPad, inv)
 		quantizeTilesScalar(dst, src, kb, 0, kcVec, ncVec, nc, lds, kPad, inv)
 	}
 	quantizeTilesScalar(dst, src, kb, kcVec, kc, 0, nc, lds, kPad, inv)
@@ -263,16 +276,16 @@ func quantizeTilesScalar(dst []uint8, src []float32, kb, l0, l1, j0, j1, lds, kP
 // weight row i and j in [0, nc).  bp holds the full-depth packed
 // activations of the panel's nc columns (PackColsU8 / QuantizePanelU8
 // layout with n = nc, quantized with xScale); acc is the int32 staging
-// buffer (>= m*nc).  Unlike the float fused path there is no depth-slab
-// accumulation — the int8 kernel consumes the whole padded depth in one
-// pass — so one call finishes the panel.  Integer accumulation is exact:
-// results are identical for any panel grid, tier or worker fan-out.
+// buffer (Int8AccLen(m, nc)).  Unlike the float fused path there is no
+// depth-slab accumulation — the int8 kernel consumes the whole padded depth
+// in one pass — so one call finishes the panel.  Integer accumulation is
+// exact: results are identical for any panel grid, tier or worker fan-out.
 func GemmInt8Panel(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias []float32, xScale float32, nc, ldd int) {
 	m, kPad := pw.m, pw.kPad
 	if nc <= 0 {
 		panic("tensor: GemmInt8Panel nc must be positive")
 	}
-	if ldd < nc || len(dst) < (m-1)*ldd+nc || len(acc) < m*nc || len(bp) < Int8PackedLen(kPad, nc) {
+	if ldd < nc || len(dst) < (m-1)*ldd+nc || len(acc) < Int8AccLen(m, nc) || len(bp) < Int8PackedLen(kPad, nc) {
 		panic("tensor: GemmInt8Panel buffers too small")
 	}
 	if bias != nil && len(bias) < m {
@@ -315,15 +328,15 @@ func zeroPad8(dst []uint8, k, n, kPad int) {
 // GemmInt8 computes dst = dequant(Wq * Xq) + bias for the packed int8
 // weight matrix pw (m x k) against the packed u8 activation matrix bp
 // (PackColsU8 layout, kPad x n, quantized with xScale).  acc is the int32
-// accumulator staging buffer (>= m*n); dst is m x n row-major.  bias has
-// one element per row and may be nil.  The integer accumulation is exact,
-// so results are identical across tiers and worker counts.
+// accumulator staging buffer (Int8AccLen(m, n)); dst is m x n row-major.
+// bias has one element per row and may be nil.  The integer accumulation is
+// exact, so results are identical across tiers and worker counts.
 func GemmInt8(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias []float32, xScale float32, n, workers int) {
 	m, kPad := pw.m, pw.kPad
 	if n <= 0 {
 		panic("tensor: GemmInt8 n must be positive")
 	}
-	if len(dst) < m*n || len(acc) < m*n || len(bp) < Int8PackedLen(kPad, n) {
+	if len(dst) < m*n || len(acc) < Int8AccLen(m, n) || len(bp) < Int8PackedLen(kPad, n) {
 		panic("tensor: GemmInt8 buffers too small")
 	}
 	if bias != nil && len(bias) < m {
@@ -333,37 +346,25 @@ func GemmInt8(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias []flo
 		gemmInt8Rows(dst, pw, bp, acc, bias, xScale, n, n, 0, m)
 		return
 	}
-	forEachRowPanel(m, workers, func(r0, r1 int) {
+	forEachRowPanel(m, workers, int8MR, func(r0, r1 int) {
 		gemmInt8Rows(dst, pw, bp, acc, bias, xScale, n, n, r0, r1)
 	})
 }
 
 // gemmInt8Rows computes weight rows [r0, r1) of an n-column int8 product
-// into acc (row stride n) and dequantizes them into dst (row stride ldd).
+// into acc (rows padded to whole column tiles) and dequantizes them into dst
+// (row stride ldd).
 func gemmInt8Rows(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias []float32, xScale float32, n, ldd, r0, r1 int) {
 	kPad := pw.kPad
+	nPad := int8ColsPadded(n)
 	i := r0
 	if int8Vector() {
-		ncVec := n &^ (int8NR - 1)
-		for ; i+nnMR <= r1; i += nnMR {
-			w := pw.wq[i*kPad:]
-			if ncVec > 0 {
-				gemmInt8Kernel(acc[i*n:], w, bp, kPad/4, ncVec, kPad, n)
-			}
-			if ncVec < n {
-				// The ragged last tile is stored whole in bp, so it runs
-				// through the vector kernel too — into a temporary, because
-				// acc holds exactly n columns per row.
-				var tile [nnMR * int8NR]int32
-				gemmInt8Kernel(tile[:], w, bp[ncVec*kPad:], kPad/4, int8NR, kPad, int8NR)
-				for r := 0; r < nnMR; r++ {
-					copy(acc[(i+r)*n+ncVec:(i+r)*n+n], tile[r*int8NR:])
-				}
-			}
+		for ; i+int8MR <= r1; i += int8MR {
+			gemmInt8Kernel(acc[i*nPad:], pw.wq[i*kPad:], bp, kPad/4, nPad, kPad)
 		}
 	}
 	if i < r1 {
-		gemmInt8Scalar(acc, pw.wq, bp, kPad, n, i, r1)
+		gemmInt8Scalar(acc, pw.wq, bp, kPad, n, nPad, i, r1)
 	}
 	for i := r0; i < r1; i++ {
 		f := pw.scales[i] * xScale
@@ -372,18 +373,24 @@ func gemmInt8Rows(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias [
 		if bias != nil {
 			b0 = bias[i]
 		}
-		ai := acc[i*n : i*n+n]
+		ai := acc[i*nPad : i*nPad+n]
 		di := dst[i*ldd : i*ldd+n]
-		for j, v := range ai {
-			di[j] = float32(v-c)*f + b0
+		j := 0
+		if nv := n &^ 7; nv > 0 && int8Vector() {
+			dequantRowAVX2(di[:nv], ai, c, f, b0)
+			j = nv
+		}
+		for ; j < n; j++ {
+			// Product rounded before the add: never fused, as in quantRound.
+			di[j] = float32(float32(ai[j]-c)*f) + b0
 		}
 	}
 }
 
-// gemmInt8Scalar is the portable kernel for weight rows [r0, r1): identical
-// integer results to the vector kernels (sum of w * offset-binary activation
-// bytes).  The vector rungs run it only for the m%4 remainder rows.
-func gemmInt8Scalar(acc []int32, wq []int8, bp []uint8, kPad, n, r0, r1 int) {
+// gemmInt8Scalar is the portable kernel for weight rows [r0, r1), acc rows
+// ldacc apart: identical integer results to the vector kernels (sum of w *
+// offset-binary activation bytes), which leave it the m%int8MR remainder rows.
+func gemmInt8Scalar(acc []int32, wq []int8, bp []uint8, kPad, n, ldacc, r0, r1 int) {
 	for i := r0; i < r1; i++ {
 		row := wq[i*kPad : i*kPad+kPad]
 		for j := 0; j < n; j++ {
@@ -396,7 +403,7 @@ func gemmInt8Scalar(acc []int32, wq []int8, bp []uint8, kPad, n, r0, r1 int) {
 					int32(row[l+2])*int32(tile[base+2]) +
 					int32(row[l+3])*int32(tile[base+3])
 			}
-			acc[i*n+j] = s
+			acc[i*ldacc+j] = s
 		}
 	}
 }
@@ -417,7 +424,7 @@ func MatVecInt8(dst []float32, pw *PackedInt8, xq []uint8, bias []float32, xScal
 		matVecInt8Rows(dst, pw, xq, bias, xScale, 0, m, vec)
 		return
 	}
-	forEachRowPanel(m, workers, func(r0, r1 int) {
+	forEachRowPanel(m, workers, gemmMR, func(r0, r1 int) {
 		matVecInt8Rows(dst, pw, xq, bias, xScale, r0, r1, vec)
 	})
 }
@@ -434,7 +441,7 @@ func matVecInt8Rows(dst []float32, pw *PackedInt8, xq []uint8, bias []float32, x
 				s += int32(wv) * int32(xq[l])
 			}
 		}
-		v := float32(s-pw.comp[i]) * pw.scales[i] * xScale
+		v := float32(float32(s-pw.comp[i]) * pw.scales[i] * xScale) // rounded before the add, as in gemmInt8Rows
 		if bias != nil {
 			v += bias[i]
 		}

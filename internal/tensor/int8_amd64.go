@@ -4,23 +4,24 @@ package tensor
 // (VPMADDUBSW/VPMADDWD); the FMA tier implies AVX2, so the int8 vector path
 // follows the same override ladder as the float fast kernels — forcing
 // TierGeneric exercises the portable fallback, which is bit-identical in
-// integer space.  The AVX-512 rung runs the VPDPBUSD kernel when the CPU
-// also reports AVX512_VNNI and the AVX2 kernel otherwise: same tile layout,
-// same ±63 weight cap, same exact int32 sums.
+// integer space.  The AVX-512 rung runs the 512-bit VPDPBUSD kernel when the
+// CPU also reports AVX512_VNNI and the AVX2 kernel otherwise: same 16-column
+// tile layout, same ±63 weight cap, same exact int32 sums.
 
 // gemmInt8KernelAVX2 computes acc[r][j] = sum_l w[r][l]*bp(l, j) for r in
 // [0,4), j in [0,nc), over kc4*4 depth steps: w rows are ldw bytes apart
 // (signed weights), bp is the PackColsU8 depth-4-interleaved offset-binary
-// activation block, and acc rows are n int32s apart.  nc must be a positive
-// multiple of 8; kc4 positive.  acc is overwritten, not accumulated.
+// activation block, and acc rows are nc int32s apart.  nc must be a positive
+// multiple of int8NR; kc4 positive.  acc is overwritten, not accumulated.
 //
 //go:noescape
-func gemmInt8KernelAVX2(acc []int32, w []int8, bp []uint8, kc4, nc, ldw, n int)
+func gemmInt8KernelAVX2(acc []int32, w []int8, bp []uint8, kc4, nc, ldw int)
 
-// gemmInt8KernelVNNI is gemmInt8KernelAVX2 on VPDPBUSD; kc4 must be even.
+// gemmInt8KernelVNNI is gemmInt8KernelAVX2 over int8MR weight rows, one
+// VPDPBUSD per row and 64-byte depth block; kc4 must be even.
 //
 //go:noescape
-func gemmInt8KernelVNNI(acc []int32, w []int8, bp []uint8, kc4, nc, ldw, n int)
+func gemmInt8KernelVNNI(acc []int32, w []int8, bp []uint8, kc4, nc, ldw int)
 
 // dotInt8Kernel returns sum_l w[l]*x[l] for signed weights against
 // offset-binary activations; n must be a positive multiple of 32.
@@ -28,12 +29,18 @@ func gemmInt8KernelVNNI(acc []int32, w []int8, bp []uint8, kc4, nc, ldw, n int)
 //go:noescape
 func dotInt8Kernel(w []int8, x []uint8, n int) int32
 
-// quantTilesU8AVX2 quantizes kc4 four-row depth blocks of `tiles` 8-column
-// tiles of src (rows lds floats apart) into the u8 tile layout at dst, which
-// the caller pre-offsets to the first depth block.  Both counts positive.
+// quantTilesU8AVX2 quantizes kc4 four-row depth blocks of `halves` 8-column
+// half tiles of src (rows lds floats apart) into the u8 tile layout at dst,
+// pre-offset to the first depth block of an even half.  Both counts positive.
 //
 //go:noescape
-func quantTilesU8AVX2(dst []uint8, src []float32, kc4, tiles, lds, kPad int, inv float32)
+func quantTilesU8AVX2(dst []uint8, src []float32, kc4, halves, lds, kPad int, inv float32)
+
+// dequantRowAVX2 writes dst[j] = float32(acc[j]-c)*f + b0, product and sum
+// each rounded, for j < len(dst), a positive multiple of 8.
+//
+//go:noescape
+func dequantRowAVX2(dst []float32, acc []int32, c int32, f, b0 float32)
 
 // maxAbsAVX2 returns max |src[i]| for i < n; n a positive multiple of 8.
 //
@@ -61,11 +68,12 @@ func detectInt8VNNI() bool {
 // active tier.
 func int8Vector() bool { return fastTier >= TierFMA }
 
-// gemmInt8Kernel runs the 4-row int8 microkernel of the active rung.
-func gemmInt8Kernel(acc []int32, w []int8, bp []uint8, kc4, nc, ldw, n int) {
+// gemmInt8Kernel runs the active rung's microkernel over int8MR weight rows.
+func gemmInt8Kernel(acc []int32, w []int8, bp []uint8, kc4, nc, ldw int) {
 	if fastTier >= TierAVX512 && int8VNNIDetected {
-		gemmInt8KernelVNNI(acc, w, bp, kc4, nc, ldw, n)
+		gemmInt8KernelVNNI(acc, w, bp, kc4, nc, ldw)
 		return
 	}
-	gemmInt8KernelAVX2(acc, w, bp, kc4, nc, ldw, n)
+	gemmInt8KernelAVX2(acc, w, bp, kc4, nc, ldw)
+	gemmInt8KernelAVX2(acc[4*nc:], w[4*ldw:], bp, kc4, nc, ldw)
 }

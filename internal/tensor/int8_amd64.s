@@ -1,184 +1,238 @@
-// AVX2 int8 microkernels (see int8.go): u8 offset-binary activations
-// against s8 weights via VPMADDUBSW + VPMADDWD, accumulating exactly in
-// int32.  Weight quantization is capped at ±63, which keeps the paired
-// VPMADDUBSW products inside int16 (255*63*2 = 32130 < 32767), so the
-// kernels never saturate and match the portable fallback bit for bit.
+// Int8 microkernels (see int8.go): u8 offset-binary activations against s8
+// weights via VPMADDUBSW + VPMADDWD (AVX2) or VPDPBUSD (AVX-512 VNNI),
+// accumulating exactly in int32.  Weight quantization is capped at ±63, which
+// keeps the paired VPMADDUBSW products inside int16 (255*63*2 = 32130 <
+// 32767), so the kernels never saturate and match the portable fallback bit
+// for bit.
 
 #include "textflag.h"
 
-// func gemmInt8KernelAVX2(acc []int32, w []int8, bp []uint8, kc4, nc, ldw, n int)
+// I8ROW adds weight row w's products with the depth block in Y8 (columns 0-7)
+// and Y9 (8-15) to the row's two accumulators.
+#define I8ROW(w, lo, hi) \
+	VPBROADCASTD (w)(SI*1), Y15; \
+	VPMADDUBSW   Y15, Y8, Y10; \
+	VPMADDUBSW   Y15, Y9, Y11; \
+	VPMADDWD     Y14, Y10, Y10; \
+	VPMADDWD     Y14, Y11, Y11; \
+	VPADDD       Y10, lo, lo; \
+	VPADDD       Y11, hi, hi
+
+// func gemmInt8KernelAVX2(acc []int32, w []int8, bp []uint8, kc4, nc, ldw int)
 //
-// 4x8 int32 tile over kc4 four-deep blocks: acc[r][j] = sum of
+// 4x16 int32 tile over kc4 four-deep blocks: acc[r][j] = sum of
 // w[r][l]*bp(l, j).  w rows are ldw bytes apart; bp is the PackColsU8
-// column-tile-major activation block — each 8-column tile stores its kc4
-// 32-byte depth blocks contiguously, so the kernel streams bp strictly
-// sequentially across the whole call; acc rows are n int32s apart.  nc must
-// be a positive multiple of 8.  Callers pre-offset the slice bases.
-TEXT ·gemmInt8KernelAVX2(SB), NOSPLIT, $0-104
+// column-tile-major activation block — each 16-column tile stores its kc4
+// 64-byte depth blocks contiguously, read here as two 32-byte halves, so the
+// kernel streams bp strictly sequentially across the whole call; acc rows are
+// nc int32s apart, nc a positive multiple of 16.  Callers pre-offset the bases.
+TEXT ·gemmInt8KernelAVX2(SB), NOSPLIT, $0-96
 	MOVQ acc_base+0(FP), DI
-	MOVQ w_base+24(FP), SI
-	MOVQ bp_base+48(FP), BX
+	MOVQ w_base+24(FP), R12
+	MOVQ bp_base+48(FP), DX  // bp streams sequentially across column tiles
 	MOVQ kc4+72(FP), CX
 	MOVQ nc+80(FP), R8
 	MOVQ ldw+88(FP), R9
-	MOVQ n+96(FP), R10
-	SHLQ $2, R10             // acc row stride == bp depth-block stride, bytes
+	SHLQ $2, R8              // acc row stride, bytes
 
 	// Y14 = sixteen int16 ones for the VPMADDWD pair reduction.
 	VPCMPEQW Y14, Y14, Y14
 	VPSRLW   $15, Y14, Y14
 
 	// w row pointers (advance via the shared depth offset in SI below).
-	MOVQ SI, R12             // w0
 	LEAQ (R12)(R9*1), R13    // w1
 	LEAQ (R13)(R9*1), R14    // w2
 	LEAQ (R14)(R9*1), R15    // w3
 
-	XORQ AX, AX              // output column index
-	MOVQ BX, DX              // bp streams sequentially across column tiles
+	XORQ AX, AX              // output column byte offset
 
 i8col:
-	VPXOR Y0, Y0, Y0
+	VPXOR Y0, Y0, Y0         // rows 0-3, columns 0-7
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
 	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4         // rows 0-3, columns 8-15
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
 
 	XORQ SI, SI              // depth-block byte offset into the w rows
 	MOVQ CX, R11             // depth-block counter
 
 i8k:
-	VMOVDQU      (DX), Y8    // 8 columns x 4 depth steps of u8 activations
-	ADDQ         $32, DX     // next depth block of this tile
-	VPBROADCASTD (R12)(SI*1), Y9
-	VPMADDUBSW   Y9, Y8, Y10
-	VPMADDWD     Y14, Y10, Y10
-	VPADDD       Y10, Y0, Y0
-	VPBROADCASTD (R13)(SI*1), Y9
-	VPMADDUBSW   Y9, Y8, Y10
-	VPMADDWD     Y14, Y10, Y10
-	VPADDD       Y10, Y1, Y1
-	VPBROADCASTD (R14)(SI*1), Y9
-	VPMADDUBSW   Y9, Y8, Y10
-	VPMADDWD     Y14, Y10, Y10
-	VPADDD       Y10, Y2, Y2
-	VPBROADCASTD (R15)(SI*1), Y9
-	VPMADDUBSW   Y9, Y8, Y10
-	VPMADDWD     Y14, Y10, Y10
-	VPADDD       Y10, Y3, Y3
+	VMOVDQU (DX), Y8         // 16 columns x 4 depth steps of u8 activations
+	VMOVDQU 32(DX), Y9
+	ADDQ    $64, DX          // next depth block of this tile
+	I8ROW(R12, Y0, Y4)
+	I8ROW(R13, Y1, Y5)
+	I8ROW(R14, Y2, Y6)
+	I8ROW(R15, Y3, Y7)
 	ADDQ $4, SI
 	DECQ R11
 	JNE  i8k
 
-	// ldw in R9 is dead after the row-pointer setup; reuse it for stores.
-	LEAQ (DI)(AX*4), R9
-	VMOVDQU Y0, (R9)
-	ADDQ R10, R9
-	VMOVDQU Y1, (R9)
-	ADDQ R10, R9
-	VMOVDQU Y2, (R9)
-	ADDQ R10, R9
-	VMOVDQU Y3, (R9)
+	LEAQ (DI)(AX*1), BX
+	VMOVDQU Y0, (BX)
+	VMOVDQU Y4, 32(BX)
+	ADDQ R8, BX
+	VMOVDQU Y1, (BX)
+	VMOVDQU Y5, 32(BX)
+	ADDQ R8, BX
+	VMOVDQU Y2, (BX)
+	VMOVDQU Y6, 32(BX)
+	ADDQ R8, BX
+	VMOVDQU Y3, (BX)
+	VMOVDQU Y7, 32(BX)
 
-	ADDQ $8, AX              // next 8-column block
+	ADDQ $64, AX             // next 16-column tile
 	CMPQ AX, R8
 	JLT  i8col
 
 	VZEROUPPER
 	RET
 
-// func gemmInt8KernelVNNI(acc []int32, w []int8, bp []uint8, kc4, nc, ldw, n int)
+// VNROWOUT sums a row's two depth-block chains and stores its tile at BX.
+#define VNROWOUT(lo, hi) \
+	VPADDD    hi, lo, lo; \
+	VMOVDQU32 lo, (BX); \
+	ADDQ      R8, BX
+
+// func gemmInt8KernelVNNI(acc []int32, w []int8, bp []uint8, kc4, nc, ldw int)
 //
-// gemmInt8Kernel's contract on AVX-512 VNNI: one VPDPBUSD with an embedded
-// 4-byte weight broadcast replaces the VPBROADCASTD/VPMADDUBSW/VPMADDWD/
-// VPADDD quartet on the same tile layout.  VPDPBUSD has a 5-cycle latency,
-// so each iteration takes two depth blocks into eight independent
-// accumulator chains (4 rows x 2 blocks) that are summed at the tile's end;
-// kc4 must be even (kPad is a multiple of 32, so it always is).
-TEXT ·gemmInt8KernelVNNI(SB), NOSPLIT, $0-104
+// gemmInt8KernelAVX2's contract on AVX-512 VNNI, over eight weight rows: one
+// 64-byte load takes a tile's whole depth block and one VPDPBUSD with an
+// embedded 4-byte weight broadcast does the quartet's work.  VPDPBUSD has a
+// 5-cycle latency and issues twice a cycle, so each iteration takes two depth
+// blocks into sixteen independent chains (8 rows x 2 blocks), summed at the
+// tile's end; kc4 must be even (kPad is a multiple of 32, so it always is).
+TEXT ·gemmInt8KernelVNNI(SB), NOSPLIT, $0-96
 	MOVQ acc_base+0(FP), DI
 	MOVQ w_base+24(FP), R12
 	MOVQ bp_base+48(FP), DX
 	MOVQ kc4+72(FP), CX
 	MOVQ nc+80(FP), R8
 	MOVQ ldw+88(FP), R9
-	MOVQ n+96(FP), R10
-	SHLQ $2, R10             // acc row stride, bytes
-	SHLQ $2, CX              // depth bytes per weight row
+	SHLQ $2, R8              // acc row stride, bytes
+	LEAQ (R12)(CX*4), R14    // end of w row 0
+	LEAQ (R9)(R9*2), R10     // 3*ldw: rows 3 and 6
+	LEAQ (R9)(R9*4), R11     // 5*ldw
+	LEAQ (R10)(R9*4), R13    // 7*ldw
 
-	LEAQ (R12)(R9*1), R13    // w1
-	LEAQ (R13)(R9*1), R14    // w2
-	LEAQ (R14)(R9*1), R15    // w3
-
-	XORQ AX, AX              // output column index
+	XORQ AX, AX              // output column byte offset
 
 vncol:
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-	XORQ  SI, SI             // depth byte offset into the w rows
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+	MOVQ   R12, SI           // w row 0 at the current depth
 
 vnk:
-	VMOVDQU (DX), Y8         // depth block d:   8 columns x 4 u8
-	VMOVDQU 32(DX), Y9       // depth block d+1
-	ADDQ    $64, DX
-	VPDPBUSD.BCST (R12)(SI*1), Y8, Y0
-	VPDPBUSD.BCST 4(R12)(SI*1), Y9, Y4
-	VPDPBUSD.BCST (R13)(SI*1), Y8, Y1
-	VPDPBUSD.BCST 4(R13)(SI*1), Y9, Y5
-	VPDPBUSD.BCST (R14)(SI*1), Y8, Y2
-	VPDPBUSD.BCST 4(R14)(SI*1), Y9, Y6
-	VPDPBUSD.BCST (R15)(SI*1), Y8, Y3
-	VPDPBUSD.BCST 4(R15)(SI*1), Y9, Y7
+	VMOVDQU64 (DX), Z16      // depth block d:   16 columns x 4 u8
+	VMOVDQU64 64(DX), Z17    // depth block d+1
+	ADDQ      $128, DX
+	VPDPBUSD.BCST (SI), Z16, Z0
+	VPDPBUSD.BCST 4(SI), Z17, Z8
+	VPDPBUSD.BCST (SI)(R9*1), Z16, Z1
+	VPDPBUSD.BCST 4(SI)(R9*1), Z17, Z9
+	VPDPBUSD.BCST (SI)(R9*2), Z16, Z2
+	VPDPBUSD.BCST 4(SI)(R9*2), Z17, Z10
+	VPDPBUSD.BCST (SI)(R10*1), Z16, Z3
+	VPDPBUSD.BCST 4(SI)(R10*1), Z17, Z11
+	VPDPBUSD.BCST (SI)(R9*4), Z16, Z4
+	VPDPBUSD.BCST 4(SI)(R9*4), Z17, Z12
+	VPDPBUSD.BCST (SI)(R11*1), Z16, Z5
+	VPDPBUSD.BCST 4(SI)(R11*1), Z17, Z13
+	VPDPBUSD.BCST (SI)(R10*2), Z16, Z6
+	VPDPBUSD.BCST 4(SI)(R10*2), Z17, Z14
+	VPDPBUSD.BCST (SI)(R13*1), Z16, Z7
+	VPDPBUSD.BCST 4(SI)(R13*1), Z17, Z15
 	ADDQ $8, SI
-	CMPQ SI, CX
+	CMPQ SI, R14
 	JLT  vnk
 
-	VPADDD Y4, Y0, Y0
-	VPADDD Y5, Y1, Y1
-	VPADDD Y6, Y2, Y2
-	VPADDD Y7, Y3, Y3
-	LEAQ (DI)(AX*4), R9      // ldw is dead after the row-pointer setup
-	VMOVDQU Y0, (R9)
-	ADDQ R10, R9
-	VMOVDQU Y1, (R9)
-	ADDQ R10, R9
-	VMOVDQU Y2, (R9)
-	ADDQ R10, R9
-	VMOVDQU Y3, (R9)
+	LEAQ (DI)(AX*1), BX
+	VNROWOUT(Z0, Z8)
+	VNROWOUT(Z1, Z9)
+	VNROWOUT(Z2, Z10)
+	VNROWOUT(Z3, Z11)
+	VNROWOUT(Z4, Z12)
+	VNROWOUT(Z5, Z13)
+	VNROWOUT(Z6, Z14)
+	VNROWOUT(Z7, Z15)
 
-	ADDQ $8, AX
+	ADDQ $64, AX             // next 16-column tile
 	CMPQ AX, R8
 	JLT  vncol
 
 	VZEROUPPER
 	RET
 
-// func quantTilesU8AVX2(dst []uint8, src []float32, kc4, tiles, lds, kPad int, inv float32)
+// func dequantRowAVX2(dst []float32, acc []int32, c int32, f, b0 float32)
+//
+// gemmInt8Rows' exit step over len(dst) elements, a positive multiple of 8:
+// VMULPS then VADDPS, never an FMA, as the scalar expression rounds.
+TEXT ·dequantRowAVX2(SB), NOSPLIT, $0-60
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ acc_base+24(FP), SI
+	MOVL c+48(FP), AX
+	VMOVD AX, X13
+	VPBROADCASTD X13, Y13
+	VBROADCASTSS f+52(FP), Y14
+	VBROADCASTSS b0+56(FP), Y15
+
+dqloop:
+	VMOVDQU   (SI), Y0
+	VPSUBD    Y13, Y0, Y0
+	VCVTDQ2PS Y0, Y0
+	VMULPS    Y14, Y0, Y0
+	VADDPS    Y15, Y0, Y0
+	VMOVUPS   Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JNE  dqloop
+
+	VZEROUPPER
+	RET
+
+// func quantTilesU8AVX2(dst []uint8, src []float32, kc4, halves, lds, kPad int, inv float32)
 //
 // The quantize-and-interleave core of the u8 activation layout: for each of
-// `tiles` 8-column tiles and each of kc4 four-row depth blocks it reads four
-// rows x eight columns of src (rows lds floats apart) and emits the 32-byte
-// tile block directly.  Per value: x = v*inv (rounded to float32), x plus
+// `halves` 8-column half tiles and each of kc4 four-row depth blocks it reads
+// four rows x eight columns of src (rows lds floats apart) and emits its
+// 32-byte half of the tile's 64-byte depth block directly.  Per value: x = v*inv (rounded to float32), x plus
 // copysign(0.5, x), truncate — exactly roundHalfAway — then the low byte of
 // each int32 plus 128, row r of the block landing in byte r of its column's
-// dword.  dst is pre-offset to the first depth block; tiles are kPad*8 bytes
-// apart.
+// dword.  dst is pre-offset to the first depth block of an even half; an odd
+// half starts 32 bytes after its even one, the next tile kPad*16 bytes after
+// this one.
 TEXT ·quantTilesU8AVX2(SB), NOSPLIT, $0-84
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ kc4+48(FP), CX
-	MOVQ tiles+56(FP), R8
+	MOVQ halves+56(FP), R8
 	MOVQ lds+64(FP), R9
 	MOVQ kPad+72(FP), R11
 	VBROADCASTSS inv+80(FP), Y15
 	SHLQ $2, R9              // src row stride, bytes
 	LEAQ (R9)(R9*2), R10     // three rows
-	SHLQ $3, R11             // dst tile stride, bytes
+	SHLQ $4, R11             // dst tile stride, bytes
+	SUBQ $32, R11            // odd half -> the next tile's even half
+	MOVQ $32, R12            // even half -> its odd half
 
 	VPCMPEQD   Y14, Y14, Y14
 	VPSRLD     $24, Y14, Y12 // 0x000000ff: low byte of each int32
@@ -225,15 +279,16 @@ qtblock:
 	VPOR   Y2, Y0, Y0
 	VPXOR  Y11, Y0, Y0
 	VMOVDQU Y0, (DX)
-	ADDQ $32, DX
+	ADDQ $64, DX
 	LEAQ (BX)(R9*4), BX
 	DECQ AX
 	JNE  qtblock
 
-	ADDQ R11, DI
-	ADDQ $32, SI
-	DECQ R8
-	JNE  qttile
+	ADDQ  R12, DI
+	XCHGQ R12, R11
+	ADDQ  $32, SI
+	DECQ  R8
+	JNE   qttile
 
 	VZEROUPPER
 	RET

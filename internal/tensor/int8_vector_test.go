@@ -86,6 +86,10 @@ func quantizeSeeds() []quantizeSeed {
 		{ties, 7, 9, 24, 0, 4},
 		{edge, 0, 8, 5, 0, 4},                  // nc < 8
 		{ties, 0, 32, 40, 0, 127 / float32(3)}, // a scale that is not a power of two
+		{ties, 0, 8, 16 - 1, 0, 4},             // nc = 16: one whole tile
+		{edge, 4, 9, 17 - 1, 2, 4},             // nc = 17: a tile and one column
+		{ties, 0, 12, 31 - 1, 0, 4},            // nc = 31: an even half, then 7 ragged columns
+		{ties, 0, 8, 169 - 1, 3, 4},            // nc = 169: AlexNet's 13x13 panel, 9 columns in the last tile
 	}
 }
 
@@ -105,7 +109,7 @@ func FuzzQuantizePanelU8(f *testing.F) {
 		if len(raw) < 4 {
 			return
 		}
-		kbI, kcI, ncI := int(kb%32), 1+int(kc%40), 1+int(nc%48)
+		kbI, kcI, ncI := int(kb%32), 1+int(kc%40), 1+int(nc)
 		lds := ncI + int(pad%8)
 		src := make([]float32, kcI*lds)
 		for i := range src {
@@ -208,7 +212,7 @@ func TestGemmInt8PanelMatchesScalar(t *testing.T) {
 					bias = make([]float32, m)
 					fillRand(r, bias)
 				}
-				xScale := U8Scale(maxAbsF32(b))
+				xScale := U8Scale(MaxAbs(b))
 				inv := 1 / xScale
 				q := make([]int32, len(b))
 				for i, v := range b {
