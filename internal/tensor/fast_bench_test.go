@@ -101,8 +101,8 @@ func benchRungs(b *testing.B, fn func(b *testing.B)) {
 // already packed, panel resident — on AlexNet's conv1-3 weight shapes at the
 // fused path's two panel widths, so the kernel reads apart from the pack
 // (BenchmarkQuantizePanelU8) that BenchmarkGemmInt8 times together with it.
-// It logs whether the AVX-512 rung, and on it the VNNI kernel, ran: CI runs it
-// once so every rung's kernel executes on the runner.
+// Under -v it logs whether the AVX-512 rung, and on it the VNNI kernel, ran:
+// CI runs it once so every rung's kernel executes on the runner.
 func BenchmarkGemmInt8Panel(b *testing.B) {
 	if DetectedTier() < TierAVX512 {
 		b.Logf("AVX-512 rung not available, skipped (detected tier: %v)", DetectedTier())
