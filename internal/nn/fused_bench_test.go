@@ -48,8 +48,6 @@ func BenchmarkIm2colStagePar4(b *testing.B) { benchmarkIm2colStage(b, 4) }
 // BenchmarkLRNFast times the fast tiers' LRN on AlexNet's two LRN shapes, one
 // sub-benchmark per SIMD rung the host can force.
 func BenchmarkLRNFast(b *testing.B) {
-	detected := tensor.DetectedTier()
-	defer tensor.SetFastTier(detected)
 	for _, s := range []struct {
 		name    string
 		c, h, w int
@@ -58,14 +56,13 @@ func BenchmarkLRNFast(b *testing.B) {
 		in.FillUniform(tensor.NewRNG(11), 0, 8)
 		out := make([]float32, in.Len())
 		sums := make([]float64, s.h*s.w)
-		for tier := tensor.TierGeneric; tier <= detected; tier++ {
-			tensor.SetFastTier(tier)
+		forFastTiers(func(tier tensor.SIMDTier) {
 			b.Run(s.name+"/"+tier.String(), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					lrnCoreFast(out, in.Data(), s.c, s.h, s.w, DefaultLRN(), sums)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in.Len()), "ns/elem")
 			})
-		}
+		})
 	}
 }

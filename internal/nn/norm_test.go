@@ -143,9 +143,19 @@ func TestScaleErrors(t *testing.T) {
 	}
 }
 
+// forFastTiers runs fn under each SIMD rung the host can force, then restores
+// the detected one.
+func forFastTiers(fn func(tier tensor.SIMDTier)) {
+	defer tensor.SetFastTier(tensor.DetectedTier())
+	for tier := tensor.TierGeneric; tier <= tensor.DetectedTier(); tier++ {
+		tensor.SetFastTier(tier)
+		fn(tier)
+	}
+}
+
 // lrnFastScalarLoop is the definition lrnCoreFast is held to: the rolling
 // float64 window sums and the two-square-root denominator, one element at a
-// time, every product rounded before the add that follows it.
+// time, the inexact product rounded before the add that follows it.
 func lrnFastScalarLoop(o, in []float32, c, hw int, p LRNParams) {
 	half := p.LocalSize / 2
 	scale := p.Alpha / float64(p.LocalSize)
@@ -153,7 +163,7 @@ func lrnFastScalarLoop(o, in []float32, c, hw int, p LRNParams) {
 	for cc := 0; cc <= half && cc < c; cc++ {
 		for i := 0; i < hw; i++ {
 			v := float64(in[cc*hw+i])
-			sums[i] += float64(v * v)
+			sums[i] += v * v // exact in float64, so fusing it changes nothing
 		}
 	}
 	for ch := 0; ch < c; ch++ {
@@ -164,13 +174,13 @@ func lrnFastScalarLoop(o, in []float32, c, hw int, p LRNParams) {
 		if add := ch + half + 1; add < c {
 			for i := 0; i < hw; i++ {
 				v := float64(in[add*hw+i])
-				sums[i] += float64(v * v)
+				sums[i] += v * v
 			}
 		}
 		if sub := ch - half; sub >= 0 {
 			for i := 0; i < hw; i++ {
 				v := float64(in[sub*hw+i])
-				sums[i] -= float64(v * v)
+				sums[i] -= v * v
 			}
 		}
 	}
@@ -187,8 +197,6 @@ func TestLRNFastMatchesScalarLoop(t *testing.T) {
 	salt := []float32{0, float32(math.Copysign(0, -1)), denormal, -denormal,
 		math.Float32frombits(0x007fffff), float32(math.Inf(1)), float32(math.Inf(-1)),
 		float32(math.NaN()), 3.4e38, -3.4e38, 1e-20}
-	detected := tensor.DetectedTier()
-	defer tensor.SetFastTier(detected)
 	p := DefaultLRN()
 	r := tensor.NewRNG(29)
 	for _, hw := range []int{1, 7, 8, 9, 169, 729, 3025} {
@@ -203,8 +211,7 @@ func TestLRNFastMatchesScalarLoop(t *testing.T) {
 				}
 				want := make([]float32, c*hw)
 				lrnFastScalarLoop(want, in.Data(), c, hw, p)
-				for tier := tensor.TierGeneric; tier <= detected; tier++ {
-					tensor.SetFastTier(tier)
+				forFastTiers(func(tier tensor.SIMDTier) {
 					got := make([]float32, c*hw)
 					lrnCoreFast(got, in.Data(), c, hw, 1, p, make([]float64, hw))
 					for i := range want {
@@ -214,7 +221,7 @@ func TestLRNFastMatchesScalarLoop(t *testing.T) {
 								tier, hw, c, salted, i, g, math.Float32bits(g), w, math.Float32bits(w))
 						}
 					}
-				}
+				})
 			}
 		}
 	}

@@ -13,16 +13,7 @@ import (
 // instead of passing.  Every len(acc) 1..40, and both lengths a stride-2
 // source can have (2n-1: the row ends on a tap; 2n: one column more).
 func TestStride2KernelsStayInBounds(t *testing.T) {
-	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
-	if err != nil {
-		t.Skipf("mmap: %v", err)
-	}
-	defer syscall.Munmap(mem)
-	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
-		t.Skipf("mprotect: %v", err)
-	}
-	floats := unsafe.Slice((*float32)(unsafe.Pointer(&mem[0])), page/4)
+	floats := guardedOf[float32](t, syscall.Getpagesize()/4, nil)
 	elemFill(NewRNG(37), floats)
 	for _, rung := range []string{"detected", "portable"} {
 		if rung == "portable" {

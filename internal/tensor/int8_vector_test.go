@@ -193,7 +193,7 @@ func TestPackInt8VectorMatchesScalar(t *testing.T) {
 // never sees the tile layout — quantize every activation with the tier's one
 // rounding, sum w*u8 in int32, dequantize as gemmInt8Rows does — bit for bit,
 // on every rung.  m, n and k straddle every row tile, column tile and depth
-// block a kernel may use; -short keeps one m per residue.
+// block a kernel may use; -short keeps two ragged m.
 func TestGemmInt8PanelMatchesScalar(t *testing.T) {
 	ms := []int{1, 3, 4, 5, 8, 12, 13, 96}
 	if testing.Short() {
