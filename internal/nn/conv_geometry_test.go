@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"tango/internal/tensor"
@@ -60,6 +61,10 @@ func convGeometryTable() []convGeom {
 		{cp(2, 4, 1, 5, 5, 4, 4, 0, 0), 5, 5},     // one output pixel
 		{cp(2, 2, 1, 3, 3, 4, 4, 2, 2), 3, 3},     // stride past the input
 		{cp(6, 16, 2, 5, 5, 1, 1, 2, 2), 27, 27},  // AlexNet conv2 plane, n=729
+		{cp(8, 10, 1, 5, 5, 1, 1, 2, 2), 13, 13},  // channels a multiple of four, 5x5 padded
+		{cp(12, 8, 1, 3, 3, 2, 2, 1, 1), 11, 12},  // twelve channels, stride 2
+		{cp(4, 8, 1, 1, 1, 1, 1, 0, 0), 27, 27},   // four-channel 1x1 across the column panel, n=729
+		{cp(16, 18, 2, 3, 3, 1, 1, 1, 1), 9, 9},   // eight channels per group
 	}
 }
 
@@ -288,5 +293,156 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 				t.Fatalf("%v/%v: Conv2DBatchPacked staged %d floats, want %d", g, mode, cap(s.col), 2*want)
 			}
 		}
+	}
+}
+
+// roundHalfAway32 is the int8 tier's one rounding, written out: add 0.5
+// carrying x's sign in float32, truncate.
+func roundHalfAway32(x float32) int32 {
+	return int32(x + float32(math.Copysign(0.5, float64(x))))
+}
+
+// convInt8Oracle is the int8 convolution of one CHW image, written without
+// any staging layout: weights quantize per output row (maxAbs/63, clamp
+// ±63), activations per group of this image (maxAbs/127), the int32 sum runs
+// over (ic, ky, kx) in natural order with padding taps contributing nothing,
+// and the result dequantizes as float32(float32(s)*f) + b.
+func convInt8Oracle(in, w, b []float32, p ConvParams, inH, inW int) []float32 {
+	groups := p.groups()
+	cg, og := p.InChannels/groups, p.OutChannels/groups
+	k := cg * p.KernelH * p.KernelW
+	outH, outW := p.OutputDims(inH, inW)
+	out := make([]float32, p.OutChannels*outH*outW)
+	maxAbs := func(v []float32) float32 {
+		var m float32
+		for _, x := range v {
+			if x < 0 {
+				x = -x
+			}
+			if x > m {
+				m = x
+			}
+		}
+		return m
+	}
+	wq := make([]int32, k)
+	for g := 0; g < groups; g++ {
+		planes := in[g*cg*inH*inW : (g+1)*cg*inH*inW]
+		xs := maxAbs(planes) / 127
+		if xs == 0 {
+			xs = 1
+		}
+		xinv := 1 / xs
+		xq := make([]int32, len(planes))
+		for i, v := range planes {
+			xq[i] = roundHalfAway32(float32(v * xinv))
+		}
+		for oc := g * og; oc < (g+1)*og; oc++ {
+			row := w[oc*k : (oc+1)*k]
+			ws := maxAbs(row) / 63
+			if ws == 0 {
+				ws = 1
+			}
+			winv := 1 / ws
+			for l, v := range row {
+				wq[l] = min(max(roundHalfAway32(float32(v*winv)), -63), 63)
+			}
+			f := ws * xs
+			var b0 float32
+			if b != nil {
+				b0 = b[oc]
+			}
+			for oy := 0; oy < outH; oy++ {
+				for ox := 0; ox < outW; ox++ {
+					var s int32
+					for ic := 0; ic < cg; ic++ {
+						for ky := 0; ky < p.KernelH; ky++ {
+							iy := oy*p.StrideH - p.PadH + ky
+							for kx := 0; kx < p.KernelW; kx++ {
+								ix := ox*p.StrideW - p.PadW + kx
+								if iy < 0 || iy >= inH || ix < 0 || ix >= inW {
+									continue
+								}
+								s += wq[(ic*p.KernelH+ky)*p.KernelW+kx] * xq[(ic*inH+iy)*inW+ix]
+							}
+						}
+					}
+					out[(oc*outH+oy)*outW+ox] = float32(float32(s)*f) + b0
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestConvInt8MatchesScalarOracle pins the int8 convolution layer by layer,
+// which the networks' int8 digests (final outputs only) cannot: for every
+// table geometry and a seeded random draw, batches of 1 and 3 and worker
+// counts 1 and 3, on every SIMD rung, each image of Conv2DBatchPacked and the
+// single-image Conv2DPacked must equal convInt8Oracle bit for bit.  Whatever
+// depth order, staging layout or panel grid the int8 tier uses, the integer
+// sums it dequantizes are the oracle's.
+func TestConvInt8MatchesScalarOracle(t *testing.T) {
+	geoms := convGeometryTable()
+	r := tensor.NewRNG(33)
+	for i := 0; i < 60; i++ {
+		geoms = append(geoms, randomConvGeom(r))
+	}
+	const maxN = 3
+	for _, g := range geoms {
+		p := g.p
+		w := randBatch(r, p.WeightCount())
+		var b *tensor.Tensor
+		if r.Uint64()%4 != 0 {
+			b = randBatch(r, p.OutChannels)
+		}
+		in := randBatch(r, maxN, p.InChannels, g.inH, g.inW)
+		in.Data()[r.Uint64()%uint64(in.Len())] = 0
+		var bd []float32
+		if b != nil {
+			bd = b.Data()
+		}
+		sample := in.Len() / maxN
+		want := make([]*tensor.Tensor, maxN)
+		for i := range want {
+			o := convInt8Oracle(in.Data()[i*sample:(i+1)*sample], w.Data(), bd, p, g.inH, g.inW)
+			var err error
+			if want[i], err = tensor.FromSlice(o, len(o)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		forFastTiers(func(tier tensor.SIMDTier) {
+			pk := PackConv(w, p, NumericsInt8)
+			for _, workers := range []int{1, 3} {
+				s := NewScratch()
+				s.SetNumerics(NumericsInt8)
+				s.SetWorkers(workers)
+				for _, n := range []int{1, maxN} {
+					op := fmt.Sprintf("%v/%v/n%d/w%d", g, tier, n, workers)
+					batch, err := tensor.FromSlice(in.Data()[:n*sample], n, p.InChannels, g.inH, g.inW)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.BeginRun()
+					out, err := s.Conv2DBatchPacked(batch, w, b, p, pk)
+					if err != nil {
+						t.Fatalf("%s: %v", op, err)
+					}
+					for i := 0; i < n; i++ {
+						requireSameBits(t, op, out, i, want[i])
+					}
+				}
+				s.BeginRun()
+				single, err := s.Conv2DPacked(sampleOf(t, in, maxN-1), w, b, p, pk)
+				if err != nil {
+					t.Fatalf("%v/%v/single/w%d: %v", g, tier, workers, err)
+				}
+				one, err := tensor.FromSlice(single.Data(), 1, single.Len())
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameBits(t, fmt.Sprintf("%v/%v/single/w%d", g, tier, workers), one, 0, want[maxN-1])
+			}
+		})
 	}
 }
