@@ -225,7 +225,8 @@ func TestConvPackedSingleMatchesBatchOfOne(t *testing.T) {
 // TestScratchBytesCountsConvStaging pins the resident-bytes accounting of the
 // conv core's buffers: one k x N*n staging matrix, plus the group product
 // buffer for a batch, and nothing at all for an in-place 1x1 — and, under
-// the fast tiers, nothing in the staging buffer whatever the geometry.
+// the fast tiers, nothing in the staging buffer whatever the geometry; under
+// int8, no float panel, and the u8 planes and offset tables in Bytes().
 func TestScratchBytesCountsConvStaging(t *testing.T) {
 	r := tensor.NewRNG(3)
 	p := ConvParams{InChannels: 4, OutChannels: 6, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}
@@ -259,10 +260,26 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 	// either packed entry point the reference staging buffer must stay
 	// unallocated.  A fast tier that silently fell back to the staged core
 	// would leave the k*n floats the reference tier leaves from the same call.
-	for _, g := range []convGeom{
-		{p, h, w},
-		{ConvParams{InChannels: 3, OutChannels: 8, KernelH: 11, KernelW: 11, StrideH: 4, StrideW: 4, PadH: 2, PadW: 2}, 35, 39},
+	// The int8 tier stages bytes: no float panel at all, one set of padded u8
+	// planes per image (planes bytes each) and one pair of offset tables (offs
+	// int32s: padded depth plus output pixels), all counted by Bytes().
+	for _, c := range []struct {
+		g            convGeom
+		planes, offs int
+	}{
+		// Two channels a group: planar, kernel width padded to 4, planes 7 x
+		// max(7+2, 6+4) = 7 x 10, depth 2*3*4 = 24, 35 pixels.
+		{convGeom{p, h, w}, 2 * 7 * 10, 24 + 35},
+		// Three channels: planar, 11 -> 12, planes 39 x max(39+4, 8*4+12),
+		// depth 3*11*12 = 396, 8 x 9 pixels.
+		{convGeom{ConvParams{InChannels: 3, OutChannels: 8, KernelH: 11, KernelW: 11, StrideH: 4, StrideW: 4, PadH: 2, PadW: 2}, 35, 39},
+			3 * 39 * 44, 396 + 72},
+		// Four channels: one channel quad, planes 7 x 9 pixels of 4 bytes,
+		// depth 4*3*3 = 36, 35 pixels.
+		{convGeom{ConvParams{InChannels: 4, OutChannels: 6, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w},
+			4 * 7 * 9, 36 + 35},
 	} {
+		g := c.g
 		weights, bias := randBatch(r, g.p.WeightCount()), randBatch(r, g.p.OutChannels)
 		single := randBatch(r, g.p.InChannels, g.inH, g.inW)
 		batch := randBatch(r, 2, g.p.InChannels, g.inH, g.inW)
@@ -276,6 +293,30 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 				packMode, want = NumericsFast, staged
 			}
 			pk := PackConv(weights, g.p, packMode)
+			checkInt8 := func(s *Scratch, nImg int, entry string) {
+				t.Helper()
+				if mode != NumericsInt8 {
+					return
+				}
+				if len(s.fpanels) != 0 {
+					t.Fatalf("%v/%s: int8 allocated %d float panels", g, entry, len(s.fpanels))
+				}
+				if cap(s.planes) != nImg*c.planes || cap(s.offs) != c.offs {
+					t.Fatalf("%v/%s: %d plane bytes and %d offsets, want %d and %d",
+						g, entry, cap(s.planes), cap(s.offs), nImg*c.planes, c.offs)
+				}
+				other := int64(cap(s.qscales)) * 4
+				for _, b := range s.u8bufs {
+					other += int64(cap(b))
+				}
+				for _, b := range s.accbs {
+					other += int64(cap(b)) * 4
+				}
+				if got := s.Bytes() - s.ArenaBytes() - other; got != int64(cap(s.planes)+4*cap(s.offs)) {
+					t.Fatalf("%v/%s: Bytes() counts %d bytes beside the panel, accumulator and scale buffers, want planes %d + offsets %d",
+						g, entry, got, cap(s.planes), 4*cap(s.offs))
+				}
+			}
 			s := NewScratch()
 			s.SetNumerics(mode)
 			if _, err := s.Conv2DPacked(single, weights, bias, g.p, pk); err != nil {
@@ -284,6 +325,7 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 			if cap(s.col) != want {
 				t.Fatalf("%v/%v: Conv2DPacked staged %d floats, want %d", g, mode, cap(s.col), want)
 			}
+			checkInt8(s, 1, "Conv2DPacked")
 			s = NewScratch()
 			s.SetNumerics(mode)
 			if _, err := s.Conv2DBatchPacked(batch, weights, bias, g.p, pk); err != nil {
@@ -292,6 +334,7 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 			if cap(s.col) != 2*want {
 				t.Fatalf("%v/%v: Conv2DBatchPacked staged %d floats, want %d", g, mode, cap(s.col), 2*want)
 			}
+			checkInt8(s, 2, "Conv2DBatchPacked")
 		}
 	}
 }

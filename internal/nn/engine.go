@@ -40,6 +40,8 @@ type Scratch struct {
 	bbufs    [][]float32
 	u8bufs   [][]uint8
 	accbs    [][]int32
+	planes   []uint8
+	offs     []int32
 	fpanels  [][]float32
 	f64buf   []float64
 	qscales  []float32
@@ -95,8 +97,9 @@ func (s *Scratch) ArenaBytes() int64 {
 // Bytes reports the Scratch's total resident footprint: the output arena
 // plus every reusable staging buffer (the reference convolution's patch
 // matrix, recurrent gate vectors, batch buffers, the fused path's column
-// panels, int8 activation, accumulator and scale buffers).  It is the
-// memory-accounting surface behind per-model resident-bytes reporting.
+// panels, int8 planes, offset tables, activation, accumulator and scale
+// buffers).  It is the memory-accounting surface behind per-model
+// resident-bytes reporting.
 func (s *Scratch) Bytes() int64 {
 	if s == nil {
 		return 0
@@ -117,6 +120,7 @@ func (s *Scratch) Bytes() int64 {
 	for _, v := range s.fpanels {
 		n += int64(cap(v)) * 4
 	}
+	n += int64(cap(s.planes)) + int64(cap(s.offs))*4
 	n += int64(cap(s.f64buf)) * 8
 	n += int64(cap(s.qscales)) * 4
 	return n

@@ -27,15 +27,15 @@ import (
 // staged batch blocking only in float32 low bits (the tier's tolerance
 // contract).
 //
-// The int8 tier quantizes per panel: float patch slabs are packed exactly
-// as above, quantized into the kernel's u8 tile layout panel by panel, and
-// one exact-int32 panel GEMM dequantizes straight into the output block.
-// The activation scale is per (group, image), computed from that image's
-// group input planes — a superset of every patch value, so the clamp-free
-// quantizer stays in range, the scale is independent of the panel grid and
-// worker count, and batching never coarsens a sample's quantization step
-// (a batch-wide scale would let one large-magnitude image cost every other
-// image resolution).
+// The int8 tier stages bytes, not floats.  The activation scale is per
+// (group, image), from that image's group input planes, so it does not
+// depend on the panel grid, the worker count or the batch.  Each image's
+// group planes are quantized once into padded u8 planes (border bytes 128,
+// the quantized zero), and every panel gathers its bytes straight into the
+// GEMM's tile layout (tensor.GatherPanelU8).  The depth order (u8Order) makes
+// every 4-deep block four adjacent plane bytes; PackConv permutes the weights
+// to match.  Any order is exact: int32 sums do not depend on it, zero weights
+// add nothing, and a weight row's scale and compensation ignore both.
 
 // convFused runs the fused fast-tier convolution over nImg samples laid
 // out sample-major in `in` (samples sampleStride floats apart), writing
@@ -45,28 +45,23 @@ func (s *Scratch) convFused(o, in, biasData []float32, pk *ConvPack, p ConvParam
 	inCPerGroup := p.InChannels / groups
 	outCPerGroup := p.OutChannels / groups
 	n1 := outH * outW
-	outSample := p.OutChannels * n1
 	workers := s.Workers()
 	oneByOne := !int8Path && p.KernelH == 1 && p.KernelW == 1 &&
 		p.StrideH == 1 && p.StrideW == 1 && p.PadH == 0 && p.PadW == 0
-	nPanels := (n1 + tensor.FusedNC - 1) / tensor.FusedNC
-	tasks := nImg * nPanels
-	ncMax := n1
-	if ncMax > tensor.FusedNC {
-		ncMax = tensor.FusedNC
-	}
-	var u8len, accLen int
+	job := fusedJob{o: o, in: in, p: p, sampleStride: sampleStride, inH: inH, inW: inW,
+		outH: outH, outW: outW, n1: n1, outSample: p.OutChannels * n1,
+		nPanels: (n1 + tensor.FusedNC - 1) / tensor.FusedNC}
+	tasks := nImg * job.nPanels
 	if int8Path {
-		u8len = tensor.Int8PackedLen(pk.q[0].KPad(), ncMax)
-		accLen = tensor.Int8AccLen(outCPerGroup, ncMax)
+		job.u8 = s.u8Planes(p, nImg, inH, inW, outH, outW)
 	}
 
 	for g := 0; g < groups; g++ {
-		oc0 := g * outCPerGroup
-		icBase := g * inCPerGroup
-		var gb []float32
+		job.oc0 = g * outCPerGroup
+		job.icBase = g * inCPerGroup
+		job.gb = nil
 		if biasData != nil {
-			gb = biasData[oc0 : oc0+outCPerGroup]
+			job.gb = biasData[job.oc0 : job.oc0+outCPerGroup]
 		}
 		if oneByOne {
 			// 1x1/stride-1: the group's input planes ARE the B matrix
@@ -75,111 +70,90 @@ func (s *Scratch) convFused(o, in, biasData []float32, pk *ConvPack, p ConvParam
 			pa := pk.f[g]
 			for img := 0; img < nImg; img++ {
 				tensor.GemmNNFastStridedParallel(
-					o[img*outSample+oc0*n1:], pa,
-					in[img*sampleStride+icBase*n1:], gb, n1, n1, n1, workers)
+					o[img*job.outSample+job.oc0*n1:], pa,
+					in[img*sampleStride+job.icBase*n1:], job.gb, n1, n1, n1, workers)
 			}
 			continue
 		}
-		var scales []float32
 		if int8Path {
-			scales = s.qscaleBuf(nImg)
+			job.pq = pk.q[g]
+			job.scales = grown(&s.qscales, nImg)
 			for img := 0; img < nImg; img++ {
-				planes := in[img*sampleStride+icBase*inH*inW:][:inCPerGroup*inH*inW]
-				scales[img] = tensor.U8Scale(tensor.MaxAbs(planes))
+				planes := in[img*sampleStride+job.icBase*inH*inW:][:inCPerGroup*inH*inW]
+				job.scales[img] = tensor.U8Scale(tensor.MaxAbs(planes))
+				job.u8.quantize(img, planes, 1/job.scales[img])
 			}
+		} else {
+			job.pa = pk.f[g]
 		}
-		w := workers
-		if w > tasks {
-			w = tasks
-		}
+		w := min(workers, tasks)
 		if w <= 1 {
 			// Serial path: no closures (they would escape and break the
 			// engine's zero-alloc steady state).
-			panel := s.panelBuf(0)
-			if int8Path {
-				pq := pk.q[g]
-				u8p := s.u8buf(0, u8len)
-				acc := s.accbuf(0, accLen)
-				for t := 0; t < tasks; t++ {
-					img, pi := t/nPanels, t%nPanels
-					p0 := pi * tensor.FusedNC
-					pw := n1 - p0
-					if pw > tensor.FusedNC {
-						pw = tensor.FusedNC
-					}
-					scale := scales[img]
-					fusedConvPanelInt8(o[img*outSample+oc0*n1+p0:], in[img*sampleStride:],
-						pq, gb, p, inH, inW, icBase, outH, outW, n1, p0, pw,
-						panel, u8p, acc, 1/scale, scale)
-				}
-			} else {
-				pa := pk.f[g]
-				for t := 0; t < tasks; t++ {
-					img, pi := t/nPanels, t%nPanels
-					p0 := pi * tensor.FusedNC
-					pw := n1 - p0
-					if pw > tensor.FusedNC {
-						pw = tensor.FusedNC
-					}
-					fusedConvPanel(o[img*outSample+oc0*n1+p0:], in[img*sampleStride:],
-						pa, gb, p, inH, inW, icBase, outH, outW, n1, p0, pw, panel)
-				}
+			panel, u8p, acc := s.fusedBufs(0, &job)
+			for t := 0; t < tasks; t++ {
+				job.run(t, panel, u8p, acc)
 			}
 			continue
 		}
-		s.convFusedGroupPar(o, in, gb, pk, g, p, sampleStride, inH, inW, icBase,
-			outH, outW, n1, outSample, oc0, nPanels, tasks, w, u8len, accLen,
-			scales, int8Path)
+		s.convFusedGroupPar(job, tasks, w)
 	}
 }
 
-// convFusedGroupPar fans one group's (image, panel) tasks over the worker
-// pool.  It lives in its own function so the closure below never forces the
-// serial path's locals to the heap (convFused must stay closure-free for
-// the zero-alloc steady state).  Worker wi owns tasks wi, wi+w, ... — a
-// fixed assignment over the fixed panel grid, so the bytes written are
-// identical for any worker count.
-func (s *Scratch) convFusedGroupPar(o, in, gb []float32, pk *ConvPack, g int, p ConvParams, sampleStride, inH, inW, icBase, outH, outW, n1, outSample, oc0, nPanels, tasks, w, u8len, accLen int, scales []float32, int8Path bool) {
+// fusedJob is one group of a fused convolution call, split into tasks: task
+// t finishes the output columns of panel t%nPanels of image t/nPanels.
+type fusedJob struct {
+	o, in, gb []float32
+	pa        *tensor.PackedA
+	pq        *tensor.PackedInt8
+	u8        u8Planes
+	scales    []float32
+	p         ConvParams
+
+	sampleStride, inH, inW, icBase, outH, outW, n1, outSample, oc0, nPanels int
+}
+
+// fusedBufs returns worker slot wi's staging buffers: a float panel, or the
+// int8 tier's u8 tile panel and int32 accumulators.
+func (s *Scratch) fusedBufs(wi int, job *fusedJob) ([]float32, []uint8, []int32) {
+	if nc := min(job.n1, tensor.FusedNC); job.pq != nil {
+		return nil, s.u8buf(wi, tensor.Int8PackedLen(job.pq.KPad(), nc)),
+			s.accbuf(wi, tensor.Int8AccLen(job.p.OutChannels/job.p.groups(), nc))
+	}
+	return s.panelBuf(wi), nil, nil
+}
+
+// run finishes task t with one worker's staging buffers.
+func (j *fusedJob) run(t int, panel []float32, u8p []uint8, acc []int32) {
+	img, pi := t/j.nPanels, t%j.nPanels
+	p0 := pi * tensor.FusedNC
+	pw := min(j.n1-p0, tensor.FusedNC)
+	dst := j.o[img*j.outSample+j.oc0*j.n1+p0:]
+	if j.pq != nil {
+		tensor.GatherPanelU8(u8p, j.u8.image(img), j.u8.rowOff, j.u8.colOff[p0:p0+pw], j.pq.Cols(), pw, j.pq.KPad())
+		tensor.GemmInt8Panel(dst, j.pq, u8p, acc, j.gb, j.scales[img], pw, j.n1)
+		return
+	}
+	fusedConvPanel(dst, j.in[img*j.sampleStride:], j.pa, j.gb, j.p, j.inH, j.inW, j.icBase,
+		j.outH, j.outW, j.n1, p0, pw, panel)
+}
+
+// convFusedGroupPar fans one group's tasks over the worker pool.  It takes
+// the job by value and lives in its own function so the closure below never
+// forces the serial path's locals to the heap (convFused must stay
+// closure-free for the zero-alloc steady state).  Worker wi owns tasks wi,
+// wi+w, ... — a fixed assignment over the fixed panel grid, so the bytes
+// written are identical for any worker count.
+func (s *Scratch) convFusedGroupPar(job fusedJob, tasks, w int) {
 	// Pre-grow the per-worker buffers before fanning out: the slot helpers
 	// may append/resize, which must not race.
 	for wi := 0; wi < w; wi++ {
-		s.panelBuf(wi)
-		if int8Path {
-			s.u8buf(wi, u8len)
-			s.accbuf(wi, accLen)
-		}
-	}
-	pq, pa := (*tensor.PackedInt8)(nil), (*tensor.PackedA)(nil)
-	if int8Path {
-		pq = pk.q[g]
-	} else {
-		pa = pk.f[g]
+		s.fusedBufs(wi, &job)
 	}
 	_ = par.ForEach(w, w, func(wi int) error {
-		panel := s.panelBuf(wi)
-		var u8p []uint8
-		var acc []int32
-		if int8Path {
-			u8p = s.u8buf(wi, u8len)
-			acc = s.accbuf(wi, accLen)
-		}
+		panel, u8p, acc := s.fusedBufs(wi, &job)
 		for t := wi; t < tasks; t += w {
-			img, pi := t/nPanels, t%nPanels
-			p0 := pi * tensor.FusedNC
-			pw := n1 - p0
-			if pw > tensor.FusedNC {
-				pw = tensor.FusedNC
-			}
-			dst := o[img*outSample+oc0*n1+p0:]
-			sample := in[img*sampleStride:]
-			if int8Path {
-				scale := scales[img]
-				fusedConvPanelInt8(dst, sample, pq, gb, p, inH, inW, icBase,
-					outH, outW, n1, p0, pw, panel, u8p, acc, 1/scale, scale)
-			} else {
-				fusedConvPanel(dst, sample, pa, gb, p, inH, inW, icBase,
-					outH, outW, n1, p0, pw, panel)
-			}
+			job.run(t, panel, u8p, acc)
 		}
 		return nil
 	})
@@ -200,22 +174,104 @@ func fusedConvPanel(dst, sample []float32, pa *tensor.PackedA, gb []float32, p C
 	}
 }
 
-// fusedConvPanelInt8 finishes one quantized column panel: float patch slabs
-// are packed and quantized into the u8 tile layout (full padded depth, one
-// panel), then a single exact-int32 panel GEMM dequantizes into the output.
-func fusedConvPanelInt8(dst, sample []float32, pq *tensor.PackedInt8, gb []float32, p ConvParams, inH, inW, icBase, outH, outW, n1, p0, pw int, panel []float32, u8p []uint8, acc []int32, inv, scale float32) {
-	k := pq.Cols()
-	kPad := pq.KPad()
-	tensor.BeginPanelU8(u8p, k, pw, kPad)
-	for kb := 0; kb < k; kb += tensor.FusedKC {
-		kc := k - kb
-		if kc > tensor.FusedKC {
-			kc = tensor.FusedKC
-		}
-		packConvPanel(panel, sample, inH, inW, icBase, p, outH, outW, kb, kc, p0, pw)
-		tensor.QuantizePanelU8(u8p, panel[:kc*pw], kb, kc, pw, kPad, inv)
+// u8Order returns the int8 depth order of a convolution: lanes is 4 when a
+// group's channels split into quads (one dword of four channels per plane
+// pixel, kernel width unpadded), else 1 (one channel per plane, the kernel
+// width padded to kwPad, a multiple of four).  Either way every 4-deep block
+// of the order is four adjacent bytes of one plane row.
+func u8Order(p ConvParams) (lanes, kwPad int) {
+	if (p.InChannels/p.groups())%4 == 0 {
+		return 4, p.KernelW
 	}
-	tensor.GemmInt8Panel(dst, pq, u8p, acc, gb, scale, pw, n1)
+	return 1, (p.KernelW + 3) &^ 3
+}
+
+// u8Depth walks one group's int8 depth order (quad or channel, ky, kx,
+// channel in quad), filling where non-nil from[l], depth row l's natural
+// weight column (-1 for a padded kernel column), and rowOff[l], its tap's
+// byte in the group's padded planes (wp pixels wide, planeBytes apart).
+func u8Depth(p ConvParams, from, rowOff []int32, wp, planeBytes int) {
+	lanes, kwPad := u8Order(p)
+	l := 0
+	for q := 0; q < p.InChannels/p.groups()/lanes; q++ {
+		for ky := 0; ky < p.KernelH; ky++ {
+			for kx := 0; kx < kwPad; kx++ {
+				for r := 0; r < lanes; r, l = r+1, l+1 {
+					if from != nil {
+						from[l] = -1
+						if kx < p.KernelW {
+							from[l] = int32(((q*lanes+r)*p.KernelH+ky)*p.KernelW + kx)
+						}
+					}
+					if rowOff != nil {
+						rowOff[l] = int32(q*planeBytes + (ky*wp+kx)*lanes + r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// u8Planes is the int8 staging of one convolution call: per image, one
+// group's input planes in padded u8 planes (rows of wp lanes-byte pixels),
+// and the offset tables every panel gathers through: depth row l of output
+// pixel j is byte rowOff[l] + colOff[j] of the image's planes.
+type u8Planes struct {
+	buf                                                 []uint8
+	rowOff, colOff                                      []int32
+	lanes, wp, inH, inW, origin, planeBytes, imageBytes int
+}
+
+// u8Planes sizes the staging for nImg images, fills the plane borders and
+// builds the offset tables.  A plane is wide enough for every padded kernel
+// column a panel reads (those taps meet zero weights).
+func (s *Scratch) u8Planes(p ConvParams, nImg, inH, inW, outH, outW int) u8Planes {
+	lanes, kwPad := u8Order(p)
+	cg := p.InChannels / p.groups()
+	u := u8Planes{lanes: lanes, inH: inH, inW: inW, wp: max(inW+2*p.PadW, (outW-1)*p.StrideW+kwPad)}
+	u.origin = (p.PadH*u.wp + p.PadW) * lanes
+	u.planeBytes = (inH + 2*p.PadH) * u.wp * lanes
+	u.imageBytes = cg / lanes * u.planeBytes
+	u.buf = grown(&s.planes, nImg*u.imageBytes)
+	k := cg * p.KernelH * kwPad
+	offs := grown(&s.offs, k+outH*outW)
+	u.rowOff, u.colOff = offs[:k], offs[k:]
+	u8Depth(p, nil, u.rowOff, u.wp, u.planeBytes)
+	for j := range u.colOff {
+		u.colOff[j] = int32((j/outW*p.StrideH*u.wp + j%outW*p.StrideW) * lanes)
+	}
+	for base := 0; base < len(u.buf); base += u.planeBytes {
+		at := base
+		for y := 0; y < inH; y++ {
+			row := base + u.origin + y*u.wp*lanes
+			fill128(u.buf[at:row])
+			at = row + inW*lanes
+		}
+		fill128(u.buf[at : base+u.planeBytes])
+	}
+	return u
+}
+
+// image returns image img's planes.
+func (u *u8Planes) image(img int) []uint8 {
+	return u.buf[img*u.imageBytes : (img+1)*u.imageBytes]
+}
+
+// quantize writes one image's group input planes (src, CHW) into the
+// interiors of its u8 planes.
+func (u *u8Planes) quantize(img int, src []float32, inv float32) {
+	dst, hw := u.image(img), u.inH*u.inW
+	for q := 0; q*u.lanes*hw < len(src); q++ {
+		tensor.QuantizePlaneU8(dst[q*u.planeBytes+u.origin:], src[q*u.lanes*hw:],
+			u.lanes, u.inH, u.inW, hw, u.wp*u.lanes, inv)
+	}
+}
+
+// fill128 sets every byte of b to 128, the quantized zero.
+func fill128(b []uint8) {
+	for i := range b {
+		b[i] = 128
+	}
 }
 
 // packConvPanel streams the receptive-field patch block covering depth rows
@@ -303,24 +359,18 @@ func packPatchRow(row, plane []float32, inH, inW int, p ConvParams, outH, outW, 
 	}
 }
 
-// qscaleBuf returns the per-image activation-scale buffer of the fused int8
-// path (allocated once and reused).
-func (s *Scratch) qscaleBuf(n int) []float32 {
-	if s == nil {
-		return make([]float32, n)
+// grown returns *buf resliced to n elements, reallocating only when it is
+// too short (contents undefined).
+func grown[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	if cap(s.qscales) < n {
-		s.qscales = make([]float32, n)
-	}
-	return s.qscales[:n]
+	return (*buf)[:n]
 }
 
 // panelBuf returns the fused-GEMM B panel buffer for the given worker slot
 // (tensor.FusedPanelFloats floats, allocated once and reused).
 func (s *Scratch) panelBuf(slot int) []float32 {
-	if s == nil {
-		return make([]float32, tensor.FusedPanelFloats)
-	}
 	for len(s.fpanels) <= slot {
 		s.fpanels = append(s.fpanels, nil)
 	}

@@ -87,9 +87,6 @@ func (s *Scratch) Numerics() Numerics {
 
 // u8buf returns the quantized-activation staging buffer for the given slot.
 func (s *Scratch) u8buf(slot, n int) []uint8 {
-	if s == nil {
-		return make([]uint8, n)
-	}
 	for len(s.u8bufs) <= slot {
 		s.u8bufs = append(s.u8bufs, nil)
 	}
@@ -102,9 +99,6 @@ func (s *Scratch) u8buf(slot, n int) []uint8 {
 // accbuf returns the int32 accumulator staging buffer of the int8 GEMM for
 // the given slot (one slot per worker on the fused parallel path).
 func (s *Scratch) accbuf(slot, n int) []int32 {
-	if s == nil {
-		return make([]int32, n)
-	}
 	for len(s.accbs) <= slot {
 		s.accbs = append(s.accbs, nil)
 	}
@@ -178,7 +172,8 @@ func (pk *RNNPack) Bytes() int64 {
 }
 
 // PackConv packs conv weights (outC x inC/groups x kh x kw) for the given
-// mode.  Returns nil for NumericsReference.
+// mode, int8 packs in the depth order of u8Order.  Returns nil for
+// NumericsReference.
 func PackConv(weights *tensor.Tensor, p ConvParams, mode Numerics) *ConvPack {
 	if mode == NumericsReference || weights == nil {
 		return nil
@@ -188,10 +183,16 @@ func PackConv(weights *tensor.Tensor, p ConvParams, mode Numerics) *ConvPack {
 	k := (p.InChannels / groups) * p.KernelH * p.KernelW
 	w := weights.Data()
 	pk := &ConvPack{}
+	var from []int32
+	if mode == NumericsInt8 {
+		_, kwPad := u8Order(p)
+		from = make([]int32, k/p.KernelW*kwPad)
+		u8Depth(p, from, nil, 0, 0)
+	}
 	for g := 0; g < groups; g++ {
 		block := w[g*outCPerGroup*k : (g+1)*outCPerGroup*k]
 		if mode == NumericsInt8 {
-			pk.q = append(pk.q, tensor.PackInt8(block, outCPerGroup, k))
+			pk.q = append(pk.q, tensor.PackInt8(block, outCPerGroup, k).PermuteCols(from))
 		} else {
 			pk.f = append(pk.f, tensor.PackA(block, outCPerGroup, k))
 		}

@@ -108,3 +108,33 @@ func TestLRNStepStaysInBounds(t *testing.T) {
 		}
 	})
 }
+
+// TestQuantizePlaneStaysInBounds: QuantizePlaneU8 with its source planes and
+// its destination each ending on the last mapped byte of a page, for one and
+// four lanes, 1-2 rows of 1..20 pixels (ragged row ends redo their last eight
+// pixels), on every rung; the bytes must be the heap run's.
+func TestQuantizePlaneStaysInBounds(t *testing.T) {
+	r := NewRNG(47)
+	for _, lanes := range []int{1, 4} {
+		for rows := 1; rows <= 2; rows++ {
+			for cols := 1; cols <= 20; cols++ {
+				ldd, planeStride := cols*lanes+3, rows*cols
+				src := make([]float32, (lanes-1)*planeStride+rows*cols)
+				fillRand(r, src)
+				inv := 127 / MaxAbs(src)
+				want := make([]uint8, (rows-1)*ldd+cols*lanes)
+				SetFastTier(TierGeneric)
+				QuantizePlaneU8(want, src, lanes, rows, cols, planeStride, ldd, inv)
+				forRungs(TierGeneric, func() {
+					got := guardedOf[uint8](t, len(want), nil)
+					QuantizePlaneU8(got, guardedOf(t, len(src), src), lanes, rows, cols, planeStride, ldd, inv)
+					for i := range want {
+						if y, x := i/ldd, i%ldd; y < rows && x < cols*lanes && got[i] != want[i] {
+							t.Fatalf("%v rung lanes=%d %dx%d: byte %d = %#x, heap run %#x", FastTier(), lanes, rows, cols, i, got[i], want[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}

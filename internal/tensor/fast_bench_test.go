@@ -100,7 +100,7 @@ func benchRungs(b *testing.B, fn func(b *testing.B)) {
 // BenchmarkGemmInt8Panel times the int8 panel GEMM alone — activations
 // already packed, panel resident — on AlexNet's conv1-3 weight shapes at the
 // fused path's two panel widths, so the kernel reads apart from the pack
-// (BenchmarkQuantizePanelU8) that BenchmarkGemmInt8 times together with it.
+// (BenchmarkGatherPanelU8) that BenchmarkGemmInt8 times together with it.
 // Under -v it logs whether the AVX-512 rung, and on it the VNNI kernel, ran:
 // CI runs it once so every rung's kernel executes on the runner.
 func BenchmarkGemmInt8Panel(b *testing.B) {
@@ -139,22 +139,57 @@ func BenchmarkGemmInt8Panel(b *testing.B) {
 	}
 }
 
-// BenchmarkQuantizePanelU8 times the quantize-and-interleave pack alone on
-// one FusedKC x FusedNC slab (and the 169-column panel of AlexNet's 13x13
-// layers, whose last tile is ragged).
-func BenchmarkQuantizePanelU8(b *testing.B) {
-	for _, nc := range []int{FusedNC, 169} {
-		b.Run(fmt.Sprintf("nc%d", nc), func(b *testing.B) {
-			panel := make([]float32, FusedKC*nc)
-			fillRand(NewRNG(5), panel)
-			dst := make([]uint8, Int8PackedLen(FusedKC, nc))
-			inv := 127 / MaxAbs(panel)
-			benchRungs(b, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					QuantizePanelU8(dst, panel, 0, FusedKC, nc, FusedKC, inv)
+// BenchmarkGatherPanelU8 times the int8 convolution's panel staging alone:
+// gathering one panel's bytes from quantized planes into the tile layout, on
+// the depth orders and offset tables AlexNet's conv1-3 use (conv1: three
+// planar 227-wide planes, 11x11 stride 4, the kernel width padded to 12;
+// conv2: twelve channel quads of 31x31 padded pixels, 5x5; conv3: 64 quads of
+// 15x15, 3x3), at the fused path's two panel widths.
+func BenchmarkGatherPanelU8(b *testing.B) {
+	shapes := []struct {
+		name                          string
+		lanes, c, kh, kw, kwPad, s, w int
+		outW                          int
+	}{
+		{"conv1", 1, 3, 11, 11, 12, 4, 228, 55},
+		{"conv2", 4, 48, 5, 5, 5, 1, 31, 27},
+		{"conv3", 4, 256, 3, 3, 3, 1, 15, 13},
+	}
+	for _, sh := range shapes {
+		var rowOff []int32
+		plane := sh.w * sh.w * sh.lanes
+		for q := 0; q < sh.c/sh.lanes; q++ {
+			for ky := 0; ky < sh.kh; ky++ {
+				for kx := 0; kx < sh.kwPad; kx++ {
+					for r := 0; r < sh.lanes; r++ {
+						rowOff = append(rowOff, int32(q*plane+(ky*sh.w+kx)*sh.lanes+r))
+					}
 				}
-				b.ReportMetric(float64(len(panel))*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gelem/s")
+			}
+		}
+		k := len(rowOff)
+		kPad := (k + int8KPad - 1) &^ (int8KPad - 1)
+		src := make([]uint8, sh.c/sh.lanes*plane)
+		for i := range src {
+			src[i] = uint8(i * 7)
+		}
+		for _, nc := range []int{FusedNC, 169} {
+			if nc > sh.outW*sh.outW {
+				continue
+			}
+			colOff := make([]int32, nc)
+			for j := range colOff {
+				colOff[j] = int32((j/sh.outW*sh.s*sh.w + j%sh.outW*sh.s) * sh.lanes)
+			}
+			b.Run(fmt.Sprintf("%s/nc%d", sh.name, nc), func(b *testing.B) {
+				dst := make([]uint8, Int8PackedLen(kPad, nc))
+				benchRungs(b, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						GatherPanelU8(dst, src, rowOff, colOff, k, nc, kPad)
+					}
+					b.ReportMetric(float64(k)*float64(nc)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gelem/s")
+				})
 			})
-		})
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Tests of the fused-staging kernel layer: the strided GEMM entry points
 // (NCHW-destination writes), the B-panel accumulator, and the int8 panel
-// quantizer that together let nn's fused convolution skip the staged
+// gather that together let nn's fused convolution skip the staged
 // l-major colT buffer.
 
 // fillPanel copies the kc x nc slab of b covering depth rows [kb, kb+kc)
@@ -164,35 +164,55 @@ func TestGemmNNFastAccumPanelGridInvariant(t *testing.T) {
 	})
 }
 
-// TestQuantizePanelU8MatchesPackCols: slab-wise panel quantization
-// (BeginPanelU8 + ascending QuantizePanelU8 calls) must produce exactly the
-// bytes of the one-shot PackColsU8 given the same activation scale.
-func TestQuantizePanelU8MatchesPackCols(t *testing.T) {
+// TestGatherPanelU8MatchesPackCols: quantizing once and gathering bytes is
+// quantizing the gathered floats.  A k x n matrix quantized by QuantizeU8
+// (the same scale PackColsU8 derives) and gathered through GatherPanelU8 must
+// give exactly PackColsU8's bytes on every rung, from the l-major copy (rows
+// n bytes apart: the byte loop) and from the transposed one (each column's
+// depth contiguous: whole dword blocks).
+func TestGatherPanelU8MatchesPackCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	m, n, k := 6, 173, 37
-	pw := tensor.PackInt8(randSlice(rng, m*k), m, k)
-	kPad := pw.KPad()
-	b := randSlice(rng, k*n)
-	want := make([]uint8, tensor.Int8PackedLen(kPad, n))
-	scale := tensor.PackColsU8(want, b, k, n, n, kPad)
-
-	got := make([]uint8, tensor.Int8PackedLen(kPad, n))
-	tensor.BeginPanelU8(got, k, n, kPad)
-	inv := 1 / scale
-	const kcStep = 16
-	panel := make([]float32, kcStep*n)
-	for kb := 0; kb < k; kb += kcStep {
-		kc := kcStep
-		if kb+kc > k {
-			kc = k - kb
+	for _, g := range [][2]int{{37, 173}, {4, 64}, {64, 169}} {
+		k, n := g[0], g[1]
+		kPad := (k + 31) &^ 31
+		b := randSlice(rng, k*n)
+		bT := make([]float32, k*n)
+		for l := 0; l < k; l++ {
+			for j := 0; j < n; j++ {
+				bT[j*k+l] = b[l*n+j]
+			}
 		}
-		fillPanel(panel[:kc*n], b, n, kb, kc, 0, n)
-		tensor.QuantizePanelU8(got, panel[:kc*n], kb, kc, n, kPad, inv)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("packed byte %d differs: %d vs %d", i, got[i], want[i])
-		}
+		forceTier(t, func(t *testing.T, tier tensor.SIMDTier) {
+			want := make([]uint8, tensor.Int8PackedLen(kPad, n))
+			scale := tensor.PackColsU8(want, b, k, n, n, kPad)
+			for _, order := range []struct {
+				name             string
+				src              []float32
+				rowStep, colStep int32
+			}{{"l-major", b, int32(n), 1}, {"transposed", bT, 1, int32(k)}} {
+				q := make([]uint8, k*n)
+				if s := tensor.QuantizeU8(q, order.src); s != scale {
+					t.Fatalf("tier %v %s: QuantizeU8 scale %v, PackColsU8 %v", tier, order.name, s, scale)
+				}
+				rowOff, colOff := make([]int32, k), make([]int32, n)
+				for l := range rowOff {
+					rowOff[l] = int32(l) * order.rowStep
+				}
+				for j := range colOff {
+					colOff[j] = int32(j) * order.colStep
+				}
+				got := make([]uint8, len(want))
+				for i := range got {
+					got[i] = 0xa5
+				}
+				tensor.GatherPanelU8(got, q, rowOff, colOff, k, n, kPad)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("tier %v %s k=%d n=%d: packed byte %d = %d, PackColsU8 %d", tier, order.name, k, n, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -220,25 +240,24 @@ func TestGemmInt8PanelMatchesGemmInt8(t *testing.T) {
 				tensor.GemmInt8(want, pw, bp, make([]int32, tensor.Int8AccLen(m, n)), bias, scale, n, 1)
 			}
 
-			inv := 1 / scale
+			q := make([]uint8, k*n)
+			tensor.QuantizeU8(q, b)
+			rowOff, colOff := make([]int32, k), make([]int32, n)
+			for l := range rowOff {
+				rowOff[l] = int32(l * n)
+			}
+			for j := range colOff {
+				colOff[j] = int32(j)
+			}
 			for _, ncStep := range []int{64, 48, 173, 41, 42, 43, 44, 45, 46, 47, 5} {
 				got := make([]float32, m*n)
 				u8p := make([]uint8, tensor.Int8PackedLen(kPad, ncStep))
-				panel := make([]float32, 16*ncStep)
 				for p0 := 0; p0 < n; p0 += ncStep {
 					nc := ncStep
 					if p0+nc > n {
 						nc = n - p0
 					}
-					tensor.BeginPanelU8(u8p, k, nc, kPad)
-					for kb := 0; kb < k; kb += 16 {
-						kc := 16
-						if kb+kc > k {
-							kc = k - kb
-						}
-						fillPanel(panel[:kc*nc], b, n, kb, kc, p0, nc)
-						tensor.QuantizePanelU8(u8p, panel[:kc*nc], kb, kc, nc, kPad, inv)
-					}
+					tensor.GatherPanelU8(u8p, q, rowOff, colOff[p0:p0+nc], k, nc, kPad)
 					accLen := tensor.Int8AccLen(m, nc)
 					back := make([]int32, accLen+64)
 					for i := range back {

@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Symmetric int8 quantized kernels: the lowest rung of the fast-numerics
 // tier.  Weights are quantized once per matrix with one scale per output
@@ -114,6 +117,25 @@ func PackInt8(a []float32, m, k int) *PackedInt8 {
 	return p
 }
 
+// PermuteCols returns p with its depth reordered: column l is p's column
+// from[l], or a zero weight where from[l] < 0.  With every column named once
+// the row scales and compensation terms carry over, as neither depends on
+// column order or zero weights.
+func (p *PackedInt8) PermuteCols(from []int32) *PackedInt8 {
+	k := len(from)
+	kPad := (k + int8KPad - 1) &^ (int8KPad - 1)
+	q := &PackedInt8{wq: make([]int8, p.m*kPad), scales: p.scales, comp: p.comp, m: p.m, k: k, kPad: kPad}
+	for i := 0; i < p.m; i++ {
+		src, dst := p.wq[i*p.kPad:(i+1)*p.kPad], q.wq[i*kPad:(i+1)*kPad]
+		for l, c := range from {
+			if c >= 0 {
+				dst[l] = src[c]
+			}
+		}
+	}
+	return q
+}
+
 // MaxAbs returns the largest |v| in src (0 for an empty slice; NaNs are
 // skipped), on the vector rungs through maxAbsAVX2 with a scalar tail.
 func MaxAbs(src []float32) float32 {
@@ -199,16 +221,12 @@ func PackColsU8(dst []uint8, b []float32, k, n, ldb, kPad int) float32 {
 	}
 	scale := U8Scale(maxAbs)
 	zeroPad8(dst, k, n, kPad)
-	quantizeTilesU8(dst, b, 0, k, n, ldb, kPad, 1/scale)
+	quantizeTilesU8(dst, b, k, n, ldb, kPad, 1/scale)
 	return scale
 }
 
 // U8Scale returns the offset-binary activation quantization scale for data
 // whose maximum absolute value is maxAbs, using exactly QuantizeU8's rule.
-// Fused convolution computes maxAbs once per group from the input planes
-// (a superset of every receptive-field patch, so the clamp-free rounding
-// precondition of the panel quantizer holds) and shares the scale across
-// panels.
 func U8Scale(maxAbs float32) float32 {
 	if maxAbs == 0 {
 		return 1
@@ -216,65 +234,143 @@ func U8Scale(maxAbs float32) float32 {
 	return maxAbs / 127
 }
 
-// BeginPanelU8 zeroes exactly the padded positions of a fused u8 activation
-// panel covering nc columns with valid depth k (padded to kPad): call it
-// once per panel before QuantizePanelU8 fills the valid slabs.
-func BeginPanelU8(dst []uint8, k, nc, kPad int) {
-	zeroPad8(dst, k, nc, kPad)
-}
-
-// QuantizePanelU8 writes a kc x nc float32 slab (row-major, stride nc,
-// covering depth rows [kb, kb+kc) of the panel's columns) into the
-// PackColsU8 tile layout with n = nc: q(panel[l][j]) + 128 lands at the
-// PackColsU8 offset of depth kb+l, column j.  inv is the
-// reciprocal activation scale; |v|*inv must not exceed 127 (guaranteed when
-// inv derives from a maxAbs that bounds every panel value, see U8Scale).
-// Bytes produced are identical to PackColsU8 quantizing the same values
-// with the same scale.
-func QuantizePanelU8(dst []uint8, panel []float32, kb, kc, nc, kPad int, inv float32) {
-	quantizeTilesU8(dst, panel, kb, kc, nc, nc, kPad, inv)
-}
-
-// quantizeTilesU8 is the one quantize-and-interleave core behind PackColsU8
-// and QuantizePanelU8: it writes the kc x nc block of src (rows lds floats
-// apart) at depth rows [kb, kb+kc) of the tile layout.  On the vector rungs
-// the whole 4-row x 8-column half-tile blocks go through quantTilesU8AVX2;
-// the scalar loop takes the ragged edges (nc%8 columns, kc%4 rows, a slab
-// that does not start on a depth block) and everything on the generic rung.
-func quantizeTilesU8(dst []uint8, src []float32, kb, kc, nc, lds, kPad int, inv float32) {
-	if kc <= 0 {
-		return
-	}
-	if nc <= 0 || lds < nc || kb < 0 || kb+kc > kPad ||
-		len(src) < (kc-1)*lds+nc || len(dst) < Int8PackedLen(kPad, nc) {
+// quantizeTilesU8 is PackColsU8's quantize-and-interleave core: it writes the
+// k x nc block of src (rows lds floats apart) into the tile layout.  On the
+// vector rungs the whole 4-row x 8-column half-tile blocks go through
+// quantTilesU8AVX2; the scalar loop takes the ragged edges (nc%8 columns,
+// k%4 rows) and everything on the generic rung.
+func quantizeTilesU8(dst []uint8, src []float32, k, nc, lds, kPad int, inv float32) {
+	if nc <= 0 || lds < nc || k > kPad || len(src) < (k-1)*lds+nc || len(dst) < Int8PackedLen(kPad, nc) {
 		panic("tensor: u8 quantize buffers too small")
 	}
-	kcVec, ncVec := 0, 0
-	if int8Vector() && kb%4 == 0 && kc >= 4 && nc >= int8QuantCols {
-		kcVec, ncVec = kc&^3, nc&^(int8QuantCols-1)
-		quantTilesU8AVX2(dst[kb*int8NR:], src, kcVec/4, ncVec/int8QuantCols, lds, kPad, inv)
-		quantizeTilesScalar(dst, src, kb, 0, kcVec, ncVec, nc, lds, kPad, inv)
+	kVec, ncVec := 0, 0
+	if int8Vector() && k >= 4 && nc >= int8QuantCols {
+		kVec, ncVec = k&^3, nc&^(int8QuantCols-1)
+		quantTilesU8AVX2(dst, src, kVec/4, ncVec/int8QuantCols, lds, kPad, inv)
+		quantizeTilesScalar(dst, src, 0, kVec, ncVec, nc, lds, kPad, inv)
 	}
-	quantizeTilesScalar(dst, src, kb, kcVec, kc, 0, nc, lds, kPad, inv)
+	quantizeTilesScalar(dst, src, kVec, k, 0, nc, lds, kPad, inv)
 }
 
 // quantizeTilesScalar quantizes rows [l0, l1) x columns [j0, j1) of the
 // block quantizeTilesU8 describes.
-func quantizeTilesScalar(dst []uint8, src []float32, kb, l0, l1, j0, j1, lds, kPad int, inv float32) {
-	for li := l0; li < l1; li++ {
-		l := kb + li
+func quantizeTilesScalar(dst []uint8, src []float32, l0, l1, j0, j1, lds, kPad int, inv float32) {
+	for l := l0; l < l1; l++ {
 		base := (l/4)*int8NR*4 + l%4
-		row := src[li*lds : li*lds+j1]
+		row := src[l*lds : l*lds+j1]
 		for j := j0; j < j1; j++ {
 			dst[(j/int8NR)*kPad*int8NR+base+(j%int8NR)*4] = uint8(roundHalfAway(float32(row[j]*inv)) + 128)
 		}
 	}
 }
 
+// QuantizePlaneU8 quantizes rows x cols pixels of `lanes` float planes (1,
+// or 4 for a channel quad) into one u8 plane of lanes-byte pixels: pixel
+// (y, x) of plane r, src[r*planeStride + y*cols + x], lands at
+// dst[y*ldd + x*lanes + r] as q+128 under PackColsU8's clamp-free rounding.
+// The scalar loop is the definition and the generic rung; the vector rungs
+// take each row through quantU8AVX2, or quantTilesU8AVX2 as one depth block
+// of 4-byte tiles.
+func QuantizePlaneU8(dst []uint8, src []float32, lanes, rows, cols, planeStride, ldd int, inv float32) {
+	if (lanes != 1 && lanes != 4) || rows < 1 || cols < 1 || ldd < cols*lanes || (lanes > 1 && planeStride < rows*cols) ||
+		len(src) < (lanes-1)*planeStride+rows*cols || len(dst) < (rows-1)*ldd+cols*lanes {
+		panic("tensor: QuantizePlaneU8 arguments out of range")
+	}
+	vec := int8Vector() && cols >= int8QuantCols
+	for y := 0; y < rows; y++ {
+		d, s := dst[y*ldd:y*ldd+cols*lanes], src[y*cols:]
+		if !vec {
+			for i := range d {
+				d[i] = uint8(roundHalfAway(float32(s[i%lanes*planeStride+i/lanes]*inv)) + 128)
+			}
+			continue
+		}
+		n := cols &^ (int8QuantCols - 1)
+		quantRowU8(d, s, lanes, n, planeStride, inv)
+		if n < cols { // the ragged end: redo the row's last eight pixels
+			at := cols - int8QuantCols
+			quantRowU8(d[at*lanes:], s[at:], lanes, int8QuantCols, planeStride, inv)
+		}
+	}
+}
+
+// quantRowU8 is QuantizePlaneU8's vector step over n pixels, a positive
+// multiple of 8.
+func quantRowU8(dst []uint8, src []float32, lanes, n, planeStride int, inv float32) {
+	if lanes == 1 {
+		quantU8AVX2(dst, src, n, inv)
+	} else {
+		quantTilesU8AVX2(dst, src, 1, n/int8QuantCols, planeStride, 4, inv)
+	}
+}
+
+// GatherPanelU8 stages a column panel (nc <= FusedNC) of quantized
+// activations: depth row l < k of column j < nc is src[rowOff[l]+colOff[j]],
+// at its PackColsU8 position (n = nc); rows [k, kPad) and the last tile's
+// columns past nc are zeroed.  The byte loop is the definition and the
+// generic rung; the vector rungs first move whole blocks (gatherBlocks).
+func GatherPanelU8(dst, src []uint8, rowOff, colOff []int32, k, nc, kPad int) {
+	if nc <= 0 || nc > FusedNC || k < 0 || k > kPad || len(rowOff) < k || len(colOff) < nc || len(dst) < Int8PackedLen(kPad, nc) {
+		panic("tensor: GatherPanelU8 arguments out of range")
+	}
+	zeroPad8(dst, k, nc, kPad)
+	l := 0
+	if int8Vector() {
+		l = gatherBlocks(dst, src, rowOff[:k], colOff[:nc], kPad)
+	}
+	for ; l < k; l++ {
+		for j, c := range colOff[:nc] {
+			dst[j/int8NR*kPad*int8NR+(l/4)*4*int8NR+j%int8NR*4+l%4] = src[int(rowOff[l])+int(c)]
+		}
+	}
+}
+
+// gatherBlocks moves the leading depth blocks whose four rows are adjacent
+// bytes — one dword per column — and returns the depth it covered.  The
+// columns are planned once: a run of four or more consecutive dwords within a
+// tile moves as 16-byte copies (the last overlapping its predecessor), any
+// other column as one dword; every move reads the byte loop's bytes.
+func gatherBlocks(dst, src []uint8, rowOff, cols []int32, kPad int) int {
+	var wide, narrow [2][FusedNC]int32 // destination in block 0, source in the block's rows
+	nw, nn := 0, 0
+	for j0 := 0; j0 < len(cols); j0 += int8NR {
+		tile, at := cols[j0:min(len(cols), j0+int8NR)], int32(j0/int8NR*kPad*int8NR)
+		for j, n := 0, 1; j < len(tile); j, n = j+n, 1 {
+			for j+n < len(tile) && tile[j+n] == tile[j]+int32(4*n) {
+				n++
+			}
+			for i := j; n < 4 && i < j+n; i++ {
+				narrow[0][nn], narrow[1][nn] = at+int32(4*i), tile[i]
+				nn++
+			}
+			for o := 0; n >= 4 && o < 4*n; o += 16 {
+				o = min(o, 4*n-16)
+				wide[0][nw], wide[1][nw] = at+int32(4*j+o), tile[j]+int32(o)
+				nw++
+			}
+		}
+	}
+	l := 0
+	for ; l+4 <= len(rowOff); l += 4 {
+		r := rowOff[l : l+4]
+		if r[1] != r[0]+1 || r[2] != r[0]+2 || r[3] != r[0]+3 {
+			break
+		}
+		blk, s := dst[l*int8NR:], src[r[0]:]
+		for i, d := range wide[0][:nw] {
+			*(*[16]uint8)(blk[d:]) = *(*[16]uint8)(s[wide[1][i]:])
+		}
+		for i, d := range narrow[0][:nn] {
+			binary.LittleEndian.PutUint32(blk[d:], binary.LittleEndian.Uint32(s[narrow[1][i]:]))
+		}
+	}
+	return l
+}
+
 // GemmInt8Panel computes one fused column panel of the quantized GEMM:
 // dst[i*ldd + j] = dequant(sum_l Wq[i][l] * bp[l][j]) + bias[i] for every
 // weight row i and j in [0, nc).  bp holds the full-depth packed
-// activations of the panel's nc columns (PackColsU8 / QuantizePanelU8
+// activations of the panel's nc columns (PackColsU8 / GatherPanelU8
 // layout with n = nc, quantized with xScale); acc is the int32 staging
 // buffer (Int8AccLen(m, nc)).  Unlike the float fused path there is no
 // depth-slab accumulation — the int8 kernel consumes the whole padded depth

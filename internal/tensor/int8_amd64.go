@@ -36,6 +36,12 @@ func dotInt8Kernel(w []int8, x []uint8, n int) int32
 //go:noescape
 func quantTilesU8AVX2(dst []uint8, src []float32, kc4, halves, lds, kPad int, inv float32)
 
+// quantU8AVX2 quantizes src[:n] to offset-binary bytes in dst, one byte per
+// value with quantTilesU8AVX2's arithmetic; n a positive multiple of 8.
+//
+//go:noescape
+func quantU8AVX2(dst []uint8, src []float32, n int, inv float32)
+
 // dequantRowAVX2 writes dst[j] = float32(acc[j]-c)*f + b0, product and sum
 // each rounded, for j < len(dst), a positive multiple of 8.
 //

@@ -293,6 +293,45 @@ qtblock:
 	VZEROUPPER
 	RET
 
+// func quantU8AVX2(dst []uint8, src []float32, n int, inv float32)
+//
+// The contiguous form of quantTilesU8AVX2's per-value step: dst[i] = low
+// byte of roundHalfAway(src[i]*inv), plus 128, for i < n, a positive multiple
+// of 8.  Masking to the low byte first makes both packs exact.
+TEXT ·quantU8AVX2(SB), NOSPLIT, $0-60
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ n+48(FP), CX
+	VBROADCASTSS inv+56(FP), Y15
+	VPCMPEQD   Y14, Y14, Y14
+	VPSRLD     $24, Y14, Y12 // 0x000000ff: low byte of each int32
+	VPSRLD     $26, Y14, Y13
+	VPSLLD     $24, Y13, Y13 // 0x3f000000: 0.5
+	VPSLLW     $7, Y14, Y11
+	VPACKSSWB  Y11, Y11, Y11 // 0x80 in every byte: +128 mod 256
+	VPSLLD     $31, Y14, Y14 // sign mask
+
+quloop:
+	VMULPS (SI), Y15, Y0
+	VANDPS Y14, Y0, Y1
+	VORPS  Y13, Y1, Y1
+	VADDPS Y1, Y0, Y0
+	VCVTTPS2DQ Y0, Y0
+	VPAND      Y12, Y0, Y0
+	VPACKUSDW  Y0, Y0, Y0
+	VPACKUSWB  Y0, Y0, Y0    // each 128-bit lane: its four bytes in the low dword
+	VEXTRACTI128 $1, Y0, X1
+	VPUNPCKLDQ X1, X0, X0
+	VPXOR      X11, X0, X0
+	VMOVQ      X0, (DI)
+	ADDQ $32, SI
+	ADDQ $8, DI
+	SUBQ $8, CX
+	JNE  quloop
+
+	VZEROUPPER
+	RET
+
 // func maxAbsAVX2(src []float32, n int) float32
 //
 // max |src[i]| over i < n; n must be a positive multiple of 8.  The running

@@ -20,6 +20,10 @@ func quantTilesU8AVX2(dst []uint8, src []float32, kc4, halves, lds, kPad int, in
 	panic("tensor: int8 quantize kernel called on non-amd64 build")
 }
 
+func quantU8AVX2(dst []uint8, src []float32, n int, inv float32) {
+	panic("tensor: int8 quantize kernel called on non-amd64 build")
+}
+
 func dequantRowAVX2(dst []float32, acc []int32, c int32, f, b0 float32) {
 	panic("tensor: int8 dequantize kernel called on non-amd64 build")
 }

@@ -29,39 +29,18 @@ func vectorRungs(t *testing.T, fn func()) {
 	forRungs(TierFMA, fn)
 }
 
-// checkQuantizeTiles quantizes the kc x nc slab src (row stride lds) at depth
-// kb through the dispatching core and through the scalar loop alone, and
-// compares the two buffers byte for byte — including the bytes neither may
-// touch, which start out as a sentinel.
-func checkQuantizeTiles(t *testing.T, src []float32, kb, kc, nc, lds int, inv float32) {
-	t.Helper()
-	kPad := (kb + kc + int8KPad - 1) &^ (int8KPad - 1)
-	want := make([]uint8, Int8PackedLen(kPad, nc))
-	got := make([]uint8, len(want))
-	for i := range want {
-		want[i], got[i] = 0xa5, 0xa5
-	}
-	quantizeTilesScalar(want, src, kb, 0, kc, 0, nc, lds, kPad, inv)
-	vectorRungs(t, func() {
-		quantizeTilesU8(got, src, kb, kc, nc, lds, kPad, inv)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v rung kb=%d kc=%d nc=%d lds=%d inv=%v: byte %d = %#x, scalar %#x",
-					FastTier(), kb, kc, nc, lds, inv, i, got[i], want[i])
-			}
-		}
-	})
+// gatherSeed is one seed-corpus entry of FuzzGatherPanelU8: raw supplies the
+// source bytes, the offsets that do not follow a pattern and the quantizers'
+// float32 bit patterns; k and nc size the panel and the quantized plane;
+// shape picks the offset patterns and the plane strides.
+type gatherSeed struct {
+	vals  []float32
+	k, nc uint8
+	shape uint8
+	inv   float32
 }
 
-// quantizeSeed is one seed-corpus entry of FuzzQuantizePanelU8.
-type quantizeSeed struct {
-	vals       []float32
-	kb, kc, nc uint8
-	pad        uint8
-	inv        float32
-}
-
-func quantizeSeeds() []quantizeSeed {
+func gatherSeeds() []gatherSeed {
 	// Exact ties: with inv a power of two, (n+0.5)/inv and its product with
 	// inv are both exact, so the rounding sees n+0.5 itself.
 	var ties []float32
@@ -70,53 +49,160 @@ func quantizeSeeds() []quantizeSeed {
 	}
 	denormal := math.Float32frombits(1)
 	edge := []float32{31.75, -31.75, 0, float32(math.Copysign(0, -1)), denormal, -denormal,
-		math.Float32frombits(0x007fffff), 0.125, -0.125, 31.625, -31.625}
-	return []quantizeSeed{
-		{ties, 0, 8, 33, 0, 4},
-		{ties, 4, 7, 15, 3, 4},
-		{edge, 0, 4, 8, 0, 4},
-		{edge, 0, 5, 9, 0, 4},   // kc%4 = 1, nc%8 = 1
-		{edge, 8, 6, 10, 1, 4},  // kc%4 = 2, nc%8 = 2
-		{ties, 0, 11, 11, 0, 4}, // kc%4 = 3, nc%8 = 3
-		{ties, 0, 12, 12, 5, 4},
-		{ties, 4, 16, 13, 0, 4},
-		{edge, 0, 9, 14, 0, 4},
-		{ties, 0, 13, 23, 2, 4}, // nc%8 = 7
-		{ties, 2, 8, 16, 0, 4},  // kb%4 != 0: the whole slab is scalar
-		{ties, 7, 9, 24, 0, 4},
-		{edge, 0, 8, 5, 0, 4},                  // nc < 8
-		{ties, 0, 32, 40, 0, 127 / float32(3)}, // a scale that is not a power of two
-		{ties, 0, 8, 16 - 1, 0, 4},             // nc = 16: one whole tile
-		{edge, 4, 9, 17 - 1, 2, 4},             // nc = 17: a tile and one column
-		{ties, 0, 12, 31 - 1, 0, 4},            // nc = 31: an even half, then 7 ragged columns
-		{ties, 0, 8, 169 - 1, 3, 4},            // nc = 169: AlexNet's 13x13 panel, 9 columns in the last tile
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x007fffff), 0.125, -0.125, 31.625, -31.625, 3e9, -3e9}
+	return []gatherSeed{
+		{ties, 8, 32, 0, 4},                  // two whole tiles of dword runs
+		{edge, 8, 33, 0, 4},                  // and one ragged column
+		{ties, 12, 16, 1, 4},                 // strided columns
+		{edge, 7, 15, 1, 4},                  // a partial depth block, one short tile
+		{ties, 16, 48, 2, 4},                 // arbitrary columns
+		{edge, 5, 9, 2, 4},                   // k%4 = 1, nc%8 = 1
+		{ties, 8, 32, 3, 4},                  // two rows swapped, dword runs
+		{edge, 13, 31, 3, 4},                 // two rows swapped, a ragged tile
+		{ties, 4, 16, 4, 4},                  // one block, one tile
+		{edge, 33, 17, 5, 4},                 // past one kPad unit
+		{ties, 1, 1, 6, 4},                   // one byte
+		{edge, 3, 7, 7, 4},                   // a lone partial block
+		{ties, 36, 64, 8, 4},                 // depth 36, four tiles
+		{edge, 24, 40, 9, 4},                 // 40-column planes for the quantizers
+		{ties, 32, 169, 10, 4},               // AlexNet's 13x13 panel, 9 columns in the last tile
+		{edge, 11, 23, 11, 4},                // swapped rows, strided columns
+		{ties, 20, 50, 12, 127 / float32(3)}, // a scale that is not a power of two
+		{edge, 8, 8, 13, 1e30},               // every nonzero product out of range
 	}
 }
 
-// FuzzQuantizePanelU8 feeds arbitrary float32 bit patterns, geometries and
-// scales to the quantize-and-interleave core.  The vector routine truncates
-// and narrows exactly as the scalar expression does, so the bytes must agree
-// for every input, in range or not.
-func FuzzQuantizePanelU8(f *testing.F) {
-	for _, s := range quantizeSeeds() {
+// gatherOffsets builds a k-row, nc-column offset pair into a src of n bytes
+// from the shape byte: rows in adjacent 4-byte blocks (shape%4 != 3) or
+// shuffled, columns as one dword run per tile (shape%3 == 0), a constant
+// stride, or arbitrary.
+func gatherOffsets(raw []byte, k, nc, n int, shape uint8) (rowOff, colOff []int32) {
+	at := 0
+	next := func(limit int) int32 {
+		v := int(raw[at%len(raw)]) | int(raw[(at+1)%len(raw)])<<8
+		at += 2
+		return int32(v % limit)
+	}
+	half := n / 2
+	rowOff = make([]int32, k)
+	for l := range rowOff {
+		if l%4 == 0 {
+			rowOff[l] = next(half - 4)
+		} else {
+			rowOff[l] = rowOff[l-1] + 1
+		}
+	}
+	if shape%4 == 3 && k > 1 {
+		i, j := int(next(k)), int(next(k))
+		rowOff[i], rowOff[j] = rowOff[j], rowOff[i]+int32(i%2)
+	}
+	colOff = make([]int32, nc)
+	stride := 1 + int32(shape%7)
+	for j := range colOff {
+		switch shape % 3 {
+		case 0:
+			colOff[j] = int32(4*j) % int32(half-3)
+		case 1:
+			colOff[j] = int32(j) * stride % int32(half)
+		default:
+			colOff[j] = next(half)
+		}
+	}
+	return rowOff, colOff
+}
+
+// FuzzGatherPanelU8 holds the int8 convolution's staging to its definitions.
+// GatherPanelU8 on every rung must write exactly the bytes of the byte-loop
+// definition — including the zeroed pad rows and columns — for offset tables
+// that do and do not form adjacent depth blocks and dword runs.  And both
+// plane quantizers (one byte per pixel, and channel quads) must match their
+// scalar loop on every rung for arbitrary float32 bit patterns and scales,
+// leaving the row gaps of a padded destination untouched.
+func FuzzGatherPanelU8(f *testing.F) {
+	for _, s := range gatherSeeds() {
 		raw := make([]byte, 4*len(s.vals))
 		for i, v := range s.vals {
 			binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
 		}
-		f.Add(raw, s.kb, s.kc, s.nc, s.pad, math.Float32bits(s.inv))
+		f.Add(raw, s.k, s.nc, s.shape, math.Float32bits(s.inv))
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, kb, kc, nc, pad uint8, invBits uint32) {
+	f.Fuzz(func(t *testing.T, raw []byte, k, nc, shape uint8, invBits uint32) {
 		if len(raw) < 4 {
 			return
 		}
-		kbI, kcI, ncI := int(kb%32), 1+int(kc%40), 1+int(nc)
-		lds := ncI + int(pad%8)
-		src := make([]float32, kcI*lds)
+		kI, ncI := 1+int(k%72), 1+int(nc)
+		kPad := (kI + int8KPad - 1) &^ (int8KPad - 1)
+		src := make([]uint8, 2048)
 		for i := range src {
-			at := 4 * (i % (len(raw) / 4))
-			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[at:]))
+			src[i] = raw[i%len(raw)] ^ uint8(i)
 		}
-		checkQuantizeTiles(t, src, kbI, kcI, ncI, lds, math.Float32frombits(invBits))
+		rowOff, colOff := gatherOffsets(raw, kI, ncI, len(src), shape)
+		want := make([]uint8, Int8PackedLen(kPad, ncI))
+		for l := 0; l < kI; l++ {
+			for j := 0; j < ncI; j++ {
+				want[(j/int8NR)*kPad*int8NR+(l/4)*int8NR*4+(j%int8NR)*4+l%4] = src[rowOff[l]+colOff[j]]
+			}
+		}
+		forRungs(TierGeneric, func() {
+			got := make([]uint8, len(want))
+			for i := range got {
+				got[i] = 0xa5
+			}
+			GatherPanelU8(got, src, rowOff, colOff, kI, ncI, kPad)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v rung gather k=%d nc=%d shape=%d: byte %d = %#x, want %#x", FastTier(), kI, ncI, shape, i, got[i], want[i])
+				}
+			}
+		})
+
+		vals := make([]float32, len(raw)/4)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		inv := math.Float32frombits(invBits)
+		rows, cols := 1+kI%3, 1+ncI%40
+		for _, lanes := range []int{1, 4} {
+			planeStride := rows*cols + int(shape%3)
+			ldd := cols*lanes + int(shape%5)
+			in := make([]float32, (lanes-1)*planeStride+rows*cols)
+			for i := range in {
+				in[i] = vals[i%len(vals)]
+			}
+			var ref []uint8
+			forRungs(TierGeneric, func() {
+				got := make([]uint8, (rows-1)*ldd+cols*lanes+3)
+				for i := range got {
+					got[i] = 0xa5
+				}
+				QuantizePlaneU8(got, in, lanes, rows, cols, planeStride, ldd, inv)
+				if ref == nil {
+					ref = got
+					for y := 0; y < rows; y++ {
+						for x := 0; x < cols; x++ {
+							for r := 0; r < lanes; r++ {
+								want := uint8(roundHalfAway(float32(in[r*planeStride+y*cols+x]*inv)) + 128)
+								if b := got[y*ldd+x*lanes+r]; b != want {
+									t.Fatalf("generic rung lanes=%d %dx%d: pixel (%d, %d) lane %d = %#x, want %#x", lanes, rows, cols, y, x, r, b, want)
+								}
+							}
+						}
+					}
+				}
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("%v rung lanes=%d %dx%d ldd=%d inv=%v: byte %d = %#x, scalar %#x",
+							FastTier(), lanes, rows, cols, ldd, inv, i, got[i], ref[i])
+					}
+				}
+			})
+			for i, b := range ref {
+				if y, x := i/ldd, i%ldd; (y >= rows || x >= cols*lanes) && b != 0xa5 {
+					t.Fatalf("lanes=%d %dx%d ldd=%d: gap byte %d written", lanes, rows, cols, ldd, i)
+				}
+			}
+		}
 	})
 }
 
