@@ -750,8 +750,12 @@ func (r *run) finish() *KernelStats {
 		utilSMs = 1
 	}
 	st.Cycles = int64(float64(st.TotalThreadInstructions) / (perSMThroughput * float64(utilSMs)))
-	if st.Cycles < st.SimCycles && r.sampledCTAs == r.totalCTAs && cfg.Sampling.MaxLoopIters == 0 {
-		// Exhaustive simulation of a small kernel: trust the simulated time.
+	if st.Cycles < st.SimCycles && r.sampledCTAs == r.totalCTAs && cfg.Sampling.MaxLoopIters == 0 &&
+		utilSMs <= len(r.sms) {
+		// Exhaustive simulation of a small kernel on every SM it would
+		// occupy: trust the simulated time.  With fewer SMs modeled, the
+		// simulated time is a smaller machine's, and the extrapolation
+		// stands.
 		st.Cycles = st.SimCycles
 	}
 	if st.Cycles <= 0 {

@@ -352,6 +352,44 @@ func TestExhaustiveSamplingOnTinyKernel(t *testing.T) {
 	}
 }
 
+// TestExhaustiveTrustsSimulatedTimeOnlyOnModeledSMs: an exhaustive run of a
+// kernel with 3-28 CTAs reports the simulated time as the kernel's own only
+// when every SM the kernel occupies on the device is modeled.  With all of
+// GP102's 28 SMs modeled that is what it reports; with the default two, the
+// simulated time is a two-SM machine's and the extrapolation to the SMs the
+// CTAs occupy stands.
+func TestExhaustiveTrustsSimulatedTimeOnlyOnModeledSMs(t *testing.T) {
+	for _, ctas := range []int{3, 10, 28} {
+		k := &kernel.Kernel{
+			Name: "synthetic/small", Network: "synthetic", LayerName: "small", Class: "conv",
+			Launch: kernel.LaunchConfig{Grid: [3]int{ctas, 1, 1}, Block: [3]int{128, 1, 1}, Regs: 8},
+			Program: kernel.Program{
+				Loops: []kernel.Loop{{Trip: 8, Body: []isa.Instruction{
+					isa.NewLoad(isa.TypeF32, 1, isa.SpaceGlobal, isa.AccessPattern{Region: isa.RegionInput, ThreadStride: 4, IterStride: 512}),
+					isa.NewALU(isa.OpMad, isa.TypeF32, 2, 1, 1, 2),
+				}}},
+				Epilogue: []isa.Instruction{isa.NewStore(isa.TypeF32, 2, isa.SpaceGlobal, isa.AccessPattern{Region: isa.RegionOutput, ThreadStride: 4})},
+			},
+			InputBytes: 1 << 16, OutputBytes: 1 << 16,
+		}
+		for _, modeled := range []int{28, 2} {
+			cfg := gpusim.DefaultConfig().WithSampling(gpusim.Exhaustive())
+			cfg.ModeledSMs = modeled
+			sim, err := gpusim.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := sim.RunKernel(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if covered := modeled >= ctas; covered != (st.Cycles == st.SimCycles) {
+				t.Errorf("%d CTAs, %d modeled SMs: Cycles %d, SimCycles %d; want equal: %v", ctas, modeled, st.Cycles, st.SimCycles, covered)
+			}
+		}
+	}
+}
+
 func TestDifferentDevicesGiveDifferentTimes(t *testing.T) {
 	// The same workload should be slower on the 2-SM TX1 than on the 28-SM
 	// Pascal simulator configuration.
