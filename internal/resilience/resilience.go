@@ -212,7 +212,7 @@ func parsePlan(spec string, seed uint64) (*plan, error) {
 			return nil, fmt.Errorf("resilience: rule %q: unknown mode %q (want error, panic or latency)", ent, parts[0])
 		}
 		rate, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil || rate < 0 || rate > 1 {
+		if err != nil || !(rate >= 0 && rate <= 1) { // NaN fails both comparisons
 			return nil, fmt.Errorf("resilience: rule %q: rate %q must be in [0, 1]", ent, parts[1])
 		}
 		r.rate = rate

@@ -125,6 +125,7 @@ func TestEnableRejectsBadSpecs(t *testing.T) {
 		"unknown.point=error:1",
 		string(p) + "=explode:1",
 		string(p) + "=error:1.5",
+		string(p) + "=error:NaN",        // a rule that could never fire
 		string(p) + "=latency:1",        // missing duration
 		string(p) + "=error:1:bogusarg", // not a duration, not only=
 		"",
@@ -172,4 +173,53 @@ func TestPointsListsRegistrations(t *testing.T) {
 	if !found {
 		t.Fatalf("Points() does not list %s: %+v", p, Points())
 	}
+}
+
+// FuzzParsePlan feeds arbitrary specs to the TANGO_FAULTS parser: it never
+// panics, and a plan it accepts has at least one rule, every rate in [0, 1]
+// and a positive delay on every latency rule.  Seeds are the specs the tests,
+// README and CI use, over the points the binaries register.
+func FuzzParsePlan(f *testing.F) {
+	for _, name := range []string{"serve.batch.run", "serve.admit", "target.run", "par.task"} {
+		p := Register(Point(name), "fuzz point")
+		f.Cleanup(func() {
+			regMu.Lock()
+			delete(registered, p)
+			regMu.Unlock()
+		})
+	}
+	for _, spec := range []string{
+		"serve.batch.run=panic:0.03;serve.batch.run=error:0.05",
+		"serve.batch.run=panic:0.03;serve.batch.run=error:0.05;serve.batch.run=latency:0.2:2ms;serve.admit=latency:0.1:500us",
+		"target.run=latency:1:300ms",
+		"target.run=error:1:only=CifarNet/",
+		"serve.batch.run=error:1",
+		"par.task=error:0.5, target.run=panic:0",
+		"serve.admit=error:NaN",
+		"serve.admit=latency:1:-1s",
+		"",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pl, err := parsePlan(spec, 1)
+		if err != nil {
+			return
+		}
+		n := 0
+		for _, rules := range pl.rules {
+			for _, r := range rules {
+				n++
+				if !(r.rate >= 0 && r.rate <= 1) {
+					t.Fatalf("spec %q: accepted rate %v", spec, r.rate)
+				}
+				if r.mode == modeLatency && r.delay <= 0 {
+					t.Fatalf("spec %q: accepted latency rule with delay %v", spec, r.delay)
+				}
+			}
+		}
+		if n == 0 {
+			t.Fatalf("spec %q: accepted a plan with no rules", spec)
+		}
+	})
 }
