@@ -130,7 +130,7 @@ func (j *fusedJob) run(t int, panel []float32, u8p []uint8, acc []int32) {
 	pw := min(j.n1-p0, tensor.FusedNC)
 	dst := j.o[img*j.outSample+j.oc0*j.n1+p0:]
 	if j.pq != nil {
-		tensor.GatherPanelU8(u8p, j.u8.image(img), j.u8.rowOff, j.u8.colOff[p0:p0+pw], j.pq.Cols(), pw, j.pq.KPad())
+		tensor.GatherPanelU8(u8p, j.u8.buf[img*j.u8.imageBytes:], j.u8.rowOff, j.u8.colOff[p0:p0+pw], j.pq.Cols(), pw, j.pq.KPad())
 		tensor.GemmInt8Panel(dst, j.pq, u8p, acc, j.gb, j.scales[img], pw, j.n1)
 		return
 	}
@@ -175,10 +175,9 @@ func fusedConvPanel(dst, sample []float32, pa *tensor.PackedA, gb []float32, p C
 }
 
 // u8Order returns the int8 depth order of a convolution: lanes is 4 when a
-// group's channels split into quads (one dword of four channels per plane
-// pixel, kernel width unpadded), else 1 (one channel per plane, the kernel
-// width padded to kwPad, a multiple of four).  Either way every 4-deep block
-// of the order is four adjacent bytes of one plane row.
+// group's channels split into quads (a pixel is a dword of four channels),
+// else 1 (a plane per channel, the kernel width padded to kwPad, a multiple
+// of four), so that every 4-deep block is four adjacent plane bytes.
 func u8Order(p ConvParams) (lanes, kwPad int) {
 	if (p.InChannels/p.groups())%4 == 0 {
 		return 4, p.KernelW
@@ -252,15 +251,10 @@ func (s *Scratch) u8Planes(p ConvParams, nImg, inH, inW, outH, outW int) u8Plane
 	return u
 }
 
-// image returns image img's planes.
-func (u *u8Planes) image(img int) []uint8 {
-	return u.buf[img*u.imageBytes : (img+1)*u.imageBytes]
-}
-
 // quantize writes one image's group input planes (src, CHW) into the
 // interiors of its u8 planes.
 func (u *u8Planes) quantize(img int, src []float32, inv float32) {
-	dst, hw := u.image(img), u.inH*u.inW
+	dst, hw := u.buf[img*u.imageBytes:], u.inH*u.inW
 	for q := 0; q*u.lanes*hw < len(src); q++ {
 		tensor.QuantizePlaneU8(dst[q*u.planeBytes+u.origin:], src[q*u.lanes*hw:],
 			u.lanes, u.inH, u.inW, hw, u.wp*u.lanes, inv)

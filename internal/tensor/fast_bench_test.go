@@ -144,7 +144,8 @@ func BenchmarkGemmInt8Panel(b *testing.B) {
 // the depth orders and offset tables AlexNet's conv1-3 use (conv1: three
 // planar 227-wide planes, 11x11 stride 4, the kernel width padded to 12;
 // conv2: twelve channel quads of 31x31 padded pixels, 5x5; conv3: 64 quads of
-// 15x15, 3x3), at the fused path's two panel widths.
+// 15x15, 3x3) and a MobileNet depthwise group (one planar 112x112 channel,
+// 3x3, the kernel width padded to 4), at the fused path's two panel widths.
 func BenchmarkGatherPanelU8(b *testing.B) {
 	shapes := []struct {
 		name                          string
@@ -154,6 +155,7 @@ func BenchmarkGatherPanelU8(b *testing.B) {
 		{"conv1", 1, 3, 11, 11, 12, 4, 228, 55},
 		{"conv2", 4, 48, 5, 5, 5, 1, 31, 27},
 		{"conv3", 4, 256, 3, 3, 3, 1, 15, 13},
+		{"depthwise", 1, 1, 3, 3, 4, 1, 115, 112},
 	}
 	for _, sh := range shapes {
 		var rowOff []int32

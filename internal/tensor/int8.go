@@ -326,27 +326,27 @@ func GatherPanelU8(dst, src []uint8, rowOff, colOff []int32, k, nc, kPad int) {
 }
 
 // gatherBlocks moves the leading depth blocks whose four rows are adjacent
-// bytes — one dword per column — and returns the depth it covered.  The
-// columns are planned once: a run of four or more consecutive dwords within a
-// tile moves as 16-byte copies (the last overlapping its predecessor), any
-// other column as one dword; every move reads the byte loop's bytes.
+// bytes (a column is the dword at its offset) and returns the depth covered.
+// Columns are planned once, by quads within a tile: four consecutive dwords
+// move as one 16-byte copy, four consecutive bytes (stride-1 planar) as two
+// overlapping dword loads spread into four dwords, other columns as dwords.
 func gatherBlocks(dst, src []uint8, rowOff, cols []int32, kPad int) int {
-	var wide, narrow [2][FusedNC]int32 // destination in block 0, source in the block's rows
-	nw, nn := 0, 0
-	for j0 := 0; j0 < len(cols); j0 += int8NR {
-		tile, at := cols[j0:min(len(cols), j0+int8NR)], int32(j0/int8NR*kPad*int8NR)
-		for j, n := 0, 1; j < len(tile); j, n = j+n, 1 {
-			for j+n < len(tile) && tile[j+n] == tile[j]+int32(4*n) {
-				n++
-			}
-			for i := j; n < 4 && i < j+n; i++ {
-				narrow[0][nn], narrow[1][nn] = at+int32(4*i), tile[i]
-				nn++
-			}
-			for o := 0; n >= 4 && o < 4*n; o += 16 {
-				o = min(o, 4*n-16)
-				wide[0][nw], wide[1][nw] = at+int32(4*j+o), tile[j]+int32(o)
-				nw++
+	var copies, spreads [2][FusedNC / 4]int32 // destination in block 0, source in the block's rows
+	var singles [2][FusedNC]int32
+	nc, ns, n1 := 0, 0, 0
+	for j := 0; j < len(cols); j += 4 {
+		c, at := cols[j:min(j+4, len(cols))], int32(j/int8NR*kPad*int8NR+j%int8NR*4)
+		switch {
+		case len(c) == 4 && c[1] == c[0]+4 && c[2] == c[0]+8 && c[3] == c[0]+12:
+			copies[0][nc], copies[1][nc] = at, c[0]
+			nc++
+		case len(c) == 4 && c[1] == c[0]+1 && c[2] == c[0]+2 && c[3] == c[0]+3:
+			spreads[0][ns], spreads[1][ns] = at, c[0]
+			ns++
+		default:
+			for i, ci := range c {
+				singles[0][n1], singles[1][n1] = at+int32(4*i), ci
+				n1++
 			}
 		}
 	}
@@ -357,11 +357,17 @@ func gatherBlocks(dst, src []uint8, rowOff, cols []int32, kPad int) int {
 			break
 		}
 		blk, s := dst[l*int8NR:], src[r[0]:]
-		for i, d := range wide[0][:nw] {
-			*(*[16]uint8)(blk[d:]) = *(*[16]uint8)(s[wide[1][i]:])
+		for i, d := range copies[0][:nc] {
+			*(*[16]uint8)(blk[d:]) = *(*[16]uint8)(s[copies[1][i]:])
 		}
-		for i, d := range narrow[0][:nn] {
-			binary.LittleEndian.PutUint32(blk[d:], binary.LittleEndian.Uint32(s[narrow[1][i]:]))
+		for i, d := range spreads[0][:ns] {
+			f := spreads[1][i]
+			v := uint64(binary.LittleEndian.Uint32(s[f:])) | uint64(binary.LittleEndian.Uint32(s[f+3:]))<<24
+			binary.LittleEndian.PutUint64(blk[d:], v&0xffffffff|(v>>8&0xffffffff)<<32)
+			binary.LittleEndian.PutUint64(blk[d+8:], v>>16&0xffffffff|(v>>24&0xffffffff)<<32)
+		}
+		for i, d := range singles[0][:n1] {
+			binary.LittleEndian.PutUint32(blk[d:], binary.LittleEndian.Uint32(s[singles[1][i]:]))
 		}
 	}
 	return l
