@@ -64,7 +64,7 @@ func gatherSeeds() []gatherSeed {
 		{edge, 33, 17, 5, 4},                 // past one kPad unit
 		{ties, 1, 1, 6, 4},                   // one byte
 		{edge, 3, 7, 7, 4},                   // a lone partial block
-		{ties, 36, 64, 8, 4},                 // depth 36, four tiles
+		{ties, 36, 64, 28, 4},                // consecutive byte columns, as in a depthwise layer
 		{edge, 24, 40, 9, 4},                 // 40-column planes for the quantizers
 		{ties, 32, 169, 10, 4},               // AlexNet's 13x13 panel, 9 columns in the last tile
 		{edge, 11, 23, 11, 4},                // swapped rows, strided columns
