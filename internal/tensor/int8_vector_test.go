@@ -207,14 +207,16 @@ func FuzzGatherPanelU8(f *testing.F) {
 }
 
 // TestPackColsU8VectorMatchesScalar: the one-shot pack (max-abs scan plus the
-// shared core, with a row stride wider than n) writes the same bytes and
-// returns the same scale on every rung.
+// quantize-and-interleave core, with a row stride wider than n, a NaN and a
+// -0 in the first row) writes the same bytes and returns the same scale on
+// every rung.
 func TestPackColsU8VectorMatchesScalar(t *testing.T) {
 	r := NewRNG(17)
 	for _, g := range [][3]int{{37, 173, 180}, {363, 512, 512}, {5, 7, 9}, {32, 8, 8}, {70, 169, 200}} {
 		k, n, ldb := g[0], g[1], g[2]
 		b := make([]float32, k*ldb)
 		fillRand(r, b)
+		b[3], b[5] = float32(math.NaN()), float32(math.Copysign(0, -1)) // a NaN quantizes to 128 on every rung
 		kPad := (k + int8KPad - 1) &^ (int8KPad - 1)
 		SetFastTier(TierGeneric)
 		want := make([]uint8, Int8PackedLen(kPad, n))
