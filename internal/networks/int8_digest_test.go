@@ -19,7 +19,10 @@ import (
 // The int8 tier's outputs are pinned exactly: integer accumulation is exact
 // and the quantizer's float arithmetic is fixed operation for operation, so
 // every SIMD rung and every worker fan-out must produce the same float32
-// bits.  int8DigestsFile holds the SHA-256 of each network's batched output;
+// bits.  int8DigestsFile holds the SHA-256 of each network's batched output
+// (key "<name>") and of its single-sample Plan.Run output (key "<name>/run":
+// a single-sample fully-connected layer runs the mat-vec, whose dequantize
+// differs from the GEMM's, so a Run that slipped onto the GEMM moves it);
 // UPDATE_GOLDEN=1 regenerates it (only an intended numerics change does).
 var int8DigestsFile = filepath.Join("testdata", "int8_digests.json")
 
@@ -105,6 +108,7 @@ func TestInt8DigestsAllRungs(t *testing.T) {
 					t.Fatal(err)
 				}
 				batch := cnnBatch(p, 57, c.batch)
+				single := cnnInput(p, 57)
 				for _, workers := range []int{1, 4} {
 					if c.heavy && rung.tier == tensor.TierGeneric && workers == 1 {
 						continue // a minute of portable-loop VGGNet; the light networks cover it
@@ -115,12 +119,18 @@ func TestInt8DigestsAllRungs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := digestFloats(res.Output.Data())
-					if update && rung.tier == tensor.TierGeneric {
-						pinned[c.name] = got
+					batched := digestFloats(res.Output.Data())
+					one, err := p.Run(single, s)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if want := pinned[c.name]; got != want {
-						t.Fatalf("%s rung, %d workers: output digest %s, want %s", rung.label, workers, got, want)
+					for key, got := range map[string]string{c.name: batched, c.name + "/run": digestFloats(one.Output.Data())} {
+						if update && rung.tier == tensor.TierGeneric {
+							pinned[key] = got
+						}
+						if want := pinned[key]; got != want {
+							t.Fatalf("%s rung, %d workers: %s output digest %s, want %s", rung.label, workers, key, got, want)
+						}
 					}
 				}
 			}
