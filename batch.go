@@ -12,9 +12,11 @@ import (
 // pass, folding the batch into the engine's GEMM dimensions so weight
 // traffic and staging work are amortized across the batch.  Batched results
 // are bit-identical to running each sample through Classify / Forecast on
-// the default numerics tier; under WithFastMath / WithInt8 the contract is
-// top-1 class agreement plus a small relative-error bound instead (batched
-// and single-sample fast runs tile columns differently).
+// the default numerics tier, and a CNN batch of one equals Classify on every
+// tier.  Under WithFastMath / WithInt8 a sample in a larger batch keeps the
+// contract of top-1 class agreement plus a small relative-error bound
+// instead: from two samples on, fully-connected layers run the GEMM rather
+// than the mat-vec.
 
 // BatchClassification is the result of one sample of a batched CNN run.
 // Unlike Classification, it omits the per-layer activation map: batched runs

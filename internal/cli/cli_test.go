@@ -3,6 +3,9 @@ package cli
 import (
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -48,4 +51,30 @@ func TestWorkers(t *testing.T) {
 	if got := Workers(-2); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers(-2) = %d, want GOMAXPROCS", got)
 	}
+}
+
+// FuzzParseInts feeds arbitrary lists to ParseInts: it never panics, and a
+// list it accepts yields one integer per SplitList entry, which read back
+// from their strconv.Itoa join give the same slice.
+func FuzzParseInts(f *testing.F) {
+	for _, s := range []string{"", "0, 64,256", "1,8,32", " 4 ", ",,", "-3,+5", "64,x", "1,,2", "9223372036854775808", "0x10", "1e3"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseInts(s)
+		if err != nil {
+			return
+		}
+		if len(got) != len(SplitList(s)) {
+			t.Fatalf("ParseInts(%q) = %v: %d entries, SplitList has %d", s, got, len(got), len(SplitList(s)))
+		}
+		parts := make([]string, len(got))
+		for i, n := range got {
+			parts[i] = strconv.Itoa(n)
+		}
+		again, err := ParseInts(strings.Join(parts, ","))
+		if err != nil || !slices.Equal(again, got) {
+			t.Fatalf("ParseInts(%q) = %v, but its join re-parses to %v, %v", s, got, again, err)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package networks_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -124,22 +125,61 @@ func TestRunBatchGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunBatchOfOneMatchesSingle pins the batch-of-1 degenerate case: it
-// must traverse the batched path and still equal the single-sample result
-// bit for bit.
+// TestRunBatchOfOneMatchesSingle pins the batch-of-1 case on every tier: a
+// RunBatch of one image walks the same ops as Run, each of which picks its
+// kernel from the sample count, so its output equals Run's bit for bit and
+// its predicted class is Run's — for every CNN, numerics tier and worker
+// count.
 func TestRunBatchOfOneMatchesSingle(t *testing.T) {
+	for _, c := range int8DigestCases {
+		if c.heavy && testing.Short() {
+			continue
+		}
+		p := buildPlan(t, c.name)
+		for _, mode := range []nn.Numerics{nn.NumericsReference, nn.NumericsFast, nn.NumericsInt8} {
+			for _, workers := range []int{1, 3} {
+				label := fmt.Sprintf("%s/%v/w%d", c.name, mode, workers)
+				s := numericsScratch(mode)
+				s.SetWorkers(workers)
+				single, err := p.Run(cnnInput(p, 9), s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, class := single.Output.Clone(), single.PredictedClass
+				res, err := p.RunBatch(cnnBatch(p, 9, 1), s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSampleBits(t, label, res.Output, 0, 1, want)
+				if res.PredictedClasses[0] != class {
+					t.Fatalf("%s: predicted %d, want %d", label, res.PredictedClasses[0], class)
+				}
+			}
+		}
+	}
+}
+
+// TestRunBatchDirectStagesNothing: under SetDirect a batched run reaches the
+// direct kernels in convolution and fully-connected layers, which stage
+// nothing, so the scratch holds only its output arena — where the engine
+// keeps a patch matrix and the batch's GEMM buffers.
+func TestRunBatchDirectStagesNothing(t *testing.T) {
 	p := buildPlan(t, "CifarNet")
-	single, err := p.Run(cnnInput(p, 9), nil)
-	if err != nil {
+	batch := cnnBatch(p, 5, 3)
+	direct := nn.NewScratch()
+	direct.SetDirect(true)
+	if _, err := p.RunBatch(batch, direct); err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.RunBatch(cnnBatch(p, 9, 1), nn.NewScratch())
-	if err != nil {
+	if got, arena := direct.Bytes(), direct.ArenaBytes(); got != arena {
+		t.Fatalf("direct batch: scratch holds %d bytes, %d beyond its %d-byte arena", got, got-arena, arena)
+	}
+	engine := nn.NewScratch()
+	if _, err := p.RunBatch(batch, engine); err != nil {
 		t.Fatal(err)
 	}
-	requireSampleBits(t, "batch-of-1", res.Output, 0, 1, single.Output)
-	if res.PredictedClasses[0] != single.PredictedClass {
-		t.Fatalf("predicted %d, want %d", res.PredictedClasses[0], single.PredictedClass)
+	if engine.Bytes() <= engine.ArenaBytes() {
+		t.Fatalf("engine batch: scratch holds %d bytes, no more than its arena", engine.Bytes())
 	}
 }
 

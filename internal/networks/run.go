@@ -2,6 +2,7 @@ package networks
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -11,9 +12,9 @@ import (
 
 // Result carries the outputs of one native inference run.
 //
-// When the run used a non-nil nn.Scratch, Output and LayerOutputs alias the
-// scratch arena: they are valid until the next run on the same Scratch.
-// Runs without a Scratch return freshly allocated tensors.
+// Output and LayerOutputs alias the run's nn.Scratch arena: they are valid
+// until the next run on the same Scratch.  Runs without a Scratch return
+// freshly allocated tensors.
 type Result struct {
 	// Output is the final layer's output tensor.
 	Output *tensor.Tensor
@@ -23,6 +24,23 @@ type Result struct {
 	// LayerOutputs holds every layer's output tensor, indexed like
 	// Network.Layers.
 	LayerOutputs []*tensor.Tensor
+}
+
+// BatchResult carries the outputs of one batched native inference run.
+//
+// Output and PredictedClasses alias the run's nn.Scratch: they are valid
+// until the next run on the same Scratch.  Runs without a Scratch return
+// freshly allocated storage.
+type BatchResult struct {
+	// N is the batch size.
+	N int
+	// Output is the final layer's batched output, one sample per leading
+	// row: rank-2 (N, classes) for the suite's CNN classifiers and
+	// (N, 1) for the RNN regression heads.
+	Output *tensor.Tensor
+	// PredictedClasses holds the arg-max class per sample for CNN
+	// classifiers; nil for regression outputs.
+	PredictedClasses []int
 }
 
 // planLayer holds one layer of a Plan with its parameter tensors resolved.
@@ -197,41 +215,76 @@ func (p *Plan) PackedBytes() int64 {
 	return n
 }
 
-// Run executes a CNN natively on the given CHW input and returns the
-// per-layer outputs.  A non-nil Scratch supplies the compute engine's
-// reusable buffers, worker count and numerics tier; nil runs serially with
-// fresh allocations.  Under the default reference tier results are
-// bit-identical for any Scratch configuration; a fast tier
-// (nn.Scratch.SetNumerics) runs the prepacked fast kernels under the
-// tolerance contract described in the nn package.
+// Run executes a CNN natively on one CHW input and returns the per-layer
+// outputs.  s supplies the compute engine's reusable buffers, worker count
+// and numerics tier; a nil s runs serially on a fresh Scratch.  Under the
+// default reference tier results are bit-identical for any Scratch
+// configuration; a fast tier (nn.Scratch.SetNumerics) runs the prepacked
+// fast kernels under the tolerance contract described in the nn package.
 func (p *Plan) Run(input *tensor.Tensor, s *nn.Scratch) (*Result, error) {
 	n := p.net
 	if n.Kind != KindCNN {
 		return nil, fmt.Errorf("networks: %s is an RNN; use RunSequence", n.Name)
 	}
-	if input == nil || !equalShape(input.Shape(), n.InputShape) {
-		got := []int(nil)
-		if input != nil {
-			got = input.Shape()
-		}
-		return nil, fmt.Errorf("networks: %s expects input shape %v, got %v", n.Name, n.InputShape, got)
+	if !n.fits(input, 0) {
+		return nil, fmt.Errorf("networks: %s expects input shape %v, got %v", n.Name, n.InputShape, shapeOf(input))
 	}
-	s.BeginRun()
-	pks := p.packsFor(s.Numerics())
-	outs := s.LayerOutputs(len(n.Layers))
-	for li := range p.layers {
-		pl := &p.layers[li]
-		out, err := p.runLayer(s, li, pl, input, outs, pks)
-		if err != nil {
-			return nil, fmt.Errorf("networks: %s layer %q: %w", n.Name, pl.l.Name, err)
-		}
-		if pl.l.FusedReLU {
-			nn.ReLUInPlace(out)
-		}
-		outs[li] = out
+	if s == nil {
+		s = nn.NewScratch()
+	}
+	outs, err := p.walk(input, s)
+	if err != nil {
+		return nil, err
 	}
 	final := outs[len(outs)-1]
 	return &Result{Output: final, PredictedClass: final.MaxIndex(), LayerOutputs: outs}, nil
+}
+
+// RunBatch executes a CNN natively over a batch of inputs stacked along a
+// leading dimension: input is rank-4 (N, C, H, W) with each sample a
+// contiguous CHW block.  It walks the same layer ops as Run, which fold the
+// batch into their GEMMs.  On the reference tier every sample is
+// bit-identical to Run on it, for any Scratch configuration and worker
+// count; on every tier a batch of one is bit-identical to Run.
+func (p *Plan) RunBatch(input *tensor.Tensor, s *nn.Scratch) (*BatchResult, error) {
+	n := p.net
+	if n.Kind != KindCNN {
+		return nil, fmt.Errorf("networks: %s is an RNN; use RunSequenceBatch", n.Name)
+	}
+	if !n.fits(input, 1) {
+		return nil, fmt.Errorf("networks: %s batch: %w: expects shape (N, %v), got %v",
+			n.Name, tensor.ErrShape, n.InputShape, shapeOf(input))
+	}
+	if s == nil {
+		s = nn.NewScratch()
+	}
+	outs, err := p.walk(input, s)
+	if err != nil {
+		return nil, err
+	}
+	return batchResult(s, outs[len(outs)-1], input.Dim(0), true), nil
+}
+
+// fits reports whether t is one input sample (lead 0) or a batch of samples
+// stacked along a leading dimension (lead 1), comparing dims in place.
+func (n *Network) fits(t *tensor.Tensor, lead int) bool {
+	if t == nil || t.Rank() != lead+len(n.InputShape) {
+		return false
+	}
+	for i, d := range n.InputShape {
+		if t.Dim(lead+i) != d {
+			return false
+		}
+	}
+	return true
+}
+
+// shapeOf formats a possibly-nil tensor's shape for error messages.
+func shapeOf(t *tensor.Tensor) []int {
+	if t == nil {
+		return nil
+	}
+	return t.Shape()
 }
 
 // resolveInput returns the tensor feeding input slot idx of layer li.
@@ -243,43 +296,62 @@ func (p *Plan) resolveInput(li, idx int, input *tensor.Tensor, outs []*tensor.Te
 	return outs[ref]
 }
 
-// runLayer executes a single non-recurrent layer on the engine.
-func (p *Plan) runLayer(s *nn.Scratch, li int, pl *planLayer, input *tensor.Tensor, outs []*tensor.Tensor, pks *planPacks) (*tensor.Tensor, error) {
-	l := pl.l
-	in0 := p.resolveInput(li, 0, input, outs)
-	switch l.Type {
-	case LayerConv:
-		return s.Conv2DPacked(in0, pl.w, pl.b, l.Conv, pks.convAt(li))
-	case LayerPool:
-		return s.Pool2D(in0, l.Pool)
-	case LayerFC:
-		return s.FullyConnectedPacked(in0, pl.w, pl.b, l.FCOut, pks.fcAt(li))
-	case LayerLRN:
-		return s.LRN(in0, l.LRN)
-	case LayerBatchNorm:
-		return s.BatchNorm(in0, nn.BatchNormParams{Mean: pl.mean, Variance: pl.variance})
-	case LayerScale:
-		return s.Scale(in0, pl.gamma, pl.beta)
-	case LayerReLU:
-		return s.ReLU(in0)
-	case LayerEltwise:
-		return s.EltwiseAdd(in0, p.resolveInput(li, 1, input, outs))
-	case LayerConcat:
-		if len(l.Inputs) == 2 {
-			return s.ConcatChannels(p.resolveInput(li, 0, input, outs), p.resolveInput(li, 1, input, outs))
+// walk runs every layer of a CNN, in graph order, over input: one sample or
+// a batch, which every nn op accepts and answers in kind.  It returns the
+// per-layer outputs, held in s.
+func (p *Plan) walk(input *tensor.Tensor, s *nn.Scratch) ([]*tensor.Tensor, error) {
+	s.BeginRun()
+	pks := p.packsFor(s.Numerics())
+	outs := s.LayerOutputs(len(p.layers))
+	for li := range p.layers {
+		pl := &p.layers[li]
+		l := pl.l
+		in0 := p.resolveInput(li, 0, input, outs)
+		var out *tensor.Tensor
+		var err error
+		switch l.Type {
+		case LayerConv:
+			out, err = s.Conv2DPacked(in0, pl.w, pl.b, l.Conv, pks.convAt(li))
+		case LayerPool:
+			out, err = s.Pool2D(in0, l.Pool)
+		case LayerFC:
+			out, err = s.FullyConnectedPacked(in0, pl.w, pl.b, l.FCOut, pks.fcAt(li))
+		case LayerLRN:
+			out, err = s.LRN(in0, l.LRN)
+		case LayerBatchNorm:
+			out, err = s.BatchNorm(in0, nn.BatchNormParams{Mean: pl.mean, Variance: pl.variance})
+		case LayerScale:
+			out, err = s.Scale(in0, pl.gamma, pl.beta)
+		case LayerReLU:
+			out, err = s.ReLU(in0)
+		case LayerEltwise:
+			out, err = s.EltwiseAdd(in0, p.resolveInput(li, 1, input, outs))
+		case LayerConcat:
+			if len(l.Inputs) == 2 {
+				out, err = s.ConcatChannels(in0, p.resolveInput(li, 1, input, outs))
+				break
+			}
+			parts := make([]*tensor.Tensor, len(l.Inputs))
+			for i := range l.Inputs {
+				parts[i] = p.resolveInput(li, i, input, outs)
+			}
+			out, err = s.ConcatChannels(parts...)
+		case LayerSoftmax:
+			out, err = s.Softmax(in0)
+		case LayerGlobalPool:
+			out, err = s.GlobalAvgPool(in0)
+		default:
+			err = fmt.Errorf("unsupported layer type %v in CNN graph", l.Type)
 		}
-		parts := make([]*tensor.Tensor, len(l.Inputs))
-		for i := range l.Inputs {
-			parts[i] = p.resolveInput(li, i, input, outs)
+		if err != nil {
+			return nil, fmt.Errorf("networks: %s layer %q: %w", p.net.Name, l.Name, err)
 		}
-		return s.ConcatChannels(parts...)
-	case LayerSoftmax:
-		return s.Softmax(in0)
-	case LayerGlobalPool:
-		return s.GlobalAvgPool(in0)
-	default:
-		return nil, fmt.Errorf("unsupported layer type %v in CNN graph", l.Type)
+		if l.FusedReLU {
+			nn.ReLUInPlace(out)
+		}
+		outs[li] = out
 	}
+	return outs, nil
 }
 
 // RunSequence executes an RNN natively over a sequence of input vectors
@@ -301,6 +373,9 @@ func (p *Plan) RunSequence(seq []*tensor.Tensor, s *nn.Scratch) (*Result, error)
 		}
 	}
 
+	if s == nil {
+		s = nn.NewScratch()
+	}
 	s.BeginRun()
 	pks := p.packsFor(s.Numerics())
 	outs := s.LayerOutputs(len(n.Layers))
@@ -343,6 +418,91 @@ func (p *Plan) RunSequence(seq []*tensor.Tensor, s *nn.Scratch) (*Result, error)
 		outs[li] = current
 	}
 	return &Result{Output: current, PredictedClass: -1, LayerOutputs: outs}, nil
+}
+
+// RunSequenceBatch executes an RNN natively over a batch of equal-length
+// sequences.  seq is rank-3 (steps, N, features): time-major with each step
+// a contiguous sample-major block.  The recurrent gates run as batched GEMMs
+// with per-sample hidden (and cell) state, so results are bit-identical to
+// calling RunSequence on each sequence separately.
+func (p *Plan) RunSequenceBatch(seq *tensor.Tensor, s *nn.Scratch) (*BatchResult, error) {
+	n := p.net
+	if n.Kind != KindRNN {
+		return nil, fmt.Errorf("networks: %s is a CNN; use RunBatch", n.Name)
+	}
+	inSize := n.InputShape[0]
+	if seq == nil || seq.Rank() != 3 || seq.Dim(2) != inSize {
+		return nil, fmt.Errorf("networks: %s batch: %w: expects shape (steps, N, %d), got %v",
+			n.Name, tensor.ErrShape, inSize, shapeOf(seq))
+	}
+	steps, nSeq := seq.Dim(0), seq.Dim(1)
+	if s == nil {
+		s = nn.NewScratch()
+	}
+	s.BeginRun()
+	pks := p.packsFor(s.Numerics())
+	outs := s.LayerOutputs(len(n.Layers))
+	var current *tensor.Tensor
+	for li := range p.layers {
+		pl := &p.layers[li]
+		l := pl.l
+		var err error
+		switch l.Type {
+		case LayerLSTM:
+			current, err = s.LSTMSeqBatchPacked(pl.lstm, pks.rnnAt(li), seq.Data(), nSeq, steps)
+		case LayerGRU:
+			current, err = s.GRUSeqBatchPacked(pl.gru, pks.rnnAt(li), seq.Data(), nSeq, steps)
+		case LayerFC:
+			if current == nil {
+				err = fmt.Errorf("FC before recurrent layer")
+				break
+			}
+			current, err = s.FullyConnectedPacked(current, pl.w, pl.b, l.FCOut, pks.fcAt(li))
+		default:
+			err = fmt.Errorf("unsupported layer type %v in RNN graph", l.Type)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("networks: %s layer %q: %w", n.Name, l.Name, err)
+		}
+		if l.FusedReLU && current != nil {
+			nn.ReLUInPlace(current)
+		}
+		outs[li] = current
+	}
+	return batchResult(s, current, nSeq, false), nil
+}
+
+// batchResult assembles a BatchResult, computing per-sample arg-max classes
+// for classifiers into the scratch's reusable prediction slice.
+func batchResult(s *nn.Scratch, final *tensor.Tensor, nSamples int, classify bool) *BatchResult {
+	res := &BatchResult{N: nSamples, Output: final}
+	if !classify {
+		return res
+	}
+	preds := s.Ints(nSamples)
+	f := final.Len() / nSamples
+	data := final.Data()
+	for i := 0; i < nSamples; i++ {
+		preds[i] = argmaxRow(data[i*f : (i+1)*f])
+	}
+	res.PredictedClasses = preds
+	return res
+}
+
+// argmaxRow returns the index of the largest element with exactly the
+// comparison sequence of tensor.MaxIndex (start at -Inf, ties and NaNs
+// resolve identically), so batched predictions match the single-sample path
+// on every input.
+func argmaxRow(row []float32) int {
+	best := 0
+	bestV := float32(math.Inf(-1))
+	for i, v := range row {
+		if v > bestV {
+			bestV = v
+			best = i
+		}
+	}
+	return best
 }
 
 // zeroed1 returns a zero-filled rank-1 tensor of length n from the scratch

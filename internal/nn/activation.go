@@ -55,14 +55,7 @@ func checkEltwiseArgs(op string, a, b *tensor.Tensor) error {
 // EltwiseAdd returns a + b element-wise; the tensors must share a shape.
 // ResNet shortcut connections use it.
 func EltwiseAdd(a, b *tensor.Tensor) (*tensor.Tensor, error) {
-	return (*Scratch)(nil).EltwiseAdd(a, b)
-}
-
-// eltwiseAddInto writes a[i] + b[i] into o; all have equal length.
-func eltwiseAddInto(o, a, b []float32) {
-	for i := range a {
-		o[i] = a[i] + b[i]
-	}
+	return NewScratch().EltwiseAdd(a, b)
 }
 
 // EltwiseMul returns a * b element-wise; the tensors must share a shape.

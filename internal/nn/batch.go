@@ -8,87 +8,30 @@ import (
 	"tango/internal/tensor"
 )
 
-// This file implements the batched compute engine: every forward kernel over
-// a leading batch dimension N, built so a batch of N samples produces
-// BIT-IDENTICAL results to running each sample through the single-sample
-// engine (and therefore to the direct reference kernels).
-//
-// Layout conventions:
-//
-//   - Feature-map batches are rank-4 NCHW tensors (sample-major, each
-//     sample a contiguous CHW block).
-//   - Vector batches are rank-2 (N, F) tensors.
-//   - Inside the heavy kernels the batch is folded into the GEMM column
-//     dimension: the convolution core (convStaged; Conv2D is its N=1 case)
-//     stages an l-major (k x N*outH*outW) patch matrix so each per-group
-//     GEMM sees every output pixel of every image at once, and the batched
-//     fully-connected layer transposes the inputs
-//     to (inF x N) so one GEMM replaces N mat-vecs and streams the weight
-//     matrix once per batch instead of once per sample.
+// This file holds the batch staging of the compute engine and the batched
+// recurrent cells.  Feature-map batches are rank-4 NCHW tensors
+// (sample-major, each sample a contiguous CHW block); vector batches are
+// rank-2 (N, F).  The heavy kernels fold the batch into the GEMM column
+// dimension: the convolution core (convStaged) stages an l-major
+// (k x N*outH*outW) patch matrix so each per-group GEMM sees every output
+// pixel of every image at once, and a fully-connected layer of two or more
+// samples transposes the inputs to (inF x N) so one GEMM replaces N mat-vecs
+// and streams the weight matrix once per batch instead of once per sample.
 //
 // Bit-exactness: each output element is an independent dot product
 // accumulated left to right from its bias (see the tensor.GemmNN contract).
 // Folding the batch into the column dimension adds columns but never
-// changes any element's summation order, so batched outputs equal the
-// single-sample engine's bit for bit, for any batch size, blocking or
-// worker count.
+// changes any element's summation order, so on the reference tier batched
+// outputs equal the single-sample engine's bit for bit, for any batch size,
+// blocking or worker count.
 
 // batchBuf returns the batch staging buffer for the given slot, sized to n.
 // Slot contents are only valid within one engine call.
 func (s *Scratch) batchBuf(slot, n int) []float32 {
-	if s == nil {
-		return make([]float32, n)
-	}
 	for len(s.bbufs) <= slot {
 		s.bbufs = append(s.bbufs, nil)
 	}
-	if cap(s.bbufs[slot]) < n {
-		s.bbufs[slot] = make([]float32, n)
-	}
-	return s.bbufs[slot][:n]
-}
-
-// out4 returns an NCHW output tensor (arena-backed when s is non-nil).
-func (s *Scratch) out4(n, c, h, w int) *tensor.Tensor {
-	if s == nil {
-		return tensor.New(n, c, h, w)
-	}
-	return s.arena.Get4(n, c, h, w)
-}
-
-// out2 returns a rank-2 (N, F) output tensor (arena-backed when s is
-// non-nil).
-func (s *Scratch) out2(n, f int) *tensor.Tensor {
-	if s == nil {
-		return tensor.New(n, f)
-	}
-	return s.arena.Get2(n, f)
-}
-
-// checkBatchInput validates the leading batch dimension of a rank-4 input.
-func checkBatchInput(op string, input *tensor.Tensor) (n, c, h, w int, err error) {
-	if input == nil {
-		return 0, 0, 0, 0, fmt.Errorf("nn: %s: %w: nil batch input", op, tensor.ErrShape)
-	}
-	if input.Rank() != 4 {
-		return 0, 0, 0, 0, fmt.Errorf("nn: %s: %w: batch input must be NCHW, got shape %v",
-			op, tensor.ErrShape, input.Shape())
-	}
-	return input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3), nil
-}
-
-// Conv2DBatch is the batched engine convolution over an NCHW input: the
-// staged core (convStaged) with the batch folded into the GEMM column
-// dimension (M = N*outH*outW in the paper's orientation).  Results are
-// bit-identical to Conv2D on each sample.
-func (s *Scratch) Conv2DBatch(input, weights, bias *tensor.Tensor, p ConvParams) (*tensor.Tensor, error) {
-	nImg, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, 4)
-	if err != nil {
-		return nil, err
-	}
-	out := s.out4(nImg, p.OutChannels, outH, outW)
-	s.convStaged(out.Data(), input.Data(), weights, bias, p, nImg, inH, inW, outH, outW)
-	return out, nil
+	return grown(&s.bbufs[slot], n)
 }
 
 // im2colTBatchRange stages patch rows [l0, l1) of the receptive-field
@@ -153,113 +96,36 @@ func forEachChunk(workers, n int, fn func(lo, hi int)) {
 // the copy.
 const stagingParMin = 1 << 15
 
-// checkFullyConnectedBatchArgs validates a batched fully-connected layer
-// and returns the batch size and the per-sample feature count.
-func checkFullyConnectedBatchArgs(input, weights, bias *tensor.Tensor, outFeatures int) (nImg, inF int, err error) {
-	if input == nil || input.Rank() < 2 {
-		return 0, 0, fmt.Errorf("nn: fc: %w: batch input must have a leading batch dimension, got %v",
-			tensor.ErrShape, shapeOf(input))
+// transposeToColumnsPar repacks sample-major rows (n x f) into feature-major
+// columns (f x ld, ld >= n): dst[l*ld + smp] = src[smp*f + l], with pad
+// lanes [n, ld) zeroed so a column-padded GEMM reads defined values.  It
+// fans over the worker pool in contiguous feature chunks; bytes are
+// identical for any worker count.
+func transposeToColumnsPar(dst, src []float32, n, f, ld, workers int) {
+	if workers > f {
+		workers = f
 	}
-	nImg = input.Dim(0)
-	inF = input.Len() / nImg
-	if outFeatures <= 0 {
-		return 0, 0, fmt.Errorf("nn: fc output features must be positive, got %d", outFeatures)
+	if workers <= 1 || int64(ld)*int64(f) < stagingParMin {
+		transposeToColumnsRange(dst, src, n, f, ld, 0, f)
+		return
 	}
-	if weights == nil || weights.Len() != outFeatures*inF {
-		return 0, 0, fmt.Errorf("nn: fc expects %d weights (%dx%d), got %d",
-			outFeatures*inF, outFeatures, inF, tensorLen(weights))
-	}
-	if bias != nil && bias.Len() != outFeatures {
-		return 0, 0, fmt.Errorf("nn: fc expects %d biases, got %d", outFeatures, bias.Len())
-	}
-	return nImg, inF, nil
-}
-
-// FullyConnectedBatch is the batched engine fully-connected layer: the
-// batch's flattened inputs are transposed to (inF x N) and a single GEMM
-// computes all samples, streaming the weight matrix once per batch instead
-// of once per sample.  The input may be rank-2 (N, F) or rank-4 NCHW; each
-// sample's features are its flattened contiguous block.  Results are
-// bit-identical to FullyConnected on each sample.
-func (s *Scratch) FullyConnectedBatch(input, weights, bias *tensor.Tensor, outFeatures int) (*tensor.Tensor, error) {
-	nImg, inF, err := checkFullyConnectedBatchArgs(input, weights, bias, outFeatures)
-	if err != nil {
-		return nil, err
-	}
-	in := input.Data()
-	workers := s.Workers()
-	xT := s.batchBuf(0, inF*nImg)
-	transposeToColumnsPar(xT, in, nImg, inF, workers)
-	yT := s.batchBuf(1, outFeatures*nImg)
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.Data()
-	}
-	tensor.GemmNNParallel(yT, weights.Data(), xT, biasData, outFeatures, nImg, inF, nImg, workers)
-	out := s.out2(nImg, outFeatures)
-	transposeToRowsPar(out.Data(), yT, nImg, outFeatures, nImg, workers)
-	return out, nil
-}
-
-// transposeToColumns repacks sample-major rows (n x f) into feature-major
-// columns (f x n): dst[l*n + smp] = src[smp*f + l].
-func transposeToColumns(dst, src []float32, n, f int) {
-	transposeToColumnsRange(dst, src, n, f, n, 0, f)
+	forEachChunk(workers, f, func(f0, f1 int) {
+		transposeToColumnsRange(dst, src, n, f, ld, f0, f1)
+	})
 }
 
 // transposeToColumnsRange writes feature rows [f0, f1) of the (f x ld)
-// column-major destination.  Disjoint ranges touch disjoint dst rows.
+// destination.  Disjoint ranges touch disjoint dst rows.
 func transposeToColumnsRange(dst, src []float32, n, f, ld, f0, f1 int) {
+	for l := f0; l < f1; l++ {
+		clear(dst[l*ld+n : (l+1)*ld])
+	}
 	for smp := 0; smp < n; smp++ {
 		row := src[smp*f+f0 : smp*f+f1]
 		for l, v := range row {
 			dst[(f0+l)*ld+smp] = v
 		}
 	}
-}
-
-// transposeToColumnsPar is transposeToColumns fanned over the worker pool in
-// contiguous feature chunks; bytes are identical for any worker count.
-func transposeToColumnsPar(dst, src []float32, n, f, workers int) {
-	if workers > f {
-		workers = f
-	}
-	if workers <= 1 || int64(n)*int64(f) < stagingParMin {
-		transposeToColumns(dst, src, n, f)
-		return
-	}
-	forEachChunk(workers, f, func(f0, f1 int) {
-		transposeToColumnsRange(dst, src, n, f, n, f0, f1)
-	})
-}
-
-// transposeToColumnsPad is transposeToColumns with the destination rows ld
-// floats apart (ld >= n); pad lanes [n, ld) are zeroed so a column-padded
-// GEMM reads defined values.  Parallel over feature chunks like
-// transposeToColumnsPar.
-func transposeToColumnsPad(dst, src []float32, n, f, ld, workers int) {
-	if workers > f {
-		workers = f
-	}
-	if workers <= 1 || int64(ld)*int64(f) < stagingParMin {
-		transposeToColumnsPadRange(dst, src, n, f, ld, 0, f)
-		return
-	}
-	forEachChunk(workers, f, func(f0, f1 int) {
-		transposeToColumnsPadRange(dst, src, n, f, ld, f0, f1)
-	})
-}
-
-func transposeToColumnsPadRange(dst, src []float32, n, f, ld, f0, f1 int) {
-	if ld > n {
-		for l := f0; l < f1; l++ {
-			pad := dst[l*ld+n : (l+1)*ld]
-			for i := range pad {
-				pad[i] = 0
-			}
-		}
-	}
-	transposeToColumnsRange(dst, src, n, f, ld, f0, f1)
 }
 
 // transposeToRowsRange reads the (f x ld) column-major source back into
@@ -287,191 +153,6 @@ func transposeToRowsPar(dst, src []float32, n, f, ld, workers int) {
 	forEachChunk(workers, n, func(s0, s1 int) {
 		transposeToRowsRange(dst, src, n, f, ld, s0, s1)
 	})
-}
-
-// Pool2DBatch is the batched engine pooling layer.
-func (s *Scratch) Pool2DBatch(input *tensor.Tensor, p PoolParams) (*tensor.Tensor, error) {
-	nImg, c, inH, inW, err := checkBatchInput("pool", input)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	outH, outW := p.OutputDims(inH, inW)
-	if outH <= 0 || outW <= 0 {
-		return nil, fmt.Errorf("nn: pool output dims %dx%d are not positive for input %dx%d",
-			outH, outW, inH, inW)
-	}
-	out := s.out4(nImg, c, outH, outW)
-	in := input.Data()
-	o := out.Data()
-	inSample := c * inH * inW
-	outSample := c * outH * outW
-	for img := 0; img < nImg; img++ {
-		pool2DCore(o[img*outSample:(img+1)*outSample], in[img*inSample:(img+1)*inSample],
-			c, inH, inW, outH, outW, p)
-	}
-	return out, nil
-}
-
-// GlobalAvgPoolBatch is the batched engine global average pooling layer,
-// returning a rank-2 (N, C) tensor.
-func (s *Scratch) GlobalAvgPoolBatch(input *tensor.Tensor) (*tensor.Tensor, error) {
-	nImg, c, h, w, err := checkBatchInput("global pool", input)
-	if err != nil {
-		return nil, err
-	}
-	out := s.out2(nImg, c)
-	in := input.Data()
-	o := out.Data()
-	inSample := c * h * w
-	for img := 0; img < nImg; img++ {
-		globalAvgPoolCore(o[img*c:(img+1)*c], in[img*inSample:(img+1)*inSample], c, h, w)
-	}
-	return out, nil
-}
-
-// LRNBatch is the batched engine local response normalization layer.
-func (s *Scratch) LRNBatch(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, error) {
-	nImg, c, h, w, err := checkBatchInput("lrn", input)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	out := s.out4(nImg, c, h, w)
-	in := input.Data()
-	o := out.Data()
-	sample := c * h * w
-	if s.lrnFastEligible(p) {
-		sums := s.lrnSums(h * w)
-		for img := 0; img < nImg; img++ {
-			lrnCoreFast(o[img*sample:(img+1)*sample], in[img*sample:(img+1)*sample], c, h, w, p, sums)
-		}
-		return out, nil
-	}
-	for img := 0; img < nImg; img++ {
-		lrnCore(o[img*sample:(img+1)*sample], in[img*sample:(img+1)*sample], c, h, w, p)
-	}
-	return out, nil
-}
-
-// BatchNormBatch is the batched engine batch normalization layer.
-func (s *Scratch) BatchNormBatch(input *tensor.Tensor, p BatchNormParams) (*tensor.Tensor, error) {
-	nImg, c, h, w, err := checkBatchInput("batchnorm", input)
-	if err != nil {
-		return nil, err
-	}
-	if p.Mean == nil || p.Variance == nil {
-		return nil, fmt.Errorf("nn: batchnorm requires mean and variance")
-	}
-	if p.Mean.Len() != c || p.Variance.Len() != c {
-		return nil, fmt.Errorf("nn: batchnorm stats length %d/%d, want %d", p.Mean.Len(), p.Variance.Len(), c)
-	}
-	out := s.out4(nImg, c, h, w)
-	in := input.Data()
-	o := out.Data()
-	sample := c * h * w
-	for img := 0; img < nImg; img++ {
-		batchNormCore(o[img*sample:(img+1)*sample], in[img*sample:(img+1)*sample], c, h, w, p)
-	}
-	return out, nil
-}
-
-// ScaleBatch is the batched engine per-channel affine layer.
-func (s *Scratch) ScaleBatch(input, gamma, beta *tensor.Tensor) (*tensor.Tensor, error) {
-	nImg, c, h, w, err := checkBatchInput("scale", input)
-	if err != nil {
-		return nil, err
-	}
-	if gamma == nil || gamma.Len() != c {
-		return nil, fmt.Errorf("nn: scale expects %d gammas", c)
-	}
-	if beta != nil && beta.Len() != c {
-		return nil, fmt.Errorf("nn: scale expects %d betas, got %d", c, beta.Len())
-	}
-	out := s.out4(nImg, c, h, w)
-	in := input.Data()
-	o := out.Data()
-	sample := c * h * w
-	for img := 0; img < nImg; img++ {
-		scaleCore(o[img*sample:(img+1)*sample], in[img*sample:(img+1)*sample], c, h, w, gamma, beta)
-	}
-	return out, nil
-}
-
-// ReLUBatch is the batched engine out-of-place ReLU.
-func (s *Scratch) ReLUBatch(input *tensor.Tensor) (*tensor.Tensor, error) {
-	if input == nil {
-		return nil, fmt.Errorf("nn: relu: %w: nil input", tensor.ErrShape)
-	}
-	out := s.outLike(input)
-	tensor.ReLU(out.Data(), input.Data())
-	return out, nil
-}
-
-// EltwiseAddBatch is the batched engine element-wise addition.
-func (s *Scratch) EltwiseAddBatch(a, b *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := checkEltwiseArgs("add", a, b); err != nil {
-		return nil, err
-	}
-	out := s.outLike(a)
-	eltwiseAddInto(out.Data(), a.Data(), b.Data())
-	return out, nil
-}
-
-// ConcatChannelsBatch is the batched engine channel concatenation over NCHW
-// inputs sharing batch and spatial dimensions.
-func (s *Scratch) ConcatChannelsBatch(parts ...*tensor.Tensor) (*tensor.Tensor, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("nn: concat requires at least one tensor")
-	}
-	var nImg, h, w, totalC int
-	for i, p := range parts {
-		pn, pc, ph, pw, err := checkBatchInput("concat", p)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			nImg, h, w = pn, ph, pw
-		} else if pn != nImg || ph != h || pw != w {
-			return nil, fmt.Errorf("%w: concat batch/spatial dims %dx%dx%d vs %dx%dx%d",
-				tensor.ErrShape, pn, ph, pw, nImg, h, w)
-		}
-		totalC += pc
-	}
-	out := s.out4(nImg, totalC, h, w)
-	o := out.Data()
-	outSample := totalC * h * w
-	for img := 0; img < nImg; img++ {
-		off := img * outSample
-		for _, p := range parts {
-			sample := p.Len() / nImg
-			copy(o[off:off+sample], p.Data()[img*sample:(img+1)*sample])
-			off += sample
-		}
-	}
-	return out, nil
-}
-
-// SoftmaxBatch is the batched engine softmax over a rank-2 (N, F) input,
-// applied independently to each sample row.
-func (s *Scratch) SoftmaxBatch(input *tensor.Tensor) (*tensor.Tensor, error) {
-	if input == nil || input.Rank() < 2 || input.Len() == 0 {
-		return nil, fmt.Errorf("nn: softmax: %w: batch input must be rank >= 2 and non-empty, got %v",
-			tensor.ErrShape, shapeOf(input))
-	}
-	nImg := input.Dim(0)
-	f := input.Len() / nImg
-	out := s.outLike(input)
-	in := input.Data()
-	o := out.Data()
-	for img := 0; img < nImg; img++ {
-		softmaxInto(o[img*f:(img+1)*f], in[img*f:(img+1)*f])
-	}
-	return out, nil
 }
 
 // gatePreBatch computes pre = (Wx*X + Uh*H) + b over the whole batch with
@@ -523,18 +204,14 @@ func (s *Scratch) LSTMSeqBatchPacked(w *LSTMWeights, pk *RNNPack, seq []float32,
 	pc := s.vec(5, hn)
 	tmp := s.vec(6, hn)
 	xT := s.vec(7, n*w.Input)
-	for i := range hT {
-		hT[i] = 0
-	}
-	for i := range cT {
-		cT[i] = 0
-	}
+	clear(hT)
+	clear(cT)
 	workers := s.Workers()
 	fast := pk != nil && s.Numerics() != NumericsReference
 
 	for t := 0; t < steps; t++ {
 		x := seq[t*n*w.Input : (t+1)*n*w.Input]
-		transposeToColumnsPar(xT, x, n, w.Input, workers)
+		transposeToColumnsPar(xT, x, n, w.Input, n, workers)
 		if fast {
 			s.gatePreBatchFast(pi, tmp, pk.gates[0], w.Bi, xT, hT, hidden, n, workers)
 			s.gatePreBatchFast(pf, tmp, pk.gates[1], w.Bf, xT, hT, hidden, n, workers)
@@ -559,7 +236,7 @@ func (s *Scratch) LSTMSeqBatchPacked(w *LSTMWeights, pk *RNNPack, seq []float32,
 			hT[i] = po[i] * float32(math.Tanh(float64(cT[i])))
 		}
 	}
-	out := s.out2(n, hidden)
+	out := s.arena.Get2(n, hidden)
 	transposeToRowsPar(out.Data(), hT, n, hidden, n, workers)
 	return out, nil
 }
@@ -590,15 +267,13 @@ func (s *Scratch) GRUSeqBatchPacked(w *GRUWeights, pk *RNNPack, seq []float32, n
 	rh := s.vec(4, hn)
 	tmp := s.vec(5, hn)
 	xT := s.vec(6, n*w.Input)
-	for i := range hT {
-		hT[i] = 0
-	}
+	clear(hT)
 	workers := s.Workers()
 	fast := pk != nil && s.Numerics() != NumericsReference
 
 	for t := 0; t < steps; t++ {
 		x := seq[t*n*w.Input : (t+1)*n*w.Input]
-		transposeToColumnsPar(xT, x, n, w.Input, workers)
+		transposeToColumnsPar(xT, x, n, w.Input, n, workers)
 		if fast {
 			s.gatePreBatchFast(r, tmp, pk.gates[0], w.Br, xT, hT, hidden, n, workers)
 			s.gatePreBatchFast(z, tmp, pk.gates[1], w.Bz, xT, hT, hidden, n, workers)
@@ -622,7 +297,7 @@ func (s *Scratch) GRUSeqBatchPacked(w *GRUWeights, pk *RNNPack, seq []float32, n
 			hT[i] = (1-zi)*ng[i] + zi*hT[i]
 		}
 	}
-	out := s.out2(n, hidden)
+	out := s.arena.Get2(n, hidden)
 	transposeToRowsPar(out.Data(), hT, n, hidden, n, workers)
 	return out, nil
 }

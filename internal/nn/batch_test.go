@@ -63,12 +63,12 @@ func TestConv2DBatchMatchesSingle(t *testing.T) {
 			b := randBatch(r, c.p.OutChannels)
 			in := randBatch(r, c.n, c.p.InChannels, c.inH, c.inW)
 			s := NewScratch()
-			out, err := s.Conv2DBatch(in, w, b, c.p)
+			out, err := s.Conv2DPacked(in, w, b, c.p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < c.n; i++ {
-				single, err := NewScratch().Conv2D(sampleOf(t, in, i), w, b, c.p)
+				single, err := Conv2D(sampleOf(t, in, i), w, b, c.p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,18 +85,79 @@ func TestFullyConnectedBatchMatchesSingle(t *testing.T) {
 		w := randBatch(r, outF*inF)
 		b := randBatch(r, outF)
 		in := randBatch(r, n, inF)
-		out, err := NewScratch().FullyConnectedBatch(in, w, b, outF)
+		out, err := NewScratch().FullyConnectedPacked(in, w, b, outF, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			single, err := NewScratch().FullyConnected(sampleOf(t, in, i), w, b, outF)
+			single, err := FullyConnected(sampleOf(t, in, i), w, b, outF)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameBits(t, "fc", out, i, single)
 		}
 	}
+}
+
+// TestFullyConnectedOneSampleRunsMatVec pins the FC op's kernel choice: one
+// sample, alone (rank 1) or as a batch of one (rank 2), runs its tier's
+// mat-vec bit for bit — MatVecBiasParallel, MatVecFastParallel, or
+// MatVecInt8 over the sample quantized by QuantizeU8 — on every rung and at
+// 1 and 3 workers, where two samples would run the tier's GEMM — and it
+// stages nothing beyond the mat-vec's own buffer.
+func TestFullyConnectedOneSampleRunsMatVec(t *testing.T) {
+	r := tensor.NewRNG(18)
+	const inF, outF = 300, 45
+	w, b, x := randBatch(r, outF*inF), randBatch(r, outF), randBatch(r, inF)
+	one, err := tensor.FromSlice(x.Data(), 1, inF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forFastTiers(func(tier tensor.SIMDTier) {
+		for _, mode := range []Numerics{NumericsReference, NumericsFast, NumericsInt8} {
+			pk := PackFC(w, outF, inF, mode)
+			for _, workers := range []int{1, 3} {
+				want := tensor.New(outF)
+				var staged int64 // the mat-vec's staging: the quantized sample
+				switch mode {
+				case NumericsReference:
+					tensor.MatVecBiasParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, workers)
+				case NumericsFast:
+					tensor.MatVecFastParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, workers)
+				default:
+					xq := make([]uint8, pk.q.KPad())
+					xs := tensor.QuantizeU8(xq[:inF], x.Data())
+					tensor.MatVecInt8(want.Data(), pk.q, xq, b.Data(), xs, workers)
+					staged = int64(len(xq))
+				}
+				s := NewScratch()
+				s.SetNumerics(mode)
+				s.SetWorkers(workers)
+				for _, in := range []*tensor.Tensor{x, one} {
+					got, err := s.FullyConnectedPacked(in, w, b, outF, pk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Rank() != in.Rank() {
+						t.Fatalf("%v/%v/w%d: rank-%d input gave a rank-%d output", tier, mode, workers, in.Rank(), got.Rank())
+					}
+					for i, v := range want.Data() {
+						if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+							t.Fatalf("%v/%v/w%d/rank%d: element %d = %x, mat-vec %x", tier, mode, workers, in.Rank(),
+								i, math.Float32bits(got.Data()[i]), math.Float32bits(v))
+						}
+					}
+				}
+				// The reference GEMM equals the mat-vec bit for bit, so only
+				// the staging tells them apart: a GEMM transposes the sample
+				// into column buffers the mat-vec never touches.
+				if got := s.Bytes() - s.ArenaBytes(); got != staged {
+					t.Fatalf("%v/%v/w%d: one sample staged %d bytes beyond the arena, the mat-vec stages %d",
+						tier, mode, workers, got, staged)
+				}
+			}
+		}
+	})
 }
 
 func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
@@ -110,7 +171,7 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 			{Kind: MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2, CeilMode: true},
 			{Kind: AvgPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
 		} {
-			out, err := s.Pool2DBatch(in, p)
+			out, err := s.Pool2D(in, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +186,7 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 	})
 	t.Run("lrn", func(t *testing.T) {
 		p := DefaultLRN()
-		out, err := s.LRNBatch(in, p)
+		out, err := s.LRN(in, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,13 +203,13 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 		variance := tensor.New(c)
 		variance.FillUniform(r, 0.1, 2)
 		p := BatchNormParams{Mean: mean, Variance: variance}
-		out, err := s.BatchNormBatch(in, p)
+		out, err := s.BatchNorm(in, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		gamma := randBatch(r, c)
 		beta := randBatch(r, c)
-		scaled, err := s.ScaleBatch(out, gamma, beta)
+		scaled, err := s.Scale(out, gamma, beta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,19 +228,19 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 	})
 	t.Run("relu+eltwise+concat+globalpool", func(t *testing.T) {
 		other := randBatch(r, n, c, h, w)
-		relu, err := s.ReLUBatch(in)
+		relu, err := s.ReLU(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := s.EltwiseAddBatch(in, other)
+		sum, err := s.EltwiseAdd(in, other)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cat, err := s.ConcatChannelsBatch(in, other)
+		cat, err := s.ConcatChannels(in, other)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gap, err := s.GlobalAvgPoolBatch(in)
+		gap, err := s.GlobalAvgPool(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +266,7 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 	})
 	t.Run("softmax", func(t *testing.T) {
 		vec := randBatch(r, n, 9)
-		out, err := s.SoftmaxBatch(vec)
+		out, err := s.Softmax(vec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,17 +349,20 @@ func TestBatchOpErrors(t *testing.T) {
 	s := NewScratch()
 	p := ConvParams{InChannels: 3, OutChannels: 4, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}
 	w := tensor.New(p.WeightCount())
-	if _, err := s.Conv2DBatch(nil, w, nil, p); !errors.Is(err, tensor.ErrShape) {
-		t.Fatalf("nil batch input: got %v, want ErrShape", err)
+	if _, err := s.Conv2DPacked(nil, w, nil, p, nil); !errors.Is(err, tensor.ErrShape) {
+		t.Fatalf("nil input: got %v, want ErrShape", err)
 	}
-	if _, err := s.Conv2DBatch(tensor.New(3, 8, 8), w, nil, p); !errors.Is(err, tensor.ErrShape) {
-		t.Fatalf("rank-3 batch input: got %v, want ErrShape", err)
+	if _, err := s.Conv2DPacked(tensor.New(3, 64), w, nil, p, nil); !errors.Is(err, tensor.ErrShape) {
+		t.Fatalf("rank-2 conv input: got %v, want ErrShape", err)
 	}
-	if _, err := s.Conv2DBatch(tensor.New(2, 5, 8, 8), w, nil, p); !errors.Is(err, tensor.ErrShape) {
+	if _, err := s.Conv2DPacked(tensor.New(2, 5, 8, 8), w, nil, p, nil); !errors.Is(err, tensor.ErrShape) {
 		t.Fatalf("channel mismatch: got %v, want ErrShape", err)
 	}
-	if _, err := s.FullyConnectedBatch(tensor.New(4), w, nil, 4); !errors.Is(err, tensor.ErrShape) {
-		t.Fatalf("rank-1 fc batch input: got %v, want ErrShape", err)
+	if _, err := s.FullyConnectedPacked(tensor.New(2, 4), w, nil, 4, nil); !errors.Is(err, tensor.ErrShape) {
+		t.Fatalf("fc batch of 4-feature samples against 27-feature weights: got %v, want ErrShape", err)
+	}
+	if _, err := s.ConcatChannels(tensor.New(1, 2, 2), tensor.New(1, 1, 2, 2)); !errors.Is(err, tensor.ErrShape) {
+		t.Fatalf("concat of a sample and a batch: got %v, want ErrShape", err)
 	}
 	lw := &LSTMWeights{Hidden: 4, Input: 2}
 	if _, err := s.LSTMSeqBatchPacked(lw, nil, make([]float32, 7), 2, 2); !errors.Is(err, tensor.ErrShape) {

@@ -5,9 +5,11 @@
 // fire modules are joined with), and the LSTM and GRU recurrent cells.
 //
 // Each function corresponds to one CUDA/OpenCL kernel in the original
-// benchmark suite.  Inputs use CHW layout (channels, height, width) with an
-// implicit batch size of one, matching the single-image inference the paper
-// evaluates.
+// benchmark suite.  Feature maps use CHW layout (channels, height, width)
+// for one sample, matching the single-image inference the paper evaluates;
+// a leading batch dimension (NCHW, or (N, F) for vectors) makes a batch.
+// Every layer op (the Scratch methods in engine.go) accepts either kind and
+// returns the same kind.
 package nn
 
 import (
@@ -88,24 +90,20 @@ func (p ConvParams) MACs(inH, inW int) int64 {
 	return int64(p.OutChannels) * int64(outH) * int64(outW) * perOutput
 }
 
-// checkConvArgs validates a convolution over one CHW sample (rank 3) or an
-// NCHW batch (rank 4) and returns the batch size and the input and output
-// geometry.
-func checkConvArgs(input, weights, bias *tensor.Tensor, p ConvParams, rank int) (nImg, inH, inW, outH, outW int, err error) {
+// checkConvArgs validates a convolution over one CHW sample or an NCHW batch
+// and returns the sample count and the input and output geometry.
+func checkConvArgs(input, weights, bias *tensor.Tensor, p ConvParams) (nImg, inH, inW, outH, outW int, err error) {
 	fail := func(err error) (int, int, int, int, int, error) { return 0, 0, 0, 0, 0, err }
 	if err := p.Validate(); err != nil {
 		return fail(err)
 	}
-	if input == nil || weights == nil {
-		return fail(fmt.Errorf("nn: conv: %w: nil input or weights", tensor.ErrShape))
+	if weights == nil {
+		return fail(fmt.Errorf("nn: conv: %w: nil weights", tensor.ErrShape))
 	}
-	if input.Rank() != rank {
-		return fail(fmt.Errorf("nn: conv: %w: input must have rank %d (CHW, or NCHW for a batch), got shape %v",
-			tensor.ErrShape, rank, input.Shape()))
+	nImg, inC, inH, inW, err := featureMap("conv", input)
+	if err != nil {
+		return fail(err)
 	}
-	inC := input.Dim(rank - 3)
-	inH, inW = input.Dim(rank-2), input.Dim(rank-1)
-	nImg = input.Len() / (inC * inH * inW)
 	if inC != p.InChannels {
 		return fail(fmt.Errorf("nn: conv: %w: expects %d input channels, got %d", tensor.ErrShape, p.InChannels, inC))
 	}
@@ -122,17 +120,18 @@ func checkConvArgs(input, weights, bias *tensor.Tensor, p ConvParams, rank int) 
 	return nImg, inH, inW, outH, outW, nil
 }
 
-// Conv2D performs a 2-D convolution of input (CHW) with weights
-// (outC x inC/groups x kh x kw) and a per-output-channel bias.  It returns a
-// new CHW tensor.  One output element corresponds to one simulated GPU
-// thread, mirroring the paper's one-thread-per-neuron mapping.
+// Conv2D performs a 2-D convolution of input (CHW, or an NCHW batch) with
+// weights (outC x inC/groups x kh x kw) and a per-output-channel bias.  It
+// returns a new tensor of the input's kind.  One output element corresponds
+// to one simulated GPU thread, mirroring the paper's one-thread-per-neuron
+// mapping.
 //
 // The computation is lowered to im2col plus the blocked GEMM kernel in
 // package tensor; results are bit-identical to the direct reference loop in
-// Conv2DDirect (see the summation-order contract on tensor.GemmNN).  Use a
-// Scratch to amortize the im2col and output buffers across runs.
+// Conv2DDirect (see the summation-order contract on tensor.GemmNN).  Use
+// Scratch.Conv2DPacked to amortize the im2col and output buffers across runs.
 func Conv2D(input *tensor.Tensor, weights, bias *tensor.Tensor, p ConvParams) (*tensor.Tensor, error) {
-	return (*Scratch)(nil).Conv2D(input, weights, bias, p)
+	return NewScratch().Conv2DPacked(input, weights, bias, p, nil)
 }
 
 // Conv2DDirect is the reference implementation of Conv2D: a direct 7-deep
@@ -140,33 +139,24 @@ func Conv2D(input *tensor.Tensor, weights, bias *tensor.Tensor, p ConvParams) (*
 // (channel, ky, kx) in ascending order.  The GEMM path is validated
 // bit-exactly against it.
 func Conv2DDirect(input *tensor.Tensor, weights, bias *tensor.Tensor, p ConvParams) (*tensor.Tensor, error) {
-	_, _, _, outH, outW, err := checkConvArgs(input, weights, bias, p, 3)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.New(p.OutChannels, outH, outW)
-	conv2DDirectInto(out, input, weights, bias, p)
-	return out, nil
+	s := NewScratch()
+	s.SetDirect(true)
+	return s.Conv2DPacked(input, weights, bias, p, nil)
 }
 
-// conv2DDirectInto runs the direct loop nest, fully overwriting dst.
-// Arguments must be pre-validated.
-func conv2DDirectInto(dst, input, weights, bias *tensor.Tensor, p ConvParams) {
-	inH, inW := input.Dim(1), input.Dim(2)
-	outH, outW := dst.Dim(1), dst.Dim(2)
+// conv2DDirectCore runs the direct loop nest over one CHW sample, fully
+// overwriting o.  Arguments must be pre-validated.
+func conv2DDirectCore(o, in, w, bias []float32, p ConvParams, inH, inW, outH, outW int) {
 	groups := p.groups()
 	inCPerGroup := p.InChannels / groups
 	outCPerGroup := p.OutChannels / groups
-	in := input.Data()
-	w := weights.Data()
-	o := dst.Data()
 
 	for oc := 0; oc < p.OutChannels; oc++ {
 		group := oc / outCPerGroup
 		icBase := group * inCPerGroup
 		b := float32(0)
 		if bias != nil {
-			b = bias.Data()[oc]
+			b = bias[oc]
 		}
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
@@ -194,12 +184,12 @@ func conv2DDirectInto(dst, input, weights, bias *tensor.Tensor, p ConvParams) {
 	}
 }
 
-// convStaged is the reference-tier convolution core behind Conv2D (nImg = 1)
-// and Conv2DBatch: per channel group, the patches of all nImg samples are
+// convStaged is the reference-tier convolution core of Conv2DPacked: per
+// channel group, the patches of all nImg samples are
 // staged l-major (k x nImg*outH*outW, see im2colTBatchRange) and one
 // tensor.GemmNN multiplies the group's filters against them.  in holds nImg
-// contiguous CHW samples, o receives nImg CHW outputs; arguments must be
-// pre-validated.
+// contiguous CHW samples, o receives nImg CHW outputs, biasData may be nil;
+// arguments must be pre-validated.
 //
 // For a single sample the GEMM's row stride outH*outW is the output's own
 // plane stride, so it writes straight into o; if the convolution is also
@@ -209,7 +199,7 @@ func conv2DDirectInto(dst, input, weights, bias *tensor.Tensor, p ConvParams) {
 // buffer and is copied out plane by plane.  Every output element is one
 // bias-seeded dot product in (channel, ky, kx) order whichever case runs:
 // bit-identical to Conv2DDirect for any batch size and worker count.
-func (s *Scratch) convStaged(o, in []float32, weights, bias *tensor.Tensor, p ConvParams, nImg, inH, inW, outH, outW int) {
+func (s *Scratch) convStaged(o, in []float32, weights *tensor.Tensor, biasData []float32, p ConvParams, nImg, inH, inW, outH, outW int) {
 	groups := p.groups()
 	inCPerGroup := p.InChannels / groups
 	outCPerGroup := p.OutChannels / groups
@@ -219,10 +209,6 @@ func (s *Scratch) convStaged(o, in []float32, weights, bias *tensor.Tensor, p Co
 	sampleStride := p.InChannels * inH * inW
 	outSample := p.OutChannels * n1
 	w := weights.Data()
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.Data()
-	}
 	workers := s.Workers()
 
 	inPlace := nImg == 1 && p.KernelH == 1 && p.KernelW == 1 &&

@@ -102,8 +102,8 @@ func randomConvGeom(r *tensor.RNG) convGeom {
 
 // TestConvCoreGeometryMatchesDirect is the differential test of the staged
 // convolution core: for every table geometry and a seeded random draw, batch
-// sizes 1 and 3 and worker counts 1 and 3, through both entry points and on
-// both GemmNN rungs, each image's output must equal Conv2DDirect bit for bit.
+// sizes 1 and 3 and one CHW sample, worker counts 1 and 3, and on both
+// GemmNN rungs, each image's output must equal Conv2DDirect bit for bit.
 func TestConvCoreGeometryMatchesDirect(t *testing.T) {
 	geoms := convGeometryTable()
 	r := tensor.NewRNG(15)
@@ -154,7 +154,7 @@ func testConvGeom(t *testing.T, r *tensor.RNG, g convGeom) {
 				t.Fatal(err)
 			}
 			s.BeginRun()
-			out, err := s.Conv2DBatch(batch, w, b, p)
+			out, err := s.Conv2DPacked(batch, w, b, p, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", op, err)
 			}
@@ -163,7 +163,7 @@ func testConvGeom(t *testing.T, r *tensor.RNG, g convGeom) {
 			}
 		}
 		s.BeginRun()
-		single, err := s.Conv2D(sampleOf(t, in, 0), w, b, p)
+		single, err := s.Conv2DPacked(sampleOf(t, in, 0), w, b, p, nil)
 		if err != nil {
 			t.Fatalf("%v/single/w%d: %v", g, workers, err)
 		}
@@ -179,8 +179,8 @@ func testConvGeom(t *testing.T, r *tensor.RNG, g convGeom) {
 }
 
 // TestConvPackedSingleMatchesBatchOfOne pins the fast tiers' one convolution
-// core: under NumericsFast and NumericsInt8, Conv2DPacked of an image and
-// Conv2DBatchPacked of the one-image batch are the same convFused call, so
+// core: under NumericsFast and NumericsInt8, Conv2DPacked of an image and of
+// the one-image batch are the same convFused call, so
 // their outputs are bit-identical for any worker count — and, the panel grid
 // and the int8 activation scale being per (group, image), so is that image's
 // slice of a larger batch.  A private single-sample lowering with its own
@@ -211,7 +211,7 @@ func TestConvPackedSingleMatchesBatchOfOne(t *testing.T) {
 					t.Fatalf("%s: single: %v", op, err)
 				}
 				for _, in := range []*tensor.Tensor{one, pair} {
-					batch, err := s.Conv2DBatchPacked(in, w, b, p, pk)
+					batch, err := s.Conv2DPacked(in, w, b, p, pk)
 					if err != nil {
 						t.Fatalf("%s: batch of %d: %v", op, in.Dim(0), err)
 					}
@@ -234,13 +234,13 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 	weights, bias := randBatch(r, p.WeightCount()), randBatch(r, p.OutChannels)
 
 	s := NewScratch()
-	if _, err := s.Conv2D(randBatch(r, 4, h, w), weights, bias, p); err != nil {
+	if _, err := s.Conv2DPacked(randBatch(r, 4, h, w), weights, bias, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := s.Bytes()-s.ArenaBytes(), int64(k*n*4); got != want {
 		t.Fatalf("single sample: %d staging bytes, want %d", got, want)
 	}
-	if _, err := s.Conv2DBatch(randBatch(r, 3, 4, h, w), weights, bias, p); err != nil {
+	if _, err := s.Conv2DPacked(randBatch(r, 3, 4, h, w), weights, bias, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := s.Bytes()-s.ArenaBytes(), int64((k+3)*3*n*4); got != want {
@@ -249,15 +249,15 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 
 	s = NewScratch()
 	p1 := ConvParams{InChannels: 4, OutChannels: 6, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}
-	if _, err := s.Conv2D(randBatch(r, 4, h, w), randBatch(r, p1.WeightCount()), nil, p1); err != nil {
+	if _, err := s.Conv2DPacked(randBatch(r, 4, h, w), randBatch(r, p1.WeightCount()), nil, p1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Bytes() - s.ArenaBytes(); got != 0 {
 		t.Fatalf("in-place 1x1: %d staging bytes, want 0", got)
 	}
 
-	// The fast tiers stream patches through the fused column panels: through
-	// either packed entry point the reference staging buffer must stay
+	// The fast tiers stream patches through the fused column panels: for a
+	// sample and for a batch the reference staging buffer must stay
 	// unallocated.  A fast tier that silently fell back to the staged core
 	// would leave the k*n floats the reference tier leaves from the same call.
 	// The int8 tier stages bytes: no float panel at all, one set of padded u8
@@ -323,18 +323,18 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 				t.Fatalf("%v/%v: %v", g, mode, err)
 			}
 			if cap(s.col) != want {
-				t.Fatalf("%v/%v: Conv2DPacked staged %d floats, want %d", g, mode, cap(s.col), want)
+				t.Fatalf("%v/%v: sample staged %d floats, want %d", g, mode, cap(s.col), want)
 			}
-			checkInt8(s, 1, "Conv2DPacked")
+			checkInt8(s, 1, "sample")
 			s = NewScratch()
 			s.SetNumerics(mode)
-			if _, err := s.Conv2DBatchPacked(batch, weights, bias, g.p, pk); err != nil {
+			if _, err := s.Conv2DPacked(batch, weights, bias, g.p, pk); err != nil {
 				t.Fatalf("%v/%v: %v", g, mode, err)
 			}
 			if cap(s.col) != 2*want {
-				t.Fatalf("%v/%v: Conv2DBatchPacked staged %d floats, want %d", g, mode, cap(s.col), 2*want)
+				t.Fatalf("%v/%v: batch staged %d floats, want %d", g, mode, cap(s.col), 2*want)
 			}
-			checkInt8(s, 2, "Conv2DBatchPacked")
+			checkInt8(s, 2, "batch")
 		}
 	}
 }
@@ -421,8 +421,8 @@ func convInt8Oracle(in, w, b []float32, p ConvParams, inH, inW int) []float32 {
 // TestConvInt8MatchesScalarOracle pins the int8 convolution layer by layer,
 // which the networks' int8 digests (final outputs only) cannot: for every
 // table geometry and a seeded random draw, batches of 1 and 3 and worker
-// counts 1 and 3, on every SIMD rung, each image of Conv2DBatchPacked and the
-// single-image Conv2DPacked must equal convInt8Oracle bit for bit.  Whatever
+// counts 1 and 3, on every SIMD rung, each image of a Conv2DPacked batch and
+// of a single-image Conv2DPacked must equal convInt8Oracle bit for bit.  Whatever
 // depth order, staging layout or panel grid the int8 tier uses, the integer
 // sums it dequantizes are the oracle's.
 func TestConvInt8MatchesScalarOracle(t *testing.T) {
@@ -467,7 +467,7 @@ func TestConvInt8MatchesScalarOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					s.BeginRun()
-					out, err := s.Conv2DBatchPacked(batch, w, b, p, pk)
+					out, err := s.Conv2DPacked(batch, w, b, p, pk)
 					if err != nil {
 						t.Fatalf("%s: %v", op, err)
 					}

@@ -8,37 +8,39 @@ import (
 )
 
 // checkFullyConnectedArgs validates a fully-connected call and returns the
-// input feature count.
-func checkFullyConnectedArgs(input, weights, bias *tensor.Tensor, outFeatures int) (int, error) {
+// sample count and the per-sample input feature count.
+func checkFullyConnectedArgs(input, weights, bias *tensor.Tensor, outFeatures int) (n, inFeatures int, err error) {
 	if outFeatures <= 0 {
-		return 0, fmt.Errorf("nn: fc output features must be positive, got %d", outFeatures)
+		return 0, 0, fmt.Errorf("nn: fc output features must be positive, got %d", outFeatures)
 	}
 	if input == nil || input.Len() == 0 {
-		return 0, fmt.Errorf("nn: fc: %w: nil or empty input", tensor.ErrShape)
+		return 0, 0, fmt.Errorf("nn: fc: %w: nil or empty input", tensor.ErrShape)
 	}
 	if weights == nil {
-		return 0, fmt.Errorf("nn: fc: %w: nil weights", tensor.ErrShape)
+		return 0, 0, fmt.Errorf("nn: fc: %w: nil weights", tensor.ErrShape)
 	}
-	inFeatures := input.Len()
+	n = samples(input)
+	inFeatures = input.Len() / n
 	if weights.Len() != outFeatures*inFeatures {
-		return 0, fmt.Errorf("nn: fc expects %d weights (%dx%d), got %d",
-			outFeatures*inFeatures, outFeatures, inFeatures, weights.Len())
+		return 0, 0, fmt.Errorf("nn: fc: %w: expects %d weights (%dx%d), got %d",
+			tensor.ErrShape, outFeatures*inFeatures, outFeatures, inFeatures, weights.Len())
 	}
 	if bias != nil && bias.Len() != outFeatures {
-		return 0, fmt.Errorf("nn: fc expects %d biases, got %d", outFeatures, bias.Len())
+		return 0, 0, fmt.Errorf("nn: fc expects %d biases, got %d", outFeatures, bias.Len())
 	}
-	return inFeatures, nil
+	return n, inFeatures, nil
 }
 
 // FullyConnected computes out = W*x + b where x is the flattened input,
 // W has shape (outFeatures x inFeatures) and b has length outFeatures.
-// It returns a rank-1 tensor of length outFeatures.
+// It returns a rank-1 tensor of length outFeatures (an (N, outFeatures) one
+// for a rank-2 or rank-4 batch).
 //
 // The product runs on the register-tiled kernel in package tensor; each
 // output element accumulates its dot product left to right starting from its
 // bias, so results are bit-identical to the scalar reference loop.
 func FullyConnected(input, weights, bias *tensor.Tensor, outFeatures int) (*tensor.Tensor, error) {
-	return (*Scratch)(nil).FullyConnected(input, weights, bias, outFeatures)
+	return NewScratch().FullyConnectedPacked(input, weights, bias, outFeatures, nil)
 }
 
 // checkMatVecArgs validates a MatVec call.
@@ -87,23 +89,15 @@ func scalarMatVec(dst, w, x, bias []float32, rows, cols int) {
 	}
 }
 
-// checkSoftmaxArgs validates a Softmax input.
-func checkSoftmaxArgs(input *tensor.Tensor) error {
-	if input == nil || input.Len() == 0 {
-		return fmt.Errorf("nn: softmax: %w: nil or empty input", tensor.ErrShape)
-	}
-	return nil
-}
-
-// Softmax returns the normalized exponential of the input, computed with the
-// usual max-subtraction for numerical stability.  It returns an error for a
-// nil or empty input.
+// Softmax returns the normalized exponential of the input (of each sample
+// of a rank-2 or rank-4 batch), computed with the usual max-subtraction for
+// numerical stability.  It returns an error for a nil or empty input.
 func Softmax(input *tensor.Tensor) (*tensor.Tensor, error) {
-	return (*Scratch)(nil).Softmax(input)
+	return NewScratch().Softmax(input)
 }
 
-// softmaxInto computes the softmax of in into o; both have equal length.
-func softmaxInto(o, in []float32) {
+// softmaxCore computes the softmax of in into o; both have equal length.
+func softmaxCore(o, in []float32) {
 	max := float32(math.Inf(-1))
 	for _, v := range in {
 		if v > max {

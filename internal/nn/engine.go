@@ -7,17 +7,21 @@ import (
 	"tango/internal/tensor"
 )
 
-// This file implements the native inference compute engine: Scratch-based
-// variants of every forward kernel that reuse buffers across runs and lower
-// the heavy layers (convolution, fully-connected, recurrent gates) onto the
-// blocked GEMM/mat-vec kernels in package tensor.
+// This file implements the native inference compute engine: one Scratch op
+// per layer kind, reusing buffers across runs and lowering the heavy layers
+// (convolution, fully-connected, recurrent gates) onto the blocked GEMM and
+// mat-vec kernels in package tensor.
 //
-// Every engine kernel is bit-identical to its reference counterpart
-// (Conv2DDirect, the scalar MatVec, LSTMCell, GRUCell): the blocked kernels
-// preserve the reference summation order — one float32 accumulator per
-// output element, reduction index ascending — for any blocking and any
-// worker count.  See the determinism contracts on tensor.GemmNN (the
-// convolution core, conv.go) and tensor.Gemm (the mat-vec kernels).
+// Every op takes one sample (rank 1 or 3) or a batch stacked along dim 0
+// (rank 2 or 4) and returns the same kind; a batch runs each sample's
+// kernel, or folds the samples into one GEMM, so on the reference tier every
+// sample's output is bit-identical to running it alone, and to the direct
+// reference kernels (Conv2DDirect, the scalar MatVec, LSTMCell, GRUCell).
+// The blocked kernels preserve the reference summation order — one float32
+// accumulator per output element, reduction index ascending — for any
+// blocking and any worker count.  See the determinism contracts on
+// tensor.GemmNN (the convolution core, conv.go) and tensor.Gemm (the mat-vec
+// kernels).
 
 // Scratch is the per-goroutine state of the compute engine: a
 // shape-memoizing output arena, the convolution staging buffer (col, the
@@ -27,9 +31,8 @@ import (
 //
 // All tensors returned by Scratch methods alias the arena: their contents
 // are valid until the next BeginRun on the same Scratch.  A Scratch is not
-// safe for concurrent use; give each goroutine its own.  All methods accept
-// a nil *Scratch, which falls back to freshly allocated outputs (still using
-// the blocked kernels).
+// safe for concurrent use; give each goroutine its own.  The package-level
+// layer functions (Conv2D, Pool2D, ...) run on a fresh Scratch per call.
 type Scratch struct {
 	workers  int
 	direct   bool
@@ -62,37 +65,20 @@ func (s *Scratch) SetWorkers(n int) {
 	s.workers = n
 }
 
-// Workers returns the effective worker count (1 for a nil Scratch).
-func (s *Scratch) Workers() int {
-	if s == nil || s.workers < 1 {
-		return 1
-	}
-	return s.workers
-}
+// Workers returns the effective worker count.
+func (s *Scratch) Workers() int { return max(s.workers, 1) }
 
 // SetDirect switches the Scratch to the direct reference kernels (the naive
-// convolution loop nest and scalar dot products).  It exists to validate the
-// engine: results must be bit-identical either way.
+// convolution loop nest and scalar dot products) at any batch size.  It
+// exists to validate the engine: results must be bit-identical either way.
 func (s *Scratch) SetDirect(direct bool) { s.direct = direct }
-
-// Direct reports whether the Scratch uses the reference kernels.
-func (s *Scratch) Direct() bool { return s != nil && s.direct }
 
 // BeginRun rewinds the arena so this run reuses the previous run's buffers.
 // Call it once at the start of every network execution.
-func (s *Scratch) BeginRun() {
-	if s != nil {
-		s.arena.Reset()
-	}
-}
+func (s *Scratch) BeginRun() { s.arena.Reset() }
 
 // ArenaBytes reports the backing storage held by the output arena.
-func (s *Scratch) ArenaBytes() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.arena.Bytes()
-}
+func (s *Scratch) ArenaBytes() int64 { return s.arena.Bytes() }
 
 // Bytes reports the Scratch's total resident footprint: the output arena
 // plus every reusable staging buffer (the reference convolution's patch
@@ -101,9 +87,6 @@ func (s *Scratch) ArenaBytes() int64 {
 // buffers).  It is the memory-accounting surface behind per-model
 // resident-bytes reporting.
 func (s *Scratch) Bytes() int64 {
-	if s == nil {
-		return 0
-	}
 	n := s.arena.Bytes() + int64(cap(s.col))*4
 	for _, v := range s.vecs {
 		n += int64(cap(v)) * 4
@@ -126,193 +109,280 @@ func (s *Scratch) Bytes() int64 {
 	return n
 }
 
-// out1 returns a rank-1 output tensor (arena-backed when s is non-nil).
-func (s *Scratch) out1(n int) *tensor.Tensor {
-	if s == nil {
-		return tensor.New(n)
-	}
-	return s.arena.Get1(n)
-}
-
-// out3 returns a CHW output tensor (arena-backed when s is non-nil).
-func (s *Scratch) out3(c, h, w int) *tensor.Tensor {
-	if s == nil {
-		return tensor.New(c, h, w)
-	}
-	return s.arena.Get3(c, h, w)
-}
-
 // outLike returns an output tensor with t's shape.
 func (s *Scratch) outLike(t *tensor.Tensor) *tensor.Tensor {
 	switch t.Rank() {
 	case 1:
-		return s.out1(t.Dim(0))
+		return s.arena.Get1(t.Dim(0))
 	case 2:
-		return s.out2(t.Dim(0), t.Dim(1))
+		return s.arena.Get2(t.Dim(0), t.Dim(1))
 	case 3:
-		return s.out3(t.Dim(0), t.Dim(1), t.Dim(2))
+		return s.arena.Get3(t.Dim(0), t.Dim(1), t.Dim(2))
 	case 4:
-		return s.out4(t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3))
+		return s.arena.Get4(t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3))
 	default:
-		if s == nil {
-			return tensor.New(t.Shape()...)
-		}
 		return s.arena.Get(t.Shape()...)
 	}
 }
 
-// buffer returns a float32 staging buffer of length n, reused across calls.
-func (s *Scratch) buffer(n int) []float32 {
-	if s == nil {
-		return make([]float32, n)
+// outMap returns a feature-map output of in's kind: CHW for one sample,
+// NCHW for a batch of n.
+func (s *Scratch) outMap(in *tensor.Tensor, n, c, h, w int) *tensor.Tensor {
+	if in.Rank() == 4 {
+		return s.arena.Get4(n, c, h, w)
 	}
-	if cap(s.col) < n {
-		s.col = make([]float32, n)
-	}
-	return s.col[:n]
+	return s.arena.Get3(c, h, w)
 }
+
+// outVec returns a vector output of in's kind: length f for one sample,
+// (n, f) for a batch of n.
+func (s *Scratch) outVec(in *tensor.Tensor, n, f int) *tensor.Tensor {
+	if in.Rank()%2 == 0 {
+		return s.arena.Get2(n, f)
+	}
+	return s.arena.Get1(f)
+}
+
+// samples returns how many samples an op operand holds: dim 0 of a batch
+// (rank 2 or 4), one for a single sample (rank 1 or 3).
+func samples(t *tensor.Tensor) int {
+	if t.Rank()%2 == 0 {
+		return t.Dim(0)
+	}
+	return 1
+}
+
+// featureMap validates a feature-map operand — one CHW sample or an NCHW
+// batch — and returns its sample count and per-sample dims.
+func featureMap(op string, t *tensor.Tensor) (n, c, h, w int, err error) {
+	if t == nil || (t.Rank() != 3 && t.Rank() != 4) {
+		return 0, 0, 0, 0, fmt.Errorf("nn: %s: %w: input must be CHW or NCHW, got shape %v",
+			op, tensor.ErrShape, shapeOf(t))
+	}
+	r := t.Rank()
+	return samples(t), t.Dim(r - 3), t.Dim(r - 2), t.Dim(r - 1), nil
+}
+
+// perSample runs fn on each sample's output and input blocks: o and in each
+// hold n equal contiguous blocks.
+func perSample(o, in []float32, n int, fn func(o, in []float32)) {
+	ob, ib := len(o)/n, len(in)/n
+	for i := 0; i < n; i++ {
+		fn(o[i*ob:(i+1)*ob], in[i*ib:(i+1)*ib])
+	}
+}
+
+// buffer returns a float32 staging buffer of length n, reused across calls.
+func (s *Scratch) buffer(n int) []float32 { return grown(&s.col, n) }
 
 // vec returns the recurrent gate buffer for the given slot, sized to n.
 func (s *Scratch) vec(slot, n int) []float32 {
-	if s == nil {
-		return make([]float32, n)
-	}
 	for len(s.vecs) <= slot {
 		s.vecs = append(s.vecs, nil)
 	}
-	if cap(s.vecs[slot]) < n {
-		s.vecs[slot] = make([]float32, n)
-	}
-	return s.vecs[slot][:n]
+	return grown(&s.vecs[slot], n)
 }
 
-// Arena1 returns an arena-backed rank-1 tensor of length n (freshly
-// allocated for a nil Scratch).  Its contents are undefined: callers must
-// overwrite every element.
-func (s *Scratch) Arena1(n int) *tensor.Tensor { return s.out1(n) }
+// Arena1 returns an arena-backed rank-1 tensor of length n.  Its contents
+// are undefined: callers must overwrite every element.
+func (s *Scratch) Arena1(n int) *tensor.Tensor { return s.arena.Get1(n) }
 
 // LayerOutputs returns a reusable slice for per-layer output tensors.  The
 // caller must overwrite every element.
-func (s *Scratch) LayerOutputs(n int) []*tensor.Tensor {
-	if s == nil {
-		return make([]*tensor.Tensor, n)
-	}
-	if cap(s.outs) < n {
-		s.outs = make([]*tensor.Tensor, n)
-	}
-	s.outs = s.outs[:n]
-	return s.outs
-}
+func (s *Scratch) LayerOutputs(n int) []*tensor.Tensor { return grown(&s.outs, n) }
 
 // Ints returns a reusable int slice of length n (per-sample predictions of a
 // batched run).  The caller must overwrite every element; contents are valid
 // until the next call on the same Scratch.
-func (s *Scratch) Ints(n int) []int {
-	if s == nil {
-		return make([]int, n)
+func (s *Scratch) Ints(n int) []int { return grown(&s.preds, n) }
+
+// biasOf returns a possibly-nil bias tensor's data.
+func biasOf(bias *tensor.Tensor) []float32 {
+	if bias == nil {
+		return nil
 	}
-	if cap(s.preds) < n {
-		s.preds = make([]int, n)
-	}
-	s.preds = s.preds[:n]
-	return s.preds
+	return bias.Data()
 }
 
-// Conv2D is the engine convolution of one CHW sample: the staged core
-// (convStaged) at batch size one, whose GEMM writes straight into the arena
-// output.  Results are bit-identical to Conv2DDirect.
-func (s *Scratch) Conv2D(input, weights, bias *tensor.Tensor, p ConvParams) (*tensor.Tensor, error) {
-	_, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, 3)
+// Conv2DPacked is the convolution layer, over weights (outC x inC/groups x
+// kh x kw) and an optional per-output-channel bias.  pk is the layer's
+// weight pack for the tier selected by SetNumerics: with the matching pack
+// it runs the fused fast-tier core (fastfused.go) for either tier and any
+// batch size; with a nil pack (or on the reference tier) it runs the staged
+// reference core, convStaged, bit-identical to Conv2DDirect; under SetDirect
+// it runs the direct loop nest image by image.  A batch folds its samples
+// into each GEMM, and a batch of one is bit-identical to its single sample.
+func (s *Scratch) Conv2DPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
+	nImg, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p)
 	if err != nil {
 		return nil, err
 	}
-	out := s.out3(p.OutChannels, outH, outW)
-	if s.Direct() {
-		conv2DDirectInto(out, input, weights, bias, p)
-		return out, nil
+	out := s.outMap(input, nImg, p.OutChannels, outH, outW)
+	o, in, b := out.Data(), input.Data(), biasOf(bias)
+	mode := s.Numerics()
+	int8Path := mode == NumericsInt8 && pk != nil && pk.q != nil
+	switch {
+	case s.direct:
+		perSample(o, in, nImg, func(o, in []float32) {
+			conv2DDirectCore(o, in, weights.Data(), b, p, inH, inW, outH, outW)
+		})
+	case int8Path || (mode != NumericsReference && pk != nil && pk.f != nil):
+		s.convFused(o, in, b, pk, p, nImg, inH, inW, outH, outW, int8Path)
+	default:
+		s.convStaged(o, in, weights, b, p, nImg, inH, inW, outH, outW)
 	}
-	s.convStaged(out.Data(), input.Data(), weights, bias, p, 1, inH, inW, outH, outW)
 	return out, nil
 }
 
-// FullyConnected is the engine fully-connected layer, running on the
-// register-tiled mat-vec kernel with row-panel parallelism.
-func (s *Scratch) FullyConnected(input, weights, bias *tensor.Tensor, outFeatures int) (*tensor.Tensor, error) {
-	inFeatures, err := checkFullyConnectedArgs(input, weights, bias, outFeatures)
+// FullyConnectedPacked is the fully-connected layer out = W*x + b, with W
+// (outFeatures x inFeatures) and each sample's features its flattened block.
+// One sample returns a rank-1 output, a batch an (N, outFeatures) one.  It
+// picks the kernel from the sample count: one sample runs the tier's mat-vec
+// (MatVecBiasParallel, MatVecFastParallel, or MatVecInt8 with the int8
+// pack), two or more transpose to (inFeatures x N) and run the tier's GEMM,
+// streaming the weights once per batch (GemmNN; GemmNNFast with a fast pack;
+// GemmInt8 with the int8 pack, one activation scale per call).  On the
+// reference tier both kernels are one bias-seeded left-to-right dot product
+// per output, so every sample's bits are the single-sample ones; SetDirect
+// runs the scalar loop per sample.
+func (s *Scratch) FullyConnectedPacked(input, weights, bias *tensor.Tensor, outFeatures int, pk *FCPack) (*tensor.Tensor, error) {
+	n, inF, err := checkFullyConnectedArgs(input, weights, bias, outFeatures)
 	if err != nil {
 		return nil, err
 	}
-	out := s.out1(outFeatures)
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.Data()
-	}
-	if s.Direct() {
-		scalarMatVec(out.Data(), weights.Data(), input.Data(), biasData, outFeatures, inFeatures)
+	out := s.outVec(input, n, outFeatures)
+	o, x, w, b := out.Data(), input.Data(), weights.Data(), biasOf(bias)
+	workers := s.Workers()
+	mode := s.Numerics()
+	int8Path := mode == NumericsInt8 && pk != nil && pk.q != nil
+	switch {
+	case s.direct:
+		perSample(o, x, n, func(o, x []float32) { scalarMatVec(o, w, x, b, outFeatures, inF) })
+		return out, nil
+	case n == 1 && int8Path:
+		xq := s.u8buf(0, pk.q.KPad())
+		tensor.MatVecInt8(o, pk.q, xq, b, tensor.QuantizeU8(xq[:inF], x), workers)
+		return out, nil
+	case n == 1 && mode != NumericsReference:
+		tensor.MatVecFastParallel(o, w, x, b, outFeatures, inF, workers)
+		return out, nil
+	case n == 1:
+		tensor.MatVecBiasParallel(o, w, x, b, outFeatures, inF, workers)
 		return out, nil
 	}
-	tensor.MatVecBiasParallel(out.Data(), weights.Data(), input.Data(), biasData,
-		outFeatures, inFeatures, s.Workers())
+	// The fast float GEMM pads its columns up to the 16-wide FMA tile so a
+	// small batch (3, 8) runs the vector microkernel instead of falling into
+	// the scalar column tail.  Pad lanes are zero and are never read back.
+	fast := !int8Path && mode != NumericsReference && pk != nil && pk.f != nil
+	ld := n
+	if fast {
+		ld = (n + 15) &^ 15
+	}
+	xT := s.batchBuf(0, inF*ld)
+	transposeToColumnsPar(xT, x, n, inF, ld, workers)
+	yT := s.batchBuf(1, outFeatures*ld)
+	switch {
+	case int8Path:
+		kPad := pk.q.KPad()
+		bp := s.u8buf(0, tensor.Int8PackedLen(kPad, n))
+		acc := s.accbuf(0, tensor.Int8AccLen(outFeatures, n))
+		xs := tensor.PackColsU8(bp, xT, inF, n, n, kPad)
+		tensor.GemmInt8(yT, pk.q, bp, acc, b, xs, n, workers)
+	case fast:
+		tensor.GemmNNFastParallel(yT, pk.f, xT, b, ld, ld, workers)
+	default:
+		tensor.GemmNNParallel(yT, w, xT, b, outFeatures, n, inF, n, workers)
+	}
+	transposeToRowsPar(o, yT, n, outFeatures, ld, workers)
 	return out, nil
 }
 
-// Pool2D is the engine pooling layer.
+// Pool2D is the pooling layer.
 func (s *Scratch) Pool2D(input *tensor.Tensor, p PoolParams) (*tensor.Tensor, error) {
-	c, _, _, outH, outW, err := checkPoolArgs(input, p)
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	n, c, inH, inW, err := featureMap("pool", input)
 	if err != nil {
 		return nil, err
 	}
-	out := s.out3(c, outH, outW)
-	pool2DInto(out, input, p)
+	outH, outW := p.OutputDims(inH, inW)
+	if outH <= 0 || outW <= 0 {
+		return nil, fmt.Errorf("nn: pool output dims %dx%d are not positive for input %dx%d", outH, outW, inH, inW)
+	}
+	out := s.outMap(input, n, c, outH, outW)
+	perSample(out.Data(), input.Data(), n, func(o, in []float32) { pool2DCore(o, in, c, inH, inW, outH, outW, p) })
 	return out, nil
 }
 
-// GlobalAvgPool is the engine global average pooling layer.
+// GlobalAvgPool is the global average pooling layer: each channel reduces
+// to its spatial mean, a length-C vector per sample.
 func (s *Scratch) GlobalAvgPool(input *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := checkGlobalPoolArgs(input); err != nil {
+	n, c, h, w, err := featureMap("global pool", input)
+	if err != nil {
 		return nil, err
 	}
-	out := s.out1(input.Dim(0))
-	globalAvgPoolInto(out, input)
+	out := s.outVec(input, n, c)
+	perSample(out.Data(), input.Data(), n, func(o, in []float32) { globalAvgPoolCore(o, in, c, h, w) })
 	return out, nil
 }
 
-// LRN is the engine local response normalization layer.
+// LRN is the local response normalization layer.  The fast tiers run
+// lrnCoreFast when beta is exactly 3/4, the AlexNet/GoogLeNet exponent, for
+// which x^-beta has a closed form in hardware square roots.
 func (s *Scratch) LRN(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, error) {
-	if err := checkLRNArgs(input, p); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	out := s.out3(input.Dim(0), input.Dim(1), input.Dim(2))
-	if s.lrnFastEligible(p) {
-		lrnCoreFast(out.Data(), input.Data(), input.Dim(0), input.Dim(1), input.Dim(2), p,
-			s.lrnSums(input.Dim(1)*input.Dim(2)))
+	n, c, h, w, err := featureMap("lrn", input)
+	if err != nil {
+		return nil, err
+	}
+	out := s.outMap(input, n, c, h, w)
+	if s.Numerics() != NumericsReference && p.Beta == 0.75 {
+		sums := grown(&s.f64buf, h*w)
+		perSample(out.Data(), input.Data(), n, func(o, in []float32) { lrnCoreFast(o, in, c, h, w, p, sums) })
 		return out, nil
 	}
-	lrnInto(out, input, p)
+	perSample(out.Data(), input.Data(), n, func(o, in []float32) { lrnCore(o, in, c, h, w, p) })
 	return out, nil
 }
 
-// BatchNorm is the engine batch normalization layer.
+// BatchNorm is the batch normalization layer.
 func (s *Scratch) BatchNorm(input *tensor.Tensor, p BatchNormParams) (*tensor.Tensor, error) {
-	if err := checkBatchNormArgs(input, p); err != nil {
+	n, c, h, w, err := featureMap("batchnorm", input)
+	if err != nil {
 		return nil, err
 	}
-	out := s.out3(input.Dim(0), input.Dim(1), input.Dim(2))
-	batchNormInto(out, input, p)
+	if p.Mean == nil || p.Variance == nil {
+		return nil, fmt.Errorf("nn: batchnorm requires mean and variance")
+	}
+	if p.Mean.Len() != c || p.Variance.Len() != c {
+		return nil, fmt.Errorf("nn: batchnorm stats length %d/%d, want %d", p.Mean.Len(), p.Variance.Len(), c)
+	}
+	out := s.outMap(input, n, c, h, w)
+	perSample(out.Data(), input.Data(), n, func(o, in []float32) { batchNormCore(o, in, c, h, w, p) })
 	return out, nil
 }
 
-// Scale is the engine per-channel affine layer.
+// Scale is the per-channel affine layer.
 func (s *Scratch) Scale(input, gamma, beta *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := checkScaleArgs(input, gamma, beta); err != nil {
+	n, c, h, w, err := featureMap("scale", input)
+	if err != nil {
 		return nil, err
 	}
-	out := s.out3(input.Dim(0), input.Dim(1), input.Dim(2))
-	scaleInto(out, input, gamma, beta)
+	if gamma == nil || gamma.Len() != c {
+		return nil, fmt.Errorf("nn: scale expects %d gammas", c)
+	}
+	if beta != nil && beta.Len() != c {
+		return nil, fmt.Errorf("nn: scale expects %d betas, got %d", c, beta.Len())
+	}
+	out := s.outMap(input, n, c, h, w)
+	perSample(out.Data(), input.Data(), n, func(o, in []float32) { scaleCore(o, in, c, h, w, gamma, beta) })
 	return out, nil
 }
 
-// ReLU is the engine out-of-place ReLU.
+// ReLU is the out-of-place ReLU, of any shape.
 func (s *Scratch) ReLU(input *tensor.Tensor) (*tensor.Tensor, error) {
 	if input == nil {
 		return nil, fmt.Errorf("nn: relu: %w: nil input", tensor.ErrShape)
@@ -322,35 +392,89 @@ func (s *Scratch) ReLU(input *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// EltwiseAdd is the engine element-wise addition.
+// EltwiseAdd is the element-wise addition of two tensors of one shape.
 func (s *Scratch) EltwiseAdd(a, b *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := checkEltwiseArgs("add", a, b); err != nil {
 		return nil, err
 	}
 	out := s.outLike(a)
-	eltwiseAddInto(out.Data(), a.Data(), b.Data())
-	return out, nil
-}
-
-// ConcatChannels is the engine channel concatenation.
-func (s *Scratch) ConcatChannels(parts ...*tensor.Tensor) (*tensor.Tensor, error) {
-	totalC, h, w, err := checkConcatArgs(parts)
-	if err != nil {
-		return nil, err
+	o, bd := out.Data(), b.Data()
+	for i, v := range a.Data() {
+		o[i] = v + bd[i]
 	}
-	out := s.out3(totalC, h, w)
-	concatChannelsInto(out, parts)
 	return out, nil
 }
 
-// Softmax is the engine softmax.
+// ConcatChannels is the channel concatenation of feature maps of one kind
+// (all CHW, or all NCHW of one batch size) sharing spatial dimensions.
+func (s *Scratch) ConcatChannels(parts ...*tensor.Tensor) (*tensor.Tensor, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("nn: concat requires at least one tensor")
+	}
+	var n, h, w, totalC int
+	for i, pt := range parts {
+		pn, pc, ph, pw, err := featureMap("concat", pt)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			n, h, w = pn, ph, pw
+		} else if pt.Rank() != parts[0].Rank() || pn != n || ph != h || pw != w {
+			return nil, fmt.Errorf("%w: concat shape %v vs %v", tensor.ErrShape, pt.Shape(), parts[0].Shape())
+		}
+		totalC += pc
+	}
+	out := s.outMap(parts[0], n, totalC, h, w)
+	o := out.Data()
+	off := 0
+	for img := 0; img < n; img++ {
+		for _, pt := range parts {
+			sample := pt.Len() / n
+			off += copy(o[off:], pt.Data()[img*sample:(img+1)*sample])
+		}
+	}
+	return out, nil
+}
+
+// Softmax is the softmax of each sample's flattened values.
 func (s *Scratch) Softmax(input *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := checkSoftmaxArgs(input); err != nil {
-		return nil, err
+	if input == nil || input.Len() == 0 {
+		return nil, fmt.Errorf("nn: softmax: %w: nil or empty input", tensor.ErrShape)
 	}
 	out := s.outLike(input)
-	softmaxInto(out.Data(), input.Data())
+	perSample(out.Data(), input.Data(), samples(input), softmaxCore)
 	return out, nil
+}
+
+// The batched names below are the ops above; kept for benchmark/, delete
+// with ROADMAP 2a.
+
+// Conv2DBatchPacked is Conv2DPacked.
+func (s *Scratch) Conv2DBatchPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
+	return s.Conv2DPacked(input, weights, bias, p, pk)
+}
+
+// FullyConnectedBatchPacked is FullyConnectedPacked.
+func (s *Scratch) FullyConnectedBatchPacked(input, weights, bias *tensor.Tensor, outFeatures int, pk *FCPack) (*tensor.Tensor, error) {
+	return s.FullyConnectedPacked(input, weights, bias, outFeatures, pk)
+}
+
+// Pool2DBatch is Pool2D.
+func (s *Scratch) Pool2DBatch(input *tensor.Tensor, p PoolParams) (*tensor.Tensor, error) {
+	return s.Pool2D(input, p)
+}
+
+// LRNBatch is LRN.
+func (s *Scratch) LRNBatch(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, error) {
+	return s.LRN(input, p)
+}
+
+// ReLUBatch is ReLU.
+func (s *Scratch) ReLUBatch(input *tensor.Tensor) (*tensor.Tensor, error) { return s.ReLU(input) }
+
+// SoftmaxBatch is Softmax.
+func (s *Scratch) SoftmaxBatch(input *tensor.Tensor) (*tensor.Tensor, error) {
+	return s.Softmax(input)
 }
 
 // sigmoidInPlace applies the logistic function to every element of v using
@@ -401,7 +525,7 @@ func (s *Scratch) LSTMStep(w *LSTMWeights, st LSTMState, x *tensor.Tensor) error
 	if st.H == nil || st.C == nil || st.H.Len() != w.Hidden || st.C.Len() != w.Hidden {
 		return fmt.Errorf("nn: lstm state must have hidden size %d", w.Hidden)
 	}
-	if s == nil || s.direct {
+	if s.direct {
 		next, err := LSTMCell(w, st, x)
 		if err != nil {
 			return err
@@ -454,7 +578,7 @@ func (s *Scratch) GRUStep(w *GRUWeights, h *tensor.Tensor, x *tensor.Tensor) err
 	if h == nil || h.Len() != w.Hidden {
 		return fmt.Errorf("nn: gru state must have hidden size %d", w.Hidden)
 	}
-	if s == nil || s.direct {
+	if s.direct {
 		next, err := GRUCell(w, h, x)
 		if err != nil {
 			return err

@@ -97,8 +97,8 @@ func TestEngineConvMatchesDirect(t *testing.T) {
 			fn    func() (*tensor.Tensor, error)
 		}{
 			{"free", func() (*tensor.Tensor, error) { return nn.Conv2D(in, w, b, c.p) }},
-			{"scratch", func() (*tensor.Tensor, error) { return s.Conv2D(in, w, b, c.p) }},
-			{"parallel", func() (*tensor.Tensor, error) { return sp.Conv2D(in, w, b, c.p) }},
+			{"scratch", func() (*tensor.Tensor, error) { return s.Conv2DPacked(in, w, b, c.p, nil) }},
+			{"parallel", func() (*tensor.Tensor, error) { return sp.Conv2DPacked(in, w, b, c.p, nil) }},
 		} {
 			got, err := run.fn()
 			if err != nil {
@@ -160,12 +160,12 @@ func TestEngineFullyConnectedMatchesScalar(t *testing.T) {
 		w.FillNormal(r, 0.1)
 		b := tensor.New(c.out)
 		b.FillNormal(r, 0.05)
-		want, err := direct.FullyConnected(x, w, b, c.out)
+		want, err := direct.FullyConnectedPacked(x, w, b, c.out, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []*nn.Scratch{nil, par} {
-			got, err := s.FullyConnected(x, w, b, c.out)
+		for _, s := range []*nn.Scratch{nn.NewScratch(), par} {
+			got, err := s.FullyConnectedPacked(x, w, b, c.out, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +322,7 @@ func BenchmarkConv(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bc.s.BeginRun()
-				if _, err := bc.s.Conv2D(in, w, bias, p); err != nil {
+				if _, err := bc.s.Conv2DPacked(in, w, bias, p, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -350,7 +350,7 @@ func BenchmarkDense(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bc.s.BeginRun()
-				if _, err := bc.s.FullyConnected(x, w, bias, out); err != nil {
+				if _, err := bc.s.FullyConnectedPacked(x, w, bias, out, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,21 +11,15 @@ import (
 // field patches stream directly from the padded input into L2-resident
 // column panels that the GEMM microkernels consume in place, and the
 // product lands straight in the NCHW output block (dst rows outH*outW
-// floats apart via the two-stride kernels).  The staged colT buffer and
-// the channel-major un-interleave copy of the old batched path are both
-// gone.
+// floats apart via the two-stride kernels).
 //
 // Geometry and determinism: each (group, image) output block is covered by
 // a fixed grid of tensor.FusedNC-column panels; a panel is finished by
 // walking depth in tensor.FusedKC slabs (pack slab, accumulate slab).  The
-// grid depends only on the layer shape — never on the worker count — and
-// panels cover disjoint output columns, so any fan-out of panels across
-// workers produces identical bytes.  For a single sample the grid equals
-// the staged fast path's column blocking, making the fused result
-// bit-identical to the staged one; for a batch the grid is per-image
-// (panels never straddle image boundaries), which differs from the old
-// staged batch blocking only in float32 low bits (the tier's tolerance
-// contract).
+// grid depends only on the layer shape — never on the worker count or the
+// batch, since panels never straddle image boundaries — and panels cover
+// disjoint output columns, so an image's bytes are the same for any worker
+// fan-out and in any batch.
 //
 // The int8 tier stages bytes, not floats.  The activation scale is per
 // (group, image), from that image's group input planes, so it does not
@@ -37,10 +31,11 @@ import (
 // to match.  Any order is exact: int32 sums do not depend on it, zero weights
 // add nothing, and a weight row's scale and compensation ignore both.
 
-// convFused runs the fused fast-tier convolution over nImg samples laid
-// out sample-major in `in` (samples sampleStride floats apart), writing
-// NCHW output planes into o.  pk must carry the pack matching int8Path.
-func (s *Scratch) convFused(o, in, biasData []float32, pk *ConvPack, p ConvParams, nImg, sampleStride, inH, inW, outH, outW int, int8Path bool) {
+// convFused runs the fused fast-tier convolution over nImg contiguous CHW
+// samples in `in`, writing NCHW output planes into o.  pk must carry the
+// pack matching int8Path.
+func (s *Scratch) convFused(o, in, biasData []float32, pk *ConvPack, p ConvParams, nImg, inH, inW, outH, outW int, int8Path bool) {
+	sampleStride := p.InChannels * inH * inW
 	groups := p.groups()
 	inCPerGroup := p.InChannels / groups
 	outCPerGroup := p.OutChannels / groups

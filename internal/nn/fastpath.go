@@ -26,9 +26,12 @@ import (
 // Weight panels are packed once per network (see the Packed* containers and
 // the networks.Plan packing); steady-state inference performs no packing or
 // heap allocation.  Results of the fast tier are identical for any worker
-// count — row panels are tile-aligned — but, unlike the reference tier, may
-// differ between batched and single-sample execution (column tails depend
-// on the GEMM width).
+// count — row panels are tile-aligned — and a batch of one is bit-identical
+// to its single sample, since every op picks its kernel from the sample
+// count.  Unlike the reference tier, a fast-tier sample's bits depend on
+// whether its batch holds one sample or several: from two samples on, a
+// fully-connected layer runs the tier's GEMM instead of its mat-vec (and
+// under int8 quantizes its activations with one scale per call).
 
 // Numerics selects the arithmetic contract of a Scratch.
 type Numerics uint8
@@ -70,16 +73,12 @@ func ParseNumerics(name string) (Numerics, error) {
 }
 
 // SetNumerics selects the arithmetic tier for subsequent engine calls.
-func (s *Scratch) SetNumerics(m Numerics) {
-	if s != nil {
-		s.numerics = m
-	}
-}
+func (s *Scratch) SetNumerics(m Numerics) { s.numerics = m }
 
-// Numerics returns the active arithmetic tier (NumericsReference for a nil
-// Scratch or when the direct reference kernels are forced).
+// Numerics returns the active arithmetic tier (NumericsReference when the
+// direct reference kernels are forced).
 func (s *Scratch) Numerics() Numerics {
-	if s == nil || s.direct {
+	if s.direct {
 		return NumericsReference
 	}
 	return s.numerics
@@ -90,10 +89,7 @@ func (s *Scratch) u8buf(slot, n int) []uint8 {
 	for len(s.u8bufs) <= slot {
 		s.u8bufs = append(s.u8bufs, nil)
 	}
-	if cap(s.u8bufs[slot]) < n {
-		s.u8bufs[slot] = make([]uint8, n)
-	}
-	return s.u8bufs[slot][:n]
+	return grown(&s.u8bufs[slot], n)
 }
 
 // accbuf returns the int32 accumulator staging buffer of the int8 GEMM for
@@ -102,10 +98,7 @@ func (s *Scratch) accbuf(slot, n int) []int32 {
 	for len(s.accbs) <= slot {
 		s.accbs = append(s.accbs, nil)
 	}
-	if cap(s.accbs[slot]) < n {
-		s.accbs[slot] = make([]int32, n)
-	}
-	return s.accbs[slot][:n]
+	return grown(&s.accbs[slot], n)
 }
 
 // ConvPack holds a convolution layer's weights packed for the fast tier:
@@ -247,122 +240,6 @@ func PackGRU(w *GRUWeights, mode Numerics) *RNNPack {
 	return &RNNPack{gates: []GatePack{
 		packGate(w.Wr, w.Ur), packGate(w.Wz, w.Uz), packGate(w.Wh, w.Uh),
 	}}
-}
-
-// Conv2DPacked is Conv2D with an optional fast-tier weight pack.  It runs
-// the tier selected by SetNumerics when the matching pack is available and
-// falls back to the bit-exact engine otherwise.  Under a fast tier it is
-// Conv2DBatchPacked at a batch of one: the same fused core, bit for bit.
-func (s *Scratch) Conv2DPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
-	return s.convPacked(input, weights, bias, p, pk, 3)
-}
-
-// Conv2DBatchPacked is Conv2DBatch with an optional fast-tier weight pack.
-func (s *Scratch) Conv2DBatchPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
-	return s.convPacked(input, weights, bias, p, pk, 4)
-}
-
-// convPacked is the fast-tier convolution of one CHW sample (rank 3) or an
-// NCHW batch (rank 4): one convFused call (fastfused.go) for either tier
-// and any batch size.  Without a pack for the active tier it is the
-// reference convolution of that rank.
-func (s *Scratch) convPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack, rank int) (*tensor.Tensor, error) {
-	mode := s.Numerics()
-	int8Path := mode == NumericsInt8 && pk != nil && pk.q != nil
-	if mode == NumericsReference || pk == nil || (!int8Path && pk.f == nil) {
-		if rank == 3 {
-			return s.Conv2D(input, weights, bias, p)
-		}
-		return s.Conv2DBatch(input, weights, bias, p)
-	}
-	nImg, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p, rank)
-	if err != nil {
-		return nil, err
-	}
-	var out *tensor.Tensor
-	if rank == 3 {
-		out = s.out3(p.OutChannels, outH, outW)
-	} else {
-		out = s.out4(nImg, p.OutChannels, outH, outW)
-	}
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.Data()
-	}
-	s.convFused(out.Data(), input.Data(), biasData, pk, p,
-		nImg, input.Len()/nImg, inH, inW, outH, outW, int8Path)
-	return out, nil
-}
-
-// FullyConnectedPacked is FullyConnected with an optional fast-tier weight
-// pack.  The fast float path reads the raw weights (a mat-vec is
-// memory-bound, packing buys nothing); the int8 path needs pk.
-func (s *Scratch) FullyConnectedPacked(input, weights, bias *tensor.Tensor, outFeatures int, pk *FCPack) (*tensor.Tensor, error) {
-	mode := s.Numerics()
-	if mode == NumericsReference {
-		return s.FullyConnected(input, weights, bias, outFeatures)
-	}
-	inFeatures, err := checkFullyConnectedArgs(input, weights, bias, outFeatures)
-	if err != nil {
-		return nil, err
-	}
-	out := s.out1(outFeatures)
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.Data()
-	}
-	if mode == NumericsInt8 && pk != nil && pk.q != nil {
-		kPad := pk.q.KPad()
-		xq := s.u8buf(0, kPad)
-		xs := tensor.QuantizeU8(xq[:inFeatures], input.Data())
-		tensor.MatVecInt8(out.Data(), pk.q, xq, biasData, xs, s.Workers())
-		return out, nil
-	}
-	tensor.MatVecFastParallel(out.Data(), weights.Data(), input.Data(), biasData,
-		outFeatures, inFeatures, s.Workers())
-	return out, nil
-}
-
-// FullyConnectedBatchPacked is FullyConnectedBatch with an optional
-// fast-tier weight pack.
-func (s *Scratch) FullyConnectedBatchPacked(input, weights, bias *tensor.Tensor, outFeatures int, pk *FCPack) (*tensor.Tensor, error) {
-	mode := s.Numerics()
-	int8Path := mode == NumericsInt8 && pk != nil && pk.q != nil
-	if mode == NumericsReference || pk == nil || (!int8Path && pk.f == nil) {
-		return s.FullyConnectedBatch(input, weights, bias, outFeatures)
-	}
-	nImg, inF, err := checkFullyConnectedBatchArgs(input, weights, bias, outFeatures)
-	if err != nil {
-		return nil, err
-	}
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.Data()
-	}
-	workers := s.Workers()
-	out := s.out2(nImg, outFeatures)
-	if int8Path {
-		xT := s.batchBuf(0, inF*nImg)
-		transposeToColumnsPar(xT, input.Data(), nImg, inF, workers)
-		yT := s.batchBuf(1, outFeatures*nImg)
-		kPad := pk.q.KPad()
-		bp := s.u8buf(0, tensor.Int8PackedLen(kPad, nImg))
-		acc := s.accbuf(0, tensor.Int8AccLen(outFeatures, nImg))
-		xs := tensor.PackColsU8(bp, xT, inF, nImg, nImg, kPad)
-		tensor.GemmInt8(yT, pk.q, bp, acc, biasData, xs, nImg, workers)
-		transposeToRowsPar(out.Data(), yT, nImg, outFeatures, nImg, workers)
-		return out, nil
-	}
-	// Fast float tier: pad the GEMM columns up to the 16-wide FMA tile so a
-	// small batch (3, 8) runs the vector microkernel instead of falling into
-	// the scalar column tail.  Pad lanes are zero and are never read back.
-	ncol := (nImg + 15) &^ 15
-	xT := s.batchBuf(0, inF*ncol)
-	transposeToColumnsPad(xT, input.Data(), nImg, inF, ncol, workers)
-	yT := s.batchBuf(1, outFeatures*ncol)
-	tensor.GemmNNFastParallel(yT, pk.f, xT, biasData, ncol, ncol, workers)
-	transposeToRowsPar(out.Data(), yT, nImg, outFeatures, ncol, workers)
-	return out, nil
 }
 
 // gatePreBatchFast is gatePreBatch on the prepacked fast GEMM.

@@ -34,32 +34,16 @@ func (p LRNParams) Validate() error {
 	return nil
 }
 
-// checkLRNArgs validates an LRN call.
-func checkLRNArgs(input *tensor.Tensor, p LRNParams) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if input == nil || input.Rank() != 3 {
-		return fmt.Errorf("nn: lrn input must be CHW, got shape %v", shapeOf(input))
-	}
-	return nil
-}
-
-// LRN applies local response normalization across channels of a CHW input:
-// out[c] = in[c] / (k + alpha/n * sum_{c'} in[c']^2)^beta.
+// LRN applies local response normalization across channels of a CHW input
+// (or an NCHW batch): out[c] = in[c] / (k + alpha/n * sum_{c'} in[c']^2)^beta.
 func LRN(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, error) {
-	return (*Scratch)(nil).LRN(input, p)
+	return NewScratch().LRN(input, p)
 }
 
-// lrnInto runs the LRN kernel, fully overwriting dst.  The channel loop is
-// outermost so output writes stream contiguously; the per-element arithmetic
-// (fresh float64 window sum, math.Pow denominator) is unchanged from the
-// reference loop order, so results are bit-identical.
-func lrnInto(dst, input *tensor.Tensor, p LRNParams) {
-	lrnCore(dst.Data(), input.Data(), input.Dim(0), input.Dim(1), input.Dim(2), p)
-}
-
-// lrnCore normalizes one CHW sample given as flat slices.
+// lrnCore normalizes one CHW sample given as flat slices.  The channel loop
+// is outermost so output writes stream contiguously; the per-element
+// arithmetic (fresh float64 window sum, math.Pow denominator) is the
+// reference loop's, so results are bit-identical.
 func lrnCore(o, in []float32, c, h, w int, p LRNParams) {
 	half := p.LocalSize / 2
 	scale := p.Alpha / float64(p.LocalSize)
@@ -84,25 +68,6 @@ func lrnCore(o, in []float32, c, h, w int, p LRNParams) {
 			}
 		}
 	}
-}
-
-// lrnFastEligible reports whether the fast-numerics LRN variant applies:
-// the tier is non-reference and beta is exactly 3/4, the AlexNet/GoogLeNet
-// exponent, for which x^-beta has a closed form in hardware square roots.
-func (s *Scratch) lrnFastEligible(p LRNParams) bool {
-	return s.Numerics() != NumericsReference && p.Beta == 0.75
-}
-
-// lrnSums returns the rolling window-sum buffer of the fast LRN kernel
-// (one float64 per pixel, allocated once and reused).
-func (s *Scratch) lrnSums(n int) []float64 {
-	if s == nil {
-		return make([]float64, n)
-	}
-	if cap(s.f64buf) < n {
-		s.f64buf = make([]float64, n)
-	}
-	return s.f64buf[:n]
 }
 
 // lrnCoreFast is lrnCore for the fast tier with beta = 3/4.  Two departures
@@ -147,30 +112,10 @@ type BatchNormParams struct {
 	Epsilon  float64
 }
 
-// checkBatchNormArgs validates a BatchNorm call.
-func checkBatchNormArgs(input *tensor.Tensor, p BatchNormParams) error {
-	if input == nil || input.Rank() != 3 {
-		return fmt.Errorf("nn: batchnorm input must be CHW, got shape %v", shapeOf(input))
-	}
-	c := input.Dim(0)
-	if p.Mean == nil || p.Variance == nil {
-		return fmt.Errorf("nn: batchnorm requires mean and variance")
-	}
-	if p.Mean.Len() != c || p.Variance.Len() != c {
-		return fmt.Errorf("nn: batchnorm stats length %d/%d, want %d", p.Mean.Len(), p.Variance.Len(), c)
-	}
-	return nil
-}
-
 // BatchNorm normalizes each channel of a CHW input with the stored mean and
 // variance: out = (in - mean) / sqrt(var + eps).
 func BatchNorm(input *tensor.Tensor, p BatchNormParams) (*tensor.Tensor, error) {
-	return (*Scratch)(nil).BatchNorm(input, p)
-}
-
-// batchNormInto runs the batch normalization kernel, fully overwriting dst.
-func batchNormInto(dst, input *tensor.Tensor, p BatchNormParams) {
-	batchNormCore(dst.Data(), input.Data(), input.Dim(0), input.Dim(1), input.Dim(2), p)
+	return NewScratch().BatchNorm(input, p)
 }
 
 // batchNormCore normalizes one CHW sample given as flat slices.
@@ -188,30 +133,10 @@ func batchNormCore(o, in []float32, c, h, w int, p BatchNormParams) {
 	}
 }
 
-// checkScaleArgs validates a Scale call.
-func checkScaleArgs(input, gamma, beta *tensor.Tensor) error {
-	if input == nil || input.Rank() != 3 {
-		return fmt.Errorf("nn: scale input must be CHW, got shape %v", shapeOf(input))
-	}
-	c := input.Dim(0)
-	if gamma == nil || gamma.Len() != c {
-		return fmt.Errorf("nn: scale expects %d gammas", c)
-	}
-	if beta != nil && beta.Len() != c {
-		return fmt.Errorf("nn: scale expects %d betas, got %d", c, beta.Len())
-	}
-	return nil
-}
-
 // Scale applies the per-channel affine transform out = in*gamma + beta that
 // Caffe models pair with BatchNorm.
 func Scale(input *tensor.Tensor, gamma, beta *tensor.Tensor) (*tensor.Tensor, error) {
-	return (*Scratch)(nil).Scale(input, gamma, beta)
-}
-
-// scaleInto runs the per-channel affine kernel, fully overwriting dst.
-func scaleInto(dst, input, gamma, beta *tensor.Tensor) {
-	scaleCore(dst.Data(), input.Data(), input.Dim(0), input.Dim(1), input.Dim(2), gamma, beta)
+	return NewScratch().Scale(input, gamma, beta)
 }
 
 // scaleCore applies the per-channel affine transform to one CHW sample given

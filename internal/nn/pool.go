@@ -63,35 +63,9 @@ func (p PoolParams) OutputDims(inH, inW int) (outH, outW int) {
 	return num(inH, p.PadH, p.KernelH, p.StrideH), num(inW, p.PadW, p.KernelW, p.StrideW)
 }
 
-// checkPoolArgs validates a pooling call and returns the geometry.
-func checkPoolArgs(input *tensor.Tensor, p PoolParams) (c, inH, inW, outH, outW int, err error) {
-	if err := p.Validate(); err != nil {
-		return 0, 0, 0, 0, 0, err
-	}
-	if input == nil {
-		return 0, 0, 0, 0, 0, fmt.Errorf("nn: pool: %w: nil input", tensor.ErrShape)
-	}
-	if input.Rank() != 3 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("nn: pool input must be CHW, got shape %v", input.Shape())
-	}
-	c, inH, inW = input.Dim(0), input.Dim(1), input.Dim(2)
-	outH, outW = p.OutputDims(inH, inW)
-	if outH <= 0 || outW <= 0 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("nn: pool output dims %dx%d are not positive for input %dx%d", outH, outW, inH, inW)
-	}
-	return c, inH, inW, outH, outW, nil
-}
-
-// Pool2D applies max or average pooling to a CHW input.
+// Pool2D applies max or average pooling to a CHW input (or an NCHW batch).
 func Pool2D(input *tensor.Tensor, p PoolParams) (*tensor.Tensor, error) {
-	return (*Scratch)(nil).Pool2D(input, p)
-}
-
-// pool2DInto runs the pooling kernel, fully overwriting dst.  Arguments must
-// be pre-validated.
-func pool2DInto(dst, input *tensor.Tensor, p PoolParams) {
-	pool2DCore(dst.Data(), input.Data(), input.Dim(0), input.Dim(1), input.Dim(2),
-		dst.Dim(1), dst.Dim(2), p)
+	return NewScratch().Pool2D(input, p)
 }
 
 // tapSpan returns the outputs [lo, hi) of a row of out windows, stride
@@ -103,7 +77,7 @@ func tapSpan(k, pad, stride, in, out int) (lo, hi int) {
 	return lo, max(hi, lo)
 }
 
-// pool2DCore pools one CHW sample given as flat slices; the batched engine
+// pool2DCore pools one CHW sample given as flat slices; Scratch.Pool2D
 // calls it once per image of an NCHW batch.  It works an output row at a
 // time: the row is seeded (-Inf or 0), then each (ky, kx) tap that is inside
 // the image is applied to the whole run of outputs it is in bounds for —
@@ -150,24 +124,10 @@ func pool2DCore(o, in []float32, c, inH, inW, outH, outW int, p PoolParams) {
 	}
 }
 
-// checkGlobalPoolArgs validates a global pooling input.
-func checkGlobalPoolArgs(input *tensor.Tensor) error {
-	if input == nil || input.Rank() != 3 {
-		return fmt.Errorf("nn: global pool input must be CHW, got %v", shapeOf(input))
-	}
-	return nil
-}
-
 // GlobalAvgPool reduces each channel of a CHW input to its spatial mean,
 // returning a rank-1 tensor of length C.  SqueezeNet's final layer uses it.
 func GlobalAvgPool(input *tensor.Tensor) (*tensor.Tensor, error) {
-	return (*Scratch)(nil).GlobalAvgPool(input)
-}
-
-// globalAvgPoolInto runs the global average pooling kernel, fully
-// overwriting dst.
-func globalAvgPoolInto(dst, input *tensor.Tensor) {
-	globalAvgPoolCore(dst.Data(), input.Data(), input.Dim(0), input.Dim(1), input.Dim(2))
+	return NewScratch().GlobalAvgPool(input)
 }
 
 // globalAvgPoolCore reduces one CHW sample given as flat slices.

@@ -199,10 +199,13 @@ func gemmNNAxpy(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
 
 // gemmNNDot is the kernel for column ranges narrower than one vector: one
 // dot product per output element over the strided b column, with four rows
-// sharing each streamed b value (the matVecRows tiling, so a batch-of-1
-// fully-connected layer costs the same as the mat-vec path).  Element
-// (i, j) accumulates a[i][l]*b[l][j] for l ascending onto the bias-seeded
-// partial sum resident in dst — the reference summation order.
+// sharing each streamed b value (the matVecRows tiling).  It is still no
+// mat-vec: at n = 1 on AlexNet fc6 (4096 x 9216, one worker, 2.1 GHz Xeon)
+// GemmNN takes about twice as long as MatVecBias (30-49 ms against 18-26 ms
+// across quiet and loaded runs), which is why a one-sample fully-connected
+// layer runs the mat-vec.  Element (i, j)
+// accumulates a[i][l]*b[l][j] for l ascending onto the bias-seeded partial
+// sum resident in dst — the reference summation order.
 func gemmNNDot(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
 	i := r0
 	for ; i+gemmMR <= r1; i += gemmMR {

@@ -1,7 +1,7 @@
 // Package tensor provides the dense float32 tensors used by the Tango layer
 // kernels.  Tensors are stored in row-major (C) order; convolutional feature
-// maps use CHW layout with an implicit batch size of one, matching the
-// single-image inference the paper's benchmark suite performs.
+// maps use CHW layout for one image, matching the single-image inference the
+// paper's benchmark suite performs, and NCHW for a batch.
 package tensor
 
 import (
