@@ -12,11 +12,11 @@ import (
 // pass, folding the batch into the engine's GEMM dimensions so weight
 // traffic and staging work are amortized across the batch.  Batched results
 // are bit-identical to running each sample through Classify / Forecast on
-// the default numerics tier, and a CNN batch of one equals Classify on every
-// tier.  Under WithFastMath / WithInt8 a sample in a larger batch keeps the
-// contract of top-1 class agreement plus a small relative-error bound
-// instead: from two samples on, fully-connected layers run the GEMM rather
-// than the mat-vec.
+// the default numerics tier, and a batch of one equals Classify / Forecast
+// on every tier.  Under WithFastMath / WithInt8 a sample in a larger batch
+// keeps the contract of top-1 class agreement (CNNs) plus a small
+// relative-error bound instead: from two samples on, fully-connected layers
+// and recurrent gates run the GEMM rather than the mat-vec.
 
 // BatchClassification is the result of one sample of a batched CNN run.
 // Unlike Classification, it omits the per-layer activation map: batched runs
@@ -120,8 +120,8 @@ func (b *Benchmark) ClassifySampleBatch(seed uint64, n int, opts ...SimOption) (
 // scalar observations and returns one predicted next value per history.
 // All histories must have the same length (the recurrent gates run as one
 // batched GEMM per time step, so the batch advances in lockstep); ragged
-// batches are rejected.  Results are bit-identical to calling Forecast on
-// each history, for any batch size and worker count.
+// batches are rejected.  Each result equals Forecast bit for bit on the
+// default tier, and on every tier in a batch of one (else within tolerance).
 func (b *Benchmark) ForecastBatch(histories [][]float64, opts ...SimOption) ([]float64, error) {
 	if err := b.ensureKind(networks.KindRNN, "ForecastBatch"); err != nil {
 		return nil, err

@@ -129,14 +129,39 @@ func TestRunBatchGoldenEquivalence(t *testing.T) {
 // RunBatch of one image walks the same ops as Run, each of which picks its
 // kernel from the sample count, so its output equals Run's bit for bit and
 // its predicted class is Run's — for every CNN, numerics tier and worker
-// count.
+// count; and a RunSequenceBatch of one sequence equals RunSequence on every
+// RNN alike, over several sequences (the regression head leaves one value
+// per sequence to compare).
 func TestRunBatchOfOneMatchesSingle(t *testing.T) {
+	tiers := []nn.Numerics{nn.NumericsReference, nn.NumericsFast, nn.NumericsInt8}
+	for _, name := range networks.RNNNames() {
+		p := buildPlan(t, name)
+		for _, mode := range tiers {
+			for _, workers := range []int{1, 3} {
+				s := numericsScratch(mode)
+				s.SetWorkers(workers)
+				for seed := uint64(1); seed <= 8; seed++ {
+					label := fmt.Sprintf("%s/%v/w%d/seed%d", name, mode, workers, seed)
+					single, err := p.RunSequence(rnnSequence(p, seed), s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := single.Output.Clone()
+					res, err := p.RunSequenceBatch(rnnBatch(p, seed, 1), s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSampleBits(t, label, res.Output, 0, 1, want)
+				}
+			}
+		}
+	}
 	for _, c := range int8DigestCases {
 		if c.heavy && testing.Short() {
 			continue
 		}
 		p := buildPlan(t, c.name)
-		for _, mode := range []nn.Numerics{nn.NumericsReference, nn.NumericsFast, nn.NumericsInt8} {
+		for _, mode := range tiers {
 			for _, workers := range []int{1, 3} {
 				label := fmt.Sprintf("%s/%v/w%d", c.name, mode, workers)
 				s := numericsScratch(mode)
@@ -160,26 +185,35 @@ func TestRunBatchOfOneMatchesSingle(t *testing.T) {
 }
 
 // TestRunBatchDirectStagesNothing: under SetDirect a batched run reaches the
-// direct kernels in convolution and fully-connected layers, which stage
-// nothing, so the scratch holds only its output arena — where the engine
-// keeps a patch matrix and the batch's GEMM buffers.
+// direct kernels in convolution, fully-connected and recurrent layers, which
+// stage nothing, so the scratch holds only its output arena — where the
+// engine keeps a patch matrix and the batch's GEMM buffers.
 func TestRunBatchDirectStagesNothing(t *testing.T) {
-	p := buildPlan(t, "CifarNet")
-	batch := cnnBatch(p, 5, 3)
-	direct := nn.NewScratch()
-	direct.SetDirect(true)
-	if _, err := p.RunBatch(batch, direct); err != nil {
-		t.Fatal(err)
-	}
-	if got, arena := direct.Bytes(), direct.ArenaBytes(); got != arena {
-		t.Fatalf("direct batch: scratch holds %d bytes, %d beyond its %d-byte arena", got, got-arena, arena)
-	}
-	engine := nn.NewScratch()
-	if _, err := p.RunBatch(batch, engine); err != nil {
-		t.Fatal(err)
-	}
-	if engine.Bytes() <= engine.ArenaBytes() {
-		t.Fatalf("engine batch: scratch holds %d bytes, no more than its arena", engine.Bytes())
+	for _, name := range []string{"CifarNet", "GRU", "LSTM"} {
+		p := buildPlan(t, name)
+		run := func(s *nn.Scratch) {
+			t.Helper()
+			var err error
+			if p.Network().Kind == networks.KindRNN {
+				_, err = p.RunSequenceBatch(rnnBatch(p, 5, 3), s)
+			} else {
+				_, err = p.RunBatch(cnnBatch(p, 5, 3), s)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		direct := nn.NewScratch()
+		direct.SetDirect(true)
+		run(direct)
+		if got, arena := direct.Bytes(), direct.ArenaBytes(); got != arena {
+			t.Fatalf("%s direct batch: scratch holds %d bytes, %d beyond its %d-byte arena", name, got, got-arena, arena)
+		}
+		engine := nn.NewScratch()
+		run(engine)
+		if engine.Bytes() <= engine.ArenaBytes() {
+			t.Fatalf("%s engine batch: scratch holds %d bytes, no more than its arena", name, engine.Bytes())
+		}
 	}
 }
 

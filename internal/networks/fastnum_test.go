@@ -64,12 +64,33 @@ func numericsScratch(mode nn.Numerics) *nn.Scratch {
 }
 
 // goldenPair holds one tier-comparison run: the copied reference output and
-// the fast-tier result (whose Output aliases its scratch arena).
+// the fast-tier result (whose Output aliases its scratch arena), and for a
+// CNN the same two of the layer feeding its Softmax.
 type goldenPair struct {
-	refOut   []float32
-	refClass int
-	gotOut   []float32
-	gotClass int
+	refOut, refLogits []float32
+	refClass          int
+	gotOut, gotLogits []float32
+	gotClass          int
+}
+
+// logits returns the output of the layer feeding a network's final Softmax,
+// or nil for a network that ends otherwise.  A saturated classifier's
+// softmax is exactly one-hot on every tier, so only its logits show the
+// tier's error.
+func logits(p *networks.Plan, res *networks.Result) *tensor.Tensor {
+	layers := p.Network().Layers
+	if last := layers[len(layers)-1]; last.Type == networks.LayerSoftmax {
+		return res.LayerOutputs[last.Inputs[0]]
+	}
+	return nil
+}
+
+// dataOf returns a possibly-nil tensor's data.
+func dataOf(t *tensor.Tensor) []float32 {
+	if t == nil {
+		return nil
+	}
+	return t.Data()
 }
 
 // runGoldenPair runs a network on the reference tier and under mode.
@@ -92,11 +113,26 @@ func runGoldenPair(t *testing.T, name string, mode nn.Numerics) goldenPair {
 	}
 	ref := run(nn.NewScratch())
 	refOut := append([]float32(nil), ref.Output.Data()...)
+	refLogits := append([]float32(nil), dataOf(logits(p, ref))...)
 	got := run(numericsScratch(mode))
 	return goldenPair{
-		refOut: refOut, refClass: ref.PredictedClass,
-		gotOut: got.Output.Data(), gotClass: got.PredictedClass,
+		refOut: refOut, refLogits: refLogits, refClass: ref.PredictedClass,
+		gotOut: got.Output.Data(), gotLogits: dataOf(logits(p, got)), gotClass: got.PredictedClass,
 	}
+}
+
+// requireGolden fails unless the pair agrees on top-1 and both its output
+// and its logits are within tol relative error of the reference.
+func requireGolden(t *testing.T, g goldenPair, mode nn.Numerics, tol float64) {
+	t.Helper()
+	if g.refClass != g.gotClass {
+		t.Fatalf("top-1 disagreement: reference %d, %v %d", g.refClass, mode, g.gotClass)
+	}
+	out, lg := relErr(g.gotOut, g.refOut), relErr(g.gotLogits, g.refLogits)
+	if out > tol || lg > tol {
+		t.Fatalf("%v relative error: output %.3g, logits %.3g; bound %.3g", mode, out, lg, tol)
+	}
+	t.Logf("relErr output=%.3g logits=%.3g maxULP=%d", out, lg, maxULPDist(g.gotOut, g.refOut))
 }
 
 func TestFastMathGoldenAllNetworks(t *testing.T) {
@@ -105,14 +141,7 @@ func TestFastMathGoldenAllNetworks(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			g := runGoldenPair(t, name, nn.NumericsFast)
-			if g.refClass != g.gotClass {
-				t.Fatalf("top-1 disagreement: reference %d, fast %d", g.refClass, g.gotClass)
-			}
-			if re := relErr(g.gotOut, g.refOut); re > 1e-3 {
-				t.Fatalf("fast output relative error %.3g exceeds 1e-3", re)
-			}
-			t.Logf("relErr=%.3g maxULP=%d", relErr(g.gotOut, g.refOut), maxULPDist(g.gotOut, g.refOut))
+			requireGolden(t, runGoldenPair(t, name, nn.NumericsFast), nn.NumericsFast, 1e-3)
 		})
 	}
 }
@@ -123,15 +152,7 @@ func TestInt8GoldenAllNetworks(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			g := runGoldenPair(t, name, nn.NumericsInt8)
-			if g.refClass != g.gotClass {
-				t.Fatalf("top-1 disagreement: reference %d, int8 %d", g.refClass, g.gotClass)
-			}
-			re := relErr(g.gotOut, g.refOut)
-			if re > 0.25 {
-				t.Fatalf("int8 output relative error %.3g exceeds 0.25", re)
-			}
-			t.Logf("relErr=%.3g", re)
+			requireGolden(t, runGoldenPair(t, name, nn.NumericsInt8), nn.NumericsInt8, 0.25)
 		})
 	}
 }

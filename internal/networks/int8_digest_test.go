@@ -20,9 +20,11 @@ import (
 // and the quantizer's float arithmetic is fixed operation for operation, so
 // every SIMD rung and every worker fan-out must produce the same float32
 // bits.  int8DigestsFile holds the SHA-256 of each network's batched output
-// (key "<name>") and of its single-sample Plan.Run output (key "<name>/run":
+// (key "<name>"), of its single-sample Plan.Run output (key "<name>/run":
 // a single-sample fully-connected layer runs the mat-vec, whose dequantize
-// differs from the GEMM's, so a Run that slipped onto the GEMM moves it);
+// differs from the GEMM's, so a Run that slipped onto the GEMM moves it) and
+// of that run's logits, the layer feeding Softmax (key "<name>/logits": a
+// saturated classifier's softmax is one-hot and pins only its class);
 // UPDATE_GOLDEN=1 regenerates it (only an intended numerics change does).
 var int8DigestsFile = filepath.Join("testdata", "int8_digests.json")
 
@@ -124,7 +126,11 @@ func TestInt8DigestsAllRungs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for key, got := range map[string]string{c.name: batched, c.name + "/run": digestFloats(one.Output.Data())} {
+					for key, got := range map[string]string{
+						c.name:             batched,
+						c.name + "/run":    digestFloats(one.Output.Data()),
+						c.name + "/logits": digestFloats(logits(p, one).Data()),
+					} {
 						if update && rung.tier == tensor.TierGeneric {
 							pinned[key] = got
 						}

@@ -378,26 +378,12 @@ func (n *Network) WeightSpecs() ([]WeightSpec, error) {
 			add(l.Name, "gamma", c)
 			add(l.Name, "beta", c)
 		case LayerLSTM:
-			h, in := l.Hidden, l.InSize
-			for _, p := range []string{"Wi", "Wf", "Wo", "Wc"} {
-				add(l.Name, p, h*in)
-			}
-			for _, p := range []string{"Ui", "Uf", "Uo", "Uc"} {
-				add(l.Name, p, h*h)
-			}
-			for _, p := range []string{"Bi", "Bf", "Bo", "Bc"} {
-				add(l.Name, p, h)
+			for _, p := range nn.LSTMParams {
+				add(l.Name, p.Name, p.Count(l.Hidden, l.InSize))
 			}
 		case LayerGRU:
-			h, in := l.Hidden, l.InSize
-			for _, p := range []string{"Wr", "Wz", "Wh"} {
-				add(l.Name, p, h*in)
-			}
-			for _, p := range []string{"Ur", "Uz", "Uh"} {
-				add(l.Name, p, h*h)
-			}
-			for _, p := range []string{"Br", "Bz", "Bh"} {
-				add(l.Name, p, h)
+			for _, p := range nn.GRUParams {
+				add(l.Name, p.Name, p.Count(l.Hidden, l.InSize))
 			}
 		}
 	}

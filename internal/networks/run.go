@@ -180,13 +180,11 @@ func (n *Network) NewPlan(w Weights) (*Plan, error) {
 				pl.beta, err = w.Get(l.Name, "beta", c)
 			}
 		case LayerLSTM:
-			if pl.lstm, err = loadLSTMWeights(l, w); err == nil {
-				err = pl.lstm.Validate()
-			}
+			pl.lstm = &nn.LSTMWeights{Hidden: l.Hidden, Input: l.InSize}
+			err = loadCell(w, l, pl.lstm, nn.LSTMParams[:])
 		case LayerGRU:
-			if pl.gru, err = loadGRUWeights(l, w); err == nil {
-				err = pl.gru.Validate()
-			}
+			pl.gru = &nn.GRUWeights{Hidden: l.Hidden, Input: l.InSize}
+			err = loadCell(w, l, pl.gru, nn.GRUParams[:])
 		}
 		if err != nil {
 			return nil, fmt.Errorf("networks: %s layer %q: %w", n.Name, l.Name, err)
@@ -194,6 +192,19 @@ func (n *Network) NewPlan(w Weights) (*Plan, error) {
 		p.layers[li] = pl
 	}
 	return p, nil
+}
+
+// loadCell fetches every tensor of a recurrent layer's parameter table from
+// w into cell.
+func loadCell[W any](w Weights, l *Layer, cell *W, params []nn.Param[W]) error {
+	for _, p := range params {
+		t, err := w.Get(l.Name, p.Name, p.Count(l.Hidden, l.InSize))
+		if err != nil {
+			return err
+		}
+		*p.Field(cell) = t
+	}
+	return nil
 }
 
 // Network returns the plan's network.
@@ -229,9 +240,7 @@ func (p *Plan) Run(input *tensor.Tensor, s *nn.Scratch) (*Result, error) {
 	if !n.fits(input, 0) {
 		return nil, fmt.Errorf("networks: %s expects input shape %v, got %v", n.Name, n.InputShape, shapeOf(input))
 	}
-	if s == nil {
-		s = nn.NewScratch()
-	}
+	s = begin(s)
 	outs, err := p.walk(input, s)
 	if err != nil {
 		return nil, err
@@ -255,9 +264,7 @@ func (p *Plan) RunBatch(input *tensor.Tensor, s *nn.Scratch) (*BatchResult, erro
 		return nil, fmt.Errorf("networks: %s batch: %w: expects shape (N, %v), got %v",
 			n.Name, tensor.ErrShape, n.InputShape, shapeOf(input))
 	}
-	if s == nil {
-		s = nn.NewScratch()
-	}
+	s = begin(s)
 	outs, err := p.walk(input, s)
 	if err != nil {
 		return nil, err
@@ -296,11 +303,21 @@ func (p *Plan) resolveInput(li, idx int, input *tensor.Tensor, outs []*tensor.Te
 	return outs[ref]
 }
 
-// walk runs every layer of a CNN, in graph order, over input: one sample or
-// a batch, which every nn op accepts and answers in kind.  It returns the
+// begin returns s, or a fresh Scratch for a nil one, with a run begun.
+func begin(s *nn.Scratch) *nn.Scratch {
+	if s == nil {
+		s = nn.NewScratch()
+	}
+	s.BeginRun()
+	return s
+}
+
+// walk runs every layer of a network, in graph order, over input on a begun
+// run of s: one sample or a batch (for an RNN one (steps, in) sequence or a
+// (steps, N, in) batch), which every nn op accepts and answers in kind.  It
+// is the only switch over layer types on the run path, and returns the
 // per-layer outputs, held in s.
 func (p *Plan) walk(input *tensor.Tensor, s *nn.Scratch) ([]*tensor.Tensor, error) {
-	s.BeginRun()
 	pks := p.packsFor(s.Numerics())
 	outs := s.LayerOutputs(len(p.layers))
 	for li := range p.layers {
@@ -340,8 +357,12 @@ func (p *Plan) walk(input *tensor.Tensor, s *nn.Scratch) ([]*tensor.Tensor, erro
 			out, err = s.Softmax(in0)
 		case LayerGlobalPool:
 			out, err = s.GlobalAvgPool(in0)
+		case LayerLSTM:
+			out, err = s.LSTM(in0, pl.lstm, pks.rnnAt(li))
+		case LayerGRU:
+			out, err = s.GRU(in0, pl.gru, pks.rnnAt(li))
 		default:
-			err = fmt.Errorf("unsupported layer type %v in CNN graph", l.Type)
+			err = fmt.Errorf("unsupported layer type %v", l.Type)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("networks: %s layer %q: %w", p.net.Name, l.Name, err)
@@ -357,7 +378,9 @@ func (p *Plan) walk(input *tensor.Tensor, s *nn.Scratch) ([]*tensor.Tensor, erro
 // RunSequence executes an RNN natively over a sequence of input vectors
 // (each of length InputShape[0]) and returns the final output.  The networks
 // in the suite end with a fully-connected regression head that projects the
-// final hidden state to the predicted value.  Scratch semantics match Run.
+// final hidden state to the predicted value.  The sequence is copied into
+// one (steps, features) arena tensor and walked like Run's input; Scratch
+// semantics match Run.
 func (p *Plan) RunSequence(seq []*tensor.Tensor, s *nn.Scratch) (*Result, error) {
 	n := p.net
 	if n.Kind != KindRNN {
@@ -372,59 +395,25 @@ func (p *Plan) RunSequence(seq []*tensor.Tensor, s *nn.Scratch) (*Result, error)
 			return nil, fmt.Errorf("networks: %s: sequence element %d must have %d features", n.Name, i, inSize)
 		}
 	}
-
-	if s == nil {
-		s = nn.NewScratch()
+	s = begin(s)
+	in := s.Arena2(len(seq), inSize)
+	for i, x := range seq {
+		copy(in.Data()[i*inSize:], x.Data())
 	}
-	s.BeginRun()
-	pks := p.packsFor(s.Numerics())
-	outs := s.LayerOutputs(len(n.Layers))
-	var current *tensor.Tensor
-	for li := range p.layers {
-		pl := &p.layers[li]
-		l := pl.l
-		switch l.Type {
-		case LayerLSTM:
-			st := nn.LSTMState{H: zeroed1(s, l.Hidden), C: zeroed1(s, l.Hidden)}
-			for _, x := range seq {
-				if err := s.LSTMStep(pl.lstm, st, x); err != nil {
-					return nil, fmt.Errorf("networks: %s layer %q: %w", n.Name, l.Name, err)
-				}
-			}
-			current = st.H
-		case LayerGRU:
-			h := zeroed1(s, l.Hidden)
-			for _, x := range seq {
-				if err := s.GRUStep(pl.gru, h, x); err != nil {
-					return nil, fmt.Errorf("networks: %s layer %q: %w", n.Name, l.Name, err)
-				}
-			}
-			current = h
-		case LayerFC:
-			if current == nil {
-				return nil, fmt.Errorf("networks: %s layer %q: FC before recurrent layer", n.Name, l.Name)
-			}
-			var err error
-			current, err = s.FullyConnectedPacked(current, pl.w, pl.b, l.FCOut, pks.fcAt(li))
-			if err != nil {
-				return nil, fmt.Errorf("networks: %s layer %q: %w", n.Name, l.Name, err)
-			}
-		default:
-			return nil, fmt.Errorf("networks: %s layer %q: unsupported layer type %v in RNN graph", n.Name, l.Name, l.Type)
-		}
-		if l.FusedReLU && current != nil {
-			nn.ReLUInPlace(current)
-		}
-		outs[li] = current
+	outs, err := p.walk(in, s)
+	if err != nil {
+		return nil, err
 	}
-	return &Result{Output: current, PredictedClass: -1, LayerOutputs: outs}, nil
+	return &Result{Output: outs[len(outs)-1], PredictedClass: -1, LayerOutputs: outs}, nil
 }
 
 // RunSequenceBatch executes an RNN natively over a batch of equal-length
 // sequences.  seq is rank-3 (steps, N, features): time-major with each step
-// a contiguous sample-major block.  The recurrent gates run as batched GEMMs
-// with per-sample hidden (and cell) state, so results are bit-identical to
-// calling RunSequence on each sequence separately.
+// a contiguous sample-major block.  It walks the same layer ops as
+// RunSequence, whose recurrent gates run as GEMMs over the batch from two
+// sequences on, with per-sample hidden (and cell) state.  On the reference
+// tier every sequence is bit-identical to RunSequence on it; on every tier
+// a batch of one is bit-identical to RunSequence.
 func (p *Plan) RunSequenceBatch(seq *tensor.Tensor, s *nn.Scratch) (*BatchResult, error) {
 	n := p.net
 	if n.Kind != KindRNN {
@@ -435,41 +424,12 @@ func (p *Plan) RunSequenceBatch(seq *tensor.Tensor, s *nn.Scratch) (*BatchResult
 		return nil, fmt.Errorf("networks: %s batch: %w: expects shape (steps, N, %d), got %v",
 			n.Name, tensor.ErrShape, inSize, shapeOf(seq))
 	}
-	steps, nSeq := seq.Dim(0), seq.Dim(1)
-	if s == nil {
-		s = nn.NewScratch()
+	s = begin(s)
+	outs, err := p.walk(seq, s)
+	if err != nil {
+		return nil, err
 	}
-	s.BeginRun()
-	pks := p.packsFor(s.Numerics())
-	outs := s.LayerOutputs(len(n.Layers))
-	var current *tensor.Tensor
-	for li := range p.layers {
-		pl := &p.layers[li]
-		l := pl.l
-		var err error
-		switch l.Type {
-		case LayerLSTM:
-			current, err = s.LSTMSeqBatchPacked(pl.lstm, pks.rnnAt(li), seq.Data(), nSeq, steps)
-		case LayerGRU:
-			current, err = s.GRUSeqBatchPacked(pl.gru, pks.rnnAt(li), seq.Data(), nSeq, steps)
-		case LayerFC:
-			if current == nil {
-				err = fmt.Errorf("FC before recurrent layer")
-				break
-			}
-			current, err = s.FullyConnectedPacked(current, pl.w, pl.b, l.FCOut, pks.fcAt(li))
-		default:
-			err = fmt.Errorf("unsupported layer type %v in RNN graph", l.Type)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("networks: %s layer %q: %w", n.Name, l.Name, err)
-		}
-		if l.FusedReLU && current != nil {
-			nn.ReLUInPlace(current)
-		}
-		outs[li] = current
-	}
-	return batchResult(s, current, nSeq, false), nil
+	return batchResult(s, outs[len(outs)-1], seq.Dim(1), false), nil
 }
 
 // batchResult assembles a BatchResult, computing per-sample arg-max classes
@@ -503,91 +463,4 @@ func argmaxRow(row []float32) int {
 		}
 	}
 	return best
-}
-
-// zeroed1 returns a zero-filled rank-1 tensor of length n from the scratch
-// arena (arena tensors carry the previous run's state).
-func zeroed1(s *nn.Scratch, n int) *tensor.Tensor {
-	t := s.Arena1(n)
-	t.Zero()
-	return t
-}
-
-func loadLSTMWeights(l *Layer, w Weights) (*nn.LSTMWeights, error) {
-	h, in := l.Hidden, l.InSize
-	get := func(p string, count int) (*tensor.Tensor, error) { return w.Get(l.Name, p, count) }
-	var err error
-	lw := &nn.LSTMWeights{Hidden: h, Input: in}
-	if lw.Wi, err = get("Wi", h*in); err != nil {
-		return nil, err
-	}
-	if lw.Wf, err = get("Wf", h*in); err != nil {
-		return nil, err
-	}
-	if lw.Wo, err = get("Wo", h*in); err != nil {
-		return nil, err
-	}
-	if lw.Wc, err = get("Wc", h*in); err != nil {
-		return nil, err
-	}
-	if lw.Ui, err = get("Ui", h*h); err != nil {
-		return nil, err
-	}
-	if lw.Uf, err = get("Uf", h*h); err != nil {
-		return nil, err
-	}
-	if lw.Uo, err = get("Uo", h*h); err != nil {
-		return nil, err
-	}
-	if lw.Uc, err = get("Uc", h*h); err != nil {
-		return nil, err
-	}
-	if lw.Bi, err = get("Bi", h); err != nil {
-		return nil, err
-	}
-	if lw.Bf, err = get("Bf", h); err != nil {
-		return nil, err
-	}
-	if lw.Bo, err = get("Bo", h); err != nil {
-		return nil, err
-	}
-	if lw.Bc, err = get("Bc", h); err != nil {
-		return nil, err
-	}
-	return lw, nil
-}
-
-func loadGRUWeights(l *Layer, w Weights) (*nn.GRUWeights, error) {
-	h, in := l.Hidden, l.InSize
-	get := func(p string, count int) (*tensor.Tensor, error) { return w.Get(l.Name, p, count) }
-	var err error
-	gw := &nn.GRUWeights{Hidden: h, Input: in}
-	if gw.Wr, err = get("Wr", h*in); err != nil {
-		return nil, err
-	}
-	if gw.Wz, err = get("Wz", h*in); err != nil {
-		return nil, err
-	}
-	if gw.Wh, err = get("Wh", h*in); err != nil {
-		return nil, err
-	}
-	if gw.Ur, err = get("Ur", h*h); err != nil {
-		return nil, err
-	}
-	if gw.Uz, err = get("Uz", h*h); err != nil {
-		return nil, err
-	}
-	if gw.Uh, err = get("Uh", h*h); err != nil {
-		return nil, err
-	}
-	if gw.Br, err = get("Br", h); err != nil {
-		return nil, err
-	}
-	if gw.Bz, err = get("Bz", h); err != nil {
-		return nil, err
-	}
-	if gw.Bh, err = get("Bh", h); err != nil {
-		return nil, err
-	}
-	return gw, nil
 }

@@ -1,22 +1,18 @@
 package nn
 
-import (
-	"fmt"
-	"math"
+import "tango/internal/par"
 
-	"tango/internal/par"
-	"tango/internal/tensor"
-)
-
-// This file holds the batch staging of the compute engine and the batched
-// recurrent cells.  Feature-map batches are rank-4 NCHW tensors
-// (sample-major, each sample a contiguous CHW block); vector batches are
-// rank-2 (N, F).  The heavy kernels fold the batch into the GEMM column
-// dimension: the convolution core (convStaged) stages an l-major
-// (k x N*outH*outW) patch matrix so each per-group GEMM sees every output
-// pixel of every image at once, and a fully-connected layer of two or more
-// samples transposes the inputs to (inF x N) so one GEMM replaces N mat-vecs
-// and streams the weight matrix once per batch instead of once per sample.
+// This file holds the batch staging of the compute engine.  Feature-map
+// batches are rank-4 NCHW tensors (sample-major, each sample a contiguous
+// CHW block); vector batches are rank-2 (N, F).  The heavy kernels fold the
+// batch into the GEMM column dimension: the convolution core (convStaged)
+// stages an l-major (k x N*outH*outW) patch matrix so each per-group GEMM
+// sees every output pixel of every image at once; a fully-connected layer of
+// two or more samples transposes the inputs to (inF x N) so one GEMM replaces
+// N mat-vecs and streams the weight matrix once per batch instead of once
+// per sample; and a recurrent layer over two or more sequences transposes
+// each time step to (in x N) and keeps its state feature-major (hidden x N),
+// so each gate is two GEMMs per step (unroll).
 //
 // Bit-exactness: each output element is an independent dot product
 // accumulated left to right from its bias (see the tensor.GemmNN contract).
@@ -153,151 +149,4 @@ func transposeToRowsPar(dst, src []float32, n, f, ld, workers int) {
 	forEachChunk(workers, n, func(s0, s1 int) {
 		transposeToRowsRange(dst, src, n, f, ld, s0, s1)
 	})
-}
-
-// gatePreBatch computes pre = (Wx*X + Uh*H) + b over the whole batch with
-// two GEMMs, in the exact per-element expression order of gatePre: the Wx
-// product accumulates first, the Uh product second, the bias last.  pre and
-// tmp are (hidden x n) feature-major; xT and hT are the transposed inputs.
-func (s *Scratch) gatePreBatch(pre, tmp []float32, wx, uh, b *tensor.Tensor, xT, hT []float32, hidden, in, n, workers int) {
-	tensor.GemmNNParallel(pre, wx.Data(), xT, nil, hidden, n, in, n, workers)
-	tensor.GemmNNParallel(tmp, uh.Data(), hT, nil, hidden, n, hidden, n, workers)
-	bd := b.Data()
-	for hr := 0; hr < hidden; hr++ {
-		bv := bd[hr]
-		prow := pre[hr*n : (hr+1)*n]
-		trow := tmp[hr*n : (hr+1)*n]
-		for i := range prow {
-			prow[i] = (prow[i] + trow[i]) + bv
-		}
-	}
-}
-
-// LSTMSeqBatchPacked runs an LSTM over n sequences at once with per-sample
-// hidden and cell state.  seq is laid out (steps x n x input), each time step
-// a contiguous sample-major block.  It returns the final hidden state as a
-// rank-2 (n, hidden) tensor.  On the reference tier, or with a nil pack,
-// results are bit-identical to stepping each sequence through LSTMStep;
-// under a fast numerics tier a gate pack puts the gate GEMMs on the
-// prepacked multi-chain kernels.
-func (s *Scratch) LSTMSeqBatchPacked(w *LSTMWeights, pk *RNNPack, seq []float32, n, steps int) (*tensor.Tensor, error) {
-	if w == nil {
-		return nil, fmt.Errorf("nn: lstm batch: nil weights")
-	}
-	if n <= 0 || steps <= 0 {
-		return nil, fmt.Errorf("nn: lstm batch: %w: need positive batch and steps, got n=%d steps=%d",
-			tensor.ErrShape, n, steps)
-	}
-	if len(seq) != steps*n*w.Input {
-		return nil, fmt.Errorf("nn: lstm batch: %w: sequence buffer has %d elements, want %d",
-			tensor.ErrShape, len(seq), steps*n*w.Input)
-	}
-	hidden := w.Hidden
-	hn := hidden * n
-	// Feature-major state and gate buffers: the state doubles as the GEMM
-	// B operand of the recurrent term, so it never needs re-transposing.
-	hT := s.vec(0, hn)
-	cT := s.vec(1, hn)
-	pi := s.vec(2, hn)
-	pf := s.vec(3, hn)
-	po := s.vec(4, hn)
-	pc := s.vec(5, hn)
-	tmp := s.vec(6, hn)
-	xT := s.vec(7, n*w.Input)
-	clear(hT)
-	clear(cT)
-	workers := s.Workers()
-	fast := pk != nil && s.Numerics() != NumericsReference
-
-	for t := 0; t < steps; t++ {
-		x := seq[t*n*w.Input : (t+1)*n*w.Input]
-		transposeToColumnsPar(xT, x, n, w.Input, n, workers)
-		if fast {
-			s.gatePreBatchFast(pi, tmp, pk.gates[0], w.Bi, xT, hT, hidden, n, workers)
-			s.gatePreBatchFast(pf, tmp, pk.gates[1], w.Bf, xT, hT, hidden, n, workers)
-			s.gatePreBatchFast(po, tmp, pk.gates[2], w.Bo, xT, hT, hidden, n, workers)
-			s.gatePreBatchFast(pc, tmp, pk.gates[3], w.Bc, xT, hT, hidden, n, workers)
-		} else {
-			s.gatePreBatch(pi, tmp, w.Wi, w.Ui, w.Bi, xT, hT, hidden, w.Input, n, workers)
-			s.gatePreBatch(pf, tmp, w.Wf, w.Uf, w.Bf, xT, hT, hidden, w.Input, n, workers)
-			s.gatePreBatch(po, tmp, w.Wo, w.Uo, w.Bo, xT, hT, hidden, w.Input, n, workers)
-			s.gatePreBatch(pc, tmp, w.Wc, w.Uc, w.Bc, xT, hT, hidden, w.Input, n, workers)
-		}
-		sigmoidInPlace(pi)
-		sigmoidInPlace(pf)
-		sigmoidInPlace(po)
-		tanhInPlace(pc)
-		for i := 0; i < hn; i++ {
-			fc := pf[i] * cT[i]
-			ig := pi[i] * pc[i]
-			cT[i] = fc + ig
-		}
-		for i := 0; i < hn; i++ {
-			hT[i] = po[i] * float32(math.Tanh(float64(cT[i])))
-		}
-	}
-	out := s.arena.Get2(n, hidden)
-	transposeToRowsPar(out.Data(), hT, n, hidden, n, workers)
-	return out, nil
-}
-
-// GRUSeqBatchPacked runs a GRU over n sequences at once with per-sample
-// hidden state, with an optional fast-tier gate pack.  seq is laid out
-// (steps x n x input).  It returns the final hidden state as a rank-2
-// (n, hidden) tensor; on the reference tier, or with a nil pack,
-// bit-identical to stepping each sequence through GRUStep.
-func (s *Scratch) GRUSeqBatchPacked(w *GRUWeights, pk *RNNPack, seq []float32, n, steps int) (*tensor.Tensor, error) {
-	if w == nil {
-		return nil, fmt.Errorf("nn: gru batch: nil weights")
-	}
-	if n <= 0 || steps <= 0 {
-		return nil, fmt.Errorf("nn: gru batch: %w: need positive batch and steps, got n=%d steps=%d",
-			tensor.ErrShape, n, steps)
-	}
-	if len(seq) != steps*n*w.Input {
-		return nil, fmt.Errorf("nn: gru batch: %w: sequence buffer has %d elements, want %d",
-			tensor.ErrShape, len(seq), steps*n*w.Input)
-	}
-	hidden := w.Hidden
-	hn := hidden * n
-	hT := s.vec(0, hn)
-	r := s.vec(1, hn)
-	z := s.vec(2, hn)
-	ng := s.vec(3, hn)
-	rh := s.vec(4, hn)
-	tmp := s.vec(5, hn)
-	xT := s.vec(6, n*w.Input)
-	clear(hT)
-	workers := s.Workers()
-	fast := pk != nil && s.Numerics() != NumericsReference
-
-	for t := 0; t < steps; t++ {
-		x := seq[t*n*w.Input : (t+1)*n*w.Input]
-		transposeToColumnsPar(xT, x, n, w.Input, n, workers)
-		if fast {
-			s.gatePreBatchFast(r, tmp, pk.gates[0], w.Br, xT, hT, hidden, n, workers)
-			s.gatePreBatchFast(z, tmp, pk.gates[1], w.Bz, xT, hT, hidden, n, workers)
-		} else {
-			s.gatePreBatch(r, tmp, w.Wr, w.Ur, w.Br, xT, hT, hidden, w.Input, n, workers)
-			s.gatePreBatch(z, tmp, w.Wz, w.Uz, w.Bz, xT, hT, hidden, w.Input, n, workers)
-		}
-		sigmoidInPlace(r)
-		sigmoidInPlace(z)
-		for i := 0; i < hn; i++ {
-			rh[i] = r[i] * hT[i]
-		}
-		if fast {
-			s.gatePreBatchFast(ng, tmp, pk.gates[2], w.Bh, xT, rh, hidden, n, workers)
-		} else {
-			s.gatePreBatch(ng, tmp, w.Wh, w.Uh, w.Bh, xT, rh, hidden, w.Input, n, workers)
-		}
-		tanhInPlace(ng)
-		for i := 0; i < hn; i++ {
-			zi := z[i]
-			hT[i] = (1-zi)*ng[i] + zi*hT[i]
-		}
-	}
-	out := s.arena.Get2(n, hidden)
-	transposeToRowsPar(out.Data(), hT, n, hidden, n, workers)
-	return out, nil
 }

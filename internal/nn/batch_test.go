@@ -280,47 +280,167 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 	})
 }
 
+// recurrentOps are the two recurrent ops over fixed weights and an optional
+// pack, by name.
+func recurrentOps(lw *LSTMWeights, gw *GRUWeights, lp, gp *RNNPack) map[string]func(*Scratch, *tensor.Tensor) (*tensor.Tensor, error) {
+	return map[string]func(*Scratch, *tensor.Tensor) (*tensor.Tensor, error){
+		"lstm": func(s *Scratch, seq *tensor.Tensor) (*tensor.Tensor, error) { return s.LSTM(seq, lw, lp) },
+		"gru":  func(s *Scratch, seq *tensor.Tensor) (*tensor.Tensor, error) { return s.GRU(seq, gw, gp) },
+	}
+}
+
+// sequenceOf copies sequence i of a (steps, n, in) batch into a (steps, in)
+// sequence.
+func sequenceOf(batch *tensor.Tensor, i int) *tensor.Tensor {
+	steps, n, in := batch.Dim(0), batch.Dim(1), batch.Dim(2)
+	out := tensor.New(steps, in)
+	for t := 0; t < steps; t++ {
+		copy(out.Data()[t*in:(t+1)*in], batch.Data()[(t*n+i)*in:(t*n+i+1)*in])
+	}
+	return out
+}
+
+// TestRecurrentSeqBatchMatchesSingle: on the reference tier every sequence of
+// a recurrent batch — the gates on the GEMM — is bit-identical to the op run
+// on that sequence alone — the gates on the mat-vec — serial and parallel,
+// and each op answers in kind: (steps, in) gives a hidden vector, (steps, N,
+// in) gives (N, hidden).
 func TestRecurrentSeqBatchMatchesSingle(t *testing.T) {
 	r := tensor.NewRNG(14)
 	const hidden, inSize, steps, n = 16, 4, 5, 3
 	seq := randBatch(r, steps, n, inSize)
+	ops := recurrentOps(makeLSTMWeights(r, hidden, inSize), makeGRUWeights(r, hidden, inSize), nil, nil)
+	for name, op := range ops {
+		t.Run(name, func(t *testing.T) {
+			for _, workers := range []int{1, 3} {
+				s := NewScratch()
+				s.SetWorkers(workers)
+				out, err := op(s, seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Rank() != 2 || out.Dim(0) != n || out.Dim(1) != hidden {
+					t.Fatalf("batch of %d gave shape %v, want [%d %d]", n, out.Shape(), n, hidden)
+				}
+				for i := 0; i < n; i++ {
+					single, err := op(NewScratch(), sequenceOf(seq, i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if single.Rank() != 1 {
+						t.Fatalf("one sequence gave shape %v, want [%d]", single.Shape(), hidden)
+					}
+					requireSameBits(t, name, out, i, single)
+				}
+			}
+		})
+	}
+}
 
-	t.Run("lstm", func(t *testing.T) {
-		w := makeLSTMWeights(r, hidden, inSize)
-		out, err := NewScratch().LSTMSeqBatchPacked(w, nil, seq.Data(), n, steps)
-		if err != nil {
-			t.Fatal(err)
+// matVecGate is the oracle of one gate's pre-activation on one sequence:
+// (Wx*x + Uh*h) + b, each product on mv.
+func matVecGate(mv func(dst, w, x []float32, rows, cols int), wx, uh, b *tensor.Tensor, x, h []float32) []float32 {
+	pre, tmp := make([]float32, len(h)), make([]float32, len(h))
+	mv(pre, wx.Data(), x, len(h), len(x))
+	mv(tmp, uh.Data(), h, len(h), len(h))
+	for i := range pre {
+		pre[i] = (pre[i] + tmp[i]) + b.Data()[i]
+	}
+	return pre
+}
+
+// matVecLSTM and matVecGRU step one (steps, in) sequence through the cell
+// equations with every gate product on mv: the oracles of the recurrent
+// ops' one-sequence kernel.
+func matVecLSTM(mv func(dst, w, x []float32, rows, cols int), w *LSTMWeights, seq []float32) []float32 {
+	h, c := make([]float32, w.Hidden), make([]float32, w.Hidden)
+	for t := 0; t < len(seq)/w.Input; t++ {
+		x := seq[t*w.Input : (t+1)*w.Input]
+		i, f := matVecGate(mv, w.Wi, w.Ui, w.Bi, x, h), matVecGate(mv, w.Wf, w.Uf, w.Bf, x, h)
+		o, g := matVecGate(mv, w.Wo, w.Uo, w.Bo, x, h), matVecGate(mv, w.Wc, w.Uc, w.Bc, x, h)
+		sigmoidInPlace(i)
+		sigmoidInPlace(f)
+		sigmoidInPlace(o)
+		tanhInPlace(g)
+		for j := range c {
+			fc := f[j] * c[j]
+			ig := i[j] * g[j]
+			c[j] = fc + ig
+			h[j] = o[j] * float32(math.Tanh(float64(c[j])))
 		}
-		for i := 0; i < n; i++ {
-			s := NewScratch()
-			st := LSTMState{H: tensor.New(hidden), C: tensor.New(hidden)}
-			for step := 0; step < steps; step++ {
-				x := tensor.New(inSize)
-				copy(x.Data(), seq.Data()[(step*n+i)*inSize:(step*n+i+1)*inSize])
-				if err := s.LSTMStep(w, st, x); err != nil {
-					t.Fatal(err)
+	}
+	return h
+}
+
+func matVecGRU(mv func(dst, w, x []float32, rows, cols int), w *GRUWeights, seq []float32) []float32 {
+	h, rh := make([]float32, w.Hidden), make([]float32, w.Hidden)
+	for t := 0; t < len(seq)/w.Input; t++ {
+		x := seq[t*w.Input : (t+1)*w.Input]
+		r, z := matVecGate(mv, w.Wr, w.Ur, w.Br, x, h), matVecGate(mv, w.Wz, w.Uz, w.Bz, x, h)
+		sigmoidInPlace(r)
+		sigmoidInPlace(z)
+		for j := range rh {
+			rh[j] = r[j] * h[j]
+		}
+		ng := matVecGate(mv, w.Wh, w.Uh, w.Bh, x, rh)
+		tanhInPlace(ng)
+		for j, zj := range z {
+			h[j] = (1-zj)*ng[j] + zj*h[j]
+		}
+	}
+	return h
+}
+
+// TestRecurrentOneSequenceRunsMatVec pins the recurrent ops' kernel choice:
+// one sequence, alone (rank 2) or as a batch of one (rank 3), runs every
+// gate on its tier's mat-vec bit for bit — MatVecBiasParallel on the
+// reference tier, MatVecFastParallel on both fast tiers, with the cell's
+// pack passed so a slip onto the GEMM would reach the packed fast kernel —
+// on every rung and at 1 and 3 workers, and it stages only the step's gate
+// buffers and the LSTM's cell state: no transposed input or state.
+func TestRecurrentOneSequenceRunsMatVec(t *testing.T) {
+	r := tensor.NewRNG(19)
+	const hidden, inSize, steps = 40, 3, 4
+	lw, gw := makeLSTMWeights(r, hidden, inSize), makeGRUWeights(r, hidden, inSize)
+	seq := randBatch(r, steps, inSize)
+	one, err := tensor.FromSlice(seq.Data(), steps, 1, inSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged := map[string]int64{"lstm": 6 * hidden * 4, "gru": 5 * hidden * 4}
+	forFastTiers(func(tier tensor.SIMDTier) {
+		for _, mode := range []Numerics{NumericsReference, NumericsFast, NumericsInt8} {
+			for _, workers := range []int{1, 3} {
+				mv := func(dst, w, x []float32, rows, cols int) {
+					if mode == NumericsReference {
+						tensor.MatVecBiasParallel(dst, w, x, nil, rows, cols, workers)
+					} else {
+						tensor.MatVecFastParallel(dst, w, x, nil, rows, cols, workers)
+					}
+				}
+				want := map[string][]float32{"lstm": matVecLSTM(mv, lw, seq.Data()), "gru": matVecGRU(mv, gw, seq.Data())}
+				for name, op := range recurrentOps(lw, gw, PackLSTM(lw, mode), PackGRU(gw, mode)) {
+					s := NewScratch()
+					s.SetNumerics(mode)
+					s.SetWorkers(workers)
+					for _, in := range []*tensor.Tensor{seq, one} {
+						got, err := op(s, in)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, v := range want[name] {
+							if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+								t.Fatalf("%s %v/%v/w%d/rank%d: element %d = %x, mat-vec %x", name, tier, mode, workers,
+									in.Rank(), i, math.Float32bits(got.Data()[i]), math.Float32bits(v))
+							}
+						}
+					}
+					if got := s.Bytes() - s.ArenaBytes(); got != staged[name] {
+						t.Fatalf("%s %v/%v/w%d: one sequence staged %d bytes beyond the arena, the mat-vec step stages %d",
+							name, tier, mode, workers, got, staged[name])
+					}
 				}
 			}
-			requireSameBits(t, "lstm", out, i, st.H)
-		}
-	})
-	t.Run("gru", func(t *testing.T) {
-		w := makeGRUWeights(r, hidden, inSize)
-		out, err := NewScratch().GRUSeqBatchPacked(w, nil, seq.Data(), n, steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			s := NewScratch()
-			h := tensor.New(hidden)
-			for step := 0; step < steps; step++ {
-				x := tensor.New(inSize)
-				copy(x.Data(), seq.Data()[(step*n+i)*inSize:(step*n+i+1)*inSize])
-				if err := s.GRUStep(w, h, x); err != nil {
-					t.Fatal(err)
-				}
-			}
-			requireSameBits(t, "gru", out, i, h)
 		}
 	})
 }
@@ -364,11 +484,23 @@ func TestBatchOpErrors(t *testing.T) {
 	if _, err := s.ConcatChannels(tensor.New(1, 2, 2), tensor.New(1, 1, 2, 2)); !errors.Is(err, tensor.ErrShape) {
 		t.Fatalf("concat of a sample and a batch: got %v, want ErrShape", err)
 	}
-	lw := &LSTMWeights{Hidden: 4, Input: 2}
-	if _, err := s.LSTMSeqBatchPacked(lw, nil, make([]float32, 7), 2, 2); !errors.Is(err, tensor.ErrShape) {
-		t.Fatalf("bad lstm seq buffer: got %v, want ErrShape", err)
+	// A recurrent operand is one (steps, in) sequence or a (steps, N, in)
+	// batch: a rank-2 (steps, N*in) block is not read as a batch, nor a
+	// rank-3 batch of the wrong width as a sequence.
+	r := tensor.NewRNG(15)
+	for name, op := range recurrentOps(makeLSTMWeights(r, 4, 2), makeGRUWeights(r, 4, 2), nil, nil) {
+		for _, seq := range []*tensor.Tensor{
+			nil, tensor.New(2), tensor.New(3, 2*2), tensor.New(3, 2, 4), tensor.New(3, 1, 2, 2),
+		} {
+			if _, err := op(s, seq); !errors.Is(err, tensor.ErrShape) {
+				t.Fatalf("%s over shape %v: got %v, want ErrShape", name, shapeOf(seq), err)
+			}
+		}
 	}
-	if _, err := s.GRUSeqBatchPacked(&GRUWeights{Hidden: 4, Input: 2}, nil, nil, 0, 2); !errors.Is(err, tensor.ErrShape) {
-		t.Fatalf("zero gru batch: got %v, want ErrShape", err)
+	if _, err := s.LSTM(tensor.New(2, 2), nil, nil); err == nil {
+		t.Fatal("lstm with nil weights must fail")
+	}
+	if _, err := s.GRU(tensor.New(2, 2), nil, nil); err == nil {
+		t.Fatal("gru with nil weights must fail")
 	}
 }

@@ -13,10 +13,12 @@ import (
 // mat-vec kernels in package tensor.
 //
 // Every op takes one sample (rank 1 or 3) or a batch stacked along dim 0
-// (rank 2 or 4) and returns the same kind; a batch runs each sample's
-// kernel, or folds the samples into one GEMM, so on the reference tier every
-// sample's output is bit-identical to running it alone, and to the direct
-// reference kernels (Conv2DDirect, the scalar MatVec, LSTMCell, GRUCell).
+// (rank 2 or 4) and returns the same kind — the recurrent ops one (steps,
+// in) sequence or a time-major (steps, N, in) batch; a batch runs each
+// sample's kernel, or folds the samples into one GEMM, so on the reference
+// tier every sample's output is bit-identical to running it alone, and to
+// the direct reference kernels (Conv2DDirect, the scalar MatVec, LSTMCell,
+// GRUCell).
 // The blocked kernels preserve the reference summation order — one float32
 // accumulator per output element, reduction index ascending — for any
 // blocking and any worker count.  See the determinism contracts on
@@ -175,7 +177,9 @@ func perSample(o, in []float32, n int, fn func(o, in []float32)) {
 // buffer returns a float32 staging buffer of length n, reused across calls.
 func (s *Scratch) buffer(n int) []float32 { return grown(&s.col, n) }
 
-// vec returns the recurrent gate buffer for the given slot, sized to n.
+// vec returns the recurrent buffer for the given slot, sized to n: slot 0
+// holds a batch's feature-major hidden state, 1 the LSTM cell state, 2 the
+// transposed step input, and 3-7 a step's gate buffers.
 func (s *Scratch) vec(slot, n int) []float32 {
 	for len(s.vecs) <= slot {
 		s.vecs = append(s.vecs, nil)
@@ -186,6 +190,9 @@ func (s *Scratch) vec(slot, n int) []float32 {
 // Arena1 returns an arena-backed rank-1 tensor of length n.  Its contents
 // are undefined: callers must overwrite every element.
 func (s *Scratch) Arena1(n int) *tensor.Tensor { return s.arena.Get1(n) }
+
+// Arena2 is Arena1 for a rank-2 (rows, cols) tensor.
+func (s *Scratch) Arena2(rows, cols int) *tensor.Tensor { return s.arena.Get2(rows, cols) }
 
 // LayerOutputs returns a reusable slice for per-layer output tensors.  The
 // caller must overwrite every element.
@@ -477,6 +484,13 @@ func (s *Scratch) SoftmaxBatch(input *tensor.Tensor) (*tensor.Tensor, error) {
 	return s.Softmax(input)
 }
 
+// LSTMStep advances st in place by one time step with input x: the LSTM
+// op's step at N = 1.  Kept for benchmark/, delete with ROADMAP 2a.
+func (s *Scratch) LSTMStep(w *LSTMWeights, st LSTMState, x *tensor.Tensor) error {
+	s.lstmStep(w, nil, x.Data(), st.H.Data(), st.C.Data(), 1)
+	return nil
+}
+
 // sigmoidInPlace applies the logistic function to every element of v using
 // the exact expression of the reference Sigmoid kernel.
 func sigmoidInPlace(v []float32) {
@@ -493,129 +507,189 @@ func tanhInPlace(v []float32) {
 	}
 }
 
-// gatePre computes pre = (Wx*x + Uh*h) + b with the blocked mat-vec kernel,
-// preserving the reference addition order of the naive gate computation
-// (MatVec + MatVec, EltwiseAdd, EltwiseAdd bias).  Under a fast numerics
-// tier the products run on the multi-chain mat-vec kernel instead (recurrent
-// gates have no int8 lowering, so both fast tiers take the float path).
-func (s *Scratch) gatePre(pre, tmp []float32, wx, uh, b *tensor.Tensor, x, h []float32, hidden, in, workers int) {
-	if s.Numerics() != NumericsReference {
-		tensor.MatVecFastParallel(pre, wx.Data(), x, nil, hidden, in, workers)
-		tensor.MatVecFastParallel(tmp, uh.Data(), h, nil, hidden, hidden, workers)
-	} else {
-		tensor.MatVecBiasParallel(pre, wx.Data(), x, nil, hidden, in, workers)
-		tensor.MatVecBiasParallel(tmp, uh.Data(), h, nil, hidden, hidden, workers)
+// LSTM is the LSTM layer, run from a zero state over one (steps, in)
+// sequence, answered with its final hidden state (length hidden), or over a
+// time-major (steps, N, in) batch, each step a sample-major block, answered
+// with (N, hidden).  w must pass Validate (a networks.Plan fetches each
+// tensor of LSTMParams at its count); pk is the cell's fast-tier pack, or
+// nil.  Every gate picks its kernel from the sequence count (gate), so a batch of
+// one is bit-identical to its single sequence on every tier and, on the
+// reference tier, so is every sequence of a larger batch; SetDirect runs
+// LSTMCell per sequence per step.
+func (s *Scratch) LSTM(seq *tensor.Tensor, w *LSTMWeights, pk *RNNPack) (*tensor.Tensor, error) {
+	if w == nil {
+		return nil, fmt.Errorf("nn: lstm: nil weights")
 	}
-	bd := b.Data()
-	for i := range pre {
-		pre[i] = (pre[i] + tmp[i]) + bd[i]
+	out, steps, n, err := s.recurrentOut("lstm", seq, w.Hidden, w.Input)
+	if err != nil {
+		return nil, err
+	}
+	if s.direct {
+		for i := 0; i < n; i++ {
+			st := NewLSTMState(w.Hidden)
+			for t := 0; t < steps; t++ {
+				if st, err = LSTMCell(w, st, stepInput(seq, t, i, n)); err != nil {
+					return nil, err
+				}
+			}
+			copy(out.Data()[i*w.Hidden:], st.H.Data())
+		}
+		return out, nil
+	}
+	c := s.vec(1, w.Hidden*n)
+	clear(c)
+	s.unroll(out, seq, steps, n, func(x, h []float32) { s.lstmStep(w, pk, x, h, c, n) })
+	return out, nil
+}
+
+// GRU is the GRU layer, with the operands and contract of LSTM; SetDirect
+// runs GRUCell per sequence per step.
+func (s *Scratch) GRU(seq *tensor.Tensor, w *GRUWeights, pk *RNNPack) (*tensor.Tensor, error) {
+	if w == nil {
+		return nil, fmt.Errorf("nn: gru: nil weights")
+	}
+	out, steps, n, err := s.recurrentOut("gru", seq, w.Hidden, w.Input)
+	if err != nil {
+		return nil, err
+	}
+	if s.direct {
+		for i := 0; i < n; i++ {
+			h := tensor.New(w.Hidden)
+			for t := 0; t < steps; t++ {
+				if h, err = GRUCell(w, h, stepInput(seq, t, i, n)); err != nil {
+					return nil, err
+				}
+			}
+			copy(out.Data()[i*w.Hidden:], h.Data())
+		}
+		return out, nil
+	}
+	s.unroll(out, seq, steps, n, func(x, h []float32) { s.gruStep(w, pk, x, h, n) })
+	return out, nil
+}
+
+// recurrentOut validates a recurrent operand — one (steps, in) sequence or
+// a (steps, N, in) batch — and returns an output of its kind: a
+// length-hidden vector, or (N, hidden).
+func (s *Scratch) recurrentOut(op string, seq *tensor.Tensor, hidden, in int) (out *tensor.Tensor, steps, n int, err error) {
+	if seq == nil || (seq.Rank() != 2 && seq.Rank() != 3) || seq.Dim(seq.Rank()-1) != in {
+		return nil, 0, 0, fmt.Errorf("nn: %s: %w: input must be (steps, %d) or (steps, N, %d), got shape %v",
+			op, tensor.ErrShape, in, in, shapeOf(seq))
+	}
+	if seq.Rank() == 2 {
+		return s.arena.Get1(hidden), seq.Dim(0), 1, nil
+	}
+	return s.arena.Get2(seq.Dim(1), hidden), seq.Dim(0), seq.Dim(1), nil
+}
+
+// stepInput wraps sequence i's input vector at step t of a recurrent
+// operand holding n sequences.
+func stepInput(seq *tensor.Tensor, t, i, n int) *tensor.Tensor {
+	in := seq.Dim(seq.Rank() - 1)
+	x, _ := tensor.FromSlice(seq.Data()[(t*n+i)*in:(t*n+i+1)*in], in)
+	return x
+}
+
+// unroll runs step over every time step of seq from a zero hidden state and
+// leaves the final state in out.  step advances the feature-major state h
+// (hidden x n) over the feature-major input x (in x n); at n = 1 both are
+// the plain vectors, h is out itself, and nothing is transposed.
+func (s *Scratch) unroll(out, seq *tensor.Tensor, steps, n int, step func(x, h []float32)) {
+	h, in, workers := out.Data(), seq.Len()/(steps*n), s.Workers()
+	if n > 1 {
+		h = s.vec(0, len(h))
+	}
+	clear(h)
+	for t := 0; t < steps; t++ {
+		x := seq.Data()[t*n*in : (t+1)*n*in]
+		if n > 1 {
+			xT := s.vec(2, n*in)
+			transposeToColumnsPar(xT, x, n, in, n, workers)
+			x = xT
+		}
+		step(x, h)
+	}
+	if n > 1 {
+		transposeToRowsPar(out.Data(), h, n, len(h)/n, n, workers)
 	}
 }
 
-// LSTMStep advances st in place by one time step with input x, using the
-// scratch gate buffers.  The weights must have been validated by the caller
-// (once per sequence); results are bit-identical to LSTMCell.
-func (s *Scratch) LSTMStep(w *LSTMWeights, st LSTMState, x *tensor.Tensor) error {
-	if w == nil {
-		return fmt.Errorf("nn: lstm step: nil weights")
-	}
-	if x == nil || x.Len() != w.Input {
-		return fmt.Errorf("nn: lstm input has %d elements, want %d", tensorLen(x), w.Input)
-	}
-	if st.H == nil || st.C == nil || st.H.Len() != w.Hidden || st.C.Len() != w.Hidden {
-		return fmt.Errorf("nn: lstm state must have hidden size %d", w.Hidden)
-	}
-	if s.direct {
-		next, err := LSTMCell(w, st, x)
-		if err != nil {
-			return err
-		}
-		copy(st.H.Data(), next.H.Data())
-		copy(st.C.Data(), next.C.Data())
-		return nil
-	}
-
-	hidden := w.Hidden
-	pi := s.vec(0, hidden)
-	pf := s.vec(1, hidden)
-	po := s.vec(2, hidden)
-	pc := s.vec(3, hidden)
-	tmp := s.vec(4, hidden)
-	xd, hd := x.Data(), st.H.Data()
-	workers := s.Workers()
-
-	s.gatePre(pi, tmp, w.Wi, w.Ui, w.Bi, xd, hd, hidden, w.Input, workers)
-	s.gatePre(pf, tmp, w.Wf, w.Uf, w.Bf, xd, hd, hidden, w.Input, workers)
-	s.gatePre(po, tmp, w.Wo, w.Uo, w.Bo, xd, hd, hidden, w.Input, workers)
-	s.gatePre(pc, tmp, w.Wc, w.Uc, w.Bc, xd, hd, hidden, w.Input, workers)
+// lstmStep advances the feature-major LSTM state h, c (hidden x n) by one
+// time step over the feature-major input x (in x n); on the reference tier
+// it is LSTMCell bit for bit.
+func (s *Scratch) lstmStep(w *LSTMWeights, pk *RNNPack, x, h, c []float32, n int) {
+	hn := len(h)
+	pi, pf, po, pc, tmp := s.vec(3, hn), s.vec(4, hn), s.vec(5, hn), s.vec(6, hn), s.vec(7, hn)
+	s.gate(pi, tmp, w.Wi, w.Ui, w.Bi, pk.gate(0), x, h, n)
+	s.gate(pf, tmp, w.Wf, w.Uf, w.Bf, pk.gate(1), x, h, n)
+	s.gate(po, tmp, w.Wo, w.Uo, w.Bo, pk.gate(2), x, h, n)
+	s.gate(pc, tmp, w.Wc, w.Uc, w.Bc, pk.gate(3), x, h, n)
 	sigmoidInPlace(pi)
 	sigmoidInPlace(pf)
 	sigmoidInPlace(po)
 	tanhInPlace(pc)
-
-	cd := st.C.Data()
-	for i := 0; i < hidden; i++ {
-		fc := pf[i] * cd[i]
+	for i := range c {
+		fc := pf[i] * c[i]
 		ig := pi[i] * pc[i]
-		cd[i] = fc + ig
+		c[i] = fc + ig
 	}
-	for i := 0; i < hidden; i++ {
-		hd[i] = po[i] * float32(math.Tanh(float64(cd[i])))
+	for i := range h {
+		h[i] = po[i] * float32(math.Tanh(float64(c[i])))
 	}
-	return nil
 }
 
-// GRUStep advances the hidden state h in place by one time step with input
-// x, using the scratch gate buffers.  The weights must have been validated
-// by the caller; results are bit-identical to GRUCell.
-func (s *Scratch) GRUStep(w *GRUWeights, h *tensor.Tensor, x *tensor.Tensor) error {
-	if w == nil {
-		return fmt.Errorf("nn: gru step: nil weights")
-	}
-	if x == nil || x.Len() != w.Input {
-		return fmt.Errorf("nn: gru input has %d elements, want %d", tensorLen(x), w.Input)
-	}
-	if h == nil || h.Len() != w.Hidden {
-		return fmt.Errorf("nn: gru state must have hidden size %d", w.Hidden)
-	}
-	if s.direct {
-		next, err := GRUCell(w, h, x)
-		if err != nil {
-			return err
-		}
-		copy(h.Data(), next.Data())
-		return nil
-	}
-
-	hidden := w.Hidden
-	r := s.vec(0, hidden)
-	z := s.vec(1, hidden)
-	n := s.vec(2, hidden)
-	rh := s.vec(3, hidden)
-	tmp := s.vec(4, hidden)
-	xd, hd := x.Data(), h.Data()
-	workers := s.Workers()
-
-	s.gatePre(r, tmp, w.Wr, w.Ur, w.Br, xd, hd, hidden, w.Input, workers)
-	s.gatePre(z, tmp, w.Wz, w.Uz, w.Bz, xd, hd, hidden, w.Input, workers)
+// gruStep advances the feature-major GRU state h (hidden x n) by one time
+// step over the feature-major input x (in x n); on the reference tier it is
+// GRUCell bit for bit.
+func (s *Scratch) gruStep(w *GRUWeights, pk *RNNPack, x, h []float32, n int) {
+	hn := len(h)
+	r, z, ng, rh, tmp := s.vec(3, hn), s.vec(4, hn), s.vec(5, hn), s.vec(6, hn), s.vec(7, hn)
+	s.gate(r, tmp, w.Wr, w.Ur, w.Br, pk.gate(0), x, h, n)
+	s.gate(z, tmp, w.Wz, w.Uz, w.Bz, pk.gate(1), x, h, n)
 	sigmoidInPlace(r)
 	sigmoidInPlace(z)
-	for i := 0; i < hidden; i++ {
-		rh[i] = r[i] * hd[i]
+	for i := range rh {
+		rh[i] = r[i] * h[i]
 	}
-	s.gatePre(n, tmp, w.Wh, w.Uh, w.Bh, xd, rh, hidden, w.Input, workers)
-	tanhInPlace(n)
-	for i := 0; i < hidden; i++ {
-		zi := z[i]
-		hd[i] = (1-zi)*n[i] + zi*hd[i]
+	s.gate(ng, tmp, w.Wh, w.Uh, w.Bh, pk.gate(2), x, rh, n)
+	tanhInPlace(ng)
+	for i, zi := range z {
+		h[i] = (1-zi)*ng[i] + zi*h[i]
 	}
-	return nil
 }
 
-// tensorLen reports a possibly-nil tensor's length for error messages.
-func tensorLen(t *tensor.Tensor) int {
-	if t == nil {
-		return 0
+// gate computes one gate's pre-activation pre = (Wx*x + Uh*h) + b over
+// feature-major operands — x (in x n), h and pre (hidden x n) — in the
+// reference expression order: the input product, the recurrent product,
+// then the bias; tmp is staging of pre's length.  It picks the kernel from
+// what it can observe, as FullyConnectedPacked does: one sequence runs the
+// tier's mat-vec on the raw weights (MatVecBiasParallel, or
+// MatVecFastParallel on the fast tiers), two or more the tier's GEMM
+// (GemmNNParallel, or GemmNNFastParallel with the gate's pack).  On the
+// reference tier both are one left-to-right dot product per element.
+func (s *Scratch) gate(pre, tmp []float32, wx, uh, b *tensor.Tensor, g *gatePack, x, h []float32, n int) {
+	hidden, in, workers := len(pre)/n, len(x)/n, s.Workers()
+	fast := s.Numerics() != NumericsReference
+	switch {
+	case n == 1 && fast:
+		tensor.MatVecFastParallel(pre, wx.Data(), x, nil, hidden, in, workers)
+		tensor.MatVecFastParallel(tmp, uh.Data(), h, nil, hidden, hidden, workers)
+	case n == 1:
+		tensor.MatVecBiasParallel(pre, wx.Data(), x, nil, hidden, in, workers)
+		tensor.MatVecBiasParallel(tmp, uh.Data(), h, nil, hidden, hidden, workers)
+	case fast && g != nil:
+		tensor.GemmNNFastParallel(pre, g.wx, x, nil, n, n, workers)
+		tensor.GemmNNFastParallel(tmp, g.uh, h, nil, n, n, workers)
+	default:
+		tensor.GemmNNParallel(pre, wx.Data(), x, nil, hidden, n, in, n, workers)
+		tensor.GemmNNParallel(tmp, uh.Data(), h, nil, hidden, n, hidden, n, workers)
 	}
-	return t.Len()
+	bd := b.Data()
+	for r := 0; r < hidden; r++ {
+		bv := bd[r]
+		prow, trow := pre[r*n:(r+1)*n], tmp[r*n:(r+1)*n]
+		for i := range prow {
+			prow[i] = (prow[i] + trow[i]) + bv
+		}
+	}
 }

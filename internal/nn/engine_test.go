@@ -2,6 +2,7 @@ package nn_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"tango"
@@ -201,18 +202,43 @@ func lstmFixture(t *testing.T, hidden, in int) *nn.LSTMWeights {
 	return w
 }
 
-// TestEngineLSTMStepMatchesCell validates the scratch LSTM step against the
-// reference cell over a multi-step sequence, bit-exactly.
+// prefix returns the first steps rows of a (total, in) sequence as a
+// (steps, in) sequence.
+func prefix(t *testing.T, seq *tensor.Tensor, steps int) *tensor.Tensor {
+	t.Helper()
+	in := seq.Dim(1)
+	p, err := tensor.FromSlice(seq.Data()[:steps*in], steps, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// requireState fails unless the engine's hidden state equals the cell's
+// bit for bit.
+func requireState(t *testing.T, label string, step int, got, want *tensor.Tensor) {
+	t.Helper()
+	for i, v := range want.Data() {
+		if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+			t.Fatalf("%s step %d: hidden state diverged at %d: %g vs %g", label, step, i, got.Data()[i], v)
+		}
+	}
+}
+
+// TestEngineLSTMStepMatchesCell validates the LSTM op, run over every prefix
+// of a multi-step sequence, and the LSTMStep forwarder against the reference
+// cell, bit-exactly.
 func TestEngineLSTMStepMatchesCell(t *testing.T) {
 	const hidden, in, steps = 100, 1, 5
 	w := lstmFixture(t, hidden, in)
-	r := tensor.NewRNG(31)
+	seq := tensor.New(steps, in)
+	seq.FillNormal(tensor.NewRNG(31), 1)
 	ref := nn.NewLSTMState(hidden)
 	eng := nn.LSTMState{H: tensor.New(hidden), C: tensor.New(hidden)}
 	s := nn.NewScratch()
 	for step := 0; step < steps; step++ {
 		x := tensor.New(in)
-		x.FillNormal(r, 1)
+		copy(x.Data(), seq.Data()[step*in:(step+1)*in])
 		var err error
 		ref, err = nn.LSTMCell(w, ref, x)
 		if err != nil {
@@ -221,17 +247,19 @@ func TestEngineLSTMStepMatchesCell(t *testing.T) {
 		if err := s.LSTMStep(w, eng, x); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < hidden; i++ {
-			if eng.H.Data()[i] != ref.H.Data()[i] || eng.C.Data()[i] != ref.C.Data()[i] {
-				t.Fatalf("step %d: state diverged at %d: h %g vs %g, c %g vs %g",
-					step, i, eng.H.Data()[i], ref.H.Data()[i], eng.C.Data()[i], ref.C.Data()[i])
-			}
+		requireState(t, "LSTMStep", step, eng.H, ref.H)
+		requireState(t, "LSTMStep cell", step, eng.C, ref.C)
+		s.BeginRun()
+		h, err := s.LSTM(prefix(t, seq, step+1), w, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		requireState(t, "LSTM", step, h, ref.H)
 	}
 }
 
-// TestEngineGRUStepMatchesCell validates the scratch GRU step against the
-// reference cell over a multi-step sequence, bit-exactly.
+// TestEngineGRUStepMatchesCell validates the GRU op, run over every prefix of
+// a multi-step sequence, against the reference cell, bit-exactly.
 func TestEngineGRUStepMatchesCell(t *testing.T) {
 	const hidden, in, steps = 100, 1, 5
 	r := tensor.NewRNG(37)
@@ -249,25 +277,24 @@ func TestEngineGRUStepMatchesCell(t *testing.T) {
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	seq := tensor.New(steps, in)
+	seq.FillNormal(r, 1)
 	ref := tensor.New(hidden)
-	eng := tensor.New(hidden)
 	s := nn.NewScratch()
 	for step := 0; step < steps; step++ {
 		x := tensor.New(in)
-		x.FillNormal(r, 1)
+		copy(x.Data(), seq.Data()[step*in:(step+1)*in])
 		next, err := nn.GRUCell(w, ref, x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref = next
-		if err := s.GRUStep(w, eng, x); err != nil {
+		s.BeginRun()
+		h, err := s.GRU(prefix(t, seq, step+1), w, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < hidden; i++ {
-			if eng.Data()[i] != ref.Data()[i] {
-				t.Fatalf("step %d: hidden state diverged at %d: %g vs %g", step, i, eng.Data()[i], ref.Data()[i])
-			}
-		}
+		requireState(t, "GRU", step, h, ref)
 	}
 }
 

@@ -29,9 +29,10 @@ import (
 // count — row panels are tile-aligned — and a batch of one is bit-identical
 // to its single sample, since every op picks its kernel from the sample
 // count.  Unlike the reference tier, a fast-tier sample's bits depend on
-// whether its batch holds one sample or several: from two samples on, a
-// fully-connected layer runs the tier's GEMM instead of its mat-vec (and
-// under int8 quantizes its activations with one scale per call).
+// whether its batch holds one sample or several: from two samples (or
+// sequences) on, a fully-connected layer and a recurrent gate run the tier's
+// GEMM instead of its mat-vec (and under int8 a fully-connected layer
+// quantizes its activations with one scale per call).
 
 // Numerics selects the arithmetic contract of a Scratch.
 type Numerics uint8
@@ -116,17 +117,25 @@ type FCPack struct {
 	q *tensor.PackedInt8
 }
 
-// GatePack holds one recurrent gate's input and recurrent weight matrices
-// packed for the batched fast GEMM (the single-sample fast path reads the
-// raw weights through the multi-chain mat-vec kernel and needs no packing).
-type GatePack struct {
+// gatePack holds one recurrent gate's input and recurrent weight matrices
+// packed for the fast GEMM of two or more sequences (one sequence runs the
+// multi-chain mat-vec on the raw weights and needs no packing).
+type gatePack struct {
 	wx, uh *tensor.PackedA
 }
 
 // RNNPack holds packed gates of a recurrent cell, in cell order (LSTM:
 // i, f, o, c; GRU: r, z, h).
 type RNNPack struct {
-	gates []GatePack
+	gates []gatePack
+}
+
+// gate returns gate g's pack, or nil from a nil pack.
+func (pk *RNNPack) gate(g int) *gatePack {
+	if pk == nil {
+		return nil
+	}
+	return &pk.gates[g]
 }
 
 // Bytes returns the storage held by the pack's panel buffers.
@@ -205,54 +214,35 @@ func PackFC(weights *tensor.Tensor, outF, inF int, mode Numerics) *FCPack {
 	return &FCPack{f: tensor.PackA(weights.Data(), outF, inF)}
 }
 
-// PackLSTM packs the gate matrices of an LSTM cell for the batched fast
-// GEMM.  Int8 mode packs the same float panels: recurrent cells run the
-// NumericsFast path under either fast tier.  Returns nil for
+// PackLSTM packs the gate matrices of an LSTM cell for the fast GEMM of two
+// or more sequences.  Int8 mode packs the same float panels: recurrent cells
+// run the NumericsFast path under either fast tier.  Returns nil for
 // NumericsReference.
 func PackLSTM(w *LSTMWeights, mode Numerics) *RNNPack {
 	if mode == NumericsReference || w == nil {
 		return nil
 	}
-	packGate := func(wx, uh *tensor.Tensor) GatePack {
-		return GatePack{
-			wx: tensor.PackA(wx.Data(), w.Hidden, w.Input),
-			uh: tensor.PackA(uh.Data(), w.Hidden, w.Hidden),
-		}
-	}
-	return &RNNPack{gates: []GatePack{
-		packGate(w.Wi, w.Ui), packGate(w.Wf, w.Uf),
-		packGate(w.Wo, w.Uo), packGate(w.Wc, w.Uc),
-	}}
+	return packCell(w, w.Hidden, w.Input, LSTMParams[:])
 }
 
-// PackGRU packs the gate matrices of a GRU cell for the batched fast GEMM.
-// Returns nil for NumericsReference.
+// PackGRU is PackLSTM for a GRU cell.
 func PackGRU(w *GRUWeights, mode Numerics) *RNNPack {
 	if mode == NumericsReference || w == nil {
 		return nil
 	}
-	packGate := func(wx, uh *tensor.Tensor) GatePack {
-		return GatePack{
-			wx: tensor.PackA(wx.Data(), w.Hidden, w.Input),
-			uh: tensor.PackA(uh.Data(), w.Hidden, w.Hidden),
-		}
-	}
-	return &RNNPack{gates: []GatePack{
-		packGate(w.Wr, w.Ur), packGate(w.Wz, w.Uz), packGate(w.Wh, w.Uh),
-	}}
+	return packCell(w, w.Hidden, w.Input, GRUParams[:])
 }
 
-// gatePreBatchFast is gatePreBatch on the prepacked fast GEMM.
-func (s *Scratch) gatePreBatchFast(pre, tmp []float32, g GatePack, b *tensor.Tensor, xT, hT []float32, hidden, n, workers int) {
-	tensor.GemmNNFastParallel(pre, g.wx, xT, nil, n, n, workers)
-	tensor.GemmNNFastParallel(tmp, g.uh, hT, nil, n, n, workers)
-	bd := b.Data()
-	for hr := 0; hr < hidden; hr++ {
-		bv := bd[hr]
-		prow := pre[hr*n : (hr+1)*n]
-		trow := tmp[hr*n : (hr+1)*n]
-		for i := range prow {
-			prow[i] = (prow[i] + trow[i]) + bv
+// packCell packs every gate's input and recurrent matrix from a cell's
+// parameter table, whose first and second thirds hold them in gate order.
+func packCell[W any](w *W, hidden, input int, params []Param[W]) *RNNPack {
+	gates := len(params) / 3
+	pk := &RNNPack{gates: make([]gatePack, gates)}
+	for g := range pk.gates {
+		pk.gates[g] = gatePack{
+			wx: tensor.PackA((*params[g].Field(w)).Data(), hidden, input),
+			uh: tensor.PackA((*params[gates+g].Field(w)).Data(), hidden, hidden),
 		}
 	}
+	return pk
 }

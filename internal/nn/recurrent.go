@@ -19,33 +19,73 @@ type LSTMWeights struct {
 	Bi, Bf, Bo, Bc *tensor.Tensor
 }
 
+// Param is one row of a recurrent cell's parameter table: a tensor's name
+// in a weight set, its shape, and the field of the cell's weights W that
+// holds it.  The tables are static, so walking one allocates nothing.
+type Param[W any] struct {
+	Name  string
+	Shape ParamShape
+	Field func(*W) **tensor.Tensor
+}
+
+// ParamShape is the shape of a recurrent cell parameter.
+type ParamShape uint8
+
+// The shapes of a cell's parameters, in units of its dims.
+const (
+	InputMatrix     ParamShape = iota // hidden x input
+	RecurrentMatrix                   // hidden x hidden
+	Bias                              // hidden
+)
+
+// Count returns the parameter's element count in a cell of the given dims.
+func (p Param[W]) Count(hidden, input int) int {
+	switch p.Shape {
+	case InputMatrix:
+		return hidden * input
+	case RecurrentMatrix:
+		return hidden * hidden
+	}
+	return hidden
+}
+
+// LSTMParams is the LSTM's parameter table: the input matrices, the
+// recurrent matrices and the biases, each in gate order i, f, o, c.
+// Validate, PackLSTM and the networks package's weight specs and loading
+// all walk it.
+var LSTMParams = [...]Param[LSTMWeights]{
+	{"Wi", InputMatrix, func(w *LSTMWeights) **tensor.Tensor { return &w.Wi }},
+	{"Wf", InputMatrix, func(w *LSTMWeights) **tensor.Tensor { return &w.Wf }},
+	{"Wo", InputMatrix, func(w *LSTMWeights) **tensor.Tensor { return &w.Wo }},
+	{"Wc", InputMatrix, func(w *LSTMWeights) **tensor.Tensor { return &w.Wc }},
+	{"Ui", RecurrentMatrix, func(w *LSTMWeights) **tensor.Tensor { return &w.Ui }},
+	{"Uf", RecurrentMatrix, func(w *LSTMWeights) **tensor.Tensor { return &w.Uf }},
+	{"Uo", RecurrentMatrix, func(w *LSTMWeights) **tensor.Tensor { return &w.Uo }},
+	{"Uc", RecurrentMatrix, func(w *LSTMWeights) **tensor.Tensor { return &w.Uc }},
+	{"Bi", Bias, func(w *LSTMWeights) **tensor.Tensor { return &w.Bi }},
+	{"Bf", Bias, func(w *LSTMWeights) **tensor.Tensor { return &w.Bf }},
+	{"Bo", Bias, func(w *LSTMWeights) **tensor.Tensor { return &w.Bo }},
+	{"Bc", Bias, func(w *LSTMWeights) **tensor.Tensor { return &w.Bc }},
+}
+
 // Validate checks all weight shapes.
 func (w *LSTMWeights) Validate() error {
-	if w.Hidden <= 0 || w.Input <= 0 {
-		return fmt.Errorf("nn: lstm dims must be positive, got hidden=%d input=%d", w.Hidden, w.Input)
+	return validateCell("lstm", w, w.Hidden, w.Input, LSTMParams[:])
+}
+
+// validateCell checks a cell's dimensions and every tensor of its parameter
+// table.
+func validateCell[W any](op string, w *W, hidden, input int, params []Param[W]) error {
+	if hidden <= 0 || input <= 0 {
+		return fmt.Errorf("nn: %s dims must be positive, got hidden=%d input=%d", op, hidden, input)
 	}
-	check := func(name string, t *tensor.Tensor, want int) error {
+	for _, p := range params {
+		t := *p.Field(w)
 		if t == nil {
-			return fmt.Errorf("nn: lstm weight %s is nil", name)
+			return fmt.Errorf("nn: %s weight %s is nil", op, p.Name)
 		}
-		if t.Len() != want {
-			return fmt.Errorf("nn: lstm weight %s has %d elements, want %d", name, t.Len(), want)
-		}
-		return nil
-	}
-	hi := w.Hidden * w.Input
-	hh := w.Hidden * w.Hidden
-	for _, c := range []struct {
-		name string
-		t    *tensor.Tensor
-		want int
-	}{
-		{"Wi", w.Wi, hi}, {"Wf", w.Wf, hi}, {"Wo", w.Wo, hi}, {"Wc", w.Wc, hi},
-		{"Ui", w.Ui, hh}, {"Uf", w.Uf, hh}, {"Uo", w.Uo, hh}, {"Uc", w.Uc, hh},
-		{"Bi", w.Bi, w.Hidden}, {"Bf", w.Bf, w.Hidden}, {"Bo", w.Bo, w.Hidden}, {"Bc", w.Bc, w.Hidden},
-	} {
-		if err := check(c.name, c.t, c.want); err != nil {
-			return err
+		if n, want := t.Len(), p.Count(hidden, input); n != want {
+			return fmt.Errorf("nn: %s weight %s has %d elements, want %d", op, p.Name, n, want)
 		}
 	}
 	return nil
@@ -147,30 +187,23 @@ type GRUWeights struct {
 	Br, Bz, Bh *tensor.Tensor // (hidden)
 }
 
+// GRUParams is the GRU's parameter table, laid out as LSTMParams in gate
+// order r, z, h.
+var GRUParams = [...]Param[GRUWeights]{
+	{"Wr", InputMatrix, func(w *GRUWeights) **tensor.Tensor { return &w.Wr }},
+	{"Wz", InputMatrix, func(w *GRUWeights) **tensor.Tensor { return &w.Wz }},
+	{"Wh", InputMatrix, func(w *GRUWeights) **tensor.Tensor { return &w.Wh }},
+	{"Ur", RecurrentMatrix, func(w *GRUWeights) **tensor.Tensor { return &w.Ur }},
+	{"Uz", RecurrentMatrix, func(w *GRUWeights) **tensor.Tensor { return &w.Uz }},
+	{"Uh", RecurrentMatrix, func(w *GRUWeights) **tensor.Tensor { return &w.Uh }},
+	{"Br", Bias, func(w *GRUWeights) **tensor.Tensor { return &w.Br }},
+	{"Bz", Bias, func(w *GRUWeights) **tensor.Tensor { return &w.Bz }},
+	{"Bh", Bias, func(w *GRUWeights) **tensor.Tensor { return &w.Bh }},
+}
+
 // Validate checks all weight shapes.
 func (w *GRUWeights) Validate() error {
-	if w.Hidden <= 0 || w.Input <= 0 {
-		return fmt.Errorf("nn: gru dims must be positive, got hidden=%d input=%d", w.Hidden, w.Input)
-	}
-	hi := w.Hidden * w.Input
-	hh := w.Hidden * w.Hidden
-	for _, c := range []struct {
-		name string
-		t    *tensor.Tensor
-		want int
-	}{
-		{"Wr", w.Wr, hi}, {"Wz", w.Wz, hi}, {"Wh", w.Wh, hi},
-		{"Ur", w.Ur, hh}, {"Uz", w.Uz, hh}, {"Uh", w.Uh, hh},
-		{"Br", w.Br, w.Hidden}, {"Bz", w.Bz, w.Hidden}, {"Bh", w.Bh, w.Hidden},
-	} {
-		if c.t == nil {
-			return fmt.Errorf("nn: gru weight %s is nil", c.name)
-		}
-		if c.t.Len() != c.want {
-			return fmt.Errorf("nn: gru weight %s has %d elements, want %d", c.name, c.t.Len(), c.want)
-		}
-	}
-	return nil
+	return validateCell("gru", w, w.Hidden, w.Input, GRUParams[:])
 }
 
 // GRUCell advances the GRU by one time step with input x and hidden state h,

@@ -394,8 +394,11 @@ func (s *Server) residentBytesLocked() int64 {
 // equal-length histories (the recurrent gates advance the batch in
 // lockstep), but independent requests may carry different lengths, so the
 // batch is partitioned into equal-length groups, each run as one batched
-// call.  Grouping never changes numerics: batched results are bit-identical
-// to per-sample Forecast regardless of how the batch is split.
+// call.  On the default numerics tier grouping never changes numerics:
+// batched results are bit-identical to per-sample Forecast however the
+// batch is split.  On a fast tier a history's bits depend on whether its
+// group holds one history (the mat-vec, equal to Forecast) or several (the
+// GEMM, within tolerance).
 func forecastGrouped(b *Benchmark, histories [][]float64, opts []SimOption) ([]float64, error) {
 	n := len(histories)
 	out := make([]float64, n)
