@@ -65,6 +65,12 @@ func convGeometryTable() []convGeom {
 		{cp(12, 8, 1, 3, 3, 2, 2, 1, 1), 11, 12},  // twelve channels, stride 2
 		{cp(4, 8, 1, 1, 1, 1, 1, 0, 0), 27, 27},   // four-channel 1x1 across the column panel, n=729
 		{cp(16, 18, 2, 3, 3, 1, 1, 1, 1), 9, 9},   // eight channels per group
+		{cp(3, 5, 1, 3, 3, 1, 1, 1, 1), 16, 32},   // n=512 exactly one column panel
+		{cp(3, 5, 1, 3, 3, 1, 1, 1, 1), 19, 27},   // n=513, a one-column last panel
+		{cp(64, 3, 1, 2, 2, 1, 1, 0, 0), 6, 7},    // k=256 exactly one depth slab
+		{cp(257, 3, 1, 1, 1, 1, 1, 0, 1), 3, 4},   // k=257, a one-row last slab (1x1 padded is staged)
+		{cp(6, 9, 3, 1, 1, 1, 1, 0, 0), 19, 27},   // 1x1 in place per group at n=513, batched below
+		{cp(8, 14, 1, 3, 3, 1, 1, 1, 1), 10, 10},  // one panel, m=14: three workers split the rows
 	}
 }
 
@@ -178,13 +184,13 @@ func testConvGeom(t *testing.T, r *tensor.RNG, g convGeom) {
 	}
 }
 
-// TestConvPackedSingleMatchesBatchOfOne pins the fast tiers' one convolution
-// core: under NumericsFast and NumericsInt8, Conv2DPacked of an image and of
-// the one-image batch are the same convFused call, so
-// their outputs are bit-identical for any worker count — and, the panel grid
-// and the int8 activation scale being per (group, image), so is that image's
-// slice of a larger batch.  A private single-sample lowering with its own
-// blocking or scale fails here.
+// TestConvPackedSingleMatchesBatchOfOne pins the one convolution core: on
+// every tier, Conv2DPacked of an image and of the one-image batch are the
+// same call, so their outputs are bit-identical for any worker count — and,
+// the panel grid and the int8 activation scale being per (group, image), so
+// is that image's slice of a larger batch.  The reference tier runs with a
+// fast pack and without one: a pack must not change its bits.  A private
+// single-sample lowering with its own blocking or scale fails here.
 func TestConvPackedSingleMatchesBatchOfOne(t *testing.T) {
 	geoms := convGeometryTable()
 	r := tensor.NewRNG(21)
@@ -199,10 +205,15 @@ func TestConvPackedSingleMatchesBatchOfOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []Numerics{NumericsFast, NumericsInt8} {
-			pk := PackConv(w, p, mode)
+		for _, c := range []struct {
+			mode, pack Numerics
+		}{
+			{NumericsReference, NumericsReference}, {NumericsReference, NumericsFast},
+			{NumericsFast, NumericsFast}, {NumericsInt8, NumericsInt8},
+		} {
+			mode, pk := c.mode, PackConv(w, p, c.pack)
 			for _, workers := range []int{1, 3} {
-				op := fmt.Sprintf("%v/%v/w%d", g, mode, workers)
+				op := fmt.Sprintf("%v/%v/pack-%v/w%d", g, mode, c.pack, workers)
 				s := NewScratch()
 				s.SetNumerics(mode)
 				s.SetWorkers(workers)
