@@ -51,8 +51,8 @@ func nativeSettings(opts []SimOption) (int, nn.Numerics, error) {
 // Classify runs a CNN benchmark natively on a CHW image supplied as a flat
 // float32 slice (length = product of the input shape).
 //
-// The run executes on the native compute engine (im2col + blocked GEMM with
-// pooled scratch arenas).  WithParallelism selects the engine's worker
+// The run executes on the native compute engine (im2col panels streamed
+// through the blocked GEMM, with pooled scratch arenas).  WithParallelism selects the engine's worker
 // count; results are bit-identical for any worker count.  WithFastMath and
 // WithInt8 opt into the fast-numerics tiers, which trade the bit-exactness
 // contract for throughput (top-1 class is preserved; see those options).

@@ -4,15 +4,14 @@ import "tango/internal/par"
 
 // This file holds the batch staging of the compute engine.  Feature-map
 // batches are rank-4 NCHW tensors (sample-major, each sample a contiguous
-// CHW block); vector batches are rank-2 (N, F).  The heavy kernels fold the
-// batch into the GEMM column dimension: the convolution core (convStaged)
-// stages an l-major (k x N*outH*outW) patch matrix so each per-group GEMM
-// sees every output pixel of every image at once; a fully-connected layer of
-// two or more samples transposes the inputs to (inF x N) so one GEMM replaces
-// N mat-vecs and streams the weight matrix once per batch instead of once
-// per sample; and a recurrent layer over two or more sequences transposes
-// each time step to (in x N) and keeps its state feature-major (hidden x N),
-// so each gate is two GEMMs per step (unroll).
+// CHW block); vector batches are rank-2 (N, F).  A convolution needs no
+// batch staging: its panel core (fastfused.go) covers each image's output
+// with its own panels and writes them in place.  A fully-connected layer of
+// two or more samples transposes the inputs to (inF x N) so one GEMM
+// replaces N mat-vecs and streams the weight matrix once per batch instead
+// of once per sample; and a recurrent layer over two or more sequences
+// transposes each time step to (in x N) and keeps its state feature-major
+// (hidden x N), so each gate is two GEMMs per step (unroll).
 //
 // Bit-exactness: each output element is an independent dot product
 // accumulated left to right from its bias (see the tensor.GemmNN contract).
@@ -30,50 +29,6 @@ func (s *Scratch) batchBuf(slot, n int) []float32 {
 	return grown(&s.bbufs[slot], n)
 }
 
-// im2colTBatchRange stages patch rows [l0, l1) of the receptive-field
-// patches of all images in l-major layout: colT[l*(nImg*n1) + img*n1 +
-// oy*outW + ox] where l runs over (channel, ky, kx) of the group's input
-// channels.  Padding positions are zero.  The l-major layout keeps eight
-// neighbouring output pixels contiguous for the vector GEMM kernel.  Each
-// row is written by exactly one call, so any partitioning of the range
-// produces identical bytes.
-func im2colTBatchRange(colT, in []float32, nImg, sampleStride, inH, inW, icBase int, p ConvParams, outH, outW, l0, l1 int) {
-	n1 := outH * outW
-	nTot := nImg * n1
-	khw := p.KernelH * p.KernelW
-	for l := l0; l < l1; l++ {
-		ic := l / khw
-		rem := l - ic*khw
-		ky := rem / p.KernelW
-		kx := rem - ky*p.KernelW
-		planeOff := (icBase + ic) * inH * inW
-		row := colT[l*nTot : (l+1)*nTot]
-		for img := 0; img < nImg; img++ {
-			plane := in[img*sampleStride+planeOff : img*sampleStride+planeOff+inH*inW]
-			packPatchRow(row[img*n1:(img+1)*n1], plane, inH, inW, p, outH, outW, ky, kx, 0)
-		}
-	}
-}
-
-// im2colTBatchPar fans the staging rows over the worker pool in contiguous
-// index-ordered chunks.  Partitioning never changes the bytes written, so
-// callers stay bit-identical for any worker count; small stagings run
-// serially.
-func im2colTBatchPar(colT, in []float32, nImg, sampleStride, inH, inW, icBase, icCount int, p ConvParams, outH, outW, workers int) {
-	rows := icCount * p.KernelH * p.KernelW
-	nTot := nImg * outH * outW
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 || int64(rows)*int64(nTot) < stagingParMin {
-		im2colTBatchRange(colT, in, nImg, sampleStride, inH, inW, icBase, p, outH, outW, 0, rows)
-		return
-	}
-	forEachChunk(workers, rows, func(l0, l1 int) {
-		im2colTBatchRange(colT, in, nImg, sampleStride, inH, inW, icBase, p, outH, outW, l0, l1)
-	})
-}
-
 // forEachChunk splits [0, n) into one contiguous index-ordered chunk per
 // worker and runs fn(lo, hi) for each on the pool.  Callers return before
 // constructing fn when the copy is serial (workers <= 1 or fewer than
@@ -87,9 +42,8 @@ func forEachChunk(workers, n int, fn func(lo, hi int)) {
 	})
 }
 
-// stagingParMin is the element-count floor below which staging copies
-// (im2col, batch transposes) stay serial: forking the pool costs more than
-// the copy.
+// stagingParMin is the element-count floor below which the batch
+// transposes stay serial: forking the pool costs more than the copy.
 const stagingParMin = 1 << 15
 
 // transposeToColumnsPar repacks sample-major rows (n x f) into feature-major

@@ -126,17 +126,18 @@ func checkConvArgs(input, weights, bias *tensor.Tensor, p ConvParams) (nImg, inH
 // to one simulated GPU thread, mirroring the paper's one-thread-per-neuron
 // mapping.
 //
-// The computation is lowered to im2col plus the blocked GEMM kernel in
-// package tensor; results are bit-identical to the direct reference loop in
-// Conv2DDirect (see the summation-order contract on tensor.GemmNN).  Use
-// Scratch.Conv2DPacked to amortize the im2col and output buffers across runs.
+// The computation streams im2col panels through the blocked GEMM panel
+// kernel in package tensor; results are bit-identical to the direct
+// reference loop in Conv2DDirect (see the summation-order contract on
+// tensor.GemmNN).  Use Scratch.Conv2DPacked to reuse the panel and output
+// buffers across runs.
 func Conv2D(input *tensor.Tensor, weights, bias *tensor.Tensor, p ConvParams) (*tensor.Tensor, error) {
 	return NewScratch().Conv2DPacked(input, weights, bias, p, nil)
 }
 
 // Conv2DDirect is the reference implementation of Conv2D: a direct 7-deep
 // loop nest that accumulates each output element with a scalar sum over
-// (channel, ky, kx) in ascending order.  The GEMM path is validated
+// (channel, ky, kx) in ascending order.  The panel core is validated
 // bit-exactly against it.
 func Conv2DDirect(input *tensor.Tensor, weights, bias *tensor.Tensor, p ConvParams) (*tensor.Tensor, error) {
 	s := NewScratch()
@@ -179,75 +180,6 @@ func conv2DDirectCore(o, in, w, bias []float32, p ConvParams, inH, inW, outH, ou
 					}
 				}
 				o[(oc*outH+oy)*outW+ox] = sum
-			}
-		}
-	}
-}
-
-// convStaged is the reference-tier convolution core of Conv2DPacked: per
-// channel group, the patches of all nImg samples are
-// staged l-major (k x nImg*outH*outW, see im2colTBatchRange) and one
-// tensor.GemmNN multiplies the group's filters against them.  in holds nImg
-// contiguous CHW samples, o receives nImg CHW outputs, biasData may be nil;
-// arguments must be pre-validated.
-//
-// For a single sample the GEMM's row stride outH*outW is the output's own
-// plane stride, so it writes straight into o; if the convolution is also
-// 1x1, stride 1 and unpadded, the patch matrix is the group's input planes
-// as they lie in memory and nothing is staged.  A batch folds its samples
-// into the GEMM columns, so the channel-major product lands in a group
-// buffer and is copied out plane by plane.  Every output element is one
-// bias-seeded dot product in (channel, ky, kx) order whichever case runs:
-// bit-identical to Conv2DDirect for any batch size and worker count.
-func (s *Scratch) convStaged(o, in []float32, weights *tensor.Tensor, biasData []float32, p ConvParams, nImg, inH, inW, outH, outW int) {
-	groups := p.groups()
-	inCPerGroup := p.InChannels / groups
-	outCPerGroup := p.OutChannels / groups
-	n1 := outH * outW
-	nTot := nImg * n1
-	k := inCPerGroup * p.KernelH * p.KernelW
-	sampleStride := p.InChannels * inH * inW
-	outSample := p.OutChannels * n1
-	w := weights.Data()
-	workers := s.Workers()
-
-	inPlace := nImg == 1 && p.KernelH == 1 && p.KernelW == 1 &&
-		p.StrideH == 1 && p.StrideW == 1 && p.PadH == 0 && p.PadW == 0
-	var colT, gbuf []float32
-	if !inPlace {
-		colT = s.buffer(k * nTot)
-	}
-	if nImg > 1 {
-		gbuf = s.batchBuf(1, outCPerGroup*nTot)
-	}
-	for g := 0; g < groups; g++ {
-		icBase := g * inCPerGroup
-		patches := colT
-		if inPlace {
-			patches = in[icBase*n1 : (icBase+inCPerGroup)*n1]
-		} else {
-			im2colTBatchPar(colT, in, nImg, sampleStride, inH, inW, icBase, inCPerGroup, p, outH, outW, workers)
-		}
-		oc0 := g * outCPerGroup
-		var gb []float32
-		if biasData != nil {
-			gb = biasData[oc0 : oc0+outCPerGroup]
-		}
-		dst := gbuf
-		if nImg == 1 {
-			dst = o[oc0*n1 : (oc0+outCPerGroup)*n1]
-		}
-		tensor.GemmNNParallel(dst, w[oc0*k:(oc0+outCPerGroup)*k], patches, gb,
-			outCPerGroup, nTot, k, nTot, workers)
-		if nImg == 1 {
-			continue
-		}
-		// Un-interleave the channel-major product (outC x nImg*n1) into the
-		// sample-major NCHW layout: contiguous n1-float plane copies.
-		for ocg := 0; ocg < outCPerGroup; ocg++ {
-			src := gbuf[ocg*nTot : (ocg+1)*nTot]
-			for img := 0; img < nImg; img++ {
-				copy(o[img*outSample+(oc0+ocg)*n1:][:n1], src[img*n1:(img+1)*n1])
 			}
 		}
 	}

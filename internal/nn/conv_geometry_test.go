@@ -234,46 +234,35 @@ func TestConvPackedSingleMatchesBatchOfOne(t *testing.T) {
 }
 
 // TestScratchBytesCountsConvStaging pins the resident-bytes accounting of the
-// conv core's buffers: one k x N*n staging matrix, plus the group product
-// buffer for a batch, and nothing at all for an in-place 1x1 — and, under
-// the fast tiers, nothing in the staging buffer whatever the geometry; under
-// int8, no float panel, and the u8 planes and offset tables in Bytes().
+// one conv core's buffers.  Every tier streams panels: the reference tier,
+// with a fast pack or without one, stages exactly the float panels the fast
+// tier stages for the same call and nothing else, for a sample and for a
+// batch; an in-place 1x1 stages nothing on either float tier at N = 1 and
+// N = 3; and int8 stages no float panel, only its u8 planes and offset
+// tables beside its tile panels, accumulators and scales, all counted by
+// Bytes().
 func TestScratchBytesCountsConvStaging(t *testing.T) {
 	r := tensor.NewRNG(3)
-	p := ConvParams{InChannels: 4, OutChannels: 6, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}
-	const h, w, k, n = 5, 7, 2 * 3 * 3, 5 * 7
-	weights, bias := randBatch(r, p.WeightCount()), randBatch(r, p.OutChannels)
-
-	s := NewScratch()
-	if _, err := s.Conv2DPacked(randBatch(r, 4, h, w), weights, bias, p, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.Bytes()-s.ArenaBytes(), int64(k*n*4); got != want {
-		t.Fatalf("single sample: %d staging bytes, want %d", got, want)
-	}
-	if _, err := s.Conv2DPacked(randBatch(r, 3, 4, h, w), weights, bias, p, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.Bytes()-s.ArenaBytes(), int64((k+3)*3*n*4); got != want {
-		t.Fatalf("batch of 3: %d staging bytes, want %d", got, want)
-	}
-
-	s = NewScratch()
+	const h, w = 5, 7
 	p1 := ConvParams{InChannels: 4, OutChannels: 6, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}
-	if _, err := s.Conv2DPacked(randBatch(r, 4, h, w), randBatch(r, p1.WeightCount()), nil, p1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Bytes() - s.ArenaBytes(); got != 0 {
-		t.Fatalf("in-place 1x1: %d staging bytes, want 0", got)
+	w1 := randBatch(r, p1.WeightCount())
+	for _, mode := range []Numerics{NumericsReference, NumericsFast} {
+		s := NewScratch()
+		s.SetNumerics(mode)
+		for _, in := range []*tensor.Tensor{randBatch(r, 4, h, w), randBatch(r, 3, 4, h, w)} {
+			if _, err := s.Conv2DPacked(in, w1, nil, p1, PackConv(w1, p1, mode)); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Bytes() - s.ArenaBytes(); got != 0 {
+				t.Fatalf("%v: in-place 1x1 of shape %v: %d staging bytes, want 0", mode, in.Shape(), got)
+			}
+		}
 	}
 
-	// The fast tiers stream patches through the fused column panels: for a
-	// sample and for a batch the reference staging buffer must stay
-	// unallocated.  A fast tier that silently fell back to the staged core
-	// would leave the k*n floats the reference tier leaves from the same call.
 	// The int8 tier stages bytes: no float panel at all, one set of padded u8
 	// planes per image (planes bytes each) and one pair of offset tables (offs
-	// int32s: padded depth plus output pixels), all counted by Bytes().
+	// int32s: padded depth plus output pixels).
+	p := ConvParams{InChannels: 4, OutChannels: 6, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}
 	for _, c := range []struct {
 		g            convGeom
 		planes, offs int
@@ -289,64 +278,151 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 		// depth 4*3*3 = 36, 35 pixels.
 		{convGeom{ConvParams{InChannels: 4, OutChannels: 6, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w},
 			4 * 7 * 9, 36 + 35},
+		// Two column panels (n = 529), each staged in the one worker's panel.
+		{convGeom{ConvParams{InChannels: 32, OutChannels: 6, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 23, 23},
+			8 * 25 * 25 * 4, 288 + 529},
 	} {
 		g := c.g
 		weights, bias := randBatch(r, g.p.WeightCount()), randBatch(r, g.p.OutChannels)
-		single := randBatch(r, g.p.InChannels, g.inH, g.inW)
-		batch := randBatch(r, 2, g.p.InChannels, g.inH, g.inW)
-		outH, outW := g.p.OutputDims(g.inH, g.inW)
-		staged := (g.p.InChannels / g.p.groups()) * g.p.KernelH * g.p.KernelW * outH * outW
-		for _, mode := range []Numerics{NumericsReference, NumericsFast, NumericsInt8} {
-			// The reference tier is handed a fast pack: a pack alone must
-			// not pull it off the staged core.
-			packMode, want := mode, 0
-			if mode == NumericsReference {
-				packMode, want = NumericsFast, staged
-			}
-			pk := PackConv(weights, g.p, packMode)
-			checkInt8 := func(s *Scratch, nImg int, entry string) {
+		fastPack := PackConv(weights, g.p, NumericsFast)
+		for _, in := range []*tensor.Tensor{
+			randBatch(r, g.p.InChannels, g.inH, g.inW), randBatch(r, 2, g.p.InChannels, g.inH, g.inW),
+		} {
+			nImg := samples(in)
+			run := func(mode Numerics, pk *ConvPack) *Scratch {
 				t.Helper()
-				if mode != NumericsInt8 {
-					return
+				s := NewScratch()
+				s.SetNumerics(mode)
+				if _, err := s.Conv2DPacked(in, weights, bias, g.p, pk); err != nil {
+					t.Fatalf("%v/%v/n%d: %v", g, mode, nImg, err)
 				}
-				if len(s.fpanels) != 0 {
-					t.Fatalf("%v/%s: int8 allocated %d float panels", g, entry, len(s.fpanels))
-				}
-				if cap(s.planes) != nImg*c.planes || cap(s.offs) != c.offs {
-					t.Fatalf("%v/%s: %d plane bytes and %d offsets, want %d and %d",
-						g, entry, cap(s.planes), cap(s.offs), nImg*c.planes, c.offs)
-				}
-				other := int64(cap(s.qscales)) * 4
-				for _, b := range s.u8bufs {
-					other += int64(cap(b))
-				}
-				for _, b := range s.accbs {
-					other += int64(cap(b)) * 4
-				}
-				if got := s.Bytes() - s.ArenaBytes() - other; got != int64(cap(s.planes)+4*cap(s.offs)) {
-					t.Fatalf("%v/%s: Bytes() counts %d bytes beside the panel, accumulator and scale buffers, want planes %d + offsets %d",
-						g, entry, got, cap(s.planes), 4*cap(s.offs))
+				return s
+			}
+			fast := run(NumericsFast, fastPack)
+			panels := int64(len(fast.fpanels)) * tensor.FusedPanelFloats * 4
+			if len(fast.fpanels) == 0 || fast.Bytes()-fast.ArenaBytes() != panels {
+				t.Fatalf("%v/n%d: fast tier stages %d bytes in %d panels, want the panels alone",
+					g, nImg, fast.Bytes()-fast.ArenaBytes(), len(fast.fpanels))
+			}
+			for _, pk := range []*ConvPack{nil, fastPack} {
+				ref := run(NumericsReference, pk)
+				if len(ref.fpanels) != len(fast.fpanels) || ref.Bytes()-ref.ArenaBytes() != panels {
+					t.Fatalf("%v/n%d/pack %v: reference stages %d bytes in %d panels, want the fast tier's %d in %d",
+						g, nImg, pk != nil, ref.Bytes()-ref.ArenaBytes(), len(ref.fpanels), panels, len(fast.fpanels))
 				}
 			}
-			s := NewScratch()
-			s.SetNumerics(mode)
-			if _, err := s.Conv2DPacked(single, weights, bias, g.p, pk); err != nil {
-				t.Fatalf("%v/%v: %v", g, mode, err)
+			s := run(NumericsInt8, PackConv(weights, g.p, NumericsInt8))
+			if len(s.fpanels) != 0 {
+				t.Fatalf("%v/n%d: int8 allocated %d float panels", g, nImg, len(s.fpanels))
 			}
-			if cap(s.col) != want {
-				t.Fatalf("%v/%v: sample staged %d floats, want %d", g, mode, cap(s.col), want)
+			if cap(s.planes) != nImg*c.planes || cap(s.offs) != c.offs {
+				t.Fatalf("%v/n%d: %d plane bytes and %d offsets, want %d and %d",
+					g, nImg, cap(s.planes), cap(s.offs), nImg*c.planes, c.offs)
 			}
-			checkInt8(s, 1, "sample")
-			s = NewScratch()
-			s.SetNumerics(mode)
-			if _, err := s.Conv2DPacked(batch, weights, bias, g.p, pk); err != nil {
-				t.Fatalf("%v/%v: %v", g, mode, err)
+			other := int64(cap(s.qscales)) * 4
+			for _, b := range s.u8bufs {
+				other += int64(cap(b))
 			}
-			if cap(s.col) != 2*want {
-				t.Fatalf("%v/%v: batch staged %d floats, want %d", g, mode, cap(s.col), 2*want)
+			for _, b := range s.accbs {
+				other += int64(cap(b)) * 4
 			}
-			checkInt8(s, 2, "batch")
+			if got := s.Bytes() - s.ArenaBytes() - other; got != int64(cap(s.planes)+4*cap(s.offs)) {
+				t.Fatalf("%v/n%d: Bytes() counts %d bytes beside the panel, accumulator and scale buffers, want planes %d + offsets %d",
+					g, nImg, got, cap(s.planes), 4*cap(s.offs))
+			}
 		}
+	}
+}
+
+// convFastPanelOracle is the fast-tier convolution of nImg CHW images written
+// as the panel walk itself: per image and group, every FusedNC column panel
+// finishes its FusedKC depth slabs through packConvPanel and
+// tensor.GemmNNFastAccumPanel, from a FusedPanelFloats buffer as the engine
+// provides; an in-place 1x1 is one tensor.GemmNNFast over the input planes.
+func convFastPanelOracle(in, bias []float32, pk *ConvPack, p ConvParams, nImg, inH, inW int) []float32 {
+	outH, outW := p.OutputDims(inH, inW)
+	n1 := outH * outW
+	groups := p.groups()
+	cg, og := p.InChannels/groups, p.OutChannels/groups
+	out := make([]float32, nImg*p.OutChannels*n1)
+	panel := make([]float32, tensor.FusedPanelFloats)
+	inPlace := p.KernelH == 1 && p.KernelW == 1 && p.StrideH == 1 && p.StrideW == 1 && p.PadH == 0 && p.PadW == 0
+	for img := 0; img < nImg; img++ {
+		sample := in[img*p.InChannels*inH*inW:]
+		for g := 0; g < groups; g++ {
+			pa := pk.f[g]
+			var gb []float32
+			if bias != nil {
+				gb = bias[g*og : (g+1)*og]
+			}
+			dst := out[(img*p.OutChannels+g*og)*n1:]
+			if inPlace {
+				tensor.GemmNNFast(dst, pa, sample[g*cg*n1:], gb, n1, n1)
+				continue
+			}
+			for p0 := 0; p0 < n1; p0 += tensor.FusedNC {
+				pw := min(n1-p0, tensor.FusedNC)
+				for kb := 0; kb < pa.Cols(); kb += tensor.FusedKC {
+					kc := min(pa.Cols()-kb, tensor.FusedKC)
+					packConvPanel(panel, sample, inH, inW, g*cg, p, outH, outW, kb, kc, p0, pw)
+					tensor.GemmNNFastAccumPanel(dst[p0:], pa, panel[:kc*pw], gb, kb, kc, pw, n1)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestConvFastMatchesPanelOracle holds the fast tier's kernel choice: on every
+// SIMD rung, for every table geometry and a seeded random draw, batches of 1
+// and 2 and worker counts 1 and 3, a fast-tier Conv2DPacked must equal
+// convFastPanelOracle bit for bit.  On the FMA and AVX-512 rungs a fast tier
+// that ran the reference panel kernel (or any other blocking) fails here; on
+// the generic rung the fast scalar kernel keeps the reference order, so
+// there the two kernels cannot be told apart.
+func TestConvFastMatchesPanelOracle(t *testing.T) {
+	geoms := convGeometryTable()
+	r := tensor.NewRNG(41)
+	for i := 0; i < 30; i++ {
+		geoms = append(geoms, randomConvGeom(r))
+	}
+	const maxN = 2
+	for _, g := range geoms {
+		p := g.p
+		w := randBatch(r, p.WeightCount())
+		var bd []float32
+		var b *tensor.Tensor
+		if r.Uint64()%4 != 0 {
+			b = randBatch(r, p.OutChannels)
+			bd = b.Data()
+		}
+		in := randBatch(r, maxN, p.InChannels, g.inH, g.inW)
+		pk := PackConv(w, p, NumericsFast)
+		forFastTiers(func(tier tensor.SIMDTier) {
+			want := convFastPanelOracle(in.Data(), bd, pk, p, maxN, g.inH, g.inW)
+			for _, workers := range []int{1, 3} {
+				s := NewScratch()
+				s.SetNumerics(NumericsFast)
+				s.SetWorkers(workers)
+				for _, n := range []int{1, maxN} {
+					batch, err := tensor.FromSlice(in.Data()[:n*in.Len()/maxN], n, p.InChannels, g.inH, g.inW)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.BeginRun()
+					out, err := s.Conv2DPacked(batch, w, b, p, pk)
+					if err != nil {
+						t.Fatalf("%v/%v/n%d/w%d: %v", g, tier, n, workers, err)
+					}
+					for i, v := range out.Data() {
+						if math.Float32bits(v) != math.Float32bits(want[i]) {
+							t.Fatalf("%v/%v/n%d/w%d: element %d = %x, panel oracle %x",
+								g, tier, n, workers, i, math.Float32bits(v), math.Float32bits(want[i]))
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

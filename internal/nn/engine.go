@@ -26,10 +26,10 @@ import (
 // kernels).
 
 // Scratch is the per-goroutine state of the compute engine: a
-// shape-memoizing output arena, the convolution staging buffer (col, the
-// l-major patch matrix of convStaged), recurrent gate buffers and the worker
-// count for row-panel parallelism.  After the first
-// run on a given network, repeated runs perform near-zero heap allocations.
+// shape-memoizing output arena, the convolution's per-worker panel buffers,
+// recurrent gate buffers and the worker count for row-panel parallelism.
+// After the first run on a given network, repeated runs perform near-zero
+// heap allocations.
 //
 // All tensors returned by Scratch methods alias the arena: their contents
 // are valid until the next BeginRun on the same Scratch.  A Scratch is not
@@ -40,7 +40,6 @@ type Scratch struct {
 	direct   bool
 	numerics Numerics
 	arena    tensor.Arena
-	col      []float32
 	vecs     [][]float32
 	bbufs    [][]float32
 	u8bufs   [][]uint8
@@ -83,13 +82,12 @@ func (s *Scratch) BeginRun() { s.arena.Reset() }
 func (s *Scratch) ArenaBytes() int64 { return s.arena.Bytes() }
 
 // Bytes reports the Scratch's total resident footprint: the output arena
-// plus every reusable staging buffer (the reference convolution's patch
-// matrix, recurrent gate vectors, batch buffers, the fused path's column
-// panels, int8 planes, offset tables, activation, accumulator and scale
-// buffers).  It is the memory-accounting surface behind per-model
+// plus every reusable staging buffer (the convolution's column panels,
+// recurrent gate vectors, batch buffers, int8 planes, offset tables,
+// activation, accumulator and scale buffers).  It is the memory-accounting surface behind per-model
 // resident-bytes reporting.
 func (s *Scratch) Bytes() int64 {
-	n := s.arena.Bytes() + int64(cap(s.col))*4
+	n := s.arena.Bytes()
 	for _, v := range s.vecs {
 		n += int64(cap(v)) * 4
 	}
@@ -174,9 +172,6 @@ func perSample(o, in []float32, n int, fn func(o, in []float32)) {
 	}
 }
 
-// buffer returns a float32 staging buffer of length n, reused across calls.
-func (s *Scratch) buffer(n int) []float32 { return grown(&s.col, n) }
-
 // vec returns the recurrent buffer for the given slot, sized to n: slot 0
 // holds a batch's feature-major hidden state, 1 the LSTM cell state, 2 the
 // transposed step input, and 3-7 a step's gate buffers.
@@ -213,31 +208,24 @@ func biasOf(bias *tensor.Tensor) []float32 {
 
 // Conv2DPacked is the convolution layer, over weights (outC x inC/groups x
 // kh x kw) and an optional per-output-channel bias.  pk is the layer's
-// weight pack for the tier selected by SetNumerics: with the matching pack
-// it runs the fused fast-tier core (fastfused.go) for either tier and any
-// batch size; with a nil pack (or on the reference tier) it runs the staged
-// reference core, convStaged, bit-identical to Conv2DDirect; under SetDirect
-// it runs the direct loop nest image by image.  A batch folds its samples
-// into each GEMM, and a batch of one is bit-identical to its single sample.
+// weight pack for the tier selected by SetNumerics.  Every tier and batch
+// size runs the one panel core (convFused, fastfused.go): the matching pack
+// selects the fast or int8 panel kernel, and the reference tier — or any
+// tier without its pack — the bit-exact one, identical to Conv2DDirect.
+// Under SetDirect it runs the direct loop nest image by image.  A batch of
+// one is bit-identical to its single sample.
 func (s *Scratch) Conv2DPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
 	nImg, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p)
 	if err != nil {
 		return nil, err
 	}
 	out := s.outMap(input, nImg, p.OutChannels, outH, outW)
-	o, in, b := out.Data(), input.Data(), biasOf(bias)
-	mode := s.Numerics()
-	int8Path := mode == NumericsInt8 && pk != nil && pk.q != nil
-	switch {
-	case s.direct:
-		perSample(o, in, nImg, func(o, in []float32) {
-			conv2DDirectCore(o, in, weights.Data(), b, p, inH, inW, outH, outW)
-		})
-	case int8Path || (mode != NumericsReference && pk != nil && pk.f != nil):
-		s.convFused(o, in, b, pk, p, nImg, inH, inW, outH, outW, int8Path)
-	default:
-		s.convStaged(o, in, weights, b, p, nImg, inH, inW, outH, outW)
+	o, in, w, b := out.Data(), input.Data(), weights.Data(), biasOf(bias)
+	if s.direct {
+		perSample(o, in, nImg, func(o, in []float32) { conv2DDirectCore(o, in, w, b, p, inH, inW, outH, outW) })
+		return out, nil
 	}
+	s.convFused(o, in, w, b, pk, p, nImg, inH, inW, outH, outW)
 	return out, nil
 }
 

@@ -5,13 +5,22 @@ import (
 	"tango/internal/tensor"
 )
 
-// This file implements the fused-staging convolution of the fast-numerics
-// tier: instead of materializing the full l-major im2col matrix (k x
-// N*outH*outW floats) and then running the packed GEMM over it, receptive-
-// field patches stream directly from the padded input into L2-resident
-// column panels that the GEMM microkernels consume in place, and the
-// product lands straight in the NCHW output block (dst rows outH*outW
-// floats apart via the two-stride kernels).
+// This file implements the convolution core of every tier.  Receptive-field
+// patches stream from the input into L2-resident column panels that a GEMM
+// panel kernel consumes in place, and the product lands straight in the
+// NCHW output block (dst rows outH*outW floats apart).  Nothing of size
+// k x N*outH*outW is ever staged.  The tier picks only how a panel is
+// staged and multiplied:
+//
+//   - reference: a float panel and tensor.GemmNNAccumPanel, one accumulator
+//     per element in (channel, ky, kx) order, bit-identical to Conv2DDirect;
+//   - fast: a float panel and tensor.GemmNNFastAccumPanel on the packed
+//     weights;
+//   - int8: a byte panel and tensor.GemmInt8Panel.
+//
+// A 1x1, stride-1, unpadded convolution on a float tier stages nothing: the
+// group's input planes are B as they lie, and one GEMM per image writes the
+// output planes in place.
 //
 // Geometry and determinism: each (group, image) output block is covered by
 // a fixed grid of tensor.FusedNC-column panels; a panel is finished by
@@ -19,7 +28,9 @@ import (
 // grid depends only on the layer shape — never on the worker count or the
 // batch, since panels never straddle image boundaries — and panels cover
 // disjoint output columns, so an image's bytes are the same for any worker
-// fan-out and in any batch.
+// fan-out and in any batch.  With fewer than two (image, panel) tasks per
+// worker, the reference tier splits its weight rows across the workers
+// instead, which leaves every element's arithmetic as it was.
 //
 // The int8 tier stages bytes, not floats.  The activation scale is per
 // (group, image), from that image's group input planes, so it does not
@@ -31,81 +42,106 @@ import (
 // to match.  Any order is exact: int32 sums do not depend on it, zero weights
 // add nothing, and a weight row's scale and compensation ignore both.
 
-// convFused runs the fused fast-tier convolution over nImg contiguous CHW
-// samples in `in`, writing NCHW output planes into o.  pk must carry the
-// pack matching int8Path.
-func (s *Scratch) convFused(o, in, biasData []float32, pk *ConvPack, p ConvParams, nImg, inH, inW, outH, outW int, int8Path bool) {
+// convFused runs the convolution over nImg contiguous CHW samples in `in`
+// with weights w, writing NCHW output planes into o.  The tier's pack
+// selects the panel kernel: pk's int8 panels under NumericsInt8, its float
+// panels under either fast tier, and the raw weights otherwise.
+func (s *Scratch) convFused(o, in, w, biasData []float32, pk *ConvPack, p ConvParams, nImg, inH, inW, outH, outW int) {
+	var pa []*tensor.PackedA
+	var pq []*tensor.PackedInt8
+	if mode := s.Numerics(); pk != nil && mode == NumericsInt8 && pk.q != nil {
+		pq = pk.q
+	} else if pk != nil && mode != NumericsReference {
+		pa = pk.f
+	}
 	sampleStride := p.InChannels * inH * inW
 	groups := p.groups()
 	inCPerGroup := p.InChannels / groups
 	outCPerGroup := p.OutChannels / groups
+	k := inCPerGroup * p.KernelH * p.KernelW
 	n1 := outH * outW
 	workers := s.Workers()
-	oneByOne := !int8Path && p.KernelH == 1 && p.KernelW == 1 &&
+	oneByOne := pq == nil && p.KernelH == 1 && p.KernelW == 1 &&
 		p.StrideH == 1 && p.StrideW == 1 && p.PadH == 0 && p.PadW == 0
 	job := fusedJob{o: o, in: in, p: p, sampleStride: sampleStride, inH: inH, inW: inW,
-		outH: outH, outW: outW, n1: n1, outSample: p.OutChannels * n1,
+		outH: outH, outW: outW, n1: n1, outSample: p.OutChannels * n1, m: outCPerGroup, k: k,
 		nPanels: (n1 + tensor.FusedNC - 1) / tensor.FusedNC}
 	tasks := nImg * job.nPanels
-	if int8Path {
+	fan := min(workers, tasks)
+	if pa == nil && pq == nil && tasks < 2*workers {
+		// Too few panels to share out evenly (AlexNet conv2's two are 512 and
+		// 217 columns wide): every worker runs every panel over its own
+		// 4-row-aligned range of the weight rows instead.
+		if fan = min(workers, outCPerGroup/4); fan > 1 {
+			job.rowChunk = (outCPerGroup + fan*4 - 1) / (fan * 4) * 4
+			fan = (outCPerGroup + job.rowChunk - 1) / job.rowChunk
+		}
+	}
+	if pq != nil {
 		job.u8 = s.u8Planes(p, nImg, inH, inW, outH, outW)
 	}
 
 	for g := 0; g < groups; g++ {
 		job.oc0 = g * outCPerGroup
 		job.icBase = g * inCPerGroup
+		job.w = w[job.oc0*k : (job.oc0+outCPerGroup)*k]
 		job.gb = nil
 		if biasData != nil {
 			job.gb = biasData[job.oc0 : job.oc0+outCPerGroup]
 		}
+		if pa != nil {
+			job.pa = pa[g]
+		}
 		if oneByOne {
-			// 1x1/stride-1: the group's input planes ARE the B matrix
-			// (k rows of n1 contiguous floats) — no patch extraction, no
-			// panel packing, the GEMM streams the input in place.
-			pa := pk.f[g]
+			// The group's input planes ARE the B matrix (k rows of n1
+			// contiguous floats): the GEMM streams them in place.
 			for img := 0; img < nImg; img++ {
-				tensor.GemmNNFastStridedParallel(
-					o[img*job.outSample+job.oc0*n1:], pa,
-					in[img*sampleStride+job.icBase*n1:], job.gb, n1, n1, n1, workers)
+				dst := o[img*job.outSample+job.oc0*n1:]
+				b := in[img*sampleStride+job.icBase*n1:]
+				if job.pa != nil {
+					tensor.GemmNNFastParallel(dst, job.pa, b, job.gb, n1, n1, workers)
+				} else {
+					tensor.GemmNNParallel(dst, job.w, b, job.gb, outCPerGroup, n1, k, n1, workers)
+				}
 			}
 			continue
 		}
-		if int8Path {
-			job.pq = pk.q[g]
+		if pq != nil {
+			job.pq = pq[g]
 			job.scales = grown(&s.qscales, nImg)
 			for img := 0; img < nImg; img++ {
 				planes := in[img*sampleStride+job.icBase*inH*inW:][:inCPerGroup*inH*inW]
 				job.scales[img] = tensor.U8Scale(tensor.MaxAbs(planes))
 				job.u8.quantize(img, planes, 1/job.scales[img])
 			}
-		} else {
-			job.pa = pk.f[g]
 		}
-		w := min(workers, tasks)
-		if w <= 1 {
+		if fan <= 1 {
 			// Serial path: no closures (they would escape and break the
 			// engine's zero-alloc steady state).
 			panel, u8p, acc := s.fusedBufs(0, &job)
 			for t := 0; t < tasks; t++ {
-				job.run(t, panel, u8p, acc)
+				job.run(t, panel, u8p, acc, 0, outCPerGroup)
 			}
 			continue
 		}
-		s.convFusedGroupPar(job, tasks, w)
+		s.convFusedGroupPar(job, tasks, fan)
 	}
 }
 
-// fusedJob is one group of a fused convolution call, split into tasks: task
-// t finishes the output columns of panel t%nPanels of image t/nPanels.
+// fusedJob is one group (m weight rows of depth k) of a convolution call,
+// split into tasks: task t finishes the output columns of panel t%nPanels
+// of image t/nPanels.  Exactly one of pq (int8), pa (fast) and neither
+// (reference, on the raw weights w) selects the panel kernel.  A non-zero
+// rowChunk splits the reference tier's rows instead of its tasks.
 type fusedJob struct {
-	o, in, gb []float32
-	pa        *tensor.PackedA
-	pq        *tensor.PackedInt8
-	u8        u8Planes
-	scales    []float32
-	p         ConvParams
+	o, in, w, gb []float32
+	pa           *tensor.PackedA
+	pq           *tensor.PackedInt8
+	u8           u8Planes
+	scales       []float32
+	p            ConvParams
 
-	sampleStride, inH, inW, icBase, outH, outW, n1, outSample, oc0, nPanels int
+	sampleStride, inH, inW, icBase, outH, outW, n1, outSample, oc0, nPanels, m, k, rowChunk int
 }
 
 // fusedBufs returns worker slot wi's staging buffers: a float panel, or the
@@ -118,8 +154,12 @@ func (s *Scratch) fusedBufs(wi int, job *fusedJob) ([]float32, []uint8, []int32)
 	return s.panelBuf(wi), nil, nil
 }
 
-// run finishes task t with one worker's staging buffers.
-func (j *fusedJob) run(t int, panel []float32, u8p []uint8, acc []int32) {
+// run finishes task t with one worker's staging buffers, over weight rows
+// [r0, r1) on the reference tier and every row on the others.  A float
+// panel is finished one FusedKC depth slab at a time: pack the slab's patch
+// block, then accumulate it onto the output block (bias-seeded at the first
+// slab).
+func (j *fusedJob) run(t int, panel []float32, u8p []uint8, acc []int32, r0, r1 int) {
 	img, pi := t/j.nPanels, t%j.nPanels
 	p0 := pi * tensor.FusedNC
 	pw := min(j.n1-p0, tensor.FusedNC)
@@ -129,16 +169,26 @@ func (j *fusedJob) run(t int, panel []float32, u8p []uint8, acc []int32) {
 		tensor.GemmInt8Panel(dst, j.pq, u8p, acc, j.gb, j.scales[img], pw, j.n1)
 		return
 	}
-	fusedConvPanel(dst, j.in[img*j.sampleStride:], j.pa, j.gb, j.p, j.inH, j.inW, j.icBase,
-		j.outH, j.outW, j.n1, p0, pw, panel)
+	sample := j.in[img*j.sampleStride:]
+	for kb := 0; kb < j.k; kb += tensor.FusedKC {
+		kc := min(j.k-kb, tensor.FusedKC)
+		packConvPanel(panel, sample, j.inH, j.inW, j.icBase, j.p, j.outH, j.outW, kb, kc, p0, pw)
+		if j.pa != nil {
+			tensor.GemmNNFastAccumPanel(dst, j.pa, panel[:kc*pw], j.gb, kb, kc, pw, j.n1)
+		} else {
+			tensor.GemmNNAccumPanel(dst, j.w, panel[:kc*pw], j.gb, j.k, kb, kc, pw, j.n1, r0, r1)
+		}
+	}
 }
 
 // convFusedGroupPar fans one group's tasks over the worker pool.  It takes
 // the job by value and lives in its own function so the closure below never
 // forces the serial path's locals to the heap (convFused must stay
 // closure-free for the zero-alloc steady state).  Worker wi owns tasks wi,
-// wi+w, ... — a fixed assignment over the fixed panel grid, so the bytes
-// written are identical for any worker count.
+// wi+w, ... — or, with a rowChunk, every task over its own chunk of the
+// weight rows, packing each panel itself.  Either is a fixed assignment in
+// which each output element is written by one worker in its serial order,
+// so the bytes are identical for any worker count.
 func (s *Scratch) convFusedGroupPar(job fusedJob, tasks, w int) {
 	// Pre-grow the per-worker buffers before fanning out: the slot helpers
 	// may append/resize, which must not race.
@@ -147,26 +197,16 @@ func (s *Scratch) convFusedGroupPar(job fusedJob, tasks, w int) {
 	}
 	_ = par.ForEach(w, w, func(wi int) error {
 		panel, u8p, acc := s.fusedBufs(wi, &job)
-		for t := wi; t < tasks; t += w {
-			job.run(t, panel, u8p, acc)
+		t0, step, r0, r1 := wi, w, 0, job.m
+		if job.rowChunk > 0 {
+			t0, step, r0 = 0, 1, min(wi*job.rowChunk, job.m)
+			r1 = min(r0+job.rowChunk, job.m)
+		}
+		for t := t0; t < tasks; t += step {
+			job.run(t, panel, u8p, acc, r0, r1)
 		}
 		return nil
 	})
-}
-
-// fusedConvPanel finishes one float column panel: for each FusedKC depth
-// slab it packs the receptive-field patch block into panel and accumulates
-// it onto the strided output block (bias-seeded at the first slab).
-func fusedConvPanel(dst, sample []float32, pa *tensor.PackedA, gb []float32, p ConvParams, inH, inW, icBase, outH, outW, n1, p0, pw int, panel []float32) {
-	k := pa.Cols()
-	for kb := 0; kb < k; kb += tensor.FusedKC {
-		kc := k - kb
-		if kc > tensor.FusedKC {
-			kc = tensor.FusedKC
-		}
-		packConvPanel(panel, sample, inH, inW, icBase, p, outH, outW, kb, kc, p0, pw)
-		tensor.GemmNNFastAccumPanel(dst, pa, panel[:kc*pw], gb, kb, kc, pw, n1)
-	}
 }
 
 // u8Order returns the int8 depth order of a convolution: lanes is 4 when a
@@ -265,10 +305,10 @@ func fill128(b []uint8) {
 
 // packConvPanel streams the receptive-field patch block covering depth rows
 // [kb, kb+kc) and output pixels [p0, p0+pw) of one sample into a compact
-// kc x pw row-major panel.  Depth row l maps to kernel tap (ic, ky, kx)
-// exactly as in the staged im2col, and padding positions are zero, so the
-// panel holds the same values the staged colT would — just never all of
-// them at once.
+// kc x pw row-major panel.  Depth row l maps to kernel tap (ic, ky, kx) in
+// the weights' own order, (channel, ky, kx) ascending, and padding
+// positions are zero: the panel is a kc x pw block of the l-major im2col
+// matrix, which is never materialized whole.
 func packConvPanel(panel, sample []float32, inH, inW, icBase int, p ConvParams, outH, outW, kb, kc, p0, pw int) {
 	khw := p.KernelH * p.KernelW
 	for li := 0; li < kc; li++ {
@@ -357,7 +397,7 @@ func grown[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// panelBuf returns the fused-GEMM B panel buffer for the given worker slot
+// panelBuf returns the float B panel buffer for the given worker slot
 // (tensor.FusedPanelFloats floats, allocated once and reused).
 func (s *Scratch) panelBuf(slot int) []float32 {
 	for len(s.fpanels) <= slot {

@@ -33,8 +33,7 @@ func BenchmarkGemmNNPacked(b *testing.B) {
 // FusedNC panels through GemmNNFastAccumPanel, with the panel fill (the
 // fused analogue of patch packing) inside the timed region.  Comparing the
 // two GMAC/s numbers shows the cost of panel staging relative to a staged
-// B matrix — while BenchmarkIm2colStage (internal/nn) prices the staged
-// buffer fill the fused path avoids.
+// B matrix.
 func BenchmarkGemmFusedPanels(b *testing.B) {
 	m, k, n := 128, 1200, 8*27*27
 	r := NewRNG(3)

@@ -8,10 +8,10 @@ import (
 	"tango/internal/tensor"
 )
 
-// Tests of the fused-staging kernel layer: the strided GEMM entry points
-// (NCHW-destination writes), the B-panel accumulator, and the int8 panel
-// gather that together let nn's fused convolution skip the staged
-// l-major colT buffer.
+// Tests of the panel kernel layer: the reference and fast B-panel
+// accumulators (NCHW-destination writes) and the int8 panel gather that
+// together let nn's convolution core stream patches panel by panel instead
+// of staging a whole l-major patch matrix.
 
 // fillPanel copies the kc x nc slab of b covering depth rows [kb, kb+kc)
 // and columns [p0, p0+nc) into compact row-major layout (stride nc).
@@ -45,57 +45,58 @@ func runFusedPanels(dst []float32, pa *tensor.PackedA, b, bias []float32, n, k, 
 	}
 }
 
-// TestGemmNNFastStridedBitwise: the strided entry point with compact
-// strides must be bit-identical to GemmNNFast, and a padded destination
-// stride must neither change the computed rows nor touch the gap columns.
-func TestGemmNNFastStridedBitwise(t *testing.T) {
+// TestGemmNNAccumPanelBitwise: the reference panel kernel walked over a
+// panel grid must equal GemmNN bit for bit on both rungs, for grids with
+// column tails narrower than one vector and depth tails, whole or split into
+// row ranges, with a padded destination stride whose gap columns stay
+// untouched.
+func TestGemmNNAccumPanelBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	m, n, k := 10, 173, 65
-	a := randSlice(rng, m*k)
-	bias := randSlice(rng, m)
-	ldb := n + 5
-	bWide := randSlice(rng, k*ldb)
-	b := make([]float32, k*n)
-	for l := 0; l < k; l++ {
-		copy(b[l*n:(l+1)*n], bWide[l*ldb:l*ldb+n])
+	for _, rung := range []string{"detected", "portable"} {
+		t.Run(rung, func(t *testing.T) {
+			if rung == "portable" {
+				t.Cleanup(tensor.ForcePortableGemmNN())
+			}
+			for _, s := range []gemmShape{{10, 173, 65}, {14, 512, 300}, {1, 31, 9}, {9, 513, 257}} {
+				a := randSlice(rng, s.m*s.k)
+				b := randSlice(rng, s.k*s.n)
+				bias := randSlice(rng, s.m)
+				want := make([]float32, s.m*s.n)
+				tensor.GemmNN(want, a, b, bias, s.m, s.n, s.k, s.n)
+				ldd := s.n + 13
+				for _, g := range []struct{ nc, kc, rows int }{{512, 256, s.m}, {64, 32, s.m}, {45, 50, 4}, {512, 256, 3}} {
+					got := make([]float32, s.m*ldd)
+					for i := range got {
+						got[i] = float32(math.NaN())
+					}
+					panel := make([]float32, g.nc*g.kc)
+					for p0 := 0; p0 < s.n; p0 += g.nc {
+						nc := min(g.nc, s.n-p0)
+						for kb := 0; kb < s.k; kb += g.kc {
+							kc := min(g.kc, s.k-kb)
+							fillPanel(panel, b, s.n, kb, kc, p0, nc)
+							for r0 := 0; r0 < s.m; r0 += g.rows {
+								tensor.GemmNNAccumPanel(got[p0:], a, panel[:kc*nc], bias, s.k, kb, kc, nc, ldd, r0, min(r0+g.rows, s.m))
+							}
+						}
+					}
+					for i := 0; i < s.m; i++ {
+						for j := 0; j < ldd; j++ {
+							v := got[i*ldd+j]
+							if j >= s.n {
+								if !math.IsNaN(float64(v)) {
+									t.Fatalf("%v grid %+v: gap column (%d,%d) overwritten", s, g, i, j)
+								}
+							} else if math.Float32bits(v) != math.Float32bits(want[i*s.n+j]) {
+								t.Fatalf("%v grid %+v: (%d,%d) = %x, GemmNN %x", s, g, i, j,
+									math.Float32bits(v), math.Float32bits(want[i*s.n+j]))
+							}
+						}
+					}
+				}
+			}
+		})
 	}
-	forceTier(t, func(t *testing.T, tier tensor.SIMDTier) {
-		pa := tensor.PackA(a, m, k)
-		want := make([]float32, m*n)
-		tensor.GemmNNFast(want, pa, b, bias, n, n)
-
-		compact := make([]float32, m*n)
-		tensor.GemmNNFastStridedParallel(compact, pa, b, bias, n, n, n, 1)
-		for i := range want {
-			if math.Float32bits(compact[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("tier %v: compact strided element %d differs: %v vs %v",
-					tier, i, compact[i], want[i])
-			}
-		}
-
-		// Padded destination (NCHW plane stride) and strided B source.
-		ldd := n + 13
-		padded := make([]float32, m*ldd)
-		for i := range padded {
-			padded[i] = float32(math.NaN())
-		}
-		for _, workers := range []int{1, 4} {
-			tensor.GemmNNFastStridedParallel(padded, pa, bWide, bias, n, ldd, ldb, workers)
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					if math.Float32bits(padded[i*ldd+j]) != math.Float32bits(want[i*n+j]) {
-						t.Fatalf("tier %v workers %d: strided (%d,%d) differs: %v vs %v",
-							tier, workers, i, j, padded[i*ldd+j], want[i*n+j])
-					}
-				}
-				for j := n; j < ldd && i*ldd+j < len(padded); j++ {
-					if !math.IsNaN(float64(padded[i*ldd+j])) {
-						t.Fatalf("tier %v workers %d: gap column (%d,%d) overwritten", tier, workers, i, j)
-					}
-				}
-			}
-		}
-	})
 }
 
 // TestGemmNNFastAccumPanelComposes: walking ascending depth slabs over

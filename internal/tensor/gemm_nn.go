@@ -1,13 +1,14 @@
 package tensor
 
-// This file implements the reference-tier GEMM behind every convolution
-// (single-sample and batched) and the batched fully-connected and recurrent
-// layers: dst = A*B + bias where B is stored row-major (k x n), unlike Gemm
-// whose second operand is the transposed bt (n x k).  The row-major ("NN")
-// layout puts every output column of one depth step contiguously in memory,
-// which is what lets the amd64 microkernels vectorize ACROSS output
-// elements: eight neighbouring columns advance their accumulators in one
-// vector multiply + one vector add per depth step.
+// This file implements the reference-tier GEMM behind every convolution and
+// the batched fully-connected and recurrent layers: dst = A*B + bias where B
+// is stored row-major (k x n), unlike Gemm whose second operand is the
+// transposed bt (n x k).  The row-major ("NN") layout puts every output
+// column of one depth step contiguously in memory, which is what lets the
+// amd64 microkernels vectorize ACROSS output elements: eight neighbouring
+// columns advance their accumulators in one vector multiply + one vector
+// add per depth step.  A convolution feeds it one packed patch panel at a
+// time (GemmNNAccumPanel), a 1x1 one its input planes in place (GemmNN).
 //
 // Two rungs share one blocking and one bit pattern (see gemmNNPanel): the
 // AVX2 microkernels, and a portable rung for pre-AVX2 amd64 and every other
@@ -44,10 +45,9 @@ const (
 // b is k x n (row-major, NOT transposed) and dst is m x n.  bias has one
 // element per output row and may be nil for zero.  dst is fully overwritten.
 //
-// ldb is the row stride of b and dst in floats; it must be >= n.  Staging
-// buffers padded to a multiple of 8 columns keep the whole problem on the
-// vector kernel.  Results are bit-identical to Gemm and to the scalar
-// reference loops for any stride, blocking or worker count.
+// ldb is the row stride of b and dst in floats; it must be >= n.  Results
+// are bit-identical to Gemm and to the scalar reference loops for any
+// stride, blocking or worker count.
 func GemmNN(dst, a, b, bias []float32, m, n, k, ldb int) {
 	checkGemmNNArgs(dst, a, b, bias, m, n, k, ldb)
 	gemmNNRows(dst, a, b, bias, n, k, ldb, 0, m)
@@ -85,31 +85,58 @@ func checkGemmNNArgs(dst, a, b, bias []float32, m, n, k, ldb int) {
 	}
 }
 
-// gemmNNRows runs the blocked kernel over output rows [r0, r1).  Rows are
-// first seeded with their bias, then depth panels accumulate in ascending
-// order; inside a panel, column panels bound the L2-resident b block.
-func gemmNNRows(dst, a, b, bias []float32, n, k, ldb, r0, r1 int) {
+// GemmNNAccumPanel is the reference tier's panel kernel, the bit-exact
+// counterpart of GemmNNFastAccumPanel on the same FusedKC x FusedNC grid.
+// It accumulates one compact kc x nc B panel (depth rows [kb, kb+kc) of B,
+// row stride nc) into rows [r0, r1) of a strided output block: dst[i*ldd +
+// j] += sum_l a[i*k+kb+l] * panel[l*nc + j] for j in [0, nc), after seeding
+// the touched columns with bias (zero for nil) when kb == 0.  Walking kb
+// over ascending slabs gives every element GemmNN's summation order, so the
+// product is bit-identical to GemmNN for any panel grid and any split of
+// the rows.
+func GemmNNAccumPanel(dst, a, panel, bias []float32, k, kb, kc, nc, ldd, r0, r1 int) {
+	if r0 < 0 || r1 < r0 || nc <= 0 || kc <= 0 || kb < 0 || kb+kc > k {
+		panic("tensor: gemmNN panel slab out of range")
+	}
+	if r0 == r1 {
+		return
+	}
+	if ldd < nc || len(dst) < (r1-1)*ldd+nc || len(a) < r1*k || len(panel) < kc*nc {
+		panic("tensor: gemmNN panel buffers too small")
+	}
+	if bias != nil && len(bias) < r1 {
+		panic("tensor: gemmNN panel bias too short")
+	}
+	if kb == 0 {
+		seedRows(dst, bias, nc, ldd, r0, r1)
+	}
+	gemmNNPanel(dst, a, panel, k, ldd, nc, kb, kc, 0, nc, r0, r1)
+}
+
+// seedRows sets columns [0, n) of dst rows [r0, r1), ldd floats apart, to
+// their bias (zero for nil bias): every GEMM's starting partial sum.
+func seedRows(dst, bias []float32, n, ldd, r0, r1 int) {
 	for i := r0; i < r1; i++ {
 		var bi float32
 		if bias != nil {
 			bi = bias[i]
 		}
-		row := dst[i*ldb : i*ldb+n]
+		row := dst[i*ldd : i*ldd+n]
 		for j := range row {
 			row[j] = bi
 		}
 	}
+}
+
+// gemmNNRows runs the blocked kernel over output rows [r0, r1).  Rows are
+// first seeded with their bias, then depth panels accumulate in ascending
+// order; inside a panel, column panels bound the L2-resident b block.
+func gemmNNRows(dst, a, b, bias []float32, n, k, ldb, r0, r1 int) {
+	seedRows(dst, bias, n, ldb, r0, r1)
 	for kb := 0; kb < k; kb += nnKC {
-		kc := k - kb
-		if kc > nnKC {
-			kc = nnKC
-		}
+		kc := min(k-kb, nnKC)
 		for jb := 0; jb < n; jb += nnNC {
-			nc := n - jb
-			if nc > nnNC {
-				nc = nnNC
-			}
-			gemmNNPanel(dst, a, b, k, ldb, kb, kc, jb, nc, r0, r1)
+			gemmNNPanel(dst, a, b[kb*ldb:], k, ldb, ldb, kb, kc, jb, min(n-jb, nnNC), r0, r1)
 		}
 	}
 }
@@ -128,16 +155,18 @@ func ForcePortableGemmNN() (restore func()) {
 }
 
 // gemmNNPanel accumulates the (kb..kb+kc) depth slab over columns
-// [jb, jb+nc) for rows [r0, r1).  On the vector rung full 8-column blocks go
-// to the 4x8 microkernel (1x8 for the m%4 remainder rows) and the <8-column
-// tail to the strided dot; the portable rung runs the axpy kernel over wide
-// column ranges and the strided dot over narrow ones.
-func gemmNNPanel(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
+// [jb, jb+nc) for rows [r0, r1); b starts at the slab's first depth row,
+// with rows ldb floats apart, and dst rows are ldd floats apart.  On the
+// vector rung full 8-column blocks go to the 4x8 microkernel (1x8 for the
+// m%4 remainder rows) and the <8-column tail to the strided dot; the
+// portable rung runs the axpy kernel over wide column ranges and the
+// strided dot over narrow ones.
+func gemmNNPanel(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
 	if !gemmNNVector {
 		if nc >= nnNR {
-			gemmNNAxpy(dst, a, b, k, ldb, kb, kc, jb, nc, r0, r1)
+			gemmNNAxpy(dst, a, b, k, ldd, ldb, kb, kc, jb, nc, r0, r1)
 		} else {
-			gemmNNDot(dst, a, b, k, ldb, kb, kc, jb, nc, r0, r1)
+			gemmNNDot(dst, a, b, k, ldd, ldb, kb, kc, jb, nc, r0, r1)
 		}
 		return
 	}
@@ -145,14 +174,14 @@ func gemmNNPanel(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
 	if ncVec > 0 {
 		i := r0
 		for ; i+nnMR <= r1; i += nnMR {
-			gemmNNKernel(dst[i*ldb+jb:], a[i*k+kb:], b[kb*ldb+jb:], kc, ncVec, ldb, k)
+			gemmNNKernel(dst[i*ldd+jb:], a[i*k+kb:], b[jb:], kc, ncVec, ldd, ldb, k)
 		}
 		for ; i < r1; i++ {
-			gemmNNKernel1(dst[i*ldb+jb:], a[i*k+kb:], b[kb*ldb+jb:], kc, ncVec, ldb)
+			gemmNNKernel1(dst[i*ldd+jb:], a[i*k+kb:], b[jb:], kc, ncVec, ldb)
 		}
 	}
 	if ncVec < nc {
-		gemmNNDot(dst, a, b, k, ldb, kb, kc, jb+ncVec, nc-ncVec, r0, r1)
+		gemmNNDot(dst, a, b, k, ldd, ldb, kb, kc, jb+ncVec, nc-ncVec, r0, r1)
 	}
 }
 
@@ -161,19 +190,19 @@ func gemmNNPanel(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
 // a[i][l]*b[l][j] for l ascending), so no access is strided.  Each element
 // still owns one accumulator, its dst slot, updated in depth order: the
 // reference summation order, bit for bit.
-func gemmNNAxpy(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
+func gemmNNAxpy(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
 	i := r0
 	for ; i+gemmMR <= r1; i += gemmMR {
 		a0 := a[i*k+kb : i*k+kb+kc]
 		a1 := a[(i+1)*k+kb : (i+1)*k+kb+kc]
 		a2 := a[(i+2)*k+kb : (i+2)*k+kb+kc]
 		a3 := a[(i+3)*k+kb : (i+3)*k+kb+kc]
-		d0 := dst[i*ldb+jb : i*ldb+jb+nc]
-		d1 := dst[(i+1)*ldb+jb : (i+1)*ldb+jb+nc]
-		d2 := dst[(i+2)*ldb+jb : (i+2)*ldb+jb+nc]
-		d3 := dst[(i+3)*ldb+jb : (i+3)*ldb+jb+nc]
+		d0 := dst[i*ldd+jb : i*ldd+jb+nc]
+		d1 := dst[(i+1)*ldd+jb : (i+1)*ldd+jb+nc]
+		d2 := dst[(i+2)*ldd+jb : (i+2)*ldd+jb+nc]
+		d3 := dst[(i+3)*ldd+jb : (i+3)*ldd+jb+nc]
 		for l := 0; l < kc; l++ {
-			br := b[(kb+l)*ldb+jb : (kb+l)*ldb+jb+nc]
+			br := b[l*ldb+jb : l*ldb+jb+nc]
 			d0, d1, d2, d3 := d0[:len(br)], d1[:len(br)], d2[:len(br)], d3[:len(br)]
 			av0, av1, av2, av3 := a0[l], a1[l], a2[l], a3[l]
 			for j, bv := range br {
@@ -186,9 +215,9 @@ func gemmNNAxpy(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
 	}
 	for ; i < r1; i++ {
 		ar := a[i*k+kb : i*k+kb+kc]
-		d := dst[i*ldb+jb : i*ldb+jb+nc]
+		d := dst[i*ldd+jb : i*ldd+jb+nc]
 		for l, av := range ar {
-			br := b[(kb+l)*ldb+jb : (kb+l)*ldb+jb+nc]
+			br := b[l*ldb+jb : l*ldb+jb+nc]
 			d := d[:len(br)]
 			for j, bv := range br {
 				d[j] += av * bv
@@ -197,16 +226,18 @@ func gemmNNAxpy(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
 	}
 }
 
-// gemmNNDot is the kernel for column ranges narrower than one vector: one
-// dot product per output element over the strided b column, with four rows
-// sharing each streamed b value (the matVecRows tiling).  It is still no
-// mat-vec: at n = 1 on AlexNet fc6 (4096 x 9216, one worker, 2.1 GHz Xeon)
-// GemmNN takes about twice as long as MatVecBias (30-49 ms against 18-26 ms
-// across quiet and loaded runs), which is why a one-sample fully-connected
-// layer runs the mat-vec.  Element (i, j)
-// accumulates a[i][l]*b[l][j] for l ascending onto the bias-seeded partial
-// sum resident in dst — the reference summation order.
-func gemmNNDot(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
+// gemmNNDot is the kernel for column ranges narrower than one vector, on
+// both tiers (the fast tier's remainder rows, narrow tails and generic rung
+// run it on the row-major weights): one dot product per output element over
+// the strided b column, b pre-offset to the slab's first depth row, with
+// four rows sharing each streamed b value (the matVecRows tiling).  It is
+// still no mat-vec: at n = 1 on AlexNet fc6 (4096 x 9216, one worker, 2.1
+// GHz Xeon) GemmNN takes about twice as long as MatVecBias (30-49 ms against
+// 18-26 ms across quiet and loaded runs), which is why a one-sample
+// fully-connected layer runs the mat-vec.  Element (i, j) accumulates
+// a[i][kb+l]*b[l][j] for l ascending onto the bias-seeded partial sum
+// resident in dst — the reference summation order.
+func gemmNNDot(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
 	i := r0
 	for ; i+gemmMR <= r1; i += gemmMR {
 		a0 := a[i*k+kb : i*k+kb+kc]
@@ -214,11 +245,11 @@ func gemmNNDot(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
 		a2 := a[(i+2)*k+kb : (i+2)*k+kb+kc]
 		a3 := a[(i+3)*k+kb : (i+3)*k+kb+kc]
 		for j := jb; j < jb+nc; j++ {
-			s0 := dst[i*ldb+j]
-			s1 := dst[(i+1)*ldb+j]
-			s2 := dst[(i+2)*ldb+j]
-			s3 := dst[(i+3)*ldb+j]
-			bi := kb*ldb + j
+			s0 := dst[i*ldd+j]
+			s1 := dst[(i+1)*ldd+j]
+			s2 := dst[(i+2)*ldd+j]
+			s3 := dst[(i+3)*ldd+j]
+			bi := j
 			for l := 0; l < kc; l++ {
 				bv := b[bi]
 				s0 += a0[l] * bv
@@ -227,22 +258,22 @@ func gemmNNDot(dst, a, b []float32, k, ldb, kb, kc, jb, nc, r0, r1 int) {
 				s3 += a3[l] * bv
 				bi += ldb
 			}
-			dst[i*ldb+j] = s0
-			dst[(i+1)*ldb+j] = s1
-			dst[(i+2)*ldb+j] = s2
-			dst[(i+3)*ldb+j] = s3
+			dst[i*ldd+j] = s0
+			dst[(i+1)*ldd+j] = s1
+			dst[(i+2)*ldd+j] = s2
+			dst[(i+3)*ldd+j] = s3
 		}
 	}
 	for ; i < r1; i++ {
 		ar := a[i*k+kb : i*k+kb+kc]
 		for j := jb; j < jb+nc; j++ {
-			s := dst[i*ldb+j]
-			bi := kb*ldb + j
+			s := dst[i*ldd+j]
+			bi := j
 			for _, av := range ar {
 				s += av * b[bi]
 				bi += ldb
 			}
-			dst[i*ldb+j] = s
+			dst[i*ldd+j] = s
 		}
 	}
 }

@@ -4,11 +4,12 @@ package tensor
 // via CPUID/XGETBV so the same binary runs on pre-AVX2 hardware through the
 // portable rung.
 
-// gemmNNKernel is the AVX2 4x8 register-tile microkernel (gemm_nn_amd64.s).
-// nc must be a positive multiple of 8.
+// gemmNNKernel is the AVX2 4x8 register-tile microkernel (gemm_nn_amd64.s):
+// dst rows ldd floats apart, b rows ldb apart, a rows lda apart.  nc must
+// be a positive multiple of 8.
 //
 //go:noescape
-func gemmNNKernel(dst, a, b []float32, kc, nc, ldb, lda int)
+func gemmNNKernel(dst, a, b []float32, kc, nc, ldd, ldb, lda int)
 
 // gemmNNKernel1 is the 1x8 tile of the same kernel for the m%4 remainder
 // rows (a depthwise group has a single output row).  nc must be a positive

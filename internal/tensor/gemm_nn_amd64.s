@@ -8,22 +8,23 @@
 
 #include "textflag.h"
 
-// func gemmNNKernel(dst, a, b []float32, kc, nc, ldb, lda int)
+// func gemmNNKernel(dst, a, b []float32, kc, nc, ldd, ldb, lda int)
 //
 // Computes dst[r][j] += sum_l a[r][l]*b[l][j] for r in [0,4), j in [0,nc),
-// l in [0,kc).  dst rows are ldb floats apart, a rows lda floats apart, b
-// rows ldb floats apart.  nc must be a positive multiple of 8; kc positive.
-// Only the slice base pointers are used; callers pre-offset them.
-TEXT ·gemmNNKernel(SB), NOSPLIT, $0-104
+// l in [0,kc).  dst rows are ldd floats apart, b rows ldb floats apart (a
+// compact convolution panel accumulates into a strided NCHW output block)
+// and a rows lda floats apart.  nc must be a positive multiple of 8; kc
+// positive.  Only the slice base pointers are used; callers pre-offset them.
+TEXT ·gemmNNKernel(SB), NOSPLIT, $0-112
 	MOVQ dst_base+0(FP), DI
 	MOVQ a_base+24(FP), SI
 	MOVQ b_base+48(FP), BX
 	MOVQ kc+72(FP), CX
 	MOVQ nc+80(FP), R8
-	MOVQ ldb+88(FP), R9
-	MOVQ lda+96(FP), R10
-	SHLQ $2, R9              // row strides in bytes
-	SHLQ $2, R10
+	MOVQ ldb+96(FP), R9
+	MOVQ lda+104(FP), R10
+	SHLQ $2, R9              // b row stride in bytes
+	SHLQ $2, R10             // a row stride in bytes
 
 	// a row pointers (advance via the shared l offset in SI below).
 	MOVQ SI, R12             // a0
@@ -31,17 +32,20 @@ TEXT ·gemmNNKernel(SB), NOSPLIT, $0-104
 	LEAQ (R13)(R10*1), R14   // a2
 	LEAQ (R14)(R10*1), R15   // a3
 
+	MOVQ ldd+88(FP), R10
+	SHLQ $2, R10             // dst row stride in bytes
+
 	XORQ AX, AX              // column byte offset
 
 colloop:
 	// Load the 4x8 accumulator block from dst (bias-seeded partial sums).
 	LEAQ (DI)(AX*1), DX
 	VMOVUPS (DX), Y0
-	ADDQ R9, DX
+	ADDQ R10, DX
 	VMOVUPS (DX), Y1
-	ADDQ R9, DX
+	ADDQ R10, DX
 	VMOVUPS (DX), Y2
-	ADDQ R9, DX
+	ADDQ R10, DX
 	VMOVUPS (DX), Y3
 
 	LEAQ (BX)(AX*1), DX      // b walking pointer for this column block
@@ -70,11 +74,11 @@ kloop:
 	// Store the accumulator block back to dst.
 	LEAQ (DI)(AX*1), DX
 	VMOVUPS Y0, (DX)
-	ADDQ R9, DX
+	ADDQ R10, DX
 	VMOVUPS Y1, (DX)
-	ADDQ R9, DX
+	ADDQ R10, DX
 	VMOVUPS Y2, (DX)
-	ADDQ R9, DX
+	ADDQ R10, DX
 	VMOVUPS Y3, (DX)
 
 	ADDQ $32, AX             // next 8-column block

@@ -140,17 +140,16 @@ func fastVecCols(t SIMDTier) int {
 	}
 }
 
-// Fused-staging geometry: the panel grid GemmNNFastAccumPanel operates on.
-// A fused producer (the engine's im2col panel packer) walks output columns
-// in FusedNC panels and depth in FusedKC slabs, so one packed B panel is at
-// most FusedPanelFloats floats and stays L2-resident while every weight row
-// tile streams it.  The grid matches the staged path's nnKC/nnNC blocking
-// exactly: for a single sample the fused path reproduces the staged fast
-// path bit for bit.
+// Fused-staging geometry: the panel grid the panel kernels (GemmNNAccumPanel,
+// GemmNNFastAccumPanel, GemmInt8Panel) operate on.  The engine's
+// convolution walks output columns in FusedNC panels and depth in FusedKC
+// slabs, so one packed B panel is at most FusedPanelFloats floats and stays
+// L2-resident while every weight row tile streams it.  The grid is the
+// GEMMs' own nnKC/nnNC blocking.
 const (
-	// FusedKC is the depth slab of the fused fast GEMM (== nnKC).
+	// FusedKC is the depth slab of the panel grid (== nnKC).
 	FusedKC = nnKC
-	// FusedNC is the column panel of the fused fast GEMM (== nnNC).
+	// FusedNC is the column panel of the panel grid (== nnNC).
 	FusedNC = nnNC
 	// FusedPanelFloats is the B panel buffer length fused callers provide.
 	FusedPanelFloats = FusedKC * FusedNC
@@ -162,7 +161,7 @@ const (
 // float32 rounding, not bit-exactly.
 func GemmNNFast(dst []float32, pa *PackedA, b, bias []float32, n, ldb int) {
 	checkGemmNNArgs(dst, pa.src, b, bias, pa.m, n, pa.k, ldb)
-	gemmNNFastRows(dst, pa, b, bias, n, ldb, ldb, 0, pa.m, fastTier)
+	gemmNNFastRows(dst, pa, b, bias, n, ldb, 0, pa.m, fastTier)
 }
 
 // GemmNNFastParallel is GemmNNFast with the row dimension split across up
@@ -173,45 +172,12 @@ func GemmNNFastParallel(dst []float32, pa *PackedA, b, bias []float32, n, ldb, w
 	checkGemmNNArgs(dst, pa.src, b, bias, pa.m, n, pa.k, ldb)
 	t := fastTier
 	if serialRows(pa.m, int64(pa.m)*int64(n)*int64(pa.k), workers) {
-		gemmNNFastRows(dst, pa, b, bias, n, ldb, ldb, 0, pa.m, t)
+		gemmNNFastRows(dst, pa, b, bias, n, ldb, 0, pa.m, t)
 		return
 	}
 	forEachRowPanel(pa.m, workers, gemmMR, func(r0, r1 int) {
-		gemmNNFastRows(dst, pa, b, bias, n, ldb, ldb, r0, r1, t)
+		gemmNNFastRows(dst, pa, b, bias, n, ldb, r0, r1, t)
 	})
-}
-
-// GemmNNFastStridedParallel is GemmNNFastParallel with independent dst and
-// b row strides: dst rows are ldd floats apart, b rows ldb floats apart
-// (both >= n).  This is the 1x1/stride-1 convolution fast path — the input
-// planes are consumed as B directly, with the result written straight into
-// a strided NCHW output block, no staging at all.  Results are identical
-// for any worker count.
-func GemmNNFastStridedParallel(dst []float32, pa *PackedA, b, bias []float32, n, ldd, ldb, workers int) {
-	checkGemmNNFastStrided(dst, pa, b, bias, n, ldd, ldb)
-	t := fastTier
-	if serialRows(pa.m, int64(pa.m)*int64(n)*int64(pa.k), workers) {
-		gemmNNFastRows(dst, pa, b, bias, n, ldd, ldb, 0, pa.m, t)
-		return
-	}
-	forEachRowPanel(pa.m, workers, gemmMR, func(r0, r1 int) {
-		gemmNNFastRows(dst, pa, b, bias, n, ldd, ldb, r0, r1, t)
-	})
-}
-
-func checkGemmNNFastStrided(dst []float32, pa *PackedA, b, bias []float32, n, ldd, ldb int) {
-	if n <= 0 {
-		panic("tensor: gemmNN fast strided n must be positive")
-	}
-	if ldd < n || ldb < n {
-		panic("tensor: gemmNN fast strided stride smaller than column count")
-	}
-	if len(dst) < (pa.m-1)*ldd+n || len(b) < (pa.k-1)*ldb+n {
-		panic("tensor: gemmNN fast strided buffers too small")
-	}
-	if bias != nil && len(bias) < pa.m {
-		panic("tensor: gemmNN fast strided bias too short")
-	}
 }
 
 // GemmNNFastAccumPanel accumulates one fused B panel into a strided output
@@ -223,9 +189,8 @@ func checkGemmNNFastStrided(dst []float32, pa *PackedA, b, bias []float32, n, ld
 // product without ever materializing B.  kc must be at most FusedKC and nc
 // at most FusedNC; the caller owns the panel grid, which must not depend on
 // the worker fan-out (panels covering disjoint columns may run
-// concurrently).  Per element the summation order equals the staged fast
-// path's, so a fused single-sample convolution is bit-identical to the
-// staged one.
+// concurrently).  With spill slack in the panel's backing array, a full
+// 4-row tile's bits do not depend on the column-panel width.
 func GemmNNFastAccumPanel(dst []float32, pa *PackedA, panel, bias []float32, kb, kc, nc, ldd int) {
 	m, k := pa.m, pa.k
 	if nc <= 0 || kc <= 0 || kb < 0 || kb+kc > k {
@@ -238,19 +203,7 @@ func GemmNNFastAccumPanel(dst []float32, pa *PackedA, panel, bias []float32, kb,
 		panic("tensor: fused panel bias too short")
 	}
 	if kb == 0 {
-		for i := 0; i < m; i++ {
-			row := dst[i*ldd : i*ldd+nc]
-			if bias != nil {
-				bi := bias[i]
-				for j := range row {
-					row[j] = bi
-				}
-			} else {
-				for j := range row {
-					row[j] = 0
-				}
-			}
-		}
+		seedRows(dst, bias, nc, ldd, 0, m)
 	}
 	t := fastTier
 	vw := fastVecCols(t)
@@ -288,50 +241,32 @@ func GemmNNFastAccumPanel(dst []float32, pa *PackedA, panel, bias []float32, kb,
 						copy(dst[(i+r)*ldd+ncVec:(i+r)*ldd+nc], spill[r*16:])
 					}
 				} else {
-					gemmNNFastScalar(dst, pa.src, panel, k, ldd, nc, kb, kc, ncVec, tail, i, i+nnMR)
+					gemmNNDot(dst, pa.src, panel, k, ldd, nc, kb, kc, ncVec, tail, i, i+nnMR)
 				}
 			}
 		}
 	}
 	if i < m {
-		gemmNNFastScalar(dst, pa.src, panel, k, ldd, nc, kb, kc, 0, nc, i, m)
+		gemmNNDot(dst, pa.src, panel, k, ldd, nc, kb, kc, 0, nc, i, m)
 	}
 }
 
 // gemmNNFastRows runs the blocked fast kernel over output rows [r0, r1),
 // reusing the reference path's panel geometry (nnKC depth slabs, nnNC
-// column panels) so the streamed b block stays L2-resident.  dst rows are
-// ldd floats apart, b rows ldb apart.  Full 4-row panels with wide column
-// blocks go to the tier's FMA/AVX-512 kernel; on the AVX-512 tier a
-// 16-column FMA block mops up before the scalar tail.  Remainder rows and
-// narrow tails use the order-preserving scalar kernel on the retained
-// row-major weights.
-func gemmNNFastRows(dst []float32, pa *PackedA, b, bias []float32, n, ldd, ldb, r0, r1 int, t SIMDTier) {
+// column panels) so the streamed b block stays L2-resident.  b and dst rows
+// are ldb floats apart.  Full 4-row panels with wide column blocks go to
+// the tier's FMA/AVX-512 kernel; on the AVX-512 tier a 16-column FMA block
+// mops up before the scalar tail.  Remainder rows and narrow tails use the
+// order-preserving scalar kernel on the retained row-major weights.
+func gemmNNFastRows(dst []float32, pa *PackedA, b, bias []float32, n, ldb, r0, r1 int, t SIMDTier) {
 	k := pa.k
-	for i := r0; i < r1; i++ {
-		row := dst[i*ldd : i*ldd+n]
-		if bias != nil {
-			bi := bias[i]
-			for j := range row {
-				row[j] = bi
-			}
-		} else {
-			for j := range row {
-				row[j] = 0
-			}
-		}
-	}
+	seedRows(dst, bias, n, ldb, r0, r1)
 	vw := fastVecCols(t)
 	for kb := 0; kb < k; kb += nnKC {
-		kc := k - kb
-		if kc > nnKC {
-			kc = nnKC
-		}
+		kc := min(k-kb, nnKC)
+		bs := b[kb*ldb:]
 		for jb := 0; jb < n; jb += nnNC {
-			nc := n - jb
-			if nc > nnNC {
-				nc = nnNC
-			}
+			nc := min(n-jb, nnNC)
 			i := r0
 			if vw > 0 {
 				for ; i+nnMR <= r1; i += nnMR {
@@ -339,70 +274,23 @@ func gemmNNFastRows(dst []float32, pa *PackedA, b, bias []float32, n, ldd, ldb, 
 					ap := pa.panels[(i/nnMR)*nnMR*k+kb*nnMR:]
 					if ncVec > 0 {
 						if t == TierAVX512 {
-							gemmNNAVX512Kernel(dst[i*ldd+jb:], ap, b[kb*ldb+jb:], kc, ncVec, ldd, ldb)
+							gemmNNAVX512Kernel(dst[i*ldb+jb:], ap, bs[jb:], kc, ncVec, ldb, ldb)
 						} else {
-							gemmNNFMAKernel(dst[i*ldd+jb:], ap, b[kb*ldb+jb:], kc, ncVec, ldd, ldb)
+							gemmNNFMAKernel(dst[i*ldb+jb:], ap, bs[jb:], kc, ncVec, ldb, ldb)
 						}
 					}
 					if t == TierAVX512 && nc-ncVec >= 16 {
-						gemmNNFMAKernel(dst[i*ldd+jb+ncVec:], ap, b[kb*ldb+jb+ncVec:], kc, 16, ldd, ldb)
+						gemmNNFMAKernel(dst[i*ldb+jb+ncVec:], ap, bs[jb+ncVec:], kc, 16, ldb, ldb)
 						ncVec += 16
 					}
 					if ncVec < nc {
-						gemmNNFastScalar(dst, pa.src, b[kb*ldb:], k, ldd, ldb, kb, kc, jb+ncVec, nc-ncVec, i, i+nnMR)
+						gemmNNDot(dst, pa.src, bs, k, ldb, ldb, kb, kc, jb+ncVec, nc-ncVec, i, i+nnMR)
 					}
 				}
 			}
 			if i < r1 {
-				gemmNNFastScalar(dst, pa.src, b[kb*ldb:], k, ldd, ldb, kb, kc, jb, nc, i, r1)
+				gemmNNDot(dst, pa.src, bs, k, ldb, ldb, kb, kc, jb, nc, i, r1)
 			}
-		}
-	}
-}
-
-// gemmNNFastScalar is the portable tail kernel of the fast path with
-// independent dst and b strides: dst[i*ldd+j] += sum_l a[i*k+kb+l] *
-// b[l*ldb+j] for j in [jb, jb+nc), accumulating onto the bias-seeded
-// partial sums resident in dst in the reference order (b is pre-offset to
-// the slab's first depth row).  Four rows share each streamed b value, like
-// gemmNNScalar.
-func gemmNNFastScalar(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
-	i := r0
-	for ; i+gemmMR <= r1; i += gemmMR {
-		a0 := a[i*k+kb : i*k+kb+kc]
-		a1 := a[(i+1)*k+kb : (i+1)*k+kb+kc]
-		a2 := a[(i+2)*k+kb : (i+2)*k+kb+kc]
-		a3 := a[(i+3)*k+kb : (i+3)*k+kb+kc]
-		for j := jb; j < jb+nc; j++ {
-			s0 := dst[i*ldd+j]
-			s1 := dst[(i+1)*ldd+j]
-			s2 := dst[(i+2)*ldd+j]
-			s3 := dst[(i+3)*ldd+j]
-			bi := j
-			for l := 0; l < kc; l++ {
-				bv := b[bi]
-				s0 += a0[l] * bv
-				s1 += a1[l] * bv
-				s2 += a2[l] * bv
-				s3 += a3[l] * bv
-				bi += ldb
-			}
-			dst[i*ldd+j] = s0
-			dst[(i+1)*ldd+j] = s1
-			dst[(i+2)*ldd+j] = s2
-			dst[(i+3)*ldd+j] = s3
-		}
-	}
-	for ; i < r1; i++ {
-		ar := a[i*k+kb : i*k+kb+kc]
-		for j := jb; j < jb+nc; j++ {
-			s := dst[i*ldd+j]
-			bi := j
-			for _, av := range ar {
-				s += av * b[bi]
-				bi += ldb
-			}
-			dst[i*ldd+j] = s
 		}
 	}
 }

@@ -10,7 +10,7 @@ package tensor
 // [0,nc), l in [0,kc) with fused multiply-adds on 8 independent accumulator
 // registers.  ap is the depth-interleaved packed A panel (PackA layout)
 // advanced to the kernel's depth offset; dst rows are ldd floats apart and
-// b rows ldb floats apart (separate strides let a fused im2col panel with
+// b rows ldb floats apart (separate strides let a convolution patch panel with
 // its own compact stride accumulate into a strided NCHW output block).
 // nc must be a positive multiple of 16; kc positive.  Callers pre-offset
 // the slice bases.

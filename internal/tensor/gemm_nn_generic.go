@@ -9,7 +9,7 @@ const gemmNNVectorDetected = false
 
 // The vector kernels are never called when gemmNNVector is false.
 
-func gemmNNKernel(dst, a, b []float32, kc, nc, ldb, lda int) {
+func gemmNNKernel(dst, a, b []float32, kc, nc, ldd, ldb, lda int) {
 	panic("tensor: vector gemm kernel unavailable")
 }
 

@@ -113,7 +113,7 @@ func TestGemmNNScalarMatchesVector(t *testing.T) {
 			dot[i*ldb+j] = bias[i]
 		}
 	}
-	gemmNNDot(dot, a, b, k, ldb, 0, k, 0, n, 0, m)
+	gemmNNDot(dot, a, b, k, ldb, ldb, 0, k, 0, n, 0, m)
 	for i := range vec {
 		if math.Float32bits(vec[i]) != math.Float32bits(axpy[i]) || math.Float32bits(vec[i]) != math.Float32bits(dot[i]) {
 			t.Fatalf("element %d: vector %x axpy %x dot %x", i,
