@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"tango/internal/networks"
+	"tango/internal/nn"
 	"tango/internal/tensor"
 )
 
@@ -108,18 +109,18 @@ func Synthesize(n *networks.Network) (*Set, error) {
 func fillParam(t *tensor.Tensor, network string, spec networks.WeightSpec) {
 	seed := keySeed(network + ":" + spec.Key())
 	r := tensor.NewRNG(seed)
-	switch spec.Param {
-	case "bias", "beta", "mean",
-		"Bi", "Bf", "Bo", "Bc", "Br", "Bz", "Bh":
+	switch name := spec.Param; {
+	case name == "bias" || name == "beta" || name == "mean" ||
+		cellBias(nn.LSTMParams[:], name) || cellBias(nn.GRUParams[:], name):
 		// Small offsets around zero.
 		t.FillNormal(r, 0.01)
-	case "variance":
+	case name == "variance":
 		// Positive variances around one.
 		for i := range t.Data() {
 			v := 0.5 + r.Float32()
 			t.Data()[i] = v
 		}
-	case "gamma":
+	case name == "gamma":
 		// Scales around one.
 		for i := range t.Data() {
 			t.Data()[i] = 0.9 + 0.2*r.Float32()
@@ -133,6 +134,17 @@ func fillParam(t *tensor.Tensor, network string, spec networks.WeightSpec) {
 		half := float32(std * math.Sqrt(3.0))
 		t.FillUniform(r, -half, half)
 	}
+}
+
+// cellBias reports whether name is a bias row of a recurrent cell's
+// parameter table.
+func cellBias[W any](params []nn.Param[W], name string) bool {
+	for _, p := range params {
+		if p.Name == name && p.Shape == nn.Bias {
+			return true
+		}
+	}
+	return false
 }
 
 // fanIn approximates the fan-in of a weight tensor from its element count.
