@@ -10,6 +10,10 @@
 // a leading batch dimension (NCHW, or (N, F) for vectors) makes a batch.
 // Every layer op (the Scratch methods in engine.go) accepts either kind and
 // returns the same kind.
+//
+// This file holds the convolution's parameters and validation and the
+// direct loop nest (Conv2DDirect) that the one panel core of every tier
+// (fastfused.go) is held to bit for bit on the reference tier.
 package nn
 
 import (

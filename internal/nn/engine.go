@@ -9,8 +9,9 @@ import (
 
 // This file implements the native inference compute engine: one Scratch op
 // per layer kind, reusing buffers across runs and lowering the heavy layers
-// (convolution, fully-connected, recurrent gates) onto the blocked GEMM and
-// mat-vec kernels in package tensor.
+// onto the blocked kernels in package tensor — convolution onto the one
+// panel core (fastfused.go) and its tier's GEMM panel kernel,
+// fully-connected layers and recurrent gates onto the mat-vec and GEMM.
 //
 // Every op takes one sample (rank 1 or 3) or a batch stacked along dim 0
 // (rank 2 or 4) and returns the same kind — the recurrent ops one (steps,
@@ -22,8 +23,8 @@ import (
 // The blocked kernels preserve the reference summation order — one float32
 // accumulator per output element, reduction index ascending — for any
 // blocking and any worker count.  See the determinism contracts on
-// tensor.GemmNN (the convolution core, conv.go) and tensor.Gemm (the mat-vec
-// kernels).
+// tensor.GemmNN (the convolution panels, the batched layers) and
+// tensor.Gemm (the mat-vec kernels).
 
 // Scratch is the per-goroutine state of the compute engine: a
 // shape-memoizing output arena, the convolution's per-worker panel buffers,
@@ -84,8 +85,8 @@ func (s *Scratch) ArenaBytes() int64 { return s.arena.Bytes() }
 // Bytes reports the Scratch's total resident footprint: the output arena
 // plus every reusable staging buffer (the convolution's column panels,
 // recurrent gate vectors, batch buffers, int8 planes, offset tables,
-// activation, accumulator and scale buffers).  It is the memory-accounting surface behind per-model
-// resident-bytes reporting.
+// activation, accumulator and scale buffers).  It is the memory-accounting
+// surface behind per-model resident-bytes reporting.
 func (s *Scratch) Bytes() int64 {
 	n := s.arena.Bytes()
 	for _, v := range s.vecs {

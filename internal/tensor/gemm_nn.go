@@ -95,11 +95,8 @@ func checkGemmNNArgs(dst, a, b, bias []float32, m, n, k, ldb int) {
 // product is bit-identical to GemmNN for any panel grid and any split of
 // the rows.
 func GemmNNAccumPanel(dst, a, panel, bias []float32, k, kb, kc, nc, ldd, r0, r1 int) {
-	if r0 < 0 || r1 < r0 || nc <= 0 || kc <= 0 || kb < 0 || kb+kc > k {
+	if r0 < 0 || r1 <= r0 || nc <= 0 || kc <= 0 || kb < 0 || kb+kc > k {
 		panic("tensor: gemmNN panel slab out of range")
-	}
-	if r0 == r1 {
-		return
 	}
 	if ldd < nc || len(dst) < (r1-1)*ldd+nc || len(a) < r1*k || len(panel) < kc*nc {
 		panic("tensor: gemmNN panel buffers too small")
