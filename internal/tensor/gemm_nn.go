@@ -45,9 +45,10 @@ const (
 // b is k x n (row-major, NOT transposed) and dst is m x n.  bias has one
 // element per output row and may be nil for zero.  dst is fully overwritten.
 //
-// ldb is the row stride of b and dst in floats; it must be >= n.  Results
-// are bit-identical to Gemm and to the scalar reference loops for any
-// stride, blocking or worker count.
+// ldb is the row stride of b and dst in floats; it must be >= n.  Staging
+// buffers padded to a multiple of 8 columns keep the whole problem on the
+// vector kernel.  Results are bit-identical to Gemm and to the scalar
+// reference loops for any stride, blocking or worker count.
 func GemmNN(dst, a, b, bias []float32, m, n, k, ldb int) {
 	checkGemmNNArgs(dst, a, b, bias, m, n, k, ldb)
 	gemmNNRows(dst, a, b, bias, n, k, ldb, 0, m)
