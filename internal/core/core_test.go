@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
 	"tango/internal/core"
 	"tango/internal/gpusim"
 	"tango/internal/networks"
+	"tango/internal/nn"
+	"tango/internal/resilience"
 )
 
 func TestLoadBenchmark(t *testing.T) {
@@ -170,5 +173,49 @@ func TestSuiteAllLoadsEverything(t *testing.T) {
 	}
 	if len(s.Loaded()) != 7 {
 		t.Error("All() should cache every benchmark")
+	}
+}
+
+// TestEngineForksIgnoreTaskFaults pins that the compute engine's worker
+// fan-out cannot drop work: under a plan that fails every par.task, a
+// two-worker AlexNet run on a scratch that already holds another image's
+// activations must still produce the one-worker bits.
+func TestEngineForksIgnoreTaskFaults(t *testing.T) {
+	b, err := core.Load("AlexNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := b.SampleInput(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := b.SampleInput(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := b.AcquireScratchNumerics(1, nn.NumericsReference)
+	res, err := b.RunInferenceScratch(second, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]float32(nil), res.Output.Data()...)
+	b.ReleaseScratch(serial)
+
+	s := b.AcquireScratchNumerics(2, nn.NumericsReference)
+	if _, err := b.RunInferenceScratch(first, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := resilience.Enable("par.task=error:1", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer resilience.Disable()
+	res, err = b.RunInferenceScratch(second, s)
+	if err != nil {
+		t.Fatalf("two-worker run under par.task faults: %v", err)
+	}
+	for i, v := range res.Output.Data() {
+		if math.Float32bits(v) != math.Float32bits(want[i]) {
+			t.Fatalf("output[%d] = %v at 2 workers under par.task faults, want the 1-worker %v", i, v, want[i])
+		}
 	}
 }
