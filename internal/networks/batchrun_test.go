@@ -242,34 +242,20 @@ func TestRunBatchScratchReuse(t *testing.T) {
 // stay within the same <= 2 allocations as the single-sample path.
 func TestRunBatchAllocations(t *testing.T) {
 	p := buildPlan(t, "CifarNet")
-	s := nn.NewScratch()
 	in := cnnBatch(p, 3, 4)
-	if _, err := p.RunBatch(in, s); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
+	eachWorkerCount(t, nn.NumericsReference, func(s *nn.Scratch) {
 		if _, err := p.RunBatch(in, s); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("steady-state batched CNN run allocated %v times, want <= 2", allocs)
-	}
 
 	rp := buildPlan(t, "LSTM")
-	rs := nn.NewScratch()
 	seq := rnnBatch(rp, 3, 4)
-	if _, err := rp.RunSequenceBatch(seq, rs); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(10, func() {
-		if _, err := rp.RunSequenceBatch(seq, rs); err != nil {
+	eachWorkerCount(t, nn.NumericsReference, func(s *nn.Scratch) {
+		if _, err := rp.RunSequenceBatch(seq, s); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("steady-state batched RNN run allocated %v times, want <= 2", allocs)
-	}
 }
 
 // TestRunBatchErrors covers the batched validation paths.

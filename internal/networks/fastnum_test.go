@@ -190,28 +190,36 @@ func TestFastMathBatchTop1(t *testing.T) {
 	}
 }
 
-// TestFastMathSteadyStateAllocs proves the packed-weight fast tier reaches a
-// zero-alloc steady state: after the first run packs the weight panels and
-// grows the scratch arena, repeat inference must stay within 2 allocations
-// per run (the Result object itself).  The CI fastmath job runs this guard.
+// TestFastMathSteadyStateAllocs proves every tier reaches a zero-alloc
+// steady state at one and two workers: after the first run packs the
+// weight panels, grows the scratch arena and starts the team's helper,
+// repeat inference must stay within 2 allocations per run (the Result
+// object itself) — a fork allocates nothing.  CI runs this guard.
 func TestFastMathSteadyStateAllocs(t *testing.T) {
-	for _, mode := range []nn.Numerics{nn.NumericsFast, nn.NumericsInt8} {
+	for _, mode := range []nn.Numerics{nn.NumericsReference, nn.NumericsFast, nn.NumericsInt8} {
 		t.Run(mode.String(), func(t *testing.T) {
 			p := buildPlan(t, "CifarNet")
-			s := numericsScratch(mode)
 			in := cnnInput(p, 11)
-			if _, err := p.Run(in, s); err != nil {
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(10, func() {
+			eachWorkerCount(t, mode, func(s *nn.Scratch) {
 				if _, err := p.Run(in, s); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if allocs > 2 {
-				t.Fatalf("steady-state fast inference allocates %.0f/run, want <= 2", allocs)
-			}
 		})
+	}
+}
+
+// eachWorkerCount checks, at one and two workers, that run allocates at
+// most twice per call once a first call has warmed a scratch of the tier.
+func eachWorkerCount(t *testing.T, mode nn.Numerics, run func(s *nn.Scratch)) {
+	t.Helper()
+	for _, workers := range []int{1, 2} {
+		s := numericsScratch(mode)
+		s.SetWorkers(workers)
+		run(s)
+		if allocs := testing.AllocsPerRun(10, func() { run(s) }); allocs > 2 {
+			t.Fatalf("%v at %d workers: steady state allocates %.0f/run, want <= 2", mode, workers, allocs)
+		}
 	}
 }
 
@@ -333,28 +341,22 @@ func TestFusedBatchWorkerDeterminism(t *testing.T) {
 }
 
 // TestFastMathBatchSteadyStateAllocs: the fused batched path must also
-// reach a near-zero-alloc steady state — no staged colT buffer, panels and
-// quantization scratch reused from the arena, so repeat batched inference
-// stays within 2 allocations per run (the BatchResult object).
+// reach a near-zero-alloc steady state on every tier at one and two
+// workers — no staged colT buffer, panels and quantization scratch reused
+// from the arena, so repeat batched inference stays within 2 allocations
+// per run (the BatchResult object).
 func TestFastMathBatchSteadyStateAllocs(t *testing.T) {
-	for _, mode := range []nn.Numerics{nn.NumericsFast, nn.NumericsInt8} {
+	for _, mode := range []nn.Numerics{nn.NumericsReference, nn.NumericsFast, nn.NumericsInt8} {
 		t.Run(mode.String(), func(t *testing.T) {
 			p := buildPlan(t, "CifarNet")
-			s := numericsScratch(mode)
 			shape := append([]int{3}, p.Network().InputShape...)
 			batch := tensor.New(shape...)
 			batch.FillUniform(tensor.NewRNG(43), 0, 1)
-			if _, err := p.RunBatch(batch, s); err != nil {
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(10, func() {
+			eachWorkerCount(t, mode, func(s *nn.Scratch) {
 				if _, err := p.RunBatch(batch, s); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if allocs > 2 {
-				t.Fatalf("steady-state batched fast inference allocates %.0f/run, want <= 2", allocs)
-			}
 		})
 	}
 }

@@ -261,22 +261,16 @@ func TestPlanScratchReuseIsDeterministic(t *testing.T) {
 
 // TestPlanRunAllocations guards the steady-state allocation budget of the
 // compute engine: after warm-up, a CNN inference run with a reused scratch
-// must stay within a handful of small allocations (the Result header).
+// must stay within a handful of small allocations (the Result header), at
+// one worker and at two.
 func TestPlanRunAllocations(t *testing.T) {
 	p := buildPlan(t, "CifarNet")
-	s := nn.NewScratch()
 	in := cnnInput(p, 3)
-	if _, err := p.Run(in, s); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
+	eachWorkerCount(t, nn.NumericsReference, func(s *nn.Scratch) {
 		if _, err := p.Run(in, s); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("steady-state CNN run allocated %v times, want <= 2", allocs)
-	}
 }
 
 // TestPlanRunSequenceAllocations guards the RNN steady-state allocation
@@ -284,19 +278,12 @@ func TestPlanRunAllocations(t *testing.T) {
 func TestPlanRunSequenceAllocations(t *testing.T) {
 	for _, name := range networks.RNNNames() {
 		p := buildPlan(t, name)
-		s := nn.NewScratch()
 		seq := rnnSequence(p, 3)
-		if _, err := p.RunSequence(seq, s); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
+		eachWorkerCount(t, nn.NumericsReference, func(s *nn.Scratch) {
 			if _, err := p.RunSequence(seq, s); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 2 {
-			t.Fatalf("%s: steady-state RNN run allocated %v times, want <= 2", name, allocs)
-		}
 	}
 }
 
@@ -327,4 +314,11 @@ func TestPlanKindMismatch(t *testing.T) {
 	if _, err := rnn.Run(tensor.New(1), nil); err == nil {
 		t.Fatal("Run on an RNN plan must fail")
 	}
+}
+
+// TestMain forks every op a multi-worker test runs, however small, so the
+// engine's split and fork paths are exercised on every network.
+func TestMain(m *testing.M) {
+	tensor.ForkMinWork = 0
+	os.Exit(m.Run())
 }

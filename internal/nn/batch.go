@@ -1,6 +1,6 @@
 package nn
 
-import "tango/internal/par"
+import "tango/internal/tensor"
 
 // This file holds the batch staging of the compute engine.  Feature-map
 // batches are rank-4 NCHW tensors (sample-major, each sample a contiguous
@@ -29,39 +29,82 @@ func (s *Scratch) batchBuf(slot, n int) []float32 {
 	return grown(&s.bbufs[slot], n)
 }
 
-// forEachChunk splits [0, n) into one contiguous index-ordered chunk per
-// worker and runs fn(lo, hi) for each on the pool.  Callers return before
-// constructing fn when the copy is serial (workers <= 1 or fewer than
-// stagingParMin elements): the closure escapes, and the serial path must
-// stay allocation-free.
-func forEachChunk(workers, n int, fn func(lo, hi int)) {
-	chunk := (n + workers - 1) / workers
-	_ = par.ForEach(workers, (n+chunk-1)/chunk, func(c int) error {
-		fn(c*chunk, min(c*chunk+chunk, n))
-		return nil
-	})
+// splitJob is one fork of a layer op over contiguous ranges of its units,
+// n samples of per units each: a sample's channels (reference LRN, pooling,
+// batch norm, scale, global pooling), its pixels (the fast LRN), or the rows
+// of a batch transpose (one "sample").  Part p runs units [p*chunk,
+// min(p*chunk+chunk, n*per)), calling run once per sample it touches.  Each
+// output element is written by one part in the serial order, so the bytes
+// do not depend on the split.  The fields after chunk are the ops'
+// operands; each op reads its own.
+type splitJob struct {
+	run                        func(j *splitJob, smp, u0, u1 int)
+	o, in                      []float32
+	per, total, chunk          int
+	c, h, w, outH, outW, n, ld int
+	pool                       PoolParams
+	lrn                        LRNParams
+	bn                         BatchNormParams
+	gamma, beta                *tensor.Tensor
+	sums                       []float64
 }
 
-// stagingParMin is the element-count floor below which the batch
-// transposes stay serial: forking the pool costs more than the copy.
-const stagingParMin = 1 << 15
+func (j *splitJob) Run(p int) {
+	for u, hi := p*j.chunk, min(p*j.chunk+j.chunk, j.total); u < hi; {
+		smp := u / j.per
+		end := min(hi, (smp+1)*j.per)
+		j.run(j, smp, u-smp*j.per, end-smp*j.per)
+		u = end
+	}
+}
 
-// transposeToColumnsPar repacks sample-major rows (n x f) into feature-major
+// Costs per element of the split ops, in tensor.ForkMinWork's units
+// (reference-GEMM multiply-accumulates, ~75 ps), measured on AlexNet: an
+// element copied or scaled, or a pooling tap, ~0.6 ns; a fast-tier LRN
+// channel step ~2.5 ns; a reference LRN element, with its math.Pow, ~100 ns.
+const (
+	elemCost    = 8
+	lrnFastCost = 32
+	lrnPowCost  = 1024
+)
+
+// fork runs s.split over n samples of per units, each unit costing about
+// cost, on the team when the op is worth a fork (tensor.Team.Forks).
+func (s *Scratch) fork(n, per, cost int) {
+	j := &s.split
+	j.per, j.total = per, n*per
+	parts := 1
+	if s.team.Forks(int64(j.total) * int64(cost)) {
+		parts = min(s.Workers(), j.total)
+	}
+	j.chunk = (j.total + parts - 1) / parts
+	s.team.Do(parts, j)
+}
+
+// transposeToColumns repacks sample-major rows (n x f) into feature-major
 // columns (f x ld, ld >= n): dst[l*ld + smp] = src[smp*f + l], with pad
 // lanes [n, ld) zeroed so a column-padded GEMM reads defined values.  It
-// fans over the worker pool in contiguous feature chunks; bytes are
-// identical for any worker count.
-func transposeToColumnsPar(dst, src []float32, n, f, ld, workers int) {
-	if workers > f {
-		workers = f
-	}
-	if workers <= 1 || int64(ld)*int64(f) < stagingParMin {
-		transposeToColumnsRange(dst, src, n, f, ld, 0, f)
-		return
-	}
-	forEachChunk(workers, f, func(f0, f1 int) {
-		transposeToColumnsRange(dst, src, n, f, ld, f0, f1)
-	})
+// forks over contiguous feature chunks; bytes are identical for any worker
+// count.
+func (s *Scratch) transposeToColumns(dst, src []float32, n, f, ld int) {
+	s.split = splitJob{run: columnsPart, o: dst, in: src, n: n, ld: ld}
+	s.fork(1, f, ld*elemCost)
+}
+
+func columnsPart(j *splitJob, _, f0, f1 int) {
+	transposeToColumnsRange(j.o, j.in, j.n, j.per, j.ld, f0, f1)
+}
+
+// transposeToRows repacks feature-major columns (f x ld, the first n of
+// each row used) back into sample-major rows (n x f): dst[smp*f + l] =
+// src[l*ld + smp], forked over contiguous sample chunks.
+func (s *Scratch) transposeToRows(dst, src []float32, n, f, ld int) {
+	s.split = splitJob{run: rowsPart, o: dst, in: src, w: f, ld: ld}
+	s.fork(1, n, f*elemCost)
+}
+
+func rowsPart(j *splitJob, _, s0, s1 int) {
+	transposeToRowsRange(j.o, j.in, j.per, j.w, j.ld, s0, s1)
 }
 
 // transposeToColumnsRange writes feature rows [f0, f1) of the (f x ld)
@@ -87,20 +130,4 @@ func transposeToRowsRange(dst, src []float32, n, f, ld, s0, s1 int) {
 			row[l] = src[l*ld+smp]
 		}
 	}
-}
-
-// transposeToRowsPar repacks feature-major columns (f x ld, the first n of
-// each row used) back into sample-major rows (n x f): dst[smp*f + l] =
-// src[l*ld + smp], fanned over the worker pool in contiguous sample chunks.
-func transposeToRowsPar(dst, src []float32, n, f, ld, workers int) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || int64(n)*int64(f) < stagingParMin {
-		transposeToRowsRange(dst, src, n, f, ld, 0, n)
-		return
-	}
-	forEachChunk(workers, n, func(s0, s1 int) {
-		transposeToRowsRange(dst, src, n, f, ld, s0, s1)
-	})
 }

@@ -121,13 +121,13 @@ func TestFullyConnectedOneSampleRunsMatVec(t *testing.T) {
 				var staged int64 // the mat-vec's staging: the quantized sample
 				switch mode {
 				case NumericsReference:
-					tensor.MatVecBiasParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, workers)
+					tensor.MatVecBiasParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, tensor.NewTeam(workers))
 				case NumericsFast:
-					tensor.MatVecFastParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, workers)
+					tensor.MatVecFastParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, tensor.NewTeam(workers))
 				default:
 					xq := make([]uint8, pk.q.KPad())
 					xs := tensor.QuantizeU8(xq[:inF], x.Data())
-					tensor.MatVecInt8(want.Data(), pk.q, xq, b.Data(), xs, workers)
+					tensor.MatVecInt8(want.Data(), pk.q, xq, b.Data(), xs, tensor.NewTeam(workers))
 					staged = int64(len(xq))
 				}
 				s := NewScratch()
@@ -413,9 +413,9 @@ func TestRecurrentOneSequenceRunsMatVec(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				mv := func(dst, w, x []float32, rows, cols int) {
 					if mode == NumericsReference {
-						tensor.MatVecBiasParallel(dst, w, x, nil, rows, cols, workers)
+						tensor.MatVecBiasParallel(dst, w, x, nil, rows, cols, tensor.NewTeam(workers))
 					} else {
-						tensor.MatVecFastParallel(dst, w, x, nil, rows, cols, workers)
+						tensor.MatVecFastParallel(dst, w, x, nil, rows, cols, tensor.NewTeam(workers))
 					}
 				}
 				want := map[string][]float32{"lstm": matVecLSTM(mv, lw, seq.Data()), "gru": matVecGRU(mv, gw, seq.Data())}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tango/internal/par"
 	"tango/internal/tensor"
 )
 
@@ -28,16 +29,19 @@ import (
 
 // Scratch is the per-goroutine state of the compute engine: a
 // shape-memoizing output arena, the convolution's per-worker panel buffers,
-// recurrent gate buffers and the worker count for row-panel parallelism.
-// After the first run on a given network, repeated runs perform near-zero
-// heap allocations.
+// recurrent gate buffers, and the worker team every fork of the engine runs
+// on (a tensor.Team: parked helpers plus the caller) with the descriptors
+// of those forks.  After the first run on a given network, repeated runs
+// perform near-zero heap allocations, at any worker count.
 //
 // All tensors returned by Scratch methods alias the arena: their contents
 // are valid until the next BeginRun on the same Scratch.  A Scratch is not
 // safe for concurrent use; give each goroutine its own.  The package-level
 // layer functions (Conv2D, Pool2D, ...) run on a fresh Scratch per call.
 type Scratch struct {
-	workers  int
+	team     tensor.Team
+	conv     fusedJob
+	split    splitJob
 	direct   bool
 	numerics Numerics
 	arena    tensor.Arena
@@ -55,20 +59,21 @@ type Scratch struct {
 }
 
 // NewScratch returns an empty single-worker Scratch.
-func NewScratch() *Scratch { return &Scratch{workers: 1} }
+func NewScratch() *Scratch { return &Scratch{} }
 
-// SetWorkers sets the number of goroutines used for GEMM row panels; values
-// below 1 select serial execution.  Results are bit-identical for any
-// worker count.
+// SetWorkers sets the size of the Scratch's worker team, the caller
+// included; values below 1 select serial execution.  Results are
+// bit-identical for any worker count.  The team's helpers start on the
+// first fork that needs them and stop when the Scratch is collected.
 func (s *Scratch) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
+	if s.team.Team == nil {
+		s.team.Team = par.NewTeam(n)
 	}
-	s.workers = n
+	s.team.SetWorkers(n)
 }
 
 // Workers returns the effective worker count.
-func (s *Scratch) Workers() int { return max(s.workers, 1) }
+func (s *Scratch) Workers() int { return s.team.Workers() }
 
 // SetDirect switches the Scratch to the direct reference kernels (the naive
 // convolution loop nest and scalar dot products) at any batch size.  It
@@ -164,15 +169,6 @@ func featureMap(op string, t *tensor.Tensor) (n, c, h, w int, err error) {
 	return samples(t), t.Dim(r - 3), t.Dim(r - 2), t.Dim(r - 1), nil
 }
 
-// perSample runs fn on each sample's output and input blocks: o and in each
-// hold n equal contiguous blocks.
-func perSample(o, in []float32, n int, fn func(o, in []float32)) {
-	ob, ib := len(o)/n, len(in)/n
-	for i := 0; i < n; i++ {
-		fn(o[i*ob:(i+1)*ob], in[i*ib:(i+1)*ib])
-	}
-}
-
 // vec returns the recurrent buffer for the given slot, sized to n: slot 0
 // holds a batch's feature-major hidden state, 1 the LSTM cell state, 2 the
 // transposed step input, and 3-7 a step's gate buffers.
@@ -223,7 +219,9 @@ func (s *Scratch) Conv2DPacked(input, weights, bias *tensor.Tensor, p ConvParams
 	out := s.outMap(input, nImg, p.OutChannels, outH, outW)
 	o, in, w, b := out.Data(), input.Data(), weights.Data(), biasOf(bias)
 	if s.direct {
-		perSample(o, in, nImg, func(o, in []float32) { conv2DDirectCore(o, in, w, b, p, inH, inW, outH, outW) })
+		for i, ob, ib := 0, len(o)/nImg, len(in)/nImg; i < nImg; i++ {
+			conv2DDirectCore(o[i*ob:(i+1)*ob], in[i*ib:(i+1)*ib], w, b, p, inH, inW, outH, outW)
+		}
 		return out, nil
 	}
 	s.convFused(o, in, w, b, pk, p, nImg, inH, inW, outH, outW)
@@ -248,22 +246,24 @@ func (s *Scratch) FullyConnectedPacked(input, weights, bias *tensor.Tensor, outF
 	}
 	out := s.outVec(input, n, outFeatures)
 	o, x, w, b := out.Data(), input.Data(), weights.Data(), biasOf(bias)
-	workers := s.Workers()
+	team := &s.team
 	mode := s.Numerics()
 	int8Path := mode == NumericsInt8 && pk != nil && pk.q != nil
 	switch {
 	case s.direct:
-		perSample(o, x, n, func(o, x []float32) { scalarMatVec(o, w, x, b, outFeatures, inF) })
+		for i := 0; i < n; i++ {
+			scalarMatVec(o[i*outFeatures:(i+1)*outFeatures], w, x[i*inF:(i+1)*inF], b, outFeatures, inF)
+		}
 		return out, nil
 	case n == 1 && int8Path:
 		xq := s.u8buf(0, pk.q.KPad())
-		tensor.MatVecInt8(o, pk.q, xq, b, tensor.QuantizeU8(xq[:inF], x), workers)
+		tensor.MatVecInt8(o, pk.q, xq, b, tensor.QuantizeU8(xq[:inF], x), team)
 		return out, nil
 	case n == 1 && mode != NumericsReference:
-		tensor.MatVecFastParallel(o, w, x, b, outFeatures, inF, workers)
+		tensor.MatVecFastParallel(o, w, x, b, outFeatures, inF, team)
 		return out, nil
 	case n == 1:
-		tensor.MatVecBiasParallel(o, w, x, b, outFeatures, inF, workers)
+		tensor.MatVecBiasParallel(o, w, x, b, outFeatures, inF, team)
 		return out, nil
 	}
 	// The fast float GEMM pads its columns up to the 16-wide FMA tile so a
@@ -275,7 +275,7 @@ func (s *Scratch) FullyConnectedPacked(input, weights, bias *tensor.Tensor, outF
 		ld = (n + 15) &^ 15
 	}
 	xT := s.batchBuf(0, inF*ld)
-	transposeToColumnsPar(xT, x, n, inF, ld, workers)
+	s.transposeToColumns(xT, x, n, inF, ld)
 	yT := s.batchBuf(1, outFeatures*ld)
 	switch {
 	case int8Path:
@@ -283,13 +283,13 @@ func (s *Scratch) FullyConnectedPacked(input, weights, bias *tensor.Tensor, outF
 		bp := s.u8buf(0, tensor.Int8PackedLen(kPad, n))
 		acc := s.accbuf(0, tensor.Int8AccLen(outFeatures, n))
 		xs := tensor.PackColsU8(bp, xT, inF, n, n, kPad)
-		tensor.GemmInt8(yT, pk.q, bp, acc, b, xs, n, workers)
+		tensor.GemmInt8(yT, pk.q, bp, acc, b, xs, n, team)
 	case fast:
-		tensor.GemmNNFastParallel(yT, pk.f, xT, b, ld, ld, workers)
+		tensor.GemmNNFastParallel(yT, pk.f, xT, b, ld, ld, team)
 	default:
-		tensor.GemmNNParallel(yT, w, xT, b, outFeatures, n, inF, n, workers)
+		tensor.GemmNNParallel(yT, w, xT, b, outFeatures, n, inF, n, team)
 	}
-	transposeToRowsPar(o, yT, n, outFeatures, ld, workers)
+	s.transposeToRows(o, yT, n, outFeatures, ld)
 	return out, nil
 }
 
@@ -307,7 +307,8 @@ func (s *Scratch) Pool2D(input *tensor.Tensor, p PoolParams) (*tensor.Tensor, er
 		return nil, fmt.Errorf("nn: pool output dims %dx%d are not positive for input %dx%d", outH, outW, inH, inW)
 	}
 	out := s.outMap(input, n, c, outH, outW)
-	perSample(out.Data(), input.Data(), n, func(o, in []float32) { pool2DCore(o, in, c, inH, inW, outH, outW, p) })
+	s.split = splitJob{run: poolPart, o: out.Data(), in: input.Data(), c: c, h: inH, w: inW, outH: outH, outW: outW, pool: p}
+	s.fork(n, c, outH*outW*p.KernelH*p.KernelW*elemCost)
 	return out, nil
 }
 
@@ -319,13 +320,17 @@ func (s *Scratch) GlobalAvgPool(input *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	out := s.outVec(input, n, c)
-	perSample(out.Data(), input.Data(), n, func(o, in []float32) { globalAvgPoolCore(o, in, c, h, w) })
+	s.split = splitJob{run: globalAvgPoolPart, o: out.Data(), in: input.Data(), c: c, h: h, w: w}
+	s.fork(n, c, h*w*elemCost)
 	return out, nil
 }
 
 // LRN is the local response normalization layer.  The fast tiers run
 // lrnCoreFast when beta is exactly 3/4, the AlexNet/GoogLeNet exponent, for
-// which x^-beta has a closed form in hardware square roots.
+// which x^-beta has a closed form in hardware square roots.  The reference
+// core forks over (sample, channel) ranges; the fast one over (sample,
+// pixel) ranges, so each pixel's rolling window sum stays in one worker.
+// Either way the bytes do not depend on the split.
 func (s *Scratch) LRN(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -335,12 +340,13 @@ func (s *Scratch) LRN(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, error)
 		return nil, err
 	}
 	out := s.outMap(input, n, c, h, w)
+	s.split = splitJob{run: lrnPart, o: out.Data(), in: input.Data(), c: c, h: h, w: w, lrn: p}
 	if s.Numerics() != NumericsReference && p.Beta == 0.75 {
-		sums := grown(&s.f64buf, h*w)
-		perSample(out.Data(), input.Data(), n, func(o, in []float32) { lrnCoreFast(o, in, c, h, w, p, sums) })
+		s.split.sums = grown(&s.f64buf, n*h*w)
+		s.fork(n, h*w, c*lrnFastCost)
 		return out, nil
 	}
-	perSample(out.Data(), input.Data(), n, func(o, in []float32) { lrnCore(o, in, c, h, w, p) })
+	s.fork(n, c, lrnPowCost*h*w)
 	return out, nil
 }
 
@@ -357,7 +363,8 @@ func (s *Scratch) BatchNorm(input *tensor.Tensor, p BatchNormParams) (*tensor.Te
 		return nil, fmt.Errorf("nn: batchnorm stats length %d/%d, want %d", p.Mean.Len(), p.Variance.Len(), c)
 	}
 	out := s.outMap(input, n, c, h, w)
-	perSample(out.Data(), input.Data(), n, func(o, in []float32) { batchNormCore(o, in, c, h, w, p) })
+	s.split = splitJob{run: batchNormPart, o: out.Data(), in: input.Data(), c: c, h: h, w: w, bn: p}
+	s.fork(n, c, h*w*elemCost)
 	return out, nil
 }
 
@@ -374,7 +381,8 @@ func (s *Scratch) Scale(input, gamma, beta *tensor.Tensor) (*tensor.Tensor, erro
 		return nil, fmt.Errorf("nn: scale expects %d betas, got %d", c, beta.Len())
 	}
 	out := s.outMap(input, n, c, h, w)
-	perSample(out.Data(), input.Data(), n, func(o, in []float32) { scaleCore(o, in, c, h, w, gamma, beta) })
+	s.split = splitJob{run: scalePart, o: out.Data(), in: input.Data(), c: c, h: h, w: w, gamma: gamma, beta: beta}
+	s.fork(n, c, h*w*elemCost)
 	return out, nil
 }
 
@@ -438,7 +446,10 @@ func (s *Scratch) Softmax(input *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("nn: softmax: %w: nil or empty input", tensor.ErrShape)
 	}
 	out := s.outLike(input)
-	perSample(out.Data(), input.Data(), samples(input), softmaxCore)
+	o, in := out.Data(), input.Data()
+	for i, n := 0, len(in)/samples(input); i < len(in); i += n {
+		softmaxCore(o[i:i+n], in[i:i+n])
+	}
 	return out, nil
 }
 
@@ -584,7 +595,7 @@ func stepInput(seq *tensor.Tensor, t, i, n int) *tensor.Tensor {
 // (hidden x n) over the feature-major input x (in x n); at n = 1 both are
 // the plain vectors, h is out itself, and nothing is transposed.
 func (s *Scratch) unroll(out, seq *tensor.Tensor, steps, n int, step func(x, h []float32)) {
-	h, in, workers := out.Data(), seq.Len()/(steps*n), s.Workers()
+	h, in := out.Data(), seq.Len()/(steps*n)
 	if n > 1 {
 		h = s.vec(0, len(h))
 	}
@@ -593,13 +604,13 @@ func (s *Scratch) unroll(out, seq *tensor.Tensor, steps, n int, step func(x, h [
 		x := seq.Data()[t*n*in : (t+1)*n*in]
 		if n > 1 {
 			xT := s.vec(2, n*in)
-			transposeToColumnsPar(xT, x, n, in, n, workers)
+			s.transposeToColumns(xT, x, n, in, n)
 			x = xT
 		}
 		step(x, h)
 	}
 	if n > 1 {
-		transposeToRowsPar(out.Data(), h, n, len(h)/n, n, workers)
+		s.transposeToRows(out.Data(), h, n, len(h)/n, n)
 	}
 }
 
@@ -657,21 +668,21 @@ func (s *Scratch) gruStep(w *GRUWeights, pk *RNNPack, x, h []float32, n int) {
 // (GemmNNParallel, or GemmNNFastParallel with the gate's pack).  On the
 // reference tier both are one left-to-right dot product per element.
 func (s *Scratch) gate(pre, tmp []float32, wx, uh, b *tensor.Tensor, g *gatePack, x, h []float32, n int) {
-	hidden, in, workers := len(pre)/n, len(x)/n, s.Workers()
+	hidden, in, team := len(pre)/n, len(x)/n, &s.team
 	fast := s.Numerics() != NumericsReference
 	switch {
 	case n == 1 && fast:
-		tensor.MatVecFastParallel(pre, wx.Data(), x, nil, hidden, in, workers)
-		tensor.MatVecFastParallel(tmp, uh.Data(), h, nil, hidden, hidden, workers)
+		tensor.MatVecFastParallel(pre, wx.Data(), x, nil, hidden, in, team)
+		tensor.MatVecFastParallel(tmp, uh.Data(), h, nil, hidden, hidden, team)
 	case n == 1:
-		tensor.MatVecBiasParallel(pre, wx.Data(), x, nil, hidden, in, workers)
-		tensor.MatVecBiasParallel(tmp, uh.Data(), h, nil, hidden, hidden, workers)
+		tensor.MatVecBiasParallel(pre, wx.Data(), x, nil, hidden, in, team)
+		tensor.MatVecBiasParallel(tmp, uh.Data(), h, nil, hidden, hidden, team)
 	case fast && g != nil:
-		tensor.GemmNNFastParallel(pre, g.wx, x, nil, n, n, workers)
-		tensor.GemmNNFastParallel(tmp, g.uh, h, nil, n, n, workers)
+		tensor.GemmNNFastParallel(pre, g.wx, x, nil, n, n, team)
+		tensor.GemmNNFastParallel(tmp, g.uh, h, nil, n, n, team)
 	default:
-		tensor.GemmNNParallel(pre, wx.Data(), x, nil, hidden, n, in, n, workers)
-		tensor.GemmNNParallel(tmp, uh.Data(), h, nil, hidden, n, hidden, n, workers)
+		tensor.GemmNNParallel(pre, wx.Data(), x, nil, hidden, n, in, n, team)
+		tensor.GemmNNParallel(tmp, uh.Data(), h, nil, hidden, n, hidden, n, team)
 	}
 	bd := b.Data()
 	for r := 0; r < hidden; r++ {

@@ -3,6 +3,7 @@ package nn_test
 import (
 	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"tango"
@@ -473,4 +474,11 @@ func BenchmarkClassifyAlexNet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestMain forks every op a multi-worker test runs, however small, so the
+// split and fork paths are exercised on small layers too.
+func TestMain(m *testing.M) {
+	tensor.ForkMinWork = 0
+	os.Exit(m.Run())
 }

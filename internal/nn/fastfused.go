@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"tango/internal/par"
-	"tango/internal/tensor"
-)
+import "tango/internal/tensor"
 
 // This file implements the convolution core of every tier.  Receptive-field
 // patches stream from the input into L2-resident column panels that a GEMM
@@ -63,18 +60,21 @@ func (s *Scratch) convFused(o, in, w, biasData []float32, pk *ConvPack, p ConvPa
 	workers := s.Workers()
 	oneByOne := pq == nil && p.KernelH == 1 && p.KernelW == 1 &&
 		p.StrideH == 1 && p.StrideW == 1 && p.PadH == 0 && p.PadW == 0
-	job := fusedJob{o: o, in: in, p: p, sampleStride: sampleStride, inH: inH, inW: inW,
+	job := &s.conv
+	*job = fusedJob{s: s, o: o, in: in, p: p, sampleStride: sampleStride, inH: inH, inW: inW,
 		outH: outH, outW: outW, n1: n1, outSample: p.OutChannels * n1, m: outCPerGroup, k: k,
 		nPanels: (n1 + tensor.FusedNC - 1) / tensor.FusedNC}
-	tasks := nImg * job.nPanels
-	fan := min(workers, tasks)
-	if pa == nil && pq == nil && tasks < 2*workers {
+	job.tasks = nImg * job.nPanels
+	job.fan = min(workers, job.tasks)
+	if !s.team.Forks(int64(nImg) * int64(outCPerGroup) * int64(k) * int64(n1)) {
+		job.fan = 1
+	} else if pa == nil && pq == nil && job.tasks < 2*workers {
 		// Too few panels to share out evenly (AlexNet conv2's two are 512 and
 		// 217 columns wide): every worker runs every panel over its own
 		// 4-row-aligned range of the weight rows instead.
-		if fan = min(workers, outCPerGroup/4); fan > 1 {
-			job.rowChunk = (outCPerGroup + fan*4 - 1) / (fan * 4) * 4
-			fan = (outCPerGroup + job.rowChunk - 1) / job.rowChunk
+		if job.fan = max(min(workers, outCPerGroup/4), 1); job.fan > 1 {
+			job.rowChunk = (outCPerGroup + job.fan*4 - 1) / (job.fan * 4) * 4
+			job.fan = (outCPerGroup + job.rowChunk - 1) / job.rowChunk
 		}
 	}
 	if pq != nil {
@@ -99,9 +99,9 @@ func (s *Scratch) convFused(o, in, w, biasData []float32, pk *ConvPack, p ConvPa
 				dst := o[img*job.outSample+job.oc0*n1:]
 				b := in[img*sampleStride+job.icBase*n1:]
 				if job.pa != nil {
-					tensor.GemmNNFastParallel(dst, job.pa, b, job.gb, n1, n1, workers)
+					tensor.GemmNNFastParallel(dst, job.pa, b, job.gb, n1, n1, &s.team)
 				} else {
-					tensor.GemmNNParallel(dst, job.w, b, job.gb, outCPerGroup, n1, k, n1, workers)
+					tensor.GemmNNParallel(dst, job.w, b, job.gb, outCPerGroup, n1, k, n1, &s.team)
 				}
 			}
 			continue
@@ -115,25 +115,27 @@ func (s *Scratch) convFused(o, in, w, biasData []float32, pk *ConvPack, p ConvPa
 				job.u8.quantize(img, planes, 1/job.scales[img])
 			}
 		}
-		if fan <= 1 {
-			// Serial path: no closures (they would escape and break the
-			// engine's zero-alloc steady state).
-			panel, u8p, acc := s.fusedBufs(0, &job)
-			for t := 0; t < tasks; t++ {
-				job.run(t, panel, u8p, acc, 0, outCPerGroup)
-			}
-			continue
+		// Grow every part's buffers before the fork: the slot lists must
+		// not be resized by two parts at once.
+		for wi := 0; wi < job.fan; wi++ {
+			s.fusedBufs(wi, job)
 		}
-		s.convFusedGroupPar(job, tasks, fan)
+		s.team.Do(job.fan, job)
 	}
 }
 
 // fusedJob is one group (m weight rows of depth k) of a convolution call,
 // split into tasks: task t finishes the output columns of panel t%nPanels
 // of image t/nPanels.  Exactly one of pq (int8), pa (fast) and neither
-// (reference, on the raw weights w) selects the panel kernel.  A non-zero
-// rowChunk splits the reference tier's rows instead of its tasks.
+// (reference, on the raw weights w) selects the panel kernel.  It is the
+// convolution's fork on the Scratch's team, in fan parts: part wi owns
+// tasks wi, wi+fan, ... — or, with a non-zero rowChunk (the reference tier
+// only), every task over its own chunk of the weight rows, packing each
+// panel itself.  Either is a fixed assignment in which each output element
+// is written by one part in its serial order, so the bytes are identical
+// for any worker count.
 type fusedJob struct {
+	s            *Scratch
 	o, in, w, gb []float32
 	pa           *tensor.PackedA
 	pq           *tensor.PackedInt8
@@ -141,7 +143,20 @@ type fusedJob struct {
 	scales       []float32
 	p            ConvParams
 
-	sampleStride, inH, inW, icBase, outH, outW, n1, outSample, oc0, nPanels, m, k, rowChunk int
+	sampleStride, inH, inW, icBase, outH, outW, n1, outSample, oc0, nPanels, m, k, rowChunk, tasks, fan int
+}
+
+// Run is part wi of the group, on worker slot wi's staging buffers.
+func (j *fusedJob) Run(wi int) {
+	panel, u8p, acc := j.s.fusedBufs(wi, j)
+	t0, step, r0, r1 := wi, j.fan, 0, j.m
+	if j.rowChunk > 0 {
+		t0, step, r0 = 0, 1, min(wi*j.rowChunk, j.m)
+		r1 = min(r0+j.rowChunk, j.m)
+	}
+	for t := t0; t < j.tasks; t += step {
+		j.run(t, panel, u8p, acc, r0, r1)
+	}
 }
 
 // fusedBufs returns worker slot wi's staging buffers: a float panel, or the
@@ -179,34 +194,6 @@ func (j *fusedJob) run(t int, panel []float32, u8p []uint8, acc []int32, r0, r1 
 			tensor.GemmNNAccumPanel(dst, j.w, panel[:kc*pw], j.gb, j.k, kb, kc, pw, j.n1, r0, r1)
 		}
 	}
-}
-
-// convFusedGroupPar fans one group's tasks over the worker pool.  It takes
-// the job by value and lives in its own function so the closure below never
-// forces the serial path's locals to the heap (convFused must stay
-// closure-free for the zero-alloc steady state).  Worker wi owns tasks wi,
-// wi+w, ... — or, with a rowChunk, every task over its own chunk of the
-// weight rows, packing each panel itself.  Either is a fixed assignment in
-// which each output element is written by one worker in its serial order,
-// so the bytes are identical for any worker count.
-func (s *Scratch) convFusedGroupPar(job fusedJob, tasks, w int) {
-	// Pre-grow the per-worker buffers before fanning out: the slot helpers
-	// may append/resize, which must not race.
-	for wi := 0; wi < w; wi++ {
-		s.fusedBufs(wi, &job)
-	}
-	_ = par.ForEach(w, w, func(wi int) error {
-		panel, u8p, acc := s.fusedBufs(wi, &job)
-		t0, step, r0, r1 := wi, w, 0, job.m
-		if job.rowChunk > 0 {
-			t0, step, r0 = 0, 1, min(wi*job.rowChunk, job.m)
-			r1 = min(r0+job.rowChunk, job.m)
-		}
-		for t := t0; t < tasks; t += step {
-			job.run(t, panel, u8p, acc, r0, r1)
-		}
-		return nil
-	})
 }
 
 // u8Order returns the int8 depth order of a convolution: lanes is 4 when a

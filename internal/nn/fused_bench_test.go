@@ -20,7 +20,7 @@ func BenchmarkLRNFast(b *testing.B) {
 		forFastTiers(func(tier tensor.SIMDTier) {
 			b.Run(s.name+"/"+tier.String(), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					lrnCoreFast(out, in.Data(), s.c, s.h, s.w, DefaultLRN(), sums)
+					lrnCoreFast(out, in.Data(), s.c, s.h*s.w, DefaultLRN(), sums, 0, s.h*s.w)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in.Len()), "ns/elem")
 			})

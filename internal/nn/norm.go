@@ -40,14 +40,27 @@ func LRN(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, error) {
 	return NewScratch().LRN(input, p)
 }
 
-// lrnCore normalizes one CHW sample given as flat slices.  The channel loop
-// is outermost so output writes stream contiguously; the per-element
-// arithmetic (fresh float64 window sum, math.Pow denominator) is the
-// reference loop's, so results are bit-identical.
-func lrnCore(o, in []float32, c, h, w int, p LRNParams) {
+// lrnPart normalizes units [u0, u1) of sample smp: pixels on the fast tier
+// (j.sums set), channels on the reference one.
+func lrnPart(j *splitJob, smp, u0, u1 int) {
+	hw := j.h * j.w
+	o, in := j.o[smp*j.c*hw:(smp+1)*j.c*hw], j.in[smp*j.c*hw:(smp+1)*j.c*hw]
+	if j.sums != nil {
+		lrnCoreFast(o, in, j.c, hw, j.lrn, j.sums[smp*hw:(smp+1)*hw], u0, u1)
+	} else {
+		lrnCore(o, in, j.c, j.h, j.w, j.lrn, u0, u1)
+	}
+}
+
+// lrnCore normalizes output channels [c0, c1) of one c-channel CHW sample
+// given as flat slices.  The channel loop is outermost so output writes
+// stream contiguously; the per-element arithmetic (fresh float64 window
+// sum, math.Pow denominator) is the reference loop's, so results are
+// bit-identical for any channel split.
+func lrnCore(o, in []float32, c, h, w int, p LRNParams, c0, c1 int) {
 	half := p.LocalSize / 2
 	scale := p.Alpha / float64(p.LocalSize)
-	for ch := 0; ch < c; ch++ {
+	for ch := c0; ch < c1; ch++ {
 		lo := ch - half
 		if lo < 0 {
 			lo = 0
@@ -70,9 +83,11 @@ func lrnCore(o, in []float32, c, h, w int, p LRNParams) {
 	}
 }
 
-// lrnCoreFast is lrnCore for the fast tier with beta = 3/4.  Two departures
-// from the reference kernel, both inside the fast tier's tolerance
-// contract (which is the only tier that ever runs this):
+// lrnCoreFast is lrnCore for the fast tier with beta = 3/4, over pixels
+// [p0, p1) of every channel of one CHW sample of hw-pixel planes; sums is
+// the sample's hw running sums.  Two departures from the reference kernel,
+// both inside the fast tier's tolerance contract (which is the only tier
+// that ever runs this):
 //
 //   - The per-pixel channel-window sum rolls instead of being recomputed:
 //     sums holds one float64 running sum per pixel and each channel step
@@ -82,25 +97,29 @@ func lrnCore(o, in []float32, c, h, w int, p LRNParams) {
 //   - The denominator d^0.75 = sqrt(d*sqrt(d)) uses two hardware square
 //     roots instead of math.Pow (tensor.LRNStep75: its scalar loop is the
 //     definition of a channel step, its vector rung writes the same bits).
-func lrnCoreFast(o, in []float32, c, h, w int, p LRNParams, sums []float64) {
+//
+// A pixel's rolling sum never leaves its pixel, so the bits do not depend
+// on the pixel split.
+func lrnCoreFast(o, in []float32, c, hw int, p LRNParams, sums []float64, p0, p1 int) {
 	half := p.LocalSize / 2
 	scale := p.Alpha / float64(p.LocalSize)
-	hw := h * w
+	sums = sums[p0:p1]
+	plane := func(t []float32, ch int) []float32 { return t[ch*hw+p0 : ch*hw+p1] }
 	clear(sums)
 	for cc := 0; cc <= half && cc < c; cc++ {
-		for i, v := range in[cc*hw : (cc+1)*hw] {
+		for i, v := range plane(in, cc) {
 			sums[i] += float64(v) * float64(v)
 		}
 	}
 	for ch := 0; ch < c; ch++ {
 		var add, sub []float32
 		if a := ch + half + 1; a < c {
-			add = in[a*hw : (a+1)*hw]
+			add = plane(in, a)
 		}
 		if s := ch - half; s >= 0 {
-			sub = in[s*hw : (s+1)*hw]
+			sub = plane(in, s)
 		}
-		tensor.LRNStep75(o[ch*hw:(ch+1)*hw], in[ch*hw:(ch+1)*hw], sums, add, sub, p.K, scale)
+		tensor.LRNStep75(plane(o, ch), plane(in, ch), sums, add, sub, p.K, scale)
 	}
 }
 
@@ -118,17 +137,19 @@ func BatchNorm(input *tensor.Tensor, p BatchNormParams) (*tensor.Tensor, error) 
 	return NewScratch().BatchNorm(input, p)
 }
 
-// batchNormCore normalizes one CHW sample given as flat slices.
-func batchNormCore(o, in []float32, c, h, w int, p BatchNormParams) {
-	eps := p.Epsilon
+// batchNormPart normalizes channels [c0, c1) of sample smp.
+func batchNormPart(j *splitJob, smp, c0, c1 int) {
+	eps := j.bn.Epsilon
 	if eps == 0 {
 		eps = 1e-5
 	}
-	for ch := 0; ch < c; ch++ {
-		mean := p.Mean.Data()[ch]
-		inv := float32(1.0 / math.Sqrt(float64(p.Variance.Data()[ch])+eps))
-		for i := 0; i < h*w; i++ {
-			o[ch*h*w+i] = (in[ch*h*w+i] - mean) * inv
+	hw := j.h * j.w
+	for ch := c0; ch < c1; ch++ {
+		mean := j.bn.Mean.Data()[ch]
+		inv := float32(1.0 / math.Sqrt(float64(j.bn.Variance.Data()[ch])+eps))
+		at := (smp*j.c + ch) * hw
+		for i, v := range j.in[at : at+hw] {
+			j.o[at+i] = (v - mean) * inv
 		}
 	}
 }
@@ -139,17 +160,19 @@ func Scale(input *tensor.Tensor, gamma, beta *tensor.Tensor) (*tensor.Tensor, er
 	return NewScratch().Scale(input, gamma, beta)
 }
 
-// scaleCore applies the per-channel affine transform to one CHW sample given
-// as flat slices.
-func scaleCore(o, in []float32, c, h, w int, gamma, beta *tensor.Tensor) {
-	for ch := 0; ch < c; ch++ {
-		g := gamma.Data()[ch]
+// scalePart applies the per-channel affine transform to channels [c0, c1)
+// of sample smp.
+func scalePart(j *splitJob, smp, c0, c1 int) {
+	hw := j.h * j.w
+	for ch := c0; ch < c1; ch++ {
+		g := j.gamma.Data()[ch]
 		b := float32(0)
-		if beta != nil {
-			b = beta.Data()[ch]
+		if j.beta != nil {
+			b = j.beta.Data()[ch]
 		}
-		for i := 0; i < h*w; i++ {
-			o[ch*h*w+i] = in[ch*h*w+i]*g + b
+		at := (smp*j.c + ch) * hw
+		for i, v := range j.in[at : at+hw] {
+			j.o[at+i] = v*g + b
 		}
 	}
 }

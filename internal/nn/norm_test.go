@@ -213,7 +213,7 @@ func TestLRNFastMatchesScalarLoop(t *testing.T) {
 				lrnFastScalarLoop(want, in.Data(), c, hw, p)
 				forFastTiers(func(tier tensor.SIMDTier) {
 					got := make([]float32, c*hw)
-					lrnCoreFast(got, in.Data(), c, hw, 1, p, make([]float64, hw))
+					lrnCoreFast(got, in.Data(), c, hw, p, make([]float64, hw), 0, hw)
 					for i := range want {
 						g, w := got[i], want[i]
 						if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {

@@ -77,8 +77,14 @@ func tapSpan(k, pad, stride, in, out int) (lo, hi int) {
 	return lo, max(hi, lo)
 }
 
-// pool2DCore pools one CHW sample given as flat slices; Scratch.Pool2D
-// calls it once per image of an NCHW batch.  It works an output row at a
+// poolPart pools channels [c0, c1) of sample smp.
+func poolPart(j *splitJob, smp, c0, c1 int) {
+	at := smp*j.c + c0
+	pool2DCore(j.o[at*j.outH*j.outW:], j.in[at*j.h*j.w:], c1-c0, j.h, j.w, j.outH, j.outW, j.pool)
+}
+
+// pool2DCore pools c channels of CHW data given as flat slices;
+// Scratch.Pool2D calls it on (sample, channel) ranges of an NCHW batch.  It works an output row at a
 // time: the row is seeded (-Inf or 0), then each (ky, kx) tap that is inside
 // the image is applied to the whole run of outputs it is in bounds for —
 // one tensor.MaxStride or AddStride call, a vector kernel at the suite's
@@ -130,7 +136,13 @@ func GlobalAvgPool(input *tensor.Tensor) (*tensor.Tensor, error) {
 	return NewScratch().GlobalAvgPool(input)
 }
 
-// globalAvgPoolCore reduces one CHW sample given as flat slices.
+// globalAvgPoolPart reduces channels [c0, c1) of sample smp.
+func globalAvgPoolPart(j *splitJob, smp, c0, c1 int) {
+	at := smp*j.c + c0
+	globalAvgPoolCore(j.o[at:], j.in[at*j.h*j.w:], c1-c0, j.h, j.w)
+}
+
+// globalAvgPoolCore reduces c channels of CHW data given as flat slices.
 func globalAvgPoolCore(o, in []float32, c, h, w int) {
 	area := float32(h * w)
 	for ch := 0; ch < c; ch++ {

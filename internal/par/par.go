@@ -1,7 +1,8 @@
 // Package par provides the deterministic worker-pool primitive shared by the
 // simulator's kernel-level parallelism and the experiment drivers' matrix
-// fan-out, plus the goroutine-leak check helper used by concurrency tests
-// across the repo.
+// fan-out, the allocation-free fork-join Team the compute engine runs on,
+// and the goroutine-leak check helper used by concurrency tests across the
+// repo.
 package par
 
 import (
@@ -15,7 +16,8 @@ import (
 
 // PointTask is the fault-injection site fired before every worker task; a
 // chaos plan can make any fan-out (sweep cells, kernel simulations, figure
-// prewarms) fail, stall or panic.
+// prewarms) fail, stall or panic.  The compute engine's forks run on a Team
+// and are not PointTask sites.
 var PointTask = resilience.Register("par.task", "before each worker-pool task (ForEach / ForEachCtx)")
 
 // PanicError is a panic recovered from a worker task, converted to an

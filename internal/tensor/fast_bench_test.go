@@ -86,7 +86,7 @@ func BenchmarkGemmInt8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		xScale := PackColsU8(bp, bb, k, n, n, pw.KPad())
-		GemmInt8(dst, pw, bp, acc, bias, xScale, n, 1)
+		GemmInt8(dst, pw, bp, acc, bias, xScale, n, nil)
 	}
 	b.ReportMetric(float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 }

@@ -148,7 +148,7 @@ func TestGemmNNFastTiers(t *testing.T) {
 				for i := range got {
 					got[i] = float32(math.NaN())
 				}
-				tensor.GemmNNFastParallel(got, pa, b, bias, s.n, s.n, workers)
+				tensor.GemmNNFastParallel(got, pa, b, bias, s.n, s.n, tensor.NewTeam(workers))
 				// Error floor and bound scale with the reduction length;
 				// the additive term covers near-cancelling small-depth sums.
 				floor := 1e-3 * math.Sqrt(float64(s.k))
@@ -175,7 +175,7 @@ func TestGemmNNFastParallelIdentical(t *testing.T) {
 	tensor.GemmNNFast(serial, pa, b, nil, n, n)
 	par := make([]float32, m*n)
 	for _, workers := range []int{2, 5, 8} {
-		tensor.GemmNNFastParallel(par, pa, b, nil, n, n, workers)
+		tensor.GemmNNFastParallel(par, pa, b, nil, n, n, tensor.NewTeam(workers))
 		for i := range serial {
 			if math.Float32bits(serial[i]) != math.Float32bits(par[i]) {
 				t.Fatalf("workers=%d: element %d differs: %v vs %v", workers, i, par[i], serial[i])
@@ -200,7 +200,7 @@ func TestMatVecFastTiers(t *testing.T) {
 			tensor.MatVecBias(ref, w, x, bias, rows, cols)
 			got := make([]float32, rows)
 			for _, workers := range []int{1, 4} {
-				tensor.MatVecFastParallel(got, w, x, bias, rows, cols, workers)
+				tensor.MatVecFastParallel(got, w, x, bias, rows, cols, tensor.NewTeam(workers))
 				floor := 1e-3 * math.Sqrt(float64(cols))
 				tol := 2e-5 * math.Sqrt(float64(cols))
 				if err := maxRelErr(got, ref, rows, 1, 1, floor); err > tol {
@@ -231,12 +231,12 @@ func TestGemmInt8TierExact(t *testing.T) {
 			xScale := tensor.PackColsU8(bp, b, s.k, s.n, s.n, pw.KPad())
 			acc := make([]int32, tensor.Int8AccLen(s.m, s.n))
 			out := make([]float32, s.m*s.n)
-			tensor.GemmInt8(out, pw, bp, acc, bias, xScale, s.n, 1)
+			tensor.GemmInt8(out, pw, bp, acc, bias, xScale, s.n, nil)
 
 			// Every worker count must match exactly.
 			out4 := make([]float32, s.m*s.n)
 			acc4 := make([]int32, tensor.Int8AccLen(s.m, s.n))
-			tensor.GemmInt8(out4, pw, bp, acc4, bias, xScale, s.n, 4)
+			tensor.GemmInt8(out4, pw, bp, acc4, bias, xScale, s.n, tensor.NewTeam(4))
 			for i := range out {
 				if math.Float32bits(out[i]) != math.Float32bits(out4[i]) {
 					t.Fatalf("shape %v workers diverge at %d", s, i)
@@ -287,7 +287,7 @@ func TestMatVecInt8TierExact(t *testing.T) {
 			xq := make([]uint8, pw.KPad())
 			xScale := tensor.QuantizeU8(xq, x)
 			out := make([]float32, rows)
-			tensor.MatVecInt8(out, pw, xq, bias, xScale, 1)
+			tensor.MatVecInt8(out, pw, xq, bias, xScale, nil)
 
 			ref := make([]float32, rows)
 			tensor.MatVecBias(ref, w, x, bias, rows, cols)

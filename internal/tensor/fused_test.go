@@ -238,7 +238,7 @@ func TestGemmInt8PanelMatchesGemmInt8(t *testing.T) {
 			scale := tensor.PackColsU8(bp, b, k, n, n, kPad)
 			if tier == tensor.TierGeneric {
 				want = make([]float32, m*n)
-				tensor.GemmInt8(want, pw, bp, make([]int32, tensor.Int8AccLen(m, n)), bias, scale, n, 1)
+				tensor.GemmInt8(want, pw, bp, make([]int32, tensor.Int8AccLen(m, n)), bias, scale, n, nil)
 			}
 
 			q := make([]uint8, k*n)

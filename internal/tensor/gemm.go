@@ -44,35 +44,70 @@ func Gemm(dst, a, bt, bias []float32, m, n, k int) {
 	gemmRows(dst, a, bt, bias, n, k, 0, m)
 }
 
-// serialRows reports whether a row-panel problem should run serially:
-// explicit single worker, too few rows to tile, or too little total work to
-// amortize goroutine fan-out.
-func serialRows(rows int, volume int64, workers int) bool {
-	return workers <= 1 || rows < 2*gemmMR || volume < 1<<15
+// Team is a par.Team together with the argument block of the row-panel
+// kernels (MatVecBiasParallel, GemmNNParallel, GemmNNFastParallel,
+// MatVecFastParallel, GemmInt8, MatVecInt8), so a forked kernel call
+// allocates nothing.  A nil Team, or one of one worker, runs every kernel
+// serially.  Like par.Team it is not safe for concurrent use.
+type Team struct {
+	*par.Team
+	rows rowJob
 }
 
-// forEachRowPanel splits rows into contiguous panels aligned to the kernel's
-// mr-row register tile (rows >= mr) and runs fn(r0, r1) for each on up to
-// workers goroutines.  Callers gate with serialRows first.  Panel boundaries
-// never affect results: each output row belongs to exactly one panel.
-func forEachRowPanel(rows, workers, mr int, fn func(r0, r1 int)) {
-	if workers > rows/mr {
-		workers = rows / mr
-	}
-	chunk := (rows + workers - 1) / workers
-	// Align panel boundaries to the register tile so only the last panel
-	// runs the remainder rows.
-	chunk = (chunk + mr - 1) / mr * mr
-	panels := (rows + chunk - 1) / chunk
-	_ = par.ForEach(workers, panels, func(p int) error {
-		r0 := p * chunk
-		r1 := r0 + chunk
-		if r1 > rows {
-			r1 = rows
-		}
-		fn(r0, r1)
-		return nil
-	})
+// NewTeam returns a Team of n workers.
+func NewTeam(n int) *Team { return &Team{Team: par.NewTeam(n)} }
+
+// rowJob is one row-panel fork: part p runs kernel over rows [p*chunk,
+// min(p*chunk+chunk, m)).  Panel boundaries never affect results: each
+// output row belongs to exactly one panel.
+type rowJob struct {
+	kernel          func(j *rowJob, r0, r1 int)
+	m, chunk        int
+	dst, a, b, bias []float32
+	pa              *PackedA
+	pq              *PackedInt8
+	u8              []uint8
+	acc             []int32
+	scale           float32
+	n, k, ldb       int
+}
+
+func (j *rowJob) Run(p int) {
+	r0 := p * j.chunk
+	j.kernel(j, r0, min(r0+j.chunk, j.m))
+}
+
+// ForkMinWork is the work below which the engine does not fork, in
+// reference-GEMM multiply-accumulates (about 75 ps each on a 2.1 GHz Xeon),
+// so about a millisecond.  Waking a parked helper takes 0.1-0.2 ms on a
+// shared two-vCPU VM; forking CifarNet's layers (at most 6.5 M MACs each)
+// bought no wall time for +50 % CPU.  Tests lower it to fork every op.
+var ForkMinWork int64 = 1 << 24
+
+// matVecCost is a mat-vec multiply-accumulate in ForkMinWork's units: it
+// streams its weight from memory, at about 0.6 ns.
+const matVecCost = 8
+
+// Forks reports whether work of the given size (in ForkMinWork's units)
+// should fork on t.
+func (t *Team) Forks(work int64) bool {
+	return t != nil && t.Workers() > 1 && work >= ForkMinWork
+}
+
+// forks reports whether a row-panel problem of rows rows and the given work
+// should fork: at least two register tiles of rows, and Forks.
+func (t *Team) forks(rows int, work int64) bool {
+	return rows >= 2*gemmMR && t.Forks(work)
+}
+
+// forRows runs t.rows over its m rows in contiguous panels, one per worker,
+// aligned to the kernel's mr-row register tile so only the last panel runs
+// the remainder rows.  Callers gate with forks first.
+func (t *Team) forRows(mr int) {
+	j := &t.rows
+	workers := min(t.Workers(), j.m/mr)
+	j.chunk = ((j.m+workers-1)/workers + mr - 1) / mr * mr
+	t.Do((j.m+j.chunk-1)/j.chunk, j)
 }
 
 func checkGemmArgs(dst, a, bt, bias []float32, m, n, k int) {
@@ -169,18 +204,19 @@ func MatVecBias(dst, w, x, bias []float32, rows, cols int) {
 	matVecRows(dst, w, x, bias, cols, 0, rows)
 }
 
-// MatVecBiasParallel is MatVecBias with rows split across up to workers
-// goroutines; the result is bit-identical to the serial kernel.
-func MatVecBiasParallel(dst, w, x, bias []float32, rows, cols, workers int) {
+// MatVecBiasParallel is MatVecBias with rows split across t's workers; the
+// result is bit-identical to the serial kernel.
+func MatVecBiasParallel(dst, w, x, bias []float32, rows, cols int, t *Team) {
 	checkMatVecArgs(dst, w, x, bias, rows, cols)
-	if serialRows(rows, int64(rows)*int64(cols), workers) {
+	if !t.forks(rows, matVecCost*int64(rows)*int64(cols)) {
 		matVecRows(dst, w, x, bias, cols, 0, rows)
 		return
 	}
-	forEachRowPanel(rows, workers, gemmMR, func(r0, r1 int) {
-		matVecRows(dst, w, x, bias, cols, r0, r1)
-	})
+	t.rows = rowJob{kernel: matVecPart, m: rows, dst: dst, a: w, b: x, bias: bias, k: cols}
+	t.forRows(gemmMR)
 }
+
+func matVecPart(j *rowJob, r0, r1 int) { matVecRows(j.dst, j.a, j.b, j.bias, j.k, r0, r1) }
 
 func checkMatVecArgs(dst, w, x, bias []float32, rows, cols int) {
 	if rows <= 0 || cols <= 0 {

@@ -55,21 +55,20 @@ func GemmNN(dst, a, b, bias []float32, m, n, k, ldb int) {
 }
 
 // GemmNNParallel is GemmNN with the row dimension split into contiguous
-// panels executed on up to workers goroutines.  Each output element is
-// produced by exactly one worker with the serial summation order, so the
-// result is bit-identical to GemmNN for any worker count.
-func GemmNNParallel(dst, a, b, bias []float32, m, n, k, ldb, workers int) {
+// panels across t's workers.  Each output element is produced by exactly
+// one worker with the serial summation order, so the result is
+// bit-identical to GemmNN for any worker count.
+func GemmNNParallel(dst, a, b, bias []float32, m, n, k, ldb int, t *Team) {
 	checkGemmNNArgs(dst, a, b, bias, m, n, k, ldb)
-	// Keep the closure out of the serial path: constructing it escapes into
-	// par.ForEach and would break the engine's zero-alloc steady state.
-	if serialRows(m, int64(m)*int64(n)*int64(k), workers) {
+	if !t.forks(m, int64(m)*int64(n)*int64(k)) {
 		gemmNNRows(dst, a, b, bias, n, k, ldb, 0, m)
 		return
 	}
-	forEachRowPanel(m, workers, gemmMR, func(r0, r1 int) {
-		gemmNNRows(dst, a, b, bias, n, k, ldb, r0, r1)
-	})
+	t.rows = rowJob{kernel: gemmNNPart, m: m, dst: dst, a: a, b: b, bias: bias, n: n, k: k, ldb: ldb}
+	t.forRows(gemmMR)
 }
+
+func gemmNNPart(j *rowJob, r0, r1 int) { gemmNNRows(j.dst, j.a, j.b, j.bias, j.n, j.k, j.ldb, r0, r1) }
 
 func checkGemmNNArgs(dst, a, b, bias []float32, m, n, k, ldb int) {
 	if m <= 0 || n <= 0 || k <= 0 {

@@ -164,20 +164,22 @@ func GemmNNFast(dst []float32, pa *PackedA, b, bias []float32, n, ldb int) {
 	gemmNNFastRows(dst, pa, b, bias, n, ldb, 0, pa.m, fastTier)
 }
 
-// GemmNNFastParallel is GemmNNFast with the row dimension split across up
-// to workers goroutines.  Row panels are tile-aligned and each output
-// element is produced by exactly one worker, so — unlike the batch-size-
-// dependent column tails — the result is identical for any worker count.
-func GemmNNFastParallel(dst []float32, pa *PackedA, b, bias []float32, n, ldb, workers int) {
+// GemmNNFastParallel is GemmNNFast with the row dimension split across t's
+// workers.  Row panels are tile-aligned and each output element is produced
+// by exactly one worker, so — unlike the batch-size-dependent column
+// tails — the result is identical for any worker count.
+func GemmNNFastParallel(dst []float32, pa *PackedA, b, bias []float32, n, ldb int, t *Team) {
 	checkGemmNNArgs(dst, pa.src, b, bias, pa.m, n, pa.k, ldb)
-	t := fastTier
-	if serialRows(pa.m, int64(pa.m)*int64(n)*int64(pa.k), workers) {
-		gemmNNFastRows(dst, pa, b, bias, n, ldb, 0, pa.m, t)
+	if !t.forks(pa.m, int64(pa.m)*int64(n)*int64(pa.k)) {
+		gemmNNFastRows(dst, pa, b, bias, n, ldb, 0, pa.m, fastTier)
 		return
 	}
-	forEachRowPanel(pa.m, workers, gemmMR, func(r0, r1 int) {
-		gemmNNFastRows(dst, pa, b, bias, n, ldb, r0, r1, t)
-	})
+	t.rows = rowJob{kernel: gemmNNFastPart, m: pa.m, dst: dst, pa: pa, b: b, bias: bias, n: n, ldb: ldb}
+	t.forRows(gemmMR)
+}
+
+func gemmNNFastPart(j *rowJob, r0, r1 int) {
+	gemmNNFastRows(j.dst, j.pa, j.b, j.bias, j.n, j.ldb, r0, r1, fastTier)
 }
 
 // GemmNNFastAccumPanel accumulates one fused B panel into a strided output
@@ -297,20 +299,22 @@ func gemmNNFastRows(dst []float32, pa *PackedA, b, bias []float32, n, ldb, r0, r
 
 // MatVecFastParallel computes dst = W*x + bias like MatVecBias using the
 // active tier's fused-multiply-add dot kernel with four independent
-// accumulator chains per row, the rows split across up to workers
-// goroutines.  W streams once from memory in its natural row-major layout
+// accumulator chains per row, the rows split across t's workers.  W
+// streams once from memory in its natural row-major layout
 // (a mat-vec is bandwidth-bound, so panel packing buys nothing here).
 // Results agree with MatVecBias within float32 rounding.
-func MatVecFastParallel(dst, w, x, bias []float32, rows, cols, workers int) {
+func MatVecFastParallel(dst, w, x, bias []float32, rows, cols int, t *Team) {
 	checkMatVecArgs(dst, w, x, bias, rows, cols)
-	t := fastTier
-	if serialRows(rows, int64(rows)*int64(cols), workers) {
-		matVecFastRows(dst, w, x, bias, cols, 0, rows, t)
+	if !t.forks(rows, matVecCost*int64(rows)*int64(cols)) {
+		matVecFastRows(dst, w, x, bias, cols, 0, rows, fastTier)
 		return
 	}
-	forEachRowPanel(rows, workers, gemmMR, func(r0, r1 int) {
-		matVecFastRows(dst, w, x, bias, cols, r0, r1, t)
-	})
+	t.rows = rowJob{kernel: matVecFastPart, m: rows, dst: dst, a: w, b: x, bias: bias, k: cols}
+	t.forRows(gemmMR)
+}
+
+func matVecFastPart(j *rowJob, r0, r1 int) {
+	matVecFastRows(j.dst, j.a, j.b, j.bias, j.k, r0, r1, fastTier)
 }
 
 func matVecFastRows(dst, w, x, bias []float32, cols, r0, r1 int, t SIMDTier) {

@@ -92,7 +92,7 @@ func TestMatVecBiasMatchesScalar(t *testing.T) {
 			}
 		}
 		par := make([]float32, c.rows)
-		MatVecBiasParallel(par, w, x, bias, c.rows, c.cols, 4)
+		MatVecBiasParallel(par, w, x, bias, c.rows, c.cols, NewTeam(4))
 		for i := range want {
 			if par[i] != want[i] {
 				t.Fatalf("parallel matvec %dx%d: row %d = %g, want %g", c.rows, c.cols, i, par[i], want[i])

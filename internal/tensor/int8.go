@@ -433,7 +433,7 @@ func zeroPad8(dst []uint8, k, n, kPad int) {
 // accumulator staging buffer (Int8AccLen(m, n)); dst is m x n row-major.
 // bias has one element per row and may be nil.  The integer accumulation is
 // exact, so results are identical across tiers and worker counts.
-func GemmInt8(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias []float32, xScale float32, n, workers int) {
+func GemmInt8(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias []float32, xScale float32, n int, t *Team) {
 	m, kPad := pw.m, pw.kPad
 	if n <= 0 {
 		panic("tensor: GemmInt8 n must be positive")
@@ -444,13 +444,16 @@ func GemmInt8(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias []flo
 	if bias != nil && len(bias) < m {
 		panic("tensor: GemmInt8 bias too short")
 	}
-	if serialRows(m, int64(m)*int64(n)*int64(kPad), workers) {
+	if !t.forks(m, int64(m)*int64(n)*int64(kPad)) {
 		gemmInt8Rows(dst, pw, bp, acc, bias, xScale, n, n, 0, m)
 		return
 	}
-	forEachRowPanel(m, workers, int8MR, func(r0, r1 int) {
-		gemmInt8Rows(dst, pw, bp, acc, bias, xScale, n, n, r0, r1)
-	})
+	t.rows = rowJob{kernel: gemmInt8Part, m: m, dst: dst, pq: pw, u8: bp, acc: acc, bias: bias, scale: xScale, n: n}
+	t.forRows(int8MR)
+}
+
+func gemmInt8Part(j *rowJob, r0, r1 int) {
+	gemmInt8Rows(j.dst, j.pq, j.u8, j.acc, j.bias, j.scale, j.n, j.n, r0, r1)
 }
 
 // gemmInt8Rows computes weight rows [r0, r1) of an n-column int8 product
@@ -513,7 +516,7 @@ func gemmInt8Scalar(acc []int32, wq []int8, bp []uint8, kPad, n, ldacc, r0, r1 i
 // MatVecInt8 computes dst = dequant(Wq * xq) + bias for a quantized vector
 // xq (QuantizeU8 offset-binary layout padded to pw.KPad() bytes, scale
 // xScale).  Identical integer results across tiers and worker counts.
-func MatVecInt8(dst []float32, pw *PackedInt8, xq []uint8, bias []float32, xScale float32, workers int) {
+func MatVecInt8(dst []float32, pw *PackedInt8, xq []uint8, bias []float32, xScale float32, t *Team) {
 	m, kPad := pw.m, pw.kPad
 	if len(dst) < m || len(xq) < kPad {
 		panic("tensor: MatVecInt8 buffers too small")
@@ -521,14 +524,16 @@ func MatVecInt8(dst []float32, pw *PackedInt8, xq []uint8, bias []float32, xScal
 	if bias != nil && len(bias) < m {
 		panic("tensor: MatVecInt8 bias too short")
 	}
-	vec := int8Vector()
-	if serialRows(m, int64(m)*int64(kPad), workers) {
-		matVecInt8Rows(dst, pw, xq, bias, xScale, 0, m, vec)
+	if !t.forks(m, matVecCost/4*int64(m)*int64(kPad)) {
+		matVecInt8Rows(dst, pw, xq, bias, xScale, 0, m, int8Vector())
 		return
 	}
-	forEachRowPanel(m, workers, gemmMR, func(r0, r1 int) {
-		matVecInt8Rows(dst, pw, xq, bias, xScale, r0, r1, vec)
-	})
+	t.rows = rowJob{kernel: matVecInt8Part, m: m, dst: dst, pq: pw, u8: xq, bias: bias, scale: xScale}
+	t.forRows(gemmMR)
+}
+
+func matVecInt8Part(j *rowJob, r0, r1 int) {
+	matVecInt8Rows(j.dst, j.pq, j.u8, j.bias, j.scale, r0, r1, int8Vector())
 }
 
 func matVecInt8Rows(dst []float32, pw *PackedInt8, xq []uint8, bias []float32, xScale float32, r0, r1 int, vec bool) {
