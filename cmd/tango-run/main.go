@@ -28,7 +28,7 @@ func main() {
 		deviceStr = flag.String("device", "GP102", "simulated device: GP102, GK210 or TX1")
 		l1kb      = flag.Int("l1kb", -1, "simulated L1D size in KB (0 bypasses the L1, -1 keeps the device default)")
 		scheduler = flag.String("scheduler", "gto", "warp scheduler: gto, lrr or tlv")
-		parallel  = flag.Int("parallel", 1, "worker goroutines for native inference or kernel simulation (0 = one per CPU)")
+		parallel  = flag.Int("parallel", 0, "worker goroutines for native inference or kernel simulation (0 = one per CPU)")
 		batch     = flag.Int("batch", 1, "native inference batch size: run N samples through the engine in one batched pass")
 		fast      = flag.Bool("fast", false, "use coarse simulation sampling")
 		fastmath  = flag.Bool("fastmath", false, "native inference: fast-numerics tier (packed weights, FMA/AVX-512 kernels; top-1 preserved, not bit-exact)")
@@ -72,10 +72,10 @@ func main() {
 		fatal(err)
 	}
 	if *batch > 1 {
-		runNativeBatch(b, *seed, *batch, *parallel, numOpts)
+		runNativeBatch(b, *seed, *batch, append(numOpts, tango.WithParallelism(*parallel)))
 		return
 	}
-	runNative(b, *seed, *parallel, *verbose, numOpts)
+	runNative(b, *seed, *verbose, append(numOpts, tango.WithParallelism(*parallel)))
 }
 
 // numericsOpts maps the -fastmath / -int8 flags to inference options.
@@ -93,10 +93,7 @@ func numericsOpts(fastmath, int8 bool) ([]tango.SimOption, error) {
 
 // runNativeBatch pushes a batch of sample inputs through the engine in one
 // batched pass and reports per-sample results plus sustained throughput.
-func runNativeBatch(b *tango.Benchmark, seed uint64, batch, parallel int, opts []tango.SimOption) {
-	if parallel != 1 {
-		opts = append(opts, tango.WithParallelism(parallel))
-	}
+func runNativeBatch(b *tango.Benchmark, seed uint64, batch int, opts []tango.SimOption) {
 	switch b.Kind() {
 	case "CNN":
 		// Synthesize the inputs outside the timed region so images/sec
@@ -143,10 +140,7 @@ func runNativeBatch(b *tango.Benchmark, seed uint64, batch, parallel int, opts [
 	}
 }
 
-func runNative(b *tango.Benchmark, seed uint64, parallel int, verbose bool, opts []tango.SimOption) {
-	if parallel != 1 {
-		opts = append(opts, tango.WithParallelism(parallel))
-	}
+func runNative(b *tango.Benchmark, seed uint64, verbose bool, opts []tango.SimOption) {
 	switch b.Kind() {
 	case "CNN":
 		res, err := b.ClassifySample(seed, opts...)
@@ -178,12 +172,10 @@ func runSimulated(b *tango.Benchmark, device string, l1kb int, scheduler string,
 	opts := []tango.SimOption{
 		tango.WithDevice(device),
 		tango.WithScheduler(scheduler),
+		tango.WithParallelism(parallel),
 	}
 	if l1kb >= 0 {
 		opts = append(opts, tango.WithL1SizeKB(l1kb))
-	}
-	if parallel != 1 {
-		opts = append(opts, tango.WithParallelism(parallel))
 	}
 	if fast {
 		opts = append(opts, tango.WithFastSampling())

@@ -3,6 +3,7 @@ package tango
 import (
 	"fmt"
 	"os"
+	"runtime"
 
 	"tango/internal/networks"
 	"tango/internal/nn"
@@ -22,7 +23,8 @@ type Classification struct {
 
 // nativeSettings extracts the worker count and numerics tier for the native
 // compute engine from inference options.  Native inference reuses the
-// WithParallelism knob and honors WithFastMath / WithInt8 /
+// WithParallelism knob — one worker per CPU (GOMAXPROCS) when it is absent,
+// as WithParallelism(0) — and honors WithFastMath / WithInt8 /
 // WithReferenceNumerics; the remaining options configure the simulator and
 // have no effect on native runs.  When no numerics option is passed, the
 // TANGO_NUMERICS environment variable ("reference", "fast", "int8") selects
@@ -36,7 +38,7 @@ func nativeSettings(opts []SimOption) (int, nn.Numerics, error) {
 	}
 	workers := settings.parallelism
 	if workers < 1 {
-		workers = 1
+		workers = runtime.GOMAXPROCS(0)
 	}
 	mode := settings.numerics
 	if !settings.numericsSet {
@@ -52,8 +54,9 @@ func nativeSettings(opts []SimOption) (int, nn.Numerics, error) {
 // float32 slice (length = product of the input shape).
 //
 // The run executes on the native compute engine (im2col panels streamed
-// through the blocked GEMM, with pooled scratch arenas).  WithParallelism selects the engine's worker
-// count; results are bit-identical for any worker count.  WithFastMath and
+// through the blocked GEMM, with pooled scratch arenas).  WithParallelism
+// selects the engine's worker count; without it the engine runs one worker
+// per CPU (GOMAXPROCS).  Results are bit-identical for any worker count.  WithFastMath and
 // WithInt8 opt into the fast-numerics tiers, which trade the bit-exactness
 // contract for throughput (top-1 class is preserved; see those options).
 // Other simulation options are accepted but have no effect on native runs.
@@ -116,7 +119,8 @@ func (b *Benchmark) classification(res *networks.Result) (*Classification, error
 
 // Forecast runs an RNN benchmark natively on a history of scalar observations
 // (e.g. normalized daily prices) and returns the predicted next value.
-// WithParallelism selects the compute engine's worker count, as in Classify.
+// WithParallelism selects the compute engine's worker count, one per CPU by
+// default, as in Classify.
 func (b *Benchmark) Forecast(history []float64, opts ...SimOption) (float64, error) {
 	if err := b.ensureKind(networks.KindRNN, "Forecast"); err != nil {
 		return 0, err

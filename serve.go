@@ -48,9 +48,10 @@ type ServerConfig struct {
 	// beyond it are rejected immediately with ErrQueueFull.  <1 selects
 	// the default (256).
 	QueueDepth int
-	// Parallelism is the compute-engine worker count used for batch runs,
-	// exactly as WithParallelism: 0 keeps the single-worker engine,
-	// negative selects one worker per CPU.  Batching composes with engine
+	// Parallelism is the compute-engine worker count used for batch runs.
+	// Unlike native inference's default, 0 keeps the single-worker engine
+	// (batching already uses the cores a server has spare); negative
+	// selects one worker per CPU, as WithParallelism does.  Batching composes with engine
 	// parallelism: the batch amortizes weight traffic, the workers split
 	// each batch's GEMM row panels.
 	Parallelism int
@@ -206,10 +207,11 @@ func NewServer(benchmarks []string, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("tango: NewServer: %w", err)
 	}
 	cfg.Numerics = mode.String()
-	simOpts := []SimOption{withNumerics(mode)}
-	if cfg.Parallelism != 0 {
-		simOpts = append(simOpts, WithParallelism(cfg.Parallelism))
+	workers := cfg.Parallelism
+	if workers == 0 {
+		workers = 1
 	}
+	simOpts := []SimOption{withNumerics(mode), WithParallelism(workers)}
 	s := &Server{
 		cfg: cfg,
 		batchCfg: serve.Config{

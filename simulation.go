@@ -90,7 +90,9 @@ func WithFastSampling() SimOption {
 }
 
 // WithParallelism simulates the benchmark's independent kernels on n worker
-// goroutines; n <= 0 selects one worker per available CPU (GOMAXPROCS).
+// goroutines, and runs native inference (Classify, ClassifyBatch, Forecast,
+// ForecastBatch) on an n-worker compute engine; n <= 0 selects one worker
+// per available CPU (GOMAXPROCS), which is also native inference's default.
 // Results are identical to a serial run.
 func WithParallelism(n int) SimOption {
 	return func(s *simSettings) error {
