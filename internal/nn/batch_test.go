@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"tango/internal/par"
 	"tango/internal/tensor"
 )
 
@@ -121,13 +122,13 @@ func TestFullyConnectedOneSampleRunsMatVec(t *testing.T) {
 				var staged int64 // the mat-vec's staging: the quantized sample
 				switch mode {
 				case NumericsReference:
-					tensor.MatVecBiasParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, tensor.NewTeam(workers))
+					tensor.MatVecBiasParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, team(workers))
 				case NumericsFast:
-					tensor.MatVecFastParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, tensor.NewTeam(workers))
+					tensor.MatVecFastParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, team(workers))
 				default:
 					xq := make([]uint8, pk.q.KPad())
 					xs := tensor.QuantizeU8(xq[:inF], x.Data())
-					tensor.MatVecInt8(want.Data(), pk.q, xq, b.Data(), xs, tensor.NewTeam(workers))
+					tensor.MatVecInt8(want.Data(), pk.q, xq, b.Data(), xs, team(workers))
 					staged = int64(len(xq))
 				}
 				s := NewScratch()
@@ -413,9 +414,9 @@ func TestRecurrentOneSequenceRunsMatVec(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				mv := func(dst, w, x []float32, rows, cols int) {
 					if mode == NumericsReference {
-						tensor.MatVecBiasParallel(dst, w, x, nil, rows, cols, tensor.NewTeam(workers))
+						tensor.MatVecBiasParallel(dst, w, x, nil, rows, cols, team(workers))
 					} else {
-						tensor.MatVecFastParallel(dst, w, x, nil, rows, cols, tensor.NewTeam(workers))
+						tensor.MatVecFastParallel(dst, w, x, nil, rows, cols, team(workers))
 					}
 				}
 				want := map[string][]float32{"lstm": matVecLSTM(mv, lw, seq.Data()), "gru": matVecGRU(mv, gw, seq.Data())}
@@ -504,3 +505,6 @@ func TestBatchOpErrors(t *testing.T) {
 		t.Fatal("gru with nil weights must fail")
 	}
 }
+
+// team returns an n-worker Team for the parallel kernels.
+func team(n int) *tensor.Team { return &tensor.Team{Team: par.NewTeam(n)} }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"testing"
+	"time"
 
 	"tango"
 	"tango/internal/networks"
@@ -472,6 +474,35 @@ func BenchmarkClassifyAlexNet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bm.Classify(img); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestScratchHelpersStopWithScratch: a Scratch's worker team starts its
+// helpers on the first fork; dropping 100 such Scratches and collecting them
+// must bring the goroutine count back.
+func TestScratchHelpersStopWithScratch(t *testing.T) {
+	in := tensor.New(8, 6, 6)
+	in.FillUniform(tensor.NewRNG(5), -1, 1)
+	before := runtime.NumGoroutine()
+	scratches := make([]*nn.Scratch, 100)
+	for i := range scratches {
+		scratches[i] = nn.NewScratch()
+		scratches[i].SetWorkers(3)
+		if _, err := scratches[i].LRN(in, nn.DefaultLRN()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n < before+200 {
+		t.Fatalf("100 three-worker scratches run %d helpers, want 200", n-before)
+	}
+	clear(scratches)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		runtime.GC()
+		if after := runtime.NumGoroutine(); after <= before {
+			return
+		} else if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after dropping 100 scratches", before, after)
 		}
 	}
 }

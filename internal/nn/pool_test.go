@@ -211,7 +211,8 @@ func suitePools() []struct {
 // TestPool2DMatchesNaive: every suite pooling geometry, then random ones —
 // padding, ceil-mode overhang, stride larger than the kernel, 1x1 windows —
 // over inputs salted with -0, ±Inf and NaN, max and average, bit for bit
-// against poolNaive (an average that is NaN may be any NaN), on the detected rung and with the portable one forced.
+// against poolNaive (an average that is NaN may be any NaN), on one to
+// three workers, on the detected rung and with the portable one forced.
 func TestPool2DMatchesNaive(t *testing.T) {
 	for _, rung := range []string{"detected", "portable"} {
 		t.Run(rung, func(t *testing.T) {
@@ -228,6 +229,7 @@ func testPool2DMatchesNaive(t *testing.T) {
 	pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
 	salt := []float32{float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1)),
 		float32(math.NaN()), math.Float32frombits(0xffc00001)}
+	checks := 0
 	check := func(p PoolParams, c, inH, inW int) {
 		t.Helper()
 		in := tensor.New(c, inH, inW)
@@ -237,7 +239,10 @@ func testPool2DMatchesNaive(t *testing.T) {
 				in.Data()[i] = salt[pick(len(salt))]
 			}
 		}
-		got, err := Pool2D(in, p)
+		checks++
+		s := NewScratch()
+		s.SetWorkers(1 + checks%3) // a split over channels must not move a bit
+		got, err := s.Pool2D(in, p)
 		if err != nil {
 			t.Fatalf("%+v on %dx%d: %v", p, inH, inW, err)
 		}

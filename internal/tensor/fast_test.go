@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tango/internal/networks"
+	"tango/internal/par"
 	"tango/internal/tensor"
 )
 
@@ -148,7 +149,7 @@ func TestGemmNNFastTiers(t *testing.T) {
 				for i := range got {
 					got[i] = float32(math.NaN())
 				}
-				tensor.GemmNNFastParallel(got, pa, b, bias, s.n, s.n, tensor.NewTeam(workers))
+				tensor.GemmNNFastParallel(got, pa, b, bias, s.n, s.n, team(workers))
 				// Error floor and bound scale with the reduction length;
 				// the additive term covers near-cancelling small-depth sums.
 				floor := 1e-3 * math.Sqrt(float64(s.k))
@@ -175,7 +176,7 @@ func TestGemmNNFastParallelIdentical(t *testing.T) {
 	tensor.GemmNNFast(serial, pa, b, nil, n, n)
 	par := make([]float32, m*n)
 	for _, workers := range []int{2, 5, 8} {
-		tensor.GemmNNFastParallel(par, pa, b, nil, n, n, tensor.NewTeam(workers))
+		tensor.GemmNNFastParallel(par, pa, b, nil, n, n, team(workers))
 		for i := range serial {
 			if math.Float32bits(serial[i]) != math.Float32bits(par[i]) {
 				t.Fatalf("workers=%d: element %d differs: %v vs %v", workers, i, par[i], serial[i])
@@ -200,7 +201,7 @@ func TestMatVecFastTiers(t *testing.T) {
 			tensor.MatVecBias(ref, w, x, bias, rows, cols)
 			got := make([]float32, rows)
 			for _, workers := range []int{1, 4} {
-				tensor.MatVecFastParallel(got, w, x, bias, rows, cols, tensor.NewTeam(workers))
+				tensor.MatVecFastParallel(got, w, x, bias, rows, cols, team(workers))
 				floor := 1e-3 * math.Sqrt(float64(cols))
 				tol := 2e-5 * math.Sqrt(float64(cols))
 				if err := maxRelErr(got, ref, rows, 1, 1, floor); err > tol {
@@ -236,7 +237,7 @@ func TestGemmInt8TierExact(t *testing.T) {
 			// Every worker count must match exactly.
 			out4 := make([]float32, s.m*s.n)
 			acc4 := make([]int32, tensor.Int8AccLen(s.m, s.n))
-			tensor.GemmInt8(out4, pw, bp, acc4, bias, xScale, s.n, tensor.NewTeam(4))
+			tensor.GemmInt8(out4, pw, bp, acc4, bias, xScale, s.n, team(4))
 			for i := range out {
 				if math.Float32bits(out[i]) != math.Float32bits(out4[i]) {
 					t.Fatalf("shape %v workers diverge at %d", s, i)
@@ -337,3 +338,6 @@ func randSlice(rng *rand.Rand, n int) []float32 {
 	}
 	return s
 }
+
+// team returns an n-worker Team for the parallel kernels.
+func team(n int) *tensor.Team { return &tensor.Team{Team: par.NewTeam(n)} }

@@ -54,9 +54,6 @@ type Team struct {
 	rows rowJob
 }
 
-// NewTeam returns a Team of n workers.
-func NewTeam(n int) *Team { return &Team{Team: par.NewTeam(n)} }
-
 // rowJob is one row-panel fork: part p runs kernel over rows [p*chunk,
 // min(p*chunk+chunk, m)).  Panel boundaries never affect results: each
 // output row belongs to exactly one panel.

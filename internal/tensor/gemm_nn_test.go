@@ -168,7 +168,7 @@ func testGemmNNParallelMatchesSerial(t *testing.T) {
 	GemmNN(serial, a, b, bias, m, n, k, ldb)
 	for _, workers := range []int{2, 3, 7, 16} {
 		par := make([]float32, m*ldb)
-		GemmNNParallel(par, a, b, bias, m, n, k, ldb, NewTeam(workers))
+		GemmNNParallel(par, a, b, bias, m, n, k, ldb, newTeam(workers))
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				if math.Float32bits(par[i*ldb+j]) != math.Float32bits(serial[i*ldb+j]) {

@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"testing"
+
+	"tango/internal/par"
 )
 
 // naiveGemm is the scalar reference: one accumulator per element, reduction
@@ -92,7 +94,7 @@ func TestMatVecBiasMatchesScalar(t *testing.T) {
 			}
 		}
 		par := make([]float32, c.rows)
-		MatVecBiasParallel(par, w, x, bias, c.rows, c.cols, NewTeam(4))
+		MatVecBiasParallel(par, w, x, bias, c.rows, c.cols, newTeam(4))
 		for i := range want {
 			if par[i] != want[i] {
 				t.Fatalf("parallel matvec %dx%d: row %d = %g, want %g", c.rows, c.cols, i, par[i], want[i])
@@ -145,3 +147,6 @@ func ExampleGemm() {
 	fmt.Println(dst)
 	// Output: [17 23 39 53]
 }
+
+// newTeam returns an n-worker Team for the parallel kernels.
+func newTeam(n int) *Team { return &Team{Team: par.NewTeam(n)} }

@@ -345,7 +345,7 @@ func TestGemmInt8PanelMatchesScalar(t *testing.T) {
 					}
 					for _, workers := range []int{1, 4} {
 						got := make([]float32, m*n)
-						GemmInt8(got, pw, bp, make([]int32, Int8AccLen(m, n)), bias, xScale, n, NewTeam(workers))
+						GemmInt8(got, pw, bp, make([]int32, Int8AccLen(m, n)), bias, xScale, n, newTeam(workers))
 						check(fmt.Sprintf("GemmInt8/w%d", workers), got, n)
 					}
 					ldd := n + 3
