@@ -338,6 +338,99 @@ func TestRecurrentSeqBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestBatchCompanionInvariance: from two samples on, a sample's bits do not
+// depend on the other samples of its batch.  Sample 0 is the same in [x, y],
+// in [x, 8z] and in a batch of seven, for a convolution, a fully-connected
+// layer, an LSTM and a GRU on every tier with its pack, on every rung and at
+// 1 and 3 workers.  The int8 fully-connected layer is left out: it quantizes
+// its activations with one scale per call, so a companion moves sample 0.
+func TestBatchCompanionInvariance(t *testing.T) {
+	r := tensor.NewRNG(44)
+	const inF, outF, hidden, inSize, steps = 50, 19, 12, 5, 3
+	cp := ConvParams{InChannels: 4, OutChannels: 6, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}
+	const h, w = 9, 8
+	cw, cb := randBatch(r, cp.WeightCount()), randBatch(r, cp.OutChannels)
+	fw, fb := randBatch(r, outF*inF), randBatch(r, outF)
+	lw, gw := makeLSTMWeights(r, hidden, inSize), makeGRUWeights(r, hidden, inSize)
+	all := []Numerics{NumericsReference, NumericsFast, NumericsInt8}
+	for _, c := range []struct {
+		name         string
+		steps, width int // a sample is steps blocks of width floats; batches are time-major
+		shape        func(n int) []int
+		modes        []Numerics
+		op           func(s *Scratch, in *tensor.Tensor, m Numerics) (*tensor.Tensor, error)
+	}{
+		{"conv", 1, cp.InChannels * h * w, func(n int) []int { return []int{n, cp.InChannels, h, w} }, all,
+			func(s *Scratch, in *tensor.Tensor, m Numerics) (*tensor.Tensor, error) {
+				return s.Conv2DPacked(in, cw, cb, cp, PackConv(cw, cp, m))
+			}},
+		{"fc", 1, inF, func(n int) []int { return []int{n, inF} }, all[:2],
+			func(s *Scratch, in *tensor.Tensor, m Numerics) (*tensor.Tensor, error) {
+				return s.FullyConnectedPacked(in, fw, fb, outF, PackFC(fw, outF, inF, m))
+			}},
+		{"lstm", steps, inSize, func(n int) []int { return []int{steps, n, inSize} }, all,
+			func(s *Scratch, in *tensor.Tensor, m Numerics) (*tensor.Tensor, error) {
+				return s.LSTM(in, lw, PackLSTM(lw, m))
+			}},
+		{"gru", steps, inSize, func(n int) []int { return []int{steps, n, inSize} }, all,
+			func(s *Scratch, in *tensor.Tensor, m Numerics) (*tensor.Tensor, error) {
+				return s.GRU(in, gw, PackGRU(gw, m))
+			}},
+	} {
+		sample := func(scale float32) []float32 {
+			v := randBatch(r, c.steps*c.width).Data()
+			for i := range v {
+				v[i] *= scale
+			}
+			return v
+		}
+		x := sample(1)
+		seven := [][]float32{x}
+		for len(seven) < 7 {
+			seven = append(seven, sample(1))
+		}
+		batches := [][][]float32{{x, sample(1)}, {x, sample(8)}, seven}
+		stacked := make([]*tensor.Tensor, len(batches))
+		for bi, samples := range batches {
+			n := len(samples)
+			stacked[bi] = tensor.New(c.shape(n)...)
+			for st := 0; st < c.steps; st++ {
+				for i, v := range samples {
+					copy(stacked[bi].Data()[(st*n+i)*c.width:], v[st*c.width:(st+1)*c.width])
+				}
+			}
+		}
+		forFastTiers(func(tier tensor.SIMDTier) {
+			for _, mode := range c.modes {
+				for _, workers := range []int{1, 3} {
+					s := NewScratch()
+					s.SetNumerics(mode)
+					s.SetWorkers(workers)
+					var first []float32
+					for bi, in := range stacked {
+						s.BeginRun()
+						out, err := c.op(s, in, mode)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := out.Data()[:out.Len()/len(batches[bi])]
+						if first == nil {
+							first = append([]float32(nil), got...)
+							continue
+						}
+						for i, v := range got {
+							if math.Float32bits(v) != math.Float32bits(first[i]) {
+								t.Fatalf("%s %v/%v/w%d: sample 0 of batch %d, element %d = %x, %x in [x, y]",
+									c.name, tier, mode, workers, bi, i, math.Float32bits(v), math.Float32bits(first[i]))
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // matVecGate is the oracle of one gate's pre-activation on one sequence:
 // (Wx*x + Uh*h) + b, each product on mv.
 func matVecGate(mv func(dst, w, x []float32, rows, cols int), wx, uh, b *tensor.Tensor, x, h []float32) []float32 {
