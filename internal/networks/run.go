@@ -56,93 +56,48 @@ type planLayer struct {
 // Plan is a network bound to a resolved weight set: every parameter tensor
 // is looked up and validated once, so repeated runs skip the per-layer
 // weight resolution entirely.  A Plan is safe for concurrent use; per-run
-// mutable state lives in the nn.Scratch passed to Run/RunSequence, and the
-// lazily built fast-tier weight panels are guarded by a sync.Once per mode.
+// mutable state lives in the nn.Scratch passed to Run/RunSequence.  It also
+// holds one slot of weight packs per numerics tier, built lazily under the
+// slot's sync.Once: a run hands every weighted layer its tier's pack, and
+// the pack alone picks the layer's kernels.
 type Plan struct {
 	net    *Network
 	layers []planLayer
-
-	fastOnce  sync.Once
-	int8Once  sync.Once
-	fastPacks atomic.Pointer[planPacks]
-	int8Packs atomic.Pointer[planPacks]
+	packs  [nn.NumericsInt8 + 1]packSlot
 }
 
-// planPacks holds one numerics mode's prepacked weight panels, indexed like
-// Plan.layers (nil entries for layers without packable weights).
-type planPacks struct {
-	conv []*nn.ConvPack
-	fc   []*nn.FCPack
-	rnn  []*nn.RNNPack
+// packSlot holds one tier's packs, indexed like Plan.layers (nil for the
+// reference tier and for layers without packable weights).
+type packSlot struct {
+	once  sync.Once
+	packs atomic.Pointer[[]*nn.Pack]
 }
 
-func (pp *planPacks) convAt(li int) *nn.ConvPack {
-	if pp == nil {
-		return nil
-	}
-	return pp.conv[li]
-}
-
-func (pp *planPacks) fcAt(li int) *nn.FCPack {
-	if pp == nil {
-		return nil
-	}
-	return pp.fc[li]
-}
-
-func (pp *planPacks) rnnAt(li int) *nn.RNNPack {
-	if pp == nil {
-		return nil
-	}
-	return pp.rnn[li]
-}
-
-// Pack builds the fast-numerics weight panels for mode, once per Plan:
-// subsequent calls (and every run under that mode) reuse them with no
-// further packing or allocation.  NumericsReference needs no packing.  Runs
-// pack lazily on first use, so calling Pack up front only moves the one-time
-// cost out of the first inference.
-func (p *Plan) Pack(mode nn.Numerics) {
-	switch mode {
-	case nn.NumericsFast:
-		p.fastOnce.Do(func() { p.fastPacks.Store(p.buildPacks(mode)) })
-	case nn.NumericsInt8:
-		p.int8Once.Do(func() { p.int8Packs.Store(p.buildPacks(mode)) })
-	}
-}
-
-// packsFor returns the weight panels for mode, building them on first use.
-func (p *Plan) packsFor(mode nn.Numerics) *planPacks {
-	p.Pack(mode)
-	switch mode {
-	case nn.NumericsFast:
-		return p.fastPacks.Load()
-	case nn.NumericsInt8:
-		return p.int8Packs.Load()
-	}
-	return nil
-}
-
-func (p *Plan) buildPacks(mode nn.Numerics) *planPacks {
-	pp := &planPacks{
-		conv: make([]*nn.ConvPack, len(p.layers)),
-		fc:   make([]*nn.FCPack, len(p.layers)),
-		rnn:  make([]*nn.RNNPack, len(p.layers)),
-	}
-	for li := range p.layers {
-		pl := &p.layers[li]
-		switch pl.l.Type {
-		case LayerConv:
-			pp.conv[li] = nn.PackConv(pl.w, pl.l.Conv, mode)
-		case LayerFC:
-			pp.fc[li] = nn.PackFC(pl.w, pl.l.FCOut, pl.w.Len()/pl.l.FCOut, mode)
-		case LayerLSTM:
-			pp.rnn[li] = nn.PackLSTM(pl.lstm, mode)
-		case LayerGRU:
-			pp.rnn[li] = nn.PackGRU(pl.gru, mode)
+// Pack returns mode's weight packs, building them on the first call for
+// mode: later calls, and every run under that mode, reuse them with no
+// further packing or allocation.  The reference tier's packs are all nil.
+// Runs pack lazily on first use, so calling Pack up front only moves the
+// one-time cost out of the first inference.
+func (p *Plan) Pack(mode nn.Numerics) []*nn.Pack {
+	slot := &p.packs[mode]
+	slot.once.Do(func() {
+		packs := make([]*nn.Pack, len(p.layers))
+		for li := range p.layers {
+			pl := &p.layers[li]
+			switch pl.l.Type {
+			case LayerConv:
+				packs[li] = nn.PackConv(pl.w, pl.l.Conv, mode)
+			case LayerFC:
+				packs[li] = nn.PackFC(pl.w, pl.l.FCOut, pl.w.Len()/pl.l.FCOut, mode)
+			case LayerLSTM:
+				packs[li] = nn.PackLSTM(pl.lstm, mode)
+			case LayerGRU:
+				packs[li] = nn.PackGRU(pl.gru, mode)
+			}
 		}
-	}
-	return pp
+		slot.packs.Store(&packs)
+	})
+	return *slot.packs.Load()
 }
 
 // NewPlan resolves every layer's parameters from w and returns a reusable
@@ -215,12 +170,11 @@ func (p *Plan) Network() *Network { return p.net }
 // tensors the packs alias are accounted by the weight set, not here.
 func (p *Plan) PackedBytes() int64 {
 	var n int64
-	for _, pp := range []*planPacks{p.fastPacks.Load(), p.int8Packs.Load()} {
-		if pp == nil {
-			continue
-		}
-		for li := range p.layers {
-			n += pp.conv[li].Bytes() + pp.fc[li].Bytes() + pp.rnn[li].Bytes()
+	for i := range p.packs {
+		if packs := p.packs[i].packs.Load(); packs != nil {
+			for _, pk := range *packs {
+				n += pk.Bytes()
+			}
 		}
 	}
 	return n
@@ -318,7 +272,7 @@ func begin(s *nn.Scratch) *nn.Scratch {
 // is the only switch over layer types on the run path, and returns the
 // per-layer outputs, held in s.
 func (p *Plan) walk(input *tensor.Tensor, s *nn.Scratch) ([]*tensor.Tensor, error) {
-	pks := p.packsFor(s.Numerics())
+	packs := p.Pack(s.Numerics())
 	outs := s.LayerOutputs(len(p.layers))
 	for li := range p.layers {
 		pl := &p.layers[li]
@@ -328,11 +282,11 @@ func (p *Plan) walk(input *tensor.Tensor, s *nn.Scratch) ([]*tensor.Tensor, erro
 		var err error
 		switch l.Type {
 		case LayerConv:
-			out, err = s.Conv2DPacked(in0, pl.w, pl.b, l.Conv, pks.convAt(li))
+			out, err = s.Conv2DPacked(in0, pl.w, pl.b, l.Conv, packs[li])
 		case LayerPool:
 			out, err = s.Pool2D(in0, l.Pool)
 		case LayerFC:
-			out, err = s.FullyConnectedPacked(in0, pl.w, pl.b, l.FCOut, pks.fcAt(li))
+			out, err = s.FullyConnectedPacked(in0, pl.w, pl.b, l.FCOut, packs[li])
 		case LayerLRN:
 			out, err = s.LRN(in0, l.LRN)
 		case LayerBatchNorm:
@@ -358,9 +312,9 @@ func (p *Plan) walk(input *tensor.Tensor, s *nn.Scratch) ([]*tensor.Tensor, erro
 		case LayerGlobalPool:
 			out, err = s.GlobalAvgPool(in0)
 		case LayerLSTM:
-			out, err = s.LSTM(in0, pl.lstm, pks.rnnAt(li))
+			out, err = s.LSTM(in0, pl.lstm, packs[li])
 		case LayerGRU:
-			out, err = s.GRU(in0, pl.gru, pks.rnnAt(li))
+			out, err = s.GRU(in0, pl.gru, packs[li])
 		default:
 			err = fmt.Errorf("unsupported layer type %v", l.Type)
 		}

@@ -7,18 +7,8 @@ import (
 	"tango/internal/tensor"
 )
 
-// ReLU returns a new tensor with the negative elements of input replaced by
-// +0 (tensor.ReLU, the one kernel of every ReLU here, has the contract for
-// -0 and NaN).  The paper's Observation 8 notes that ReLU's zeroing is one
-// reason integer pipelines see heavy use even in floating-point networks.
-func ReLU(input *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(input.Shape()...)
-	tensor.ReLU(out.Data(), input.Data())
-	return out
-}
-
-// ReLUInPlace is ReLU written over its input, matching the fused behaviour
-// of the conv+relu kernels.
+// ReLUInPlace is Scratch.ReLU written over its input, matching the fused
+// behaviour of the conv+relu kernels.
 func ReLUInPlace(t *tensor.Tensor) {
 	tensor.ReLU(t.Data(), t.Data())
 }

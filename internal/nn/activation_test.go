@@ -10,7 +10,10 @@ import (
 
 func TestReLU(t *testing.T) {
 	in := mustTensor(t, []float32{-2, -0.5, 0, 0.5, 3}, 5)
-	out := ReLU(in)
+	out, err := NewScratch().ReLU(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []float32{0, 0, 0, 0.5, 3}
 	for i, v := range want {
 		if out.Data()[i] != v {
@@ -137,8 +140,15 @@ func TestQuickReLUIdempotent(t *testing.T) {
 		size := int(n%64) + 1
 		in := tensor.New(size)
 		in.FillNormal(tensor.NewRNG(seed), 2)
-		once := ReLU(in)
-		twice := ReLU(once)
+		s := NewScratch()
+		once, err := s.ReLU(in)
+		if err != nil {
+			return false
+		}
+		twice, err := s.ReLU(once)
+		if err != nil {
+			return false
+		}
 		if once.Min() < 0 {
 			return false
 		}
@@ -190,5 +200,34 @@ func TestQuickEltwiseAddCommutative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestConcatChannels(t *testing.T) {
+	a := mustTensor(t, []float32{1, 2, 3, 4}, 1, 2, 2)
+	b := mustTensor(t, []float32{5, 6, 7, 8, 9, 10, 11, 12}, 2, 2, 2)
+	out, err := NewScratch().ConcatChannels(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Dim(0) != 3 || out.Dim(1) != 2 || out.Dim(2) != 2 {
+		t.Fatalf("concat shape %v, want [3 2 2]", out.Shape())
+	}
+	if out.At(0, 0, 0) != 1 || out.At(1, 0, 0) != 5 || out.At(2, 1, 1) != 12 {
+		t.Errorf("concat values wrong: %v", out.Data())
+	}
+}
+
+func TestConcatChannelsErrors(t *testing.T) {
+	if _, err := NewScratch().ConcatChannels(); err == nil {
+		t.Error("empty concat should fail")
+	}
+	a := tensor.New(1, 2, 2)
+	b := tensor.New(1, 3, 3)
+	if _, err := NewScratch().ConcatChannels(a, b); err == nil {
+		t.Error("mismatched spatial dims should fail")
+	}
+	if _, err := NewScratch().ConcatChannels(a, tensor.New(4)); err == nil {
+		t.Error("non-CHW input should fail")
 	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestConv2DBatchMatchesSingle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < c.n; i++ {
-				single, err := Conv2D(sampleOf(t, in, i), w, b, c.p)
+				single, err := NewScratch().Conv2DPacked(sampleOf(t, in, i), w, b, c.p, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,7 +92,7 @@ func TestFullyConnectedBatchMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			single, err := FullyConnected(sampleOf(t, in, i), w, b, outF)
+			single, err := NewScratch().FullyConnectedPacked(sampleOf(t, in, i), w, b, outF, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,12 +101,14 @@ func TestFullyConnectedBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestFullyConnectedOneSampleRunsMatVec pins the FC op's kernel choice: one
-// sample, alone (rank 1) or as a batch of one (rank 2), runs its tier's
-// mat-vec bit for bit — MatVecBiasParallel, MatVecFastParallel, or
-// MatVecInt8 over the sample quantized by QuantizeU8 — on every rung and at
-// 1 and 3 workers, where two samples would run the tier's GEMM — and it
-// stages nothing beyond the mat-vec's own buffer.
+// TestFullyConnectedOneSampleRunsMatVec pins the FC op's kernel choice, made
+// from the pack and the sample count alone: one sample, alone (rank 1) or as
+// a batch of one (rank 2), runs its pack's mat-vec bit for bit —
+// MatVecBiasParallel with no pack, MatVecFastParallel with float panels, or
+// MatVecInt8 over the sample quantized by QuantizeU8 with int8 panels — and
+// stages nothing beyond the mat-vec's own buffer; two and seven samples run
+// its GEMM bit for bit — GemmNNParallel, GemmNNFastParallel over columns
+// padded to 16, or GemmInt8 — on every rung and at 1 and 3 workers.
 func TestFullyConnectedOneSampleRunsMatVec(t *testing.T) {
 	r := tensor.NewRNG(18)
 	const inF, outF = 300, 45
@@ -114,25 +117,26 @@ func TestFullyConnectedOneSampleRunsMatVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	batches := []*tensor.Tensor{randBatch(r, 2, inF), randBatch(r, 7, inF)}
 	forFastTiers(func(tier tensor.SIMDTier) {
 		for _, mode := range []Numerics{NumericsReference, NumericsFast, NumericsInt8} {
 			pk := PackFC(w, outF, inF, mode)
 			for _, workers := range []int{1, 3} {
+				tm := team(workers)
 				want := tensor.New(outF)
 				var staged int64 // the mat-vec's staging: the quantized sample
 				switch mode {
 				case NumericsReference:
-					tensor.MatVecBiasParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, team(workers))
+					tensor.MatVecBiasParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, tm)
 				case NumericsFast:
-					tensor.MatVecFastParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, team(workers))
+					tensor.MatVecFastParallel(want.Data(), w.Data(), x.Data(), b.Data(), outF, inF, tm)
 				default:
-					xq := make([]uint8, pk.q.KPad())
+					xq := make([]uint8, pk.q[0].KPad())
 					xs := tensor.QuantizeU8(xq[:inF], x.Data())
-					tensor.MatVecInt8(want.Data(), pk.q, xq, b.Data(), xs, team(workers))
+					tensor.MatVecInt8(want.Data(), pk.q[0], xq, b.Data(), xs, tm)
 					staged = int64(len(xq))
 				}
 				s := NewScratch()
-				s.SetNumerics(mode)
 				s.SetWorkers(workers)
 				for _, in := range []*tensor.Tensor{x, one} {
 					got, err := s.FullyConnectedPacked(in, w, b, outF, pk)
@@ -156,9 +160,55 @@ func TestFullyConnectedOneSampleRunsMatVec(t *testing.T) {
 					t.Fatalf("%v/%v/w%d: one sample staged %d bytes beyond the arena, the mat-vec stages %d",
 						tier, mode, workers, got, staged)
 				}
+				for _, in := range batches {
+					got, err := s.FullyConnectedPacked(in, w, b, outF, pk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := fcGemmOracle(in, w, b, pk, outF, tm)
+					for i := 0; i < in.Dim(0); i++ {
+						requireSameBits(t, fmt.Sprintf("%v/%v/w%d/n%d GEMM", tier, mode, workers, in.Dim(0)), got, i, sampleOf(t, want, i))
+					}
+				}
 			}
 		}
 	})
+}
+
+// fcGemmOracle is the FC layer over a batch written as its pack's GEMM on
+// the (inF x N) transposed batch: GemmNNParallel with no pack,
+// GemmNNFastParallel with float panels over columns padded to 16, or
+// GemmInt8 with int8 panels.  It returns (N, outF).
+func fcGemmOracle(in, w, b *tensor.Tensor, pk *Pack, outF int, tm *tensor.Team) *tensor.Tensor {
+	n := in.Dim(0)
+	inF, ld := in.Len()/n, n
+	if pk != nil && pk.f != nil {
+		ld = (n + 15) &^ 15
+	}
+	xT, yT := make([]float32, inF*ld), make([]float32, outF*ld)
+	for i := 0; i < n; i++ {
+		for f := 0; f < inF; f++ {
+			xT[f*ld+i] = in.Data()[i*inF+f]
+		}
+	}
+	switch {
+	case pk == nil:
+		tensor.GemmNNParallel(yT, w.Data(), xT, b.Data(), outF, n, inF, n, tm)
+	case pk.f != nil:
+		tensor.GemmNNFastParallel(yT, pk.f[0], xT, b.Data(), ld, ld, tm)
+	default:
+		kPad := pk.q[0].KPad()
+		bp := make([]uint8, tensor.Int8PackedLen(kPad, n))
+		acc := make([]int32, tensor.Int8AccLen(outF, n))
+		tensor.GemmInt8(yT, pk.q[0], bp, acc, b.Data(), tensor.PackColsU8(bp, xT, inF, n, n, kPad), n, tm)
+	}
+	out := tensor.New(n, outF)
+	for i := 0; i < n; i++ {
+		for o := 0; o < outF; o++ {
+			out.Data()[i*outF+o] = yT[o*ld+i]
+		}
+	}
+	return out
 }
 
 func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
@@ -177,7 +227,7 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
-				single, err := Pool2D(sampleOf(t, in, i), p)
+				single, err := NewScratch().Pool2D(sampleOf(t, in, i), p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -192,7 +242,7 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			single, err := LRN(sampleOf(t, in, i), p)
+			single, err := NewScratch().LRN(sampleOf(t, in, i), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,12 +265,12 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			bn, err := BatchNorm(sampleOf(t, in, i), p)
+			bn, err := NewScratch().BatchNorm(sampleOf(t, in, i), p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameBits(t, "batchnorm", out, i, bn)
-			sc, err := Scale(bn, gamma, beta)
+			sc, err := NewScratch().Scale(bn, gamma, beta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,18 +297,22 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			si, so := sampleOf(t, in, i), sampleOf(t, other, i)
-			requireSameBits(t, "relu", relu, i, ReLU(si))
+			rs, err := NewScratch().ReLU(si)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameBits(t, "relu", relu, i, rs)
 			es, err := EltwiseAdd(si, so)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameBits(t, "eltwise", sum, i, es)
-			cs, err := ConcatChannels(si, so)
+			cs, err := NewScratch().ConcatChannels(si, so)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameBits(t, "concat", cat, i, cs)
-			gs, err := GlobalAvgPool(si)
+			gs, err := NewScratch().GlobalAvgPool(si)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +326,7 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			single, err := Softmax(sampleOf(t, vec, i))
+			single, err := NewScratch().Softmax(sampleOf(t, vec, i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,7 +337,7 @@ func TestElementwiseBatchOpsMatchSingle(t *testing.T) {
 
 // recurrentOps are the two recurrent ops over fixed weights and an optional
 // pack, by name.
-func recurrentOps(lw *LSTMWeights, gw *GRUWeights, lp, gp *RNNPack) map[string]func(*Scratch, *tensor.Tensor) (*tensor.Tensor, error) {
+func recurrentOps(lw *LSTMWeights, gw *GRUWeights, lp, gp *Pack) map[string]func(*Scratch, *tensor.Tensor) (*tensor.Tensor, error) {
 	return map[string]func(*Scratch, *tensor.Tensor) (*tensor.Tensor, error){
 		"lstm": func(s *Scratch, seq *tensor.Tensor) (*tensor.Tensor, error) { return s.LSTM(seq, lw, lp) },
 		"gru":  func(s *Scratch, seq *tensor.Tensor) (*tensor.Tensor, error) { return s.GRU(seq, gw, gp) },
@@ -431,27 +485,58 @@ func TestBatchCompanionInvariance(t *testing.T) {
 	}
 }
 
-// matVecGate is the oracle of one gate's pre-activation on one sequence:
-// (Wx*x + Uh*h) + b, each product on mv.
-func matVecGate(mv func(dst, w, x []float32, rows, cols int), wx, uh, b *tensor.Tensor, x, h []float32) []float32 {
+// gateProduct writes one gate product dst = W*x, W (rows x cols) the cell
+// pack's matrix i, over the feature-major x (cols x n).
+type gateProduct func(dst []float32, i int, w *tensor.Tensor, x []float32, rows, cols, n int)
+
+// oracleGate is the oracle of gate g's pre-activation over n feature-major
+// sequences: (Wx*x + Uh*h) + b, both products on prod.
+func oracleGate(prod gateProduct, g int, wx, uh, b *tensor.Tensor, x, h []float32, n int) []float32 {
+	hidden := len(h) / n
 	pre, tmp := make([]float32, len(h)), make([]float32, len(h))
-	mv(pre, wx.Data(), x, len(h), len(x))
-	mv(tmp, uh.Data(), h, len(h), len(h))
+	prod(pre, 2*g, wx, x, hidden, len(x)/n, n)
+	prod(tmp, 2*g+1, uh, h, hidden, hidden, n)
 	for i := range pre {
-		pre[i] = (pre[i] + tmp[i]) + b.Data()[i]
+		pre[i] = (pre[i] + tmp[i]) + b.Data()[i/n]
 	}
 	return pre
 }
 
-// matVecLSTM and matVecGRU step one (steps, in) sequence through the cell
-// equations with every gate product on mv: the oracles of the recurrent
-// ops' one-sequence kernel.
-func matVecLSTM(mv func(dst, w, x []float32, rows, cols int), w *LSTMWeights, seq []float32) []float32 {
-	h, c := make([]float32, w.Hidden), make([]float32, w.Hidden)
-	for t := 0; t < len(seq)/w.Input; t++ {
-		x := seq[t*w.Input : (t+1)*w.Input]
-		i, f := matVecGate(mv, w.Wi, w.Ui, w.Bi, x, h), matVecGate(mv, w.Wf, w.Uf, w.Bf, x, h)
-		o, g := matVecGate(mv, w.Wo, w.Uo, w.Bo, x, h), matVecGate(mv, w.Wc, w.Uc, w.Bc, x, h)
+// stepColumns returns step t of a time-major (steps, n, in) batch as the
+// feature-major (in x n) block.
+func stepColumns(seq *tensor.Tensor, t int) []float32 {
+	n, in := seq.Dim(1), seq.Dim(2)
+	x := make([]float32, in*n)
+	for i := 0; i < n; i++ {
+		for f := 0; f < in; f++ {
+			x[f*n+i] = seq.Data()[(t*n+i)*in+f]
+		}
+	}
+	return x
+}
+
+// sampleRows turns a feature-major (hidden x n) state into (n, hidden).
+func sampleRows(h []float32, n int) *tensor.Tensor {
+	hidden := len(h) / n
+	out := tensor.New(n, hidden)
+	for i := 0; i < n; i++ {
+		for j := 0; j < hidden; j++ {
+			out.Data()[i*hidden+j] = h[j*n+i]
+		}
+	}
+	return out
+}
+
+// oracleLSTM and oracleGRU step a (steps, n, in) batch through the cell
+// equations with every gate product on prod, answering (n, hidden): the
+// oracles of the recurrent ops' kernels.
+func oracleLSTM(prod gateProduct, w *LSTMWeights, seq *tensor.Tensor) *tensor.Tensor {
+	n := seq.Dim(1)
+	h, c := make([]float32, w.Hidden*n), make([]float32, w.Hidden*n)
+	for t := 0; t < seq.Dim(0); t++ {
+		x := stepColumns(seq, t)
+		i, f := oracleGate(prod, 0, w.Wi, w.Ui, w.Bi, x, h, n), oracleGate(prod, 1, w.Wf, w.Uf, w.Bf, x, h, n)
+		o, g := oracleGate(prod, 2, w.Wo, w.Uo, w.Bo, x, h, n), oracleGate(prod, 3, w.Wc, w.Uc, w.Bc, x, h, n)
 		sigmoidInPlace(i)
 		sigmoidInPlace(f)
 		sigmoidInPlace(o)
@@ -463,35 +548,38 @@ func matVecLSTM(mv func(dst, w, x []float32, rows, cols int), w *LSTMWeights, se
 			h[j] = o[j] * float32(math.Tanh(float64(c[j])))
 		}
 	}
-	return h
+	return sampleRows(h, n)
 }
 
-func matVecGRU(mv func(dst, w, x []float32, rows, cols int), w *GRUWeights, seq []float32) []float32 {
-	h, rh := make([]float32, w.Hidden), make([]float32, w.Hidden)
-	for t := 0; t < len(seq)/w.Input; t++ {
-		x := seq[t*w.Input : (t+1)*w.Input]
-		r, z := matVecGate(mv, w.Wr, w.Ur, w.Br, x, h), matVecGate(mv, w.Wz, w.Uz, w.Bz, x, h)
+func oracleGRU(prod gateProduct, w *GRUWeights, seq *tensor.Tensor) *tensor.Tensor {
+	n := seq.Dim(1)
+	h, rh := make([]float32, w.Hidden*n), make([]float32, w.Hidden*n)
+	for t := 0; t < seq.Dim(0); t++ {
+		x := stepColumns(seq, t)
+		r, z := oracleGate(prod, 0, w.Wr, w.Ur, w.Br, x, h, n), oracleGate(prod, 1, w.Wz, w.Uz, w.Bz, x, h, n)
 		sigmoidInPlace(r)
 		sigmoidInPlace(z)
 		for j := range rh {
 			rh[j] = r[j] * h[j]
 		}
-		ng := matVecGate(mv, w.Wh, w.Uh, w.Bh, x, rh)
+		ng := oracleGate(prod, 2, w.Wh, w.Uh, w.Bh, x, rh, n)
 		tanhInPlace(ng)
 		for j, zj := range z {
 			h[j] = (1-zj)*ng[j] + zj*h[j]
 		}
 	}
-	return h
+	return sampleRows(h, n)
 }
 
-// TestRecurrentOneSequenceRunsMatVec pins the recurrent ops' kernel choice:
-// one sequence, alone (rank 2) or as a batch of one (rank 3), runs every
-// gate on its tier's mat-vec bit for bit — MatVecBiasParallel on the
-// reference tier, MatVecFastParallel on both fast tiers, with the cell's
-// pack passed so a slip onto the GEMM would reach the packed fast kernel —
-// on every rung and at 1 and 3 workers, and it stages only the step's gate
-// buffers and the LSTM's cell state: no transposed input or state.
+// TestRecurrentOneSequenceRunsMatVec pins the recurrent ops' kernel choice,
+// made from the cell's pack and the sequence count alone: one sequence,
+// alone (rank 2) or as a batch of one (rank 3), runs every gate on its
+// pack's mat-vec bit for bit — MatVecBiasParallel with no pack,
+// MatVecFastParallel with the float panels of either fast tier's pack — and
+// stages only the step's gate buffers and the LSTM's cell state: no
+// transposed input or state; two, seven and seventeen sequences run every
+// gate on its pack's GEMM bit for bit — GemmNNParallel, or
+// GemmNNFastParallel on the panels — on every rung and at 1 and 3 workers.
 func TestRecurrentOneSequenceRunsMatVec(t *testing.T) {
 	r := tensor.NewRNG(19)
 	const hidden, inSize, steps = 40, 3, 4
@@ -501,28 +589,43 @@ func TestRecurrentOneSequenceRunsMatVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Below 16 columns the fast GEMM runs its scalar column tail, whose
+	// order is the reference one; 17 sequences reach its vector tile.
+	batches := []*tensor.Tensor{randBatch(r, steps, 2, inSize), randBatch(r, steps, 7, inSize), randBatch(r, steps, 17, inSize)}
 	staged := map[string]int64{"lstm": 6 * hidden * 4, "gru": 5 * hidden * 4}
 	forFastTiers(func(tier tensor.SIMDTier) {
 		for _, mode := range []Numerics{NumericsReference, NumericsFast, NumericsInt8} {
+			lp, gp := PackLSTM(lw, mode), PackGRU(gw, mode)
 			for _, workers := range []int{1, 3} {
-				mv := func(dst, w, x []float32, rows, cols int) {
-					if mode == NumericsReference {
-						tensor.MatVecBiasParallel(dst, w, x, nil, rows, cols, team(workers))
-					} else {
-						tensor.MatVecFastParallel(dst, w, x, nil, rows, cols, team(workers))
+				tm := team(workers)
+				prod := func(pk *Pack) gateProduct {
+					return func(dst []float32, i int, w *tensor.Tensor, x []float32, rows, cols, n int) {
+						switch {
+						case pk == nil && n == 1:
+							tensor.MatVecBiasParallel(dst, w.Data(), x, nil, rows, cols, tm)
+						case pk == nil:
+							tensor.GemmNNParallel(dst, w.Data(), x, nil, rows, n, cols, n, tm)
+						case n == 1:
+							tensor.MatVecFastParallel(dst, w.Data(), x, nil, rows, cols, tm)
+						default:
+							tensor.GemmNNFastParallel(dst, pk.f[i], x, nil, n, n, tm)
+						}
 					}
 				}
-				want := map[string][]float32{"lstm": matVecLSTM(mv, lw, seq.Data()), "gru": matVecGRU(mv, gw, seq.Data())}
-				for name, op := range recurrentOps(lw, gw, PackLSTM(lw, mode), PackGRU(gw, mode)) {
+				oracles := map[string]func(*tensor.Tensor) *tensor.Tensor{
+					"lstm": func(seq *tensor.Tensor) *tensor.Tensor { return oracleLSTM(prod(lp), lw, seq) },
+					"gru":  func(seq *tensor.Tensor) *tensor.Tensor { return oracleGRU(prod(gp), gw, seq) },
+				}
+				for name, op := range recurrentOps(lw, gw, lp, gp) {
 					s := NewScratch()
-					s.SetNumerics(mode)
 					s.SetWorkers(workers)
+					want := oracles[name](one)
 					for _, in := range []*tensor.Tensor{seq, one} {
 						got, err := op(s, in)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for i, v := range want[name] {
+						for i, v := range want.Data() {
 							if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
 								t.Fatalf("%s %v/%v/w%d/rank%d: element %d = %x, mat-vec %x", name, tier, mode, workers,
 									in.Rank(), i, math.Float32bits(got.Data()[i]), math.Float32bits(v))
@@ -532,6 +635,16 @@ func TestRecurrentOneSequenceRunsMatVec(t *testing.T) {
 					if got := s.Bytes() - s.ArenaBytes(); got != staged[name] {
 						t.Fatalf("%s %v/%v/w%d: one sequence staged %d bytes beyond the arena, the mat-vec step stages %d",
 							name, tier, mode, workers, got, staged[name])
+					}
+					for _, in := range batches {
+						got, err := op(s, in)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := oracles[name](in)
+						for i := 0; i < in.Dim(1); i++ {
+							requireSameBits(t, fmt.Sprintf("%s %v/%v/w%d/n%d GEMM", name, tier, mode, workers, in.Dim(1)), got, i, sampleOf(t, want, i))
+						}
 					}
 				}
 			}

@@ -124,22 +124,8 @@ func checkConvArgs(input, weights, bias *tensor.Tensor, p ConvParams) (nImg, inH
 	return nImg, inH, inW, outH, outW, nil
 }
 
-// Conv2D performs a 2-D convolution of input (CHW, or an NCHW batch) with
-// weights (outC x inC/groups x kh x kw) and a per-output-channel bias.  It
-// returns a new tensor of the input's kind.  One output element corresponds
-// to one simulated GPU thread, mirroring the paper's one-thread-per-neuron
-// mapping.
-//
-// The computation streams im2col panels through the blocked GEMM panel
-// kernel in package tensor; results are bit-identical to the direct
-// reference loop in Conv2DDirect (see the summation-order contract on
-// tensor.GemmNN).  Use Scratch.Conv2DPacked to reuse the panel and output
-// buffers across runs.
-func Conv2D(input *tensor.Tensor, weights, bias *tensor.Tensor, p ConvParams) (*tensor.Tensor, error) {
-	return NewScratch().Conv2DPacked(input, weights, bias, p, nil)
-}
-
-// Conv2DDirect is the reference implementation of Conv2D: a direct 7-deep
+// Conv2DDirect is the reference implementation of the convolution layer
+// (Scratch.Conv2DPacked), returning a new tensor: a direct 7-deep
 // loop nest that accumulates each output element with a scalar sum over
 // (channel, ky, kx) in ascending order.  The panel core is validated
 // bit-exactly against it.

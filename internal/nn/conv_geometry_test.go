@@ -184,13 +184,12 @@ func testConvGeom(t *testing.T, r *tensor.RNG, g convGeom) {
 	}
 }
 
-// TestConvPackedSingleMatchesBatchOfOne pins the one convolution core: on
-// every tier, Conv2DPacked of an image and of the one-image batch are the
+// TestConvPackedSingleMatchesBatchOfOne pins the one convolution core: with
+// every pack, Conv2DPacked of an image and of the one-image batch are the
 // same call, so their outputs are bit-identical for any worker count — and,
 // the panel grid and the int8 activation scale being per (group, image), so
-// is that image's slice of a larger batch.  The reference tier runs with a
-// fast pack and without one: a pack must not change its bits.  A private
-// single-sample lowering with its own blocking or scale fails here.
+// is that image's slice of a larger batch.  A private single-sample lowering
+// with its own blocking or scale fails here.
 func TestConvPackedSingleMatchesBatchOfOne(t *testing.T) {
 	geoms := convGeometryTable()
 	r := tensor.NewRNG(21)
@@ -205,17 +204,11 @@ func TestConvPackedSingleMatchesBatchOfOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range []struct {
-			mode, pack Numerics
-		}{
-			{NumericsReference, NumericsReference}, {NumericsReference, NumericsFast},
-			{NumericsFast, NumericsFast}, {NumericsInt8, NumericsInt8},
-		} {
-			mode, pk := c.mode, PackConv(w, p, c.pack)
+		for _, mode := range []Numerics{NumericsReference, NumericsFast, NumericsInt8} {
+			pk := PackConv(w, p, mode)
 			for _, workers := range []int{1, 3} {
-				op := fmt.Sprintf("%v/%v/pack-%v/w%d", g, mode, c.pack, workers)
+				op := fmt.Sprintf("%v/%v/w%d", g, mode, workers)
 				s := NewScratch()
-				s.SetNumerics(mode)
 				s.SetWorkers(workers)
 				single, err := s.Conv2DPacked(sampleOf(t, pair, 0), w, b, p, pk)
 				if err != nil {
@@ -234,13 +227,12 @@ func TestConvPackedSingleMatchesBatchOfOne(t *testing.T) {
 }
 
 // TestScratchBytesCountsConvStaging pins the resident-bytes accounting of the
-// one conv core's buffers.  Every tier streams panels: the reference tier,
-// with a fast pack or without one, stages exactly the float panels the fast
-// tier stages for the same call and nothing else, for a sample and for a
-// batch; an in-place 1x1 stages nothing on either float tier at N = 1 and
-// N = 3; and int8 stages no float panel, only its u8 planes and offset
-// tables beside its tile panels, accumulators and scales, all counted by
-// Bytes().
+// one conv core's buffers.  Every pack streams panels: with no pack the core
+// stages exactly the float panels it stages with float panels for the same
+// call and nothing else, for a sample and for a batch; an in-place 1x1
+// stages nothing with either at N = 1 and N = 3; and int8 panels stage no
+// float panel, only u8 planes and offset tables beside their tile panels,
+// accumulators and scales, all counted by Bytes().
 func TestScratchBytesCountsConvStaging(t *testing.T) {
 	r := tensor.NewRNG(3)
 	const h, w = 5, 7
@@ -248,7 +240,6 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 	w1 := randBatch(r, p1.WeightCount())
 	for _, mode := range []Numerics{NumericsReference, NumericsFast} {
 		s := NewScratch()
-		s.SetNumerics(mode)
 		for _, in := range []*tensor.Tensor{randBatch(r, 4, h, w), randBatch(r, 3, 4, h, w)} {
 			if _, err := s.Conv2DPacked(in, w1, nil, p1, PackConv(w1, p1, mode)); err != nil {
 				t.Fatal(err)
@@ -284,34 +275,29 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 	} {
 		g := c.g
 		weights, bias := randBatch(r, g.p.WeightCount()), randBatch(r, g.p.OutChannels)
-		fastPack := PackConv(weights, g.p, NumericsFast)
 		for _, in := range []*tensor.Tensor{
 			randBatch(r, g.p.InChannels, g.inH, g.inW), randBatch(r, 2, g.p.InChannels, g.inH, g.inW),
 		} {
 			nImg := samples(in)
-			run := func(mode Numerics, pk *ConvPack) *Scratch {
+			run := func(mode Numerics) *Scratch {
 				t.Helper()
 				s := NewScratch()
-				s.SetNumerics(mode)
-				if _, err := s.Conv2DPacked(in, weights, bias, g.p, pk); err != nil {
+				if _, err := s.Conv2DPacked(in, weights, bias, g.p, PackConv(weights, g.p, mode)); err != nil {
 					t.Fatalf("%v/%v/n%d: %v", g, mode, nImg, err)
 				}
 				return s
 			}
-			fast := run(NumericsFast, fastPack)
+			fast := run(NumericsFast)
 			panels := int64(len(fast.fpanels)) * tensor.FusedPanelFloats * 4
 			if len(fast.fpanels) == 0 || fast.Bytes()-fast.ArenaBytes() != panels {
 				t.Fatalf("%v/n%d: fast tier stages %d bytes in %d panels, want the panels alone",
 					g, nImg, fast.Bytes()-fast.ArenaBytes(), len(fast.fpanels))
 			}
-			for _, pk := range []*ConvPack{nil, fastPack} {
-				ref := run(NumericsReference, pk)
-				if len(ref.fpanels) != len(fast.fpanels) || ref.Bytes()-ref.ArenaBytes() != panels {
-					t.Fatalf("%v/n%d/pack %v: reference stages %d bytes in %d panels, want the fast tier's %d in %d",
-						g, nImg, pk != nil, ref.Bytes()-ref.ArenaBytes(), len(ref.fpanels), panels, len(fast.fpanels))
-				}
+			if ref := run(NumericsReference); len(ref.fpanels) != len(fast.fpanels) || ref.Bytes()-ref.ArenaBytes() != panels {
+				t.Fatalf("%v/n%d: reference stages %d bytes in %d panels, want the fast tier's %d in %d",
+					g, nImg, ref.Bytes()-ref.ArenaBytes(), len(ref.fpanels), panels, len(fast.fpanels))
 			}
-			s := run(NumericsInt8, PackConv(weights, g.p, NumericsInt8))
+			s := run(NumericsInt8)
 			if len(s.fpanels) != 0 {
 				t.Fatalf("%v/n%d: int8 allocated %d float panels", g, nImg, len(s.fpanels))
 			}
@@ -339,7 +325,7 @@ func TestScratchBytesCountsConvStaging(t *testing.T) {
 // finishes its FusedKC depth slabs through packConvPanel and
 // tensor.GemmNNFastAccumPanel, from a FusedPanelFloats buffer as the engine
 // provides; an in-place 1x1 is one tensor.GemmNNFast over the input planes.
-func convFastPanelOracle(in, bias []float32, pk *ConvPack, p ConvParams, nImg, inH, inW int) []float32 {
+func convFastPanelOracle(in, bias []float32, pk *Pack, p ConvParams, nImg, inH, inW int) []float32 {
 	outH, outW := p.OutputDims(inH, inW)
 	n1 := outH * outW
 	groups := p.groups()
@@ -402,7 +388,6 @@ func TestConvFastMatchesPanelOracle(t *testing.T) {
 			want := convFastPanelOracle(in.Data(), bd, pk, p, maxN, g.inH, g.inW)
 			for _, workers := range []int{1, 3} {
 				s := NewScratch()
-				s.SetNumerics(NumericsFast)
 				s.SetWorkers(workers)
 				for _, n := range []int{1, maxN} {
 					batch, err := tensor.FromSlice(in.Data()[:n*in.Len()/maxN], n, p.InChannels, g.inH, g.inW)
@@ -545,7 +530,6 @@ func TestConvInt8MatchesScalarOracle(t *testing.T) {
 			pk := PackConv(w, p, NumericsInt8)
 			for _, workers := range []int{1, 3} {
 				s := NewScratch()
-				s.SetNumerics(NumericsInt8)
 				s.SetWorkers(workers)
 				for _, n := range []int{1, maxN} {
 					op := fmt.Sprintf("%v/%v/n%d/w%d", g, tier, n, workers)

@@ -63,7 +63,7 @@ func TestConv2DIdentityKernel(t *testing.T) {
 	// A 1x1 kernel with weight 1 must reproduce the input.
 	in := mustTensor(t, []float32{1, 2, 3, 4}, 1, 2, 2)
 	w := mustTensor(t, []float32{1}, 1)
-	out, err := Conv2D(in, w, nil, ConvParams{InChannels: 1, OutChannels: 1, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1})
+	out, err := NewScratch().Conv2DPacked(in, w, nil, ConvParams{InChannels: 1, OutChannels: 1, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestConv2DKnownValues(t *testing.T) {
 		7, 8, 9,
 	}, 1, 3, 3)
 	w := mustTensor(t, []float32{1, 1, 1, 1}, 4)
-	out, err := Conv2D(in, w, nil, ConvParams{InChannels: 1, OutChannels: 1, KernelH: 2, KernelW: 2, StrideH: 1, StrideW: 1})
+	out, err := NewScratch().Conv2DPacked(in, w, nil, ConvParams{InChannels: 1, OutChannels: 1, KernelH: 2, KernelW: 2, StrideH: 1, StrideW: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestConv2DBias(t *testing.T) {
 	in := mustTensor(t, []float32{1, 1, 1, 1}, 1, 2, 2)
 	w := mustTensor(t, []float32{0}, 1)
 	b := mustTensor(t, []float32{5}, 1)
-	out, err := Conv2D(in, w, b, ConvParams{InChannels: 1, OutChannels: 1, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1})
+	out, err := NewScratch().Conv2DPacked(in, w, b, ConvParams{InChannels: 1, OutChannels: 1, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestConv2DPadding(t *testing.T) {
 	// keeps the input size and the center equals the pixel value.
 	in := mustTensor(t, []float32{2}, 1, 1, 1)
 	w := mustTensor(t, []float32{1, 1, 1, 1, 1, 1, 1, 1, 1}, 9)
-	out, err := Conv2D(in, w, nil, ConvParams{InChannels: 1, OutChannels: 1, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1})
+	out, err := NewScratch().Conv2DPacked(in, w, nil, ConvParams{InChannels: 1, OutChannels: 1, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestConv2DMultiChannel(t *testing.T) {
 		10, 20, 30, 40, // channel 1
 	}, 2, 2, 2)
 	w := mustTensor(t, []float32{1, 1}, 2)
-	out, err := Conv2D(in, w, nil, ConvParams{InChannels: 2, OutChannels: 1, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1})
+	out, err := NewScratch().Conv2DPacked(in, w, nil, ConvParams{InChannels: 2, OutChannels: 1, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestConv2DGroups(t *testing.T) {
 		2, 2, 2, 2, // ch1
 	}, 2, 2, 2)
 	w := mustTensor(t, []float32{1, 1}, 2) // one 1x1 weight per output channel
-	out, err := Conv2D(in, w, nil, ConvParams{InChannels: 2, OutChannels: 2, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, Groups: 2})
+	out, err := NewScratch().Conv2DPacked(in, w, nil, ConvParams{InChannels: 2, OutChannels: 2, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, Groups: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,24 +164,24 @@ func TestConv2DGroups(t *testing.T) {
 func TestConv2DErrors(t *testing.T) {
 	in := tensor.New(3, 8, 8)
 	w := tensor.New(10)
-	if _, err := Conv2D(in, w, nil, ConvParams{InChannels: 3, OutChannels: 4, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}); err == nil {
+	if _, err := NewScratch().Conv2DPacked(in, w, nil, ConvParams{InChannels: 3, OutChannels: 4, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}, nil); err == nil {
 		t.Error("wrong weight count should fail")
 	}
 	w2 := tensor.New(4 * 3 * 3 * 3)
 	badBias := tensor.New(3)
-	if _, err := Conv2D(in, w2, badBias, ConvParams{InChannels: 3, OutChannels: 4, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}); err == nil {
+	if _, err := NewScratch().Conv2DPacked(in, w2, badBias, ConvParams{InChannels: 3, OutChannels: 4, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}, nil); err == nil {
 		t.Error("wrong bias count should fail")
 	}
-	if _, err := Conv2D(in, w2, nil, ConvParams{InChannels: 5, OutChannels: 4, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}); err == nil {
+	if _, err := NewScratch().Conv2DPacked(in, w2, nil, ConvParams{InChannels: 5, OutChannels: 4, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}, nil); err == nil {
 		t.Error("channel mismatch should fail")
 	}
 	flat := tensor.New(8)
-	if _, err := Conv2D(flat, w2, nil, ConvParams{InChannels: 3, OutChannels: 4, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}); err == nil {
+	if _, err := NewScratch().Conv2DPacked(flat, w2, nil, ConvParams{InChannels: 3, OutChannels: 4, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}, nil); err == nil {
 		t.Error("non-CHW input should fail")
 	}
 	big := tensor.New(3, 2, 2)
 	w3 := tensor.New(4 * 3 * 5 * 5)
-	if _, err := Conv2D(big, w3, nil, ConvParams{InChannels: 3, OutChannels: 4, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}); err == nil {
+	if _, err := NewScratch().Conv2DPacked(big, w3, nil, ConvParams{InChannels: 3, OutChannels: 4, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}, nil); err == nil {
 		t.Error("kernel larger than input without padding should fail")
 	}
 }
@@ -204,7 +204,7 @@ func TestQuickConvLinearity(t *testing.T) {
 		w := tensor.New(3 * 2 * 3 * 3)
 		w.FillNormal(r, 0.5)
 		p := ConvParams{InChannels: 2, OutChannels: 3, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-		out1, err := Conv2D(in, w, nil, p)
+		out1, err := NewScratch().Conv2DPacked(in, w, nil, p, nil)
 		if err != nil {
 			return false
 		}
@@ -212,7 +212,7 @@ func TestQuickConvLinearity(t *testing.T) {
 		for i := range scaled.Data() {
 			scaled.Data()[i] *= scale
 		}
-		out2, err := Conv2D(scaled, w, nil, p)
+		out2, err := NewScratch().Conv2DPacked(scaled, w, nil, p, nil)
 		if err != nil {
 			return false
 		}

@@ -31,18 +31,6 @@ func checkFullyConnectedArgs(input, weights, bias *tensor.Tensor, outFeatures in
 	return n, inFeatures, nil
 }
 
-// FullyConnected computes out = W*x + b where x is the flattened input,
-// W has shape (outFeatures x inFeatures) and b has length outFeatures.
-// It returns a rank-1 tensor of length outFeatures (an (N, outFeatures) one
-// for a rank-2 or rank-4 batch).
-//
-// The product runs on the register-tiled kernel in package tensor; each
-// output element accumulates its dot product left to right starting from its
-// bias, so results are bit-identical to the scalar reference loop.
-func FullyConnected(input, weights, bias *tensor.Tensor, outFeatures int) (*tensor.Tensor, error) {
-	return NewScratch().FullyConnectedPacked(input, weights, bias, outFeatures, nil)
-}
-
 // checkMatVecArgs validates a MatVec call.
 func checkMatVecArgs(w, x *tensor.Tensor, rows, cols int) error {
 	if rows <= 0 || cols <= 0 {
@@ -87,13 +75,6 @@ func scalarMatVec(dst, w, x, bias []float32, rows, cols int) {
 		}
 		dst[r] = sum
 	}
-}
-
-// Softmax returns the normalized exponential of the input (of each sample
-// of a rank-2 or rank-4 batch), computed with the usual max-subtraction for
-// numerical stability.  It returns an error for a nil or empty input.
-func Softmax(input *tensor.Tensor) (*tensor.Tensor, error) {
-	return NewScratch().Softmax(input)
 }
 
 // softmaxCore computes the softmax of in into o; both have equal length.

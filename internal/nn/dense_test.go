@@ -18,7 +18,7 @@ func TestFullyConnectedKnown(t *testing.T) {
 		2, 0, 1,
 	}, 12)
 	b := mustTensor(t, []float32{0, 10, 0, 1}, 4)
-	out, err := FullyConnected(x, w, b, 4)
+	out, err := NewScratch().FullyConnectedPacked(x, w, b, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestFullyConnectedFlattensInput(t *testing.T) {
 	x.Fill(1)
 	w := tensor.New(8)
 	w.Fill(1)
-	out, err := FullyConnected(x, w, nil, 1)
+	out, err := NewScratch().FullyConnectedPacked(x, w, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +47,15 @@ func TestFullyConnectedFlattensInput(t *testing.T) {
 func TestFullyConnectedErrors(t *testing.T) {
 	x := tensor.New(3)
 	w := tensor.New(7)
-	if _, err := FullyConnected(x, w, nil, 2); err == nil {
+	if _, err := NewScratch().FullyConnectedPacked(x, w, nil, 2, nil); err == nil {
 		t.Error("weight size mismatch should fail")
 	}
 	w2 := tensor.New(6)
 	bad := tensor.New(3)
-	if _, err := FullyConnected(x, w2, bad, 2); err == nil {
+	if _, err := NewScratch().FullyConnectedPacked(x, w2, bad, 2, nil); err == nil {
 		t.Error("bias size mismatch should fail")
 	}
-	if _, err := FullyConnected(x, w2, nil, 0); err == nil {
+	if _, err := NewScratch().FullyConnectedPacked(x, w2, nil, 0, nil); err == nil {
 		t.Error("non-positive output features should fail")
 	}
 }
@@ -88,7 +88,7 @@ func TestMatVecErrors(t *testing.T) {
 
 func TestSoftmaxProperties(t *testing.T) {
 	in := mustTensor(t, []float32{1, 2, 3, 4}, 4)
-	out, err := Softmax(in)
+	out, err := NewScratch().Softmax(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSoftmaxProperties(t *testing.T) {
 
 func TestSoftmaxNumericalStability(t *testing.T) {
 	in := mustTensor(t, []float32{1000, 1001, 1002}, 3)
-	out, err := Softmax(in)
+	out, err := NewScratch().Softmax(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestQuickSoftmaxDistribution(t *testing.T) {
 		size := int(n%32) + 1
 		in := tensor.New(size)
 		in.FillNormal(tensor.NewRNG(seed), 5)
-		out, err := Softmax(in)
+		out, err := NewScratch().Softmax(in)
 		if err != nil {
 			return false
 		}
@@ -151,7 +151,7 @@ func TestQuickFCIdentity(t *testing.T) {
 		for i := 0; i < size; i++ {
 			w.Data()[i*size+i] = 1
 		}
-		out, err := FullyConnected(x, w, nil, size)
+		out, err := NewScratch().FullyConnectedPacked(x, w, nil, size, nil)
 		if err != nil {
 			return false
 		}

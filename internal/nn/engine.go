@@ -11,8 +11,9 @@ import (
 // This file implements the native inference compute engine: one Scratch op
 // per layer kind, reusing buffers across runs and lowering the heavy layers
 // onto the blocked kernels in package tensor — convolution onto the one
-// panel core (fastfused.go) and its tier's GEMM panel kernel,
-// fully-connected layers and recurrent gates onto the mat-vec and GEMM.
+// panel core (fastfused.go) and its pack's GEMM panel kernel,
+// fully-connected layers and recurrent gates onto the pack's mat-vec and
+// GEMM.
 //
 // Every op takes one sample (rank 1 or 3) or a batch stacked along dim 0
 // (rank 2 or 4) and returns the same kind — the recurrent ops one (steps,
@@ -36,8 +37,7 @@ import (
 //
 // All tensors returned by Scratch methods alias the arena: their contents
 // are valid until the next BeginRun on the same Scratch.  A Scratch is not
-// safe for concurrent use; give each goroutine its own.  The package-level
-// layer functions (Conv2D, Pool2D, ...) run on a fresh Scratch per call.
+// safe for concurrent use; give each goroutine its own.
 type Scratch struct {
 	team     tensor.Team
 	conv     fusedJob
@@ -204,14 +204,16 @@ func biasOf(bias *tensor.Tensor) []float32 {
 }
 
 // Conv2DPacked is the convolution layer, over weights (outC x inC/groups x
-// kh x kw) and an optional per-output-channel bias.  pk is the layer's
-// weight pack for the tier selected by SetNumerics.  Every tier and batch
-// size runs the one panel core (convFused, fastfused.go): the matching pack
-// selects the fast or int8 panel kernel, and the reference tier — or any
-// tier without its pack — the bit-exact one, identical to Conv2DDirect.
-// Under SetDirect it runs the direct loop nest image by image.  A batch of
-// one is bit-identical to its single sample.
-func (s *Scratch) Conv2DPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
+// kh x kw) and an optional per-output-channel bias: each output element
+// sums its (channel, ky, kx) taps in ascending order onto its bias, with
+// one element per simulated GPU thread in the paper's mapping.  pk is the
+// layer's weight pack, and it alone picks the kernel: every pack and batch
+// size runs the one panel core (convFused, fastfused.go), float panels on
+// the fast panel kernel, int8 panels on the int8 one, and a nil pack on the
+// bit-exact one, identical to Conv2DDirect.  Under SetDirect it runs the
+// direct loop nest image by image.  A batch of one is bit-identical to its
+// single sample.
+func (s *Scratch) Conv2DPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *Pack) (*tensor.Tensor, error) {
 	nImg, inH, inW, outH, outW, err := checkConvArgs(input, weights, bias, p)
 	if err != nil {
 		return nil, err
@@ -230,70 +232,75 @@ func (s *Scratch) Conv2DPacked(input, weights, bias *tensor.Tensor, p ConvParams
 
 // FullyConnectedPacked is the fully-connected layer out = W*x + b, with W
 // (outFeatures x inFeatures) and each sample's features its flattened block.
-// One sample returns a rank-1 output, a batch an (N, outFeatures) one.  It
-// picks the kernel from the sample count: one sample runs the tier's mat-vec
-// (MatVecBiasParallel, MatVecFastParallel, or MatVecInt8 with the int8
-// pack), two or more transpose to (inFeatures x N) and run the tier's GEMM,
-// streaming the weights once per batch (GemmNN; GemmNNFast with a fast pack;
-// GemmInt8 with the int8 pack, one activation scale per call).  On the
-// reference tier both kernels are one bias-seeded left-to-right dot product
-// per output, so every sample's bits are the single-sample ones; SetDirect
-// runs the scalar loop per sample.
-func (s *Scratch) FullyConnectedPacked(input, weights, bias *tensor.Tensor, outFeatures int, pk *FCPack) (*tensor.Tensor, error) {
+// One sample returns a rank-1 output, a batch an (N, outFeatures) one.  The
+// kernel comes from the pack and the sample count (product): one sample runs
+// the pack's mat-vec, two or more transpose to (inFeatures x N) and run its
+// GEMM, streaming the weights once per batch.  With no pack both are one
+// bias-seeded left-to-right dot product per output, so every sample's bits
+// are the single-sample ones; SetDirect runs the scalar loop per sample.
+func (s *Scratch) FullyConnectedPacked(input, weights, bias *tensor.Tensor, outFeatures int, pk *Pack) (*tensor.Tensor, error) {
 	n, inF, err := checkFullyConnectedArgs(input, weights, bias, outFeatures)
 	if err != nil {
 		return nil, err
 	}
 	out := s.outVec(input, n, outFeatures)
 	o, x, w, b := out.Data(), input.Data(), weights.Data(), biasOf(bias)
-	team := &s.team
-	mode := s.Numerics()
-	int8Path := mode == NumericsInt8 && pk != nil && pk.q != nil
-	switch {
-	case s.direct:
+	if s.direct {
 		for i := 0; i < n; i++ {
 			scalarMatVec(o[i*outFeatures:(i+1)*outFeatures], w, x[i*inF:(i+1)*inF], b, outFeatures, inF)
 		}
 		return out, nil
-	case n == 1 && int8Path:
-		xq := s.u8buf(0, pk.q.KPad())
-		tensor.MatVecInt8(o, pk.q, xq, b, tensor.QuantizeU8(xq[:inF], x), team)
-		return out, nil
-	case n == 1 && mode != NumericsReference:
-		tensor.MatVecFastParallel(o, w, x, b, outFeatures, inF, team)
-		return out, nil
-	case n == 1:
-		tensor.MatVecBiasParallel(o, w, x, b, outFeatures, inF, team)
+	}
+	if n == 1 {
+		s.product(o, w, pk, 0, x, b, outFeatures, inF, 1, 1)
 		return out, nil
 	}
 	// The fast float GEMM pads its columns up to the 16-wide FMA tile so a
 	// small batch (3, 8) runs the vector microkernel instead of falling into
 	// the scalar column tail.  Pad lanes are zero and are never read back.
-	fast := !int8Path && mode != NumericsReference && pk != nil && pk.f != nil
 	ld := n
-	if fast {
+	if pk != nil && pk.f != nil {
 		ld = (n + 15) &^ 15
 	}
 	xT := s.batchBuf(0, inF*ld)
 	s.transposeToColumns(xT, x, n, inF, ld)
 	yT := s.batchBuf(1, outFeatures*ld)
-	switch {
-	case int8Path:
-		kPad := pk.q.KPad()
-		bp := s.u8buf(0, tensor.Int8PackedLen(kPad, n))
-		acc := s.accbuf(0, tensor.Int8AccLen(outFeatures, n))
-		xs := tensor.PackColsU8(bp, xT, inF, n, n, kPad)
-		tensor.GemmInt8(yT, pk.q, bp, acc, b, xs, n, team)
-	case fast:
-		tensor.GemmNNFastParallel(yT, pk.f, xT, b, ld, ld, team)
-	default:
-		tensor.GemmNNParallel(yT, w, xT, b, outFeatures, n, inF, n, team)
-	}
+	s.product(yT, w, pk, 0, xT, b, outFeatures, inF, n, ld)
 	s.transposeToRows(o, yT, n, outFeatures, ld)
 	return out, nil
 }
 
-// Pool2D is the pooling layer.
+// product writes dst = A*x + bias for matrix i of pk, A the m x k matrix
+// whose raw weights are w, over the n columns of x: a vector (n = 1) runs
+// the pack's mat-vec, a feature-major block (x: k x ld, dst: m x ld) its
+// GEMM.
+// No pack runs MatVecBiasParallel or GemmNNParallel; float panels
+// MatVecFastParallel on the raw weights or GemmNNFastParallel over all ld
+// columns; int8 panels MatVecInt8 on the vector quantized by QuantizeU8 or
+// GemmInt8, one activation scale per call (ld must be n).  bias may be nil.
+func (s *Scratch) product(dst, w []float32, pk *Pack, i int, x, bias []float32, m, k, n, ld int) {
+	team := &s.team
+	switch {
+	case pk == nil && n == 1:
+		tensor.MatVecBiasParallel(dst, w, x, bias, m, k, team)
+	case pk == nil:
+		tensor.GemmNNParallel(dst, w, x, bias, m, n, k, ld, team)
+	case pk.q != nil && n == 1:
+		xq := s.u8buf(0, pk.q[i].KPad())
+		tensor.MatVecInt8(dst, pk.q[i], xq, bias, tensor.QuantizeU8(xq[:k], x), team)
+	case pk.q != nil:
+		kPad := pk.q[i].KPad()
+		bp := s.u8buf(0, tensor.Int8PackedLen(kPad, n))
+		acc := s.accbuf(0, tensor.Int8AccLen(m, n))
+		tensor.GemmInt8(dst, pk.q[i], bp, acc, bias, tensor.PackColsU8(bp, x, k, n, ld, kPad), n, team)
+	case n == 1:
+		tensor.MatVecFastParallel(dst, w, x, bias, m, k, team)
+	default:
+		tensor.GemmNNFastParallel(dst, pk.f[i], x, bias, ld, ld, team)
+	}
+}
+
+// Pool2D is the pooling layer: max or average pooling of each channel.
 func (s *Scratch) Pool2D(input *tensor.Tensor, p PoolParams) (*tensor.Tensor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -313,7 +320,8 @@ func (s *Scratch) Pool2D(input *tensor.Tensor, p PoolParams) (*tensor.Tensor, er
 }
 
 // GlobalAvgPool is the global average pooling layer: each channel reduces
-// to its spatial mean, a length-C vector per sample.
+// to its spatial mean, a length-C vector per sample.  SqueezeNet's final
+// layer uses it.
 func (s *Scratch) GlobalAvgPool(input *tensor.Tensor) (*tensor.Tensor, error) {
 	n, c, h, w, err := featureMap("global pool", input)
 	if err != nil {
@@ -325,7 +333,10 @@ func (s *Scratch) GlobalAvgPool(input *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// LRN is the local response normalization layer.  The fast tiers run
+// LRN is the local response normalization layer across channels:
+// out[c] = in[c] / (k + alpha/n * sum_{c'} in[c']^2)^beta, the sum over the
+// n-channel window centred on c.  It has no weights, so it is the one op
+// that reads the Scratch's tier (SetNumerics): the fast tiers run
 // lrnCoreFast when beta is exactly 3/4, the AlexNet/GoogLeNet exponent, for
 // which x^-beta has a closed form in hardware square roots.  The reference
 // core forks over (sample, channel) ranges; the fast one over (sample,
@@ -350,7 +361,8 @@ func (s *Scratch) LRN(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, error)
 	return out, nil
 }
 
-// BatchNorm is the batch normalization layer.
+// BatchNorm is the batch normalization layer: each channel is normalized
+// with the stored mean and variance, out = (in - mean) / sqrt(var + eps).
 func (s *Scratch) BatchNorm(input *tensor.Tensor, p BatchNormParams) (*tensor.Tensor, error) {
 	n, c, h, w, err := featureMap("batchnorm", input)
 	if err != nil {
@@ -368,7 +380,8 @@ func (s *Scratch) BatchNorm(input *tensor.Tensor, p BatchNormParams) (*tensor.Te
 	return out, nil
 }
 
-// Scale is the per-channel affine layer.
+// Scale is the per-channel affine layer out = in*gamma + beta that Caffe
+// models pair with BatchNorm.
 func (s *Scratch) Scale(input, gamma, beta *tensor.Tensor) (*tensor.Tensor, error) {
 	n, c, h, w, err := featureMap("scale", input)
 	if err != nil {
@@ -386,7 +399,10 @@ func (s *Scratch) Scale(input, gamma, beta *tensor.Tensor) (*tensor.Tensor, erro
 	return out, nil
 }
 
-// ReLU is the out-of-place ReLU, of any shape.
+// ReLU is the out-of-place ReLU, of any shape: negative elements become +0
+// (tensor.ReLU, the one kernel of every ReLU here, has the contract for -0
+// and NaN).  The paper's Observation 8 notes that ReLU's zeroing is one
+// reason integer pipelines see heavy use even in floating-point networks.
 func (s *Scratch) ReLU(input *tensor.Tensor) (*tensor.Tensor, error) {
 	if input == nil {
 		return nil, fmt.Errorf("nn: relu: %w: nil input", tensor.ErrShape)
@@ -411,6 +427,7 @@ func (s *Scratch) EltwiseAdd(a, b *tensor.Tensor) (*tensor.Tensor, error) {
 
 // ConcatChannels is the channel concatenation of feature maps of one kind
 // (all CHW, or all NCHW of one batch size) sharing spatial dimensions.
+// SqueezeNet's fire modules use it to join the 1x1 and 3x3 expand outputs.
 func (s *Scratch) ConcatChannels(parts ...*tensor.Tensor) (*tensor.Tensor, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("nn: concat requires at least one tensor")
@@ -440,7 +457,9 @@ func (s *Scratch) ConcatChannels(parts ...*tensor.Tensor) (*tensor.Tensor, error
 	return out, nil
 }
 
-// Softmax is the softmax of each sample's flattened values.
+// Softmax is the softmax of each sample's flattened values, the normalized
+// exponential computed with the usual max-subtraction for numerical
+// stability.  A nil or empty input is an error.
 func (s *Scratch) Softmax(input *tensor.Tensor) (*tensor.Tensor, error) {
 	if input == nil || input.Len() == 0 {
 		return nil, fmt.Errorf("nn: softmax: %w: nil or empty input", tensor.ErrShape)
@@ -457,12 +476,12 @@ func (s *Scratch) Softmax(input *tensor.Tensor) (*tensor.Tensor, error) {
 // with ROADMAP 2a.
 
 // Conv2DBatchPacked is Conv2DPacked.
-func (s *Scratch) Conv2DBatchPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *ConvPack) (*tensor.Tensor, error) {
+func (s *Scratch) Conv2DBatchPacked(input, weights, bias *tensor.Tensor, p ConvParams, pk *Pack) (*tensor.Tensor, error) {
 	return s.Conv2DPacked(input, weights, bias, p, pk)
 }
 
 // FullyConnectedBatchPacked is FullyConnectedPacked.
-func (s *Scratch) FullyConnectedBatchPacked(input, weights, bias *tensor.Tensor, outFeatures int, pk *FCPack) (*tensor.Tensor, error) {
+func (s *Scratch) FullyConnectedBatchPacked(input, weights, bias *tensor.Tensor, outFeatures int, pk *Pack) (*tensor.Tensor, error) {
 	return s.FullyConnectedPacked(input, weights, bias, outFeatures, pk)
 }
 
@@ -511,12 +530,12 @@ func tanhInPlace(v []float32) {
 // sequence, answered with its final hidden state (length hidden), or over a
 // time-major (steps, N, in) batch, each step a sample-major block, answered
 // with (N, hidden).  w must pass Validate (a networks.Plan fetches each
-// tensor of LSTMParams at its count); pk is the cell's fast-tier pack, or
-// nil.  Every gate picks its kernel from the sequence count (gate), so a batch of
-// one is bit-identical to its single sequence on every tier and, on the
-// reference tier, so is every sequence of a larger batch; SetDirect runs
+// tensor of LSTMParams at its count); pk is the cell's pack, or nil.  Every
+// gate takes its kernel from the pack and the sequence count (gate), so a
+// batch of one is bit-identical to its single sequence with any pack and,
+// with no pack, so is every sequence of a larger batch; SetDirect runs
 // LSTMCell per sequence per step.
-func (s *Scratch) LSTM(seq *tensor.Tensor, w *LSTMWeights, pk *RNNPack) (*tensor.Tensor, error) {
+func (s *Scratch) LSTM(seq *tensor.Tensor, w *LSTMWeights, pk *Pack) (*tensor.Tensor, error) {
 	if w == nil {
 		return nil, fmt.Errorf("nn: lstm: nil weights")
 	}
@@ -544,7 +563,7 @@ func (s *Scratch) LSTM(seq *tensor.Tensor, w *LSTMWeights, pk *RNNPack) (*tensor
 
 // GRU is the GRU layer, with the operands and contract of LSTM; SetDirect
 // runs GRUCell per sequence per step.
-func (s *Scratch) GRU(seq *tensor.Tensor, w *GRUWeights, pk *RNNPack) (*tensor.Tensor, error) {
+func (s *Scratch) GRU(seq *tensor.Tensor, w *GRUWeights, pk *Pack) (*tensor.Tensor, error) {
 	if w == nil {
 		return nil, fmt.Errorf("nn: gru: nil weights")
 	}
@@ -615,15 +634,15 @@ func (s *Scratch) unroll(out, seq *tensor.Tensor, steps, n int, step func(x, h [
 }
 
 // lstmStep advances the feature-major LSTM state h, c (hidden x n) by one
-// time step over the feature-major input x (in x n); on the reference tier
-// it is LSTMCell bit for bit.
-func (s *Scratch) lstmStep(w *LSTMWeights, pk *RNNPack, x, h, c []float32, n int) {
+// time step over the feature-major input x (in x n); with no pack it is
+// LSTMCell bit for bit.
+func (s *Scratch) lstmStep(w *LSTMWeights, pk *Pack, x, h, c []float32, n int) {
 	hn := len(h)
 	pi, pf, po, pc, tmp := s.vec(3, hn), s.vec(4, hn), s.vec(5, hn), s.vec(6, hn), s.vec(7, hn)
-	s.gate(pi, tmp, w.Wi, w.Ui, w.Bi, pk.gate(0), x, h, n)
-	s.gate(pf, tmp, w.Wf, w.Uf, w.Bf, pk.gate(1), x, h, n)
-	s.gate(po, tmp, w.Wo, w.Uo, w.Bo, pk.gate(2), x, h, n)
-	s.gate(pc, tmp, w.Wc, w.Uc, w.Bc, pk.gate(3), x, h, n)
+	s.gate(pi, tmp, w.Wi, w.Ui, w.Bi, pk, 0, x, h, n)
+	s.gate(pf, tmp, w.Wf, w.Uf, w.Bf, pk, 1, x, h, n)
+	s.gate(po, tmp, w.Wo, w.Uo, w.Bo, pk, 2, x, h, n)
+	s.gate(pc, tmp, w.Wc, w.Uc, w.Bc, pk, 3, x, h, n)
 	sigmoidInPlace(pi)
 	sigmoidInPlace(pf)
 	sigmoidInPlace(po)
@@ -639,51 +658,36 @@ func (s *Scratch) lstmStep(w *LSTMWeights, pk *RNNPack, x, h, c []float32, n int
 }
 
 // gruStep advances the feature-major GRU state h (hidden x n) by one time
-// step over the feature-major input x (in x n); on the reference tier it is
-// GRUCell bit for bit.
-func (s *Scratch) gruStep(w *GRUWeights, pk *RNNPack, x, h []float32, n int) {
+// step over the feature-major input x (in x n); with no pack it is GRUCell
+// bit for bit.
+func (s *Scratch) gruStep(w *GRUWeights, pk *Pack, x, h []float32, n int) {
 	hn := len(h)
 	r, z, ng, rh, tmp := s.vec(3, hn), s.vec(4, hn), s.vec(5, hn), s.vec(6, hn), s.vec(7, hn)
-	s.gate(r, tmp, w.Wr, w.Ur, w.Br, pk.gate(0), x, h, n)
-	s.gate(z, tmp, w.Wz, w.Uz, w.Bz, pk.gate(1), x, h, n)
+	s.gate(r, tmp, w.Wr, w.Ur, w.Br, pk, 0, x, h, n)
+	s.gate(z, tmp, w.Wz, w.Uz, w.Bz, pk, 1, x, h, n)
 	sigmoidInPlace(r)
 	sigmoidInPlace(z)
 	for i := range rh {
 		rh[i] = r[i] * h[i]
 	}
-	s.gate(ng, tmp, w.Wh, w.Uh, w.Bh, pk.gate(2), x, rh, n)
+	s.gate(ng, tmp, w.Wh, w.Uh, w.Bh, pk, 2, x, rh, n)
 	tanhInPlace(ng)
 	for i, zi := range z {
 		h[i] = (1-zi)*ng[i] + zi*h[i]
 	}
 }
 
-// gate computes one gate's pre-activation pre = (Wx*x + Uh*h) + b over
+// gate computes gate g's pre-activation pre = (Wx*x + Uh*h) + b over
 // feature-major operands — x (in x n), h and pre (hidden x n) — in the
 // reference expression order: the input product, the recurrent product,
-// then the bias; tmp is staging of pre's length.  It picks the kernel from
-// what it can observe, as FullyConnectedPacked does: one sequence runs the
-// tier's mat-vec on the raw weights (MatVecBiasParallel, or
-// MatVecFastParallel on the fast tiers), two or more the tier's GEMM
-// (GemmNNParallel, or GemmNNFastParallel with the gate's pack).  On the
-// reference tier both are one left-to-right dot product per element.
-func (s *Scratch) gate(pre, tmp []float32, wx, uh, b *tensor.Tensor, g *gatePack, x, h []float32, n int) {
-	hidden, in, team := len(pre)/n, len(x)/n, &s.team
-	fast := s.Numerics() != NumericsReference
-	switch {
-	case n == 1 && fast:
-		tensor.MatVecFastParallel(pre, wx.Data(), x, nil, hidden, in, team)
-		tensor.MatVecFastParallel(tmp, uh.Data(), h, nil, hidden, hidden, team)
-	case n == 1:
-		tensor.MatVecBiasParallel(pre, wx.Data(), x, nil, hidden, in, team)
-		tensor.MatVecBiasParallel(tmp, uh.Data(), h, nil, hidden, hidden, team)
-	case fast && g != nil:
-		tensor.GemmNNFastParallel(pre, g.wx, x, nil, n, n, team)
-		tensor.GemmNNFastParallel(tmp, g.uh, h, nil, n, n, team)
-	default:
-		tensor.GemmNNParallel(pre, wx.Data(), x, nil, hidden, n, in, n, team)
-		tensor.GemmNNParallel(tmp, uh.Data(), h, nil, hidden, n, hidden, n, team)
-	}
+// then the bias; tmp is staging of pre's length.  Both products run on the
+// cell pack's matrices 2g and 2g+1 (product): one sequence on its mat-vec,
+// two or more on its GEMM.  With no pack both are one left-to-right dot
+// product per element.
+func (s *Scratch) gate(pre, tmp []float32, wx, uh, b *tensor.Tensor, pk *Pack, g int, x, h []float32, n int) {
+	hidden, in := len(pre)/n, len(x)/n
+	s.product(pre, wx.Data(), pk, 2*g, x, nil, hidden, in, n, n)
+	s.product(tmp, uh.Data(), pk, 2*g+1, h, nil, hidden, hidden, n, n)
 	bd := b.Data()
 	for r := 0; r < hidden; r++ {
 		bv := bd[r]

@@ -100,7 +100,7 @@ func TestEngineConvMatchesDirect(t *testing.T) {
 			label string
 			fn    func() (*tensor.Tensor, error)
 		}{
-			{"free", func() (*tensor.Tensor, error) { return nn.Conv2D(in, w, b, c.p) }},
+			{"fresh", func() (*tensor.Tensor, error) { return nn.NewScratch().Conv2DPacked(in, w, b, c.p, nil) }},
 			{"scratch", func() (*tensor.Tensor, error) { return s.Conv2DPacked(in, w, b, c.p, nil) }},
 			{"parallel", func() (*tensor.Tensor, error) { return sp.Conv2DPacked(in, w, b, c.p, nil) }},
 		} {
@@ -137,7 +137,7 @@ func TestEngineConvNoBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := nn.Conv2D(in, w, nil, p)
+	got, err := nn.NewScratch().Conv2DPacked(in, w, nil, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestEngineGRUStepMatchesCell(t *testing.T) {
 // TestDenseValidation covers the hardened argument checks of Softmax,
 // MatVec and FullyConnected.
 func TestDenseValidation(t *testing.T) {
-	if _, err := nn.Softmax(nil); err == nil {
+	if _, err := nn.NewScratch().Softmax(nil); err == nil {
 		t.Error("softmax(nil) must error")
 	}
 	if _, err := nn.MatVec(nil, tensor.New(3), 3, 3); err == nil {
@@ -316,10 +316,10 @@ func TestDenseValidation(t *testing.T) {
 	if _, err := nn.MatVec(tensor.New(9), tensor.New(3), 0, 3); err == nil {
 		t.Error("matvec with zero rows must error")
 	}
-	if _, err := nn.FullyConnected(nil, tensor.New(9), nil, 3); err == nil {
+	if _, err := nn.NewScratch().FullyConnectedPacked(nil, tensor.New(9), nil, 3, nil); err == nil {
 		t.Error("fc with nil input must error")
 	}
-	if _, err := nn.FullyConnected(tensor.New(3), nil, nil, 3); err == nil {
+	if _, err := nn.NewScratch().FullyConnectedPacked(tensor.New(3), nil, nil, 3, nil); err == nil {
 		t.Error("fc with nil weights must error")
 	}
 }

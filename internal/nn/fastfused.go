@@ -6,14 +6,14 @@ import "tango/internal/tensor"
 // patches stream from the input into L2-resident column panels that a GEMM
 // panel kernel consumes in place, and the product lands straight in the
 // NCHW output block (dst rows outH*outW floats apart).  Nothing of size
-// k x N*outH*outW is ever staged.  The tier picks only how a panel is
-// staged and multiplied:
+// k x N*outH*outW is ever staged.  The layer's pack picks only how a panel
+// is staged and multiplied:
 //
-//   - reference: a float panel and tensor.GemmNNAccumPanel, one accumulator
-//     per element in (channel, ky, kx) order, bit-identical to Conv2DDirect;
-//   - fast: a float panel and tensor.GemmNNFastAccumPanel on the packed
-//     weights;
-//   - int8: a byte panel and tensor.GemmInt8Panel.
+//   - no pack (reference): a float panel and tensor.GemmNNAccumPanel, one
+//     accumulator per element in (channel, ky, kx) order, bit-identical to
+//     Conv2DDirect;
+//   - float panels (fast): a float panel and tensor.GemmNNFastAccumPanel;
+//   - int8 panels (int8): a byte panel and tensor.GemmInt8Panel.
 //
 // A 1x1, stride-1, unpadded convolution on a float tier stages nothing: the
 // group's input planes are B as they lie, and one GEMM per image writes the
@@ -40,16 +40,14 @@ import "tango/internal/tensor"
 // add nothing, and a weight row's scale and compensation ignore both.
 
 // convFused runs the convolution over nImg contiguous CHW samples in `in`
-// with weights w, writing NCHW output planes into o.  The tier's pack
-// selects the panel kernel: pk's int8 panels under NumericsInt8, its float
-// panels under either fast tier, and the raw weights otherwise.
-func (s *Scratch) convFused(o, in, w, biasData []float32, pk *ConvPack, p ConvParams, nImg, inH, inW, outH, outW int) {
+// with weights w, writing NCHW output planes into o.  The pack selects the
+// panel kernel: its int8 panels, its float panels, or, with no pack, the raw
+// weights.
+func (s *Scratch) convFused(o, in, w, biasData []float32, pk *Pack, p ConvParams, nImg, inH, inW, outH, outW int) {
 	var pa []*tensor.PackedA
 	var pq []*tensor.PackedInt8
-	if mode := s.Numerics(); pk != nil && mode == NumericsInt8 && pk.q != nil {
-		pq = pk.q
-	} else if pk != nil && mode != NumericsReference {
-		pa = pk.f
+	if pk != nil {
+		pa, pq = pk.f, pk.q
 	}
 	sampleStride := p.InChannels * inH * inW
 	groups := p.groups()

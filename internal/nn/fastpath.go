@@ -6,11 +6,11 @@ import (
 	"tango/internal/tensor"
 )
 
-// This file implements the opt-in fast-numerics tier of the compute engine.
-// The default engine is bit-exact: it preserves the reference summation
-// order of every kernel.  The fast tier trades that guarantee for
-// throughput under a tolerance-based accuracy contract (validated by golden
-// top-1 tests at the networks layer):
+// This file implements the opt-in fast-numerics tiers of the compute engine
+// and the weight packs that carry them.  The default engine is bit-exact: it
+// preserves the reference summation order of every kernel.  The fast tiers
+// trade that guarantee for throughput under a tolerance-based accuracy
+// contract (validated by golden top-1 tests at the networks layer):
 //
 //   - NumericsFast lowers the heavy layers onto the prepacked FMA/AVX-512
 //     GEMM kernels in package tensor: multiple independent accumulator
@@ -23,16 +23,19 @@ import (
 //     Layers without an int8 lowering (recurrent gates, normalization, ...)
 //     run the NumericsFast float path.
 //
-// Weight panels are packed once per network (see the Packed* containers and
-// the networks.Plan packing); steady-state inference performs no packing or
-// heap allocation.  Results of the fast tier are identical for any worker
-// count — row panels are tile-aligned — and a batch of one is bit-identical
-// to its single sample, since every op picks its kernel from the sample
-// count.  Unlike the reference tier, a fast-tier sample's bits depend on
-// whether its batch holds one sample or several: from two samples (or
-// sequences) on, a fully-connected layer and a recurrent gate run the tier's
-// GEMM instead of its mat-vec (and under int8 a fully-connected layer
-// quantizes its activations with one scale per call).
+// A weighted op takes its kernels from the Pack it is handed and the sample
+// count alone: a nil pack runs the reference kernels, float panels the fast
+// ones and int8 panels the int8 ones.  The Scratch's tier (SetNumerics) is
+// read only by LRN, which has no weights, and by networks.Plan, which hands
+// every layer its tier's pack.  Packs are built once per network; steady-
+// state inference performs no packing or heap allocation.  Results of the
+// fast tiers are identical for any worker count — row panels are
+// tile-aligned — and a batch of one is bit-identical to its single sample.
+// Unlike the reference tier, a fast-tier sample's bits depend on whether its
+// batch holds one sample or several: from two samples (or sequences) on, a
+// fully-connected layer and a recurrent gate run the pack's GEMM instead of
+// its mat-vec (and under int8 a fully-connected layer quantizes its
+// activations with one scale per call).
 
 // Numerics selects the arithmetic contract of a Scratch.
 type Numerics uint8
@@ -102,44 +105,26 @@ func (s *Scratch) accbuf(slot, n int) []int32 {
 	return grown(&s.accbs[slot], n)
 }
 
-// ConvPack holds a convolution layer's weights packed for the fast tier:
-// one pack per channel group (fast float panels, int8 panels, or both,
-// depending on the mode it was built for).  Immutable and safe for
-// concurrent use by any number of Scratches.
-type ConvPack struct {
+// Pack holds a weighted layer's matrices packed for one fast tier, and its
+// kind selects the layer's kernels: float panels the fast ones, int8 panels
+// the int8 ones, and a nil *Pack the reference kernels on the raw weights.
+// A convolution packs one matrix per channel group, a fully-connected layer
+// its one matrix, and a recurrent cell every gate's input then recurrent
+// matrix, in cell order (LSTM: i, f, o, c; GRU: r, z, h).  Immutable and
+// safe for concurrent use by any number of Scratches.
+type Pack struct {
 	f []*tensor.PackedA
 	q []*tensor.PackedInt8
 }
 
-// FCPack holds a fully-connected layer's weights packed for the fast tier.
-type FCPack struct {
-	f *tensor.PackedA
-	q *tensor.PackedInt8
-}
-
-// gatePack holds one recurrent gate's input and recurrent weight matrices
-// packed for the fast GEMM of two or more sequences (one sequence runs the
-// multi-chain mat-vec on the raw weights and needs no packing).
-type gatePack struct {
-	wx, uh *tensor.PackedA
-}
-
-// RNNPack holds packed gates of a recurrent cell, in cell order (LSTM:
-// i, f, o, c; GRU: r, z, h).
-type RNNPack struct {
-	gates []gatePack
-}
-
-// gate returns gate g's pack, or nil from a nil pack.
-func (pk *RNNPack) gate(g int) *gatePack {
-	if pk == nil {
-		return nil
-	}
-	return &pk.gates[g]
-}
+// ConvPack and FCPack are Pack; kept for benchmark/, delete with ROADMAP 2a.
+type (
+	ConvPack = Pack
+	FCPack   = Pack
+)
 
 // Bytes returns the storage held by the pack's panel buffers.
-func (pk *ConvPack) Bytes() int64 {
+func (pk *Pack) Bytes() int64 {
 	if pk == nil {
 		return 0
 	}
@@ -153,30 +138,10 @@ func (pk *ConvPack) Bytes() int64 {
 	return n
 }
 
-// Bytes returns the storage held by the pack's panel buffers.
-func (pk *FCPack) Bytes() int64 {
-	if pk == nil {
-		return 0
-	}
-	return pk.f.Bytes() + pk.q.Bytes()
-}
-
-// Bytes returns the storage held by the pack's panel buffers.
-func (pk *RNNPack) Bytes() int64 {
-	if pk == nil {
-		return 0
-	}
-	var n int64
-	for _, g := range pk.gates {
-		n += g.wx.Bytes() + g.uh.Bytes()
-	}
-	return n
-}
-
 // PackConv packs conv weights (outC x inC/groups x kh x kw) for the given
 // mode, int8 packs in the depth order of u8Order.  Returns nil for
 // NumericsReference.
-func PackConv(weights *tensor.Tensor, p ConvParams, mode Numerics) *ConvPack {
+func PackConv(weights *tensor.Tensor, p ConvParams, mode Numerics) *Pack {
 	if mode == NumericsReference || weights == nil {
 		return nil
 	}
@@ -184,7 +149,7 @@ func PackConv(weights *tensor.Tensor, p ConvParams, mode Numerics) *ConvPack {
 	outCPerGroup := p.OutChannels / groups
 	k := (p.InChannels / groups) * p.KernelH * p.KernelW
 	w := weights.Data()
-	pk := &ConvPack{}
+	pk := &Pack{}
 	var from []int32
 	if mode == NumericsInt8 {
 		_, kwPad := u8Order(p)
@@ -204,21 +169,21 @@ func PackConv(weights *tensor.Tensor, p ConvParams, mode Numerics) *ConvPack {
 
 // PackFC packs fully-connected weights (outF x inF) for the given mode.
 // Returns nil for NumericsReference.
-func PackFC(weights *tensor.Tensor, outF, inF int, mode Numerics) *FCPack {
+func PackFC(weights *tensor.Tensor, outF, inF int, mode Numerics) *Pack {
 	if mode == NumericsReference || weights == nil {
 		return nil
 	}
 	if mode == NumericsInt8 {
-		return &FCPack{q: tensor.PackInt8(weights.Data(), outF, inF)}
+		return &Pack{q: []*tensor.PackedInt8{tensor.PackInt8(weights.Data(), outF, inF)}}
 	}
-	return &FCPack{f: tensor.PackA(weights.Data(), outF, inF)}
+	return &Pack{f: []*tensor.PackedA{tensor.PackA(weights.Data(), outF, inF)}}
 }
 
-// PackLSTM packs the gate matrices of an LSTM cell for the fast GEMM of two
-// or more sequences.  Int8 mode packs the same float panels: recurrent cells
-// run the NumericsFast path under either fast tier.  Returns nil for
+// PackLSTM packs the gate matrices of an LSTM cell for the fast tier.  Int8
+// mode packs the same float panels: a recurrent cell has no int8 kernels and
+// runs the fast ones under either fast tier.  Returns nil for
 // NumericsReference.
-func PackLSTM(w *LSTMWeights, mode Numerics) *RNNPack {
+func PackLSTM(w *LSTMWeights, mode Numerics) *Pack {
 	if mode == NumericsReference || w == nil {
 		return nil
 	}
@@ -226,7 +191,7 @@ func PackLSTM(w *LSTMWeights, mode Numerics) *RNNPack {
 }
 
 // PackGRU is PackLSTM for a GRU cell.
-func PackGRU(w *GRUWeights, mode Numerics) *RNNPack {
+func PackGRU(w *GRUWeights, mode Numerics) *Pack {
 	if mode == NumericsReference || w == nil {
 		return nil
 	}
@@ -234,15 +199,14 @@ func PackGRU(w *GRUWeights, mode Numerics) *RNNPack {
 }
 
 // packCell packs every gate's input and recurrent matrix from a cell's
-// parameter table, whose first and second thirds hold them in gate order.
-func packCell[W any](w *W, hidden, input int, params []Param[W]) *RNNPack {
+// parameter table, whose first and second thirds hold them in gate order:
+// gate g's are the pack's matrices 2g and 2g+1.
+func packCell[W any](w *W, hidden, input int, params []Param[W]) *Pack {
 	gates := len(params) / 3
-	pk := &RNNPack{gates: make([]gatePack, gates)}
-	for g := range pk.gates {
-		pk.gates[g] = gatePack{
-			wx: tensor.PackA((*params[g].Field(w)).Data(), hidden, input),
-			uh: tensor.PackA((*params[gates+g].Field(w)).Data(), hidden, hidden),
-		}
+	pk := &Pack{}
+	for g := 0; g < gates; g++ {
+		pk.f = append(pk.f, tensor.PackA((*params[g].Field(w)).Data(), hidden, input),
+			tensor.PackA((*params[gates+g].Field(w)).Data(), hidden, hidden))
 	}
 	return pk
 }

@@ -34,12 +34,6 @@ func (p LRNParams) Validate() error {
 	return nil
 }
 
-// LRN applies local response normalization across channels of a CHW input
-// (or an NCHW batch): out[c] = in[c] / (k + alpha/n * sum_{c'} in[c']^2)^beta.
-func LRN(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, error) {
-	return NewScratch().LRN(input, p)
-}
-
 // lrnPart normalizes units [u0, u1) of sample smp: pixels on the fast tier
 // (j.sums set), channels on the reference one.
 func lrnPart(j *splitJob, smp, u0, u1 int) {
@@ -131,12 +125,6 @@ type BatchNormParams struct {
 	Epsilon  float64
 }
 
-// BatchNorm normalizes each channel of a CHW input with the stored mean and
-// variance: out = (in - mean) / sqrt(var + eps).
-func BatchNorm(input *tensor.Tensor, p BatchNormParams) (*tensor.Tensor, error) {
-	return NewScratch().BatchNorm(input, p)
-}
-
 // batchNormPart normalizes channels [c0, c1) of sample smp.
 func batchNormPart(j *splitJob, smp, c0, c1 int) {
 	eps := j.bn.Epsilon
@@ -152,12 +140,6 @@ func batchNormPart(j *splitJob, smp, c0, c1 int) {
 			j.o[at+i] = (v - mean) * inv
 		}
 	}
-}
-
-// Scale applies the per-channel affine transform out = in*gamma + beta that
-// Caffe models pair with BatchNorm.
-func Scale(input *tensor.Tensor, gamma, beta *tensor.Tensor) (*tensor.Tensor, error) {
-	return NewScratch().Scale(input, gamma, beta)
 }
 
 // scalePart applies the per-channel affine transform to channels [c0, c1)

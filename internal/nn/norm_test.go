@@ -34,7 +34,7 @@ func TestLRNSingleChannel(t *testing.T) {
 	// One channel, n=1: out = in / (k + alpha*in^2)^beta.
 	in := mustTensor(t, []float32{2}, 1, 1, 1)
 	p := LRNParams{LocalSize: 1, Alpha: 1, Beta: 1, K: 1}
-	out, err := LRN(in, p)
+	out, err := NewScratch().LRN(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestLRNSingleChannel(t *testing.T) {
 func TestLRNDampensLargeActivations(t *testing.T) {
 	in := tensor.New(8, 4, 4)
 	in.Fill(10)
-	out, err := LRN(in, DefaultLRN())
+	out, err := NewScratch().LRN(in, DefaultLRN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +60,10 @@ func TestLRNDampensLargeActivations(t *testing.T) {
 }
 
 func TestLRNErrors(t *testing.T) {
-	if _, err := LRN(tensor.New(4), DefaultLRN()); err == nil {
+	if _, err := NewScratch().LRN(tensor.New(4), DefaultLRN()); err == nil {
 		t.Error("non-CHW input should fail")
 	}
-	if _, err := LRN(tensor.New(1, 2, 2), LRNParams{LocalSize: 0}); err == nil {
+	if _, err := NewScratch().LRN(tensor.New(1, 2, 2), LRNParams{LocalSize: 0}); err == nil {
 		t.Error("invalid params should fail")
 	}
 }
@@ -72,7 +72,7 @@ func TestBatchNormKnown(t *testing.T) {
 	in := mustTensor(t, []float32{1, 2, 3, 4}, 1, 2, 2)
 	mean := mustTensor(t, []float32{2.5}, 1)
 	variance := mustTensor(t, []float32{1.25}, 1)
-	out, err := BatchNorm(in, BatchNormParams{Mean: mean, Variance: variance, Epsilon: 0})
+	out, err := NewScratch().BatchNorm(in, BatchNormParams{Mean: mean, Variance: variance, Epsilon: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestBatchNormKnown(t *testing.T) {
 
 func TestBatchNormErrors(t *testing.T) {
 	in := tensor.New(2, 2, 2)
-	if _, err := BatchNorm(in, BatchNormParams{}); err == nil {
+	if _, err := NewScratch().BatchNorm(in, BatchNormParams{}); err == nil {
 		t.Error("missing stats should fail")
 	}
-	if _, err := BatchNorm(in, BatchNormParams{Mean: tensor.New(1), Variance: tensor.New(2)}); err == nil {
+	if _, err := NewScratch().BatchNorm(in, BatchNormParams{Mean: tensor.New(1), Variance: tensor.New(2)}); err == nil {
 		t.Error("stat length mismatch should fail")
 	}
-	if _, err := BatchNorm(tensor.New(4), BatchNormParams{Mean: tensor.New(1), Variance: tensor.New(1)}); err == nil {
+	if _, err := NewScratch().BatchNorm(tensor.New(4), BatchNormParams{Mean: tensor.New(1), Variance: tensor.New(1)}); err == nil {
 		t.Error("non-CHW input should fail")
 	}
 }
@@ -106,7 +106,7 @@ func TestScaleKnown(t *testing.T) {
 	in := mustTensor(t, []float32{1, 2, 3, 4}, 2, 1, 2)
 	gamma := mustTensor(t, []float32{2, 10}, 2)
 	beta := mustTensor(t, []float32{1, 0}, 2)
-	out, err := Scale(in, gamma, beta)
+	out, err := NewScratch().Scale(in, gamma, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestScaleKnown(t *testing.T) {
 func TestScaleWithoutBeta(t *testing.T) {
 	in := mustTensor(t, []float32{1, 2}, 1, 1, 2)
 	gamma := mustTensor(t, []float32{3}, 1)
-	out, err := Scale(in, gamma, nil)
+	out, err := NewScratch().Scale(in, gamma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +132,13 @@ func TestScaleWithoutBeta(t *testing.T) {
 
 func TestScaleErrors(t *testing.T) {
 	in := tensor.New(2, 2, 2)
-	if _, err := Scale(in, tensor.New(1), nil); err == nil {
+	if _, err := NewScratch().Scale(in, tensor.New(1), nil); err == nil {
 		t.Error("gamma length mismatch should fail")
 	}
-	if _, err := Scale(in, tensor.New(2), tensor.New(3)); err == nil {
+	if _, err := NewScratch().Scale(in, tensor.New(2), tensor.New(3)); err == nil {
 		t.Error("beta length mismatch should fail")
 	}
-	if _, err := Scale(tensor.New(4), tensor.New(2), nil); err == nil {
+	if _, err := NewScratch().Scale(tensor.New(4), tensor.New(2), nil); err == nil {
 		t.Error("non-CHW input should fail")
 	}
 }

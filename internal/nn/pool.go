@@ -63,11 +63,6 @@ func (p PoolParams) OutputDims(inH, inW int) (outH, outW int) {
 	return num(inH, p.PadH, p.KernelH, p.StrideH), num(inW, p.PadW, p.KernelW, p.StrideW)
 }
 
-// Pool2D applies max or average pooling to a CHW input (or an NCHW batch).
-func Pool2D(input *tensor.Tensor, p PoolParams) (*tensor.Tensor, error) {
-	return NewScratch().Pool2D(input, p)
-}
-
 // tapSpan returns the outputs [lo, hi) of a row of out windows, stride
 // columns apart, whose tap k, at input column ox*stride - pad + k, lies
 // inside [0, in): ceil((pad-k)/stride) up to floor((in-1+pad-k)/stride).
@@ -128,12 +123,6 @@ func pool2DCore(o, in []float32, c, inH, inW, outH, outW int, p PoolParams) {
 			}
 		}
 	}
-}
-
-// GlobalAvgPool reduces each channel of a CHW input to its spatial mean,
-// returning a rank-1 tensor of length C.  SqueezeNet's final layer uses it.
-func GlobalAvgPool(input *tensor.Tensor) (*tensor.Tensor, error) {
-	return NewScratch().GlobalAvgPool(input)
 }
 
 // globalAvgPoolPart reduces channels [c0, c1) of sample smp.

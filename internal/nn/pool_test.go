@@ -38,7 +38,7 @@ func TestMaxPoolKnown(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 4, 4)
-	out, err := Pool2D(in, PoolParams{Kind: MaxPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2})
+	out, err := NewScratch().Pool2D(in, PoolParams{Kind: MaxPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestAvgPoolKnown(t *testing.T) {
 		1, 2,
 		3, 4,
 	}, 1, 2, 2)
-	out, err := Pool2D(in, PoolParams{Kind: AvgPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2})
+	out, err := NewScratch().Pool2D(in, PoolParams{Kind: AvgPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +82,14 @@ func TestPoolCeilMode(t *testing.T) {
 
 func TestPoolErrors(t *testing.T) {
 	flat := tensor.New(8)
-	if _, err := Pool2D(flat, PoolParams{Kind: MaxPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}); err == nil {
+	if _, err := NewScratch().Pool2D(flat, PoolParams{Kind: MaxPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}); err == nil {
 		t.Error("non-CHW input should fail")
 	}
 	small := tensor.New(1, 1, 1)
-	if _, err := Pool2D(small, PoolParams{Kind: MaxPool, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}); err == nil {
+	if _, err := NewScratch().Pool2D(small, PoolParams{Kind: MaxPool, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}); err == nil {
 		t.Error("window larger than unpadded input should fail")
 	}
-	if _, err := Pool2D(small, PoolParams{Kind: MaxPool, KernelH: 0, KernelW: 3, StrideH: 1, StrideW: 1}); err == nil {
+	if _, err := NewScratch().Pool2D(small, PoolParams{Kind: MaxPool, KernelH: 0, KernelW: 3, StrideH: 1, StrideW: 1}); err == nil {
 		t.Error("invalid params should fail")
 	}
 }
@@ -99,7 +99,7 @@ func TestGlobalAvgPool(t *testing.T) {
 		1, 2, 3, 4, // channel 0: mean 2.5
 		10, 10, 10, 10, // channel 1: mean 10
 	}, 2, 2, 2)
-	out, err := GlobalAvgPool(in)
+	out, err := NewScratch().GlobalAvgPool(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestGlobalAvgPool(t *testing.T) {
 	if math.Abs(float64(out.Data()[0]-2.5)) > 1e-6 || out.Data()[1] != 10 {
 		t.Errorf("global pool = %v", out.Data())
 	}
-	if _, err := GlobalAvgPool(tensor.New(4)); err == nil {
+	if _, err := NewScratch().GlobalAvgPool(tensor.New(4)); err == nil {
 		t.Error("non-CHW input should fail")
 	}
 }
@@ -120,7 +120,7 @@ func TestQuickMaxPoolBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		in := tensor.New(2, 6, 6)
 		in.FillNormal(tensor.NewRNG(seed), 3)
-		out, err := Pool2D(in, PoolParams{Kind: MaxPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2})
+		out, err := NewScratch().Pool2D(in, PoolParams{Kind: MaxPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2})
 		if err != nil {
 			return false
 		}
@@ -137,7 +137,7 @@ func TestQuickAvgPoolMeanPreserved(t *testing.T) {
 	f := func(seed uint64) bool {
 		in := tensor.New(1, 4, 4)
 		in.FillUniform(tensor.NewRNG(seed), -1, 1)
-		out, err := Pool2D(in, PoolParams{Kind: AvgPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2})
+		out, err := NewScratch().Pool2D(in, PoolParams{Kind: AvgPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2})
 		if err != nil {
 			return false
 		}
