@@ -79,7 +79,7 @@ func requireBitEqual(t *testing.T, label string, got, want *tensor.Tensor) {
 func TestPlanGoldenEquivalence(t *testing.T) {
 	names := append(append([]string{}, networks.Names()...), networks.ExtensionNames()...)
 	for _, name := range names {
-		if testing.Short() && pinnedDirect[name] {
+		if testing.Short() && (name == "VGGNet" || name == "ResNet") {
 			t.Logf("skipping %s in -short mode (the two largest networks)", name)
 			continue
 		}
@@ -100,10 +100,13 @@ func TestPlanGoldenPortableRung(t *testing.T) {
 
 // pinnedDirect names the networks whose direct-reference outputs are pinned
 // as per-layer SHA-256 digests in directDigestsFile rather than recomputed on
-// every run: the scalar 7-deep direct convolution takes about a minute on
-// each.  UPDATE_GOLDEN=1 re-derives the digests from the live direct kernels
-// (CI's oracle-digests job does so on every push and fails on a diff).
-var pinnedDirect = map[string]bool{"VGGNet": true, "ResNet": true}
+// every run.  On VGGNet and ResNet the scalar 7-deep direct convolution takes
+// about a minute each.  AlexNet's direct run and its engine share lrnCore, so
+// only a pinned digest holds its norm1 and norm2 outputs to the bits the
+// math.Pow loop wrote.  UPDATE_GOLDEN=1 re-derives the digests from the live
+// direct kernels (CI's oracle-digests job does so on every push and fails on
+// a diff).
+var pinnedDirect = map[string]bool{"AlexNet": true, "VGGNet": true, "ResNet": true}
 
 var directDigestsFile = filepath.Join("testdata", "direct_digests.json")
 

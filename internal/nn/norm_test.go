@@ -68,6 +68,90 @@ func TestLRNErrors(t *testing.T) {
 	}
 }
 
+// lrnPowLoop is the definition lrnCore is held to: every element divides by
+// math.Pow of k plus the scaled float64 sum of the squares in its channel
+// window, summed afresh from the lowest channel up.
+func lrnPowLoop(o, in []float32, c, hw int, p LRNParams) {
+	half := p.LocalSize / 2
+	scale := p.Alpha / float64(p.LocalSize)
+	for ch := 0; ch < c; ch++ {
+		for i := 0; i < hw; i++ {
+			sum := 0.0
+			for cc := max(ch-half, 0); cc <= min(ch+half, c-1); cc++ {
+				v := float64(in[cc*hw+i])
+				sum += v * v // exact in float64, so fusing it changes nothing
+			}
+			o[ch*hw+i] = float32(float64(in[ch*hw+i]) / math.Pow(p.K+float64(scale*sum), p.Beta))
+		}
+	}
+}
+
+// TestLRNMatchesPowLoop holds lrnCore to lrnPowLoop bit for bit, NaN payloads
+// and signed zeros included, whole and split into two channel ranges.  Half
+// the inputs are zeros of either sign; NaN, +Inf and -Inf sit in the windows
+// of zero centres.  Besides AlexNet's parameters the sets make a zero centre
+// come out NaN (k = 0, a negative k, a NaN exponent, a power that underflows
+// to zero, a NaN in the window) or divide by +Inf (a negative exponent on a
+// zero sum), so a shortcut for zero centres that fires where the division
+// would not give that zero back fails here.
+func TestLRNMatchesPowLoop(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	params := []LRNParams{
+		DefaultLRN(),
+		{LocalSize: 5, Alpha: 1e-4, Beta: 0.75, K: 0},
+		{LocalSize: 5, Alpha: 1e-4, Beta: 0.75, K: 0.5},
+		{LocalSize: 5, Alpha: 1e-4, Beta: 0.75, K: -3},
+		{LocalSize: 3, Alpha: 1, Beta: -0.75, K: 0},
+		{LocalSize: 5, Alpha: 1e-4, Beta: nan, K: 2},
+		{LocalSize: 5, Alpha: 1e-4, Beta: 2000, K: 0.5},
+		{LocalSize: 5, Alpha: 1e-4, Beta: inf, K: 1},
+		{LocalSize: 5, Alpha: 1e-4, Beta: 0, K: 2},
+		{LocalSize: 5, Alpha: 1e-4, Beta: 0.75, K: nan},
+		{LocalSize: 1, Alpha: 1, Beta: 1, K: 1},
+	}
+	negZero := float32(math.Copysign(0, -1))
+	r := tensor.NewRNG(41)
+	for _, hw := range []int{1, 7, 169} {
+		for _, c := range []int{1, 3, 5, 16} {
+			in := make([]float32, c*hw)
+			for i := range in {
+				switch r.Uint64() % 4 {
+				case 0:
+					in[i] = 0
+				case 1:
+					in[i] = negZero
+				default:
+					in[i] = r.Float32()*120 - 60
+				}
+			}
+			// A zero centre with a NaN, +Inf or -Inf one channel above it.
+			for k, v := range []float32{float32(nan), float32(inf), float32(-inf)} {
+				if px := (k * 3) % hw; c > 1 {
+					in[px] = negZero
+					in[hw+px] = v
+				}
+			}
+			for _, p := range params {
+				want := make([]float32, c*hw)
+				lrnPowLoop(want, in, c, hw, p)
+				for _, split := range []int{c, c / 2} {
+					got := make([]float32, c*hw)
+					lrnCore(got, in, c, 1, hw, p, 0, split)
+					if split < c {
+						lrnCore(got, in, c, 1, hw, p, split, c)
+					}
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%+v hw=%d c=%d split=%d: [%d] (input %v) = %v (%#x), pow loop %v (%#x)",
+								p, hw, c, split, i, in[i], got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBatchNormKnown(t *testing.T) {
 	in := mustTensor(t, []float32{1, 2, 3, 4}, 1, 2, 2)
 	mean := mustTensor(t, []float32{2.5}, 1)
