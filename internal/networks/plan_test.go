@@ -87,14 +87,24 @@ func TestPlanGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanGoldenPortableRung reruns the CifarNet and AlexNet goldens with
-// GemmNN's portable rung forced: the kernel non-AVX2 and non-amd64 builds
-// run every reference convolution on must reproduce the direct kernels bit
-// for bit too.
-func TestPlanGoldenPortableRung(t *testing.T) {
-	t.Cleanup(tensor.ForcePortableGemmNN())
-	for _, name := range []string{"CifarNet", "AlexNet"} {
-		t.Run(name, func(t *testing.T) { checkPlanGolden(t, name) })
+// TestPlanGoldenEveryRung reruns the CifarNet and AlexNet goldens on every
+// rung of the SIMD ladder the host can force: the reference kernels of each
+// rung, the portable one that hosts without AVX2 and FMA and other
+// architectures run included, must reproduce the direct kernels bit for bit.
+// Verbose runs name the rungs the host lacks.
+func TestPlanGoldenEveryRung(t *testing.T) {
+	t.Cleanup(func() { tensor.SetFastTier(tensor.DetectedTier()) })
+	for tier := tensor.TierGeneric; tier <= tensor.TierAVX512; tier++ {
+		if tier > tensor.DetectedTier() {
+			t.Logf("%v rung not available, skipped (detected tier: %v)", tier, tensor.DetectedTier())
+			continue
+		}
+		for _, name := range []string{"CifarNet", "AlexNet"} {
+			t.Run(tier.String()+"/"+name, func(t *testing.T) {
+				tensor.SetFastTier(tier)
+				checkPlanGolden(t, name)
+			})
+		}
 	}
 }
 
@@ -156,12 +166,14 @@ func readDirectDigests(t *testing.T) map[string]directDigest {
 }
 
 // checkPlanGolden compares every layer output of one network on the engine
-// (serial, parallel, no scratch) against the direct reference kernels — run
+// (one, two and four workers, no scratch) against the direct reference kernels — run
 // live, or for pinnedDirect networks read from their committed digests.
 func checkPlanGolden(t *testing.T, name string) {
 	p := buildPlan(t, name)
 
 	serial := nn.NewScratch()
+	two := nn.NewScratch()
+	two.SetWorkers(2)
 	parallel := nn.NewScratch()
 	parallel.SetWorkers(4)
 
@@ -233,7 +245,7 @@ func checkPlanGolden(t *testing.T, name string) {
 	for _, c := range []struct {
 		label string
 		s     *nn.Scratch
-	}{{"engine", serial}, {"parallel", parallel}, {"no-scratch", nil}} {
+	}{{"engine", serial}, {"two-workers", two}, {"parallel", parallel}, {"no-scratch", nil}} {
 		got, err := run(c.s)
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)

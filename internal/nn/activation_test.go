@@ -51,7 +51,7 @@ func TestReLUInPlaceContract(t *testing.T) {
 	for _, rung := range []string{"detected", "portable"} {
 		t.Run(rung, func(t *testing.T) {
 			if rung == "portable" {
-				t.Cleanup(tensor.ForcePortableGemmNN())
+				portableRung(t)
 			}
 			rng := tensor.NewRNG(29)
 			for n := 1; n <= 40; n++ {

@@ -119,7 +119,7 @@ func TestConvCoreGeometryMatchesDirect(t *testing.T) {
 	for _, rung := range []string{"detected", "portable"} {
 		t.Run(rung, func(t *testing.T) {
 			if rung == "portable" {
-				t.Cleanup(tensor.ForcePortableGemmNN())
+				portableRung(t)
 			}
 			data := tensor.NewRNG(16)
 			for _, g := range geoms {

@@ -347,7 +347,8 @@ func BenchmarkConv(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			if bc.portable {
-				b.Cleanup(tensor.ForcePortableGemmNN())
+				tensor.SetFastTier(tensor.TierGeneric)
+				b.Cleanup(func() { tensor.SetFastTier(tensor.DetectedTier()) })
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -406,7 +407,8 @@ func BenchmarkPool2D(b *testing.B) {
 		for _, rung := range []string{"detected", "portable"} {
 			b.Run(g.name+"/"+rung, func(b *testing.B) {
 				if rung == "portable" {
-					b.Cleanup(tensor.ForcePortableGemmNN())
+					tensor.SetFastTier(tensor.TierGeneric)
+					b.Cleanup(func() { tensor.SetFastTier(tensor.DetectedTier()) })
 				}
 				s := nn.NewScratch()
 				b.ReportAllocs()

@@ -227,6 +227,12 @@ func TestScaleErrors(t *testing.T) {
 	}
 }
 
+// portableRung puts the SIMD ladder on its generic rung until tb ends.
+func portableRung(tb testing.TB) {
+	tensor.SetFastTier(tensor.TierGeneric)
+	tb.Cleanup(func() { tensor.SetFastTier(tensor.DetectedTier()) })
+}
+
 // forFastTiers runs fn under each SIMD rung the host can force, then restores
 // the detected one.
 func forFastTiers(fn func(tier tensor.SIMDTier)) {

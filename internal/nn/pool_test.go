@@ -217,7 +217,7 @@ func TestPool2DMatchesNaive(t *testing.T) {
 	for _, rung := range []string{"detected", "portable"} {
 		t.Run(rung, func(t *testing.T) {
 			if rung == "portable" {
-				t.Cleanup(tensor.ForcePortableGemmNN())
+				portableRung(t)
 			}
 			testPool2DMatchesNaive(t)
 		})

@@ -3,10 +3,9 @@ package tensor
 import "math"
 
 // Elementwise kernels behind the activation, pooling and LRN layers.  Each
-// scalar loop is its function's definition, the portable rung and every
-// stride but 2; on the vector rung (gemmNNVector, which ForcePortableGemmNN
-// switches off; SetFastTier's ladder for the fast tiers' LRNStep75) a kernel
-// of elem_amd64.s writes the same bits for every input.
+// scalar loop is its function's definition, the generic rung and every
+// stride but 2; from TierFMA up on the SIMD ladder (SetFastTier forces a
+// lower rung) a kernel of elem_amd64.s writes the same bits for every input.
 
 // ReLU writes src to dst with every negative element, -Inf included, replaced
 // by +0.  An element `v < 0` is false for keeps its bits: +0 and positives,
@@ -15,7 +14,7 @@ import "math"
 // and may be the same slice.
 func ReLU(dst, src []float32) {
 	dst = dst[:len(src)]
-	if gemmNNVector {
+	if fastTier >= TierFMA {
 		reluAVX2(dst, src)
 		return
 	}
@@ -34,7 +33,7 @@ func ReLU(dst, src []float32) {
 // elements; nothing past that is read.
 func MaxStride(acc, src []float32, stride int) {
 	src = src[:(len(acc)-1)*stride+1]
-	if stride == 2 && gemmNNVector {
+	if stride == 2 && fastTier >= TierFMA {
 		maxStride2AVX2(acc, src)
 		return
 	}
@@ -50,7 +49,7 @@ func MaxStride(acc, src []float32, stride int) {
 // tap are both NaN, which of the two payloads the sum carries is not defined.
 func AddStride(acc, src []float32, stride int) {
 	src = src[:(len(acc)-1)*stride+1]
-	if stride == 2 && gemmNNVector {
+	if stride == 2 && fastTier >= TierFMA {
 		addStride2AVX2(acc, src)
 		return
 	}

@@ -1,7 +1,7 @@
 package tensor
 
 // amd64 wiring for the elementwise kernels (elem_amd64.s); they need AVX2,
-// which is what gemmNNVector reports.
+// which TierFMA implies.
 
 // reluAVX2 is ReLU over len(src) elements, zero included.
 //

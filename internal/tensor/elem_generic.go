@@ -2,8 +2,8 @@
 
 package tensor
 
-// Non-amd64 builds run the scalar loops of elem.go; gemmNNVector is false, so
-// the kernels are never called.
+// Non-amd64 builds run the scalar loops of elem.go; the detected tier is
+// generic, so the kernels are never called.
 
 func reluAVX2(dst, src []float32) { panic("tensor: vector relu kernel unavailable") }
 

@@ -17,7 +17,7 @@ func TestStride2KernelsStayInBounds(t *testing.T) {
 	elemFill(NewRNG(37), floats)
 	for _, rung := range []string{"detected", "portable"} {
 		if rung == "portable" {
-			t.Cleanup(ForcePortableGemmNN())
+			t.Cleanup(portable())
 		}
 		for n := 1; n <= 40; n++ {
 			acc := make([]float32, n)

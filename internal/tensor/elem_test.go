@@ -30,7 +30,7 @@ func elemFill(r *RNG, dst []float32) {
 // bit — and the element behind each destination untouched.  A sum of two NaNs
 // may be either NaN.
 func TestElemKernelsMatchScalar(t *testing.T) {
-	if !gemmNNVector {
+	if DetectedTier() < TierFMA {
 		t.Skip("no vector rung on this host")
 	}
 	r := NewRNG(31)
@@ -54,7 +54,7 @@ func TestElemKernelsMatchScalar(t *testing.T) {
 			got, want := make([]float32, n+1), make([]float32, n+1)
 			got[n], want[n] = -7, -7
 			ReLU(got[:n], src)
-			restore := ForcePortableGemmNN()
+			restore := portable()
 			ReLU(want[:n], src)
 			restore()
 			if i := same(got, want, false); i >= 0 {
@@ -69,7 +69,7 @@ func TestElemKernelsMatchScalar(t *testing.T) {
 				elemFill(r, got[:n])
 				copy(want, got)
 				k.fn(got[:n], taps, 2)
-				restore := ForcePortableGemmNN()
+				restore := portable()
 				k.fn(want[:n], taps, 2)
 				restore()
 				if i := same(got, want, k.nanAny); i >= 0 {
@@ -88,8 +88,8 @@ func BenchmarkReLU(b *testing.B) {
 	for _, rung := range []string{"vector", "portable"} {
 		b.Run(rung, func(b *testing.B) {
 			if rung == "portable" {
-				b.Cleanup(ForcePortableGemmNN())
-			} else if !gemmNNVector {
+				b.Cleanup(portable())
+			} else if DetectedTier() < TierFMA {
 				b.Skip("no vector rung on this host")
 			}
 			src := make([]float32, len(d))

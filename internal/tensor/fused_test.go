@@ -55,7 +55,8 @@ func TestGemmNNAccumPanelBitwise(t *testing.T) {
 	for _, rung := range []string{"detected", "portable"} {
 		t.Run(rung, func(t *testing.T) {
 			if rung == "portable" {
-				t.Cleanup(tensor.ForcePortableGemmNN())
+				tensor.SetFastTier(tensor.TierGeneric)
+				t.Cleanup(func() { tensor.SetFastTier(tensor.DetectedTier()) })
 			}
 			for _, s := range []gemmShape{{10, 173, 65}, {14, 512, 300}, {1, 31, 9}, {9, 513, 257}} {
 				a := randSlice(rng, s.m*s.k)

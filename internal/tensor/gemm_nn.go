@@ -5,14 +5,17 @@ package tensor
 // is stored row-major (k x n), unlike Gemm whose second operand is the
 // transposed bt (n x k).  The row-major ("NN") layout puts every output
 // column of one depth step contiguously in memory, which is what lets the
-// amd64 microkernels vectorize ACROSS output elements: eight neighbouring
-// columns advance their accumulators in one vector multiply + one vector
-// add per depth step.  A convolution feeds it one packed patch panel at a
-// time (GemmNNAccumPanel), a 1x1 one its input planes in place (GemmNN).
+// amd64 microkernels vectorize ACROSS output elements: eight (YMM) or
+// sixteen (ZMM) neighbouring columns advance their accumulators in one
+// vector multiply + one vector add per depth step.  A convolution feeds it
+// one packed patch panel at a time (GemmNNAccumPanel), a 1x1 one its input
+// planes in place (GemmNN).
 //
-// Two rungs share one blocking and one bit pattern (see gemmNNPanel): the
-// AVX2 microkernels, and a portable rung for pre-AVX2 amd64 and every other
-// architecture.
+// The kernels follow the one SIMD ladder the fast and int8 tiers climb
+// (SIMDTier): TierAVX512 runs a 4x32 ZMM tile, TierFMA a 4x8 AVX2 tile, and
+// TierGeneric portable loops, which are all that hosts without AVX2 and FMA
+// and other architectures run.  Every rung shares one blocking and one bit
+// pattern (see gemmNNPanel and nnColumns).
 //
 // Determinism contract (identical to Gemm): every element dst[i*n+j] is
 //
@@ -37,8 +40,10 @@ const (
 	// nnMR is the row tile of the amd64 microkernel; row-panel splits align
 	// to it so only the final panel runs remainder rows.
 	nnMR = 4
-	// nnNR is the column tile of the amd64 microkernel (one 8-float vector).
+	// nnNR is the column tile of the AVX2 microkernel (one 8-float vector).
 	nnNR = 8
+	// nnNRZ is the column tile of the AVX-512 microkernel (two ZMM vectors).
+	nnNRZ = 32
 )
 
 // GemmNN computes dst = A*B + bias on row-major float32 buffers: A is m x k,
@@ -138,47 +143,48 @@ func gemmNNRows(dst, a, b, bias []float32, n, k, ldb, r0, r1 int) {
 	}
 }
 
-// gemmNNVector selects the vector rung; it only selects speed, and only
-// ForcePortableGemmNN (tests) mutates it.
-var gemmNNVector = gemmNNVectorDetected
-
-// ForcePortableGemmNN switches GemmNN onto the portable rung and returns the
-// function that restores the detected one: t.Cleanup(ForcePortableGemmNN())
-// runs a bitwise suite on the kernel non-AVX2 and non-amd64 builds execute.
-// Tests only, and not in parallel with other GemmNN users.
-func ForcePortableGemmNN() (restore func()) {
-	gemmNNVector = false
-	return func() { gemmNNVector = gemmNNVectorDetected }
+// nnColumns splits the nc columns of one panel among tier t's kernels: the
+// first zmm go to the 4x32 ZMM tile, the next ymm to the 4x8 AVX2 tile and
+// the rest to the portable kernels.  On the vector rungs the rest is narrower
+// than one vector; on the generic rung it is every column.
+func nnColumns(t SIMDTier, nc int) (zmm, ymm int) {
+	switch t {
+	case TierGeneric:
+		return 0, 0
+	case TierAVX512:
+		zmm = nc &^ (nnNRZ - 1)
+	}
+	return zmm, (nc - zmm) &^ (nnNR - 1)
 }
 
 // gemmNNPanel accumulates the (kb..kb+kc) depth slab over columns
 // [jb, jb+nc) for rows [r0, r1); b starts at the slab's first depth row,
-// with rows ldb floats apart, and dst rows are ldd floats apart.  On the
-// vector rung full 8-column blocks go to the 4x8 microkernel (1x8 for the
-// m%4 remainder rows) and the <8-column tail to the strided dot; the
-// portable rung runs the axpy kernel over wide column ranges and the
-// strided dot over narrow ones.
+// with rows ldb floats apart, and dst rows are ldd floats apart.  The vector
+// columns of nnColumns run the 4-row tiles (the 1x8 kernel for the m%4
+// remainder rows); the rest runs the axpy kernel when it spans a vector and
+// the strided dot otherwise.
 func gemmNNPanel(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
-	if !gemmNNVector {
-		if nc >= nnNR {
-			gemmNNAxpy(dst, a, b, k, ldd, ldb, kb, kc, jb, nc, r0, r1)
-		} else {
-			gemmNNDot(dst, a, b, k, ldd, ldb, kb, kc, jb, nc, r0, r1)
-		}
-		return
-	}
-	ncVec := nc &^ (nnNR - 1)
-	if ncVec > 0 {
+	zmm, ymm := nnColumns(fastTier, nc)
+	if vec := zmm + ymm; vec > 0 {
 		i := r0
 		for ; i+nnMR <= r1; i += nnMR {
-			gemmNNKernel(dst[i*ldd+jb:], a[i*k+kb:], b[jb:], kc, ncVec, ldd, ldb, k)
+			d, ai := dst[i*ldd+jb:], a[i*k+kb:]
+			if zmm > 0 {
+				gemmNNKernel32(d, ai, b[jb:], kc, zmm, ldd, ldb, k)
+			}
+			if ymm > 0 {
+				gemmNNKernel(d[zmm:], ai, b[jb+zmm:], kc, ymm, ldd, ldb, k)
+			}
 		}
 		for ; i < r1; i++ {
-			gemmNNKernel1(dst[i*ldd+jb:], a[i*k+kb:], b[jb:], kc, ncVec, ldb)
+			gemmNNKernel1(dst[i*ldd+jb:], a[i*k+kb:], b[jb:], kc, vec, ldb)
 		}
+		jb, nc = jb+vec, nc-vec
 	}
-	if ncVec < nc {
-		gemmNNDot(dst, a, b, k, ldd, ldb, kb, kc, jb+ncVec, nc-ncVec, r0, r1)
+	if nc >= nnNR {
+		gemmNNAxpy(dst, a, b, k, ldd, ldb, kb, kc, jb, nc, r0, r1)
+	} else if nc > 0 {
+		gemmNNDot(dst, a, b, k, ldd, ldb, kb, kc, jb, nc, r0, r1)
 	}
 }
 
@@ -228,12 +234,10 @@ func gemmNNAxpy(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
 // run it on the row-major weights): one dot product per output element over
 // the strided b column, b pre-offset to the slab's first depth row, with
 // four rows sharing each streamed b value (the matVecRows tiling).  It is
-// still no mat-vec: at n = 1 on AlexNet fc6 (4096 x 9216, one worker, 2.1
-// GHz Xeon) GemmNN takes about twice as long as MatVecBias (30-49 ms against
-// 18-26 ms across quiet and loaded runs), which is why a one-sample
-// fully-connected layer runs the mat-vec.  Element (i, j) accumulates
-// a[i][kb+l]*b[l][j] for l ascending onto the bias-seeded partial sum
-// resident in dst — the reference summation order.
+// still no mat-vec: at n = 1 on AlexNet fc6 GemmNN takes about twice as long
+// as MatVecBias, so a one-sample fully-connected layer runs the mat-vec.
+// Element (i, j) accumulates a[i][kb+l]*b[l][j] for l ascending onto the
+// bias-seeded partial sum resident in dst — the reference summation order.
 func gemmNNDot(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
 	i := r0
 	for ; i+gemmMR <= r1; i += gemmMR {

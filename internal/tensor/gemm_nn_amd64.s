@@ -1,10 +1,10 @@
-// AVX2 microkernel for the batched-inference GEMM (see gemm_nn.go).
+// AVX2 and AVX-512 microkernels for the reference GEMM (see gemm_nn.go).
 //
 // Bit-exactness: each dst element owns one accumulator lane; every depth
 // step performs VMULPS followed by VADDPS — two separately rounded IEEE-754
 // single-precision operations, exactly like the scalar reference — never a
 // fused multiply-add.  Lanes never interact, so the result is bit-identical
-// to the scalar loop for any blocking.
+// to the scalar loop for any blocking and any vector width.
 
 #include "textflag.h"
 
@@ -84,6 +84,100 @@ kloop:
 	ADDQ $32, AX             // next 8-column block
 	SUBQ $8, R8
 	JNE  colloop
+
+	VZEROUPPER
+	RET
+
+// func gemmNNKernel32(dst, a, b []float32, kc, nc, ldd, ldb, lda int)
+//
+// The AVX-512 widening of gemmNNKernel: a 4x32 tile held in eight ZMM
+// accumulators, two per row, with the same VMULPS + VADDPS pair per lane and
+// depth step.  nc must be a positive multiple of 32; kc positive.
+TEXT ·gemmNNKernel32(SB), NOSPLIT, $0-112
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), BX
+	MOVQ kc+72(FP), CX
+	MOVQ nc+80(FP), R8
+	MOVQ ldb+96(FP), R9
+	MOVQ lda+104(FP), R10
+	SHLQ $2, R9              // b row stride in bytes
+	SHLQ $2, R10             // a row stride in bytes
+
+	MOVQ SI, R12             // a0
+	LEAQ (R12)(R10*1), R13   // a1
+	LEAQ (R13)(R10*1), R14   // a2
+	LEAQ (R14)(R10*1), R15   // a3
+
+	MOVQ ldd+88(FP), R10
+	SHLQ $2, R10             // dst row stride in bytes
+
+	XORQ AX, AX              // column byte offset
+
+zcolloop:
+	// Load the 4x32 accumulator block from dst (bias-seeded partial sums).
+	LEAQ (DI)(AX*1), DX
+	VMOVUPS (DX), Z0
+	VMOVUPS 64(DX), Z1
+	ADDQ R10, DX
+	VMOVUPS (DX), Z2
+	VMOVUPS 64(DX), Z3
+	ADDQ R10, DX
+	VMOVUPS (DX), Z4
+	VMOVUPS 64(DX), Z5
+	ADDQ R10, DX
+	VMOVUPS (DX), Z6
+	VMOVUPS 64(DX), Z7
+
+	LEAQ (BX)(AX*1), DX      // b walking pointer for this column block
+	XORQ SI, SI              // depth byte offset into the a rows
+	MOVQ CX, R11             // depth counter
+
+zkloop:
+	VMOVUPS      (DX), Z8
+	VMOVUPS      64(DX), Z9
+	VBROADCASTSS (R12)(SI*1), Z10
+	VBROADCASTSS (R13)(SI*1), Z11
+	VMULPS       Z8, Z10, Z12
+	VMULPS       Z9, Z10, Z13
+	VMULPS       Z8, Z11, Z14
+	VMULPS       Z9, Z11, Z15
+	VADDPS       Z12, Z0, Z0
+	VADDPS       Z13, Z1, Z1
+	VADDPS       Z14, Z2, Z2
+	VADDPS       Z15, Z3, Z3
+	VBROADCASTSS (R14)(SI*1), Z10
+	VBROADCASTSS (R15)(SI*1), Z11
+	VMULPS       Z8, Z10, Z16
+	VMULPS       Z9, Z10, Z17
+	VMULPS       Z8, Z11, Z18
+	VMULPS       Z9, Z11, Z19
+	VADDPS       Z16, Z4, Z4
+	VADDPS       Z17, Z5, Z5
+	VADDPS       Z18, Z6, Z6
+	VADDPS       Z19, Z7, Z7
+	ADDQ $4, SI
+	ADDQ R9, DX              // next b row
+	DECQ R11
+	JNE  zkloop
+
+	// Store the accumulator block back to dst.
+	LEAQ (DI)(AX*1), DX
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, 64(DX)
+	ADDQ R10, DX
+	VMOVUPS Z2, (DX)
+	VMOVUPS Z3, 64(DX)
+	ADDQ R10, DX
+	VMOVUPS Z4, (DX)
+	VMOVUPS Z5, 64(DX)
+	ADDQ R10, DX
+	VMOVUPS Z6, (DX)
+	VMOVUPS Z7, 64(DX)
+
+	ADDQ $128, AX            // next 32-column block
+	SUBQ $32, R8
+	JNE  zcolloop
 
 	VZEROUPPER
 	RET

@@ -3,16 +3,11 @@
 package tensor
 
 // Non-amd64 platforms run GemmNN entirely on the portable rung, which shares
-// the summation order of the vector microkernels bit for bit.
+// the summation order of the vector microkernels bit for bit.  The detected
+// tier is generic, so nnColumns hands the kernels below no columns.
 
-const gemmNNVectorDetected = false
+func gemmNNKernel(dst, a, b []float32, kc, nc, ldd, ldb, lda int) { panic("tensor: no vector gemm") }
 
-// The vector kernels are never called when gemmNNVector is false.
+func gemmNNKernel32(dst, a, b []float32, kc, nc, ldd, ldb, lda int) { panic("tensor: no vector gemm") }
 
-func gemmNNKernel(dst, a, b []float32, kc, nc, ldd, ldb, lda int) {
-	panic("tensor: vector gemm kernel unavailable")
-}
-
-func gemmNNKernel1(dst, a, b []float32, kc, nc, ldb int) {
-	panic("tensor: vector gemm kernel unavailable")
-}
+func gemmNNKernel1(dst, a, b []float32, kc, nc, ldb int) { panic("tensor: no vector gemm") }

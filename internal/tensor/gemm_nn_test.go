@@ -23,15 +23,29 @@ func refGemmNN(dst, a, b, bias []float32, m, n, k, ldb int) {
 	}
 }
 
-// onEachRung runs fn on the detected GemmNN rung and again with the portable
-// rung forced, so every bitwise suite covers the kernel non-AVX2 and
-// non-amd64 builds execute.
+// portable puts the SIMD ladder on its generic rung and returns the function
+// that restores the detected one: t.Cleanup(portable()).
+func portable() (restore func()) {
+	SetFastTier(TierGeneric)
+	return func() { SetFastTier(DetectedTier()) }
+}
+
+// onEachRung runs fn as subtest "vector" on every vector rung the host can
+// force, the top one first, and as "portable" on the generic rung, so every
+// bitwise suite covers each kernel a build and host can run.
 func onEachRung(t *testing.T, fn func(t *testing.T)) {
-	if gemmNNVector {
-		t.Run("vector", fn)
+	if DetectedTier() > TierGeneric {
+		t.Run("vector", func(t *testing.T) {
+			t.Cleanup(portable())
+			for tier := DetectedTier(); tier > TierGeneric; tier-- {
+				SetFastTier(tier)
+				t.Logf("%v rung", tier)
+				fn(t)
+			}
+		})
 	}
 	t.Run("portable", func(t *testing.T) {
-		t.Cleanup(ForcePortableGemmNN())
+		t.Cleanup(portable())
 		fn(t)
 	})
 }
@@ -85,12 +99,12 @@ func testGemmNNMatchesReference(t *testing.T) {
 }
 
 // TestGemmNNScalarMatchesVector pins the portable kernels against the vector
-// microkernels (when present) on identical inputs: the rungs must agree bit
-// for bit, which is what makes the AVX2 path safe to enable at runtime.  The
-// strided dot is also run over the whole problem, wider than any range the
-// dispatcher hands it.
+// microkernels of every rung the host has, on identical inputs: the rungs
+// must agree bit for bit, which is what makes the vector paths safe to enable
+// at runtime.  The strided dot is also run over the whole problem, wider than
+// any range the dispatcher hands it.
 func TestGemmNNScalarMatchesVector(t *testing.T) {
-	if !gemmNNVector {
+	if DetectedTier() == TierGeneric {
 		t.Skip("no vector kernel on this platform")
 	}
 	r := NewRNG(7)
@@ -101,23 +115,25 @@ func TestGemmNNScalarMatchesVector(t *testing.T) {
 	fillRand(r, a)
 	fillRand(r, b)
 	fillRand(r, bias)
-	vec := make([]float32, m*ldb)
 	axpy := make([]float32, m*ldb)
 	dot := make([]float32, m*ldb)
-	GemmNN(vec, a, b, bias, m, n, k, ldb)
-	restore := ForcePortableGemmNN()
+	t.Cleanup(portable())
 	GemmNN(axpy, a, b, bias, m, n, k, ldb)
-	restore()
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			dot[i*ldb+j] = bias[i]
 		}
 	}
 	gemmNNDot(dot, a, b, k, ldb, ldb, 0, k, 0, n, 0, m)
-	for i := range vec {
-		if math.Float32bits(vec[i]) != math.Float32bits(axpy[i]) || math.Float32bits(vec[i]) != math.Float32bits(dot[i]) {
-			t.Fatalf("element %d: vector %x axpy %x dot %x", i,
-				math.Float32bits(vec[i]), math.Float32bits(axpy[i]), math.Float32bits(dot[i]))
+	for tier := DetectedTier(); tier > TierGeneric; tier-- {
+		SetFastTier(tier)
+		vec := make([]float32, m*ldb)
+		GemmNN(vec, a, b, bias, m, n, k, ldb)
+		for i := range vec {
+			if math.Float32bits(vec[i]) != math.Float32bits(axpy[i]) || math.Float32bits(vec[i]) != math.Float32bits(dot[i]) {
+				t.Fatalf("%v rung, element %d: vector %x axpy %x dot %x", tier, i,
+					math.Float32bits(vec[i]), math.Float32bits(axpy[i]), math.Float32bits(dot[i]))
+			}
 		}
 	}
 }
@@ -179,6 +195,86 @@ func testGemmNNParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestGemmNNPanelRungsMatchPortable is the differential test of the
+// reference panel kernel: on every vector rung the host can force,
+// GemmNNAccumPanel writes the portable rung's bits for every panel width
+// 1..80 and 169, 217, 465, 511, 512 and 513 (each residue of the 32- and
+// 8-column tiles, AlexNet's 169-column panels, the 512-column panel and one
+// past it), 1..9 and 96 rows, depths 1, 3, 255 and 256, into a destination
+// wider than the panel, either bias-seeded (kb = 0) or holding partial sums
+// (kb > 0).  The gap columns past nc must keep their bits.
+func TestGemmNNPanelRungsMatchPortable(t *testing.T) {
+	if DetectedTier() == TierGeneric {
+		t.Skip("no vector rung on this host")
+	}
+	t.Cleanup(portable())
+	r := NewRNG(61)
+	ncs := []int{169, 217, 465, 511, 512, 513}
+	for nc := 1; nc <= 80; nc++ {
+		ncs = append(ncs, nc)
+	}
+	for _, nc := range ncs {
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 96} {
+			for _, kc := range []int{1, 3, 255, 256} {
+				kb := 0
+				if r.Uint64()%2 == 0 {
+					kb = 1 + int(r.Uint64()%7)
+				}
+				k, ldd := kb+kc, nc+1+int(r.Uint64()%13)
+				a, panel, bias := make([]float32, m*k), make([]float32, kc*nc), make([]float32, m)
+				start := make([]float32, m*ldd)
+				for _, s := range [][]float32{a, panel, bias, start} {
+					fillRand(r, s)
+				}
+				want := append([]float32(nil), start...)
+				SetFastTier(TierGeneric)
+				GemmNNAccumPanel(want, a, panel, bias, k, kb, kc, nc, ldd, 0, m)
+				for tier := DetectedTier(); tier > TierGeneric; tier-- {
+					SetFastTier(tier)
+					got := append([]float32(nil), start...)
+					GemmNNAccumPanel(got, a, panel, bias, k, kb, kc, nc, ldd, 0, m)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%v rung nc=%d m=%d kc=%d kb=%d ldd=%d: dst[%d][%d] = %#x, portable %#x",
+								tier, nc, m, kc, kb, ldd, i/ldd, i%ldd, math.Float32bits(got[i]), math.Float32bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNNColumnsPerRung pins which kernel gets which columns of a panel on
+// each rung: a split that never hands the ZMM tile its columns writes the
+// same bits and only runs slower, so no bitwise test can see it.
+func TestNNColumnsPerRung(t *testing.T) {
+	for _, c := range []struct {
+		tier                 SIMDTier
+		nc, zmm, ymm, others int
+	}{
+		{TierAVX512, 169, 160, 8, 1},
+		{TierAVX512, 512, 512, 0, 0},
+		{TierAVX512, 513, 512, 0, 1},
+		{TierAVX512, 32, 32, 0, 0},
+		{TierAVX512, 31, 0, 24, 7},
+		{TierAVX512, 63, 32, 24, 7},
+		{TierAVX512, 7, 0, 0, 7},
+		{TierFMA, 169, 0, 168, 1},
+		{TierFMA, 512, 0, 512, 0},
+		{TierFMA, 8, 0, 8, 0},
+		{TierFMA, 7, 0, 0, 7},
+		{TierGeneric, 169, 0, 0, 169},
+		{TierGeneric, 7, 0, 0, 7},
+	} {
+		zmm, ymm := nnColumns(c.tier, c.nc)
+		if zmm != c.zmm || ymm != c.ymm || c.nc-zmm-ymm != c.others {
+			t.Errorf("%v rung, nc=%d: split %d / %d / %d, want %d / %d / %d",
+				c.tier, c.nc, zmm, ymm, c.nc-zmm-ymm, c.zmm, c.ymm, c.others)
+		}
+	}
+}
+
 func TestGemmNNArgChecks(t *testing.T) {
 	buf := make([]float32, 16)
 	cases := []struct {
@@ -202,9 +298,16 @@ func TestGemmNNArgChecks(t *testing.T) {
 	}
 }
 
+// BenchmarkGemmNN times the reference GEMM on every rung the host can force
+// at the AlexNet conv2 per-group geometry of a batch of 8 (128 x 5832 x
+// 1200).  Under -v it logs whether the AVX-512 rung ran: CI runs it once so
+// the 4x32 ZMM kernel executes on the runner.
 func BenchmarkGemmNN(b *testing.B) {
-	// AlexNet conv2 per-group geometry at batch 8: the shape the batched
-	// engine feeds the kernel.
+	if DetectedTier() < TierAVX512 {
+		b.Logf("AVX-512 rung not available, skipped (detected tier: %v)", DetectedTier())
+	} else {
+		b.Logf("AVX-512 rung exercised")
+	}
 	m, k, n := 128, 1200, 8*27*27
 	r := NewRNG(3)
 	a := make([]float32, m*k)
@@ -214,12 +317,13 @@ func BenchmarkGemmNN(b *testing.B) {
 	fillRand(r, bb)
 	fillRand(r, bias)
 	dst := make([]float32, m*n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GemmNN(dst, a, bb, bias, m, n, k, n)
-	}
-	b.ReportMetric(float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+	benchRungs(b, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			GemmNN(dst, a, bb, bias, m, n, k, n)
+		}
+		b.ReportMetric(float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+	})
 }
 
 // BenchmarkGemmNNPortable times the portable rung at the AlexNet conv2 group
@@ -228,7 +332,7 @@ func BenchmarkGemmNN(b *testing.B) {
 // BenchmarkGemmNT's, the kernel that convolution ran on before it moved here
 // (a strided per-column dot on this rung measured a third slower).
 func BenchmarkGemmNNPortable(b *testing.B) {
-	b.Cleanup(ForcePortableGemmNN())
+	b.Cleanup(portable())
 	m, k, n := 128, 1200, 27*27
 	r := NewRNG(3)
 	a := make([]float32, m*k)
