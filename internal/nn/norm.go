@@ -42,36 +42,39 @@ func lrnPart(j *splitJob, smp, u0, u1 int) {
 	if j.sums != nil {
 		lrnCoreFast(o, in, j.c, hw, j.lrn, j.sums[smp*hw:(smp+1)*hw], u0, u1)
 	} else {
-		lrnCore(o, in, j.c, j.h, j.w, j.lrn, u0, u1)
+		lrnCore(o, in, j.c, hw, j.lrn, u0, u1)
 	}
 }
 
-// lrnCore normalizes output channels [c0, c1) of one c-channel CHW sample
-// given as flat slices.  The channel loop is outermost so output writes
-// stream contiguously; the per-element arithmetic (fresh float64 window
-// sum, math.Pow denominator) is the reference loop's, so results are
-// bit-identical for any channel split.
-func lrnCore(o, in []float32, c, h, w int, p LRNParams, c0, c1 int) {
+// lrnCore normalizes output channels [c0, c1) of one c-channel CHW sample of
+// hw-pixel planes given as flat slices.  The channel loop is outermost so
+// output writes stream contiguously; the per-element arithmetic (fresh
+// float64 window sum, math.Pow denominator) is the reference loop's, so
+// results are bit-identical for any channel split.
+//
+// A centre input of ±0 skips math.Pow when the base is at least 1 and the
+// exponent is not negative or NaN: the power is then positive and not NaN
+// (it may be +Inf), so the quotient is the centre's own signed zero, which is
+// what the division would write.  A NaN in the window makes the base NaN, and
+// a base below 1 can raise to zero, so both still divide.  After ReLU about
+// half of AlexNet's LRN inputs are zeros.
+func lrnCore(o, in []float32, c, hw int, p LRNParams, c0, c1 int) {
 	half := p.LocalSize / 2
 	scale := p.Alpha / float64(p.LocalSize)
+	skipZeros := p.Beta >= 0
 	for ch := c0; ch < c1; ch++ {
-		lo := ch - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := ch + half
-		if hi >= c {
-			hi = c - 1
-		}
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				sum := 0.0
-				for cc := lo; cc <= hi; cc++ {
-					v := float64(in[(cc*h+y)*w+x])
-					sum += v * v
-				}
-				denom := math.Pow(p.K+scale*sum, p.Beta)
-				o[(ch*h+y)*w+x] = float32(float64(in[(ch*h+y)*w+x]) / denom)
+		lo, hi := max(ch-half, 0)-ch, min(ch+half, c-1)-ch
+		for i := ch * hw; i < (ch+1)*hw; i++ {
+			sum := 0.0
+			for j := i + lo*hw; j <= i+hi*hw; j += hw {
+				v := float64(in[j])
+				sum += v * v
+			}
+			base := p.K + float64(scale*sum)
+			if v := in[i]; v == 0 && base >= 1 && skipZeros {
+				o[i] = v
+			} else {
+				o[i] = float32(float64(v) / math.Pow(base, p.Beta))
 			}
 		}
 	}

@@ -136,9 +136,9 @@ func TestLRNMatchesPowLoop(t *testing.T) {
 				lrnPowLoop(want, in, c, hw, p)
 				for _, split := range []int{c, c / 2} {
 					got := make([]float32, c*hw)
-					lrnCore(got, in, c, 1, hw, p, 0, split)
+					lrnCore(got, in, c, hw, p, 0, split)
 					if split < c {
-						lrnCore(got, in, c, 1, hw, p, split, c)
+						lrnCore(got, in, c, hw, p, split, c)
 					}
 					for i := range want {
 						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
