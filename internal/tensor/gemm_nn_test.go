@@ -31,17 +31,15 @@ func portable() (restore func()) {
 }
 
 // onEachRung runs fn as subtest "vector" on every vector rung the host can
-// force, the top one first, and as "portable" on the generic rung, so every
+// force, and as "portable" on the generic rung, so every
 // bitwise suite covers each kernel a build and host can run.
 func onEachRung(t *testing.T, fn func(t *testing.T)) {
 	if DetectedTier() > TierGeneric {
 		t.Run("vector", func(t *testing.T) {
-			t.Cleanup(portable())
-			for tier := DetectedTier(); tier > TierGeneric; tier-- {
-				SetFastTier(tier)
-				t.Logf("%v rung", tier)
+			forRungs(TierFMA, func() {
+				t.Logf("%v rung", FastTier())
 				fn(t)
-			}
+			})
 		})
 	}
 	t.Run("portable", func(t *testing.T) {
@@ -104,9 +102,6 @@ func testGemmNNMatchesReference(t *testing.T) {
 // at runtime.  The strided dot is also run over the whole problem, wider than
 // any range the dispatcher hands it.
 func TestGemmNNScalarMatchesVector(t *testing.T) {
-	if DetectedTier() == TierGeneric {
-		t.Skip("no vector kernel on this platform")
-	}
 	r := NewRNG(7)
 	m, n, k, ldb := 9, 48, 130, 48
 	a := make([]float32, m*k)
@@ -125,17 +120,16 @@ func TestGemmNNScalarMatchesVector(t *testing.T) {
 		}
 	}
 	gemmNNDot(dot, a, b, k, ldb, ldb, 0, k, 0, n, 0, m)
-	for tier := DetectedTier(); tier > TierGeneric; tier-- {
-		SetFastTier(tier)
+	vectorRungs(t, func() {
 		vec := make([]float32, m*ldb)
 		GemmNN(vec, a, b, bias, m, n, k, ldb)
 		for i := range vec {
 			if math.Float32bits(vec[i]) != math.Float32bits(axpy[i]) || math.Float32bits(vec[i]) != math.Float32bits(dot[i]) {
-				t.Fatalf("%v rung, element %d: vector %x axpy %x dot %x", tier, i,
+				t.Fatalf("%v rung, element %d: vector %x axpy %x dot %x", FastTier(), i,
 					math.Float32bits(vec[i]), math.Float32bits(axpy[i]), math.Float32bits(dot[i]))
 			}
 		}
-	}
+	})
 }
 
 // TestGemmNNAgainstGemm cross-checks the NN layout against the established
@@ -204,10 +198,6 @@ func testGemmNNParallelMatchesSerial(t *testing.T) {
 // wider than the panel, either bias-seeded (kb = 0) or holding partial sums
 // (kb > 0).  The gap columns past nc must keep their bits.
 func TestGemmNNPanelRungsMatchPortable(t *testing.T) {
-	if DetectedTier() == TierGeneric {
-		t.Skip("no vector rung on this host")
-	}
-	t.Cleanup(portable())
 	r := NewRNG(61)
 	ncs := []int{169, 217, 465, 511, 512, 513}
 	for nc := 1; nc <= 80; nc++ {
@@ -229,17 +219,16 @@ func TestGemmNNPanelRungsMatchPortable(t *testing.T) {
 				want := append([]float32(nil), start...)
 				SetFastTier(TierGeneric)
 				GemmNNAccumPanel(want, a, panel, bias, k, kb, kc, nc, ldd, 0, m)
-				for tier := DetectedTier(); tier > TierGeneric; tier-- {
-					SetFastTier(tier)
+				vectorRungs(t, func() {
 					got := append([]float32(nil), start...)
 					GemmNNAccumPanel(got, a, panel, bias, k, kb, kc, nc, ldd, 0, m)
 					for i := range want {
 						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 							t.Fatalf("%v rung nc=%d m=%d kc=%d kb=%d ldd=%d: dst[%d][%d] = %#x, portable %#x",
-								tier, nc, m, kc, kb, ldd, i/ldd, i%ldd, math.Float32bits(got[i]), math.Float32bits(want[i]))
+								FastTier(), nc, m, kc, kb, ldd, i/ldd, i%ldd, math.Float32bits(got[i]), math.Float32bits(want[i]))
 						}
 					}
-				}
+				})
 			}
 		}
 	}
