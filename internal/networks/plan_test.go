@@ -166,8 +166,9 @@ func readDirectDigests(t *testing.T) map[string]directDigest {
 }
 
 // checkPlanGolden compares every layer output of one network on the engine
-// (one, two and four workers, no scratch) against the direct reference kernels — run
-// live, or for pinnedDirect networks read from their committed digests.
+// (one, two and four workers, no scratch) against the direct reference
+// kernels — run live, or for pinnedDirect networks read from their committed
+// digests.
 func checkPlanGolden(t *testing.T, name string) {
 	p := buildPlan(t, name)
 
