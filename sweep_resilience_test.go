@@ -9,20 +9,7 @@ import (
 
 	"tango/internal/par"
 	"tango/internal/resilience"
-	"tango/internal/target"
 )
-
-// coldSweepStore routes Sweep at one fresh store for the test's duration
-// and returns it, so cache state can be asserted without interference from
-// the process-wide shared store.
-func coldSweepStore(t *testing.T) *target.Store {
-	t.Helper()
-	st := target.NewStore()
-	prev := sweepStore
-	sweepStore = func() *target.Store { return st }
-	t.Cleanup(func() { sweepStore = prev })
-	return st
-}
 
 // TestSweepContextPreCanceled checks a canceled context aborts the sweep
 // before any cell is computed: prompt return with ctx's error, nothing
@@ -142,12 +129,6 @@ func TestSweepPartialDataset(t *testing.T) {
 	}
 	if !strings.Contains(csv, "injected fault") {
 		t.Fatalf("CSV lost the per-cell error text:\n%s", csv)
-	}
-
-	// Without Partial, the same failure aborts the whole sweep.
-	cfg.Partial = false
-	if _, err := SweepContext(context.Background(), cfg); !errors.Is(err, ErrInjected) {
-		t.Fatalf("strict sweep error = %v, want wrapped ErrInjected", err)
 	}
 }
 
