@@ -27,7 +27,3 @@ func Dialects(network string) []Dialect {
 	}
 	return []Dialect{DialectCUDA}
 }
-
-// HasOpenCL reports whether the benchmark ships an OpenCL implementation,
-// making it deployable on the FPGA flow of Section III-D.
-func HasOpenCL(network string) bool { return openCLNetworks[network] }

@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"slices"
 	"testing"
 
 	"tango/internal/kernel"
@@ -15,15 +16,15 @@ func TestDialects(t *testing.T) {
 		if len(ds) == 0 || ds[0] != kernel.DialectCUDA {
 			t.Errorf("%s: every benchmark must have a CUDA dialect, got %v", name, ds)
 		}
-		wantOpenCL := name == "CifarNet" || name == "AlexNet"
-		if kernel.HasOpenCL(name) != wantOpenCL {
-			t.Errorf("%s: HasOpenCL = %v, want %v", name, kernel.HasOpenCL(name), wantOpenCL)
+		want := []kernel.Dialect{kernel.DialectCUDA}
+		if name == "CifarNet" || name == "AlexNet" {
+			want = append(want, kernel.DialectOpenCL)
 		}
-		if wantOpenCL && len(ds) != 2 {
-			t.Errorf("%s: expected CUDA and OpenCL dialects, got %v", name, ds)
+		if !slices.Equal(ds, want) {
+			t.Errorf("%s: dialects %v, want %v", name, ds, want)
 		}
 	}
-	if kernel.HasOpenCL("MobileNet") {
-		t.Error("the MobileNet extension has no OpenCL variant")
+	if ds := kernel.Dialects("MobileNet"); !slices.Equal(ds, []kernel.Dialect{kernel.DialectCUDA}) {
+		t.Errorf("the MobileNet extension has no OpenCL variant, got %v", ds)
 	}
 }

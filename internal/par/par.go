@@ -6,7 +6,6 @@
 package par
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -18,7 +17,7 @@ import (
 // chaos plan can make any fan-out (sweep cells, kernel simulations, figure
 // prewarms) fail, stall or panic.  The compute engine's forks run on a Team
 // and are not PointTask sites.
-var PointTask = resilience.Register("par.task", "before each worker-pool task (ForEach / ForEachCtx)")
+var PointTask = resilience.Register("par.task", "before each worker-pool task (ForEach)")
 
 // PanicError is a panic recovered from a worker task, converted to an
 // error so one panicking task fails its own slot instead of killing the
@@ -44,26 +43,11 @@ func (e *PanicError) Error() string {
 // invocation when workers > 1.  A panicking task is recovered into a
 // *PanicError for its slot; it never crashes the process.
 func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach bounded by a context: once ctx is done, no new
-// tasks are started and the call returns promptly — after only the tasks
-// already in flight finish (workers are never killed mid-task).  When the
-// run was cut short by ctx, the first task error in index order still
-// wins; ctx's error is returned only if every completed task succeeded.
-func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			if err := protect(i, fn); err != nil {
 				return err
 			}
@@ -83,14 +67,8 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 			}
 		}()
 	}
-	done := ctx.Done() // nil for Background: the select arm never fires
-dispatch:
 	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-done:
-			break dispatch
-		}
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
@@ -100,7 +78,7 @@ dispatch:
 			return err
 		}
 	}
-	return ctx.Err()
+	return nil
 }
 
 // protect runs one task, converting a panic into a *PanicError and giving

@@ -1,12 +1,10 @@
 package par_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tango/internal/par"
 )
@@ -99,72 +97,6 @@ func TestForEachPanicLosesToEarlierError(t *testing.T) {
 	})
 	if err == nil || err.Error() != "plain failure" {
 		t.Fatalf("err = %v, want index 2's plain failure", err)
-	}
-}
-
-func TestForEachCtxPreCanceled(t *testing.T) {
-	defer par.CheckLeaks()(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var calls atomic.Int32
-	for _, workers := range []int{1, 4} {
-		err := par.ForEachCtx(ctx, workers, 100, func(i int) error {
-			calls.Add(1)
-			return nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-	}
-	// The parallel path may admit up to `workers` tasks racing the cancel
-	// check; it must not run anywhere near the full job count.
-	if n := calls.Load(); n > 8 {
-		t.Errorf("pre-canceled ForEachCtx ran %d tasks", n)
-	}
-}
-
-func TestForEachCtxCancelMidRun(t *testing.T) {
-	defer par.CheckLeaks()(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int32
-	release := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- par.ForEachCtx(ctx, 2, 1000, func(i int) error {
-			started.Add(1)
-			<-release
-			return nil
-		})
-	}()
-	for started.Load() < 2 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	close(release) // let the two in-flight tasks finish
-	err := <-done
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// Only the tasks in flight at cancel time (plus at most one racing
-	// dispatch per worker) may have run.
-	if n := started.Load(); n > 6 {
-		t.Errorf("%d tasks ran after mid-run cancel", n)
-	}
-}
-
-func TestForEachCtxErrorBeatsCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	boom := errors.New("boom")
-	err := par.ForEachCtx(ctx, 2, 4, func(i int) error {
-		if i == 1 {
-			cancel()
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want task error to win over ctx.Err()", err)
 	}
 }
 

@@ -123,20 +123,6 @@ func OpBreakdown(rs *gpusim.RunStats) []OpShare {
 	return out
 }
 
-// TopOpsCoverage returns the combined share of the n most executed
-// operations.
-func TopOpsCoverage(rs *gpusim.RunStats, n int) float64 {
-	shares := OpBreakdown(rs)
-	if n > len(shares) {
-		n = len(shares)
-	}
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += shares[i].Share
-	}
-	return total
-}
-
 // MergedOpBreakdown merges several runs (the "all networks" mix of Figure 9).
 func MergedOpBreakdown(runs []*gpusim.RunStats) []OpShare {
 	var totals [isa.NumOpcodes]int64

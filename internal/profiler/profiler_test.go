@@ -138,16 +138,21 @@ func TestOpBreakdownSharesSumToOne(t *testing.T) {
 
 func TestTopOpsCoverage(t *testing.T) {
 	// Observation 7: the top 10 operations cover ~95% of execution.
-	rs := simulate(t, "CifarNet")
-	top10 := profiler.TopOpsCoverage(rs, 10)
+	shares := profiler.OpBreakdown(simulate(t, "CifarNet"))
+	if len(shares) <= 10 {
+		t.Fatalf("only %d distinct operations", len(shares))
+	}
+	var top4, top10 float64
+	for i, s := range shares[:10] {
+		if i < 4 {
+			top4 += s.Share
+		}
+		top10 += s.Share
+	}
 	if top10 < 0.85 {
 		t.Errorf("top-10 coverage %.2f, want >= 0.85", top10)
 	}
-	all := profiler.TopOpsCoverage(rs, 100)
-	if math.Abs(all-1) > 1e-9 {
-		t.Errorf("full coverage %v, want 1", all)
-	}
-	if profiler.TopOpsCoverage(rs, 4) >= top10 {
+	if top4 >= top10 {
 		t.Error("coverage must grow with n")
 	}
 }

@@ -82,37 +82,35 @@ func TestDatasetSort(t *testing.T) {
 	}
 }
 
-// TestDatasetNumericsColumn checks the trailing numerics-tier column: an
-// empty field renders as "reference" and the column stays last so consumers
-// keyed on the leading columns are unaffected (same pattern as Err).
-func TestDatasetNumericsColumn(t *testing.T) {
-	d := &Dataset{}
-	d.Add(Record{Network: "AlexNet", Target: "gp102", Class: "GPU", Variant: "default",
-		Seconds: 1e-3, Numerics: "fast"})
-	d.Add(Record{Network: "GRU", Target: "gp102", Class: "GPU", Variant: "default",
-		Seconds: 1e-4})
+// TestDatasetFixedColumns checks the two trailing fixed columns: every row
+// renders Error as "-" and Numerics as "reference", in the table and the
+// CSV, and the JSON carries neither key.
+func TestDatasetFixedColumns(t *testing.T) {
+	d := sampleDataset()
 	tab := d.Table("sweep", "Sweep")
-	if got := tab.Columns[len(tab.Columns)-1]; got != "Numerics" {
-		t.Fatalf("last column %q, want Numerics", got)
+	if got := tab.Columns[len(tab.Columns)-2:]; got[0] != "Error" || got[1] != "Numerics" {
+		t.Fatalf("last columns %q, want Error, Numerics", got)
 	}
-	if got := tab.Rows[0][len(tab.Rows[0])-1]; got != "fast" {
-		t.Errorf("fast-tier cell renders %q", got)
-	}
-	if got := tab.Rows[1][len(tab.Rows[1])-1]; got != "reference" {
-		t.Errorf("default cell renders %q, want reference", got)
+	for _, row := range tab.Rows {
+		if got := row[len(row)-2:]; got[0] != "-" || got[1] != "reference" {
+			t.Errorf("row %v ends %q, want -, reference", row, got)
+		}
 	}
 	lines := strings.Split(strings.TrimSpace(d.CSV()), "\n")
-	if !strings.HasSuffix(lines[1], ",fast") || !strings.HasSuffix(lines[2], ",reference") {
-		t.Errorf("CSV rows should end with the numerics tier:\n%s", d.CSV())
+	if !strings.HasSuffix(lines[0], ",Error,Numerics") {
+		t.Errorf("CSV header should end with the fixed columns: %q", lines[0])
+	}
+	for _, line := range lines[1:] {
+		if !strings.HasSuffix(line, ",-,reference") {
+			t.Errorf("CSV row should end with the fixed cells: %q", line)
+		}
 	}
 	enc, err := d.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference-tier records omit the field entirely, keeping old datasets
-	// and new ones byte-comparable on unaffected records.
-	if strings.Count(string(enc), "numerics") != 1 {
-		t.Errorf("want exactly one numerics key in JSON:\n%s", enc)
+	if strings.Contains(string(enc), "error") || strings.Contains(string(enc), "numerics") {
+		t.Errorf("JSON should carry no error or numerics key:\n%s", enc)
 	}
 }
 

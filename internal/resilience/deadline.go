@@ -18,16 +18,3 @@ func WithBudget(ctx context.Context, d time.Duration) (context.Context, context.
 	}
 	return context.WithTimeout(ctx, d)
 }
-
-// Remaining returns the time left until ctx's deadline, or def when ctx
-// has none.  A passed deadline returns zero, never a negative duration.
-func Remaining(ctx context.Context, def time.Duration) time.Duration {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return def
-	}
-	if left := time.Until(dl); left > 0 {
-		return left
-	}
-	return 0
-}

@@ -7,45 +7,25 @@ import (
 	"time"
 )
 
-// Backoff is a bounded-retry policy: capped exponential backoff with
-// deterministic jitter.  The zero value retries 3 times starting at 10ms,
-// doubling up to a 1s cap, with no jitter.
+// Backoff is a bounded-retry policy with capped exponential backoff: the
+// wait before the second attempt is 10ms, and each later wait doubles, up
+// to 1s.  The zero value makes 3 attempts.
 type Backoff struct {
 	// Attempts is the total number of tries (first call included); values
 	// below 1 select 3.
 	Attempts int
-	// Initial is the delay before the second attempt; values <= 0 select
-	// 10ms.
-	Initial time.Duration
-	// Max caps the per-attempt delay; values <= 0 select 1s.
-	Max time.Duration
-	// Factor multiplies the delay between attempts; values <= 1 select 2.
-	Factor float64
-	// Jitter spreads each delay by ±Jitter fraction (0.2 = ±20%).  The
-	// jitter sequence is derived from Seed, not the global RNG, so a
-	// retry schedule replays identically for a given seed.
-	Jitter float64
-	// Seed keys the jitter sequence.
-	Seed uint64
 	// sleep is the test hook for the inter-attempt wait.
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
+const (
+	backoffInitial = 10 * time.Millisecond
+	backoffMax     = time.Second
+)
+
 func (b Backoff) withDefaults() Backoff {
 	if b.Attempts < 1 {
 		b.Attempts = 3
-	}
-	if b.Initial <= 0 {
-		b.Initial = 10 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = time.Second
-	}
-	if b.Factor <= 1 {
-		b.Factor = 2
-	}
-	if b.Jitter < 0 {
-		b.Jitter = 0
 	}
 	if b.sleep == nil {
 		b.sleep = sleepCtx
@@ -55,27 +35,12 @@ func (b Backoff) withDefaults() Backoff {
 
 // delay returns the wait before attempt n+1 (n is the 0-based attempt
 // that just failed).
-func (b Backoff) delay(n int) time.Duration {
-	d := float64(b.Initial)
-	for i := 0; i < n; i++ {
-		d *= b.Factor
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
-			break
-		}
+func delay(n int) time.Duration {
+	d := backoffInitial
+	for i := 0; i < n && d < backoffMax; i++ {
+		d *= 2
 	}
-	if b.Jitter > 0 {
-		// u in [-1, 1), deterministic in (seed, attempt).
-		u := float64(splitmix64(b.Seed^uint64(n)*0x9e3779b97f4a7c15)>>11)/float64(1<<52) - 1
-		d *= 1 + b.Jitter*u
-	}
-	if d < 0 {
-		d = 0
-	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	return time.Duration(d)
+	return min(d, backoffMax)
 }
 
 // permanentError marks an error that must not be retried.
@@ -123,7 +88,7 @@ func Retry(ctx context.Context, b Backoff, fn func(ctx context.Context) error) e
 		if attempt == b.Attempts-1 {
 			break
 		}
-		if err := b.sleep(ctx, b.delay(attempt)); err != nil {
+		if err := b.sleep(ctx, delay(attempt)); err != nil {
 			return fmt.Errorf("resilience: retry canceled after %d attempts (%v): %w", attempt+1, err, last)
 		}
 	}

@@ -17,20 +17,22 @@ func instantSleep(delays *[]time.Duration) func(context.Context, time.Duration) 
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	var delays []time.Duration
-	b := Backoff{Attempts: 5, Initial: 10 * time.Millisecond, Max: 40 * time.Millisecond, sleep: instantSleep(&delays)}
+	b := Backoff{Attempts: 10, sleep: instantSleep(&delays)}
 	calls := 0
 	err := Retry(context.Background(), b, func(context.Context) error {
 		calls++
-		if calls < 4 {
+		if calls < 9 {
 			return errors.New("transient")
 		}
 		return nil
 	})
-	if err != nil || calls != 4 {
+	if err != nil || calls != 9 {
 		t.Fatalf("Retry = %v after %d calls", err, calls)
 	}
-	// Exponential with cap: 10ms, 20ms, 40ms (capped).
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
+	// Exponential from 10ms, capped at 1s.
+	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
+		80 * time.Millisecond, 160 * time.Millisecond, 320 * time.Millisecond, 640 * time.Millisecond,
+		time.Second}
 	if len(delays) != len(want) {
 		t.Fatalf("delays = %v, want %v", delays, want)
 	}
@@ -77,7 +79,7 @@ func TestRetryHonorsContext(t *testing.T) {
 	// Cancel during the backoff wait: the last attempt's error is kept.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	boom := errors.New("boom")
-	err = Retry(ctx2, Backoff{Attempts: 5, Initial: time.Hour, sleep: func(ctx context.Context, d time.Duration) error {
+	err = Retry(ctx2, Backoff{Attempts: 5, sleep: func(ctx context.Context, d time.Duration) error {
 		cancel2()
 		return context.Canceled
 	}}, func(context.Context) error { return boom })
@@ -86,26 +88,12 @@ func TestRetryHonorsContext(t *testing.T) {
 	}
 }
 
-func TestRetryJitterDeterministic(t *testing.T) {
-	b := Backoff{Attempts: 4, Initial: 100 * time.Millisecond, Jitter: 0.5, Seed: 11}.withDefaults()
-	for n := 0; n < 3; n++ {
-		d1, d2 := b.delay(n), b.delay(n)
-		if d1 != d2 {
-			t.Fatalf("jittered delay(%d) not deterministic: %v vs %v", n, d1, d2)
-		}
-		base := 100 * time.Millisecond << n
-		lo, hi := base/2, base+base/2
-		if d1 < lo || d1 > hi {
-			t.Fatalf("delay(%d) = %v outside ±50%% of %v", n, d1, base)
-		}
-	}
-}
-
 func TestWithBudget(t *testing.T) {
 	ctx, cancel := WithBudget(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if Remaining(ctx, 0) <= 0 || Remaining(ctx, 0) > 50*time.Millisecond {
-		t.Fatalf("Remaining = %v", Remaining(ctx, 0))
+	dl, ok := ctx.Deadline()
+	if left := time.Until(dl); !ok || left <= 0 || left > 50*time.Millisecond {
+		t.Fatalf("deadline in %v (set %v)", left, ok)
 	}
 
 	// A tighter existing deadline wins.
@@ -113,21 +101,23 @@ func TestWithBudget(t *testing.T) {
 	defer cancelTight()
 	ctx2, cancel2 := WithBudget(tight, time.Hour)
 	defer cancel2()
-	if Remaining(ctx2, 0) > 10*time.Millisecond {
-		t.Fatalf("budget loosened an existing deadline: %v", Remaining(ctx2, 0))
+	if dl, _ := ctx2.Deadline(); time.Until(dl) > 10*time.Millisecond {
+		t.Fatalf("budget loosened an existing deadline: %v", time.Until(dl))
 	}
 
-	// Zero budget: unchanged context, default remaining.
+	// Zero budget: unchanged context, no deadline.
 	ctx3, cancel3 := WithBudget(context.Background(), 0)
 	defer cancel3()
-	if ctx3 != context.Background() || Remaining(ctx3, time.Minute) != time.Minute {
+	if _, ok := ctx3.Deadline(); ctx3 != context.Background() || ok {
 		t.Fatal("zero budget must leave ctx unchanged")
 	}
 
-	// Expired deadline clamps to zero.
+	// An expired deadline stays expired.
 	past, cancelPast := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancelPast()
-	if Remaining(past, time.Minute) != 0 {
-		t.Fatalf("expired Remaining = %v, want 0", Remaining(past, time.Minute))
+	ctx4, cancel4 := WithBudget(past, time.Minute)
+	defer cancel4()
+	if dl, _ := ctx4.Deadline(); ctx4 != past || time.Until(dl) > 0 {
+		t.Fatalf("budget revived an expired deadline: %v left", time.Until(dl))
 	}
 }

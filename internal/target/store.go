@@ -1,7 +1,6 @@
 package target
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -164,66 +163,32 @@ func (s *Store) Trace(network string) (*Trace, error) {
 // Run returns the statistics of running the network's trace on the target
 // under the variant, computing them on first use.  Results are keyed by the
 // target's canonical variant key, so variants that resolve to the same
-// effective configuration share one run.
+// effective configuration share one run.  Concurrent callers of one cell
+// coalesce onto a single computation, which runs on the first caller's
+// goroutine.
 func (s *Store) Run(t Target, network string, v Variant) (*RunStats, error) {
-	return s.RunCtx(context.Background(), t, network, v)
-}
-
-// RunCtx is Run bounded by a context.  A context that is done before any
-// computation starts touches nothing — the store never caches on behalf
-// of a canceled caller.  When ctx carries a deadline, the cell is
-// computed on a separate goroutine and the caller waits only until ctx
-// expires: a hung or slow cell costs the caller its timeout, not the
-// whole sweep.  The abandoned computation keeps running to completion —
-// a finished result is cached for the retry (or the next sweep), a
-// failure is dropped as usual, and a genuinely wedged backend parks one
-// goroutine on the poisoned cell instead of wedging every future caller.
-// Concurrent callers of one cell still coalesce onto a single
-// computation; each waits under its own context.
-func (s *Store) RunCtx(ctx context.Context, t Target, network string, v Variant) (*RunStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	key := RunKey(t, network, v)
 	s.mu.Lock()
 	if e, ok := s.runs[key]; ok {
 		s.stats.RunHits++
 		s.mu.Unlock()
-		select {
-		case <-e.done:
-			return e.val, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		<-e.done
+		return e.val, e.err
 	}
 	s.stats.RunMisses++
 	e := &entry[*RunStats]{done: make(chan struct{})}
 	s.runs[key] = e
 	s.mu.Unlock()
 
-	fill := func() {
-		e.val, e.err = s.fillCell(key, t, network, v)
-		if e.err != nil {
-			// Failures leave the cache: the next request retries.
-			s.mu.Lock()
-			delete(s.runs, key)
-			s.mu.Unlock()
-		}
-		close(e.done)
+	e.val, e.err = s.fillCell(key, t, network, v)
+	if e.err != nil {
+		// Failures leave the cache: the next request retries.
+		s.mu.Lock()
+		delete(s.runs, key)
+		s.mu.Unlock()
 	}
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		// No budget to enforce: compute on the caller's goroutine (the
-		// pre-existing synchronous fast path, no goroutine per cell).
-		fill()
-		return e.val, e.err
-	}
-	go fill()
-	select {
-	case <-e.done:
-		return e.val, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	close(e.done)
+	return e.val, e.err
 }
 
 // fillCell resolves one memory miss inside its singleflight slot: resolve
@@ -268,9 +233,8 @@ func (s *Store) bump(f func(*StoreStats)) {
 
 // computeCell runs the target on an already-resolved trace, converting a
 // panic in the backend (or an injected one) into an error: cell
-// computations run on store callers' goroutines or detached singleflight
-// goroutines, where an escaped panic would kill the whole process instead
-// of the one cell.  It increments Computes — the counter warm-cache
+// computations run on store callers' goroutines, where an escaped panic
+// would kill the whole process instead of the one cell.  It increments Computes — the counter warm-cache
 // acceptance tests assert stays zero — and fires the PointRun
 // fault-injection site.  It does not touch the caches.
 func (s *Store) computeCell(tr *Trace, t Target, v Variant) (rs *RunStats, err error) {

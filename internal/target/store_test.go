@@ -1,14 +1,12 @@
 package target
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tango/internal/device"
 	"tango/internal/gpusim"
@@ -166,104 +164,6 @@ func TestStoreDoesNotCacheErrors(t *testing.T) {
 func TestSharedStoreIsProcessWide(t *testing.T) {
 	if Shared() != Shared() {
 		t.Error("Shared must return the process-wide store")
-	}
-}
-
-// blockingTarget parks every Run until released, standing in for a hung
-// simulator cell.
-type blockingTarget struct {
-	name    string
-	started chan struct{} // signaled when a Run begins
-	release chan struct{} // Runs return when closed
-	runs    atomic.Int64
-}
-
-func (b *blockingTarget) Name() string            { return b.name }
-func (b *blockingTarget) Class() device.Class     { return device.ClassGPU }
-func (b *blockingTarget) Role() string            { return "Test" }
-func (b *blockingTarget) Description() string     { return "blocking stub" }
-func (b *blockingTarget) CacheKey(Variant) string { return "k" }
-func (b *blockingTarget) Run(tr *Trace, _ Variant) (*RunStats, error) {
-	b.runs.Add(1)
-	b.started <- struct{}{}
-	<-b.release
-	return &RunStats{Network: tr.Network, Target: b.name, Seconds: 1}, nil
-}
-
-// TestRunCtxPreCanceledTouchesNothing: a caller whose context is already
-// done must neither compute nor cache anything — a canceled sweep leaves
-// the store exactly as it found it.
-func TestRunCtxPreCanceledTouchesNothing(t *testing.T) {
-	store := NewStore()
-	tgt := &countingTarget{name: "stub"}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := store.RunCtx(ctx, tgt, "GRU", DefaultVariant(gpusim.FastSampling())); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx = %v, want context.Canceled", err)
-	}
-	if n := tgt.runs.Load(); n != 0 {
-		t.Fatalf("canceled caller ran the target %d times", n)
-	}
-	st := store.Stats()
-	if st.Traces != 0 || st.Runs != 0 || st.RunMisses != 0 {
-		t.Fatalf("canceled caller mutated the store: %+v", st)
-	}
-}
-
-// TestRunCtxTimeoutAbandonsHungCell: a deadline-bearing caller waits only
-// its budget for a hung cell; the abandoned computation finishes in the
-// background and its (complete) result serves the retry.
-func TestRunCtxTimeoutAbandonsHungCell(t *testing.T) {
-	store := NewStore()
-	tgt := &blockingTarget{name: "hung", started: make(chan struct{}, 8), release: make(chan struct{})}
-	v := DefaultVariant(gpusim.FastSampling())
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := store.RunCtx(ctx, tgt, "GRU", v)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunCtx on hung cell = %v, want DeadlineExceeded", err)
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("caller waited %v, want ~its 50ms budget", waited)
-	}
-
-	// A retry while the cell is still hung joins the same computation
-	// (no duplicate run) and times out the same way.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel2()
-	if _, err := store.RunCtx(ctx2, tgt, "GRU", v); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("retry on hung cell = %v, want DeadlineExceeded", err)
-	}
-	if n := tgt.runs.Load(); n != 1 {
-		t.Fatalf("hung cell was computed %d times, want 1 (singleflight)", n)
-	}
-
-	// Unblock the backend: the abandoned computation completes, caches,
-	// and a fresh caller gets the full result instantly.
-	close(tgt.release)
-	rs, err := store.RunCtx(context.Background(), tgt, "GRU", v)
-	if err != nil || rs == nil || rs.Seconds != 1 {
-		t.Fatalf("post-release RunCtx = %+v, %v", rs, err)
-	}
-	if n := tgt.runs.Load(); n != 1 {
-		t.Fatalf("released cell recomputed: %d runs", n)
-	}
-}
-
-// TestRunCtxWithoutDeadlineStaysSynchronous: no deadline means the
-// pre-existing synchronous path — the computation runs on the caller's
-// goroutine and a plain Run is unaffected by the ctx plumbing.
-func TestRunCtxWithoutDeadlineStaysSynchronous(t *testing.T) {
-	store := NewStore()
-	tgt := &countingTarget{name: "sync"}
-	rs, err := store.RunCtx(context.Background(), tgt, "GRU", DefaultVariant(gpusim.FastSampling()))
-	if err != nil || rs == nil {
-		t.Fatalf("RunCtx = %+v, %v", rs, err)
-	}
-	if n := tgt.runs.Load(); n != 1 {
-		t.Fatalf("runs = %d", n)
 	}
 }
 

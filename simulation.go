@@ -1,13 +1,11 @@
 package tango
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"tango/internal/device"
 	"tango/internal/distcache"
@@ -18,7 +16,6 @@ import (
 	"tango/internal/power"
 	"tango/internal/profiler"
 	"tango/internal/report"
-	"tango/internal/resilience"
 	"tango/internal/sched"
 	"tango/internal/target"
 )
@@ -245,30 +242,6 @@ type SweepConfig struct {
 	// (including the zero value) runs serially.  The dataset is identical
 	// either way.
 	Parallelism int
-	// CellTimeout bounds each cell's computation; a cell that exceeds it
-	// fails with context.DeadlineExceeded (and is retried if CellRetries is
-	// set).  Zero means no per-cell bound.  An abandoned computation keeps
-	// running in the background and caches its complete result for the
-	// retry; partial results are never cached.
-	CellTimeout time.Duration
-	// CellRetries is how many times a failed cell is retried (with capped
-	// exponential backoff) before its failure is final.  Zero means one
-	// attempt, no retries.
-	CellRetries int
-	// Partial keeps the sweep going past failed cells: instead of aborting
-	// the whole sweep, a cell whose attempts are exhausted contributes a
-	// record with its identity columns filled, zero statistics and the
-	// failure message in the Err field.  Cancellation of the sweep's own
-	// context still aborts (it is the caller giving up, not a cell
-	// failing).
-	Partial bool
-	// Numerics annotates every record with the compute-engine numerics
-	// tier the characterized deployment runs under: "" or "reference"
-	// (default), "fast" or "int8".  The simulated statistics themselves
-	// always model the reference kernels; the column keys the dataset so
-	// downstream tooling can join it against fast-tier throughput
-	// measurements without ambiguity.
-	Numerics string
 	// CacheDir attaches a persistent on-disk run cache: the sweep uses a
 	// private store (empty in-memory tier) over the directory, so a cold
 	// sweep populates it and an identical sweep in a fresh process — or
@@ -374,14 +347,11 @@ var sweepStore = target.Shared
 // once per process, so sweeps compose cheaply with experiment sessions and
 // with each other.  FPGA-class targets are configuration-insensitive and run
 // their default variant only.
+//
+// A failing cell aborts the sweep: Sweep returns no dataset and the first
+// cell error in sweep order, whatever the parallelism.  Failed cells are
+// not cached, so a repeated sweep retries them.
 func Sweep(cfg SweepConfig) (*Dataset, error) {
-	return SweepContext(context.Background(), cfg)
-}
-
-// SweepContext is Sweep bounded by a context: cancellation stops
-// dispatching new cells and returns promptly with ctx's error.  Per-cell
-// timeouts, retries and partial datasets are configured on SweepConfig.
-func SweepContext(ctx context.Context, cfg SweepConfig) (*Dataset, error) {
 	nets := cfg.Networks
 	if len(nets) == 0 {
 		nets = networks.Names()
@@ -406,14 +376,6 @@ func SweepContext(ctx context.Context, cfg SweepConfig) (*Dataset, error) {
 	variants, err := sweepVariants(cfg, sampling)
 	if err != nil {
 		return nil, err
-	}
-	numerics, err := nn.ParseNumerics(cfg.Numerics)
-	if err != nil {
-		return nil, fmt.Errorf("tango: sweep: %w", err)
-	}
-	numericsCol := ""
-	if numerics != nn.NumericsReference {
-		numericsCol = numerics.String()
 	}
 
 	type sweepCell struct {
@@ -449,39 +411,15 @@ func SweepContext(ctx context.Context, cfg SweepConfig) (*Dataset, error) {
 		store.SetDisk(d)
 	}
 	records := make([]report.Record, len(cells))
-	backoff := resilience.Backoff{Attempts: cfg.CellRetries + 1}
-	err = par.ForEachCtx(ctx, cfg.Parallelism, len(cells), func(i int) error {
+	err = par.ForEach(cfg.Parallelism, len(cells), func(i int) error {
 		c := cells[i]
 		key := c.v.Key
 		if c.t.Class() == device.ClassFPGA {
 			key = "default"
 		}
-		var rs *target.RunStats
-		runErr := resilience.Retry(ctx, backoff, func(ctx context.Context) error {
-			cellCtx, cancel := resilience.WithBudget(ctx, cfg.CellTimeout)
-			defer cancel()
-			var err error
-			rs, err = store.RunCtx(cellCtx, c.t, c.n, c.v)
-			return err
-		})
-		if runErr != nil {
-			// The caller giving up is not a cell failure: propagate it so
-			// the sweep aborts instead of recording a partial cell.
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if !cfg.Partial {
-				return fmt.Errorf("tango: sweep %s on %s (%s): %w", c.n, c.t.Name(), key, runErr)
-			}
-			records[i] = report.Record{
-				Network:  c.n,
-				Target:   c.t.Name(),
-				Class:    c.t.Class().String(),
-				Variant:  key,
-				Err:      runErr.Error(),
-				Numerics: numericsCol,
-			}
-			return nil
+		rs, err := store.Run(c.t, c.n, c.v)
+		if err != nil {
+			return fmt.Errorf("tango: sweep %s on %s (%s): %w", c.n, c.t.Name(), key, err)
 		}
 		records[i] = report.Record{
 			Network:      rs.Network,
@@ -495,7 +433,6 @@ func SweepContext(ctx context.Context, cfg SweepConfig) (*Dataset, error) {
 			AvgWatts:     rs.AvgWatts,
 			EnergyJoules: rs.EnergyJoules,
 			L2MissRatio:  rs.L2MissRatio,
-			Numerics:     numericsCol,
 		}
 		return nil
 	})
