@@ -3,13 +3,16 @@ package par_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tango/internal/par"
 )
 
 func TestForEachRunsEveryIndex(t *testing.T) {
+	defer par.CheckLeaks()(t)
 	for _, workers := range []int{0, 1, 4, 100} {
 		var ran [17]int32
 		if err := par.ForEach(workers, len(ran), func(i int) error {
@@ -27,6 +30,7 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 }
 
 func TestForEachReportsFirstErrorInIndexOrder(t *testing.T) {
+	defer par.CheckLeaks()(t)
 	for _, workers := range []int{1, 4} {
 		err := par.ForEach(workers, 10, func(i int) error {
 			if i == 3 || i == 7 {
@@ -65,6 +69,7 @@ func TestForEachZeroJobs(t *testing.T) {
 }
 
 func TestForEachRecoversPanics(t *testing.T) {
+	defer par.CheckLeaks()(t)
 	for _, workers := range []int{1, 4} {
 		err := par.ForEach(workers, 8, func(i int) error {
 			if i == 5 {
@@ -84,6 +89,7 @@ func TestForEachRecoversPanics(t *testing.T) {
 }
 
 func TestForEachPanicLosesToEarlierError(t *testing.T) {
+	defer par.CheckLeaks()(t)
 	// Index-order error semantics hold across failure kinds: the error at
 	// index 2 beats the panic at index 6.
 	err := par.ForEach(4, 8, func(i int) error {
@@ -101,6 +107,17 @@ func TestForEachPanicLosesToEarlierError(t *testing.T) {
 }
 
 func TestCheckLeaksDetectsLeak(t *testing.T) {
+	// Goroutines that earlier tests released may still be exiting, and a
+	// snapshot that counts them would hide the leak below.  Wait until the
+	// count stops falling.
+	for n := runtime.NumGoroutine(); ; {
+		time.Sleep(20 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m >= n {
+			break
+		}
+		n = m
+	}
 	check := par.CheckLeaks()
 	stop := make(chan struct{})
 	go func() { <-stop }()
