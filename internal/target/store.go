@@ -234,9 +234,10 @@ func (s *Store) bump(f func(*StoreStats)) {
 // computeCell runs the target on an already-resolved trace, converting a
 // panic in the backend (or an injected one) into an error: cell
 // computations run on store callers' goroutines, where an escaped panic
-// would kill the whole process instead of the one cell.  It increments Computes — the counter warm-cache
-// acceptance tests assert stays zero — and fires the PointRun
-// fault-injection site.  It does not touch the caches.
+// would kill the whole process instead of the one cell.  It increments
+// Computes — the counter warm-cache acceptance tests assert stays zero —
+// and fires the PointRun fault-injection site.  It does not touch the
+// caches.
 func (s *Store) computeCell(tr *Trace, t Target, v Variant) (rs *RunStats, err error) {
 	defer func() {
 		if p := recover(); p != nil {
