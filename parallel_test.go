@@ -18,7 +18,7 @@ func TestSimulateParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := bm.Simulate(tango.WithFastSampling())
+		serial, err := bm.Simulate(tango.WithFastSampling(), tango.WithParallelism(1))
 		if err != nil {
 			t.Fatalf("%s: serial: %v", name, err)
 		}
@@ -32,6 +32,26 @@ func TestSimulateParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestSimulateDefaultMatchesSerial holds Simulate without a worker option to
+// the bits of a serial run.
+func TestSimulateDefaultMatchesSerial(t *testing.T) {
+	bm, err := tango.LoadBenchmark("CifarNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := bm.Simulate(tango.WithFastSampling())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := bm.Simulate(tango.WithFastSampling(), tango.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(def, serial) {
+		t.Errorf("Simulate without a worker option differs from WithParallelism(1):\n%+v\nvs\n%+v", def, serial)
+	}
+}
+
 // TestRunAllParallelDeterminism asserts that a parallel experiment session
 // renders every table of the full report byte-identically to a serial one,
 // across all seven networks under fast sampling.
@@ -39,7 +59,8 @@ func TestRunAllParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment matrix skipped in -short mode")
 	}
-	serialTables, err := tango.NewExperimentSession(tango.WithFastExperimentSampling()).RunAll()
+	serialTables, err := tango.NewExperimentSession(
+		tango.WithFastExperimentSampling(), tango.WithExperimentParallelism(1)).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}

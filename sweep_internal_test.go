@@ -40,6 +40,7 @@ func TestSweepParallelDeterminismColdStore(t *testing.T) {
 	defer func() { sweepStore = prev }()
 
 	sweepStore = func() *target.Store { return target.NewStore() }
+	cfg.Parallelism = 1
 	serial, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,8 +60,8 @@ func TestSweepParallelDeterminismColdStore(t *testing.T) {
 }
 
 // TestSweepDatasetBytes pins the exact bytes of a cold fast-sampling sweep's
-// CSV and JSON renderings, serial and parallel: the column set, the fixed
-// cells and every statistic.  A change to the dataset's shape or to any
+// CSV and JSON renderings at the default worker count, serially and on
+// three workers: the column set, the fixed cells and every statistic.  A change to the dataset's shape or to any
 // model on the sweep path moves one of these digests.
 func TestSweepDatasetBytes(t *testing.T) {
 	const (
@@ -71,7 +72,7 @@ func TestSweepDatasetBytes(t *testing.T) {
 		sum := sha256.Sum256(b)
 		return hex.EncodeToString(sum[:])
 	}
-	for _, workers := range []int{1, 3} {
+	for _, workers := range []int{0, 1, 3} {
 		coldSweepStore(t)
 		ds, err := Sweep(SweepConfig{
 			Networks:     []string{"GRU", "CifarNet"},
@@ -113,7 +114,7 @@ func TestSweepFailingCellAborts(t *testing.T) {
 		FastSampling: true,
 	}
 	var st *target.Store
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{0, 1, 4} {
 		check := par.CheckLeaks()
 		st = coldSweepStore(t)
 		cfg.Parallelism = workers
