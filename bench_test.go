@@ -122,7 +122,8 @@ func BenchmarkInferenceCifarNet(b *testing.B) { benchmarkNativeCNN(b, "CifarNet"
 func BenchmarkInferenceGRU(b *testing.B)      { benchmarkNativeRNN(b, "GRU") }
 func BenchmarkInferenceLSTM(b *testing.B)     { benchmarkNativeRNN(b, "LSTM") }
 
-// Simulation micro-benchmarks per device, exercising the simulator itself.
+// Simulation micro-benchmarks per device, exercising the simulator itself on
+// one worker.
 
 func benchmarkSimulate(b *testing.B, name string, opts ...tango.SimOption) {
 	b.Helper()
@@ -133,7 +134,7 @@ func benchmarkSimulate(b *testing.B, name string, opts ...tango.SimOption) {
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		res, err := bm.Simulate(opts...)
+		res, err := bm.Simulate(append([]tango.SimOption{tango.WithParallelism(1)}, opts...)...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,11 +271,11 @@ func benchmarkRunAll(b *testing.B, opts ...tango.ExperimentOption) {
 	b.ReportMetric(float64(tables), "tables")
 }
 
-func BenchmarkRunAllFastSampling(b *testing.B) { benchmarkRunAll(b) }
-
-func BenchmarkRunAllFastSamplingParallel(b *testing.B) {
-	benchmarkRunAll(b, tango.WithExperimentParallelism(0))
+func BenchmarkRunAllFastSampling(b *testing.B) {
+	benchmarkRunAll(b, tango.WithExperimentParallelism(1))
 }
+
+func BenchmarkRunAllFastSamplingParallel(b *testing.B) { benchmarkRunAll(b) }
 
 // BenchmarkRunAllFigures measures the trace-once/derive-many steady state:
 // each iteration is a fresh session over the process-wide shared store, so

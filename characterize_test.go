@@ -44,7 +44,8 @@ func TestGoldenFiguresByteIdentical(t *testing.T) {
 	}
 
 	t.Run("serial", func(t *testing.T) {
-		tabs, err := tango.NewExperimentSession(tango.WithFastExperimentSampling()).RunAll()
+		tabs, err := tango.NewExperimentSession(
+			tango.WithFastExperimentSampling(), tango.WithExperimentParallelism(1)).RunAll()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,6 +74,7 @@ func TestSweepEngine(t *testing.T) {
 		Networks:     []string{"GRU", "CifarNet"},
 		Targets:      []string{"gp102", "tx1", "pynq"},
 		FastSampling: true,
+		Parallelism:  1,
 	}
 	serial, err := tango.Sweep(cfg)
 	if err != nil {

@@ -43,7 +43,7 @@ func main() {
 		schedulers = flag.String("schedulers", "", "sweep mode: comma-separated warp schedulers (gto, lrr, tlv)")
 		networks   = flag.String("networks", "", "comma-separated benchmark filter (default: the experiment's full set)")
 		fast       = flag.Bool("fast", false, "use coarse simulation sampling")
-		parallel   = flag.Int("parallel", 1, "worker goroutines for the simulation matrix (0 = one per CPU)")
+		parallel   = flag.Int("parallel", 0, "worker goroutines for the simulation matrix or sweep cells (0 = one per CPU, 1 = serial)")
 		format     = flag.String("format", "table", "output format: table, csv or json")
 		out        = flag.String("out", "", "directory to also write <id>.txt/.csv per experiment, or sweep.{txt,csv,json} in sweep mode")
 		cacheDir   = flag.String("cache-dir", os.Getenv("TANGO_CACHE_DIR"), "persistent run-cache directory (default $TANGO_CACHE_DIR)")
@@ -104,7 +104,7 @@ func main() {
 			L1SizesKB:    l1kb,
 			Schedulers:   cli.SplitList(*schedulers),
 			FastSampling: *fast,
-			Parallelism:  cli.Workers(*parallel),
+			Parallelism:  *parallel,
 		}
 		if *cacheStats {
 			cfg.CacheStats = &stats
@@ -135,15 +135,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var opts []tango.ExperimentOption
+	opts := []tango.ExperimentOption{tango.WithExperimentParallelism(*parallel)}
 	if len(names) > 0 {
 		opts = append(opts, tango.WithNetworks(names...))
 	}
 	if *fast {
 		opts = append(opts, tango.WithFastExperimentSampling())
-	}
-	if *parallel != 1 {
-		opts = append(opts, tango.WithExperimentParallelism(*parallel))
 	}
 
 	// -exp all is the full report: one Prewarm of the whole matrix, then

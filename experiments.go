@@ -1,8 +1,6 @@
 package tango
 
 import (
-	"runtime"
-
 	"tango/internal/bench"
 	"tango/internal/gpusim"
 	"tango/internal/report"
@@ -51,16 +49,11 @@ func WithFastExperimentSampling() ExperimentOption {
 }
 
 // WithExperimentParallelism computes the session's network x configuration
-// simulation matrix on n concurrent workers before rendering; n <= 0 selects
-// one worker per available CPU (GOMAXPROCS).  Rendered tables are identical
-// to a serial run.
+// simulation matrix on n concurrent workers before rendering; n <= 0, like
+// no option, selects one worker per CPU (GOMAXPROCS).  Rendered tables are
+// identical to a serial run (n = 1).
 func WithExperimentParallelism(n int) ExperimentOption {
-	return func(s *experimentSettings) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		s.opts.Parallelism = n
-	}
+	return func(s *experimentSettings) { s.opts.Parallelism = n }
 }
 
 // WithIsolatedCache gives the session a private trace/run store instead of
@@ -85,6 +78,7 @@ func NewExperimentSession(opts ...ExperimentOption) *ExperimentSession {
 	for _, opt := range opts {
 		opt(&s)
 	}
+	s.opts.Parallelism = workerCount(s.opts.Parallelism)
 	return &ExperimentSession{inner: bench.NewSession(s.opts)}
 }
 

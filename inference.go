@@ -3,7 +3,6 @@ package tango
 import (
 	"fmt"
 	"os"
-	"runtime"
 
 	"tango/internal/networks"
 	"tango/internal/nn"
@@ -36,10 +35,7 @@ func nativeSettings(opts []SimOption) (int, nn.Numerics, error) {
 			return 0, 0, err
 		}
 	}
-	workers := settings.parallelism
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := workerCount(settings.parallelism)
 	mode := settings.numerics
 	if !settings.numericsSet {
 		var err error

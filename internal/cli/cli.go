@@ -1,10 +1,9 @@
 // Package cli holds the small flag-parsing helpers the command-line tools
-// share, so the CLIs cannot drift apart on list syntax or worker defaults.
+// share, so the CLIs cannot drift apart on list syntax.
 package cli
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 )
@@ -32,13 +31,4 @@ func ParseInts(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// Workers maps a -parallel flag value onto a worker count: 0 (and negatives)
-// select one worker per available CPU, matching the experiment options.
-func Workers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }

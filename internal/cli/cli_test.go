@@ -2,7 +2,6 @@ package cli
 
 import (
 	"reflect"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -38,18 +37,6 @@ func TestParseInts(t *testing.T) {
 	}
 	if _, err := ParseInts("64,x"); err == nil {
 		t.Error("non-integer entry should fail")
-	}
-}
-
-func TestWorkers(t *testing.T) {
-	if got := Workers(4); got != 4 {
-		t.Errorf("Workers(4) = %d", got)
-	}
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers(0) = %d, want GOMAXPROCS", got)
-	}
-	if got := Workers(-2); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers(-2) = %d, want GOMAXPROCS", got)
 	}
 }
 

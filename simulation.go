@@ -88,17 +88,24 @@ func WithFastSampling() SimOption {
 
 // WithParallelism simulates the benchmark's independent kernels on n worker
 // goroutines, and runs native inference (Classify, ClassifyBatch, Forecast,
-// ForecastBatch) on an n-worker compute engine; n <= 0 selects one worker
-// per available CPU (GOMAXPROCS), which is also native inference's default.
-// Results are identical to a serial run.
+// ForecastBatch) on an n-worker compute engine.  n <= 0, like no option,
+// selects one worker per CPU (GOMAXPROCS); 1 is serial.  Results are
+// identical to a serial run.
 func WithParallelism(n int) SimOption {
 	return func(s *simSettings) error {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
 		s.parallelism = n
 		return nil
 	}
+}
+
+// workerCount is the package's one worker-count rule, shared by Sweep,
+// Simulate, experiment sessions and native inference: n <= 0 selects one
+// worker per available CPU (GOMAXPROCS), any other n is taken as given.
+func workerCount(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
 }
 
 // WithFastMath selects the fast-numerics inference tier for native runs:
@@ -238,9 +245,9 @@ type SweepConfig struct {
 	Schedulers []string
 	// FastSampling selects coarse simulator sampling for quick sweeps.
 	FastSampling bool
-	// Parallelism fans the sweep cells out over n worker goroutines; n <= 1
-	// (including the zero value) runs serially.  The dataset is identical
-	// either way.
+	// Parallelism fans the sweep cells out over n workers, each cell's
+	// simulator on one; n <= 0 (the zero value) selects one per CPU
+	// (GOMAXPROCS), 1 is serial.  The dataset is identical for every n.
 	Parallelism int
 	// CacheDir attaches a persistent on-disk run cache: the sweep uses a
 	// private store (empty in-memory tier) over the directory, so a cold
@@ -411,7 +418,7 @@ func Sweep(cfg SweepConfig) (*Dataset, error) {
 		store.SetDisk(d)
 	}
 	records := make([]report.Record, len(cells))
-	err = par.ForEach(cfg.Parallelism, len(cells), func(i int) error {
+	err = par.ForEach(workerCount(cfg.Parallelism), len(cells), func(i int) error {
 		c := cells[i]
 		key := c.v.Key
 		if c.t.Class() == device.ClassFPGA {
@@ -461,7 +468,7 @@ func (b *Benchmark) Simulate(opts ...SimOption) (*SimulationResult, error) {
 	cfg := gpusim.ConfigFor(settings.device).
 		WithScheduler(settings.scheduler).
 		WithSampling(settings.sampling).
-		WithParallelism(settings.parallelism)
+		WithParallelism(workerCount(settings.parallelism))
 	if settings.l1Set {
 		cfg = cfg.WithL1Size(settings.l1Bytes)
 	}

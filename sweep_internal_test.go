@@ -5,7 +5,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"tango/internal/par"
 	"tango/internal/resilience"
@@ -140,5 +142,41 @@ func TestSweepFailingCellAborts(t *testing.T) {
 	}
 	if stats.Computes != before {
 		t.Errorf("GRU-only sweep after the abort computed %d cells, want 0", stats.Computes-before)
+	}
+}
+
+// TestWorkerCount pins the package's worker-count rule: zero and negative
+// counts select one worker per available CPU, any other count is kept.
+func TestWorkerCount(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for n, want := range map[int]int{-2: procs, 0: procs, 1: 1, 4: 4} {
+		if got := workerCount(n); got != want {
+			t.Errorf("workerCount(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestSweepDefaultOverlapsCells is the cost check no bit test can make: a
+// zero-value sweep runs its cells concurrently.  Each of the four cells
+// sleeps 200ms at the store's injection point, so one worker needs at least
+// 800ms and four need little more than 200ms.  Sleeping cells need no CPU,
+// so the bound holds on a single-CPU machine.
+func TestSweepDefaultOverlapsCells(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if err := resilience.Enable("target.run=latency:1:200ms", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer resilience.Disable()
+	coldSweepStore(t)
+	start := time.Now()
+	if _, err := Sweep(SweepConfig{
+		Networks:     []string{"GRU", "LSTM"},
+		Targets:      []string{"gp102", "pynq"},
+		FastSampling: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed >= 500*time.Millisecond {
+		t.Errorf("zero-value sweep of four 200ms cells took %v, want under 500ms", elapsed)
 	}
 }
