@@ -215,7 +215,7 @@ func (m *Model) EstimateNetwork(n *networks.Network) (*Result, error) {
 		}
 		compute := float64(ops) / macsPerSecond
 		transfer := float64(ws) / ddrBytesPerSecond
-		overhead := float64(partitions) * cfg.PartitionOverheadSeconds
+		overhead := float64(float64(partitions) * cfg.PartitionOverheadSeconds)
 		seconds := compute + transfer + overhead
 
 		// DSP utilization of the layer: MAC-heavy layers use the whole array.
@@ -239,12 +239,12 @@ func (m *Model) EstimateNetwork(n *networks.Network) (*Result, error) {
 		res.TotalPartitions += partitions
 	}
 
-	dynamic := maxDSPUtil * float64(cfg.Board.DSPSlices) * cfg.DynamicWattsPerDSP
+	dynamic := float64(maxDSPUtil * float64(cfg.Board.DSPSlices) * cfg.DynamicWattsPerDSP)
 	res.PeakWatts = cfg.Board.IdleWatts + dynamic
 	if res.PeakWatts > cfg.Board.PeakWatts {
 		res.PeakWatts = cfg.Board.PeakWatts
 	}
-	res.AvgWatts = cfg.Board.IdleWatts + 0.6*dynamic
+	res.AvgWatts = cfg.Board.IdleWatts + float64(0.6*dynamic)
 	// The paper computes energy as peak power times total execution time
 	// (a Wattsup meter cannot integrate energy directly).
 	res.EnergyJoules = res.PeakWatts * res.Seconds

@@ -224,7 +224,7 @@ func (m *Model) KernelPower(ks *gpusim.KernelStats) Breakdown {
 	}
 
 	// Static contributions.
-	b.Watts[CompIdleCore] = m.dev.IdleWatts * (1 - 0.5*occ)
+	b.Watts[CompIdleCore] = m.dev.IdleWatts * (1 - float64(0.5*occ))
 	b.Watts[CompConstDynamic] = 0.08 * m.dev.TDPWatts * occ
 
 	total := 0.0
@@ -286,7 +286,7 @@ func (m *Model) NetworkPower(rs *gpusim.RunStats) NetworkPower {
 		classEnergy[b.Class] += b.EnergyJoules
 		classTime[b.Class] += b.Seconds
 		for c := range b.Watts {
-			np.ByComponentWatts[c] += b.Watts[c] * b.Seconds
+			np.ByComponentWatts[c] += float64(b.Watts[c] * b.Seconds)
 		}
 	}
 	if np.TotalSeconds > 0 {
