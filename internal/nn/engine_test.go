@@ -486,7 +486,22 @@ func BenchmarkClassifyAlexNet(b *testing.B) {
 func TestScratchHelpersStopWithScratch(t *testing.T) {
 	in := tensor.New(8, 6, 6)
 	in.FillUniform(tensor.NewRNG(5), -1, 1)
+	// Helpers of Scratches that earlier tests dropped may still be exiting,
+	// and a snapshot that counts them would see fewer than 200 new helpers
+	// below.  Collect and wait until the count stops falling; two
+	// collections, because the first may only move a pooled Scratch to the
+	// pool's victim cache.
 	before := runtime.NumGoroutine()
+	for {
+		runtime.GC()
+		runtime.GC()
+		time.Sleep(20 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n >= before {
+			break
+		}
+		before = n
+	}
 	scratches := make([]*nn.Scratch, 100)
 	for i := range scratches {
 		scratches[i] = nn.NewScratch()
