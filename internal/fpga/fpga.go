@@ -215,6 +215,8 @@ func (m *Model) EstimateNetwork(n *networks.Network) (*Result, error) {
 		}
 		compute := float64(ops) / macsPerSecond
 		transfer := float64(ws) / ddrBytesPerSecond
+		// The outer conversion rounds the product, so no GOARCH may fuse it
+		// into the sum below: the model gives the same bits everywhere.
 		overhead := float64(float64(partitions) * cfg.PartitionOverheadSeconds)
 		seconds := compute + transfer + overhead
 
@@ -239,6 +241,7 @@ func (m *Model) EstimateNetwork(n *networks.Network) (*Result, error) {
 		res.TotalPartitions += partitions
 	}
 
+	// Rounded products again, so neither sum below is fused.
 	dynamic := float64(maxDSPUtil * float64(cfg.Board.DSPSlices) * cfg.DynamicWattsPerDSP)
 	res.PeakWatts = cfg.Board.IdleWatts + dynamic
 	if res.PeakWatts > cfg.Board.PeakWatts {

@@ -223,7 +223,8 @@ func (m *Model) KernelPower(ks *gpusim.KernelStats) Breakdown {
 		b.Watts[c] = energy[c] * 1e-9 / b.Seconds * occ
 	}
 
-	// Static contributions.
+	// Static contributions.  Converting the product rounds it, so no GOARCH
+	// may fuse it into the subtraction.
 	b.Watts[CompIdleCore] = m.dev.IdleWatts * (1 - float64(0.5*occ))
 	b.Watts[CompConstDynamic] = 0.08 * m.dev.TDPWatts * occ
 
@@ -286,6 +287,7 @@ func (m *Model) NetworkPower(rs *gpusim.RunStats) NetworkPower {
 		classEnergy[b.Class] += b.EnergyJoules
 		classTime[b.Class] += b.Seconds
 		for c := range b.Watts {
+			// The conversion keeps the product unfused on every GOARCH.
 			np.ByComponentWatts[c] += float64(b.Watts[c] * b.Seconds)
 		}
 	}
