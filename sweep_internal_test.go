@@ -156,27 +156,56 @@ func TestWorkerCount(t *testing.T) {
 	}
 }
 
-// TestSweepDefaultOverlapsCells is the cost check no bit test can make: a
-// zero-value sweep runs its cells concurrently.  Each of the four cells
-// sleeps 200ms at the store's injection point, so one worker needs at least
-// 800ms and four need little more than 200ms.  Sleeping cells need no CPU,
-// so the bound holds on a single-CPU machine.
-func TestSweepDefaultOverlapsCells(t *testing.T) {
+// TestDefaultWorkerCountOverlapsWork is the cost check no bit test can
+// make: without a worker count, a sweep, an experiment session and Simulate
+// all fan out.  Each case injects sleeps that take at least 800ms on one
+// worker and 200-400ms on four; sleeping needs no CPU, so the bound holds
+// on a single-CPU machine.
+func TestDefaultWorkerCountOverlapsWork(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	if err := resilience.Enable("target.run=latency:1:200ms", 1); err != nil {
-		t.Fatal(err)
-	}
-	defer resilience.Disable()
-	coldSweepStore(t)
-	start := time.Now()
-	if _, err := Sweep(SweepConfig{
-		Networks:     []string{"GRU", "LSTM"},
-		Targets:      []string{"gp102", "pynq"},
-		FastSampling: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed >= 500*time.Millisecond {
-		t.Errorf("zero-value sweep of four 200ms cells took %v, want under 500ms", elapsed)
+	for _, c := range []struct {
+		name, faults string
+		run          func() error
+	}{
+		// Four cells of 200ms each at the store's injection point.
+		{"Sweep", "target.run=latency:1:200ms", func() error {
+			coldSweepStore(t)
+			_, err := Sweep(SweepConfig{
+				Networks:     []string{"GRU", "LSTM"},
+				Targets:      []string{"gp102", "pynq"},
+				FastSampling: true,
+			})
+			return err
+		}},
+		// Figure 2 over GRU reads four cells, one per L1 size.
+		{"ExperimentSession", "target.run=latency:1:200ms", func() error {
+			s := NewExperimentSession(WithNetworks("GRU"),
+				WithFastExperimentSampling(), WithIsolatedCache())
+			s.PrewarmExperiment("fig2")
+			_, err := s.Run("fig2")
+			return err
+		}},
+		// GRU's two kernels, 400ms each at the worker-pool task.
+		{"Simulate", "par.task=latency:1:400ms", func() error {
+			b, err := LoadBenchmark("GRU")
+			if err == nil {
+				_, err = b.Simulate(WithFastSampling())
+			}
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := resilience.Enable(c.faults, 1); err != nil {
+				t.Fatal(err)
+			}
+			defer resilience.Disable()
+			start := time.Now()
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed >= 500*time.Millisecond {
+				t.Errorf("took %v at the default worker count, want under 500ms", elapsed)
+			}
+		})
 	}
 }
