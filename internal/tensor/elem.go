@@ -75,10 +75,10 @@ func LRNStep75(dst, src []float32, sums []float64, add, sub []float32, k, scale 
 		d := k + float64(scale*sums[i])
 		dst[i] = float32(float64(src[i]) / math.Sqrt(d*math.Sqrt(d)))
 		if add != nil {
-			sums[i] += float64(add[i]) * float64(add[i])
+			sums[i] += float64(float64(add[i]) * float64(add[i]))
 		}
 		if sub != nil {
-			sums[i] -= float64(sub[i]) * float64(sub[i])
+			sums[i] -= float64(float64(sub[i]) * float64(sub[i]))
 		}
 	}
 }

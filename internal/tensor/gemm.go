@@ -157,10 +157,10 @@ func gemmRows(dst, a, bt, bias []float32, n, k, r0, r1 int) {
 					s0, s1, s2, s3 = d0[j], d1[j], d2[j], d3[j]
 				}
 				for l, cv := range c {
-					s0 += a0[l] * cv
-					s1 += a1[l] * cv
-					s2 += a2[l] * cv
-					s3 += a3[l] * cv
+					s0 += float32(a0[l] * cv)
+					s1 += float32(a1[l] * cv)
+					s2 += float32(a2[l] * cv)
+					s3 += float32(a3[l] * cv)
 				}
 				d0[j] = s0
 				d1[j] = s1
@@ -183,7 +183,7 @@ func gemmRows(dst, a, bt, bias []float32, n, k, r0, r1 int) {
 					s = d[j]
 				}
 				for l, cv := range c {
-					s += ar[l] * cv
+					s += float32(ar[l] * cv)
 				}
 				d[j] = s
 			}
@@ -245,10 +245,10 @@ func matVecRows(dst, w, x, bias []float32, cols, r0, r1 int) {
 			s0, s1, s2, s3 = bias[i], bias[i+1], bias[i+2], bias[i+3]
 		}
 		for l, xv := range x {
-			s0 += w0[l] * xv
-			s1 += w1[l] * xv
-			s2 += w2[l] * xv
-			s3 += w3[l] * xv
+			s0 += float32(w0[l] * xv)
+			s1 += float32(w1[l] * xv)
+			s2 += float32(w2[l] * xv)
+			s3 += float32(w3[l] * xv)
 		}
 		dst[i] = s0
 		dst[i+1] = s1
@@ -263,7 +263,7 @@ func matVecRows(dst, w, x, bias []float32, cols, r0, r1 int) {
 			s = bias[i]
 		}
 		for l, xv := range x {
-			s += row[l] * xv
+			s += float32(row[l] * xv)
 		}
 		dst[i] = s
 	}

@@ -209,10 +209,10 @@ func gemmNNAxpy(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
 			d0, d1, d2, d3 := d0[:len(br)], d1[:len(br)], d2[:len(br)], d3[:len(br)]
 			av0, av1, av2, av3 := a0[l], a1[l], a2[l], a3[l]
 			for j, bv := range br {
-				d0[j] += av0 * bv
-				d1[j] += av1 * bv
-				d2[j] += av2 * bv
-				d3[j] += av3 * bv
+				d0[j] += float32(av0 * bv)
+				d1[j] += float32(av1 * bv)
+				d2[j] += float32(av2 * bv)
+				d3[j] += float32(av3 * bv)
 			}
 		}
 	}
@@ -223,7 +223,7 @@ func gemmNNAxpy(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
 			br := b[l*ldb+jb : l*ldb+jb+nc]
 			d := d[:len(br)]
 			for j, bv := range br {
-				d[j] += av * bv
+				d[j] += float32(av * bv)
 			}
 		}
 	}
@@ -253,10 +253,10 @@ func gemmNNDot(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
 			bi := j
 			for l := 0; l < kc; l++ {
 				bv := b[bi]
-				s0 += a0[l] * bv
-				s1 += a1[l] * bv
-				s2 += a2[l] * bv
-				s3 += a3[l] * bv
+				s0 += float32(a0[l] * bv)
+				s1 += float32(a1[l] * bv)
+				s2 += float32(a2[l] * bv)
+				s3 += float32(a3[l] * bv)
 				bi += ldb
 			}
 			dst[i*ldd+j] = s0
@@ -271,7 +271,7 @@ func gemmNNDot(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
 			s := dst[i*ldd+j]
 			bi := j
 			for _, av := range ar {
-				s += av * b[bi]
+				s += float32(av * b[bi])
 				bi += ldb
 			}
 			dst[i*ldd+j] = s

@@ -240,7 +240,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float32 returns a value uniformly distributed in [0, 1).
 func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) / float32(1<<24)
+	return float32(float32(r.Uint64()>>40) / float32(1<<24))
 }
 
 // Normal32 returns an approximately normally distributed value with mean 0
@@ -256,7 +256,7 @@ func (r *RNG) Normal32(stddev float32) float32 {
 // FillUniform fills t with uniform values in [lo, hi).
 func (t *Tensor) FillUniform(r *RNG, lo, hi float32) {
 	for i := range t.data {
-		t.data[i] = lo + (hi-lo)*r.Float32()
+		t.data[i] = lo + float32((hi-lo)*r.Float32())
 	}
 }
 
