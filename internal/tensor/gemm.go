@@ -61,7 +61,7 @@ type rowJob struct {
 	kernel          func(j *rowJob, r0, r1 int)
 	m, chunk        int
 	dst, a, b, bias []float32
-	pa              *PackedA
+	op              nnOp
 	pq              *PackedInt8
 	u8              []uint8
 	acc             []int32

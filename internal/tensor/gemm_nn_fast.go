@@ -1,17 +1,14 @@
 package tensor
 
-// Fast-numerics GEMM tier: the opt-in counterpart to the bit-exact kernels
-// in gemm.go / gemm_nn.go.  The reference kernels keep one accumulator per
-// output element and separate multiply/add instructions so every blocking
-// and worker count reproduces the scalar summation order bit for bit; that
-// contract caps throughput well below machine peak.  The fast tier trades
-// the bit-exact guarantee for speed: weight panels are packed once into the
-// kernel-native layout, the amd64 microkernels use fused multiply-add with
-// multiple independent accumulator chains, and an AVX-512 variant widens the
-// register tile further.  Results differ from the reference only by
-// float32 rounding (FMA keeps the intermediate product unrounded and wide
-// tiles split the reduction), which callers bound with tolerance-based
-// golden tests rather than bit equality.
+// Fast-numerics GEMM tier: the opt-in counterpart to the bit-exact
+// reference tier.  Both run one tile family, one column split and one panel
+// driver (gemm_nn.go).  The fast tier packs its weights once into PackA's
+// depth-interleaved panels and accumulates with VFMADD231PS, which keeps
+// each product unrounded, where the reference tier multiplies and adds
+// separately; its mat-vec also splits the reduction across accumulator
+// chains.  Results differ from the reference only by float32 rounding,
+// which callers bound with tolerance-based golden tests rather than bit
+// equality (TestFloatGemmDigestsPerRung pins the fast GEMM's own bits).
 //
 // Tier selection is runtime CPUID/XGETBV detection with a testable override
 // (SetFastTier) that can force any tier at or below the detected one, so CI
@@ -127,19 +124,6 @@ func PackA(a []float32, m, k int) *PackedA {
 	return p
 }
 
-// fastVecCols returns the microkernel column tile width for tier t (0 when
-// the tier has no vector kernel).
-func fastVecCols(t SIMDTier) int {
-	switch t {
-	case TierFMA:
-		return 16
-	case TierAVX512:
-		return 32
-	default:
-		return 0
-	}
-}
-
 // Fused-staging geometry: the panel grid the panel kernels (GemmNNAccumPanel,
 // GemmNNFastAccumPanel, GemmInt8Panel) operate on.  The engine's
 // convolution walks output columns in FusedNC panels and depth in FusedKC
@@ -160,8 +144,7 @@ const (
 // (>= n); dst rows are also ldb apart.  Results agree with GemmNN within
 // float32 rounding, not bit-exactly.
 func GemmNNFast(dst []float32, pa *PackedA, b, bias []float32, n, ldb int) {
-	checkGemmNNArgs(dst, pa.src, b, bias, pa.m, n, pa.k, ldb)
-	gemmNNFastRows(dst, pa, b, bias, n, ldb, 0, pa.m, fastTier)
+	GemmNNFastParallel(dst, pa, b, bias, n, ldb, nil)
 }
 
 // GemmNNFastParallel is GemmNNFast with the row dimension split across t's
@@ -170,16 +153,14 @@ func GemmNNFast(dst []float32, pa *PackedA, b, bias []float32, n, ldb int) {
 // tails — the result is identical for any worker count.
 func GemmNNFastParallel(dst []float32, pa *PackedA, b, bias []float32, n, ldb int, t *Team) {
 	checkGemmNNArgs(dst, pa.src, b, bias, pa.m, n, pa.k, ldb)
-	if !t.forks(pa.m, int64(pa.m)*int64(n)*int64(pa.k)) {
-		gemmNNFastRows(dst, pa, b, bias, n, ldb, 0, pa.m, fastTier)
-		return
-	}
-	t.rows = rowJob{kernel: gemmNNFastPart, m: pa.m, dst: dst, pa: pa, b: b, bias: bias, n: n, ldb: ldb}
-	t.forRows(gemmMR)
+	gemmNN(pa.op(false), dst, b, bias, pa.m, n, ldb, t)
 }
 
-func gemmNNFastPart(j *rowJob, r0, r1 int) {
-	gemmNNFastRows(j.dst, j.pa, j.b, j.bias, j.n, j.ldb, r0, r1, fastTier)
+// op is the panel driver's view of pa: the fused tiles on its panels, the
+// strided dot on its row-major source, and a spill tile for the column tail
+// when spill.
+func (pa *PackedA) op(spill bool) nnOp {
+	return nnOp{a: pa.src, panels: pa.panels, k: pa.k, fused: true, spill: spill}
 }
 
 // GemmNNFastAccumPanel accumulates one fused B panel into a strided output
@@ -191,8 +172,11 @@ func gemmNNFastPart(j *rowJob, r0, r1 int) {
 // product without ever materializing B.  kc must be at most FusedKC and nc
 // at most FusedNC; the caller owns the panel grid, which must not depend on
 // the worker fan-out (panels covering disjoint columns may run
-// concurrently).  With spill slack in the panel's backing array, a full
-// 4-row tile's bits do not depend on the column-panel width.
+// concurrently).  A sub-16 column tail of a full 4-row tile takes the spill
+// tile when the panel's backing array has room for its overread, else the
+// strided dot; the worker panel buffers always have room except when the
+// panel is exactly full, and a full panel has no tail.  So with spill slack
+// a full 4-row tile's bits do not depend on the column-panel width.
 func GemmNNFastAccumPanel(dst []float32, pa *PackedA, panel, bias []float32, kb, kc, nc, ldd int) {
 	m, k := pa.m, pa.k
 	if nc <= 0 || kc <= 0 || kb < 0 || kb+kc > k {
@@ -207,94 +191,7 @@ func GemmNNFastAccumPanel(dst []float32, pa *PackedA, panel, bias []float32, kb,
 	if kb == 0 {
 		seedRows(dst, bias, nc, ldd, 0, m)
 	}
-	t := fastTier
-	vw := fastVecCols(t)
-	// The panel is compact (row stride nc), so a sub-16 column tail can
-	// still run the vector kernel: accumulate a full 16-wide tile into a
-	// stack spill block, reading past the tail into the next panel row
-	// (those lanes are independent and discarded), then copy only the live
-	// columns back.  Needs slack in the panel's backing array for the
-	// overread; the worker panel buffers always have it except when the
-	// panel is exactly full — and a full panel has no tail.
-	var spill [nnMR * 16]float32
-	i := 0
-	if vw > 0 {
-		for ; i+nnMR <= m; i += nnMR {
-			ncVec := nc &^ (vw - 1)
-			ap := pa.panels[(i/nnMR)*nnMR*k+kb*nnMR:]
-			if ncVec > 0 {
-				if t == TierAVX512 {
-					gemmNNAVX512Kernel(dst[i*ldd:], ap, panel, kc, ncVec, ldd, nc)
-				} else {
-					gemmNNFMAKernel(dst[i*ldd:], ap, panel, kc, ncVec, ldd, nc)
-				}
-			}
-			if t == TierAVX512 && nc-ncVec >= 16 {
-				gemmNNFMAKernel(dst[i*ldd+ncVec:], ap, panel[ncVec:], kc, 16, ldd, nc)
-				ncVec += 16
-			}
-			if tail := nc - ncVec; tail > 0 {
-				if ncVec+(kc-1)*nc+16 <= cap(panel) {
-					for r := 0; r < nnMR; r++ {
-						copy(spill[r*16:r*16+tail], dst[(i+r)*ldd+ncVec:])
-					}
-					gemmNNFMAKernel(spill[:], ap, panel[ncVec:ncVec+(kc-1)*nc+16], kc, 16, 16, nc)
-					for r := 0; r < nnMR; r++ {
-						copy(dst[(i+r)*ldd+ncVec:(i+r)*ldd+nc], spill[r*16:])
-					}
-				} else {
-					gemmNNDot(dst, pa.src, panel, k, ldd, nc, kb, kc, ncVec, tail, i, i+nnMR)
-				}
-			}
-		}
-	}
-	if i < m {
-		gemmNNDot(dst, pa.src, panel, k, ldd, nc, kb, kc, 0, nc, i, m)
-	}
-}
-
-// gemmNNFastRows runs the blocked fast kernel over output rows [r0, r1),
-// reusing the reference path's panel geometry (nnKC depth slabs, nnNC
-// column panels) so the streamed b block stays L2-resident.  b and dst rows
-// are ldb floats apart.  Full 4-row panels with wide column blocks go to
-// the tier's FMA/AVX-512 kernel; on the AVX-512 tier a 16-column FMA block
-// mops up before the scalar tail.  Remainder rows and narrow tails use the
-// order-preserving scalar kernel on the retained row-major weights.
-func gemmNNFastRows(dst []float32, pa *PackedA, b, bias []float32, n, ldb, r0, r1 int, t SIMDTier) {
-	k := pa.k
-	seedRows(dst, bias, n, ldb, r0, r1)
-	vw := fastVecCols(t)
-	for kb := 0; kb < k; kb += nnKC {
-		kc := min(k-kb, nnKC)
-		bs := b[kb*ldb:]
-		for jb := 0; jb < n; jb += nnNC {
-			nc := min(n-jb, nnNC)
-			i := r0
-			if vw > 0 {
-				for ; i+nnMR <= r1; i += nnMR {
-					ncVec := nc &^ (vw - 1)
-					ap := pa.panels[(i/nnMR)*nnMR*k+kb*nnMR:]
-					if ncVec > 0 {
-						if t == TierAVX512 {
-							gemmNNAVX512Kernel(dst[i*ldb+jb:], ap, bs[jb:], kc, ncVec, ldb, ldb)
-						} else {
-							gemmNNFMAKernel(dst[i*ldb+jb:], ap, bs[jb:], kc, ncVec, ldb, ldb)
-						}
-					}
-					if t == TierAVX512 && nc-ncVec >= 16 {
-						gemmNNFMAKernel(dst[i*ldb+jb+ncVec:], ap, bs[jb+ncVec:], kc, 16, ldb, ldb)
-						ncVec += 16
-					}
-					if ncVec < nc {
-						gemmNNDot(dst, pa.src, bs, k, ldb, ldb, kb, kc, jb+ncVec, nc-ncVec, i, i+nnMR)
-					}
-				}
-			}
-			if i < r1 {
-				gemmNNDot(dst, pa.src, bs, k, ldb, ldb, kb, kc, jb, nc, i, r1)
-			}
-		}
-	}
+	gemmNNPanel(pa.op(true), dst, panel, ldd, nc, kb, kc, 0, nc, 0, m)
 }
 
 // MatVecFastParallel computes dst = W*x + bias like MatVecBias using the

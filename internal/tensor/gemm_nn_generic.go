@@ -2,12 +2,30 @@
 
 package tensor
 
-// Non-amd64 platforms run GemmNN entirely on the portable rung, which shares
-// the summation order of the vector microkernels bit for bit.  The detected
-// tier is generic, so nnColumns hands the kernels below no columns.
+// Other architectures have no vector kernels: the detected tier is generic,
+// so the GEMM driver hands the stubs below no columns and every entry point
+// runs the portable loops, in the reference summation order.
 
-func gemmNNKernel(dst, a, b []float32, kc, nc, ldd, ldb, lda int) { panic("tensor: no vector gemm") }
+var fastTierDetected = TierGeneric
 
-func gemmNNKernel32(dst, a, b []float32, kc, nc, ldd, ldb, lda int) { panic("tensor: no vector gemm") }
+func gemmNNTile32(dst, a, b []float32, kc, nc, ldd, ldb, lda, ldk int) {
+	panic("tensor: no vector gemm")
+}
+
+func gemmNNTile32FMA(dst, a, b []float32, kc, nc, ldd, ldb, lda, ldk int) {
+	panic("tensor: no vector gemm")
+}
+
+func gemmNNTile16(dst, a, b []float32, kc, nc, ldd, ldb, lda, ldk int) {
+	panic("tensor: no vector gemm")
+}
+
+func gemmNNTile16FMA(dst, a, b []float32, kc, nc, ldd, ldb, lda, ldk int) {
+	panic("tensor: no vector gemm")
+}
 
 func gemmNNKernel1(dst, a, b []float32, kc, nc, ldb int) { panic("tensor: no vector gemm") }
+
+func dotFMA(a, b []float32, n int) float32 { panic("tensor: no vector dot") }
+
+func dotAVX512(a, b []float32, n int) float32 { panic("tensor: no vector dot") }

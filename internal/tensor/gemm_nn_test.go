@@ -193,10 +193,11 @@ func testGemmNNParallelMatchesSerial(t *testing.T) {
 // reference panel kernel: on every vector rung the host can force,
 // GemmNNAccumPanel writes the portable rung's bits for every panel width
 // 1..80 and 169, 217, 465, 511, 512 and 513 (each residue of the 32- and
-// 8-column tiles, AlexNet's 169-column panels, the 512-column panel and one
+// 16-column tiles, AlexNet's 169-column panels, the 512-column panel and one
 // past it), 1..9 and 96 rows, depths 1, 3, 255 and 256, into a destination
 // wider than the panel, either bias-seeded (kb = 0) or holding partial sums
-// (kb > 0).  The gap columns past nc must keep their bits.
+// (kb > 0), from a panel with or without room for the spill tile's
+// overread.  The gap columns past nc must keep their bits.
 func TestGemmNNPanelRungsMatchPortable(t *testing.T) {
 	r := NewRNG(61)
 	ncs := []int{169, 217, 465, 511, 512, 513}
@@ -211,7 +212,7 @@ func TestGemmNNPanelRungsMatchPortable(t *testing.T) {
 					kb = 1 + int(r.Uint64()%7)
 				}
 				k, ldd := kb+kc, nc+1+int(r.Uint64()%13)
-				a, panel, bias := make([]float32, m*k), make([]float32, kc*nc), make([]float32, m)
+				a, panel, bias := make([]float32, m*k), make([]float32, kc*nc, kc*nc+int(r.Uint64()%2)*nnNR), make([]float32, m)
 				start := make([]float32, m*ldd)
 				for _, s := range [][]float32{a, panel, bias, start} {
 					fillRand(r, s)
@@ -234,32 +235,74 @@ func TestGemmNNPanelRungsMatchPortable(t *testing.T) {
 	}
 }
 
-// TestNNColumnsPerRung pins which kernel gets which columns of a panel on
-// each rung: a split that never hands the ZMM tile its columns writes the
-// same bits and only runs slower, so no bitwise test can see it.
+// TestNNColumnsPerRung is the column split's table for both tiers: which
+// kernel gets which columns of a panel on each rung.  A split that never
+// hands the ZMM tile its columns, or a tail that goes portable where it
+// could spill, writes the same bits and only runs slower, so no bitwise test
+// can see it.  The rows are AlexNet's and CifarNet's conv panel widths (465,
+// 217, 169, 512, 256, 64) and residues of the 32- and 16-column tiles.  With
+// spill room the reference tier sends none of them to the portable loops;
+// before the tiers shared one driver it sent 1 column of 465, 217 and 169
+// there on both vector rungs, through the retired 4x8 AVX2 tile.
 func TestNNColumnsPerRung(t *testing.T) {
-	for _, c := range []struct {
-		tier                 SIMDTier
-		nc, zmm, ymm, others int
+	const kc = 8
+	pa := PackA(make([]float32, nnMR*kc), nnMR, kc)
+	tiers := []struct {
+		name   string
+		op     nnOp
+		spills bool
 	}{
-		{TierAVX512, 169, 160, 8, 1},
+		{"reference", nnOp{k: kc}, true},
+		{"fast panel", pa.op(true), true},
+		{"fast", pa.op(false), false},
+	}
+	for _, c := range []struct {
+		rung               SIMDTier
+		nc, zmm, ymm, tail int
+	}{
+		{TierAVX512, 465, 448, 16, 1},
+		{TierAVX512, 217, 192, 16, 9},
+		{TierAVX512, 169, 160, 0, 9},
 		{TierAVX512, 512, 512, 0, 0},
+		{TierAVX512, 256, 256, 0, 0},
+		{TierAVX512, 64, 64, 0, 0},
 		{TierAVX512, 513, 512, 0, 1},
-		{TierAVX512, 32, 32, 0, 0},
-		{TierAVX512, 31, 0, 24, 7},
-		{TierAVX512, 63, 32, 24, 7},
+		{TierAVX512, 63, 32, 16, 15},
+		{TierAVX512, 31, 0, 16, 15},
 		{TierAVX512, 7, 0, 0, 7},
-		{TierFMA, 169, 0, 168, 1},
+		{TierFMA, 465, 0, 464, 1},
+		{TierFMA, 217, 0, 208, 9},
+		{TierFMA, 169, 0, 160, 9},
 		{TierFMA, 512, 0, 512, 0},
-		{TierFMA, 8, 0, 8, 0},
+		{TierFMA, 256, 0, 256, 0},
+		{TierFMA, 64, 0, 64, 0},
 		{TierFMA, 7, 0, 0, 7},
 		{TierGeneric, 169, 0, 0, 169},
 		{TierGeneric, 7, 0, 0, 7},
 	} {
-		zmm, ymm := nnColumns(c.tier, c.nc)
-		if zmm != c.zmm || ymm != c.ymm || c.nc-zmm-ymm != c.others {
-			t.Errorf("%v rung, nc=%d: split %d / %d / %d, want %d / %d / %d",
-				c.tier, c.nc, zmm, ymm, c.nc-zmm-ymm, c.zmm, c.ymm, c.others)
+		for _, tr := range tiers {
+			for _, slack := range []int{nnNR, 0} {
+				// A compact panel, with or without room for the spill
+				// tile's overread past its last depth row.
+				b := make([]float32, kc*c.nc, kc*c.nc+slack)
+				zmm, ymm, rows := tr.op.columns(c.rung, b, 0, c.nc, kc, c.nc)
+				want := 0
+				if c.rung > TierGeneric && c.tail > 0 && tr.spills {
+					for l := 0; l < kc && (slack > 0 || !tr.op.fused); l++ {
+						if l*c.nc+c.zmm+c.ymm+nnNR <= cap(b) {
+							want++
+						}
+					}
+				}
+				spill, portable := 0, c.tail
+				if rows > 0 {
+					spill, portable = c.tail, 0
+				}
+				if zmm != c.zmm || ymm != c.ymm || rows != want {
+					t.Errorf("%v rung, %s tier, nc=%d, slack %d: ZMM %d, YMM %d, spill %d over %d of %d depth rows, portable %d; want ZMM %d, YMM %d, %d spill depth rows",
+						c.rung, tr.name, c.nc, slack, zmm, ymm, spill, rows, kc, portable, c.zmm, c.ymm, want)
+				}
+			}
 		}
 	}
 }
