@@ -11,7 +11,7 @@ package tensor
 // feeds it one packed patch panel at a time (GemmNNAccumPanel,
 // GemmNNFastAccumPanel), a 1x1 one its input planes in place.
 //
-// Both tiers share one tile family, one column split (nnColumns) and one
+// Both tiers share one tile family, one column split (nnOp.columns) and one
 // panel driver (gemmNNPanel), on the one SIMD ladder (SIMDTier): TierAVX512
 // runs the 4x32 ZMM tile, TierFMA the 4x16 YMM tile (which also takes the
 // AVX-512 rung's 16-column remainder), and TierGeneric portable loops, which
@@ -162,7 +162,7 @@ type nnOp struct {
 	fused, spill bool
 }
 
-// nnColumns splits the nc columns of one panel, which start at column c0 of
+// columns splits the nc columns of one panel, which start at column c0 of
 // b, among rung t's kernels for op: the first zmm go to the 4x32 ZMM tile,
 // the next ymm to the 4x16 YMM tile and the rest, narrower than nnNR, to
 // the spill tile over b's first spill depth rows and to the portable loops
@@ -205,7 +205,7 @@ func gemmNNTile(fused, zmm bool, dst, a, b []float32, kc, nc, ldd, ldb, lda, ldk
 // gemmNNPanel is both tiers' panel driver: it accumulates the depth slab
 // [kb, kb+kc) over columns [jb, jb+nc) for rows [r0, r1); b starts at the
 // slab's first depth row, with rows ldb floats apart, and dst rows are ldd
-// floats apart.  Full 4-row tiles run nnColumns' split, the tail's
+// floats apart.  Full 4-row tiles run op.columns' split, the tail's
 // non-spill depth rows taking the strided dot.  The m%4 rows run, on the
 // reference tier, the 1x8 kernel over the vector columns and the portable
 // loops over the rest; on the fast tier the strided dot on op.a.
