@@ -241,9 +241,7 @@ func TestGemmNNPanelRungsMatchPortable(t *testing.T) {
 // could spill, writes the same bits and only runs slower, so no bitwise test
 // can see it.  The rows are AlexNet's and CifarNet's conv panel widths (465,
 // 217, 169, 512, 256, 64) and residues of the 32- and 16-column tiles.  With
-// spill room the reference tier sends none of them to the portable loops;
-// before the tiers shared one driver it sent 1 column of 465, 217 and 169
-// there on both vector rungs, through the retired 4x8 AVX2 tile.
+// spill room the reference tier sends none of them to the portable loops.
 func TestNNColumnsPerRung(t *testing.T) {
 	const kc = 8
 	pa := PackA(make([]float32, nnMR*kc), nnMR, kc)
