@@ -481,3 +481,57 @@ func TestPrometheusGolden(t *testing.T) {
 		t.Fatalf("batch size sum = %v, want 65", v)
 	}
 }
+
+// TestHTTPResponseGoldens pins the bytes of three responses a fresh
+// CifarNet + LSTM server gives on the reference tier: GET /healthz, a
+// seed-based classify and a seed-based forecast.  Each body is compared with
+// its file under testdata/ (UPDATE_GOLDEN=1 rewrites them).
+func TestHTTPResponseGoldens(t *testing.T) {
+	srv, err := tango.NewServer([]string{"CifarNet", "LSTM"}, tango.ServerConfig{Numerics: "reference"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+
+	for _, tc := range []struct {
+		golden, method, path, body string
+	}{
+		{"healthz.golden", "GET", "/healthz", ""},
+		{"classify_cifarnet_seed7.golden", "POST", "/v1/classify", `{"benchmark":"CifarNet","seed":7}`},
+		{"forecast_lstm_seed7.golden", "POST", "/v1/forecast", `{"benchmark":"LSTM","seed":7}`},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s %s: status %d, Content-Type %q", tc.method, tc.path, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		golden := filepath.Join("testdata", tc.golden)
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s %s drifted from %s (regenerate with UPDATE_GOLDEN=1 if intended)\n--- got ---\n%s", tc.method, tc.path, golden, got)
+		}
+	}
+}

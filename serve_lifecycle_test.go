@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -171,5 +172,70 @@ func TestServerReportsResolvedNumericsTier(t *testing.T) {
 	_, envErr := tango.NewServer([]string{"GRU"}, tango.ServerConfig{})
 	if cfgErr == nil || envErr == nil || cfgErr.Error() != envErr.Error() {
 		t.Fatalf("config error %v, environment error %v: want the same non-nil error", cfgErr, envErr)
+	}
+}
+
+// TestServerPrewarmSizesScratch checks that loading a model grows its scratch
+// to the configured batch geometry: ScratchBytes is non-zero right after
+// NewServer and does not move when a burst of MaxBatch concurrent requests
+// arrives.
+func TestServerPrewarmSizesScratch(t *testing.T) {
+	const maxBatch = 8
+	srv, err := tango.NewServer([]string{"CifarNet", "LSTM"}, tango.ServerConfig{MaxBatch: maxBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	warm := srv.Stats().Benchmarks
+	for _, name := range []string{"CifarNet", "LSTM"} {
+		if warm[name].ScratchBytes == 0 {
+			t.Fatalf("%s: ScratchBytes 0 after NewServer: the load did not prewarm", name)
+		}
+	}
+
+	cifar, err := tango.LoadBenchmark("CifarNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lstm, err := tango.LoadBenchmark("LSTM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*maxBatch)
+	for i := 0; i < maxBatch; i++ {
+		img, _, err := cifar.SampleImage(uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist, err := lstm.SampleHistory(uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, err := srv.Classify(context.Background(), "CifarNet", img)
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			_, err := srv.Forecast(context.Background(), "LSTM", hist)
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := srv.Stats().Benchmarks
+	for _, name := range []string{"CifarNet", "LSTM"} {
+		if after[name].ScratchBytes != warm[name].ScratchBytes {
+			t.Errorf("%s: ScratchBytes %d after a burst of %d, %d after NewServer: the prewarm did not size the scratch",
+				name, after[name].ScratchBytes, maxBatch, warm[name].ScratchBytes)
+		}
 	}
 }
