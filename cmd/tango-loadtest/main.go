@@ -463,7 +463,7 @@ func (l *latencies) percentiles() (p50, p99 time.Duration) {
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 	rank := func(p float64) time.Duration {
-		idx := int(p*float64(len(ds)-1) + 0.5)
+		idx := int(float64(p*float64(len(ds)-1)) + 0.5)
 		return ds[idx]
 	}
 	return rank(0.50), rank(0.99)

@@ -92,11 +92,11 @@ func (b *Benchmark) SampleSequence(seed uint64) ([]*tensor.Tensor, error) {
 		steps = 2
 	}
 	seq := make([]*tensor.Tensor, steps)
-	price := 0.4 + 0.2*r.Float32()
+	price := 0.4 + float32(0.2*r.Float32())
 	for i := range seq {
 		x := tensor.New(b.Network.InputShape...)
 		// A normalized random walk, like scaled daily closing prices.
-		price += (r.Float32() - 0.5) * 0.05
+		price += float32((r.Float32() - 0.5) * 0.05)
 		x.Fill(price)
 		seq[i] = x
 	}

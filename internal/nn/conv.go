@@ -165,7 +165,7 @@ func conv2DDirectCore(o, in, w, bias []float32, p ConvParams, inH, inW, outH, ou
 							}
 							iv := in[((icBase+ic)*inH+iy)*inW+ix]
 							wv := w[((oc*inCPerGroup+ic)*p.KernelH+ky)*p.KernelW+kx]
-							sum += iv * wv
+							sum += float32(iv * wv)
 						}
 					}
 				}

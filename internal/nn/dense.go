@@ -71,7 +71,7 @@ func scalarMatVec(dst, w, x, bias []float32, rows, cols int) {
 		}
 		row := w[r*cols : (r+1)*cols]
 		for c, xv := range x {
-			sum += row[c] * xv
+			sum += float32(row[c] * xv)
 		}
 		dst[r] = sum
 	}

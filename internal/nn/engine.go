@@ -648,8 +648,8 @@ func (s *Scratch) lstmStep(w *LSTMWeights, pk *Pack, x, h, c []float32, n int) {
 	sigmoidInPlace(po)
 	tanhInPlace(pc)
 	for i := range c {
-		fc := pf[i] * c[i]
-		ig := pi[i] * pc[i]
+		fc := float32(pf[i] * c[i])
+		ig := float32(pi[i] * pc[i])
 		c[i] = fc + ig
 	}
 	for i := range h {
@@ -673,7 +673,7 @@ func (s *Scratch) gruStep(w *GRUWeights, pk *Pack, x, h []float32, n int) {
 	s.gate(ng, tmp, w.Wh, w.Uh, w.Bh, pk, 2, x, rh, n)
 	tanhInPlace(ng)
 	for i, zi := range z {
-		h[i] = (1-zi)*ng[i] + zi*h[i]
+		h[i] = float32((1-zi)*ng[i]) + float32(zi*h[i])
 	}
 }
 

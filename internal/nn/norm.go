@@ -68,7 +68,7 @@ func lrnCore(o, in []float32, c, hw int, p LRNParams, c0, c1 int) {
 			sum := 0.0
 			for j := i + lo*hw; j <= i+hi*hw; j += hw {
 				v := float64(in[j])
-				sum += v * v
+				sum += float64(v * v)
 			}
 			base := p.K + float64(scale*sum)
 			if v := in[i]; v == 0 && base >= 1 && skipZeros {
@@ -105,7 +105,7 @@ func lrnCoreFast(o, in []float32, c, hw int, p LRNParams, sums []float64, p0, p1
 	clear(sums)
 	for cc := 0; cc <= half && cc < c; cc++ {
 		for i, v := range plane(in, cc) {
-			sums[i] += float64(v) * float64(v)
+			sums[i] += float64(float64(v) * float64(v))
 		}
 	}
 	for ch := 0; ch < c; ch++ {
@@ -157,7 +157,7 @@ func scalePart(j *splitJob, smp, c0, c1 int) {
 		}
 		at := (smp*j.c + ch) * hw
 		for i, v := range j.in[at : at+hw] {
-			j.o[at+i] = v*g + b
+			j.o[at+i] = float32(v*g) + b
 		}
 	}
 }

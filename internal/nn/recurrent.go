@@ -262,7 +262,7 @@ func GRUCell(w *GRUWeights, h *tensor.Tensor, x *tensor.Tensor) (*tensor.Tensor,
 	out := tensor.New(w.Hidden)
 	for i := 0; i < w.Hidden; i++ {
 		zi := z.Data()[i]
-		out.Data()[i] = (1-zi)*n.Data()[i] + zi*h.Data()[i]
+		out.Data()[i] = float32((1-zi)*n.Data()[i]) + float32(zi*h.Data()[i])
 	}
 	return out, nil
 }

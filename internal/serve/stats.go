@@ -263,7 +263,7 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p*float64(len(sorted)-1) + 0.5)
+	idx := int(float64(p*float64(len(sorted)-1)) + 0.5)
 	if idx < 0 {
 		idx = 0
 	}

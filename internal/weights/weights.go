@@ -123,7 +123,7 @@ func fillParam(t *tensor.Tensor, network string, spec networks.WeightSpec) {
 	case name == "gamma":
 		// Scales around one.
 		for i := range t.Data() {
-			t.Data()[i] = 0.9 + 0.2*r.Float32()
+			t.Data()[i] = 0.9 + float32(0.2*r.Float32())
 		}
 	default:
 		// Filter / matrix weights: Xavier-style scaling keeps activations in
