@@ -92,30 +92,6 @@ func batchClassifications(res *networks.BatchResult) []BatchClassification {
 	return out
 }
 
-// ClassifySampleBatch runs a CNN benchmark on a batch of n deterministic
-// synthetic sample images; sample i is bit-identical to the input of
-// ClassifySample(seed + i).
-func (b *Benchmark) ClassifySampleBatch(seed uint64, n int, opts ...SimOption) ([]BatchClassification, error) {
-	if err := b.ensureKind(networks.KindCNN, "ClassifySampleBatch"); err != nil {
-		return nil, err
-	}
-	batch, err := b.inner.SampleInputBatch(seed, n)
-	if err != nil {
-		return nil, err
-	}
-	workers, mode, err := nativeSettings(opts)
-	if err != nil {
-		return nil, err
-	}
-	s := b.inner.AcquireScratchNumerics(workers, mode)
-	defer b.inner.ReleaseScratch(s)
-	res, err := b.inner.RunBatchScratch(batch, s)
-	if err != nil {
-		return nil, err
-	}
-	return batchClassifications(res), nil
-}
-
 // ForecastBatch runs an RNN benchmark natively on a batch of histories of
 // scalar observations and returns one predicted next value per history.
 // All histories must have the same length (the recurrent gates run as one

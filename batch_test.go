@@ -176,15 +176,21 @@ func TestBatchAPIEdgeCases(t *testing.T) {
 	}
 }
 
-// TestClassifySampleBatch checks the deterministic sample batch helper
-// against per-seed ClassifySample calls.
+// TestClassifySampleBatch checks a batch of sample images, image i drawn
+// from SampleImage(seed + i), against per-seed ClassifySample calls.
 func TestClassifySampleBatch(t *testing.T) {
 	b, err := tango.LoadBenchmark("CifarNet")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 3
-	got, err := b.ClassifySampleBatch(50, n)
+	images := make([][]float32, n)
+	for i := range images {
+		if images[i], _, err = b.SampleImage(50 + uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := b.ClassifyBatch(images)
 	if err != nil {
 		t.Fatal(err)
 	}

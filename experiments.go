@@ -4,7 +4,6 @@ import (
 	"tango/internal/bench"
 	"tango/internal/gpusim"
 	"tango/internal/report"
-	"tango/internal/target"
 )
 
 // Table is a rendered experiment result: the rows or series of one of the
@@ -54,15 +53,6 @@ func WithFastExperimentSampling() ExperimentOption {
 // identical to a serial run (n = 1).
 func WithExperimentParallelism(n int) ExperimentOption {
 	return func(s *experimentSettings) { s.opts.Parallelism = n }
-}
-
-// WithIsolatedCache gives the session a private trace/run store instead of
-// the process-wide shared one, so it recomputes every cell from scratch.
-// Sessions share the process store by default — repeated sessions reuse each
-// other's traces and runs (results are deterministic either way); isolation
-// is for benchmarking the pipeline itself and for tests.
-func WithIsolatedCache() ExperimentOption {
-	return func(s *experimentSettings) { s.opts.Store = target.NewStore() }
 }
 
 // ExperimentSession caches simulation results across experiments so a full

@@ -134,19 +134,6 @@ func (b *Benchmark) Forecast(history []float64, opts ...SimOption) (float64, err
 	return b.forecastSequence(seq, opts)
 }
 
-// ForecastSample runs an RNN benchmark on the deterministic synthetic price
-// sequence standing in for the paper's bitcoin price history (Table I).
-func (b *Benchmark) ForecastSample(seed uint64, opts ...SimOption) (float64, error) {
-	if err := b.ensureKind(networks.KindRNN, "ForecastSample"); err != nil {
-		return 0, err
-	}
-	seq, err := b.inner.SampleSequence(seed)
-	if err != nil {
-		return 0, err
-	}
-	return b.forecastSequence(seq, opts)
-}
-
 // forecastSequence runs the engine on a pooled scratch and extracts the
 // prediction before the scratch is released.
 func (b *Benchmark) forecastSequence(seq []*tensor.Tensor, opts []SimOption) (float64, error) {

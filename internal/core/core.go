@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -101,30 +100,6 @@ func (b *Benchmark) SampleSequence(seed uint64) ([]*tensor.Tensor, error) {
 		seq[i] = x
 	}
 	return seq, nil
-}
-
-// SampleInputBatch returns a deterministic batch of n synthetic input images
-// stacked along a leading dimension; sample i is bit-identical to
-// SampleInput(seed + i), so batched runs can be validated against the
-// single-sample path.
-func (b *Benchmark) SampleInputBatch(seed uint64, n int) (*tensor.Tensor, error) {
-	if b.Network.Kind != networks.KindCNN {
-		return nil, fmt.Errorf("core: %s is an RNN; use SampleSequence", b.Name())
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("core: %s: %w: batch size must be positive, got %d",
-			b.Name(), tensor.ErrShape, n)
-	}
-	batch := tensor.New(append([]int{n}, b.Network.InputShape...)...)
-	sample := batch.Len() / n
-	for i := 0; i < n; i++ {
-		in, err := b.SampleInput(seed + uint64(i))
-		if err != nil {
-			return nil, err
-		}
-		copy(batch.Data()[i*sample:(i+1)*sample], in.Data())
-	}
-	return batch, nil
 }
 
 // Plan returns the benchmark's resolved execution plan for the native
@@ -304,15 +279,6 @@ func NewSuite() *Suite {
 	return &Suite{cache: make(map[string]*Benchmark)}
 }
 
-// Names returns the benchmark names in suite order.
-func (s *Suite) Names() []string { return networks.Names() }
-
-// CNNNames returns the convolutional benchmark names.
-func (s *Suite) CNNNames() []string { return networks.CNNNames() }
-
-// RNNNames returns the recurrent benchmark names.
-func (s *Suite) RNNNames() []string { return networks.RNNNames() }
-
 // Benchmark returns the named benchmark, loading it on first use.
 func (s *Suite) Benchmark(name string) (*Benchmark, error) {
 	s.mu.Lock()
@@ -326,29 +292,4 @@ func (s *Suite) Benchmark(name string) (*Benchmark, error) {
 	}
 	s.cache[name] = b
 	return b, nil
-}
-
-// All returns every benchmark, loading any not yet cached.
-func (s *Suite) All() ([]*Benchmark, error) {
-	out := make([]*Benchmark, 0, len(s.Names()))
-	for _, name := range s.Names() {
-		b, err := s.Benchmark(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
-
-// Loaded returns the names of already-loaded benchmarks, sorted.
-func (s *Suite) Loaded() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.cache))
-	for n := range s.cache {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -36,15 +36,19 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
+// DefaultCooldown is how long an open breaker waits before probing when
+// BreakerConfig.Cooldown is unset.
+const DefaultCooldown = 2 * time.Second
+
 // BreakerConfig tunes a Breaker.  The zero value trips after 5
-// consecutive failures, cools down for 2s, and closes again after 1
-// successful probe.
+// consecutive failures, cools down for DefaultCooldown, and closes again
+// after 1 successful probe.
 type BreakerConfig struct {
 	// Threshold is the consecutive-failure count that opens the breaker;
 	// values below 1 select 5.
 	Threshold int
 	// Cooldown is how long the breaker stays open before probing; values
-	// <= 0 select 2s.
+	// <= 0 select DefaultCooldown.
 	Cooldown time.Duration
 	// Probes is how many consecutive probe successes close a half-open
 	// breaker (and how many concurrent probes are admitted); values below
@@ -59,7 +63,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 		c.Threshold = 5
 	}
 	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
+		c.Cooldown = DefaultCooldown
 	}
 	if c.Probes < 1 {
 		c.Probes = 1

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tango/internal/core"
 	"tango/internal/networks"
 	"tango/internal/nn"
 	"tango/internal/resilience"
@@ -60,14 +59,6 @@ type ServerConfig struct {
 	// carries a tighter deadline keep the tighter one.  Zero means no
 	// server-imposed deadline.
 	RequestTimeout time.Duration
-	// BreakerThreshold is the number of consecutive engine failures that
-	// trips a benchmark's circuit breaker into the open state (requests
-	// then fail fast with ErrDegraded until a cooldown probe succeeds).
-	// <1 selects the resilience default (5).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before letting a
-	// probe request test recovery.  <=0 selects the resilience default (2s).
-	BreakerCooldown time.Duration
 	// Numerics selects the compute-engine numerics tier for every served
 	// benchmark: "reference" (bit-exact), "fast" (WithFastMath) or "int8"
 	// (WithInt8); "" takes the TANGO_NUMERICS environment default
@@ -239,10 +230,7 @@ func NewServer(benchmarks []string, cfg ServerConfig) (*Server, error) {
 			name:       name,
 			kind:       net.Kind,
 			inputShape: net.InputShape,
-			breaker: resilience.NewBreaker(resilience.BreakerConfig{
-				Threshold: cfg.BreakerThreshold,
-				Cooldown:  cfg.BreakerCooldown,
-			}),
+			breaker:    resilience.NewBreaker(resilience.BreakerConfig{}),
 		}
 		switch net.Kind {
 		case networks.KindCNN, networks.KindRNN:
@@ -299,7 +287,15 @@ func (s *Server) loadEngine(m *serverModel) (*modelEngine, error) {
 	case networks.KindCNN:
 		// Prewarm: resolve the plan and grow the scratch to the
 		// configured batch geometry outside any request latency.
-		if _, err := b.ClassifySampleBatch(0, effMaxBatch, opts...); err != nil {
+		image, _, err := b.SampleImage(0)
+		if err != nil {
+			return nil, fmt.Errorf("tango: prewarm %s: %w", m.name, err)
+		}
+		warm := make([][]float32, effMaxBatch)
+		for i := range warm {
+			warm[i] = image
+		}
+		if _, err := b.ClassifyBatch(warm, opts...); err != nil {
 			return nil, fmt.Errorf("tango: prewarm %s: %w", m.name, err)
 		}
 		e.classify = serve.NewBatcher(s.batchCfg, func(images [][]float32) ([]BatchClassification, error) {
@@ -386,7 +382,7 @@ func (s *Server) residentBytesLocked() int64 {
 	for _, name := range s.order {
 		m := s.models[name]
 		if e := m.eng.Load(); e != nil {
-			total += e.bench.MemStats().Total()
+			total += e.bench.inner.MemStats().Total()
 		}
 	}
 	return total
@@ -598,14 +594,6 @@ func (s *Server) close() {
 	}
 }
 
-// MemStats is a benchmark's resident-memory breakdown (weights, fast-tier
-// panels packed so far, high-water scratch), the accounting unit behind
-// ServerConfig.ModelBudgetBytes and the per-model byte series on /metrics.
-type MemStats = core.MemStats
-
-// MemStats reports the benchmark's current resident-memory breakdown.
-func (b *Benchmark) MemStats() MemStats { return b.inner.MemStats() }
-
 // BenchmarkServeStats is the per-benchmark slice of a Server stats snapshot.
 // Latencies are end-to-end (queue wait + batch compute); the percentile pair
 // is over a recent window, the histogram is cumulative since load (bucket
@@ -730,7 +718,7 @@ func (s *Server) Stats() ServerStats {
 			Evictions:         m.evictions.Load(),
 		}
 		if e := m.eng.Load(); e != nil {
-			ms := e.bench.MemStats()
+			ms := e.bench.inner.MemStats()
 			bs.Resident = true
 			bs.WeightBytes = ms.WeightBytes
 			bs.PackedBytes = ms.PackedBytes

@@ -308,7 +308,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx := WithPriority(r.Context(), ParsePriority(r.Header.Get("X-Priority")))
+	ctx := WithPriority(r.Context(), parsePriority(r.Header.Get("X-Priority")))
 	res, err := s.Classify(ctx, req.Benchmark, image)
 	if err != nil {
 		writeError(w, err)
@@ -334,7 +334,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx := WithPriority(r.Context(), ParsePriority(r.Header.Get("X-Priority")))
+	ctx := WithPriority(r.Context(), parsePriority(r.Header.Get("X-Priority")))
 	pred, err := s.Forecast(ctx, req.Benchmark, history)
 	if err != nil {
 		writeError(w, err)
@@ -374,7 +374,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError maps a serving error to its HTTP status and writes the
 // {"error":...} body.  Backpressure rejections (429) and degraded/closed
 // rejections (503) carry a Retry-After hint so well-behaved clients back
-// off for roughly a breaker cooldown instead of hammering a loaded server.
+// off for a breaker cooldown instead of hammering a loaded server.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var tooLarge *http.MaxBytesError
@@ -397,7 +397,7 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusServiceUnavailable
 	}
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int(RetryAfter.Seconds())))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Seconds())))
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

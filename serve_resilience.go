@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"tango/internal/resilience"
 )
@@ -50,10 +49,10 @@ func (p Priority) String() string {
 	}
 }
 
-// ParsePriority maps a wire name ("low", "normal", "high") to a
+// parsePriority maps a wire name ("low", "normal", "high") to a
 // Priority; empty and unknown names are normal, so a
 // malformed header degrades to the default class instead of erroring.
-func ParsePriority(s string) Priority {
+func parsePriority(s string) Priority {
 	switch s {
 	case "low":
 		return PriorityLow
@@ -75,9 +74,9 @@ func WithPriority(ctx context.Context, p Priority) context.Context {
 	return context.WithValue(ctx, priorityKey{}, p)
 }
 
-// PriorityFromContext returns the context's priority class, defaulting to
+// priorityFromContext returns the context's priority class, defaulting to
 // PriorityNormal.
-func PriorityFromContext(ctx context.Context) Priority {
+func priorityFromContext(ctx context.Context) Priority {
 	if p, ok := ctx.Value(priorityKey{}).(Priority); ok {
 		return p
 	}
@@ -109,7 +108,7 @@ func (s *Server) admit(ctx context.Context, m *serverModel) error {
 	q, c := s.queueState(m)
 	occ := float64(q) / float64(c)
 	shedAt := 1.1 // high priority: only the hard queue-full bound sheds
-	switch PriorityFromContext(ctx) {
+	switch priorityFromContext(ctx) {
 	case PriorityLow:
 		shedAt = shedLowAt
 	case PriorityNormal:
@@ -119,7 +118,7 @@ func (s *Server) admit(ctx context.Context, m *serverModel) error {
 		m.breaker.Forgive()
 		m.shedLoad.Add(1)
 		return fmt.Errorf("tango: %s: %s-priority request shed at queue occupancy %d/%d: %w",
-			m.name, PriorityFromContext(ctx), q, c, ErrQueueFull)
+			m.name, priorityFromContext(ctx), q, c, ErrQueueFull)
 	}
 	return nil
 }
@@ -234,7 +233,7 @@ func (s *Server) Health() HealthReport {
 	return rep
 }
 
-// RetryAfter is the Retry-After hint (in seconds) attached to 429 and 503
-// rejections, sized to the default breaker cooldown so clients that honor
-// it return roughly when the server is ready to probe recovery.
-const RetryAfter = 1 * time.Second
+// retryAfter is the Retry-After hint (in seconds) attached to 429 and 503
+// rejections: the breaker cooldown, so clients that honor it return when
+// an open breaker is ready to probe recovery.
+const retryAfter = resilience.DefaultCooldown

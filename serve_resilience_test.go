@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,15 +19,12 @@ import (
 // /healthz still answers 200 — degraded is not dead), then draining after
 // Close (/healthz answers 503).
 func TestServerBreakerDegradedAndDraining(t *testing.T) {
-	srv, err := tango.NewServer([]string{"LSTM"}, tango.ServerConfig{
-		MaxBatch:         4,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour, // never half-open within the test
-	})
+	srv, err := tango.NewServer([]string{"LSTM"}, tango.ServerConfig{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	tango.SetBreakerCooldown(srv, time.Hour) // never half-open within the test
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -46,7 +44,7 @@ func TestServerBreakerDegradedAndDraining(t *testing.T) {
 	}
 	defer resilience.Disable()
 	var lastErr error
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 5; i++ { // the default threshold
 		if _, lastErr = srv.Forecast(ctx, "LSTM", history); lastErr == nil {
 			t.Fatalf("request %d succeeded under error:1 injection", i)
 		}
@@ -72,9 +70,21 @@ func TestServerBreakerDegradedAndDraining(t *testing.T) {
 		t.Fatalf("stats after trip = %+v, want Shed > 0", st)
 	}
 
-	// Degraded, not dead: /healthz still answers 200 and the rejection
-	// carried a Retry-After hint.
-	resp, err := http.Get(ts.URL + "/healthz")
+	// Over HTTP the rejection is a 503 whose Retry-After is the breaker
+	// cooldown, 2 s.
+	resp, err := http.Post(ts.URL+"/v1/forecast", "application/json",
+		strings.NewReader(`{"benchmark":"LSTM","history":[0.5,0.6,0.7]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "2" {
+		t.Fatalf("degraded forecast: status %d, Retry-After %q; want 503 and 2",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	// Degraded, not dead: /healthz still answers 200.
+	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,25 +170,5 @@ func TestServerPrioritySheddingOrder(t *testing.T) {
 	// With the queue idle again, low priority is admitted normally.
 	if _, err := srv.Forecast(tango.WithPriority(ctx, tango.PriorityLow), "LSTM", history); err != nil {
 		t.Fatalf("low priority on idle queue: %v", err)
-	}
-}
-
-// TestParsePriority checks the wire-name round trip and that unknown names
-// degrade to the default class.
-func TestParsePriority(t *testing.T) {
-	for _, p := range []tango.Priority{tango.PriorityLow, tango.PriorityNormal, tango.PriorityHigh} {
-		if got := tango.ParsePriority(p.String()); got != p {
-			t.Errorf("ParsePriority(%q) = %v, want %v", p.String(), got, p)
-		}
-	}
-	if got := tango.ParsePriority("urgent!!"); got != tango.PriorityNormal {
-		t.Errorf("ParsePriority(unknown) = %v, want normal", got)
-	}
-	ctx := tango.WithPriority(context.Background(), tango.PriorityHigh)
-	if got := tango.PriorityFromContext(ctx); got != tango.PriorityHigh {
-		t.Errorf("PriorityFromContext = %v, want high", got)
-	}
-	if got := tango.PriorityFromContext(context.Background()); got != tango.PriorityNormal {
-		t.Errorf("PriorityFromContext(default) = %v, want normal", got)
 	}
 }

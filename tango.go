@@ -22,30 +22,16 @@ package tango
 
 import (
 	"fmt"
-	"strings"
 
 	"tango/internal/core"
-	"tango/internal/kernel"
 	"tango/internal/networks"
 )
-
-// Version is the release version of the suite reproduction.
-const Version = "1.0.0"
 
 // Benchmarks returns the names of the seven workloads in suite order.
 func Benchmarks() []string { return networks.Names() }
 
-// CNNBenchmarks returns the convolutional workloads.
-func CNNBenchmarks() []string { return networks.CNNNames() }
-
 // RNNBenchmarks returns the recurrent workloads.
 func RNNBenchmarks() []string { return networks.RNNNames() }
-
-// ExtensionBenchmarks returns workloads provided beyond the paper's
-// seven-network suite (currently MobileNet, which the paper lists as the next
-// network under development).  They are loadable like any other benchmark but
-// excluded from the figure-reproduction experiments.
-func ExtensionBenchmarks() []string { return networks.ExtensionNames() }
 
 // Suite loads and caches benchmarks.
 type Suite struct {
@@ -63,19 +49,6 @@ func (s *Suite) Benchmark(name string) (*Benchmark, error) {
 		return nil, err
 	}
 	return &Benchmark{inner: b}, nil
-}
-
-// All returns every workload of the suite.
-func (s *Suite) All() ([]*Benchmark, error) {
-	var out []*Benchmark
-	for _, name := range Benchmarks() {
-		b, err := s.Benchmark(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }
 
 // Benchmark is one workload of the suite.
@@ -156,63 +129,6 @@ func (b *Benchmark) Layers() []string {
 		out[i] = b.inner.Network.Layers[i].Name
 	}
 	return out
-}
-
-// KernelInfo describes one lowered kernel (a Table III row).
-type KernelInfo struct {
-	Layer     string
-	Class     string
-	Grid      [3]int
-	Block     [3]int
-	Registers int
-	SharedMem int
-	ConstMem  int
-	// DynamicInstructions is the kernel's total dynamic instruction count.
-	DynamicInstructions int64
-}
-
-// Dialects returns the source languages the original suite provides for this
-// benchmark: every network ships CUDA C kernels, and CifarNet and AlexNet
-// additionally ship OpenCL kernels for the FPGA flow.
-func (b *Benchmark) Dialects() []string {
-	var out []string
-	for _, d := range kernel.Dialects(b.Name()) {
-		out = append(out, string(d))
-	}
-	return out
-}
-
-// Kernels returns the lowered kernel descriptions in execution order.
-func (b *Benchmark) Kernels() []KernelInfo {
-	out := make([]KernelInfo, len(b.inner.Kernels))
-	for i, k := range b.inner.Kernels {
-		out[i] = KernelInfo{
-			Layer:               k.LayerName,
-			Class:               k.Class,
-			Grid:                k.Launch.Grid,
-			Block:               k.Launch.Block,
-			Registers:           k.Launch.Regs,
-			SharedMem:           k.Launch.SmemBytes,
-			ConstMem:            k.Launch.CmemBytes,
-			DynamicInstructions: k.DynamicInstructions(),
-		}
-	}
-	return out
-}
-
-// Disassemble returns a PTX-like listing of the thread program generated for
-// one layer, the equivalent of inspecting the original suite's kernel source.
-func (b *Benchmark) Disassemble(layer string) (string, error) {
-	for _, k := range b.inner.Kernels {
-		if k.LayerName == layer {
-			var sb strings.Builder
-			if err := kernel.WriteDisassembly(&sb, k); err != nil {
-				return "", err
-			}
-			return sb.String(), nil
-		}
-	}
-	return "", fmt.Errorf("tango: %s has no layer %q", b.Name(), layer)
 }
 
 // ensureKind verifies the benchmark kind for inference helpers.

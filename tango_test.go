@@ -2,6 +2,7 @@ package tango_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,11 +14,14 @@ func TestBenchmarkNames(t *testing.T) {
 	if len(names) != 7 {
 		t.Fatalf("suite should expose 7 benchmarks, got %d: %v", len(names), names)
 	}
-	if len(tango.CNNBenchmarks())+len(tango.RNNBenchmarks()) != 7 {
-		t.Error("CNN + RNN benchmarks should partition the suite")
+	rnns := tango.RNNBenchmarks()
+	if len(rnns) != 2 {
+		t.Fatalf("suite should hold 2 RNN benchmarks, got %v", rnns)
 	}
-	if tango.Version == "" {
-		t.Error("version should be set")
+	for _, r := range rnns {
+		if !slices.Contains(names, r) {
+			t.Errorf("RNN benchmark %s missing from the suite %v", r, names)
+		}
 	}
 }
 
@@ -68,26 +72,6 @@ func TestDescribe(t *testing.T) {
 	}
 	if len(b.Layers()) != d.Layers {
 		t.Error("Layers() length should match Describe().Layers")
-	}
-}
-
-func TestKernelsMatchTableIII(t *testing.T) {
-	b, err := tango.LoadBenchmark("LSTM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks := b.Kernels()
-	if len(ks) != 2 {
-		t.Fatalf("LSTM should lower to 2 kernels, got %d", len(ks))
-	}
-	if ks[0].Block != [3]int{100, 1, 1} {
-		t.Errorf("LSTM block = %v, want (100,1,1) per Table III", ks[0].Block)
-	}
-	if ks[0].SharedMem != 936 || ks[0].ConstMem != 60 {
-		t.Errorf("LSTM smem/cmem = %d/%d, want 936/60", ks[0].SharedMem, ks[0].ConstMem)
-	}
-	if ks[0].DynamicInstructions <= 0 {
-		t.Error("dynamic instruction count should be positive")
 	}
 }
 
@@ -155,19 +139,19 @@ func TestForecast(t *testing.T) {
 	if math.IsNaN(pred) || math.IsInf(pred, 0) {
 		t.Errorf("prediction %v", pred)
 	}
-	pred2, err := b.ForecastSample(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(pred2) {
-		t.Error("sample forecast is NaN")
-	}
 	hist, err := b.SampleHistory(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hist) != 2 {
 		t.Errorf("sample history length %d, want 2", len(hist))
+	}
+	pred2, err := b.Forecast(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(pred2) {
+		t.Error("sample forecast is NaN")
 	}
 	if _, err := b.Forecast(nil); err == nil {
 		t.Error("empty history should fail")
