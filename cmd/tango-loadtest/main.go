@@ -30,11 +30,11 @@
 // p50/p99 latency over successful requests is reported and, with
 // -max-p99-ms, asserted.
 //
-// When the target server runs a fast-numerics tier (tango-serve -fastmath
-// or -int8), pass the matching -numerics fast|int8: verification then
-// requires top-1 class agreement with the local reference engine plus a
-// relative-error bound instead of bitwise equality (with -serve-bin, the
-// flag is also forwarded to the owned server).
+// When the target server runs a fast-numerics tier (tango-serve -numerics
+// fast|int8), pass the same -numerics: verification then requires top-1
+// class agreement with the local reference engine plus a relative-error
+// bound instead of bitwise equality (with -serve-bin, the flag is also
+// forwarded to the owned server).
 package main
 
 import (
@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"tango"
+	"tango/internal/nn"
 )
 
 type classifyResponse struct {
@@ -105,18 +106,18 @@ func main() {
 	serveEnv := flag.String("serve-env", "", "extra space-separated KEY=VAL environment for -serve-bin")
 	killEvery := flag.Duration("kill-every", 0, "SIGKILL and restart the owned server at this interval (0 = never)")
 	addr := flag.String("addr", "127.0.0.1:8441", "listen address for the owned server")
-	numerics := flag.String("numerics", "", "numerics tier the target server runs: \"\" or reference (bit-exact verify), fast or int8 (tolerance + top-1 verify); with -serve-bin the matching flag is passed to the owned server")
+	numerics := flag.String("numerics", "", "numerics tier the target server runs: \"\" or reference (bit-exact verify), fast or int8 (tolerance + top-1 verify); with -serve-bin it is passed to the owned server")
 	flag.Parse()
 
-	var tierFlag string // the tango-serve flag selecting the same tier
-	switch *numerics {
-	case "", "reference", "ref":
-	case "fast", "fastmath":
-		verifyTol, tierFlag = 1e-3, "-fastmath"
-	case "int8":
-		verifyTol, tierFlag = 0.25, "-int8"
-	default:
-		log.Fatalf("tango-loadtest: unknown -numerics %q (want reference, fast or int8)", *numerics)
+	mode, err := nn.ParseNumerics(*numerics)
+	if err != nil {
+		log.Fatalf("tango-loadtest: -numerics: %v", err)
+	}
+	switch mode {
+	case nn.NumericsFast:
+		verifyTol = 1e-3
+	case nn.NumericsInt8:
+		verifyTol = 0.25
 	}
 
 	baseURL := *url
@@ -124,8 +125,8 @@ func main() {
 	if *serveBin != "" {
 		baseURL = "http://" + *addr
 		args := []string{"-addr", *addr, "-benchmarks", *benchmark}
-		if tierFlag != "" {
-			args = append(args, tierFlag)
+		if *numerics != "" {
+			args = append(args, "-numerics", *numerics)
 		}
 		sup = &supervisor{
 			bin:  *serveBin,

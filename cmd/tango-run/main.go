@@ -5,6 +5,7 @@
 // Usage:
 //
 //	tango-run -benchmark CifarNet                 # native inference
+//	tango-run -benchmark AlexNet -numerics int8   # native, int8 quantized tier
 //	tango-run -benchmark AlexNet -simulate        # simulate on the GP102 model
 //	tango-run -benchmark AlexNet -simulate -device TX1 -l1kb 128 -scheduler lrr
 //	tango-run -list                               # list benchmarks
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"tango"
+	"tango/internal/nn"
 )
 
 func main() {
@@ -31,8 +33,7 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "worker goroutines for native inference or kernel simulation (0 = one per CPU)")
 		batch     = flag.Int("batch", 1, "native inference batch size: run N samples through the engine in one batched pass")
 		fast      = flag.Bool("fast", false, "use coarse simulation sampling")
-		fastmath  = flag.Bool("fastmath", false, "native inference: fast-numerics tier (packed weights, FMA/AVX-512 kernels; top-1 preserved, not bit-exact)")
-		int8      = flag.Bool("int8", false, "native inference: int8 quantized tier (implies the fast tier's accuracy contract)")
+		numerics  = flag.String("numerics", "", "native inference numerics tier: reference (bit-exact), fast (packed weights, FMA/AVX-512 kernels; top-1 preserved, not bit-exact) or int8 (quantized, the fast tier's accuracy contract); empty takes TANGO_NUMERICS, else reference")
 		seed      = flag.Uint64("seed", 1, "seed for the synthetic sample input")
 		verbose   = flag.Bool("v", false, "print per-layer detail")
 	)
@@ -61,13 +62,13 @@ func main() {
 		if *batch > 1 {
 			fatal(fmt.Errorf("-batch applies to native inference only; drop -simulate to run a batched pass"))
 		}
-		if *fastmath || *int8 {
-			fatal(fmt.Errorf("-fastmath/-int8 apply to native inference only; the simulator models reference numerics"))
+		if *numerics != "" {
+			fatal(fmt.Errorf("-numerics applies to native inference only; the simulator models reference numerics"))
 		}
 		runSimulated(b, *deviceStr, *l1kb, *scheduler, *parallel, *fast, *verbose)
 		return
 	}
-	numOpts, err := numericsOpts(*fastmath, *int8)
+	numOpts, err := numericsOpts(*numerics)
 	if err != nil {
 		fatal(err)
 	}
@@ -78,17 +79,22 @@ func main() {
 	runNative(b, *seed, *verbose, append(numOpts, tango.WithParallelism(*parallel)))
 }
 
-// numericsOpts maps the -fastmath / -int8 flags to inference options.
-func numericsOpts(fastmath, int8 bool) ([]tango.SimOption, error) {
-	switch {
-	case fastmath && int8:
-		return nil, fmt.Errorf("-fastmath and -int8 are mutually exclusive")
-	case int8:
-		return []tango.SimOption{tango.WithInt8()}, nil
-	case fastmath:
-		return []tango.SimOption{tango.WithFastMath()}, nil
+// numericsOpts maps the -numerics flag to inference options; an empty flag
+// passes none, leaving the tier to TANGO_NUMERICS.
+func numericsOpts(name string) ([]tango.SimOption, error) {
+	if name == "" {
+		return nil, nil
 	}
-	return nil, nil
+	mode, err := nn.ParseNumerics(name)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("-numerics: %w", err)
+	case mode == nn.NumericsFast:
+		return []tango.SimOption{tango.WithFastMath()}, nil
+	case mode == nn.NumericsInt8:
+		return []tango.SimOption{tango.WithInt8()}, nil
+	}
+	return []tango.SimOption{tango.WithReferenceNumerics()}, nil
 }
 
 // runNativeBatch pushes a batch of sample inputs through the engine in one

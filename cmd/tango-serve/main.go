@@ -16,8 +16,8 @@
 // Concurrent requests to the same benchmark are coalesced into batched
 // engine runs (up to -max-batch per batch, waiting at most -max-delay-us for
 // a batch to fill); responses are bit-identical to single-sample Classify /
-// Forecast on the default numerics tier.  -fastmath / -int8 serve the
-// fast-numerics tiers instead: top-1 classes are preserved but outputs agree
+// Forecast on the default numerics tier.  -numerics fast|int8 serves a
+// fast-numerics tier instead: top-1 classes are preserved but outputs agree
 // only within a tolerance.  A full queue (-queue-depth) rejects with HTTP
 // 429 instead of queuing unboundedly.
 //
@@ -156,8 +156,7 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline (queue wait + compute); 0 = none")
 	faults := flag.String("faults", "", "fault-injection spec, e.g. \"serve.batch.run=error:0.05\" (overrides "+resilience.EnvSpec+")")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault-injection plan")
-	fastmath := flag.Bool("fastmath", false, "serve with the fast-numerics tier (packed weights, FMA/AVX-512 kernels; top-1 preserved, not bit-exact)")
-	int8 := flag.Bool("int8", false, "serve with the int8 quantized tier")
+	numerics := flag.String("numerics", "", "numerics tier: reference (bit-exact), fast (packed weights, FMA/AVX-512 kernels; top-1 preserved, not bit-exact) or int8 (quantized); empty takes TANGO_NUMERICS, else reference")
 	sloMS := flag.Float64("slo-ms", 0, "per-request p99 latency SLO in milliseconds; >0 enables adaptive batching (window tuned between 0 and min(max-delay, SLO/2))")
 	modelBudgetMB := flag.Int64("model-budget-mb", 0, "resident model-engine byte budget in MiB; >0 loads models on demand and evicts idle ones LRU-first")
 	onDemand := flag.Bool("on-demand", false, "defer each model's engine load to its first request instead of startup")
@@ -186,16 +185,6 @@ func main() {
 	if len(names) == 0 {
 		fail("-benchmarks must name at least one benchmark")
 	}
-	numerics := ""
-	switch {
-	case *fastmath && *int8:
-		fail("-fastmath and -int8 are mutually exclusive")
-	case *fastmath:
-		numerics = "fast"
-	case *int8:
-		numerics = "int8"
-	}
-
 	log.Printf("loading %s ...", strings.Join(names, ", "))
 	srv, err := tango.NewServer(names, tango.ServerConfig{
 		MaxBatch:         *maxBatch,
@@ -203,7 +192,7 @@ func main() {
 		QueueDepth:       *queueDepth,
 		Parallelism:      *parallel,
 		RequestTimeout:   *requestTimeout,
-		Numerics:         numerics,
+		Numerics:         *numerics,
 		TargetP99:        time.Duration(max(*sloMS, 0) * float64(time.Millisecond)),
 		ModelBudgetBytes: max(*modelBudgetMB, 0) << 20,
 		OnDemand:         *onDemand,
