@@ -47,6 +47,17 @@ func main() {
 		return
 	}
 
+	if *simulate && *batch > 1 {
+		fatal(fmt.Errorf("-batch applies to native inference only; drop -simulate to run a batched pass"))
+	}
+	if *simulate && *numerics != "" {
+		fatal(fmt.Errorf("-numerics applies to native inference only; the simulator models reference numerics"))
+	}
+	numOpts, err := numericsOpts(*numerics)
+	if err != nil {
+		fatal(err)
+	}
+
 	b, err := tango.LoadBenchmark(*name)
 	if err != nil {
 		fatal(err)
@@ -59,18 +70,8 @@ func main() {
 		desc.Name, desc.Kind, desc.Layers, desc.Parameters, desc.InputShape)
 
 	if *simulate {
-		if *batch > 1 {
-			fatal(fmt.Errorf("-batch applies to native inference only; drop -simulate to run a batched pass"))
-		}
-		if *numerics != "" {
-			fatal(fmt.Errorf("-numerics applies to native inference only; the simulator models reference numerics"))
-		}
 		runSimulated(b, *deviceStr, *l1kb, *scheduler, *parallel, *fast, *verbose)
 		return
-	}
-	numOpts, err := numericsOpts(*numerics)
-	if err != nil {
-		fatal(err)
 	}
 	if *batch > 1 {
 		runNativeBatch(b, *seed, *batch, append(numOpts, tango.WithParallelism(*parallel)))
