@@ -23,6 +23,7 @@ import (
 	"tango/internal/gpusim"
 	"tango/internal/kernel"
 	"tango/internal/networks"
+	"tango/internal/target"
 )
 
 // sharedSession caches simulation results across all experiment benchmarks.
@@ -123,7 +124,8 @@ func BenchmarkInferenceGRU(b *testing.B)      { benchmarkNativeRNN(b, "GRU") }
 func BenchmarkInferenceLSTM(b *testing.B)     { benchmarkNativeRNN(b, "LSTM") }
 
 // Simulation micro-benchmarks per device, exercising the simulator itself on
-// one worker.
+// one worker.  Simulate memoizes its runs, so every iteration gets a fresh
+// store holding only the network's trace.
 
 func benchmarkSimulate(b *testing.B, name string, opts ...tango.SimOption) {
 	b.Helper()
@@ -131,9 +133,17 @@ func benchmarkSimulate(b *testing.B, name string, opts ...tango.SimOption) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer tango.SetSimulateStore(nil)
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st := target.NewStore()
+		if _, err := st.Trace(name); err != nil {
+			b.Fatal(err)
+		}
+		tango.SetSimulateStore(st)
+		b.StartTimer()
 		res, err := bm.Simulate(append([]tango.SimOption{tango.WithParallelism(1)}, opts...)...)
 		if err != nil {
 			b.Fatal(err)

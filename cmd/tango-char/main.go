@@ -143,18 +143,16 @@ func main() {
 		opts = append(opts, tango.WithFastExperimentSampling())
 	}
 
-	// -exp all is the full report: one Prewarm of the whole matrix, then
-	// every experiment framed by a ==== header in table format.
+	// -exp all is the full report: every experiment framed by a ==== header
+	// in table format.  Each Run first computes the cells it reads on the
+	// session's workers.
 	all := *exp == "all"
 	exps := []tango.ExperimentInfo{{ID: *exp}}
-	session := tango.NewExperimentSession(opts...)
-	start := time.Now()
 	if all {
 		exps = tango.Experiments()
-		session.Prewarm()
-	} else {
-		session.PrewarmExperiment(*exp)
 	}
+	session := tango.NewExperimentSession(opts...)
+	start := time.Now()
 	for _, e := range exps {
 		expStart := time.Now()
 		table, err := session.Run(e.ID)

@@ -47,10 +47,10 @@ func WithFastExperimentSampling() ExperimentOption {
 	return func(s *experimentSettings) { s.opts.Sampling = gpusim.FastSampling() }
 }
 
-// WithExperimentParallelism computes the session's network x configuration
-// simulation matrix on n concurrent workers before rendering; n <= 0, like
-// no option, selects one worker per CPU (GOMAXPROCS).  Rendered tables are
-// identical to a serial run (n = 1).
+// WithExperimentParallelism computes the simulation cells an experiment
+// reads (the whole matrix, for RunAll) on n concurrent workers before
+// rendering; n <= 0, like no option, selects one worker per CPU
+// (GOMAXPROCS).  Rendered tables are identical to a serial run (n = 1).
 func WithExperimentParallelism(n int) ExperimentOption {
 	return func(s *experimentSettings) { s.opts.Parallelism = n }
 }
@@ -75,25 +75,6 @@ func NewExperimentSession(opts ...ExperimentOption) *ExperimentSession {
 // Run executes one experiment by id ("table1".."table4", "fig1".."fig16").
 func (s *ExperimentSession) Run(id string) (*Table, error) {
 	return s.inner.Run(id)
-}
-
-// Prewarm computes the session's full network x configuration simulation
-// matrix up front using the configured parallelism, so subsequent Run calls
-// render from cache.  Simulation failures are also left for Run to report in
-// deterministic order, exactly as a serial session would.
-func (s *ExperimentSession) Prewarm() {
-	if n := s.inner.Options().Parallelism; n > 1 {
-		_ = s.inner.Prewarm(n)
-	}
-}
-
-// PrewarmExperiment warms only the simulation cells the given experiment
-// consumes — the right call before a single Run, where Prewarm would
-// simulate the whole report matrix.
-func (s *ExperimentSession) PrewarmExperiment(id string) {
-	if n := s.inner.Options().Parallelism; n > 1 {
-		_ = s.inner.PrewarmFor(id, n)
-	}
 }
 
 // RunAll executes every experiment in paper order.

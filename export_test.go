@@ -22,6 +22,15 @@ func WithIsolatedCache() ExperimentOption {
 	return func(s *experimentSettings) { s.opts.Store = target.NewStore() }
 }
 
+// SetSimulateStore routes Simulate and Sweep at st, or back at the
+// process-wide store when st is nil, so a benchmark can time cold runs.
+func SetSimulateStore(st *target.Store) {
+	sweepStore = target.Shared
+	if st != nil {
+		sweepStore = func() *target.Store { return st }
+	}
+}
+
 // SetBreakerCooldown gives every breaker of a server that has served no
 // request yet the cooldown d, keeping the default threshold, so a test can
 // hold a tripped breaker open however slowly it runs.

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 
-	"tango/internal/device"
 	"tango/internal/gpusim"
 	"tango/internal/networks"
 	"tango/internal/report"
@@ -71,13 +70,10 @@ type Options struct {
 	// Networks restricts the benchmarks an experiment covers (nil = the
 	// experiment's full set).  Useful for quick runs and tests.
 	Networks []string
-	// Device is the simulated GPU; zero value selects the Pascal GP102
-	// configuration the paper uses.
-	Device device.GPU
-	// Parallelism is the number of worker goroutines RunAll uses to warm the
-	// session's network x configuration simulation matrix before rendering.
-	// Zero or one keeps execution fully serial.  Rendered tables are
-	// identical either way.
+	// Parallelism is the number of worker goroutines that warm the cells an
+	// experiment reads (all of them, for RunAll) before it renders.  Zero
+	// or one keeps execution fully serial.  Rendered tables are identical
+	// either way.
 	Parallelism int
 	// Store is the trace/run store backing the session; nil selects the
 	// process-wide shared store, so repeated sessions reuse each other's
@@ -89,9 +85,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Sampling == (gpusim.Sampling{}) {
 		o.Sampling = gpusim.DefaultSampling()
-	}
-	if o.Device.Name == "" {
-		o.Device = device.PascalGP102()
 	}
 	return o
 }
@@ -122,8 +115,9 @@ type Session struct {
 	opts  Options
 	store *target.Store
 
-	// gpu is the session's default GPU target (Options.Device); tx1 and
-	// fpga are the fixed embedded targets of Figure 6.
+	// gpu is the session's GPU target, the registry's gp102 (the paper's
+	// simulator configuration); tx1 and fpga are the fixed embedded targets
+	// of Figure 6.
 	gpu  target.Target
 	tx1  target.Target
 	fpga target.Target
@@ -136,22 +130,22 @@ func NewSession(opts Options) *Session {
 	if store == nil {
 		store = target.Shared()
 	}
-	reg := target.Builtin()
-	tx1, err := reg.Lookup("tx1")
-	if err != nil {
-		panic(err) // builtin registry always has tx1
-	}
-	fp, err := reg.Lookup("pynq")
-	if err != nil {
-		panic(err) // builtin registry always has pynq
-	}
 	return &Session{
 		opts:  opts,
 		store: store,
-		gpu:   target.ForGPU(opts.Device),
-		tx1:   tx1,
-		fpga:  fp,
+		gpu:   builtin("gp102"),
+		tx1:   builtin("tx1"),
+		fpga:  builtin("pynq"),
 	}
+}
+
+// builtin looks up a target the builtin registry always holds.
+func builtin(name string) target.Target {
+	t, err := target.Builtin().Lookup(name)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // Options returns the session's effective options.
@@ -212,8 +206,22 @@ func (s *Session) simulateDefault(network string) (*gpusim.RunStats, error) {
 	return s.simulate(network, "default")
 }
 
-// Run executes one experiment by id.
+// Run executes one experiment by id.  With Options.Parallelism > 1 the
+// cells the experiment reads are computed concurrently first (PrewarmFor);
+// rendering is serial from the store, so the table is byte-identical to a
+// serial run.
 func (s *Session) Run(id string) (*report.Table, error) {
+	if s.opts.Parallelism > 1 {
+		// Errors are deliberately ignored here: a cell that failed stays
+		// uncached and the serial render re-encounters it in the same
+		// deterministic order a serial run would.
+		_ = s.PrewarmFor(id, s.opts.Parallelism)
+	}
+	return s.render(id)
+}
+
+// render projects one experiment from the store.
+func (s *Session) render(id string) (*report.Table, error) {
 	switch strings.ToLower(id) {
 	case "table1":
 		return s.Table1()
@@ -266,14 +274,11 @@ func (s *Session) Run(id string) (*report.Table, error) {
 // tables are byte-identical to a serial run.
 func (s *Session) RunAll() ([]*report.Table, error) {
 	if s.opts.Parallelism > 1 {
-		// Errors are deliberately ignored here: any cell that failed stays
-		// uncached and the serial render below re-encounters it in the same
-		// deterministic order a serial run would.
-		_ = s.Prewarm(s.opts.Parallelism)
+		_ = s.prewarmCells(s.matrix(), s.opts.Parallelism) // errors: see Run
 	}
 	var out []*report.Table
 	for _, e := range Experiments() {
-		t, err := s.Run(e.ID)
+		t, err := s.render(e.ID)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", e.ID, err)
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"tango/internal/device"
 	"tango/internal/gpusim"
 	"tango/internal/isa"
 	"tango/internal/power"
@@ -99,9 +100,9 @@ func (s *Session) Fig2() (*report.Table, error) {
 	return t, nil
 }
 
-// powerModel returns the power model for the session's device.
+// powerModel returns the power model for the session's GPU (gp102).
 func (s *Session) powerModel() *power.Model {
-	return power.NewModel(s.opts.Device)
+	return power.NewModel(device.PascalGP102())
 }
 
 // Fig3 reproduces Figure 3: peak power consumption across layers.

@@ -52,16 +52,6 @@ func (s *Session) matrix() []cell {
 	return cells
 }
 
-// Prewarm computes the session's full target x network x configuration matrix
-// on n concurrent workers, populating the run store.  Runs are keyed exactly
-// as the serial experiment drivers request them, so subsequent Run/RunAll
-// calls render identical tables from store hits.  The first error in matrix
-// order is returned; cells that failed stay uncached and will be re-attempted
-// (and re-reported deterministically) by the serial render path.
-func (s *Session) Prewarm(n int) error {
-	return s.prewarmCells(s.matrix(), n)
-}
-
 // experimentTags returns the matrix tags the given experiment's renderer
 // consumes; nil means it renders without running targets (the GPU tables).
 // TestPrewarmForCoversExperiments guards this mapping against drift.
@@ -83,10 +73,11 @@ func experimentTags(id string) []string {
 }
 
 // PrewarmFor warms only the matrix cells the given experiment consumes, on n
-// concurrent workers — the single-experiment counterpart of Prewarm, used by
-// tango-char so one figure does not simulate the whole report matrix.
-// Unknown ids and the run-free tables warm nothing; error semantics match
-// Prewarm.
+// concurrent workers, so one figure does not simulate the whole report
+// matrix.  Cells are keyed exactly as the serial renderers request them.
+// Unknown ids and the run-free tables warm nothing.  The first error in
+// matrix order is returned; cells that failed stay uncached and are
+// re-attempted (and re-reported deterministically) by the serial render.
 func (s *Session) PrewarmFor(id string, n int) error {
 	tags := experimentTags(id)
 	if len(tags) == 0 {

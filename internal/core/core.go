@@ -1,8 +1,8 @@
-// Package core ties the Tango benchmark suite together: it couples each of
-// the seven networks with its synthesized weights and lowered kernels,
-// provides native inference and simulated execution entry points, and
-// supplies deterministic sample inputs standing in for the suite's reference
-// images and price series (Table I).
+// Package core ties the Tango benchmark suite's native side together: it
+// couples each of the seven networks with its synthesized weights, provides
+// the native inference entry points, and supplies deterministic sample
+// inputs standing in for the suite's reference images and price series
+// (Table I).  Simulation lowers networks through internal/target instead.
 package core
 
 import (
@@ -10,23 +10,18 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tango/internal/gpusim"
-	"tango/internal/kernel"
 	"tango/internal/networks"
 	"tango/internal/nn"
 	"tango/internal/tensor"
 	"tango/internal/weights"
 )
 
-// Benchmark is one workload of the suite, ready to run natively or on the
-// simulator.
+// Benchmark is one workload of the suite, ready to run natively.
 type Benchmark struct {
 	// Network is the layer graph with reference shapes.
 	Network *networks.Network
 	// Weights is the synthesized parameter set.
 	Weights *weights.Set
-	// Kernels is the lowered kernel list (Table III geometry).
-	Kernels []*kernel.Kernel
 
 	// planOnce resolves the weight plan for the native compute engine on
 	// first use; the plan is immutable and shared by all runs.  planReady
@@ -60,11 +55,7 @@ func Load(name string) (*Benchmark, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	ks, err := kernel.Generate(n)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, err)
-	}
-	return &Benchmark{Network: n, Weights: ws, Kernels: ks}, nil
+	return &Benchmark{Network: n, Weights: ws}, nil
 }
 
 // SampleInput returns a deterministic synthetic input image for a CNN
@@ -221,15 +212,6 @@ func (b *Benchmark) RunSequenceBatchScratch(seq *tensor.Tensor, s *nn.Scratch) (
 		return nil, err
 	}
 	return p.RunSequenceBatch(seq, s)
-}
-
-// Simulate runs every kernel of the benchmark on the architecture simulator.
-func (b *Benchmark) Simulate(cfg gpusim.Config) (*gpusim.RunStats, error) {
-	sim, err := gpusim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sim.RunKernels(b.Name(), b.Kernels)
 }
 
 // ReferenceInput documents the input, pre-trained model and output of each

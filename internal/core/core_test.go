@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tango/internal/core"
-	"tango/internal/gpusim"
 	"tango/internal/networks"
 	"tango/internal/nn"
 	"tango/internal/resilience"
@@ -18,9 +17,6 @@ func TestLoadBenchmark(t *testing.T) {
 	}
 	if b.Name() != "CifarNet" || b.Kind() != networks.KindCNN {
 		t.Errorf("unexpected identity: %s %v", b.Name(), b.Kind())
-	}
-	if len(b.Kernels) != len(b.Network.Layers) {
-		t.Errorf("kernels %d, layers %d", len(b.Kernels), len(b.Network.Layers))
 	}
 	if b.Weights == nil || len(b.Weights.Keys()) == 0 {
 		t.Error("weights should be synthesized")
@@ -90,23 +86,6 @@ func TestSampleSequenceAndRNNInference(t *testing.T) {
 	}
 	if _, err := b.SampleInput(1); err == nil {
 		t.Error("SampleInput on an RNN should fail")
-	}
-}
-
-func TestBenchmarkSimulate(t *testing.T) {
-	b, err := core.Load("GRU")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := b.Simulate(gpusim.DefaultConfig().WithSampling(gpusim.FastSampling()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.TotalCycles() <= 0 || len(rs.Kernels) != len(b.Kernels) {
-		t.Errorf("unexpected simulation result: %d cycles, %d kernels", rs.TotalCycles(), len(rs.Kernels))
-	}
-	if _, err := b.Simulate(gpusim.Config{}); err == nil {
-		t.Error("invalid simulation config should fail")
 	}
 }
 

@@ -34,6 +34,10 @@ type Variant struct {
 	Scheduler sched.Kind
 	// Sampling bounds the detailed simulation.  GPU-only.
 	Sampling gpusim.Sampling
+	// Workers fans one run's kernels over the simulator's worker pool; zero
+	// or one is serial.  Results do not depend on it, so CacheKey ignores
+	// it.  GPU-only.
+	Workers int
 }
 
 // DefaultVariant returns the target-default configuration at the given
@@ -135,7 +139,7 @@ func (g *gpuTarget) Description() string { return g.dev.Name }
 
 // config resolves a variant to the simulator configuration.
 func (g *gpuTarget) config(v Variant) gpusim.Config {
-	cfg := gpusim.ConfigFor(g.dev).WithSampling(v.Sampling)
+	cfg := gpusim.ConfigFor(g.dev).WithSampling(v.Sampling).WithParallelism(v.Workers)
 	if v.L1Set {
 		cfg = cfg.WithL1Size(v.L1Bytes)
 	}

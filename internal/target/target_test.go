@@ -102,6 +102,12 @@ func TestGPUCacheKeyCanonicalizes(t *testing.T) {
 	if gp102.CacheKey(def) == gp102.CacheKey(DefaultVariant(gpusim.DefaultSampling())) {
 		t.Error("sampling level must participate in the key")
 	}
+	// The worker count never changes a result, so it never splits a run.
+	workers := def
+	workers.Workers = 4
+	if gp102.CacheKey(def) != gp102.CacheKey(workers) {
+		t.Error("the worker count must not participate in the key")
+	}
 	// Distinct devices must never collide, even under identical variants.
 	if gp102.CacheKey(def) == mustLookup(t, "tx1").CacheKey(def) {
 		t.Error("targets with different devices must not share keys")

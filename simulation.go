@@ -20,13 +20,11 @@ import (
 	"tango/internal/target"
 )
 
-// simSettings collects the simulation options.
+// simSettings collects the simulation options: the device, the run-store
+// variant (L1, scheduler, sampling) and the native engine's knobs.
 type simSettings struct {
 	device      device.GPU
-	l1Bytes     int
-	l1Set       bool
-	scheduler   sched.Kind
-	sampling    gpusim.Sampling
+	variant     target.Variant
 	parallelism int
 	numerics    nn.Numerics
 	numericsSet bool
@@ -60,8 +58,7 @@ func WithL1SizeKB(kb int) SimOption {
 		if kb < 0 {
 			return fmt.Errorf("tango: negative L1 size %d", kb)
 		}
-		s.l1Bytes = kb << 10
-		s.l1Set = true
+		s.variant.L1Bytes, s.variant.L1Set = kb<<10, true
 		return nil
 	}
 }
@@ -73,7 +70,7 @@ func WithScheduler(kind string) SimOption {
 		if _, err := sched.New(k); err != nil {
 			return err
 		}
-		s.scheduler = k
+		s.variant.Scheduler = k
 		return nil
 	}
 }
@@ -81,7 +78,7 @@ func WithScheduler(kind string) SimOption {
 // WithFastSampling selects coarse simulation sampling for quick runs.
 func WithFastSampling() SimOption {
 	return func(s *simSettings) error {
-		s.sampling = gpusim.FastSampling()
+		s.variant.Sampling = gpusim.FastSampling()
 		return nil
 	}
 }
@@ -143,7 +140,7 @@ func withNumerics(m nn.Numerics) SimOption {
 // small benchmarks).
 func WithExhaustiveSimulation() SimOption {
 	return func(s *simSettings) error {
-		s.sampling = gpusim.Exhaustive()
+		s.variant.Sampling = gpusim.Exhaustive()
 		return nil
 	}
 }
@@ -267,7 +264,7 @@ type SweepConfig struct {
 type CacheStats = target.StoreStats
 
 // envCacheOnce attaches TANGO_CACHE_DIR to the process-wide store the
-// first time a sweep or experiment session runs.  Failures are soft: an
+// first time a sweep, a Simulate call or an experiment session runs.  Failures are soft: an
 // unopenable directory leaves the store memory-only.
 var envCacheOnce sync.Once
 
@@ -286,23 +283,17 @@ func attachEnvDiskCache() {
 // sweepVariants expands the config's L1/scheduler dimensions into the variant
 // list, cross-producting them when both are set.
 func sweepVariants(cfg SweepConfig, sampling gpusim.Sampling) ([]target.Variant, error) {
-	type l1opt struct {
-		key   string
-		bytes int
-		set   bool
-	}
-	l1s := []l1opt{{key: "", set: false}}
+	base := target.DefaultVariant(sampling)
+	l1s := []target.Variant{base}
 	if len(cfg.L1SizesKB) > 0 {
 		l1s = nil
 		for _, kb := range cfg.L1SizesKB {
 			if kb < 0 {
 				return nil, fmt.Errorf("tango: negative L1 size %dKB", kb)
 			}
-			key := fmt.Sprintf("l1-%dkb", kb)
-			if kb == 0 {
-				key = "nol1"
-			}
-			l1s = append(l1s, l1opt{key: key, bytes: kb << 10, set: true})
+			v := base
+			v.L1Bytes, v.L1Set = kb<<10, true
+			l1s = append(l1s, v)
 		}
 	}
 	scheds := []sched.Kind{""}
@@ -317,32 +308,38 @@ func sweepVariants(cfg SweepConfig, sampling gpusim.Sampling) ([]target.Variant,
 		}
 	}
 	var out []target.Variant
-	for _, l1 := range l1s {
+	for _, v := range l1s {
 		for _, k := range scheds {
-			v := target.DefaultVariant(sampling)
-			var parts []string
-			if l1.set {
-				v.L1Bytes = l1.bytes
-				v.L1Set = true
-				parts = append(parts, l1.key)
-			}
-			if k != "" {
-				v.Scheduler = k
-				parts = append(parts, "sched-"+string(k))
-			}
-			if len(parts) == 0 {
-				v.Key = "default"
-			} else {
-				v.Key = strings.Join(parts, "+")
-			}
+			v.Scheduler = k
+			v.Key = variantKey(v)
 			out = append(out, v)
 		}
 	}
 	return out, nil
 }
 
-// sweepStore supplies the store backing Sweep: the process-wide shared store,
-// overridden only by white-box determinism tests that need cold runs.
+// variantKey names a variant as sweep output does: "default", or its L1
+// override ("nol1", "l1-<kb>kb") and scheduler override ("sched-<kind>")
+// joined by "+".
+func variantKey(v target.Variant) string {
+	var parts []string
+	switch {
+	case v.L1Set && v.L1Bytes == 0:
+		parts = append(parts, "nol1")
+	case v.L1Set:
+		parts = append(parts, fmt.Sprintf("l1-%dkb", v.L1Bytes>>10))
+	}
+	if v.Scheduler != "" {
+		parts = append(parts, "sched-"+string(v.Scheduler))
+	}
+	if len(parts) == 0 {
+		return "default"
+	}
+	return strings.Join(parts, "+")
+}
+
+// sweepStore supplies the store backing Sweep and Simulate: the process-wide
+// shared store, overridden only by tests that need cold runs.
 var sweepStore = target.Shared
 
 // Sweep runs the {networks x targets x variants} characterization matrix and
@@ -453,74 +450,60 @@ func Sweep(cfg SweepConfig) (*Dataset, error) {
 }
 
 // Simulate runs every kernel of the benchmark on the architecture simulator
-// and derives timing, power and memory-system statistics.
+// and derives timing, power and memory-system statistics.  The run is one
+// cell of the store Sweep and the experiment sessions share: an identical
+// call is served from memory for the life of the process, and
+// TANGO_CACHE_DIR persists it across processes.
 func (b *Benchmark) Simulate(opts ...SimOption) (*SimulationResult, error) {
 	settings := simSettings{
-		device:    device.PascalGP102(),
-		scheduler: sched.GTO,
-		sampling:  gpusim.DefaultSampling(),
+		device:  device.PascalGP102(),
+		variant: target.DefaultVariant(gpusim.DefaultSampling()),
 	}
 	for _, opt := range opts {
 		if err := opt(&settings); err != nil {
 			return nil, err
 		}
 	}
-	cfg := gpusim.ConfigFor(settings.device).
-		WithScheduler(settings.scheduler).
-		WithSampling(settings.sampling).
-		WithParallelism(workerCount(settings.parallelism))
-	if settings.l1Set {
-		cfg = cfg.WithL1Size(settings.l1Bytes)
-	}
-	rs, err := b.inner.Simulate(cfg)
+	v := settings.variant
+	v.Key = variantKey(v)
+	v.Workers = workerCount(settings.parallelism)
+	attachEnvDiskCache()
+	rs, err := sweepStore().Run(target.ForGPU(settings.device), b.Name(), v)
 	if err != nil {
 		return nil, err
 	}
-
-	pm := power.NewModel(settings.device)
-	np := pm.NetworkPower(rs)
-
+	gs := rs.GPU
 	res := &SimulationResult{
-		Network:            b.Name(),
+		Network:            rs.Network,
 		Device:             settings.device.Name,
-		Cycles:             rs.TotalCycles(),
-		Seconds:            rs.TotalSeconds(),
-		PeakWatts:          np.PeakWatts,
-		AvgWatts:           np.AvgWatts,
-		EnergyJoules:       np.TotalEnergyJoules,
-		CyclesByLayerClass: rs.CyclesByClass(),
+		Cycles:             rs.Cycles,
+		Seconds:            rs.Seconds,
+		Instructions:       rs.Instructions,
+		PeakWatts:          rs.PeakWatts,
+		AvgWatts:           rs.AvgWatts,
+		EnergyJoules:       rs.EnergyJoules,
+		CyclesByLayerClass: gs.CyclesByClass(),
 		StallShares:        map[string]float64{},
 		OpShares:           map[string]float64{},
-		IntegerTypeShare:   profiler.IntegerShare(rs),
+		IntegerTypeShare:   profiler.IntegerShare(gs),
+		L2MissRatio:        rs.L2MissRatio,
+		MaxRegisterKBPerSM: profiler.Registers(gs).KBAllocated(),
 	}
-	for _, ks := range rs.Kernels {
-		res.Instructions += ks.TotalThreadInstructions
-	}
-	for reason, share := range profiler.StallBreakdownTotal(rs) {
+	for reason, share := range profiler.StallBreakdownTotal(gs) {
 		res.StallShares[reason.String()] = share
 	}
-	for _, op := range profiler.OpBreakdown(rs) {
+	for _, op := range profiler.OpBreakdown(gs) {
 		res.OpShares[op.Op] = op.Share
 	}
-	var l2 int64
-	var l2Miss int64
-	for _, ks := range rs.Kernels {
-		l2 += ks.L2.Accesses
-		l2Miss += ks.L2.Misses + ks.L2.MergedMiss
-	}
-	if l2 > 0 {
-		res.L2MissRatio = float64(l2Miss) / float64(l2)
-	}
-	res.MaxRegisterKBPerSM = profiler.Registers(rs).KBAllocated()
-
-	for i, ks := range rs.Kernels {
+	pm := power.NewModel(settings.device)
+	for _, ks := range gs.Kernels {
 		res.Layers = append(res.Layers, LayerSimulation{
 			Layer:        ks.Kernel.LayerName,
 			Class:        ks.Kernel.Class,
 			Cycles:       ks.Cycles,
 			Seconds:      ks.Seconds,
 			Instructions: ks.TotalThreadInstructions,
-			PowerWatts:   np.PerKernel[i].TotalWatts,
+			PowerWatts:   pm.KernelPower(ks).TotalWatts,
 			L2MissRatio:  ks.L2.MissRatio(),
 		})
 	}

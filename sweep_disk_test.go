@@ -1,6 +1,11 @@
 package tango
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"tango/internal/distcache"
+)
 
 // TestSweepWarmDiskByteIdentical is the persistent-cache acceptance test:
 // a cold sweep against a cache directory populates it, and an identical
@@ -48,5 +53,43 @@ func TestSweepWarmDiskByteIdentical(t *testing.T) {
 	tbl2 := ds2.Table("sweep", "t").String()
 	if tbl1 != tbl2 {
 		t.Fatalf("warm table differs from cold table:\n%s\nvs\n%s", tbl1, tbl2)
+	}
+}
+
+// TestSimulateReplaysFromDisk: Simulate is a run-store cell like a sweep's,
+// so a fresh store over the same directory replays it from disk without
+// computing, and the replay equals the cold result field for field.
+func TestSimulateReplaysFromDisk(t *testing.T) {
+	d, err := distcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadBenchmark("CifarNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []SimOption{WithFastSampling(), WithL1SizeKB(0), WithScheduler("lrr")}
+
+	st := coldSweepStore(t)
+	st.SetDisk(d)
+	cold, err := b.Simulate(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.Computes != 1 || s.DiskWrites != 1 {
+		t.Fatalf("cold Simulate: %d computes, %d disk writes; want 1 and 1", s.Computes, s.DiskWrites)
+	}
+
+	st = coldSweepStore(t)
+	st.SetDisk(d)
+	warm, err := b.Simulate(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.Computes != 0 || s.DiskHits != 1 {
+		t.Fatalf("replayed Simulate: %d computes, %d disk hits; want 0 and 1", s.Computes, s.DiskHits)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Errorf("Simulate replayed from disk differs from the cold result:\n%+v\nvs\n%+v", cold, warm)
 	}
 }

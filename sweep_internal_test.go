@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -145,6 +146,54 @@ func TestSweepFailingCellAborts(t *testing.T) {
 	}
 }
 
+// coldSimulate runs Simulate on a fresh store and fails unless the call
+// computed its cell: a store hit would make any comparison with it vacuous.
+func coldSimulate(t *testing.T, b *Benchmark, opts ...SimOption) *SimulationResult {
+	t.Helper()
+	st := coldSweepStore(t)
+	res, err := b.Simulate(opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", b.Name(), err)
+	}
+	if c := st.Stats().Computes; c != 1 {
+		t.Fatalf("%s: Simulate computed %d cells on a cold store, want 1", b.Name(), c)
+	}
+	return res
+}
+
+// TestSimulateParallelDeterminism asserts that kernel-parallel simulation of
+// every network in the suite produces results identical to serial execution.
+func TestSimulateParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-suite determinism check skipped in -short mode")
+	}
+	for _, name := range Benchmarks() {
+		b, err := LoadBenchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := coldSimulate(t, b, WithFastSampling(), WithParallelism(1))
+		parallel := coldSimulate(t, b, WithFastSampling(), WithParallelism(8))
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("%s: parallel simulation result differs from serial", name)
+		}
+	}
+}
+
+// TestSimulateDefaultMatchesSerial holds Simulate without a worker option to
+// the bits of a serial run.
+func TestSimulateDefaultMatchesSerial(t *testing.T) {
+	b, err := LoadBenchmark("CifarNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := coldSimulate(t, b, WithFastSampling())
+	serial := coldSimulate(t, b, WithFastSampling(), WithParallelism(1))
+	if !reflect.DeepEqual(def, serial) {
+		t.Errorf("Simulate without a worker option differs from WithParallelism(1):\n%+v\nvs\n%+v", def, serial)
+	}
+}
+
 // TestWorkerCount pins the package's worker-count rule: zero and negative
 // counts select one worker per available CPU, any other count is kept.
 func TestWorkerCount(t *testing.T) {
@@ -181,15 +230,18 @@ func TestDefaultWorkerCountOverlapsWork(t *testing.T) {
 		{"ExperimentSession", "target.run=latency:1:200ms", func() error {
 			s := NewExperimentSession(WithNetworks("GRU"),
 				WithFastExperimentSampling(), WithIsolatedCache())
-			s.PrewarmExperiment("fig2")
 			_, err := s.Run("fig2")
 			return err
 		}},
 		// GRU's two kernels, 400ms each at the worker-pool task.
 		{"Simulate", "par.task=latency:1:400ms", func() error {
+			st := coldSweepStore(t)
 			b, err := LoadBenchmark("GRU")
 			if err == nil {
 				_, err = b.Simulate(WithFastSampling())
+			}
+			if c := st.Stats().Computes; err == nil && c != 1 {
+				err = fmt.Errorf("Simulate computed %d cells on a cold store, want 1", c)
 			}
 			return err
 		}},

@@ -41,8 +41,8 @@ type Suite struct {
 // NewSuite returns an empty suite; benchmarks are built lazily on first use.
 func NewSuite() *Suite { return &Suite{inner: core.NewSuite()} }
 
-// Benchmark returns the named workload, building its network, weights and
-// kernels on first use.
+// Benchmark returns the named workload, building its network and weights on
+// first use.
 func (s *Suite) Benchmark(name string) (*Benchmark, error) {
 	b, err := s.inner.Benchmark(name)
 	if err != nil {
