@@ -30,11 +30,12 @@
 // p50/p99 latency over successful requests is reported and, with
 // -max-p99-ms, asserted.
 //
-// When the target server runs a fast-numerics tier (tango-serve -numerics
-// fast|int8), pass the same -numerics: verification then requires top-1
-// class agreement with the local reference engine plus a relative-error
-// bound instead of bitwise equality (with -serve-bin, the flag is also
-// forwarded to the owned server).
+// The numerics tier is resolved once, from -numerics or else the
+// TANGO_NUMERICS environment variable, and pinned on both sides: the local
+// Classify runs that tier, and with -serve-bin the owned server gets it as
+// -numerics.  An external server (-url) must run the same tier.  The
+// reference tier verifies bit for bit; a fast tier (fast, int8) requires
+// top-1 class agreement plus a relative-error bound instead.
 package main
 
 import (
@@ -65,7 +66,7 @@ type classifyResponse struct {
 	Probabilities []float32 `json:"probabilities"`
 }
 
-// verifyTol is the response-verification tolerance selected by -numerics:
+// verifyTol is the response-verification tolerance the resolved tier selects:
 // 0 keeps the bit-identical contract; a fast tier relaxes verification to
 // top-1 class agreement plus a relative-error bound, because batched
 // fast-tier runs tile differently than the local single-sample engine.  Set
@@ -106,28 +107,30 @@ func main() {
 	serveEnv := flag.String("serve-env", "", "extra space-separated KEY=VAL environment for -serve-bin")
 	killEvery := flag.Duration("kill-every", 0, "SIGKILL and restart the owned server at this interval (0 = never)")
 	addr := flag.String("addr", "127.0.0.1:8441", "listen address for the owned server")
-	numerics := flag.String("numerics", "", "numerics tier the target server runs: \"\" or reference (bit-exact verify), fast or int8 (tolerance + top-1 verify); with -serve-bin it is passed to the owned server")
+	numerics := flag.String("numerics", "", "numerics tier the target server runs: reference (bit-exact verify), fast or int8 (tolerance + top-1 verify); empty takes TANGO_NUMERICS, else reference; pinned on the local engine and, with -serve-bin, on the owned server")
 	flag.Parse()
 
-	mode, err := nn.ParseNumerics(*numerics)
+	tier := *numerics
+	if tier == "" {
+		tier = os.Getenv("TANGO_NUMERICS")
+	}
+	mode, err := nn.ParseNumerics(tier)
 	if err != nil {
 		log.Fatalf("tango-loadtest: -numerics: %v", err)
 	}
+	local := tango.WithReferenceNumerics()
 	switch mode {
 	case nn.NumericsFast:
-		verifyTol = 1e-3
+		verifyTol, local = 1e-3, tango.WithFastMath()
 	case nn.NumericsInt8:
-		verifyTol = 0.25
+		verifyTol, local = 0.25, tango.WithInt8()
 	}
 
 	baseURL := *url
 	var sup *supervisor
 	if *serveBin != "" {
 		baseURL = "http://" + *addr
-		args := []string{"-addr", *addr, "-benchmarks", *benchmark}
-		if *numerics != "" {
-			args = append(args, "-numerics", *numerics)
-		}
+		args := []string{"-addr", *addr, "-benchmarks", *benchmark, "-numerics", mode.String()}
 		sup = &supervisor{
 			bin:  *serveBin,
 			args: append(args, strings.Fields(*serveArgs)...),
@@ -142,17 +145,18 @@ func main() {
 
 	switch *profile {
 	case "steady":
-		runSteady(baseURL, *benchmark, *requests, *concurrency, *seedBase, *minMeanBatch, *verify, *maxP99MS, sup)
+		runSteady(baseURL, *benchmark, *requests, *concurrency, *seedBase, *minMeanBatch, *verify, *maxP99MS, local, sup)
 	case "ramp", "spike", "drain", "chaos":
-		runTimed(*profile, baseURL, *benchmark, *concurrency, *seedBase, *duration, *verify, *maxP99MS, *killEvery, sup)
+		runTimed(*profile, baseURL, *benchmark, *concurrency, *seedBase, *duration, *verify, *maxP99MS, *killEvery, local, sup)
 	default:
 		log.Fatalf("tango-loadtest: unknown -profile %q (want steady, ramp, spike, drain or chaos)", *profile)
 	}
 }
 
 // sampleSet pre-generates deterministic inputs and, when verifying, their
-// bit-exact local answers, so the timed window contains only HTTP traffic.
-func sampleSet(benchmark string, n int, seedBase uint64, verify bool) ([][]float32, []*tango.Classification) {
+// local answers on the tier the local option pins, so the timed window
+// contains only HTTP traffic.
+func sampleSet(benchmark string, n int, seedBase uint64, verify bool, local tango.SimOption) ([][]float32, []*tango.Classification) {
 	b, err := tango.LoadBenchmark(benchmark)
 	if err != nil {
 		log.Fatalf("tango-loadtest: %v", err)
@@ -166,7 +170,7 @@ func sampleSet(benchmark string, n int, seedBase uint64, verify bool) ([][]float
 		}
 		images[i] = img
 		if verify {
-			expected[i], err = b.Classify(img)
+			expected[i], err = b.Classify(img, local)
 			if err != nil {
 				log.Fatalf("tango-loadtest: %v", err)
 			}
@@ -177,8 +181,8 @@ func sampleSet(benchmark string, n int, seedBase uint64, verify bool) ([][]float
 
 // runSteady is the original fixed-request-count load test: everything must
 // succeed, batching must engage, nothing may be rejected.
-func runSteady(baseURL, benchmark string, requests, concurrency int, seedBase uint64, minMeanBatch float64, verify bool, maxP99MS float64, sup *supervisor) {
-	images, expected := sampleSet(benchmark, requests, seedBase, verify)
+func runSteady(baseURL, benchmark string, requests, concurrency int, seedBase uint64, minMeanBatch float64, verify bool, maxP99MS float64, local tango.SimOption, sup *supervisor) {
+	images, expected := sampleSet(benchmark, requests, seedBase, verify, local)
 
 	var failures atomic.Uint64
 	var lats latencies
@@ -272,9 +276,9 @@ var outNames = [outKinds]string{"ok", "shed", "injected", "conn", "bad"}
 // runTimed drives one of the shaped profiles for -duration and asserts the
 // chaos invariants: no crashes, no unexpected errors, no bit-exactness
 // violations, p99 within bound, and the server still served real traffic.
-func runTimed(profile, baseURL, benchmark string, concurrency int, seedBase uint64, duration time.Duration, verify bool, maxP99MS float64, killEvery time.Duration, sup *supervisor) {
+func runTimed(profile, baseURL, benchmark string, concurrency int, seedBase uint64, duration time.Duration, verify bool, maxP99MS float64, killEvery time.Duration, local tango.SimOption, sup *supervisor) {
 	const sampleCount = 16
-	images, expected := sampleSet(benchmark, sampleCount, seedBase, verify)
+	images, expected := sampleSet(benchmark, sampleCount, seedBase, verify, local)
 
 	// Connection errors are only legitimate while the server is being
 	// killed (chaos) or drained on purpose.
