@@ -31,11 +31,11 @@ func SetSimulateStore(st *target.Store) {
 	}
 }
 
-// SetBreakerCooldown gives every breaker of a server that has served no
-// request yet the cooldown d, keeping the default threshold, so a test can
-// hold a tripped breaker open however slowly it runs.
-func SetBreakerCooldown(s *Server, d time.Duration) {
+// SetBreakerClock gives every breaker of a server that has served no
+// request yet the clock now, so a test can hold a tripped breaker open
+// however slowly it runs.
+func SetBreakerClock(s *Server, now func() time.Time) {
 	for _, m := range s.models {
-		m.breaker = resilience.NewBreaker(resilience.BreakerConfig{Cooldown: d})
+		m.breaker = resilience.NewBreaker(now)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"tango/internal/coord"
 	"tango/internal/device"
 	"tango/internal/gpusim"
-	"tango/internal/resilience"
 	"tango/internal/target"
 )
 
@@ -169,10 +168,7 @@ func TestPoolUnknownTargetFails(t *testing.T) {
 // sweep's local fallback path) and repeated failures trip the breaker so
 // later cells shed the dead worker without a connect attempt.
 func TestPoolDeadWorkerFailsFast(t *testing.T) {
-	pool, err := coord.NewPool([]string{"127.0.0.1:1"}, coord.PoolConfig{
-		Attempts: 1,
-		Breaker:  resilience.BreakerConfig{Threshold: 2},
-	})
+	pool, err := coord.NewPool([]string{"127.0.0.1:1"}, coord.PoolConfig{Attempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +178,13 @@ func TestPoolDeadWorkerFailsFast(t *testing.T) {
 	}
 	local := &fakeTarget{name: "fake"}
 	v := target.DefaultVariant(gpusim.FastSampling())
-	for i := 0; i < 2; i++ {
+	const threshold = 5 // the breaker's consecutive-failure policy
+	for i := 0; i < threshold; i++ {
 		if _, err := pool.Fetch(context.Background(), i, local, "GRU", v, tr); err == nil {
 			t.Fatal("fetch from a dead worker must fail")
 		}
 	}
-	_, err = pool.Fetch(context.Background(), 2, local, "GRU", v, tr)
+	_, err = pool.Fetch(context.Background(), threshold, local, "GRU", v, tr)
 	if err == nil || !strings.Contains(err.Error(), "circuit breaker open") {
 		t.Fatalf("tripped breaker should shed the call, got %v", err)
 	}

@@ -20,9 +20,6 @@ type PoolConfig struct {
 	// worker before the caller falls back to local execution; values below
 	// 1 select 2 (one retry).
 	Attempts int
-	// Breaker tunes the per-worker circuit breaker (zero value = the
-	// resilience defaults: trip after 5 consecutive failures, 2s cooldown).
-	Breaker resilience.BreakerConfig
 	// Client issues the HTTP requests; nil selects http.DefaultClient.
 	// Per-request deadlines come from the caller's context.
 	Client *http.Client
@@ -70,7 +67,7 @@ func NewPool(addrs []string, cfg PoolConfig) (*Pool, error) {
 		p.workers = append(p.workers, &workerClient{
 			addr:    addr,
 			base:    strings.TrimRight(base, "/"),
-			breaker: resilience.NewBreaker(cfg.Breaker),
+			breaker: resilience.NewBreaker(nil),
 		})
 	}
 	if len(p.workers) == 0 {

@@ -36,67 +36,40 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// DefaultCooldown is how long an open breaker waits before probing when
-// BreakerConfig.Cooldown is unset.
-const DefaultCooldown = 2 * time.Second
-
-// BreakerConfig tunes a Breaker.  The zero value trips after 5
-// consecutive failures, cools down for DefaultCooldown, and closes again
-// after 1 successful probe.
-type BreakerConfig struct {
-	// Threshold is the consecutive-failure count that opens the breaker;
-	// values below 1 select 5.
-	Threshold int
-	// Cooldown is how long the breaker stays open before probing; values
-	// <= 0 select DefaultCooldown.
-	Cooldown time.Duration
-	// Probes is how many consecutive probe successes close a half-open
-	// breaker (and how many concurrent probes are admitted); values below
-	// 1 select 1.
-	Probes int
-	// Now is the clock (tests inject a fake); nil selects time.Now.
-	Now func() time.Time
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold < 1 {
-		c.Threshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultCooldown
-	}
-	if c.Probes < 1 {
-		c.Probes = 1
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
+// The breaker's policy is fixed: it trips after breakerThreshold
+// consecutive failures, stays open for DefaultCooldown, then admits one
+// probe, whose success closes it and whose failure re-opens it.
+const (
+	breakerThreshold = 5
+	DefaultCooldown  = 2 * time.Second
+)
 
 // Breaker is a consecutive-failure circuit breaker.  Callers pair each
 // successful Allow with exactly one Record (verdict) or Forgive (no
 // verdict — e.g. the caller was canceled before the protected call ran),
-// so half-open probe accounting stays balanced.
+// so the half-open probe slot stays balanced.
 type Breaker struct {
-	cfg BreakerConfig
+	now func() time.Time
 
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int       // consecutive failures while closed
-	openedAt  time.Time // when the breaker last opened
-	probing   int       // in-flight probes while half-open
-	probeWins int       // consecutive probe successes while half-open
+	mu       sync.Mutex
+	state    BreakerState
+	failures int       // consecutive failures while closed
+	openedAt time.Time // when the breaker last opened
+	probing  bool      // a probe is in flight while half-open
 }
 
-// NewBreaker returns a closed breaker with the given policy.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
+// NewBreaker returns a closed breaker reading the given clock (tests inject
+// a fake); nil selects time.Now.
+func NewBreaker(now func() time.Time) *Breaker {
+	if now == nil {
+		now = time.Now
+	}
+	return &Breaker{now: now}
 }
 
 // Allow reports whether a call may proceed.  It returns nil when the
-// breaker is closed, admits up to Probes concurrent calls when the
-// cooldown has elapsed (half-open), and returns ErrBreakerOpen otherwise.
+// breaker is closed, admits one probe at a time once the cooldown has
+// elapsed (half-open), and returns ErrBreakerOpen otherwise.
 func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -104,25 +77,24 @@ func (b *Breaker) Allow() error {
 	case BreakerClosed:
 		return nil
 	case BreakerOpen:
-		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
+		if b.now().Sub(b.openedAt) < DefaultCooldown {
 			return ErrBreakerOpen
 		}
 		b.state = BreakerHalfOpen
-		b.probing = 0
-		b.probeWins = 0
+		b.probing = false
 		fallthrough
 	default: // half-open
-		if b.probing >= b.cfg.Probes {
+		if b.probing {
 			return ErrBreakerOpen
 		}
-		b.probing++
+		b.probing = true
 		return nil
 	}
 }
 
 // Record reports the outcome of an allowed call: nil resets the failure
-// streak (and closes a half-open breaker once enough probes succeed);
-// non-nil extends it (and re-opens a half-open breaker immediately).
+// streak (and closes a half-open breaker); non-nil extends it (and
+// re-opens a half-open breaker immediately).
 func (b *Breaker) Record(err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -133,22 +105,17 @@ func (b *Breaker) Record(err error) {
 			return
 		}
 		b.failures++
-		if b.failures >= b.cfg.Threshold {
+		if b.failures >= breakerThreshold {
 			b.trip()
 		}
 	case BreakerHalfOpen:
-		if b.probing > 0 {
-			b.probing--
-		}
+		b.probing = false
 		if err != nil {
 			b.trip()
 			return
 		}
-		b.probeWins++
-		if b.probeWins >= b.cfg.Probes {
-			b.state = BreakerClosed
-			b.failures = 0
-		}
+		b.state = BreakerClosed
+		b.failures = 0
 	default:
 		// Open: a straggler from before the trip; the verdict is stale.
 	}
@@ -160,8 +127,8 @@ func (b *Breaker) Record(err error) {
 // but a half-open probe slot must be returned.
 func (b *Breaker) Forgive() {
 	b.mu.Lock()
-	if b.state == BreakerHalfOpen && b.probing > 0 {
-		b.probing--
+	if b.state == BreakerHalfOpen {
+		b.probing = false
 	}
 	b.mu.Unlock()
 }
@@ -169,10 +136,9 @@ func (b *Breaker) Forgive() {
 // trip opens the breaker (caller holds mu).
 func (b *Breaker) trip() {
 	b.state = BreakerOpen
-	b.openedAt = b.cfg.Now()
+	b.openedAt = b.now()
 	b.failures = 0
-	b.probing = 0
-	b.probeWins = 0
+	b.probing = false
 }
 
 // State returns the breaker's current state, advancing open to half-open
@@ -181,7 +147,7 @@ func (b *Breaker) trip() {
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerOpen && b.cfg.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
+	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= DefaultCooldown {
 		return BreakerHalfOpen
 	}
 	return b.state

@@ -12,15 +12,29 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func newTestBreaker(threshold, probes int, cooldown time.Duration) (*Breaker, *fakeClock) {
+func newTestBreaker() (*Breaker, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	return NewBreaker(BreakerConfig{Threshold: threshold, Cooldown: cooldown, Probes: probes, Now: clk.now}), clk
+	return NewBreaker(clk.now), clk
+}
+
+// trip opens a closed breaker with the threshold's consecutive failures.
+func trip(t *testing.T, b *Breaker) {
+	t.Helper()
+	for i := 0; i < breakerThreshold; i++ {
+		if err := b.Allow(); err != nil {
+			t.Fatalf("closed breaker rejected call %d: %v", i, err)
+		}
+		b.Record(errors.New("boom"))
+	}
+	if st := b.State(); st != BreakerOpen {
+		t.Fatalf("state after %d consecutive failures = %v", breakerThreshold, st)
+	}
 }
 
 func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
-	b, _ := newTestBreaker(3, 1, time.Second)
+	b, _ := newTestBreaker()
 	boom := errors.New("boom")
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold-1; i++ {
 		if err := b.Allow(); err != nil {
 			t.Fatal(err)
 		}
@@ -31,51 +45,43 @@ func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Record(nil)
-	for i := 0; i < 3; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatalf("closed breaker rejected call %d: %v", i, err)
-		}
-		b.Record(boom)
+	if st := b.State(); st != BreakerClosed {
+		t.Fatalf("state after a reset streak = %v", st)
 	}
-	if st := b.State(); st != BreakerOpen {
-		t.Fatalf("state after 3 consecutive failures = %v", st)
-	}
+	trip(t, b)
 	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open breaker allowed a call: %v", err)
 	}
 }
 
 func TestBreakerHalfOpenRecovery(t *testing.T) {
-	b, clk := newTestBreaker(1, 2, time.Second)
-	b.Record(errors.New("boom")) // trips (threshold 1)
+	b, clk := newTestBreaker()
+	trip(t, b)
+	clk.advance(DefaultCooldown - time.Nanosecond)
 	if b.State() != BreakerOpen {
-		t.Fatal("not open after threshold")
+		t.Fatal("half-open before the cooldown elapsed")
 	}
-	clk.advance(time.Second)
+	clk.advance(time.Nanosecond)
 	if b.State() != BreakerHalfOpen {
 		t.Fatal("not half-open after cooldown")
 	}
-	// Two probe slots; a third concurrent call is rejected.
-	if err := b.Allow(); err != nil {
-		t.Fatal(err)
-	}
+	// One probe slot; a second concurrent call is rejected.
 	if err := b.Allow(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("third concurrent probe allowed: %v", err)
+		t.Fatalf("second concurrent probe allowed: %v", err)
 	}
 	b.Record(nil)
-	b.Record(nil)
 	if st := b.State(); st != BreakerClosed {
-		t.Fatalf("state after 2 probe successes = %v", st)
+		t.Fatalf("state after a probe success = %v", st)
 	}
 }
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	b, clk := newTestBreaker(1, 1, time.Second)
-	b.Record(errors.New("boom"))
-	clk.advance(time.Second)
+	b, clk := newTestBreaker()
+	trip(t, b)
+	clk.advance(DefaultCooldown)
 	if err := b.Allow(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +96,9 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 }
 
 func TestBreakerForgiveReleasesProbeSlot(t *testing.T) {
-	b, clk := newTestBreaker(1, 1, time.Second)
-	b.Record(errors.New("boom"))
-	clk.advance(time.Second)
+	b, clk := newTestBreaker()
+	trip(t, b)
+	clk.advance(DefaultCooldown)
 	if err := b.Allow(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +114,11 @@ func TestBreakerForgiveReleasesProbeSlot(t *testing.T) {
 }
 
 func TestBreakerDefaults(t *testing.T) {
-	b := NewBreaker(BreakerConfig{})
-	if b.cfg.Threshold != 5 || b.cfg.Cooldown != 2*time.Second || b.cfg.Probes != 1 || b.cfg.Now == nil {
-		t.Fatalf("defaults = %+v", b.cfg)
+	if breakerThreshold != 5 || DefaultCooldown != 2*time.Second {
+		t.Fatalf("policy = %d failures, %v cooldown; want 5 and 2s", breakerThreshold, DefaultCooldown)
+	}
+	if b := NewBreaker(nil); b.now == nil || b.State() != BreakerClosed {
+		t.Fatalf("NewBreaker(nil) = %+v, want a closed breaker on the wall clock", b)
 	}
 	states := []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen, BreakerState(99)}
 	want := []string{"closed", "open", "half-open", "unknown"}

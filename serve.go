@@ -230,7 +230,7 @@ func NewServer(benchmarks []string, cfg ServerConfig) (*Server, error) {
 			name:       name,
 			kind:       net.Kind,
 			inputShape: net.InputShape,
-			breaker:    resilience.NewBreaker(resilience.BreakerConfig{}),
+			breaker:    resilience.NewBreaker(nil),
 		}
 		switch net.Kind {
 		case networks.KindCNN, networks.KindRNN:

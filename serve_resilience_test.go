@@ -24,7 +24,8 @@ func TestServerBreakerDegradedAndDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tango.SetBreakerCooldown(srv, time.Hour) // never half-open within the test
+	// A stopped clock: the tripped breaker never reaches its cooldown.
+	tango.SetBreakerClock(srv, func() time.Time { return time.Unix(0, 0) })
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
