@@ -14,6 +14,11 @@ func TestNamesCoverRegistry(t *testing.T) {
 	if len(names) != 7 {
 		t.Fatalf("suite should have 7 benchmarks, got %d: %v", len(names), names)
 	}
+	rnn := map[string]bool{}
+	for _, name := range networks.RNNNames() {
+		rnn[name] = true
+	}
+	var rnns int
 	for _, name := range names {
 		n, err := networks.New(name)
 		if err != nil {
@@ -26,9 +31,14 @@ func TestNamesCoverRegistry(t *testing.T) {
 		if !n.Built() {
 			t.Errorf("%s should be built by its constructor", name)
 		}
+		if isRNN := n.Kind == networks.KindRNN; isRNN != rnn[name] {
+			t.Errorf("%s is a %v, but RNNNames lists it: %v", name, n.Kind, rnn[name])
+		} else if isRNN {
+			rnns++
+		}
 	}
-	if len(networks.CNNNames())+len(networks.RNNNames()) != len(names) {
-		t.Error("CNN + RNN names should partition the suite")
+	if rnns != len(rnn) {
+		t.Errorf("the suite holds %d of the %d RNNNames", rnns, len(rnn))
 	}
 }
 

@@ -29,11 +29,6 @@ func Names() []string {
 	return []string{"GRU", "LSTM", "CifarNet", "AlexNet", "SqueezeNet", "ResNet", "VGGNet"}
 }
 
-// CNNNames returns only the convolutional benchmarks, in figure order.
-func CNNNames() []string {
-	return []string{"CifarNet", "AlexNet", "SqueezeNet", "ResNet", "VGGNet"}
-}
-
 // RNNNames returns only the recurrent benchmarks.
 func RNNNames() []string {
 	return []string{"GRU", "LSTM"}
