@@ -148,11 +148,11 @@ func main() {
 	// session's workers.
 	all := *exp == "all"
 	exps := []tango.ExperimentInfo{{ID: *exp}}
+	session := tango.NewExperimentSession(opts...)
+	start := time.Now()
 	if all {
 		exps = tango.Experiments()
 	}
-	session := tango.NewExperimentSession(opts...)
-	start := time.Now()
 	for _, e := range exps {
 		expStart := time.Now()
 		table, err := session.Run(e.ID)

@@ -264,8 +264,8 @@ type SweepConfig struct {
 type CacheStats = target.StoreStats
 
 // envCacheOnce attaches TANGO_CACHE_DIR to the process-wide store the
-// first time a sweep, a Simulate call or an experiment session runs.  Failures are soft: an
-// unopenable directory leaves the store memory-only.
+// first time a sweep, a Simulate call or an experiment session runs.
+// Failures are soft: an unopenable directory leaves the store memory-only.
 var envCacheOnce sync.Once
 
 func attachEnvDiskCache() {
