@@ -236,11 +236,11 @@ func benchmarkKernelSim(b *testing.B, k *kernel.Kernel) {
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		st, err := sim.RunKernel(k)
+		rs, err := sim.RunKernels(k.Network, []*kernel.Kernel{k})
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles = st.SimCycles
+		cycles = rs.Kernels[0].SimCycles
 	}
 	b.ReportMetric(float64(cycles), "sim-cycles")
 }

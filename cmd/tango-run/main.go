@@ -27,7 +27,7 @@ func main() {
 		list      = flag.Bool("list", false, "list the available benchmarks and exit")
 		name      = flag.String("benchmark", "CifarNet", "benchmark to run")
 		simulate  = flag.Bool("simulate", false, "run on the architecture simulator instead of natively")
-		deviceStr = flag.String("device", "GP102", "simulated device: GP102, GK210 or TX1")
+		deviceStr = flag.String("device", "gp102", "simulated GPU: a GPU target's name or alias from tango-char -list (gp102, gk210, tx1, edge, ...)")
 		l1kb      = flag.Int("l1kb", -1, "simulated L1D size in KB (0 bypasses the L1, -1 keeps the device default)")
 		scheduler = flag.String("scheduler", "gto", "warp scheduler: gto, lrr or tlv")
 		parallel  = flag.Int("parallel", 0, "worker goroutines for native inference or kernel simulation (0 = one per CPU)")

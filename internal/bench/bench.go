@@ -151,30 +151,28 @@ func builtin(name string) target.Target {
 // Options returns the session's effective options.
 func (s *Session) Options() Options { return s.opts }
 
-// variant resolves one of the session's configuration tags to a variant of
-// the default GPU target.  experimentTags and matrix use the same tags, so
-// prewarming covers exactly the cells the renderers consume
-// (TestPrewarmForCoversExperiments guards this).
-func (s *Session) variant(tag string) (target.Variant, error) {
-	v := target.DefaultVariant(s.opts.Sampling)
-	switch tag {
-	case "default":
-		return v, nil
-	case "nol1":
-		return v.WithL1(tag, 0), nil
-	case "l1":
-		return v.WithL1(tag, 64<<10), nil
-	case "l1x2":
-		return v.WithL1(tag, 128<<10), nil
-	case "l1x4":
-		return v.WithL1(tag, 256<<10), nil
-	case "sched-" + string(sched.LRR):
-		return v.WithScheduler(tag, sched.LRR), nil
-	case "sched-" + string(sched.TLV):
-		return v.WithScheduler(tag, sched.TLV), nil
-	default:
-		return v, fmt.Errorf("bench: unknown configuration tag %q", tag)
+// defaultVariant is the session GPU's default configuration.
+func (s *Session) defaultVariant() target.Variant {
+	return target.DefaultVariant(s.opts.Sampling)
+}
+
+// l1Variants are Figure 2's L1D sizes in column order: bypassed (the
+// normalization base), the 64KB default, twice and four times that.
+func (s *Session) l1Variants() []target.Variant {
+	var out []target.Variant
+	for _, kb := range []int{0, 64, 128, 256} {
+		out = append(out, s.defaultVariant().WithL1(kb<<10))
 	}
+	return out
+}
+
+// schedVariant is the session GPU under one warp scheduler; GTO, the
+// default scheduler, is the default configuration.
+func (s *Session) schedVariant(kind sched.Kind) target.Variant {
+	if kind == sched.GTO {
+		return s.defaultVariant()
+	}
+	return s.defaultVariant().WithScheduler(kind)
 }
 
 // trace returns the network's layer trace from the store.
@@ -188,12 +186,8 @@ func (s *Session) runOn(t target.Target, network string, v target.Variant) (*tar
 }
 
 // simulate runs (or returns the cached run of) a network on the session's
-// GPU target under the configuration tag.
-func (s *Session) simulate(network, tag string) (*gpusim.RunStats, error) {
-	v, err := s.variant(tag)
-	if err != nil {
-		return nil, err
-	}
+// GPU target under the variant.
+func (s *Session) simulate(network string, v target.Variant) (*gpusim.RunStats, error) {
 	ts, err := s.runOn(s.gpu, network, v)
 	if err != nil {
 		return nil, err
@@ -203,7 +197,7 @@ func (s *Session) simulate(network, tag string) (*gpusim.RunStats, error) {
 
 // simulateDefault runs a network under the session's default configuration.
 func (s *Session) simulateDefault(network string) (*gpusim.RunStats, error) {
-	return s.simulate(network, "default")
+	return s.simulate(network, s.defaultVariant())
 }
 
 // Run executes one experiment by id.  With Options.Parallelism > 1 the

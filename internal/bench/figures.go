@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"tango/internal/device"
 	"tango/internal/gpusim"
 	"tango/internal/isa"
 	"tango/internal/power"
@@ -62,16 +61,6 @@ func (s *Session) Fig1() (*report.Table, error) {
 // Fig2 reproduces Figure 2: normalized execution time under different L1D
 // sizes (bypassed, 64KB, 128KB, 256KB), normalized to the bypassed run.
 func (s *Session) Fig2() (*report.Table, error) {
-	sizes := []struct {
-		key   string
-		bytes int
-		label string
-	}{
-		{"nol1", 0, "No L1"},
-		{"l1", 64 << 10, "L1 (64KB)"},
-		{"l1x2", 128 << 10, "2xL1"},
-		{"l1x4", 256 << 10, "4xL1"},
-	}
 	t := &report.Table{
 		ID:      "fig2",
 		Title:   "Normalized execution time with various L1D sizes (Figure 2)",
@@ -81,13 +70,13 @@ func (s *Session) Fig2() (*report.Table, error) {
 		var base int64
 		row := []interface{}{name}
 		var norms []interface{}
-		for _, sz := range sizes {
-			rs, err := s.simulate(name, sz.key)
+		for _, v := range s.l1Variants() {
+			rs, err := s.simulate(name, v)
 			if err != nil {
 				return nil, err
 			}
 			cycles := rs.TotalCycles()
-			if sz.bytes == 0 {
+			if v.L1Bytes == 0 {
 				base = cycles
 				row = append(row, cycles)
 			}
@@ -100,9 +89,10 @@ func (s *Session) Fig2() (*report.Table, error) {
 	return t, nil
 }
 
-// powerModel returns the power model for the session's GPU (gp102).
+// powerModel returns the power model of the session's GPU target.
 func (s *Session) powerModel() *power.Model {
-	return power.NewModel(device.PascalGP102())
+	dev, _ := target.GPUDevice(s.gpu)
+	return power.NewModel(dev)
 }
 
 // Fig3 reproduces Figure 3: peak power consumption across layers.
@@ -221,7 +211,7 @@ func (s *Session) Fig6() (*report.Table, error) {
 		Title:   "Energy consumption on embedded GPU (TX1) vs embedded FPGA (PynQ) (Figure 6)",
 		Columns: []string{"Network", "Platform", "Peak power (W)", "Exec time (s)", "Energy (J)", "Normalized energy"},
 	}
-	v := target.DefaultVariant(s.opts.Sampling)
+	v := s.defaultVariant()
 	for _, name := range nets {
 		gpu, err := s.runOn(s.tx1, name, v)
 		if err != nil {
@@ -442,7 +432,7 @@ func (s *Session) l2ByClassTable(id, title string, ratio bool) (*report.Table, e
 	perNet := make(map[string]map[string]int64, len(nets))
 	statsPerNet := make(map[string]map[string]float64, len(nets))
 	for _, name := range nets {
-		rs, err := s.simulate(name, "nol1")
+		rs, err := s.simulate(name, s.defaultVariant().WithL1(0))
 		if err != nil {
 			return nil, err
 		}
@@ -501,11 +491,7 @@ func (s *Session) Fig15() (*report.Table, error) {
 	for _, name := range s.allNetworks() {
 		cycles := map[sched.Kind]int64{}
 		for _, kind := range sched.Kinds() {
-			tag := "sched-" + string(kind)
-			if kind == sched.GTO {
-				tag = "default"
-			}
-			rs, err := s.simulate(name, tag)
+			rs, err := s.simulate(name, s.schedVariant(kind))
 			if err != nil {
 				return nil, err
 			}
@@ -532,11 +518,7 @@ func (s *Session) Fig16() (*report.Table, error) {
 	for _, name := range nets {
 		perSched := map[sched.Kind]*gpusim.RunStats{}
 		for _, kind := range sched.Kinds() {
-			tag := "sched-" + string(kind)
-			if kind == sched.GTO {
-				tag = "default"
-			}
-			rs, err := s.simulate(name, tag)
+			rs, err := s.simulate(name, s.schedVariant(kind))
 			if err != nil {
 				return nil, err
 			}

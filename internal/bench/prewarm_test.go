@@ -7,7 +7,7 @@ import (
 	"tango/internal/target"
 )
 
-// TestPrewarmForCoversExperiments guards the experimentTags mapping: after
+// TestPrewarmForCoversExperiments guards the cells mapping: after
 // PrewarmFor(id), rendering the experiment must hit the run store only — no
 // new run cells may appear.  Each experiment gets a fresh session with a
 // private store so cells warmed for one cannot mask a gap in another.  The

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"tango/internal/core"
-	"tango/internal/device"
 	"tango/internal/fpga"
 	"tango/internal/report"
+	"tango/internal/target"
 )
 
 // Table1 reproduces Table I: input data, pre-trained model provenance and
@@ -38,9 +38,9 @@ func (s *Session) Table2() (*report.Table, error) {
 		Title:   "GPU architectures used for evaluation (Table II)",
 		Columns: []string{"Role", "Architecture", "CUDA cores", "SMs", "Global memory", "L1D (default)", "L2", "Registers/SM", "Clock MHz", "Host CPU", "OS"},
 	}
-	for _, role := range []string{"Server", "Mobile", "Simulator"} {
-		g := device.GPUs()[role]
-		t.AddRow(role, g.Architecture, g.CUDACores, g.SMs,
+	for _, name := range []string{"gk210", "tx1", "gp102"} {
+		g, _ := target.GPUDevice(builtin(name))
+		t.AddRow(g.Role, g.Architecture, g.CUDACores, g.SMs,
 			formatBytes(g.GlobalMemBytes), formatBytes(int64(g.L1DBytes)), formatBytes(int64(g.L2Bytes)),
 			g.RegistersPerSM, g.CoreClockMHz, g.HostCPU, g.OS)
 	}

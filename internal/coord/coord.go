@@ -48,7 +48,6 @@ type CellRequest struct {
 
 // CellVariant is target.Variant flattened for the wire.
 type CellVariant struct {
-	Key          string `json:"variant_key"`
 	L1Bytes      int    `json:"l1_bytes"`
 	L1Set        bool   `json:"l1_set"`
 	Scheduler    string `json:"scheduler"`
@@ -59,7 +58,6 @@ type CellVariant struct {
 // WireVariant flattens a variant for a CellRequest.
 func WireVariant(v target.Variant) CellVariant {
 	return CellVariant{
-		Key:          v.Key,
 		L1Bytes:      v.L1Bytes,
 		L1Set:        v.L1Set,
 		Scheduler:    string(v.Scheduler),
@@ -71,7 +69,6 @@ func WireVariant(v target.Variant) CellVariant {
 // Variant rebuilds the target.Variant a CellVariant describes.
 func (cv CellVariant) Variant() target.Variant {
 	return target.Variant{
-		Key:       cv.Key,
 		L1Bytes:   cv.L1Bytes,
 		L1Set:     cv.L1Set,
 		Scheduler: sched.Kind(cv.Scheduler),

@@ -140,7 +140,7 @@ func (p *Pool) fetchOnce(ctx context.Context, w *workerClient, key string, t tar
 		if len(msg) > 300 {
 			msg = msg[:300] + "..."
 		}
-		return nil, fmt.Errorf("cell %s: HTTP %d: %s", v.Key, resp.StatusCode, msg)
+		return nil, fmt.Errorf("cell %s: HTTP %d: %s", v.Key(), resp.StatusCode, msg)
 	}
 	return distcache.Decode(data, key, tr)
 }

@@ -98,7 +98,7 @@ func (w *Worker) runCell(req CellRequest) cellOut {
 	if key != req.Key {
 		return cellOut{err: fmt.Sprintf(
 			"coord: key mismatch for %s on %s (%s): coordinator and worker disagree on the cell's content key (different builds or device tables?)",
-			req.Network, req.Target, v.Key)}
+			req.Network, req.Target, v.Key())}
 	}
 	rs, err := w.store.Run(t, req.Network, v)
 	if err != nil {

@@ -82,12 +82,6 @@ func (g GPU) Validate() error {
 	return nil
 }
 
-// CoresPerSM returns CUDA cores per SM.
-func (g GPU) CoresPerSM() int { return g.CUDACores / g.SMs }
-
-// RegisterFileBytesPerSM returns the per-SM register file size in bytes.
-func (g GPU) RegisterFileBytesPerSM() int { return g.RegistersPerSM * 4 }
-
 // FPGA describes the PynQ-Z1 platform (Table IV).
 type FPGA struct {
 	Name string
@@ -213,14 +207,5 @@ func PynQZ1() FPGA {
 		DSPSlices:         220,
 		IdleWatts:         1.2,
 		PeakWatts:         6,
-	}
-}
-
-// GPUs returns the three GPU platforms of Table II keyed by role.
-func GPUs() map[string]GPU {
-	return map[string]GPU{
-		"Server":    GK210(),
-		"Mobile":    TX1(),
-		"Simulator": PascalGP102(),
 	}
 }

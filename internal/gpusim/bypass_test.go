@@ -38,7 +38,7 @@ func TestBypassedL1ThrottlesStreamingKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sim.RunKernel(fc6Kernel(t))
+	st, err := runKernel(sim, fc6Kernel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFCInsensitiveToL1Sizing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := sim.RunKernel(fc6Kernel(t))
+		st, err := runKernel(sim, fc6Kernel(t))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -445,15 +445,6 @@ type run struct {
 	stalls [NumStallReasons]int64
 }
 
-// RunKernel simulates one kernel and returns scaled statistics.
-func (s *Simulator) RunKernel(k *kernel.Kernel) (*KernelStats, error) {
-	m, err := s.newMachine()
-	if err != nil {
-		return nil, err
-	}
-	return s.runKernel(k, m)
-}
-
 // runKernel simulates one kernel on a machine left in any state by an
 // earlier kernel.
 func (s *Simulator) runKernel(k *kernel.Kernel, m *machine) (*KernelStats, error) {

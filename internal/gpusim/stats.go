@@ -150,24 +150,6 @@ type KernelStats struct {
 	LiveRegsPerSM         int // registers actually referenced per SM
 }
 
-// IPC returns simulated thread instructions per simulated cycle (per modeled
-// SM aggregate).
-func (ks *KernelStats) IPC() float64 {
-	if ks.SimCycles == 0 {
-		return 0
-	}
-	return float64(ks.SimThreadInstructions) / float64(ks.SimCycles)
-}
-
-// StallTotal returns the total attributed stall slots.
-func (ks *KernelStats) StallTotal() int64 {
-	var t int64
-	for _, v := range ks.Stalls {
-		t += v
-	}
-	return t
-}
-
 // RunStats aggregates the simulation of a whole network.
 type RunStats struct {
 	// Network is the benchmark name.

@@ -86,9 +86,6 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Valid reports whether o is a defined opcode.
-func (o Opcode) Valid() bool { return o < NumOpcodes }
-
 // DType is the operand data type of an instruction.
 type DType uint8
 
@@ -120,9 +117,6 @@ func (t DType) String() string {
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
-
-// Valid reports whether t is a defined data type.
-func (t DType) Valid() bool { return t < NumDTypes }
 
 // Bytes returns the operand width in bytes (0 for TypeNone).
 func (t DType) Bytes() int {
@@ -324,9 +318,6 @@ func (i Instruction) IsLoad() bool { return i.Op == OpLd }
 
 // IsStore reports whether the instruction is a store.
 func (i Instruction) IsStore() bool { return i.Op == OpSt }
-
-// IsControl reports whether the instruction executes on the control pipeline.
-func (i Instruction) IsControl() bool { return Unit(i.Op) == UnitCtrl }
 
 // String renders a compact PTX-like disassembly of the instruction.
 func (i Instruction) String() string {

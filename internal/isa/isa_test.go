@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -33,12 +34,9 @@ func TestOpcodeStringAllDefined(t *testing.T) {
 		if op.String() == "" {
 			t.Errorf("opcode %d has empty mnemonic", op)
 		}
-		if !op.Valid() {
-			t.Errorf("opcode %d should be valid", op)
-		}
 	}
-	if Opcode(NumOpcodes).Valid() {
-		t.Error("NumOpcodes should not be a valid opcode")
+	if got, want := Opcode(NumOpcodes).String(), fmt.Sprintf("op(%d)", NumOpcodes); got != want {
+		t.Errorf("NumOpcodes renders as %q, want the undefined-opcode form %q", got, want)
 	}
 }
 
@@ -66,9 +64,6 @@ func TestDTypeStrings(t *testing.T) {
 	for dt, s := range want {
 		if dt.String() != s {
 			t.Errorf("%d.String() = %q, want %q", dt, dt.String(), s)
-		}
-		if !dt.Valid() {
-			t.Errorf("dtype %v should be valid", dt)
 		}
 	}
 }
@@ -191,11 +186,11 @@ func TestLatencyOrdering(t *testing.T) {
 func TestControlClassification(t *testing.T) {
 	for _, op := range []Opcode{OpBra, OpBar, OpSsy, OpExit, OpRetp, OpCallp} {
 		ins := NewALU(op, TypeNone, NoReg)
-		if !ins.IsControl() {
+		if Unit(ins.Op) != UnitCtrl {
 			t.Errorf("%v should be a control instruction", op)
 		}
 	}
-	if NewALU(OpAdd, TypeU32, 1, 2).IsControl() {
+	if Unit(NewALU(OpAdd, TypeU32, 1, 2).Op) == UnitCtrl {
 		t.Error("add should not be a control instruction")
 	}
 }

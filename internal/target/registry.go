@@ -94,21 +94,6 @@ func (r *Registry) Aliases(name string) []string {
 	return out
 }
 
-// ForGPU resolves a GPU device description to a target: the builtin target
-// modelling exactly that device when one exists (so its runs are shared with
-// sweeps and other sessions), otherwise an ad-hoc target named after the
-// device.  The match compares the whole device description, so a customized
-// variant of a builtin device gets its own target (and, via CacheKey, its
-// own runs) even if it keeps the builtin's name.
-func ForGPU(dev device.GPU) Target {
-	for _, t := range Builtin().Targets() {
-		if g, ok := t.(*gpuTarget); ok && g.dev == dev {
-			return t
-		}
-	}
-	return NewGPU(dev.Name, dev.Role, dev)
-}
-
 // builtinOnce guards the lazily constructed builtin registry.
 var (
 	builtinOnce sync.Once
@@ -131,7 +116,7 @@ func Builtin() *Registry {
 		}
 		mustRegister(NewGPU("gp102", "Simulator", device.PascalGP102()), nil, "pascal", "simulator")
 		mustRegister(NewGPU("gk210", "Server", device.GK210()), nil, "k80", "server")
-		mustRegister(NewEdgeGPU("tx1", device.TX1()), nil, "tegra", "mobile", "edge")
+		mustRegister(NewGPU("tx1", "Edge", device.TX1()), nil, "tegra", "mobile", "edge")
 		pynq, err := NewFPGA("pynq", fpga.DefaultConfig())
 		mustRegister(pynq, err, "fpga", "pynq-z1")
 	})

@@ -11,7 +11,7 @@ import (
 
 // PointRun is the fault-injection site fired before each cell computation
 // (after the trace is resolved, before Target.Run).  Fire labels carry
-// "network/target/variantKey", so a chaos plan can fail one exact sweep
+// "network/target/<Variant.Key>", so a chaos plan can fail one exact sweep
 // cell with only=.
 var PointRun = resilience.Register("target.run", "before each store cell computation (label network/target/variant)")
 
@@ -245,7 +245,7 @@ func (s *Store) computeCell(tr *Trace, t Target, v Variant) (rs *RunStats, err e
 		}
 	}()
 	s.bump(func(st *StoreStats) { st.Computes++ })
-	if err := resilience.FireLabeled(PointRun, tr.Network+"/"+t.Name()+"/"+v.Key); err != nil {
+	if err := resilience.FireLabeled(PointRun, tr.Network+"/"+t.Name()+"/"+v.Key()); err != nil {
 		return nil, err
 	}
 	return t.Run(tr, v)

@@ -10,6 +10,7 @@ import (
 
 	"tango/internal/device"
 	"tango/internal/gpusim"
+	"tango/internal/sched"
 )
 
 // countingTarget wraps a cheap fake backend and counts Run invocations, so
@@ -109,16 +110,15 @@ func TestStoreCanonicalVariantsShareRuns(t *testing.T) {
 	if _, err := store.Run(tgt, "GRU", DefaultVariant(s)); err != nil {
 		t.Fatal(err)
 	}
-	// Key differs only in Variant.Key, which must not affect caching.
-	renamed := DefaultVariant(s)
-	renamed.Key = "renamed"
-	if _, err := store.Run(tgt, "GRU", renamed); err != nil {
+	// The stub's key ignores the scheduler, so a variant named differently
+	// ("sched-lrr", not "default") must still share the run.
+	if _, err := store.Run(tgt, "GRU", DefaultVariant(s).WithScheduler(sched.LRR)); err != nil {
 		t.Fatal(err)
 	}
 	if got := tgt.runs.Load(); got != 1 {
 		t.Errorf("equal cache keys should share one run, got %d", got)
 	}
-	if _, err := store.Run(tgt, "GRU", DefaultVariant(s).WithL1("nol1", 0)); err != nil {
+	if _, err := store.Run(tgt, "GRU", DefaultVariant(s).WithL1(0)); err != nil {
 		t.Fatal(err)
 	}
 	if got := tgt.runs.Load(); got != 2 {

@@ -9,6 +9,7 @@ package target
 
 import (
 	"fmt"
+	"strings"
 
 	"tango/internal/device"
 	"tango/internal/fpga"
@@ -22,10 +23,6 @@ import (
 // level.  The zero value (plus a sampling level) is the target's default
 // configuration.
 type Variant struct {
-	// Key names the variant in sweep output, e.g. "default", "nol1" or
-	// "sched-lrr".  It does not participate in result caching: two variants
-	// that resolve to the same effective configuration share one run.
-	Key string
 	// L1Bytes overrides the per-SM L1D size when L1Set is true; zero bypasses
 	// the L1 entirely.  GPU-only.
 	L1Bytes int
@@ -43,22 +40,41 @@ type Variant struct {
 // DefaultVariant returns the target-default configuration at the given
 // sampling level.
 func DefaultVariant(s gpusim.Sampling) Variant {
-	return Variant{Key: "default", Sampling: s}
+	return Variant{Sampling: s}
 }
 
 // WithL1 returns a copy of the variant with the L1D size overridden.
-func (v Variant) WithL1(key string, bytes int) Variant {
-	v.Key = key
+func (v Variant) WithL1(bytes int) Variant {
 	v.L1Bytes = bytes
 	v.L1Set = true
 	return v
 }
 
 // WithScheduler returns a copy of the variant with the scheduler overridden.
-func (v Variant) WithScheduler(key string, kind sched.Kind) Variant {
-	v.Key = key
+func (v Variant) WithScheduler(kind sched.Kind) Variant {
 	v.Scheduler = kind
 	return v
+}
+
+// Key names the variant in sweep output: "default", or its L1 override
+// ("nol1", "l1-<kb>kb") and scheduler override ("sched-<kind>") joined by
+// "+".  It does not participate in result caching: two variants that
+// resolve to the same effective configuration share one run.
+func (v Variant) Key() string {
+	var parts []string
+	switch {
+	case v.L1Set && v.L1Bytes == 0:
+		parts = append(parts, "nol1")
+	case v.L1Set:
+		parts = append(parts, fmt.Sprintf("l1-%dkb", v.L1Bytes>>10))
+	}
+	if v.Scheduler != "" {
+		parts = append(parts, "sched-"+string(v.Scheduler))
+	}
+	if len(parts) == 0 {
+		return "default"
+	}
+	return strings.Join(parts, "+")
 }
 
 // RunStats is the backend-independent result of running one trace on one
@@ -126,10 +142,14 @@ func NewGPU(name, role string, dev device.GPU) Target {
 	return &gpuTarget{name: name, role: role, dev: dev}
 }
 
-// NewEdgeGPU wraps an embedded GPU as a target; it shares the gpusim backend
-// but is classed as an edge device in the registry and sweep output.
-func NewEdgeGPU(name string, dev device.GPU) Target {
-	return &gpuTarget{name: name, role: "Edge", dev: dev}
+// GPUDevice returns the device a GPU-class target simulates, the one its
+// runs' timing and power come from; ok is false for every other target.
+func GPUDevice(t Target) (dev device.GPU, ok bool) {
+	g, ok := t.(*gpuTarget)
+	if !ok {
+		return device.GPU{}, false
+	}
+	return g.dev, true
 }
 
 func (g *gpuTarget) Name() string        { return g.name }

@@ -55,20 +55,6 @@ func TestRegistryRejectsDuplicates(t *testing.T) {
 	}
 }
 
-func TestForGPUReusesBuiltinTargets(t *testing.T) {
-	if got := ForGPU(device.PascalGP102()); got != mustLookup(t, "gp102") {
-		t.Error("ForGPU(GP102) should return the builtin gp102 target")
-	}
-	if got := ForGPU(device.TX1()); got != mustLookup(t, "tx1") {
-		t.Error("ForGPU(TX1) should return the builtin tx1 target")
-	}
-	custom := device.PascalGP102()
-	custom.Name = "Custom GPU"
-	if got := ForGPU(custom); got.Name() != "Custom GPU" {
-		t.Errorf("ForGPU(custom) = %q, want ad-hoc target named after the device", got.Name())
-	}
-}
-
 func mustLookup(t *testing.T, name string) Target {
 	t.Helper()
 	tgt, err := Builtin().Lookup(name)
@@ -86,16 +72,16 @@ func TestGPUCacheKeyCanonicalizes(t *testing.T) {
 	gp102 := mustLookup(t, "gp102")
 	s := gpusim.FastSampling()
 	def := DefaultVariant(s)
-	l164 := DefaultVariant(s).WithL1("l1", 64<<10)
+	l164 := DefaultVariant(s).WithL1(64 << 10)
 	if gp102.CacheKey(def) != gp102.CacheKey(l164) {
 		t.Errorf("GP102 default (64KB L1) and explicit 64KB override should share a key:\n%s\n%s",
 			gp102.CacheKey(def), gp102.CacheKey(l164))
 	}
-	nol1 := DefaultVariant(s).WithL1("nol1", 0)
+	nol1 := DefaultVariant(s).WithL1(0)
 	if gp102.CacheKey(def) == gp102.CacheKey(nol1) {
 		t.Error("bypassed L1 must not share the default key")
 	}
-	lrr := DefaultVariant(s).WithScheduler("sched-lrr", sched.LRR)
+	lrr := DefaultVariant(s).WithScheduler(sched.LRR)
 	if gp102.CacheKey(def) == gp102.CacheKey(lrr) {
 		t.Error("scheduler override must not share the default key")
 	}
@@ -120,7 +106,7 @@ func TestFPGACacheKeyCollapsesVariants(t *testing.T) {
 	pynq := mustLookup(t, "pynq")
 	s := gpusim.FastSampling()
 	a := pynq.CacheKey(DefaultVariant(s))
-	b := pynq.CacheKey(DefaultVariant(gpusim.DefaultSampling()).WithL1("nol1", 0))
+	b := pynq.CacheKey(DefaultVariant(gpusim.DefaultSampling()).WithL1(0))
 	if a != b {
 		t.Errorf("FPGA cache keys should collapse all GPU-only variants: %q vs %q", a, b)
 	}

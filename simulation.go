@@ -20,10 +20,10 @@ import (
 	"tango/internal/target"
 )
 
-// simSettings collects the simulation options: the device, the run-store
-// variant (L1, scheduler, sampling) and the native engine's knobs.
+// simSettings collects the simulation options: the GPU target, the
+// run-store variant (L1, scheduler, sampling) and the native engine's knobs.
 type simSettings struct {
-	device      device.GPU
+	target      target.Target
 	variant     target.Variant
 	parallelism int
 	numerics    nn.Numerics
@@ -33,20 +33,21 @@ type simSettings struct {
 // SimOption configures Simulate.
 type SimOption func(*simSettings) error
 
-// WithDevice selects the simulated GPU: "GP102" (default, the paper's
-// simulator configuration), "GK210" (server) or "TX1" (mobile).
+// WithDevice selects the simulated GPU by any name or alias Targets lists
+// for a GPU target: "gp102" (default), "gk210", "tx1", "edge", ...
 func WithDevice(name string) SimOption {
 	return func(s *simSettings) error {
-		switch strings.ToUpper(name) {
-		case "GP102", "PASCAL", "SIMULATOR":
-			s.device = device.PascalGP102()
-		case "GK210", "K80", "SERVER":
-			s.device = device.GK210()
-		case "TX1", "TEGRA", "MOBILE":
-			s.device = device.TX1()
-		default:
-			return fmt.Errorf("tango: unknown device %q (want GP102, GK210 or TX1)", name)
+		t, err := target.Builtin().Lookup(name)
+		if err != nil || t.Class() != device.ClassGPU {
+			var gpus []string
+			for _, t := range target.Builtin().Targets() {
+				if t.Class() == device.ClassGPU {
+					gpus = append(gpus, t.Name())
+				}
+			}
+			return fmt.Errorf("tango: no GPU target named %q (want %s)", name, strings.Join(gpus, ", "))
 		}
+		s.target = t
 		return nil
 	}
 }
@@ -311,31 +312,10 @@ func sweepVariants(cfg SweepConfig, sampling gpusim.Sampling) ([]target.Variant,
 	for _, v := range l1s {
 		for _, k := range scheds {
 			v.Scheduler = k
-			v.Key = variantKey(v)
 			out = append(out, v)
 		}
 	}
 	return out, nil
-}
-
-// variantKey names a variant as sweep output does: "default", or its L1
-// override ("nol1", "l1-<kb>kb") and scheduler override ("sched-<kind>")
-// joined by "+".
-func variantKey(v target.Variant) string {
-	var parts []string
-	switch {
-	case v.L1Set && v.L1Bytes == 0:
-		parts = append(parts, "nol1")
-	case v.L1Set:
-		parts = append(parts, fmt.Sprintf("l1-%dkb", v.L1Bytes>>10))
-	}
-	if v.Scheduler != "" {
-		parts = append(parts, "sched-"+string(v.Scheduler))
-	}
-	if len(parts) == 0 {
-		return "default"
-	}
-	return strings.Join(parts, "+")
 }
 
 // sweepStore supplies the store backing Sweep and Simulate: the process-wide
@@ -391,7 +371,7 @@ func Sweep(cfg SweepConfig) (*Dataset, error) {
 	for _, n := range nets {
 		for _, t := range targets {
 			for _, v := range variants {
-				if t.Class() == device.ClassFPGA && v.Key != variants[0].Key {
+				if t.Class() == device.ClassFPGA && v.Key() != variants[0].Key() {
 					// The dataflow model ignores every GPU knob; one default
 					// cell per network keeps the dataset free of duplicates.
 					continue
@@ -417,7 +397,7 @@ func Sweep(cfg SweepConfig) (*Dataset, error) {
 	records := make([]report.Record, len(cells))
 	err = par.ForEach(workerCount(cfg.Parallelism), len(cells), func(i int) error {
 		c := cells[i]
-		key := c.v.Key
+		key := c.v.Key()
 		if c.t.Class() == device.ClassFPGA {
 			key = "default"
 		}
@@ -455,9 +435,9 @@ func Sweep(cfg SweepConfig) (*Dataset, error) {
 // call is served from memory for the life of the process, and
 // TANGO_CACHE_DIR persists it across processes.
 func (b *Benchmark) Simulate(opts ...SimOption) (*SimulationResult, error) {
-	settings := simSettings{
-		device:  device.PascalGP102(),
-		variant: target.DefaultVariant(gpusim.DefaultSampling()),
+	settings := simSettings{variant: target.DefaultVariant(gpusim.DefaultSampling())}
+	if err := WithDevice("gp102")(&settings); err != nil {
+		return nil, err
 	}
 	for _, opt := range opts {
 		if err := opt(&settings); err != nil {
@@ -465,17 +445,16 @@ func (b *Benchmark) Simulate(opts ...SimOption) (*SimulationResult, error) {
 		}
 	}
 	v := settings.variant
-	v.Key = variantKey(v)
 	v.Workers = workerCount(settings.parallelism)
 	attachEnvDiskCache()
-	rs, err := sweepStore().Run(target.ForGPU(settings.device), b.Name(), v)
+	rs, err := sweepStore().Run(settings.target, b.Name(), v)
 	if err != nil {
 		return nil, err
 	}
 	gs := rs.GPU
 	res := &SimulationResult{
 		Network:            rs.Network,
-		Device:             settings.device.Name,
+		Device:             settings.target.Description(),
 		Cycles:             rs.Cycles,
 		Seconds:            rs.Seconds,
 		Instructions:       rs.Instructions,
@@ -495,7 +474,8 @@ func (b *Benchmark) Simulate(opts ...SimOption) (*SimulationResult, error) {
 	for _, op := range profiler.OpBreakdown(gs) {
 		res.OpShares[op.Op] = op.Share
 	}
-	pm := power.NewModel(settings.device)
+	dev, _ := target.GPUDevice(settings.target)
+	pm := power.NewModel(dev)
 	for _, ks := range gs.Kernels {
 		res.Layers = append(res.Layers, LayerSimulation{
 			Layer:        ks.Kernel.LayerName,

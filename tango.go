@@ -8,16 +8,16 @@
 // suite across the registered accelerator targets (Targets) from shared
 // layer traces.
 //
-// Typical use:
+// Typical use (the package Example):
 //
 //	suite := tango.NewSuite()
 //	b, _ := suite.Benchmark("CifarNet")
-//	class, probs, _ := b.ClassifySample(42)
-//	sim, _ := b.Simulate(tango.WithL1SizeKB(128), tango.WithScheduler("lrr"))
-//	fmt.Println(class, probs[class], sim.Cycles)
+//	cls, _ := b.ClassifySample(42)
+//	sim, _ := b.Simulate(tango.WithL1SizeKB(128), tango.WithScheduler("lrr"), tango.WithFastSampling())
+//	fmt.Println(cls.Class, sim.Cycles)
 //
-//	table, _ := tango.RunExperiment("fig2", tango.WithFastSampling())
-//	fmt.Println(table)
+//	table, _ := tango.RunExperiment("fig2", tango.WithFastExperimentSampling(), tango.WithNetworks("GRU"))
+//	fmt.Print(table.CSV())
 package tango
 
 import (

@@ -223,6 +223,44 @@ func TestSimulateOptions(t *testing.T) {
 	}
 }
 
+// TestWithDeviceTakesEveryGPUTargetName: every name and alias Targets lists
+// for a GPU target simulates that target, reported under its Description;
+// FPGA targets and unknown names are errors.
+func TestWithDeviceTakesEveryGPUTargetName(t *testing.T) {
+	b, err := tango.LoadBenchmark("GRU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpus := 0
+	for _, ti := range tango.Targets() {
+		for _, name := range append([]string{ti.Name}, ti.Aliases...) {
+			res, err := b.Simulate(tango.WithDevice(name), tango.WithFastSampling())
+			if ti.Class != "GPU" {
+				if err == nil {
+					t.Errorf("WithDevice(%q) accepted the %s target %s", name, ti.Class, ti.Name)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("WithDevice(%q): %v", name, err)
+				continue
+			}
+			if res.Device != ti.Description {
+				t.Errorf("WithDevice(%q) simulated %q, want %s's %q", name, res.Device, ti.Name, ti.Description)
+			}
+		}
+		if ti.Class == "GPU" {
+			gpus++
+		}
+	}
+	if gpus < 3 {
+		t.Errorf("Targets lists %d GPU targets, want the paper's three", gpus)
+	}
+	if _, err := b.Simulate(tango.WithDevice("a100"), tango.WithFastSampling()); err == nil {
+		t.Error("an unknown device name should fail")
+	}
+}
+
 func TestExperimentsAPI(t *testing.T) {
 	exps := tango.Experiments()
 	if len(exps) != 20 {
