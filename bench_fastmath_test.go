@@ -35,6 +35,10 @@ func benchmarkClassifyOpts(b *testing.B, name string, opts ...tango.SimOption) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "images/sec")
 }
 
+func BenchmarkClassifyAlexNetReference(b *testing.B) {
+	benchmarkClassifyOpts(b, "AlexNet")
+}
+
 func BenchmarkClassifyAlexNetFastMath(b *testing.B) {
 	benchmarkClassifyOpts(b, "AlexNet", tango.WithFastMath())
 }

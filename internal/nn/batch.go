@@ -61,11 +61,11 @@ func (j *splitJob) Run(p int) {
 // Costs per element of the split ops, in tensor.ForkMinWork's units
 // (reference-GEMM multiply-accumulates, ~75 ps), measured on AlexNet: an
 // element copied or scaled, or a pooling tap, ~0.6 ns; a fast-tier LRN
-// channel step ~2.5 ns; a reference LRN element, with its math.Pow, ~100 ns.
+// channel step ~2.5 ns; a reference LRN element ~20 ns (BenchmarkLRNReference).
 const (
 	elemCost    = 8
 	lrnFastCost = 32
-	lrnPowCost  = 1024
+	lrnRefCost  = 256
 )
 
 // fork runs s.split over n samples of per units, each unit costing about

@@ -357,7 +357,7 @@ func (s *Scratch) LRN(input *tensor.Tensor, p LRNParams) (*tensor.Tensor, error)
 		s.fork(n, h*w, c*lrnFastCost)
 		return out, nil
 	}
-	s.fork(n, c, lrnPowCost*h*w)
+	s.fork(n, c, lrnRefCost*h*w)
 	return out, nil
 }
 

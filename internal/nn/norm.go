@@ -49,19 +49,11 @@ func lrnPart(j *splitJob, smp, u0, u1 int) {
 // lrnCore normalizes output channels [c0, c1) of one c-channel CHW sample of
 // hw-pixel planes given as flat slices.  The channel loop is outermost so
 // output writes stream contiguously; the per-element arithmetic (fresh
-// float64 window sum, math.Pow denominator) is the reference loop's, so
-// results are bit-identical for any channel split.
-//
-// A centre input of ±0 skips math.Pow when the base is at least 1 and the
-// exponent is not negative or NaN: the power is then positive and not NaN
-// (it may be +Inf), so the quotient is the centre's own signed zero, which is
-// what the division would write.  A NaN in the window makes the base NaN, and
-// a base below 1 can raise to zero, so both still divide.  After ReLU about
-// half of AlexNet's LRN inputs are zeros.
+// float64 window sum, math.Pow quotient unless lrnRoots certifies its bits)
+// is the reference loop's, so results are bit-identical for any channel split.
 func lrnCore(o, in []float32, c, hw int, p LRNParams, c0, c1 int) {
 	half := p.LocalSize / 2
 	scale := p.Alpha / float64(p.LocalSize)
-	skipZeros := p.Beta >= 0
 	for ch := c0; ch < c1; ch++ {
 		lo, hi := max(ch-half, 0)-ch, min(ch+half, c-1)-ch
 		for i := ch * hw; i < (ch+1)*hw; i++ {
@@ -71,13 +63,35 @@ func lrnCore(o, in []float32, c, hw int, p LRNParams, c0, c1 int) {
 				sum += float64(v * v)
 			}
 			base := p.K + float64(scale*sum)
-			if v := in[i]; v == 0 && base >= 1 && skipZeros {
-				o[i] = v
+			if r, ok := lrnRoots(in[i], base, p.Beta); ok {
+				o[i] = r
 			} else {
-				o[i] = float32(float64(v) / math.Pow(base, p.Beta))
+				o[i] = float32(float64(in[i]) / math.Pow(base, p.Beta))
 			}
 		}
 	}
+}
+
+// lrnRoots returns float32(float64(v) / math.Pow(base, beta)) computed as
+// v / sqrt(base*sqrt(base)), and whether it is certain to be those bits.  It
+// declines unless beta is 3/4 and base is in [2^-600, 2^600] (NaN fails, and
+// nothing leaves float64's normal range), and when a float32 rounding
+// boundary lies within 2^-36 (2^17 float64 ulps) of the quotient q.  Both q
+// and the math.Pow quotient are within 2^-45 of v/base^0.75 (math.Pow's Log
+// of such a base is off by at most an ulp of 416) and rounding is monotone,
+// so when q(1±2^-36) round alike, math.Pow's quotient rounds with them, on
+// every GOARCH.  A ±0 centre is its own quotient: after ReLU about half of
+// AlexNet's LRN inputs are zeros.
+func lrnRoots(v float32, base, beta float64) (float32, bool) {
+	if beta != 0.75 || !(base >= 0x1p-600 && base <= 0x1p600) {
+		return 0, false
+	}
+	if v == 0 {
+		return v, true
+	}
+	q := float64(v) / math.Sqrt(base*math.Sqrt(base))
+	r := float32(q)
+	return r, float32(q*(1-0x1p-36)) == r && float32(q*(1+0x1p-36)) == r
 }
 
 // lrnCoreFast is lrnCore for the fast tier with beta = 3/4, over pixels

@@ -93,7 +93,11 @@ func lrnPowLoop(o, in []float32, c, hw int, p LRNParams) {
 // come out NaN (k = 0, a negative k, a NaN exponent, a power that underflows
 // to zero, a NaN in the window) or divide by +Inf (a negative exponent on a
 // zero sum), so a shortcut for zero centres that fires where the division
-// would not give that zero back fails here.
+// would not give that zero back fails here.  The last input holds four
+// AlexNet windows whose centre quotient lies so close to a float32 rounding
+// boundary that the two-root and math.Pow quotients round apart (on amd64,
+// with and without FMA, and on 386), so lrnRoots without its margin check
+// fails here too: random inputs almost never land there.
 func TestLRNMatchesPowLoop(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	params := []LRNParams{
@@ -108,6 +112,26 @@ func TestLRNMatchesPowLoop(t *testing.T) {
 		{LocalSize: 5, Alpha: 1e-4, Beta: 0, K: 2},
 		{LocalSize: 5, Alpha: 1e-4, Beta: 0.75, K: nan},
 		{LocalSize: 1, Alpha: 1, Beta: 1, K: 1},
+	}
+	check := func(c, hw int, in []float32) {
+		t.Helper()
+		for _, p := range params {
+			want := make([]float32, c*hw)
+			lrnPowLoop(want, in, c, hw, p)
+			for _, split := range []int{c, c / 2} {
+				got := make([]float32, c*hw)
+				lrnCore(got, in, c, hw, p, 0, split)
+				if split < c {
+					lrnCore(got, in, c, hw, p, split, c)
+				}
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%+v hw=%d c=%d split=%d: [%d] (input %v) = %v (%#x), pow loop %v (%#x)",
+							p, hw, c, split, i, in[i], got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
 	}
 	negZero := float32(math.Copysign(0, -1))
 	r := tensor.NewRNG(41)
@@ -131,23 +155,62 @@ func TestLRNMatchesPowLoop(t *testing.T) {
 					in[hw+px] = v
 				}
 			}
-			for _, p := range params {
-				want := make([]float32, c*hw)
-				lrnPowLoop(want, in, c, hw, p)
-				for _, split := range []int{c, c / 2} {
-					got := make([]float32, c*hw)
-					lrnCore(got, in, c, hw, p, 0, split)
-					if split < c {
-						lrnCore(got, in, c, hw, p, split, c)
-					}
-					for i := range want {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("%+v hw=%d c=%d split=%d: [%d] (input %v) = %v (%#x), pow loop %v (%#x)",
-								p, hw, c, split, i, in[i], got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
-						}
-					}
-				}
-			}
+			check(c, hw, in)
+		}
+	}
+	// Channels 0-4 of one pixel each; channel 2 is the centre.
+	windows := [][5]uint32{
+		{0x4030d985, 0x4232a08e, 0x40b971ba, 0x3e31abe4, 0x3ab9488d},
+		{0x40e5f86a, 0x42a3c6f2, 0x42208f02, 0x3e2fa303, 0x3ab97b13},
+		{0x40931154, 0x41fa61e9, 0xc1a4b5a0, 0x3e31349a, 0x3ab940f3},
+		{0x411b832b, 0x41a2b58d, 0xc1199ebd, 0x3e315b00, 0x3ab97275},
+	}
+	in := make([]float32, 5*len(windows))
+	for px, win := range windows {
+		for ch, bits := range win {
+			in[ch*len(windows)+px] = math.Float32frombits(bits)
+		}
+	}
+	check(5, len(windows), in)
+}
+
+// TestLRNRootsCertifies: lrnRoots declines a quotient within its margin of a
+// float32 rounding boundary, a base outside [2^-600, 2^600] or NaN, and an
+// exponent other than 3/4, and takes exact and zero quotients.
+func TestLRNRootsCertifies(t *testing.T) {
+	// 1.010015f / 2.5^0.75 lies within 2^-45 of the midpoint between two
+	// float32s, far inside the margin.
+	v, base := math.Float32frombits(0x3f81482c), 2.5
+	q := float64(v) / math.Sqrt(base*math.Sqrt(base))
+	lo := float64(float32(q))
+	hi := float64(math.Nextafter32(float32(q), float32(math.Copysign(1, q-lo))))
+	if mid := (lo + hi) / 2; math.Abs(q-mid) > 0x1p-44*q {
+		t.Fatalf("premise: %v is %g from the midpoint %v", q, math.Abs(q-mid), mid)
+	}
+	if _, ok := lrnRoots(v, base, 0.75); ok {
+		t.Errorf("lrnRoots(%v, %v) certified a quotient %v next to a rounding boundary", v, base, q)
+	}
+	negZero := float32(math.Copysign(0, -1))
+	for _, c := range []struct {
+		v          float32
+		base, beta float64
+		want       float32
+		ok         bool
+	}{
+		{27, 81, 0.75, 1, true},
+		{-27, 81, 0.75, -1, true},
+		{negZero, 2, 0.75, negZero, true},
+		{0, 0x1p600, 0.75, 0, true},
+		{1, 0x1p-601, 0.75, 0, false},
+		{1, 0x1p601, 0.75, 0, false},
+		{1, math.NaN(), 0.75, 0, false},
+		{1, math.Inf(1), 0.75, 0, false},
+		{1, 16, 0.5, 0, false},
+		{1, 16, 1, 0, false},
+	} {
+		got, ok := lrnRoots(c.v, c.base, c.beta)
+		if ok != c.ok || ok && math.Float32bits(got) != math.Float32bits(c.want) {
+			t.Errorf("lrnRoots(%v, %v, %v) = %v, %v; want %v, %v", c.v, c.base, c.beta, got, ok, c.want, c.ok)
 		}
 	}
 }
