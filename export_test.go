@@ -1,6 +1,8 @@
 package tango
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"time"
 
 	"tango/internal/resilience"
@@ -13,6 +15,14 @@ func MetricsText(st ServerStats) string {
 	var w promWriter
 	appendServerMetrics(&w, st)
 	return w.b.String()
+}
+
+// StatsJSON encodes a snapshot through writeJSON, the encoder GET /v1/stats
+// runs, so the external golden test pins the served field names and order.
+func StatsJSON(st ServerStats) string {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, st)
+	return rec.Body.String()
 }
 
 // WithIsolatedCache gives an experiment session a private trace/run store

@@ -403,16 +403,15 @@ func TestHTTPPrometheusMetrics(t *testing.T) {
 	}
 }
 
-// TestPrometheusGolden pins the exposition bytes for a handcrafted snapshot:
-// stable family order, sorted benchmark rows, HELP/TYPE headers and label
-// escaping must not drift, because scrape configs and recording rules depend
-// on exact series names.
-func TestPrometheusGolden(t *testing.T) {
+// goldenServerStats is the handcrafted snapshot the /metrics and /v1/stats
+// goldens render: one busy CNN row with every field set, one idle RNN row
+// whose name needs label escaping.
+func goldenServerStats() tango.ServerStats {
 	hist := make([]uint64, 15)
 	hist[3] = 90 // 90 requests <= 2.5ms
 	hist[7] = 9  // 9 requests <= 50ms
 	hist[14] = 1 // one in +Inf
-	st := tango.ServerStats{
+	return tango.ServerStats{
 		Requests:         100,
 		Completed:        100,
 		Shed:             3,
@@ -449,6 +448,14 @@ func TestPrometheusGolden(t *testing.T) {
 			},
 		},
 	}
+}
+
+// TestPrometheusGolden pins the exposition bytes for a handcrafted snapshot:
+// stable family order, sorted benchmark rows, HELP/TYPE headers and label
+// escaping must not drift, because scrape configs and recording rules depend
+// on exact series names.
+func TestPrometheusGolden(t *testing.T) {
+	st := goldenServerStats()
 	got := tango.MetricsText(st)
 
 	golden := filepath.Join("testdata", "metrics.golden")
@@ -479,6 +486,26 @@ func TestPrometheusGolden(t *testing.T) {
 	}
 	if v := samples[`tango_batch_size_sum{benchmark="CifarNet"}`]; v != 65 {
 		t.Fatalf("batch size sum = %v, want 65", v)
+	}
+}
+
+// TestStatsJSONGolden pins the GET /v1/stats body for the same snapshot:
+// the JSON field names and their order, through the encoder the handler
+// uses.
+func TestStatsJSONGolden(t *testing.T) {
+	got := tango.StatsJSON(goldenServerStats())
+	golden := filepath.Join("testdata", "stats.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("/v1/stats body drifted from %s (regenerate with UPDATE_GOLDEN=1 if intended)\n--- got ---\n%s", golden, got)
 	}
 }
 
