@@ -184,8 +184,8 @@ func TestTargetsRegistry(t *testing.T) {
 	if byName["gp102"].Class != "GPU" || byName["pynq"].Class != "FPGA" {
 		t.Errorf("unexpected classes: %+v", byName)
 	}
-	if byName["tx1"].Role != "Edge" {
-		t.Errorf("tx1 should be the edge GPU, got %+v", byName["tx1"])
+	if byName["tx1"].Role != "Mobile" {
+		t.Errorf("tx1 should be the mobile GPU, got %+v", byName["tx1"])
 	}
 	found := false
 	for _, a := range byName["gp102"].Aliases {

@@ -114,9 +114,9 @@ func Builtin() *Registry {
 				panic(err)
 			}
 		}
-		mustRegister(NewGPU("gp102", "Simulator", device.PascalGP102()), nil, "pascal", "simulator")
-		mustRegister(NewGPU("gk210", "Server", device.GK210()), nil, "k80", "server")
-		mustRegister(NewGPU("tx1", "Edge", device.TX1()), nil, "tegra", "mobile", "edge")
+		mustRegister(NewGPU("gp102", device.PascalGP102()), nil, "pascal", "simulator")
+		mustRegister(NewGPU("gk210", device.GK210()), nil, "k80", "server")
+		mustRegister(NewGPU("tx1", device.TX1()), nil, "tegra", "mobile", "edge")
 		pynq, err := NewFPGA("pynq", fpga.DefaultConfig())
 		mustRegister(pynq, err, "fpga", "pynq-z1")
 	})

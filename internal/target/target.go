@@ -116,7 +116,7 @@ type Target interface {
 	// Class is the device class (GPU or FPGA).
 	Class() device.Class
 	// Role describes the evaluation role, e.g. "Simulator", "Server",
-	// "Edge" or "Embedded FPGA".
+	// "Mobile" or "Embedded FPGA".
 	Role() string
 	// Description names the modeled hardware.
 	Description() string
@@ -132,14 +132,13 @@ type Target interface {
 // power from the activity-based model.
 type gpuTarget struct {
 	name string
-	role string
 	dev  device.GPU
 }
 
-// NewGPU wraps a GPU device description as a simulation target.  The role
-// labels the device's place in the evaluation ("Simulator", "Server", ...).
-func NewGPU(name, role string, dev device.GPU) Target {
-	return &gpuTarget{name: name, role: role, dev: dev}
+// NewGPU wraps a GPU device description as a simulation target.  Its role
+// is the device's own (device.GPU.Role).
+func NewGPU(name string, dev device.GPU) Target {
+	return &gpuTarget{name: name, dev: dev}
 }
 
 // GPUDevice returns the device a GPU-class target simulates, the one its
@@ -154,7 +153,7 @@ func GPUDevice(t Target) (dev device.GPU, ok bool) {
 
 func (g *gpuTarget) Name() string        { return g.name }
 func (g *gpuTarget) Class() device.Class { return device.ClassGPU }
-func (g *gpuTarget) Role() string        { return g.role }
+func (g *gpuTarget) Role() string        { return g.dev.Role }
 func (g *gpuTarget) Description() string { return g.dev.Name }
 
 // config resolves a variant to the simulator configuration.

@@ -44,13 +44,13 @@ func TestBuiltinRegistry(t *testing.T) {
 
 func TestRegistryRejectsDuplicates(t *testing.T) {
 	reg := NewRegistry()
-	if err := reg.Register(NewGPU("gp102", "Simulator", device.PascalGP102())); err != nil {
+	if err := reg.Register(NewGPU("gp102", device.PascalGP102())); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(NewGPU("GP102", "Simulator", device.PascalGP102())); err == nil {
+	if err := reg.Register(NewGPU("GP102", device.PascalGP102())); err == nil {
 		t.Error("duplicate canonical name (case-insensitive) should be rejected")
 	}
-	if err := reg.Register(NewGPU("other", "Server", device.GK210()), "gp102"); err == nil {
+	if err := reg.Register(NewGPU("other", device.GK210()), "gp102"); err == nil {
 		t.Error("alias colliding with a taken name should be rejected")
 	}
 }

@@ -200,7 +200,7 @@ type TargetInfo struct {
 	Name string
 	// Class is the device class ("GPU" or "FPGA").
 	Class string
-	// Role is the evaluation role, e.g. "Simulator", "Server", "Edge".
+	// Role is the evaluation role, e.g. "Simulator", "Server", "Mobile".
 	Role string
 	// Description names the modeled hardware.
 	Description string
