@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tango/internal/networks"
+	"tango/internal/serve"
 	"tango/internal/tensor"
 )
 
@@ -18,15 +19,12 @@ import (
 // relative-error bound instead: from two samples on, fully-connected layers
 // and recurrent gates run the GEMM rather than the mat-vec.
 
-// BatchClassification is the result of one sample of a batched CNN run.
-// Unlike Classification, it omits the per-layer activation map: batched runs
-// keep only the batched layer outputs, not per-sample views of them.
-type BatchClassification struct {
-	// Class is the arg-max class index.
-	Class int
-	// Probabilities is the softmax output over all classes.
-	Probabilities []float32
-}
+// BatchClassification is the result of one sample of a batched CNN run: the
+// arg-max Class and the softmax Probabilities over all classes.  Unlike
+// Classification, it omits the per-layer activation map: batched runs keep
+// only the batched layer outputs, not per-sample views of them.  A Server
+// returns the same type.
+type BatchClassification = serve.Classification
 
 // ClassifyBatch runs a CNN benchmark natively on a batch of CHW images,
 // each a flat float32 slice (length = product of the input shape).  All

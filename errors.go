@@ -1,8 +1,6 @@
 package tango
 
 import (
-	"errors"
-
 	"tango/internal/resilience"
 	"tango/internal/serve"
 	"tango/internal/tensor"
@@ -26,14 +24,14 @@ var (
 
 	// ErrNotServed reports a request naming a benchmark the Server was not
 	// configured to serve.
-	ErrNotServed = errors.New("tango: benchmark not served")
+	ErrNotServed = serve.ErrNotServed
 
 	// ErrDegraded reports a request rejected because the benchmark's
 	// circuit breaker is open: the engine has failed repeatedly and the
 	// server is shedding work while it recovers (surfaced as HTTP 503
 	// with a Retry-After hint).  The server is degraded, not dead —
 	// /healthz keeps answering and probes keep testing recovery.
-	ErrDegraded = errors.New("tango: serving degraded, circuit breaker open")
+	ErrDegraded = serve.ErrDegraded
 
 	// ErrInjected is the sentinel wrapped by every fault deliberately
 	// injected through the resilience layer (chaos testing); use it to

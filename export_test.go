@@ -5,23 +5,20 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"tango/internal/resilience"
+	"tango/internal/serve"
 	"tango/internal/target"
 )
 
-// MetricsText renders a snapshot through appendServerMetrics, the function
+// MetricsText renders a snapshot through serve.MetricsText, the function
 // GET /metrics runs, so the external golden test pins the served bytes.
-func MetricsText(st ServerStats) string {
-	var w promWriter
-	appendServerMetrics(&w, st)
-	return w.b.String()
-}
+func MetricsText(st ServerStats) string { return serve.MetricsText(st) }
 
-// StatsJSON encodes a snapshot through writeJSON, the encoder GET /v1/stats
-// runs, so the external golden test pins the served field names and order.
+// StatsJSON encodes a snapshot through serve.WriteJSON, the encoder GET
+// /v1/stats runs, so the external golden test pins the served field names
+// and order.
 func StatsJSON(st ServerStats) string {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, st)
+	serve.WriteJSON(rec, http.StatusOK, st)
 	return rec.Body.String()
 }
 
@@ -44,8 +41,4 @@ func SetSimulateStore(st *target.Store) {
 // SetBreakerClock gives every breaker of a server that has served no
 // request yet the clock now, so a test can hold a tripped breaker open
 // however slowly it runs.
-func SetBreakerClock(s *Server, now func() time.Time) {
-	for _, m := range s.models {
-		m.breaker = resilience.NewBreaker(now)
-	}
-}
+func SetBreakerClock(s *Server, now func() time.Time) { s.srv.SetBreakerClock(now) }

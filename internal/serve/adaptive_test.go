@@ -199,53 +199,6 @@ func TestControllerRateLimited(t *testing.T) {
 	}
 }
 
-func TestStatsMerge(t *testing.T) {
-	a := Stats{
-		Submitted: 10, Completed: 8, Batches: 4,
-		BatchSizeHist: []uint64{2, 1, 0, 1},
-		LatencyHist:   histWith(time.Millisecond, 8),
-		LatencySum:    8 * time.Millisecond,
-		LatencyP99:    time.Millisecond, LatencySamples: 8,
-	}
-	b := Stats{
-		Submitted: 6, Completed: 6, Batches: 2,
-		BatchSizeHist: []uint64{0, 0, 2, 0},
-		LatencyHist:   histWith(10*time.Millisecond, 6),
-		LatencySum:    60 * time.Millisecond,
-		LatencyP99:    10 * time.Millisecond, LatencySamples: 6,
-		CurrentDelay: 3 * time.Millisecond,
-	}
-	m := Merge(a, b)
-	if m.Submitted != 16 || m.Completed != 14 || m.Batches != 6 {
-		t.Fatalf("counters: %+v", m)
-	}
-	if m.BatchSizeHist[0] != 2 || m.BatchSizeHist[2] != 2 {
-		t.Fatalf("batch hist not summed: %v", m.BatchSizeHist)
-	}
-	if m.LatencyHist[latencyBucket(time.Millisecond)] != 8 ||
-		m.LatencyHist[latencyBucket(10*time.Millisecond)] != 6 {
-		t.Fatalf("latency hist not summed: %v", m.LatencyHist)
-	}
-	if m.LatencySum != 68*time.Millisecond {
-		t.Fatalf("latency sum = %v", m.LatencySum)
-	}
-	if want := float64(14) / 6; m.MeanBatchSize != want {
-		t.Fatalf("mean batch size = %v, want %v", m.MeanBatchSize, want)
-	}
-	// Live side (b) wins the unmergeable window percentiles and delay.
-	if m.LatencyP99 != 10*time.Millisecond || m.LatencySamples != 6 {
-		t.Fatalf("percentiles: p99=%v samples=%d", m.LatencyP99, m.LatencySamples)
-	}
-	if m.CurrentDelay != 3*time.Millisecond {
-		t.Fatalf("current delay = %v", m.CurrentDelay)
-	}
-	// A dead live side keeps the old percentiles.
-	m = Merge(a, Stats{})
-	if m.LatencyP99 != time.Millisecond || m.LatencySamples != 8 {
-		t.Fatalf("merge with empty: p99=%v samples=%d", m.LatencyP99, m.LatencySamples)
-	}
-}
-
 // TestBatcherAdaptiveSLOCeiling checks the end-to-end wiring: a Batcher
 // built with an SLO derives an adaptive window capped at min(MaxDelay,
 // SLO/2) and starts at the floor.

@@ -1,4 +1,4 @@
-package tango
+package serve
 
 import (
 	"context"
@@ -6,34 +6,27 @@ import (
 	"fmt"
 
 	"tango/internal/resilience"
+	"tango/internal/tensor"
 )
 
 // This file is the serving stack's resilience layer: priority-classed
 // admission with load shedding, per-benchmark circuit breakers, request
 // deadline budgets and the tri-state health model behind GET /healthz.
-// The scheduling and compute paths live in serve.go; everything here runs
-// before a request is allowed to queue.
+// Everything here runs before a request is allowed to queue.
 
 // pointAdmit is the fault-injection site fired during request admission,
 // before queueing; latency rules here model slow admission control, error
 // rules model an admission-layer outage.
 var pointAdmit = resilience.Register("serve.admit", "during Server request admission, before enqueue")
 
-// Priority classifies a request for admission under load.  Under queue
-// pressure the server sheds low-priority work first, then normal; high
-// priority is only ever rejected by a completely full queue.
+// Priority classifies a request for admission under load (tango.Priority
+// documents the classes).
 type Priority int
 
 const (
-	// PriorityNormal is the default class (the zero value): shed when the
-	// queue is above ~90% occupancy.
-	PriorityNormal Priority = iota
-	// PriorityLow marks best-effort work (batch backfill, speculative
-	// prefetch): shed when the queue is above ~50% occupancy.
-	PriorityLow
-	// PriorityHigh marks interactive work: admitted until the queue is
-	// completely full.
-	PriorityHigh
+	PriorityNormal Priority = iota // shed at shedNormalAt occupancy
+	PriorityLow                    // shed at shedLowAt occupancy
+	PriorityHigh                   // shed by a full queue only
 )
 
 // String returns the wire name of the priority class, as accepted in the
@@ -49,9 +42,9 @@ func (p Priority) String() string {
 	}
 }
 
-// parsePriority maps a wire name ("low", "normal", "high") to a
-// Priority; empty and unknown names are normal, so a
-// malformed header degrades to the default class instead of erroring.
+// parsePriority maps a wire name ("low", "normal", "high") to a Priority;
+// empty and unknown names are normal, so a malformed header degrades to the
+// default class instead of erroring.
 func parsePriority(s string) Priority {
 	switch s {
 	case "low":
@@ -67,9 +60,7 @@ func parsePriority(s string) Priority {
 type priorityKey struct{}
 
 // WithPriority tags a request context with a priority class; Server
-// admission reads it when deciding what to shed under load.  The HTTP
-// frontend maps the X-Priority header ("low", "normal", "high") onto
-// this.
+// admission reads it when deciding what to shed under load.
 func WithPriority(ctx context.Context, p Priority) context.Context {
 	return context.WithValue(ctx, priorityKey{}, p)
 }
@@ -96,12 +87,12 @@ const (
 // rejection maps to a fast, typed error (429 or 503) so callers can back
 // off instead of timing out.  A non-nil return means the breaker slot (if
 // any) has already been released.
-func (s *Server) admit(ctx context.Context, m *serverModel) error {
+func (s *Server) admit(ctx context.Context, m *model) error {
 	if err := resilience.Fire(pointAdmit); err != nil {
 		return fmt.Errorf("tango: %s admission: %w", m.name, err)
 	}
 	if err := m.breaker.Allow(); err != nil {
-		m.shedBreaker.Add(1)
+		m.stats.count(func(n *Counters) { n.ShedBreaker++ })
 		return fmt.Errorf("tango: %s: %w", m.name, ErrDegraded)
 	}
 	// Past here the caller owns a breaker slot; release it on rejection.
@@ -116,7 +107,7 @@ func (s *Server) admit(ctx context.Context, m *serverModel) error {
 	}
 	if occ >= shedAt {
 		m.breaker.Forgive()
-		m.shedLoad.Add(1)
+		m.stats.count(func(n *Counters) { n.ShedLoad++ })
 		return fmt.Errorf("tango: %s: %s-priority request shed at queue occupancy %d/%d: %w",
 			m.name, priorityFromContext(ctx), q, c, ErrQueueFull)
 	}
@@ -129,7 +120,7 @@ func (s *Server) admit(ctx context.Context, m *serverModel) error {
 // never reach here, and cancellations, deadline expiry, queue-full and
 // shutdown say nothing about engine health — release the breaker slot
 // without a verdict.
-func (m *serverModel) recordOutcome(err error) {
+func (m *model) recordOutcome(err error) {
 	switch {
 	case err == nil:
 		m.breaker.Record(nil)
@@ -143,12 +134,7 @@ func (m *serverModel) recordOutcome(err error) {
 // isClientOrLoadFault reports whether an error says nothing about the
 // compute engine's health.
 func isClientOrLoadFault(err error) bool {
-	return isAny(err, context.Canceled, context.DeadlineExceeded,
-		ErrQueueFull, ErrServerClosed, ErrShape)
-}
-
-func isAny(err error, targets ...error) bool {
-	for _, t := range targets {
+	for _, t := range []error{context.Canceled, context.DeadlineExceeded, ErrQueueFull, ErrClosed, tensor.ErrShape} {
 		if errors.Is(err, t) {
 			return true
 		}
@@ -156,17 +142,13 @@ func isAny(err error, targets ...error) bool {
 	return false
 }
 
-// HealthStatus is the server's tri-state health.
+// HealthStatus is the server's tri-state health (tango.HealthStatus
+// documents the states).
 type HealthStatus string
 
 const (
-	// HealthHealthy: all breakers closed, queues below pressure.
-	HealthHealthy HealthStatus = "healthy"
-	// HealthDegraded: still serving, but at least one breaker is open or
-	// half-open, or a queue is at shedding pressure.  Load balancers
-	// should prefer other replicas but need not eject this one.
+	HealthHealthy  HealthStatus = "healthy"
 	HealthDegraded HealthStatus = "degraded"
-	// HealthDraining: shutdown has begun; no new work is accepted.
 	HealthDraining HealthStatus = "draining"
 )
 
@@ -194,16 +176,13 @@ type HealthReport struct {
 // Health derives the server's tri-state health from breaker and queue
 // state: draining once Close has begun, degraded while any breaker is
 // open/half-open or any queue is at shedding pressure, healthy otherwise.
-// A degraded server is alive and still serving what it can — the point of
-// the resilience layer is that faults land here, not in a dead process.
 func (s *Server) Health() HealthReport {
 	rep := HealthReport{
 		Status:     HealthHealthy,
 		Benchmarks: s.Benchmarks(),
-		Models:     make(map[string]ModelHealth, len(s.models)),
+		Models:     make(map[string]ModelHealth, len(s.order)),
 	}
-	for _, name := range s.order {
-		m := s.models[name]
+	for _, m := range s.order {
 		q, c := s.queueState(m)
 		mh := ModelHealth{
 			Breaker:  m.breaker.State().String(),
@@ -215,12 +194,12 @@ func (s *Server) Health() HealthReport {
 		if c > 0 {
 			mh.Occupancy = float64(q) / float64(c)
 		}
-		rep.Models[name] = mh
+		rep.Models[m.name] = mh
 		if m.breaker.State() != resilience.BreakerClosed {
-			rep.Reasons = append(rep.Reasons, fmt.Sprintf("%s: circuit breaker %s", name, mh.Breaker))
+			rep.Reasons = append(rep.Reasons, fmt.Sprintf("%s: circuit breaker %s", m.name, mh.Breaker))
 		}
 		if mh.Occupancy >= shedNormalAt {
-			rep.Reasons = append(rep.Reasons, fmt.Sprintf("%s: queue at %d/%d", name, q, c))
+			rep.Reasons = append(rep.Reasons, fmt.Sprintf("%s: queue at %d/%d", m.name, q, c))
 		}
 	}
 	if len(rep.Reasons) > 0 {
@@ -232,8 +211,3 @@ func (s *Server) Health() HealthReport {
 	}
 	return rep
 }
-
-// retryAfter is the Retry-After hint (in seconds) attached to 429 and 503
-// rejections: the breaker cooldown, so clients that honor it return when
-// an open breaker is ready to probe recovery.
-const retryAfter = resilience.DefaultCooldown

@@ -1,4 +1,4 @@
-package tango
+package serve
 
 import (
 	"bytes"
@@ -10,44 +10,18 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"tango/internal/networks"
+	"tango/internal/resilience"
+	"tango/internal/tensor"
 )
 
 // This file is the HTTP frontend of the serving subsystem (stdlib net/http
-// only).  Handler exposes a Server over five endpoints:
-//
-//	POST /v1/classify  {"benchmark":"CifarNet","image":[...]}   -> {"class":..,"probabilities":[...]}
-//	POST /v1/forecast  {"benchmark":"LSTM","history":[...]}     -> {"prediction":..}
-//	GET  /v1/stats                                              -> ServerStats JSON
-//	GET  /healthz                                               -> HealthReport JSON
-//	GET  /metrics                                               -> Prometheus text exposition
-//
-// GET /metrics serves the Prometheus text format (version 0.0.4) whatever
-// the request's Accept header says; the JSON surface is GET /v1/stats.
-//
-// Classify requests may pass {"seed":N} instead of an image and forecast
-// requests {"seed":N} instead of a history to use the benchmark's
-// deterministic synthetic sample input (handy for load generators: the
-// client can recompute the exact input, and the response stays bit-identical
-// to a local Classify/Forecast of that sample).
-//
+// only): tango.Server.Handler documents its endpoints, the seed-based
+// requests, the X-Priority header, the error mapping and the health codes.
 // Inference bodies are JSON as encoding/json reads it: decodeInference, a
 // single-pass decoder, takes the bodies clients actually send and stores the
 // same request bit for bit; whatever it declines goes to json.Unmarshal.
-//
-// Inference requests may carry an X-Priority header ("low", "normal",
-// "high") classifying them for admission: under queue pressure the server
-// sheds low first, then normal; high is only rejected by a full queue.
-//
-// Error mapping: shape errors (wrapped ErrShape, including an empty body)
-// are 400, unknown benchmarks 404, queue-full backpressure and shed load
-// 429 (with Retry-After), an open circuit breaker or draining server 503
-// (with Retry-After), everything else 500.  Error bodies are
-// {"error":"..."}.
-//
-// GET /healthz is tri-state: "healthy" and "degraded" both answer 200 —
-// a degraded server (breaker open, queues at pressure) is still serving
-// what it can and must not be killed for it — while "draining" answers
-// 503 so load balancers stop routing during shutdown.
 
 // maxRequestBody bounds request JSON.  Bodies are fully buffered before
 // decoding, so the bound is sized to the workload, not generously: the
@@ -56,11 +30,21 @@ import (
 // oversized posts buffer gigabytes.
 const maxRequestBody = 8 << 20
 
-// classifyRequest is the POST /v1/classify body.
-type classifyRequest struct {
+// ClassifyRequest is the POST /v1/classify body.
+type ClassifyRequest struct {
 	Benchmark string    `json:"benchmark"`
 	Image     []float32 `json:"image,omitempty"`
 	Seed      *uint64   `json:"seed,omitempty"`
+}
+
+// DecodeFast stores body into q if decodeInference takes it, and reports
+// whether it did.  It is not inlined: a caller in another package that
+// inlined it would call the generic decoder without its escape analysis and
+// move q to the heap.
+//
+//go:noinline
+func (q *ClassifyRequest) DecodeFast(body []byte) bool {
+	return decodeInference(body, "image", &q.Benchmark, &q.Image, &q.Seed)
 }
 
 // classifyResponse is the POST /v1/classify success body.
@@ -70,11 +54,18 @@ type classifyResponse struct {
 	Probabilities []float32 `json:"probabilities"`
 }
 
-// forecastRequest is the POST /v1/forecast body.
-type forecastRequest struct {
+// ForecastRequest is the POST /v1/forecast body.
+type ForecastRequest struct {
 	Benchmark string    `json:"benchmark"`
 	History   []float64 `json:"history,omitempty"`
 	Seed      *uint64   `json:"seed,omitempty"`
+}
+
+// DecodeFast is ClassifyRequest.DecodeFast for a history.
+//
+//go:noinline
+func (q *ForecastRequest) DecodeFast(body []byte) bool {
+	return decodeInference(body, "history", &q.Benchmark, &q.History, &q.Seed)
 }
 
 // forecastResponse is the POST /v1/forecast success body.
@@ -83,9 +74,7 @@ type forecastResponse struct {
 	Prediction float64 `json:"prediction"`
 }
 
-// Handler returns the Server's HTTP API as a stdlib http.Handler, ready to
-// mount on any mux or http.Server.  The tango-serve binary is a thin wrapper
-// around it.
+// Handler returns the Server's HTTP API as a stdlib http.Handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/classify", s.handleClassify)
@@ -106,7 +95,7 @@ const maxPooledBody = 1 << 20
 // body is a shape error (wrapped ErrShape -> 400), matching how the compute
 // engine rejects empty inputs.  A body of declared length within the limit is
 // read into a pooled buffer of that size; v keeps no reference to it.
-func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+func decodeRequest(w http.ResponseWriter, r *http.Request, v interface{ DecodeFast([]byte) bool }) bool {
 	var body []byte
 	var err error
 	if n := r.ContentLength; n > 0 && n <= maxRequestBody {
@@ -128,26 +117,19 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 			writeError(w, err) // 413 via writeError
 		} else {
 			// Truncated/aborted uploads are client faults, not 500s.
-			writeError(w, fmt.Errorf("tango: %w: reading request body: %v", ErrShape, err))
+			writeError(w, fmt.Errorf("tango: %w: reading request body: %v", tensor.ErrShape, err))
 		}
 		return false
 	}
 	if len(body) == 0 {
-		writeError(w, fmt.Errorf("tango: %w: empty request body", ErrShape))
+		writeError(w, fmt.Errorf("tango: %w: empty request body", tensor.ErrShape))
 		return false
 	}
-	switch q := v.(type) {
-	case *classifyRequest:
-		if decodeInference(body, "image", &q.Benchmark, &q.Image, &q.Seed) {
-			return true
-		}
-	case *forecastRequest:
-		if decodeInference(body, "history", &q.Benchmark, &q.History, &q.Seed) {
-			return true
-		}
+	if v.DecodeFast(body) {
+		return true
 	}
 	if err := json.Unmarshal(body, v); err != nil {
-		writeError(w, fmt.Errorf("tango: %w: invalid request JSON: %v", ErrShape, err))
+		writeError(w, fmt.Errorf("tango: %w: invalid request JSON: %v", tensor.ErrShape, err))
 		return false
 	}
 	return true
@@ -296,14 +278,17 @@ func scanNumber(b []byte, i int) int {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req classifyRequest
+	var req ClassifyRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
 	image := req.Image
 	if image == nil && req.Seed != nil {
-		var err error
-		if image, err = s.sampleImage(req.Benchmark, *req.Seed); err != nil {
+		e, err := s.loaded(req.Benchmark, networks.KindCNN)
+		if err == nil {
+			image, err = e.SampleImage(*req.Seed)
+		}
+		if err != nil {
 			writeError(w, err)
 			return
 		}
@@ -314,7 +299,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, classifyResponse{
+	WriteJSON(w, http.StatusOK, classifyResponse{
 		Benchmark:     req.Benchmark,
 		Class:         res.Class,
 		Probabilities: res.Probabilities,
@@ -322,14 +307,17 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
-	var req forecastRequest
+	var req ForecastRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
 	history := req.History
 	if history == nil && req.Seed != nil {
-		var err error
-		if history, err = s.sampleHistory(req.Benchmark, *req.Seed); err != nil {
+		e, err := s.loaded(req.Benchmark, networks.KindRNN)
+		if err == nil {
+			history, err = e.SampleHistory(*req.Seed)
+		}
+		if err != nil {
 			writeError(w, err)
 			return
 		}
@@ -340,7 +328,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, forecastResponse{Benchmark: req.Benchmark, Prediction: pred})
+	WriteJSON(w, http.StatusOK, forecastResponse{Benchmark: req.Benchmark, Prediction: pred})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -349,21 +337,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if rep.Status == HealthDraining {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, rep)
+	WriteJSON(w, status, rep)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", prometheusContentType)
 	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, s.metricsText())
+	_, _ = io.WriteString(w, MetricsText(s.Stats()))
+	_, _ = io.WriteString(w, runtimeMetricsText())
 }
 
-// writeJSON writes v as a JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response, indented by two spaces: the
+// encoder of every endpoint but /metrics.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -381,7 +371,7 @@ func writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &tooLarge):
 		status = http.StatusRequestEntityTooLarge
-	case errors.Is(err, ErrShape):
+	case errors.Is(err, tensor.ErrShape):
 		status = http.StatusBadRequest
 	case errors.Is(err, ErrNotServed):
 		status = http.StatusNotFound
@@ -390,7 +380,7 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrDegraded):
 		// Breaker open: fail fast, invite the client back after cooldown.
 		status = http.StatusServiceUnavailable
-	case errors.Is(err, ErrServerClosed):
+	case errors.Is(err, ErrClosed):
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The client went away or timed out while queued.
@@ -399,5 +389,10 @@ func writeError(w http.ResponseWriter, err error) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Seconds())))
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
+
+// retryAfter is the Retry-After hint (in seconds) attached to 429 and 503
+// rejections: the breaker cooldown, so clients that honor it return when
+// an open breaker is ready to probe recovery.
+const retryAfter = resilience.DefaultCooldown

@@ -1,13 +1,12 @@
-package tango
+package serve
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
-
-	"tango/internal/serve"
 )
 
 // This file renders a ServerStats snapshot in the Prometheus text exposition
@@ -29,15 +28,7 @@ type promWriter struct {
 
 // family emits the # HELP / # TYPE header of a metric family.
 func (w *promWriter) family(name, typ, help string) {
-	w.b.WriteString("# HELP ")
-	w.b.WriteString(name)
-	w.b.WriteByte(' ')
-	w.b.WriteString(help)
-	w.b.WriteString("\n# TYPE ")
-	w.b.WriteString(name)
-	w.b.WriteByte(' ')
-	w.b.WriteString(typ)
-	w.b.WriteByte('\n')
+	fmt.Fprintf(&w.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
 // sample emits one series line: name{labels} value.  Labels are
@@ -53,7 +44,7 @@ func (w *promWriter) sample(name string, labels []string, value string) {
 			}
 			w.b.WriteString(labels[i])
 			w.b.WriteString(`="`)
-			w.b.WriteString(escapeLabel(labels[i+1]))
+			w.b.WriteString(labelEscaper.Replace(labels[i+1]))
 			w.b.WriteByte('"')
 		}
 		w.b.WriteByte('}')
@@ -63,33 +54,13 @@ func (w *promWriter) sample(name string, labels []string, value string) {
 	w.b.WriteByte('\n')
 }
 
-// escapeLabel escapes a label value per the text format: backslash, double
+// labelEscaper escapes a label value per the text format: backslash, double
 // quote and newline.
-func escapeLabel(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
-func promUint(v uint64) string { return strconv.FormatUint(v, 10) }
-func promInt(v int64) string   { return strconv.FormatInt(v, 10) }
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
+func promUint(v uint64) string   { return strconv.FormatUint(v, 10) }
+func promInt(v int64) string     { return strconv.FormatInt(v, 10) }
+func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // promSeconds renders a duration as seconds, the unit every Prometheus time
 // series uses.
@@ -112,10 +83,11 @@ func perBenchGauge(w *promWriter, names []string, st ServerStats, name, help str
 	}
 }
 
-// appendServerMetrics renders the snapshot half of GET /metrics.  It is a
-// pure function of the snapshot: benchmark rows sort by name, families come
-// in a fixed order, and no clock or process state is read.
-func appendServerMetrics(w *promWriter, st ServerStats) {
+// MetricsText renders the snapshot half of GET /metrics.  It is a pure
+// function of the snapshot: benchmark rows sort by name, families come in a
+// fixed order, and no clock or process state is read.
+func MetricsText(st ServerStats) string {
+	w := &promWriter{}
 	names := make([]string, 0, len(st.Benchmarks))
 	for n := range st.Benchmarks {
 		names = append(names, n)
@@ -206,20 +178,20 @@ func appendServerMetrics(w *promWriter, st ServerStats) {
 	}
 
 	// Request-latency histogram: cumulative-since-load bucket counts with
-	// the shared serve.LatencyBuckets bounds; p99 within any scrape window
+	// the shared LatencyBuckets bounds; p99 within any scrape window
 	// is recoverable from bucket deltas.
 	w.family("tango_request_latency_seconds", "histogram", "End-to-end request latency (queue wait + batch compute).")
 	for _, n := range names {
 		b := st.Benchmarks[n]
 		var cum uint64
-		for i, ub := range serve.LatencyBuckets {
+		for i, ub := range LatencyBuckets {
 			if i < len(b.LatencyHist) {
 				cum += b.LatencyHist[i]
 			}
 			w.sample("tango_request_latency_seconds_bucket", []string{"benchmark", n, "le", promSeconds(ub)}, promUint(cum))
 		}
-		if len(b.LatencyHist) > len(serve.LatencyBuckets) {
-			cum += b.LatencyHist[len(serve.LatencyBuckets)]
+		if len(b.LatencyHist) > len(LatencyBuckets) {
+			cum += b.LatencyHist[len(LatencyBuckets)]
 		}
 		w.sample("tango_request_latency_seconds_bucket", []string{"benchmark", n, "le", "+Inf"}, promUint(cum))
 		w.sample("tango_request_latency_seconds_sum", []string{"benchmark", n}, promFloat(b.LatencySumMicros/1e6))
@@ -252,6 +224,7 @@ func appendServerMetrics(w *promWriter, st ServerStats) {
 	perBenchCounter(w, names, st, "tango_model_evictions_total",
 		"Engine evictions under the model byte budget.",
 		func(b BenchmarkServeStats) uint64 { return b.Evictions })
+	return w.b.String()
 }
 
 // breakerStateValue maps a breaker state name to its gauge value.
@@ -266,9 +239,11 @@ func breakerStateValue(state string) int64 {
 	}
 }
 
-// appendRuntimeMetrics renders the live process series: excluded from the
-// golden test because they change every scrape.
-func appendRuntimeMetrics(w *promWriter) {
+// runtimeMetricsText renders the live process series that follow the
+// snapshot on GET /metrics: excluded from the golden test because they
+// change every scrape.
+func runtimeMetricsText() string {
+	w := &promWriter{}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	w.family("go_goroutines", "gauge", "Live goroutines.")
@@ -281,13 +256,5 @@ func appendRuntimeMetrics(w *promWriter) {
 	w.sample("go_memstats_mallocs_total", nil, promUint(ms.Mallocs))
 	w.family("go_memstats_gc_cycles_total", "counter", "Completed GC cycles.")
 	w.sample("go_memstats_gc_cycles_total", nil, promUint(uint64(ms.NumGC)))
-}
-
-// metricsText is the full GET /metrics body: the deterministic snapshot
-// series followed by live process series.
-func (s *Server) metricsText() string {
-	var w promWriter
-	appendServerMetrics(&w, s.Stats())
-	appendRuntimeMetrics(&w)
 	return w.b.String()
 }

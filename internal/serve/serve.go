@@ -107,7 +107,7 @@ type request[In, Out any] struct {
 type Batcher[In, Out any] struct {
 	cfg   Config
 	run   func([]In) ([]Out, error)
-	stats collector
+	stats *collector
 
 	// delay is the batch window the dispatcher honours, in nanoseconds.
 	// Static batchers pin it to cfg.MaxDelay; adaptive ones (cfg.SLO > 0)
@@ -135,13 +135,20 @@ type Batcher[In, Out any] struct {
 // the dispatcher goroutine.
 func NewBatcher[In, Out any](cfg Config, run func([]In) ([]Out, error)) *Batcher[In, Out] {
 	cfg = cfg.WithDefaults()
+	return newBatcher(cfg, run, new(collector))
+}
+
+// newBatcher starts a batcher with a defaulted policy that counts into
+// stats, which a Server keeps per model across the batchers it loads.
+func newBatcher[In, Out any](cfg Config, run func([]In) ([]Out, error), stats *collector) *Batcher[In, Out] {
 	b := &Batcher[In, Out]{
-		cfg:  cfg,
-		run:  run,
-		reqs: make(chan request[In, Out], cfg.QueueDepth),
-		done: make(chan struct{}),
+		cfg:   cfg,
+		run:   run,
+		stats: stats,
+		reqs:  make(chan request[In, Out], cfg.QueueDepth),
+		done:  make(chan struct{}),
 	}
-	b.stats.init(cfg.MaxBatch)
+	stats.size(cfg.MaxBatch)
 	if cfg.SLO > 0 {
 		b.ctl = NewController(ControllerConfig{
 			SLO:      cfg.SLO,
@@ -197,21 +204,20 @@ func (b *Batcher[In, Out]) Do(ctx context.Context, in In) (Out, error) {
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
-		b.stats.rejectClosed()
+		b.stats.count(func(n *Counters) { n.RejectedClosed++ })
 		return zero, ErrClosed
 	}
 	// Count the submission BEFORE the request becomes visible to the
 	// dispatcher: the channel send happens-before the dispatcher's receive,
 	// so a Stats snapshot can never observe a request completed but not
-	// submitted (Completed > Submitted).  A bounced send undoes the count
-	// inside rejectFull.
-	b.stats.submit()
+	// submitted (Completed > Submitted).  A bounced send undoes the count.
+	b.stats.count(func(n *Counters) { n.Submitted++ })
 	select {
 	case b.reqs <- r:
 		b.mu.RUnlock()
 	default:
 		b.mu.RUnlock()
-		b.stats.rejectFull()
+		b.stats.count(func(n *Counters) { n.Submitted--; n.RejectedQueueFull++ })
 		return zero, ErrQueueFull
 	}
 	select {
@@ -347,10 +353,10 @@ func (b *Batcher[In, Out]) runSegment(ins []In) []outcome[Out] {
 		return res
 	}
 	if len(ins) == 1 {
-		b.stats.isolate()
+		b.stats.count(func(n *Counters) { n.Isolated++ })
 		return []outcome[Out]{{err: fmt.Errorf("serve: sample isolated by batch bisection: %w", err)}}
 	}
-	b.stats.bisect()
+	b.stats.count(func(n *Counters) { n.Bisections++ })
 	mid := len(ins) / 2
 	return append(b.runSegment(ins[:mid]), b.runSegment(ins[mid:])...)
 }
@@ -365,7 +371,7 @@ func (b *Batcher[In, Out]) flush(batch []request[In, Out]) {
 		if err := r.ctx.Err(); err != nil {
 			// Count before unblocking the caller so a Stats snapshot
 			// taken right after Do returns already reflects it.
-			b.stats.cancel()
+			b.stats.count(func(n *Counters) { n.Canceled++ })
 			r.done <- outcome[Out]{err: err}
 			continue
 		}
@@ -391,7 +397,7 @@ func (b *Batcher[In, Out]) flush(batch []request[In, Out]) {
 		results = []outcome[Out]{{err: err}}
 	default:
 		// Degraded mode: bisect so only the poisoned sample(s) fail.
-		b.stats.bisect()
+		b.stats.count(func(n *Counters) { n.Bisections++ })
 		mid := len(live) / 2
 		results = append(b.runSegment(ins[:mid]), b.runSegment(ins[mid:])...)
 	}

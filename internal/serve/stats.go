@@ -11,34 +11,46 @@ import (
 // history, so they track current load.
 const latencyWindow = 4096
 
-// Stats is a point-in-time snapshot of a batcher's counters.
-type Stats struct {
+// Counters are a served model's lifetime request counts, declared once:
+// batchers and admission count into one record that outlives engine
+// evictions, and GET /v1/stats and GET /metrics render it as it is.
+type Counters struct {
 	// Submitted counts requests accepted into the queue.
-	Submitted uint64
+	Submitted uint64 `json:"submitted"`
 	// Completed counts requests that received a result (including requests
 	// that shared a failed batch run and received its error).
-	Completed uint64
+	Completed uint64 `json:"completed"`
 	// Canceled counts requests whose context expired while queued; they
 	// were dropped at batch-formation time without running.
-	Canceled uint64
+	Canceled uint64 `json:"canceled"`
 	// RejectedQueueFull counts requests bounced with ErrQueueFull.
-	RejectedQueueFull uint64
+	RejectedQueueFull uint64 `json:"rejected_queue_full"`
 	// RejectedClosed counts requests bounced with ErrClosed.
-	RejectedClosed uint64
+	RejectedClosed uint64 `json:"rejected_closed"`
 	// Batches counts batches actually run; BatchErrors counts the subset
 	// whose full-batch run function returned an error (before any
 	// bisection fallback).
-	Batches     uint64
-	BatchErrors uint64
+	Batches     uint64 `json:"batches"`
+	BatchErrors uint64 `json:"batch_errors"`
 	// Bisections counts segment splits performed while isolating failed
 	// batches; Isolated counts requests that still failed alone after
 	// bisection (the truly poisoned samples).
-	Bisections uint64
-	Isolated   uint64
+	Bisections uint64 `json:"bisections"`
+	Isolated   uint64 `json:"isolated"`
+	// ShedLoad counts requests a Server's admission rejected at queue
+	// occupancy, ShedBreaker those it rejected with the circuit breaker
+	// open; neither reached the batcher.
+	ShedLoad    uint64 `json:"shed_load"`
+	ShedBreaker uint64 `json:"shed_breaker"`
+}
+
+// Stats is a point-in-time snapshot of a batcher's counters.
+type Stats struct {
+	Counters
 	// BatchSizeHist[i] counts batches of size i+1 (length = MaxBatch).
 	BatchSizeHist []uint64
-	// MeanBatchSize is the total number of batched requests divided by
-	// Batches (0 when no batch has run).
+	// MeanBatchSize is Completed divided by Batches (0 when no batch has
+	// run): every completed request went through exactly one batch.
 	MeanBatchSize float64
 	// LatencyP50 and LatencyP99 are percentiles of end-to-end request
 	// latency (queue wait + batch compute) over the recent window.
@@ -61,129 +73,39 @@ type Stats struct {
 	CurrentDelay time.Duration
 }
 
-// Merge returns the element-wise sum of two snapshots.  It is how a model
-// lifecycle folds an evicted engine's final counters into its successor's
-// live ones: counters and histograms add; the percentile window cannot be
-// merged, so the snapshot with samples wins (preferring b, the live side).
-func Merge(a, b Stats) Stats {
-	m := Stats{
-		Submitted:         a.Submitted + b.Submitted,
-		Completed:         a.Completed + b.Completed,
-		Canceled:          a.Canceled + b.Canceled,
-		RejectedQueueFull: a.RejectedQueueFull + b.RejectedQueueFull,
-		RejectedClosed:    a.RejectedClosed + b.RejectedClosed,
-		Batches:           a.Batches + b.Batches,
-		BatchErrors:       a.BatchErrors + b.BatchErrors,
-		Bisections:        a.Bisections + b.Bisections,
-		Isolated:          a.Isolated + b.Isolated,
-		BatchSizeHist:     sumHist(a.BatchSizeHist, b.BatchSizeHist),
-		LatencyHist:       sumHist(a.LatencyHist, b.LatencyHist),
-		LatencySum:        a.LatencySum + b.LatencySum,
-		LatencyP50:        a.LatencyP50,
-		LatencyP99:        a.LatencyP99,
-		LatencySamples:    a.LatencySamples,
-		CurrentDelay:      b.CurrentDelay,
-	}
-	if b.LatencySamples > 0 {
-		m.LatencyP50, m.LatencyP99, m.LatencySamples = b.LatencyP50, b.LatencyP99, b.LatencySamples
-	}
-	if m.Batches > 0 {
-		// finishBatch advances Completed and the batched-request count in
-		// lockstep, so Completed doubles as the batched total here.
-		m.MeanBatchSize = float64(m.Completed) / float64(m.Batches)
-	}
-	return m
-}
-
-// sumHist adds two bucket-count slices, sized to the longer.
-func sumHist(a, b []uint64) []uint64 {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		if i < len(a) {
-			out[i] += a[i]
-		}
-		if i < len(b) {
-			out[i] += b[i]
-		}
-	}
-	return out
-}
-
 // collector accumulates counters under one mutex.  The hot paths take the
 // lock once per request (submit/reject) or once per batch (finishBatch);
-// contention is negligible next to millisecond-scale inference.
+// contention is negligible next to millisecond-scale inference.  A Server
+// hands each model's collector to every batcher the model loads, so the
+// counts span evictions without being merged.  The zero value counts;
+// size readies it for batches.
 type collector struct {
-	mu                sync.Mutex
-	submitted         uint64
-	completed         uint64
-	canceled          uint64
-	rejectedQueueFull uint64
-	rejectedClosed    uint64
-	batches           uint64
-	batchErrors       uint64
-	bisections        uint64
-	isolated          uint64
-	batchedRequests   uint64
-	hist              []uint64
-	lat               []time.Duration
-	latNext           int
-	latCount          int
-	latHist           []uint64
-	latSum            time.Duration
+	mu       sync.Mutex
+	n        Counters
+	hist     []uint64
+	lat      []time.Duration
+	latNext  int
+	latCount int
+	latHist  []uint64
+	latSum   time.Duration
 }
 
-func (c *collector) init(maxBatch int) {
-	c.hist = make([]uint64, maxBatch)
-	c.lat = make([]time.Duration, latencyWindow)
-	c.latHist = make([]uint64, len(LatencyBuckets)+1)
-}
-
-func (c *collector) submit() {
+// size allocates the histograms and the latency window for batches of up
+// to maxBatch, once: a model that never loaded reports no histogram.
+func (c *collector) size(maxBatch int) {
 	c.mu.Lock()
-	c.submitted++
+	if c.hist == nil {
+		c.hist = make([]uint64, maxBatch)
+		c.lat = make([]time.Duration, latencyWindow)
+		c.latHist = make([]uint64, len(LatencyBuckets)+1)
+	}
 	c.mu.Unlock()
 }
 
-// rejectFull records an ErrQueueFull bounce.  The caller counted the
-// attempt via submit before trying the queue (so Submitted >= Completed
-// holds at every instant); undo that here.
-func (c *collector) rejectFull() {
+// count applies one change to the counters under the lock.
+func (c *collector) count(f func(*Counters)) {
 	c.mu.Lock()
-	c.submitted--
-	c.rejectedQueueFull++
-	c.mu.Unlock()
-}
-
-func (c *collector) rejectClosed() {
-	c.mu.Lock()
-	c.rejectedClosed++
-	c.mu.Unlock()
-}
-
-func (c *collector) cancel() {
-	c.mu.Lock()
-	c.canceled++
-	c.mu.Unlock()
-}
-
-// bisect records one segment split of a failed batch; isolate records one
-// request that failed alone after bisection.
-func (c *collector) bisect() {
-	c.mu.Lock()
-	c.bisections++
-	c.mu.Unlock()
-}
-
-func (c *collector) isolate() {
-	c.mu.Lock()
-	c.isolated++
+	f(&c.n)
 	c.mu.Unlock()
 }
 
@@ -191,11 +113,10 @@ func (c *collector) isolate() {
 // and the end-to-end latency of every request it served.
 func (c *collector) finishBatch(size int, failed bool, lats []time.Duration) {
 	c.mu.Lock()
-	c.batches++
-	c.batchedRequests += uint64(size)
-	c.completed += uint64(size)
+	c.n.Batches++
+	c.n.Completed += uint64(size)
 	if failed {
-		c.batchErrors++
+		c.n.BatchErrors++
 	}
 	if size >= 1 && size <= len(c.hist) {
 		c.hist[size-1]++
@@ -230,26 +151,18 @@ func (c *collector) latencyCum(dst []uint64) uint64 {
 func (c *collector) snapshot() Stats {
 	c.mu.Lock()
 	s := Stats{
-		Submitted:         c.submitted,
-		Completed:         c.completed,
-		Canceled:          c.canceled,
-		RejectedQueueFull: c.rejectedQueueFull,
-		RejectedClosed:    c.rejectedClosed,
-		Batches:           c.batches,
-		BatchErrors:       c.batchErrors,
-		Bisections:        c.bisections,
-		Isolated:          c.isolated,
-		BatchSizeHist:     append([]uint64(nil), c.hist...),
-		LatencyHist:       append([]uint64(nil), c.latHist...),
-		LatencySum:        c.latSum,
-		LatencySamples:    c.latCount,
-	}
-	if c.batches > 0 {
-		s.MeanBatchSize = float64(c.batchedRequests) / float64(c.batches)
+		Counters:       c.n,
+		BatchSizeHist:  append([]uint64(nil), c.hist...),
+		LatencyHist:    append([]uint64(nil), c.latHist...),
+		LatencySum:     c.latSum,
+		LatencySamples: c.latCount,
 	}
 	window := append([]time.Duration(nil), c.lat[:c.latCount]...)
 	c.mu.Unlock()
 
+	if s.Batches > 0 {
+		s.MeanBatchSize = float64(s.Completed) / float64(s.Batches)
+	}
 	if len(window) > 0 {
 		sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
 		s.LatencyP50 = percentile(window, 0.50)

@@ -2,32 +2,22 @@ package tango
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"net/http"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"tango/internal/networks"
 	"tango/internal/nn"
-	"tango/internal/resilience"
 	"tango/internal/serve"
 )
 
-// This file implements the embedding API of the serving subsystem: a Server
-// owns one dynamic-batching scheduler per benchmark, so concurrent
-// independent Classify / Forecast requests are coalesced into ClassifyBatch /
-// ForecastBatch calls and the batched engine is what runs under load.  The
-// cmd/tango-serve binary wraps a Server in an HTTP frontend (see Handler).
-//
-// Each served benchmark separates cheap identity (name, kind, input shape —
-// resolved at construction from the network registry) from its expensive
-// engine (synthesized weights, resolved plan, prewarmed scratch, running
-// batcher).  The engine loads eagerly by default, on demand under
-// ServerConfig.OnDemand, and is evicted in LRU order when a
-// ServerConfig.ModelBudgetBytes budget is exceeded — serving counters survive
-// eviction and reload.
+// This file is the embedding API of the serving subsystem, a facade over
+// internal/serve: a Server owns one dynamic-batching scheduler per
+// benchmark, so concurrent independent Classify / Forecast requests are
+// coalesced into ClassifyBatch / ForecastBatch calls and the batched engine
+// is what runs under load.  internal/serve holds the model lifecycle,
+// admission, stats, the HTTP handler and the Prometheus renderer; this file
+// gives it the library's batched entry points as a loader.
 
 // ServerConfig configures a Server: batching policy, admission, numerics tier
 // and model lifecycle.  The zero value is a usable default (batches of up to
@@ -95,83 +85,7 @@ type ServerConfig struct {
 // to calling Benchmark.Classify / Forecast on the same inputs: batching
 // changes scheduling, never numerics.
 type Server struct {
-	// cfg is the resolved configuration: Numerics holds the canonical name
-	// of the tier every batch runs on (simOpts always pins it explicitly) and
-	// a model budget has set OnDemand.
-	cfg      ServerConfig
-	batchCfg serve.Config
-	simOpts  []SimOption
-	models   map[string]*serverModel
-	order    []string
-	// lifeMu serializes engine load and evict transitions across all
-	// models, so budget accounting sees a consistent resident set.
-	lifeMu sync.Mutex
-	// draining flips once Close begins; /healthz reports it so load
-	// balancers stop routing here while queued work finishes.
-	draining atomic.Bool
-}
-
-// serverModel is one served benchmark: its registry identity (always
-// present) plus a loadable engine and the admission state — circuit breaker,
-// in-flight and shed counters — that outlives engine evictions.
-type serverModel struct {
-	name       string
-	kind       networks.Kind
-	inputShape []int
-	inputLen   int
-
-	// eng is the loaded engine, nil while cold.  Load/evict transitions
-	// are serialized by Server.lifeMu; readers take the pointer lock-free.
-	eng atomic.Pointer[modelEngine]
-	// statsMu guards baseStats, the merged counters of evicted engines.
-	statsMu   sync.Mutex
-	baseStats serve.Stats
-	// lastUsed is the unix-nano admission timestamp driving LRU eviction.
-	lastUsed  atomic.Int64
-	loads     atomic.Uint64
-	evictions atomic.Uint64
-
-	// breaker trips after consecutive engine failures so a broken backend
-	// fails fast (ErrDegraded) instead of queueing doomed work.
-	breaker *resilience.Breaker
-	// inFlight counts admitted requests that have not yet resolved.
-	inFlight atomic.Int64
-	// shedLoad counts occupancy-based rejections; shedBreaker counts
-	// breaker-based ones.
-	shedLoad    atomic.Uint64
-	shedBreaker atomic.Uint64
-}
-
-// modelEngine is the expensive, evictable half of a served benchmark: the
-// loaded workload and its running request batcher (classify for CNNs,
-// forecast for RNNs).
-type modelEngine struct {
-	bench    *Benchmark
-	classify *serve.Batcher[[]float32, BatchClassification]
-	forecast *serve.Batcher[[]float64, float64]
-}
-
-func (e *modelEngine) close() {
-	if e.classify != nil {
-		e.classify.Close()
-	}
-	if e.forecast != nil {
-		e.forecast.Close()
-	}
-}
-
-func (e *modelEngine) stats() serve.Stats {
-	if e.classify != nil {
-		return e.classify.Stats()
-	}
-	return e.forecast.Stats()
-}
-
-func (e *modelEngine) queue() (int, int) {
-	if e.classify != nil {
-		return e.classify.QueueLen(), e.classify.QueueCap()
-	}
-	return e.forecast.QueueLen(), e.forecast.QueueCap()
+	srv *serve.Server
 }
 
 // NewServer validates and registers the named benchmarks and starts one
@@ -181,12 +95,6 @@ func (e *modelEngine) queue() (int, int) {
 // construction only validates names and kinds and the first request pays the
 // load.  The caller must Close the server to stop the scheduler goroutines.
 func NewServer(benchmarks []string, cfg ServerConfig) (*Server, error) {
-	if len(benchmarks) == 0 {
-		return nil, fmt.Errorf("tango: NewServer needs at least one benchmark")
-	}
-	if cfg.ModelBudgetBytes > 0 {
-		cfg.OnDemand = true
-	}
 	// The tier is resolved once — config if set, else the environment — and
 	// pinned on every batch run, so Stats and /metrics report what runs.
 	tier := cfg.Numerics
@@ -197,301 +105,51 @@ func NewServer(benchmarks []string, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tango: NewServer: %w", err)
 	}
-	cfg.Numerics = mode.String()
 	workers := cfg.Parallelism
 	if workers == 0 {
 		workers = 1
 	}
-	simOpts := []SimOption{withNumerics(mode), WithParallelism(workers)}
-	s := &Server{
-		cfg: cfg,
-		batchCfg: serve.Config{
+	opts := []SimOption{withNumerics(mode), WithParallelism(workers)}
+	srv, err := serve.NewServer(benchmarks, serve.Options{
+		Batch: serve.Config{
 			MaxBatch:   cfg.MaxBatch,
 			MaxDelay:   cfg.MaxDelay,
 			QueueDepth: cfg.QueueDepth,
 			SLO:        cfg.TargetP99,
-		}.WithDefaults(),
-		simOpts: simOpts,
-		models:  make(map[string]*serverModel, len(benchmarks)),
-	}
-	for _, name := range benchmarks {
-		if _, ok := s.models[name]; ok {
-			continue
-		}
-		// Identity comes from the registry, not a loaded benchmark:
-		// construction validates every name and kind without synthesizing
-		// weights, so on-demand servers still fail fast on a bad name.
-		net, err := networks.New(name)
-		if err != nil {
-			s.close()
-			return nil, fmt.Errorf("tango: %w", err)
-		}
-		m := &serverModel{
-			name:       name,
-			kind:       net.Kind,
-			inputShape: net.InputShape,
-			breaker:    resilience.NewBreaker(nil),
-		}
-		switch net.Kind {
-		case networks.KindCNN, networks.KindRNN:
-		default:
-			s.close()
-			return nil, fmt.Errorf("tango: %s has unsupported kind %s", name, net.Kind)
-		}
-		m.inputLen = 1
-		for _, d := range net.InputShape {
-			m.inputLen *= d
-		}
-		s.models[name] = m
-		s.order = append(s.order, name)
-	}
-	if !cfg.OnDemand {
-		for _, name := range s.order {
-			if _, err := s.engine(s.models[name]); err != nil {
-				s.close()
+		},
+		RequestTimeout:   cfg.RequestTimeout,
+		ModelBudgetBytes: cfg.ModelBudgetBytes,
+		OnDemand:         cfg.OnDemand,
+		Numerics:         mode.String(),
+		Load: func(name string) (*serve.Model, error) {
+			b, err := LoadBenchmark(name)
+			if err != nil {
 				return nil, err
 			}
-		}
-	}
-	return s, nil
-}
-
-// engine returns the model's loaded engine, loading it first if cold.
-func (s *Server) engine(m *serverModel) (*modelEngine, error) {
-	if e := m.eng.Load(); e != nil {
-		return e, nil
-	}
-	return s.loadEngine(m)
-}
-
-// loadEngine performs the cold-start load of one model under the lifecycle
-// lock: benchmark load, batch-geometry prewarm, batcher start, then budget
-// enforcement (which may evict other idle models).
-func (s *Server) loadEngine(m *serverModel) (*modelEngine, error) {
-	s.lifeMu.Lock()
-	defer s.lifeMu.Unlock()
-	if e := m.eng.Load(); e != nil {
-		return e, nil
-	}
-	if s.draining.Load() {
-		return nil, fmt.Errorf("tango: %s: %w", m.name, ErrServerClosed)
-	}
-	b, err := LoadBenchmark(m.name)
+			return &serve.Model{
+				ClassifyBatch: func(images [][]float32) ([]BatchClassification, error) {
+					return b.ClassifyBatch(images, opts...)
+				},
+				SampleImage: func(seed uint64) ([]float32, error) {
+					image, _, err := b.SampleImage(seed)
+					return image, err
+				},
+				ForecastBatch: func(histories [][]float64) ([]float64, error) {
+					return b.ForecastBatch(histories, opts...)
+				},
+				SampleHistory: b.SampleHistory,
+				MemStats:      b.inner.MemStats,
+			}, nil
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	e := &modelEngine{bench: b}
-	effMaxBatch := s.batchCfg.MaxBatch
-	opts := s.simOpts
-	switch m.kind {
-	case networks.KindCNN:
-		// Prewarm: resolve the plan and grow the scratch to the
-		// configured batch geometry outside any request latency.
-		image, _, err := b.SampleImage(0)
-		if err != nil {
-			return nil, fmt.Errorf("tango: prewarm %s: %w", m.name, err)
-		}
-		warm := make([][]float32, effMaxBatch)
-		for i := range warm {
-			warm[i] = image
-		}
-		if _, err := b.ClassifyBatch(warm, opts...); err != nil {
-			return nil, fmt.Errorf("tango: prewarm %s: %w", m.name, err)
-		}
-		e.classify = serve.NewBatcher(s.batchCfg, func(images [][]float32) ([]BatchClassification, error) {
-			return b.ClassifyBatch(images, opts...)
-		})
-	default:
-		// Prewarm the batched recurrent path at full batch width.
-		history, err := b.SampleHistory(0)
-		if err != nil {
-			return nil, fmt.Errorf("tango: prewarm %s: %w", m.name, err)
-		}
-		warm := make([][]float64, effMaxBatch)
-		for i := range warm {
-			warm[i] = history
-		}
-		if _, err := b.ForecastBatch(warm, opts...); err != nil {
-			return nil, fmt.Errorf("tango: prewarm %s: %w", m.name, err)
-		}
-		e.forecast = serve.NewBatcher(s.batchCfg, func(histories [][]float64) ([]float64, error) {
-			return forecastGrouped(b, histories, opts)
-		})
-	}
-	m.eng.Store(e)
-	m.loads.Add(1)
-	s.enforceBudgetLocked(m)
-	return e, nil
-}
-
-// enforceBudgetLocked evicts idle engines in least-recently-used order until
-// the resident set fits the byte budget.  The just-loaded model (keep) and
-// any model with in-flight or queued work are never evicted; if only active
-// models remain, the budget is allowed to overshoot rather than stall
-// serving.  Caller holds lifeMu.
-func (s *Server) enforceBudgetLocked(keep *serverModel) {
-	if s.cfg.ModelBudgetBytes <= 0 {
-		return
-	}
-	for s.residentBytesLocked() > s.cfg.ModelBudgetBytes {
-		var victim *serverModel
-		for _, name := range s.order {
-			m := s.models[name]
-			if m == keep || m.eng.Load() == nil {
-				continue
-			}
-			if m.inFlight.Load() != 0 {
-				continue
-			}
-			if q, _ := m.eng.Load().queue(); q != 0 {
-				continue
-			}
-			if victim == nil || m.lastUsed.Load() < victim.lastUsed.Load() {
-				victim = m
-			}
-		}
-		if victim == nil {
-			return
-		}
-		s.evictLocked(victim)
-	}
-}
-
-// evictLocked unloads one idle model: the engine pointer clears first (new
-// requests re-load instead of racing the teardown), the batcher drains, and
-// its final counters fold into the model's base stats so lifetime totals
-// survive the eviction.  Caller holds lifeMu.
-func (s *Server) evictLocked(m *serverModel) {
-	e := m.eng.Load()
-	if e == nil {
-		return
-	}
-	m.eng.Store(nil)
-	e.close()
-	st := e.stats()
-	m.statsMu.Lock()
-	m.baseStats = serve.Merge(m.baseStats, st)
-	m.statsMu.Unlock()
-	m.evictions.Add(1)
-}
-
-// residentBytesLocked sums resident engine bytes.  Caller holds lifeMu (or
-// tolerates a racy snapshot, as Stats does).
-func (s *Server) residentBytesLocked() int64 {
-	var total int64
-	for _, name := range s.order {
-		m := s.models[name]
-		if e := m.eng.Load(); e != nil {
-			total += e.bench.inner.MemStats().Total()
-		}
-	}
-	return total
-}
-
-// forecastGrouped runs a formed forecast batch.  ForecastBatch requires
-// equal-length histories (the recurrent gates advance the batch in
-// lockstep), but independent requests may carry different lengths, so the
-// batch is partitioned into equal-length groups, each run as one batched
-// call.  On the default numerics tier grouping never changes numerics:
-// batched results are bit-identical to per-sample Forecast however the
-// batch is split.  On a fast tier a history's bits depend on whether its
-// group holds one history (the mat-vec, equal to Forecast) or several (the
-// GEMM, within tolerance).
-func forecastGrouped(b *Benchmark, histories [][]float64, opts []SimOption) ([]float64, error) {
-	n := len(histories)
-	out := make([]float64, n)
-	done := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if done[i] {
-			continue
-		}
-		steps := len(histories[i])
-		idx := []int{i}
-		for j := i + 1; j < n; j++ {
-			if !done[j] && len(histories[j]) == steps {
-				idx = append(idx, j)
-			}
-		}
-		group := make([][]float64, len(idx))
-		for k, j := range idx {
-			group[k] = histories[j]
-		}
-		preds, err := b.ForecastBatch(group, opts...)
-		if err != nil {
-			return nil, err
-		}
-		for k, j := range idx {
-			out[j] = preds[k]
-			done[j] = true
-		}
-	}
-	return out, nil
+	return &Server{srv: srv}, nil
 }
 
 // Benchmarks returns the served benchmark names in configuration order.
-func (s *Server) Benchmarks() []string { return append([]string(nil), s.order...) }
-
-// errWrongKind is the single rejection for a request that reached a model
-// through the wrong entry point (Classify on an RNN or Forecast on a CNN),
-// shared by the embedding API and the HTTP seed path so both report the
-// same wrapped ErrShape.
-func (m *serverModel) errWrongKind(benchmark string) error {
-	use := "Classify (/v1/classify)"
-	if m.kind != networks.KindCNN {
-		use = "Forecast (/v1/forecast)"
-	}
-	return fmt.Errorf("tango: %s is a %s benchmark; %w: use %s",
-		benchmark, m.kind, ErrShape, use)
-}
-
-// sampleImage resolves the deterministic sample image for a seed-based
-// classify request against a served CNN benchmark.
-func (s *Server) sampleImage(benchmark string, seed uint64) ([]float32, error) {
-	m, err := s.model(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	if m.kind != networks.KindCNN {
-		return nil, m.errWrongKind(benchmark)
-	}
-	e, err := s.engine(m)
-	if err != nil {
-		return nil, err
-	}
-	img, _, err := e.bench.SampleImage(seed)
-	return img, err
-}
-
-// sampleHistory resolves the deterministic sample history for a seed-based
-// forecast request against a served RNN benchmark.
-func (s *Server) sampleHistory(benchmark string, seed uint64) ([]float64, error) {
-	m, err := s.model(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	if m.kind != networks.KindRNN {
-		return nil, m.errWrongKind(benchmark)
-	}
-	e, err := s.engine(m)
-	if err != nil {
-		return nil, err
-	}
-	return e.bench.SampleHistory(seed)
-}
-
-// model resolves a served benchmark by name.
-func (s *Server) model(name string) (*serverModel, error) {
-	m, ok := s.models[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (serving %v)", ErrNotServed, name, s.order)
-	}
-	return m, nil
-}
-
-// submitRetries bounds how often a request re-loads and re-submits after
-// losing the race with an engine eviction (the batcher closed between the
-// pointer read and the enqueue).
-const submitRetries = 3
+func (s *Server) Benchmarks() []string { return s.srv.Benchmarks() }
 
 // Classify submits one image to a served CNN benchmark and blocks until its
 // batch has run or ctx is done.  The image must be a flat CHW float32 slice
@@ -503,18 +161,7 @@ const submitRetries = 3
 // is retained until its batch runs: callers must not mutate it before
 // Classify returns.
 func (s *Server) Classify(ctx context.Context, benchmark string, image []float32) (BatchClassification, error) {
-	m, err := s.model(benchmark)
-	if err != nil {
-		return BatchClassification{}, err
-	}
-	if m.kind != networks.KindCNN {
-		return BatchClassification{}, m.errWrongKind(benchmark)
-	}
-	if len(image) != m.inputLen {
-		return BatchClassification{}, fmt.Errorf("tango: %s: %w: image has %d elements, want %d (input shape %v)",
-			benchmark, ErrShape, len(image), m.inputLen, m.inputShape)
-	}
-	return submit(ctx, s, m, image, func(e *modelEngine) *serve.Batcher[[]float32, BatchClassification] { return e.classify })
+	return s.srv.Classify(ctx, benchmark, image)
 }
 
 // Forecast submits one history of scalar observations to a served RNN
@@ -526,229 +173,97 @@ func (s *Server) Classify(ctx context.Context, benchmark string, image []float32
 // retained until its batch runs: callers must not mutate it before Forecast
 // returns.
 func (s *Server) Forecast(ctx context.Context, benchmark string, history []float64) (float64, error) {
-	m, err := s.model(benchmark)
-	if err != nil {
-		return 0, err
-	}
-	if m.kind != networks.KindRNN {
-		return 0, m.errWrongKind(benchmark)
-	}
-	if len(history) == 0 {
-		return 0, fmt.Errorf("tango: %s: %w: empty history", benchmark, ErrShape)
-	}
-	return submit(ctx, s, m, history, func(e *modelEngine) *serve.Batcher[[]float64, float64] { return e.forecast })
+	return s.srv.Forecast(ctx, benchmark, history)
 }
-
-// submit is the request path Classify and Forecast share once the shape is
-// validated: admission, deadline budget, LRU touch, then load-and-enqueue on
-// the batcher pick selects, re-loading when an eviction closed that batcher
-// under the request.
-func submit[Req, Res any](ctx context.Context, s *Server, m *serverModel, req Req,
-	pick func(*modelEngine) *serve.Batcher[Req, Res]) (Res, error) {
-	var res Res
-	if err := s.admit(ctx, m); err != nil {
-		return res, err
-	}
-	ctx, cancel := resilience.WithBudget(ctx, s.cfg.RequestTimeout)
-	defer cancel()
-	m.touch()
-	m.inFlight.Add(1)
-	var err error
-	for attempt := 0; ; attempt++ {
-		var e *modelEngine
-		if e, err = s.engine(m); err != nil {
-			break
-		}
-		if res, err = pick(e).Do(ctx, req); !s.retrySubmit(err, attempt) {
-			break
-		}
-	}
-	m.inFlight.Add(-1)
-	m.recordOutcome(err)
-	return res, err
-}
-
-// retrySubmit reports whether a failed submission should re-load the engine
-// and try again: only when the batcher was closed under the request by an
-// eviction (not a server drain), and only a bounded number of times.
-func (s *Server) retrySubmit(err error, attempt int) bool {
-	return errors.Is(err, serve.ErrClosed) && !s.draining.Load() && attempt < submitRetries
-}
-
-// touch stamps the model's LRU clock.
-func (m *serverModel) touch() { m.lastUsed.Store(time.Now().UnixNano()) }
 
 // Close stops accepting requests, serves everything already queued
 // (graceful drain), and stops the scheduler goroutines.  It is idempotent.
 // Requests submitted after Close begins fail with ErrServerClosed.
-func (s *Server) Close() { s.close() }
-
-func (s *Server) close() {
-	s.draining.Store(true)
-	s.lifeMu.Lock()
-	defer s.lifeMu.Unlock()
-	for _, name := range s.order {
-		if e := s.models[name].eng.Load(); e != nil {
-			e.close()
-		}
-	}
-}
-
-// BenchmarkServeStats is the per-benchmark slice of a Server stats snapshot.
-// Latencies are end-to-end (queue wait + batch compute); the percentile pair
-// is over a recent window, the histogram is cumulative since load (bucket
-// upper bounds as on /metrics, final slot +Inf).  Counters span the
-// model's lifetime: they survive engine eviction and reload.
-type BenchmarkServeStats struct {
-	Benchmark         string   `json:"benchmark"`
-	Kind              string   `json:"kind"`
-	Submitted         uint64   `json:"submitted"`
-	Completed         uint64   `json:"completed"`
-	Canceled          uint64   `json:"canceled"`
-	RejectedQueueFull uint64   `json:"rejected_queue_full"`
-	RejectedClosed    uint64   `json:"rejected_closed"`
-	Batches           uint64   `json:"batches"`
-	BatchErrors       uint64   `json:"batch_errors"`
-	Bisections        uint64   `json:"bisections"`
-	Isolated          uint64   `json:"isolated"`
-	ShedLoad          uint64   `json:"shed_load"`
-	ShedBreaker       uint64   `json:"shed_breaker"`
-	InFlight          int64    `json:"in_flight"`
-	QueueLen          int      `json:"queue_len"`
-	QueueCap          int      `json:"queue_cap"`
-	BreakerState      string   `json:"breaker_state"`
-	MeanBatchSize     float64  `json:"mean_batch_size"`
-	BatchSizeHist     []uint64 `json:"batch_size_hist"`
-	LatencyP50Micros  float64  `json:"latency_p50_us"`
-	LatencyP99Micros  float64  `json:"latency_p99_us"`
-	LatencyHist       []uint64 `json:"latency_hist"`
-	LatencySumMicros  float64  `json:"latency_sum_us"`
-	// BatchWindowMicros is the batch window currently in effect: the fixed
-	// MaxDelay, or the adaptive controller's live window under an SLO.
-	BatchWindowMicros float64 `json:"batch_window_us"`
-	// Resident reports whether the model's engine is currently loaded;
-	// the byte fields break down its footprint (zero while cold).
-	Resident      bool   `json:"resident"`
-	ResidentBytes int64  `json:"resident_bytes"`
-	WeightBytes   int64  `json:"weight_bytes"`
-	PackedBytes   int64  `json:"packed_bytes"`
-	ScratchBytes  int64  `json:"scratch_bytes"`
-	Loads         uint64 `json:"loads"`
-	Evictions     uint64 `json:"evictions"`
-}
+func (s *Server) Close() { s.srv.Close() }
 
 // ServerStats is a point-in-time snapshot of a Server's counters, served as
 // JSON by GET /v1/stats and rendered as Prometheus text by GET /metrics.
-type ServerStats struct {
-	// Aggregates over every served benchmark.
-	Requests          uint64  `json:"requests"`
-	Completed         uint64  `json:"completed"`
-	RejectedQueueFull uint64  `json:"rejected_queue_full"`
-	Shed              uint64  `json:"shed"`
-	InFlight          int64   `json:"in_flight"`
-	Batches           uint64  `json:"batches"`
-	MeanBatchSize     float64 `json:"mean_batch_size"`
+type ServerStats = serve.ServerStats
 
-	// Engine-level configuration and footprint.
-	NumericsTier     string  `json:"numerics_tier"`
-	TargetP99Micros  float64 `json:"target_p99_us,omitempty"`
-	ModelBudgetBytes int64   `json:"model_budget_bytes,omitempty"`
-	ResidentModels   int     `json:"resident_models"`
-	ResidentBytes    int64   `json:"resident_bytes"`
-
-	Benchmarks map[string]BenchmarkServeStats `json:"benchmarks"`
-}
-
-// batcherStats returns the model's lifetime scheduler stats: the live
-// engine's snapshot (when resident) merged onto the counters carried over
-// from evicted engines.
-func (m *serverModel) batcherStats() serve.Stats {
-	m.statsMu.Lock()
-	base := m.baseStats
-	m.statsMu.Unlock()
-	if e := m.eng.Load(); e != nil {
-		return serve.Merge(base, e.stats())
-	}
-	return serve.Merge(base, serve.Stats{})
-}
+// BenchmarkServeStats is the per-benchmark slice of a ServerStats.  Its
+// counters span the model's lifetime: they survive engine eviction and
+// reload.
+type BenchmarkServeStats = serve.BenchmarkServeStats
 
 // Stats snapshots the server's counters: request totals, rejections,
 // batches formed, batch-size and latency histograms, latency percentiles,
 // adaptive batch windows and per-model residency.
-func (s *Server) Stats() ServerStats {
-	out := ServerStats{
-		NumericsTier:     s.cfg.Numerics,
-		TargetP99Micros:  float64(s.batchCfg.SLO) / float64(time.Microsecond),
-		ModelBudgetBytes: s.cfg.ModelBudgetBytes,
-		Benchmarks:       make(map[string]BenchmarkServeStats, len(s.models)),
-	}
-	var batchedRequests uint64
-	for _, name := range s.order {
-		m := s.models[name]
-		st := m.batcherStats()
-		shedLoad, shedBreaker := m.shedLoad.Load(), m.shedBreaker.Load()
-		inFlight := m.inFlight.Load()
-		q, c := s.queueState(m)
-		bs := BenchmarkServeStats{
-			Benchmark:         name,
-			Kind:              m.kind.String(),
-			Submitted:         st.Submitted,
-			Completed:         st.Completed,
-			Canceled:          st.Canceled,
-			RejectedQueueFull: st.RejectedQueueFull,
-			RejectedClosed:    st.RejectedClosed,
-			Batches:           st.Batches,
-			BatchErrors:       st.BatchErrors,
-			Bisections:        st.Bisections,
-			Isolated:          st.Isolated,
-			ShedLoad:          shedLoad,
-			ShedBreaker:       shedBreaker,
-			InFlight:          inFlight,
-			QueueLen:          q,
-			QueueCap:          c,
-			BreakerState:      m.breaker.State().String(),
-			MeanBatchSize:     st.MeanBatchSize,
-			BatchSizeHist:     st.BatchSizeHist,
-			LatencyP50Micros:  float64(st.LatencyP50) / float64(time.Microsecond),
-			LatencyP99Micros:  float64(st.LatencyP99) / float64(time.Microsecond),
-			LatencyHist:       st.LatencyHist,
-			LatencySumMicros:  float64(st.LatencySum) / float64(time.Microsecond),
-			BatchWindowMicros: float64(st.CurrentDelay) / float64(time.Microsecond),
-			Loads:             m.loads.Load(),
-			Evictions:         m.evictions.Load(),
-		}
-		if e := m.eng.Load(); e != nil {
-			ms := e.bench.inner.MemStats()
-			bs.Resident = true
-			bs.WeightBytes = ms.WeightBytes
-			bs.PackedBytes = ms.PackedBytes
-			bs.ScratchBytes = ms.ScratchBytes
-			bs.ResidentBytes = ms.Total()
-			out.ResidentModels++
-			out.ResidentBytes += bs.ResidentBytes
-		}
-		out.Benchmarks[name] = bs
-		out.Requests += st.Submitted
-		out.Completed += st.Completed
-		out.RejectedQueueFull += st.RejectedQueueFull
-		out.Shed += shedLoad + shedBreaker
-		out.InFlight += inFlight
-		out.Batches += st.Batches
-		// Every completed request went through exactly one executed batch,
-		// so Completed is also the batched-request total.
-		batchedRequests += st.Completed
-	}
-	if out.Batches > 0 {
-		out.MeanBatchSize = float64(batchedRequests) / float64(out.Batches)
-	}
-	return out
+func (s *Server) Stats() ServerStats { return s.srv.Stats() }
+
+// HealthReport is the GET /healthz body: overall status, the reasons a
+// non-healthy status was chosen, and each benchmark's ModelHealth.
+type HealthReport = serve.HealthReport
+
+// ModelHealth is one benchmark's breaker, queue and residency state in a
+// HealthReport.
+type ModelHealth = serve.ModelHealth
+
+// HealthStatus is the server's tri-state health.
+type HealthStatus = serve.HealthStatus
+
+const (
+	// HealthHealthy: all breakers closed, queues below pressure.
+	HealthHealthy = serve.HealthHealthy
+	// HealthDegraded: still serving, but at least one breaker is open or
+	// half-open, or a queue is at shedding pressure.  Load balancers
+	// should prefer other replicas but need not eject this one.
+	HealthDegraded = serve.HealthDegraded
+	// HealthDraining: shutdown has begun; no new work is accepted.
+	HealthDraining = serve.HealthDraining
+)
+
+// Health derives the server's tri-state health from breaker and queue
+// state: draining once Close has begun, degraded while any breaker is
+// open/half-open or any queue is at shedding pressure, healthy otherwise.
+// A degraded server is alive and still serving what it can — the point of
+// the resilience layer is that faults land here, not in a dead process.
+func (s *Server) Health() HealthReport { return s.srv.Health() }
+
+// Priority classifies a request for admission under load.  Under queue
+// pressure the server sheds low-priority work first, then normal; high
+// priority is only ever rejected by a completely full queue.
+type Priority = serve.Priority
+
+const (
+	// PriorityNormal is the default class (the zero value): shed when the
+	// queue is above ~90% occupancy.
+	PriorityNormal = serve.PriorityNormal
+	// PriorityLow marks best-effort work (batch backfill, speculative
+	// prefetch): shed when the queue is above ~50% occupancy.
+	PriorityLow = serve.PriorityLow
+	// PriorityHigh marks interactive work: admitted until the queue is
+	// completely full.
+	PriorityHigh = serve.PriorityHigh
+)
+
+// WithPriority tags a request context with a priority class; Server
+// admission reads it when deciding what to shed under load.  The HTTP
+// frontend maps the X-Priority header ("low", "normal", "high") onto
+// this.
+func WithPriority(ctx context.Context, p Priority) context.Context {
+	return serve.WithPriority(ctx, p)
 }
 
-// queueState returns the model's request-queue length and capacity; a cold
-// model has an empty queue at the configured capacity.
-func (s *Server) queueState(m *serverModel) (int, int) {
-	if e := m.eng.Load(); e != nil {
-		return e.queue()
-	}
-	return 0, s.batchCfg.QueueDepth
-}
+// Handler returns the Server's HTTP API as a stdlib http.Handler, ready to
+// mount on any mux or http.Server; the tango-serve binary is a thin wrapper
+// around it.  Its endpoints:
+//
+//	POST /v1/classify  {"benchmark":"CifarNet","image":[...]}   -> {"class":..,"probabilities":[...]}
+//	POST /v1/forecast  {"benchmark":"LSTM","history":[...]}     -> {"prediction":..}
+//	GET  /v1/stats                                              -> ServerStats JSON
+//	GET  /healthz                                               -> HealthReport JSON
+//	GET  /metrics                                               -> Prometheus text exposition
+//
+// Classify and forecast requests may pass {"seed":N} instead of an image or
+// history to use the benchmark's deterministic sample input, and an
+// X-Priority header ("low", "normal", "high") for admission.  Shape errors
+// answer 400, unknown benchmarks 404, a full queue or shed load 429, an
+// open circuit breaker or a draining server 503 (the last two with
+// Retry-After), anything else 500; error bodies are {"error":"..."}.
+// /healthz answers 200 when healthy or degraded and 503 while draining.
+func (s *Server) Handler() http.Handler { return s.srv.Handler() }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"tango/internal/serve"
 )
 
 // decodeSeeds is the seed corpus of FuzzDecodeInferenceRequest: the bodies
@@ -30,14 +32,6 @@ var decodeSeeds = []string{
 	"\xef\xbb\xbf{\"benchmark\":\"x\"}", "{\"benchmark\":\"x\"}\x00", "\v{}", `{"image":[1]]}`, `{"image":[1,2,3,4,5,6,7,8,9`,
 }
 
-func (q *classifyRequest) decodeFast(body []byte) bool {
-	return decodeInference(body, "image", &q.Benchmark, &q.Image, &q.Seed)
-}
-
-func (q *forecastRequest) decodeFast(body []byte) bool {
-	return decodeInference(body, "history", &q.Benchmark, &q.History, &q.Seed)
-}
-
 // sameRequest compares what the fast decoder stored with what json.Unmarshal
 // stored: strings and seeds by value, numbers by their bits, nil by nil-ness.
 func sameRequest[F float32 | float64](t *testing.T, body []byte, fb, jb string, fv, jv []F, fs, js *uint64) {
@@ -59,8 +53,8 @@ func FuzzDecodeInferenceRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var fc, jc classifyRequest
-		if fc.decodeFast(body) {
+		var fc, jc serve.ClassifyRequest
+		if fc.DecodeFast(body) {
 			if err := json.Unmarshal(body, &jc); err != nil {
 				t.Fatalf("classify body %q: fast decoder accepted, encoding/json: %v", body, err)
 			}
@@ -68,8 +62,8 @@ func FuzzDecodeInferenceRequest(f *testing.F) {
 		} else if fc.Benchmark != "" || fc.Image != nil || fc.Seed != nil {
 			t.Fatalf("classify body %q: declined but stored %+v", body, fc)
 		}
-		var ff, jf forecastRequest
-		if ff.decodeFast(body) {
+		var ff, jf serve.ForecastRequest
+		if ff.DecodeFast(body) {
 			if err := json.Unmarshal(body, &jf); err != nil {
 				t.Fatalf("forecast body %q: fast decoder accepted, encoding/json: %v", body, err)
 			}
@@ -105,8 +99,8 @@ func canonicalClassifyBody(tb testing.TB) []byte {
 // the benchmark name, nothing else.
 func TestCanonicalBodyTakesFastPath(t *testing.T) {
 	body := canonicalClassifyBody(t)
-	var c classifyRequest
-	if !c.decodeFast(body) || c.Benchmark != "CifarNet" || len(c.Image) != 3*32*32 || c.Seed != nil {
+	var c serve.ClassifyRequest
+	if !c.DecodeFast(body) || c.Benchmark != "CifarNet" || len(c.Image) != 3*32*32 || c.Seed != nil {
 		t.Fatalf("json.Marshal(map) classify body declined or misread: %q %d %v", c.Benchmark, len(c.Image), c.Seed)
 	}
 	if cap(c.Image) != len(c.Image) {
@@ -116,21 +110,21 @@ func TestCanonicalBodyTakesFastPath(t *testing.T) {
 		"seed classify": `{"benchmark":"CifarNet","seed":7}`,
 		"indented":      "{\n  \"benchmark\": \"CifarNet\",\n  \"image\": [\n    0.5,\n    -1\n  ]\n}\n",
 	} {
-		if !new(classifyRequest).decodeFast([]byte(b)) {
+		if !new(serve.ClassifyRequest).DecodeFast([]byte(b)) {
 			t.Errorf("%s body %q declined", name, b)
 		}
 	}
-	var fr forecastRequest
+	var fr serve.ForecastRequest
 	history, err := json.Marshal(map[string]any{"benchmark": "LSTM", "history": []float64{0.1, -2.5e-7, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fr.decodeFast(history) || fr.Benchmark != "LSTM" || len(fr.History) != 3 || fr.History[1] != -2.5e-7 {
+	if !fr.DecodeFast(history) || fr.Benchmark != "LSTM" || len(fr.History) != 3 || fr.History[1] != -2.5e-7 {
 		t.Fatalf("json.Marshal(map) forecast body declined or misread: %+v", fr)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		var q classifyRequest
-		if !q.decodeFast(body) {
+		var q serve.ClassifyRequest
+		if !q.DecodeFast(body) {
 			t.Fatal("declined")
 		}
 	}); allocs > 2 {
@@ -145,16 +139,16 @@ func BenchmarkDecodeClassifyRequest(b *testing.B) {
 	b.Logf("body: %d bytes", len(body))
 	for _, bc := range []struct {
 		name   string
-		decode func(*classifyRequest) bool
+		decode func(*serve.ClassifyRequest) bool
 	}{
-		{"fast", func(q *classifyRequest) bool { return q.decodeFast(body) }},
-		{"encoding-json", func(q *classifyRequest) bool { return json.Unmarshal(body, q) == nil }},
+		{"fast", func(q *serve.ClassifyRequest) bool { return q.DecodeFast(body) }},
+		{"encoding-json", func(q *serve.ClassifyRequest) bool { return json.Unmarshal(body, q) == nil }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
-				var q classifyRequest
+				var q serve.ClassifyRequest
 				if !bc.decode(&q) {
 					b.Fatal("decode failed")
 				}

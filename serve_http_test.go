@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"tango"
+	"tango/internal/core"
+	"tango/internal/serve"
 )
 
 // newHTTPServer mounts a tango.Server's Handler on an httptest server.
@@ -430,10 +432,12 @@ func goldenServerStats() tango.ServerStats {
 			},
 			"CifarNet": {
 				Benchmark: "CifarNet", Kind: "CNN",
-				Submitted: 100, Completed: 100, Canceled: 2,
-				RejectedQueueFull: 5, RejectedClosed: 1,
-				Batches: 25, BatchErrors: 1, Bisections: 2, Isolated: 1,
-				ShedLoad: 2, ShedBreaker: 1,
+				Counters: serve.Counters{
+					Submitted: 100, Completed: 100, Canceled: 2,
+					RejectedQueueFull: 5, RejectedClosed: 1,
+					Batches: 25, BatchErrors: 1, Bisections: 2, Isolated: 1,
+					ShedLoad: 2, ShedBreaker: 1,
+				},
 				InFlight: 1, QueueLen: 3, QueueCap: 64,
 				BreakerState: "closed", MeanBatchSize: 4,
 				BatchSizeHist:    []uint64{5, 10, 0, 10},
@@ -442,9 +446,9 @@ func goldenServerStats() tango.ServerStats {
 				LatencySumMicros:  750_000,
 				BatchWindowMicros: 1500,
 				Resident:          true,
-				ResidentBytes:     123456, WeightBytes: 100000,
-				PackedBytes: 20000, ScratchBytes: 3456,
-				Loads: 2, Evictions: 1,
+				ResidentBytes:     123456,
+				MemStats:          core.MemStats{WeightBytes: 100000, PackedBytes: 20000, ScratchBytes: 3456},
+				Loads:             2, Evictions: 1,
 			},
 		},
 	}
