@@ -42,9 +42,12 @@ func gemmDigestCases() []struct{ m, n, k, ldb int } {
 // GemmNNAccumPanel, GemmNNFast, GemmNNFastParallel and GemmNNFastAccumPanel
 // over the geometry table on each rung SetFastTier can force.  The parallel
 // entry points run at 1 and 3 workers with every op forking; the panel
-// entry points walk the FusedKC x FusedNC grid with and without spill slack
-// past each panel.  Every hash covers the whole destination, so a gap column
-// past n that a kernel writes moves it too.
+// entry points walk the FusedKC x FusedNC grid from panels with 16 floats of
+// spare capacity (the engine's worker buffers) under their own keys and
+// from exactly sized ones under "<key>/slack0", so a kernel whose bits
+// follow a buffer's capacity shows as two keys that differ.  Every hash
+// covers the whole destination, so a gap column past n that a kernel writes
+// moves it too.
 func TestFloatGemmDigestsPerRung(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	pinned := map[string]string{}
@@ -62,7 +65,8 @@ func TestFloatGemmDigestsPerRung(t *testing.T) {
 	forRungs(TierGeneric, func() {
 		rung := FastTier().String()
 		hs := map[string]hash.Hash{}
-		for _, name := range []string{"GemmNN", "GemmNNParallel", "GemmNNAccumPanel", "GemmNNFast", "GemmNNFastParallel", "GemmNNFastAccumPanel"} {
+		for _, name := range []string{"GemmNN", "GemmNNParallel", "GemmNNAccumPanel", "GemmNNAccumPanel/slack0",
+			"GemmNNFast", "GemmNNFastParallel", "GemmNNFastAccumPanel", "GemmNNFastAccumPanel/slack0"} {
 			hs[name] = sha256.New()
 		}
 		for ci, c := range cases {
@@ -87,6 +91,10 @@ func TestFloatGemmDigestsPerRung(t *testing.T) {
 				run("GemmNNFastParallel", func(dst []float32) { GemmNNFastParallel(dst, pa, b, bias, c.n, c.ldb, tm) })
 			}
 			for _, slack := range []int{0, 16} {
+				suffix := ""
+				if slack == 0 {
+					suffix = "/slack0"
+				}
 				panels := func(dst []float32, accum func(dst, panel []float32, kb, kc, nc int)) {
 					for p0 := 0; p0 < c.n; p0 += FusedNC {
 						nc := min(c.n-p0, FusedNC)
@@ -100,12 +108,12 @@ func TestFloatGemmDigestsPerRung(t *testing.T) {
 						}
 					}
 				}
-				run("GemmNNAccumPanel", func(dst []float32) {
+				run("GemmNNAccumPanel"+suffix, func(dst []float32) {
 					panels(dst, func(dst, panel []float32, kb, kc, nc int) {
 						GemmNNAccumPanel(dst, a, panel, bias, c.k, kb, kc, nc, c.ldb, 0, c.m)
 					})
 				})
-				run("GemmNNFastAccumPanel", func(dst []float32) {
+				run("GemmNNFastAccumPanel"+suffix, func(dst []float32) {
 					panels(dst, func(dst, panel []float32, kb, kc, nc int) {
 						GemmNNFastAccumPanel(dst, pa, panel, bias, kb, kc, nc, c.ldb)
 					})
