@@ -23,9 +23,7 @@ func fillPanel(panel, b []float32, ldb, kb, kc, p0, nc int) {
 
 // runFusedPanels computes dst = a.b + bias through GemmNNFastAccumPanel,
 // walking a (kcStep, ncStep) grid like nn's fused convolution.  slack adds
-// spare capacity to the panel's backing array: with slack >= 16 the sub-16
-// column tails run the vector spill path, with slack 0 they fall back to
-// the scalar kernel.
+// spare capacity to the panel's backing array, which must not move a bit.
 func runFusedPanels(dst []float32, pa *tensor.PackedA, b, bias []float32, n, k, ncStep, kcStep, slack int) {
 	buf := make([]float32, ncStep*kcStep+slack)
 	for p0 := 0; p0 < n; p0 += ncStep {
@@ -103,14 +101,14 @@ func TestGemmNNAccumPanelBitwise(t *testing.T) {
 // TestGemmNNFastAccumPanelComposes: walking ascending depth slabs over
 // column panels must reproduce the full product within the fast tier's
 // tolerance on every tier, for panel grids with and without column/depth
-// tails, with and without spill slack in the panel buffer.
+// tails, with and without spare capacity in the panel buffer.
 func TestGemmNNFastAccumPanelComposes(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	shapes := []gemmShape{{8, 173, 147}, {10, 169, 96}, {4, 31, 9}, {9, 512, 50}}
 	grids := []struct{ nc, kc, slack int }{
 		{512, 256, 16}, // production fused grid, single panel for small n
-		{64, 32, 16},   // many panels, vector spill tails
-		{48, 50, 0},    // unaligned grid, scalar tail fallback
+		{64, 32, 16},   // many panels, sub-16 column tails
+		{48, 50, 0},    // unaligned grid, exactly sized panel buffer
 	}
 	forceTier(t, func(t *testing.T, tier tensor.SIMDTier) {
 		for _, s := range shapes {
@@ -137,12 +135,13 @@ func TestGemmNNFastAccumPanelComposes(t *testing.T) {
 	})
 }
 
-// TestGemmNNFastAccumPanelGridInvariant: with spill slack available, the
-// per-element summation order depends only on the depth-slab walk — full
-// 4-row tiles feed every column through the same FMA chain whether it sits
-// in the vector body or the spill tail.  Different column-panel widths over
-// the same kc grid must therefore produce identical bytes (this is what
-// makes the fused batched conv deterministic for any per-image panel grid).
+// TestGemmNNFastAccumPanelGridInvariant: the per-element summation order
+// depends only on the depth-slab walk — full 4-row tiles feed every column
+// through the same FMA chain whether it sits in the vector body or the
+// staged tail.  Different column-panel widths over the same kc grid, from
+// panel buffers with 0 or 16 floats of spare capacity, must therefore
+// produce identical bytes (this is what makes the fused batched conv
+// deterministic for any per-image panel grid).
 func TestGemmNNFastAccumPanelGridInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m, n, k := 8, 173, 96
@@ -153,13 +152,15 @@ func TestGemmNNFastAccumPanelGridInvariant(t *testing.T) {
 		pa := tensor.PackA(a, m, k)
 		base := make([]float32, m*n)
 		runFusedPanels(base, pa, b, bias, n, k, n, 32, 16)
-		for _, nc := range []int{64, 48, 173} {
-			got := make([]float32, m*n)
-			runFusedPanels(got, pa, b, bias, n, k, nc, 32, 16)
-			for i := range base {
-				if math.Float32bits(got[i]) != math.Float32bits(base[i]) {
-					t.Fatalf("tier %v nc=%d: element %d differs: %v vs %v",
-						tier, nc, i, got[i], base[i])
+		for _, slack := range []int{16, 0} {
+			for _, nc := range []int{64, 48, 173} {
+				got := make([]float32, m*n)
+				runFusedPanels(got, pa, b, bias, n, k, nc, 32, slack)
+				for i := range base {
+					if math.Float32bits(got[i]) != math.Float32bits(base[i]) {
+						t.Fatalf("tier %v nc=%d slack %d: element %d differs: %v vs %v",
+							tier, nc, slack, i, got[i], base[i])
+					}
 				}
 			}
 		}

@@ -11,13 +11,12 @@ package tensor
 // feeds it one packed patch panel at a time (GemmNNAccumPanel,
 // GemmNNFastAccumPanel), a 1x1 one its input planes in place.
 //
-// Both tiers share one tile family, one column split (nnOp.columns) and one
-// panel driver (gemmNNPanel), on the one SIMD ladder (SIMDTier): TierAVX512
-// runs the 4x32 ZMM tile, TierFMA the 4x16 YMM tile (which also takes the
-// AVX-512 rung's 16-column remainder), and TierGeneric portable loops, which
-// are all that hosts without AVX2 and FMA and other architectures run.  The
-// tiers differ only in the accumulate instruction and in what they do with
-// the columns and rows the tiles leave (gemmNNPanel).
+// Both tiers share one tile family, one column split (columns) and one panel
+// driver with one edge rule (gemmNNPanel), on the one SIMD ladder
+// (SIMDTier): TierAVX512 runs the 4x32 ZMM tile, TierFMA the 4x16 YMM tile
+// (which also takes the AVX-512 rung's 16-column remainder and every rung's
+// staged tail), and TierGeneric portable loops, which are all that hosts
+// without AVX2 and FMA and other architectures run.
 //
 // Reference determinism contract (identical to Gemm): every element
 // dst[i*n+j] is
@@ -43,8 +42,8 @@ const (
 	// nnMR is the row tile of the amd64 tiles; row-panel splits align to it
 	// so only the final panel runs remainder rows.
 	nnMR = 4
-	// nnNR is the YMM tile's width; the column tail narrower than it takes
-	// the spill tile or the portable loops.
+	// nnNR is the YMM tile's width; the column tail narrower than it runs
+	// the YMM tile on staged copies (gemmNNTail).
 	nnNR = 16
 )
 
@@ -104,9 +103,9 @@ func checkGemmNNArgs(dst, a, b, bias []float32, m, n, k, ldb int) {
 // the touched columns with bias (zero for nil) when kb == 0.  Walking kb
 // over ascending slabs gives every element GemmNN's summation order, so the
 // product is bit-identical to GemmNN for any panel grid and any split of
-// the rows.
+// the rows.  kc must be at most FusedKC.
 func GemmNNAccumPanel(dst, a, panel, bias []float32, k, kb, kc, nc, ldd, r0, r1 int) {
-	if r0 < 0 || r1 <= r0 || nc <= 0 || kc <= 0 || kb < 0 || kb+kc > k {
+	if r0 < 0 || r1 <= r0 || nc <= 0 || kc <= 0 || kc > FusedKC || kb < 0 || kb+kc > k {
 		panic("tensor: gemmNN panel slab out of range")
 	}
 	if ldd < nc || len(dst) < (r1-1)*ldd+nc || len(a) < r1*k || len(panel) < kc*nc {
@@ -150,41 +149,39 @@ func gemmNNRows(op nnOp, dst, b, bias []float32, n, ldb, r0, r1 int) {
 	}
 }
 
-// nnOp is one GEMM call's A operand and tier, as the panel driver reads
-// them.  The reference tier (fused false) runs the bit-exact tiles on the
-// row-major a.  The fast tier runs the fused tiles on PackA's panels and
-// keeps a for its portable loops; spill says whether its column tail may
-// take the spill tile (the panel entry point) or always takes the strided
-// dot (the others).
+// nnOp is one GEMM call's A operand and tier.  The reference tier (fused
+// false) runs the bit-exact tiles on the row-major a.  The fast tier runs the
+// fused tiles on PackA's panels, keeps a for its m%4 rows, and fuses its
+// column tail too only when fusedTail (the panel entry point).
 type nnOp struct {
-	a, panels    []float32
-	k            int
-	fused, spill bool
+	a, panels        []float32
+	k                int
+	fused, fusedTail bool
 }
 
-// columns splits the nc columns of one panel, which start at column c0 of
-// b, among rung t's kernels for op: the first zmm go to the 4x32 ZMM tile,
-// the next ymm to the 4x16 YMM tile and the rest, narrower than nnNR, to
-// the spill tile over b's first spill depth rows and to the portable loops
-// over the others.  The spill tile is the YMM tile run on a stack copy of
-// the tail's dst rows; it reads nnNR floats of each depth row, past the
-// tail, so it takes only the rows that stay inside cap(b).  The reference
-// tier takes as many as fit: its bits do not depend on the kernel.  The
-// fast tier takes all kc or none, and none unless op.spill.  On the generic
-// rung every column is portable.
-func (op nnOp) columns(t SIMDTier, b []float32, c0, nc, kc, ldb int) (zmm, ymm, spill int) {
+// tileA returns the A operand of the 4-row tile at row i from depth kb on,
+// with its row and depth strides: PackA's panels on the fast tier (i is a
+// multiple of nnMR: the fast tier's rows are tile-aligned), the row-major a
+// on the reference one.
+func (op nnOp) tileA(i, kb int) (a []float32, lda, ldk int) {
+	if op.fused {
+		return op.panels[i*op.k+kb*nnMR:], 1, nnMR
+	}
+	return op.a[i*op.k+kb:], op.k, 1
+}
+
+// columns splits the nc columns of one panel among rung t's tiles: the first
+// zmm go to the 4x32 ZMM tile, the next ymm to the 4x16 YMM tile.  The rest,
+// narrower than nnNR, is the tail (gemmNNTail).  On the generic rung every
+// column is portable.
+func columns(t SIMDTier, nc int) (zmm, ymm int) {
 	if t == TierGeneric {
-		return 0, 0, 0
+		return 0, 0
 	}
 	if t == TierAVX512 {
 		zmm = nc &^ 31
 	}
-	ymm = (nc - zmm) &^ (nnNR - 1)
-	room := cap(b) - c0 - zmm - ymm - nnNR
-	if ymm+zmm == nc || room < 0 || op.fused && (!op.spill || room < (kc-1)*ldb) {
-		return zmm, ymm, 0
-	}
-	return zmm, ymm, min(kc, room/ldb+1)
+	return zmm, (nc - zmm) &^ (nnNR - 1)
 }
 
 // gemmNNTile runs one 4-row tile: the ZMM body when zmm, else the YMM one,
@@ -205,61 +202,63 @@ func gemmNNTile(fused, zmm bool, dst, a, b []float32, kc, nc, ldd, ldb, lda, ldk
 // gemmNNPanel is both tiers' panel driver: it accumulates the depth slab
 // [kb, kb+kc) over columns [jb, jb+nc) for rows [r0, r1); b starts at the
 // slab's first depth row, with rows ldb floats apart, and dst rows are ldd
-// floats apart.  Full 4-row tiles run op.columns' split, the tail's
-// non-spill depth rows taking the strided dot.  The m%4 rows run, on the
-// reference tier, the 1x8 kernel over the vector columns and the portable
-// loops over the rest; on the fast tier the strided dot on op.a.
+// floats apart.  On a vector rung the full 4-row tiles run columns' split
+// and the tail (gemmNNTail).  The m%4 rows, and every row on the generic
+// rung, run in the reference order: the 1x8 kernel over the vector columns
+// and the portable loops over the rest.
 func gemmNNPanel(op nnOp, dst, b []float32, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
-	zmm, ymm, spill := op.columns(fastTier, b, jb, nc, kc, ldb)
-	c, tail := jb+zmm+ymm, nc-zmm-ymm
-	var block [nnMR * nnNR]float32
 	i := r0
-	for ; zmm+ymm+spill > 0 && i+nnMR <= r1; i += nnMR {
-		d, a, lda, ldk := dst[i*ldd:], op.a[i*op.k+kb:], op.k, 1
-		if op.fused { // i is a multiple of nnMR: the fast tier's rows are tile-aligned
-			a, lda, ldk = op.panels[i*op.k+kb*nnMR:], 1, nnMR
-		}
-		if zmm > 0 {
-			gemmNNTile(op.fused, true, d[jb:], a, b[jb:], kc, zmm, ldd, ldb, lda, ldk)
-		}
-		if ymm > 0 {
-			gemmNNTile(op.fused, false, d[jb+zmm:], a, b[jb+zmm:], kc, ymm, ldd, ldb, lda, ldk)
-		}
-		if spill > 0 {
-			for r := 0; r < nnMR; r++ {
-				copy(block[r*nnNR:r*nnNR+tail], d[r*ldd+c:])
+	if fastTier > TierGeneric {
+		zmm, ymm := columns(fastTier, nc)
+		for ; i+nnMR <= r1; i += nnMR {
+			a, lda, ldk := op.tileA(i, kb)
+			if zmm > 0 {
+				gemmNNTile(op.fused, true, dst[i*ldd+jb:], a, b[jb:], kc, zmm, ldd, ldb, lda, ldk)
 			}
-			gemmNNTile(op.fused, false, block[:], a, b[c:c+(spill-1)*ldb+nnNR], spill, nnNR, nnNR, ldb, lda, ldk)
-			for r := 0; r < nnMR; r++ {
-				copy(d[r*ldd+c:r*ldd+c+tail], block[r*nnNR:])
+			if ymm > 0 {
+				gemmNNTile(op.fused, false, dst[i*ldd+jb+zmm:], a, b[jb+zmm:], kc, ymm, ldd, ldb, lda, ldk)
 			}
 		}
-		if tail > 0 && spill < kc {
-			gemmNNDot(dst, op.a, b[spill*ldb:], op.k, ldd, ldb, kb+spill, kc-spill, c, tail, i, i+nnMR)
+		if tail := nc - zmm - ymm; tail > 0 && i > r0 {
+			gemmNNTail(op, dst, b, ldd, ldb, kb, kc, jb+zmm+ymm, tail, r0, i)
+		}
+		if v := nc &^ 7; v > 0 {
+			for r := i; r < r1; r++ {
+				gemmNNKernel1(dst[r*ldd+jb:], op.a[r*op.k+kb:], b[jb:], kc, v, ldb)
+			}
+			jb, nc = jb+v, nc-v
 		}
 	}
-	if i == r1 {
-		return
-	}
-	if op.fused {
-		gemmNNDot(dst, op.a, b, op.k, ldd, ldb, kb, kc, jb, nc, i, r1)
-		return
-	}
-	if v := nc &^ 7; fastTier > TierGeneric && v > 0 {
-		for r := i; r < r1; r++ {
-			gemmNNKernel1(dst[r*ldd+jb:], op.a[r*op.k+kb:], b[jb:], kc, v, ldb)
-		}
-		jb, nc = jb+v, nc-v
-	}
-	if nc >= 8 {
+	if i < r1 && nc > 0 {
 		gemmNNAxpy(dst, op.a, b, op.k, ldd, ldb, kb, kc, jb, nc, i, r1)
-	} else if nc > 0 {
-		gemmNNDot(dst, op.a, b, op.k, ldd, ldb, kb, kc, jb, nc, i, r1)
 	}
 }
 
-// gemmNNAxpy is the portable kernel for wide column ranges: every b row of
-// the slab streams contiguously into four dst rows at a time (dst[i][j] +=
+// gemmNNTail runs the columns [c, c+tail), tail < nnNR, of the 4-row tiles
+// in rows [r0, r1) as the YMM tile on stack copies: b's kc x tail block is
+// staged once, 16 floats a row, and each tile's dst rows into a 4x16 block.
+// The tile fuses only when op.fusedTail, else it runs mul+add, the scalar
+// sequence lane for lane.
+func gemmNNTail(op nnOp, dst, b []float32, ldd, ldb, kb, kc, c, tail, r0, r1 int) {
+	var bs [nnKC * nnNR]float32
+	var block [nnMR * nnNR]float32
+	for l := 0; l < kc; l++ {
+		copy(bs[l*nnNR:l*nnNR+tail], b[l*ldb+c:])
+	}
+	for i := r0; i < r1; i += nnMR {
+		a, lda, ldk := op.tileA(i, kb)
+		for r := 0; r < nnMR; r++ {
+			copy(block[r*nnNR:r*nnNR+tail], dst[(i+r)*ldd+c:])
+		}
+		gemmNNTile(op.fused && op.fusedTail, false, block[:], a, bs[:kc*nnNR], kc, nnNR, nnNR, nnNR, lda, ldk)
+		for r := 0; r < nnMR; r++ {
+			copy(dst[(i+r)*ldd+c:(i+r)*ldd+c+tail], block[r*nnNR:])
+		}
+	}
+}
+
+// gemmNNAxpy is the portable kernel, at every width: every b row of the
+// slab streams contiguously into four dst rows at a time (dst[i][j] +=
 // a[i][l]*b[l][j] for l ascending), so no access is strided.  Each element
 // still owns one accumulator, its dst slot, updated in depth order: the
 // reference summation order, bit for bit.
@@ -295,56 +294,6 @@ func gemmNNAxpy(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
 			for j, bv := range br {
 				d[j] += float32(av * bv)
 			}
-		}
-	}
-}
-
-// gemmNNDot is the kernel for column ranges narrower than one vector, on
-// both tiers (the fast tier's remainder rows, narrow tails and generic rung
-// run it on the row-major weights): one dot product per output element over
-// the strided b column, b pre-offset to the slab's first depth row, with
-// four rows sharing each streamed b value (the matVecRows tiling).  It is
-// still no mat-vec: at n = 1 on AlexNet fc6 GemmNN takes about twice as long
-// as MatVecBias, so a one-sample fully-connected layer runs the mat-vec.
-// Element (i, j) accumulates a[i][kb+l]*b[l][j] for l ascending onto the
-// bias-seeded partial sum resident in dst — the reference summation order.
-func gemmNNDot(dst, a, b []float32, k, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
-	i := r0
-	for ; i+gemmMR <= r1; i += gemmMR {
-		a0 := a[i*k+kb : i*k+kb+kc]
-		a1 := a[(i+1)*k+kb : (i+1)*k+kb+kc]
-		a2 := a[(i+2)*k+kb : (i+2)*k+kb+kc]
-		a3 := a[(i+3)*k+kb : (i+3)*k+kb+kc]
-		for j := jb; j < jb+nc; j++ {
-			s0 := dst[i*ldd+j]
-			s1 := dst[(i+1)*ldd+j]
-			s2 := dst[(i+2)*ldd+j]
-			s3 := dst[(i+3)*ldd+j]
-			bi := j
-			for l := 0; l < kc; l++ {
-				bv := b[bi]
-				s0 += float32(a0[l] * bv)
-				s1 += float32(a1[l] * bv)
-				s2 += float32(a2[l] * bv)
-				s3 += float32(a3[l] * bv)
-				bi += ldb
-			}
-			dst[i*ldd+j] = s0
-			dst[(i+1)*ldd+j] = s1
-			dst[(i+2)*ldd+j] = s2
-			dst[(i+3)*ldd+j] = s3
-		}
-	}
-	for ; i < r1; i++ {
-		ar := a[i*k+kb : i*k+kb+kc]
-		for j := jb; j < jb+nc; j++ {
-			s := dst[i*ldd+j]
-			bi := j
-			for _, av := range ar {
-				s += float32(av * b[bi])
-				bi += ldb
-			}
-			dst[i*ldd+j] = s
 		}
 	}
 }

@@ -3,8 +3,8 @@
 // probes behind detectFastTier.
 //
 // Each tile width has one body: 4x32 in eight ZMM accumulators (the AVX-512
-// rung) and 4x16 in eight YMM ones (the FMA rung, and the AVX-512 rung's
-// 16-column remainder and spill tail).  A tile computes dst[r][j] +=
+// rung) and 4x16 in eight YMM ones (the FMA rung, the AVX-512 rung's
+// 16-column remainder, the staged tail on both).  A tile computes dst[r][j] +=
 // sum_l A[r][l]*b[l][j] for r in [0,4), j in [0,nc), l in [0,kc), dst rows
 // ldd floats apart, b rows ldb apart, and A[r][l] at a + r*lda + l*ldk
 // floats: row-major weights are (lda, ldk) = (k, 1), PackA panels (1, 4).

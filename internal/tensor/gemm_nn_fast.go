@@ -73,7 +73,7 @@ func SetFastTier(t SIMDTier) SIMDTier {
 // (panel element l*nnMR+r is a[row r][depth l]), so the microkernel's
 // per-depth-step broadcasts read 16 consecutive bytes instead of gathering
 // across four strided rows.  The original row-major slice is retained for
-// remainder rows, narrow column tails and the generic tier.  A PackedA is
+// the m%4 rows and the generic tier.  A PackedA is
 // immutable after PackA and safe for concurrent use.
 type PackedA struct {
 	panels []float32
@@ -153,14 +153,7 @@ func GemmNNFast(dst []float32, pa *PackedA, b, bias []float32, n, ldb int) {
 // tails — the result is identical for any worker count.
 func GemmNNFastParallel(dst []float32, pa *PackedA, b, bias []float32, n, ldb int, t *Team) {
 	checkGemmNNArgs(dst, pa.src, b, bias, pa.m, n, pa.k, ldb)
-	gemmNN(pa.op(false), dst, b, bias, pa.m, n, ldb, t)
-}
-
-// op is the panel driver's view of pa: the fused tiles on its panels, the
-// strided dot on its row-major source, and a spill tile for the column tail
-// when spill.
-func (pa *PackedA) op(spill bool) nnOp {
-	return nnOp{a: pa.src, panels: pa.panels, k: pa.k, fused: true, spill: spill}
+	gemmNN(nnOp{a: pa.src, panels: pa.panels, k: pa.k, fused: true}, dst, b, bias, pa.m, n, ldb, t)
 }
 
 // GemmNNFastAccumPanel accumulates one fused B panel into a strided output
@@ -172,14 +165,11 @@ func (pa *PackedA) op(spill bool) nnOp {
 // product without ever materializing B.  kc must be at most FusedKC and nc
 // at most FusedNC; the caller owns the panel grid, which must not depend on
 // the worker fan-out (panels covering disjoint columns may run
-// concurrently).  A sub-16 column tail of a full 4-row tile takes the spill
-// tile when the panel's backing array has room for its overread, else the
-// strided dot; the worker panel buffers always have room except when the
-// panel is exactly full, and a full panel has no tail.  So with spill slack
-// a full 4-row tile's bits do not depend on the column-panel width.
+// concurrently).  A column tail runs the vector columns' FMA chain, so the
+// bits do not depend on the column-panel width.
 func GemmNNFastAccumPanel(dst []float32, pa *PackedA, panel, bias []float32, kb, kc, nc, ldd int) {
 	m, k := pa.m, pa.k
-	if nc <= 0 || kc <= 0 || kb < 0 || kb+kc > k {
+	if nc <= 0 || kc <= 0 || kc > FusedKC || kb < 0 || kb+kc > k {
 		panic("tensor: fused panel slab out of range")
 	}
 	if ldd < nc || len(dst) < (m-1)*ldd+nc || len(panel) < kc*nc {
@@ -191,7 +181,8 @@ func GemmNNFastAccumPanel(dst []float32, pa *PackedA, panel, bias []float32, kb,
 	if kb == 0 {
 		seedRows(dst, bias, nc, ldd, 0, m)
 	}
-	gemmNNPanel(pa.op(true), dst, panel, ldd, nc, kb, kc, 0, nc, 0, m)
+	op := nnOp{a: pa.src, panels: pa.panels, k: pa.k, fused: true, fusedTail: true}
+	gemmNNPanel(op, dst, panel, ldd, nc, kb, kc, 0, nc, 0, m)
 }
 
 // MatVecFastParallel computes dst = W*x + bias like MatVecBias using the

@@ -64,7 +64,7 @@ func testGemmNNMatchesReference(t *testing.T) {
 		{17, 1030, 70, 2}, // multiple column panels with tail
 		{1, 729, 9, 0},    // depthwise group: one row, 1x8 tiles plus a 1-column tail
 		{6, 169, 40, 0},   // a row tile plus two remainder rows, direct-write stride
-		{7, 5, 300, 0},    // narrower than one vector: strided dot only
+		{7, 5, 300, 0},    // narrower than one vector: the staged tail only
 	}
 	for _, sh := range shapes {
 		ldb := sh.n + sh.pad
@@ -99,8 +99,8 @@ func testGemmNNMatchesReference(t *testing.T) {
 // TestGemmNNScalarMatchesVector pins the portable kernels against the vector
 // microkernels of every rung the host has, on identical inputs: the rungs
 // must agree bit for bit, which is what makes the vector paths safe to enable
-// at runtime.  The strided dot is also run over the whole problem, wider than
-// any range the dispatcher hands it.
+// at runtime.  A scalar loop over the whole problem, one accumulator per
+// element in depth order, is the third witness.
 func TestGemmNNScalarMatchesVector(t *testing.T) {
 	r := NewRNG(7)
 	m, n, k, ldb := 9, 48, 130, 48
@@ -111,22 +111,25 @@ func TestGemmNNScalarMatchesVector(t *testing.T) {
 	fillRand(r, b)
 	fillRand(r, bias)
 	axpy := make([]float32, m*ldb)
-	dot := make([]float32, m*ldb)
+	scalar := make([]float32, m*ldb)
 	t.Cleanup(portable())
 	GemmNN(axpy, a, b, bias, m, n, k, ldb)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			dot[i*ldb+j] = bias[i]
+			s := bias[i]
+			for l := 0; l < k; l++ {
+				s += float32(a[i*k+l] * b[l*ldb+j])
+			}
+			scalar[i*ldb+j] = s
 		}
 	}
-	gemmNNDot(dot, a, b, k, ldb, ldb, 0, k, 0, n, 0, m)
 	vectorRungs(t, func() {
 		vec := make([]float32, m*ldb)
 		GemmNN(vec, a, b, bias, m, n, k, ldb)
 		for i := range vec {
-			if math.Float32bits(vec[i]) != math.Float32bits(axpy[i]) || math.Float32bits(vec[i]) != math.Float32bits(dot[i]) {
-				t.Fatalf("%v rung, element %d: vector %x axpy %x dot %x", FastTier(), i,
-					math.Float32bits(vec[i]), math.Float32bits(axpy[i]), math.Float32bits(dot[i]))
+			if math.Float32bits(vec[i]) != math.Float32bits(axpy[i]) || math.Float32bits(vec[i]) != math.Float32bits(scalar[i]) {
+				t.Fatalf("%v rung, element %d: vector %x axpy %x scalar %x", FastTier(), i,
+					math.Float32bits(vec[i]), math.Float32bits(axpy[i]), math.Float32bits(scalar[i]))
 			}
 		}
 	})
@@ -196,8 +199,8 @@ func testGemmNNParallelMatchesSerial(t *testing.T) {
 // 16-column tiles, AlexNet's 169-column panels, the 512-column panel and one
 // past it), 1..9 and 96 rows, depths 1, 3, 255 and 256, into a destination
 // wider than the panel, either bias-seeded (kb = 0) or holding partial sums
-// (kb > 0), from a panel with or without room for the spill tile's
-// overread.  The gap columns past nc must keep their bits.
+// (kb > 0), from a panel with or without spare capacity past its end.  The
+// gap columns past nc must keep their bits.
 func TestGemmNNPanelRungsMatchPortable(t *testing.T) {
 	r := NewRNG(61)
 	ncs := []int{169, 217, 465, 511, 512, 513}
@@ -235,25 +238,13 @@ func TestGemmNNPanelRungsMatchPortable(t *testing.T) {
 	}
 }
 
-// TestNNColumnsPerRung is the column split's table for both tiers: which
-// kernel gets which columns of a panel on each rung.  A split that never
-// hands the ZMM tile its columns, or a tail that goes portable where it
-// could spill, writes the same bits and only runs slower, so no bitwise test
-// can see it.  The rows are AlexNet's and CifarNet's conv panel widths (465,
-// 217, 169, 512, 256, 64) and residues of the 32- and 16-column tiles.  With
-// spill room the reference tier sends none of them to the portable loops.
+// TestNNColumnsPerRung is the column split's table, which both tiers share:
+// which tile gets which columns of a panel on each rung, and which are left
+// to the tail.  A split that never hands the ZMM tile its columns writes the
+// same bits and only runs slower, so no bitwise test can see it.  The rows
+// are AlexNet's and CifarNet's conv panel widths (465, 217, 169, 512, 256,
+// 64) and residues of the 32- and 16-column tiles.
 func TestNNColumnsPerRung(t *testing.T) {
-	const kc = 8
-	pa := PackA(make([]float32, nnMR*kc), nnMR, kc)
-	tiers := []struct {
-		name   string
-		op     nnOp
-		spills bool
-	}{
-		{"reference", nnOp{k: kc}, true},
-		{"fast panel", pa.op(true), true},
-		{"fast", pa.op(false), false},
-	}
 	for _, c := range []struct {
 		rung               SIMDTier
 		nc, zmm, ymm, tail int
@@ -278,29 +269,10 @@ func TestNNColumnsPerRung(t *testing.T) {
 		{TierGeneric, 169, 0, 0, 169},
 		{TierGeneric, 7, 0, 0, 7},
 	} {
-		for _, tr := range tiers {
-			for _, slack := range []int{nnNR, 0} {
-				// A compact panel, with or without room for the spill
-				// tile's overread past its last depth row.
-				b := make([]float32, kc*c.nc, kc*c.nc+slack)
-				zmm, ymm, rows := tr.op.columns(c.rung, b, 0, c.nc, kc, c.nc)
-				want := 0
-				if c.rung > TierGeneric && c.tail > 0 && tr.spills {
-					for l := 0; l < kc && (slack > 0 || !tr.op.fused); l++ {
-						if l*c.nc+c.zmm+c.ymm+nnNR <= cap(b) {
-							want++
-						}
-					}
-				}
-				spill, portable := 0, c.tail
-				if rows > 0 {
-					spill, portable = c.tail, 0
-				}
-				if zmm != c.zmm || ymm != c.ymm || rows != want {
-					t.Errorf("%v rung, %s tier, nc=%d, slack %d: ZMM %d, YMM %d, spill %d over %d of %d depth rows, portable %d; want ZMM %d, YMM %d, %d spill depth rows",
-						c.rung, tr.name, c.nc, slack, zmm, ymm, spill, rows, kc, portable, c.zmm, c.ymm, want)
-				}
-			}
+		zmm, ymm := columns(c.rung, c.nc)
+		if tail := c.nc - zmm - ymm; zmm != c.zmm || ymm != c.ymm || tail != c.tail {
+			t.Errorf("%v rung, nc=%d: ZMM %d, YMM %d, tail %d; want ZMM %d, YMM %d, tail %d",
+				c.rung, c.nc, zmm, ymm, tail, c.zmm, c.ymm, c.tail)
 		}
 	}
 }
