@@ -1,11 +1,11 @@
-package tango
+package serve
 
 import (
 	"encoding/json"
 	"math"
 	"testing"
 
-	"tango/internal/serve"
+	"tango/internal/core"
 )
 
 // decodeSeeds is the seed corpus of FuzzDecodeInferenceRequest: the bodies
@@ -53,8 +53,8 @@ func FuzzDecodeInferenceRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var fc, jc serve.ClassifyRequest
-		if fc.DecodeFast(body) {
+		var fc, jc classifyRequest
+		if fc.decodeFast(body) {
 			if err := json.Unmarshal(body, &jc); err != nil {
 				t.Fatalf("classify body %q: fast decoder accepted, encoding/json: %v", body, err)
 			}
@@ -62,8 +62,8 @@ func FuzzDecodeInferenceRequest(f *testing.F) {
 		} else if fc.Benchmark != "" || fc.Image != nil || fc.Seed != nil {
 			t.Fatalf("classify body %q: declined but stored %+v", body, fc)
 		}
-		var ff, jf serve.ForecastRequest
-		if ff.DecodeFast(body) {
+		var ff, jf forecastRequest
+		if ff.decodeFast(body) {
 			if err := json.Unmarshal(body, &jf); err != nil {
 				t.Fatalf("forecast body %q: fast decoder accepted, encoding/json: %v", body, err)
 			}
@@ -78,15 +78,15 @@ func FuzzDecodeInferenceRequest(f *testing.F) {
 // benchmark post: json.Marshal of a map holding a CifarNet sample image.
 func canonicalClassifyBody(tb testing.TB) []byte {
 	tb.Helper()
-	b, err := LoadBenchmark("CifarNet")
+	b, err := core.Load("CifarNet")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	image, _, err := b.SampleImage(1)
+	image, err := b.SampleInput(1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	body, err := json.Marshal(map[string]any{"benchmark": "CifarNet", "image": image})
+	body, err := json.Marshal(map[string]any{"benchmark": "CifarNet", "image": image.Data()})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -99,8 +99,8 @@ func canonicalClassifyBody(tb testing.TB) []byte {
 // the benchmark name, nothing else.
 func TestCanonicalBodyTakesFastPath(t *testing.T) {
 	body := canonicalClassifyBody(t)
-	var c serve.ClassifyRequest
-	if !c.DecodeFast(body) || c.Benchmark != "CifarNet" || len(c.Image) != 3*32*32 || c.Seed != nil {
+	var c classifyRequest
+	if !c.decodeFast(body) || c.Benchmark != "CifarNet" || len(c.Image) != 3*32*32 || c.Seed != nil {
 		t.Fatalf("json.Marshal(map) classify body declined or misread: %q %d %v", c.Benchmark, len(c.Image), c.Seed)
 	}
 	if cap(c.Image) != len(c.Image) {
@@ -110,21 +110,21 @@ func TestCanonicalBodyTakesFastPath(t *testing.T) {
 		"seed classify": `{"benchmark":"CifarNet","seed":7}`,
 		"indented":      "{\n  \"benchmark\": \"CifarNet\",\n  \"image\": [\n    0.5,\n    -1\n  ]\n}\n",
 	} {
-		if !new(serve.ClassifyRequest).DecodeFast([]byte(b)) {
+		if !new(classifyRequest).decodeFast([]byte(b)) {
 			t.Errorf("%s body %q declined", name, b)
 		}
 	}
-	var fr serve.ForecastRequest
+	var fr forecastRequest
 	history, err := json.Marshal(map[string]any{"benchmark": "LSTM", "history": []float64{0.1, -2.5e-7, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fr.DecodeFast(history) || fr.Benchmark != "LSTM" || len(fr.History) != 3 || fr.History[1] != -2.5e-7 {
+	if !fr.decodeFast(history) || fr.Benchmark != "LSTM" || len(fr.History) != 3 || fr.History[1] != -2.5e-7 {
 		t.Fatalf("json.Marshal(map) forecast body declined or misread: %+v", fr)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		var q serve.ClassifyRequest
-		if !q.DecodeFast(body) {
+		var q classifyRequest
+		if !q.decodeFast(body) {
 			t.Fatal("declined")
 		}
 	}); allocs > 2 {
@@ -139,16 +139,16 @@ func BenchmarkDecodeClassifyRequest(b *testing.B) {
 	b.Logf("body: %d bytes", len(body))
 	for _, bc := range []struct {
 		name   string
-		decode func(*serve.ClassifyRequest) bool
+		decode func(*classifyRequest) bool
 	}{
-		{"fast", func(q *serve.ClassifyRequest) bool { return q.DecodeFast(body) }},
-		{"encoding-json", func(q *serve.ClassifyRequest) bool { return json.Unmarshal(body, q) == nil }},
+		{"fast", func(q *classifyRequest) bool { return q.decodeFast(body) }},
+		{"encoding-json", func(q *classifyRequest) bool { return json.Unmarshal(body, q) == nil }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
-				var q serve.ClassifyRequest
+				var q classifyRequest
 				if !bc.decode(&q) {
 					b.Fatal("decode failed")
 				}

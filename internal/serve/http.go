@@ -30,20 +30,16 @@ import (
 // oversized posts buffer gigabytes.
 const maxRequestBody = 8 << 20
 
-// ClassifyRequest is the POST /v1/classify body.
-type ClassifyRequest struct {
+// classifyRequest is the POST /v1/classify body.
+type classifyRequest struct {
 	Benchmark string    `json:"benchmark"`
 	Image     []float32 `json:"image,omitempty"`
 	Seed      *uint64   `json:"seed,omitempty"`
 }
 
-// DecodeFast stores body into q if decodeInference takes it, and reports
-// whether it did.  It is not inlined: a caller in another package that
-// inlined it would call the generic decoder without its escape analysis and
-// move q to the heap.
-//
-//go:noinline
-func (q *ClassifyRequest) DecodeFast(body []byte) bool {
+// decodeFast stores body into q if decodeInference takes it, and reports
+// whether it did.
+func (q *classifyRequest) decodeFast(body []byte) bool {
 	return decodeInference(body, "image", &q.Benchmark, &q.Image, &q.Seed)
 }
 
@@ -54,17 +50,15 @@ type classifyResponse struct {
 	Probabilities []float32 `json:"probabilities"`
 }
 
-// ForecastRequest is the POST /v1/forecast body.
-type ForecastRequest struct {
+// forecastRequest is the POST /v1/forecast body.
+type forecastRequest struct {
 	Benchmark string    `json:"benchmark"`
 	History   []float64 `json:"history,omitempty"`
 	Seed      *uint64   `json:"seed,omitempty"`
 }
 
-// DecodeFast is ClassifyRequest.DecodeFast for a history.
-//
-//go:noinline
-func (q *ForecastRequest) DecodeFast(body []byte) bool {
+// decodeFast is classifyRequest.decodeFast for a history.
+func (q *forecastRequest) decodeFast(body []byte) bool {
 	return decodeInference(body, "history", &q.Benchmark, &q.History, &q.Seed)
 }
 
@@ -95,7 +89,7 @@ const maxPooledBody = 1 << 20
 // body is a shape error (wrapped ErrShape -> 400), matching how the compute
 // engine rejects empty inputs.  A body of declared length within the limit is
 // read into a pooled buffer of that size; v keeps no reference to it.
-func decodeRequest(w http.ResponseWriter, r *http.Request, v interface{ DecodeFast([]byte) bool }) bool {
+func decodeRequest(w http.ResponseWriter, r *http.Request, v interface{ decodeFast([]byte) bool }) bool {
 	var body []byte
 	var err error
 	if n := r.ContentLength; n > 0 && n <= maxRequestBody {
@@ -125,7 +119,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v interface{ DecodeFa
 		writeError(w, fmt.Errorf("tango: %w: empty request body", tensor.ErrShape))
 		return false
 	}
-	if v.DecodeFast(body) {
+	if v.decodeFast(body) {
 		return true
 	}
 	if err := json.Unmarshal(body, v); err != nil {
@@ -278,7 +272,7 @@ func scanNumber(b []byte, i int) int {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req ClassifyRequest
+	var req classifyRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
@@ -307,7 +301,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
-	var req ForecastRequest
+	var req forecastRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
