@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tango/internal/core"
-	"tango/internal/fpga"
 	"tango/internal/report"
 	"tango/internal/target"
 )
@@ -72,9 +71,10 @@ func (s *Session) Table3() (*report.Table, error) {
 	return t, nil
 }
 
-// Table4 reproduces Table IV: the FPGA platform.
+// Table4 reproduces Table IV: the FPGA platform, the board of the session's
+// pynq target.
 func (s *Session) Table4() (*report.Table, error) {
-	board := fpga.DefaultConfig().Board
+	board, _ := target.FPGABoard(s.fpga)
 	t := &report.Table{
 		ID:      "table4",
 		Title:   "FPGA platform used for evaluation (Table IV)",

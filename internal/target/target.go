@@ -234,6 +234,16 @@ func NewFPGA(name string, cfg fpga.Config) (Target, error) {
 	return &fpgaTarget{name: name, model: m}, nil
 }
 
+// FPGABoard returns the board an FPGA-class target models, the one its runs'
+// timing and power come from; ok is false for every other target.
+func FPGABoard(t Target) (board device.FPGA, ok bool) {
+	f, ok := t.(*fpgaTarget)
+	if !ok {
+		return device.FPGA{}, false
+	}
+	return f.model.Config().Board, true
+}
+
 func (f *fpgaTarget) Name() string        { return f.name }
 func (f *fpgaTarget) Class() device.Class { return device.ClassFPGA }
 func (f *fpgaTarget) Role() string        { return "Embedded FPGA" }
