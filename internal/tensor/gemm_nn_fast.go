@@ -73,8 +73,8 @@ func SetFastTier(t SIMDTier) SIMDTier {
 // (panel element l*nnMR+r is a[row r][depth l]), so the microkernel's
 // per-depth-step broadcasts read 16 consecutive bytes instead of gathering
 // across four strided rows.  The original row-major slice is retained for
-// the m%4 rows and the generic tier.  A PackedA is
-// immutable after PackA and safe for concurrent use.
+// the m%4 rows and the generic tier.  A PackedA is immutable after PackA and
+// safe for concurrent use.
 type PackedA struct {
 	panels []float32
 	src    []float32
