@@ -64,7 +64,7 @@ func testGemmNNMatchesReference(t *testing.T) {
 		{17, 1030, 70, 2}, // multiple column panels with tail
 		{1, 729, 9, 0},    // depthwise group: one row, 1x8 tiles plus a 1-column tail
 		{6, 169, 40, 0},   // a row tile plus two remainder rows, direct-write stride
-		{7, 5, 300, 0},    // narrower than one vector: the staged tail only
+		{7, 5, 300, 0},    // narrower than one vector: the staged tail and 3 portable rows
 	}
 	for _, sh := range shapes {
 		ldb := sh.n + sh.pad
