@@ -394,9 +394,9 @@ func TestRecurrentSeqBatchMatchesSingle(t *testing.T) {
 
 // TestBatchCompanionInvariance: from two samples on, a sample's bits do not
 // depend on the other samples of its batch.  Sample 0 is the same in [x, y],
-// in [x, 8z] and in a batch of seven, for a convolution, a fully-connected
-// layer, an LSTM and a GRU on every tier with its pack, on every rung and at
-// 1 and 3 workers.  The int8 fully-connected layer is left out: it quantizes
+// in [x, 8z] and in batches of seven and seventeen (one column past the
+// 16-wide tile), for a convolution, a fully-connected layer, an LSTM and a
+// GRU on every tier with its pack, on every rung and at 1 and 3 workers.  The int8 fully-connected layer is left out: it quantizes
 // its activations with one scale per call, so a companion moves sample 0.
 func TestBatchCompanionInvariance(t *testing.T) {
 	r := tensor.NewRNG(44)
@@ -439,11 +439,14 @@ func TestBatchCompanionInvariance(t *testing.T) {
 			return v
 		}
 		x := sample(1)
-		seven := [][]float32{x}
-		for len(seven) < 7 {
-			seven = append(seven, sample(1))
+		batches := [][][]float32{{x, sample(1)}, {x, sample(8)}}
+		for _, n := range []int{7, 17} {
+			b := [][]float32{x}
+			for len(b) < n {
+				b = append(b, sample(1))
+			}
+			batches = append(batches, b)
 		}
-		batches := [][][]float32{{x, sample(1)}, {x, sample(8)}, seven}
 		stacked := make([]*tensor.Tensor, len(batches))
 		for bi, samples := range batches {
 			n := len(samples)
