@@ -38,15 +38,15 @@ func (s *Scratch) batchBuf(slot, n int) []float32 {
 // do not depend on the split.  The fields after chunk are the ops'
 // operands; each op reads its own.
 type splitJob struct {
-	run                        func(j *splitJob, smp, u0, u1 int)
-	o, in                      []float32
-	per, total, chunk          int
-	c, h, w, outH, outW, n, ld int
-	pool                       PoolParams
-	lrn                        LRNParams
-	bn                         BatchNormParams
-	gamma, beta                *tensor.Tensor
-	sums                       []float64
+	run                    func(j *splitJob, smp, u0, u1 int)
+	o, in                  []float32
+	per, total, chunk      int
+	c, h, w, outH, outW, n int
+	pool                   PoolParams
+	lrn                    LRNParams
+	bn                     BatchNormParams
+	gamma, beta            *tensor.Tensor
+	sums                   []float64
 }
 
 func (j *splitJob) Run(p int) {
@@ -82,52 +82,47 @@ func (s *Scratch) fork(n, per, cost int) {
 }
 
 // transposeToColumns repacks sample-major rows (n x f) into feature-major
-// columns (f x ld, ld >= n): dst[l*ld + smp] = src[smp*f + l], with pad
-// lanes [n, ld) zeroed so a column-padded GEMM reads defined values.  It
-// forks over contiguous feature chunks; bytes are identical for any worker
-// count.
-func (s *Scratch) transposeToColumns(dst, src []float32, n, f, ld int) {
-	s.split = splitJob{run: columnsPart, o: dst, in: src, n: n, ld: ld}
-	s.fork(1, f, ld*elemCost)
+// columns (f x n): dst[l*n + smp] = src[smp*f + l].  It forks over
+// contiguous feature chunks; bytes are identical for any worker count.
+func (s *Scratch) transposeToColumns(dst, src []float32, n, f int) {
+	s.split = splitJob{run: columnsPart, o: dst, in: src, n: n}
+	s.fork(1, f, n*elemCost)
 }
 
 func columnsPart(j *splitJob, _, f0, f1 int) {
-	transposeToColumnsRange(j.o, j.in, j.n, j.per, j.ld, f0, f1)
+	transposeToColumnsRange(j.o, j.in, j.n, j.per, f0, f1)
 }
 
-// transposeToRows repacks feature-major columns (f x ld, the first n of
-// each row used) back into sample-major rows (n x f): dst[smp*f + l] =
-// src[l*ld + smp], forked over contiguous sample chunks.
-func (s *Scratch) transposeToRows(dst, src []float32, n, f, ld int) {
-	s.split = splitJob{run: rowsPart, o: dst, in: src, w: f, ld: ld}
+// transposeToRows repacks feature-major columns (f x n) back into
+// sample-major rows (n x f): dst[smp*f + l] = src[l*n + smp], forked over
+// contiguous sample chunks.
+func (s *Scratch) transposeToRows(dst, src []float32, n, f int) {
+	s.split = splitJob{run: rowsPart, o: dst, in: src, w: f}
 	s.fork(1, n, f*elemCost)
 }
 
 func rowsPart(j *splitJob, _, s0, s1 int) {
-	transposeToRowsRange(j.o, j.in, j.per, j.w, j.ld, s0, s1)
+	transposeToRowsRange(j.o, j.in, j.per, j.w, s0, s1)
 }
 
-// transposeToColumnsRange writes feature rows [f0, f1) of the (f x ld)
+// transposeToColumnsRange writes feature rows [f0, f1) of the (f x n)
 // destination.  Disjoint ranges touch disjoint dst rows.
-func transposeToColumnsRange(dst, src []float32, n, f, ld, f0, f1 int) {
-	for l := f0; l < f1; l++ {
-		clear(dst[l*ld+n : (l+1)*ld])
-	}
+func transposeToColumnsRange(dst, src []float32, n, f, f0, f1 int) {
 	for smp := 0; smp < n; smp++ {
 		row := src[smp*f+f0 : smp*f+f1]
 		for l, v := range row {
-			dst[(f0+l)*ld+smp] = v
+			dst[(f0+l)*n+smp] = v
 		}
 	}
 }
 
-// transposeToRowsRange reads the (f x ld) column-major source back into
+// transposeToRowsRange reads the (f x n) feature-major source back into
 // sample rows [s0, s1).  Disjoint ranges touch disjoint dst rows.
-func transposeToRowsRange(dst, src []float32, n, f, ld, s0, s1 int) {
+func transposeToRowsRange(dst, src []float32, n, f, s0, s1 int) {
 	for smp := s0; smp < s1; smp++ {
 		row := dst[smp*f : (smp+1)*f]
 		for l := range row {
-			row[l] = src[l*ld+smp]
+			row[l] = src[l*n+smp]
 		}
 	}
 }

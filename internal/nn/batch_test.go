@@ -107,8 +107,8 @@ func TestFullyConnectedBatchMatchesSingle(t *testing.T) {
 // MatVecBiasParallel with no pack, MatVecFastParallel with float panels, or
 // MatVecInt8 over the sample quantized by QuantizeU8 with int8 panels — and
 // stages nothing beyond the mat-vec's own buffer; two and seven samples run
-// its GEMM bit for bit — GemmNNParallel, GemmNNFastParallel over columns
-// padded to 16, or GemmInt8 — on every rung and at 1 and 3 workers.
+// its GEMM bit for bit — GemmNNParallel, GemmNNFastParallel or GemmInt8 —
+// on every rung and at 1 and 3 workers.
 func TestFullyConnectedOneSampleRunsMatVec(t *testing.T) {
 	r := tensor.NewRNG(18)
 	const inF, outF = 300, 45
@@ -177,25 +177,22 @@ func TestFullyConnectedOneSampleRunsMatVec(t *testing.T) {
 
 // fcGemmOracle is the FC layer over a batch written as its pack's GEMM on
 // the (inF x N) transposed batch: GemmNNParallel with no pack,
-// GemmNNFastParallel with float panels over columns padded to 16, or
-// GemmInt8 with int8 panels.  It returns (N, outF).
+// GemmNNFastParallel with float panels, or GemmInt8 with int8 panels.  It
+// returns (N, outF).
 func fcGemmOracle(in, w, b *tensor.Tensor, pk *Pack, outF int, tm *tensor.Team) *tensor.Tensor {
 	n := in.Dim(0)
-	inF, ld := in.Len()/n, n
-	if pk != nil && pk.f != nil {
-		ld = (n + 15) &^ 15
-	}
-	xT, yT := make([]float32, inF*ld), make([]float32, outF*ld)
+	inF := in.Len() / n
+	xT, yT := make([]float32, inF*n), make([]float32, outF*n)
 	for i := 0; i < n; i++ {
 		for f := 0; f < inF; f++ {
-			xT[f*ld+i] = in.Data()[i*inF+f]
+			xT[f*n+i] = in.Data()[i*inF+f]
 		}
 	}
 	switch {
 	case pk == nil:
 		tensor.GemmNNParallel(yT, w.Data(), xT, b.Data(), outF, n, inF, n, tm)
 	case pk.f != nil:
-		tensor.GemmNNFastParallel(yT, pk.f[0], xT, b.Data(), ld, ld, tm)
+		tensor.GemmNNFastParallel(yT, pk.f[0], xT, b.Data(), n, n, tm)
 	default:
 		kPad := pk.q[0].KPad()
 		bp := make([]uint8, tensor.Int8PackedLen(kPad, n))
@@ -205,7 +202,7 @@ func fcGemmOracle(in, w, b *tensor.Tensor, pk *Pack, outF int, tm *tensor.Team) 
 	out := tensor.New(n, outF)
 	for i := 0; i < n; i++ {
 		for o := 0; o < outF; o++ {
-			out.Data()[i*outF+o] = yT[o*ld+i]
+			out.Data()[i*outF+o] = yT[o*n+i]
 		}
 	}
 	return out

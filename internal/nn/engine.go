@@ -252,39 +252,32 @@ func (s *Scratch) FullyConnectedPacked(input, weights, bias *tensor.Tensor, outF
 		return out, nil
 	}
 	if n == 1 {
-		s.product(o, w, pk, 0, x, b, outFeatures, inF, 1, 1)
+		s.product(o, w, pk, 0, x, b, outFeatures, inF, 1)
 		return out, nil
 	}
-	// The fast float GEMM pads its columns up to the 16-wide FMA tile so a
-	// small batch (3, 8) runs the vector microkernel instead of falling into
-	// the scalar column tail.  Pad lanes are zero and are never read back.
-	ld := n
-	if pk != nil && pk.f != nil {
-		ld = (n + 15) &^ 15
-	}
-	xT := s.batchBuf(0, inF*ld)
-	s.transposeToColumns(xT, x, n, inF, ld)
-	yT := s.batchBuf(1, outFeatures*ld)
-	s.product(yT, w, pk, 0, xT, b, outFeatures, inF, n, ld)
-	s.transposeToRows(o, yT, n, outFeatures, ld)
+	xT := s.batchBuf(0, inF*n)
+	s.transposeToColumns(xT, x, n, inF)
+	yT := s.batchBuf(1, outFeatures*n)
+	s.product(yT, w, pk, 0, xT, b, outFeatures, inF, n)
+	s.transposeToRows(o, yT, n, outFeatures)
 	return out, nil
 }
 
 // product writes dst = A*x + bias for matrix i of pk, A the m x k matrix
 // whose raw weights are w, over the n columns of x: a vector (n = 1) runs
-// the pack's mat-vec, a feature-major block (x: k x ld, dst: m x ld) its
+// the pack's mat-vec, a feature-major block (x: k x n, dst: m x n) its
 // GEMM.
 // No pack runs MatVecBiasParallel or GemmNNParallel; float panels
-// MatVecFastParallel on the raw weights or GemmNNFastParallel over all ld
-// columns; int8 panels MatVecInt8 on the vector quantized by QuantizeU8 or
-// GemmInt8, one activation scale per call (ld must be n).  bias may be nil.
-func (s *Scratch) product(dst, w []float32, pk *Pack, i int, x, bias []float32, m, k, n, ld int) {
+// MatVecFastParallel on the raw weights or GemmNNFastParallel; int8 panels
+// MatVecInt8 on the vector quantized by QuantizeU8 or GemmInt8, one
+// activation scale per call.  bias may be nil.
+func (s *Scratch) product(dst, w []float32, pk *Pack, i int, x, bias []float32, m, k, n int) {
 	team := &s.team
 	switch {
 	case pk == nil && n == 1:
 		tensor.MatVecBiasParallel(dst, w, x, bias, m, k, team)
 	case pk == nil:
-		tensor.GemmNNParallel(dst, w, x, bias, m, n, k, ld, team)
+		tensor.GemmNNParallel(dst, w, x, bias, m, n, k, n, team)
 	case pk.q != nil && n == 1:
 		xq := s.u8buf(0, pk.q[i].KPad())
 		tensor.MatVecInt8(dst, pk.q[i], xq, bias, tensor.QuantizeU8(xq[:k], x), team)
@@ -292,11 +285,11 @@ func (s *Scratch) product(dst, w []float32, pk *Pack, i int, x, bias []float32, 
 		kPad := pk.q[i].KPad()
 		bp := s.u8buf(0, tensor.Int8PackedLen(kPad, n))
 		acc := s.accbuf(0, tensor.Int8AccLen(m, n))
-		tensor.GemmInt8(dst, pk.q[i], bp, acc, bias, tensor.PackColsU8(bp, x, k, n, ld, kPad), n, team)
+		tensor.GemmInt8(dst, pk.q[i], bp, acc, bias, tensor.PackColsU8(bp, x, k, n, n, kPad), n, team)
 	case n == 1:
 		tensor.MatVecFastParallel(dst, w, x, bias, m, k, team)
 	default:
-		tensor.GemmNNFastParallel(dst, pk.f[i], x, bias, ld, ld, team)
+		tensor.GemmNNFastParallel(dst, pk.f[i], x, bias, n, n, team)
 	}
 }
 
@@ -623,13 +616,13 @@ func (s *Scratch) unroll(out, seq *tensor.Tensor, steps, n int, step func(x, h [
 		x := seq.Data()[t*n*in : (t+1)*n*in]
 		if n > 1 {
 			xT := s.vec(2, n*in)
-			s.transposeToColumns(xT, x, n, in, n)
+			s.transposeToColumns(xT, x, n, in)
 			x = xT
 		}
 		step(x, h)
 	}
 	if n > 1 {
-		s.transposeToRows(out.Data(), h, n, len(h)/n, n)
+		s.transposeToRows(out.Data(), h, n, len(h)/n)
 	}
 }
 
@@ -686,8 +679,8 @@ func (s *Scratch) gruStep(w *GRUWeights, pk *Pack, x, h []float32, n int) {
 // product per element.
 func (s *Scratch) gate(pre, tmp []float32, wx, uh, b *tensor.Tensor, pk *Pack, g int, x, h []float32, n int) {
 	hidden, in := len(pre)/n, len(x)/n
-	s.product(pre, wx.Data(), pk, 2*g, x, nil, hidden, in, n, n)
-	s.product(tmp, uh.Data(), pk, 2*g+1, h, nil, hidden, hidden, n, n)
+	s.product(pre, wx.Data(), pk, 2*g, x, nil, hidden, in, n)
+	s.product(tmp, uh.Data(), pk, 2*g+1, h, nil, hidden, hidden, n)
 	bd := b.Data()
 	for r := 0; r < hidden; r++ {
 		bv := bd[r]

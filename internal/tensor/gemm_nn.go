@@ -151,23 +151,35 @@ func gemmNNRows(op nnOp, dst, b, bias []float32, n, ldb, r0, r1 int) {
 
 // nnOp is one GEMM call's A operand and tier.  The reference tier (fused
 // false) runs the bit-exact tiles on the row-major a.  The fast tier runs the
-// fused tiles on PackA's panels, keeps a for its m%4 rows, and fuses its
-// column tail too only when fusedTail (the panel entry point).
+// fused tiles on PackA's panels and keeps a for its m%4 rows.
 type nnOp struct {
-	a, panels        []float32
-	k                int
-	fused, fusedTail bool
+	a, panels []float32
+	k         int
+	fused     bool
 }
 
-// tileA returns the A operand of the 4-row tile at row i from depth kb on,
-// with its row and depth strides: PackA's panels on the fast tier (i is a
-// multiple of nnMR: the fast tier's rows are tile-aligned), the row-major a
-// on the reference one.
-func (op nnOp) tileA(i, kb int) (a []float32, lda, ldk int) {
-	if op.fused {
-		return op.panels[i*op.k+kb*nnMR:], 1, nnMR
+// rowTile is the A operand of one tile from depth kb on: A[r][l] at
+// a[r*lda+l*ldk], with dst rows ldd floats apart, over rows output rows.
+type rowTile struct {
+	a                   []float32
+	lda, ldk, ldd, rows int
+	fused               bool
+}
+
+// tile returns the tile at row i of rows [i, r1), its dst rows ldd floats
+// apart.  A full tile is nnMR rows: PackA's panels with the fused accumulate
+// on the fast tier (its rows are tile-aligned), the row-major a on the
+// reference one.  An m%4 row is one row of a with A and dst row strides 0,
+// so all four lanes compute it with mul+add on both tiers: the scalar
+// sequence lane for lane.
+func (op nnOp) tile(i, r1, kb, ldd int) rowTile {
+	switch {
+	case i+nnMR > r1:
+		return rowTile{a: op.a[i*op.k+kb:], ldk: 1, rows: 1}
+	case op.fused:
+		return rowTile{a: op.panels[i*op.k+kb*nnMR:], lda: 1, ldk: nnMR, ldd: ldd, rows: nnMR, fused: true}
 	}
-	return op.a[i*op.k+kb:], op.k, 1
+	return rowTile{a: op.a[i*op.k+kb:], lda: op.k, ldk: 1, ldd: ldd, rows: nnMR}
 }
 
 // columns splits the nc columns of one panel among rung t's tiles: the first
@@ -184,76 +196,69 @@ func columns(t SIMDTier, nc int) (zmm, ymm int) {
 	return zmm, (nc - zmm) &^ (nnNR - 1)
 }
 
-// gemmNNTile runs one 4-row tile: the ZMM body when zmm, else the YMM one,
-// with VFMADD231PS when fused, else VMULPS then VADDPS.
-func gemmNNTile(fused, zmm bool, dst, a, b []float32, kc, nc, ldd, ldb, lda, ldk int) {
+// run runs the tile over nc columns: the ZMM body when zmm, else the YMM
+// one, with VFMADD231PS when fused, else VMULPS then VADDPS.
+func (t rowTile) run(zmm bool, dst, b []float32, kc, nc, ldb int) {
 	switch {
-	case zmm && fused:
-		gemmNNTile32FMA(dst, a, b, kc, nc, ldd, ldb, lda, ldk)
+	case zmm && t.fused:
+		gemmNNTile32FMA(dst, t.a, b, kc, nc, t.ldd, ldb, t.lda, t.ldk)
 	case zmm:
-		gemmNNTile32(dst, a, b, kc, nc, ldd, ldb, lda, ldk)
-	case fused:
-		gemmNNTile16FMA(dst, a, b, kc, nc, ldd, ldb, lda, ldk)
+		gemmNNTile32(dst, t.a, b, kc, nc, t.ldd, ldb, t.lda, t.ldk)
+	case t.fused:
+		gemmNNTile16FMA(dst, t.a, b, kc, nc, t.ldd, ldb, t.lda, t.ldk)
 	default:
-		gemmNNTile16(dst, a, b, kc, nc, ldd, ldb, lda, ldk)
+		gemmNNTile16(dst, t.a, b, kc, nc, t.ldd, ldb, t.lda, t.ldk)
 	}
 }
 
 // gemmNNPanel is both tiers' panel driver: it accumulates the depth slab
 // [kb, kb+kc) over columns [jb, jb+nc) for rows [r0, r1); b starts at the
 // slab's first depth row, with rows ldb floats apart, and dst rows are ldd
-// floats apart.  On a vector rung the full 4-row tiles run columns' split
-// and the tail (gemmNNTail).  The m%4 rows, and every row on the generic
-// rung, run in the reference order: the 1x8 kernel over the vector columns
-// and the portable loops over the rest.
+// floats apart.  On a vector rung every row tile, the m%4 rows' included,
+// runs columns' split and the tail (gemmNNTail); on the generic rung the
+// portable loops run everything, in the reference order.
 func gemmNNPanel(op nnOp, dst, b []float32, ldd, ldb, kb, kc, jb, nc, r0, r1 int) {
-	i := r0
-	if fastTier > TierGeneric {
-		zmm, ymm := columns(fastTier, nc)
-		for ; i+nnMR <= r1; i += nnMR {
-			a, lda, ldk := op.tileA(i, kb)
-			if zmm > 0 {
-				gemmNNTile(op.fused, true, dst[i*ldd+jb:], a, b[jb:], kc, zmm, ldd, ldb, lda, ldk)
-			}
-			if ymm > 0 {
-				gemmNNTile(op.fused, false, dst[i*ldd+jb+zmm:], a, b[jb+zmm:], kc, ymm, ldd, ldb, lda, ldk)
-			}
-		}
-		if tail := nc - zmm - ymm; tail > 0 && i > r0 {
-			gemmNNTail(op, dst, b, ldd, ldb, kb, kc, jb+zmm+ymm, tail, r0, i)
-		}
-		if v := nc &^ 7; v > 0 {
-			for r := i; r < r1; r++ {
-				gemmNNKernel1(dst[r*ldd+jb:], op.a[r*op.k+kb:], b[jb:], kc, v, ldb)
-			}
-			jb, nc = jb+v, nc-v
-		}
+	if fastTier == TierGeneric {
+		gemmNNAxpy(dst, op.a, b, op.k, ldd, ldb, kb, kc, jb, nc, r0, r1)
+		return
 	}
-	if i < r1 && nc > 0 {
-		gemmNNAxpy(dst, op.a, b, op.k, ldd, ldb, kb, kc, jb, nc, i, r1)
+	zmm, ymm := columns(fastTier, nc)
+	for i := r0; i < r1; {
+		t := op.tile(i, r1, kb, ldd)
+		if zmm > 0 {
+			t.run(true, dst[i*ldd+jb:], b[jb:], kc, zmm, ldb)
+		}
+		if ymm > 0 {
+			t.run(false, dst[i*ldd+jb+zmm:], b[jb+zmm:], kc, ymm, ldb)
+		}
+		i += t.rows
+	}
+	if tail := nc - zmm - ymm; tail > 0 {
+		gemmNNTail(op, dst, b, ldd, ldb, kb, kc, jb+zmm+ymm, tail, r0, r1)
 	}
 }
 
-// gemmNNTail runs the columns [c, c+tail), tail < nnNR, of the 4-row tiles
-// in rows [r0, r1) as the YMM tile on stack copies: b's kc x tail block is
-// staged once, 16 floats a row, and each tile's dst rows into a 4x16 block.
-// The tile fuses only when op.fusedTail, else it runs mul+add, the scalar
-// sequence lane for lane.
+// gemmNNTail runs the columns [c, c+tail), tail < nnNR, of rows [r0, r1) as
+// the YMM tile on stack copies: b's kc x tail block is staged once, 16
+// floats a row, and each tile's dst rows into a 4x16 block (one row of it,
+// row stride 0, for an m%4 row).  Every tile keeps its accumulate, so a
+// column's bits do not depend on whether it lands in the tail.
 func gemmNNTail(op nnOp, dst, b []float32, ldd, ldb, kb, kc, c, tail, r0, r1 int) {
 	var bs [nnKC * nnNR]float32
 	var block [nnMR * nnNR]float32
 	for l := 0; l < kc; l++ {
 		copy(bs[l*nnNR:l*nnNR+tail], b[l*ldb+c:])
 	}
-	for i := r0; i < r1; i += nnMR {
-		a, lda, ldk := op.tileA(i, kb)
-		for r := 0; r < nnMR; r++ {
+	for i := r0; i < r1; {
+		t := op.tile(i, r1, kb, nnNR)
+		for r := 0; r < t.rows; r++ {
 			copy(block[r*nnNR:r*nnNR+tail], dst[(i+r)*ldd+c:])
 		}
-		gemmNNTile(op.fused && op.fusedTail, false, block[:], a, bs[:kc*nnNR], kc, nnNR, nnNR, nnNR, lda, ldk)
-		for r := 0; r < nnMR; r++ {
+		t.run(false, block[:], bs[:kc*nnNR], kc, nnNR, nnNR)
+		for r := 0; r < t.rows; r++ {
 			copy(dst[(i+r)*ldd+c:(i+r)*ldd+c+tail], block[r*nnNR:])
 		}
+		i += t.rows
 	}
 }
 

@@ -27,13 +27,6 @@ func gemmNNTile16(dst, a, b []float32, kc, nc, ldd, ldb, lda, ldk int)
 //go:noescape
 func gemmNNTile16FMA(dst, a, b []float32, kc, nc, ldd, ldb, lda, ldk int)
 
-// gemmNNKernel1 is the reference tier's 1x8 YMM kernel for the m%4 rows (a
-// depthwise group has a single output row).  nc must be a positive multiple
-// of 8.
-//
-//go:noescape
-func gemmNNKernel1(dst, a, b []float32, kc, nc, ldb int)
-
 // dotFMA returns the FMA dot product of a[:n] and b[:n] over four
 // independent 8-lane accumulator chains.  n must be a positive multiple of
 // 32.  The reduction order differs from the scalar loop (fast tier only).

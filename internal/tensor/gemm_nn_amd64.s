@@ -1,13 +1,13 @@
-// The float GEMM's register tiles (see gemm_nn.go), the reference tier's
-// single-row kernel, the fast tier's mat-vec dots and the CPUID/XGETBV
-// probes behind detectFastTier.
+// The float GEMM's register tiles (see gemm_nn.go), the fast tier's mat-vec
+// dots and the CPUID/XGETBV probes behind detectFastTier.
 //
 // Each tile width has one body: 4x32 in eight ZMM accumulators (the AVX-512
 // rung) and 4x16 in eight YMM ones (the FMA rung, the AVX-512 rung's
 // 16-column remainder, the staged tail on both).  A tile computes dst[r][j] +=
 // sum_l A[r][l]*b[l][j] for r in [0,4), j in [0,nc), l in [0,kc), dst rows
 // ldd floats apart, b rows ldb apart, and A[r][l] at a + r*lda + l*ldk
-// floats: row-major weights are (lda, ldk) = (k, 1), PackA panels (1, 4).
+// floats: row-major weights are (lda, ldk) = (k, 1), PackA panels (1, 4),
+// and an m%4 row (0, 1) with ldd 0, its four lanes alike.
 // nc is a positive multiple of the width, kc positive; only the slice base
 // pointers are used.  Each body is assembled twice, and the two symbols
 // differ only in the accumulate step:
@@ -136,45 +136,6 @@ TEXT ·gemmNNTile16(SB), NOSPLIT, $0-120
 // func gemmNNTile16FMA(dst, a, b []float32, kc, nc, ldd, ldb, lda, ldk int)
 TEXT ·gemmNNTile16FMA(SB), NOSPLIT, $0-120
 	TILE16(FMADD)
-
-// func gemmNNKernel1(dst, a, b []float32, kc, nc, ldb int)
-//
-// The reference tier's single-row kernel for the m%4 rows: dst[j] +=
-// sum_l a[l]*b[l][j] for j in [0,nc), l in [0,kc), b rows ldb floats apart,
-// eight columns per YMM register, with MULADD's instruction pair.  nc is a
-// positive multiple of 8.
-TEXT ·gemmNNKernel1(SB), NOSPLIT, $0-96
-	MOVQ dst_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), BX
-	MOVQ kc+72(FP), CX
-	MOVQ nc+80(FP), R8
-	MOVQ ldb+88(FP), R9
-	SHLQ $2, R9              // b row stride in bytes
-
-colloop1:
-	VMOVUPS (DI), Y0
-	MOVQ BX, DX              // b walking pointer for this column block
-	XORQ AX, AX              // depth byte offset into the a row
-	MOVQ CX, R11             // depth counter
-
-kloop1:
-	VBROADCASTSS (SI)(AX*1), Y4
-	VMULPS       (DX), Y4, Y4
-	VADDPS       Y4, Y0, Y0
-	ADDQ $4, AX
-	ADDQ R9, DX              // next b row
-	DECQ R11
-	JNE  kloop1
-
-	VMOVUPS Y0, (DI)
-	ADDQ $32, DI             // next 8-column block
-	ADDQ $32, BX
-	SUBQ $8, R8
-	JNE  colloop1
-
-	VZEROUPPER
-	RET
 
 // func dotFMA(a, b []float32, n int) float32
 //

@@ -181,8 +181,7 @@ func GemmNNFastAccumPanel(dst []float32, pa *PackedA, panel, bias []float32, kb,
 	if kb == 0 {
 		seedRows(dst, bias, nc, ldd, 0, m)
 	}
-	op := nnOp{a: pa.src, panels: pa.panels, k: pa.k, fused: true, fusedTail: true}
-	gemmNNPanel(op, dst, panel, ldd, nc, kb, kc, 0, nc, 0, m)
+	gemmNNPanel(nnOp{a: pa.src, panels: pa.panels, k: pa.k, fused: true}, dst, panel, ldd, nc, kb, kc, 0, nc, 0, m)
 }
 
 // MatVecFastParallel computes dst = W*x + bias like MatVecBias using the

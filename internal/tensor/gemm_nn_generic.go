@@ -24,8 +24,6 @@ func gemmNNTile16FMA(dst, a, b []float32, kc, nc, ldd, ldb, lda, ldk int) {
 	panic("tensor: no vector gemm")
 }
 
-func gemmNNKernel1(dst, a, b []float32, kc, nc, ldb int) { panic("tensor: no vector gemm") }
-
 func dotFMA(a, b []float32, n int) float32 { panic("tensor: no vector dot") }
 
 func dotAVX512(a, b []float32, n int) float32 { panic("tensor: no vector dot") }
