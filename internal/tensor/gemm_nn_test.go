@@ -96,43 +96,65 @@ func testGemmNNMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGemmNNScalarMatchesVector pins the portable kernels against the vector
-// microkernels of every rung the host has, on identical inputs: the rungs
-// must agree bit for bit, which is what makes the vector paths safe to enable
-// at runtime.  A scalar loop over the whole problem, one accumulator per
-// element in depth order, is the third witness.
+// TestGemmNNScalarMatchesVector pins the vector tiles of every rung the host
+// has against the portable kernels and a scalar loop (one accumulator per
+// element, depth order) on identical inputs, where the row and column edges
+// meet: m in {1, 3, 9} puts m%4 rows beside no or two 4-row tiles, and n in
+// {7, 48, 49} gives them the staged tail alone, the ZMM and YMM bodies, and
+// both plus a one-column tail.  All three must agree bit for bit, which is
+// what makes the vector paths safe to enable at runtime, and so must the
+// fast tier's m%4 rows, which run mul+add too.  dst has gap columns past n
+// and guard rows past m, which must keep their bits.
 func TestGemmNNScalarMatchesVector(t *testing.T) {
 	r := NewRNG(7)
-	m, n, k, ldb := 9, 48, 130, 48
-	a := make([]float32, m*k)
-	b := make([]float32, k*ldb)
-	bias := make([]float32, m)
-	fillRand(r, a)
-	fillRand(r, b)
-	fillRand(r, bias)
-	axpy := make([]float32, m*ldb)
-	scalar := make([]float32, m*ldb)
+	const k = 130
 	t.Cleanup(portable())
-	GemmNN(axpy, a, b, bias, m, n, k, ldb)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := bias[i]
-			for l := 0; l < k; l++ {
-				s += float32(a[i*k+l] * b[l*ldb+j])
+	for _, m := range []int{1, 3, 9} {
+		for _, n := range []int{7, 48, 49} {
+			ldb := n + 3
+			a, b, bias := make([]float32, m*k), make([]float32, k*ldb), make([]float32, m)
+			fillRand(r, a)
+			fillRand(r, b)
+			fillRand(r, bias)
+			guarded := func() []float32 {
+				dst := make([]float32, (m+nnMR)*ldb)
+				for i := range dst {
+					dst[i] = 7
+				}
+				return dst
 			}
-			scalar[i*ldb+j] = s
+			scalar := guarded()
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					s := bias[i]
+					for l := 0; l < k; l++ {
+						s += float32(a[i*k+l] * b[l*ldb+j])
+					}
+					scalar[i*ldb+j] = s
+				}
+			}
+			SetFastTier(TierGeneric)
+			axpy := guarded()
+			GemmNN(axpy, a, b, bias, m, n, k, ldb)
+			vectorRungs(t, func() {
+				vec, fast := guarded(), guarded()
+				GemmNN(vec, a, b, bias, m, n, k, ldb)
+				GemmNNFast(fast, PackA(a, m, k), b, bias, n, ldb)
+				for i := range vec {
+					if math.Float32bits(vec[i]) != math.Float32bits(axpy[i]) || math.Float32bits(vec[i]) != math.Float32bits(scalar[i]) {
+						t.Fatalf("%v rung m=%d n=%d, dst[%d][%d]: vector %x axpy %x scalar %x", FastTier(), m, n, i/ldb, i%ldb,
+							math.Float32bits(vec[i]), math.Float32bits(axpy[i]), math.Float32bits(scalar[i]))
+					}
+				}
+				for i := (m &^ (nnMR - 1)) * ldb; i < len(fast); i++ {
+					if math.Float32bits(fast[i]) != math.Float32bits(scalar[i]) {
+						t.Fatalf("%v rung m=%d n=%d, dst[%d][%d]: fast m%%4 row %x, scalar %x", FastTier(), m, n, i/ldb, i%ldb,
+							math.Float32bits(fast[i]), math.Float32bits(scalar[i]))
+					}
+				}
+			})
 		}
 	}
-	vectorRungs(t, func() {
-		vec := make([]float32, m*ldb)
-		GemmNN(vec, a, b, bias, m, n, k, ldb)
-		for i := range vec {
-			if math.Float32bits(vec[i]) != math.Float32bits(axpy[i]) || math.Float32bits(vec[i]) != math.Float32bits(scalar[i]) {
-				t.Fatalf("%v rung, element %d: vector %x axpy %x scalar %x", FastTier(), i,
-					math.Float32bits(vec[i]), math.Float32bits(axpy[i]), math.Float32bits(scalar[i]))
-			}
-		}
-	})
 }
 
 // TestGemmNNAgainstGemm cross-checks the NN layout against the established
