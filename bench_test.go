@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"tango"
+	"tango/internal/device"
 	"tango/internal/gpusim"
 	"tango/internal/kernel"
 	"tango/internal/networks"
@@ -229,7 +230,7 @@ func loadKernel(b *testing.B, network string, pick func(*kernel.Kernel) bool) *k
 
 func benchmarkKernelSim(b *testing.B, k *kernel.Kernel) {
 	b.Helper()
-	sim, err := gpusim.New(gpusim.DefaultConfig().WithSampling(gpusim.FastSampling()))
+	sim, err := gpusim.New(gpusim.ConfigFor(device.PascalGP102()).WithSampling(gpusim.FastSampling()))
 	if err != nil {
 		b.Fatal(err)
 	}

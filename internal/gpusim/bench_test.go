@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"tango/internal/device"
 	"tango/internal/kernel"
 	"tango/internal/networks"
 )
@@ -23,7 +24,7 @@ func BenchmarkRunKernels(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sim, err := New(DefaultConfig().WithSampling(FastSampling()))
+			sim, err := New(ConfigFor(device.PascalGP102()).WithSampling(FastSampling()))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package gpusim_test
 import (
 	"testing"
 
+	"tango/internal/device"
 	"tango/internal/gpusim"
 	"tango/internal/kernel"
 	"tango/internal/networks"
@@ -33,7 +34,7 @@ func TestBypassedL1ThrottlesStreamingKernels(t *testing.T) {
 	// Without an L1 the finite LSU/interconnect queues must throttle the
 	// streaming fully-connected kernel: memory_throttle stalls appear and the
 	// warps spend most of their time waiting on memory.
-	cfg := gpusim.DefaultConfig().WithSampling(gpusim.FastSampling()).WithL1Size(0)
+	cfg := gpusim.ConfigFor(device.PascalGP102()).WithSampling(gpusim.FastSampling()).WithL1Size(0)
 	sim, err := gpusim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func TestFCInsensitiveToL1Sizing(t *testing.T) {
 	// default to 4x should change its time very little — this is the flat
 	// portion of the Figure 2 curves.
 	run := func(l1 int) int64 {
-		cfg := gpusim.DefaultConfig().WithSampling(gpusim.FastSampling()).WithL1Size(l1)
+		cfg := gpusim.ConfigFor(device.PascalGP102()).WithSampling(gpusim.FastSampling()).WithL1Size(l1)
 		sim, err := gpusim.New(cfg)
 		if err != nil {
 			t.Fatal(err)

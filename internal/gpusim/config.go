@@ -69,13 +69,8 @@ type Config struct {
 	Parallelism int
 }
 
-// DefaultConfig returns the paper's simulator setup: the Pascal GP102
-// configuration with its default 64KB L1D and the GTO scheduler.
-func DefaultConfig() Config {
-	return ConfigFor(device.PascalGP102())
-}
-
-// ConfigFor returns a simulation config for an arbitrary GPU device.
+// ConfigFor returns the paper's simulator setup for a GPU device: two
+// modeled SMs, the device's own L1D, L2 and DRAM, and the GTO scheduler.
 func ConfigFor(dev device.GPU) Config {
 	return Config{
 		Device:       dev,

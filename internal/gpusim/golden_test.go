@@ -77,7 +77,7 @@ func TestSimStatsGolden(t *testing.T) {
 	for _, s := range []gpusim.Sampling{{MaxCTAs: 3, MaxLoopIters: 5}, {MaxCTAs: 24, MaxLoopIters: 5}} {
 		for _, k := range sched.Kinds() {
 			for _, l1 := range l1s[:2] {
-				cfg := l1.apply(gpusim.DefaultConfig()).WithScheduler(k).WithSampling(s)
+				cfg := l1.apply(gpusim.ConfigFor(device.PascalGP102())).WithScheduler(k).WithSampling(s)
 				name := fmt.Sprintf("CifarNet/gp102/%s/%s/ctas%d-iters%d", k, l1.name, s.MaxCTAs, s.MaxLoopIters)
 				cells = append(cells, cell{name, "CifarNet", cfg})
 			}
@@ -85,7 +85,7 @@ func TestSimStatsGolden(t *testing.T) {
 	}
 	// Issue widths other than the default two.
 	for _, k := range sched.Kinds() {
-		narrow := gpusim.DefaultConfig().WithScheduler(k).WithSampling(gpusim.FastSampling())
+		narrow := gpusim.ConfigFor(device.PascalGP102()).WithScheduler(k).WithSampling(gpusim.FastSampling())
 		narrow.IssueWidth = 1
 		cells = append(cells, cell{fmt.Sprintf("CifarNet/gp102/%s/l1-default/issue1", k), "CifarNet", narrow})
 		wide := narrow
@@ -97,14 +97,14 @@ func TestSimStatsGolden(t *testing.T) {
 	// More resident warps per SM than one or two 64-bit words hold.
 	for _, k := range sched.Kinds() {
 		for _, l1 := range l1s[:2] {
-			cfg := l1.apply(gpusim.DefaultConfig()).WithScheduler(k).WithSampling(gpusim.FastSampling())
+			cfg := l1.apply(gpusim.ConfigFor(device.PascalGP102())).WithScheduler(k).WithSampling(gpusim.FastSampling())
 			cfg.Device.MaxWarpsPerSM = 160
 			cells = append(cells, cell{fmt.Sprintf("CifarNet/gp102/%s/%s/warps160", k, l1.name), "CifarNet", cfg})
 		}
 	}
 
 	for _, net := range heavy {
-		cfg := gpusim.DefaultConfig().WithSampling(gpusim.FastSampling())
+		cfg := gpusim.ConfigFor(device.PascalGP102()).WithSampling(gpusim.FastSampling())
 		cells = append(cells, cell{fmt.Sprintf("%s/gp102/gto/l1-default/fast", net), net, cfg})
 	}
 

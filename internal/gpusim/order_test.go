@@ -3,6 +3,7 @@ package gpusim
 import (
 	"testing"
 
+	"tango/internal/device"
 	"tango/internal/kernel"
 	"tango/internal/networks"
 	"tango/internal/sched"
@@ -26,7 +27,7 @@ func TestWarpsStayInLaunchOrder(t *testing.T) {
 	}
 	conv1 := ks[0]
 	for _, kind := range sched.Kinds() {
-		sim, err := New(DefaultConfig().WithScheduler(kind).WithSampling(Sampling{MaxCTAs: 24, MaxLoopIters: 5}))
+		sim, err := New(ConfigFor(device.PascalGP102()).WithScheduler(kind).WithSampling(Sampling{MaxCTAs: 24, MaxLoopIters: 5}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func runNet(t *testing.T, sim *gpusim.Simulator, name string) *gpusim.RunStats {
 }
 
 func TestConfigValidateDefaults(t *testing.T) {
-	cfg := gpusim.DefaultConfig()
+	cfg := gpusim.ConfigFor(device.PascalGP102())
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
@@ -63,17 +63,17 @@ func TestConfigValidateDefaults(t *testing.T) {
 	if err := zero.Validate(); err == nil {
 		t.Error("zero config should fail (no device)")
 	}
-	bad := gpusim.DefaultConfig()
+	bad := gpusim.ConfigFor(device.PascalGP102())
 	bad.Scheduler = "bogus"
 	if err := bad.Validate(); err == nil {
 		t.Error("unknown scheduler should fail")
 	}
-	bad = gpusim.DefaultConfig()
+	bad = gpusim.ConfigFor(device.PascalGP102())
 	bad.L2 = cache.Config{}
 	if err := bad.Validate(); err == nil {
 		t.Error("bypassed L2 should fail")
 	}
-	bad = gpusim.DefaultConfig()
+	bad = gpusim.ConfigFor(device.PascalGP102())
 	bad.Sampling.MaxCTAs = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative sampling should fail")
@@ -81,15 +81,15 @@ func TestConfigValidateDefaults(t *testing.T) {
 }
 
 func TestConfigWithHelpers(t *testing.T) {
-	cfg := gpusim.DefaultConfig().WithL1Size(0)
+	cfg := gpusim.ConfigFor(device.PascalGP102()).WithL1Size(0)
 	if !cfg.L1D.Bypassed() {
 		t.Error("WithL1Size(0) should bypass the L1")
 	}
-	cfg = gpusim.DefaultConfig().WithL1Size(128 << 10)
+	cfg = gpusim.ConfigFor(device.PascalGP102()).WithL1Size(128 << 10)
 	if cfg.L1D.SizeBytes != 128<<10 {
 		t.Errorf("L1 size = %d", cfg.L1D.SizeBytes)
 	}
-	cfg = gpusim.DefaultConfig().WithScheduler(sched.LRR)
+	cfg = gpusim.ConfigFor(device.PascalGP102()).WithScheduler(sched.LRR)
 	if cfg.Scheduler != sched.LRR {
 		t.Error("WithScheduler did not apply")
 	}
@@ -118,7 +118,7 @@ func TestRunKernelBasicInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := fastSim(t, gpusim.DefaultConfig())
+	sim := fastSim(t, gpusim.ConfigFor(device.PascalGP102()))
 	st, err := runKernel(sim, ks[0]) // conv1
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestRunKernelBasicInvariants(t *testing.T) {
 }
 
 func TestRunKernelRejectsInvalidKernel(t *testing.T) {
-	sim := fastSim(t, gpusim.DefaultConfig())
+	sim := fastSim(t, gpusim.ConfigFor(device.PascalGP102()))
 	if _, err := runKernel(sim, &kernel.Kernel{Name: "empty"}); err == nil {
 		t.Error("invalid kernel should fail")
 	}
@@ -181,7 +181,7 @@ func TestRunNetworkAllBenchmarksSmallSampling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite simulation skipped in -short mode")
 	}
-	sim := fastSim(t, gpusim.DefaultConfig())
+	sim := fastSim(t, gpusim.ConfigFor(device.PascalGP102()))
 	for _, name := range []string{"GRU", "LSTM", "CifarNet"} {
 		rs := runNet(t, sim, name)
 		if rs.TotalCycles() <= 0 {
@@ -194,8 +194,8 @@ func TestRunNetworkAllBenchmarksSmallSampling(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	sim1 := fastSim(t, gpusim.DefaultConfig())
-	sim2 := fastSim(t, gpusim.DefaultConfig())
+	sim1 := fastSim(t, gpusim.ConfigFor(device.PascalGP102()))
+	sim2 := fastSim(t, gpusim.ConfigFor(device.PascalGP102()))
 	a := runNet(t, sim1, "CifarNet")
 	b := runNet(t, sim2, "CifarNet")
 	if a.TotalCycles() != b.TotalCycles() {
@@ -214,7 +214,7 @@ func TestDeterminism(t *testing.T) {
 func TestConvolutionDominatesCifarNet(t *testing.T) {
 	// Observation 1: convolution layers take the majority of CNN execution
 	// time.
-	sim := fastSim(t, gpusim.DefaultConfig())
+	sim := fastSim(t, gpusim.ConfigFor(device.PascalGP102()))
 	rs := runNet(t, sim, "CifarNet")
 	byClass := rs.CyclesByClass()
 	conv := byClass[networks.ClassConv]
@@ -230,7 +230,7 @@ func TestCacheSensitivityCNNvsRNN(t *testing.T) {
 		t.Skip("cache sweep skipped in -short mode")
 	}
 	run := func(name string, l1 int) int64 {
-		sim := fastSim(t, gpusim.DefaultConfig().WithL1Size(l1))
+		sim := fastSim(t, gpusim.ConfigFor(device.PascalGP102()).WithL1Size(l1))
 		return runNet(t, sim, name).TotalCycles()
 	}
 	cifarNo := run("CifarNet", 0)
@@ -248,7 +248,7 @@ func TestCacheSensitivityCNNvsRNN(t *testing.T) {
 
 func TestSchedulerKindsAllRun(t *testing.T) {
 	for _, k := range sched.Kinds() {
-		sim := fastSim(t, gpusim.DefaultConfig().WithScheduler(k))
+		sim := fastSim(t, gpusim.ConfigFor(device.PascalGP102()).WithScheduler(k))
 		rs := runNet(t, sim, "CifarNet")
 		if rs.TotalCycles() <= 0 {
 			t.Errorf("scheduler %s produced no cycles", k)
@@ -257,8 +257,8 @@ func TestSchedulerKindsAllRun(t *testing.T) {
 }
 
 func TestBypassedL1RoutesTrafficToL2(t *testing.T) {
-	simNo := fastSim(t, gpusim.DefaultConfig().WithL1Size(0))
-	simWith := fastSim(t, gpusim.DefaultConfig())
+	simNo := fastSim(t, gpusim.ConfigFor(device.PascalGP102()).WithL1Size(0))
+	simWith := fastSim(t, gpusim.ConfigFor(device.PascalGP102()))
 	no := runNet(t, simNo, "CifarNet")
 	with := runNet(t, simWith, "CifarNet")
 	var l2No, l2With int64
@@ -281,7 +281,7 @@ func TestBypassedL1RoutesTrafficToL2(t *testing.T) {
 func TestFCHasHigherL2MissRatioThanConv(t *testing.T) {
 	// Observation 11: convolution layers have much better data locality than
 	// fully-connected layers.  Compare under a bypassed L1 like Figure 14.
-	sim := fastSim(t, gpusim.DefaultConfig().WithL1Size(0))
+	sim := fastSim(t, gpusim.ConfigFor(device.PascalGP102()).WithL1Size(0))
 	rs := runNet(t, sim, "CifarNet")
 	byClass := rs.L2ByClass()
 	conv := byClass[networks.ClassConv]
@@ -297,7 +297,7 @@ func TestFCHasHigherL2MissRatioThanConv(t *testing.T) {
 func TestRNNvsCNNStallCharacter(t *testing.T) {
 	// GRU/LSTM and the CNN layers should all report a breakdown over the
 	// nvprof categories, with memory- and execution-dependency stalls present.
-	sim := fastSim(t, gpusim.DefaultConfig())
+	sim := fastSim(t, gpusim.ConfigFor(device.PascalGP102()))
 	rs := runNet(t, sim, "LSTM")
 	stalls := rs.StallsByClass()[networks.ClassRNN]
 	var total int64
@@ -333,7 +333,7 @@ func TestExhaustiveSamplingOnTinyKernel(t *testing.T) {
 	if fc2 == nil {
 		t.Fatal("fc2 kernel not found")
 	}
-	exCfg := gpusim.DefaultConfig().WithSampling(gpusim.Exhaustive())
+	exCfg := gpusim.ConfigFor(device.PascalGP102()).WithSampling(gpusim.Exhaustive())
 	exSim, err := gpusim.New(exCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +350,7 @@ func TestExhaustiveSamplingOnTinyKernel(t *testing.T) {
 			ex.SimThreadInstructions, ex.TotalThreadInstructions)
 	}
 
-	sampled, err := runKernel(fastSim(t, gpusim.DefaultConfig()), fc2)
+	sampled, err := runKernel(fastSim(t, gpusim.ConfigFor(device.PascalGP102())), fc2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestExhaustiveTrustsSimulatedTimeOnlyOnModeledSMs(t *testing.T) {
 			InputBytes: 1 << 16, OutputBytes: 1 << 16,
 		}
 		for _, modeled := range []int{28, 2} {
-			cfg := gpusim.DefaultConfig().WithSampling(gpusim.Exhaustive())
+			cfg := gpusim.ConfigFor(device.PascalGP102()).WithSampling(gpusim.Exhaustive())
 			cfg.ModeledSMs = modeled
 			sim, err := gpusim.New(cfg)
 			if err != nil {
@@ -415,7 +415,7 @@ func TestDifferentDevicesGiveDifferentTimes(t *testing.T) {
 func TestOpMixObservation7(t *testing.T) {
 	// Observation 7: the top operations (add, mad, mul, shl, plus the load
 	// family) dominate execution.
-	sim := fastSim(t, gpusim.DefaultConfig())
+	sim := fastSim(t, gpusim.ConfigFor(device.PascalGP102()))
 	rs := runNet(t, sim, "CifarNet")
 	ops := rs.OpTotals()
 	var total int64
@@ -466,7 +466,7 @@ func TestOccupancyNeverExceedsWarpCapacity(t *testing.T) {
 	// Regression: residency used to take the max of the configured CTA limit
 	// and the warp-capacity-derived limit, so a kernel with 32-warp blocks on
 	// a device with a 48-warp SM kept 2 CTAs (64 warps) resident.
-	cfg := gpusim.DefaultConfig()
+	cfg := gpusim.ConfigFor(device.PascalGP102())
 	cfg.Device.MaxWarpsPerSM = 48
 	sim := fastSim(t, cfg)
 	st, err := runKernel(sim, bigBlockKernel(t))
@@ -503,7 +503,7 @@ func TestOccupancyRaisesResidencyForSmallBlocks(t *testing.T) {
 	if small == nil {
 		t.Skip("no small-block kernel with enough blocks in CifarNet")
 	}
-	cfg := gpusim.DefaultConfig()
+	cfg := gpusim.ConfigFor(device.PascalGP102())
 	sim := fastSim(t, cfg)
 	st, err := runKernel(sim, small)
 	if err != nil {
@@ -529,7 +529,7 @@ func TestRunKernelsParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := gpusim.DefaultConfig().WithSampling(gpusim.FastSampling())
+	base := gpusim.ConfigFor(device.PascalGP102()).WithSampling(gpusim.FastSampling())
 	serialSim, err := gpusim.New(base)
 	if err != nil {
 		t.Fatal(err)
@@ -576,8 +576,8 @@ func TestRunKernelSteadyStateAllocations(t *testing.T) {
 		cfg   gpusim.Config
 		limit float64
 	}{
-		{"default-l1", gpusim.DefaultConfig(), 2120},                // measured 1,926
-		{"bypassed-l1", gpusim.DefaultConfig().WithL1Size(0), 1840}, // measured 1,671
+		{"default-l1", gpusim.ConfigFor(device.PascalGP102()), 2120},                // measured 1,926
+		{"bypassed-l1", gpusim.ConfigFor(device.PascalGP102()).WithL1Size(0), 1840}, // measured 1,671
 	} {
 		sim, err := gpusim.New(tc.cfg)
 		if err != nil {
@@ -622,9 +622,9 @@ func TestRunKernelsReusesOneMachine(t *testing.T) {
 		cfg   gpusim.Config
 		limit float64
 	}{
-		{"default-l1", gpusim.DefaultConfig(), 2220},                   // measured 2,018
-		{"bypassed-l1", gpusim.DefaultConfig().WithL1Size(0), 1930},    // measured 1,755
-		{"tlv", gpusim.DefaultConfig().WithScheduler(sched.TLV), 2230}, // measured 2,025
+		{"default-l1", gpusim.ConfigFor(device.PascalGP102()), 2220},                   // measured 2,018
+		{"bypassed-l1", gpusim.ConfigFor(device.PascalGP102()).WithL1Size(0), 1930},    // measured 1,755
+		{"tlv", gpusim.ConfigFor(device.PascalGP102()).WithScheduler(sched.TLV), 2230}, // measured 2,025
 	} {
 		sim := fastSim(t, tc.cfg)
 		first, err := sim.RunKernels("CifarNet", ks)
@@ -661,7 +661,7 @@ func TestRunKernelsReusesOneMachine(t *testing.T) {
 	if ks, err = kernel.Generate(n); err != nil {
 		t.Fatal(err)
 	}
-	sim := fastSim(t, gpusim.DefaultConfig())
+	sim := fastSim(t, gpusim.ConfigFor(device.PascalGP102()))
 	rs, err := sim.RunKernels("ResNet", ks)
 	if err != nil {
 		t.Fatal(err)
@@ -742,7 +742,7 @@ func TestRunKernelsSharesOnlyEqualKernels(t *testing.T) {
 		v.edit(&k)
 		list = append(list, &k)
 	}
-	sim := fastSim(t, gpusim.DefaultConfig())
+	sim := fastSim(t, gpusim.ConfigFor(device.PascalGP102()))
 	rs, err := sim.RunKernels("synthetic", list)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func simulate(t *testing.T, name string) *gpusim.RunStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := gpusim.New(gpusim.DefaultConfig().WithSampling(gpusim.FastSampling()))
+	sim, err := gpusim.New(gpusim.ConfigFor(device.PascalGP102()).WithSampling(gpusim.FastSampling()))
 	if err != nil {
 		t.Fatal(err)
 	}

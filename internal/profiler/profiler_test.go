@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"tango/internal/device"
 	"tango/internal/gpusim"
 	"tango/internal/kernel"
 	"tango/internal/networks"
@@ -16,7 +17,7 @@ func simulate(t *testing.T, name string) *gpusim.RunStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := gpusim.New(gpusim.DefaultConfig().WithSampling(gpusim.FastSampling()))
+	sim, err := gpusim.New(gpusim.ConfigFor(device.PascalGP102()).WithSampling(gpusim.FastSampling()))
 	if err != nil {
 		t.Fatal(err)
 	}
