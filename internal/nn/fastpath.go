@@ -34,8 +34,10 @@ import (
 // Unlike the reference tier, a fast-tier sample's bits depend on whether its
 // batch holds one sample or several: from two samples (or sequences) on, a
 // fully-connected layer and a recurrent gate run the pack's GEMM instead of
-// its mat-vec (and under int8 a fully-connected layer quantizes its
-// activations with one scale per call).
+// its mat-vec.  That is all they depend on: every column of the fast GEMM
+// continues one FMA chain, so from two samples on no companion and no batch
+// width moves a sample's bits (except that under int8 a fully-connected
+// layer quantizes its activations with one scale per call).
 
 // Numerics selects the arithmetic contract of a Scratch.
 type Numerics uint8

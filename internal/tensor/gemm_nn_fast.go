@@ -149,8 +149,9 @@ func GemmNNFast(dst []float32, pa *PackedA, b, bias []float32, n, ldb int) {
 
 // GemmNNFastParallel is GemmNNFast with the row dimension split across t's
 // workers.  Row panels are tile-aligned and each output element is produced
-// by exactly one worker, so — unlike the batch-size-dependent column
-// tails — the result is identical for any worker count.
+// by exactly one worker, so the result is identical for any worker count.
+// Every column of a 4-row tile, the staged tail's included, runs the same
+// FMA chain, so a column's bits do not depend on n either.
 func GemmNNFastParallel(dst []float32, pa *PackedA, b, bias []float32, n, ldb int, t *Team) {
 	checkGemmNNArgs(dst, pa.src, b, bias, pa.m, n, pa.k, ldb)
 	gemmNN(nnOp{a: pa.src, panels: pa.panels, k: pa.k, fused: true}, dst, b, bias, pa.m, n, ldb, t)
