@@ -158,8 +158,8 @@ type nnOp struct {
 	fused     bool
 }
 
-// rowTile is the A operand of one tile from depth kb on: A[r][l] at
-// a[r*lda+l*ldk], with dst rows ldd floats apart, over rows output rows.
+// rowTile is one tile: rows output rows, A[r][l] at a[r*lda+l*ldk] from
+// depth kb on, dst rows ldd apart; fused: VFMADD231PS, else VMULPS+VADDPS.
 type rowTile struct {
 	a                   []float32
 	lda, ldk, ldd, rows int
@@ -197,7 +197,7 @@ func columns(t SIMDTier, nc int) (zmm, ymm int) {
 }
 
 // run runs the tile over nc columns: the ZMM body when zmm, else the YMM
-// one, with VFMADD231PS when fused, else VMULPS then VADDPS.
+// one.
 func (t rowTile) run(zmm bool, dst, b []float32, kc, nc, ldb int) {
 	switch {
 	case zmm && t.fused:
