@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"tango"
+	"tango/internal/cli"
 	"tango/internal/resilience"
 )
 
@@ -181,7 +182,7 @@ func main() {
 		log.Printf("fault injection active: %s", resilience.Spec())
 	}
 
-	names := splitBenchmarks(*benchmarks)
+	names := cli.SplitList(*benchmarks)
 	if len(names) == 0 {
 		fail("-benchmarks must name at least one benchmark")
 	}
@@ -280,15 +281,4 @@ func main() {
 	log.Printf("served %d requests in %d batches (mean batch %.2f, %d rejected)",
 		stats.Completed, stats.Batches, stats.MeanBatchSize, stats.RejectedQueueFull)
 	exit(shutdownRecord{Reason: reason, ExitCode: 0}, srv, &atSignal, start)
-}
-
-// splitBenchmarks parses the -benchmarks list.
-func splitBenchmarks(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package networks_test
 import (
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 
 	"tango/internal/networks"
@@ -14,12 +13,10 @@ import (
 // cnnBatch stacks n deterministic sample images into a rank-4 batch whose
 // sample i equals cnnInput(p, seed+i).
 func cnnBatch(p *networks.Plan, seed uint64, n int) *tensor.Tensor {
-	shape := p.Network().InputShape
-	batch := tensor.New(append([]int{n}, shape...)...)
+	batch := tensor.New(append([]int{n}, p.Network().InputShape...)...)
 	sample := batch.Len() / n
 	for i := 0; i < n; i++ {
-		in := cnnInput(p, seed+uint64(i))
-		copy(batch.Data()[i*sample:(i+1)*sample], in.Data())
+		copy(batch.Data()[i*sample:], cnnInput(p, seed+uint64(i)).Data())
 	}
 	return batch
 }
@@ -28,101 +25,69 @@ func cnnBatch(p *networks.Plan, seed uint64, n int) *tensor.Tensor {
 // (steps, n, features) batch whose sequence i equals rnnSequence(p, seed+i).
 func rnnBatch(p *networks.Plan, seed uint64, n int) *tensor.Tensor {
 	inSize := p.Network().InputShape[0]
-	steps := p.Network().SeqLen
-	if steps <= 0 {
-		steps = 2
-	}
-	batch := tensor.New(steps, n, inSize)
+	batch := tensor.New(seqLen(p.Network()), n, inSize)
 	for i := 0; i < n; i++ {
-		seq := rnnSequence(p, seed+uint64(i))
-		for t, x := range seq {
-			copy(batch.Data()[(t*n+i)*inSize:(t*n+i+1)*inSize], x.Data())
+		for t, x := range rnnSequence(p, seed+uint64(i)) {
+			copy(batch.Data()[(t*n+i)*inSize:], x.Data())
 		}
 	}
 	return batch
 }
 
-// requireSampleBits fails unless row i of the batched output is bit-identical
-// to the single-sample output tensor.
-func requireSampleBits(t *testing.T, label string, batch *tensor.Tensor, i, n int, want *tensor.Tensor) {
+// runBatch runs samples seed..seed+n-1 through p as one batch.
+func runBatch(t *testing.T, p *networks.Plan, s *nn.Scratch, seed uint64, n int) *networks.BatchResult {
 	t.Helper()
-	sample := batch.Len() / n
-	if sample != want.Len() {
-		t.Fatalf("%s: batched sample has %d elements, single has %d", label, sample, want.Len())
+	var res *networks.BatchResult
+	var err error
+	if p.Network().Kind == networks.KindCNN {
+		res, err = p.RunBatch(cnnBatch(p, seed, n), s)
+	} else {
+		res, err = p.RunSequenceBatch(rnnBatch(p, seed, n), s)
 	}
-	got := batch.Data()[i*sample : (i+1)*sample]
-	for j, v := range want.Data() {
-		if math.Float32bits(got[j]) != math.Float32bits(v) {
-			t.Fatalf("%s: sample %d element %d = %x, want %x (bit-exact)",
-				label, i, j, math.Float32bits(got[j]), math.Float32bits(v))
-		}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.N != n {
+		t.Fatalf("batch result N = %d, want %d", res.N, n)
+	}
+	return res
+}
+
+// requireSample fails unless sample i of a batched run of n is
+// bit-identical to a single run and, for a CNN, predicts its class.
+func requireSample(t *testing.T, label string, batch *runOut, n, i int, one *runOut) {
+	t.Helper()
+	per := len(one.out)
+	if len(batch.out) != n*per {
+		t.Fatalf("%s: batched output has %d elements, %d samples of %d need %d", label, len(batch.out), n, per, n*per)
+	}
+	requireBits(t, fmt.Sprintf("%s: sample %d", label, i), batch.out[i*per:(i+1)*per], one.out)
+	if batch.classes != nil && batch.classes[i] != one.classes[0] {
+		t.Fatalf("%s: sample %d predicted %d, want %d", label, i, batch.classes[i], one.classes[0])
 	}
 }
 
 // TestRunBatchGoldenEquivalence is the batched-inference golden test: for
 // every network of the suite (and the MobileNet extension), a batched run —
-// serial and parallel — must reproduce the single-sample engine bit for bit
-// on every sample, including the predicted classes.
+// serial and parallel, with and without a scratch — must reproduce the
+// single-sample engine bit for bit on every sample, including the predicted
+// classes.
 func TestRunBatchGoldenEquivalence(t *testing.T) {
-	names := append(append([]string{}, networks.Names()...), networks.ExtensionNames()...)
-	for _, name := range names {
-		if testing.Short() && (name == "ResNet" || name == "VGGNet") {
-			t.Logf("skipping %s in -short mode (largest engine runs)", name)
-			continue
+	forNets(t, suite(), func(t *testing.T, f *fixture) {
+		n := 3
+		if f.net.Kind == networks.KindCNN && len(f.net.Layers) > 12 {
+			n = 2 // keep the deep CNNs affordable
 		}
-		t.Run(name, func(t *testing.T) {
-			p := buildPlan(t, name)
-			isCNN := p.Network().Kind == networks.KindCNN
-			batchN := 3
-			if isCNN && len(p.Network().Layers) > 12 {
-				batchN = 2 // keep the deep CNNs affordable
+		for _, c := range []struct {
+			label   string
+			workers int
+		}{{"serial", 1}, {"parallel", 4}, {"no-scratch", 0}} {
+			got := f.out(t, batchOf(nn.NumericsReference, c.workers, int8Seed, n))
+			for i := 0; i < n; i++ {
+				requireSample(t, c.label, got, n, i, f.out(t, single(nn.NumericsReference, 1, int8Seed+uint64(i))))
 			}
-
-			serial := nn.NewScratch()
-			parallel := nn.NewScratch()
-			parallel.SetWorkers(4)
-
-			// Single-sample references via the established engine path.
-			singles := make([]*networks.Result, batchN)
-			for i := 0; i < batchN; i++ {
-				var err error
-				if isCNN {
-					singles[i], err = p.Run(cnnInput(p, 42+uint64(i)), nil)
-				} else {
-					singles[i], err = p.RunSequence(rnnSequence(p, 42+uint64(i)), nil)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			for _, c := range []struct {
-				label string
-				s     *nn.Scratch
-			}{{"serial", serial}, {"parallel", parallel}, {"no-scratch", nil}} {
-				var res *networks.BatchResult
-				var err error
-				if isCNN {
-					res, err = p.RunBatch(cnnBatch(p, 42, batchN), c.s)
-				} else {
-					res, err = p.RunSequenceBatch(rnnBatch(p, 42, batchN), c.s)
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", c.label, err)
-				}
-				if res.N != batchN {
-					t.Fatalf("%s: batch result N = %d, want %d", c.label, res.N, batchN)
-				}
-				for i := 0; i < batchN; i++ {
-					requireSampleBits(t, c.label, res.Output, i, batchN, singles[i].Output)
-					if isCNN && res.PredictedClasses[i] != singles[i].PredictedClass {
-						t.Fatalf("%s: sample %d predicted %d, want %d",
-							c.label, i, res.PredictedClasses[i], singles[i].PredictedClass)
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRunBatchOfOneMatchesSingle pins the batch-of-1 case on every tier: a
@@ -133,55 +98,21 @@ func TestRunBatchGoldenEquivalence(t *testing.T) {
 // RNN alike, over several sequences (the regression head leaves one value
 // per sequence to compare).
 func TestRunBatchOfOneMatchesSingle(t *testing.T) {
-	tiers := []nn.Numerics{nn.NumericsReference, nn.NumericsFast, nn.NumericsInt8}
-	for _, name := range networks.RNNNames() {
-		p := buildPlan(t, name)
-		for _, mode := range tiers {
+	forNets(t, suite(), func(t *testing.T, f *fixture) {
+		seeds := []uint64{int8Seed}
+		if f.net.Kind == networks.KindRNN {
+			seeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+		}
+		for _, mode := range []nn.Numerics{nn.NumericsReference, nn.NumericsFast, nn.NumericsInt8} {
 			for _, workers := range []int{1, 3} {
-				s := numericsScratch(mode)
-				s.SetWorkers(workers)
-				for seed := uint64(1); seed <= 8; seed++ {
-					label := fmt.Sprintf("%s/%v/w%d/seed%d", name, mode, workers, seed)
-					single, err := p.RunSequence(rnnSequence(p, seed), s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := single.Output.Clone()
-					res, err := p.RunSequenceBatch(rnnBatch(p, seed, 1), s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSampleBits(t, label, res.Output, 0, 1, want)
+				for _, seed := range seeds {
+					one := f.out(t, single(mode, workers, seed))
+					label := fmt.Sprintf("%v/w%d/seed%d", mode, workers, seed)
+					requireSample(t, label, f.out(t, batchOf(mode, workers, seed, 1)), 1, 0, one)
 				}
 			}
 		}
-	}
-	for _, c := range int8DigestCases {
-		if c.heavy && testing.Short() {
-			continue
-		}
-		p := buildPlan(t, c.name)
-		for _, mode := range tiers {
-			for _, workers := range []int{1, 3} {
-				label := fmt.Sprintf("%s/%v/w%d", c.name, mode, workers)
-				s := numericsScratch(mode)
-				s.SetWorkers(workers)
-				single, err := p.Run(cnnInput(p, 9), s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, class := single.Output.Clone(), single.PredictedClass
-				res, err := p.RunBatch(cnnBatch(p, 9, 1), s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSampleBits(t, label, res.Output, 0, 1, want)
-				if res.PredictedClasses[0] != class {
-					t.Fatalf("%s: predicted %d, want %d", label, res.PredictedClasses[0], class)
-				}
-			}
-		}
-	}
+	})
 }
 
 // TestRunBatchDirectStagesNothing: under SetDirect a batched run reaches the
@@ -191,26 +122,14 @@ func TestRunBatchOfOneMatchesSingle(t *testing.T) {
 func TestRunBatchDirectStagesNothing(t *testing.T) {
 	for _, name := range []string{"CifarNet", "GRU", "LSTM"} {
 		p := buildPlan(t, name)
-		run := func(s *nn.Scratch) {
-			t.Helper()
-			var err error
-			if p.Network().Kind == networks.KindRNN {
-				_, err = p.RunSequenceBatch(rnnBatch(p, 5, 3), s)
-			} else {
-				_, err = p.RunBatch(cnnBatch(p, 5, 3), s)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
 		direct := nn.NewScratch()
 		direct.SetDirect(true)
-		run(direct)
+		runBatch(t, p, direct, 5, 3)
 		if got, arena := direct.Bytes(), direct.ArenaBytes(); got != arena {
 			t.Fatalf("%s direct batch: scratch holds %d bytes, %d beyond its %d-byte arena", name, got, got-arena, arena)
 		}
 		engine := nn.NewScratch()
-		run(engine)
+		runBatch(t, p, engine, 5, 3)
 		if engine.Bytes() <= engine.ArenaBytes() {
 			t.Fatalf("%s engine batch: scratch holds %d bytes, no more than its arena", name, engine.Bytes())
 		}
@@ -220,21 +139,8 @@ func TestRunBatchDirectStagesNothing(t *testing.T) {
 // TestRunBatchScratchReuse verifies batched runs reuse scratch storage
 // deterministically.
 func TestRunBatchScratchReuse(t *testing.T) {
-	p := buildPlan(t, "CifarNet")
-	s := nn.NewScratch()
-	in := cnnBatch(p, 5, 4)
-	first, err := p.RunBatch(in, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := first.Output.Clone()
-	for i := 0; i < 3; i++ {
-		res, err := p.RunBatch(in, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitEqual(t, "rerun", res.Output, want)
-	}
+	p, s := buildPlan(t, "CifarNet"), nn.NewScratch()
+	requireReruns(t, func() []float32 { return runBatch(t, p, s, 5, 4).Output.Data() })
 }
 
 // TestRunBatchAllocations guards the steady-state allocation budget of

@@ -1,19 +1,13 @@
 package networks_test
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"tango/internal/networks"
 	"tango/internal/nn"
 	"tango/internal/tensor"
-	"tango/internal/weights"
 )
 
 // The int8 tier's outputs are pinned exactly: integer accumulation is exact
@@ -28,40 +22,11 @@ import (
 // UPDATE_GOLDEN=1 regenerates it (only an intended numerics change does).
 var int8DigestsFile = filepath.Join("testdata", "int8_digests.json")
 
-// int8DigestCases lists every CNN in the registry (the recurrent gates have
-// no int8 lowering) with the batch size its digest is taken at.
-var int8DigestCases = []struct {
-	name  string
-	batch int
-	heavy bool
-}{
-	{"AlexNet", 8, false},
-	{"CifarNet", 3, false},
-	{"SqueezeNet", 3, false}, // 1x1 and strided convolutions
-	{"MobileNet", 3, false},  // depthwise groups
-	{"ResNet", 3, true},
-	{"VGGNet", 3, true},
-}
-
-// int8Rung is one forced rung of the SIMD ladder and its name in the log.
-type int8Rung struct {
-	tier  tensor.SIMDTier
-	label string
-}
-
-func digestFloats(data []float32) string {
-	h := sha256.New()
-	var buf [4]byte
-	for _, v := range data {
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// TestInt8DigestsAllRungs runs every CNN's int8 RunBatch under each forced
-// SIMD rung and at 1 and 4 workers against the committed digests.  -short
-// drops the two heavy networks and keeps the generic rung to CifarNet.
+// TestInt8DigestsAllRungs runs every CNN (the recurrent gates have no int8
+// lowering) under each forced SIMD rung and at 1 and 4 workers against the
+// committed digests: RunBatch of int8Seed.. at batch 8 for AlexNet and 3
+// for the others, and Run of int8Seed.  -short drops the two heavy networks
+// and keeps the generic rung to CifarNet.
 func TestInt8DigestsAllRungs(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	pinned := map[string]string{}
@@ -72,76 +37,42 @@ func TestInt8DigestsAllRungs(t *testing.T) {
 	} else if !update {
 		t.Fatal(err)
 	}
-	detected := tensor.DetectedTier()
-	t.Cleanup(func() { tensor.SetFastTier(detected) })
-	var rungs []int8Rung
-	for _, r := range []int8Rung{{tensor.TierGeneric, "generic"}, {tensor.TierFMA, "FMA"}, {tensor.TierAVX512, "AVX-512"}} {
-		if r.tier > detected {
-			t.Logf("%s rung not available, skipped (detected tier: %v)", r.label, detected)
-			continue
+	ladder := rungs(t)
+	forNets(t, []string{"CifarNet", "AlexNet", "SqueezeNet", "ResNet", "VGGNet", "MobileNet"}, func(t *testing.T, f *fixture) {
+		name, heavy := f.net.Name, f.net.Name == "ResNet" || f.net.Name == "VGGNet"
+		batch := 3
+		if name == "AlexNet" {
+			batch = 8
 		}
-		t.Logf("%s rung exercised", r.label)
-		rungs = append(rungs, r)
-	}
-	for _, c := range int8DigestCases {
-		if c.heavy && testing.Short() {
-			t.Logf("skipping %s in -short mode", c.name)
-			continue
+		for _, rung := range ladder {
+			if rung == tensor.TierGeneric && testing.Short() && name != "CifarNet" {
+				// The portable loops take minutes on the larger networks
+				// under the race detector, which runs with -short.
+				continue
+			}
+			for _, workers := range []int{1, 4} {
+				if heavy && rung == tensor.TierGeneric && workers == 1 {
+					continue // a minute of portable-loop VGGNet; the light networks cover it
+				}
+				// Each rung runs on its own plan, so the weights pack on that rung too.
+				b, one := batchOf(nn.NumericsInt8, workers, int8Seed, batch), single(nn.NumericsInt8, workers, int8Seed)
+				b.rung, one.rung = rung, rung
+				batched, run := f.out(t, b), f.out(t, one)
+				for key, got := range map[string]string{
+					name:             digest(nil, batched.out),
+					name + "/run":    digest(nil, run.out),
+					name + "/logits": digest(nil, run.logits),
+				} {
+					if update && rung == tensor.TierGeneric {
+						pinned[key] = got
+					}
+					if want := pinned[key]; got != want {
+						t.Fatalf("%v rung, %d workers: %s output digest %s, want %s", rung, workers, key, got, want)
+					}
+				}
+			}
 		}
-		t.Run(c.name, func(t *testing.T) {
-			n, err := networks.New(c.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ws, err := weights.Synthesize(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, rung := range rungs {
-				if rung.tier == tensor.TierGeneric && testing.Short() && c.name != "CifarNet" {
-					// The portable loops take minutes on the larger networks
-					// under the race detector, which runs with -short.
-					continue
-				}
-				tensor.SetFastTier(rung.tier)
-				// A plan per rung, so the weights are packed on that rung too.
-				p, err := n.NewPlan(ws)
-				if err != nil {
-					t.Fatal(err)
-				}
-				batch := cnnBatch(p, 57, c.batch)
-				single := cnnInput(p, 57)
-				for _, workers := range []int{1, 4} {
-					if c.heavy && rung.tier == tensor.TierGeneric && workers == 1 {
-						continue // a minute of portable-loop VGGNet; the light networks cover it
-					}
-					s := numericsScratch(nn.NumericsInt8)
-					s.SetWorkers(workers)
-					res, err := p.RunBatch(batch, s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					batched := digestFloats(res.Output.Data())
-					one, err := p.Run(single, s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for key, got := range map[string]string{
-						c.name:             batched,
-						c.name + "/run":    digestFloats(one.Output.Data()),
-						c.name + "/logits": digestFloats(logits(p, one).Data()),
-					} {
-						if update && rung.tier == tensor.TierGeneric {
-							pinned[key] = got
-						}
-						if want := pinned[key]; got != want {
-							t.Fatalf("%s rung, %d workers: %s output digest %s, want %s", rung.label, workers, key, got, want)
-						}
-					}
-				}
-			}
-		})
-	}
+	})
 	if update {
 		data, err := json.MarshalIndent(pinned, "", "  ")
 		if err != nil {

@@ -317,16 +317,11 @@ func packPatchRow(row, plane []float32, inH, inW int, p ConvParams, outH, outW, 
 	oy := p0 / outW
 	ox := p0 - oy*outW
 	for idx < pw {
-		cnt := outW - ox
-		if cnt > pw-idx {
-			cnt = pw - idx
-		}
+		cnt := min(outW-ox, pw-idx)
 		seg := row[idx : idx+cnt]
 		iy := oy*p.StrideH - p.PadH + ky
 		if iy < 0 || iy >= inH {
-			for t := range seg {
-				seg[t] = 0
-			}
+			clear(seg)
 		} else {
 			rowIn := plane[iy*inW : (iy+1)*inW]
 			ix0 := ox*p.StrideW - p.PadW + kx
@@ -340,21 +335,10 @@ func packPatchRow(row, plane []float32, inH, inW int, p ConvParams, outH, outW, 
 			if ix0+(cnt-1)*p.StrideW >= inW {
 				t1 = (inW - ix0 + p.StrideW - 1) / p.StrideW
 			}
-			if t1 < t0 {
-				t1 = t0
-			}
-			if t0 > cnt {
-				t0 = cnt
-			}
-			if t1 > cnt {
-				t1 = cnt
-			}
-			for t := 0; t < t0; t++ {
-				seg[t] = 0
-			}
-			if t1 == t0 {
-				// no in-image span
-			} else if p.StrideW == 1 {
+			t1 = min(max(t1, t0), cnt)
+			t0 = min(t0, cnt)
+			clear(seg[:t0])
+			if p.StrideW == 1 && t1 > t0 {
 				copy(seg[t0:t1], rowIn[ix0+t0:])
 			} else {
 				ix := ix0 + t0*p.StrideW
@@ -363,9 +347,7 @@ func packPatchRow(row, plane []float32, inH, inW int, p ConvParams, outH, outW, 
 					ix += p.StrideW
 				}
 			}
-			for t := t1; t < cnt; t++ {
-				seg[t] = 0
-			}
+			clear(seg[t1:])
 		}
 		idx += cnt
 		oy++

@@ -83,20 +83,15 @@ type ControllerConfig struct {
 	// MaxBatch is the batch size the window is trying to fill; queue depth
 	// is judged against it for the pressure signal.
 	MaxBatch int
-	// MinDelay is the window floor (default 0: greedy flush at light load).
-	MinDelay time.Duration
 	// MaxDelay is the window ceiling.  Zero derives SLO/2; any value is
 	// clamped to SLO/2 so the window alone can never spend more than half
 	// the latency budget.
 	MaxDelay time.Duration
-	// Interval rate-limits adjustments (default DefaultControlInterval):
-	// observations closer together than this keep the current window, so
-	// one slow batch cannot whipsaw the control loop.
-	Interval time.Duration
 }
 
-// DefaultControlInterval is the default minimum time between window
-// adjustments.
+// DefaultControlInterval rate-limits window adjustments: observations
+// closer together than this keep the current window, so one slow batch
+// cannot whipsaw the control loop.
 const DefaultControlInterval = 5 * time.Millisecond
 
 // growStep is the additive kick applied when growing a zero window; without
@@ -114,26 +109,17 @@ type Controller struct {
 	prevCount uint64
 }
 
-// NewController returns a controller with the window at the floor: the
-// first requests of a cold server are served greedily, and the window earns
+// NewController returns a controller with the window at zero: the first
+// requests of a cold server are served greedily, and the window earns
 // its way up only under observed pressure.
 func NewController(cfg ControllerConfig) *Controller {
-	if cfg.MinDelay < 0 {
-		cfg.MinDelay = 0
-	}
 	if ceiling := cfg.SLO / 2; cfg.MaxDelay <= 0 || cfg.MaxDelay > ceiling {
 		cfg.MaxDelay = ceiling
-	}
-	if cfg.MaxDelay < cfg.MinDelay {
-		cfg.MaxDelay = cfg.MinDelay
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultControlInterval
 	}
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	return &Controller{cfg: cfg, delay: cfg.MinDelay}
+	return &Controller{cfg: cfg}
 }
 
 // Delay returns the current batch window.
@@ -142,14 +128,15 @@ func (c *Controller) Delay() time.Duration { return c.delay }
 // Observe feeds one post-flush observation: the clock, the queue depth at
 // flush time, and the batcher's cumulative latency histogram (bucket counts
 // plus total sample count).  It returns the window to use next and whether
-// it changed.  The control law, applied at most once per Interval:
+// it changed.  The control law, applied at most once per
+// DefaultControlInterval:
 //
 //   - observed p99 over the SLO: halve the window — the latency budget is
 //     being spent, stop adding artificial delay;
 //   - queue at or above half the max batch: grow the window 1.5x toward the
 //     ceiling — there is enough concurrency to fill batches, trade delay
 //     for throughput;
-//   - otherwise: decay the window 0.75x toward the floor — light load, stop
+//   - otherwise: decay the window 0.75x toward zero — light load, stop
 //     taxing lone requests.
 func (c *Controller) Observe(now time.Time, queueLen int, hist []uint64, count uint64) (time.Duration, bool) {
 	if c.last.IsZero() {
@@ -157,7 +144,7 @@ func (c *Controller) Observe(now time.Time, queueLen int, hist []uint64, count u
 		c.snap(hist, count)
 		return c.delay, false
 	}
-	if now.Sub(c.last) < c.cfg.Interval {
+	if now.Sub(c.last) < DefaultControlInterval {
 		return c.delay, false
 	}
 	n := count - c.prevCount
@@ -176,9 +163,6 @@ func (c *Controller) Observe(now time.Time, queueLen int, hist []uint64, count u
 	}
 	if c.delay > c.cfg.MaxDelay {
 		c.delay = c.cfg.MaxDelay
-	}
-	if c.delay < c.cfg.MinDelay {
-		c.delay = c.cfg.MinDelay
 	}
 	return c.delay, c.delay != old
 }

@@ -77,10 +77,6 @@ func TestControllerStartsAtFloor(t *testing.T) {
 	if got := c.Delay(); got != 0 {
 		t.Fatalf("cold controller delay = %v, want 0 (floor)", got)
 	}
-	c = NewController(ControllerConfig{SLO: 100 * time.Millisecond, MaxBatch: 16, MinDelay: time.Millisecond})
-	if got := c.Delay(); got != time.Millisecond {
-		t.Fatalf("cold controller delay = %v, want 1ms floor", got)
-	}
 }
 
 func TestControllerCeilingIsHalfSLO(t *testing.T) {
@@ -91,7 +87,7 @@ func TestControllerCeilingIsHalfSLO(t *testing.T) {
 	hist := make([]uint64, len(LatencyBuckets)+1)
 	c.Observe(now, 0, hist, 0) // arm the clock
 	for i := 0; i < 50; i++ {
-		now = now.Add(c.cfg.Interval)
+		now = now.Add(DefaultControlInterval)
 		c.Observe(now, 100, hist, 0) // heavy pressure, no latency samples
 	}
 	if got, want := c.Delay(), 5*time.Millisecond; got != want {
@@ -106,12 +102,12 @@ func TestControllerGrowsUnderPressure(t *testing.T) {
 	c.Observe(now, 0, hist, 100)
 
 	// Queue at half the max batch: grow.
-	now = now.Add(c.cfg.Interval)
+	now = now.Add(DefaultControlInterval)
 	d, changed := c.Observe(now, 8, hist, 100)
 	if !changed || d != growStep {
 		t.Fatalf("first grow: delay = %v changed=%v, want %v true", d, changed, growStep)
 	}
-	now = now.Add(c.cfg.Interval)
+	now = now.Add(DefaultControlInterval)
 	d, _ = c.Observe(now, 8, hist, 100)
 	if want := growStep*3/2 + growStep; d != want {
 		t.Fatalf("second grow: delay = %v, want %v", d, want)
@@ -129,7 +125,7 @@ func TestControllerHalvesOverSLO(t *testing.T) {
 
 	// Pump the window to the ceiling under pressure.
 	for i := 0; i < 20; i++ {
-		now = now.Add(c.cfg.Interval)
+		now = now.Add(DefaultControlInterval)
 		c.Observe(now, 16, fast, 100)
 	}
 	if c.Delay() != 5*time.Millisecond {
@@ -140,7 +136,7 @@ func TestControllerHalvesOverSLO(t *testing.T) {
 	// still deep (SLO violation outranks pressure).
 	slow := append([]uint64(nil), fast...)
 	slow[latencyBucket(50*time.Millisecond)] += 100
-	now = now.Add(c.cfg.Interval)
+	now = now.Add(DefaultControlInterval)
 	d, changed := c.Observe(now, 16, slow, 200)
 	if !changed || d != 2500*time.Microsecond {
 		t.Fatalf("over-SLO: delay = %v changed=%v, want 2.5ms true", d, changed)
@@ -148,14 +144,14 @@ func TestControllerHalvesOverSLO(t *testing.T) {
 }
 
 func TestControllerDecaysWhenIdle(t *testing.T) {
-	c := NewController(ControllerConfig{SLO: time.Second, MaxBatch: 16, MinDelay: time.Millisecond})
+	c := NewController(ControllerConfig{SLO: time.Second, MaxBatch: 16})
 	now := time.Unix(0, 0)
 	hist := histWith(time.Millisecond, 10)
 	c.Observe(now, 0, hist, 10)
 
 	// Grow first.
 	for i := 0; i < 30; i++ {
-		now = now.Add(c.cfg.Interval)
+		now = now.Add(DefaultControlInterval)
 		c.Observe(now, 16, hist, 10)
 	}
 	high := c.Delay()
@@ -166,34 +162,34 @@ func TestControllerDecaysWhenIdle(t *testing.T) {
 	// Light load: decay 0.75x per interval down to the floor.
 	prev := high
 	for i := 0; i < 100; i++ {
-		now = now.Add(c.cfg.Interval)
+		now = now.Add(DefaultControlInterval)
 		d, _ := c.Observe(now, 0, hist, 10)
 		if d > prev {
 			t.Fatalf("decay increased window: %v -> %v", prev, d)
 		}
 		prev = d
 	}
-	if prev != time.Millisecond {
-		t.Fatalf("decayed window = %v, want 1ms floor", prev)
+	if prev != 0 {
+		t.Fatalf("decayed window = %v, want 0 floor", prev)
 	}
 }
 
 func TestControllerRateLimited(t *testing.T) {
-	c := NewController(ControllerConfig{SLO: time.Second, MaxBatch: 16, Interval: 10 * time.Millisecond})
+	c := NewController(ControllerConfig{SLO: time.Second, MaxBatch: 16})
 	now := time.Unix(0, 0)
 	hist := make([]uint64, len(LatencyBuckets)+1)
 	c.Observe(now, 0, hist, 0)
 
 	// Observations inside the interval change nothing, however loud the
 	// pressure signal.
-	for i := 0; i < 5; i++ {
-		now = now.Add(time.Millisecond)
+	for i := 0; i < 4; i++ {
+		now = now.Add(DefaultControlInterval / 5)
 		if d, changed := c.Observe(now, 100, hist, 0); changed || d != 0 {
 			t.Fatalf("intra-interval observe changed window: %v", d)
 		}
 	}
 	// Crossing the interval applies the pending signal.
-	now = now.Add(10 * time.Millisecond)
+	now = now.Add(DefaultControlInterval)
 	if d, changed := c.Observe(now, 100, hist, 0); !changed || d != growStep {
 		t.Fatalf("post-interval observe: delay = %v changed=%v, want %v true", d, changed, growStep)
 	}

@@ -414,16 +414,10 @@ func zeroPad8(dst []uint8, k, n, kPad int) {
 	tiles := (n + int8NR - 1) / int8NR
 	kFloor := k &^ 3 // the partial depth block holds pad bytes too
 	for t := 0; t < tiles; t++ {
-		tail := dst[t*kPad*int8NR+kFloor*int8NR : (t+1)*kPad*int8NR]
-		for i := range tail {
-			tail[i] = 0
-		}
+		clear(dst[t*kPad*int8NR+kFloor*int8NR : (t+1)*kPad*int8NR])
 	}
-	if r := n % int8NR; r != 0 {
-		last := dst[(tiles-1)*kPad*int8NR : tiles*kPad*int8NR]
-		for i := range last {
-			last[i] = 0
-		}
+	if n%int8NR != 0 {
+		clear(dst[(tiles-1)*kPad*int8NR : tiles*kPad*int8NR])
 	}
 }
 
@@ -493,24 +487,46 @@ func gemmInt8Rows(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias [
 }
 
 // gemmInt8Scalar is the portable kernel for weight rows [r0, r1), acc rows
-// ldacc apart: identical integer results to the vector kernels (sum of w *
-// offset-binary activation bytes), which leave it the m%int8MR remainder rows.
+// ldacc apart: identical integer results to the vector kernels, which leave
+// it the m%int8MR remainder rows.  It reads each tile in storage order, a
+// word of two columns' four depth bytes at a time (mac2).
 func gemmInt8Scalar(acc []int32, wq []int8, bp []uint8, kPad, n, ldacc, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		row := wq[i*kPad : i*kPad+kPad]
-		for j := 0; j < n; j++ {
-			tile := bp[(j/int8NR)*kPad*int8NR+(j%int8NR)*4:]
-			var s int32
+	le := binary.LittleEndian
+	for j0 := 0; j0 < n; j0 += int8NR {
+		tile := bp[j0*kPad:][:kPad*int8NR]
+		for i := r0; i < r1; i++ {
+			var s [int8NR / 2]int64
 			for l := 0; l < kPad; l += 4 {
-				base := l * int8NR
-				s += int32(row[l])*int32(tile[base]) +
-					int32(row[l+1])*int32(tile[base+1]) +
-					int32(row[l+2])*int32(tile[base+2]) +
-					int32(row[l+3])*int32(tile[base+3])
+				w := wq[i*kPad+l:][:4]
+				w0, w1, w2, w3 := int64(w[0]), int64(w[1]), int64(w[2]), int64(w[3])
+				blk := tile[l*int8NR:][:4*int8NR]
+				s[0] += mac2(le.Uint64(blk[0:]), w0, w1, w2, w3)
+				s[1] += mac2(le.Uint64(blk[8:]), w0, w1, w2, w3)
+				s[2] += mac2(le.Uint64(blk[16:]), w0, w1, w2, w3)
+				s[3] += mac2(le.Uint64(blk[24:]), w0, w1, w2, w3)
+				s[4] += mac2(le.Uint64(blk[32:]), w0, w1, w2, w3)
+				s[5] += mac2(le.Uint64(blk[40:]), w0, w1, w2, w3)
+				s[6] += mac2(le.Uint64(blk[48:]), w0, w1, w2, w3)
+				s[7] += mac2(le.Uint64(blk[56:]), w0, w1, w2, w3)
 			}
-			acc[i*ldacc+j] = s
+			for c := 0; c < int8NR && j0+c < n; c++ {
+				sum := int64(int32(s[c/2])) // the even column's
+				if c%2 == 1 {
+					sum = (s[c/2] - sum) >> 32
+				}
+				acc[i*ldacc+j0+c] = int32(sum)
+			}
 		}
 	}
+}
+
+// mac2 returns lo + hi<<32, where lo and hi are w0..w3 dotted with the
+// four depth bytes of x's first and of its second column: one multiply
+// serves both columns.  Every int8 kernel's column sums fit in int32, so
+// int32 of the total is lo and the rest, shifted down, is hi.
+func mac2(x uint64, w0, w1, w2, w3 int64) int64 {
+	const lanes = 0x000000ff_000000ff
+	return w0*int64(x&lanes) + w1*int64(x>>8&lanes) + w2*int64(x>>16&lanes) + w3*int64(x>>24&lanes)
 }
 
 // MatVecInt8 computes dst = dequant(Wq * xq) + bias for a quantized vector

@@ -241,8 +241,8 @@ func TestPackColsU8VectorMatchesScalar(t *testing.T) {
 // TestPackInt8VectorMatchesScalar packs AlexNet's fc6 (4096 x 9216; 64 rows
 // under -short) and two shapes with a ragged row tail on the generic rung
 // and on every vector rung, and compares every byte, scale and compensation
-// term.  Exact ties and signed zeros ride in row 0 (scale 1), an infinity
-// and a NaN in row 1.
+// term.  Exact ties, the float just below a tie and signed zeros ride in
+// row 0 (scale 1), an infinity and a NaN in row 1.
 func TestPackInt8VectorMatchesScalar(t *testing.T) {
 	fc6 := 4096
 	if testing.Short() {
@@ -253,7 +253,10 @@ func TestPackInt8VectorMatchesScalar(t *testing.T) {
 		m, k := g[0], g[1]
 		a := make([]float32, m*k)
 		fillRand(r, a)
-		ties := []float32{63, -63, 0.5, -0.5, 31.5, -31.5, 0, float32(math.Copysign(0, -1)), 62.5, -62.5, 1e-40}
+		// 0.5-2^-25 plus the half rounds up to 1 in float32: the one input
+		// where the half's last bit decides the integer.
+		below := math.Nextafter32(0.5, 0)
+		ties := []float32{63, -63, 0.5, -0.5, 31.5, -31.5, 0, float32(math.Copysign(0, -1)), 62.5, -62.5, 1e-40, below, -below}
 		copy(a, ties[:min(len(ties), k)])
 		copy(a[k:], []float32{float32(math.Inf(1)), float32(math.NaN()), -1, 1}[:min(4, k)])
 		SetFastTier(TierGeneric)
