@@ -279,12 +279,12 @@ func (s *Scratch) product(dst, w []float32, pk *Pack, i int, x, bias []float32, 
 	case pk == nil:
 		tensor.GemmNNParallel(dst, w, x, bias, m, n, k, n, team)
 	case pk.q != nil && n == 1:
-		xq := s.u8buf(0, pk.q[i].KPad())
+		xq := slotBuf(&s.u8bufs, 0, pk.q[i].KPad())
 		tensor.MatVecInt8(dst, pk.q[i], xq, bias, tensor.QuantizeU8(xq[:k], x), team)
 	case pk.q != nil:
 		kPad := pk.q[i].KPad()
-		bp := s.u8buf(0, tensor.Int8PackedLen(kPad, n))
-		acc := s.accbuf(0, tensor.Int8AccLen(m, n))
+		bp := slotBuf(&s.u8bufs, 0, tensor.Int8PackedLen(kPad, n))
+		acc := slotBuf(&s.accbs, 0, tensor.Int8AccLen(m, n))
 		tensor.GemmInt8(dst, pk.q[i], bp, acc, bias, tensor.PackColsU8(bp, x, k, n, n, kPad), n, team)
 	case n == 1:
 		tensor.MatVecFastParallel(dst, w, x, bias, m, k, team)

@@ -390,26 +390,34 @@ func BenchmarkDense(b *testing.B) {
 }
 
 // BenchmarkPool2D: the first pooling layer of CifarNet (padded 3x3/2 over
-// 32x32x32), of AlexNet (3x3/2 over 96x55x55) and of VGGNet (2x2/2 over
-// 64x224x224), on each rung.
+// 32x32x32) and of VGGNet (2x2/2 over 64x224x224), and AlexNet's three
+// (3x3/2 over 96x55x55, 256x27x27 and 256x13x13, where pooling is
+// call-bound) at one image and at eight, on one worker on each rung the host
+// can force.
 func BenchmarkPool2D(b *testing.B) {
+	max3 := nn.PoolParams{Kind: nn.MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2}
+	pad3, max2 := max3, max3
+	pad3.PadH, pad3.PadW = 1, 1
+	max2.KernelH, max2.KernelW = 2, 2
 	for _, g := range []struct {
-		name    string
-		c, h, w int
-		p       nn.PoolParams
+		name       string
+		n, c, h, w int
+		p          nn.PoolParams
 	}{
-		{"CifarNet-pool1", 32, 32, 32, nn.PoolParams{Kind: nn.MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}},
-		{"AlexNet-pool1", 96, 55, 55, nn.PoolParams{Kind: nn.MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2}},
-		{"VGGNet-pool1", 64, 224, 224, nn.PoolParams{Kind: nn.MaxPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}},
+		{"CifarNet-pool1", 1, 32, 32, 32, pad3},
+		{"AlexNet-pool1", 1, 96, 55, 55, max3}, {"AlexNet-pool2", 1, 256, 27, 27, max3}, {"AlexNet-pool5", 1, 256, 13, 13, max3},
+		{"AlexNet-pool1-b8", 8, 96, 55, 55, max3}, {"AlexNet-pool2-b8", 8, 256, 27, 27, max3}, {"AlexNet-pool5-b8", 8, 256, 13, 13, max3},
+		{"VGGNet-pool1", 1, 64, 224, 224, max2},
 	} {
 		in := tensor.New(g.c, g.h, g.w)
+		if g.n > 1 {
+			in = tensor.New(g.n, g.c, g.h, g.w)
+		}
 		in.FillNormal(tensor.NewRNG(4), 1)
-		for _, rung := range []string{"detected", "portable"} {
-			b.Run(g.name+"/"+rung, func(b *testing.B) {
-				if rung == "portable" {
-					tensor.SetFastTier(tensor.TierGeneric)
-					b.Cleanup(func() { tensor.SetFastTier(tensor.DetectedTier()) })
-				}
+		for tier := tensor.TierGeneric; tier <= tensor.DetectedTier(); tier++ {
+			b.Run(g.name+"/"+tier.String(), func(b *testing.B) {
+				tensor.SetFastTier(tier)
+				b.Cleanup(func() { tensor.SetFastTier(tensor.DetectedTier()) })
 				s := nn.NewScratch()
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

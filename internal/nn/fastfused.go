@@ -161,10 +161,10 @@ func (j *fusedJob) Run(wi int) {
 // int8 tier's u8 tile panel and int32 accumulators.
 func (s *Scratch) fusedBufs(wi int, job *fusedJob) ([]float32, []uint8, []int32) {
 	if nc := min(job.n1, tensor.FusedNC); job.pq != nil {
-		return nil, s.u8buf(wi, tensor.Int8PackedLen(job.pq.KPad(), nc)),
-			s.accbuf(wi, tensor.Int8AccLen(job.p.OutChannels/job.p.groups(), nc))
+		return nil, slotBuf(&s.u8bufs, wi, tensor.Int8PackedLen(job.pq.KPad(), nc)),
+			slotBuf(&s.accbs, wi, tensor.Int8AccLen(job.p.OutChannels/job.p.groups(), nc))
 	}
-	return s.panelBuf(wi), nil, nil
+	return slotBuf(&s.fpanels, wi, tensor.FusedPanelFloats), nil, nil
 }
 
 // run finishes task t with one worker's staging buffers, over weight rows
@@ -364,14 +364,11 @@ func grown[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// panelBuf returns the float B panel buffer for the given worker slot
-// (tensor.FusedPanelFloats floats, allocated once and reused).
-func (s *Scratch) panelBuf(slot int) []float32 {
-	for len(s.fpanels) <= slot {
-		s.fpanels = append(s.fpanels, nil)
+// slotBuf returns worker slot's staging buffer in *bufs (one slot per worker
+// on the fused parallel path), grown to n elements as grown does.
+func slotBuf[T any](bufs *[][]T, slot, n int) []T {
+	for len(*bufs) <= slot {
+		*bufs = append(*bufs, nil)
 	}
-	if s.fpanels[slot] == nil {
-		s.fpanels[slot] = make([]float32, tensor.FusedPanelFloats)
-	}
-	return s.fpanels[slot]
+	return grown(&(*bufs)[slot], n)
 }

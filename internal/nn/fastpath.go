@@ -90,23 +90,6 @@ func (s *Scratch) Numerics() Numerics {
 	return s.numerics
 }
 
-// u8buf returns the quantized-activation staging buffer for the given slot.
-func (s *Scratch) u8buf(slot, n int) []uint8 {
-	for len(s.u8bufs) <= slot {
-		s.u8bufs = append(s.u8bufs, nil)
-	}
-	return grown(&s.u8bufs[slot], n)
-}
-
-// accbuf returns the int32 accumulator staging buffer of the int8 GEMM for
-// the given slot (one slot per worker on the fused parallel path).
-func (s *Scratch) accbuf(slot, n int) []int32 {
-	for len(s.accbs) <= slot {
-		s.accbs = append(s.accbs, nil)
-	}
-	return grown(&s.accbs[slot], n)
-}
-
 // Pack holds a weighted layer's matrices packed for one fast tier, and its
 // kind selects the layer's kernels: float panels the fast ones, int8 panels
 // the int8 ones, and a nil *Pack the reference kernels on the raw weights.

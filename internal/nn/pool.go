@@ -79,46 +79,42 @@ func poolPart(j *splitJob, smp, c0, c1 int) {
 }
 
 // pool2DCore pools c channels of CHW data given as flat slices;
-// Scratch.Pool2D calls it on (sample, channel) ranges of an NCHW batch.  It works an output row at a
-// time: the row is seeded (-Inf or 0), then each (ky, kx) tap that is inside
-// the image is applied to the whole run of outputs it is in bounds for —
-// one tensor.MaxStride or AddStride call, a vector kernel at the suite's
-// stride of 2 — so every output takes its taps from the same seed in the
-// same (ky, kx) order as a loop over outputs would.  Outputs no tap reaches
+// Scratch.Pool2D calls it on (sample, channel) ranges of an NCHW batch.  Each
+// output row takes one tensor.PoolWindow call, a vector kernel at the suite's
+// stride of 2, for its run of outputs whose window lies inside the image
+// columns, and one call per padded or ceil-mode edge output, each over the
+// window's in-image rows and columns: so every output takes its in-image
+// taps from the seed (-Inf or 0) in (ky, kx) order.  Outputs no tap reaches
 // (padding wider than the kernel, ceil-mode overhang) are 0; in a row they
 // are the ones outside [first, last), from the rightmost tap's first output
 // to the leftmost tap's last.
 func pool2DCore(o, in []float32, c, inH, inW, outH, outW int, p PoolParams) {
-	seed, tap := float32(0), tensor.AddStride
-	if p.Kind == MaxPool {
-		seed, tap = float32(math.Inf(-1)), tensor.MaxStride
+	maxPool, seed := p.Kind == MaxPool, float32(0)
+	if maxPool {
+		seed = float32(math.Inf(-1))
 	}
-	first, _ := tapSpan(p.KernelW-1, p.PadW, p.StrideW, inW, outW)
-	_, last := tapSpan(0, p.PadW, p.StrideW, inW, outW)
+	first, w1 := tapSpan(p.KernelW-1, p.PadW, p.StrideW, inW, outW)
+	w0, last := tapSpan(0, p.PadW, p.StrideW, inW, outW) // [w0, w1): whole windows
 	for ch := 0; ch < c; ch++ {
 		plane := in[ch*inH*inW : (ch+1)*inH*inW]
 		for oy := 0; oy < outH; oy++ {
 			row := o[(ch*outH+oy)*outW:][:outW]
 			clear(row)
 			iy0 := oy*p.StrideH - p.PadH
-			rows := min(iy0+p.KernelH, inH) - max(iy0, 0)
-			if rows <= 0 {
-				continue
-			}
-			for i := first; i < last; i++ {
-				row[i] = seed
-			}
-			for iy := max(iy0, 0); iy < min(iy0+p.KernelH, inH); iy++ {
-				for kx := 0; kx < p.KernelW; kx++ {
-					if lo, hi := tapSpan(kx, p.PadW, p.StrideW, inW, outW); lo < hi {
-						tap(row[lo:hi], plane[iy*inW+lo*p.StrideW-p.PadW+kx:], p.StrideW)
-					}
+			y0, y1 := max(iy0, 0), min(iy0+p.KernelH, inH)
+			for ox, n := first, 1; ox < last && y0 < y1; ox += n {
+				ix0 := ox*p.StrideW - p.PadW
+				x0, x1 := max(ix0, 0), min(ix0+p.KernelW, inW)
+				if n = 1; ox == w0 && w0 < w1 {
+					n = w1 - w0
 				}
-			}
-			if p.Kind == AvgPool {
-				for ox := first; ox < last; ox++ {
-					ix0 := ox*p.StrideW - p.PadW
-					row[ox] /= float32(rows * (min(ix0+p.KernelW, inW) - max(ix0, 0)))
+				run := row[ox : ox+n]
+				for i := range run {
+					run[i] = seed
+				}
+				tensor.PoolWindow(run, plane[y0*inW+x0:], inW, p.StrideW, y1-y0, x1-x0, maxPool)
+				for i := 0; i < n && !maxPool; i++ {
+					run[i] /= float32((y1 - y0) * (x1 - x0))
 				}
 			}
 		}

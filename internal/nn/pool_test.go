@@ -276,3 +276,41 @@ func testPool2DMatchesNaive(t *testing.T) {
 		check(p, 1+pick(3), p.KernelH+pick(12), p.KernelW+pick(12))
 	}
 }
+
+// TestPool2DSuiteEveryRung: all 15 suite pooling layers, padded and
+// ceil-mode ones included, over a batch of two 3-channel samples salted with
+// ties of signed zeros, -Inf and NaNs of either sign, on every rung the host
+// can force at one and four workers: bit for bit against poolNaive (an
+// average that is NaN may be any NaN).
+func TestPool2DSuiteEveryRung(t *testing.T) {
+	rng := tensor.NewRNG(79)
+	ties := []float32{float32(math.Copysign(0, -1)), 0, float32(math.Inf(-1)),
+		float32(math.NaN()), math.Float32frombits(0xffc00001)}
+	for _, g := range suitePools() {
+		in := tensor.New(2, 3, g.inH, g.inW)
+		in.FillUniform(rng, -1, 1)
+		for i := range in.Data() {
+			if rng.Uint64()%3 == 0 {
+				in.Data()[i] = ties[rng.Uint64()%uint64(len(ties))]
+			}
+		}
+		outH, outW := g.p.OutputDims(g.inH, g.inW)
+		want := poolNaive(in.Data(), 6, g.inH, g.inW, outH, outW, g.p)
+		forFastTiers(func(tier tensor.SIMDTier) {
+			for _, workers := range []int{1, 4} {
+				s := NewScratch()
+				s.SetWorkers(workers)
+				got, err := s.Pool2D(in, g.p)
+				if err != nil {
+					t.Fatalf("%s: %v", g.name, err)
+				}
+				for i, w := range want {
+					if v := got.Data()[i]; math.Float32bits(v) != math.Float32bits(w) && !(g.p.Kind == AvgPool && v != v && w != w) {
+						t.Fatalf("%s on the %v rung, %d workers: output %d = %v (%#x), naive %v (%#x)",
+							g.name, tier, workers, i, v, math.Float32bits(v), w, math.Float32bits(w))
+					}
+				}
+			}
+		})
+	}
+}

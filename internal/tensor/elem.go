@@ -4,8 +4,8 @@ import "math"
 
 // Elementwise kernels behind the activation, pooling and LRN layers.  Each
 // scalar loop is its function's definition, the generic rung and every
-// stride but 2; from TierFMA up on the SIMD ladder (SetFastTier forces a
-// lower rung) a kernel of elem_amd64.s writes the same bits for every input.
+// pooling stride but 2; from TierFMA up on the SIMD ladder (SetFastTier
+// forces a lower rung) a kernel of elem_amd64.s writes the same bits.
 
 // ReLU writes src to dst with every negative element, -Inf included, replaced
 // by +0.  An element `v < 0` is false for keeps its bits: +0 and positives,
@@ -26,35 +26,34 @@ func ReLU(dst, src []float32) {
 	}
 }
 
-// MaxStride sets acc[i] = src[i*stride] wherever src[i*stride] > acc[i]: one
-// pooling tap applied to a run of windows stride columns apart.  A NaN tap
-// never replaces acc and of two equal zeros acc's stays, as the comparison
-// reads.  acc is not empty and src holds at least (len(acc)-1)*stride+1
-// elements; nothing past that is read.
-func MaxStride(acc, src []float32, stride int) {
-	src = src[:(len(acc)-1)*stride+1]
+// PoolWindow pools a run of outputs of one row: each acc[i] takes, from its
+// own value (the seed), every tap of its rows x cols window src[r*ld +
+// i*stride + c] in (r, c) order — the larger of the two when maxPool, else
+// one rounded float32 add (never fused).  A tap replaces a maximum only when
+// greater, so a NaN tap never does and of two equal zeros the earlier stays;
+// when a sum and its tap are both NaN, which payload the sum carries is not
+// defined.  acc is not empty, rows and cols are positive and src reaches the
+// last tap, (rows-1)*ld + (len(acc)-1)*stride + cols - 1; nothing past it is
+// read.
+func PoolWindow(acc, src []float32, ld, stride, rows, cols int, maxPool bool) {
+	src = src[:(rows-1)*ld+(len(acc)-1)*stride+cols]
 	if stride == 2 && fastTier >= TierFMA {
-		maxStride2AVX2(acc, src)
+		poolWindow2AVX2(acc, src, ld, rows, cols, maxPool)
 		return
 	}
-	for i := range acc {
-		if v := src[i*stride]; v > acc[i] {
-			acc[i] = v
+	for t := 0; t < rows*cols; t++ { // each tap across the run, (r, c) order
+		tap := src[t/cols*ld+t%cols:]
+		if !maxPool {
+			for i := range acc {
+				acc[i] += tap[i*stride]
+			}
+			continue
 		}
-	}
-}
-
-// AddStride sets acc[i] += src[i*stride], one rounded float32 add per
-// element (never fused); acc and src as for MaxStride.  When acc[i] and its
-// tap are both NaN, which of the two payloads the sum carries is not defined.
-func AddStride(acc, src []float32, stride int) {
-	src = src[:(len(acc)-1)*stride+1]
-	if stride == 2 && fastTier >= TierFMA {
-		addStride2AVX2(acc, src)
-		return
-	}
-	for i := range acc {
-		acc[i] += src[i*stride]
+		for i := range acc {
+			if v := tap[i*stride]; v > acc[i] {
+				acc[i] = v
+			}
+		}
 	}
 }
 

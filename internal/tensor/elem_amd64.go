@@ -8,15 +8,11 @@ package tensor
 //go:noescape
 func reluAVX2(dst, src []float32)
 
-// maxStride2AVX2 is MaxStride at stride 2: len(acc) >= 1, len(src) >= 2*len(acc)-1.
+// poolWindow2AVX2 is PoolWindow at stride 2: len(acc) >= 1, rows, cols >= 1,
+// len(src) = (rows-1)*ld + 2*(len(acc)-1) + cols.
 //
 //go:noescape
-func maxStride2AVX2(acc, src []float32)
-
-// addStride2AVX2 is AddStride at stride 2: len(acc) >= 1, len(src) >= 2*len(acc)-1.
-//
-//go:noescape
-func addStride2AVX2(acc, src []float32)
+func poolWindow2AVX2(acc, src []float32, ld, rows, cols int, maxPool bool)
 
 // lrnStep75AVX is LRNStep75 over len(dst) elements, a positive multiple of 8,
 // add and sub present; it needs AVX only, which TierFMA implies.

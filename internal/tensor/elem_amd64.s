@@ -1,5 +1,5 @@
-// AVX2 elementwise kernels (see elem.go): ReLU, the stride-2 max/add taps of
-// pooling, and the LRN step (whole vectors only; unmasked).  Every other load
+// AVX2 elementwise kernels (see elem.go): ReLU, the stride-2 max/add windows
+// of pooling, and the LRN step (whole vectors only; unmasked).  Every other load
 // and store is a VMASKMOVPS, which neither touches nor faults on a masked-off
 // lane: all lanes on while more than a vector of outputs is left, then one
 // last step with the lanes that remain, so no byte outside the slices is read
@@ -12,49 +12,6 @@
 DATA elemLanes<>+0(SB)/8, $0xffffffffffffffff
 DATA elemLanes<>+8(SB)/8, $0xffffffffffffffff
 GLOBL elemLanes<>(SB), RODATA|NOPTR, $32
-
-// STRIDE2 is the body of acc[i] = OP(src[2*i], acc[i]) over len(acc) >= 1
-// outputs.  A whole step loads src[0:16], and runs only while a further
-// output exists, which puts src[16] inside the slice; the last step, of c in
-// 1..8 outputs (mask Y13), loads src[0 : 2c-1] (Y11, Y12).  VSHUFPS $0x88
-// takes the even elements of each 128-bit lane pair and VPERMPD $0xD8 puts
-// the halves in order: src[0], src[2], ... src[14].  OP's operands are (acc,
-// tap, acc): acc is the second source in Intel order, the one VMAXPS returns
-// unless tap > acc.
-#define STRIDE2(OP) \
-	MOVQ acc_base+0(FP), DI; \
-	MOVQ acc_len+8(FP), CX; \
-	MOVQ src_base+24(FP), SI; \
-	LEAQ elemLanes<>(SB), BX; \
-	VPCMPEQD Y11, Y11, Y11; \
-	VMOVDQA Y11, Y12; \
-	VMOVDQA Y11, Y13; \
-	CMPQ CX, $8; \
-	JLE  last; \
-step: \
-	VMASKMOVPS (SI), Y11, Y1; \
-	VMASKMOVPS 32(SI), Y12, Y2; \
-	VSHUFPS $0x88, Y2, Y1, Y1; \
-	VPERMPD $0xD8, Y1, Y1; \
-	VMASKMOVPS (DI), Y13, Y0; \
-	OP      Y0, Y1, Y0; \
-	VMASKMOVPS Y0, Y13, (DI); \
-	ADDQ $64, SI; \
-	ADDQ $32, DI; \
-	SUBQ $8, CX; \
-	JLE  done; \
-	CMPQ CX, $8; \
-	JGT  step; \
-last: \
-	NEGQ CX; \
-	VPMOVSXBD 16(BX)(CX*1), Y13; \
-	VPMOVSXBD 17(BX)(CX*2), Y11; \
-	VPMOVSXBD 25(BX)(CX*2), Y12; \
-	NEGQ CX; \
-	JMP  step; \
-done: \
-	VZEROUPPER; \
-	RET
 
 // func reluAVX2(dst, src []float32)
 //
@@ -93,18 +50,80 @@ reludone:
 	VZEROUPPER
 	RET
 
-// func maxStride2AVX2(acc, src []float32)
+// func poolWindow2AVX2(acc, src []float32, ld, rows, cols int, maxPool bool)
 //
-// The maxAbsAVX2 idiom: with acc as VMAXPS's second source a NaN tap is
-// skipped and an equal zero does not replace acc's, as `v > acc` decides.
-TEXT ·maxStride2AVX2(SB), NOSPLIT, $0-48
-	STRIDE2(VMAXPS)
+// acc[i] = OP(tap, acc[i]) for each tap src[r*ld + 2i + c] of output i's
+// rows x cols window, r-major, eight outputs a step; OP is VMAXPS when
+// maxPool, else VADDPS (never FMA: one rounding per tap, as `acc += v`).  A
+// whole step loads src[r*ld+c : r*ld+c+16] per tap and runs only while a
+// further output exists, whose taps put src[r*ld+c+16] inside the slice; the
+// last step, of n in 1..8 outputs (mask Y13), loads src[r*ld+c : r*ld+c+2n-1]
+// (Y11, Y12), which ends on the last tap.  VSHUFPS $0x88 takes the even
+// elements of each 128-bit lane pair and VPERMPD $0xD8 puts the halves in
+// order: src[c], src[c+2], ... src[c+14].  acc is VMAXPS's second source in
+// Intel order (the maxAbsAVX2 idiom), the one it returns unless tap > acc:
+// a NaN tap is skipped and an equal zero does not replace acc's.
+TEXT ·poolWindow2AVX2(SB), NOSPLIT, $0-73
+	MOVQ acc_base+0(FP), DI
+	MOVQ acc_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ ld+48(FP), R10
+	MOVBLZX maxPool+72(FP), R11
+	LEAQ elemLanes<>(SB), BX
+	VPCMPEQD Y11, Y11, Y11
+	VMOVDQA Y11, Y12
+	VMOVDQA Y11, Y13
+	CMPQ CX, $8
+	JLE  winlast
 
-// func addStride2AVX2(acc, src []float32)
-//
-// VADDPS, never FMA: one rounding per tap, as the scalar `acc += v`.
-TEXT ·addStride2AVX2(SB), NOSPLIT, $0-48
-	STRIDE2(VADDPS)
+winstep:
+	VMASKMOVPS (DI), Y13, Y0
+	MOVQ SI, R8
+	MOVQ rows+56(FP), DX
+
+winrow:
+	MOVQ R8, R9
+	MOVQ cols+64(FP), AX
+
+wintap:
+	VMASKMOVPS (R9), Y11, Y1
+	VMASKMOVPS 32(R9), Y12, Y2
+	VSHUFPS $0x88, Y2, Y1, Y1
+	VPERMPD $0xD8, Y1, Y1
+	TESTQ R11, R11
+	JZ   winadd
+	VMAXPS Y0, Y1, Y0
+	JMP  winnext
+
+winadd:
+	VADDPS Y0, Y1, Y0
+
+winnext:
+	ADDQ $4, R9
+	DECQ AX
+	JNZ  wintap
+	LEAQ (R8)(R10*4), R8
+	DECQ DX
+	JNZ  winrow
+	VMASKMOVPS Y0, Y13, (DI)
+	ADDQ $64, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JLE  windone
+	CMPQ CX, $8
+	JGT  winstep
+
+winlast:
+	NEGQ CX
+	VPMOVSXBD 16(BX)(CX*1), Y13
+	VPMOVSXBD 17(BX)(CX*2), Y11
+	VPMOVSXBD 25(BX)(CX*2), Y12
+	NEGQ CX
+	JMP  winstep
+
+windone:
+	VZEROUPPER
+	RET
 
 // func lrnStep75AVX(dst, src []float32, sums []float64, add, sub []float32, k, scale float64)
 //

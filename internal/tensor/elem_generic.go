@@ -7,9 +7,9 @@ package tensor
 
 func reluAVX2(dst, src []float32) { panic("tensor: vector relu kernel unavailable") }
 
-func maxStride2AVX2(acc, src []float32) { panic("tensor: vector stride kernel unavailable") }
-
-func addStride2AVX2(acc, src []float32) { panic("tensor: vector stride kernel unavailable") }
+func poolWindow2AVX2(acc, src []float32, ld, rows, cols int, maxPool bool) {
+	panic("tensor: vector pool kernel unavailable")
+}
 
 func lrnStep75AVX(dst, src []float32, sums []float64, add, sub []float32, k, scale float64) {
 	panic("tensor: vector lrn kernel unavailable")

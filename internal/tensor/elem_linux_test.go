@@ -7,28 +7,29 @@ import (
 	"unsafe"
 )
 
-// TestStride2KernelsStayInBounds runs the elementwise kernels on sources
-// whose last element is the last float32 of a mapped page that a PROT_NONE
-// page follows: a kernel that loads one byte past its slice faults here
-// instead of passing.  Every len(acc) 1..40, and both lengths a stride-2
-// source can have (2n-1: the row ends on a tap; 2n: one column more).
+// TestStride2KernelsStayInBounds runs ReLU and PoolWindow at stride 2 on
+// every rung with each source and destination ending on the last float32 of
+// a mapped page that a PROT_NONE page follows: a kernel that touches one byte
+// past a slice faults here instead of passing.  PoolWindow takes every run of
+// 1..40 outputs under every window of 1..3 rows and columns, max and add,
+// its source ending on the last tap.
 func TestStride2KernelsStayInBounds(t *testing.T) {
 	floats := guardedOf[float32](t, syscall.Getpagesize()/4, nil)
 	elemFill(NewRNG(37), floats)
-	for _, rung := range []string{"detected", "portable"} {
-		if rung == "portable" {
-			t.Cleanup(portable())
-		}
+	forRungs(TierGeneric, func() {
 		for n := 1; n <= 40; n++ {
-			acc := make([]float32, n)
-			for _, srcLen := range []int{2*n - 1, 2 * n} {
-				src := floats[len(floats)-srcLen:]
-				MaxStride(acc, src, 2)
-				AddStride(acc, src, 2)
+			acc := guardedOf[float32](t, n, nil)
+			for rows := 1; rows <= 3; rows++ {
+				for cols := 1; cols <= 3; cols++ {
+					ld := 2*(n-1) + cols
+					src := floats[len(floats)-windowLen(n, ld, rows, cols):]
+					PoolWindow(acc, src, ld, 2, rows, cols, true)
+					PoolWindow(acc, src, ld, 2, rows, cols, false)
+				}
 			}
 			ReLU(acc, floats[len(floats)-n:])
 		}
-	}
+	})
 }
 
 // guarded returns n bytes that end on the last mapped byte of a page, with a

@@ -324,30 +324,39 @@ func TestGemmNNArgChecks(t *testing.T) {
 
 // BenchmarkGemmNN times the reference GEMM on every rung the host can force
 // at the AlexNet conv2 per-group geometry of a batch of 8 (128 x 5832 x
-// 1200).  Under -v it logs whether the AVX-512 rung ran: CI runs it once so
-// the 4x32 ZMM kernel executes on the runner.
+// 1200) and at a MobileNet 14x14 depthwise group (1 x 196 x 9: depth 9 and a
+// 4-column tail, so the staged tail is most of the call).  Under -v it logs
+// whether the AVX-512 rung ran: CI runs it once so the 4x32 ZMM kernel
+// executes on the runner.
 func BenchmarkGemmNN(b *testing.B) {
 	if DetectedTier() < TierAVX512 {
 		b.Logf("AVX-512 rung not available, skipped (detected tier: %v)", DetectedTier())
 	} else {
 		b.Logf("AVX-512 rung exercised")
 	}
-	m, k, n := 128, 1200, 8*27*27
-	r := NewRNG(3)
-	a := make([]float32, m*k)
-	bb := make([]float32, k*n)
-	bias := make([]float32, m)
-	fillRand(r, a)
-	fillRand(r, bb)
-	fillRand(r, bias)
-	dst := make([]float32, m*n)
-	benchRungs(b, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			GemmNN(dst, a, bb, bias, m, n, k, n)
-		}
-		b.ReportMetric(float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-	})
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+	}{{"alexnet-conv2-b8", 128, 1200, 8 * 27 * 27}, {"depthwise-14x14", 1, 9, 14 * 14}} {
+		m, k, n := s.m, s.k, s.n
+		r := NewRNG(3)
+		a := make([]float32, m*k)
+		bb := make([]float32, k*n)
+		bias := make([]float32, m)
+		fillRand(r, a)
+		fillRand(r, bb)
+		fillRand(r, bias)
+		dst := make([]float32, m*n)
+		b.Run(s.name, func(b *testing.B) {
+			benchRungs(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					GemmNN(dst, a, bb, bias, m, n, k, n)
+				}
+				b.ReportMetric(float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		})
+	}
 }
 
 // BenchmarkGemmNNPortable times the portable rung at the AlexNet conv2 group

@@ -156,8 +156,7 @@ func MaxAbs(src []float32) float32 {
 	return m
 }
 
-// quantRound rounds v to the nearest integer (half away from zero) clamped
-// to [-limit, limit].  Every quantizer call site passes the product as an
+// quantRound is roundHalfAway(v) clamped to [-limit, limit].  Every quantizer call site passes the product as an
 // explicit float32(v * inv): the conversion forbids the compiler from fusing
 // the multiply into the rounding add (GOAMD64=v3), which would round exact
 // ties differently from the vector rungs, which round the product first.
@@ -396,11 +395,14 @@ func GemmInt8Panel(dst []float32, pw *PackedInt8, bp []uint8, acc []int32, bias 
 	gemmInt8Rows(dst, pw, bp, acc, bias, xScale, nc, ldd, 0, m)
 }
 
-// roundHalfAway rounds to the nearest integer, halves away from zero: add
-// 0.5 carrying x's sign, truncate.  It is the one rounding of the tier — the
-// vector quantizers reproduce these two operations exactly — and it has no
-// clamp: PackColsU8 inputs satisfy |v*inv| <= 127*(1+ulp), so the result
-// always fits [-127, 127] and matches quantRound(v, 127) bit for bit.
+// roundHalfAway adds 0.5 carrying x's sign, in float32, then truncates
+// toward zero: the nearest integer, halves away from zero, for every input
+// but ±(0.5 - 2^-25), the float32 next to ±0.5, which gives ±1 — its sum,
+// 1 - 2^-25, is a float32 tie that rounds to even, 1.  It is the one
+// rounding of the tier — the vector quantizers reproduce these two
+// operations exactly — and it has no clamp: PackColsU8 inputs satisfy
+// |v*inv| <= 127*(1+ulp), so the result always fits [-127, 127] and matches
+// quantRound(v, 127) bit for bit.
 func roundHalfAway(x float32) int32 {
 	half := math.Float32frombits(0x3f000000 | math.Float32bits(x)&0x80000000)
 	return int32(x + half)

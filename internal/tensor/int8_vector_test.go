@@ -363,3 +363,25 @@ func TestGemmInt8PanelMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestInt8RoundJustBelowHalf: roundHalfAway is a float32 add of a signed 0.5
+// and a truncation, so the float32 next to ±0.5, ±(0.5 - 2^-25), rounds to
+// ±1 (its sum 1 - 2^-25 ties to even, 1), while the next one down and the
+// float32 next to ±1.5 round to nearest and halves go away from zero.
+func TestInt8RoundJustBelowHalf(t *testing.T) {
+	below := math.Nextafter32(0.5, 0)
+	if below != 0.5-1.0/(1<<25) {
+		t.Fatalf("the float32 below 0.5 is %v", below)
+	}
+	for _, c := range []struct {
+		x    float32
+		want int32
+	}{
+		{below, 1}, {-below, -1}, {math.Nextafter32(below, 0), 0}, {-math.Nextafter32(below, 0), 0},
+		{0.5, 1}, {-0.5, -1}, {2.5, 3}, {-2.5, -3}, {math.Nextafter32(1.5, 0), 1}, {-math.Nextafter32(1.5, 0), -1},
+	} {
+		if got := roundHalfAway(c.x); got != c.want {
+			t.Errorf("roundHalfAway(%v) = %d, want %d", c.x, got, c.want)
+		}
+	}
+}
