@@ -182,7 +182,7 @@ func poolNaive(in []float32, c, inH, inW, outH, outW int, p PoolParams) []float3
 
 // suitePools is every pooling layer of the benchmark networks: its
 // parameters and the spatial size of the input it sees (channels do not
-// change the geometry, so the tests run two).
+// change the geometry, so the test runs a batch of two 3-channel samples).
 func suitePools() []struct {
 	name     string
 	p        PoolParams
@@ -208,11 +208,12 @@ func suitePools() []struct {
 	}
 }
 
-// TestPool2DMatchesNaive: every suite pooling geometry, then random ones —
-// padding, ceil-mode overhang, stride larger than the kernel, 1x1 windows —
-// over inputs salted with -0, ±Inf and NaN, max and average, bit for bit
-// against poolNaive (an average that is NaN may be any NaN), on one to
-// three workers, on the detected rung and with the portable one forced.
+// TestPool2DMatchesNaive: every suite pooling geometry over a batch of two
+// 3-channel samples at one and four workers, then random ones — padding,
+// ceil-mode overhang, stride larger than the kernel, 1x1 windows — on one to
+// three workers, over inputs salted with -0, ±Inf and NaN, max and average,
+// bit for bit against poolNaive (an average that is NaN may be any NaN), on
+// the detected rung and with the portable one forced.
 func TestPool2DMatchesNaive(t *testing.T) {
 	for _, rung := range []string{"detected", "portable"} {
 		t.Run(rung, func(t *testing.T) {
@@ -229,38 +230,39 @@ func testPool2DMatchesNaive(t *testing.T) {
 	pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
 	salt := []float32{float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1)),
 		float32(math.NaN()), math.Float32frombits(0xffc00001)}
-	checks := 0
-	check := func(p PoolParams, c, inH, inW int) {
+	check := func(p PoolParams, workers int, dims ...int) { // dims: [n,] c, inH, inW
 		t.Helper()
-		in := tensor.New(c, inH, inW)
+		in := tensor.New(dims...)
+		inH, inW := dims[len(dims)-2], dims[len(dims)-1]
 		in.FillUniform(rng, -1, 1)
 		for i := range in.Data() {
 			if pick(4) == 0 {
 				in.Data()[i] = salt[pick(len(salt))]
 			}
 		}
-		checks++
 		s := NewScratch()
-		s.SetWorkers(1 + checks%3) // a split over channels must not move a bit
+		s.SetWorkers(workers) // a split over channels must not move a bit
 		got, err := s.Pool2D(in, p)
 		if err != nil {
 			t.Fatalf("%+v on %dx%d: %v", p, inH, inW, err)
 		}
 		outH, outW := p.OutputDims(inH, inW)
-		want := poolNaive(in.Data(), c, inH, inW, outH, outW, p)
+		want := poolNaive(in.Data(), in.Len()/(inH*inW), inH, inW, outH, outW, p)
 		for i, w := range want {
 			g := got.Data()[i]
 			if p.Kind == AvgPool && g != g && w != w {
 				continue // which NaN a sum of two NaNs is, is the compiler's operand order, not Go's
 			}
 			if math.Float32bits(g) != math.Float32bits(w) {
-				t.Fatalf("%+v on %dx%dx%d: output %d = %v (%#x), naive %v (%#x)",
-					p, c, inH, inW, i, g, math.Float32bits(g), w, math.Float32bits(w))
+				t.Fatalf("%+v on %v, %d workers: output %d = %v (%#x), naive %v (%#x)",
+					p, dims, workers, i, g, math.Float32bits(g), w, math.Float32bits(w))
 			}
 		}
 	}
 	for _, g := range suitePools() {
-		check(g.p, 2, g.inH, g.inW)
+		for _, workers := range []int{1, 4} {
+			check(g.p, workers, 2, 3, g.inH, g.inW)
+		}
 	}
 	for iter := 0; iter < 400; iter++ {
 		p := PoolParams{
@@ -273,44 +275,6 @@ func testPool2DMatchesNaive(t *testing.T) {
 			p.StrideW = 2 // every suite layer's stride
 		}
 		p.PadH, p.PadW = pick(p.KernelH+2), pick(p.KernelW+2) // up to a column of windows no tap reaches
-		check(p, 1+pick(3), p.KernelH+pick(12), p.KernelW+pick(12))
-	}
-}
-
-// TestPool2DSuiteEveryRung: all 15 suite pooling layers, padded and
-// ceil-mode ones included, over a batch of two 3-channel samples salted with
-// ties of signed zeros, -Inf and NaNs of either sign, on every rung the host
-// can force at one and four workers: bit for bit against poolNaive (an
-// average that is NaN may be any NaN).
-func TestPool2DSuiteEveryRung(t *testing.T) {
-	rng := tensor.NewRNG(79)
-	ties := []float32{float32(math.Copysign(0, -1)), 0, float32(math.Inf(-1)),
-		float32(math.NaN()), math.Float32frombits(0xffc00001)}
-	for _, g := range suitePools() {
-		in := tensor.New(2, 3, g.inH, g.inW)
-		in.FillUniform(rng, -1, 1)
-		for i := range in.Data() {
-			if rng.Uint64()%3 == 0 {
-				in.Data()[i] = ties[rng.Uint64()%uint64(len(ties))]
-			}
-		}
-		outH, outW := g.p.OutputDims(g.inH, g.inW)
-		want := poolNaive(in.Data(), 6, g.inH, g.inW, outH, outW, g.p)
-		forFastTiers(func(tier tensor.SIMDTier) {
-			for _, workers := range []int{1, 4} {
-				s := NewScratch()
-				s.SetWorkers(workers)
-				got, err := s.Pool2D(in, g.p)
-				if err != nil {
-					t.Fatalf("%s: %v", g.name, err)
-				}
-				for i, w := range want {
-					if v := got.Data()[i]; math.Float32bits(v) != math.Float32bits(w) && !(g.p.Kind == AvgPool && v != v && w != w) {
-						t.Fatalf("%s on the %v rung, %d workers: output %d = %v (%#x), naive %v (%#x)",
-							g.name, tier, workers, i, v, math.Float32bits(v), w, math.Float32bits(w))
-					}
-				}
-			}
-		})
+		check(p, 1+iter%3, 1+pick(3), p.KernelH+pick(12), p.KernelW+pick(12))
 	}
 }

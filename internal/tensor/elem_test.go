@@ -38,7 +38,7 @@ func windowLen(n, ld, rows, cols int) int { return (rows-1)*ld + 2*(n-1) + cols 
 
 // TestElemKernelsMatchScalar: ReLU and PoolWindow at stride 2 on every vector
 // rung against their own scalar loops, bit for bit, and the element behind
-// each destination untouched.  ReLU takes every length 0..70 four times
+// each destination untouched.  ReLU takes every length 0..70 eight times
 // (every tail width after zero to eight whole vectors); PoolWindow every run of 1..40
 // outputs (a last group of each width 1..8 outputs) under every window of
 // 1..3 rows and columns, max and add, with row strides from a row's last tap
@@ -62,7 +62,7 @@ func TestElemKernelsMatchScalar(t *testing.T) {
 		SetFastTier(rung)
 	}
 	vectorRungs(t, func() {
-		for k := 0; k < 4*71; k++ {
+		for k := 0; k < 8*71; k++ {
 			n := k % 71
 			src := make([]float32, n)
 			elemFill(r, src)

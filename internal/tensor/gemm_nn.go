@@ -239,32 +239,26 @@ func gemmNNPanel(op nnOp, dst, b []float32, ldd, ldb, kb, kc, jb, nc, r0, r1 int
 }
 
 // gemmNNTail runs the columns [c, c+tail), tail < nnNR, of rows [r0, r1) as
-// the YMM tile on stack copies, 64 depth rows at a time: each chunk of b's
-// kc x tail block is staged once, 16 floats a row, and each tile's dst rows
-// pass through a 4x16 block (one row of it, row stride 0, for an m%4 row).
-// Every tile keeps its accumulate, its partial sums exact in float32 memory
-// between chunks, so a column's bits do not depend on whether it lands in the
-// tail, and a shallow slab clears 4 KB of stack, not 16 KB.
+// the YMM tile on stack copies: b's kc x tail block is staged once, 16
+// floats a row, and each tile's dst rows into a 4x16 block (one row of it,
+// row stride 0, for an m%4 row).  Every tile keeps its accumulate, so a
+// column's bits do not depend on whether it lands in the tail.
 func gemmNNTail(op nnOp, dst, b []float32, ldd, ldb, kb, kc, c, tail, r0, r1 int) {
-	const chunk = 64 // depth rows staged at a time
-	var bs [chunk * nnNR]float32
+	var bs [nnKC * nnNR]float32
 	var block [nnMR * nnNR]float32
-	for l0 := 0; l0 < kc; l0 += chunk {
-		n := min(kc-l0, chunk)
-		for l := 0; l < n; l++ {
-			copy(bs[l*nnNR:l*nnNR+tail], b[(l0+l)*ldb+c:])
+	for l := 0; l < kc; l++ {
+		copy(bs[l*nnNR:l*nnNR+tail], b[l*ldb+c:])
+	}
+	for i := r0; i < r1; {
+		t := op.tile(i, r1, kb, nnNR)
+		for r := 0; r < t.rows; r++ {
+			copy(block[r*nnNR:r*nnNR+tail], dst[(i+r)*ldd+c:])
 		}
-		for i := r0; i < r1; {
-			t := op.tile(i, r1, kb+l0, nnNR)
-			for r := 0; r < t.rows; r++ {
-				copy(block[r*nnNR:r*nnNR+tail], dst[(i+r)*ldd+c:])
-			}
-			t.run(false, block[:], bs[:n*nnNR], n, nnNR, nnNR)
-			for r := 0; r < t.rows; r++ {
-				copy(dst[(i+r)*ldd+c:(i+r)*ldd+c+tail], block[r*nnNR:])
-			}
-			i += t.rows
+		t.run(false, block[:], bs[:kc*nnNR], kc, nnNR, nnNR)
+		for r := 0; r < t.rows; r++ {
+			copy(dst[(i+r)*ldd+c:(i+r)*ldd+c+tail], block[r*nnNR:])
 		}
+		i += t.rows
 	}
 }
 
