@@ -1,34 +1,29 @@
 // Command tango-loadtest is the CI load generator and chaos harness for
 // tango-serve.
 //
-// In the default -profile steady it fires N concurrent classify requests
-// at a running server, then fails loudly unless
+// Every load profile runs through one load loop: workers fire classify
+// requests at a server and sort each response into an outcome (ok, shed,
+// injected, conn, mismatch, bad).  A run fails on any outcome its profile
+// does not tolerate, on no 200 at all, on a client-side p99 over
+// -max-p99-ms, and on a crash or unclean exit of a server it owns.  A 200
+// that disagrees with a local Classify of the same input is a mismatch,
+// which no profile tolerates: batching must never change numerics.
 //
-//   - every request came back 2xx,
-//   - every response is bit-identical to a local single-sample Classify of
-//     the same input (batching must never change numerics),
-//   - /v1/stats reports zero queue-full rejections, and
-//   - the mean formed batch size exceeds -min-mean-batch (i.e. dynamic
-//     batching actually engaged under the concurrent load).
-//
-// It waits for /healthz before loading, so CI can start the server in the
-// background and invoke this immediately:
+// The default -profile steady fires -requests requests and tolerates
+// nothing; it alone also fails unless /v1/stats shows zero queue-full
+// rejections and a mean formed batch above -min-mean-batch.  It waits for
+// /healthz first, so CI can start the server in the background:
 //
 //	./tango-serve -addr 127.0.0.1:8437 -benchmarks CifarNet &
 //	go run ./cmd/tango-loadtest -url http://127.0.0.1:8437 -requests 96 -concurrency 16
 //
-// The timed profiles (-profile ramp|spike|drain|chaos with -duration) drive
-// load shapes instead of a fixed request count, and with -serve-bin the
-// loadtest owns the server process itself: it starts it (-addr,
-// -serve-args, -serve-env), watches for unexpected exits (any crash fails
-// the run), SIGKILLs and restarts it every -kill-every (chaos), and shuts
+// The timed profiles (-profile ramp|spike|drain|chaos) shape the load over
+// -duration instead.  With -serve-bin the loadtest owns the server: it
+// starts it (-addr, -serve-args, -serve-env), counts any exit it did not
+// cause as a crash, SIGKILLs and restarts it every -kill-every, and shuts
 // it down gracefully at the end.  Timed profiles tolerate backpressure
-// (429), degraded-mode rejections (503), injected faults surfaced as 500s,
-// and — while the server is being killed or drained — connection errors;
-// what they never tolerate is a crash, an unexpected error, or a 200
-// response that is not bit-identical to the local engine.  Client-side
-// p50/p99 latency over successful requests is reported and, with
-// -max-p99-ms, asserted.
+// (429), degraded-mode rejections (503), injected faults surfaced as 500s
+// and, while the server is killed or drained on purpose, connection errors.
 //
 // The numerics tier is resolved once, from -numerics or else the
 // TANGO_NUMERICS environment variable, and pinned on both sides: the local
@@ -41,7 +36,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,23 +60,21 @@ type classifyResponse struct {
 	Probabilities []float32 `json:"probabilities"`
 }
 
-// verifyTol is the response-verification tolerance the resolved tier selects:
-// 0 keeps the bit-identical contract; a fast tier relaxes verification to
-// top-1 class agreement plus a relative-error bound, because batched
-// fast-tier runs tile differently than the local single-sample engine.  Set
-// once in main before any worker goroutine starts.
-var verifyTol float64
+// Verification tolerances of the fast tiers: batched fast-tier runs tile
+// differently than the local single-sample engine, so their 200s must keep
+// the top-1 class and stay within this relative error instead of matching
+// bit for bit.
+const (
+	fastTol = 1e-3
+	int8Tol = 0.25
+)
 
 // maxRelErr returns max_i |got_i - want_i| / max_i |want_i|.
 func maxRelErr(got, want []float32) float64 {
 	var maxAbs, maxDiff float64
 	for i := range want {
-		if a := math.Abs(float64(want[i])); a > maxAbs {
-			maxAbs = a
-		}
-		if d := math.Abs(float64(got[i]) - float64(want[i])); d > maxDiff {
-			maxDiff = d
-		}
+		maxAbs = max(maxAbs, math.Abs(float64(want[i])))
+		maxDiff = max(maxDiff, math.Abs(float64(got[i])-float64(want[i])))
 	}
 	if maxAbs == 0 {
 		return maxDiff
@@ -97,7 +89,6 @@ func main() {
 	concurrency := flag.Int("concurrency", 16, "concurrent client goroutines")
 	seedBase := flag.Uint64("seed", 1, "first sample seed; request i uses seed+i")
 	minMeanBatch := flag.Float64("min-mean-batch", 1.0, "fail unless /v1/stats mean_batch_size exceeds this (steady profile)")
-	verify := flag.Bool("verify", true, "bit-compare every 200 response against a local Classify")
 	readyTimeout := flag.Duration("ready-timeout", 60*time.Second, "max wait for /healthz")
 	profile := flag.String("profile", "steady", "load profile: steady, ramp, spike, drain or chaos")
 	duration := flag.Duration("duration", 30*time.Second, "run length for the timed profiles")
@@ -110,6 +101,17 @@ func main() {
 	numerics := flag.String("numerics", "", "numerics tier the target server runs: reference (bit-exact verify), fast or int8 (tolerance + top-1 verify); empty takes TANGO_NUMERICS, else reference; pinned on the local engine and, with -serve-bin, on the owned server")
 	flag.Parse()
 
+	c := config{
+		baseURL: *url, benchmark: *benchmark, profile: *profile,
+		requests: *requests, duration: *duration, concurrency: *concurrency, seed: *seedBase,
+		local:        tango.WithReferenceNumerics(),
+		minMeanBatch: *minMeanBatch, maxP99MS: *maxP99MS, killEvery: *killEvery,
+	}
+	switch c.profile {
+	case "steady", "ramp", "spike", "drain", "chaos":
+	default:
+		log.Fatalf("tango-loadtest: unknown -profile %q (want steady, ramp, spike, drain or chaos)", c.profile)
+	}
 	tier := *numerics
 	if tier == "" {
 		tier = os.Getenv("TANGO_NUMERICS")
@@ -118,182 +120,117 @@ func main() {
 	if err != nil {
 		log.Fatalf("tango-loadtest: -numerics: %v", err)
 	}
-	local := tango.WithReferenceNumerics()
 	switch mode {
 	case nn.NumericsFast:
-		verifyTol, local = 1e-3, tango.WithFastMath()
+		c.tol, c.local = fastTol, tango.WithFastMath()
 	case nn.NumericsInt8:
-		verifyTol, local = 0.25, tango.WithInt8()
+		c.tol, c.local = int8Tol, tango.WithInt8()
 	}
 
-	baseURL := *url
-	var sup *supervisor
 	if *serveBin != "" {
-		baseURL = "http://" + *addr
+		c.baseURL = "http://" + *addr
 		args := []string{"-addr", *addr, "-benchmarks", *benchmark, "-numerics", mode.String()}
-		sup = &supervisor{
+		c.sup = &supervisor{
 			bin:  *serveBin,
 			args: append(args, strings.Fields(*serveArgs)...),
 			env:  strings.Fields(*serveEnv),
 		}
-		if err := sup.start(baseURL+"/healthz", *readyTimeout); err != nil {
+		if err := c.sup.start(c.baseURL+"/healthz", *readyTimeout); err != nil {
 			log.Fatalf("tango-loadtest: %v", err)
 		}
-	} else if err := waitReady(baseURL+"/healthz", *readyTimeout); err != nil {
+	} else if c.profile == "drain" || c.killEvery > 0 {
+		log.Fatalf("tango-loadtest: -profile drain and -kill-every need -serve-bin (the loadtest must own the server)")
+	} else if err := waitReady(c.baseURL+"/healthz", *readyTimeout); err != nil {
 		log.Fatalf("tango-loadtest: %v", err)
 	}
 
-	switch *profile {
-	case "steady":
-		runSteady(baseURL, *benchmark, *requests, *concurrency, *seedBase, *minMeanBatch, *verify, *maxP99MS, local, sup)
-	case "ramp", "spike", "drain", "chaos":
-		runTimed(*profile, baseURL, *benchmark, *concurrency, *seedBase, *duration, *verify, *maxP99MS, *killEvery, local, sup)
-	default:
-		log.Fatalf("tango-loadtest: unknown -profile %q (want steady, ramp, spike, drain or chaos)", *profile)
+	failures := run(c)
+	for _, f := range failures {
+		fmt.Println("FAIL: " + f)
 	}
-}
-
-// sampleSet pre-generates deterministic inputs and, when verifying, their
-// local answers on the tier the local option pins, so the timed window
-// contains only HTTP traffic.
-func sampleSet(benchmark string, n int, seedBase uint64, verify bool, local tango.SimOption) ([][]float32, []*tango.Classification) {
-	b, err := tango.LoadBenchmark(benchmark)
-	if err != nil {
-		log.Fatalf("tango-loadtest: %v", err)
-	}
-	images := make([][]float32, n)
-	expected := make([]*tango.Classification, n)
-	for i := range images {
-		img, _, err := b.SampleImage(seedBase + uint64(i))
-		if err != nil {
-			log.Fatalf("tango-loadtest: %v", err)
-		}
-		images[i] = img
-		if verify {
-			expected[i], err = b.Classify(img, local)
-			if err != nil {
-				log.Fatalf("tango-loadtest: %v", err)
-			}
-		}
-	}
-	return images, expected
-}
-
-// runSteady is the original fixed-request-count load test: everything must
-// succeed, batching must engage, nothing may be rejected.
-func runSteady(baseURL, benchmark string, requests, concurrency int, seedBase uint64, minMeanBatch float64, verify bool, maxP99MS float64, local tango.SimOption, sup *supervisor) {
-	images, expected := sampleSet(benchmark, requests, seedBase, verify, local)
-
-	var failures atomic.Uint64
-	var lats latencies
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	client := &http.Client{Timeout: 120 * time.Second}
-	start := time.Now()
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				t0 := time.Now()
-				if err := fire(client, baseURL, benchmark, images[i], expected[i], ""); err != nil {
-					failures.Add(1)
-					log.Printf("request %d: %v", i, err)
-					continue
-				}
-				lats.add(time.Since(t0))
-			}
-		}()
-	}
-	for i := 0; i < requests; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	m, err := fetchMetrics(client, baseURL+"/v1/stats")
-	if err != nil {
-		log.Fatalf("tango-loadtest: %v", err)
-	}
-
-	fmt.Printf("fired %d requests (%d concurrent) in %s: %.1f req/s\n",
-		requests, concurrency, elapsed.Round(time.Millisecond), float64(requests)/elapsed.Seconds())
-	fmt.Printf("server metrics: %d requests, %d batches, mean batch %.2f, %d queue-full rejections\n",
-		m.Requests, m.Batches, m.MeanBatchSize, m.RejectedQueueFull)
-	p50, p99 := lats.percentiles()
-	fmt.Printf("client latency: p50 %s, p99 %s over %d successful requests\n",
-		p50.Round(time.Microsecond), p99.Round(time.Microsecond), lats.count())
-
-	failed := false
-	if n := failures.Load(); n > 0 {
-		fmt.Printf("FAIL: %d requests failed or mismatched\n", n)
-		failed = true
-	}
-	if m.RejectedQueueFull > 0 {
-		fmt.Printf("FAIL: %d requests were rejected queue-full at default depth\n", m.RejectedQueueFull)
-		failed = true
-	}
-	if m.MeanBatchSize <= minMeanBatch {
-		fmt.Printf("FAIL: mean batch size %.2f <= %.2f: dynamic batching did not engage\n",
-			m.MeanBatchSize, minMeanBatch)
-		failed = true
-	}
-	if maxP99MS > 0 && p99 > time.Duration(maxP99MS*float64(time.Millisecond)) {
-		fmt.Printf("FAIL: client p99 %s exceeds %.1fms\n", p99, maxP99MS)
-		failed = true
-	}
-	if sup != nil {
-		if err := sup.shutdown(); err != nil {
-			fmt.Printf("FAIL: %v\n", err)
-			failed = true
-		}
-	}
-	if failed {
+	if len(failures) > 0 {
 		os.Exit(1)
 	}
-	if verify && verifyTol > 0 {
-		fmt.Println("PASS: all responses 2xx, top-1 agreement within fast-tier tolerance; batching engaged")
-	} else if verify {
-		fmt.Println("PASS: all responses 2xx and bit-identical to local Classify; batching engaged")
-	} else {
-		fmt.Println("PASS: all responses 2xx; batching engaged")
+	agree := "bit-identical to"
+	if c.tol > 0 {
+		agree = fmt.Sprintf("top-1 equal and within relative error %g of", c.tol)
 	}
+	fmt.Printf("PASS: %s: no crash, no outcome the profile does not tolerate, every 200 %s the local engine\n", c.profile, agree)
 }
 
-// Outcome classes of one timed-profile request.
+// outcome is how one request ended.
+type outcome int
+
 const (
-	outOK       = iota // 200, verified bit-exact
-	outShed            // 429 or 503: backpressure/degraded-mode rejection
-	outInjected        // 500 carrying an injected-fault marker
-	outConn            // transport error while the server was down on purpose
-	outBad             // anything else: always a failure
+	outOK       outcome = iota // 200 that agrees with the local engine
+	outShed                    // 429 or 503: backpressure or degraded-mode rejection
+	outInjected                // 500 carrying an injected-fault marker
+	outConn                    // transport error: the connection was refused or cut
+	outMismatch                // 200 that disagrees with the local engine
+	outBad                     // any other status, or an unreadable 200
 	outKinds
 )
 
-var outNames = [outKinds]string{"ok", "shed", "injected", "conn", "bad"}
+var outNames = [outKinds]string{"ok", "shed", "injected", "conn", "mismatch", "bad"}
 
-// runTimed drives one of the shaped profiles for -duration and asserts the
-// chaos invariants: no crashes, no unexpected errors, no bit-exactness
-// violations, p99 within bound, and the server still served real traffic.
-func runTimed(profile, baseURL, benchmark string, concurrency int, seedBase uint64, duration time.Duration, verify bool, maxP99MS float64, killEvery time.Duration, local tango.SimOption, sup *supervisor) {
-	const sampleCount = 16
-	images, expected := sampleSet(benchmark, sampleCount, seedBase, verify, local)
+// config is one loadtest run.  The profile fixes the rest of its shape:
+// steady stops after requests, the others after duration; allowedWorkers
+// shapes the load over time; tolerated names the outcomes it accepts.
+type config struct {
+	baseURL, benchmark, profile string
 
-	// Connection errors are only legitimate while the server is being
-	// killed (chaos) or drained on purpose.
-	tolerateConn := profile == "chaos" || profile == "drain" || (sup != nil && killEvery > 0)
-	if (profile == "drain" || killEvery > 0) && sup == nil {
-		log.Fatalf("tango-loadtest: -profile drain and -kill-every need -serve-bin (the loadtest must own the server)")
+	requests     int           // steady: requests to fire
+	duration     time.Duration // timed profiles: run length
+	concurrency  int
+	seed         uint64          // first sample seed
+	local        tango.SimOption // the tier the local engine verifies with
+	tol          float64         // 0 verifies bit for bit; else top-1 plus this relative error
+	minMeanBatch float64         // steady: fail unless the mean formed batch exceeds this
+	maxP99MS     float64         // 0 = unbounded
+	killEvery    time.Duration
+	sup          *supervisor // the owned server, or nil
+}
+
+// tolerated returns the outcomes other than ok that the profile accepts:
+// steady none, the timed profiles shed and injected ones, plus connection
+// errors while the server is killed or drained on purpose.
+func (c *config) tolerated() (t [outKinds]bool) {
+	if c.profile == "steady" {
+		return t
+	}
+	t[outShed], t[outInjected] = true, true
+	t[outConn] = c.profile == "chaos" || c.profile == "drain" || c.killEvery > 0
+	return t
+}
+
+// run drives c's profile, prints its report and returns why it failed
+// (nothing on a pass).  An owned server is shut down before run returns.
+func run(c config) (failures []string) {
+	fail := func(format string, args ...any) { failures = append(failures, fmt.Sprintf(format, args...)) }
+	if c.sup != nil {
+		defer func() {
+			if err := c.sup.shutdown(); err != nil {
+				fail("%v", err)
+			}
+			if n := c.sup.crashes.Load(); n > 0 {
+				fail("server crashed %d time(s)", n)
+			}
+		}()
+	}
+	timed, n := c.profile != "steady", c.requests
+	if timed {
+		n = 16 // a timed run cycles through 16 samples
+	}
+	images, expected, err := sampleSet(c.benchmark, n, c.seed, c.local)
+	if err != nil {
+		fail("%v", err)
+		return failures
 	}
 
 	var counts [outKinds]atomic.Uint64
-	var bitErrors atomic.Uint64
-	var lats latencies
-	var seq atomic.Uint64
 	stopKiller := make(chan struct{})
 	var killerWG sync.WaitGroup
-	if sup != nil && killEvery > 0 {
+	if c.sup != nil && c.killEvery > 0 {
 		killerWG.Add(1)
 		go func() {
 			defer killerWG.Done()
@@ -301,9 +238,9 @@ func runTimed(profile, baseURL, benchmark string, concurrency int, seedBase uint
 				select {
 				case <-stopKiller:
 					return
-				case <-time.After(killEvery):
+				case <-time.After(c.killEvery):
 					log.Printf("chaos: SIGKILL + restart")
-					if err := sup.killRestart(baseURL+"/healthz", 2*time.Minute); err != nil {
+					if err := c.sup.killRestart(c.baseURL+"/healthz", 2*time.Minute); err != nil {
 						log.Printf("chaos restart failed: %v", err)
 						counts[outBad].Add(1)
 						return
@@ -312,133 +249,143 @@ func runTimed(profile, baseURL, benchmark string, concurrency int, seedBase uint
 			}
 		}()
 	}
-	if profile == "drain" {
+	if c.profile == "drain" {
 		// Begin the graceful drain partway through: the remaining window
 		// observes the draining 503s and connection errors.
-		time.AfterFunc(duration*3/5, func() {
+		time.AfterFunc(c.duration*3/5, func() {
 			log.Printf("drain: SIGTERM to owned server")
-			sup.beginShutdown()
+			c.sup.beginShutdown()
 		})
 	}
 
+	tolerated := c.tolerated()
+	var lats latencies
+	var seq atomic.Int64
 	client := &http.Client{Timeout: 30 * time.Second}
 	start := time.Now()
-	end := start.Add(duration)
 	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
+	for w := 0; w < c.concurrency; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for time.Now().Before(end) {
-				frac := float64(time.Since(start)) / float64(duration)
-				if worker >= allowedWorkers(profile, frac, concurrency) {
-					time.Sleep(5 * time.Millisecond)
-					continue
+			for {
+				if timed {
+					frac := float64(time.Since(start)) / float64(c.duration)
+					if frac >= 1 {
+						return
+					}
+					if worker >= allowedWorkers(c.profile, frac, c.concurrency) {
+						time.Sleep(5 * time.Millisecond)
+						continue
+					}
 				}
-				i := seq.Add(1)
+				i := seq.Add(1) - 1
+				if !timed && i >= int64(c.requests) {
+					return
+				}
 				priority := ""
-				if profile == "chaos" {
+				if c.profile == "chaos" {
 					priority = [...]string{"low", "normal", "high"}[i%3]
 				}
 				t0 := time.Now()
-				kind, err := fireTimed(client, baseURL, benchmark, images[i%sampleCount], expected[i%sampleCount], priority, tolerateConn)
-				switch kind {
-				case outOK:
+				kind, err := fire(client, c.baseURL, c.benchmark, images[i%int64(n)], expected[i%int64(n)], c.tol, priority)
+				counts[kind].Add(1)
+				switch {
+				case kind == outOK:
 					lats.add(time.Since(t0))
-				case outConn, outShed:
+				case !tolerated[kind]:
+					log.Printf("request %d: %s: %v", i, outNames[kind], err)
+				}
+				if kind == outConn || kind == outShed {
 					// The server is down or shedding; back off instead of
 					// hammering the refused socket in a tight loop.
 					time.Sleep(10 * time.Millisecond)
-				case outBad:
-					if err != nil && strings.Contains(err.Error(), "not bit-identical") {
-						bitErrors.Add(1)
-					}
-					log.Printf("request %d: %v", i, err)
 				}
-				counts[kind].Add(1)
 			}
 		}(w)
 	}
 	wg.Wait()
+	elapsed := time.Since(start)
 	close(stopKiller)
 	killerWG.Wait()
 
-	// Snapshot server metrics while the server is still up (best-effort:
-	// the drain profile has already taken it down).
-	if m, err := fetchMetrics(client, baseURL+"/v1/stats"); err == nil {
-		fmt.Printf("server metrics: %d requests, %d batches (mean %.2f), %d bisections, %d isolated, %d shed\n",
-			m.Requests, m.Batches, m.MeanBatchSize, sumBisections(m), sumIsolated(m), m.Shed)
+	fmt.Printf("profile %s, %d workers, %s:", c.profile, c.concurrency, elapsed.Round(time.Millisecond))
+	var total uint64
+	for k, name := range outNames {
+		fmt.Printf(" %s=%d", name, counts[k].Load())
+		total += counts[k].Load()
 	}
-	var failed bool
-	if sup != nil {
-		if err := sup.shutdown(); err != nil {
-			fmt.Printf("FAIL: %v\n", err)
-			failed = true
-		}
-		if n := sup.crashes.Load(); n > 0 {
-			fmt.Printf("FAIL: server crashed %d time(s)\n", n)
-			failed = true
-		}
-	}
-
-	fmt.Printf("profile %s over %s (%d workers):", profile, duration, concurrency)
-	for k := 0; k < outKinds; k++ {
-		fmt.Printf(" %s=%d", outNames[k], counts[k].Load())
-	}
-	fmt.Println()
-	p50, p99 := lats.percentiles()
+	fmt.Printf(" (%.1f req/s)\n", float64(total)/elapsed.Seconds())
+	p50, p99, ok := lats.percentiles()
 	fmt.Printf("client latency: p50 %s, p99 %s over %d successful requests\n",
-		p50.Round(time.Microsecond), p99.Round(time.Microsecond), lats.count())
+		p50.Round(time.Microsecond), p99.Round(time.Microsecond), ok)
 
-	if counts[outOK].Load() == 0 {
-		fmt.Println("FAIL: no request succeeded — the server never served under this profile")
-		failed = true
+	// The server's own counters, while it is still up: the drain profile
+	// has already taken it down, so only steady requires them.
+	m, err := fetchMetrics(client, c.baseURL+"/v1/stats")
+	if err == nil {
+		fmt.Printf("server metrics: %d requests, %d batches, mean batch %.2f, %d queue-full rejections, %d shed\n",
+			m.Requests, m.Batches, m.MeanBatchSize, m.RejectedQueueFull, m.Shed)
 	}
-	if n := counts[outBad].Load(); n > 0 {
-		fmt.Printf("FAIL: %d unexpected failures\n", n)
-		failed = true
+	if !timed && err != nil {
+		fail("%v", err)
+	} else if !timed {
+		if m.RejectedQueueFull > 0 {
+			fail("%d requests were rejected queue-full at default depth", m.RejectedQueueFull)
+		}
+		if m.MeanBatchSize <= c.minMeanBatch {
+			fail("mean batch size %.2f <= %.2f: dynamic batching did not engage", m.MeanBatchSize, c.minMeanBatch)
+		}
 	}
-	if n := bitErrors.Load(); n > 0 {
-		fmt.Printf("FAIL: %d responses were not bit-identical to the local engine\n", n)
-		failed = true
+
+	if ok == 0 {
+		fail("no request succeeded: the server never served under this profile")
 	}
-	if maxP99MS > 0 && p99 > time.Duration(maxP99MS*float64(time.Millisecond)) {
-		fmt.Printf("FAIL: client p99 %s exceeds %.1fms\n", p99, maxP99MS)
-		failed = true
+	for k := outShed; k < outKinds; k++ {
+		if n := counts[k].Load(); n > 0 && !tolerated[k] {
+			fail("%d %s outcomes, which %s does not tolerate", n, outNames[k], c.profile)
+		}
 	}
-	if failed {
-		os.Exit(1)
+	if c.maxP99MS > 0 && p99 > time.Duration(c.maxP99MS*float64(time.Millisecond)) {
+		fail("client p99 %s exceeds %.1fms", p99, c.maxP99MS)
 	}
-	if verifyTol > 0 {
-		fmt.Println("PASS: no crashes, no unexpected errors, all 200s within fast-tier tolerance")
-	} else {
-		fmt.Println("PASS: no crashes, no unexpected errors, all 200s bit-identical")
-	}
+	return failures
 }
 
-// allowedWorkers shapes the load: how many of the max workers may fire at
+// sampleSet pre-generates n deterministic inputs and their local answers on
+// the tier local pins, so the load window holds only HTTP traffic.
+func sampleSet(benchmark string, n int, seed uint64, local tango.SimOption) ([][]float32, []*tango.Classification, error) {
+	b, err := tango.LoadBenchmark(benchmark)
+	if err != nil {
+		return nil, nil, err
+	}
+	images := make([][]float32, n)
+	expected := make([]*tango.Classification, n)
+	for i := range images {
+		if images[i], _, err = b.SampleImage(seed + uint64(i)); err != nil {
+			return nil, nil, err
+		}
+		if expected[i], err = b.Classify(images[i], local); err != nil {
+			return nil, nil, err
+		}
+	}
+	return images, expected, nil
+}
+
+// allowedWorkers shapes the load: how many of n workers may fire at
 // normalized time frac in [0, 1).
-func allowedWorkers(profile string, frac float64, max int) int {
+func allowedWorkers(profile string, frac float64, n int) int {
 	switch profile {
 	case "ramp":
-		n := 1 + int(frac*float64(max-1))
-		if n > max {
-			n = max
-		}
-		return n
+		return min(1+int(frac*float64(n-1)), n)
 	case "spike":
 		// Quarter load with a full-concurrency spike through the middle.
 		if frac >= 0.4 && frac < 0.6 {
-			return max
+			return n
 		}
-		n := max / 4
-		if n < 1 {
-			n = 1
-		}
-		return n
-	default: // steady background for drain/chaos
-		return max
+		return max(n/4, 1)
 	}
+	return n // a constant load for steady, drain and chaos
 }
 
 // latencies is a concurrency-safe latency sample.
@@ -453,39 +400,17 @@ func (l *latencies) add(d time.Duration) {
 	l.mu.Unlock()
 }
 
-func (l *latencies) count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ds)
-}
-
-func (l *latencies) percentiles() (p50, p99 time.Duration) {
+// percentiles returns the sample's p50 and p99 and its size.
+func (l *latencies) percentiles() (p50, p99 time.Duration, n int) {
 	l.mu.Lock()
 	ds := append([]time.Duration(nil), l.ds...)
 	l.mu.Unlock()
 	if len(ds) == 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	rank := func(p float64) time.Duration {
-		idx := int(float64(p*float64(len(ds)-1)) + 0.5)
-		return ds[idx]
-	}
-	return rank(0.50), rank(0.99)
-}
-
-func sumBisections(m *tango.ServerStats) (n uint64) {
-	for _, b := range m.Benchmarks {
-		n += b.Bisections
-	}
-	return n
-}
-
-func sumIsolated(m *tango.ServerStats) (n uint64) {
-	for _, b := range m.Benchmarks {
-		n += b.Isolated
-	}
-	return n
+	rank := func(p float64) time.Duration { return ds[int(p*float64(len(ds)-1)+0.5)] }
+	return rank(0.50), rank(0.99), len(ds)
 }
 
 // supervisor owns the tango-serve process during profiles that kill,
@@ -593,16 +518,17 @@ func waitReady(healthURL string, timeout time.Duration) error {
 	}
 }
 
-// fire sends one classify request and, when want is non-nil, bit-compares
-// the response against the local per-sample result.
-func fire(client *http.Client, baseURL, benchmark string, image []float32, want *tango.Classification, priority string) error {
+// fire sends one classify request and sorts the response into an outcome.
+// A 200 must agree with want: bit for bit when tol is 0, else in class and
+// within relative error tol.
+func fire(client *http.Client, baseURL, benchmark string, image []float32, want *tango.Classification, tol float64, priority string) (outcome, error) {
 	body, err := json.Marshal(map[string]any{"benchmark": benchmark, "image": image})
 	if err != nil {
-		return err
+		return outBad, err
 	}
 	req, err := http.NewRequest(http.MethodPost, baseURL+"/v1/classify", bytes.NewReader(body))
 	if err != nil {
-		return err
+		return outBad, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if priority != "" {
@@ -610,83 +536,48 @@ func fire(client *http.Client, baseURL, benchmark string, image []float32, want 
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return err
+		return outConn, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return err
+		return outConn, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(data))}
-	}
-	if want == nil {
-		return nil
+	if code := resp.StatusCode; code != http.StatusOK {
+		err := fmt.Errorf("status %d: %s", code, bytes.TrimSpace(data))
+		switch {
+		case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
+			return outShed, err
+		case code == http.StatusInternalServerError && bytes.Contains(data, []byte("resilience: injected")):
+			return outInjected, err
+		}
+		return outBad, err
 	}
 	var got classifyResponse
 	if err := json.Unmarshal(data, &got); err != nil {
-		return err
-	}
-	if got.Class != want.Class {
-		return fmt.Errorf("response not bit-identical: class mismatch: served %d, local %d", got.Class, want.Class)
-	}
-	if len(got.Probabilities) != len(want.Probabilities) {
-		return fmt.Errorf("response not bit-identical: probability count mismatch: served %d, local %d",
-			len(got.Probabilities), len(want.Probabilities))
-	}
-	if verifyTol > 0 {
-		if re := maxRelErr(got.Probabilities, want.Probabilities); re > verifyTol {
-			return fmt.Errorf("response not bit-identical: relative error %.3g exceeds tolerance %.3g", re, verifyTol)
-		}
-		return nil
-	}
-	for i := range got.Probabilities {
-		if math.Float32bits(got.Probabilities[i]) != math.Float32bits(want.Probabilities[i]) {
-			return fmt.Errorf("probability %d not bit-identical: served %v, local %v",
-				i, got.Probabilities[i], want.Probabilities[i])
-		}
-	}
-	return nil
-}
-
-// statusError is a non-200 response, kept structured so the chaos outcome
-// classifier can sort by status code and body.
-type statusError struct {
-	code int
-	body string
-}
-
-func (e *statusError) Error() string { return fmt.Sprintf("status %d: %s", e.code, e.body) }
-
-// fireTimed fires one request under a timed profile and classifies the
-// outcome against the chaos tolerance policy.
-func fireTimed(client *http.Client, baseURL, benchmark string, image []float32, want *tango.Classification, priority string, tolerateConn bool) (int, error) {
-	err := fire(client, baseURL, benchmark, image, want, priority)
-	if err == nil {
-		return outOK, nil
-	}
-	var se *statusError
-	if !errors.As(err, &se) {
-		// Transport-level failure: the connection was refused or cut.
-		if tolerateConn {
-			return outConn, err
-		}
 		return outBad, err
 	}
 	switch {
-	case se.code == http.StatusTooManyRequests || se.code == http.StatusServiceUnavailable:
-		return outShed, err
-	case se.code == http.StatusInternalServerError && strings.Contains(se.body, "resilience: injected"):
-		return outInjected, err
-	default:
-		return outBad, err
+	case got.Class != want.Class:
+		return outMismatch, fmt.Errorf("class: served %d, local %d", got.Class, want.Class)
+	case len(got.Probabilities) != len(want.Probabilities):
+		return outMismatch, fmt.Errorf("probability count: served %d, local %d", len(got.Probabilities), len(want.Probabilities))
+	case tol > 0:
+		if re := maxRelErr(got.Probabilities, want.Probabilities); re > tol {
+			return outMismatch, fmt.Errorf("relative error %.3g exceeds tolerance %.3g", re, tol)
+		}
+		return outOK, nil
 	}
+	for i := range got.Probabilities {
+		if math.Float32bits(got.Probabilities[i]) != math.Float32bits(want.Probabilities[i]) {
+			return outMismatch, fmt.Errorf("probability %d: served %v, local %v", i, got.Probabilities[i], want.Probabilities[i])
+		}
+	}
+	return outOK, nil
 }
 
-// fetchMetrics reads the server's stats snapshot from GET /v1/stats (the
-// JSON surface; /metrics is Prometheus text), decoding into the server's own
-// exported type so the CI assertions stay type-linked to the JSON shape
-// tango-serve actually emits.
+// fetchMetrics reads GET /v1/stats into the server's own exported type, so
+// the checks stay type-linked to the JSON tango-serve emits.
 func fetchMetrics(client *http.Client, url string) (*tango.ServerStats, error) {
 	resp, err := client.Get(url)
 	if err != nil {

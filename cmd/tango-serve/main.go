@@ -53,6 +53,7 @@ import (
 	"tango"
 	"tango/internal/cli"
 	"tango/internal/resilience"
+	"tango/internal/serve"
 )
 
 // shutdownRecord is the structured line emitted on stdout by every exit
@@ -79,15 +80,13 @@ type shutdownRecord struct {
 	Models map[string]modelRecord `json:"models,omitempty"`
 }
 
-// modelRecord is one served benchmark's slice of the shutdown record.
+// modelRecord is one served benchmark's slice of the shutdown record: its
+// lifetime counters, keyed as GET /v1/stats keys them, plus its batch shape
+// and evictions.
 type modelRecord struct {
-	Submitted     uint64   `json:"submitted"`
-	Completed     uint64   `json:"completed"`
-	Batches       uint64   `json:"batches"`
+	serve.Counters
 	MeanBatchSize float64  `json:"mean_batch_size"`
 	BatchSizeHist []uint64 `json:"batch_size_hist,omitempty"`
-	Rejected      uint64   `json:"rejected,omitempty"`
-	Shed          uint64   `json:"shed,omitempty"`
 	Evictions     uint64   `json:"evictions,omitempty"`
 }
 
@@ -96,20 +95,10 @@ type modelRecord struct {
 func modelRows(st tango.ServerStats) map[string]modelRecord {
 	rows := make(map[string]modelRecord)
 	for name, b := range st.Benchmarks {
-		shed := b.ShedLoad + b.ShedBreaker
-		if b.Submitted == 0 && b.RejectedQueueFull == 0 && shed == 0 {
+		if b.Submitted == 0 && b.RejectedQueueFull == 0 && b.ShedLoad == 0 && b.ShedBreaker == 0 {
 			continue
 		}
-		rows[name] = modelRecord{
-			Submitted:     b.Submitted,
-			Completed:     b.Completed,
-			Batches:       b.Batches,
-			MeanBatchSize: b.MeanBatchSize,
-			BatchSizeHist: b.BatchSizeHist,
-			Rejected:      b.RejectedQueueFull,
-			Shed:          shed,
-			Evictions:     b.Evictions,
-		}
+		rows[name] = modelRecord{b.Counters, b.MeanBatchSize, b.BatchSizeHist, b.Evictions}
 	}
 	if len(rows) == 0 {
 		return nil

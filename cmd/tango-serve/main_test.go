@@ -130,6 +130,11 @@ func TestGracefulShutdownOrdering(t *testing.T) {
 		UptimeS   float64 `json:"uptime_s"`
 		Completed uint64  `json:"completed"`
 		InFlight  int64   `json:"in_flight"`
+		Models    map[string]struct {
+			Submitted uint64 `json:"submitted"`
+			Completed uint64 `json:"completed"`
+			Batches   uint64 `json:"batches"`
+		} `json:"models"`
 	}
 	if err := json.Unmarshal([]byte(recLine), &rec); err != nil {
 		t.Fatalf("shutdown record is not valid JSON: %v\n%q", err, recLine)
@@ -139,5 +144,8 @@ func TestGracefulShutdownOrdering(t *testing.T) {
 	}
 	if rec.Completed < 1 || rec.InFlight != 0 || rec.UptimeS <= 0 {
 		t.Fatalf("shutdown record accounting = %+v", rec)
+	}
+	if m, ok := rec.Models["LSTM"]; !ok || m.Submitted != 1 || m.Completed != 1 || m.Batches < 1 {
+		t.Fatalf("shutdown record's LSTM row = %+v (present %v), want submitted 1, completed 1, batches >= 1", m, ok)
 	}
 }

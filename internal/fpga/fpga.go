@@ -146,21 +146,14 @@ func layerOps(n *networks.Network, li int) int64 {
 		return inElems
 	case networks.LayerLSTM:
 		h, in := int64(l.Hidden), int64(l.InSize)
-		return 4 * (h*in + h*h) * int64(maxInt(n.SeqLen, 1))
+		return 4 * (h*in + h*h) * int64(max(n.SeqLen, 1))
 	case networks.LayerGRU:
 		h, in := int64(l.Hidden), int64(l.InSize)
-		return 3 * (h*in + h*h) * int64(maxInt(n.SeqLen, 1))
+		return 3 * (h*in + h*h) * int64(max(n.SeqLen, 1))
 	default:
 		// Element-wise layers: one op per output element.
 		return outElems
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // layerWorkingSet returns weights + input + output bytes of a layer.

@@ -412,19 +412,12 @@ func (n *Network) ActivationBytes() (int64, error) {
 	}
 	total := int64(elems(n.InputShape)) * 4
 	if n.Kind == KindRNN {
-		total *= int64(maxInt(n.SeqLen, 1))
+		total *= int64(max(n.SeqLen, 1))
 	}
 	for i := range n.Layers {
 		total += int64(elems(n.Layers[i].OutShape)) * 4
 	}
 	return total, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Weights supplies parameter tensors to the inference runner.
