@@ -35,6 +35,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,7 +45,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -107,16 +108,11 @@ func main() {
 		local:        tango.WithReferenceNumerics(),
 		minMeanBatch: *minMeanBatch, maxP99MS: *maxP99MS, killEvery: *killEvery,
 	}
-	switch c.profile {
-	case "steady", "ramp", "spike", "drain", "chaos":
-	default:
-		log.Fatalf("tango-loadtest: unknown -profile %q (want steady, ramp, spike, drain or chaos)", c.profile)
+	if err := c.usage(); err != nil {
+		fmt.Fprintf(os.Stderr, "tango-loadtest: %v\n", err)
+		os.Exit(2)
 	}
-	tier := *numerics
-	if tier == "" {
-		tier = os.Getenv("TANGO_NUMERICS")
-	}
-	mode, err := nn.ParseNumerics(tier)
+	mode, err := nn.ParseNumerics(cmp.Or(*numerics, os.Getenv("TANGO_NUMERICS")))
 	if err != nil {
 		log.Fatalf("tango-loadtest: -numerics: %v", err)
 	}
@@ -191,6 +187,19 @@ type config struct {
 	sup          *supervisor // the owned server, or nil
 }
 
+// usage returns why c's flags describe no run, or nil.
+func (c *config) usage() error {
+	switch {
+	case !slices.Contains([]string{"steady", "ramp", "spike", "drain", "chaos"}, c.profile):
+		return fmt.Errorf("unknown -profile %q (want steady, ramp, spike, drain or chaos)", c.profile)
+	case c.profile == "steady" && c.requests < 1:
+		return fmt.Errorf("-requests %d: the steady profile fires at least one request", c.requests)
+	case c.concurrency < 1:
+		return fmt.Errorf("-concurrency %d: at least one worker fires requests", c.concurrency)
+	}
+	return nil
+}
+
 // tolerated returns the outcomes other than ok that the profile accepts:
 // steady none, the timed profiles shed and injected ones, plus connection
 // errors while the server is killed or drained on purpose.
@@ -254,7 +263,7 @@ func run(c config) (failures []string) {
 		// observes the draining 503s and connection errors.
 		time.AfterFunc(c.duration*3/5, func() {
 			log.Printf("drain: SIGTERM to owned server")
-			c.sup.beginShutdown()
+			c.sup.signal(syscall.SIGTERM) // no wait: the load keeps firing while it drains
 		})
 	}
 
@@ -408,7 +417,7 @@ func (l *latencies) percentiles() (p50, p99 time.Duration, n int) {
 	if len(ds) == 0 {
 		return 0, 0, 0
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	slices.Sort(ds)
 	rank := func(p float64) time.Duration { return ds[int(p*float64(len(ds)-1)+0.5)] }
 	return rank(0.50), rank(0.99), len(ds)
 }
@@ -445,42 +454,32 @@ func (s *supervisor) start(healthURL string, readyTimeout time.Duration) error {
 		waitCh <- err
 	}()
 	s.mu.Lock()
-	s.cmd = cmd
-	s.waitCh = waitCh
+	s.cmd, s.waitCh = cmd, waitCh
 	s.mu.Unlock()
 	return waitReady(healthURL, readyTimeout)
+}
+
+// signal marks the server's next exit as expected, sends it sig and returns
+// the channel its exit arrives on.
+func (s *supervisor) signal(sig os.Signal) <-chan error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.expected.Store(true)
+	_ = s.cmd.Process.Signal(sig)
+	return s.waitCh
 }
 
 // killRestart SIGKILLs the server (the expected, violent chaos case) and
 // brings a fresh instance up to readiness.
 func (s *supervisor) killRestart(healthURL string, readyTimeout time.Duration) error {
-	s.mu.Lock()
-	cmd, waitCh := s.cmd, s.waitCh
-	s.mu.Unlock()
-	s.expected.Store(true)
-	_ = cmd.Process.Kill()
-	<-waitCh
+	<-s.signal(os.Kill)
 	s.expected.Store(false)
 	return s.start(healthURL, readyTimeout)
 }
 
-// beginShutdown sends SIGTERM without waiting; the drain profile keeps
-// firing while the server drains.
-func (s *supervisor) beginShutdown() {
-	s.mu.Lock()
-	cmd := s.cmd
-	s.mu.Unlock()
-	s.expected.Store(true)
-	_ = cmd.Process.Signal(syscall.SIGTERM)
-}
-
 // shutdown gracefully stops the server and fails unless it exits cleanly.
 func (s *supervisor) shutdown() error {
-	s.mu.Lock()
-	cmd, waitCh := s.cmd, s.waitCh
-	s.mu.Unlock()
-	s.expected.Store(true)
-	_ = cmd.Process.Signal(syscall.SIGTERM)
+	waitCh := s.signal(syscall.SIGTERM)
 	select {
 	case err := <-waitCh:
 		if err != nil {
@@ -488,7 +487,7 @@ func (s *supervisor) shutdown() error {
 		}
 		return nil
 	case <-time.After(2 * time.Minute):
-		_ = cmd.Process.Kill()
+		s.signal(os.Kill)
 		return fmt.Errorf("server did not exit within 2m of SIGTERM")
 	}
 }

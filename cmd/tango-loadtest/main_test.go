@@ -135,3 +135,28 @@ func TestAllowedWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestUsage holds the flag checks main makes before it starts or waits for
+// a server: a steady run of fewer than one request (which panicked in
+// sampleSet) or any run with fewer than one worker is a usage error, and a
+// timed profile ignores -requests.
+func TestUsage(t *testing.T) {
+	for _, c := range []struct {
+		cfg config
+		ok  bool
+	}{
+		{config{profile: "steady", requests: 96, concurrency: 16}, true},
+		{config{profile: "steady", requests: 1, concurrency: 1}, true},
+		{config{profile: "ramp", requests: -1, concurrency: 4}, true},
+		{config{profile: "steady", requests: -1, concurrency: 16}, false},
+		{config{profile: "steady", requests: 0, concurrency: 16}, false},
+		{config{profile: "steady", requests: 96, concurrency: 0}, false},
+		{config{profile: "chaos", concurrency: -2}, false},
+		{config{profile: "no-such-profile", requests: 96, concurrency: 16}, false},
+	} {
+		if err := c.cfg.usage(); (err == nil) != c.ok {
+			t.Errorf("%s -requests %d -concurrency %d: usage() = %v, want ok=%v",
+				c.cfg.profile, c.cfg.requests, c.cfg.concurrency, err, c.ok)
+		}
+	}
+}

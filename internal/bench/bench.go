@@ -4,10 +4,15 @@
 // accelerator target derives its statistics from those shared traces through
 // the target.Store, and the drivers render the same rows or series the paper
 // reports as a report.Table from the cached runs.
+//
+// The experiments are one table (experiments): a row names the experiment,
+// the runs it reads and its renderer, which reads exactly those runs.  A
+// single Run warms its own row's runs, RunAll the union of every row's.
 package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,46 +25,114 @@ import (
 
 // Experiment identifies one reproducible table or figure.
 type Experiment struct {
-	// ID is the experiment key, e.g. "table3" or "fig2".
+	// ID is the experiment key: table1..table4 or fig1..fig16.
 	ID string
 	// Title summarizes what the paper's table/figure shows.
 	Title string
 }
 
+// experiment is one row of the experiment table: a table or figure of the
+// paper, the runs it reads and the renderer that projects them.  The runs
+// are each network of nets (nil: the whole suite) that the options keep, on
+// each registry target named in on, under each variant that variants
+// derives from the session's default configuration; a row without variants
+// reads no runs.
+type experiment struct {
+	id, title string
+	nets      []string
+	on        []string
+	variants  func(def target.Variant) []target.Variant
+	render    func(g grid) (*report.Table, error)
+}
+
+var (
+	// figureCNNs is the CNN subset the paper's per-layer-type figures use.
+	figureCNNs = []string{"CifarNet", "AlexNet", "SqueezeNet", "ResNet"}
+	// gp102 is the session GPU, the paper's simulator configuration.
+	gp102 = []string{"gp102"}
+)
+
+// experiments is the experiment table, in paper order.
+var experiments = []experiment{
+	{id: "table1", title: "Input/output and pre-trained models used by the networks", render: table1},
+	{id: "table2", title: "GPU architectures used for evaluation", on: []string{"gk210", "tx1", "gp102"}, render: table2},
+	{id: "table3", title: "Network configuration and SRAM usage (launch geometry per kernel)", render: table3},
+	{id: "table4", title: "FPGA platform used for evaluation", on: []string{"pynq"}, render: table4},
+	{id: "fig1", title: "Execution time breakdown w.r.t. layer type", nets: figureCNNs, on: gp102, variants: defaultOnly, render: fig1},
+	{id: "fig2", title: "Normalized execution time with various L1D sizes", on: gp102, variants: l1Sizes, render: fig2},
+	{id: "fig3", title: "Peak power consumption across layers (W)", on: gp102, variants: defaultOnly, render: fig3},
+	{id: "fig4", title: "Average power consumption per layer type", nets: figureCNNs, on: gp102, variants: defaultOnly, render: fig4},
+	{id: "fig5", title: "Breakdown of average power consumption (HW components)", on: gp102, variants: defaultOnly, render: fig5},
+	{id: "fig6", title: "Energy consumption on embedded GPU (TX1) vs embedded FPGA (PynQ)", nets: []string{"CifarNet", "SqueezeNet"}, on: []string{"tx1", "pynq"}, variants: defaultOnly, render: fig6},
+	{id: "fig7", title: "Breakdown of stall cycles", on: gp102, variants: defaultOnly, render: fig7},
+	{id: "fig8", title: "Operation type breakdown", on: gp102, variants: defaultOnly, render: fig8},
+	{id: "fig9", title: "Total operations breakdown used by all networks (top 10)", on: gp102, variants: defaultOnly, render: fig9},
+	{id: "fig10", title: "Instruction data-type breakdown throughout execution (ResNet)", nets: []string{"ResNet"}, on: gp102, variants: defaultOnly, render: fig10},
+	{id: "fig11", title: "Memory footprint (KB)", render: fig11},
+	{id: "fig12", title: "Register file usage (KB per SM)", on: gp102, variants: defaultOnly, render: fig12},
+	{id: "fig13", title: "Total L2 misses per layer type without L1D", nets: figureCNNs, on: gp102, variants: noL1, render: fig13},
+	{id: "fig14", title: "L2 miss ratio per layer type without L1D", nets: figureCNNs, on: gp102, variants: noL1, render: fig14},
+	{id: "fig15", title: "Warp scheduler sensitivity", on: gp102, variants: schedulers, render: fig15},
+	{id: "fig16", title: "Per-layer warp scheduler sensitivity of AlexNet", nets: []string{"AlexNet"}, on: gp102, variants: schedulers, render: fig16},
+}
+
+// defaultOnly is the default configuration alone.
+func defaultOnly(def target.Variant) []target.Variant { return []target.Variant{def} }
+
+// noL1 is the default configuration with the L1D bypassed.
+func noL1(def target.Variant) []target.Variant { return []target.Variant{def.WithL1(0)} }
+
+// l1Sizes are Figure 2's L1D sizes in column order: bypassed (the
+// normalization base), the 64KB default, twice and four times that.
+func l1Sizes(def target.Variant) []target.Variant {
+	var out []target.Variant
+	for _, kb := range []int{0, 64, 128, 256} {
+		out = append(out, def.WithL1(kb<<10))
+	}
+	return out
+}
+
+// schedulers is the default configuration under each warp scheduler in
+// sched.Kinds order; GTO, the default scheduler, is the default
+// configuration itself.
+func schedulers(def target.Variant) []target.Variant {
+	var out []target.Variant
+	for _, kind := range sched.Kinds() {
+		if kind == sched.GTO {
+			out = append(out, def)
+		} else {
+			out = append(out, def.WithScheduler(kind))
+		}
+	}
+	return out
+}
+
 // Experiments lists every reproducible experiment in paper order.
 func Experiments() []Experiment {
-	return []Experiment{
-		{"table1", "Input/output and pre-trained models used by the networks"},
-		{"table2", "GPU architectures used for evaluation"},
-		{"table3", "Network configuration and SRAM usage (launch geometry per kernel)"},
-		{"table4", "FPGA platform used for evaluation"},
-		{"fig1", "Execution time breakdown w.r.t. layer type"},
-		{"fig2", "Normalized execution time with various L1D sizes"},
-		{"fig3", "Peak power consumption across layers (W)"},
-		{"fig4", "Average power consumption per layer type"},
-		{"fig5", "Breakdown of average power consumption (HW components)"},
-		{"fig6", "Energy consumption on embedded GPU (TX1) vs embedded FPGA (PynQ)"},
-		{"fig7", "Breakdown of stall cycles"},
-		{"fig8", "Operation type breakdown"},
-		{"fig9", "Total operations breakdown used by all networks (top 10)"},
-		{"fig10", "Instruction data-type breakdown throughout execution (ResNet)"},
-		{"fig11", "Memory footprint (KB)"},
-		{"fig12", "Register file usage (KB per SM)"},
-		{"fig13", "Total L2 misses per layer type without L1D"},
-		{"fig14", "L2 miss ratio per layer type without L1D"},
-		{"fig15", "Warp scheduler sensitivity"},
-		{"fig16", "Per-layer warp scheduler sensitivity of AlexNet"},
+	out := make([]Experiment, len(experiments))
+	for i, e := range experiments {
+		out[i] = Experiment{ID: e.id, Title: e.title}
 	}
+	return out
 }
 
 // IDs returns the experiment ids in order.
 func IDs() []string {
-	exps := Experiments()
-	ids := make([]string, len(exps))
-	for i, e := range exps {
-		ids[i] = e.ID
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
 	return ids
+}
+
+// lookup returns the row of experiment id, matched case-insensitively.
+func lookup(id string) (experiment, bool) {
+	for _, e := range experiments {
+		if strings.EqualFold(e.id, id) {
+			return e, true
+		}
+	}
+	return experiment{}, false
 }
 
 // Options tunes how experiments are run.
@@ -79,14 +152,6 @@ type Options struct {
 	// process-wide shared store, so repeated sessions reuse each other's
 	// traces and runs.  Tests use a private store for isolation.
 	Store *target.Store
-}
-
-// withDefaults fills unset options.
-func (o Options) withDefaults() Options {
-	if o.Sampling == (gpusim.Sampling{}) {
-		o.Sampling = gpusim.DefaultSampling()
-	}
-	return o
 }
 
 // filter intersects the experiment's network list with the options filter.
@@ -114,90 +179,38 @@ func (o Options) filter(names []string) []string {
 type Session struct {
 	opts  Options
 	store *target.Store
-
-	// gpu is the session's GPU target, the registry's gp102 (the paper's
-	// simulator configuration); tx1 and fpga are the fixed embedded targets
-	// of Figure 6.
-	gpu  target.Target
-	tx1  target.Target
-	fpga target.Target
 }
 
 // NewSession creates a session with the given options.
 func NewSession(opts Options) *Session {
-	opts = opts.withDefaults()
+	if opts.Sampling == (gpusim.Sampling{}) {
+		opts.Sampling = gpusim.DefaultSampling()
+	}
 	store := opts.Store
 	if store == nil {
 		store = target.Shared()
 	}
-	return &Session{
-		opts:  opts,
-		store: store,
-		gpu:   builtin("gp102"),
-		tx1:   builtin("tx1"),
-		fpga:  builtin("pynq"),
+	return &Session{opts: opts, store: store}
+}
+
+// grid resolves an experiment's row against the session's options.
+func (s *Session) grid(e experiment) grid {
+	nets := e.nets
+	if nets == nil {
+		nets = networks.Names()
 	}
-}
-
-// builtin looks up a target the builtin registry always holds.
-func builtin(name string) target.Target {
-	t, err := target.Builtin().Lookup(name)
-	if err != nil {
-		panic(err)
+	g := grid{store: s.store, nets: s.opts.filter(nets)}
+	for _, name := range e.on {
+		t, err := target.Builtin().Lookup(name)
+		if err != nil {
+			panic(err) // the builtin registry holds every name the table uses
+		}
+		g.targets = append(g.targets, t)
 	}
-	return t
-}
-
-// Options returns the session's effective options.
-func (s *Session) Options() Options { return s.opts }
-
-// defaultVariant is the session GPU's default configuration.
-func (s *Session) defaultVariant() target.Variant {
-	return target.DefaultVariant(s.opts.Sampling)
-}
-
-// l1Variants are Figure 2's L1D sizes in column order: bypassed (the
-// normalization base), the 64KB default, twice and four times that.
-func (s *Session) l1Variants() []target.Variant {
-	var out []target.Variant
-	for _, kb := range []int{0, 64, 128, 256} {
-		out = append(out, s.defaultVariant().WithL1(kb<<10))
+	if e.variants != nil {
+		g.variants = e.variants(target.DefaultVariant(s.opts.Sampling))
 	}
-	return out
-}
-
-// schedVariant is the session GPU under one warp scheduler; GTO, the
-// default scheduler, is the default configuration.
-func (s *Session) schedVariant(kind sched.Kind) target.Variant {
-	if kind == sched.GTO {
-		return s.defaultVariant()
-	}
-	return s.defaultVariant().WithScheduler(kind)
-}
-
-// trace returns the network's layer trace from the store.
-func (s *Session) trace(network string) (*target.Trace, error) {
-	return s.store.Trace(network)
-}
-
-// runOn derives the statistics of one network on an explicit target.
-func (s *Session) runOn(t target.Target, network string, v target.Variant) (*target.RunStats, error) {
-	return s.store.Run(t, network, v)
-}
-
-// simulate runs (or returns the cached run of) a network on the session's
-// GPU target under the variant.
-func (s *Session) simulate(network string, v target.Variant) (*gpusim.RunStats, error) {
-	ts, err := s.runOn(s.gpu, network, v)
-	if err != nil {
-		return nil, err
-	}
-	return ts.GPU, nil
-}
-
-// simulateDefault runs a network under the session's default configuration.
-func (s *Session) simulateDefault(network string) (*gpusim.RunStats, error) {
-	return s.simulate(network, s.defaultVariant())
+	return g
 }
 
 // Run executes one experiment by id.  With Options.Parallelism > 1 the
@@ -205,61 +218,28 @@ func (s *Session) simulateDefault(network string) (*gpusim.RunStats, error) {
 // rendering is serial from the store, so the table is byte-identical to a
 // serial run.
 func (s *Session) Run(id string) (*report.Table, error) {
+	e, ok := lookup(id)
+	if !ok {
+		return nil, fmt.Errorf("bench: unknown experiment %q (known: %v)", id, IDs())
+	}
+	g := s.grid(e)
 	if s.opts.Parallelism > 1 {
 		// Errors are deliberately ignored here: a cell that failed stays
 		// uncached and the serial render re-encounters it in the same
 		// deterministic order a serial run would.
-		_ = s.PrewarmFor(id, s.opts.Parallelism)
+		_ = s.prewarmCells(g.cells(), s.opts.Parallelism)
 	}
-	return s.render(id)
+	return render(e, g)
 }
 
 // render projects one experiment from the store.
-func (s *Session) render(id string) (*report.Table, error) {
-	switch strings.ToLower(id) {
-	case "table1":
-		return s.Table1()
-	case "table2":
-		return s.Table2()
-	case "table3":
-		return s.Table3()
-	case "table4":
-		return s.Table4()
-	case "fig1":
-		return s.Fig1()
-	case "fig2":
-		return s.Fig2()
-	case "fig3":
-		return s.Fig3()
-	case "fig4":
-		return s.Fig4()
-	case "fig5":
-		return s.Fig5()
-	case "fig6":
-		return s.Fig6()
-	case "fig7":
-		return s.Fig7()
-	case "fig8":
-		return s.Fig8()
-	case "fig9":
-		return s.Fig9()
-	case "fig10":
-		return s.Fig10()
-	case "fig11":
-		return s.Fig11()
-	case "fig12":
-		return s.Fig12()
-	case "fig13":
-		return s.Fig13()
-	case "fig14":
-		return s.Fig14()
-	case "fig15":
-		return s.Fig15()
-	case "fig16":
-		return s.Fig16()
-	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q (known: %v)", id, IDs())
+func render(e experiment, g grid) (*report.Table, error) {
+	t, err := e.render(g)
+	if err != nil {
+		return nil, err
 	}
+	t.ID = e.id
+	return t, nil
 }
 
 // RunAll executes every experiment and returns the tables in paper order.
@@ -271,18 +251,15 @@ func (s *Session) RunAll() ([]*report.Table, error) {
 		_ = s.prewarmCells(s.matrix(), s.opts.Parallelism) // errors: see Run
 	}
 	var out []*report.Table
-	for _, e := range Experiments() {
-		t, err := s.render(e.ID)
+	for _, e := range experiments {
+		t, err := render(e, s.grid(e))
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", e.ID, err)
+			return nil, fmt.Errorf("bench: %s: %w", e.id, err)
 		}
 		out = append(out, t)
 	}
 	return out, nil
 }
-
-// suiteNames returns the full benchmark suite in suite order.
-func suiteNames() []string { return networks.Names() }
 
 // classOrder is the stacking order the paper's layer-type figures use.
 var classOrder = []string{
@@ -320,14 +297,7 @@ func presentClasses(maps ...map[string]int64) []string {
 	// Any class not in the canonical order goes last, sorted.
 	var extra []string
 	for c := range present {
-		known := false
-		for _, k := range classOrder {
-			if k == c {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(classOrder, c) {
 			extra = append(extra, c)
 		}
 	}

@@ -8,26 +8,14 @@ import (
 	"tango/internal/power"
 	"tango/internal/profiler"
 	"tango/internal/report"
-	"tango/internal/sched"
-	"tango/internal/target"
 )
 
-// figureCNNs is the CNN subset the paper's per-layer-type figures use.
-func (s *Session) figureCNNs() []string {
-	return s.opts.filter([]string{"CifarNet", "AlexNet", "SqueezeNet", "ResNet"})
-}
-
-// allNetworks is the full suite, filtered by the options.
-func (s *Session) allNetworks() []string {
-	return s.opts.filter(suiteNames())
-}
-
-// Fig1 reproduces Figure 1: execution-time breakdown per layer type.
-func (s *Session) Fig1() (*report.Table, error) {
-	nets := s.figureCNNs()
+// fig1 reproduces Figure 1: execution-time breakdown per layer type.
+func fig1(g grid) (*report.Table, error) {
+	nets := g.nets
 	byNet := make(map[string]map[string]int64, len(nets))
 	for _, name := range nets {
-		rs, err := s.simulateDefault(name)
+		rs, err := g.sim(name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -39,7 +27,6 @@ func (s *Session) Fig1() (*report.Table, error) {
 	}
 	classes := presentClasses(maps...)
 	t := &report.Table{
-		ID:      "fig1",
 		Title:   "Execution time breakdown w.r.t. layer type (Figure 1)",
 		Columns: append([]string{"Network"}, classes...),
 	}
@@ -58,53 +45,33 @@ func (s *Session) Fig1() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig2 reproduces Figure 2: normalized execution time under different L1D
+// fig2 reproduces Figure 2: normalized execution time under different L1D
 // sizes (bypassed, 64KB, 128KB, 256KB), normalized to the bypassed run.
-func (s *Session) Fig2() (*report.Table, error) {
+func fig2(g grid) (*report.Table, error) {
 	t := &report.Table{
-		ID:      "fig2",
 		Title:   "Normalized execution time with various L1D sizes (Figure 2)",
 		Columns: []string{"Network", "No L1 (cycles)", "No L1", "L1", "2xL1", "4xL1"},
 	}
-	for _, name := range s.allNetworks() {
-		var base int64
-		row := []interface{}{name}
-		var norms []interface{}
-		for _, v := range s.l1Variants() {
-			rs, err := s.simulate(name, v)
-			if err != nil {
-				return nil, err
-			}
-			cycles := rs.TotalCycles()
-			if v.L1Bytes == 0 {
-				base = cycles
-				row = append(row, cycles)
-			}
-			norms = append(norms, fmt.Sprintf("%.3f", float64(cycles)/float64(base)))
+	for _, name := range g.nets {
+		cycles, err := totalCycles(g, name)
+		if err != nil {
+			return nil, err
 		}
-		row = append(row, norms...)
-		t.AddRow(row...)
+		ratioRow(t, name, cycles)
 	}
 	t.AddNote("CNNs speed up substantially with an L1D while RNNs are insensitive beyond the default size (Observation 2)")
 	return t, nil
 }
 
-// powerModel returns the power model of the session's GPU target.
-func (s *Session) powerModel() *power.Model {
-	dev, _ := target.GPUDevice(s.gpu)
-	return power.NewModel(dev)
-}
-
-// Fig3 reproduces Figure 3: peak power consumption across layers.
-func (s *Session) Fig3() (*report.Table, error) {
+// fig3 reproduces Figure 3: peak power consumption across layers.
+func fig3(g grid) (*report.Table, error) {
 	t := &report.Table{
-		ID:      "fig3",
 		Title:   "Peak power consumption across layers in Watt (Figure 3)",
 		Columns: []string{"Network", "Peak power (W)", "Peak layer"},
 	}
-	m := s.powerModel()
-	for _, name := range s.allNetworks() {
-		rs, err := s.simulateDefault(name)
+	m := g.powerModel()
+	for _, name := range g.nets {
+		rs, err := g.sim(name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -115,15 +82,15 @@ func (s *Session) Fig3() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig4 reproduces Figure 4: average power per layer type (share of the
+// fig4 reproduces Figure 4: average power per layer type (share of the
 // per-class average power).
-func (s *Session) Fig4() (*report.Table, error) {
-	nets := s.figureCNNs()
-	m := s.powerModel()
+func fig4(g grid) (*report.Table, error) {
+	nets := g.nets
+	m := g.powerModel()
 	perNet := make(map[string]map[string]float64, len(nets))
 	classSet := make(map[string]int64)
 	for _, name := range nets {
-		rs, err := s.simulateDefault(name)
+		rs, err := g.sim(name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +102,6 @@ func (s *Session) Fig4() (*report.Table, error) {
 	}
 	classes := presentClasses(classSet)
 	t := &report.Table{
-		ID:      "fig4",
 		Title:   "Average power consumption per layer type (Figure 4)",
 		Columns: append([]string{"Network"}, classes...),
 	}
@@ -158,18 +124,17 @@ func (s *Session) Fig4() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig5 reproduces Figure 5: the per-component power breakdown.
-func (s *Session) Fig5() (*report.Table, error) {
-	nets := s.allNetworks()
+// fig5 reproduces Figure 5: the per-component power breakdown.
+func fig5(g grid) (*report.Table, error) {
+	nets := g.nets
 	t := &report.Table{
-		ID:      "fig5",
 		Title:   "Breakdown of average power consumption (Figure 5)",
 		Columns: append([]string{"Component"}, nets...),
 	}
-	m := s.powerModel()
+	m := g.powerModel()
 	byNet := make(map[string]power.NetworkPower, len(nets))
 	for _, name := range nets {
-		rs, err := s.simulateDefault(name)
+		rs, err := g.sim(name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -201,26 +166,23 @@ func (s *Session) Fig5() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig6 reproduces Figure 6: energy on the embedded GPU (TX1) versus the
-// embedded FPGA (PynQ) for CifarNet and SqueezeNet.  Both platforms run
-// through the target registry, deriving from the same shared traces.
-func (s *Session) Fig6() (*report.Table, error) {
-	nets := s.opts.filter([]string{"CifarNet", "SqueezeNet"})
+// fig6 reproduces Figure 6: energy on the embedded GPU (TX1) versus the
+// embedded FPGA (PynQ) for CifarNet and SqueezeNet.  The row's targets are
+// the TX1, then the PynQ, both deriving from the same shared traces.
+func fig6(g grid) (*report.Table, error) {
 	t := &report.Table{
-		ID:      "fig6",
 		Title:   "Energy consumption on embedded GPU (TX1) vs embedded FPGA (PynQ) (Figure 6)",
 		Columns: []string{"Network", "Platform", "Peak power (W)", "Exec time (s)", "Energy (J)", "Normalized energy"},
 	}
-	v := s.defaultVariant()
-	for _, name := range nets {
-		gpu, err := s.runOn(s.tx1, name, v)
+	for _, name := range g.nets {
+		gpu, err := g.run(name, 0, 0)
 		if err != nil {
 			return nil, err
 		}
 		// The paper computes energy as peak power times execution time.
 		gpuEnergy := gpu.PeakWatts * gpu.Seconds
 
-		fp, err := s.runOn(s.fpga, name, v)
+		fp, err := g.run(name, 1, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -231,16 +193,15 @@ func (s *Session) Fig6() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig7 reproduces Figure 7: the stall-cycle breakdown per layer type and per
+// fig7 reproduces Figure 7: the stall-cycle breakdown per layer type and per
 // network.
-func (s *Session) Fig7() (*report.Table, error) {
+func fig7(g grid) (*report.Table, error) {
 	reasons := gpusim.StallReasons()
 	cols := []string{"Network", "Layer type"}
 	for _, r := range reasons {
 		cols = append(cols, r.String())
 	}
 	t := &report.Table{
-		ID:      "fig7",
 		Title:   "Breakdown of stall cycles (Figure 7)",
 		Columns: cols,
 	}
@@ -251,8 +212,8 @@ func (s *Session) Fig7() (*report.Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	for _, name := range s.allNetworks() {
-		rs, err := s.simulateDefault(name)
+	for _, name := range g.nets {
+		rs, err := g.sim(name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -269,13 +230,13 @@ func (s *Session) Fig7() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig8 reproduces Figure 8: the per-network operation-type breakdown.
-func (s *Session) Fig8() (*report.Table, error) {
-	nets := s.allNetworks()
+// fig8 reproduces Figure 8: the per-network operation-type breakdown.
+func fig8(g grid) (*report.Table, error) {
+	nets := g.nets
 	shares := make(map[string][]profiler.OpShare, len(nets))
 	opSet := map[string]bool{}
 	for _, name := range nets {
-		rs, err := s.simulateDefault(name)
+		rs, err := g.sim(name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -294,7 +255,6 @@ func (s *Session) Fig8() (*report.Table, error) {
 		}
 	}
 	t := &report.Table{
-		ID:      "fig8",
 		Title:   "Operation type breakdown (Figure 8)",
 		Columns: append(append([]string{"Network"}, ops...), "others"),
 	}
@@ -316,11 +276,11 @@ func (s *Session) Fig8() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig9 reproduces Figure 9: the top-10 operations across all networks.
-func (s *Session) Fig9() (*report.Table, error) {
+// fig9 reproduces Figure 9: the top-10 operations across all networks.
+func fig9(g grid) (*report.Table, error) {
 	var runs []*gpusim.RunStats
-	for _, name := range s.allNetworks() {
-		rs, err := s.simulateDefault(name)
+	for _, name := range g.nets {
+		rs, err := g.sim(name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +288,6 @@ func (s *Session) Fig9() (*report.Table, error) {
 	}
 	merged := profiler.MergedOpBreakdown(runs)
 	t := &report.Table{
-		ID:      "fig9",
 		Title:   "Total operations breakdown used by all networks (Figure 9)",
 		Columns: []string{"Rank", "Operation", "Share"},
 	}
@@ -346,17 +305,15 @@ func (s *Session) Fig9() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig10 reproduces Figure 10: the instruction data-type breakdown layer by
+// fig10 reproduces Figure 10: the instruction data-type breakdown layer by
 // layer for ResNet.
-func (s *Session) Fig10() (*report.Table, error) {
-	nets := s.opts.filter([]string{"ResNet"})
+func fig10(g grid) (*report.Table, error) {
 	t := &report.Table{
-		ID:      "fig10",
 		Title:   "Instruction data-type breakdown throughout execution (Figure 10, ResNet)",
 		Columns: []string{"Layer", "f32", "u32", "u16", "s32", "s16"},
 	}
-	for _, name := range nets {
-		rs, err := s.simulateDefault(name)
+	for _, name := range g.nets {
+		rs, err := g.sim(name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -374,15 +331,14 @@ func (s *Session) Fig10() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig11 reproduces Figure 11: the device-memory footprint per network.
-func (s *Session) Fig11() (*report.Table, error) {
+// fig11 reproduces Figure 11: the device-memory footprint per network.
+func fig11(g grid) (*report.Table, error) {
 	t := &report.Table{
-		ID:      "fig11",
 		Title:   "Memory footprint (Figure 11)",
 		Columns: []string{"Network", "Weights (KB)", "Activations (KB)", "Total (KB)"},
 	}
-	for _, name := range s.allNetworks() {
-		tr, err := s.trace(name)
+	for _, name := range g.nets {
+		tr, err := g.store.Trace(name)
 		if err != nil {
 			return nil, err
 		}
@@ -396,15 +352,14 @@ func (s *Session) Fig11() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig12 reproduces Figure 12: per-SM register file usage.
-func (s *Session) Fig12() (*report.Table, error) {
+// fig12 reproduces Figure 12: per-SM register file usage.
+func fig12(g grid) (*report.Table, error) {
 	t := &report.Table{
-		ID:      "fig12",
 		Title:   "Register file usage in KB (Figure 12)",
 		Columns: []string{"Network", "Max allocated (KB)", "Max live (KB)"},
 	}
-	for _, name := range s.allNetworks() {
-		rs, err := s.simulateDefault(name)
+	for _, name := range g.nets {
+		rs, err := g.sim(name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -415,24 +370,24 @@ func (s *Session) Fig12() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig13 reproduces Figure 13: total L2 misses per layer type with the L1D
+// fig13 reproduces Figure 13: total L2 misses per layer type with the L1D
 // bypassed.
-func (s *Session) Fig13() (*report.Table, error) {
-	return s.l2ByClassTable("fig13", "Total L2 misses per layer type without L1D (Figure 13)", false)
+func fig13(g grid) (*report.Table, error) {
+	return l2ByClassTable(g, "Total L2 misses per layer type without L1D (Figure 13)", false)
 }
 
-// Fig14 reproduces Figure 14: the L2 miss ratio per layer type with the L1D
+// fig14 reproduces Figure 14: the L2 miss ratio per layer type with the L1D
 // bypassed.
-func (s *Session) Fig14() (*report.Table, error) {
-	return s.l2ByClassTable("fig14", "L2 miss ratio per layer type without L1D (Figure 14)", true)
+func fig14(g grid) (*report.Table, error) {
+	return l2ByClassTable(g, "L2 miss ratio per layer type without L1D (Figure 14)", true)
 }
 
-func (s *Session) l2ByClassTable(id, title string, ratio bool) (*report.Table, error) {
-	nets := s.figureCNNs()
+func l2ByClassTable(g grid, title string, ratio bool) (*report.Table, error) {
+	nets := g.nets
 	perNet := make(map[string]map[string]int64, len(nets))
 	statsPerNet := make(map[string]map[string]float64, len(nets))
 	for _, name := range nets {
-		rs, err := s.simulate(name, s.defaultVariant().WithL1(0))
+		rs, err := g.sim(name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -456,7 +411,6 @@ func (s *Session) l2ByClassTable(id, title string, ratio bool) (*report.Table, e
 	}
 	classes := presentClasses(maps...)
 	t := &report.Table{
-		ID:      id,
 		Title:   title,
 		Columns: append([]string{"Network"}, classes...),
 	}
@@ -480,62 +434,72 @@ func (s *Session) l2ByClassTable(id, title string, ratio bool) (*report.Table, e
 	return t, nil
 }
 
-// Fig15 reproduces Figure 15: execution time under the GTO, LRR and TLV warp
+// fig15 reproduces Figure 15: execution time under the GTO, LRR and TLV warp
 // schedulers, normalized to GTO.
-func (s *Session) Fig15() (*report.Table, error) {
+func fig15(g grid) (*report.Table, error) {
 	t := &report.Table{
-		ID:      "fig15",
 		Title:   "Warp scheduler sensitivity (Figure 15)",
 		Columns: []string{"Network", "GTO (cycles)", "GTO", "LRR", "TLV"},
 	}
-	for _, name := range s.allNetworks() {
-		cycles := map[sched.Kind]int64{}
-		for _, kind := range sched.Kinds() {
-			rs, err := s.simulate(name, s.schedVariant(kind))
-			if err != nil {
-				return nil, err
-			}
-			cycles[kind] = rs.TotalCycles()
+	for _, name := range g.nets {
+		cycles, err := totalCycles(g, name)
+		if err != nil {
+			return nil, err
 		}
-		base := cycles[sched.GTO]
-		t.AddRow(name, base,
-			fmt.Sprintf("%.3f", 1.0),
-			fmt.Sprintf("%.3f", float64(cycles[sched.LRR])/float64(base)),
-			fmt.Sprintf("%.3f", float64(cycles[sched.TLV])/float64(base)))
+		ratioRow(t, name, cycles)
 	}
 	t.AddNote("the plain round-robin scheduler is competitive with or better than GTO for conv-heavy CNNs (Observation 12)")
 	return t, nil
 }
 
-// Fig16 reproduces Figure 16: per-layer scheduler sensitivity for AlexNet.
-func (s *Session) Fig16() (*report.Table, error) {
-	nets := s.opts.filter([]string{"AlexNet"})
+// fig16 reproduces Figure 16: per-layer scheduler sensitivity for AlexNet.
+func fig16(g grid) (*report.Table, error) {
 	t := &report.Table{
-		ID:      "fig16",
 		Title:   "Per-layer warp scheduler sensitivity of AlexNet (Figure 16)",
 		Columns: []string{"Layer", "GTO (cycles)", "GTO", "LRR", "TLV"},
 	}
-	for _, name := range nets {
-		perSched := map[sched.Kind]*gpusim.RunStats{}
-		for _, kind := range sched.Kinds() {
-			rs, err := s.simulate(name, s.schedVariant(kind))
+	for _, name := range g.nets {
+		var runs []*gpusim.RunStats
+		for vi := range g.variants {
+			rs, err := g.sim(name, vi)
 			if err != nil {
 				return nil, err
 			}
-			perSched[kind] = rs
+			runs = append(runs, rs)
 		}
-		gto := perSched[sched.GTO]
-		for i := range gto.Kernels {
-			base := gto.Kernels[i].Cycles
-			lrr := perSched[sched.LRR].Kernels[i].Cycles
-			tlv := perSched[sched.TLV].Kernels[i].Cycles
-			t.AddRow(gto.Kernels[i].Kernel.LayerName, base,
-				fmt.Sprintf("%.3f", 1.0),
-				fmt.Sprintf("%.3f", float64(lrr)/float64(base)),
-				fmt.Sprintf("%.3f", float64(tlv)/float64(base)))
+		for i, k := range runs[0].Kernels {
+			cycles := make([]int64, len(runs))
+			for vi, rs := range runs {
+				cycles[vi] = rs.Kernels[i].Cycles
+			}
+			ratioRow(t, k.Kernel.LayerName, cycles)
 		}
 	}
 	return t, nil
+}
+
+// totalCycles returns the network's total cycles under each of the grid's
+// variants.
+func totalCycles(g grid, network string) ([]int64, error) {
+	cycles := make([]int64, len(g.variants))
+	for vi := range g.variants {
+		rs, err := g.sim(network, vi)
+		if err != nil {
+			return nil, err
+		}
+		cycles[vi] = rs.TotalCycles()
+	}
+	return cycles, nil
+}
+
+// ratioRow adds a row of cycle counts normalized to the first: the label,
+// the first count, then every count over the first.
+func ratioRow(t *report.Table, label string, cycles []int64) {
+	row := []interface{}{label, cycles[0]}
+	for _, c := range cycles {
+		row = append(row, fmt.Sprintf("%.3f", float64(c)/float64(cycles[0])))
+	}
+	t.AddRow(row...)
 }
 
 // safeDiv returns a/b as a float fraction, or 0 when b is zero.

@@ -1,10 +1,9 @@
 package bench
 
 import (
-	"strings"
-
+	"tango/internal/gpusim"
 	"tango/internal/par"
-	"tango/internal/sched"
+	"tango/internal/power"
 	"tango/internal/target"
 )
 
@@ -15,55 +14,57 @@ type cell struct {
 	v       target.Variant
 }
 
-// gpuVariants returns the session GPU configurations an experiment's
-// renderer reads; nil means it reads none (the tables, Figure 6 and
-// Figure 11).  TestPrewarmForCoversExperiments guards this mapping, and
-// cells', against drift.
-func (s *Session) gpuVariants(id string) []target.Variant {
-	switch strings.ToLower(id) {
-	case "fig2":
-		return s.l1Variants()
-	case "fig13", "fig14":
-		return []target.Variant{s.defaultVariant().WithL1(0)}
-	case "fig15", "fig16":
-		var out []target.Variant
-		for _, kind := range sched.Kinds() {
-			out = append(out, s.schedVariant(kind))
-		}
-		return out
-	case "fig1", "fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10", "fig12":
-		return []target.Variant{s.defaultVariant()}
-	default:
-		return nil
-	}
+// grid is an experiment's row resolved against a session: the runs it reads
+// are each of nets on each of targets under each of variants.  Renderers
+// read their runs through it, so they read exactly the cells it lists.
+type grid struct {
+	store    *target.Store
+	nets     []string
+	targets  []target.Target
+	variants []target.Variant
 }
 
-// cells returns the runs experiment id reads: its GPU variants over the
-// session's networks, plus the embedded TX1 and PynQ runs of Figure 6.
-func (s *Session) cells(id string) []cell {
-	var cells []cell
-	for _, v := range s.gpuVariants(id) {
-		for _, n := range s.allNetworks() {
-			cells = append(cells, cell{t: s.gpu, network: n, v: v})
+// cells lists the grid's runs.
+func (g grid) cells() []cell {
+	var out []cell
+	for _, n := range g.nets {
+		for _, t := range g.targets {
+			for _, v := range g.variants {
+				out = append(out, cell{t: t, network: n, v: v})
+			}
 		}
 	}
-	if strings.ToLower(id) == "fig6" {
-		v := s.defaultVariant()
-		for _, n := range s.opts.filter([]string{"CifarNet", "SqueezeNet"}) {
-			cells = append(cells, cell{t: s.tx1, network: n, v: v}, cell{t: s.fpga, network: n, v: v})
-		}
-	}
-	return cells
+	return out
 }
 
-// matrix enumerates every run the session's experiments need, each once.
-// The experiment drivers hit the store for all of these, so warming the
-// matrix up front makes a full report run embarrassingly parallel.
+// run returns the network's run on target ti under variant vi.
+func (g grid) run(network string, ti, vi int) (*target.RunStats, error) {
+	return g.store.Run(g.targets[ti], network, g.variants[vi])
+}
+
+// sim returns the simulator statistics of the network on the grid's GPU
+// target under variant vi.
+func (g grid) sim(network string, vi int) (*gpusim.RunStats, error) {
+	rs, err := g.run(network, 0, vi)
+	if err != nil {
+		return nil, err
+	}
+	return rs.GPU, nil
+}
+
+// powerModel returns the power model of the grid's GPU target.
+func (g grid) powerModel() *power.Model {
+	dev, _ := target.GPUDevice(g.targets[0])
+	return power.NewModel(dev)
+}
+
+// matrix enumerates every run the session's experiments read, each once.
+// Warming it up front makes a full report run embarrassingly parallel.
 func (s *Session) matrix() []cell {
 	seen := map[string]bool{}
 	var out []cell
-	for _, id := range IDs() {
-		for _, c := range s.cells(id) {
+	for _, e := range experiments {
+		for _, c := range s.grid(e).cells() {
 			if key := target.RunKey(c.t, c.network, c.v); !seen[key] {
 				seen[key] = true
 				out = append(out, c)
@@ -73,14 +74,17 @@ func (s *Session) matrix() []cell {
 	return out
 }
 
-// PrewarmFor warms only the cells the given experiment consumes, on n
+// PrewarmFor warms exactly the cells the given experiment reads, on n
 // concurrent workers, so one figure does not simulate the whole report
-// matrix.  Cells are keyed exactly as the serial renderers request them.
-// Unknown ids and the run-free tables warm nothing.  The first error in
-// cell order is returned; cells that failed stay uncached and are
-// re-attempted (and re-reported deterministically) by the serial render.
+// matrix.  Unknown ids and the run-free experiments warm nothing.  The
+// first error in cell order is returned; cells that failed stay uncached and
+// are re-attempted (and re-reported deterministically) by the serial render.
 func (s *Session) PrewarmFor(id string, n int) error {
-	return s.prewarmCells(s.cells(id), n)
+	e, ok := lookup(id)
+	if !ok {
+		return nil
+	}
+	return s.prewarmCells(s.grid(e).cells(), n)
 }
 
 // prewarmCells computes the given matrix cells on n concurrent workers.

@@ -2,61 +2,54 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"tango/internal/core"
 	"tango/internal/report"
 	"tango/internal/target"
 )
 
-// Table1 reproduces Table I: input data, pre-trained model provenance and
+// table1 reproduces Table I: input data, pre-trained model provenance and
 // output of every benchmark.
-func (s *Session) Table1() (*report.Table, error) {
+func table1(g grid) (*report.Table, error) {
 	t := &report.Table{
-		ID:      "table1",
 		Title:   "Input/Output and Pre-trained Models used by networks (Table I)",
 		Columns: []string{"Network", "Input Data", "Pre-trained Model", "Output"},
 	}
-	keep := map[string]bool{}
-	for _, n := range s.opts.filter(suiteNames()) {
-		keep[n] = true
-	}
 	for _, r := range core.ReferenceInputs() {
-		if !keep[r.Network] {
-			continue
+		if slices.Contains(g.nets, r.Network) {
+			t.AddRow(r.Network, r.InputData, r.Pretrained, r.Output)
 		}
-		t.AddRow(r.Network, r.InputData, r.Pretrained, r.Output)
 	}
 	t.AddNote("pre-trained model files are replaced by deterministic synthetic weights with reference shapes")
 	return t, nil
 }
 
-// Table2 reproduces Table II: the GPU platforms used for evaluation.
-func (s *Session) Table2() (*report.Table, error) {
+// table2 reproduces Table II: the GPU platforms used for evaluation.
+func table2(g grid) (*report.Table, error) {
 	t := &report.Table{
-		ID:      "table2",
 		Title:   "GPU architectures used for evaluation (Table II)",
 		Columns: []string{"Role", "Architecture", "CUDA cores", "SMs", "Global memory", "L1D (default)", "L2", "Registers/SM", "Clock MHz", "Host CPU", "OS"},
 	}
-	for _, name := range []string{"gk210", "tx1", "gp102"} {
-		g, _ := target.GPUDevice(builtin(name))
-		t.AddRow(g.Role, g.Architecture, g.CUDACores, g.SMs,
-			formatBytes(g.GlobalMemBytes), formatBytes(int64(g.L1DBytes)), formatBytes(int64(g.L2Bytes)),
-			g.RegistersPerSM, g.CoreClockMHz, g.HostCPU, g.OS)
+	for _, tgt := range g.targets {
+		d, _ := target.GPUDevice(tgt)
+		t.AddRow(d.Role, d.Architecture, d.CUDACores, d.SMs,
+			formatBytes(d.GlobalMemBytes), formatBytes(int64(d.L1DBytes)), formatBytes(int64(d.L2Bytes)),
+			d.RegistersPerSM, d.CoreClockMHz, d.HostCPU, d.OS)
 	}
 	t.AddNote("simulator runs sweep the L1D over bypassed/64KB/128KB/256KB and the gto/lrr/tlv warp schedulers")
 	return t, nil
 }
 
-// Table3 reproduces Table III: per-kernel launch geometry and SRAM usage for
+// table3 reproduces Table III: per-kernel launch geometry and SRAM usage for
 // every network in the suite.
-func (s *Session) Table3() (*report.Table, error) {
+func table3(g grid) (*report.Table, error) {
 	t := &report.Table{
-		ID:      "table3",
 		Title:   "Network configuration and SRAM usage (Table III)",
 		Columns: []string{"Network", "Layer", "gridDim", "blockDim", "regs", "smem", "cmem"},
 	}
-	for _, name := range s.opts.filter(suiteNames()) {
-		tr, err := s.trace(name)
+	for _, name := range g.nets {
+		tr, err := g.store.Trace(name)
 		if err != nil {
 			return nil, err
 		}
@@ -71,12 +64,11 @@ func (s *Session) Table3() (*report.Table, error) {
 	return t, nil
 }
 
-// Table4 reproduces Table IV: the FPGA platform, the board of the session's
+// table4 reproduces Table IV: the FPGA platform, the board of the registry's
 // pynq target.
-func (s *Session) Table4() (*report.Table, error) {
-	board, _ := target.FPGABoard(s.fpga)
+func table4(g grid) (*report.Table, error) {
+	board, _ := target.FPGABoard(g.targets[0])
 	t := &report.Table{
-		ID:      "table4",
 		Title:   "FPGA platform used for evaluation (Table IV)",
 		Columns: []string{"Field", "Value"},
 	}

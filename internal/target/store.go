@@ -138,26 +138,8 @@ func (s *Store) SetDisk(d DiskCache) {
 
 // Trace returns the network's layer trace, extracting it on first use.
 func (s *Store) Trace(network string) (*Trace, error) {
-	s.mu.Lock()
-	if e, ok := s.traces[network]; ok {
-		s.stats.TraceHits++
-		s.mu.Unlock()
-		<-e.done
-		return e.val, e.err
-	}
-	s.stats.TraceMisses++
-	e := &entry[*Trace]{done: make(chan struct{})}
-	s.traces[network] = e
-	s.mu.Unlock()
-
-	e.val, e.err = Extract(network)
-	if e.err != nil {
-		s.mu.Lock()
-		delete(s.traces, network)
-		s.mu.Unlock()
-	}
-	close(e.done)
-	return e.val, e.err
+	return singleflight(s, s.traces, network, &s.stats.TraceHits, &s.stats.TraceMisses,
+		func() (*Trace, error) { return Extract(network) })
 }
 
 // Run returns the statistics of running the network's trace on the target
@@ -168,23 +150,31 @@ func (s *Store) Trace(network string) (*Trace, error) {
 // goroutine.
 func (s *Store) Run(t Target, network string, v Variant) (*RunStats, error) {
 	key := RunKey(t, network, v)
+	return singleflight(s, s.runs, key, &s.stats.RunHits, &s.stats.RunMisses,
+		func() (*RunStats, error) { return s.fillCell(key, t, network, v) })
+}
+
+// singleflight returns m[key], filling it on first use: the first caller
+// counts a miss and runs fill on its goroutine; every later caller counts a
+// hit and gets that result, waiting for fill if it is still running.  A
+// failure leaves the cache, so the next request retries.
+func singleflight[V any](s *Store, m map[string]*entry[V], key string, hits, misses *int64, fill func() (V, error)) (V, error) {
 	s.mu.Lock()
-	if e, ok := s.runs[key]; ok {
-		s.stats.RunHits++
+	if e, ok := m[key]; ok {
+		*hits++
 		s.mu.Unlock()
 		<-e.done
 		return e.val, e.err
 	}
-	s.stats.RunMisses++
-	e := &entry[*RunStats]{done: make(chan struct{})}
-	s.runs[key] = e
+	*misses++
+	e := &entry[V]{done: make(chan struct{})}
+	m[key] = e
 	s.mu.Unlock()
 
-	e.val, e.err = s.fillCell(key, t, network, v)
+	e.val, e.err = fill()
 	if e.err != nil {
-		// Failures leave the cache: the next request retries.
 		s.mu.Lock()
-		delete(s.runs, key)
+		delete(m, key)
 		s.mu.Unlock()
 	}
 	close(e.done)
